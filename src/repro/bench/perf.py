@@ -81,8 +81,57 @@ class LegacyBTree(BTree):
     The copied behaviors: per-key metric increments, two defensive key
     list copies per IB log record, and -- the dominant cost -- a full
     bounds-cache invalidation on every split, which makes the next
-    ``_leaf_covers`` pay an O(pages) structural search.
+    ``_leaf_covers`` pay an O(pages) structural search.  The shipped tree
+    takes fences and split paths from its descents and has none of these
+    hooks, so the version-stamped bounds cache and the structural walk
+    behind it live here only.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._bounds_cache: dict = {}
+
+    def _leaf_covers(self, leaf, composite):
+        low_fence, high_fence = self._leaf_bounds(leaf.page_no)
+        if low_fence is not None and composite < low_fence:
+            return False
+        if high_fence is not None and composite >= high_fence:
+            return False
+        return True
+
+    def _leaf_bounds(self, leaf_no):
+        cache = self._bounds_cache
+        if cache.get("version") != self.structure_version:
+            cache.clear()
+            cache["version"] = self.structure_version
+        bounds = cache.get(leaf_no)
+        if bounds is not None:
+            return bounds
+        path = self._path_to_leaf(leaf_no)
+        low_fence = None
+        high_fence = None
+        for branch, slot in path:
+            if slot > 0:
+                candidate = branch.separators[slot - 1]
+                if low_fence is None or candidate > low_fence:
+                    low_fence = candidate
+            if slot < len(branch.separators):
+                candidate = branch.separators[slot]
+                if high_fence is None or candidate < high_fence:
+                    high_fence = candidate
+        cache[leaf_no] = (low_fence, high_fence)
+        return low_fence, high_fence
+
+    def _insert_sorted(self, leaf, entry, path=None,
+                       specialized_for_ib=False):
+        if not leaf.is_full:
+            leaf.entries.insert(leaf.position(entry.composite), entry)
+            return leaf
+        if path is None:
+            path = self._path_to_leaf(leaf.page_no)
+        if specialized_for_ib:
+            return self._specialized_split(leaf, entry, path)
+        return self._normal_split(leaf, entry, path)
 
     def _path_to_leaf(self, leaf_no):
         if self.root == leaf_no:

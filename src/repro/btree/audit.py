@@ -36,9 +36,10 @@ def audit_tree(tree: BTree) -> dict:
     * a unique tree has at most one entry per key value.
     """
     if tree.root is None:
-        return {"leaves": 0, "entries": 0, "height": 0}
+        return {"leaves": 0, "entries": 0, "height": 0, "fences": {}}
 
-    stats = {"leaves": 0, "entries": 0, "branches": 0}
+    #: "fences": leaf page number -> the (low, high) separators bounding it
+    stats = {"leaves": 0, "entries": 0, "branches": 0, "fences": {}}
     leaf_depths: set[int] = set()
     leaves_in_tree: list[LeafPage] = []
 
@@ -51,6 +52,7 @@ def audit_tree(tree: BTree) -> dict:
             stats["leaves"] += 1
             leaf_depths.add(depth)
             leaves_in_tree.append(page)
+            stats["fences"][page_no] = (low, high)
             if len(page.entries) > page.capacity:
                 raise TreeAuditError(
                     f"{tree.name}: leaf {page_no} over capacity "

@@ -108,7 +108,9 @@ class BTree:
         #: replay the full log (NSF, fully logged) or rebuild from the
         #: sorted runs (SF, unlogged build; section 6's fallback).
         self.media_damaged = False
-        self._bounds_cache: dict = {}
+        #: leaf page number -> (lower fence, upper fence), the separators
+        #: a descent passed on its way to that leaf; see _traverse
+        self._fences: dict[int, tuple] = {}
         self._register_operations()
 
     # ------------------------------------------------------------------
@@ -147,83 +149,55 @@ class BTree:
 
     def _traverse(self, composite: CompositeKey, *, count: bool = True
                   ) -> tuple[LeafPage, list[tuple[BranchPage, int]]]:
-        """Root-to-leaf descent; returns the leaf and the branch path."""
+        """Root-to-leaf descent; returns the leaf and the branch path.
+
+        Every leaf handle, branch path and fence pair in this class
+        comes from here (section 2.3.1: "remember the path from the root
+        to the leaf"), good for the ``structure_version`` it was taken
+        at.  The separators passed on the way down are exactly the
+        leaf's fences -- a deeper separator lies inside the bounds of
+        the shallower ones, so the deepest one on each side wins -- and
+        they are memoised for :meth:`_leaf_covers`.
+        """
         if count:
             self.system.metrics.incr("index.traversals")
         if self.root is None:
             self._ensure_root()
         node = self.pages[self.root]
         path: list[tuple[BranchPage, int]] = []
-        visits = 1
+        low_fence = high_fence = None
         while isinstance(node, BranchPage):
-            child_no, slot = node.child_for(composite)
-            path.append((node, slot))
-            node = self.pages[child_no]
-            visits += 1
-        if count:
-            self.system.metrics.incr("index.page_visits", visits)
-        return node, path
-
-    def _path_to_leaf(self, leaf_no: int) -> list[tuple[BranchPage, int]]:
-        """Derive the branch path to a known leaf, structurally.
-
-        A key-guided descent is not reliable here: rollbacks can empty a
-        leaf, and a subsequent insert can give it a low key equal to one
-        of its fences, making "traverse by low key" land a neighbour.
-        The structural search is exact; interior fan-out keeps it cheap.
-        When the leaf's fences are cached at the current structure
-        version they pin the leaf's position exactly, so a fence-guided
-        O(height) descent replaces the O(pages) walk (IB pays this once
-        per split; the walk made split-heavy builds quadratic).
-        """
-        if self.root == leaf_no:
-            return []
-        path = self._fence_guided_path(leaf_no)
-        if path is not None:
-            return path
-        path = []
-
-        def descend(page_no: int) -> bool:
-            node = self.pages[page_no]
-            if isinstance(node, LeafPage):
-                return node.page_no == leaf_no
-            for slot, child in enumerate(node.children):
-                path.append((node, slot))
-                if descend(child):
-                    return True
-                path.pop()
-            return False
-
-        if self.root is None or not descend(self.root):
-            raise StorageError(f"leaf {leaf_no} unreachable in {self.name}")
-        return path
-
-    def _fence_guided_path(self, leaf_no: int
-                           ) -> Optional[list[tuple[BranchPage, int]]]:
-        """Branch path to ``leaf_no`` via its cached fences, or None.
-
-        A leaf's lower fence is the lowest composite its range covers, so
-        descending by it (``bisect_right``, the same routing rule as
-        :meth:`BranchPage.child_for`; a ``None`` fence means leftmost)
-        lands exactly on that leaf -- verified before trusting the result,
-        with the exhaustive walk as the fallback.
-        """
-        cache = self._bounds_cache
-        if cache.get("version") != self.structure_version:
-            return None
-        bounds = cache.get(leaf_no)
-        if bounds is None:
-            return None
-        low_fence = bounds[0]
-        node = self.pages[self.root]
-        path: list[tuple[BranchPage, int]] = []
-        while isinstance(node, BranchPage):
-            slot = (bisect_right(node.separators, low_fence)
-                    if low_fence is not None else 0)
+            separators = node.separators
+            slot = bisect_right(separators, composite)
+            if slot:
+                low_fence = separators[slot - 1]
+            if slot < len(separators):
+                high_fence = separators[slot]
             path.append((node, slot))
             node = self.pages[node.children[slot]]
-        if node.page_no != leaf_no:
-            return None
+        self._fences[node.page_no] = (low_fence, high_fence)
+        if count:
+            self.system.metrics.incr("index.page_visits", len(path) + 1)
+        return node, path
+
+    def _path_after_wait(self, leaf: LeafPage,
+                         path: list[tuple[BranchPage, int]], version: int,
+                         composite: CompositeKey
+                         ) -> Optional[list[tuple[BranchPage, int]]]:
+        """The current branch path to ``leaf`` if it still covers
+        ``composite``, else None (the caller retries from the root).
+
+        ``leaf`` and ``path`` came from a descent for ``composite`` at
+        ``version``; waiting for the leaf latch yielded the simulator, so
+        the leaf may have split since.  "This leaf covers the key" *is*
+        "a descent for the key ends here": an unmoved
+        ``structure_version`` proves it, otherwise one more (uncounted,
+        uncharged) descent decides and supplies the new path.
+        """
+        if version != self.structure_version:
+            landed, path = self._traverse(composite, count=False)
+            if landed is not leaf:
+                return None
         return path
 
     def _find_for_key_value(self, key_value
@@ -259,6 +233,10 @@ class BTree:
                        specialized_for_ib: bool = False) -> LeafPage:
         """Place ``entry`` in ``leaf``, splitting if needed.
 
+        ``path`` is the branch path of the descent that produced
+        ``leaf`` while ``structure_version`` has not moved since; None
+        (IB's cursor keeps no path, and a latched group's own split
+        outdates the one it started with) descends again for the entry.
         Returns the leaf that finally holds the entry.  With
         ``specialized_for_ib`` the split follows section 2.3.1: keys higher
         than IB's key move to the new leaf (the few keys inserted by
@@ -269,7 +247,11 @@ class BTree:
             leaf.entries.insert(leaf.position(entry.composite), entry)
             return leaf
         if path is None:
-            path = self._path_to_leaf(leaf.page_no)
+            landed, path = self._traverse(entry.composite, count=False)
+            if landed is not leaf:
+                raise StorageError(
+                    f"leaf {leaf.page_no} of {self.name} does not cover "
+                    f"{entry.composite!r}: not a handle from a descent")
         if specialized_for_ib:
             return self._specialized_split(leaf, entry, path)
         return self._normal_split(leaf, entry, path)
@@ -325,7 +307,11 @@ class BTree:
         # relinked, but the parent has no separator yet.
         fault_point(self.system.metrics, "btree.split")
         self.structure_version += 1
-        self._bounds_cache_after_leaf_split(left, right, separator)
+        # A leaf split changes exactly two leaves' fences; a branch split
+        # (below) changes none, the same separators just move up.
+        low_fence, high_fence = self._fences[left.page_no]
+        self._fences[left.page_no] = (low_fence, separator)
+        self._fences[right.page_no] = (separator, high_fence)
         self.system.metrics.incr("index.splits")
         self.system.log.append(
             None, RecordKind.UPDATE,
@@ -357,7 +343,6 @@ class BTree:
         del branch.separators[mid:]
         del branch.children[mid + 1:]
         self.structure_version += 1
-        self._bounds_cache_carry_forward()
         self.system.metrics.incr("index.splits")
         if not path:
             new_root = self._allocate_branch()
@@ -370,47 +355,6 @@ class BTree:
         parent.children.insert(slot + 1, new_branch.page_no)
         if parent.is_full:
             self._split_branch(parent, path[:-1])
-
-    # ------------------------------------------------------------------
-    # bounds-cache maintenance
-    # ------------------------------------------------------------------
-
-    def _bounds_cache_after_leaf_split(self, left: LeafPage,
-                                       right: LeafPage,
-                                       separator: CompositeKey) -> None:
-        """Carry the fence cache across a leaf split we fully understand.
-
-        A split changes exactly two leaves' fences: ``left`` keeps its
-        lower fence and gains ``separator`` as its upper fence; ``right``
-        spans ``separator`` up to ``left``'s old upper fence.  Every other
-        leaf's fences are untouched, so instead of discarding the whole
-        cache (which made the next ``_leaf_covers`` per split pay an
-        O(pages) structural search -- quadratic over a build) the cache is
-        patched in place and its version stamp advanced.  Any *external*
-        version bump (crash, snapshot restore) still mismatches and clears
-        the cache lazily in :meth:`_leaf_bounds`.
-        """
-        cache = self._bounds_cache
-        if cache.get("version") != self.structure_version - 1:
-            return  # cache already stale; let _leaf_bounds rebuild lazily
-        cache["version"] = self.structure_version
-        bounds = cache.get(left.page_no)
-        if bounds is not None:
-            low_fence, high_fence = bounds
-            cache[left.page_no] = (low_fence, separator)
-            cache[right.page_no] = (separator, high_fence)
-
-    def _bounds_cache_carry_forward(self) -> None:
-        """Keep the fence cache valid across a *branch* split.
-
-        Redistributing separators among branches never changes which
-        separators fence a given leaf (the pushed-up separator bounds the
-        same leaves from the parent instead), so all cached leaf fences
-        stay correct -- only the version stamp must follow.
-        """
-        cache = self._bounds_cache
-        if cache.get("version") == self.structure_version - 1:
-            cache["version"] = self.structure_version
 
     # ------------------------------------------------------------------
     # transaction operations (generators)
@@ -428,12 +372,20 @@ class BTree:
         composite = (key_value, rid)
         while True:
             if self.unique:
+                # Located by key value alone (possibly the successor
+                # leaf): the descent for the composite happens under the
+                # latch, where version -1 forces it.
                 leaf, _entry = self._find_for_key_value(key_value)
                 self.system.metrics.incr("index.traversals")
+                path, version = [], -1
             else:
-                leaf, _path = self._traverse(composite)
+                leaf, path = self._traverse(composite)
+                version = self.structure_version
             yield Acquire(leaf.latch, EXCLUSIVE)
-            if not self._latched_leaf_valid(leaf, composite, key_value):
+            path = self._path_after_wait(leaf, path, version, composite)
+            if path is None and not (
+                    self.unique
+                    and leaf.find_key_value(key_value) is not None):
                 # The leaf split while we waited for its latch; retry.
                 leaf.latch.release(self.system.sim.current)
                 continue
@@ -442,10 +394,10 @@ class BTree:
             try:
                 if self.unique:
                     result = yield from self._unique_insert_decide(
-                        txn, leaf, key_value, rid)
+                        txn, leaf, path, key_value, rid)
                 else:
                     result = self._nonunique_insert_apply(
-                        txn, leaf, composite, during_build)
+                        txn, leaf, path, composite)
                 if isinstance(result, tuple):
                     retry = True
                     wait_for = result[1]
@@ -465,27 +417,13 @@ class BTree:
         yield Delay(self.system.config.key_op_cost)
         return outcome
 
-    def _latched_leaf_valid(self, leaf: LeafPage,
-                            composite: CompositeKey, key_value) -> bool:
-        """Re-validate a leaf after its latch was finally granted.
-
-        Waiting for the latch yields the simulator, so the leaf may have
-        split in between.  For a unique tree the leaf is acceptable when
-        it either still holds an entry for this key value or still covers
-        the composite; for a nonunique tree, when it covers the
-        composite.
-        """
-        if self.unique and leaf.find_key_value(key_value) is not None:
-            return True
-        return self._leaf_covers(leaf, composite)
-
-    def _nonunique_insert_apply(self, txn, leaf, composite,
-                                during_build) -> InsertOutcome:
+    def _nonunique_insert_apply(self, txn, leaf, path,
+                                composite) -> InsertOutcome:
         key_value, rid = composite
         exact = leaf.find_exact(composite)
         if exact is None:
             entry = KeyEntry(key_value, rid)
-            self._insert_sorted(leaf, entry)
+            self._insert_sorted(leaf, entry, path)
             self._log_key_op(txn, "insert", key_value, rid,
                              undo_action="pseudo_delete")
             self.system.metrics.incr("index.inserts.txn")
@@ -502,7 +440,7 @@ class BTree:
         self._log_undo_only(txn, key_value, rid)
         return InsertOutcome.DUPLICATE_NOOP
 
-    def _unique_insert_decide(self, txn, leaf, key_value, rid: RID):
+    def _unique_insert_decide(self, txn, leaf, path, key_value, rid: RID):
         """Unique-index insert under the leaf latch.
 
         Returns an :class:`InsertOutcome`, raises
@@ -520,7 +458,7 @@ class BTree:
                     and successor.entries[0].key_value == key_value:
                 return ("wait-switch-leaf", None)  # re-traverse, rare
         if found is None:
-            self._insert_sorted(leaf, KeyEntry(key_value, rid))
+            self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
             self._log_key_op(txn, "insert", key_value, rid,
                              undo_action="pseudo_delete")
             self.system.metrics.incr("index.inserts.txn")
@@ -581,9 +519,11 @@ class BTree:
         """
         composite = (key_value, rid)
         while True:
-            leaf, _path = self._traverse(composite)
+            leaf, path = self._traverse(composite)
+            version = self.structure_version
             yield Acquire(leaf.latch, EXCLUSIVE)
-            if self._leaf_covers(leaf, composite):
+            path = self._path_after_wait(leaf, path, version, composite)
+            if path is not None:
                 break
             # The leaf split while we waited for its latch; retry.
             leaf.latch.release(self.system.sim.current)
@@ -592,7 +532,7 @@ class BTree:
             if during_build or exact is None:
                 if exact is None:
                     entry = KeyEntry(key_value, rid, pseudo_deleted=True)
-                    self._insert_sorted(leaf, entry)
+                    self._insert_sorted(leaf, entry, path)
                     self._log_key_op(txn, "insert_tombstone", key_value, rid,
                                      undo_action="reactivate")
                     self.system.metrics.incr("index.tombstone_inserts")
@@ -677,10 +617,12 @@ class BTree:
         while index < total:
             key_value, rid = work[index]
             leaf = self._locate_ib_leaf(cursor, (key_value, rid))
+            version = self.structure_version
             yield Acquire(leaf.latch, EXCLUSIVE)
-            if not leaf_covers(leaf, (key_value, rid)):
-                # The leaf split while we waited for its latch (or the
-                # cursor went stale); drop it and locate afresh.
+            if version != self.structure_version and self._traverse(
+                    (key_value, rid), count=False)[0] is not leaf:
+                # The leaf split while we waited for its latch; drop the
+                # cursor and locate afresh.
                 leaf.latch.release(self.system.sim.current)
                 cursor.leaf_no = None
                 continue
@@ -740,45 +682,26 @@ class BTree:
                      composite: CompositeKey) -> bool:
         """Does ``composite`` belong in ``leaf``'s separator-fenced range?
 
-        The fences come from the *parent separators*, not the leaf chain:
-        a leaf emptied by rollbacks still owns its range, and its first
-        entry may legally equal its own lower fence -- chain-derived
-        bounds get both cases wrong.
+        The hot loops' test for "the next key of the batch still lands
+        here": two comparisons against the fences memoised by the descent
+        that produced ``leaf`` and patched by every split since.  The
+        fences are the *parent separators*, not the leaf chain: a leaf
+        emptied by rollbacks still owns its range, and its first entry
+        may legally equal its own lower fence.  Only meaningful at the
+        ``structure_version`` the handle is known good for -- after a
+        latch wait, :meth:`_path_after_wait` comes first.
         """
-        low_fence, high_fence = self._leaf_bounds(leaf.page_no)
+        try:
+            low_fence, high_fence = self._fences[leaf.page_no]
+        except KeyError:
+            raise StorageError(
+                f"leaf {leaf.page_no} of {self.name}: not a handle from a "
+                f"descent") from None
         if low_fence is not None and composite < low_fence:
             return False
         if high_fence is not None and composite >= high_fence:
             return False
         return True
-
-    def _leaf_bounds(self, leaf_no: int
-                     ) -> tuple[Optional[CompositeKey],
-                                Optional[CompositeKey]]:
-        """(lower fence, upper fence) of a leaf from its ancestors'
-        separators; None means unbounded on that side.  Cached per
-        structure version."""
-        cache = self._bounds_cache
-        if cache.get("version") != self.structure_version:
-            cache.clear()
-            cache["version"] = self.structure_version
-        bounds = cache.get(leaf_no)
-        if bounds is not None:
-            return bounds
-        path = self._path_to_leaf(leaf_no)
-        low_fence: Optional[CompositeKey] = None
-        high_fence: Optional[CompositeKey] = None
-        for branch, slot in path:
-            if slot > 0:
-                candidate = branch.separators[slot - 1]
-                if low_fence is None or candidate > low_fence:
-                    low_fence = candidate
-            if slot < len(branch.separators):
-                candidate = branch.separators[slot]
-                if high_fence is None or candidate < high_fence:
-                    high_fence = candidate
-        cache[leaf_no] = (low_fence, high_fence)
-        return low_fence, high_fence
 
     def _locate_ib_leaf(self, cursor: IBCursor,
                         composite: CompositeKey) -> LeafPage:
@@ -885,26 +808,17 @@ class BTree:
         a later DELETE entry drains (final uniqueness is verified by the
         builder when the drain completes).
         """
-        rid = RID(*rid)
-        composite = (key_value, rid)
-        leaf, path = self._traverse(composite)
-        yield Acquire(leaf.latch, EXCLUSIVE)
-        try:
-            self._sf_apply_one(ib_txn, leaf, operation, key_value, rid)
-        finally:
-            leaf.latch.release(self.system.sim.current)
-        fault_point(self.system.metrics, "btree.drain_apply")
-        yield Delay(self.system.config.key_op_cost
-                    + self.system.config.drain_visit_cost * (len(path) + 1))
+        yield from self.sf_drain_apply_batch(
+            ib_txn, [(operation, key_value, rid)])
 
-    def _sf_apply_one(self, ib_txn, leaf: LeafPage, operation: str,
+    def _sf_apply_one(self, ib_txn, leaf: LeafPage, path, operation: str,
                       key_value, rid: RID) -> None:
         """Apply one side-file entry to a latched leaf (no yields)."""
         composite = (key_value, rid)
         exact = leaf.find_exact(composite)
         if operation == "insert":
             if exact is None:
-                self._insert_sorted(leaf, KeyEntry(key_value, rid))
+                self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
                 self._log_key_op(ib_txn, "insert", key_value, rid,
                                  undo_action="physical_delete")
                 self.system.metrics.incr("index.inserts.drain")
@@ -924,19 +838,18 @@ class BTree:
                              entries: Sequence[tuple]):
         """Generator: apply a batch of side-file entries (section 3.2.5).
 
-        Semantically ``sf_drain_apply`` per entry, but one traversal and
-        one leaf-latch hold cover every consecutive entry that still falls
-        inside the latched leaf's fences; the first entry outside them
-        re-traverses.  WAL records are written per entry (unchanged) and
-        the per-entry ``btree.drain_apply`` fault site still fires at
-        every entry when an injector is installed.  The simulated charge
-        per latch hold is ``key_op_cost`` per entry plus
+        One traversal and one leaf-latch hold cover every consecutive
+        entry that still falls inside the latched leaf's fences; the
+        first entry outside them re-traverses.  WAL records are written
+        per entry and the ``btree.drain_apply`` fault site fires at every
+        entry when an injector is installed.  The simulated charge per
+        latch hold is ``key_op_cost`` per entry plus
         ``drain_visit_cost`` per page the one descent visited; with a
         nonzero ``drain_visit_cost`` batching shrinks the drain's
         catch-up window by amortizing descents (EXPERIMENTS.md E19) --
-        the per-entry path pays that descent for every entry.  At the
-        default ``drain_visit_cost = 0`` the total equals the per-entry
-        path exactly, preserving the baseline calibration.
+        :meth:`sf_drain_apply`, a batch of one, pays that descent for
+        every entry.  At the default ``drain_visit_cost = 0`` the two
+        totals are equal, preserving the baseline calibration.
 
         ``entries`` is a sequence of ``(operation, key_value, rid)``.
         Returns the number of entries applied.
@@ -957,17 +870,23 @@ class BTree:
         while index < total:
             operation, key_value, rid = work[index]
             leaf, path = self._traverse((key_value, rid))
+            version = self.structure_version
+            visits = len(path) + 1
             yield Acquire(leaf.latch, EXCLUSIVE)
             group = 0
             try:
+                path = self._path_after_wait(leaf, path, version,
+                                             (key_value, rid))
+                if path is None:
+                    continue  # split while we waited; re-traverse
+                version = self.structure_version
                 while index < total:
                     operation, key_value, rid = work[index]
                     if not leaf_covers(leaf, (key_value, rid)):
-                        # Either the leaf split while we waited for the
-                        # latch (group == 0) or the next entry lives
-                        # elsewhere; re-traverse.
-                        break
-                    apply_one(ib_txn, leaf, operation, key_value, rid)
+                        break  # next entry lives elsewhere; re-traverse
+                    if version != self.structure_version:
+                        path = None  # outdated by this group's own split
+                    apply_one(ib_txn, leaf, path, operation, key_value, rid)
                     index += 1
                     group += 1
                     if fp_enabled:
@@ -976,8 +895,7 @@ class BTree:
                 leaf.latch.release(self.system.sim.current)
             if group:
                 applied += group
-                yield Delay(key_op_cost * group
-                            + visit_cost * (len(path) + 1))
+                yield Delay(key_op_cost * group + visit_cost * visits)
         return applied
 
     def verify_unique(self) -> None:
@@ -1062,19 +980,18 @@ class BTree:
             return
         rid = RID(*rid)
         composite = (key_value, rid)
-        leaf = self._leaf_holding(composite)
-        if leaf is None:
-            leaf = self._ensure_root()
+        leaf, path = self._traverse(composite, count=False)
         exact = leaf.find_exact(composite)
         if action == "insert":
             if exact is None:
-                self._insert_sorted(leaf, KeyEntry(key_value, rid))
+                self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
             else:
                 exact.pseudo_deleted = False
         elif action == "insert_tombstone":
             if exact is None:
                 self._insert_sorted(
-                    leaf, KeyEntry(key_value, rid, pseudo_deleted=True))
+                    leaf, KeyEntry(key_value, rid, pseudo_deleted=True),
+                    path)
             else:
                 exact.pseudo_deleted = True
         elif action == "pseudo_delete":
@@ -1084,7 +1001,7 @@ class BTree:
             if exact is not None:
                 exact.pseudo_deleted = False
             else:
-                self._insert_sorted(leaf, KeyEntry(key_value, rid))
+                self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
         elif action == "physical_delete":
             if exact is not None:
                 pos = leaf.position(composite)
@@ -1095,9 +1012,9 @@ class BTree:
                 del leaf.entries[pos]
         elif action == "replace_rid":
             old_rid = RID(*extra["old_rid"])
-            old_leaf = self._leaf_holding((key_value, old_rid))
-            old_entry = (old_leaf.find_exact((key_value, old_rid))
-                         if old_leaf is not None else None)
+            old_leaf, _path = self._traverse((key_value, old_rid),
+                                             count=False)
+            old_entry = old_leaf.find_exact((key_value, old_rid))
             if old_entry is not None:
                 old_entry.rid = rid
                 old_entry.pseudo_deleted = False
@@ -1111,15 +1028,6 @@ class BTree:
                 exact.pseudo_deleted = bool(extra.get("old_pseudo", True))
         else:  # pragma: no cover - exhaustive dispatch
             raise StorageError(f"unknown index action {action!r}")
-
-    def _leaf_holding(self, composite: CompositeKey) -> Optional[LeafPage]:
-        if self.root is None:
-            return None
-        node = self.pages[self.root]
-        while isinstance(node, BranchPage):
-            child_no, _slot = node.child_for(composite)
-            node = self.pages[child_no]
-        return node
 
     # ------------------------------------------------------------------
     # recovery integration
@@ -1163,6 +1071,7 @@ class BTree:
 
     def crash(self) -> None:
         """Revert to the last stable snapshot (or empty)."""
+        self._fences.clear()
         if self._snapshot is not None and self._snapshot.get("__torn__"):
             # The stable image failed its checksum: nothing of the tree
             # is usable.  Flag it so restart picks a rebuild strategy
@@ -1202,6 +1111,7 @@ class BTree:
 
     def _deserialize(self, blob: dict) -> None:
         self.pages.clear()
+        self._fences.clear()
         for no, data in blob["pages"].items():
             if data[0] == "leaf":
                 _kind, capacity, next_leaf, entries = data

@@ -1,8 +1,11 @@
 """Property-based tests (hypothesis) for B+-tree invariants."""
 
-from hypothesis import given, settings, strategies as st
+from types import SimpleNamespace
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.btree import BTree, BulkLoader, IBCursor, audit_tree
+from repro.btree.tree import MIN_RID
 from repro.storage import RID
 from repro.system import System, SystemConfig
 
@@ -142,3 +145,83 @@ def test_force_crash_resume_roundtrip(split_at):
     loader.finish()
     audit_tree(tree)
     assert [e.key_value for e in tree.all_entries()] == list(range(100))
+
+
+small_keys = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=40),
+              st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    min_size=1, max_size=24)
+steps_strategy = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "ib", "drain"]),
+              small_keys, st.booleans()),
+    min_size=1, max_size=12)
+
+#: IB fills eight leaves (every specialized split leaves IB's key alone
+#: on the new leaf, so each leaf's first entry *is* its lower fence), IB's
+#: rollback physically removes all of it (every leaf empty, fences
+#: intact), then inserts land on fence values and between them -- the two
+#: cases that made the old code distrust key-guided search.
+EMPTIED_THEN_REFILLED = [
+    ("ib", [(k, (0, 0)) for k in range(32)], False),
+    ("insert", [(k, (0, 0)) for k in range(0, 32, 3)], True),
+    ("insert", [(k, (1, 1)) for k in range(1, 32, 5)], False),
+    ("drain", [(k, (2, 2)) for k in range(32)], True),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=steps_strategy)
+@example(steps=EMPTIED_THEN_REFILLED)
+def test_descent_fences_equal_structural_fences(steps):
+    """Under insert/delete/rollback/split interleavings the fences a
+    descent reports (and every split patches) are the fences the audit
+    derives structurally, and "this leaf covers the key" is exactly "a
+    descent for the key ends here"."""
+    system, tree = fresh_tree(leaf_capacity=4)
+    # logical undo finds the tree through the catalog; without an entry
+    # a rollback would leave the tree untouched
+    system.indexes["idx"] = SimpleNamespace(tree=tree)
+
+    def body():
+        for kind, keys, commit in steps:
+            txn = system.txns.begin(kind)
+            if kind == "ib":
+                batch = sorted({(kv, rid) for kv, rid in keys})
+                yield from tree.ib_insert_batch(txn, batch, IBCursor())
+            elif kind == "drain":
+                yield from tree.sf_drain_apply_batch(
+                    txn, [("delete" if n % 3 == 0 else "insert", kv,
+                           RID(*rid)) for n, (kv, rid) in enumerate(keys)])
+            else:
+                for kv, rid in keys:
+                    if kind == "insert":
+                        yield from tree.txn_insert_key(
+                            txn, kv, RID(*rid), during_build=True)
+                    else:  # physical when present, a tombstone when not
+                        yield from tree.txn_delete_key(
+                            txn, kv, RID(*rid), during_build=False)
+            yield from (txn.commit() if commit else txn.rollback())
+
+    proc = system.spawn(body(), name="prop")
+    system.run()
+    if proc.error is not None:
+        raise proc.error
+    structural = audit_tree(tree)["fences"]
+    # what descents memoised and splits patched along the way is exact
+    assert tree._fences.items() <= structural.items()
+    leaves = list(tree.leaf_chain())
+    for leaf in leaves:
+        low_fence, _high = structural[leaf.page_no]
+        probe = low_fence if low_fence is not None else (-1, MIN_RID)
+        landed, _path = tree._traverse(probe, count=False)
+        assert landed is leaf
+    assert tree._fences == structural
+    probes = {(kv, RID(*rid)) for _kind, keys, _c in steps
+              for kv, rid in keys}
+    probes.update(fence for pair in structural.values()
+                  for fence in pair if fence is not None)
+    probes.update([(-1, MIN_RID), (41, MIN_RID)])
+    for probe in probes:
+        landed, _path = tree._traverse(probe, count=False)
+        for leaf in leaves:
+            assert tree._leaf_covers(leaf, probe) == (leaf is landed)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.btree import BTree, BulkLoader, IBCursor, audit_tree
-from repro.errors import IndexBuildError
+from repro.errors import IndexBuildError, StorageError
 from repro.storage import RID
 from repro.system import System, SystemConfig
 
@@ -118,17 +118,21 @@ def test_cursor_rejects_out_of_range_keys():
     cursor = IBCursor()
     leaves = list(tree.leaf_chain())
     middle = leaves[len(leaves) // 2]
-    cursor.leaf_no = middle.page_no
-    cursor.version = tree.structure_version
+    # a cursor is set by a descent, which is what memoises the fences
+    inside = middle.entries[0].composite
+    assert tree._locate_ib_leaf(cursor, inside) is middle
     # keys outside the middle leaf's separator fences reject the cache
     assert tree._cursor_leaf(cursor, (-1, RID(0, 0))) is None
     assert tree._cursor_leaf(cursor, (99, RID(0, 0))) is None
     # a key inside its fences reuses it
-    inside = middle.entries[0].composite
     assert tree._cursor_leaf(cursor, inside) is middle
     # the leftmost leaf's range is lower-unbounded
-    cursor.leaf_no = leaves[0].page_no
+    assert tree._locate_ib_leaf(cursor, (0, RID(0, 0))) is leaves[0]
     assert tree._cursor_leaf(cursor, (-1, RID(0, 0))) is leaves[0]
+    # a leaf handle that no descent produced is refused, not searched for
+    cursor.leaf_no = leaves[-1].page_no
+    with pytest.raises(StorageError):
+        tree._cursor_leaf(cursor, (99, RID(0, 0)))
 
 
 # -- SF drain ops -------------------------------------------------------------------------
