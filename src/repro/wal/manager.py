@@ -36,6 +36,8 @@ class LogManager:
         #: LSN of the most recent complete checkpoint record, if any.
         #: Models the "master record" pointing at the latest checkpoint.
         self.master_checkpoint_lsn: Optional[int] = None
+        #: writer tag -> its (records, bytes) counter names
+        self._writer_counters: dict[str, tuple[str, str]] = {}
 
     # -- appending ---------------------------------------------------------
 
@@ -65,10 +67,16 @@ class LogManager:
         )
         self.records.append(record)
         fault_point(self.metrics, "wal.append")
-        self.metrics.incr("wal.records")
-        self.metrics.incr(f"wal.records.{writer}")
-        self.metrics.incr("wal.bytes", record.size)
-        self.metrics.incr(f"wal.bytes.{writer}", record.size)
+        names = self._writer_counters.get(writer)
+        if names is None:
+            names = self._writer_counters[writer] = (
+                f"wal.records.{writer}", f"wal.bytes.{writer}")
+        size = record.size  # walks both payloads: once per append
+        incr = self.metrics.incr
+        incr("wal.records")
+        incr(names[0])
+        incr("wal.bytes", size)
+        incr(names[1], size)
         return record
 
     # -- durability --------------------------------------------------------

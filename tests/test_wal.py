@@ -74,6 +74,9 @@ def test_per_writer_metrics():
     assert log.metrics.get("wal.records.ib") == 2
     assert log.metrics.get("wal.records.txn") == 1
     assert log.metrics.get("wal.bytes.ib") > 0
+    sizes = [record.size for record in log.scan()]
+    assert log.metrics.get("wal.bytes") == sum(sizes)
+    assert log.metrics.get("wal.bytes.ib") == sum(sizes[1:])
 
 
 def test_checkpoint_master_record_and_survival():
