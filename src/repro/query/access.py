@@ -144,20 +144,26 @@ def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
     """Entries with key in [low_key, high_key] / [low_key, high_key),
     plus (optionally) the first entry beyond, in key order.
 
-    Snapshot-per-leaf iteration: safe against concurrent structure
-    changes because each step re-validates via the leaf chain (all code
-    between simulator yields is atomic; callers lock records before
-    trusting what they saw).
+    Snapshot-per-leaf iteration, resumed by key: callers suspend between
+    two entries (they lock records before trusting what they saw), and a
+    leaf that splits meanwhile hands the upper half of the snapshot to a
+    new right sibling the chain then leads into.  Entries at or below the
+    last composite yielded are therefore skipped on every later leaf.
     """
     tree = descriptor.tree
     if tree.root is None:
         return
     from repro.btree.tree import MIN_RID
     leaf, _path = tree._traverse((low_key, MIN_RID), count=False)
+    last = None
     while leaf is not None:
         for entry in list(leaf.entries):
             if entry.key_value < low_key:
                 continue
+            composite = (entry.key_value, entry.rid)
+            if last is not None and composite <= last:
+                continue
+            last = composite
             if high_key is not None:
                 beyond = (entry.key_value > high_key if inclusive_high
                           else entry.key_value >= high_key)

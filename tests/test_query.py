@@ -81,6 +81,47 @@ def test_range_scan_returns_sorted_window():
     assert keys == [10, 12, 14, 16, 18, 20, 22, 24, 26, 28]
 
 
+def test_range_scan_survives_a_leaf_split_under_it():
+    """The scan parks on a record lock three entries into a full leaf;
+    the lock's holder splits that leaf, moving the unread upper half to a
+    new right sibling.  The scan finishes its snapshot of the old leaf and
+    then follows the chain into that sibling: it must resume by key, not
+    return the upper half twice."""
+    system, table, descriptor = built()
+    leaf = next(leaf for leaf in descriptor.tree.leaf_chain()
+                if leaf.entries[0].key_value == (16,))
+    assert [e.key_value[0] for e in leaf.entries] == list(range(16, 32, 2))
+    parked_on = leaf.entries[4].rid  # key 24
+    splits_before = system.metrics.get("index.splits")
+    seen = {}
+
+    def writer():
+        txn = system.txns.begin("writer")
+        yield from table.update(txn, parked_on, (24, "locked"))
+        yield Delay(50)  # the scan has read 18, 20, 22 and waits on 24
+        seen["scan_blocked"] = "rows" not in seen
+        # 31, not 19: the next key above must not be one the scan locked
+        yield from table.insert(txn, (31, "splits the leaf"))
+        seen["splits"] = system.metrics.get("index.splits") - splits_before
+        yield from txn.commit()
+
+    def reader():
+        yield Delay(5)
+        txn = system.txns.begin("reader")
+        seen["rows"] = yield from index_range_scan(txn, descriptor,
+                                                   (18,), (50,))
+        yield from txn.commit()
+
+    system.spawn(writer(), name="w")
+    proc = system.spawn(reader(), name="r")
+    system.run()
+    assert proc.error is None
+    assert seen["scan_blocked"] and seen["splits"] == 1
+    keys = [key[0] for key, _rid, _rec in seen["rows"]]
+    assert keys == sorted(set(keys))
+    assert keys == sorted(list(range(18, 50, 2)) + [31])
+
+
 def test_range_scan_skips_pseudo_deleted():
     system, table, descriptor = built()
 
