@@ -314,5 +314,10 @@ class BufferPool:
     def resident(self, page_id: PageId) -> bool:
         return page_id in self._frames
 
+    def resident_page(self, page_id: PageId) -> Optional[DataPage]:
+        """The resident frame for ``page_id``, if any: no LRU touch, no
+        counters, no I/O (audits and verification code)."""
+        return self._frames.get(page_id)
+
     def resident_pages(self) -> Iterator[DataPage]:
         return iter(self._frames.values())

@@ -317,11 +317,7 @@ class Table:
         falling back to disk.  For verification code only."""
         for page_no in range(self.page_count):
             pid = self.page_id(page_no)
-            page = None
-            for frame in self.system.buffer.resident_pages():
-                if frame.page_id == pid:
-                    page = frame
-                    break
+            page = self.system.buffer.resident_page(pid)
             if page is None:
                 page = self.system.disk.read_page(pid)
             if page is None:

@@ -214,6 +214,37 @@ def test_ensure_page_creates_fetches_or_returns():
     assert back.page_id == PageId("t", 0)
 
 
+def test_audit_records_prefers_the_resident_frame_without_searching():
+    system = System(SystemConfig(page_capacity=4))
+    table = system.create_table("t", ["k", "p"])
+    rids = []
+
+    def load():
+        txn = system.txns.begin()
+        for k in range(12):
+            rids.append((yield from table.insert(txn, (k, "disk"))))
+        yield from txn.commit()
+        yield from system.buffer.flush_all()
+
+    def touch():
+        txn = system.txns.begin()
+        yield from table.update(txn, rids[5], (5, "pool"))
+        yield from txn.commit()
+
+    system.spawn(load(), name="load")
+    system.run()
+    system.buffer.crash()  # every page on disk only
+    system.spawn(touch(), name="touch")
+    system.run()
+    assert system.buffer.resident(table.page_id(1))
+    assert not system.buffer.resident(table.page_id(0))
+    # one look-up by page id per page, not a scan of all frames per page
+    system.buffer.resident_pages = None
+    found = {rid: record.values for rid, record in table.audit_records()}
+    assert found == {rid: (k, "pool" if k == 5 else "disk")
+                     for k, rid in enumerate(rids)}
+
+
 def test_zero_capacity_pool_rejected():
     disk = Disk()
     log = LogManager()
