@@ -144,6 +144,7 @@ class BufferPool:
         if page_id in self._frames:
             page = self._frames[page_id]
             self._frames.move_to_end(page_id)
+            self.metrics.incr("buffer.hits")
             return page
         if self.disk.has_page(page_id):
             page = yield from self.fetch(page_id)

@@ -206,12 +206,18 @@ def test_crash_loses_frames_but_not_disk():
 def test_ensure_page_creates_fetches_or_returns():
     pool, _disk, _log = make_pool()
     page, _ = run_gen(pool.ensure_page(PageId("t", 0), capacity=4))
+    assert pool.metrics.get("buffer.hits") == 0
     same, _ = run_gen(pool.ensure_page(PageId("t", 0), capacity=4))
     assert same is page
+    # the foreground path's way in counts its hits like fetch does
+    assert pool.metrics.get("buffer.hits") == 1
+    assert pool.metrics.get("buffer.misses") == 0
     run_gen(pool.flush_page(PageId("t", 0)))
     pool.crash()
     back, _ = run_gen(pool.ensure_page(PageId("t", 0), capacity=4))
     assert back.page_id == PageId("t", 0)
+    assert pool.metrics.get("buffer.hits") == 1
+    assert pool.metrics.get("buffer.misses") == 1
 
 
 def test_audit_records_prefers_the_resident_frame_without_searching():
