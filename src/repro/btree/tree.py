@@ -36,7 +36,6 @@ followed by a retry.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
@@ -167,14 +166,14 @@ class BTree:
         path: list[tuple[BranchPage, int]] = []
         low_fence = high_fence = None
         while isinstance(node, BranchPage):
+            child_no, slot = node.child_for(composite)
             separators = node.separators
-            slot = bisect_right(separators, composite)
             if slot:
                 low_fence = separators[slot - 1]
             if slot < len(separators):
                 high_fence = separators[slot]
             path.append((node, slot))
-            node = self.pages[node.children[slot]]
+            node = self.pages[child_no]
         self._fences[node.page_no] = (low_fence, high_fence)
         if count:
             self.system.metrics.incr("index.page_visits", len(path) + 1)
@@ -299,8 +298,7 @@ class BTree:
         self._finish_split(leaf, new_leaf, entry.composite, path)
         return new_leaf
 
-    def _finish_split(self, left: LeafPage | BranchPage,
-                      right: LeafPage | BranchPage,
+    def _finish_split(self, left: LeafPage, right: LeafPage,
                       separator: CompositeKey,
                       path: list[tuple[BranchPage, int]]) -> None:
         # Mid-split: entries are redistributed and the leaf chain is

@@ -160,10 +160,9 @@ def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
         for entry in list(leaf.entries):
             if entry.key_value < low_key:
                 continue
-            composite = (entry.key_value, entry.rid)
-            if last is not None and composite <= last:
+            if last is not None and entry.composite <= last:
                 continue
-            last = composite
+            last = entry.composite
             if high_key is not None:
                 beyond = (entry.key_value > high_key if inclusive_high
                           else entry.key_value >= high_key)
