@@ -13,9 +13,16 @@ Public entry points:
 * :func:`cancel_build` -- drop an in-progress build (section 2.3.2).
 """
 
+from importlib import import_module
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.base import BuilderBase, BuildOptions, IndexSpec
+from repro.core.base import (
+    BuilderBase,
+    BuildOptions,
+    IndexSpec,
+    RESUMABLE_MODES,
+    recovery_context,
+)
 from repro.core.cancel import cancel_build
 from repro.core.cleanup import cleanup_pseudo_deleted
 from repro.core.descriptor import IndexDescriptor, IndexState
@@ -31,9 +38,9 @@ from repro.core.maintenance import (
     SF_MODE,
     install_maintenance,
 )
-from repro.core.nsf import NSFIndexBuilder, nsf_pre_undo
+from repro.core.nsf import NSFIndexBuilder
 from repro.core.offline import OfflineIndexBuilder
-from repro.core.sf import SFIndexBuilder, sf_pre_undo
+from repro.core.sf import SFIndexBuilder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -44,45 +51,23 @@ BUILDERS = {
     "offline": OfflineIndexBuilder,
 }
 
-#: builders resumable from a utility checkpoint
-RESUMABLE_MODES = ("nsf", "sf", "psf", "multi", "rebuild")
+#: mode -> (module, class) of the builders imported on first use:
+#: ``repro.parallel`` / ``repro.multibuild`` import ``repro.core``, so
+#: registering them in :data:`BUILDERS` at import time would make the
+#: dependency circular
+_LAZY_BUILDERS = {
+    "psf": ("repro.parallel", "ParallelSFBuilder"),
+    "multi": ("repro.multibuild", "MultiIndexBuilder"),
+    "rebuild": ("repro.core.rebuild", "RebuildIndexBuilder"),
+}
 
 
 def get_builder(mode: str):
-    """Builder class for ``mode``, including the lazily imported ones.
-
-    ``repro.parallel`` / ``repro.multibuild`` import ``repro.core``;
-    resolving "psf" and "multi" lazily here (instead of registering them
-    in :data:`BUILDERS` at import time) keeps the dependency
-    one-directional.
-    """
-    if mode == "psf":
-        from repro.parallel import ParallelSFBuilder
-        return ParallelSFBuilder
-    if mode == "multi":
-        from repro.multibuild import MultiIndexBuilder
-        return MultiIndexBuilder
-    if mode == "rebuild":
-        from repro.core.rebuild import RebuildIndexBuilder
-        return RebuildIndexBuilder
+    """Builder class for ``mode``, including the lazily imported ones."""
+    if mode in _LAZY_BUILDERS:
+        module, name = _LAZY_BUILDERS[mode]
+        return getattr(import_module(module), name)
     return BUILDERS[mode]
-
-
-def _dispatch_pre_undo(system: "System", utility_state: dict) -> None:
-    builder = utility_state.get("builder")
-    if builder == "sf":
-        sf_pre_undo(system, utility_state)
-    elif builder == "nsf":
-        nsf_pre_undo(system, utility_state)
-    elif builder == "psf":
-        from repro.parallel import psf_pre_undo
-        psf_pre_undo(system, utility_state)
-    elif builder == "multi":
-        from repro.multibuild import multi_pre_undo
-        multi_pre_undo(system, utility_state)
-    elif builder == "rebuild":
-        from repro.core.rebuild import rebuild_pre_undo
-        rebuild_pre_undo(system, utility_state)
 
 
 def build_pre_undo(system: "System", utility_state: dict) -> None:
@@ -98,7 +83,7 @@ def build_pre_undo(system: "System", utility_state: dict) -> None:
     states = list(getattr(system, "utility_states", {}).values()) \
         or [utility_state]
     for state in states:
-        _dispatch_pre_undo(system, state)
+        recovery_context(system, state)
 
 
 def resume_build(system: "System", utility_state: dict
@@ -109,12 +94,9 @@ def resume_build(system: "System", utility_state: dict
     Spawn the returned builder's ``run()`` to continue the build.
     """
     mode = utility_state.get("builder")
-    if mode not in RESUMABLE_MODES:
+    if mode not in RESUMABLE_MODES or utility_state.get("phase") == "done":
         return None
-    if utility_state.get("phase") == "done":
-        return None
-    builder_cls = get_builder(mode)
-    return builder_cls.resume(system, utility_state)
+    return get_builder(mode).resume(system, utility_state)
 
 
 def resume_builds(system: "System",

@@ -19,10 +19,17 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.descriptor import IndexDescriptor, IndexState
-from repro.core.maintenance import BuildContext, install_maintenance
+from repro.core.maintenance import (
+    BuildContext,
+    NSF_MODE,
+    REBUILD_MODE,
+    SF_LIKE_MODES,
+    install_maintenance,
+)
 from repro.core.throttle import TokenBucket
 from repro.faultinject.sites import fault_point, fault_points_enabled
-from repro.sim.kernel import Acquire, Delay
+from repro.sidefile import ScanFrontier
+from repro.sim.kernel import Acquire, Delay, Join
 from repro.sim.latch import SHARE
 from repro.sort import (
     CompressedRunFormation,
@@ -30,14 +37,21 @@ from repro.sort import (
     RunFormation,
     RunStore,
     final_merger,
+    run_sequence,
 )
-from repro.storage.rid import RID
-from repro.wal.manager import LogManager
+from repro.storage.rid import INFINITY_RID, RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
     from repro.system import System
-    from repro.txn.transaction import Transaction
+
+#: builders resumable from a utility checkpoint
+RESUMABLE_MODES = (NSF_MODE,) + SF_LIKE_MODES
+
+#: checkpoint phases whose data scan is still running (``pscan`` is the
+#: partitioned one); any later phase means the scan finished and
+#: Current-RID is infinity (section 3.2.2)
+SCAN_PHASES = ("scan", "pscan")
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,9 @@ class BuilderBase:
         self.context: Optional[BuildContext] = None
         self.timings: dict[str, float] = {}
         self.error: Optional[BaseException] = None
+        #: the utility checkpoint this builder was resumed from (None
+        #: for a fresh build); see :meth:`resume`
+        self._resume_state: Optional[dict] = None
         self._sorters: dict[str, RunFormation] = {}
         #: one shared key codec per index (compressed_keys only): PSF
         #: shard sorters and crash-resumed sorters must all agree on the
@@ -138,8 +155,10 @@ class BuilderBase:
         #: codec fault-site bookkeeping (armed sweeps only)
         self._codec_bind_fired: set[str] = set()
         self._codec_spills_seen: dict[str, int] = {}
-        #: sorter comparisons already charged to the simulated clock
-        self._compare_charged: dict[str, int] = {}
+        #: comparisons already charged to the simulated clock, per sorter
+        #: (stripes share sorters and shards own theirs, so the key is
+        #: the sorter, not the index name)
+        self._compare_charged: dict[RunFormation, int] = {}
         #: open trace spans by key (see :meth:`_trace_begin`)
         self._trace_spans: dict[str, int] = {}
         #: wal.bytes counter at span begin, for per-phase WAL volume
@@ -185,6 +204,69 @@ class BuilderBase:
     def ib_batch_keys(self) -> int:
         return self.options.ib_batch_keys \
             or self.system.config.ib_batch_keys
+
+    # -- the process body every mode shares ---------------------------------
+
+    def run(self):
+        """Generator process body: build all requested indexes.
+
+        The prologue and epilogue are the same for every mode; the
+        phases in between are the mode's :meth:`_run_phases`.
+        """
+        self._mark("start")
+        self._trace_begin("build", mode=self.mode, table=self.table.name,
+                          indexes=[s.name for s in self.specs],
+                          resumed=self._resume_state is not None,
+                          **self._build_span_attrs())
+        yield from self._run_phases()
+        self._remove_context()
+        self._write_utility_checkpoint({"phase": "done"})
+        self._mark("done")
+        self._progress_finish()
+        self._trace_end("build")
+        return self.descriptors
+
+    def _run_phases(self):
+        """Hook: the mode's phases, fresh or resumed (a generator)."""
+        raise NotImplementedError
+
+    def _build_span_attrs(self) -> dict:
+        """Hook: mode-specific attributes of the root ``build`` span."""
+        return {}
+
+    # -- restart (sections 2.2.3, 3.2.4) --------------------------------------
+
+    @classmethod
+    def resume(cls, system: "System", utility_state: dict) -> "BuilderBase":
+        """Rebuild the interrupted builder from its utility checkpoint.
+
+        The system must already have gone through restart recovery,
+        which re-attached the descriptors and -- with
+        :func:`repro.core.build_pre_undo` as its ``pre_undo`` hook --
+        reinstalled the build context the loser rollbacks were
+        classified against; a caller that skipped the hook gets the
+        same :func:`recovery_context` here.
+        """
+        table = system.tables[utility_state["table"]]
+        specs = [IndexSpec(name, tuple(cols), unique)
+                 for name, cols, unique in utility_state["specs"]]
+        builder = cls(system, table, specs)
+        builder.descriptors = [system.indexes[name]
+                               for name in utility_state["indexes"]]
+        install_maintenance(system, table)
+        context = system.builds.get(table.name)
+        if context is None:
+            context = recovery_context(system, utility_state)
+        builder.context = context
+        builder._resume_state = utility_state
+        builder._restore_throttle(utility_state)
+        builder._restore_progress(utility_state)
+        builder._restore_codec(utility_state)
+        builder._adopt_checkpoint(utility_state)
+        return builder
+
+    def _adopt_checkpoint(self, utility_state: dict) -> None:
+        """Hook: what only this mode keeps in its checkpoints."""
 
     # -- catalog steps ----------------------------------------------------------
 
@@ -264,6 +346,35 @@ class BuilderBase:
         for descriptor in self.descriptors:
             self._sorters[descriptor.name] = self._new_sorter(descriptor)
 
+    def _restore_sorters(self, manifests: dict,
+                         workspace: Optional[int] = None,
+                         prune: bool = True):
+        """Scan-phase resume (section 5.1): one sorter per index from its
+        sort-checkpoint manifest, a fresh one where no checkpoint landed.
+        Returns ``(sorters, scan position)``; the position is None when
+        nothing was restored."""
+        sorters: dict[str, RunFormation] = {}
+        position = None
+        for descriptor in self.descriptors:
+            manifest = manifests.get(descriptor.name)
+            if manifest is None:
+                sorters[descriptor.name] = self._new_sorter(
+                    descriptor, workspace=workspace)
+            else:
+                sorters[descriptor.name], position = self._restore_sorter(
+                    descriptor, manifest, workspace=workspace, prune=prune)
+        return sorters, position
+
+    def _merger_from_closed_runs(self, descriptor: IndexDescriptor):
+        """Post-scan resume: the final merger over the forced, closed
+        runs that survived.  Creation order, not name order:
+        lexicographic names put run-10 before run-2, silently merging a
+        resumed build in a different stream order than the original."""
+        store = self._store_for(descriptor)
+        runs = sorted((run for run in store.runs.values() if run.closed),
+                      key=lambda run: run_sequence(run.name))
+        return self._final_merger(descriptor, runs)
+
     # -- IB admission control ----------------------------------------------
 
     def _throttle(self, cost: float):
@@ -307,9 +418,9 @@ class BuilderBase:
     def _restore_codec(self, utility_state: dict) -> None:
         """Re-arm compressed-key sorting from a utility checkpoint.
 
-        ``resume()`` classmethods construct the builder with default
-        options, so the codec flag (and each index's persisted column
-        layout) must be restored before any sorter is rebuilt."""
+        :meth:`resume` constructs the builder with default options, so
+        the codec flag (and each index's persisted column layout) must
+        be restored before any sorter is rebuilt."""
         if not utility_state.get("codec"):
             return
         self.options.compressed_keys = True
@@ -317,41 +428,134 @@ class BuilderBase:
                                or {}).items():
             self._codec_for(name).adopt(manifest)
 
-    # -- the shared data scan (generator) ----------------------------------------------
+    # -- the shared data scan (generators) ----------------------------------------------
 
-    def _scan_and_sort(self, start_page: int = 0):
+    def _scan_phase(self, start_page: int = 0, readers: int = 1):
+        """Phase 2 of every scanning mode: scan + sort, the transition
+        checkpoint (:meth:`_scan_done`), then one final merger per index
+        over the sealed runs."""
+        yield from self._scan_and_sort(start_page, readers)
+        runs_by_index = self._finish_sort()
+        self._mark("scan_done")
+        self._progress_phase_done("scan")
+        self._scan_done()
+        return {d.name: self._final_merger(d, runs_by_index[d.name])
+                for d in self.descriptors}
+
+    def _scan_done(self) -> None:
+        """Hook: the mode's end-of-scan state change and its transition
+        checkpoint -- a crash from here resumes by rebuilding the merge
+        from the forced, closed runs."""
+
+    def _scan_and_sort(self, start_page: int = 0, readers: int = 1):
         """Scan the data pages, extract keys, feed the pipelined sort.
 
         Section 2.3.1: "The last page to be processed by the data page
         scan can be noted before starting IB's data scan so that if there
         are any extensions of the file after IB starts, IB does not have
         to process the new pages."
+
+        ``readers > 1`` (section 2.2.2, [PMCLS90]: "the data pages may
+        be read in parallel using multiple processes") splits the noted
+        range into contiguous stripes, one reader process per stripe;
+        their I/O delays overlap on the simulated clock.  Pushes into
+        the shared sorters are atomic (simulator semantics), so no extra
+        synchronisation is needed.  Periodic scan checkpoints are
+        skipped (positions are per-stripe); the phase-transition
+        checkpoint still bounds the loss.  Only NSF and offline ask for
+        it: SF's Current-RID needs a single ordered scan position.
+        """
+        noted_last_page = self.table.page_count
+        metrics = self.system.metrics
+        pages_before = metrics.get("build.pages_scanned")
+        self._trace_begin("scan", start_page=start_page)
+        if readers > 1:
+            last_page = noted_last_page
+            stripe = max(1, (last_page - start_page + readers - 1) // readers)
+            self._progress_scan(0, last_page)
+            procs = []
+            for first in range(start_page, last_page, stripe):
+                limit = min(first + stripe, last_page)
+                procs.append(self.system.spawn(
+                    self._scan_pages({"next_page": first},
+                                     lambda limit=limit: limit,
+                                     self._sorters),
+                    name=f"ib-reader-{len(procs)}"))
+            metrics.incr("build.parallel_readers", len(procs))
+            for proc in procs:
+                yield Join(proc)
+                if proc.error is not None:  # pragma: no cover - reader bug
+                    raise proc.error
+        else:
+            last_page = yield from self._scan_pages(
+                {"next_page": start_page},
+                lambda: self._scan_limit(noted_last_page), self._sorters,
+                advance=self._after_page_scanned,
+                checkpoint=self._checkpoint_scan)
+        self._trace_end("scan",
+                        pages=metrics.get("build.pages_scanned")
+                        - pages_before)
+        for name, codec in self._codecs.items():
+            self._trace_instant("sort.encode", index=name,
+                                kinds=codec.kinds, spills=codec.spills,
+                                active=codec.active)
+        return last_page
+
+    def _scan_pages(self, cursor: dict, limit_of, sorters: dict, *,
+                    advance=None, checkpoint=None,
+                    page_site: str = "build.scan_page",
+                    page_counter: Optional[str] = None):
+        """THE page scan (sections 2.2.2 / 3.2.2): prefetch a batch,
+        share-latch each page, extract one key per record per index,
+        advance the scan position under the latch.
+
+        The serial scan, each parallel-reader stripe and each PSF shard
+        worker all run this one loop; what differs is passed in:
+
+        * ``cursor["next_page"]`` -- where to start; rewritten after
+          every batch (a PSF shard passes its manifest slot, so the
+          shared build manifest always holds its position);
+        * ``limit_of()`` -- the exclusive end page, re-read per batch
+          (a fixed bound, or the live page count when chasing EOF);
+        * ``sorters`` -- index name -> the run formation to push into;
+        * ``advance(page)`` -- called under the page latch once the
+          page's keys are extracted (SF: Current-RID; PSF: the shard's
+          frontier entry); the latch is why Target-RID and Current-RID
+          can never be equal (section 3.1);
+        * ``checkpoint(next_page)`` -- taken every
+          ``checkpoint_every_pages`` pages while pages remain;
+        * ``page_site`` / ``page_counter`` -- the per-page fault site
+          and an extra per-page counter.
+
+        Returns the final limit.
         """
         table = self.table
-        noted_last_page = table.page_count
-        checkpoint_every = self.options.checkpoint_every_pages
-        page_no = start_page
+        system = self.system
+        metrics = system.metrics
+        checkpoint_every = self.options.checkpoint_every_pages \
+            if checkpoint is not None else None
+        extract_cost = self.options.key_extract_cost
+        compare_cost = self.options.key_compare_cost
+        page_no = cursor["next_page"]
         pages_since_checkpoint = 0
-        metrics = self.system.metrics
         # Hoisted per-record work: the (key extractor, sorter push) pairs
         # never change during the scan, and the per-key fault-point call
         # is skipped wholesale when no injector is installed (the guard
         # equals fault_point's own disabled test, so sweep discovery and
         # armed runs see an unchanged hit schedule).
-        extractors = [(d.key_of, self._sorters[d.name].push)
-                      for d in self.descriptors]
+        targets = [(d, sorters[d.name]) for d in self.descriptors]
+        extractors = [(d.key_of, sorter.push) for d, sorter in targets]
         fp_enabled = fault_points_enabled(metrics)
-        compare_cost = self.options.key_compare_cost
-        pages_before = metrics.get("build.pages_scanned")
-        self._trace_begin("scan", start_page=start_page)
         while True:
-            last_page = self._scan_limit(noted_last_page)
-            if page_no >= last_page:
+            limit = limit_of()
+            if page_no >= limit:
                 break
-            upto = min(page_no + self.prefetch_pages, last_page)
+            upto = min(page_no + self.prefetch_pages, limit)
             batch_ids = [table.page_id(p) for p in range(page_no, upto)]
+            # Every scanning process of every build shares the system's
+            # one bucket, so the *total* scan rate is what is limited.
             yield from self._throttle(len(batch_ids))
-            pages = yield from self.system.buffer.fetch_sequential(batch_ids)
+            pages = yield from system.buffer.fetch_sequential(batch_ids)
             for page in pages:
                 yield Acquire(page.latch, SHARE)
                 try:
@@ -363,94 +567,29 @@ class BuilderBase:
                         if fp_enabled:
                             fault_point(metrics, "build.sort_push")
                     if records:
-                        yield Delay(len(records)
-                                    * self.options.key_extract_cost)
+                        yield Delay(len(records) * extract_cost)
                     if compare_cost:
-                        yield from self._charge_compare_cost(compare_cost)
-                    self._after_page_scanned(page)
+                        yield from self._charge_compare_cost(compare_cost,
+                                                             targets)
+                    if advance is not None:
+                        advance(page)
                 finally:
-                    page.latch.release(self.system.sim.current)
-                self.system.metrics.incr("build.pages_scanned")
-                fault_point(self.system.metrics, "build.scan_page")
+                    page.latch.release(system.sim.current)
+                metrics.incr("build.pages_scanned")
+                if page_counter is not None:
+                    metrics.incr(page_counter)
+                fault_point(metrics, page_site)
                 if fp_enabled and self._codecs:
                     self._codec_fault_points(metrics)
             pages_since_checkpoint += len(batch_ids)
-            page_no = upto
-            self._progress_scan(len(batch_ids), last_page)
+            page_no = cursor["next_page"] = upto
+            self._progress_scan(len(batch_ids), limit)
             if checkpoint_every is not None \
                     and pages_since_checkpoint >= checkpoint_every \
-                    and page_no < last_page:
-                self._checkpoint_scan(page_no)
+                    and page_no < limit:
+                checkpoint(page_no)
                 pages_since_checkpoint = 0
-        self._trace_end("scan",
-                        pages=metrics.get("build.pages_scanned")
-                        - pages_before)
-        for name, codec in self._codecs.items():
-            self._trace_instant("sort.encode", index=name,
-                                kinds=codec.kinds, spills=codec.spills,
-                                active=codec.active)
-        return last_page
-
-    def _scan_and_sort_parallel(self, start_page: int = 0):
-        """Parallel variant of the data scan (section 2.2.2, [PMCLS90]).
-
-        The page range splits into contiguous stripes, one reader process
-        per stripe; their I/O delays overlap on the simulated clock.
-        Pushes into the shared sorters are atomic (simulator semantics),
-        so no extra synchronisation is needed.  Periodic scan checkpoints
-        are skipped in parallel mode (positions are per-stripe); the
-        phase-transition checkpoint still bounds the loss.
-        """
-        table = self.table
-        last_page = table.page_count
-        readers = max(1, self.options.parallel_readers)
-        stripe = max(1, (last_page - start_page + readers - 1) // readers)
-        self._progress_scan(0, last_page)
-
-        extractors = [(d.key_of, self._sorters[d.name].push)
-                      for d in self.descriptors]
-
-        def reader_body(first: int, limit: int):
-            page_no = first
-            while page_no < limit:
-                upto = min(page_no + self.prefetch_pages, limit)
-                batch_ids = [table.page_id(p)
-                             for p in range(page_no, upto)]
-                yield from self._throttle(len(batch_ids))
-                pages = yield from self.system.buffer.fetch_sequential(
-                    batch_ids)
-                for page in pages:
-                    yield Acquire(page.latch, SHARE)
-                    try:
-                        records = page.live_records()
-                        for rid, record in records:
-                            raw = tuple(rid)
-                            for key_of, push in extractors:
-                                push((key_of(record), raw))
-                        if records:
-                            yield Delay(len(records)
-                                        * self.options.key_extract_cost)
-                    finally:
-                        page.latch.release(self.system.sim.current)
-                    self.system.metrics.incr("build.pages_scanned")
-                page_no = upto
-                self._progress_scan(len(batch_ids), 0)
-
-        from repro.sim.kernel import Join
-        procs = []
-        first = start_page
-        while first < last_page:
-            limit = min(first + stripe, last_page)
-            procs.append(self.system.spawn(
-                reader_body(first, limit),
-                name=f"ib-reader-{len(procs)}"))
-            first = limit
-        self.system.metrics.incr("build.parallel_readers", len(procs))
-        for proc in procs:
-            yield Join(proc)
-            if proc.error is not None:  # pragma: no cover - reader bug
-                raise proc.error
-        return last_page
+        return limit
 
     def _compare_units(self, descriptor: IndexDescriptor,
                        sorter: RunFormation) -> int:
@@ -461,21 +600,18 @@ class BuilderBase:
             return 1
         return len(descriptor.key_columns) + 2
 
-    def _charge_compare_cost(self, cost: float):
-        """Generator: charge simulated time for tournament comparisons
-        performed since the last charge (``key_compare_cost`` only; the
-        default 0.0 never reaches this, keeping historical schedules)."""
+    def _charge_compare_cost(self, cost: float, targets):
+        """Generator: charge simulated time for the tournament
+        comparisons the ``(descriptor, sorter)`` targets performed since
+        their last charge (``key_compare_cost`` only; the default 0.0
+        never reaches this, keeping historical schedules)."""
         charged = self._compare_charged
         delta = 0.0
-        for descriptor in self.descriptors:
-            sorter = self._sorters.get(descriptor.name)
-            if sorter is None:
-                continue
-            name = descriptor.name
+        for descriptor, sorter in targets:
             done = sorter.comparisons
-            delta += (done - charged.get(name, 0)) \
+            delta += (done - charged.get(sorter, 0)) \
                 * self._compare_units(descriptor, sorter)
-            charged[name] = done
+            charged[sorter] = done
         if delta:
             yield Delay(delta * cost)
 
@@ -688,6 +824,72 @@ class BuilderBase:
 
     def _trace_span_id(self, key: str) -> Optional[int]:
         return self._trace_spans.get(key)
+
+
+def recovery_context(system: "System", utility_state: dict
+                     ) -> Optional[BuildContext]:
+    """Install the build context one utility checkpoint describes.
+
+    The paper's one restart rule (sections 2.2.3, 3.2.4): reinstall
+    Current-RID and the Index_Build flag as of the last utility
+    checkpoint, so Figure 2's count comparison classifies visibility
+    during loser rollback exactly as the crashed build would have, then
+    continue from the checkpointed phase.  The context is a function of
+    the payload alone:
+
+    * descriptors -- every checkpointed index still in the catalog
+      (AVAILABLE ones short-circuit visibility on state alone); a
+      rebuild keeps only the BUILDING ones, because a crash at its
+      ``reset`` checkpoint may predate the flip of a live index;
+    * NSF -- nothing else: the index is visible from descriptor creation;
+    * side-file modes -- the checkpointed Current-RID while the scan
+      runs, infinity in every later phase (a rebuild never scans);
+    * a checkpointed frontier (PSF) -- one Current-RID per shard.  In
+      the scan phase each comes from *that shard's* last checkpointed
+      scan position, NOT the live frontier at manifest write time: keys
+      scanned past a shard's checkpoint died with the crash and will be
+      re-extracted, so recovery-time visibility must treat them as
+      unscanned (the shard-wise version of resuming the serial scan
+      from its checkpoint, section 5.1).
+
+    Returns None (installing nothing) when no resumable build was in
+    progress.
+    """
+    mode = utility_state.get("builder")
+    phase = utility_state.get("phase")
+    if mode not in RESUMABLE_MODES or phase == "done":
+        return None
+    context = BuildContext(
+        mode=mode,
+        descriptors=[system.indexes[name]
+                     for name in utility_state["indexes"]
+                     if name in system.indexes],
+        index_build=bool(utility_state.get("index_build", True)))
+    if mode in SF_LIKE_MODES:
+        scanning = phase in SCAN_PHASES
+        if mode == REBUILD_MODE:
+            context.descriptors = [d for d in context.descriptors
+                                   if d.state is IndexState.BUILDING]
+        manifest = utility_state.get("frontier")
+        if manifest is not None:
+            frontier = context.frontier = ScanFrontier.from_manifest(manifest)
+            if not scanning:
+                frontier.finish_all()
+            else:
+                for shard, raw in utility_state["shards"].items():
+                    if raw["done"]:
+                        frontier.finish(int(shard))
+                    else:
+                        frontier.current[int(shard)] = RID(
+                            raw["ckpt_page"], 0)
+                scanning = not frontier.done
+        raw_rid = utility_state.get("current_rid")
+        if not scanning:
+            context.current_rid = INFINITY_RID
+        elif raw_rid is not None:
+            context.current_rid = RID(*raw_rid)
+    system.builds[utility_state["table"]] = context
+    return context
 
 
 def _txn_table_snapshot(system: "System") -> dict:

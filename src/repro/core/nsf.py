@@ -21,18 +21,13 @@ tombstone machinery (:mod:`repro.btree.tree`).
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.btree.tree import IBCursor
-from repro.core.base import BuilderBase, BuildOptions, IndexSpec
-from repro.core.descriptor import IndexState
-from repro.core.maintenance import BuildContext, NSF_MODE, install_maintenance
+from repro.core.base import BuilderBase
+from repro.core.maintenance import NSF_MODE
 from repro.faultinject.sites import fault_point
-from repro.sort import RestartableMerger, RunFormation, run_sequence
-from repro.storage.rid import RID
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.system import System
+from repro.sort import RestartableMerger
 
 
 class NSFIndexBuilder(BuilderBase):
@@ -40,40 +35,22 @@ class NSFIndexBuilder(BuilderBase):
 
     mode = NSF_MODE
 
-    def __init__(self, system, table, specs, options=None):
-        super().__init__(system, table, specs, options)
-        self._resume_state: Optional[dict] = None
-
     # -- main process ------------------------------------------------------
 
-    def run(self):
-        """Generator process body: build all requested indexes online."""
-        self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs],
-                          resumed=self._resume_state is not None)
+    def _run_phases(self):
+        """Build all requested indexes online."""
         if self._resume_state is None:
             yield from self._descriptor_phase()
             self._make_sorters()
-            scan_start, done_indexes = 0, []
+            phase, scan_start, done_indexes = "scan", 0, []
             mergers: dict[str, RestartableMerger] = {}
-            phase = "scan"
         else:
             phase, scan_start, done_indexes, mergers = \
-                yield from self._prepare_resume()
+                self._prepare_resume()
 
         if phase == "scan":
-            yield from self._scan_phase(scan_start)
-            runs_by_index = self._finish_sort()
-            self._mark("scan_done")
-            self._progress_phase_done("scan")
-            # Transition checkpoint: a crash from here resumes by
-            # rebuilding the final merge from the forced, closed runs.
-            self._write_utility_checkpoint({
-                "phase": "insert-start", "done_indexes": []})
-            mergers = {
-                d.name: self._final_merger(d, runs_by_index[d.name])
-                for d in self.descriptors}
+            mergers = yield from self._scan_phase(
+                scan_start, readers=self.options.parallel_readers)
 
         for descriptor in self.descriptors:
             if descriptor.name in done_indexes:
@@ -86,12 +63,10 @@ class NSFIndexBuilder(BuilderBase):
                 "done_indexes": list(done_indexes)})
 
         self._mark_available()
-        self._remove_context()
-        self._write_utility_checkpoint({"phase": "done"})
-        self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
-        return self.descriptors
+
+    def _scan_done(self) -> None:
+        self._write_utility_checkpoint({
+            "phase": "insert-start", "done_indexes": []})
 
     # -- phase 1: descriptor under short quiesce ---------------------------------
 
@@ -117,14 +92,6 @@ class NSFIndexBuilder(BuilderBase):
             "phase": "scan", "next_page": 0, "sort": {}})
         self._mark("descriptor_done")
         fault_point(self.system.metrics, "nsf.descriptor_done")
-
-    # -- phase 2: scan + sort -----------------------------------------------------
-
-    def _scan_phase(self, start_page: int):
-        if self.options.parallel_readers > 1:
-            yield from self._scan_and_sort_parallel(start_page=start_page)
-        else:
-            yield from self._scan_and_sort(start_page=start_page)
 
     # -- phase 3: key insertion ------------------------------------------------------
 
@@ -214,89 +181,28 @@ class NSFIndexBuilder(BuilderBase):
 
     # -- restart (sections 2.2.3 and 2.3.2) ------------------------------------------
 
-    @classmethod
-    def resume(cls, system: "System", utility_state: dict
-               ) -> "NSFIndexBuilder":
-        """Rebuild a builder from the latest utility checkpoint.
-
-        The system must already have gone through restart recovery (which
-        re-attached descriptors and rolled back IB's uncommitted batch).
-        """
-        table = system.tables[utility_state["table"]]
-        specs = [IndexSpec(name, tuple(cols), unique)
-                 for name, cols, unique in utility_state["specs"]]
-        builder = cls(system, table, specs)
-        builder.descriptors = [system.indexes[name]
-                               for name in utility_state["indexes"]]
-        builder._install_context()
-        install_maintenance(system, table)
-        builder._resume_state = utility_state
-        builder._restore_throttle(utility_state)
-        builder._restore_progress(utility_state)
-        builder._restore_codec(utility_state)
-        return builder
-
     def _prepare_resume(self):
         """Re-establish phase state from the checkpoint; returns
         ``(phase, scan_start, done_indexes, mergers)``."""
         state = self._resume_state
-        phase = state.get("phase", "scan")
         done_indexes = list(state.get("done_indexes", []))
-        mergers: dict[str, RestartableMerger] = {}
-        if phase == "scan":
-            scan_start = state.get("next_page", 0)
-            manifests = state.get("sort", {})
-            for descriptor in self.descriptors:
-                manifest = manifests.get(descriptor.name)
-                if manifest is not None:
-                    sorter, _pos = self._restore_sorter(descriptor, manifest)
-                else:
-                    sorter = self._new_sorter(descriptor)
-                self._sorters[descriptor.name] = sorter
+        if state.get("phase", "scan") == "scan":
+            self._sorters, _pos = self._restore_sorters(
+                state.get("sort", {}))
             self.system.metrics.incr("build.resumes.scan")
-            return phase, scan_start, done_indexes, mergers
-        if phase in ("insert", "insert-start"):
-            if phase == "insert":
-                name = state["index"]
-                store = self._store_for(self.system.indexes[name])
-                mergers[name] = RestartableMerger.restore(store,
-                                                          state["merge"])
-            else:
-                name = None
-            # Indexes with no merge checkpoint restart their final merge
-            # from the forced, closed runs; already-inserted keys are
-            # duplicate-rejected (section 2.2.3: "no integrity problem in
-            # IB trying to insert keys which were already inserted prior
-            # to the failure").
-            for descriptor in self.descriptors:
-                if descriptor.name in done_indexes \
-                        or descriptor.name == name:
-                    continue
-                dstore = self._store_for(descriptor)
-                # Creation order, not name order: lexicographic names put
-                # run-10 before run-2, silently merging resumed builds in
-                # a different stream order than the original run.
-                runs = sorted((run for run in dstore.runs.values()
-                               if run.closed),
-                              key=lambda run: run_sequence(run.name))
-                mergers[descriptor.name] = self._final_merger(
-                    descriptor, runs)
-            self.system.metrics.incr("build.resumes.insert")
-            return "insert", 0, done_indexes, mergers
-        # phase == "done": everything finished before the crash
-        return phase, 0, [d.name for d in self.descriptors], mergers
-        yield  # pragma: no cover - generator shape
-
-
-def nsf_pre_undo(system: "System", utility_state: dict) -> None:
-    """Reinstall the NSF build context before recovery's undo pass."""
-    if utility_state.get("builder") != NSF_MODE:
-        return
-    table = system.tables[utility_state["table"]]
-    descriptors = [system.indexes[name]
-                   for name in utility_state["indexes"]
-                   if name in system.indexes]
-    context = BuildContext(mode=NSF_MODE, descriptors=descriptors)
-    if utility_state.get("phase") == "done":
-        return
-    system.builds[table.name] = context
+            return "scan", state.get("next_page", 0), done_indexes, {}
+        # insert / insert-start.  Indexes with no merge checkpoint
+        # restart their final merge from the forced, closed runs;
+        # already-inserted keys are duplicate-rejected (section 2.2.3:
+        # "no integrity problem in IB trying to insert keys which were
+        # already inserted prior to the failure").
+        mergers: dict[str, RestartableMerger] = {}
+        for descriptor in self.descriptors:
+            name = descriptor.name
+            if state["phase"] == "insert" and name == state["index"]:
+                mergers[name] = RestartableMerger.restore(
+                    self._store_for(descriptor), state["merge"])
+            elif name not in done_indexes:
+                mergers[name] = self._merger_from_closed_runs(descriptor)
+        self.system.metrics.incr("build.resumes.insert")
+        return "insert", 0, done_indexes, mergers

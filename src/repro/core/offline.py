@@ -23,11 +23,8 @@ class OfflineIndexBuilder(BuilderBase):
 
     mode = "offline"
 
-    def run(self):
-        """Generator process body: build all requested indexes."""
-        self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs])
+    def _run_phases(self):
+        """Build all requested indexes under one X table lock."""
         txn = self.system.txns.begin("IB-offline")
         lock_requested = self.system.sim.now
         yield from txn.lock(self.table.table_lock_name, "X")
@@ -39,10 +36,8 @@ class OfflineIndexBuilder(BuilderBase):
         try:
             self._create_descriptors()
             self._make_sorters()
-            if self.options.parallel_readers > 1:
-                yield from self._scan_and_sort_parallel()
-            else:
-                yield from self._scan_and_sort()
+            yield from self._scan_and_sort(
+                readers=self.options.parallel_readers)
             runs_by_index = self._finish_sort()
             self._mark("scan_done")
             self._progress_phase_done("scan")
@@ -87,8 +82,3 @@ class OfflineIndexBuilder(BuilderBase):
         self._trace_instant(
             "quiesce.end",
             held=self.system.sim.now - self.timings["quiesced"])
-        self._write_utility_checkpoint({"phase": "done"})
-        self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
-        return self.descriptors

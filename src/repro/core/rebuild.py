@@ -32,15 +32,11 @@ compressed-key codec all ride along unchanged.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.core.base import IndexSpec
 from repro.core.descriptor import IndexState
-from repro.core.maintenance import (
-    BuildContext,
-    REBUILD_MODE,
-    install_maintenance,
-)
+from repro.core.maintenance import REBUILD_MODE
 from repro.core.sf import SFIndexBuilder
 from repro.errors import StorageError
 from repro.faultinject.sites import fault_point
@@ -126,32 +122,12 @@ class RebuildIndexBuilder(SFIndexBuilder):
 
     # -- main process -------------------------------------------------------
 
-    def run(self):
-        """Generator process body: rebuild every requested index."""
-        self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs],
-                          resumed=self._resume_state is not None)
-        if self._resume_state is None:
-            self._reset_phase()
-            mergers = self._reuse_sealed_runs()
-            phase = "load"
-            loaded: list[str] = []
-            drained: list[str] = []
-            drain_positions = dict(self._sidefile_starts)
-        else:
-            (phase, _scan_start, loaded, drained, mergers,
-             drain_positions) = self._prepare_resume()
-
-        yield from self._load_and_drain(phase, loaded, drained, mergers,
-                                        drain_positions)
-
-        self._remove_context()
-        self._write_utility_checkpoint({"phase": "done"})
-        self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
-        return self.descriptors
+    def _start(self):
+        """No descriptor phase and no scan: reset, then straight to the
+        load over the sealed runs, draining from the recorded floors."""
+        self._reset_phase()
+        return "load", 0, [], [], self._reuse_sealed_runs(), \
+            dict(self._sidefile_starts)
 
     # -- phase 1: checkpoint, then atomic flip + drop -----------------------
 
@@ -227,32 +203,10 @@ class RebuildIndexBuilder(SFIndexBuilder):
             state["sidefile_start"] = dict(self._sidefile_starts)
         super()._write_utility_checkpoint(state)
 
-    @classmethod
-    def resume(cls, system: "System", utility_state: dict
-               ) -> "RebuildIndexBuilder":
-        table = system.tables[utility_state["table"]]
-        specs = [IndexSpec(name, tuple(cols), unique)
-                 for name, cols, unique in utility_state["specs"]]
-        builder = cls(system, table, specs)
-        builder.descriptors = [system.indexes[name]
-                               for name in utility_state["indexes"]]
-        register_sidefile_operations(system)
-        install_maintenance(system, table)
-        context = system.builds.get(table.name)
-        if context is None:
-            context = rebuild_pre_undo(system, utility_state) \
-                or BuildContext(mode=REBUILD_MODE,
-                                descriptors=list(builder.descriptors),
-                                current_rid=INFINITY_RID)
-            system.builds[table.name] = context
-        builder.context = context
-        builder._resume_state = utility_state
-        builder._sidefile_starts = dict(
+    def _adopt_checkpoint(self, utility_state: dict) -> None:
+        super()._adopt_checkpoint(utility_state)
+        self._sidefile_starts = dict(
             utility_state.get("sidefile_start", {}))
-        builder._restore_throttle(utility_state)
-        builder._restore_progress(utility_state)
-        builder._restore_codec(utility_state)
-        return builder
 
     def _prepare_resume(self):
         state = self._resume_state
@@ -287,30 +241,3 @@ class RebuildIndexBuilder(SFIndexBuilder):
                 drain_positions[name] = floor
         self.system.metrics.incr("build.resumes.rebuild")
         return phase, scan_start, loaded, drained, mergers, drain_positions
-
-
-def rebuild_pre_undo(system: "System", utility_state: dict
-                     ) -> Optional[BuildContext]:
-    """Reinstall the rebuild's context before recovery's undo pass.
-
-    The rebuild never has a scan frontier: Current-RID is infinity from
-    the flip onward, so every loser's maintenance classifies as
-    "scanned" and compensates through the side-file (Figure 2).
-    """
-    if utility_state.get("builder") != REBUILD_MODE:
-        return None
-    if utility_state.get("phase") == "done":
-        return None
-    table = system.tables[utility_state["table"]]
-    descriptors = [system.indexes[name]
-                   for name in utility_state["indexes"]
-                   if name in system.indexes]
-    context = BuildContext(
-        mode=REBUILD_MODE,
-        descriptors=[d for d in descriptors
-                     if d.state is IndexState.BUILDING],
-        current_rid=INFINITY_RID,
-        index_build=bool(utility_state.get("index_build", True)),
-    )
-    system.builds[table.name] = context
-    return context

@@ -24,26 +24,18 @@ Timeline (section 3.2):
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.btree.loader import BulkLoader
-from repro.core.base import BuilderBase, IndexSpec
+from repro.core.base import BuilderBase, SCAN_PHASES
 from repro.core.descriptor import IndexState
 from repro.core.drain import SideFileDrainer
-from repro.core.maintenance import BuildContext, SF_MODE, install_maintenance
+from repro.core.maintenance import SF_MODE
 from repro.faultinject.sites import fault_point
 from repro.sidefile import SideFile, register_sidefile_operations
 from repro.sim.kernel import Delay
-from repro.sort import (
-    RestartableMerger,
-    RunFormation,
-    RunStore,
-    run_sequence,
-)
+from repro.sort import RestartableMerger, RunStore
 from repro.storage.rid import INFINITY_RID, RID
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.system import System
 
 
 class SFIndexBuilder(SideFileDrainer, BuilderBase):
@@ -53,7 +45,6 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
 
     def __init__(self, system, table, specs, options=None):
         super().__init__(system, table, specs, options)
-        self._resume_state: Optional[dict] = None
         #: loaders prepared by resume for trees cut back to a checkpoint
         self._resume_loaders: dict[str, BulkLoader] = {}
         #: descriptors recovering from a torn stable snapshot (section 6)
@@ -61,52 +52,35 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
 
     # -- main process ------------------------------------------------------
 
-    def run(self):
-        """Generator process body: build all requested indexes online."""
-        self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs],
-                          resumed=self._resume_state is not None)
+    def _run_phases(self):
+        """Build all requested indexes online: the scan (unless resumed
+        past it, or a rebuild), then load and drain."""
         if self._resume_state is None:
-            self._descriptor_phase()
-            self._make_sorters()
-            phase = "scan"
-            scan_start = 0
-            loaded: list[str] = []
-            drained: list[str] = []
-            mergers: dict[str, RestartableMerger] = {}
-            drain_positions: dict[str, int] = {}
+            plan = self._start()
         else:
-            (phase, scan_start, loaded, drained, mergers,
-             drain_positions) = self._prepare_resume()
-
-        if phase == "scan":
-            yield from self._scan_and_sort(start_page=scan_start)
-            # Section 3.2.2: Current-RID := infinity when the scan is done,
-            # so subsequent file extensions still reach the side-file.
-            self.context.current_rid = INFINITY_RID
-            runs_by_index = self._finish_sort()
-            self._mark("scan_done")
-            self._progress_phase_done("scan")
-            fault_point(self.system.metrics, "sf.scan_done")
-            # Transition checkpoint: a crash from here resumes by
-            # rebuilding the merge from the forced, closed runs.
-            self._write_utility_checkpoint({
-                "phase": "load-start", "loaded_indexes": []})
-            mergers = {
-                d.name: self._final_merger(d, runs_by_index[d.name])
-                for d in self.descriptors}
+            plan = self._prepare_resume()
+        phase, scan_start, loaded, drained, mergers, drain_positions = plan
+        if phase in SCAN_PHASES:
+            mergers = yield from self._scan_phase(scan_start)
             phase = "load"
-
         yield from self._load_and_drain(phase, loaded, drained, mergers,
                                         drain_positions)
 
-        self._remove_context()
-        self._write_utility_checkpoint({"phase": "done"})
-        self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
-        return self.descriptors
+    def _start(self):
+        """A fresh build's first steps; returns what
+        :meth:`_prepare_resume` returns for a resumed one: ``(phase,
+        scan_start, loaded, drained, mergers, drain_positions)``."""
+        self._descriptor_phase()
+        self._make_sorters()
+        return "scan", 0, [], [], {}, {}
+
+    def _scan_done(self) -> None:
+        # Section 3.2.2: Current-RID := infinity when the scan is done,
+        # so subsequent file extensions still reach the side-file.
+        self.context.current_rid = INFINITY_RID
+        fault_point(self.system.metrics, "sf.scan_done")
+        self._write_utility_checkpoint({
+            "phase": "load-start", "loaded_indexes": []})
 
     def _load_and_drain(self, phase, loaded, drained, mergers,
                         drain_positions):
@@ -339,29 +313,8 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
 
     # -- restart (section 3.2.4 / 3.2.5) ------------------------------------------------------
 
-    @classmethod
-    def resume(cls, system: "System", utility_state: dict
-               ) -> "SFIndexBuilder":
-        table = system.tables[utility_state["table"]]
-        specs = [IndexSpec(name, tuple(cols), unique)
-                 for name, cols, unique in utility_state["specs"]]
-        builder = cls(system, table, specs)
-        builder.descriptors = [system.indexes[name]
-                               for name in utility_state["indexes"]]
-        register_sidefile_operations(system)
-        install_maintenance(system, table)
-        context = system.builds.get(table.name)
-        if context is None:
-            context = sf_pre_undo(system, utility_state) \
-                or BuildContext(mode=SF_MODE,
-                                descriptors=list(builder.descriptors))
-            system.builds[table.name] = context
-        builder.context = context
-        builder._resume_state = utility_state
-        builder._restore_throttle(utility_state)
-        builder._restore_progress(utility_state)
-        builder._restore_codec(utility_state)
-        return builder
+    def _adopt_checkpoint(self, utility_state: dict) -> None:
+        register_sidefile_operations(self.system)
 
     def _prepare_resume(self):
         state = self._resume_state
@@ -371,96 +324,38 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         mergers: dict[str, RestartableMerger] = {}
         drain_positions: dict[str, int] = {}
         if phase == "scan":
-            # A torn snapshot during the scan phase lost only an empty
-            # tree image; normalize the shell so the load starts clean.
-            for descriptor in self.descriptors:
-                if descriptor.tree.media_damaged:
-                    self._reset_tree(descriptor.tree)
-            scan_start = state.get("next_page", 0)
-            manifests = state.get("sort", {})
-            for descriptor in self.descriptors:
-                manifest = manifests.get(descriptor.name)
-                if manifest is not None:
-                    sorter, _pos = self._restore_sorter(descriptor, manifest)
-                else:
-                    sorter = self._new_sorter(descriptor)
-                self._sorters[descriptor.name] = sorter
+            self._reset_torn_shells()
+            self._sorters, _pos = self._restore_sorters(
+                state.get("sort", {}))
             self.system.metrics.incr("build.resumes.scan")
-            return phase, scan_start, loaded, drained, mergers, \
-                drain_positions
-        self.context.current_rid = INFINITY_RID
-        if phase == "done":
-            return "done", 0, [d.name for d in self.descriptors], \
-                [d.name for d in self.descriptors], mergers, drain_positions
+            return phase, state.get("next_page", 0), loaded, drained, \
+                mergers, drain_positions
 
         checkpoint_name = state.get("index") if phase == "load" else None
         if phase == "drain":
             loaded = [d.name for d in self.descriptors]
             drain_positions[state["index"]] = state.get("position", 0)
 
-        # Section 6 fallback: a torn stable snapshot means nothing of the
-        # tree survived, and an SF build cannot be redone from the log
-        # (the bulk load is unlogged).  Pull the descriptor back into the
-        # load phase: rebuild from the forced, closed sort runs, replay
-        # the logged maintenance, then re-drain the side-file.
         for descriptor in self.descriptors:
             if not descriptor.tree.media_damaged:
                 continue
             name = descriptor.name
-            # If the Index_Build flag had already been reset, the
-            # side-file was fully drained and later changes went straight
-            # to the index (they exist only as log records); skip
-            # re-draining that frozen prefix or it would clobber the
-            # replayed direct maintenance.
-            flipped = descriptor.state is IndexState.AVAILABLE
-            sidefile = self.system.sidefiles.get(name)
-            drain_positions[name] = (len(sidefile.entries)
-                                     if flipped and sidefile is not None
-                                     else 0)
-            self._reset_tree(descriptor.tree)
-            descriptor.state = IndexState.BUILDING
-            if self.context is not None \
-                    and descriptor not in self.context.descriptors:
-                self.context.descriptors.append(descriptor)
+            drain_positions[name] = self._torn_fallback(
+                descriptor, descriptor.state is IndexState.AVAILABLE)
             if name in loaded:
                 loaded.remove(name)
             if name in drained:
                 drained.remove(name)
             if name == checkpoint_name:
                 checkpoint_name = None
-            self._torn_recover.add(name)
-            self.system.metrics.incr("build.resumes.torn_fallback")
 
-        if checkpoint_name is not None:
-            store = self._store_for(self.system.indexes[checkpoint_name])
-            mergers[checkpoint_name] = RestartableMerger.restore(
-                store, state["merge"])
-            # The tree may hold keys above the checkpoint (its snapshot
-            # was forced before the checkpoint record that never landed);
-            # "the index pages can be reset in such a way that the keys
-            # higher than the checkpointed key disappear" (section 3.2.4).
-            self._align_tree_with_checkpoint(
-                self.system.indexes[checkpoint_name],
-                state.get("highest_key"))
         for descriptor in self.descriptors:
-            if descriptor.name in loaded \
-                    or descriptor.name == checkpoint_name:
-                continue
-            dstore = self._store_for(descriptor)
-            # Creation order, not name order: lexicographic names put
-            # run-10 before run-2 once a build makes ten or more runs.
-            runs = sorted((run for run in dstore.runs.values()
-                           if run.closed),
-                          key=lambda run: run_sequence(run.name))
-            mergers[descriptor.name] = self._final_merger(
-                descriptor, runs)
-            if descriptor.name not in self._resume_loaders \
-                    and descriptor.tree.root is not None \
-                    and descriptor.tree.key_count(
-                        include_pseudo_deleted=True):
-                # No merge checkpoint for this tree: the whole load
-                # restarts, so any surviving content must go.
-                self._reset_tree(descriptor.tree)
+            name = descriptor.name
+            if name == checkpoint_name:
+                mergers[name] = self._resume_load(
+                    descriptor, state["merge"], state.get("highest_key"))
+            elif name not in loaded:
+                mergers[name] = self._restart_load(descriptor)
 
         if len(loaded) == len(self.descriptors):
             self.system.metrics.incr("build.resumes.drain")
@@ -469,6 +364,62 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         return "load", 0, loaded, drained, mergers, drain_positions
 
     # -- resume helpers -----------------------------------------------------
+
+    def _reset_torn_shells(self) -> None:
+        """A torn snapshot during the scan phase lost only an empty tree
+        image; normalize the shell so the load starts clean."""
+        for descriptor in self.descriptors:
+            if descriptor.tree.media_damaged:
+                self._reset_tree(descriptor.tree)
+
+    def _torn_fallback(self, descriptor, flipped: bool) -> int:
+        """Section 6 fallback for one index past the scan phase.
+
+        A torn stable snapshot means nothing of the tree survived, and
+        an SF build cannot be redone from the log (the bulk load is
+        unlogged).  Pull the descriptor back into the load phase: rebuild
+        from the forced, closed sort runs, replay the logged maintenance
+        (:meth:`_replay_index_log`), then re-drain the side-file from
+        the returned position.  If the Index_Build flag had already been
+        reset (``flipped``), the side-file was fully drained and later
+        changes went straight to the index (they exist only as log
+        records); skip re-draining that frozen prefix or it would
+        clobber the replayed direct maintenance.
+        """
+        sidefile = self.system.sidefiles.get(descriptor.name)
+        position = len(sidefile.entries) \
+            if flipped and sidefile is not None else 0
+        self._reset_tree(descriptor.tree)
+        descriptor.state = IndexState.BUILDING
+        if self.context is not None \
+                and descriptor not in self.context.descriptors:
+            self.context.descriptors.append(descriptor)
+        self._torn_recover.add(descriptor.name)
+        self.system.metrics.incr("build.resumes.torn_fallback")
+        return position
+
+    def _resume_load(self, descriptor, merge_manifest: dict, highest_key):
+        """Merger for a load resumed from its merge checkpoint.
+
+        The tree may hold keys above the checkpoint (its snapshot was
+        forced before the checkpoint record that never landed); "the
+        index pages can be reset in such a way that the keys higher than
+        the checkpointed key disappear" (section 3.2.4)."""
+        merger = RestartableMerger.restore(self._store_for(descriptor),
+                                           merge_manifest)
+        self._align_tree_with_checkpoint(descriptor, highest_key)
+        return merger
+
+    def _restart_load(self, descriptor):
+        """Merger for a load with no merge checkpoint: the whole load
+        restarts from the closed runs, so any surviving tree content (the
+        checkpoint trio forces *every* build tree, so even a pending
+        index may hold a partial load) must go."""
+        tree = descriptor.tree
+        if tree.root is not None \
+                and tree.key_count(include_pseudo_deleted=True):
+            self._reset_tree(tree)
+        return self._merger_from_closed_runs(descriptor)
 
     def _reset_tree(self, tree) -> None:
         """Return ``tree`` to the empty state for a from-scratch rebuild."""
@@ -536,32 +487,3 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             replayed += 1
         if replayed:
             self.system.metrics.incr("build.torn_replayed_ops", replayed)
-
-
-def sf_pre_undo(system: "System", utility_state: dict
-                ) -> Optional[BuildContext]:
-    """Reinstall the SF build context before recovery's undo pass.
-
-    Figure 2's count comparison needs the checkpointed Current-RID and
-    Index_Build flag to classify visibility during loser rollback.
-    """
-    if utility_state.get("builder") != SF_MODE:
-        return None
-    if utility_state.get("phase") == "done":
-        return None
-    table = system.tables[utility_state["table"]]
-    descriptors = [system.indexes[name]
-                   for name in utility_state["indexes"]
-                   if name in system.indexes]
-    raw_rid = utility_state.get("current_rid")
-    current_rid = RID(*raw_rid) if raw_rid is not None else RID(0, 0)
-    if utility_state.get("phase") in ("load", "drain"):
-        current_rid = INFINITY_RID
-    context = BuildContext(
-        mode=SF_MODE,
-        descriptors=descriptors,
-        current_rid=current_rid,
-        index_build=bool(utility_state.get("index_build", True)),
-    )
-    system.builds[table.name] = context
-    return context

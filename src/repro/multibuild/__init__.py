@@ -4,19 +4,13 @@
   each index flipping AVAILABLE as soon as its own drain completes;
 * :func:`multi_build` -- discipline dispatch (SF pipeline or NSF's
   directly-maintained K-spec build) for one shared scan;
-* :func:`multi_pre_undo` -- recovery hook (Figure 2 context reinstall);
 * ``python -m repro.multibuild.bench`` -- the K-sweep showing one shared
   scan beating K sequential builds (committed as ``BENCH_PR7.json``).
 """
 
-from repro.multibuild.builder import (
-    MultiIndexBuilder,
-    multi_build,
-    multi_pre_undo,
-)
+from repro.multibuild.builder import MultiIndexBuilder, multi_build
 
 __all__ = [
     "MultiIndexBuilder",
     "multi_build",
-    "multi_pre_undo",
 ]

@@ -34,18 +34,13 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from repro.core.base import BuilderBase, BuildOptions, IndexSpec
+from repro.core.base import BuilderBase, BuildOptions
 from repro.core.descriptor import IndexState
-from repro.core.maintenance import (
-    BuildContext,
-    MULTI_MODE,
-    install_maintenance,
-)
+from repro.core.maintenance import MULTI_MODE
 from repro.core.sf import SFIndexBuilder
 from repro.faultinject.sites import fault_point
-from repro.sidefile import register_sidefile_operations
-from repro.sort import RestartableMerger, RunFormation, run_sequence
-from repro.storage.rid import INFINITY_RID, RID
+from repro.sort import RestartableMerger
+from repro.storage.rid import INFINITY_RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -65,48 +60,26 @@ class MultiIndexBuilder(SFIndexBuilder):
 
     # -- main process ------------------------------------------------------
 
-    def run(self):
-        """Generator process body: one scan, K independent flips."""
-        self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs],
-                          resumed=self._resume_state is not None)
-        mergers: dict[str, RestartableMerger] = {}
+    def _run_phases(self):
+        """One scan, K independent flips."""
         if self._resume_state is None:
             self._descriptor_phase()
             self._make_sorters()
-            phase = "scan"
-            scan_start = 0
+            phase, scan_start = "scan", 0
         else:
             phase, scan_start, mergers = self._prepare_multi_resume()
-
         if phase == "scan":
-            yield from self._scan_and_sort(start_page=scan_start)
-            # Section 3.2.2: later file extensions reach the side-files.
-            self.context.current_rid = INFINITY_RID
-            runs_by_index = self._finish_sort()
-            self._mark("scan_done")
-            self._progress_phase_done("scan")
-            fault_point(self.system.metrics, "multibuild.scan_done")
-            for descriptor in self.descriptors:
-                self._manifest[descriptor.name] = {"status": "pending"}
-            # Transition checkpoint: from here each index resumes from
-            # its own manifest entry against the forced, closed runs.
-            self._write_utility_checkpoint({"phase": "index"})
-            mergers = {
-                d.name: self._final_merger(d, runs_by_index[d.name])
-                for d in self.descriptors}
-            phase = "index"
+            mergers = yield from self._scan_phase(scan_start)
+        yield from self._index_pipeline(mergers)
 
-        if phase == "index":
-            yield from self._index_pipeline(mergers)
-
-        self._remove_context()
-        self._write_utility_checkpoint({"phase": "done"})
-        self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
-        return self.descriptors
+    def _scan_done(self) -> None:
+        # Section 3.2.2: later file extensions reach the side-files.
+        self.context.current_rid = INFINITY_RID
+        fault_point(self.system.metrics, "multibuild.scan_done")
+        for descriptor in self.descriptors:
+            self._manifest[descriptor.name] = {"status": "pending"}
+        # From here each index resumes from its own manifest entry.
+        self._write_utility_checkpoint({"phase": "index"})
 
     def _index_pipeline(self, mergers):
         """Load, drain, and flip each index in turn.
@@ -184,32 +157,9 @@ class MultiIndexBuilder(SFIndexBuilder):
 
     # -- restart -----------------------------------------------------------
 
-    @classmethod
-    def resume(cls, system: "System", utility_state: dict
-               ) -> "MultiIndexBuilder":
-        table = system.tables[utility_state["table"]]
-        specs = [IndexSpec(name, tuple(cols), unique)
-                 for name, cols, unique in utility_state["specs"]]
-        builder = cls(system, table, specs)
-        builder.descriptors = [system.indexes[name]
-                               for name in utility_state["indexes"]]
-        register_sidefile_operations(system)
-        install_maintenance(system, table)
-        context = system.builds.get(table.name)
-        if context is None:
-            context = multi_pre_undo(system, utility_state) \
-                or BuildContext(mode=MULTI_MODE,
-                                descriptors=list(builder.descriptors))
-            system.builds[table.name] = context
-        builder.context = context
-        builder._resume_state = utility_state
-        builder._restore_throttle(utility_state)
-        builder._restore_progress(utility_state)
-        builder._restore_codec(utility_state)
-        return builder
-
     def _prepare_multi_resume(self):
-        """Rebuild in-flight state from the checkpointed manifest.
+        """Rebuild in-flight state from the checkpointed manifest;
+        returns ``(phase, scan_start, mergers)``.
 
         Finished indexes ("done") are skipped outright -- no rescan, no
         reload, no re-drain; an index mid-load resumes its checkpointed
@@ -220,55 +170,25 @@ class MultiIndexBuilder(SFIndexBuilder):
         metrics = self.system.metrics
         self._manifest = {name: dict(entry)
                           for name, entry in state.get("multi", {}).items()}
-        phase = state.get("phase", "scan")
         mergers: dict[str, RestartableMerger] = {}
-        if phase == "scan":
-            # Same as SF's scan resume: a torn snapshot during the scan
-            # lost only an empty tree image.
-            for descriptor in self.descriptors:
-                if descriptor.tree.media_damaged:
-                    self._reset_tree(descriptor.tree)
-            scan_start = state.get("next_page", 0)
-            manifests = state.get("sort", {})
-            for descriptor in self.descriptors:
-                manifest = manifests.get(descriptor.name)
-                if manifest is not None:
-                    sorter, _pos = self._restore_sorter(descriptor, manifest)
-                else:
-                    sorter = self._new_sorter(descriptor)
-                self._sorters[descriptor.name] = sorter
+        if state.get("phase", "scan") == "scan":
+            self._reset_torn_shells()
+            self._sorters, _pos = self._restore_sorters(
+                state.get("sort", {}))
             metrics.incr("build.resumes.scan")
-            return "scan", scan_start, mergers
-        self.context.current_rid = INFINITY_RID
-        if phase == "done":
-            return "done", 0, mergers
+            return "scan", state.get("next_page", 0), mergers
 
-        # Section 6 fallback, per index: a torn stable snapshot cannot
-        # be redone from the log (the bulk load is unlogged) -- pull that
-        # index alone back to pending and rebuild it from its closed
-        # runs; the other indexes keep their manifest progress.
+        # Section 6 fallback, per index: pull a torn index alone back to
+        # pending; the other indexes keep their manifest progress.
         for descriptor in self.descriptors:
             if not descriptor.tree.media_damaged:
                 continue
-            name = descriptor.name
-            entry = self._manifest.get(name) or {}
+            entry = self._manifest.get(descriptor.name) or {}
             flipped = (descriptor.state is IndexState.AVAILABLE
                        or entry.get("status") == "done")
-            sidefile = self.system.sidefiles.get(name)
-            # Once flipped, later changes went straight to the index
-            # (log records only): skip re-draining that frozen prefix or
-            # it would clobber the replayed direct maintenance.
-            position = (len(sidefile.entries)
-                        if flipped and sidefile is not None else 0)
-            self._reset_tree(descriptor.tree)
-            descriptor.state = IndexState.BUILDING
-            if self.context is not None \
-                    and descriptor not in self.context.descriptors:
-                self.context.descriptors.append(descriptor)
-            self._manifest[name] = {"status": "pending",
-                                    "position": position}
-            self._torn_recover.add(name)
-            metrics.incr("build.resumes.torn_fallback")
+            self._manifest[descriptor.name] = {
+                "status": "pending",
+                "position": self._torn_fallback(descriptor, flipped)}
 
         skipped = 0
         for descriptor in self.descriptors:
@@ -283,31 +203,12 @@ class MultiIndexBuilder(SFIndexBuilder):
                         and descriptor in self.context.descriptors:
                     self.context.descriptors.remove(descriptor)
                 skipped += 1
-                continue
-            if status == "draining":
-                continue  # no merger needed; drain resumes from position
-            if status == "loading":
-                store = self._store_for(descriptor)
-                mergers[name] = RestartableMerger.restore(
-                    store, entry["merge"])
-                self._align_tree_with_checkpoint(descriptor,
-                                                 entry.get("highest_key"))
-                continue
-            # pending: rebuild the final merge from the closed runs, in
-            # creation order (run-10 sorts before run-2 lexicographically)
-            store = self._store_for(descriptor)
-            runs = sorted((run for run in store.runs.values()
-                           if run.closed),
-                          key=lambda run: run_sequence(run.name))
-            mergers[name] = self._final_merger(descriptor, runs)
-            if name not in self._resume_loaders \
-                    and descriptor.tree.root is not None \
-                    and descriptor.tree.key_count(
-                        include_pseudo_deleted=True):
-                # The checkpoint trio forces *every* build tree, so a
-                # pending index's tree may hold a partial load forced by
-                # another index's checkpoint; the whole load restarts.
-                self._reset_tree(descriptor.tree)
+            elif status == "loading":
+                mergers[name] = self._resume_load(
+                    descriptor, entry["merge"], entry.get("highest_key"))
+            elif status != "draining":  # pending
+                mergers[name] = self._restart_load(descriptor)
+            # draining: no merger needed; drain resumes from its position
         if skipped:
             metrics.incr("multibuild.resume_skipped_indexes", skipped)
         metrics.incr("build.resumes.multi")
@@ -332,35 +233,3 @@ def multi_build(system: "System", table, specs,
         from repro.core.nsf import NSFIndexBuilder
         return NSFIndexBuilder(system, table, specs, options)
     raise ValueError(f"unknown multibuild discipline {discipline!r}")
-
-
-def multi_pre_undo(system: "System", utility_state: dict
-                   ) -> Optional[BuildContext]:
-    """Reinstall the multibuild context before recovery's undo pass.
-
-    Exactly :func:`repro.core.sf.sf_pre_undo` with the multi manifest's
-    phase names: Figure 2's count comparison needs Current-RID and the
-    Index_Build flag to classify visibility during loser rollback.
-    AVAILABLE (done) indexes short-circuit visibility on state alone,
-    so the context may simply carry every recorded descriptor.
-    """
-    if utility_state.get("builder") != MULTI_MODE:
-        return None
-    if utility_state.get("phase") == "done":
-        return None
-    table = system.tables[utility_state["table"]]
-    descriptors = [system.indexes[name]
-                   for name in utility_state["indexes"]
-                   if name in system.indexes]
-    raw_rid = utility_state.get("current_rid")
-    current_rid = RID(*raw_rid) if raw_rid is not None else RID(0, 0)
-    if utility_state.get("phase") == "index":
-        current_rid = INFINITY_RID
-    context = BuildContext(
-        mode=MULTI_MODE,
-        descriptors=descriptors,
-        current_rid=current_rid,
-        index_build=bool(utility_state.get("index_build", True)),
-    )
-    system.builds[table.name] = context
-    return context

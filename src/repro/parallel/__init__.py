@@ -7,17 +7,12 @@ import this package at module level -- lookups go through
 :func:`repro.core.get_builder` instead.
 """
 
-from repro.parallel.builder import (
-    DEFAULT_PARTITIONS,
-    ParallelSFBuilder,
-    psf_pre_undo,
-)
+from repro.parallel.builder import DEFAULT_PARTITIONS, ParallelSFBuilder
 from repro.parallel.merge import sim_merge_pass, sim_merge_until
 
 __all__ = [
     "DEFAULT_PARTITIONS",
     "ParallelSFBuilder",
-    "psf_pre_undo",
     "sim_merge_pass",
     "sim_merge_until",
 ]

@@ -37,23 +37,17 @@ scenarios record the sweep.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
-from repro.core.maintenance import BuildContext, PSF_MODE, \
-    install_maintenance
+from repro.core.maintenance import PSF_MODE
 from repro.core.sf import SFIndexBuilder
-from repro.core.base import IndexSpec
-from repro.faultinject.sites import fault_point, fault_points_enabled
+from repro.faultinject.sites import fault_point
 from repro.parallel.merge import sim_merge_until
 from repro.sidefile import ScanFrontier, SideFile, partition_pages, \
     register_sidefile_operations
-from repro.sim.kernel import Acquire, Barrier, Delay, ProcessGroup
-from repro.sim.latch import SHARE
+from repro.sim.kernel import Barrier, ProcessGroup
 from repro.sort import RunFormation
 from repro.storage.rid import INFINITY_RID, RID
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.system import System
 
 #: default shard count when neither the constructor nor the options say
 DEFAULT_PARTITIONS = 2
@@ -84,54 +78,35 @@ class ParallelSFBuilder(SFIndexBuilder):
         split across shards so total sort memory stays comparable."""
         return max(2, self.sort_workspace // self.partitions)
 
-    # -- main process ------------------------------------------------------
+    # -- main process (the coordinator) --------------------------------------
 
-    def run(self):
-        """Generator process body (the coordinator)."""
-        self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs],
-                          partitions=self.partitions,
-                          resumed=self._resume_state is not None)
-        if self._resume_state is None:
-            self._descriptor_phase()
-            phase = "pscan"
-            loaded: list[str] = []
-            drained: list[str] = []
-            mergers: dict = {}
-            drain_positions: dict[str, int] = {}
-        else:
-            (phase, _scan_start, loaded, drained, mergers,
-             drain_positions) = self._prepare_resume()
+    def _build_span_attrs(self) -> dict:
+        return {"partitions": self.partitions}
 
-        if phase == "pscan":
-            yield from self._parallel_scan_phase()
-            # Every shard frontier is at infinity now; keep the scalar
-            # Current-RID in sync for the serial-path consumers (§3.2.2).
-            self.context.current_rid = INFINITY_RID
-            self._mark("scan_done")
-            self._progress_phase_done("scan")
-            fault_point(self.system.metrics, "psf.scan_done")
-            # Transition checkpoint, exactly as SF: from here a crash
-            # resumes by rebuilding the merge from forced, closed runs --
-            # which is also the crash contract of the parallel shard
-            # merges below (see repro.parallel.merge).
-            self._write_utility_checkpoint({
-                "phase": "load-start", "loaded_indexes": []})
-            mergers = yield from self._parallel_merge_phase()
-            self._mark("pmerge_done")
-            self._progress_phase_done("merge")
-            phase = "load"
+    def _start(self):
+        self._descriptor_phase()
+        return "pscan", 0, [], [], {}, {}
 
-        yield from self._load_and_drain(phase, loaded, drained, mergers,
-                                        drain_positions)
-
-        self._remove_context()
-        self._write_utility_checkpoint({"phase": "done"})
-        self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
-        return self.descriptors
+    def _scan_phase(self, _scan_start: int = 0):
+        """Phases 2 and 3a: every unfinished shard scans from its own
+        manifest slot, then the shard merges run in parallel."""
+        yield from self._parallel_scan_phase()
+        # Every shard frontier is at infinity now; keep the scalar
+        # Current-RID in sync for the serial-path consumers (§3.2.2).
+        self.context.current_rid = INFINITY_RID
+        self._mark("scan_done")
+        self._progress_phase_done("scan")
+        fault_point(self.system.metrics, "psf.scan_done")
+        # Transition checkpoint, exactly as SF: from here a crash
+        # resumes by rebuilding the merge from forced, closed runs --
+        # which is also the crash contract of the parallel shard
+        # merges below (see repro.parallel.merge).
+        self._write_utility_checkpoint({
+            "phase": "load-start", "loaded_indexes": []})
+        mergers = yield from self._parallel_merge_phase()
+        self._mark("pmerge_done")
+        self._progress_phase_done("merge")
+        return mergers
 
     # -- phase 1: descriptor + frontier without quiesce ---------------------
 
@@ -188,9 +163,27 @@ class ParallelSFBuilder(SFIndexBuilder):
         started = self.system.sim.now
         self._trace_begin("shard-scan", key=f"shard-scan:{shard}",
                           parent=self._trace_span_id("scan"), shard=shard)
-        yield from self._shard_scan(shard)
+        frontier = self.context.frontier
+        partition = frontier.partitions[shard]
+        table = self.table
         state = self._shard_states[shard]
         sorters = self._shard_sorters[shard]
+        # The shared scan loop with this shard's parameters: its manifest
+        # slot as the cursor, its own sorters, its own frontier entry
+        # advanced under the page latch (section 3.1's protocol, per
+        # shard).  The last shard chases the end of file: extensions made
+        # ahead of its frontier produced no side-file entries (§3.2.2).
+        yield from self._scan_pages(
+            state,
+            (lambda: table.page_count) if partition.chases_eof
+            else (lambda: partition.end),
+            sorters,
+            advance=lambda page: frontier.advance(
+                shard, RID(page.page_id.page_no + 1, 0)),
+            checkpoint=lambda next_page: self._checkpoint_shard_progress(
+                shard, next_page),
+            page_site="psf.worker.scan_page",
+            page_counter=f"psf.pages_scanned.{shard}")
         # Seal this shard's sort: runs closed + forced, names into the
         # manifest; the shard's frontier jumps to infinity (its whole
         # range is now extracted) -- all synchronous, then checkpointed.
@@ -198,7 +191,7 @@ class ParallelSFBuilder(SFIndexBuilder):
                          for name, sorter in sorters.items()}
         state["sort"] = {}
         state["done"] = True
-        self.context.frontier.finish(shard)
+        frontier.finish(shard)
         first = next(iter(sorters.values()), None)
         metrics = self.system.metrics
         metrics.observe(f"psf.shard_keys.{shard}",
@@ -214,69 +207,6 @@ class ParallelSFBuilder(SFIndexBuilder):
         # barrier_wait, early finishers as large ones.
         self._trace_end(f"shard-scan:{shard}",
                         barrier_wait=self.system.sim.now - arrived)
-
-    def _shard_scan(self, shard: int):
-        """The per-shard copy of the paper's scan loop (section 3.2.2):
-        prefetch batches, share-latch each page, extract keys into this
-        shard's sorters, advance this shard's frontier under the latch."""
-        frontier = self.context.frontier
-        partition = frontier.partitions[shard]
-        table = self.table
-        state = self._shard_states[shard]
-        page_no = state["next_page"]
-        checkpoint_every = self.options.checkpoint_every_pages
-        pages_since_checkpoint = 0
-        metrics = self.system.metrics
-        extractors = [(d.key_of, self._shard_sorters[shard][d.name].push)
-                      for d in self.descriptors]
-        fp_enabled = fault_points_enabled(metrics)
-        while True:
-            # The last shard chases the end of file: extensions made ahead
-            # of its frontier produced no side-file entries (§3.2.2).
-            limit = table.page_count if partition.chases_eof \
-                else partition.end
-            if page_no >= limit:
-                break
-            upto = min(page_no + self.prefetch_pages, limit)
-            batch_ids = [table.page_id(p) for p in range(page_no, upto)]
-            # Shard workers share the coordinator's one bucket, so the
-            # build's *total* scan rate is limited, not each shard's.
-            yield from self._throttle(len(batch_ids))
-            pages = yield from self.system.buffer.fetch_sequential(batch_ids)
-            for page in pages:
-                yield Acquire(page.latch, SHARE)
-                try:
-                    records = page.live_records()
-                    for rid, record in records:
-                        raw = tuple(rid)
-                        for key_of, push in extractors:
-                            push((key_of(record), raw))
-                        if fp_enabled:
-                            fault_point(metrics, "build.sort_push")
-                    if records:
-                        yield Delay(len(records)
-                                    * self.options.key_extract_cost)
-                    # Advance this shard's Current-RID, still under the
-                    # page latch (section 3.1's protocol, per shard).
-                    frontier.advance(
-                        shard, RID(page.page_id.page_no + 1, 0))
-                finally:
-                    page.latch.release(self.system.sim.current)
-                metrics.incr("build.pages_scanned")
-                metrics.incr(f"psf.pages_scanned.{shard}")
-                self._progress_scan(1, 0)
-                fault_point(metrics, "psf.worker.scan_page")
-                if fp_enabled and self._codecs:
-                    self._codec_fault_points(metrics)
-            pages_since_checkpoint += len(batch_ids)
-            page_no = upto
-            state["next_page"] = page_no
-            if checkpoint_every is not None \
-                    and pages_since_checkpoint >= checkpoint_every \
-                    and page_no < limit:
-                self._checkpoint_shard_progress(shard, page_no)
-                pages_since_checkpoint = 0
-        return page_no
 
     # -- independent worker checkpoints -------------------------------------
 
@@ -363,54 +293,27 @@ class ParallelSFBuilder(SFIndexBuilder):
 
     # -- restart ------------------------------------------------------------
 
-    @classmethod
-    def resume(cls, system: "System", utility_state: dict
-               ) -> "ParallelSFBuilder":
-        table = system.tables[utility_state["table"]]
-        specs = [IndexSpec(name, tuple(cols), unique)
-                 for name, cols, unique in utility_state["specs"]]
-        builder = cls(system, table, specs,
-                      partitions=utility_state.get("partitions")
-                      or _manifest_partitions(utility_state) or 1)
-        builder.descriptors = [system.indexes[name]
-                               for name in utility_state["indexes"]]
-        register_sidefile_operations(system)
-        install_maintenance(system, table)
-        context = system.builds.get(table.name)
-        if context is None:
-            context = psf_pre_undo(system, utility_state) \
-                or BuildContext(mode=PSF_MODE,
-                                descriptors=list(builder.descriptors))
-            system.builds[table.name] = context
-        builder.context = context
-        builder._resume_state = utility_state
-        builder._restore_throttle(utility_state)
-        builder._restore_progress(utility_state)
-        builder._restore_codec(utility_state)
-        return builder
+    def _adopt_checkpoint(self, utility_state: dict) -> None:
+        super()._adopt_checkpoint(utility_state)
+        # ``partitions`` rides in the scan-phase manifest only; later
+        # checkpoints still carry the frontier's partition ranges.
+        self.partitions = utility_state.get("partitions") \
+            or len(self.context.frontier.partitions)
 
     def _prepare_resume(self):
         state = self._resume_state
         if state.get("phase") != "pscan":
-            # load-start / load / drain / done: SF's resume path applies
+            # load-start / load / drain: SF's resume path applies
             # verbatim (rebuild mergers from surviving closed runs, torn
-            # fallback, drain positions); just seal the frontier first.
-            result = super()._prepare_resume()
-            if self.context is not None \
-                    and self.context.frontier is not None:
-                self.context.frontier.finish_all()
-            return result
-        # pscan: restore only the unfinished shards.  The frontier in the
-        # context was rebuilt by psf_pre_undo from each shard's own last
-        # checkpoint, so visibility during recovery matched the scan
-        # restart positions computed here.
-        for descriptor in self.descriptors:
-            if descriptor.tree.media_damaged:
-                self._reset_tree(descriptor.tree)
+            # fallback, drain positions); the recovered frontier is
+            # already sealed.
+            return super()._prepare_resume()
+        # pscan: restore only the unfinished shards.  The recovered
+        # frontier holds each shard's own last checkpointed position, so
+        # visibility during recovery matched the scan restart positions
+        # computed here.
+        self._reset_torn_shells()
         frontier = self.context.frontier
-        if frontier is None:
-            frontier = _frontier_from_state(state)
-            self.context.frontier = frontier
         keep: list[str] = []
         self._shard_states = {}
         self._shard_sorters = {}
@@ -425,25 +328,18 @@ class ParallelSFBuilder(SFIndexBuilder):
                                     in raw.get("runs", {}).items()}}
             self._shard_states[shard] = shard_state
             if shard_state["done"]:
-                frontier.finish(shard)
                 for names in shard_state["runs"].values():
                     keep.extend(names)
                 continue
             resumed_shards += 1
-            sorters: dict[str, RunFormation] = {}
-            restart_page = frontier.partitions[shard].start
-            for descriptor in self.descriptors:
-                manifest = shard_state["sort"].get(descriptor.name)
-                if manifest is not None:
-                    sorter, restart_page = self._restore_sorter(
-                        descriptor, manifest,
-                        workspace=self._shard_workspace, prune=False)
-                    keep.extend(manifest["runs"])
-                else:
-                    sorter = self._new_sorter(
-                        descriptor, workspace=self._shard_workspace)
-                sorters[descriptor.name] = sorter
-            self._shard_sorters[shard] = sorters
+            self._shard_sorters[shard], restart_page = \
+                self._restore_sorters(shard_state["sort"],
+                                      workspace=self._shard_workspace,
+                                      prune=False)
+            for manifest in shard_state["sort"].values():
+                keep.extend(manifest["runs"])
+            if restart_page is None:
+                restart_page = frontier.partitions[shard].start
             shard_state["next_page"] = restart_page
             shard_state["ckpt_page"] = restart_page
             frontier.current[shard] = RID(restart_page, 0)
@@ -457,70 +353,3 @@ class ParallelSFBuilder(SFIndexBuilder):
         self.system.metrics.incr(
             "psf.skipped_shards", len(self._shard_states) - resumed_shards)
         return "pscan", 0, [], [], {}, {}
-
-
-def _manifest_partitions(utility_state: dict) -> int:
-    manifest = utility_state.get("frontier")
-    if manifest is None:
-        return 0
-    return len(manifest.get("partitions", ()))
-
-
-def _frontier_from_state(utility_state: dict) -> ScanFrontier:
-    """Rebuild the frontier vector from a PSF utility checkpoint.
-
-    For the scan phase each shard's Current-RID comes from *that shard's*
-    last checkpointed scan position, NOT the live frontier at manifest
-    write time: keys scanned past a shard's checkpoint died with the
-    crash and will be re-extracted, so recovery-time visibility must
-    treat them as unscanned (the shard-wise version of resuming the
-    serial scan from its checkpoint, section 5.1).
-    """
-    manifest = utility_state.get("frontier")
-    if manifest is not None:
-        frontier = ScanFrontier.from_manifest(manifest)
-    else:  # pre-frontier checkpoint: degenerate single shard
-        frontier = ScanFrontier(partition_pages(0, 1))
-    phase = utility_state.get("phase")
-    if phase != "pscan":
-        frontier.finish_all()
-        return frontier
-    for shard_key, raw in utility_state.get("shards", {}).items():
-        shard = int(shard_key)
-        if shard >= len(frontier.current):
-            continue
-        if raw.get("done"):
-            frontier.finish(shard)
-        else:
-            start = frontier.partitions[shard].start
-            frontier.current[shard] = RID(raw.get("ckpt_page", start), 0)
-    return frontier
-
-
-def psf_pre_undo(system: "System", utility_state: dict
-                 ) -> Optional[BuildContext]:
-    """Reinstall the PSF build context before recovery's undo pass.
-
-    The parallel analogue of :func:`repro.core.sf.sf_pre_undo`: Figure
-    2's count comparison needs the checkpointed frontier vector and
-    Index_Build flag to classify visibility during loser rollback.
-    """
-    if utility_state.get("builder") != PSF_MODE:
-        return None
-    if utility_state.get("phase") == "done":
-        return None
-    table = system.tables[utility_state["table"]]
-    descriptors = [system.indexes[name]
-                   for name in utility_state["indexes"]
-                   if name in system.indexes]
-    frontier = _frontier_from_state(utility_state)
-    current_rid = INFINITY_RID if frontier.done else RID(0, 0)
-    context = BuildContext(
-        mode=PSF_MODE,
-        descriptors=descriptors,
-        current_rid=current_rid,
-        index_build=bool(utility_state.get("index_build", True)),
-        frontier=frontier,
-    )
-    system.builds[table.name] = context
-    return context
