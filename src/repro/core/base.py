@@ -15,7 +15,7 @@ wants to eliminate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.core.descriptor import IndexDescriptor, IndexState
@@ -250,7 +250,8 @@ class BuilderBase:
         table = system.tables[utility_state["table"]]
         specs = [IndexSpec(name, tuple(cols), unique)
                  for name, cols, unique in utility_state["specs"]]
-        builder = cls(system, table, specs)
+        builder = cls(system, table, specs,
+                      BuildOptions(**utility_state.get("options", {})))
         builder.descriptors = [system.indexes[name]
                                for name in utility_state["indexes"]]
         install_maintenance(system, table)
@@ -416,14 +417,8 @@ class BuilderBase:
             self._rate_bucket = self.system.build_bucket(rate)
 
     def _restore_codec(self, utility_state: dict) -> None:
-        """Re-arm compressed-key sorting from a utility checkpoint.
-
-        :meth:`resume` constructs the builder with default options, so
-        the codec flag (and each index's persisted column layout) must
-        be restored before any sorter is rebuilt."""
-        if not utility_state.get("codec"):
-            return
-        self.options.compressed_keys = True
+        """Adopt each index's checkpointed codec layout (compressed-key
+        builds only), before any sorter is rebuilt."""
         for name, manifest in (utility_state.get("sort_codecs")
                                or {}).items():
             self._codec_for(name).adopt(manifest)
@@ -708,6 +703,14 @@ class BuilderBase:
                        if codec.bound or codec.disabled}
             if layouts:
                 payload["sort_codecs"] = layouts
+        # The options that differ from the defaults, so the resumed
+        # build keeps its drain batch, fill factor, checkpoint and commit
+        # intervals, workspace, ...  Key absent when all are default.
+        changed = {f.name: getattr(self.options, f.name)
+                   for f in fields(BuildOptions)
+                   if getattr(self.options, f.name) != f.default}
+        if changed:
+            payload["options"] = changed
         payload.update(state)
         if self.context is not None:
             payload["current_rid"] = tuple(self.context.current_rid)

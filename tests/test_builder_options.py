@@ -217,3 +217,45 @@ def test_commit_interval_controls_ib_commits():
                   BuildOptions(commit_every_keys=commit_every))
         counts[commit_every] = system.metrics.get("build.ib_commits")
     assert counts[32] > counts[256]
+
+
+@pytest.mark.parametrize("builder_cls,site,hit,phase", [
+    (SFIndexBuilder, "build.scan_page", 20, "scan"),
+    (SFIndexBuilder, "sf.load_batch", 3, "load"),
+    (NSFIndexBuilder, "build.scan_page", 20, "scan"),
+    (NSFIndexBuilder, "nsf.insert_batch", 20, "insert"),
+])
+def test_resumed_build_keeps_its_options(builder_cls, site, hit, phase):
+    """The utility checkpoint carries the non-default options, so the
+    resumed builder runs with what the crashed one was started with."""
+    from repro.faultinject.injector import CRASH, FaultInjector, FaultPlan
+
+    options = BuildOptions(drain_batch=7, fill_free_fraction=0.4,
+                           checkpoint_every_pages=8,
+                           checkpoint_every_keys=48, commit_every_keys=24,
+                           sort_workspace=12)
+    system, table, driver = stage(operations=20)
+    FaultInjector(FaultPlan(site, hit, CRASH)).install(system)
+    builder = builder_cls(system, table, IndexSpec.of("idx", ["k"]),
+                          options=options)
+    system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    assert system.sim.crashed
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    assert state["phase"] == phase
+    resumed = resume_build(recovered, state)
+    assert resumed.options == options
+    assert resumed.options is not options
+    drive(recovered, resumed.run(), name="resumed")
+    audit_index(recovered, recovered.indexes["idx"])
+
+
+def test_default_options_add_no_checkpoint_key():
+    system, table, driver = stage()
+    builder = SFIndexBuilder(system, table, IndexSpec.of("idx", ["k"]))
+    system.spawn(builder.run(), name="builder")
+    system.run(until=system.now() + 5)
+    state = system.log.latest_checkpoint().info["utility_state"]
+    assert state["builder"] == "sf" and "options" not in state
