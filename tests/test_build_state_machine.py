@@ -1,0 +1,350 @@
+"""The build state machine as a table (DESIGN.md section 5).
+
+One row per (mode, checkpoint phase) a builder writes: the utility
+checkpoint payload, and the :class:`BuildContext` that
+``build_pre_undo`` must install from it -- Current-RID, the Index_Build
+flag, the per-shard frontier and the descriptor set.  The expected
+values are literals taken from the five per-mode ``*_pre_undo``
+functions this table replaced.  A second set of tests crashes real
+builds, so the rows are the phases the builders really checkpoint and
+``resume_build`` brings back the right class with the mode's own state.
+"""
+
+import pytest
+
+from repro.core import (
+    BuildOptions,
+    IndexDescriptor,
+    IndexSpec,
+    IndexState,
+    RESUMABLE_MODES,
+    SFIndexBuilder,
+    build_pre_undo,
+    get_builder,
+    resume_build,
+)
+from repro.faultinject.injector import CRASH, FaultInjector, FaultPlan
+from repro.recovery import restart
+from repro.storage.rid import INFINITY_RID, RID
+from repro.system import System, SystemConfig
+from repro.verify import audit_index
+from repro.wal.records import RecordKind
+from repro.workloads import WorkloadDriver, WorkloadSpec
+
+INF = tuple(INFINITY_RID)
+#: three shards over 15 pages; the *live* frontier at manifest write time
+FRONTIER = {"partitions": [(0, 5), (5, 10), (10, 15)],
+            "current": [(5, 0), (8, 0), (12, 0)]}
+SEALED_FRONTIER = {"partitions": FRONTIER["partitions"],
+                   "current": [INF, INF, INF]}
+
+
+def _shard(done, ckpt_page, next_page):
+    return {"done": done, "ckpt_page": ckpt_page, "next_page": next_page,
+            "sort": {}, "runs": {}}
+
+
+#: (mode, phase, payload beyond the common keys, expected Current-RID,
+#:  expected per-shard frontier or None, expected descriptor names)
+ROWS = [
+    # NSF: visible from descriptor creation, no Current-RID at all
+    ("nsf", "scan", {"next_page": 8, "sort": {}, "current_rid": (0, 0)},
+     RID(0, 0), None, ["a", "b"]),
+    ("nsf", "insert-start", {"done_indexes": ["a"], "current_rid": (0, 0)},
+     RID(0, 0), None, ["a", "b"]),
+    ("nsf", "insert", {"index": "b", "merge": {}, "highest_key": None,
+                       "done_indexes": ["a"], "current_rid": (0, 0)},
+     RID(0, 0), None, ["a", "b"]),
+    # SF: the checkpointed Current-RID while scanning, infinity after
+    ("sf", "scan", {"next_page": 8, "sort": {}, "current_rid": (8, 0)},
+     RID(8, 0), None, ["a", "b"]),
+    ("sf", "load-start", {"loaded_indexes": [], "current_rid": INF},
+     INFINITY_RID, None, ["a", "b"]),
+    ("sf", "load", {"index": "a", "merge": {}, "highest_key": None,
+                    "loaded_indexes": [], "current_rid": INF},
+     INFINITY_RID, None, ["a", "b"]),
+    ("sf", "drain", {"index": "a", "position": 3,
+                     "loaded_indexes": ["a", "b"], "drained_indexes": [],
+                     "current_rid": INF},
+     INFINITY_RID, None, ["a", "b"]),
+    # PSF: each unfinished shard restarts from ITS checkpointed page,
+    # not from the live frontier the manifest happened to record
+    ("psf", "pscan", {"partitions": 3, "frontier": FRONTIER,
+                      "current_rid": (0, 0),
+                      "shards": {0: _shard(True, 5, 5),
+                                 1: _shard(False, 6, 8),
+                                 2: _shard(False, 10, 12)}},
+     RID(0, 0), [INFINITY_RID, RID(6, 0), RID(10, 0)], ["a", "b"]),
+    ("psf", "pscan", {"partitions": 3, "frontier": SEALED_FRONTIER,
+                      "current_rid": (0, 0),
+                      "shards": {0: _shard(True, 5, 5),
+                                 1: _shard(True, 10, 10),
+                                 2: _shard(True, 15, 15)}},
+     INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
+    ("psf", "load-start", {"loaded_indexes": [],
+                           "frontier": SEALED_FRONTIER,
+                           "current_rid": INF},
+     INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
+    ("psf", "load", {"index": "a", "merge": {}, "highest_key": None,
+                     "loaded_indexes": [], "frontier": SEALED_FRONTIER,
+                     "current_rid": INF},
+     INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
+    ("psf", "drain", {"index": "a", "position": 0,
+                      "loaded_indexes": ["a", "b"], "drained_indexes": [],
+                      "frontier": SEALED_FRONTIER, "current_rid": INF},
+     INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
+    # multi: SF's rule with the manifest's phase names; flipped ("done")
+    # indexes stay in the descriptor set
+    ("multi", "scan", {"next_page": 8, "sort": {}, "multi": {},
+                       "current_rid": (8, 0)},
+     RID(8, 0), None, ["a", "b"]),
+    ("multi", "index", {"multi": {"a": {"status": "done"},
+                                  "b": {"status": "pending"}},
+                        "current_rid": INF},
+     INFINITY_RID, None, ["a", "b"]),
+    ("multi", "index", {"multi": {"a": {"status": "draining",
+                                        "position": 4},
+                                  "b": {"status": "loading", "merge": {},
+                                        "highest_key": None,
+                                        "position": 0}},
+                        "current_rid": INF},
+     INFINITY_RID, None, ["a", "b"]),
+    # rebuild: never scans; only BUILDING descriptors are under
+    # construction ("reset" is checkpointed before the flip, and before
+    # the context exists, so it carries no current_rid / index_build)
+    ("rebuild", "reset", {"sidefile_start": {"a": 2, "b": 0}},
+     INFINITY_RID, None, ["b"]),
+    ("rebuild", "load-start", {"loaded_indexes": [], "current_rid": INF,
+                               "sidefile_start": {"a": 2, "b": 0}},
+     INFINITY_RID, None, ["b"]),
+    ("rebuild", "load", {"index": "b", "merge": {}, "highest_key": None,
+                         "loaded_indexes": [], "current_rid": INF,
+                         "sidefile_start": {"a": 2, "b": 0}},
+     INFINITY_RID, None, ["b"]),
+    ("rebuild", "drain", {"index": "b", "position": 0,
+                          "loaded_indexes": ["a", "b"],
+                          "drained_indexes": [], "current_rid": INF,
+                          "sidefile_start": {"a": 2, "b": 0}},
+     INFINITY_RID, None, ["b"]),
+]
+
+#: the phases every builder is seen to checkpoint in a real build (below)
+PHASES_WRITTEN = {
+    "nsf": {"scan", "insert-start", "insert", "done"},
+    "sf": {"scan", "load-start", "load", "drain", "done"},
+    "psf": {"pscan", "load-start", "load", "drain", "done"},
+    "multi": {"scan", "index", "done"},
+    "rebuild": {"reset", "load-start", "load", "drain", "done"},
+}
+
+
+def _catalog(table_name="t"):
+    """A system with one table and two attached descriptors: ``a``
+    already AVAILABLE (a flipped multi index, a live index a rebuild has
+    not reset yet), ``b`` BUILDING."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8))
+    table = system.create_table(table_name, ["k", "p"])
+    for name, state in (("a", IndexState.AVAILABLE),
+                        ("b", IndexState.BUILDING)):
+        descriptor = IndexDescriptor(system, table, f"{table_name}.{name}"
+                                     if table_name != "t" else name, ("k",))
+        descriptor.state = state
+        descriptor.attach()
+    return system
+
+
+def _payload(mode, phase, extra, table="t", names=("a", "b")):
+    payload = {"builder": mode, "table": table, "indexes": list(names),
+               "specs": [(name, ["k"], False) for name in names],
+               "phase": phase}
+    if "current_rid" in extra:
+        payload["index_build"] = True
+    payload.update(extra)
+    return payload
+
+
+def test_the_table_has_a_row_for_every_mode_and_phase():
+    assert {mode for mode, *_ in ROWS} == set(RESUMABLE_MODES) \
+        == set(PHASES_WRITTEN)
+    for mode in RESUMABLE_MODES:
+        assert get_builder(mode).mode == mode
+        assert {phase for row_mode, phase, *_ in ROWS if row_mode == mode} \
+            == PHASES_WRITTEN[mode] - {"done"}
+
+
+@pytest.mark.parametrize(
+    "mode,phase,extra,current_rid,frontier,descriptors", ROWS,
+    ids=[f"{row[0]}-{row[1]}-{i}" for i, row in enumerate(ROWS)])
+def test_pre_undo_installs_the_context_of_the_row(
+        mode, phase, extra, current_rid, frontier, descriptors):
+    system = _catalog()
+    state = _payload(mode, phase, extra)
+    build_pre_undo(system, state)
+    context = system.builds["t"]
+    assert context.mode == mode
+    assert context.current_rid == current_rid
+    assert context.index_build is True
+    assert [d.name for d in context.descriptors] == descriptors
+    if frontier is None:
+        assert context.frontier is None
+    else:
+        assert context.frontier.current == frontier
+        assert [(p.start, p.end) for p in context.frontier.partitions] \
+            == FRONTIER["partitions"]
+
+    builder = resume_build(system, state)
+    assert type(builder) is get_builder(mode)
+    assert builder.context is context
+    assert [d.name for d in builder.descriptors] == ["a", "b"]
+    assert builder.options == BuildOptions()
+    if mode == "psf":
+        assert builder.partitions == 3
+    if mode == "rebuild":
+        assert builder._sidefile_starts == {"a": 2, "b": 0}
+
+
+@pytest.mark.parametrize("mode", RESUMABLE_MODES)
+def test_done_installs_nothing(mode):
+    system = _catalog()
+    state = _payload(mode, "done", {})
+    build_pre_undo(system, state)
+    assert system.builds == {}
+    assert resume_build(system, state) is None
+
+
+def test_the_index_build_flag_comes_from_the_checkpoint():
+    system = _catalog()
+    build_pre_undo(system, _payload(
+        "sf", "drain", {"index": "a", "position": 0, "current_rid": INF,
+                        "index_build": False}))
+    assert system.builds["t"].index_build is False
+
+
+def test_an_index_dropped_from_the_catalog_leaves_the_context():
+    system = _catalog()
+    system.indexes["a"].detach()
+    build_pre_undo(system, _payload("sf", "scan", {"current_rid": (2, 0)}))
+    assert [d.name for d in system.builds["t"].descriptors] == ["b"]
+
+
+def test_two_tables_building_both_get_their_context_back():
+    """``system.utility_states`` (the concurrent-build registry restart
+    collects) wins over the single payload handed to the hook."""
+    system = _catalog("t1")
+    table2 = system.create_table("t2", ["k", "p"])
+    descriptor = IndexDescriptor(system, table2, "t2.b", ("k",))
+    descriptor.attach()
+    system.utility_states = {
+        "t1": _payload("sf", "scan", {"current_rid": (4, 0)}, table="t1",
+                       names=("t1.a", "t1.b")),
+        "t2": _payload("nsf", "insert-start", {"done_indexes": []},
+                       table="t2", names=("t2.b",)),
+    }
+    build_pre_undo(system, system.utility_states["t2"])
+    assert set(system.builds) == {"t1", "t2"}
+    assert system.builds["t1"].mode == "sf"
+    assert system.builds["t1"].current_rid == RID(4, 0)
+    assert [d.name for d in system.builds["t1"].descriptors] \
+        == ["t1.a", "t1.b"]
+    assert system.builds["t2"].mode == "nsf"
+    assert [d.name for d in system.builds["t2"].descriptors] == ["t2.b"]
+
+
+# -- real builds: the phases written, and crash -> resume per mode ------------
+
+CONFIG = dict(page_capacity=8, leaf_capacity=8, sort_workspace=16,
+              merge_fanin=4, buffer_frames=256)
+OPTIONS = dict(checkpoint_every_pages=8, checkpoint_every_keys=16,
+               commit_every_keys=16)
+SPECS = [IndexSpec.of("a", ["k"]), IndexSpec.of("b", ["p"])]
+
+
+def _drive(system, body, name):
+    proc = system.spawn(body, name=name)
+    system.run()
+    if proc.error is not None:
+        raise proc.error
+
+
+def _staged(seed=11):
+    system = System(SystemConfig(**CONFIG), seed=seed)
+    table = system.create_table("t", ["k", "p"])
+    driver = WorkloadDriver(
+        system, table, WorkloadSpec(operations=60, workers=2,
+                                    think_time=0.5, rollback_fraction=0.2),
+        seed=seed)
+    _drive(system, driver.preload(300), "preload")
+    return system, table, driver
+
+
+def _builder(mode, system, table):
+    """The builder of ``mode`` ready to run (a rebuild first needs a
+    completed SF build whose sealed runs it reuses)."""
+    options = BuildOptions(**OPTIONS)
+    if mode == "rebuild":
+        seed_build = SFIndexBuilder(system, table, SPECS[0])
+        _drive(system, seed_build.run(), "seed-builder")
+        return system.rebuild_index("a", options=options)
+    if mode == "psf":
+        options.partitions = 3
+    return get_builder(mode)(system, table,
+                             SPECS if mode == "multi" else SPECS[0],
+                             options=options)
+
+
+@pytest.mark.parametrize("mode", RESUMABLE_MODES)
+def test_phases_each_builder_checkpoints(mode):
+    system, table, driver = _staged()
+    builder = _builder(mode, system, table)
+    system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    phases = {record.info["utility_state"]["phase"]
+              for record in system.log.scan()
+              if record.kind is RecordKind.CHECKPOINT
+              and record.info["utility_state"].get("builder") == mode}
+    assert phases == PHASES_WRITTEN[mode]
+
+
+@pytest.mark.parametrize("mode,site,hit,phase", [
+    ("nsf", "nsf.insert_checkpoint", 2, "insert"),
+    ("sf", "sf.drain_checkpoint", 1, "drain"),
+    ("psf", "psf.worker_done", 2, "pscan"),
+    ("psf", "psf.merge_done", 1, "load-start"),
+    ("multi", "multibuild.index_done", 1, "index"),
+    ("rebuild", "sf.load_done", 1, "load"),
+])
+def test_crash_then_resume_brings_back_the_mode(mode, site, hit, phase):
+    system, table, driver = _staged()
+    builder = _builder(mode, system, table)
+    FaultInjector(FaultPlan(site, hit, CRASH)).install(system)
+    system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    assert system.sim.crashed
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    assert (state["builder"], state["phase"]) == (mode, phase)
+    context = recovered.builds["t"]
+    assert context.mode == mode
+    resumed = resume_build(recovered, state)
+    assert type(resumed) is get_builder(mode)
+    assert resumed.context is context
+    assert resumed.options == builder.options
+    if mode == "psf":
+        assert resumed.partitions == 3
+        done = [raw["done"] for _shard_no, raw
+                in sorted(state.get("shards", {}).items())]
+        if phase == "pscan":
+            # one shard sealed, two still scanning: a mixed manifest
+            assert sorted(done) == [False, False, True]
+            assert [rid == INFINITY_RID
+                    for rid in context.frontier.current] == done
+        else:
+            assert context.frontier.done
+    if mode == "rebuild":
+        assert resumed._sidefile_starts == builder._sidefile_starts != {}
+    _drive(recovered, resumed.run(), "resumed")
+    for name in state["indexes"]:
+        assert recovered.indexes[name].state is IndexState.AVAILABLE
+        audit_index(recovered, recovered.indexes[name])
