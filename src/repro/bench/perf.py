@@ -22,9 +22,9 @@ compares ratios, not absolute times, against the committed baseline JSON.
 Results are written as schema-stable JSON (see :data:`SCHEMA_VERSION` and
 :func:`validate_payload`)::
 
-    python -m repro.bench.perf --out BENCH_PR2.json
+    python -m repro.bench.perf --out BENCH_PR10.json
     python -m repro.bench.perf --out /tmp/now.json --smoke \\
-        --check-against BENCH_PR2.json --max-regression 0.30
+        --check-against BENCH_PR10.json --max-regression 0.05
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Three guards:
 
 * the JSON payload is schema-stable (round-trips, validates, and the
-  committed ``BENCH_PR2.json`` baseline still parses and clears the
+  committed ``BENCH_PR10.json`` baseline still parses and clears the
   acceptance floor);
 * the benchmark scenarios are seed-deterministic on the simulated
   clock, so wall-clock comparisons measure code, not workload drift;
@@ -60,7 +60,7 @@ def test_every_smoke_scenario_succeeds(smoke_payload):
 
 
 def test_committed_baseline_validates_and_clears_floor():
-    baseline = json.loads((REPO_ROOT / "BENCH_PR2.json").read_text())
+    baseline = json.loads((REPO_ROOT / "BENCH_PR10.json").read_text())
     assert validate_payload(baseline) == []
     ib = find_scenario(baseline, "micro/ib_insert_batch")
     assert ib["ok"]
@@ -84,8 +84,8 @@ def test_check_payload_flags_regressions(smoke_payload):
     assert any("speedup" in p for p in check_payload(slow, clean))
 
 
-def test_committed_pr3_baseline_shows_parallel_speedup():
-    baseline = json.loads((REPO_ROOT / "BENCH_PR3.json").read_text())
+def test_committed_baseline_shows_parallel_speedup():
+    baseline = json.loads((REPO_ROOT / "BENCH_PR10.json").read_text())
     assert validate_payload(baseline) == []
     sweep = find_scenario(baseline, "parallel_sf/p_sweep")
     assert sweep is not None and sweep["ok"]
