@@ -366,6 +366,15 @@ class BuilderBase:
                     descriptor, manifest, workspace=workspace, prune=prune)
         return sorters, position
 
+    def _resume_scan(self) -> int:
+        """Resume the serial scan from its checkpoint: restore the
+        sorters, return the page to continue from."""
+        state = self._resume_state
+        self._sorters, _position = self._restore_sorters(
+            state.get("sort", {}))
+        self.system.metrics.incr("build.resumes.scan")
+        return state.get("next_page", 0)
+
     def _merger_from_closed_runs(self, descriptor: IndexDescriptor):
         """Post-scan resume: the final merger over the forced, closed
         runs that survived.  Creation order, not name order:
@@ -886,11 +895,10 @@ def recovery_context(system: "System", utility_state: dict
                         frontier.current[int(shard)] = RID(
                             raw["ckpt_page"], 0)
                 scanning = not frontier.done
-        raw_rid = utility_state.get("current_rid")
         if not scanning:
             context.current_rid = INFINITY_RID
-        elif raw_rid is not None:
-            context.current_rid = RID(*raw_rid)
+        elif "current_rid" in utility_state:
+            context.current_rid = RID(*utility_state["current_rid"])
     system.builds[utility_state["table"]] = context
     return context
 

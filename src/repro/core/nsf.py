@@ -187,10 +187,7 @@ class NSFIndexBuilder(BuilderBase):
         state = self._resume_state
         done_indexes = list(state.get("done_indexes", []))
         if state.get("phase", "scan") == "scan":
-            self._sorters, _pos = self._restore_sorters(
-                state.get("sort", {}))
-            self.system.metrics.incr("build.resumes.scan")
-            return "scan", state.get("next_page", 0), done_indexes, {}
+            return "scan", self._resume_scan(), done_indexes, {}
         # insert / insert-start.  Indexes with no merge checkpoint
         # restart their final merge from the forced, closed runs;
         # already-inserted keys are duplicate-rejected (section 2.2.3:

@@ -324,12 +324,8 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         mergers: dict[str, RestartableMerger] = {}
         drain_positions: dict[str, int] = {}
         if phase == "scan":
-            self._reset_torn_shells()
-            self._sorters, _pos = self._restore_sorters(
-                state.get("sort", {}))
-            self.system.metrics.incr("build.resumes.scan")
-            return phase, state.get("next_page", 0), loaded, drained, \
-                mergers, drain_positions
+            return phase, self._resume_scan(), loaded, drained, mergers, \
+                drain_positions
 
         checkpoint_name = state.get("index") if phase == "load" else None
         if phase == "drain":
@@ -364,6 +360,10 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         return "load", 0, loaded, drained, mergers, drain_positions
 
     # -- resume helpers -----------------------------------------------------
+
+    def _resume_scan(self) -> int:
+        self._reset_torn_shells()
+        return super()._resume_scan()
 
     def _reset_torn_shells(self) -> None:
         """A torn snapshot during the scan phase lost only an empty tree

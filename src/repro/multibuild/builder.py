@@ -65,7 +65,7 @@ class MultiIndexBuilder(SFIndexBuilder):
         if self._resume_state is None:
             self._descriptor_phase()
             self._make_sorters()
-            phase, scan_start = "scan", 0
+            phase, scan_start, mergers = "scan", 0, {}
         else:
             phase, scan_start, mergers = self._prepare_multi_resume()
         if phase == "scan":
@@ -172,11 +172,7 @@ class MultiIndexBuilder(SFIndexBuilder):
                           for name, entry in state.get("multi", {}).items()}
         mergers: dict[str, RestartableMerger] = {}
         if state.get("phase", "scan") == "scan":
-            self._reset_torn_shells()
-            self._sorters, _pos = self._restore_sorters(
-                state.get("sort", {}))
-            metrics.incr("build.resumes.scan")
-            return "scan", state.get("next_page", 0), mergers
+            return "scan", self._resume_scan(), mergers
 
         # Section 6 fallback, per index: pull a torn index alone back to
         # pending; the other indexes keep their manifest progress.

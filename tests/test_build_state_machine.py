@@ -138,7 +138,7 @@ PHASES_WRITTEN = {
 }
 
 
-def _catalog(table_name="t"):
+def _catalog(table_name="t", prefix=""):
     """A system with one table and two attached descriptors: ``a``
     already AVAILABLE (a flipped multi index, a live index a rebuild has
     not reset yet), ``b`` BUILDING."""
@@ -146,8 +146,7 @@ def _catalog(table_name="t"):
     table = system.create_table(table_name, ["k", "p"])
     for name, state in (("a", IndexState.AVAILABLE),
                         ("b", IndexState.BUILDING)):
-        descriptor = IndexDescriptor(system, table, f"{table_name}.{name}"
-                                     if table_name != "t" else name, ("k",))
+        descriptor = IndexDescriptor(system, table, prefix + name, ("k",))
         descriptor.state = state
         descriptor.attach()
     return system
@@ -230,7 +229,7 @@ def test_an_index_dropped_from_the_catalog_leaves_the_context():
 def test_two_tables_building_both_get_their_context_back():
     """``system.utility_states`` (the concurrent-build registry restart
     collects) wins over the single payload handed to the hook."""
-    system = _catalog("t1")
+    system = _catalog("t1", prefix="t1.")
     table2 = system.create_table("t2", ["k", "p"])
     descriptor = IndexDescriptor(system, table2, "t2.b", ("k",))
     descriptor.attach()

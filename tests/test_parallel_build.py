@@ -272,7 +272,7 @@ def test_parallel_scan_speedup_on_simulated_clock():
     assert serial_scan / parallel_scan >= 1.5
 
 
-def test_shard_scans_charge_key_compare_cost():
+def test_psf_shards_charge_key_compare_cost():
     """Shard workers run the one scan loop, so the tournament comparisons
     of their own sorters are charged to the simulated clock."""
     scan_time = {}
