@@ -29,7 +29,7 @@ from repro.core.maintenance import (
 from repro.core.throttle import TokenBucket
 from repro.faultinject.sites import fault_point, fault_points_enabled
 from repro.sidefile import ScanFrontier
-from repro.sim.kernel import Acquire, Delay, Join
+from repro.sim.kernel import Delay, Join
 from repro.sim.latch import SHARE
 from repro.sort import (
     CompressedRunFormation,
@@ -561,7 +561,7 @@ class BuilderBase:
             yield from self._throttle(len(batch_ids))
             pages = yield from system.buffer.fetch_sequential(batch_ids)
             for page in pages:
-                yield Acquire(page.latch, SHARE)
+                page = yield from system.buffer.latch_current(page, SHARE)
                 try:
                     records = page.live_records()
                     for rid, record in records:

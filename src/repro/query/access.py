@@ -30,7 +30,7 @@ from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.core.descriptor import IndexDescriptor, IndexState
 from repro.errors import ReproError
-from repro.sim.kernel import Acquire, Delay
+from repro.sim.kernel import Delay
 from repro.sim.latch import SHARE
 from repro.storage.rid import RID
 
@@ -191,7 +191,7 @@ def table_scan(txn: "Transaction", table: "Table", predicate=None):
         page_ids = [table.page_id(p) for p in range(page_no, upto)]
         pages = yield from system.buffer.fetch_sequential(page_ids)
         for page in pages:
-            yield Acquire(page.latch, SHARE)
+            page = yield from system.buffer.latch_current(page, SHARE)
             try:
                 live = page.live_records()
             finally:

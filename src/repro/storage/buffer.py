@@ -119,6 +119,22 @@ class BufferPool:
             pages.append(page)
         return pages
 
+    def latch_current(self, page: DataPage, mode: str):
+        """Generator: latch the frame now resident for ``page``; returns it.
+
+        The pool has no pin count -- a held or awaited latch *is* the pin
+        (:meth:`_evict_one`) -- so a page object carried across a yield
+        unlatched, such as the tail of a :meth:`fetch_sequential` batch,
+        may have been evicted and re-read since: the object in hand is
+        then an orphan whose image misses every later update.  Re-resolve
+        immediately before latching (no yield in between).
+        """
+        if self._frames.get(page.page_id) is not page:
+            self.metrics.incr("buffer.stale_prefetches")
+            page = yield from self.fetch(page.page_id)
+        yield Acquire(page.latch, mode)
+        return page
+
     def new_page(self, page_id: PageId, capacity: int):
         """Create a brand-new page in the pool (no disk read).
 

@@ -192,6 +192,41 @@ def test_fetch_sequential_counts_one_prefetch():
     assert cost < 4 * disk.RANDOM_IO
 
 
+def test_latch_current_re_resolves_a_page_evicted_after_the_prefetch():
+    """A frame is pinned only by its latch: the unlatched tail of a
+    prefetch batch can be evicted and re-read before the scan gets to
+    it, and the scan must then latch the resident frame, not the orphan
+    it was handed."""
+    from repro.sim.kernel import Acquire
+
+    pool, _disk, _log = make_pool(capacity=2)
+    ids = [PageId("t", i) for i in range(3)]
+    for pid in ids:
+        run_gen(pool.new_page(pid, capacity=4))
+        run_gen(pool.flush_page(pid))
+    pool.crash()
+    batch, _ = run_gen(pool.fetch_sequential(ids[:2]))
+    run_gen(pool.fetch(ids[2]))               # evicts ids[0] ...
+    reread, _ = run_gen(pool.fetch(ids[0]))   # ... which comes back anew
+    assert reread is not batch[0]
+
+    def latch(page):
+        gen = pool.latch_current(page, "S")
+        effect = gen.send(None)
+        while not isinstance(effect, Acquire):
+            effect = gen.send(None)
+        with pytest.raises(StopIteration) as stop:
+            gen.send(None)
+        assert effect.resource is stop.value.value.latch
+        return stop.value.value
+
+    assert latch(batch[0]) is reread
+    assert pool.metrics.get("buffer.stale_prefetches") == 1
+    # a still-resident page is latched as is, and the counter is untouched
+    assert latch(reread) is reread
+    assert pool.metrics.get("buffer.stale_prefetches") == 1
+
+
 def test_crash_loses_frames_but_not_disk():
     pool, disk, log = make_pool()
     page, _ = run_gen(pool.new_page(PageId("t", 0), capacity=4))
