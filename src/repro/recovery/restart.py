@@ -117,6 +117,7 @@ def _prepare_restart(crashed: System, system: System,
     _discard_orphan_builds(system, utility_state)
 
     txn_table, redo_start = _analysis(system, checkpoint)
+    redo_start = _cover_sidefile_tails(system, redo_start)
     redo_start = _plan_damaged_trees(system, utility_state, redo_start)
     _recover_page_counts(system)  # undo handlers need valid page bounds
 
@@ -228,6 +229,30 @@ def _discard_orphan_builds(system: System, utility_state: dict) -> None:
         if system.metrics.tracer is not None:
             system.metrics.tracer.instant("recovery.orphan_discard",
                                           index=name)
+
+
+def _cover_sidefile_tails(system: System, redo_start: int) -> int:
+    """Start redo early enough to re-create every lost side-file entry.
+
+    A building index's side-file is dirty state the checkpoint's dirty
+    page table does not list: it is first forced when the drain starts,
+    so until then its entries live only in the log.  The table's own
+    recovery LSNs reach back that far only while the pool is large
+    enough never to have written the pages dirtied since; under a small
+    pool they do not, redo skipped the appends, and the resumed drain
+    applied a truncated side-file -- a wrong index.  The side-file is
+    append-only in LSN order, so its stable prefix names its recovery
+    LSN exactly: one past the last durable entry.
+    """
+    from repro.core.descriptor import IndexState  # lazy: avoid cycle
+
+    for name, sidefile in system.sidefiles.items():
+        descriptor = system.indexes.get(name)
+        if descriptor is None or descriptor.state is not IndexState.BUILDING:
+            continue
+        durable = sidefile.entries[-1].lsn if sidefile.entries else 0
+        redo_start = min(redo_start, durable + 1)
+    return redo_start
 
 
 def _plan_damaged_trees(system: System, utility_state: dict,
