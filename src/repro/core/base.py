@@ -706,7 +706,6 @@ class BuilderBase:
         # re-derive a different column layout from a different first
         # key).  Conditional keys: codec-off payloads stay unchanged.
         if self.options.compressed_keys:
-            payload["codec"] = True
             layouts = {name: codec.to_manifest()
                        for name, codec in self._codecs.items()
                        if codec.bound or codec.disabled}
