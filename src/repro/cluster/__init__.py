@@ -10,8 +10,9 @@ public surface:
 * :class:`ClusterOpenLoopDriver` -- routed open-loop traffic;
 * :func:`check_cluster` -- the cross-replica consistency oracle;
 * :func:`plan_divergent_indexes` -- per-replica advisor slices;
-* ``python -m repro.cluster.sweep`` / ``python -m repro.cluster.bench``
-  -- the fault sweep and the end-to-end demo.
+* ``python -m repro.sweep crash --builder cluster`` /
+  ``python -m repro.cluster.bench`` -- the fault sweep and the
+  end-to-end demo.
 """
 
 from repro.cluster.cluster import Cluster, plan_divergent_indexes

@@ -1,4 +1,4 @@
-"""Deterministic fault injection and crash sweeps.
+"""Deterministic fault injection.
 
 ``injector``
     :class:`FaultPlan` / :class:`FaultInjector`: arm one crash, torn
@@ -7,19 +7,12 @@
     :func:`fault_point` and the site registry -- instrumented subsystems
     (kernel, WAL, buffer pool, B+-tree, side-file, both builders) call
     this to publish countable crash points through the metrics registry.
-``sweep``
-    The sweep driver: discover every (site, hit) pair reachable in a
-    seeded build, then replay the build once per pair with a fault armed
-    and prove restart + audit passes.  Also the ``python -m
-    repro.faultinject.sweep`` CLI.
-``shrink``
-    Minimal-workload-prefix shrinking for failing plans, with a schedule
-    dump for bug reports.
 
-This ``__init__`` deliberately imports only the leaf modules (injector,
-sites); ``sweep`` and ``shrink`` import the full system stack and must be
-imported explicitly so low-level modules can depend on ``sites`` without
-cycles.
+The sweep driver that discovers every reachable (site, hit) pair, replays
+the build once per pair with a fault armed and proves restart + audit is
+:mod:`repro.sweep` (``python -m repro.sweep crash``); it imports the full
+system stack, while this package holds only the leaf modules so that
+low-level code can depend on ``sites`` without cycles.
 """
 
 from repro.faultinject.injector import (

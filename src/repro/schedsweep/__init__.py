@@ -1,18 +1,19 @@
 """Schedule-exploration sweep: adversarial interleavings of the build.
 
-The crash sweep (:mod:`repro.faultinject`) proves the algorithms recover
-from a failure at every instant; this package proves they are *correct
-under every interleaving* the kernel could legally produce -- the claim
-sections 1.2, 2.1, and 3.1 of the paper actually make.  Seeded
+Crash plans (:mod:`repro.faultinject`) prove the algorithms recover
+from a failure at every instant; the policies here let
+:mod:`repro.sweep` prove they are *correct under every interleaving*
+the kernel could legally produce -- the claim sections 1.2, 2.1, and
+3.1 of the paper actually make.  Seeded
 :class:`~repro.schedsweep.policy.RandomTiePolicy` objects perturb the
 kernel's same-timestamp ready-queue ties and inject bounded preemptions
 at yield points; every choice is recorded as a compact choice-string
 (:mod:`repro.schedsweep.recorder`) so a failing schedule replays
-deterministically (:class:`~repro.schedsweep.policy.ReplayPolicy`) and
-shrinks with the generic shrinker from :mod:`repro.faultinject.shrink`.
+deterministically (:class:`~repro.schedsweep.policy.ReplayPolicy`).
+:func:`~repro.schedsweep.oracle.check_run` is the full oracle every
+non-crashed sweep run must pass.
 
-Entry point: ``python -m repro.schedsweep`` (see
-:mod:`repro.schedsweep.sweep`).
+Entry point: ``python -m repro.sweep schedule``.
 """
 
 from repro.schedsweep.oracle import check_run
@@ -27,13 +28,6 @@ from repro.schedsweep.recorder import (
     ChoiceRecorder,
     parse_choice_string,
 )
-from repro.schedsweep.sweep import (
-    ScheduleConfig,
-    SchedulePlan,
-    ScheduleResult,
-    run_plan,
-    run_sweep,
-)
 
 __all__ = [
     "ChoiceRecorder",
@@ -41,12 +35,7 @@ __all__ = [
     "RandomTiePolicy",
     "ReplayMismatch",
     "ReplayPolicy",
-    "ScheduleConfig",
-    "SchedulePlan",
-    "ScheduleResult",
     "SchedulePolicy",
     "check_run",
     "parse_choice_string",
-    "run_plan",
-    "run_sweep",
 ]

@@ -7,12 +7,12 @@ import pytest
 
 from repro.cluster import check_cluster, heap_state
 from repro.cluster.scenario import TABLE, run_scenario
-from repro.cluster.sweep import ClusterSweepConfig
 from repro.faultinject.injector import FaultPlan
 from repro.sim.kernel import Delay
+from repro.sweep import ClusterScenario
 
 #: the exact deterministic recipe the crash sweep proves plan-by-plan
-KW = ClusterSweepConfig().scenario_kwargs()
+KW = ClusterScenario().scenario_kwargs()
 
 
 def test_replica_crash_mid_apply_recovers_and_resumes():

@@ -15,26 +15,27 @@ broken checkpoint would prove nothing.
 import pytest
 
 from repro.btree.tree import BTree
-from repro.faultinject.sweep import (
-    SweepConfig,
+from repro.sweep import (
+    Scenario,
     discover,
     enumerate_plans,
     run_sweep,
 )
 
-SMALL = dict(records=150, operations=10, buffer_frames=1024)
+SMALL = dict(records=150, operations=10)
 
 
-def _small_config(builder: str, **overrides) -> SweepConfig:
+def _small_config(builder: str, **overrides) -> Scenario:
     kwargs = dict(SMALL, max_hits_per_site=2)
     kwargs.update(overrides)
-    return SweepConfig(builder=builder, **kwargs)
+    return Scenario(builder=builder, **kwargs)
 
 
 @pytest.mark.parametrize("builder", ["nsf", "sf"])
 def test_full_sweep_all_plans_recover(builder):
     report = run_sweep(_small_config(builder))
-    assert len(report.discovered) >= 20, report.sites
+    discovered = report.rows[0].discovered
+    assert len(discovered) >= 20, sorted(discovered)
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
     # every result actually injected its fault (determinism: the armed

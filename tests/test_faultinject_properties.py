@@ -10,14 +10,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faultinject.injector import CRASH, FaultPlan, LOST_FLUSH, \
     TORN_WRITE
-from repro.faultinject.shrink import shrink_failure
 from repro.faultinject.sites import LOST_CAPABLE, TORN_CAPABLE
-from repro.faultinject.sweep import SweepConfig, discover, run_plan
+from repro.sweep import Scenario, discover, run_plan, shrink_failure
 
 _CENSUS_CACHE: dict = {}
 
 
-def _census(config: SweepConfig) -> dict:
+def _census(config: Scenario) -> dict:
     key = (config.builder, config.seed)
     if key not in _CENSUS_CACHE:
         _CENSUS_CACHE[key] = discover(config)
@@ -35,8 +34,8 @@ def _census(config: SweepConfig) -> dict:
 )
 def test_random_single_fault_recovers(builder, seed, site_index,
                                       hit_fraction, kind_choice):
-    config = SweepConfig(builder=builder, seed=seed, records=120,
-                         operations=8, buffer_frames=1024)
+    config = Scenario(builder=builder, seed=seed, records=120,
+                      operations=8, buffer_frames=1024)
     census = _census(config)
     sites = sorted(census)
     site = sites[site_index % len(sites)]

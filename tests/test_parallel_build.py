@@ -18,7 +18,7 @@ import pytest
 
 from repro.core import BuildOptions, IndexSpec, IndexState, SFIndexBuilder
 from repro.faultinject.injector import CRASH, FaultPlan
-from repro.faultinject.sweep import SweepConfig, run_plan
+from repro.sweep import Scenario, run_plan, start_build
 from repro.metrics import partition_values, skew_summary
 from repro.parallel import DEFAULT_PARTITIONS, ParallelSFBuilder
 from repro.sidefile import Partition, ScanFrontier, partition_pages
@@ -303,7 +303,7 @@ def _psf_sweep_config(**overrides):
     kwargs = dict(builder="psf", partitions=4, records=150, operations=10,
                   buffer_frames=1024, max_hits_per_site=1, seed=3)
     kwargs.update(overrides)
-    return SweepConfig(**kwargs)
+    return Scenario(**kwargs)
 
 
 @pytest.mark.parametrize("site,hit", [
@@ -329,8 +329,7 @@ def test_resume_completes_only_unfinished_shards():
 
     config = _psf_sweep_config()
     injector = config.make_injector(FaultPlan("psf.worker_done", 3, CRASH))
-    from repro.faultinject.sweep import _start_build
-    system, _table, _proc = _start_build(config, injector)
+    system, _driver, _proc = start_build(config, injector)
     system.run()
     assert injector.fired is not None and system.sim.crashed
 

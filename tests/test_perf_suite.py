@@ -31,7 +31,7 @@ from repro.bench.perf import (
     validate_payload,
 )
 from repro.btree.tree import BTree
-from repro.faultinject.sweep import SweepConfig, discover
+from repro.sweep import Scenario, discover
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -182,14 +182,14 @@ def test_frontier_micro_speedup_recorded(smoke_payload):
 def test_sweep_still_discovers_hot_path_fault_sites():
     """The hoisted fault_point guards are zero-cost when no injector is
     installed; with one installed they must still report every site."""
-    config = SweepConfig(builder="nsf", records=120, operations=40)
+    config = Scenario(builder="nsf", records=120, operations=40)
     census = discover(config)
     for site in ("build.sort_push", "btree.ib_insert", "btree.split",
                  "nsf.insert_batch", "wal.force.before",
                  "build.checkpoint.before", "kernel.step.builder"):
         assert census.get(site, 0) > 0, f"site {site} vanished from sweep"
 
-    config = SweepConfig(builder="sf", records=120, operations=40)
+    config = Scenario(builder="sf", records=120, operations=40)
     census = discover(config)
     for site in ("sidefile.append", "sidefile.force", "btree.drain_apply",
                  "sf.load_batch", "wal.force.before"):

@@ -27,7 +27,7 @@ from repro.core import (
     resume_build,
 )
 from repro.faultinject import FaultInjector, FaultPlan, InjectedCrash
-from repro.faultinject.sweep import SweepConfig, run_plan
+from repro.sweep import Scenario, run_plan
 from repro.query import index_range_scan, set_gradual_availability
 from repro.recovery import restart
 from repro.sidefile import SideFile, register_sidefile_operations
@@ -145,8 +145,8 @@ def test_sidefile_force_flushes_log_before_advancing_durable_length():
 def test_sidefile_force_crash_recovers_clean_in_sweep():
     """End to end: crash at the sidefile.force site during an SF build,
     recover, resume, audit."""
-    config = SweepConfig(builder="sf", records=150, operations=60,
-                         max_hits_per_site=1)
+    config = Scenario(builder="sf", records=150, operations=60,
+                      max_hits_per_site=1)
     result = run_plan(config, FaultPlan("sidefile.force", 1))
     assert result.fired, result.detail
     assert result.passed, result.detail

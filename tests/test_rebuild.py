@@ -14,7 +14,7 @@ import pytest
 from repro.bench.harness import bench_config, run_build_experiment
 from repro.core import BuildOptions, IndexState
 from repro.errors import StorageError
-from repro.faultinject.sweep import SweepConfig, discover, run_sweep
+from repro.sweep import Scenario, discover, run_sweep
 from repro.verify import audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec
 
@@ -161,25 +161,25 @@ def test_rebuild_detects_key_column_change():
 
 
 def test_rebuild_sweep_discovers_its_sites():
-    config = SweepConfig(builder="rebuild", records=100, operations=6,
-                         max_hits_per_site=1)
+    config = Scenario(builder="rebuild", records=100, operations=6,
+                      max_hits_per_site=1)
     discovered = discover(config)
     for site in ("rebuild.reset", "rebuild.reuse_runs", "rebuild.replayed"):
         assert site in discovered, f"{site} unreachable: {sorted(discovered)}"
 
 
 def test_rebuild_crash_at_every_site_recovers():
-    report = run_sweep(SweepConfig(builder="rebuild", records=100,
-                                   operations=6, max_hits_per_site=1,
-                                   include_damage_kinds=False))
+    report = run_sweep(Scenario(builder="rebuild", records=100,
+                                operations=6, max_hits_per_site=1,
+                                include_damage_kinds=False))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
 
 
 def test_rebuild_codec_crash_sweep_recovers():
-    report = run_sweep(SweepConfig(builder="rebuild", records=100,
-                                   operations=6, max_hits_per_site=1,
-                                   include_damage_kinds=False,
-                                   compressed_keys=True))
+    report = run_sweep(Scenario(builder="rebuild", records=100,
+                                operations=6, max_hits_per_site=1,
+                                include_damage_kinds=False,
+                                compressed_keys=True))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()

@@ -1,23 +1,27 @@
-"""Tests for the schedule-exploration sweep (repro.schedsweep)."""
+"""Tests for schedule exploration (repro.schedsweep under repro.sweep)."""
 
 import pytest
 
-from repro.faultinject.shrink import shrink_failure
 from repro.schedsweep import (
     ChoiceRecorder,
     FifoPolicy,
     RandomTiePolicy,
     ReplayMismatch,
     ReplayPolicy,
-    ScheduleConfig,
-    SchedulePlan,
     check_run,
     parse_choice_string,
-    run_plan,
-    run_sweep,
 )
 from repro.schedsweep.recorder import PREEMPT, from_base36, to_base36
-from repro.schedsweep.sweep import _start_build, main, schedule_dump
+from repro.sweep import (
+    Scenario,
+    SchedulePlan,
+    failure_dump,
+    main,
+    run_plan,
+    run_sweep,
+    shrink_failure,
+    start_build,
+)
 from repro.sim import Delay, Simulator
 
 
@@ -153,14 +157,14 @@ def test_replay_mismatch_raises_on_impossible_choice():
 # -- the oracle --------------------------------------------------------------
 
 
-SMALL = ScheduleConfig(records=60, operations=15)
+SMALL = Scenario(records=60, operations=15, buffer_frames=64)
 
 
 def _clean_run(builder="sf", partitions=2):
     import dataclasses
     config = dataclasses.replace(SMALL, builder=builder,
                                  partitions=partitions)
-    system, driver, proc = _start_build(config, FifoPolicy())
+    system, driver, proc = start_build(config, policy=FifoPolicy())
     system.run()
     return system, driver, proc
 
@@ -247,7 +251,7 @@ def test_seeded_schedule_passes_and_replays(builder, partitions):
 def test_fifo_baseline_plan_matches_unhooked_run():
     """The sweep's FIFO baseline must reproduce the no-policy schedule
     exactly (metrics and simulated clock)."""
-    unhooked_system, _driver, _proc = _start_build(SMALL, None)
+    unhooked_system, _driver, _proc = start_build(SMALL)
     unhooked_system.run()
     baseline = run_plan(SMALL, SchedulePlan())
     assert baseline.passed, baseline.detail
@@ -271,7 +275,7 @@ def test_run_sweep_census_shape():
 
 
 def test_sweep_cli_single_builder_smoke(capsys):
-    assert main(["--schedules", "1", "--builder", "sf",
+    assert main(["schedule", "--schedules", "1", "--builder", "sf",
                  "--records", "60", "--operations", "15",
                  "--quiet"]) == 0
     out = capsys.readouterr().out
@@ -282,7 +286,7 @@ def test_sweep_cli_single_builder_smoke(capsys):
 def test_sweep_cli_replay_round_trip(capsys):
     """Record a failing-style single run via --schedule-seed, then feed
     its choice-string back through --replay."""
-    assert main(["--builder", "sf", "--records", "60",
+    assert main(["schedule", "--builder", "sf", "--records", "60",
                  "--operations", "15", "--schedule-seed", "5",
                  "--quiet"]) == 0
     recorded = None
@@ -290,7 +294,7 @@ def test_sweep_cli_replay_round_trip(capsys):
         if line.startswith("choices"):
             recorded = line.split(":", 1)[1].strip()
     assert recorded and recorded != "(fifo)"
-    assert main(["--builder", "sf", "--records", "60",
+    assert main(["schedule", "--builder", "sf", "--records", "60",
                  "--operations", "15", "--replay", recorded,
                  "--quiet"]) == 0
 
@@ -299,8 +303,8 @@ def test_sweep_cli_replay_round_trip(capsys):
 
 
 def test_generic_shrinker_minimizes_schedule_config():
-    """The generalized shrinker halves a ScheduleConfig with a custom
-    runner/dump, preserving the fault-plan default behaviour."""
+    """The generic shrinker halves a Scenario with a custom runner/dump
+    (the defaults are run_plan and failure_dump)."""
     runs = []
 
     class FakeResult:
@@ -335,8 +339,8 @@ def test_generic_shrinker_minimizes_schedule_config():
 
 def test_schedule_dump_contains_repro_recipe():
     seeded = run_plan(SMALL, SchedulePlan(schedule_seed=42))
-    text = schedule_dump(SchedulePlan(schedule_seed=42), SMALL, seeded)
-    assert "python -m repro.schedsweep" in text
+    text = failure_dump(SchedulePlan(schedule_seed=42), SMALL, seeded)
+    assert "python -m repro.sweep schedule" in text
     assert "--replay" in text
     assert f"--records {SMALL.records}" in text
 

@@ -1,0 +1,87 @@
+"""Every builder is right in a pool far smaller than its table.
+
+The pool has no pin count: a frame is pinned only by a held or awaited
+latch, so anything carried across a yield unlatched may be evicted and
+re-read.  The build scan used to latch the page *objects* a prefetch
+batch handed it; at 8 frames a foreground fetch evicted the unlatched
+tail, a transaction updated the re-read frame, and SF / PSF extracted
+stale keys from the orphan while still advancing Current-RID past the
+page -- a silently wrong index (missing and spurious entries) that no
+sweep could see, because every sweep hard-coded a comfortable pool.
+Pool size is now one more scenario field the harness perturbs, alone
+and together with crash plans and schedule seeds.
+"""
+
+import pytest
+
+from repro.sweep import (
+    Plan,
+    Scenario,
+    SchedulePlan,
+    discover,
+    enumerate_plans,
+    failure_dump,
+    run_plan,
+    run_sweep,
+)
+
+ROWS = [("offline", 1), ("nsf", 1), ("sf", 1), ("psf", 2), ("multi", 1),
+        ("rebuild", 1)]
+
+
+def _scenario(builder, partitions=2, frames=8, seed=1, **overrides):
+    return Scenario(builder=builder, partitions=partitions, records=300,
+                    operations=100, seed=seed, buffer_frames=frames,
+                    **overrides)
+
+
+@pytest.mark.parametrize("frames", [2, 8])
+@pytest.mark.parametrize("builder,partitions", ROWS)
+def test_clean_build_passes_the_full_oracle(builder, partitions, frames):
+    for seed in (1, 2, 3):
+        result = run_plan(_scenario(builder, partitions, frames, seed),
+                          Plan())
+        assert result.passed, f"seed {seed}: {result.detail}"
+
+
+@pytest.mark.parametrize("builder", ["sf", "psf"])
+def test_first_hit_crash_sweep_at_8_frames(builder):
+    report = run_sweep(_scenario(builder, max_hits_per_site=1))
+    assert report.results, "sweep enumerated no plans"
+    assert report.all_passed, report.to_text()
+    assert all(r.fired for r in report.results), report.to_text()
+    # the pool really was under pressure
+    assert report.rows[0].discovered.get("buffer.evict_dirty", 0) > 0
+
+
+def test_crash_plan_replays_under_its_seeded_schedule_at_8_frames():
+    """The three perturbations compose in one run_plan call: hit counts
+    come from a census taken under the same schedule seed, so the armed
+    replay reaches the same instant of the same interleaving."""
+    scenario = _scenario("sf", max_hits_per_site=1)
+    schedule = SchedulePlan(schedule_seed=11)
+    census = discover(scenario, schedule)
+    assert census != discover(scenario), "the schedule perturbed nothing"
+    plans = [plan for plan in enumerate_plans(scenario, census, schedule)
+             if plan.fault.site in ("sidefile.append", "sf.drain_start",
+                                    "buffer.evict_dirty")]
+    assert len(plans) >= 3
+    for plan in plans:
+        result = run_plan(scenario, plan)
+        assert result.fired, f"{plan.describe()} never fired"
+        assert result.passed, failure_dump(plan, scenario, result)
+        assert result.preemptions + result.ties_perturbed > 0
+        assert result.site_hits[plan.fault.site] == plan.fault.hit
+
+    # the dump is the whole reproduction recipe: fault plan, recorded
+    # choice-string and pool size; replaying the recorded choices (not
+    # the seed) reaches the same fault at the same simulated instant
+    text = failure_dump(plan, scenario, result)
+    assert plan.fault.describe() in text
+    assert result.choices and result.choices in text
+    assert "buffer_frames=8" in text
+    replayed = run_plan(scenario, Plan(plan.fault, SchedulePlan(
+        schedule.schedule_seed, choices=result.choices)))
+    assert replayed.fired and replayed.passed, replayed.detail
+    assert replayed.fired_at == result.fired_at
+    assert replayed.choices == result.choices

@@ -11,19 +11,19 @@ the post-flip direct maintenance) had already touched the index.
 from repro.core import build_pre_undo, resume_build
 from repro.core.descriptor import IndexState
 from repro.faultinject.injector import FaultInjector, FaultPlan, TORN_WRITE
-from repro.faultinject.sweep import INDEX_NAME, SweepConfig, _start_build
 from repro.recovery import restart
+from repro.sweep import INDEX_NAME, Scenario, start_build
 from repro.verify import audit_index
 
-CONFIG = SweepConfig(builder="sf", records=150, operations=10,
-                     buffer_frames=1024)
+CONFIG = Scenario(builder="sf", records=150, operations=10,
+                  buffer_frames=1024)
 
 
 def _run_torn(hit: int):
     """Inject torn-write at the ``hit``-th tree force; recover; return
     ``(recovered_system, descriptor)``."""
     injector = FaultInjector(FaultPlan("btree.force", hit, TORN_WRITE))
-    system, _table, _proc = _start_build(CONFIG, injector)
+    system, _driver, _proc = start_build(CONFIG, injector)
     system.run()
     assert injector.fired is not None, "torn write never fired"
     assert injector.fired.kind == TORN_WRITE
