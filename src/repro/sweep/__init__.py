@@ -11,8 +11,6 @@ schedule policies, the choice recorder and the full oracle in
 """
 
 from repro.sweep.harness import (
-    DEFAULT_ROWS,
-    Report,
     discover,
     enumerate_plans,
     failure_dump,
@@ -26,7 +24,6 @@ from repro.sweep.scenario import (
     INDEX_NAME,
     ClusterScenario,
     Plan,
-    PlanResult,
     Scenario,
     SchedulePlan,
     start_build,
@@ -34,11 +31,8 @@ from repro.sweep.scenario import (
 
 __all__ = [
     "ClusterScenario",
-    "DEFAULT_ROWS",
     "INDEX_NAME",
     "Plan",
-    "PlanResult",
-    "Report",
     "Scenario",
     "SchedulePlan",
     "discover",

@@ -41,11 +41,8 @@ from repro.sweep.scenario import (
 #: builder rows ``schedule --builder all`` explores; psf runs at P in
 #: {1, 2, 3} (the paper's interleaving arguments must hold per shard
 #: count) and multi builds K=3 indexes off one shared scan (section 6.2)
-DEFAULT_ROWS: tuple[tuple[str, int], ...] = (
-    ("offline", 1), ("nsf", 1), ("sf", 1),
-    ("psf", 1), ("psf", 2), ("psf", 3),
-    ("multi", 1),
-)
+DEFAULT_ROWS = (("offline", 1), ("nsf", 1), ("sf", 1),
+                ("psf", 1), ("psf", 2), ("psf", 3), ("multi", 1))
 
 
 def run_plan(scenario: Scenario, plan) -> PlanResult:
@@ -99,7 +96,7 @@ def schedule_seed_for(base_seed: int, row_index: int, n: int) -> int:
     return (base_seed * 1_000_003) ^ (row_index << 20) ^ n
 
 
-# -- shrinking and reporting one failure -----------------------------------------
+# -- shrinking and reporting one failure ----------------------------------
 
 #: shrink schedule: ``(scenario field, floor)`` pairs tried in order (the
 #: build needs *some* table to index)
@@ -110,16 +107,16 @@ def failure_dump(plan, scenario: Scenario, result: PlanResult,
                  attempts: int = 1) -> str:
     """Render a deterministic reproduction recipe for one run."""
     plan = Plan.of(plan)
-    replay = plan
-    if plan.schedule is not None:
-        replay = replace(plan, schedule=replace(
-            plan.schedule, choices=result.choices or plan.schedule.choices))
+    choices = result.choices or \
+        (plan.schedule and plan.schedule.choices) or ""
+    replay = replace(plan, schedule=plan.schedule and replace(
+        plan.schedule, choices=choices))
     lines = [
         f"plan        : {plan.describe()}",
         f"failure     : {result.detail or '(passed)'}",
         f"fired       : "
         f"{'yes, at t=%.3f' % result.fired_at if result.fired else 'no'}",
-        f"choices     : {replay.schedule and replay.schedule.choices or '(fifo)'}",
+        f"choices     : {choices or '(fifo)'}",
         f"perturbed   : {result.ties_perturbed} ties, "
         f"{result.preemptions} preemptions over {result.consults} consults",
         f"reproduce   : run_plan({scenario!r}, {replay!r})",
@@ -132,7 +129,7 @@ def failure_dump(plan, scenario: Scenario, result: PlanResult,
             f"--records {scenario.records} "
             f"--operations {scenario.operations} "
             f"--workers {scenario.workers} --seed {scenario.seed} "
-            f"--replay {replay.schedule and replay.schedule.choices or ''!r}"
+            f"--replay {choices!r}"
             f"  # at buffer_frames={scenario.buffer_frames}")
     lines.append(f"shrink runs : {attempts}")
     if result.site_hits:
@@ -247,7 +244,7 @@ class Report:
             f"operations={s.operations} workers={s.workers} seed={s.seed} "
             f"buffer_frames={s.buffer_frames} preempt_prob={s.preempt_prob}",
             "stratified crash plans per row" if crash else
-            f"{self.schedules} seeded schedules per row (+1 FIFO baseline each)",
+            f"{self.schedules} seeded schedules per row (+1 FIFO baseline)",
             "",
             f"{'row':<10} {'sites':>5} {'plans':>5} {'consults':>10} "
             f"{'tie-perturb':>11} {'preempts':>9}  result",
@@ -261,7 +258,8 @@ class Report:
                 f"{preempts:>9}  "
                 f"{'PASS' if not bad else 'FAIL (%d)' % len(bad)}")
         for row in self.rows if crash else ():
-            lines += ["", f"{row.label + ' site':<32} {'hits':>6}  plans  result"]
+            lines += ["",
+                      f"{row.label + ' site':<32} {'hits':>6}  plans  result"]
             for site in sorted(row.discovered):
                 ran = [r for r in row.results if r.plan.fault.site == site]
                 bad = [r.plan.describe() for r in ran if r.failed]
@@ -308,8 +306,8 @@ def run_sweep(scenario: Scenario, schedules: Optional[int] = None,
         row = Row(row_scenario, baseline)
         report.rows.append(row)
         if progress is not None:
-            progress(f"[{row.label}] baseline "
-                     f"{'ok' if baseline.passed else 'FAIL: ' + baseline.detail}")
+            status = "ok" if baseline.passed else f"FAIL: {baseline.detail}"
+            progress(f"[{row.label}] baseline {status}")
         if baseline.failed:
             continue  # perturbing a broken baseline repeats one failure
         if crash:
@@ -326,8 +324,8 @@ def run_sweep(scenario: Scenario, schedules: Optional[int] = None,
                                                        plan).report()
             row.results.append(result)
             if progress is not None:
-                status = "ok" if result.passed else \
-                    f"FAIL: {result.detail.splitlines()[0]}"
+                first_line = result.detail.partition("\n")[0]
+                status = "ok" if result.passed else f"FAIL: {first_line}"
                 progress(f"[{row.label} {index + 1}/{len(plans)}] "
                          f"{plan.describe():<40} {status}")
     return report

@@ -157,7 +157,7 @@ class Scenario:
     build_rate_limit: Optional[float] = None
     compressed_keys: bool = False
     # -- crash-plan enumeration
-    max_hits_per_site: int = 2  # 1 = first hit only, 2 = first+last, 3 = +middle
+    max_hits_per_site: int = 2  # 1 = first hit, 2 = first+last, 3 = +middle
     include_damage_kinds: bool = True
     max_plans: Optional[int] = None
     # -- seeded schedules
