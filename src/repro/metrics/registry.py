@@ -15,6 +15,7 @@ The registry is also the attachment point for fault injection
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -101,7 +102,14 @@ class SeriesStat:
 class MetricsRegistry:
     """Named counters and series statistics for one simulated system."""
 
-    counters: dict[str, int] = field(default_factory=dict)
+    #: A ``defaultdict(int)`` so the hottest call sites (one bump per
+    #: lock, latch, buffer hit or log record) can write
+    #: ``metrics.counters[name] += n`` in place; everything else calls
+    #: :meth:`incr`, which is the same statement.  Read a counter with
+    #: :meth:`get` (or ``in``), never ``counters[name]``: indexing a
+    #: missing name would create it.
+    counters: defaultdict[str, int] = field(
+        default_factory=lambda: defaultdict(int))
     series: dict[str, SeriesStat] = field(default_factory=dict)
     #: Named streaming histograms (see :mod:`repro.metrics.hist`);
     #: populated lazily by :meth:`observe_hist`.
@@ -121,17 +129,8 @@ class MetricsRegistry:
     progress: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def incr(self, name: str, amount: int = 1) -> None:
-        """Increase counter ``name`` by ``amount`` (creating it at 0).
-
-        The existing-key path is the hot one (inner build loops bump the
-        same few counters millions of times), so it avoids the ``get``
-        call with a default.
-        """
-        counters = self.counters
-        try:
-            counters[name] += amount
-        except KeyError:
-            counters[name] = amount
+        """Increase counter ``name`` by ``amount`` (creating it at 0)."""
+        self.counters[name] += amount
 
     def get(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""

@@ -100,14 +100,8 @@ class Transaction:
             writer: str = "txn") -> LogRecord:
         """Append a chained log record for this transaction."""
         record = self.system.log.append(
-            self.txn_id, kind,
-            prev_lsn=self.last_lsn,
-            page_id=page_id,
-            redo=redo, undo=undo,
-            undo_next_lsn=undo_next_lsn,
-            info=info,
-            writer=writer,
-        )
+            self.txn_id, kind, self.last_lsn, page_id, redo, undo,
+            undo_next_lsn, info, writer)
         if self.first_lsn is None:
             self.first_lsn = record.lsn
         self.last_lsn = record.lsn

@@ -41,7 +41,7 @@ class LogManager:
 
     # -- appending ---------------------------------------------------------
 
-    def append(self, txn_id: Optional[int], kind: RecordKind, *,
+    def append(self, txn_id: Optional[int], kind: RecordKind,
                prev_lsn: Optional[int] = None,
                page_id: Any = None,
                redo: Optional[tuple[str, dict]] = None,
@@ -52,31 +52,26 @@ class LogManager:
         """Append one record; returns it with its LSN assigned.
 
         ``writer`` tags who wrote the record ("txn", "ib", "recovery") for
-        the per-writer log-volume counters used by experiment E1.
+        the per-writer log-volume counters used by experiment E1.  The
+        record keeps ``info`` itself, not a copy (see :class:`LogRecord`).
         """
-        record = LogRecord(
-            lsn=len(self.records) + 1,
-            txn_id=txn_id,
-            kind=kind,
-            prev_lsn=prev_lsn,
-            page_id=page_id,
-            redo=redo,
-            undo=undo,
-            undo_next_lsn=undo_next_lsn,
-            info=dict(info or {}),
-        )
-        self.records.append(record)
-        fault_point(self.metrics, "wal.append")
+        records = self.records
+        record = LogRecord(len(records) + 1, txn_id, kind, prev_lsn,
+                           page_id, redo, undo, undo_next_lsn, info)
+        records.append(record)
+        metrics = self.metrics
+        if metrics.fault_injector is not None:
+            fault_point(metrics, "wal.append")
         names = self._writer_counters.get(writer)
         if names is None:
             names = self._writer_counters[writer] = (
                 f"wal.records.{writer}", f"wal.bytes.{writer}")
-        size = record.size  # walks both payloads: once per append
-        incr = self.metrics.incr
-        incr("wal.records")
-        incr(names[0])
-        incr("wal.bytes", size)
-        incr(names[1], size)
+        size = record.size
+        counters = metrics.counters
+        counters["wal.records"] += 1
+        counters[names[0]] += 1
+        counters["wal.bytes"] += size
+        counters[names[1]] += size
         return record
 
     # -- durability --------------------------------------------------------

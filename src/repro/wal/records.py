@@ -26,7 +26,6 @@ dispatch.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import WALError
@@ -44,7 +43,6 @@ class RecordKind(enum.Enum):
     UTILITY = "utility"            # index-build / sort progress records
 
 
-@dataclass
 class LogRecord:
     """One WAL record.
 
@@ -53,17 +51,38 @@ class LogRecord:
     undo-redo, redo-only or undo-only exactly as in the paper.
     ``undo_next_lsn`` is the ARIES CLR back-pointer: during rollback it
     skips already-compensated records.
+
+    The record *owns* its ``info`` dict: callers hand over one they just
+    built and do not touch it again.  ``size`` -- approximate logged
+    bytes, for log-volume experiments (E1) -- is computed once, here;
+    payloads are never changed after the record is built.
     """
 
-    lsn: int
-    txn_id: Optional[int]
-    kind: RecordKind
-    prev_lsn: Optional[int] = None
-    page_id: Optional[Any] = None
-    redo: Optional[tuple[str, dict]] = None
-    undo: Optional[tuple[str, dict]] = None
-    undo_next_lsn: Optional[int] = None
-    info: dict = field(default_factory=dict)
+    __slots__ = ("lsn", "txn_id", "kind", "prev_lsn", "page_id", "redo",
+                 "undo", "undo_next_lsn", "info", "size")
+
+    def __init__(self, lsn: int, txn_id: Optional[int], kind: RecordKind,
+                 prev_lsn: Optional[int] = None,
+                 page_id: Optional[Any] = None,
+                 redo: Optional[tuple[str, dict]] = None,
+                 undo: Optional[tuple[str, dict]] = None,
+                 undo_next_lsn: Optional[int] = None,
+                 info: Optional[dict] = None) -> None:
+        self.lsn = lsn
+        self.txn_id = txn_id
+        self.kind = kind
+        self.prev_lsn = prev_lsn
+        self.page_id = page_id
+        self.redo = redo
+        self.undo = undo
+        self.undo_next_lsn = undo_next_lsn
+        self.info = {} if info is None else info
+        size = 32  # header: lsn, txn, kind, chaining
+        if redo is not None:
+            size += 8 + _payload_size(redo[1])
+        if undo is not None:
+            size += 8 + _payload_size(undo[1])
+        self.size = size
 
     @property
     def is_undo_redo(self) -> bool:
@@ -77,21 +96,25 @@ class LogRecord:
     def is_undo_only(self) -> bool:
         return self.redo is None and self.undo is not None
 
-    @property
-    def size(self) -> int:
-        """Approximate logged bytes, for log-volume experiments (E1)."""
-        base = 32  # header: lsn, txn, kind, chaining
-        for payload in (self.redo, self.undo):
-            if payload is not None:
-                base += 8 + _payload_size(payload[1])
-        return base
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"<LogRecord {self.lsn} txn={self.txn_id} "
+                f"{self.kind.value} page={self.page_id}>")
 
 
 def _payload_size(args: dict) -> int:
     total = 0
     for value in args.values():
-        if isinstance(value, (list, tuple)):
-            total += 8 * max(len(value), 1)
+        # exact types first: a payload is ints, strs, plain tuples and
+        # RIDs; isinstance only decides for what is left (tuple and str
+        # subclasses such as RID, floats, None)
+        kind = type(value)
+        if kind is int:
+            total += 8
+        elif kind is str:
+            total += len(value)
+        elif kind is tuple or kind is list \
+                or isinstance(value, (list, tuple)):
+            total += 8 * (len(value) or 1)
         elif isinstance(value, str):
             total += len(value)
         else:
