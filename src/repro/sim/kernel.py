@@ -54,37 +54,37 @@ historical kernel.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
 
 from repro.errors import SimulationError, SystemCrash
 
 ProcessBody = Generator[Any, Any, Any]
 
 
-@dataclass(frozen=True)
-class Delay:
+# Effects are named tuples: immutable and hashable like the frozen
+# dataclasses they replace, but built by one tuple allocation -- a
+# process makes one per yield.  A bare tuple is still not an effect.
+
+
+class Delay(NamedTuple):
     """Suspend the yielding process for ``duration`` simulated time units."""
 
     duration: float
 
 
-@dataclass(frozen=True)
-class Wait:
+class Wait(NamedTuple):
     """Suspend until the event is set; resumes with the event's value."""
 
     event: "SimEvent"
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(NamedTuple):
     """Suspend until ``process`` completes; resumes with its return value."""
 
     process: "Process"
 
 
-@dataclass(frozen=True)
-class Acquire:
+class Acquire(NamedTuple):
     """Blocking request for ``resource`` in ``mode`` ("S" or "X")."""
 
     resource: Any
@@ -323,18 +323,18 @@ class Simulator:
                     return
                 time, _seq, proc, value, throw = entry
             else:
-                time, seq, proc, value, throw = heapq.heappop(self._queue)
-                if until is not None and time > until:
+                entry = heapq.heappop(self._queue)
+                if until is not None and entry[0] > until:
                     # Put it back *unchanged* so a later run() continues
                     # from here.  The original sequence number must be
                     # preserved: re-stamping it would reorder this event
                     # behind same-timestamp peers still in the queue,
                     # making run-in-slices diverge from one continuous
                     # run().
-                    heapq.heappush(self._queue,
-                                   (time, seq, proc, value, throw))
+                    heapq.heappush(self._queue, entry)
                     self.now = until
                     return
+                time, _seq, proc, value, throw = entry
             self.now = time
             if proc.finished:
                 continue
@@ -419,7 +419,20 @@ class Simulator:
             raise
         finally:
             self.current = None
-        self._dispatch(proc, effect)
+        # The two effects nearly every yield carries, by exact type;
+        # _dispatch decides everything else, subclasses of these included.
+        kind = type(effect)
+        if kind is Delay:
+            duration = effect[0]
+            if duration < 0:
+                raise SimulationError(f"negative delay {duration!r}")
+            self._seq += 1
+            heapq.heappush(self._queue, (self.now + duration, self._seq,
+                                         proc, None, False))
+        elif kind is Acquire:
+            effect[0]._request(self, proc, effect[1])
+        else:
+            self._dispatch(proc, effect)
 
     def _dispatch(self, proc: Process, effect: Any) -> None:
         if isinstance(effect, Delay):

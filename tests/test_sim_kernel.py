@@ -293,6 +293,72 @@ def test_negative_delay_rejected():
         sim.run()
 
 
+def test_bare_tuple_is_not_an_effect():
+    """Effects are tuple-backed, but only the effect types dispatch: a
+    tuple that merely looks like ``Delay(1)`` is an unknown effect."""
+    def body():
+        yield (1,)
+
+    sim = Simulator()
+    sim.spawn(body())
+    with pytest.raises(SimulationError, match="unknown effect"):
+        sim.run()
+
+
+def test_effect_subclasses_still_dispatch():
+    """The exact-type fast path falls through to isinstance dispatch, so
+    a subclass behaves as its base -- checks included."""
+    class Pause(Delay):
+        pass
+
+    class Take(Acquire):
+        pass
+
+    class Grantor:
+        def _request(self, sim, proc, mode):
+            asked.append(mode)
+            sim._resume(proc, "granted")
+
+    asked, got = [], []
+
+    def body():
+        yield Pause(3)
+        got.append((yield Take(Grantor(), "S")))
+        got.append((yield Take(Grantor())))
+        yield Pause(-1)
+
+    sim = Simulator()
+    sim.spawn(body())
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.run()
+    assert sim.now == 3
+    assert asked == ["S", "X"]
+    assert got == ["granted", "granted"]
+
+
+def test_effects_are_immutable_and_hashable():
+    def idle():
+        yield Delay(0)
+
+    sim = Simulator()
+    event = sim.event()
+    proc = sim.spawn(idle())
+    resource = object()
+    effects = {Delay(2): ["duration"],
+               Acquire(resource): ["resource", "mode"],
+               Acquire(resource, "S"): ["resource", "mode"],
+               Wait(event): ["event"],
+               Join(proc): ["process"]}
+    assert len({*effects, Delay(2), Acquire(resource, "X")}) == 5
+    assert Acquire(resource).mode == "X"
+    assert (Delay(2).duration, Wait(event).event, Join(proc).process) \
+        == (2, event, proc)
+    for effect, names in effects.items():
+        for name in names + ["extra"]:
+            with pytest.raises(AttributeError):
+                setattr(effect, name, None)
+
+
 def test_current_process_visible_during_step():
     seen = []
 
