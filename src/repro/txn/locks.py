@@ -131,7 +131,16 @@ class LockManager:
         rather than SIX (see :func:`_union`).
         """
         self.metrics.incr("lock.requests")
-        head = self._heads.setdefault(name, _LockHead())
+        head = self._heads.get(name)
+        if head is None:
+            if instant:
+                # A free name: nothing to wait for, and an instant grant
+                # holds nothing, so it gets no head -- only a release
+                # ever removes one (_drain), and nothing would release
+                # this.
+                self.metrics.incr("lock.instant_grants")
+                return True
+            head = self._heads[name] = _LockHead()
         already = head.holders.get(txn)
         if already == EXCLUSIVE or already == mode:
             # Re-request of a held mode (or anything under a held X):

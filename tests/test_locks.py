@@ -378,3 +378,54 @@ def test_fifo_no_overtaking():
                        requester("x-first", 1, "X"),
                        requester("s-later", 2, "S")])
     assert order == ["x-first", "s-later"]
+
+
+def test_heads_exist_only_for_names_held_or_awaited():
+    """An instant grant on a free name used to install a lock head that
+    nothing ever removed (only a release drains heads), and every
+    blocking request's waits-for graph then walked all of them."""
+    system = System()
+    heads = system.locks._heads
+    seen = {}
+
+    def prober():
+        txn = system.txns.begin("p")
+        for i in range(100):
+            assert (yield from txn.lock(("fresh", i), "S", instant=True))
+            assert (yield from txn.lock(("fresh", i), "X", instant=True,
+                                        conditional=True))
+        seen["instant"] = set(heads)
+        yield from txn.lock("mine", "S")
+        yield Delay(2)
+        # "theirs" is X-held by the holder: denied, and still one head
+        assert not (yield from txn.lock("theirs", "S", conditional=True))
+        assert not (yield from txn.lock("theirs", "S", conditional=True,
+                                        instant=True))
+        seen["denied"] = set(heads)
+        yield from txn.commit()
+        seen["committed"] = set(heads)
+
+    def holder():
+        yield Delay(1)
+        txn = system.txns.begin("h")
+        yield from txn.lock("theirs", "X")
+        yield Delay(5)
+        yield from txn.commit()
+
+    def waiter():
+        yield Delay(3)
+        txn = system.txns.begin("w")
+        assert (yield from txn.lock("theirs", "S", instant=True))
+        seen["waited"] = (system.now(), set(heads))
+        yield from txn.commit()
+
+    drive_all(system, [prober(), holder(), waiter()])
+    assert seen["instant"] == set()
+    assert seen["denied"] == {"mine", "theirs"}
+    assert seen["committed"] == {"theirs"}
+    # the instant waiter queued behind the holder, was woken by its
+    # release and holds nothing: the head went with the last holder
+    assert seen["waited"] == (7, set())
+    assert heads == {}
+    assert system.metrics.get("lock.instant_grants") == 200
+    assert system.metrics.get("lock.conditional_denials") == 2
