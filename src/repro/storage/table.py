@@ -110,13 +110,14 @@ class Table:
     # -- forward processing ---------------------------------------------------
 
     def _intent_lock(self, txn: "Transaction"):
-        """Generator: table-level IX lock every updater holds to commit.
+        """The generator requesting the table-level IX lock every
+        updater holds to commit (``yield from`` it).
 
         This is what makes NSF's descriptor-create quiesce work: IB's S
         lock on the table (section 2.2.1) waits for these IX locks, and
         new updaters queue behind IB's request.
         """
-        yield from txn.lock(self.table_lock_name, "IX")
+        return txn.lock(self.table_lock_name, "IX")
 
     def insert(self, txn: "Transaction", values: Sequence):
         """Generator: insert a record; returns its RID."""

@@ -133,14 +133,18 @@ class LockManager:
         self.metrics.incr("lock.requests")
         head = self._heads.get(name)
         if head is None:
+            # A free name: no holder to be incompatible with, no waiter
+            # to queue behind, no held mode to convert from -- granted
+            # as asked.  An instant grant holds nothing, so it gets no
+            # head: only a release ever removes one (_drain), and
+            # nothing would release this.
             if instant:
-                # A free name: nothing to wait for, and an instant grant
-                # holds nothing, so it gets no head -- only a release
-                # ever removes one (_drain), and nothing would release
-                # this.
                 self.metrics.incr("lock.instant_grants")
-                return True
-            head = self._heads[name] = _LockHead()
+            else:
+                head = self._heads[name] = _LockHead()
+                head.holders[txn] = mode
+                txn.held_locks.add(name)
+            return True
         already = head.holders.get(txn)
         if already == EXCLUSIVE or already == mode:
             # Re-request of a held mode (or anything under a held X):

@@ -111,10 +111,10 @@ class Transaction:
 
     def lock(self, name: Hashable, mode: str, *, conditional: bool = False,
              instant: bool = False):
-        """Generator: request a lock through the system's lock manager."""
-        granted = yield from self.system.locks.lock(
+        """The lock manager's generator for this request: ``granted =
+        yield from txn.lock(...)``."""
+        return self.system.locks.lock(
             self, name, mode, conditional=conditional, instant=instant)
-        return granted
 
     # -- completion ----------------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeadlockVictim, TransactionError
 from repro.sim import Delay
 from repro.system import System
+from repro.txn.locks import _LockHead, _union
 
 
 def drive_all(system, bodies):
@@ -429,3 +430,44 @@ def test_heads_exist_only_for_names_held_or_awaited():
     assert heads == {}
     assert system.metrics.get("lock.instant_grants") == 200
     assert system.metrics.get("lock.conditional_denials") == 2
+
+
+@pytest.mark.parametrize("mode", ["IS", "IX", "S", "X"])
+@pytest.mark.parametrize("flavour", [{}, {"conditional": True},
+                                     {"instant": True},
+                                     {"conditional": True,
+                                      "instant": True}])
+def test_free_name_grant_equals_the_general_path(mode, flavour):
+    """A name nobody holds or awaits is granted without consulting
+    ``grantable`` / ``_blocked_behind`` / ``_union``; the outcome is what
+    those compute for an empty head."""
+    system = System()
+    locks = system.locks
+    txn = system.txns.begin()
+    empty = _LockHead()
+    assert empty.grantable(txn, mode)
+    assert not locks._blocked_behind(empty, txn)
+    instant = flavour.get("instant", False)
+
+    def body():
+        return (yield from txn.lock("free", mode, **flavour))
+
+    (proc,) = drive_all(system, [body()])
+    assert proc.result is True
+    assert system.now() == 0
+    held = {} if instant else {txn.txn_id: _union(None, mode)}
+    assert locks.holders("free") == held
+    assert list(txn.held_locks) == ([] if instant else ["free"])
+    assert set(locks._heads) == set(() if instant else ["free"])
+    assert system.metrics.snapshot() == {
+        "txn.begins": 1, "lock.requests": 1,
+        **({"lock.instant_grants": 1} if instant else {})}
+    # and the head built for a held name is an ordinary one: a second
+    # transaction meets the usual matrix and FIFO queue
+    other = system.txns.begin()
+
+    def prober():
+        return (yield from other.lock("free", "IS", conditional=True))
+
+    (probe,) = drive_all(system, [prober()])
+    assert probe.result is (instant or mode != "X")
