@@ -300,7 +300,12 @@ class Simulator:
 
     def _resume(self, proc: Process, value: Any = None) -> None:
         """Make a blocked process runnable at the current time."""
-        self._schedule(proc, delay=0.0, value=value)
+        # _schedule(proc, 0.0, value) without the call -- every latch,
+        # lock, semaphore and event grant comes through here -- and with
+        # its "+ 0.0": after run(until=<int>) the clock is an int.
+        self._seq += 1
+        heapq.heappush(self._queue, (self.now + 0.0, self._seq, proc,
+                                     value, False))
 
     def _throw(self, proc: Process, error: BaseException) -> None:
         """Make a blocked process resume by raising ``error`` inside it."""

@@ -64,7 +64,13 @@ class Latch:
         self._sim = sim
         if self.metrics is not None:
             self.metrics.incr("latch.requests")
-        if self._grantable(proc, mode):
+        if self._mode is None:
+            # Free: _grantable says yes whatever the mode (no holder,
+            # so no re-acquire to refuse) and _grant does just this.
+            self._holders[proc] = 1
+            self._mode = mode
+            sim._resume(proc, self)
+        elif self._grantable(proc, mode):
             self._grant(proc, mode)
             sim._resume(proc, self)
         else:
@@ -125,7 +131,8 @@ class Latch:
         if self._holders:
             return  # other share holders remain
         self._mode = None
-        self._wake_waiters()
+        if self._waiters:
+            self._wake_waiters()
 
     def _wake_waiters(self) -> None:
         if self._sim is None:

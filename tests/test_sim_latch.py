@@ -252,3 +252,94 @@ def test_bad_mode_rejected():
     sim.spawn(body())
     with pytest.raises(SimulationError):
         sim.run()
+
+
+# -- the free-latch grant keeps the general path's contract ------------------
+
+
+def test_free_latch_grant_requeues_the_requester_with_a_fresh_seq():
+    """A free latch is granted at once, but never *inline*: the requester
+    goes back through the event queue behind its same-instant peers, one
+    new sequence number per grant, and resumes with the latch."""
+    latch = Latch("p1")
+    sim = Simulator()
+    order = []
+
+    def taker():
+        seq_before = sim._seq
+        got = yield Acquire(latch, EXCLUSIVE)
+        order.append(("taker", sim.now, got is latch,
+                      sim._seq - seq_before))
+        latch.release(sim.current)
+
+    def peer():
+        order.append(("peer", sim.now))
+        yield Delay(0)
+
+    sim.spawn(taker(), name="taker")
+    sim.spawn(peer(), name="peer")
+    sim.run()
+    # the peer, queued before the grant, runs first; its Delay(0) is the
+    # second of the two sequence numbers the taker sees handed out
+    assert order == [("peer", 0), ("taker", 0, True, 2)]
+    assert not latch.held and not latch.busy
+
+
+def test_bad_mode_on_a_free_latch_leaves_it_free():
+    latch = Latch("p1")
+    sim = Simulator()
+
+    def body():
+        yield Acquire(latch, "IX")
+
+    sim.spawn(body())
+    with pytest.raises(SimulationError, match="bad latch mode"):
+        sim.run()
+    assert not latch.held and not latch.busy
+
+
+@pytest.mark.parametrize("first", [SHARE, EXCLUSIVE])
+@pytest.mark.parametrize("second", [SHARE, EXCLUSIVE])
+def test_reacquire_by_the_holder_raises_in_every_mode(first, second):
+    latch = Latch("p1")
+    sim = Simulator()
+
+    def body():
+        yield Acquire(latch, first)
+        latch.release(sim.current)
+        yield Acquire(latch, first)      # free again: fine
+        yield Acquire(latch, second)     # held by us: not fine
+
+    sim.spawn(body(), name="greedy")
+    with pytest.raises(SimulationError, match="re-acquiring"):
+        sim.run()
+
+
+def test_share_joins_shares_only_with_no_exclusive_queued():
+    """Grant order over one latch: S, S join; X queues; a later S queues
+    behind the X instead of joining; releases hand over in FIFO order."""
+    metrics = MetricsRegistry()
+    latch = Latch("p1", metrics=metrics)
+    sim = Simulator()
+    granted = []
+
+    def user(tag, start, mode, hold):
+        def body():
+            yield Delay(start)
+            yield Acquire(latch, mode)
+            granted.append((tag, sim.now))
+            yield Delay(hold)
+            latch.release(sim.current)
+        return body()
+
+    sim.spawn(user("s1", 0, SHARE, 10), name="s1")
+    sim.spawn(user("s2", 1, SHARE, 4), name="s2")      # joins s1
+    sim.spawn(user("x", 2, EXCLUSIVE, 3), name="x")    # queues
+    sim.spawn(user("s3", 3, SHARE, 1), name="s3")      # behind x
+    sim.spawn(user("s4", 20, SHARE, 1), name="s4")     # free latch again
+    sim.run()
+    assert granted == [("s1", 0), ("s2", 1), ("x", 10), ("s3", 13),
+                       ("s4", 20)]
+    assert metrics.get("latch.requests") == 5
+    assert metrics.get("latch.waits") == 2
+    assert metrics.stat("latch.wait_time").total == pytest.approx(8 + 10)
