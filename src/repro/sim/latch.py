@@ -63,7 +63,7 @@ class Latch:
             raise SimulationError(f"bad latch mode {mode!r}")
         self._sim = sim
         if self.metrics is not None:
-            self.metrics.incr("latch.requests")
+            self.metrics.counters["latch.requests"] += 1
         if self._mode is None:
             # Free: _grantable says yes whatever the mode (no holder,
             # so no re-acquire to refuse) and _grant does just this.

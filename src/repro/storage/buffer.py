@@ -78,7 +78,7 @@ class BufferPool:
         page = self._frames.get(page_id)
         if page is not None:
             self._frames.move_to_end(page_id)
-            self.metrics.incr("buffer.hits")
+            self.metrics.counters["buffer.hits"] += 1
             return page
         self.metrics.incr("buffer.misses")
         image = self.disk.read_page(page_id)
@@ -157,10 +157,10 @@ class BufferPool:
         Used by redo handlers replaying an insert into a page that was
         allocated but lost in the crash.
         """
-        if page_id in self._frames:
-            page = self._frames[page_id]
+        page = self._frames.get(page_id)
+        if page is not None:
             self._frames.move_to_end(page_id)
-            self.metrics.incr("buffer.hits")
+            self.metrics.counters["buffer.hits"] += 1
             return page
         if self.disk.has_page(page_id):
             page = yield from self.fetch(page_id)
@@ -178,7 +178,8 @@ class BufferPool:
         conservative placeholder :meth:`new_page` installed, so a second
         crash still redoes from early enough.
         """
-        page.page_lsn = max(page.page_lsn, lsn)
+        if lsn > page.page_lsn:
+            page.page_lsn = lsn
         current = self.dirty.get(page.page_id)
         if current is None or lsn < current:
             self.dirty[page.page_id] = lsn

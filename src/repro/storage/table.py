@@ -81,6 +81,8 @@ class Table:
         self.columns = tuple(columns)
         self.page_capacity = page_capacity or system.config.page_capacity
         self.page_count = 0
+        #: name of the table-level lock (IX for updaters, S/X for quiesce)
+        self.table_lock_name = ("table", name)
         #: Index descriptors in creation order.  Section 3.1 footnote 6:
         #: "the number of indexes can only increase while update
         #: transactions are active".
@@ -96,10 +98,6 @@ class Table:
     def lock_name(self, rid: RID) -> tuple:
         """Data-only lock name for a record (covers its index keys too)."""
         return ("rec", self.name, rid)
-
-    @property
-    def table_lock_name(self) -> tuple:
-        return ("table", self.name)
 
     def column_indexes(self, columns: Sequence[str]) -> tuple[int, ...]:
         try:
@@ -265,12 +263,13 @@ class Table:
     # -- page management ---------------------------------------------------------
 
     def _fetch_page(self, page_no: int):
+        """The buffer pool's generator for an existing page of this
+        table: ``page = yield from self._fetch_page(n)``."""
         if not 0 <= page_no < self.page_count:
             raise RecordNotFoundError(
                 f"{self.name} has no page {page_no}")
-        page = yield from self.system.buffer.ensure_page(
+        return self.system.buffer.ensure_page(
             self.page_id(page_no), self.page_capacity)
-        return page
 
     def _pick_insert_slot(self, txn: "Transaction"):
         """Find (page, slot) for a new record, append-style.

@@ -130,7 +130,7 @@ class LockManager:
         of the two modes -- note that the IX+S union is approximated as X
         rather than SIX (see :func:`_union`).
         """
-        self.metrics.incr("lock.requests")
+        self.metrics.counters["lock.requests"] += 1
         head = self._heads.get(name)
         if head is None:
             # A free name: no holder to be incompatible with, no waiter

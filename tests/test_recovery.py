@@ -49,6 +49,43 @@ def test_committed_work_survives_crash():
     assert table_contents(recovered, "t") == [(i,) for i in range(5)]
 
 
+def test_counters_follow_the_registry_rebound_by_restart():
+    """The log and disk outlive the crash and ``System.__init__`` points
+    them at the new system's registry, so whoever counts in place must
+    read ``self.metrics`` when it counts, not when it was built."""
+    system = System()
+    table = system.create_table("t", ["k"])
+
+    def insert(target, table, keys):
+        txn = target.txns.begin()
+        for k in keys:
+            yield from table.insert(txn, (k,))
+        yield from txn.commit()
+
+    drive(system, insert(system, table, range(5)))
+    old = system.metrics.snapshot()
+    assert old["wal.records"] == 7
+    system.crash()
+    recovered, _state = restart(system)
+    assert recovered.log is system.log
+    assert recovered.log.metrics is recovered.metrics
+    before = recovered.metrics.snapshot()
+    first_new = recovered.log.last_lsn + 1
+    drive(recovered, insert(recovered, recovered.tables["t"], range(5, 8)))
+    delta = recovered.metrics.delta(before)
+    logged = sum(r.size for r in recovered.log.scan(from_lsn=first_new))
+    assert {name: delta[name] for name in delta
+            if name.startswith("wal.")} == {
+        "wal.records": 5, "wal.records.txn": 5,
+        "wal.bytes": logged, "wal.bytes.txn": logged, "wal.forces": 1}
+    assert delta["lock.requests"] == 6
+    assert delta["latch.requests"] == 6
+    assert delta["buffer.hits"] == 3
+    # nothing leaked into the crashed system's registry
+    assert {name: value for name, value in system.metrics.snapshot().items()
+            if name != "system.crashes"} == old
+
+
 def test_uncommitted_work_rolled_back_on_restart():
     system = System()
     table = system.create_table("t", ["k"])
