@@ -286,21 +286,18 @@ class Table:
                 page = yield from self._fetch_page(self.page_count - 1)
             yield Acquire(page.latch, EXCLUSIVE)
             slot = page.free_slot()
+            granted = False
             if slot is not None:
                 rid = RID(page.page_id.page_no, slot)
                 granted = yield from txn.lock(
                     self.lock_name(rid), "X", conditional=True)
-                page.latch.release(self.system.sim.current)
-                if granted:
-                    return page, slot
-                # Someone (an uncommitted deleter) still owns this slot's
-                # lock; extend the file instead of waiting under risk.
-                page_full = True
-            else:
-                page.latch.release(self.system.sim.current)
-                page_full = True
-            if page_full:
-                yield from self._allocate_page()
+            page.latch.release(self.system.sim.current)
+            if granted:
+                return page, slot
+            # The page is full, or someone (an uncommitted deleter) still
+            # owns the free slot's lock: extend the file instead of
+            # waiting under risk, and try again on the new page.
+            yield from self._allocate_page()
 
     def _allocate_page(self):
         page_no = self.page_count
