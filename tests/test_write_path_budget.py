@@ -1,0 +1,90 @@
+"""Work bound on the uncontended foreground write path.
+
+One record insert is an intent lock, a record lock, two page latches, a
+log record, a dirty mark and three trips through the kernel; with one
+lock wait and no latch wait in a whole preload, nothing else should run.
+The bound is in exact call counts (they repeat; host time does not), in
+the style of ``test_btree_descent.py``.
+"""
+
+import cProfile
+import os
+
+import pytest
+
+import repro
+from repro.system import System
+
+ROWS = 2_000
+TXN_ROWS = 500
+SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+# in first-touch order, which is the order snapshots print in
+EXPECTED_COUNTERS = {
+    "txn.begins": 4, "lock.requests": 4000, "heap.pages_allocated": 125,
+    "latch.requests": 4124, "wal.records": 2008, "wal.records.txn": 2008,
+    "wal.bytes": 276256, "wal.bytes.txn": 276256, "heap.inserts": 2000,
+    "buffer.hits": 2123, "wal.forces": 4, "txn.commits": 4,
+}
+EXPECTED_CLOCK = 1004.0
+EXPECTED_SEQ = 6132
+
+
+def preload(system, table, rows, held):
+    txn = system.txns.begin("preload")
+    for row in rows:
+        yield from table.insert(txn, row)
+    held.append(len(txn.held_locks))
+    yield from txn.commit()
+
+
+@pytest.fixture(scope="module")
+def profiled_preload():
+    system = System(seed=1)
+    table = system.create_table("t", ["k", "a", "p"])
+    rows = [(i * 7919 % 100_003, i % 97, f"p{i:06d}") for i in range(ROWS)]
+    held: list[int] = []
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for start in range(0, ROWS, TXN_ROWS):
+        system.spawn(preload(system, table, rows[start:start + TXN_ROWS],
+                             held), name="preload")
+        system.run()
+    profiler.disable()
+    calls: dict[str, int] = {}
+    for entry in profiler.getstats():
+        code = entry.code
+        if not isinstance(code, str) and code.co_filename.startswith(SRC):
+            calls[code.co_qualname] = calls.get(code.co_qualname, 0) \
+                + entry.callcount
+    return system, calls, sum(held)
+
+
+def test_an_uncontended_insert_stays_inside_its_call_budget(
+        profiled_preload):
+    system, calls, names_held = profiled_preload
+    per_row = sum(calls.values()) / ROWS
+    # 71.8 before the write-path work, 43 after it
+    assert per_row <= 48, f"{per_row:.1f} repro calls per inserted row"
+    # heap.inserts, and heap.pages_allocated once a page: everything
+    # hotter bumps metrics.counters in place
+    assert calls["MetricsRegistry.incr"] <= 2 * ROWS
+    # a lock head per name actually held (a record lock per row, the
+    # table's IX lock per transaction), none for a request that found one
+    assert names_held == ROWS + ROWS // TXN_ROWS
+    assert calls["_LockHead.__init__"] == names_held
+    assert system.locks._heads == {}
+
+
+def test_the_cheaper_path_does_the_same_simulated_work(profiled_preload):
+    """Counters, clock and event sequence of the same preload, recorded
+    at the commit before the write-path work."""
+    system, _calls, _held = profiled_preload
+    assert system.metrics.snapshot() == EXPECTED_COUNTERS
+    assert list(system.metrics.snapshot()) == list(EXPECTED_COUNTERS)
+    assert system.metrics.snapshot_stats() == {}
+    assert system.now() == EXPECTED_CLOCK
+    assert system.sim._seq == EXPECTED_SEQ
+    assert system.log.last_lsn == EXPECTED_COUNTERS["wal.records"]
+
