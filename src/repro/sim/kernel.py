@@ -300,9 +300,10 @@ class Simulator:
 
     def _resume(self, proc: Process, value: Any = None) -> None:
         """Make a blocked process runnable at the current time."""
-        # _schedule(proc, 0.0, value) without the call -- every latch,
-        # lock, semaphore and event grant comes through here -- and with
-        # its "+ 0.0": after run(until=<int>) the clock is an int.
+        # _schedule(proc, 0.0, value), inlined: every latch, lock,
+        # semaphore and event grant comes through here.  The "+ 0.0" is
+        # _schedule's too -- run(until=<int>) leaves an int clock, and the
+        # entry's time has always been a float.
         self._seq += 1
         heapq.heappush(self._queue, (self.now + 0.0, self._seq, proc,
                                      value, False))
@@ -428,14 +429,14 @@ class Simulator:
         # _dispatch decides everything else, subclasses of these included.
         kind = type(effect)
         if kind is Delay:
-            duration = effect[0]
+            duration = effect.duration
             if duration < 0:
                 raise SimulationError(f"negative delay {duration!r}")
             self._seq += 1
             heapq.heappush(self._queue, (self.now + duration, self._seq,
                                          proc, None, False))
         elif kind is Acquire:
-            effect[0]._request(self, proc, effect[1])
+            effect.resource._request(self, proc, effect.mode)
         else:
             self._dispatch(proc, effect)
 

@@ -64,14 +64,11 @@ class Latch:
         self._sim = sim
         if self.metrics is not None:
             self.metrics.counters["latch.requests"] += 1
-        if self._mode is None:
-            # Free: _grantable says yes whatever the mode (no holder,
-            # so no re-acquire to refuse) and _grant does just this.
+        # A free latch is the common case and needs no _grantable call:
+        # with no holder there is no re-acquire to refuse.
+        if self._mode is None or self._grantable(proc, mode):
             self._holders[proc] = 1
             self._mode = mode
-            sim._resume(proc, self)
-        elif self._grantable(proc, mode):
-            self._grant(proc, mode)
             sim._resume(proc, self)
         else:
             if self.metrics is not None:
