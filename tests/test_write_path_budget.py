@@ -13,7 +13,9 @@ import os
 import pytest
 
 import repro
+from repro.metrics import MetricsRegistry
 from repro.system import System
+from repro.txn.locks import _LockHead
 
 ROWS = 2_000
 TXN_ROWS = 500
@@ -52,12 +54,10 @@ def profiled_preload():
                              held), name="preload")
         system.run()
     profiler.disable()
-    calls: dict[str, int] = {}
-    for entry in profiler.getstats():
-        code = entry.code
-        if not isinstance(code, str) and code.co_filename.startswith(SRC):
-            calls[code.co_qualname] = calls.get(code.co_qualname, 0) \
-                + entry.callcount
+    # code object -> call count, for every function defined in src/repro
+    calls = {entry.code: entry.callcount for entry in profiler.getstats()
+             if not isinstance(entry.code, str)
+             and entry.code.co_filename.startswith(SRC)}
     return system, calls, sum(held)
 
 
@@ -69,11 +69,11 @@ def test_an_uncontended_insert_stays_inside_its_call_budget(
     assert per_row <= 48, f"{per_row:.1f} repro calls per inserted row"
     # heap.inserts, and heap.pages_allocated once a page: everything
     # hotter bumps metrics.counters in place
-    assert calls["MetricsRegistry.incr"] <= 2 * ROWS
+    assert calls[MetricsRegistry.incr.__code__] <= 2 * ROWS
     # a lock head per name actually held (a record lock per row, the
     # table's IX lock per transaction), none for a request that found one
     assert names_held == ROWS + ROWS // TXN_ROWS
-    assert calls["_LockHead.__init__"] == names_held
+    assert calls[_LockHead.__init__.__code__] == names_held
     assert system.locks._heads == {}
 
 
