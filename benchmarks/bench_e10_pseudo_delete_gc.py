@@ -68,8 +68,8 @@ def run_e10():
     return rows
 
 
-def test_e10_pseudo_delete_cleanup(once):
-    rows = once(run_e10)
+def test_e10_pseudo_delete_cleanup():
+    rows = run_e10()
     print_table(
         "E10: pseudo-delete garbage collection (section 2.2.4)",
         ["delete weight", "live keys", "tombstones before", "GC removed",

@@ -45,8 +45,8 @@ def run_e11_sorted():
     return rows
 
 
-def test_e11_sidefile_growth_and_catchup(once):
-    rows, sorted_rows = once(lambda: (run_e11(), run_e11_sorted()))
+def test_e11_sidefile_growth_and_catchup():
+    rows, sorted_rows = run_e11(), run_e11_sorted()
     print_table(
         "E11a: side-file length vs update rate (section 3)",
         ["txn ops", "side-file entries", "drained", "appended during undo",

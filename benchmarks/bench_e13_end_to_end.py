@@ -30,8 +30,8 @@ def run_e13():
     return rows, results
 
 
-def test_e13_end_to_end(once):
-    rows, results = once(run_e13)
+def test_e13_end_to_end():
+    rows, results = run_e13()
     print_table(
         "E13: end-to-end -- offline vs NSF vs SF at a moderate update "
         "rate (section 4)",

@@ -73,8 +73,8 @@ def run_e14():
     return rows
 
 
-def test_e14_index_organized_table(once):
-    rows = once(run_e14)
+def test_e14_index_organized_table():
+    rows = run_e14()
     print_table(
         "E14: SF secondary build over an index-organized table "
         "(section 6.2)",

@@ -57,8 +57,8 @@ def run_e15():
     return rows
 
 
-def test_e15_media_recovery_asymmetry(once):
-    rows = once(run_e15)
+def test_e15_media_recovery_asymmetry():
+    rows = run_e15()
     print_table(
         "E15: media recovery from image copy + archived log "
         "(section 2.2.3)",

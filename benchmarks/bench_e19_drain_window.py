@@ -49,8 +49,8 @@ def run_e19():
     return rows
 
 
-def test_e19_drain_window_vs_batching(once):
-    rows = once(run_e19)
+def test_e19_drain_window_vs_batching():
+    rows = run_e19()
     print_table(
         "E19: drain catch-up window vs drain_batch (section 3.2.5)",
         ["drain_batch", "drain window", "whole build",

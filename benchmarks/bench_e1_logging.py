@@ -29,8 +29,8 @@ def run_e1():
     return rows
 
 
-def test_e1_ib_log_volume(once):
-    rows = once(run_e1)
+def test_e1_ib_log_volume():
+    rows = run_e1()
     print_table(
         "E1: WAL volume written by the index builder (section 4)",
         ["algo", "txn ops", "IB log recs", "IB log bytes",

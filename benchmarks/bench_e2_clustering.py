@@ -29,8 +29,8 @@ def run_e2():
     return rows
 
 
-def test_e2_clustering_vs_update_rate(once):
-    rows = once(run_e2)
+def test_e2_clustering_vs_update_rate():
+    rows = run_e2()
     print_table(
         "E2: clustering factor vs concurrent update activity (section 4)",
         ["algo", "txn ops", "clustering", "index pages", "splits",

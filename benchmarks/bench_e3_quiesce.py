@@ -29,8 +29,8 @@ def run_e3():
     return rows, results
 
 
-def test_e3_availability(once):
-    rows, results = once(run_e3)
+def test_e3_availability():
+    rows, results = run_e3()
     print_table(
         "E3: update availability during the build "
         "(sections 2.2.1 / 3.2.1 / 4)",

@@ -43,8 +43,8 @@ def run_e4_batch_sweep():
     return rows
 
 
-def test_e4_traversals_and_batching(once):
-    rows, sweep = once(lambda: (run_e4(), run_e4_batch_sweep()))
+def test_e4_traversals_and_batching():
+    rows, sweep = run_e4(), run_e4_batch_sweep()
     print_table(
         "E4a: IB tree traversals, NSF vs SF (sections 2.3.1 / 3.2.4)",
         ["algo", "rows", "traversals", "path reuses", "keys placed",

@@ -101,8 +101,8 @@ def run_e5():
     return sort_rows, merge_rows
 
 
-def test_e5_restartable_sort(once):
-    sort_rows, merge_rows = once(run_e5)
+def test_e5_restartable_sort():
+    sort_rows, merge_rows = run_e5()
     print_table(
         "E5a: sort phase -- keys re-pushed after a crash at key 4000 "
         "(section 5.1)",

@@ -78,8 +78,8 @@ def run_e6():
     return rows
 
 
-def test_e6_insert_phase_restart(once):
-    rows = once(run_e6)
+def test_e6_insert_phase_restart():
+    rows = run_e6()
     print_table(
         "E6: NSF insert-phase crash at ~50% -- wasted re-inserts vs "
         "checkpoint interval (section 2.2.3)",

@@ -66,8 +66,8 @@ def run_e7():
     return rows
 
 
-def test_e7_adversarial_schedules(once):
-    rows = once(run_e7)
+def test_e7_adversarial_schedules():
+    rows = run_e7()
     print_table(
         "E7: 30 seeded adversarial schedules per cell, all audited "
         "key-for-key (sections 1.2 / 2 / 3)",

@@ -35,8 +35,8 @@ def run_e8():
     return rows
 
 
-def test_e8_one_scan_for_many_indexes(once):
-    rows = once(run_e8)
+def test_e8_one_scan_for_many_indexes():
+    rows = run_e8()
     print_table(
         "E8: k indexes -- one shared scan vs k separate builds "
         "(section 6.2)",

@@ -86,8 +86,8 @@ def run_e9():
     return rows
 
 
-def test_e9_specialized_split_ablation(once):
-    rows = once(run_e9)
+def test_e9_specialized_split_ablation():
+    rows = run_e9()
     print_table(
         "E9: NSF split policy ablation (section 2.3.1)",
         ["IB split policy", "txn ops", "clustering", "keys moved",

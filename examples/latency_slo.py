@@ -12,7 +12,7 @@ out of the build-window trace:
 * throttled (``SystemConfig.build_rate_limit``): the build takes far
   longer and the foreground barely notices it.
 
-That is the tradeoff curve ``python -m repro.slo.tradeoff`` sweeps and
+That is the tradeoff curve ``python -m repro.bench slo`` sweeps and
 gates; this is the two-point version.
 
 Run:  python examples/latency_slo.py

@@ -1,7 +1,7 @@
-"""Benchmark harness: experiment runner and table printer."""
+"""Benchmark harness (experiment runner, table printer) and the bench
+suite runner (``python -m repro.bench``, :mod:`repro.bench.runner`)."""
 
 from repro.bench.harness import (
-    BUILDERS,
     BuildRunResult,
     bench_config,
     print_table,
@@ -9,7 +9,6 @@ from repro.bench.harness import (
 )
 
 __all__ = [
-    "BUILDERS",
     "BuildRunResult",
     "bench_config",
     "print_table",

@@ -8,8 +8,8 @@ about (log volume, clustering, quiesce time, traversals, side-file
 length, simulated build time, ...).
 
 ``print_table`` renders the rows the way the paper would have tabulated
-them, so ``pytest benchmarks/ --benchmark-only`` output reads like the
-evaluation section the paper never had.
+them, so ``pytest -q benchmarks --ignore benchmarks/e2e`` output reads like
+the evaluation section the paper never had.
 """
 
 from __future__ import annotations
@@ -17,25 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Type
 
-from repro.core import (
-    BuildOptions,
-    IndexSpec,
-    NSFIndexBuilder,
-    OfflineIndexBuilder,
-    SFIndexBuilder,
-)
-from repro.parallel import ParallelSFBuilder
+from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec
-
-BUILDERS = {
-    "offline": OfflineIndexBuilder,
-    "nsf": NSFIndexBuilder,
-    "sf": SFIndexBuilder,
-    # shard count comes from BuildOptions.partitions (default 2)
-    "psf": ParallelSFBuilder,
-}
 
 
 def bench_config(**overrides) -> SystemConfig:
@@ -121,7 +106,7 @@ def run_build_experiment(algorithm: str, *,
     assert preload.error is None
 
     before = system.metrics.snapshot()
-    builder_cls = BUILDERS[algorithm]
+    builder_cls = get_builder(algorithm)
     specs = index_specs or [IndexSpec.of("idx", list(key_columns),
                                          unique=unique)]
     builder = builder_cls(system, table, specs, options=options)

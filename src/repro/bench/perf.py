@@ -1,676 +1,47 @@
-"""Wall-clock perf-regression suite (``python -m repro.bench.perf``).
+"""Build-cost suite on the simulated clock (suite ``perf`` of
+``python -m repro.bench``).
 
-The simulator benches in ``benchmarks/`` measure *simulated* cost; this
-suite measures the *host* cost of running them -- the trajectory the repo
-tracks across PRs so hot-path regressions are caught in CI.  It runs a
-fixed set of deterministic scenarios:
+Deterministic builds whose simulated cost, counters, per-phase durations
+and build-series stats are compared exactly with the committed baseline:
 
-* end-to-end builds (offline / NSF / SF at several row counts, with and
-  without a concurrent update workload), recording wall-clock keys/sec,
-  simulated build time, and the key metric counters;
-* micro-benchmarks for the known hot paths: IB's multi-key insert,
-  replacement-selection run formation, the final-merge ``pop_many``
-  supply loop, the SF side-file drain, side-file WAL redo, and the
-  frontier's ``shard_of`` ownership test (bisect vs linear scan).
+* ``build/*`` -- offline / NSF / SF at two table sizes, NSF and SF again
+  under a concurrent update workload, and SF with the compressed-key
+  codec off and on (``key_compare_cost`` charges the clock per sort
+  comparison by compared-key width, so the on/off ratio is
+  machine-independent);
+* ``rebuild/reuse_runs`` -- drop+rebuild from the sealed final run;
+* ``parallel_sf/p{1,2,4,8}`` -- the partitioned build's P-sweep under a
+  workload, with scan+sort and shard-merge phase times and shard balance.
 
-The IB-insert micro-benchmark runs twice -- once against
-:class:`LegacyBTree`, a verbatim copy of the pre-optimization hot paths,
-and once against the shipped tree -- and records the speedup ratio.  The
-ratio is machine-independent (both sides run in the same process), so CI
-compares ratios, not absolute times, against the committed baseline JSON.
-
-Results are written as schema-stable JSON (see :data:`SCHEMA_VERSION` and
-:func:`validate_payload`)::
-
-    python -m repro.bench.perf --out BENCH_PR10.json
-    python -m repro.bench.perf --out /tmp/now.json --smoke \\
-        --check-against BENCH_PR10.json --max-regression 0.05
+Self-gates (:func:`gates`): the codec's simulated build speedup, zero
+table pages rescanned by the rebuild, and the scan+sort speedup at P=4.
+Host time is ``benchmarks/e2e``'s business, not this suite's.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import random
-import sys
-import time
-from typing import Any, Callable, Optional
+from functools import partial
+from typing import Callable
 
 from repro.bench.harness import bench_config, run_build_experiment
-from repro.btree.tree import BTree, IBCursor
-from repro.btree.node import KeyEntry
+from repro.bench.runner import Suite
 from repro.core import BuildOptions
-from repro.faultinject.sites import fault_point
-from repro.sim.kernel import Acquire, Delay
-from repro.sim.latch import EXCLUSIVE
-from repro.sort import RunFormation, RunStore, final_merger
-from repro.storage.rid import RID
-from repro.system import System, SystemConfig
-from repro.wal.records import RecordKind
-
-SCHEMA_VERSION = 1
-SUITE_NAME = "repro.bench.perf"
-
-#: the acceptance floor for the IB-insert speedup recorded in the JSON
-MIN_IB_SPEEDUP = 1.5
 
 #: the acceptance floor for the parallel scan+sort speedup at P=4 vs P=1
-#: (simulated clock, so machine-independent by construction)
 MIN_PSF_SCAN_SPEEDUP = 1.5
 
-#: acceptance floors for the compressed-key codec.  The comparison-bound
-#: micro (C-level sort loop over the same keys, raw tuples vs encoded
-#: ints) isolates the cost the codec exists to remove and must show at
-#: least 2x; so must the codec-on/off build scenarios on the simulated
-#: clock, which charges comparisons by compared-key width.  The
-#: end-to-end scan+sort+load micro is tracked row-by-row against the
-#: committed baseline instead: CPython spends the bulk of that pipeline
-#: in per-key interpreter machinery that is identical on both sides, so
-#: its wall-clock ratio understates what a compiled engine gets and is
-#: only gated against regression, not against an absolute floor.
-MIN_CODEC_SPEEDUP = 2.0
+#: the acceptance floor for the codec-on vs codec-off SF build
 MIN_CODEC_SIM_SPEEDUP = 2.0
 
-
-class LegacyBTree(BTree):
-    """The pre-optimization B+-tree hot paths, copied verbatim.
-
-    Baseline side of the IB-insert micro-benchmark: the shipped tree is
-    compared against the exact code it replaced, in the same process on
-    the same machine, so the recorded speedup is a pure code-path ratio.
-    The copied behaviors: per-key metric increments, two defensive key
-    list copies per IB log record, and -- the dominant cost -- a full
-    bounds-cache invalidation on every split, which makes the next
-    ``_leaf_covers`` pay an O(pages) structural search.  The shipped tree
-    takes fences and split paths from its descents and has none of these
-    hooks, so the version-stamped bounds cache and the structural walk
-    behind it live here only.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._bounds_cache: dict = {}
-
-    def _leaf_covers(self, leaf, composite):
-        low_fence, high_fence = self._leaf_bounds(leaf.page_no)
-        if low_fence is not None and composite < low_fence:
-            return False
-        if high_fence is not None and composite >= high_fence:
-            return False
-        return True
-
-    def _leaf_bounds(self, leaf_no):
-        cache = self._bounds_cache
-        if cache.get("version") != self.structure_version:
-            cache.clear()
-            cache["version"] = self.structure_version
-        bounds = cache.get(leaf_no)
-        if bounds is not None:
-            return bounds
-        path = self._path_to_leaf(leaf_no)
-        low_fence = None
-        high_fence = None
-        for branch, slot in path:
-            if slot > 0:
-                candidate = branch.separators[slot - 1]
-                if low_fence is None or candidate > low_fence:
-                    low_fence = candidate
-            if slot < len(branch.separators):
-                candidate = branch.separators[slot]
-                if high_fence is None or candidate < high_fence:
-                    high_fence = candidate
-        cache[leaf_no] = (low_fence, high_fence)
-        return low_fence, high_fence
-
-    def _insert_sorted(self, leaf, entry, path=None,
-                       specialized_for_ib=False):
-        if not leaf.is_full:
-            leaf.entries.insert(leaf.position(entry.composite), entry)
-            return leaf
-        if path is None:
-            path = self._path_to_leaf(leaf.page_no)
-        if specialized_for_ib:
-            return self._specialized_split(leaf, entry, path)
-        return self._normal_split(leaf, entry, path)
-
-    def _path_to_leaf(self, leaf_no):
-        if self.root == leaf_no:
-            return []
-        path = []
-
-        def descend(page_no):
-            node = self.pages[page_no]
-            if not hasattr(node, "children"):  # leaf
-                return node.page_no == leaf_no
-            for slot, child in enumerate(node.children):
-                path.append((node, slot))
-                if descend(child):
-                    return True
-                path.pop()
-            return False
-
-        if self.root is None or not descend(self.root):
-            raise AssertionError(f"leaf {leaf_no} unreachable")
-        return path
-
-    def _finish_split(self, left, right, separator, path):
-        fault_point(self.system.metrics, "btree.split")
-        self.structure_version += 1
-        self.system.metrics.incr("index.splits")
-        self.system.log.append(
-            None, RecordKind.UPDATE,
-            redo=("index.split", {"index": self.name,
-                                  "left": left.page_no,
-                                  "right": right.page_no}),
-            writer="system",
-            info={"index": self.name},
-        )
-        if not path:
-            new_root = self._allocate_branch()
-            new_root.separators = [separator]
-            new_root.children = [left.page_no, right.page_no]
-            self.root = new_root.page_no
-            return
-        parent, slot = path[-1]
-        parent.separators.insert(slot, separator)
-        parent.children.insert(slot + 1, right.page_no)
-        if parent.is_full:
-            self._split_branch(parent, path[:-1])
-
-    def _split_branch(self, branch, path):
-        new_branch = self._allocate_branch()
-        mid = len(branch.separators) // 2
-        push_up = branch.separators[mid]
-        new_branch.separators = branch.separators[mid + 1:]
-        new_branch.children = branch.children[mid + 1:]
-        del branch.separators[mid:]
-        del branch.children[mid + 1:]
-        self.structure_version += 1
-        self.system.metrics.incr("index.splits")
-        if not path:
-            new_root = self._allocate_branch()
-            new_root.separators = [push_up]
-            new_root.children = [branch.page_no, new_branch.page_no]
-            self.root = new_root.page_no
-            return
-        parent, slot = path[-1]
-        parent.separators.insert(slot, push_up)
-        parent.children.insert(slot + 1, new_branch.page_no)
-        if parent.is_full:
-            self._split_branch(parent, path[:-1])
-
-    def ib_insert_batch(self, ib_txn, keys, cursor, *, write_log=True):
-        inserted = 0
-        work = [(kv, RID(*raw_rid)) for kv, raw_rid in keys]
-        index = 0
-        while index < len(work):
-            key_value, rid = work[index]
-            leaf = self._locate_ib_leaf(cursor, (key_value, rid))
-            yield Acquire(leaf.latch, EXCLUSIVE)
-            if not self._leaf_covers(leaf, (key_value, rid)):
-                leaf.latch.release(self.system.sim.current)
-                cursor.leaf_no = None
-                continue
-            pending: list[tuple] = []
-            unique_check: Optional[tuple] = None
-            try:
-                while index < len(work):
-                    key_value, rid = work[index]
-                    composite = (key_value, rid)
-                    if not self._leaf_covers(leaf, composite):
-                        break
-                    action = self._ib_classify(leaf, key_value, rid)
-                    if action == "unique-check":
-                        unique_check = (key_value, rid)
-                        break
-                    if action == "reject":
-                        self.system.metrics.incr(
-                            "index.duplicate_rejections.ib")
-                        index += 1
-                        continue
-                    target = self._insert_sorted(
-                        leaf, KeyEntry(key_value, rid),
-                        specialized_for_ib=True)
-                    self.system.metrics.incr("index.inserts.ib")
-                    inserted += 1
-                    pending.append((key_value, tuple(rid)))
-                    index += 1
-                    cursor.leaf_no = target.page_no
-                    cursor.version = self.structure_version
-                    if target is not leaf:
-                        break
-                if write_log and pending:
-                    self._log_ib_batch(ib_txn, pending)
-            finally:
-                leaf.latch.release(self.system.sim.current)
-            if pending:
-                fault_point(self.system.metrics, "btree.ib_insert")
-                yield Delay(self.system.config.key_op_cost
-                            * len(pending))
-            if unique_check is not None:
-                settled = yield from self._ib_unique_check(
-                    ib_txn, *unique_check)
-                if not settled:
-                    index += 1
-        return inserted
-
-    def _log_ib_batch(self, ib_txn, keys):
-        ib_txn.log(
-            RecordKind.UPDATE,
-            redo=("index.apply", {"index": self.name,
-                                  "action": "insert_many",
-                                  "keys": list(keys)}),
-            undo=("index.undo", {"index": self.name,
-                                 "action": "remove_many",
-                                 "keys": list(keys)}),
-            info={"index": self.name},
-            writer="ib",
-        )
-
-
-# ---------------------------------------------------------------------------
-# micro-benchmark bodies
-# ---------------------------------------------------------------------------
-
-
-def _sorted_keys(count: int, seed: int) -> list[tuple]:
-    """Deterministic sorted ``(key_value, raw_rid)`` pairs (IB's diet)."""
-    rng = random.Random(seed)
-    values = sorted(rng.sample(range(count * 10), count))
-    return [(value, (i // 64, i % 64)) for i, value in enumerate(values)]
-
-
-def _ib_insert_run(tree_cls, keys: list[tuple], *, batch: int,
-                   leaf_capacity: int, seed: int) -> dict:
-    """Drive ``tree_cls.ib_insert_batch`` over ``keys``; time the run."""
-    config = SystemConfig(leaf_capacity=leaf_capacity, branch_capacity=8)
-    system = System(config, seed=seed)
-    tree = tree_cls(system, "bench-idx", "bench-table")
-    txn = system.txns.begin("ib-micro")
-    cursor = IBCursor()
-
-    def driver():
-        for start in range(0, len(keys), batch):
-            yield from tree.ib_insert_batch(
-                txn, keys[start:start + batch], cursor)
-        yield from txn.commit()
-
-    proc = system.spawn(driver(), name="ib-micro")
-    started = time.perf_counter()
-    system.run()
-    wall = time.perf_counter() - started
-    if proc.error is not None:
-        raise proc.error
-    if tree.key_count() != len(keys):
-        raise AssertionError(
-            f"ib micro inserted {tree.key_count()} of {len(keys)} keys")
-    return {"wall_seconds": wall,
-            "keys_per_second": len(keys) / wall if wall else 0.0,
-            "sim_time": system.now()}
-
-
-def micro_ib_insert(mode: str) -> dict:
-    """IB-insert micro: shipped tree vs the verbatim pre-PR baseline."""
-    count = 2_000 if mode == "smoke" else 12_000
-    params = {"keys": count, "batch": 16, "leaf_capacity": 8, "seed": 7}
-    keys = _sorted_keys(count, params["seed"])
-    baseline = _ib_insert_run(LegacyBTree, keys, batch=params["batch"],
-                              leaf_capacity=params["leaf_capacity"],
-                              seed=params["seed"])
-    optimized = _ib_insert_run(BTree, keys, batch=params["batch"],
-                               leaf_capacity=params["leaf_capacity"],
-                               seed=params["seed"])
-    speedup = (baseline["wall_seconds"] / optimized["wall_seconds"]
-               if optimized["wall_seconds"] else 0.0)
-    if baseline["sim_time"] != optimized["sim_time"]:
-        raise AssertionError(
-            "legacy and optimized IB paths diverged on the simulated "
-            f"clock: {baseline['sim_time']} != {optimized['sim_time']}")
-    return {"params": params, "baseline": baseline, "optimized": optimized,
-            "speedup": speedup}
-
-
-def micro_replacement_selection(mode: str) -> dict:
-    """Replacement-selection run formation over a random key stream."""
-    count = 5_000 if mode == "smoke" else 40_000
-    params = {"keys": count, "workspace": 64, "seed": 11}
-    rng = random.Random(params["seed"])
-    stream = [(rng.randrange(count * 10), (i // 64, i % 64))
-              for i in range(count)]
-    store = RunStore(prefix="perf-sort")
-    sorter = RunFormation(store, params["workspace"])
-    started = time.perf_counter()
-    for key in stream:
-        sorter.push(key)
-    runs = sorter.finish()
-    wall = time.perf_counter() - started
-    total = sum(len(run) for run in runs)
-    if total != count:
-        raise AssertionError(f"sort micro kept {total} of {count} keys")
-    return {"params": params,
-            "wall_seconds": wall,
-            "keys_per_second": count / wall if wall else 0.0,
-            "runs_formed": len(runs)}
-
-
-def micro_merge_pop_many(mode: str) -> dict:
-    """Final-merge key supply through ``pop_many`` (NSF's feed loop)."""
-    count = 8_000 if mode == "smoke" else 60_000
-    params = {"keys": count, "runs": 8, "fanin": 8, "batch": 16,
-              "seed": 13}
-    rng = random.Random(params["seed"])
-    store = RunStore(prefix="perf-merge")
-    per_run = count // params["runs"]
-    for _ in range(params["runs"]):
-        run = store.new_run()
-        for key in sorted(rng.randrange(count * 10)
-                          for _ in range(per_run)):
-            run.append((key, (0, 0)))
-        run.closed = True
-        run.force()
-    runs = list(store.runs.values())
-    merger = final_merger(store, runs, params["fanin"])
-    produced = 0
-    started = time.perf_counter()
-    while True:
-        batch = merger.pop_many(params["batch"])
-        if not batch:
-            break
-        produced += len(batch)
-    wall = time.perf_counter() - started
-    if produced != params["runs"] * per_run:
-        raise AssertionError(
-            f"merge micro produced {produced} of {params['runs'] * per_run}")
-    return {"params": params,
-            "wall_seconds": wall,
-            "keys_per_second": produced / wall if wall else 0.0}
-
-
-def micro_sidefile_drain(mode: str) -> dict:
-    """Batched side-file drain against a bulk-loaded tree."""
-    from repro.btree.loader import BulkLoader
-    from repro.sidefile import SideFile, register_sidefile_operations
-
-    count = 2_000 if mode == "smoke" else 10_000
-    params = {"entries": count, "batch": 64, "seed": 17,
-              "preloaded_keys": count}
-    system = System(SystemConfig(leaf_capacity=8, branch_capacity=8),
-                    seed=params["seed"])
-    register_sidefile_operations(system)
-    tree = BTree(system, "bench-idx", "bench-table")
-    loader = BulkLoader(tree)
-    for i in range(count):
-        loader.append(i * 3, RID(i // 64, i % 64))
-    loader.finish()
-    sidefile = SideFile(system, "bench-idx")
-    system.sidefiles["bench-idx"] = sidefile
-    rng = random.Random(params["seed"])
-    txn = system.txns.begin("sf-appender")
-    for i in range(count):
-        sidefile.append_sync(txn, "insert", rng.randrange(count * 3) * 3 + 1,
-                             RID(1000 + i // 64, i % 64))
-    drain_txn = system.txns.begin("sf-drain")
-
-    def driver():
-        position = 0
-        while position < len(sidefile.entries):
-            chunk = sidefile.entries[position:position + params["batch"]]
-            batch = [(e.operation, e.key_value, e.rid) for e in chunk]
-            position += len(chunk)
-            yield from tree.sf_drain_apply_batch(drain_txn, batch)
-        yield from drain_txn.commit()
-
-    proc = system.spawn(driver(), name="sf-drain-micro")
-    started = time.perf_counter()
-    system.run()
-    wall = time.perf_counter() - started
-    if proc.error is not None:
-        raise proc.error
-    return {"params": params,
-            "wall_seconds": wall,
-            "keys_per_second": count / wall if wall else 0.0,
-            "sim_time": system.now()}
-
-
-def micro_sidefile_redo(mode: str) -> dict:
-    """Side-file WAL redo after a crash (the once-quadratic dedup path)."""
-    from repro.sidefile import SideFile, register_sidefile_operations
-
-    count = 2_000 if mode == "smoke" else 20_000
-    params = {"entries": count, "seed": 19}
-    system = System(SystemConfig(), seed=params["seed"])
-    register_sidefile_operations(system)
-    sidefile = SideFile(system, "bench-idx")
-    system.sidefiles["bench-idx"] = sidefile
-    txn = system.txns.begin("sf-appender")
-    for i in range(count):
-        sidefile.append_sync(txn, "insert", i, RID(i // 64, i % 64))
-    records = [record for record in system.log.scan()
-               if record.redo is not None
-               and record.redo[0] == "sidefile.append"]
-    # Crash with nothing forced: every entry must come back from the log.
-    sidefile.crash()
-    if sidefile.entries:
-        raise AssertionError("expected a fully volatile side-file")
-    started = time.perf_counter()
-    for record in records:
-        sidefile.redo_append(record)
-    for record in records:  # second pass: all-duplicate dedup path
-        sidefile.redo_append(record)
-    wall = time.perf_counter() - started
-    if len(sidefile.entries) != count:
-        raise AssertionError(
-            f"redo rebuilt {len(sidefile.entries)} of {count} entries")
-    return {"params": params,
-            "wall_seconds": wall,
-            "keys_per_second": (2 * count) / wall if wall else 0.0}
-
-
-def micro_scan_sort_load_codec(mode: str) -> dict:
-    """Compressed-key sort: the whole scan+sort+load pipeline, both ways.
-
-    The same ``((int, str), rid)`` key stream runs push -> run formation
-    -> final merge -> decode -> bulk load twice: once over raw composite
-    tuples and once through :class:`KeyCodec` (encode cost and deferred
-    decode both *inside* the timed region, so the ratio is end-to-end).
-    A sprinkle of over-width strings exercises the spill path.  Both
-    trees must come out entry-for-entry identical -- the codec is an
-    engineering change, not a semantic one -- and the recorded speedup
-    is a same-process ratio like the IB micro's.
-    """
-    from repro.btree.loader import BulkLoader
-    from repro.sort import CompressedRunFormation, KeyCodec
-
-    count = 1_500 if mode == "smoke" else 4_000
-    params = {"keys": count, "workspace": 256, "fanin": 8, "batch": 64,
-              "seed": 29, "spill_every": 64}
-    rng = random.Random(params["seed"])
-    cats = ["elec", "food", "home", "toys", "auto", "book", "gard", "baby",
-            "pets", "arts", "game", "tool", "wine", "kids", "gift", "tech"]
-    stream = []
-    for i in range(count):
-        # Secondary-index diet: low-cardinality leading columns repeat
-        # across records; every spill_every-th key carries an over-width
-        # category so the spill path stays on the timed path.
-        category = "long-tail-category" if i % params["spill_every"] == 0 \
-            else rng.choice(cats)
-        stream.append(((rng.randrange(8), category, rng.randrange(64)),
-                       (i // 64, i % 64)))
-
-    def run_once(compressed: bool) -> dict:
-        system = System(SystemConfig(leaf_capacity=8, branch_capacity=8),
-                        seed=params["seed"])
-        tree = BTree(system, "bench-idx", "bench-table")
-        loader = BulkLoader(tree)
-        store = RunStore(prefix="codec-on" if compressed else "codec-off")
-        codec = KeyCodec() if compressed else None
-        sorter = CompressedRunFormation(store, params["workspace"], codec) \
-            if compressed else RunFormation(store, params["workspace"])
-        append = loader.append
-        started = time.perf_counter()
-        for pair in stream:
-            sorter.push(pair)
-        runs = sorter.finish()
-        merger = final_merger(store, runs, params["fanin"])
-        decode = codec.decode if compressed else None
-        while True:
-            batch = merger.pop_many(params["batch"])
-            if not batch:
-                break
-            if decode is not None:
-                for encoded in batch:
-                    key_value, raw = decode(encoded)
-                    append(key_value, RID(*raw))
-            else:
-                for key_value, raw in batch:
-                    append(key_value, RID(*raw))
-        loader.finish()
-        wall = time.perf_counter() - started
-        entries = [(entry.key_value, tuple(entry.rid))
-                   for entry in tree.all_entries()]
-        return {"wall_seconds": wall,
-                "keys_per_second": count / wall if wall else 0.0,
-                "runs_formed": len(runs),
-                "spills": codec.spills if compressed else 0,
-                "entries": entries}
-
-    baseline = run_once(False)
-    optimized = run_once(True)
-    if baseline["entries"] != optimized["entries"]:
-        first = next(i for i in range(len(baseline["entries"]))
-                     if baseline["entries"][i] != optimized["entries"][i])
-        raise AssertionError(
-            "codec-on tree diverged from codec-off at entry "
-            f"{first}: {optimized['entries'][first]!r} != "
-            f"{baseline['entries'][first]!r}")
-    if len(baseline["entries"]) != count:
-        raise AssertionError(
-            f"codec micro loaded {len(baseline['entries'])} of {count}")
-    spills = optimized.pop("spills")
-    baseline.pop("spills")
-    baseline.pop("entries")
-    optimized.pop("entries")
-    speedup = (baseline["wall_seconds"] / optimized["wall_seconds"]
-               if optimized["wall_seconds"] else 0.0)
-    return {"params": params, "baseline": baseline, "optimized": optimized,
-            "spills": spills, "speedup": speedup}
-
-
-def micro_codec_compare_bound(mode: str) -> dict:
-    """Comparison-cost ratio: raw composite tuples vs encoded ints.
-
-    Both sides sort the *same* shuffled key set with ``list.sort`` -- a
-    pure C comparison loop, the regime a compiled engine's sort inner
-    loop lives in -- so the ratio isolates what the codec actually
-    changes: the cost of one key comparison.  Order isomorphism is
-    checked by decoding the encoded order back and comparing
-    entry-for-entry against the raw order.
-    """
-    from repro.sort import KeyCodec
-
-    count = 20_000 if mode == "smoke" else 60_000
-    params = {"keys": count, "seed": 31}
-    rng = random.Random(params["seed"])
-    cats = ["elec", "food", "home", "toys", "auto", "book", "gard", "baby"]
-    raw = [((rng.randrange(8), rng.choice(cats), rng.randrange(64)),
-            (i // 64, i % 64)) for i in range(count)]
-    codec = KeyCodec()
-    codec.bind(raw[0][0])
-    encoded = [codec.encode(key_value, rid) for key_value, rid in raw]
-    rng.shuffle(raw)
-    rng.shuffle(encoded)
-    started = time.perf_counter()
-    raw.sort()
-    baseline_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    encoded.sort()
-    optimized_wall = time.perf_counter() - started
-    decoded = [codec.decode(code) for code in encoded]
-    if decoded != raw:
-        first = next(i for i in range(count) if decoded[i] != raw[i])
-        raise AssertionError(
-            f"encoded sort order diverged from raw at {first}: "
-            f"{decoded[first]!r} != {raw[first]!r}")
-    return {"params": params,
-            "wall_seconds": optimized_wall,
-            "baseline": {"wall_seconds": baseline_wall,
-                         "keys_per_second":
-                             count / baseline_wall if baseline_wall
-                             else 0.0},
-            "optimized": {"wall_seconds": optimized_wall,
-                          "keys_per_second":
-                              count / optimized_wall if optimized_wall
-                              else 0.0},
-            "speedup": (baseline_wall / optimized_wall
-                        if optimized_wall else 0.0)}
-
-
-def micro_frontier_shard_of(mode: str) -> dict:
-    """Frontier ownership test: bisect ``shard_of`` vs the pre-PR linear
-    scan.
-
-    ``shard_of`` runs on every visibility test a concurrent updater
-    performs during a partitioned build, so its cost scales with P under
-    the linear scan.  Both sides run over the same lookup stream in the
-    same process and must agree exactly (including empty shards and
-    pages past the partitioned range), so the recorded speedup is a pure
-    code-path ratio like the IB-insert micro's.
-    """
-    from repro.sidefile.frontier import ScanFrontier, partition_pages
-
-    lookups = 20_000 if mode == "smoke" else 200_000
-    params = {"lookups": lookups, "shards": 64, "pages": 4096, "seed": 23}
-    partitions = partition_pages(params["pages"], params["shards"])
-    frontier = ScanFrontier(partitions)
-    rng = random.Random(params["seed"])
-    # Past-the-range pages included: extensions go to the last shard.
-    pages = [rng.randrange(params["pages"] + 128) for _ in range(lookups)]
-    heads = partitions[:-1]
-
-    def linear_shard_of(page_no: int) -> int:
-        # Verbatim pre-optimization body: first shard whose range covers
-        # the page; extensions fall through to the last shard.
-        for partition in heads:
-            if page_no < partition.end:
-                return partition.index
-        return partitions[-1].index
-
-    started = time.perf_counter()
-    expect = [linear_shard_of(page_no) for page_no in pages]
-    baseline_wall = time.perf_counter() - started
-    shard_of = frontier.shard_of
-    started = time.perf_counter()
-    got = [shard_of(page_no) for page_no in pages]
-    optimized_wall = time.perf_counter() - started
-    if got != expect:
-        first = next(i for i in range(lookups) if got[i] != expect[i])
-        raise AssertionError(
-            f"shard_of diverged from the linear reference at page "
-            f"{pages[first]}: {got[first]} != {expect[first]}")
-    return {"params": params,
-            "wall_seconds": optimized_wall,
-            "baseline": {"wall_seconds": baseline_wall,
-                         "lookups_per_second":
-                             lookups / baseline_wall if baseline_wall
-                             else 0.0},
-            "optimized": {"wall_seconds": optimized_wall,
-                          "lookups_per_second":
-                              lookups / optimized_wall if optimized_wall
-                              else 0.0},
-            "speedup": (baseline_wall / optimized_wall
-                        if optimized_wall else 0.0)}
-
-
-# ---------------------------------------------------------------------------
-# build scenarios
-# ---------------------------------------------------------------------------
+SEED = 42
+CODEC_ROWS = 400
+CODEC_COMPARE_COST = 0.05
+PSF_PARTITIONS = (1, 2, 4, 8)
 
 
 def _trace_extras(recorder, system) -> dict:
-    """Additive scenario keys derived from the build's passive trace:
-    per-phase simulated durations plus the build-series stat snapshots
-    (observability satellite of the perf payload; ``validate_payload``
-    tolerates extra keys, so older baselines still compare)."""
+    """Row fields derived from the build's passive trace: per-phase
+    simulated durations plus the build-series stat snapshots."""
     from repro.obs import phase_durations
 
     series = {name: stats for name, stats
@@ -679,14 +50,13 @@ def _trace_extras(recorder, system) -> dict:
     return {"phases": phase_durations(recorder.events), "series": series}
 
 
-def _build_scenario(name: str, *, algorithm: str, rows: int,
-                    operations: int = 0, seed: int = 0,
+def _build_scenario(*, algorithm: str, rows: int, operations: int = 0,
                     compressed_keys: bool = False,
                     key_compare_cost: float = 0.0) -> dict:
     from repro.obs import TraceRecorder
 
     params = {"algorithm": algorithm, "rows": rows,
-              "operations": operations, "workers": 2, "seed": seed}
+              "operations": operations, "workers": 2, "seed": SEED}
     if compressed_keys or key_compare_cost:
         params["compressed_keys"] = compressed_keys
         params["key_compare_cost"] = key_compare_cost
@@ -695,130 +65,50 @@ def _build_scenario(name: str, *, algorithm: str, rows: int,
                            compressed_keys=compressed_keys,
                            key_compare_cost=key_compare_cost)
     recorder = TraceRecorder()
-    started = time.perf_counter()
     result = run_build_experiment(
         algorithm, rows=rows, operations=operations, workers=2,
-        seed=seed, options=options, config=bench_config(),
+        seed=SEED, options=options, config=bench_config(),
         tracer=recorder)
-    wall = time.perf_counter() - started
     interesting = ("index.inserts.ib", "index.splits", "index.traversals",
                    "index.page_visits", "sidefile.appends",
                    "build.sidefile_drained", "log.records",
                    "build.ib_commits", "sort.keys_pushed")
     counters = {key: result.counters[key] for key in interesting
                 if key in result.counters}
-    scenario = {"params": params,
-                "wall_seconds": wall,
-                "keys_per_second": rows / wall if wall else 0.0,
-                "sim_time": result.build_time,
-                "counters": counters}
-    scenario.update(_trace_extras(recorder, result.system))
-    return scenario
+    return {"params": params,
+            "sim_time": result.build_time,
+            "counters": counters,
+            **_trace_extras(recorder, result.system)}
 
 
-def _build_scenarios(mode: str) -> list[tuple[str, Callable[[], dict]]]:
-    if mode == "smoke":
-        rows_list = [120]
-        workload_ops = 20
-    else:
-        rows_list = [300, 900]
-        workload_ops = 60
-    scenarios: list[tuple[str, Callable[[], dict]]] = []
-    for rows in rows_list:
-        for algorithm in ("offline", "nsf", "sf"):
-            scenarios.append((
-                f"build/{algorithm}/rows{rows}",
-                lambda a=algorithm, r=rows: _build_scenario(
-                    f"build/{a}/rows{r}", algorithm=a, rows=r, seed=42)))
-    for algorithm in ("nsf", "sf"):
-        scenarios.append((
-            f"build/{algorithm}/rows{rows_list[0]}/workload",
-            lambda a=algorithm: _build_scenario(
-                f"build/{a}/workload", algorithm=a, rows=rows_list[0],
-                operations=workload_ops, seed=42)))
-    return scenarios
-
-
-# ---------------------------------------------------------------------------
-# compressed-key codec scenarios (simulated-clock on/off sweep) and
-# sealed-run index reconstruction
-# ---------------------------------------------------------------------------
-
-
-def _codec_scenarios(mode: str) \
-        -> list[tuple[str, str, Callable[[], dict]]]:
-    """Codec-on vs codec-off SF builds plus a summary of the ratio.
-
-    ``key_compare_cost`` charges the simulated clock per tournament/merge
-    comparison, weighted by compared-key width (raw composite = key
-    columns + seq + rid, encoded = one machine int), so the summary's
-    speedup is machine-independent the same way the P-sweep's is.
-    """
-    rows = 120 if mode == "smoke" else 400
-    compare_cost = 0.05
-    cache: dict[str, dict] = {}
-    scenarios: list[tuple[str, str, Callable[[], dict]]] = []
-    for label, compressed in (("off", False), ("on", True)):
-        def run_one(lbl=label, c=compressed):
-            scenario = _build_scenario(
-                f"build/sf/codec_{lbl}", algorithm="sf", rows=rows,
-                seed=42, compressed_keys=c,
-                key_compare_cost=compare_cost)
-            cache[lbl] = scenario
-            return scenario
-        scenarios.append((f"build/sf/codec_{label}", "build", run_one))
-
-    def sweep():
-        if "off" not in cache or "on" not in cache:
-            raise AssertionError("codec on/off scenario missing")
-        off, on = cache["off"], cache["on"]
-        return {"params": {"rows": rows, "key_compare_cost": compare_cost},
-                "sim_time_off": off["sim_time"],
-                "sim_time_on": on["sim_time"],
-                "speedup_sim": (off["sim_time"] / on["sim_time"]
-                                if on["sim_time"] else 0.0),
-                "speedup_wall": (off["wall_seconds"] / on["wall_seconds"]
-                                 if on["wall_seconds"] else 0.0)}
-
-    scenarios.append(("codec/sim_sweep", "summary", sweep))
-    return scenarios
-
-
-def _rebuild_scenario(mode: str) -> dict:
-    """Drop+rebuild from sealed runs: zero table pages rescanned.
+def _rebuild_scenario() -> dict:
+    """Drop+rebuild from sealed runs.
 
     A codec-on SF build seals its final merged run; ``rebuild_index``
-    then reconstructs the same index from the sealed store.  The
-    scenario fails outright if the rebuild touches even one table page,
-    and records the simulated-clock speedup over the original build.
+    then reconstructs the same index from the sealed store.  The row
+    records the table pages the rebuild scanned (gated to be zero) and
+    the simulated-clock speedup over the original build.
     """
     from repro.verify import audit_index
 
-    rows = 120 if mode == "smoke" else 400
-    params = {"algorithm": "rebuild", "rows": rows, "seed": 42,
+    params = {"algorithm": "rebuild", "rows": CODEC_ROWS, "seed": SEED,
               "compressed_keys": True}
     options = BuildOptions(checkpoint_every_keys=200,
                            commit_every_keys=128, compressed_keys=True)
     seed_build = run_build_experiment(
-        "sf", rows=rows, operations=0, workers=2, seed=params["seed"],
+        "sf", rows=CODEC_ROWS, operations=0, workers=2, seed=SEED,
         options=options, config=bench_config())
     system = seed_build.system
     before = system.metrics.snapshot()
     builder = system.rebuild_index("idx", options=BuildOptions(
         checkpoint_every_keys=200, commit_every_keys=128))
     proc = system.spawn(builder.run(), name="rebuild")
-    started = time.perf_counter()
     system.run()
-    wall = time.perf_counter() - started
     if proc.error is not None:
         raise proc.error
     audit_index(system, system.indexes["idx"])
     delta = system.metrics.delta(before)
     pages = delta.get("build.pages_scanned", 0)
-    if pages:
-        raise AssertionError(
-            f"rebuild scanned {pages} table pages instead of reusing "
-            "the sealed runs")
     sim_time = builder.timings.get("done", system.now()) \
         - builder.timings.get("start", 0.0)
     interesting = ("rebuild.runs_reused", "index.inserts.bulk",
@@ -826,45 +116,29 @@ def _rebuild_scenario(mode: str) -> dict:
     counters = {key: delta[key] for key in interesting if key in delta}
     counters["build.pages_scanned"] = pages
     return {"params": params,
-            "wall_seconds": wall,
-            "keys_per_second": rows / wall if wall else 0.0,
             "sim_time": sim_time,
             "counters": counters,
             "pages_scanned_delta": pages,
             "seed_build_sim_time": seed_build.build_time,
-            "speedup_vs_seed_build": (seed_build.build_time / sim_time
-                                      if sim_time else 0.0)}
+            "speedup_vs_seed_build": seed_build.build_time / sim_time}
 
 
-# ---------------------------------------------------------------------------
-# parallel build scenarios (simulated-clock P-sweep)
-# ---------------------------------------------------------------------------
-
-
-def _parallel_sf_run(partitions: int, *, rows: int, operations: int,
-                     seed: int) -> dict:
-    """One PSF build at ``partitions`` shards under a concurrent workload.
-
-    Unlike the wall-clock scenarios above, the headline numbers here are
-    *simulated*: the scan+sort phase time (``scan_done - start``), the
-    shard-merge phase time, and the per-shard balance of the range
-    partitioning.  Wall-clock is still recorded for the regression
-    trajectory, but speedups are computed on the simulated clock so they
-    are machine-independent.
-    """
+def _parallel_sf_run(partitions: int, *, rows: int = 600,
+                     operations: int = 60) -> dict:
+    """One PSF build at ``partitions`` shards under a concurrent workload:
+    the scan+sort phase time (``scan_done - start``), the shard-merge
+    phase time, and the per-shard balance of the range partitioning."""
     from repro.metrics import partition_skew
     from repro.obs import TraceRecorder
 
     params = {"algorithm": "psf", "partitions": partitions, "rows": rows,
-              "operations": operations, "workers": 2, "seed": seed}
+              "operations": operations, "workers": 2, "seed": SEED}
     options = BuildOptions(checkpoint_every_keys=200,
                            commit_every_keys=128, partitions=partitions)
     recorder = TraceRecorder()
-    started = time.perf_counter()
     result = run_build_experiment(
-        "psf", rows=rows, operations=operations, workers=2, seed=seed,
+        "psf", rows=rows, operations=operations, workers=2, seed=SEED,
         options=options, config=bench_config(), tracer=recorder)
-    wall = time.perf_counter() - started
     timings = result.builder.timings
     scan_sort = timings["scan_done"] - timings["start"]
     merge = timings.get("pmerge_done", timings["scan_done"]) \
@@ -877,367 +151,65 @@ def _parallel_sf_run(partitions: int, *, rows: int, operations: int,
     counters = {key: result.counters[key] for key in interesting
                 if key in result.counters}
     metrics = result.system.metrics
-    scenario = {"params": params,
-                "wall_seconds": wall,
-                "keys_per_second": rows / wall if wall else 0.0,
-                "sim_time": total,
-                "counters": counters,
-                "scan_sort_sim_time": scan_sort,
-                "merge_sim_time": merge,
-                "merge_share": merge / total if total else 0.0,
-                "partition_skew": {
-                    "pages_scanned": partition_skew(
-                        metrics, "psf.pages_scanned", partitions),
-                    "shard_keys": partition_skew(
-                        metrics, "psf.shard_keys", partitions),
-                    "sidefile_appends": partition_skew(
-                        metrics, "psf.sidefile_appends", partitions),
-                }}
-    scenario.update(_trace_extras(recorder, result.system))
-    return scenario
+    return {"params": params,
+            "sim_time": total,
+            "counters": counters,
+            "scan_sort_sim_time": scan_sort,
+            "merge_sim_time": merge,
+            "merge_share": merge / total,
+            "partition_skew": {
+                "pages_scanned": partition_skew(
+                    metrics, "psf.pages_scanned", partitions),
+                "shard_keys": partition_skew(
+                    metrics, "psf.shard_keys", partitions),
+                "sidefile_appends": partition_skew(
+                    metrics, "psf.sidefile_appends", partitions),
+            },
+            **_trace_extras(recorder, result.system)}
 
 
-def _parallel_scenarios(mode: str) \
-        -> list[tuple[str, str, Callable[[], dict]]]:
-    """Per-P scenarios plus a summary that reads their cached results."""
-    if mode == "smoke":
-        rows, operations, p_list = 120, 20, [1, 2]
-    else:
-        rows, operations, p_list = 600, 60, [1, 2, 4, 8]
-    cache: dict[int, dict] = {}
-    scenarios: list[tuple[str, str, Callable[[], dict]]] = []
-    for partitions in p_list:
-        def run_one(p=partitions):
-            scenario = _parallel_sf_run(p, rows=rows,
-                                        operations=operations, seed=42)
-            cache[p] = scenario
-            return scenario
-        scenarios.append((f"parallel_sf/p{partitions}", "build", run_one))
-
-    def sweep():
-        if not cache:
-            raise AssertionError("no parallel_sf scenario completed")
-        base = cache.get(1)
-        summary: dict[str, Any] = {
-            "params": {"rows": rows, "operations": operations,
-                       "partitions": sorted(cache)},
-            "speedup_scan_sort": {},
-            "speedup_total": {},
-            "merge_share": {},
-            "pages_skew": {},
-        }
-        for p, scenario in sorted(cache.items()):
-            label = str(p)
-            summary["merge_share"][label] = scenario["merge_share"]
-            summary["pages_skew"][label] = \
-                scenario["partition_skew"]["pages_scanned"]["skew"]
-            if base is not None and base["scan_sort_sim_time"]:
-                summary["speedup_scan_sort"][label] = \
-                    base["scan_sort_sim_time"] \
-                    / scenario["scan_sort_sim_time"]
-                summary["speedup_total"][label] = \
-                    base["sim_time"] / scenario["sim_time"]
-        return summary
-
-    scenarios.append(("parallel_sf/p_sweep", "summary", sweep))
-    return scenarios
+def _rows() -> dict[str, Callable[[], dict]]:
+    rows: dict[str, Callable[[], dict]] = {}
+    for count in (300, 900):
+        for algorithm in ("offline", "nsf", "sf"):
+            rows[f"build/{algorithm}/rows{count}"] = partial(
+                _build_scenario, algorithm=algorithm, rows=count)
+    for algorithm in ("nsf", "sf"):
+        rows[f"build/{algorithm}/rows300/workload"] = partial(
+            _build_scenario, algorithm=algorithm, rows=300, operations=60)
+    for label, compressed in (("off", False), ("on", True)):
+        rows[f"build/sf/codec_{label}"] = partial(
+            _build_scenario, algorithm="sf", rows=CODEC_ROWS,
+            compressed_keys=compressed,
+            key_compare_cost=CODEC_COMPARE_COST)
+    rows["rebuild/reuse_runs"] = _rebuild_scenario
+    for partitions in PSF_PARTITIONS:
+        rows[f"parallel_sf/p{partitions}"] = partial(
+            _parallel_sf_run, partitions)
+    return rows
 
 
-MICROS: list[tuple[str, Callable[[str], dict]]] = [
-    ("micro/ib_insert_batch", micro_ib_insert),
-    ("micro/replacement_selection", micro_replacement_selection),
-    ("micro/merge_pop_many", micro_merge_pop_many),
-    ("micro/sidefile_drain", micro_sidefile_drain),
-    ("micro/sidefile_redo", micro_sidefile_redo),
-    ("micro/frontier_shard_of", micro_frontier_shard_of),
-    ("micro/scan_sort_load_codec", micro_scan_sort_load_codec),
-    ("micro/codec_compare_bound", micro_codec_compare_bound),
-]
-
-
-# ---------------------------------------------------------------------------
-# suite driver, schema, CLI
-# ---------------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    """Run every scenario; never raises -- failures land in the JSON.
-
-    ``only`` restricts the run to scenarios whose name starts with the
-    given prefix (used by CI to run just the parallel smoke).  Filtered
-    payloads carry an ``only`` key and skip full-schema validation.
-    """
-    entries: list[tuple[str, str, Callable[[], dict]]] = []
-    for name, thunk in _build_scenarios(mode):
-        entries.append((name, "build", lambda t=thunk: t()))
-    entries.extend(_codec_scenarios(mode))
-    entries.append(("rebuild/reuse_runs", "build",
-                    lambda: _rebuild_scenario(mode)))
-    entries.extend(_parallel_scenarios(mode))
-    for name, body in MICROS:
-        entries.append((name, "micro", lambda b=body: b(mode)))
-    scenarios: list[dict] = []
-    for name, kind, thunk in entries:
-        if only is not None and not name.startswith(only):
-            continue
-        scenarios.append(_run_one(name, kind, thunk, echo))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def _run_one(name: str, kind: str, thunk: Callable[[], dict],
-             echo: Callable[[str], None]) -> dict:
-    scenario: dict[str, Any] = {"name": name, "kind": kind, "ok": True}
-    try:
-        scenario.update(thunk())
-    except Exception as exc:  # noqa: BLE001 - recorded, reported by check
-        scenario["ok"] = False
-        scenario["error"] = f"{type(exc).__name__}: {exc}"
-        echo(f"  FAIL {name}: {scenario['error']}")
-        return scenario
-    if name in ("micro/ib_insert_batch", "micro/frontier_shard_of",
-                "micro/scan_sort_load_codec", "micro/codec_compare_bound"):
-        echo(f"  ok   {name}: speedup {scenario['speedup']:.2f}x "
-             f"({scenario['baseline']['wall_seconds']:.3f}s -> "
-             f"{scenario['optimized']['wall_seconds']:.3f}s)")
-    elif name == "codec/sim_sweep":
-        echo(f"  ok   {name}: sim {scenario['speedup_sim']:.2f}x, "
-             f"wall {scenario['speedup_wall']:.2f}x")
-    elif name == "rebuild/reuse_runs":
-        echo(f"  ok   {name}: 0 pages rescanned, sim "
-             f"{scenario['speedup_vs_seed_build']:.2f}x vs seed build")
-    elif name == "parallel_sf/p_sweep":
-        speedups = ", ".join(
-            f"P={p}: {ratio:.2f}x" for p, ratio
-            in scenario.get("speedup_scan_sort", {}).items())
-        echo(f"  ok   {name}: scan+sort {speedups or 'n/a'}")
-    else:
-        echo(f"  ok   {name}: {scenario.get('wall_seconds', 0.0):.3f}s")
-    return scenario
-
-
-def validate_payload(payload: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
+def gates(rows: dict[str, dict]) -> list[str]:
+    """The suite's own acceptance gates, all on the simulated clock."""
     problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if scenario.get("kind") not in ("build", "micro", "summary"):
-            problems.append(f"{name}: bad kind")
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if not scenario.get("ok"):
-            continue
-        if scenario.get("kind") == "build":
-            for field in ("wall_seconds", "keys_per_second", "sim_time"):
-                if not isinstance(scenario.get(field), (int, float)):
-                    problems.append(f"{name}: missing {field}")
-            if not isinstance(scenario.get("counters"), dict):
-                problems.append(f"{name}: missing counters")
-    ib = find_scenario(payload, "micro/ib_insert_batch")
-    if ib is None:
-        problems.append("micro/ib_insert_batch scenario missing")
-    elif ib.get("ok"):
-        for field in ("baseline", "optimized"):
-            side = ib.get(field)
-            if not isinstance(side, dict) \
-                    or not isinstance(side.get("wall_seconds"),
-                                      (int, float)) \
-                    or not isinstance(side.get("keys_per_second"),
-                                      (int, float)):
-                problems.append(f"ib micro: malformed {field}")
-        if not isinstance(ib.get("speedup"), (int, float)):
-            problems.append("ib micro: missing speedup")
-    return problems
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def check_payload(payload: dict, reference: Optional[dict], *,
-                  max_regression: float = 0.30,
-                  min_speedup: Optional[float] = None) -> list[str]:
-    """Regression gate: schema, scenario failures, IB speedup floor.
-
-    Wall-clock seconds are machine-dependent, so the gate compares the
-    IB-insert *speedup ratio* (same-process, same-machine by
-    construction) against the reference's ratio -- or, when the modes
-    differ (smoke CI vs committed full baseline), against the acceptance
-    floor scaled by the allowed regression.
-    """
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    ib = find_scenario(payload, "micro/ib_insert_batch")
-    speedup = ib.get("speedup") if ib and ib.get("ok") else None
-    if speedup is not None:
-        floor = None
-        if reference is not None:
-            ref_ib = find_scenario(reference, "micro/ib_insert_batch")
-            ref_speedup = (ref_ib or {}).get("speedup")
-            if isinstance(ref_speedup, (int, float)) \
-                    and reference.get("mode") == payload.get("mode"):
-                floor = ref_speedup * (1.0 - max_regression)
-        if floor is None:
-            floor = MIN_IB_SPEEDUP * (1.0 - max_regression)
-        if min_speedup is not None:
-            floor = max(floor, min_speedup)
-        if speedup < floor:
-            problems.append(
-                f"ib-insert speedup {speedup:.2f}x under floor "
-                f"{floor:.2f}x")
-    compare_bound = find_scenario(payload, "micro/codec_compare_bound")
-    bound_speedup = compare_bound.get("speedup") \
-        if compare_bound and compare_bound.get("ok") else None
-    if bound_speedup is not None:
-        floor = None
-        if reference is not None:
-            ref_bound = find_scenario(reference,
-                                      "micro/codec_compare_bound")
-            ref_speedup = (ref_bound or {}).get("speedup")
-            if isinstance(ref_speedup, (int, float)) \
-                    and reference.get("mode") == payload.get("mode"):
-                floor = ref_speedup * (1.0 - max_regression)
-        if floor is None:
-            floor = MIN_CODEC_SPEEDUP * (1.0 - max_regression)
-        if bound_speedup < floor:
-            problems.append(
-                f"codec comparison-bound speedup {bound_speedup:.2f}x "
-                f"under floor {floor:.2f}x")
-    codec = find_scenario(payload, "micro/scan_sort_load_codec")
-    codec_speedup = codec.get("speedup") if codec and codec.get("ok") \
-        else None
-    if codec_speedup is not None and reference is not None:
-        # End-to-end pipeline ratio: regression-gated row-by-row against
-        # the committed baseline (no absolute floor -- see the note on
-        # MIN_CODEC_SPEEDUP above).
-        ref_codec = find_scenario(reference, "micro/scan_sort_load_codec")
-        ref_speedup = (ref_codec or {}).get("speedup")
-        if isinstance(ref_speedup, (int, float)) \
-                and reference.get("mode") == payload.get("mode") \
-                and codec_speedup < ref_speedup * (1.0 - max_regression):
-            problems.append(
-                f"codec scan+sort+load speedup {codec_speedup:.2f}x "
-                f"regressed from baseline {ref_speedup:.2f}x")
-    codec_sim = find_scenario(payload, "codec/sim_sweep")
-    if codec_sim is not None and codec_sim.get("ok"):
-        # Simulated clock: machine-independent, gated on the raw floor.
-        ratio = codec_sim.get("speedup_sim")
-        if isinstance(ratio, (int, float)) \
-                and ratio < MIN_CODEC_SIM_SPEEDUP:
-            problems.append(
-                f"codec simulated build speedup {ratio:.2f}x under "
-                f"floor {MIN_CODEC_SIM_SPEEDUP:.2f}x")
-    rebuild = find_scenario(payload, "rebuild/reuse_runs")
-    if rebuild is not None and rebuild.get("ok") \
-            and rebuild.get("pages_scanned_delta") != 0:
+    ratio = rows["build/sf/codec_off"]["sim_time"] \
+        / rows["build/sf/codec_on"]["sim_time"]
+    if ratio < MIN_CODEC_SIM_SPEEDUP:
         problems.append(
-            "rebuild/reuse_runs rescanned "
-            f"{rebuild.get('pages_scanned_delta')} table pages")
-    sweep = find_scenario(payload, "parallel_sf/p_sweep")
-    if sweep is not None and sweep.get("ok"):
-        # The parallel scan+sort speedup is on the simulated clock, so it
-        # needs no machine-matched reference -- gate on the floor whenever
-        # the sweep reached P=4 (full mode; the smoke stops at P=2).
-        at_four = sweep.get("speedup_scan_sort", {}).get("4")
-        if isinstance(at_four, (int, float)) \
-                and at_four < MIN_PSF_SCAN_SPEEDUP:
-            problems.append(
-                f"parallel scan+sort speedup at P=4 {at_four:.2f}x "
-                f"under floor {MIN_PSF_SCAN_SPEEDUP:.2f}x")
+            f"build/sf/codec_on: simulated build speedup {ratio:.2f}x "
+            f"over codec_off under floor {MIN_CODEC_SIM_SPEEDUP:.2f}x")
+    rescanned = rows["rebuild/reuse_runs"]["pages_scanned_delta"]
+    if rescanned != 0:
+        problems.append(
+            f"rebuild/reuse_runs: rescanned {rescanned} table pages "
+            "instead of reusing the sealed runs")
+    ratio = rows["parallel_sf/p1"]["scan_sort_sim_time"] \
+        / rows["parallel_sf/p4"]["scan_sort_sim_time"]
+    if ratio < MIN_PSF_SCAN_SPEEDUP:
+        problems.append(
+            f"parallel_sf/p4: scan+sort speedup {ratio:.2f}x over P=1 "
+            f"under floor {MIN_PSF_SCAN_SPEEDUP:.2f}x")
     return problems
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.perf",
-        description="wall-clock perf-regression suite")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced sizes for CI")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips full-schema validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate regressions against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative speedup loss (default 0.30)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="hard lower bound on the ib-insert speedup")
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"perf suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        # Light validation: a filtered payload is missing required
-        # scenarios by design, so just demand the filter matched and
-        # nothing that ran failed.
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        if not problems:
-            print(f"ok: {len(payload['scenarios'])} scenario(s)")
-        return 1 if problems else 0
-
-    reference = None
-    if args.check_against:
-        with open(args.check_against, "r", encoding="utf-8") as handle:
-            reference = json.load(handle)
-    problems = check_payload(payload, reference,
-                             max_regression=args.max_regression,
-                             min_speedup=args.min_speedup)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        ib = find_scenario(payload, "micro/ib_insert_batch")
-        print(f"ok: ib-insert speedup {ib['speedup']:.2f}x")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())
+SUITE = Suite("perf", _rows(), gates)

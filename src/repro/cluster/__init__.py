@@ -11,8 +11,8 @@ public surface:
 * :func:`check_cluster` -- the cross-replica consistency oracle;
 * :func:`plan_divergent_indexes` -- per-replica advisor slices;
 * ``python -m repro.sweep crash --builder cluster`` /
-  ``python -m repro.cluster.bench`` -- the fault sweep and the
-  end-to-end demo.
+  ``python -m repro.bench cluster`` -- the fault sweep and the
+  end-to-end demo (:mod:`repro.cluster.bench`).
 """
 
 from repro.cluster.cluster import Cluster, plan_divergent_indexes

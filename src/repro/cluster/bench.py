@@ -1,6 +1,7 @@
-"""Replication-cluster bench (``python -m repro.cluster.bench``).
+"""Replication-cluster bench (suite ``cluster`` of
+``python -m repro.bench``).
 
-The end-to-end demo of the PR: under one fixed open-loop traffic mix,
+Under one fixed open-loop traffic mix,
 
 * ``baseline/no_replicas`` -- a bare primary, no replicas, no indexes:
   every range read is a primary table scan (the mix's worst case);
@@ -17,30 +18,23 @@ The end-to-end demo of the PR: under one fixed open-loop traffic mix,
 
 Every scenario must also pass the cross-replica consistency oracle --
 the bench publishes no number the oracle has not stood behind.
-
-All numbers are on the simulated clock, so reruns are byte-identical;
-CI gates drift against the committed ``BENCH_PR8.json`` with
-``--check-against`` exactly like the other bench suites.
-
-Usage::
-
-    python -m repro.cluster.bench --out BENCH_PR8.json
-    python -m repro.cluster.bench --smoke --out /tmp/now.json \\
-        --check-against BENCH_PR8.json --max-regression 0.30
+Self-gates (:func:`gates`): reads are routed to replicas and served by
+their indexes, the replicas' picks diverge, the post-flip routed range
+p99 beats the scan-only baseline's, and the failover row shows exactly
+one failover, one driver rebind and commits after the cut.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import sys
-from typing import Any, Callable, Optional
+from typing import Any
 
+from repro.bench.runner import Suite
 from repro.cluster.cluster import plan_divergent_indexes
 from repro.cluster.oracle import check_cluster
 from repro.cluster.scenario import (
     BUILD_OPTIONS,
+    SCENARIO_CONFIG,
     TABLE,
     build_scenario,
     run_scenario,
@@ -48,9 +42,6 @@ from repro.cluster.scenario import (
 )
 from repro.sim.kernel import Delay
 from repro.slo.analyzer import latency_report
-
-SCHEMA_VERSION = 1
-SUITE_NAME = "repro.cluster.bench"
 
 #: one fixed traffic/cluster shape for every scenario.  The table is
 #: deliberately larger than the buffer pool and each node's disk serves
@@ -87,29 +78,14 @@ COUNTERS = (
     "cluster.builds_started",
 )
 
-#: smoke runs the IDENTICAL traffic -- the whole suite takes seconds on
-#: the simulated clock, and identical params are what make CI's drift
-#: gate against the committed full baseline compare like with like
-SMOKE_PARAMS: dict = {}
 
-
-def _params(mode: str) -> dict:
-    params = dict(PARAMS)
-    if mode == "smoke":
-        params.update(SMOKE_PARAMS)
-    return params
-
-
-def _scenario_kwargs(params: dict) -> dict:
-    import dataclasses as _dc
-
-    from repro.cluster.scenario import SCENARIO_CONFIG
-    config = _dc.replace(SCENARIO_CONFIG,
-                         buffer_frames=params["buffer_frames"],
-                         disk_channels=params["disk_channels"])
-    return dict(records=params["records"],
-                operations=params["operations"],
-                rate=params["rate"], seed=params["seed"],
+def _scenario_kwargs() -> dict:
+    config = dataclasses.replace(SCENARIO_CONFIG,
+                                 buffer_frames=PARAMS["buffer_frames"],
+                                 disk_channels=PARAMS["disk_channels"])
+    return dict(records=PARAMS["records"],
+                operations=PARAMS["operations"],
+                rate=PARAMS["rate"], seed=PARAMS["seed"],
                 config=config)
 
 
@@ -118,9 +94,9 @@ def _counters(cluster) -> dict:
             if cluster.metrics.get(key)}
 
 
-def _base_row(cluster, driver, summary, params: dict) -> dict:
+def _base_row(cluster, summary, shape: str) -> dict:
     return {
-        "params": dict(params),
+        "params": dict(PARAMS, shape=shape),
         "latency": latency_report(cluster.tracer.events),
         "counters": _counters(cluster),
         "oracle": summary,
@@ -128,22 +104,20 @@ def _base_row(cluster, driver, summary, params: dict) -> dict:
     }
 
 
-def _run_baseline(params: dict) -> dict:
-    cluster, driver, summary, _ = run_scenario(
-        replicas=0, builds=False, **_scenario_kwargs(params))
-    row = _base_row(cluster, driver, summary, params)
-    row["params"]["shape"] = "baseline"
-    return row
+def _run_baseline() -> dict:
+    cluster, _driver, summary, _ = run_scenario(
+        replicas=0, builds=False, **_scenario_kwargs())
+    return _base_row(cluster, summary, "baseline")
 
 
-def _run_divergent(params: dict) -> dict:
+def _run_divergent() -> dict:
     cluster, driver = build_scenario(
-        replicas=params["replicas"], **_scenario_kwargs(params))
-    base_spec = scenario_spec(params["operations"], params["rate"])
+        replicas=PARAMS["replicas"], **_scenario_kwargs())
+    base_spec = scenario_spec(PARAMS["operations"], PARAMS["rate"])
     slices = {name: dataclasses.replace(base_spec, range_columns=cols)
               for name, cols in SLICES.items()}
     plans = plan_divergent_indexes(cluster, TABLE, slices,
-                                   params["advisor_budget_pages"])
+                                   PARAMS["advisor_budget_pages"])
     advisor_row: dict[str, Any] = {}
     for name, (report, specs) in sorted(plans.items()):
         if not specs:
@@ -177,8 +151,7 @@ def _run_divergent(params: dict) -> dict:
     cluster.run()
     summary = check_cluster(cluster, driver)
 
-    row = _base_row(cluster, driver, summary, params)
-    row["params"]["shape"] = "divergent"
+    row = _base_row(cluster, summary, "divergent")
     row["advisor"] = advisor_row
     row["available_at"] = dict(sorted(available_at.items()))
     flip_done = max(available_at.values())
@@ -194,13 +167,11 @@ def _run_divergent(params: dict) -> dict:
     return row
 
 
-def _run_failover(params: dict) -> dict:
+def _run_failover() -> dict:
+    cut = PARAMS["failover_at"]
     cluster, driver, summary, _ = run_scenario(
-        replicas=params["replicas"], failover_at=params["failover_at"],
-        **_scenario_kwargs(params))
-    row = _base_row(cluster, driver, summary, params)
-    row["params"]["shape"] = "failover"
-    cut = params["failover_at"]
+        replicas=PARAMS["replicas"], failover_at=cut, **_scenario_kwargs())
+    row = _base_row(cluster, summary, "failover")
     row["failover"] = {
         "at": cut,
         "new_primary": cluster.primary.name,
@@ -212,244 +183,57 @@ def _run_failover(params: dict) -> dict:
     return row
 
 
-def _scenarios(params: dict) -> list[tuple[str, Callable[[], dict]]]:
-    return [
-        ("baseline/no_replicas", lambda: _run_baseline(params)),
-        ("cluster/divergent", lambda: _run_divergent(params)),
-        ("cluster/failover", lambda: _run_failover(params)),
-    ]
-
-
-# ---------------------------------------------------------------------------
-# suite driver, gates, CLI (the shape shared by the other bench suites)
-# ---------------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    params = _params(mode)
-    scenarios: list[dict] = []
-    for name, thunk in _scenarios(params):
-        if only is not None and not name.startswith(only):
-            continue
-        scenario: dict[str, Any] = {"name": name, "ok": True}
-        try:
-            scenario.update(thunk())
-        except Exception as exc:  # noqa: BLE001 - recorded, gated later
-            scenario["ok"] = False
-            scenario["error"] = f"{type(exc).__name__}: {exc}"
-            echo(f"  FAIL {name}: {scenario['error']}")
-        else:
-            echo(f"  ok   {name:22s} "
-                 f"p99={scenario['latency']['p99']:7.1f}  "
-                 f"range_p99="
-                 f"{scenario['latency']['by_op']['range']['p99']:7.1f}")
-        scenarios.append(scenario)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def validate_payload(payload: dict) -> list[str]:
+def gates(rows: dict[str, dict]) -> list[str]:
+    """The suite's own acceptance gates."""
     problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if scenario.get("ok") \
-                and not (scenario.get("oracle") or {}).get("ok"):
-            problems.append(f"{name}: oracle summary missing or not ok")
-    if payload.get("only") is None:
-        for expected in ("baseline/no_replicas", "cluster/divergent",
-                         "cluster/failover"):
-            if expected not in names:
-                problems.append(f"{expected} scenario missing")
+    baseline = rows["baseline/no_replicas"]
+    if baseline["counters"].get("cluster.router.to_replica"):
+        problems.append("baseline/no_replicas: routed reads to a replica "
+                        "with zero replicas attached")
+
+    divergent = rows["cluster/divergent"]
+    counters = divergent["counters"]
+    post = divergent["post_flip"]
+    if not counters.get("cluster.router.to_replica"):
+        problems.append("cluster/divergent: no reads were routed to "
+                        "replicas")
+    if not counters.get("cluster.range_via_index"):
+        problems.append("cluster/divergent: no range read went via a "
+                        "replica index")
+    leading = {tuple(pick[:1]) for node in divergent["advisor"].values()
+               for pick in node["picks"]}
+    if len(leading) < 2:
+        problems.append(
+            f"cluster/divergent: replicas did not diverge -- leading "
+            f"columns {sorted(leading)}")
+    if post["range_ops"] < PARAMS["min_post_flip_ranges"]:
+        problems.append(
+            f"cluster/divergent: only {post['range_ops']} committed "
+            f"range reads after the last flip (need "
+            f"{PARAMS['min_post_flip_ranges']})")
+    base_p99 = baseline["latency"]["by_op"]["range"]["p99"]
+    if not post["range_p99"] < base_p99:
+        problems.append(
+            f"cluster/divergent: post-flip routed range p99 "
+            f"{post['range_p99']:.1f} not below the scan-only "
+            f"baseline's {base_p99:.1f}")
+
+    failover = rows["cluster/failover"]
+    counters = failover["counters"]
+    if counters.get("cluster.failovers") != 1:
+        problems.append(
+            f"cluster/failover: expected exactly 1 failover, got "
+            f"{counters.get('cluster.failovers')}")
+    if counters.get("cluster.driver_rebinds") != 1:
+        problems.append("cluster/failover: traffic driver did not rebind")
+    if not failover["failover"]["committed_after"]:
+        problems.append("cluster/failover: no operation committed after "
+                        "the primary died")
     return problems
 
 
-def _bench_gates(payload: dict) -> list[str]:
-    """The suite's own acceptance gates (no reference needed)."""
-    problems: list[str] = []
-    baseline = find_scenario(payload, "baseline/no_replicas")
-    divergent = find_scenario(payload, "cluster/divergent")
-    failover = find_scenario(payload, "cluster/failover")
-    if baseline is not None and baseline.get("ok"):
-        counters = baseline.get("counters", {})
-        if counters.get("cluster.router.to_replica"):
-            problems.append("baseline: routed reads to a replica with "
-                            "zero replicas attached")
-    if divergent is not None and divergent.get("ok"):
-        counters = divergent.get("counters", {})
-        post = divergent.get("post_flip", {})
-        if not counters.get("cluster.router.to_replica"):
-            problems.append("divergent: no reads were routed to replicas")
-        if not counters.get("cluster.range_via_index"):
-            problems.append("divergent: no range read went via a "
-                            "replica index")
-        picks = {name: row.get("picks", [])
-                 for name, row in (divergent.get("advisor") or {}).items()}
-        for name, node_picks in sorted(picks.items()):
-            if not node_picks:
-                problems.append(f"divergent: advisor picked nothing "
-                                f"for {name}")
-        leading = {tuple(p[:1]) for node_picks in picks.values()
-                   for p in node_picks}
-        if len(leading) < 2:
-            problems.append(
-                f"divergent: replicas did not diverge -- leading "
-                f"columns {sorted(leading)}")
-        min_ranges = (divergent.get("params") or {}).get(
-            "min_post_flip_ranges", 0)
-        if post.get("range_ops", 0) < min_ranges:
-            problems.append(
-                f"divergent: only {post.get('range_ops')} committed "
-                f"range reads after the last flip (need {min_ranges})")
-        if baseline is not None and baseline.get("ok") \
-                and post.get("range_p99") is not None:
-            base_p99 = baseline["latency"]["by_op"]["range"]["p99"]
-            if not post["range_p99"] < base_p99:
-                problems.append(
-                    f"divergent: post-flip routed range p99 "
-                    f"{post['range_p99']:.1f} not below the scan-only "
-                    f"baseline's {base_p99:.1f}")
-    if failover is not None and failover.get("ok"):
-        counters = failover.get("counters", {})
-        info = failover.get("failover", {})
-        if counters.get("cluster.failovers") != 1:
-            problems.append(
-                f"failover: expected exactly 1 failover, got "
-                f"{counters.get('cluster.failovers')}")
-        if counters.get("cluster.driver_rebinds") != 1:
-            problems.append("failover: traffic driver did not rebind")
-        if not info.get("committed_after"):
-            problems.append("failover: no operation committed after "
-                            "the primary died")
-    return problems
-
-
-def _compare_scenario(name: str, scenario: dict, reference: dict,
-                      max_regression: float) -> list[str]:
-    problems = []
-    fields = [
-        ("latency.p99", (scenario.get("latency") or {}).get("p99"),
-         (reference.get("latency") or {}).get("p99")),
-        ("post_flip.range_p99",
-         (scenario.get("post_flip") or {}).get("range_p99"),
-         (reference.get("post_flip") or {}).get("range_p99")),
-    ]
-    for field, new, ref in fields:
-        if not isinstance(new, (int, float)) \
-                or not isinstance(ref, (int, float)) or ref == 0:
-            continue
-        drift = abs(new - ref) / ref
-        if drift > max_regression:
-            problems.append(
-                f"{name}: {field} {new:.2f} drifted {drift:.0%} from "
-                f"reference {ref:.2f} (tolerance {max_regression:.0%})")
-    return problems
-
-
-def check_payload(payload: dict, reference: Optional[dict] = None, *,
-                  max_regression: float = 0.30) -> list[str]:
-    """Full gate: schema + scenario failures + bench gates + drift."""
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    problems.extend(_bench_gates(payload))
-    if reference is not None:
-        for scenario in payload.get("scenarios", []):
-            if not scenario.get("ok"):
-                continue
-            ref = find_scenario(reference, scenario["name"])
-            if ref is None or not ref.get("ok"):
-                continue
-            problems.extend(_compare_scenario(
-                scenario["name"], scenario, ref, max_regression))
-    return problems
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.bench",
-        description="replication cluster end-to-end demo: divergent "
-                    "per-replica online builds, routed reads, failover")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="smaller traffic (CI)")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips completeness validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate drift against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative drift vs the reference "
-                             "(default 0.30)")
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"cluster bench suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-    else:
-        reference = None
-        if args.check_against:
-            with open(args.check_against, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
-        problems = check_payload(payload, reference,
-                                 max_regression=args.max_regression)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        print(f"ok: {len(payload['scenarios'])} scenario(s)")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())
+SUITE = Suite("cluster", {
+    "baseline/no_replicas": _run_baseline,
+    "cluster/divergent": _run_divergent,
+    "cluster/failover": _run_failover,
+}, gates)

@@ -4,8 +4,8 @@
   each index flipping AVAILABLE as soon as its own drain completes;
 * :func:`multi_build` -- discipline dispatch (SF pipeline or NSF's
   directly-maintained K-spec build) for one shared scan;
-* ``python -m repro.multibuild.bench`` -- the K-sweep showing one shared
-  scan beating K sequential builds (committed as ``BENCH_PR7.json``).
+* ``python -m repro.bench multibuild`` -- the K-sweep showing one shared
+  scan beating K sequential builds (:mod:`repro.multibuild.bench`).
 """
 
 from repro.multibuild.builder import MultiIndexBuilder, multi_build

@@ -1,4 +1,5 @@
-"""Multi-index build bench (``python -m repro.multibuild.bench``).
+"""Multi-index build bench (suite ``multibuild`` of
+``python -m repro.bench``).
 
 Measures what section 6.2's shared scan buys: for K in a small sweep,
 the suite builds the same K indexes twice under identical open-loop
@@ -14,36 +15,25 @@ plus an ``advisor`` scenario that derives the index set from the traffic
 spec itself (:func:`repro.advisor.templates_from_spec` ->
 :func:`repro.advisor.recommend`) and builds the picks as one multibuild.
 
-Self-gates (no reference needed):
+Self-gates (:func:`gates`):
 
 * for K >= 2 the multibuild must finish strictly faster than the
   sequential baseline AND scan strictly fewer pages (the whole point);
 * for K = 1 the two must scan the same number of pages (the shared-scan
   machinery adds no I/O when there is nothing to share);
-* the advisor's picks must be non-empty, within budget, improve the
-  estimated workload cost, and every pick must reach AVAILABLE.
-
-All headline numbers are on the simulated clock; CI gates drift against
-the committed ``BENCH_PR7.json`` exactly like the other bench suites
-(``--check-against``), comparing rows by name wherever both payloads ran
-them, so the smoke subset checks against the full baseline.
-
-Usage::
-
-    python -m repro.multibuild.bench --out BENCH_PR7.json
-    python -m repro.multibuild.bench --smoke --out /tmp/now.json \\
-        --check-against BENCH_PR7.json --max-regression 0.30
+* the advisor's picks must be non-empty, within budget and improve the
+  estimated workload cost (every pick reaching AVAILABLE is checked by
+  the scenario itself).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.advisor import AdvisorConfig, recommend, templates_from_spec
 from repro.advisor.model import TableStats
+from repro.bench.runner import Suite
 from repro.core import BuildOptions, IndexSpec
 from repro.core.sf import SFIndexBuilder
 from repro.multibuild.builder import MultiIndexBuilder
@@ -52,12 +42,8 @@ from repro.slo.analyzer import latency_report
 from repro.system import System, SystemConfig
 from repro.workloads import OpenLoopDriver, OpenLoopSpec
 
-SCHEMA_VERSION = 1
-SUITE_NAME = "repro.multibuild.bench"
-
-#: index counts swept (smoke keeps the endpoints)
-FULL_KS: tuple[int, ...] = (1, 2, 3)
-SMOKE_KS: tuple[int, ...] = (1, 3)
+#: index counts swept
+KS: tuple[int, ...] = (1, 2, 3)
 
 #: one fixed traffic/system shape for every scenario
 PARAMS = {
@@ -234,230 +220,50 @@ def _run_advisor() -> dict:
     return scenario
 
 
-def _scenarios(mode: str) -> list[tuple[str, Callable[[], dict]]]:
-    ks = SMOKE_KS if mode == "smoke" else FULL_KS
-    entries: list[tuple[str, Callable[[], dict]]] = []
-    for k in ks:
-        entries.append((f"multibuild/k{k}",
-                        lambda kk=k: _run_multibuild(kk)))
-        entries.append((f"sequential/k{k}",
-                        lambda kk=k: _run_sequential(kk)))
-    entries.append(("advisor", _run_advisor))
-    return entries
+def _rows() -> dict[str, Callable[[], dict]]:
+    rows: dict[str, Callable[[], dict]] = {}
+    for k in KS:
+        rows[f"multibuild/k{k}"] = partial(_run_multibuild, k)
+        rows[f"sequential/k{k}"] = partial(_run_sequential, k)
+    rows["advisor"] = _run_advisor
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# suite driver, gates, CLI (the shape shared by the other bench suites)
-# ---------------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    scenarios: list[dict] = []
-    for name, thunk in _scenarios(mode):
-        if only is not None and not name.startswith(only):
-            continue
-        scenario: dict[str, Any] = {"name": name, "ok": True}
-        try:
-            scenario.update(thunk())
-        except Exception as exc:  # noqa: BLE001 - recorded, gated later
-            scenario["ok"] = False
-            scenario["error"] = f"{type(exc).__name__}: {exc}"
-            echo(f"  FAIL {name}: {scenario['error']}")
-        else:
-            echo(f"  ok   {name:18s} build={scenario['build_time']:9.1f}  "
-                 f"pages={scenario['counters'].get('build.pages_scanned', 0)}")
-        scenarios.append(scenario)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def validate_payload(payload: dict) -> list[str]:
+def gates(rows: dict[str, dict]) -> list[str]:
+    """The suite's own acceptance gates."""
     problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if scenario.get("ok") and not isinstance(
-                scenario.get("build_time"), (int, float)):
-            problems.append(f"{name}: missing build_time")
-    if payload.get("only") is None:
-        ks = SMOKE_KS if payload.get("mode") == "smoke" else FULL_KS
-        for k in ks:
-            for shape in ("multibuild", "sequential"):
-                expected = f"{shape}/k{k}"
-                if expected not in names:
-                    problems.append(f"{expected} scenario missing")
-        if "advisor" not in names:
-            problems.append("advisor scenario missing")
-    return problems
-
-
-def _bench_gates(payload: dict) -> list[str]:
-    """The suite's own acceptance gates (no reference needed)."""
-    problems: list[str] = []
-    ks = SMOKE_KS if payload.get("mode") == "smoke" else FULL_KS
-    for k in ks:
-        multi = find_scenario(payload, f"multibuild/k{k}")
-        seq = find_scenario(payload, f"sequential/k{k}")
-        if multi is None or seq is None \
-                or not multi.get("ok") or not seq.get("ok"):
-            continue
+    for k in KS:
+        name = f"multibuild/k{k}"
+        multi, seq = rows[name], rows[f"sequential/k{k}"]
         m_pages = multi["counters"].get("build.pages_scanned", 0)
         s_pages = seq["counters"].get("build.pages_scanned", 0)
         if k == 1 and m_pages != s_pages:
             problems.append(
-                f"k=1: multibuild scanned {m_pages} pages, sequential "
-                f"{s_pages} -- the shared scan should cost nothing extra")
+                f"{name}: scanned {m_pages} pages, sequential {s_pages} "
+                f"-- the shared scan should cost nothing extra")
         if k >= 2:
             if not multi["build_time"] < seq["build_time"]:
                 problems.append(
-                    f"k={k}: multibuild build_time "
-                    f"{multi['build_time']:.1f} not below sequential "
-                    f"{seq['build_time']:.1f} -- the shared scan is "
-                    f"not paying for itself")
+                    f"{name}: build_time {multi['build_time']:.1f} not "
+                    f"below sequential {seq['build_time']:.1f} -- the "
+                    f"shared scan is not paying for itself")
             if not m_pages < s_pages:
                 problems.append(
-                    f"k={k}: multibuild scanned {m_pages} pages, "
-                    f"sequential {s_pages} -- expected one scan vs {k}")
-    advisor = find_scenario(payload, "advisor")
-    if advisor is not None and advisor.get("ok"):
-        adv = advisor.get("advisor", {})
-        if not adv.get("picks"):
-            problems.append("advisor: no picks recorded")
-        if not adv.get("final_cost", 0) < adv.get("initial_cost", 0):
-            problems.append(
-                f"advisor: estimated cost did not improve "
-                f"({adv.get('initial_cost')} -> {adv.get('final_cost')})")
-        budget = PARAMS["advisor_budget_pages"]
-        if adv.get("storage_used", 0) > budget:
-            problems.append(
-                f"advisor: storage {adv.get('storage_used')} exceeds "
-                f"budget {budget}")
+                    f"{name}: scanned {m_pages} pages, sequential "
+                    f"{s_pages} -- expected one scan vs {k}")
+    adv = rows["advisor"]["advisor"]
+    if not adv["picks"]:
+        problems.append("advisor: no picks recorded")
+    if not adv["final_cost"] < adv["initial_cost"]:
+        problems.append(
+            f"advisor: estimated cost did not improve "
+            f"({adv['initial_cost']} -> {adv['final_cost']})")
+    budget = PARAMS["advisor_budget_pages"]
+    if adv["storage_used"] > budget:
+        problems.append(
+            f"advisor: storage {adv['storage_used']} exceeds budget "
+            f"{budget}")
     return problems
 
 
-def _compare_scenario(name: str, scenario: dict, reference: dict,
-                      max_regression: float) -> list[str]:
-    problems = []
-    fields = [("build_time", scenario.get("build_time"),
-               reference.get("build_time")),
-              ("latency.p99", (scenario.get("latency") or {}).get("p99"),
-               (reference.get("latency") or {}).get("p99"))]
-    for field, new, ref in fields:
-        if not isinstance(new, (int, float)) \
-                or not isinstance(ref, (int, float)) or ref == 0:
-            continue
-        drift = abs(new - ref) / ref
-        if drift > max_regression:
-            problems.append(
-                f"{name}: {field} {new:.2f} drifted {drift:.0%} from "
-                f"reference {ref:.2f} (tolerance {max_regression:.0%})")
-    return problems
-
-
-def check_payload(payload: dict, reference: Optional[dict] = None, *,
-                  max_regression: float = 0.30) -> list[str]:
-    """Full gate: schema + scenario failures + bench gates + drift."""
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    problems.extend(_bench_gates(payload))
-    if reference is not None:
-        for scenario in payload.get("scenarios", []):
-            if not scenario.get("ok"):
-                continue
-            ref = find_scenario(reference, scenario["name"])
-            if ref is None or not ref.get("ok"):
-                continue
-            problems.extend(_compare_scenario(
-                scenario["name"], scenario, ref, max_regression))
-    return problems
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.multibuild.bench",
-        description="shared-scan multi-index build vs K sequential "
-                    "builds, plus the advisor pipeline")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="K endpoints only (CI)")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips completeness validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate drift against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative drift vs the reference "
-                             "(default 0.30)")
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"multibuild bench suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-    else:
-        reference = None
-        if args.check_against:
-            with open(args.check_against, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
-        problems = check_payload(payload, reference,
-                                 max_regression=args.max_regression)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        print(f"ok: {len(payload['scenarios'])} scenario(s)")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())
+SUITE = Suite("multibuild", _rows(), gates)

@@ -1,4 +1,5 @@
-"""Build-time-vs-latency tradeoff suite (``python -m repro.slo.tradeoff``).
+"""Build-time-vs-latency tradeoff suite (suite ``slo`` of
+``python -m repro.bench``).
 
 The paper removes the *correctness* reason to quiesce updates; this
 suite measures the remaining *performance* reason.  Every scenario runs
@@ -7,55 +8,39 @@ OpenLoopDriver`) against a shared single-channel disk
 (``disk_channels=1``) while one builder constructs the index, sweeping
 the IB admission-control throttle
 (:attr:`repro.system.SystemConfig.build_rate_limit`) from unthrottled
-down to the tightest setting.  For each run it records the simulated
-build time and the foreground latency report *windowed to operations
+down to the tightest setting.  Each row records the simulated build
+time next to the foreground latency report *windowed to operations
 issued while the build was running* -- the whole-run p99 would invert
 the curve (a slower, throttled build disturbs more of the run), while
 the windowed p99 shows what the throttle actually buys: the latency of
 the traffic that coexists with the build.
 
-Every headline number is on the simulated clock, so the payload is
-machine-independent and CI can gate byte-for-byte against the committed
-``BENCH_PR6.json`` (``--check-against``).  The suite also self-gates:
+Self-gates (:func:`gates`):
 
-* **monotone build time** -- each online builder's build must take at
-  least as long at every tighter throttle step, and strictly longer at
-  the tightest step than unthrottled (the throttle does throttle);
+* **monotone build time** -- each builder's build must take at least as
+  long at every tighter throttle step, and strictly longer at the
+  tightest step than unthrottled (the throttle does throttle);
 * **p99 protection** -- at the tightest throttle each *online*
   builder's windowed p99 must stay within
-  :data:`P99_PROTECTION_FACTOR` of the no-build baseline's p99.  The
+  :data:`P99_PROTECTION_FACTOR` of the no-build baseline's p99, and the
+  bursty row within the same factor of the *bursty* baseline's.  The
   offline builder is swept for contrast but excluded from this gate:
   it X-locks the table, so foreground latency during the build is the
   quiesce time, which no admission throttle can fix (sections 1-2 --
   the reason the online algorithms exist).
-
-Usage::
-
-    python -m repro.slo.tradeoff --out BENCH_PR6.json
-    python -m repro.slo.tradeoff --smoke --out /tmp/now.json \\
-        --check-against BENCH_PR6.json --max-regression 0.30
-
-The smoke mode runs a strict subset of the full scenarios (the
-unthrottled and tightest-throttle endpoints) with identical parameters,
-so its simulated results must match the committed full baseline's rows
-exactly; the tolerance only absorbs deliberate recalibrations.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
+from functools import partial
 from typing import Any, Callable, Optional
 
+from repro.bench.runner import Suite
 from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.obs import enable_tracing
 from repro.slo.analyzer import latency_report
 from repro.system import System, SystemConfig
 from repro.workloads import OpenLoopDriver, OpenLoopSpec
-
-SCHEMA_VERSION = 1
-SUITE_NAME = "repro.slo.tradeoff"
 
 #: the p99-protection gate: at the tightest throttle, each online
 #: builder's windowed foreground p99 must not exceed the no-build
@@ -68,11 +53,10 @@ BUILDERS = ("offline", "nsf", "sf", "psf")
 #: builders the p99-protection gate applies to
 ONLINE_BUILDERS = ("nsf", "sf", "psf")
 
-#: throttle sweep, loosest to tightest (None = unthrottled).  The smoke
-#: mode keeps only the endpoints; the values are work items (pages
-#: scanned / keys loaded / entries drained) per simulated time unit.
-FULL_RATES: tuple[Optional[float], ...] = (None, 0.4, 0.1, 0.05)
-SMOKE_RATES: tuple[Optional[float], ...] = (None, 0.05)
+#: throttle sweep, loosest to tightest (None = unthrottled); the values
+#: are work items (pages scanned / keys loaded / entries drained) per
+#: simulated time unit
+RATES: tuple[Optional[float], ...] = (None, 0.4, 0.1, 0.05)
 
 #: one fixed traffic/system shape for every scenario -- the sweep
 #: varies ONLY the builder and its throttle, so rows are comparable
@@ -91,8 +75,7 @@ PARAMS = {
 #: arrivals alternate between a peak and a trough (coordinated-omission
 #: stress -- backlog built during a burst inflates the tail).  Swept for
 #: the sf builder at the throttle endpoints against a bursty no-build
-#: baseline; the rows are gated when present but are not required, so
-#: payloads from before the bursty sweep still validate.
+#: baseline.
 BURSTY_BUILDER = "sf"
 BURSTY_RATES: tuple[Optional[float], ...] = (None, 0.05)
 BURSTY_PARAMS = {
@@ -189,303 +172,59 @@ def _run_traffic(builder: Optional[str], rate: Optional[float],
     return scenario
 
 
-def _scenarios(mode: str) -> list[tuple[str, str, Callable[[], dict]]]:
-    rates = SMOKE_RATES if mode == "smoke" else FULL_RATES
-    entries: list[tuple[str, str, Callable[[], dict]]] = [
-        ("baseline", "baseline", lambda: _run_traffic(None, None))]
+def _rows() -> dict[str, Callable[[], dict]]:
+    rows: dict[str, Callable[[], dict]] = {
+        "baseline": partial(_run_traffic, None, None)}
     for builder in BUILDERS:
-        for rate in rates:
-            entries.append((
-                f"tradeoff/{builder}/rate_{rate_label(rate)}",
-                "build",
-                lambda b=builder, r=rate: _run_traffic(b, r)))
-    entries.append(("bursty/baseline", "baseline",
-                    lambda: _run_traffic(None, None, arrivals="bursty")))
+        for rate in RATES:
+            rows[f"tradeoff/{builder}/rate_{rate_label(rate)}"] = partial(
+                _run_traffic, builder, rate)
+    rows["bursty/baseline"] = partial(_run_traffic, None, None,
+                                      arrivals="bursty")
     for rate in BURSTY_RATES:
-        entries.append((
-            f"bursty/{BURSTY_BUILDER}/rate_{rate_label(rate)}",
-            "build",
-            lambda r=rate: _run_traffic(BURSTY_BUILDER, r,
-                                        arrivals="bursty")))
-    return entries
+        rows[f"bursty/{BURSTY_BUILDER}/rate_{rate_label(rate)}"] = partial(
+            _run_traffic, BURSTY_BUILDER, rate, arrivals="bursty")
+    return rows
 
 
-# ---------------------------------------------------------------------------
-# suite driver, schema, gates, CLI
-# ---------------------------------------------------------------------------
-
-
-def run_suite(mode: str = "full", *, only: Optional[str] = None,
-              echo: Callable[[str], None] = lambda line: None) -> dict:
-    """Run every scenario; never raises -- failures land in the JSON."""
-    scenarios: list[dict] = []
-    for name, kind, thunk in _scenarios(mode):
-        if only is not None and not name.startswith(only):
-            continue
-        scenario: dict[str, Any] = {"name": name, "kind": kind,
-                                    "ok": True}
-        try:
-            scenario.update(thunk())
-        except Exception as exc:  # noqa: BLE001 - recorded, gated later
-            scenario["ok"] = False
-            scenario["error"] = f"{type(exc).__name__}: {exc}"
-            echo(f"  FAIL {name}: {scenario['error']}")
-        else:
-            latency = scenario["latency"]
-            build = scenario.get("build_time")
-            build_part = f"build={build:9.1f}  " if build is not None \
-                else " " * 17
-            echo(f"  ok   {name:28s} {build_part}"
-                 f"p50={latency['p50']:6.2f} p99={latency['p99']:6.2f} "
-                 f"(n={latency['ops']})")
-        scenarios.append(scenario)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "suite": SUITE_NAME,
-        "mode": mode,
-        "python": sys.version.split()[0],
-        "p99_protection_factor": P99_PROTECTION_FACTOR,
-        "scenarios": scenarios,
-    }
-    if only is not None:
-        payload["only"] = only
-    return payload
-
-
-def find_scenario(payload: dict, name: str) -> Optional[dict]:
-    for scenario in payload.get("scenarios", []):
-        if scenario.get("name") == name:
-            return scenario
-    return None
-
-
-def _latency_ok(scenario: dict) -> bool:
-    latency = scenario.get("latency")
-    return isinstance(latency, dict) and all(
-        isinstance(latency.get(field), (int, float))
-        for field in ("p50", "p95", "p99", "max", "mean", "ops"))
-
-
-def validate_payload(payload: dict) -> list[str]:
-    """Schema check; returns a list of problems (empty = valid)."""
+def gates(rows: dict[str, dict]) -> list[str]:
+    """The suite's own acceptance gates."""
     problems: list[str] = []
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        problems.append(f"schema_version != {SCHEMA_VERSION}")
-    if payload.get("suite") != SUITE_NAME:
-        problems.append("suite name mismatch")
-    if payload.get("mode") not in ("full", "smoke"):
-        problems.append("mode must be 'full' or 'smoke'")
-    scenarios = payload.get("scenarios")
-    if not isinstance(scenarios, list) or not scenarios:
-        return problems + ["scenarios must be a non-empty list"]
-    names = set()
-    for scenario in scenarios:
-        name = scenario.get("name")
-        if not isinstance(name, str) or not name:
-            problems.append("scenario without a name")
-            continue
-        if name in names:
-            problems.append(f"duplicate scenario {name}")
-        names.add(name)
-        if scenario.get("kind") not in ("baseline", "build"):
-            problems.append(f"{name}: bad kind")
-        if not isinstance(scenario.get("ok"), bool):
-            problems.append(f"{name}: ok must be a bool")
-        if not scenario.get("ok"):
-            continue
-        if not _latency_ok(scenario):
-            problems.append(f"{name}: malformed latency report")
-        if scenario.get("kind") == "build" \
-                and not isinstance(scenario.get("build_time"),
-                                   (int, float)):
-            problems.append(f"{name}: missing build_time")
-    if payload.get("only") is None:
-        rates = SMOKE_RATES if payload.get("mode") == "smoke" \
-            else FULL_RATES
-        if "baseline" not in names:
-            problems.append("baseline scenario missing")
-        for builder in BUILDERS:
-            for rate in rates:
-                expected = f"tradeoff/{builder}/rate_{rate_label(rate)}"
-                if expected not in names:
-                    problems.append(f"{expected} scenario missing")
-    return problems
-
-
-def _tradeoff_gates(payload: dict) -> list[str]:
-    """The suite's own acceptance gates (no reference needed)."""
-    problems: list[str] = []
-    rates = SMOKE_RATES if payload.get("mode") == "smoke" else FULL_RATES
-    baseline = find_scenario(payload, "baseline")
-    baseline_p99 = None
-    if baseline is not None and baseline.get("ok"):
-        baseline_p99 = baseline["latency"]["p99"]
-
     for builder in BUILDERS:
-        times: list[tuple[Optional[float], float]] = []
-        for rate in rates:
-            name = f"tradeoff/{builder}/rate_{rate_label(rate)}"
-            scenario = find_scenario(payload, name)
-            if scenario is None or not scenario.get("ok"):
-                continue
-            times.append((rate, scenario["build_time"]))
-        if len(times) < 2:
-            continue  # failures already reported by check_payload
+        names = [f"tradeoff/{builder}/rate_{rate_label(rate)}"
+                 for rate in RATES]
         # monotone: tighter throttle (later in the sweep) never builds
         # faster, and the tightest is strictly slower than unthrottled
-        for (loose, t_loose), (tight, t_tight) in zip(times, times[1:]):
-            if t_tight < t_loose:
+        for loose, tight in zip(names, names[1:]):
+            if rows[tight]["build_time"] < rows[loose]["build_time"]:
                 problems.append(
-                    f"{builder}: build_time fell from {t_loose:.1f} to "
-                    f"{t_tight:.1f} when tightening rate "
-                    f"{rate_label(loose)} -> {rate_label(tight)}")
-        if times[0][0] is None and not times[-1][1] > times[0][1]:
+                    f"{tight}: build_time fell from "
+                    f"{rows[loose]['build_time']:.1f} to "
+                    f"{rows[tight]['build_time']:.1f} when tightening "
+                    f"from {loose}")
+        if not rows[names[-1]]["build_time"] > rows[names[0]]["build_time"]:
             problems.append(
-                f"{builder}: tightest throttle build_time "
-                f"{times[-1][1]:.1f} not above unthrottled "
-                f"{times[0][1]:.1f} -- the throttle is not throttling")
+                f"{names[-1]}: build_time "
+                f"{rows[names[-1]]['build_time']:.1f} not above "
+                f"unthrottled {rows[names[0]]['build_time']:.1f} -- the "
+                f"throttle is not throttling")
 
-    if baseline_p99 is not None:
-        ceiling = baseline_p99 * P99_PROTECTION_FACTOR
-        tightest = rates[-1]
-        for builder in ONLINE_BUILDERS:
-            name = f"tradeoff/{builder}/rate_{rate_label(tightest)}"
-            scenario = find_scenario(payload, name)
-            if scenario is None or not scenario.get("ok"):
-                continue
-            p99 = scenario["latency"]["p99"]
-            if p99 > ceiling:
-                problems.append(
-                    f"{builder} at rate {rate_label(tightest)}: windowed "
-                    f"p99 {p99:.2f} exceeds {P99_PROTECTION_FACTOR}x "
-                    f"baseline ({ceiling:.2f})")
-
-    # Bursty add-on: same p99-protection contract, but against the
-    # *bursty* no-build baseline (burst backlog raises the floor for
-    # everyone; the gate is on what the build adds on top).  Applies
-    # only when the bursty rows ran -- older payloads predate them.
-    bursty_baseline = find_scenario(payload, "bursty/baseline")
-    if bursty_baseline is not None and bursty_baseline.get("ok"):
-        ceiling = bursty_baseline["latency"]["p99"] * P99_PROTECTION_FACTOR
-        tightest = BURSTY_RATES[-1]
-        name = f"bursty/{BURSTY_BUILDER}/rate_{rate_label(tightest)}"
-        scenario = find_scenario(payload, name)
-        if scenario is not None and scenario.get("ok"):
-            p99 = scenario["latency"]["p99"]
-            if p99 > ceiling:
-                problems.append(
-                    f"bursty {BURSTY_BUILDER} at rate "
-                    f"{rate_label(tightest)}: windowed p99 {p99:.2f} "
-                    f"exceeds {P99_PROTECTION_FACTOR}x bursty baseline "
-                    f"({ceiling:.2f})")
+    # The bursty ceiling is relative to the *bursty* no-build baseline:
+    # burst backlog raises the floor for everyone; the gate is on what
+    # the build adds on top.
+    protected = [(f"tradeoff/{builder}/rate_{rate_label(RATES[-1])}",
+                  "baseline") for builder in ONLINE_BUILDERS]
+    protected.append(
+        (f"bursty/{BURSTY_BUILDER}/rate_{rate_label(BURSTY_RATES[-1])}",
+         "bursty/baseline"))
+    for name, baseline in protected:
+        ceiling = rows[baseline]["latency"]["p99"] * P99_PROTECTION_FACTOR
+        p99 = rows[name]["latency"]["p99"]
+        if p99 > ceiling:
+            problems.append(
+                f"{name}: windowed p99 {p99:.2f} exceeds "
+                f"{P99_PROTECTION_FACTOR}x {baseline} ({ceiling:.2f})")
     return problems
 
 
-def _compare_scenario(name: str, scenario: dict, reference: dict,
-                      max_regression: float) -> list[str]:
-    """Row-by-row simulated-clock comparison (both directions).
-
-    Everything compared is on the simulated clock, so matching
-    parameters must reproduce matching numbers on any machine; the
-    tolerance exists for deliberate recalibrations, not noise.
-    """
-    problems = []
-    fields = [("build_time", scenario.get("build_time"),
-               reference.get("build_time")),
-              ("latency.p99", (scenario.get("latency") or {}).get("p99"),
-               (reference.get("latency") or {}).get("p99"))]
-    for field, new, ref in fields:
-        if not isinstance(new, (int, float)) \
-                or not isinstance(ref, (int, float)) or ref == 0:
-            continue
-        drift = abs(new - ref) / ref
-        if drift > max_regression:
-            problems.append(
-                f"{name}: {field} {new:.2f} drifted "
-                f"{drift:.0%} from reference {ref:.2f} "
-                f"(tolerance {max_regression:.0%})")
-    return problems
-
-
-def check_payload(payload: dict, reference: Optional[dict] = None, *,
-                  max_regression: float = 0.30) -> list[str]:
-    """Full gate: schema + scenario failures + tradeoff gates + drift.
-
-    Reference rows are compared by scenario name wherever both payloads
-    ran the scenario, regardless of mode -- the smoke sweep is a strict
-    subset of the full one with identical parameters.
-    """
-    problems = validate_payload(payload)
-    for scenario in payload.get("scenarios", []):
-        if not scenario.get("ok"):
-            problems.append(
-                f"scenario {scenario.get('name')} failed: "
-                f"{scenario.get('error', 'unknown error')}")
-    problems.extend(_tradeoff_gates(payload))
-    if reference is not None:
-        for scenario in payload.get("scenarios", []):
-            if not scenario.get("ok"):
-                continue
-            ref = find_scenario(reference, scenario["name"])
-            if ref is None or not ref.get("ok"):
-                continue
-            problems.extend(_compare_scenario(
-                scenario["name"], scenario, ref, max_regression))
-    return problems
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.slo.tradeoff",
-        description="build-throttle vs foreground-latency tradeoff suite")
-    parser.add_argument("--out", required=True,
-                        help="write the results JSON here")
-    parser.add_argument("--smoke", action="store_true",
-                        help="endpoint rates only (CI)")
-    parser.add_argument("--only", metavar="PREFIX", default=None,
-                        help="run only scenarios whose name starts with "
-                             "PREFIX (skips completeness validation)")
-    parser.add_argument("--check-against", metavar="REF",
-                        help="reference JSON to gate drift against")
-    parser.add_argument("--max-regression", type=float, default=0.30,
-                        help="allowed relative drift vs the reference "
-                             "(default 0.30)")
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    suffix = f", only={args.only}" if args.only else ""
-    print(f"slo tradeoff suite ({mode}{suffix})")
-    payload = run_suite(mode, only=args.only, echo=print)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"wrote {args.out}")
-
-    if args.only:
-        problems = [] if payload["scenarios"] else \
-            [f"--only {args.only} matched no scenarios"]
-        for scenario in payload["scenarios"]:
-            if not scenario.get("ok"):
-                problems.append(
-                    f"scenario {scenario.get('name')} failed: "
-                    f"{scenario.get('error', 'unknown error')}")
-    else:
-        reference = None
-        if args.check_against:
-            with open(args.check_against, "r", encoding="utf-8") as handle:
-                reference = json.load(handle)
-        problems = check_payload(payload, reference,
-                                 max_regression=args.max_regression)
-    for problem in problems:
-        print(f"FAIL: {problem}")
-    if not problems:
-        baseline = find_scenario(payload, "baseline")
-        tail = ""
-        if baseline is not None and baseline.get("ok"):
-            tail = f" (baseline p99 {baseline['latency']['p99']:.2f})"
-        print(f"ok: {len(payload['scenarios'])} scenario(s){tail}")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    sys.exit(main())
+SUITE = Suite("slo", _rows(), gates)

@@ -6,7 +6,9 @@ actually has teeth."""
 
 import pytest
 
+from repro.bench.runner import check
 from repro.cluster import Cluster, check_cluster, heap_state, physical_fold
+from repro.cluster.bench import SUITE
 from repro.cluster.scenario import (
     SCENARIO_CONFIG,
     TABLE,
@@ -276,3 +278,65 @@ def test_oracle_detects_index_tamper():
             break
     with pytest.raises(ConsistencyError, match="index audit"):
         check_cluster(cluster, driver)
+
+
+# -- the bench suite's self-gates, on synthetic rows -------------------------
+
+
+def _bench_payload():
+    """Every row the suite enumerates, shaped to pass every gate."""
+    def latency(range_p99):
+        return {"p99": range_p99, "by_op": {"range": {"p99": range_p99}}}
+
+    return {"schema_version": 1, "suites": {"cluster": {
+        "baseline/no_replicas": {
+            "ok": True, "latency": latency(9000.0),
+            "counters": {"cluster.router.to_primary": 240}},
+        "cluster/divergent": {
+            "ok": True, "latency": latency(4000.0),
+            "counters": {"cluster.router.to_replica": 90,
+                         "cluster.range_via_index": 30},
+            "advisor": {"node1": {"picks": [["k"]]},
+                        "node2": {"picks": [["a"], ["b"]]}},
+            "post_flip": {"range_ops": 12, "range_p99": 300.0}},
+        "cluster/failover": {
+            "ok": True, "latency": latency(900.0),
+            "counters": {"cluster.failovers": 1,
+                         "cluster.driver_rebinds": 1},
+            "failover": {"committed_after": 80}},
+    }}}
+
+
+@pytest.mark.parametrize("row,path,value,problem", [
+    ("baseline/no_replicas", ("counters", "cluster.router.to_replica"), 1,
+     "cluster/baseline/no_replicas: routed reads to a replica"),
+    ("cluster/divergent", ("counters", "cluster.router.to_replica"), 0,
+     "cluster/cluster/divergent: no reads were routed to replicas"),
+    ("cluster/divergent", ("counters", "cluster.range_via_index"), 0,
+     "cluster/cluster/divergent: no range read went via a replica index"),
+    ("cluster/divergent", ("advisor", "node2", "picks"), [["k", "a"]],
+     "cluster/cluster/divergent: replicas did not diverge"),
+    ("cluster/divergent", ("post_flip", "range_ops"), 4,
+     "cluster/cluster/divergent: only 4 committed range reads"),
+    ("cluster/divergent", ("post_flip", "range_p99"), 9000.0,
+     "cluster/cluster/divergent: post-flip routed range p99 9000.0 not "
+     "below"),
+    ("cluster/failover", ("counters", "cluster.failovers"), 2,
+     "cluster/cluster/failover: expected exactly 1 failover, got 2"),
+    ("cluster/failover", ("counters", "cluster.driver_rebinds"), 0,
+     "cluster/cluster/failover: traffic driver did not rebind"),
+    ("cluster/failover", ("failover", "committed_after"), 0,
+     "cluster/cluster/failover: no operation committed after"),
+], ids=["baseline-routed", "not-routed", "no-index-reads", "no-divergence",
+        "few-post-flip-ranges", "range-p99", "failovers", "rebind",
+        "commits-after"])
+def test_bench_gates_trip_by_row_name(row, path, value, problem):
+    payload = _bench_payload()
+    assert sorted(payload["suites"]["cluster"]) == sorted(SUITE.rows)
+    assert check(payload, [SUITE]) == []
+    target = payload["suites"]["cluster"][row]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    problems = check(payload, [SUITE])
+    assert len(problems) == 1 and problems[0].startswith(problem), problems

@@ -126,6 +126,23 @@ def test_multi_sweep_covers_the_manifest_sites():
         assert site in discovered, f"{site} unreachable: {sorted(discovered)}"
 
 
+def test_sweep_still_discovers_hot_path_fault_sites():
+    """The hoisted fault_point guards are zero-cost when no injector is
+    installed; with one installed they must still report every site."""
+    config = Scenario(builder="nsf", records=120, operations=40)
+    census = discover(config)
+    for site in ("build.sort_push", "btree.ib_insert", "btree.split",
+                 "nsf.insert_batch", "wal.force.before",
+                 "build.checkpoint.before", "kernel.step.builder"):
+        assert census.get(site, 0) > 0, f"site {site} vanished from sweep"
+
+    config = Scenario(builder="sf", records=120, operations=40)
+    census = discover(config)
+    for site in ("sidefile.append", "sidefile.force", "btree.drain_apply",
+                 "sf.load_batch", "wal.force.before"):
+        assert census.get(site, 0) > 0, f"site {site} vanished from sweep"
+
+
 def test_sweep_catches_a_broken_checkpoint(monkeypatch):
     """Checkpoints that skip forcing the index pages violate section
     3.2.4 ("after all the dirty pages of the index have been written to

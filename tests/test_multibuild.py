@@ -10,6 +10,7 @@ finished ones.
 
 import pytest
 
+from repro.bench.runner import check
 from repro.core import (
     BuildOptions,
     IndexSpec,
@@ -21,7 +22,7 @@ from repro.core import (
     resume_build,
 )
 from repro.faultinject.injector import CRASH, FaultInjector, FaultPlan
-from repro.multibuild import MultiIndexBuilder, multi_build
+from repro.multibuild import MultiIndexBuilder, bench, multi_build
 from repro.recovery import restart
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
@@ -201,3 +202,50 @@ def test_nsf_discipline_builds_k_indexes_under_load():
         descriptor = system.indexes[spec_.name]
         assert descriptor.state is IndexState.AVAILABLE
         audit_index(system, descriptor)
+
+
+# -- the bench suite's self-gates, on synthetic rows -------------------------
+
+
+def _bench_payload():
+    """Every row the suite enumerates, shaped to pass every gate."""
+    rows = {"advisor": {"ok": True, "advisor": {
+        "picks": [["k"], ["a", "b"]], "initial_cost": 10.0,
+        "final_cost": 4.0, "storage_used": 100}}}
+    for k in bench.KS:
+        rows[f"multibuild/k{k}"] = {
+            "ok": True, "build_time": 500.0 + 20.0 * (k - 1),
+            "counters": {"build.pages_scanned": 40}}
+        rows[f"sequential/k{k}"] = {
+            "ok": True, "build_time": 500.0 * k,
+            "counters": {"build.pages_scanned": 40 * k}}
+    return {"schema_version": 1, "suites": {"multibuild": rows}}
+
+
+@pytest.mark.parametrize("row,path,value,problem", [
+    ("multibuild/k1", ("counters", "build.pages_scanned"), 41,
+     "multibuild/multibuild/k1: scanned 41 pages, sequential 40"),
+    ("multibuild/k2", ("build_time",), 1000.0,
+     "multibuild/multibuild/k2: build_time 1000.0 not below sequential "
+     "1000.0"),
+    ("multibuild/k3", ("counters", "build.pages_scanned"), 120,
+     "multibuild/multibuild/k3: scanned 120 pages, sequential 120"),
+    ("advisor", ("advisor", "picks"), [],
+     "multibuild/advisor: no picks recorded"),
+    ("advisor", ("advisor", "final_cost"), 10.0,
+     "multibuild/advisor: estimated cost did not improve"),
+    ("advisor", ("advisor", "storage_used"), 401,
+     "multibuild/advisor: storage 401 exceeds budget 400"),
+], ids=["k1-pages", "k2-time", "k3-pages", "advisor-picks", "advisor-cost",
+        "advisor-budget"])
+def test_bench_gates_trip_by_row_name(row, path, value, problem):
+    payload = _bench_payload()
+    assert sorted(payload["suites"]["multibuild"]) \
+        == sorted(bench.SUITE.rows)
+    assert check(payload, [bench.SUITE]) == []
+    target = payload["suites"]["multibuild"][row]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    problems = check(payload, [bench.SUITE])
+    assert len(problems) == 1 and problems[0].startswith(problem), problems

@@ -1,12 +1,14 @@
 """Latency-oracle tests: exact percentile math on hand-built traces,
-the report's window/outcome filters, the tradeoff suite's schema and
+the report's window/outcome filters, the tradeoff suite's rows and
 gates (including a tampered payload tripping them), and the analyzer
 CLI round trip."""
 
 import json
+import math
 
 import pytest
 
+from repro.bench.runner import SCHEMA_VERSION, check
 from repro.slo import latency_report, parse_trace, percentile, \
     queue_high_water
 from repro.slo.analyzer import op_latencies
@@ -140,116 +142,107 @@ def test_injected_stall_moves_the_tail_not_the_median():
     assert report["p99"] == 500.0 and report["max"] == 500.0
 
 
-# -- tradeoff suite: schema and gates ----------------------------------------
+# -- tradeoff suite: rows and gates -------------------------------------------
 
 
-def _fake_payload(mode="smoke", baseline_p99=20.0, tight_p99=None,
-                  build_times=None):
-    """A structurally valid payload with controllable gate inputs."""
-    rates = tradeoff.SMOKE_RATES if mode == "smoke" else tradeoff.FULL_RATES
+def _latency(p99):
+    return {"ops": 150, "p50": p99 / 4, "p95": p99 * 0.9, "p99": p99,
+            "max": p99 * 1.5, "mean": p99 / 3, "excluded": 0,
+            "dropped": 0, "queue_high_water": 2, "by_op": {}}
+
+
+def _fake_payload(baseline_p99=20.0, tight_p99=None, build_times=None,
+                  bursty_p99=30.0, bursty_tight_p99=None):
+    """Every row the suite enumerates, with controllable gate inputs:
+    the tightest-throttle rows carry ``tight_p99`` (default: the
+    baseline's), every looser row twice the baseline's."""
     if build_times is None:
-        build_times = [100.0 * (3 ** i) for i in range(len(rates))]
-    if tight_p99 is None:
-        tight_p99 = baseline_p99
+        build_times = [100.0 * (3 ** i) for i in range(len(tradeoff.RATES))]
 
-    def latency(p99):
-        return {"ops": 150, "p50": p99 / 4, "p95": p99 * 0.9, "p99": p99,
-                "max": p99 * 1.5, "mean": p99 / 3, "excluded": 0,
-                "dropped": 0, "queue_high_water": 2, "by_op": {}}
+    def sweep(prefix, builders, rates, times, baseline, tight):
+        for builder in builders:
+            for i, rate in enumerate(rates):
+                p99 = baseline * 2.0 if i < len(rates) - 1 \
+                    else baseline if tight is None else tight
+                yield (f"{prefix}/{builder}/rate_{tradeoff.rate_label(rate)}",
+                       {"ok": True, "build_time": times[i],
+                        "latency": _latency(p99)})
 
-    scenarios = [{"name": "baseline", "kind": "baseline", "ok": True,
-                  "params": {}, "latency": latency(baseline_p99)}]
-    for builder in tradeoff.BUILDERS:
-        for i, rate in enumerate(rates):
-            tightest = i == len(rates) - 1
-            p99 = tight_p99 if tightest else baseline_p99 * 2.0
-            scenarios.append({
-                "name": f"tradeoff/{builder}/"
-                        f"rate_{tradeoff.rate_label(rate)}",
-                "kind": "build", "ok": True, "params": {},
-                "build_time": build_times[i],
-                "latency": latency(p99)})
-    return {"schema_version": tradeoff.SCHEMA_VERSION,
-            "suite": tradeoff.SUITE_NAME, "mode": mode,
-            "python": "3", "p99_protection_factor":
-                tradeoff.P99_PROTECTION_FACTOR,
-            "scenarios": scenarios}
+    rows = {"baseline": {"ok": True, "latency": _latency(baseline_p99)},
+            "bursty/baseline": {"ok": True,
+                                "latency": _latency(bursty_p99)}}
+    rows.update(sweep("tradeoff", tradeoff.BUILDERS, tradeoff.RATES,
+                      build_times, baseline_p99, tight_p99))
+    rows.update(sweep("bursty", [tradeoff.BURSTY_BUILDER],
+                      tradeoff.BURSTY_RATES, [100.0, 200.0], bursty_p99,
+                      bursty_tight_p99))
+    return {"schema_version": SCHEMA_VERSION, "suites": {"slo": rows}}
+
+
+def _check(payload, baseline=None):
+    return check(payload, [tradeoff.SUITE], baseline)
 
 
 def test_fake_payload_passes_all_gates():
-    assert tradeoff.check_payload(_fake_payload()) == []
+    payload = _fake_payload()
+    assert sorted(payload["suites"]["slo"]) == sorted(tradeoff.SUITE.rows)
+    assert _check(payload) == []
+    assert _check(payload, _fake_payload()) == []
 
 
 def test_validate_payload_catches_structural_problems():
+    reference = _fake_payload()
     payload = _fake_payload()
-    payload["schema_version"] = 99
-    payload["scenarios"][1]["latency"].pop("p99")
-    payload["scenarios"].append(dict(payload["scenarios"][2]))
-    problems = tradeoff.validate_payload(payload)
-    assert any("schema_version" in p for p in problems)
-    assert any("malformed latency" in p for p in problems)
-    assert any("duplicate" in p for p in problems)
+    payload["suites"]["slo"]["tradeoff/sf/rate_0.4"]["latency"].pop("p95")
+    payload["suites"]["slo"]["tradeoff/unknown"] = {"ok": True}
+    assert _check(payload, reference) == [
+        "slo/tradeoff/sf/rate_0.4/latency/p95: in the baseline, not in "
+        "this run",
+        "slo/tradeoff/unknown: in this run, not in the baseline"]
+    reference["schema_version"] = 99
+    assert any("schema_version" in p for p in _check(payload, reference))
 
 
 def test_validate_payload_catches_missing_scenarios():
     payload = _fake_payload()
-    payload["scenarios"] = [s for s in payload["scenarios"]
-                            if not s["name"].startswith("tradeoff/sf/")]
-    problems = tradeoff.validate_payload(payload)
-    assert any("tradeoff/sf/" in p and "missing" in p for p in problems)
+    for name in list(payload["suites"]["slo"]):
+        if name.startswith(("tradeoff/sf/", "bursty/sf/")):
+            del payload["suites"]["slo"][name]
+    assert _check(payload) == [
+        f"slo/{prefix}/sf/rate_{tradeoff.rate_label(rate)}: row missing"
+        for prefix, rates in (("tradeoff", tradeoff.RATES),
+                              ("bursty", tradeoff.BURSTY_RATES))
+        for rate in rates]
 
 
 def test_gate_trips_on_non_monotone_build_time():
-    payload = _fake_payload(build_times=[500.0, 100.0])
-    problems = tradeoff.check_payload(payload)
-    assert any("build_time fell" in p for p in problems)
-    flat = _fake_payload(build_times=[100.0, 100.0])
-    assert any("not throttling" in p
-               for p in tradeoff.check_payload(flat))
+    payload = _fake_payload(build_times=[100.0, 300.0, 200.0, 900.0])
+    problems = _check(payload)
+    assert len(problems) == len(tradeoff.BUILDERS)
+    assert "slo/tradeoff/nsf/rate_0.1: build_time fell from 300.0 to " \
+        "200.0 when tightening from tradeoff/nsf/rate_0.4" in problems
+    flat = _fake_payload(build_times=[100.0] * 4)
+    assert any(p.startswith("slo/tradeoff/sf/rate_0.05: ")
+               and "not throttling" in p for p in _check(flat))
 
 
 def test_gate_trips_on_unprotected_p99():
     """Tamper: a synthetic stall pushes the tightest-throttle p99 past
     the protection ceiling -- the gate must trip for online builders."""
-    payload = _fake_payload(baseline_p99=20.0, tight_p99=100.0)
-    problems = tradeoff.check_payload(payload)
-    for builder in tradeoff.ONLINE_BUILDERS:
-        assert any(p.startswith(builder) and "exceeds" in p
-                   for p in problems), problems
+    ceiling = 20.0 * tradeoff.P99_PROTECTION_FACTOR
+    assert _check(_fake_payload(baseline_p99=20.0,
+                                tight_p99=ceiling)) == []
+    problems = _check(_fake_payload(baseline_p99=20.0, tight_p99=100.0))
     # offline is excluded from the p99 gate by design
-    assert not any(p.startswith("offline") for p in problems)
-
-
-def _add_bursty_rows(payload, baseline_p99=30.0, tight_p99=None):
-    """Append the bursty add-on scenarios the full suite emits."""
-    if tight_p99 is None:
-        tight_p99 = baseline_p99
-
-    def latency(p99):
-        return {"ops": 150, "p50": p99 / 4, "p95": p99 * 0.9, "p99": p99,
-                "max": p99 * 1.5, "mean": p99 / 3, "excluded": 0,
-                "dropped": 0, "queue_high_water": 2, "by_op": {}}
-
-    payload["scenarios"].append(
-        {"name": "bursty/baseline", "kind": "baseline", "ok": True,
-         "params": dict(tradeoff.BURSTY_PARAMS),
-         "latency": latency(baseline_p99)})
-    for i, rate in enumerate(tradeoff.BURSTY_RATES):
-        tightest = i == len(tradeoff.BURSTY_RATES) - 1
-        p99 = tight_p99 if tightest else baseline_p99 * 2.0
-        payload["scenarios"].append(
-            {"name": f"bursty/{tradeoff.BURSTY_BUILDER}/"
-                     f"rate_{tradeoff.rate_label(rate)}",
-             "kind": "build", "ok": True,
-             "params": dict(tradeoff.BURSTY_PARAMS),
-             "build_time": 100.0 * (2 ** i),
-             "latency": latency(p99)})
-    return payload
+    assert problems == [
+        f"slo/tradeoff/{builder}/rate_0.05: windowed p99 100.00 exceeds "
+        f"1.2x baseline (24.00)" for builder in tradeoff.ONLINE_BUILDERS]
 
 
 def test_bursty_rows_pass_when_tail_is_protected():
-    payload = _add_bursty_rows(_fake_payload())
-    assert tradeoff.check_payload(payload) == []
+    ceiling = 30.0 * tradeoff.P99_PROTECTION_FACTOR
+    assert _check(_fake_payload(bursty_p99=30.0,
+                                bursty_tight_p99=ceiling)) == []
 
 
 def test_bursty_gate_trips_on_unprotected_tail():
@@ -257,49 +250,42 @@ def test_bursty_gate_trips_on_unprotected_tail():
     burst backlog raises the floor for everyone -- and must trip when
     the throttled build still blows through it."""
     bad_p99 = 30.0 * tradeoff.P99_PROTECTION_FACTOR * 2.0
-    payload = _add_bursty_rows(_fake_payload(), baseline_p99=30.0,
-                               tight_p99=bad_p99)
-    problems = tradeoff.check_payload(payload)
-    assert any("bursty" in p and "exceeds" in p for p in problems), \
-        problems
+    assert _check(_fake_payload(bursty_p99=30.0,
+                                bursty_tight_p99=bad_p99)) == [
+        "slo/bursty/sf/rate_0.05: windowed p99 72.00 exceeds 1.2x "
+        "bursty/baseline (36.00)"]
 
 
 def test_bursty_rows_are_optional_for_older_payloads():
-    """Payloads recorded before the bursty sweep (no bursty/* rows) must
-    still validate and gate cleanly -- covered by the plain fake payload
-    -- and a failed bursty baseline must disable (not trip) the gate."""
-    payload = _add_bursty_rows(_fake_payload(), tight_p99=10_000.0)
-    baseline = tradeoff.find_scenario(payload, "bursty/baseline")
-    baseline["ok"] = False
-    baseline["error"] = "ValueError: boom"
-    problems = tradeoff.check_payload(payload)
-    assert not any("exceeds" in p and "bursty" in p for p in problems)
-    assert any("boom" in p for p in problems)  # the failure still reports
+    """No longer optional -- the suite enumerates the bursty rows, so a
+    payload without them fails by name (above) -- but a *failed* bursty
+    baseline still disables the gates rather than tripping them: the
+    failure is the one problem reported."""
+    payload = _fake_payload(bursty_tight_p99=10_000.0)
+    payload["suites"]["slo"]["bursty/baseline"] = {
+        "ok": False, "error": "ValueError: boom"}
+    assert _check(payload) == [
+        "slo/bursty/baseline: failed: ValueError: boom"]
 
 
 def test_check_payload_flags_drift_against_reference():
     reference = _fake_payload()
     payload = _fake_payload()
-    row = tradeoff.find_scenario(payload, "tradeoff/nsf/rate_0.05")
-    row["build_time"] *= 2.0
-    problems = tradeoff.check_payload(payload, reference,
-                                      max_regression=0.30)
-    assert any("tradeoff/nsf/rate_0.05" in p and "drifted" in p
-               for p in problems)
-    # within tolerance passes
-    row["build_time"] /= 2.0
-    row["latency"]["p99"] *= 1.1
-    assert tradeoff.check_payload(payload, reference,
-                                  max_regression=0.30) == []
+    row = payload["suites"]["slo"]["tradeoff/nsf/rate_0.05"]
+    row["build_time"] += 1.0
+    row["latency"]["p99"] = math.nextafter(row["latency"]["p99"], 0.0)
+    assert _check(payload, reference) == [
+        "slo/tradeoff/nsf/rate_0.05/build_time: 2700.0 → 2701.0",
+        "slo/tradeoff/nsf/rate_0.05/latency/p99: 20.0 → "
+        "19.999999999999996"]
 
 
 def test_check_payload_reports_failed_scenarios():
     payload = _fake_payload()
-    payload["scenarios"][3] = {"name": payload["scenarios"][3]["name"],
-                               "kind": "build", "ok": False,
-                               "error": "ValueError: boom"}
-    problems = tradeoff.check_payload(payload)
-    assert any("boom" in p for p in problems)
+    payload["suites"]["slo"]["tradeoff/offline/rate_0.1"] = {
+        "ok": False, "error": "ValueError: boom"}
+    assert _check(payload) == [
+        "slo/tradeoff/offline/rate_0.1: failed: ValueError: boom"]
 
 
 def test_rate_label_is_stable():
