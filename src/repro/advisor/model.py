@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, TYPE_CHECKING
 
+from repro.metrics.registry import ordered_sum
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
     from repro.system import System
@@ -167,6 +169,6 @@ class WhatIfCostModel:
     def workload_cost(self, templates: Sequence[QueryTemplate],
                       candidates: Sequence[CandidateIndex]) -> float:
         """Weighted sum of each template's cheapest plan."""
-        return sum(template.weight
-                   * self.best_query_cost(template, candidates)
-                   for template in templates)
+        return ordered_sum(
+            template.weight * self.best_query_cost(template, candidates)
+            for template in templates)

@@ -28,6 +28,7 @@ from repro.advisor.model import (
     WhatIfCostModel,
 )
 from repro.core import IndexSpec
+from repro.metrics.registry import ordered_sum
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workloads.openloop import OpenLoopSpec
@@ -186,7 +187,7 @@ def templates_from_spec(olspec: "OpenLoopSpec") -> list:
     """
     if not olspec.range_columns:
         return []
-    total = sum(weight for _name, weight in olspec.range_columns)
+    total = ordered_sum(weight for _name, weight in olspec.range_columns)
     if total <= 0:
         return []
     selectivity = min(1.0, max(olspec.range_span, 1)

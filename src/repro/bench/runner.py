@@ -2,9 +2,11 @@
 
 A *suite* is a named set of deterministic scenario bodies plus the
 self-gates over the rows they return.  Every value a row holds is on the
-simulated clock or an exact counter, so two runs on any machine write
-byte-identical files and the regression gate is plain equality with the
-committed ``BENCH_BASELINE.json``::
+simulated clock or an exact counter, so two runs on any machine and any
+CPython from 3.10 to 3.13 write byte-identical files (float totals that
+reach a row add in IEEE order, :func:`repro.metrics.ordered_sum`, not
+with the builtin ``sum()``) and the regression gate is plain equality
+with the committed ``BENCH_BASELINE.json``::
 
     python -m repro.bench --out now.json --check BENCH_BASELINE.json
     python -m repro.bench slo multibuild --out now.json

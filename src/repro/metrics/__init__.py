@@ -6,13 +6,14 @@ from repro.metrics.partition import (
     partition_values,
     skew_summary,
 )
-from repro.metrics.registry import MetricsRegistry, SeriesStat
+from repro.metrics.registry import MetricsRegistry, SeriesStat, ordered_sum
 
 __all__ = [
     "MetricsRegistry",
     "SeriesStat",
     "StreamingHistogram",
     "log2_bounds",
+    "ordered_sum",
     "partition_skew",
     "partition_values",
     "skew_summary",

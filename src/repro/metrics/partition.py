@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.metrics.registry import ordered_sum
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.registry import MetricsRegistry
 
@@ -42,7 +44,7 @@ def skew_summary(values: list[float]) -> dict:
     """
     if not values:
         return {"min": 0.0, "max": 0.0, "mean": 0.0, "skew": 0.0}
-    mean = sum(values) / len(values)
+    mean = ordered_sum(values) / len(values)
     summary = {"min": min(values), "max": max(values), "mean": mean}
     summary["skew"] = (max(values) / mean) if mean > 0 else 0.0
     return summary

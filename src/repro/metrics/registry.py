@@ -17,7 +17,22 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Plain left-to-right float sum, the list form of
+    :attr:`SeriesStat.total`.
+
+    The builtin ``sum()`` became compensated (Neumaier) for floats in
+    CPython 3.12, so its last bit depends on the interpreter.  Bench rows
+    are compared for exact equality (:mod:`repro.bench.runner`), so every
+    float total that reaches one is added in IEEE order instead.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass

@@ -23,6 +23,8 @@ import json
 import math
 from typing import Iterable, Optional
 
+from repro.metrics.registry import ordered_sum
+
 #: the percentiles every report carries
 REPORT_QUANTILES = (50.0, 95.0, 99.0)
 
@@ -99,7 +101,7 @@ def _quantile_block(latencies: list[float]) -> dict:
     for q in REPORT_QUANTILES:
         block[f"p{q:g}"] = percentile(latencies, q)
     block["max"] = max(latencies)
-    block["mean"] = sum(latencies) / len(latencies)
+    block["mean"] = ordered_sum(latencies) / len(latencies)
     return block
 
 

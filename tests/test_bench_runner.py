@@ -10,6 +10,8 @@ import pytest
 
 from repro.bench.__main__ import SUITES
 from repro.bench.runner import Suite, check, dumps, main, run_suites
+from repro.metrics import ordered_sum, skew_summary
+from repro.slo.analyzer import _quantile_block
 
 BASELINE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_BASELINE.json"
 
@@ -97,6 +99,17 @@ def test_cli_exit_codes_and_named_difference(tmp_path, capsys):
         main([suite], ["nope", "--out", str(out)])
     assert refused.value.code == 2
     assert "unknown suite 'nope'" in capsys.readouterr().err
+
+
+def test_row_means_add_in_ieee_order_on_every_interpreter():
+    """The builtin ``sum()`` is compensated from CPython 3.12 on (1.0
+    here) and plain before (0.0); the means that reach a row must not
+    depend on which, or the equality gate fails on one CI leg."""
+    cancelling = [1e16, 1.0, -1e16]
+    assert ordered_sum(cancelling) == 0.0
+    assert ordered_sum(iter([0.1] * 10)) == 0.9999999999999999
+    assert skew_summary(cancelling)["mean"] == 0.0
+    assert _quantile_block(cancelling)["mean"] == 0.0
 
 
 def test_multibuild_suite_is_byte_identical_and_equals_the_baseline(

@@ -1,6 +1,6 @@
 """Tests for the simulated-clock build suite (repro.bench.perf).
 
-``smoke_payload`` is one live, full-size run of the suite (about three
+``payload`` is one live, full-size run of the suite (about three
 seconds); the gate tests tamper copies of it.  What they guard:
 
 * every row runs, the payload is plain JSON, and the suite's self-gates
@@ -29,37 +29,37 @@ BASELINE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_BASELINE.json"
 
 
 @pytest.fixture(scope="module")
-def smoke_payload():
+def payload():
     return run_suites([SUITE])
 
 
 # -- the live run ------------------------------------------------------------
 
 
-def test_smoke_payload_round_trips_and_validates(smoke_payload):
-    decoded = json.loads(dumps(smoke_payload))
-    assert decoded == smoke_payload
+def test_smoke_payload_round_trips_and_validates(payload):
+    decoded = json.loads(dumps(payload))
+    assert decoded == payload
     assert check(decoded, [SUITE]) == []
 
 
-def test_every_smoke_scenario_succeeds(smoke_payload):
-    rows = smoke_payload["suites"]["perf"]
+def test_every_smoke_scenario_succeeds(payload):
+    rows = payload["suites"]["perf"]
     assert list(rows) == list(SUITE.rows)
     failures = [(name, row.get("error"))
                 for name, row in rows.items() if not row["ok"]]
     assert failures == []
 
 
-def test_run_suite_only_filters_and_marks_payload(smoke_payload):
+def test_run_suite_only_filters_and_marks_payload(payload):
     """A one-suite run holds only that suite and is compared with only
     that suite of the four-suite baseline -- which it equals exactly."""
-    assert list(smoke_payload["suites"]) == ["perf"]
-    assert check(smoke_payload, [SUITE],
+    assert list(payload["suites"]) == ["perf"]
+    assert check(payload, [SUITE],
                  json.loads(BASELINE.read_text())) == []
 
 
-def test_parallel_smoke_scenarios_report_sweep(smoke_payload):
-    rows = smoke_payload["suites"]["perf"]
+def test_parallel_smoke_scenarios_report_sweep(payload):
+    rows = payload["suites"]["perf"]
     scan_sort = {p: rows[f"parallel_sf/p{p}"]["scan_sort_sim_time"]
                  for p in PSF_PARTITIONS}
     assert scan_sort[1] / scan_sort[2] > 1.5
@@ -71,26 +71,26 @@ def test_parallel_smoke_scenarios_report_sweep(smoke_payload):
             == partitions
 
 
-def test_ib_micro_is_seed_deterministic(smoke_payload):
+def test_ib_micro_is_seed_deterministic(payload):
     """A second run of the NSF row (IB's multi-key inserts under the
     scan) reproduces every field of the first."""
     again = SUITE.rows["build/nsf/rows300"]()
     assert {"ok": True, **again} \
-        == smoke_payload["suites"]["perf"]["build/nsf/rows300"]
+        == payload["suites"]["perf"]["build/nsf/rows300"]
 
 
 # -- the gates, on tampered copies -------------------------------------------
 
 
-def test_check_payload_flags_regressions(smoke_payload):
+def test_check_payload_flags_regressions(payload):
     # A failed scenario is reported by name and stops the suite's gates.
-    broken = copy.deepcopy(smoke_payload)
+    broken = copy.deepcopy(payload)
     broken["suites"]["perf"]["build/offline/rows300"] = {
         "ok": False, "error": "ValueError: boom"}
     assert check(broken, [SUITE]) == [
         "perf/build/offline/rows300: failed: ValueError: boom"]
     # The codec's simulated build speedup under its floor ...
-    slow = copy.deepcopy(smoke_payload)
+    slow = copy.deepcopy(payload)
     rows = slow["suites"]["perf"]
     rows["build/sf/codec_on"]["sim_time"] = \
         rows["build/sf/codec_off"]["sim_time"] \
@@ -100,7 +100,7 @@ def test_check_payload_flags_regressions(smoke_payload):
     assert problems[0].startswith("perf/build/sf/codec_on: ")
     assert "under floor 2.00x" in problems[0]
     # ... and a rebuild that went back to the table.
-    rescanned = copy.deepcopy(smoke_payload)
+    rescanned = copy.deepcopy(payload)
     rescanned["suites"]["perf"]["rebuild/reuse_runs"][
         "pages_scanned_delta"] = 3
     assert check(rescanned, [SUITE]) == [
@@ -108,11 +108,11 @@ def test_check_payload_flags_regressions(smoke_payload):
         "reusing the sealed runs"]
     # Against the baseline the same tampering is also an inequality.
     assert "perf/rebuild/reuse_runs/pages_scanned_delta: 0 → 3" \
-        in check(rescanned, [SUITE], smoke_payload)
+        in check(rescanned, [SUITE], payload)
 
 
-def test_check_payload_flags_parallel_speedup_collapse(smoke_payload):
-    collapsed = copy.deepcopy(smoke_payload)
+def test_check_payload_flags_parallel_speedup_collapse(payload):
+    collapsed = copy.deepcopy(payload)
     rows = collapsed["suites"]["perf"]
     rows["parallel_sf/p4"]["scan_sort_sim_time"] = \
         rows["parallel_sf/p1"]["scan_sort_sim_time"] / 1.1

@@ -257,10 +257,9 @@ def test_bursty_gate_trips_on_unprotected_tail():
 
 
 def test_bursty_rows_are_optional_for_older_payloads():
-    """No longer optional -- the suite enumerates the bursty rows, so a
-    payload without them fails by name (above) -- but a *failed* bursty
-    baseline still disables the gates rather than tripping them: the
-    failure is the one problem reported."""
+    """A *failed* bursty baseline disables the bursty gates rather than
+    tripping them: the failure is the one problem reported.  (A payload
+    *without* the bursty rows fails by name, above.)"""
     payload = _fake_payload(bursty_tight_p99=10_000.0)
     payload["suites"]["slo"]["bursty/baseline"] = {
         "ok": False, "error": "ValueError: boom"}
