@@ -25,7 +25,9 @@ can feed it, section 3.2.4) and supports:
 
 from __future__ import annotations
 
-from typing import Optional
+from itertools import chain, pairwise, starmap
+from operator import eq, gt
+from typing import Optional, Sequence
 
 from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
 from repro.btree.tree import BTree
@@ -56,40 +58,77 @@ class BulkLoader:
 
     # -- appending ---------------------------------------------------------
 
-    def append(self, key_value, rid: RID) -> None:
+    def append(self, key_value, rid) -> None:
         """Append the next key in sorted order."""
-        if type(rid) is not RID:  # tolerate raw (page, slot) tuples
-            rid = RID(*rid)
-        composite = (key_value, rid)
-        if self._last_composite is not None \
-                and composite < self._last_composite:
-            raise IndexBuildError(
-                f"bulk load keys out of order: {composite!r} after "
-                f"{self._last_composite!r}")
-        if self.tree.unique and self._last_composite is not None \
-                and self._last_composite[0] == key_value:
-            raise IndexBuildError(
-                f"cannot build unique index {self.tree.name}: duplicate "
-                f"key value {key_value!r}")
-        self._last_composite = composite
-        leaf = self._leaf_for(composite)
-        leaf.entries.append(KeyEntry(key_value, rid))
-        self.keys_loaded += 1
-        self.tree.system.metrics.incr("index.inserts.bulk")
+        self.extend(((key_value, rid),))
 
-    def _leaf_for(self, composite: CompositeKey) -> LeafPage:
-        if self._current_leaf is None:
-            leaf = self.tree._ensure_root()
-            if leaf.entries:
-                raise IndexBuildError(
-                    "bulk load requires an empty tree (use resume() to "
-                    "continue an interrupted build)")
-            self._current_leaf = leaf
-            return leaf
-        if len(self._current_leaf.entries) < self.leaf_fill:
-            return self._current_leaf
-        # Leaf reached its fill target: allocate the next right-most leaf.
-        # The incoming composite is exactly the separator between them.
+    def extend(self, composites: Sequence[CompositeKey]) -> None:
+        """Append a batch of ``(key value, rid)`` composites in sorted
+        order (rids may be raw ``(page, slot)`` tuples): the order and
+        unique-duplicate checks are made once for the batch, the entries
+        are laid down a leaf at a time."""
+        if not composites:
+            return
+        before = (self._last_composite,) \
+            if self._last_composite is not None else ()
+        rejected = any(starmap(gt, pairwise(chain(before, composites))))
+        if not rejected and self.tree.unique:
+            key_values = [composite[0] for composite in chain(before,
+                                                              composites)]
+            rejected = any(map(eq, key_values, key_values[1:]))
+        if rejected:
+            self._reject(composites)
+        entries = [KeyEntry(key_value, RID(*rid))
+                   for key_value, rid in composites]
+        last = entries[-1]
+        self._last_composite = (last.key_value, last.rid)
+        leaf = self._current_leaf
+        if leaf is None:
+            leaf = self._current_leaf = self._first_leaf()
+        self.keys_loaded += len(entries)
+        self.tree.system.metrics.incr("index.inserts.bulk", len(entries))
+        done = 0
+        while True:
+            room = max(self.leaf_fill - len(leaf.entries), 0)
+            leaf.entries.extend(entries[done:done + room])
+            done += room
+            if done >= len(entries):
+                return
+            leaf = self._next_leaf(entries[done].composite)
+
+    def _reject(self, composites: Sequence[CompositeKey]) -> None:
+        """Load the keys ahead of the first one out of order or repeating
+        a unique key value, as key-at-a-time appends did, and raise what
+        that one raised."""
+        last = self._last_composite
+        for at, composite in enumerate(composites):
+            if last is not None and (composite < last or (
+                    self.tree.unique and composite[0] == last[0])):
+                break
+            last = composite
+        self.extend(composites[:at])
+        key_value, rid = composite
+        if (key_value, rid) < self._last_composite:
+            raise IndexBuildError(
+                f"bulk load keys out of order: "
+                f"{(key_value, RID(*rid))!r} after "
+                f"{self._last_composite!r}")
+        raise IndexBuildError(
+            f"cannot build unique index {self.tree.name}: duplicate "
+            f"key value {key_value!r}")
+
+    def _first_leaf(self) -> LeafPage:
+        leaf = self.tree._ensure_root()
+        if leaf.entries:
+            raise IndexBuildError(
+                "bulk load requires an empty tree (use resume() to "
+                "continue an interrupted build)")
+        return leaf
+
+    def _next_leaf(self, composite: CompositeKey) -> LeafPage:
+        """The current leaf reached its fill target: allocate the next
+        right-most leaf.  ``composite``, the first key it will hold, is
+        exactly the separator between the two."""
         old = self._current_leaf
         new_leaf = self.tree._allocate_leaf()
         old.next_leaf = new_leaf.page_no

@@ -542,13 +542,16 @@ class BuilderBase:
         compare_cost = self.options.key_compare_cost
         page_no = cursor["next_page"]
         pages_since_checkpoint = 0
-        # Hoisted per-record work: the (key extractor, sorter push) pairs
-        # never change during the scan, and the per-key fault-point call
-        # is skipped wholesale when no injector is installed (the guard
-        # equals fault_point's own disabled test, so sweep discovery and
-        # armed runs see an unchanged hit schedule).
+        # Each index gets one list of keys per latched page.  The
+        # per-record fault site still fires once per record, after the
+        # page's keys went in: sorter state is volatile until the next
+        # checkpoint forces it, so a crash at any of the hits loses the
+        # same keys.  It is skipped wholesale when no injector is
+        # installed (the guard equals fault_point's own disabled test,
+        # so sweep discovery and armed runs see an unchanged hit
+        # schedule).
         targets = [(d, sorters[d.name]) for d in self.descriptors]
-        extractors = [(d.key_of, sorter.push) for d, sorter in targets]
+        extractors = [(d.key_of, sorter.push_many) for d, sorter in targets]
         fp_enabled = fault_points_enabled(metrics)
         while True:
             limit = limit_of()
@@ -563,14 +566,15 @@ class BuilderBase:
             for page in pages:
                 page = yield from system.buffer.latch_current(page, SHARE)
                 try:
-                    records = page.live_records()
-                    for rid, record in records:
-                        raw = tuple(rid)
-                        for key_of, push in extractors:
-                            push((key_of(record), raw))
-                        if fp_enabled:
-                            fault_point(metrics, "build.sort_push")
+                    records = [(tuple(rid), record)
+                               for rid, record in page.live_records()]
                     if records:
+                        for key_of, push_many in extractors:
+                            push_many([(key_of(record), raw)
+                                       for raw, record in records])
+                        if fp_enabled:
+                            for _ in records:
+                                fault_point(metrics, "build.sort_push")
                         yield Delay(len(records) * extract_cost)
                     if compare_cost:
                         yield from self._charge_compare_cost(compare_cost,

@@ -308,28 +308,23 @@ class SFIotBuilder:
             if not pending:
                 self.current_key = KEY_INFINITY
                 break
-            for pk in pending[:batch]:
-                record = table.rows.get(pk)
-                if record is not None:
-                    sorter.push((self.index.key_of(record),
-                                 tuple(IOTable.pk_rid(pk))))
-                self.current_key = pk
-            yield Delay(len(pending[:batch])
-                        * system.config.tree_visit_cost)
+            chunk = pending[:batch]
+            sorter.push_many([(self.index.key_of(table.rows[pk]),
+                               tuple(IOTable.pk_rid(pk))) for pk in chunk])
+            self.current_key = chunk[-1]
+            yield Delay(len(chunk) * system.config.tree_visit_cost)
         runs = sorter.finish()
         system.metrics.incr("iot.scan_complete")
 
         # Bottom-up, unlogged load (pipelined final merge).
         merger = final_merger(store, runs, system.config.merge_fanin)
         loader = BulkLoader(self.index.tree)
-        loaded = 0
         while merger is not None:
-            key = merger.pop()
-            if key is None:
+            merged = merger.pop_many(64)
+            if not merged:
                 break
-            loader.append(key[0], RID(*key[1]))
-            loaded += 1
-            if loaded % 64 == 0:
+            loader.extend(merged)
+            if len(merged) == 64:
                 yield Delay(64 * system.config.bulk_load_key_cost)
         loader.finish()
         self.index.tree.force()

@@ -56,14 +56,13 @@ class OfflineIndexBuilder(BuilderBase):
                 decode = codec.decode \
                     if codec is not None and codec.active else None
                 while merger is not None:
-                    key = merger.pop()
-                    if key is None:
+                    batch = merger.pop_many(64)
+                    if not batch:
                         break
-                    if decode is not None:
-                        key = decode(key)
-                    loader.append(key[0], key[1])
-                    loaded += 1
-                    if loaded % 64 == 0:
+                    loader.extend(batch if decode is None
+                                  else list(map(decode, batch)))
+                    loaded += len(batch)
+                    if len(batch) == 64:
                         yield from self._throttle(64)
                         yield Delay(
                             64 * self.system.config.bulk_load_key_cost)

@@ -188,13 +188,12 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         compare_units = 1 if decode is not None \
             else len(descriptor.key_columns) + 2
         merge_charged = 0
-        append = loader.append
         key_cost = self.system.config.bulk_load_key_cost
-        # The merged keys are pulled in batches (pop_many inlines the
-        # tournament's fixup) but the yield and checkpoint cadence is
-        # key-exact: each batch is capped at the earlier of the next
-        # 64-key yield boundary and the next checkpoint boundary, so the
-        # simulated schedule is identical to the historical per-key loop.
+        # The merged keys are pulled and loaded in batches, but the yield
+        # and checkpoint cadence is key-exact: each batch is capped at
+        # the earlier of the next 64-key yield boundary and the next
+        # checkpoint boundary, so the simulated schedule is identical to
+        # a key-at-a-time loop.
         while merger is not None:
             take = 64 - since_yield
             if checkpoint_every:
@@ -204,13 +203,8 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             batch = merger.pop_many(take)
             if not batch:
                 break
-            if decode is not None:
-                for encoded in batch:
-                    key_value, raw = decode(encoded)
-                    append(key_value, RID(*raw))
-            else:
-                for key in batch:
-                    append(key[0], RID(*key[1]))
+            loader.extend(batch if decode is None
+                          else list(map(decode, batch)))
             produced = len(batch)
             keys_loaded += produced
             since_checkpoint += produced
@@ -219,7 +213,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
                 yield from self._throttle(since_yield)
                 yield Delay(since_yield * key_cost)
                 if compare_cost:
-                    done = merger._tree.comparisons
+                    done = merger.comparisons
                     charge = (done - merge_charged) * compare_units
                     merge_charged = done
                     if charge:
@@ -245,7 +239,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             yield from self._throttle(since_yield)
             yield Delay(since_yield * self.system.config.bulk_load_key_cost)
             if compare_cost and merger is not None:
-                done = merger._tree.comparisons
+                done = merger.comparisons
                 charge = (done - merge_charged) * compare_units
                 merge_charged = done
                 if charge:
@@ -454,8 +448,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         self._reset_tree(tree)
         loader = BulkLoader(
             tree, fill_free_fraction=self.options.fill_free_fraction)
-        for entry in keep:
-            loader.append(entry.key_value, entry.rid)
+        loader.extend([entry.composite for entry in keep])
         self._resume_loaders[descriptor.name] = loader
         self.system.metrics.incr("build.resumes.tree_truncated")
 

@@ -9,13 +9,10 @@ from repro.sort.merge import (
 )
 from repro.sort.runs import RunStore, SortRun, run_sequence
 from repro.sort.sorter import CompressedRunFormation, RunFormation
-from repro.sort.tournament import INF, LoserTree
 
 __all__ = [
-    "INF",
     "CompressedRunFormation",
     "KeyCodec",
-    "LoserTree",
     "RestartableMerger",
     "RunFormation",
     "RunStore",

@@ -2,8 +2,8 @@
 
 Composite keys ``(col0, col1, ..., page, slot)`` are packed column-wise into a
 single Python machine integer so that ``encode(a) < encode(b)  <=>  a < b``.
-``LoserTree`` and ``RestartableMerger`` then compare one int instead of a
-composite tuple; decoding is deferred until ``BulkLoader.append``.
+Run formation and ``RestartableMerger`` then compare one int instead of a
+composite tuple; decoding is deferred until the bulk load.
 
 Layout (big-endian, most significant column first):
 

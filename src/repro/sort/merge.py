@@ -12,19 +12,32 @@ A checkpoint forces the output stream and records the counters plus the
 output's end-of-file; restart truncates the output back to that position,
 repositions every input to its counter, and rebuilds the tournament --
 "no key is left out from the merge and no key is output more than once".
+
+Here the tournament is the cost model (:mod:`repro.sort.tournament`) and
+the selection runs on ``heapq`` over ``(key, input)`` pairs, so the
+counter vector is exact after every key, whatever the batch size.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Optional
+from heapq import heapify, heappop, heapreplace
+from itertools import chain
+from typing import Any, Optional
 
 from repro.errors import SortRestartError
 from repro.sort.runs import RunStore, SortRun
-from repro.sort.tournament import INF, LoserTree, _Infinite
+from repro.sort.tournament import build_matches, fixup_matches
 
 
 class RestartableMerger:
-    """Merge N input runs into one output run with checkpoint support."""
+    """Merge N input runs into one output run with checkpoint support.
+
+    Selection runs on a ``heapq`` heap of ``(next key, input slot)``
+    pairs, one per input that still has keys, so every produced key is
+    attributed to its input and equal keys leave in input order.  The
+    section 5.2 tournament is the cost model: :attr:`comparisons` is what
+    it would have played for the keys produced so far.
+    """
 
     def __init__(self, inputs: list[SortRun], output: SortRun,
                  counters: Optional[list[int]] = None) -> None:
@@ -48,90 +61,67 @@ class RestartableMerger:
                 raise SortRestartError(
                     f"counter {counter} out of range for run {run.name!r} "
                     f"with {len(run.keys)} keys")
-        self._tree = LoserTree(len(self.inputs))
-        for slot, run in enumerate(self.inputs):
-            self._tree.set(slot, self._key_at(run, self.counters[slot]))
-        self._tree.build()
+        self._first_counters = list(self.counters)
+        self._heap = [(run.keys[counter - 1], slot)
+                      for slot, (run, counter)
+                      in enumerate(zip(self.inputs, self.counters))
+                      if counter <= len(run.keys)]
+        heapify(self._heap)
 
-    @staticmethod
-    def _key_at(run: SortRun, counter: int) -> Any:
-        index = counter - 1
-        if index >= len(run.keys):
-            return INF
-        return run.keys[index]
+    @property
+    def comparisons(self) -> int:
+        """Matches the tournament would have played: its build, then one
+        refill of the producing input's slot per key produced (the unit
+        ``key_compare_cost`` charges).  A function of the counter vector
+        alone, so it is exact wherever the counters are."""
+        size = len(self.inputs)
+        return build_matches(size) + sum(
+            (counter - first) * matches for counter, first, matches
+            in zip(self.counters, self._first_counters, fixup_matches(size)))
 
     # -- producing ---------------------------------------------------------
 
     @property
     def exhausted(self) -> bool:
-        return self._tree.exhausted
+        return not self._heap
 
     def pop(self) -> Optional[Any]:
         """Produce the next merged key (appending it to the output run),
         or None when every input is exhausted."""
-        if self._tree.exhausted:
-            return None
-        slot, value = self._tree.pop()
-        self.output.append(value)
-        self.counters[slot] += 1
-        self._tree.set(slot,
-                       self._key_at(self.inputs[slot], self.counters[slot]))
-        self._tree.fixup(slot)
-        return value
+        batch = self.pop_many(1)
+        return batch[0] if batch else None
 
     def pop_many(self, limit: int) -> list[Any]:
-        """Produce up to ``limit`` merged keys.
-
-        Inlines :meth:`pop`'s loop body with hoisted bindings -- this is
-        NSF's key-supply path, called once per IB batch for the whole
-        build, and the per-key method dispatch was measurable.
-        """
-        tree = self._tree
-        if not tree._built:
-            tree.build()
+        """Produce up to ``limit`` merged keys, appended to the output
+        run as one batch."""
+        heap = self._heap
         counters = self.counters
-        append = self.output.append
-        values = tree.values
-        losers = tree._losers
-        size = tree.size
-        keys_by_slot = [run.keys for run in self.inputs]
+        inputs = self.inputs
         out: list[Any] = []
-        out_append = out.append
-        compared = 0
-        winner = losers[0]
-        while len(out) < limit:
-            value = values[winner]
-            if isinstance(value, _Infinite):
-                break
-            append(value)
-            out_append(value)
-            counter = counters[winner] + 1
-            counters[winner] = counter
-            keys = keys_by_slot[winner]
-            replacement = keys[counter - 1] if counter <= len(keys) else INF
-            values[winner] = replacement
-            # Inlined fixup: replay matches from the refilled leaf upward.
-            node = (winner + size) // 2
-            while node >= 1:
-                loser = losers[node]
-                compared += 1
-                contender = values[loser]
-                # A bare ``<`` is total here: _Infinite answers False on
-                # the left and (via the reflected operator) True on the
-                # right, so the isinstance guards this used to carry were
-                # two redundant tests per match in the hottest loop.
-                if contender < replacement:
-                    losers[node] = winner
-                    winner = loser
-                    replacement = contender
-                node >>= 1
-            losers[0] = winner
-        tree.comparisons += compared
+        while heap and len(out) < limit:
+            key, slot = heap[0]
+            out.append(key)
+            # the 1-based counter is the 0-based index of the key after
+            following = counters[slot]
+            counters[slot] = following + 1
+            keys = inputs[slot].keys
+            if following < len(keys):
+                heapreplace(heap, (keys[following], slot))
+            else:
+                heappop(heap)
+        if out:
+            self.output.extend(out)
         return out
 
     def run_to_completion(self) -> SortRun:
-        while self.pop() is not None:
-            pass
+        """Merge everything left.  With no batch boundary to stop at,
+        the rest of every input goes through one ``sorted()`` (a C-level
+        merge of the already sorted inputs)."""
+        self.output.extend(sorted(chain.from_iterable(
+            run.keys[counter - 1:]
+            for run, counter in zip(self.inputs, self.counters))))
+        self.counters = [len(run.keys) + 1 for run in self.inputs]
+        self._heap = []
         self.output.closed = True
         self.output.force()
         return self.output

@@ -12,7 +12,9 @@ already output sorted streams").
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from itertools import chain, pairwise, starmap
+from operator import gt
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.errors import SortRestartError
 
@@ -43,13 +45,24 @@ class SortRun:
         self.ever_forced = False
 
     def append(self, key: Any) -> None:
+        self.extend((key,))
+
+    def extend(self, keys: Sequence[Any]) -> None:
+        """Append a batch: the run must be open and the batch must
+        continue its sort order, checked once for the whole batch."""
         if self.closed:
             raise SortRestartError(f"run {self.name} is closed")
-        if self.keys and key < self.keys[-1]:
-            raise SortRestartError(
-                f"run {self.name}: key {key!r} breaks sort order after "
-                f"{self.keys[-1]!r}")
-        self.keys.append(key)
+        own = self.keys
+        if any(starmap(gt, pairwise(chain(own[-1:], keys)))):
+            # Keep the keys ahead of the offender, as key-at-a-time
+            # appends did, and name it.
+            for key in keys:
+                if own and key < own[-1]:
+                    raise SortRestartError(
+                        f"run {self.name}: key {key!r} breaks sort order "
+                        f"after {own[-1]!r}")
+                own.append(key)
+        own.extend(keys)
 
     def force(self) -> None:
         """Make everything appended so far crash-survivable."""

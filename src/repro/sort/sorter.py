@@ -1,8 +1,11 @@
 """Restartable sort phase: replacement selection with checkpoints.
 
-Implements section 5.1.  Keys stream in from IB's data scan; a tournament
-tree performs *replacement selection* [Knut73], emitting sorted runs about
-twice the workspace size.  Periodically the caller checkpoints:
+Implements section 5.1.  Keys stream in from IB's data scan, a page's worth
+at a time; *replacement selection* [Knut73] over a workspace of
+``workspace_size`` keys emits sorted runs about twice that size.  The
+paper's tournament tree is the cost model (:mod:`repro.sort.tournament`),
+the selection itself runs on ``heapq``.  Periodically the caller
+checkpoints:
 
     "While taking a checkpoint, we wait for the tournament tree to output
     all the keys that have so far been extracted.  We force to disk all
@@ -22,24 +25,35 @@ stream (the tournament's run-assignment rule gives exactly that behaviour).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from heapq import heapify, heapreplace
+from itertools import groupby
+from operator import itemgetter
+from typing import Any, Optional, Sequence
 
 from repro.errors import SortRestartError
-from repro.sort.codec import KeyCodec, SpilledKey
+from repro.sort.codec import KeyCodec
 from repro.sort.runs import RunStore, SortRun
-from repro.sort.tournament import INF, LoserTree, _Infinite
+from repro.sort.tournament import build_matches, fixup_matches
 
 
 class RunFormation:
-    """Replacement-selection run formation over a :class:`RunStore`."""
+    """Replacement-selection run formation over a :class:`RunStore`.
+
+    Selection runs on a ``heapq`` heap of ``(run sequence, key, matches)``
+    entries.  ``matches`` is what refilling the entry's slot of the
+    section 5 tournament tree costs; a replacement takes over the slot
+    (and so the cost) of the key it displaced, which keeps
+    :attr:`comparisons` equal to what the tree would have played.
+    """
 
     def __init__(self, store: RunStore, workspace_size: int) -> None:
         if workspace_size < 1:
             raise SortRestartError("workspace must hold at least one key")
         self.store = store
         self.workspace_size = workspace_size
-        self._tree = LoserTree(workspace_size)
-        self._occupied = 0
+        #: a plain list while it fills, a heap from the key that fills it
+        self._workspace: list[tuple] = []
+        self._fixup_matches = fixup_matches(workspace_size)
         #: sequence number of the run currently being emitted
         self._emit_seq = 0
         #: run objects by sequence number
@@ -47,44 +61,58 @@ class RunFormation:
         self._run_order: list[SortRun] = []
         self.keys_pushed = 0
         self._finished = False
-        #: comparisons from trees already drained and replaced
-        self._comparisons_base = 0
-
-    @property
-    def comparisons(self) -> int:
-        """Total tournament comparisons across every workspace fill."""
-        return self._comparisons_base + self._tree.comparisons
+        #: tournament matches across every workspace fill (the unit
+        #: ``key_compare_cost`` charges)
+        self.comparisons = 0
 
     # -- feeding ------------------------------------------------------------
 
     def push(self, key: Any) -> None:
         """Feed one key from the data scan."""
+        self.push_many((key,))
+
+    def push_many(self, keys: Sequence[Any]) -> None:
+        """Feed a batch of keys in scan order."""
         if self._finished:
             raise SortRestartError("run formation already finished")
-        self.keys_pushed += 1
-        if self._occupied < self.workspace_size:
-            seq = self._assign_seq(key)
-            self._tree.set(self._occupied, (seq, key))
-            self._occupied += 1
-            if self._occupied == self.workspace_size:
-                self._tree.build()
+        self.keys_pushed += len(keys)
+        workspace = self._workspace
+        room = self.workspace_size - len(workspace)
+        if room:
+            # (Re)filling: a key joins the run being emitted unless it
+            # would break that run's sort order.
+            seq = self._emit_seq
+            current = self._runs_by_seq.get(seq)
+            highest = current.highest_key if current is not None else None
+            matches = self._fixup_matches
+            for key in keys[:room]:
+                workspace.append(
+                    (seq if highest is None or key >= highest else seq + 1,
+                     key, matches[len(workspace)]))
+            if len(keys) < room:
+                return
+            heapify(workspace)
+            self.comparisons += build_matches(self.workspace_size)
+            keys = keys[room:]
+        if not keys:
             return
-        slot, (seq, smallest) = self._tree.pop()
-        self._emit(seq, smallest)
-        new_seq = seq if key >= smallest else seq + 1
-        self._tree.set(slot, (new_seq, key))
-        self._tree.fixup(slot)
+        seq = workspace[0][0]
+        emitted: list[Any] = []
+        compared = 0
+        for key in keys:
+            top_seq, smallest, cost = workspace[0]
+            if top_seq != seq:
+                self._emit(seq, emitted)
+                seq, emitted = top_seq, []
+            emitted.append(smallest)
+            heapreplace(workspace,
+                        (top_seq if key >= smallest else top_seq + 1,
+                         key, cost))
+            compared += cost
+        self._emit(seq, emitted)
+        self.comparisons += compared
 
-    def _assign_seq(self, key: Any) -> int:
-        """Run assignment when the workspace is (re)filling: the key joins
-        the current run if it does not break its sort order."""
-        current = self._runs_by_seq.get(self._emit_seq)
-        if current is None or current.highest_key is None \
-                or key >= current.highest_key:
-            return self._emit_seq
-        return self._emit_seq + 1
-
-    def _emit(self, seq: int, key: Any) -> None:
+    def _emit(self, seq: int, keys: list[Any]) -> None:
         run = self._runs_by_seq.get(seq)
         if run is None:
             run = self.store.new_run()
@@ -95,7 +123,7 @@ class RunFormation:
                 if previous is not None:
                     previous.closed = True
                 self._emit_seq = seq
-        run.append(key)
+        run.extend(keys)
 
     # -- draining (checkpoints and finish) --------------------------------------
 
@@ -103,24 +131,15 @@ class RunFormation:
         """Emit every key still in the workspace, preserving run
         assignment ("we wait for the tournament tree to output all the
         keys that have so far been extracted")."""
-        if self._occupied < self.workspace_size:
-            # Partial fill: only the first _occupied slots hold keys.
-            pending = [self._tree.values[i] for i in range(self._occupied)
-                       if not isinstance(self._tree.values[i], _Infinite)]
-            for seq, key in sorted(pending):
-                self._emit(seq, key)
-            self._comparisons_base += self._tree.comparisons
-            self._tree = LoserTree(self.workspace_size)
-            self._occupied = 0
-            return
-        while not self._tree.exhausted:
-            slot, (seq, key) = self._tree.pop()
-            self._emit(seq, key)
-            self._tree.set(slot, INF)
-            self._tree.fixup(slot)
-        self._comparisons_base += self._tree.comparisons
-        self._tree = LoserTree(self.workspace_size)
-        self._occupied = 0
+        workspace = self._workspace
+        if len(workspace) == self.workspace_size:
+            # The tree empties by refilling every slot once with INF; a
+            # partial fill was never built into a tree and costs nothing.
+            self.comparisons += sum(self._fixup_matches)
+        workspace.sort()
+        for seq, entries in groupby(workspace, key=itemgetter(0)):
+            self._emit(seq, [entry[1] for entry in entries])
+        self._workspace = []
 
     def checkpoint(self, scan_position: Any) -> dict:
         """Drain, force all runs, and return the restart manifest."""
@@ -228,17 +247,14 @@ class CompressedRunFormation(RunFormation):
     """Run formation over codec-encoded keys (compressed key sort).
 
     The caller still pushes raw ``(key_value, raw_rid)`` pairs; they are
-    encoded into machine integers at push time, so the tournament compares
-    one int per match instead of a composite tuple.  The run-sequence
-    number is folded into the code's high bits (``(seq << total_bits) |
-    code``) -- replacement selection then needs no ``(seq, key)`` tuple at
-    all.  Runs store *bare* codes (sequence stripped), so the merge phase
-    and the final-merger output also compare ints; decode happens only at
-    ``BulkLoader.append``.
+    encoded into machine integers at push time, so selection compares one
+    int per key instead of a composite tuple.  Runs store the codes, so
+    the merge phase and the final-merger output also compare ints; decode
+    happens only at the bulk load.
 
     If the codec cannot represent the first key's column types it disables
-    itself and every path falls back to the raw-tuple base class -- one
-    sorter never mixes encoded and raw keys.
+    itself and every path falls back to the raw pairs -- one sorter never
+    mixes encoded and raw keys.
     """
 
     def __init__(self, store: RunStore, workspace_size: int,
@@ -246,79 +262,14 @@ class CompressedRunFormation(RunFormation):
         super().__init__(store, workspace_size)
         self.codec = codec if codec is not None else KeyCodec()
 
-    def push(self, pair: Any) -> None:
+    def push_many(self, pairs: Sequence[Any]) -> None:
         codec = self.codec
-        if not codec.bound and not codec.disabled:
-            codec.bind(pair[0])
-        if codec.disabled:
-            RunFormation.push(self, pair)
-            return
-        if self._finished:
-            raise SortRestartError("run formation already finished")
-        enc = codec.encode(pair[0], pair[1])
-        self.keys_pushed += 1
-        bits = codec.total_bits
-        if self._occupied < self.workspace_size:
-            seq = self._assign_seq(enc)
-            if type(enc) is int:
-                folded: Any = (seq << bits) | enc
-            else:
-                folded = SpilledKey((seq << bits) | enc.code, enc.raw)
-            self._tree.set(self._occupied, folded)
-            self._occupied += 1
-            if self._occupied == self.workspace_size:
-                self._tree.build()
-            return
-        slot, popped = self._tree.pop()
-        if type(popped) is int:
-            seq = popped >> bits
-            smallest: Any = popped & ((1 << bits) - 1)
-        else:
-            seq = popped.code >> bits
-            smallest = SpilledKey(popped.code & ((1 << bits) - 1), popped.raw)
-        self._emit(seq, smallest)
-        new_seq = seq if enc >= smallest else seq + 1
-        if type(enc) is int:
-            folded = (new_seq << bits) | enc
-        else:
-            folded = SpilledKey((new_seq << bits) | enc.code, enc.raw)
-        self._tree.set(slot, folded)
-        self._tree.fixup(slot)
-
-    def drain(self) -> None:
-        codec = self.codec
-        if codec.disabled or not codec.bound:
-            RunFormation.drain(self)
-            return
-        bits = codec.total_bits
-        mask = (1 << bits) - 1
-        tree = self._tree
-        if self._occupied < self.workspace_size:
-            pending = [tree.values[i] for i in range(self._occupied)
-                       if not isinstance(tree.values[i], _Infinite)]
-            pending.sort()
-            for folded in pending:
-                if type(folded) is int:
-                    self._emit(folded >> bits, folded & mask)
-                else:
-                    self._emit(folded.code >> bits,
-                               SpilledKey(folded.code & mask, folded.raw))
-            self._comparisons_base += tree.comparisons
-            self._tree = LoserTree(self.workspace_size)
-            self._occupied = 0
-            return
-        while not tree.exhausted:
-            slot, folded = tree.pop()
-            if type(folded) is int:
-                self._emit(folded >> bits, folded & mask)
-            else:
-                self._emit(folded.code >> bits,
-                           SpilledKey(folded.code & mask, folded.raw))
-            tree.set(slot, INF)
-            tree.fixup(slot)
-        self._comparisons_base += tree.comparisons
-        self._tree = LoserTree(self.workspace_size)
-        self._occupied = 0
+        if pairs and not codec.bound and not codec.disabled:
+            codec.bind(pairs[0][0])
+        if not codec.disabled:
+            encode = codec.encode
+            pairs = [encode(key_value, raw) for key_value, raw in pairs]
+        super().push_many(pairs)
 
     def checkpoint(self, scan_position: Any) -> dict:
         manifest = RunFormation.checkpoint(self, scan_position)

@@ -10,11 +10,32 @@ The property the merge-phase checkpoint relies on (section 5.2) holds by
 construction: "a particular leaf node of the tree is always fed from the
 same input stream", so every produced value is attributable to exactly one
 input.
+
+The builds do not run this tree: :mod:`repro.sort.sorter` and
+:mod:`repro.sort.merge` select with ``heapq`` and ``sorted()`` and charge
+what the tree *would* have played.  That is exact because the number of
+matches never depended on the values -- :func:`build_matches` per
+:meth:`LoserTree.build`, :func:`fixup_matches` per :meth:`LoserTree.fixup`
+-- so :class:`LoserTree` stays as the cost model's definition and as the
+reference ``tests/test_sort.py`` compares the engines against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
+
+
+def build_matches(size: int) -> int:
+    """Matches :meth:`LoserTree.build` plays: one per internal node."""
+    return size - 1
+
+
+def fixup_matches(size: int) -> list[int]:
+    """Matches :meth:`LoserTree.fixup` plays, by refilled slot: one per
+    node on the path from the slot's parent ``(slot + size) // 2`` up to
+    the root, node 1."""
+    return [((slot + size) // 2).bit_length() for slot in range(size)]
+
 
 #: Sentinel greater than every real key.  Tuples of this sort above any
 #: composite key tuple; a dedicated class keeps the comparison total.

@@ -24,14 +24,13 @@ from repro.errors import SortRestartError
 from repro.parallel import ParallelSFBuilder
 from repro.sim.kernel import Delay
 from repro.sort import (
-    INF,
     KeyCodec,
-    LoserTree,
     RestartableMerger,
     RunFormation,
     RunStore,
     SpilledKey,
 )
+from repro.sort.tournament import INF, LoserTree
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec

@@ -4,18 +4,27 @@ import random
 
 import pytest
 
-from repro.errors import SortRestartError
+from repro.btree import BTree, BulkLoader
+from repro.errors import IndexBuildError, SortRestartError
 from repro.sort import (
-    INF,
-    LoserTree,
+    CompressedRunFormation,
+    KeyCodec,
     RestartableMerger,
     RunFormation,
     RunStore,
     SortRun,
+    SpilledKey,
     final_merger,
     merge_pass,
     merge_to_single,
 )
+from repro.sort.tournament import (
+    INF,
+    LoserTree,
+    build_matches,
+    fixup_matches,
+)
+from repro.system import System, SystemConfig
 
 
 # -- LoserTree -----------------------------------------------------------------
@@ -307,3 +316,531 @@ def test_end_to_end_sort_random_data():
     runs = sorter.finish()
     single = merge_to_single(store, runs, fanin=8)
     assert single.keys == sorted(keys)
+
+
+# -- engine equivalence ----------------------------------------------------------
+#
+# The builds select with heapq and charge the tournament's matches in
+# closed form.  Below are the engines they replaced -- replacement
+# selection and the merge, a key at a time on a LoserTree -- kept as the
+# reference: same runs, same manifests, same counters, same comparisons.
+#
+# Which of two *equal* keys wins a tournament match depends on the matches
+# played before, so where equal keys meet (never in a build: the RID is
+# part of the key) the reference's attribution of a key to a slot or an
+# input is an accident of history.  What must still agree there is
+# asserted separately: everything except the comparison count when the
+# slots are unequally deep, and for the merge everything at completion.
+
+
+@pytest.mark.parametrize("size", range(1, 34))
+def test_closed_form_match_counts_equal_the_trees(size):
+    rng = random.Random(size)
+    tree = LoserTree(size)
+    for slot in range(size):
+        tree.set(slot, rng.randrange(50))
+    tree.build()
+    assert tree.comparisons == build_matches(size)
+    per_slot = fixup_matches(size)
+    assert len(per_slot) == size
+    for step in range(300):
+        # the winner's slot, as in a sort, then any slot at all: the
+        # count never looks at the values
+        slot = tree.pop()[0] if step % 2 else rng.randrange(size)
+        before = tree.comparisons
+        tree.set(slot, INF if rng.random() < 0.1 else rng.randrange(50))
+        tree.fixup(slot)
+        assert tree.comparisons - before == per_slot[slot]
+
+
+class ReferenceRunFormation:
+    """Replacement selection on a LoserTree, a key at a time; with a
+    codec the run sequence is folded into the code's high bits."""
+
+    def __init__(self, store, workspace_size, codec=None):
+        self.store = store
+        self.workspace_size = workspace_size
+        self.codec = codec
+        self._tree = LoserTree(workspace_size)
+        self._occupied = 0
+        self._emit_seq = 0
+        self._runs_by_seq = {}
+        self._run_order = []
+        self._comparisons_base = 0
+
+    @property
+    def comparisons(self):
+        return self._comparisons_base + self._tree.comparisons
+
+    def _encoded(self):
+        return self.codec is not None and not self.codec.disabled
+
+    def _fold(self, seq, key):
+        if not self._encoded():
+            return (seq, key)
+        bits = self.codec.total_bits
+        if type(key) is int:
+            return (seq << bits) | key
+        return SpilledKey((seq << bits) | key.code, key.raw)
+
+    def _unfold(self, folded):
+        if not self._encoded():
+            return folded
+        bits = self.codec.total_bits
+        mask = (1 << bits) - 1
+        if type(folded) is int:
+            return folded >> bits, folded & mask
+        return folded.code >> bits, SpilledKey(folded.code & mask, folded.raw)
+
+    def push(self, key):
+        codec = self.codec
+        if codec is not None:
+            if not codec.bound and not codec.disabled:
+                codec.bind(key[0])
+            if not codec.disabled:
+                key = codec.encode(key[0], key[1])
+        tree = self._tree
+        if self._occupied < self.workspace_size:
+            current = self._runs_by_seq.get(self._emit_seq)
+            if current is None or current.highest_key is None \
+                    or key >= current.highest_key:
+                seq = self._emit_seq
+            else:
+                seq = self._emit_seq + 1
+            tree.set(self._occupied, self._fold(seq, key))
+            self._occupied += 1
+            if self._occupied == self.workspace_size:
+                tree.build()
+            return
+        slot, popped = tree.pop()
+        seq, smallest = self._unfold(popped)
+        self._emit(seq, smallest)
+        tree.set(slot, self._fold(seq if key >= smallest else seq + 1, key))
+        tree.fixup(slot)
+
+    def _emit(self, seq, key):
+        run = self._runs_by_seq.get(seq)
+        if run is None:
+            run = self.store.new_run()
+            self._runs_by_seq[seq] = run
+            self._run_order.append(run)
+            if seq > self._emit_seq:
+                previous = self._runs_by_seq.get(self._emit_seq)
+                if previous is not None:
+                    previous.closed = True
+                self._emit_seq = seq
+        run.append(key)
+
+    def drain(self):
+        tree = self._tree
+        if self._occupied < self.workspace_size:
+            for folded in sorted(tree.values[:self._occupied]):
+                self._emit(*self._unfold(folded))
+        else:
+            while not tree.exhausted:
+                slot, folded = tree.pop()
+                self._emit(*self._unfold(folded))
+                tree.set(slot, INF)
+                tree.fixup(slot)
+        self._comparisons_base += tree.comparisons
+        self._tree = LoserTree(self.workspace_size)
+        self._occupied = 0
+
+    def checkpoint(self, scan_position):
+        self.drain()
+        for run in self._run_order:
+            run.force()
+        last = self._run_order[-1] if self._run_order else None
+        manifest = {
+            "phase": "sort",
+            "scan_position": scan_position,
+            "runs": [run.name for run in self._run_order],
+            "run_lengths": {run.name: len(run) for run in self._run_order},
+            "emit_seq": self._emit_seq,
+            "last_run": last.name if last is not None else None,
+            "last_highest_key": last.highest_key if last is not None else None,
+        }
+        if self.codec is not None:
+            manifest["codec"] = self.codec.to_manifest()
+        return manifest
+
+    def finish(self):
+        self.drain()
+        for run in self._run_order:
+            run.closed = True
+            run.force()
+        return list(self._run_order)
+
+    @classmethod
+    def restore(cls, store, manifest, workspace_size, codec=None):
+        """The restart steps touch no tree: take them from the engine
+        and carry the run bookkeeping over."""
+        restored, _position = RunFormation.restore(
+            store, manifest, workspace_size, codec=codec)
+        sorter = cls(store, workspace_size, codec)
+        sorter._emit_seq = restored._emit_seq
+        sorter._runs_by_seq = restored._runs_by_seq
+        sorter._run_order = restored._run_order
+        return sorter
+
+
+def store_image(store):
+    return [(run.name, run.keys, run.closed, run.stable_length)
+            for run in store.runs.values()]
+
+
+def scan_keys(rng, count, span):
+    """Keys as a scan extracts them: key values repeat, stretches fall,
+    the RID makes every key distinct."""
+    values = []
+    while len(values) < count:
+        stretch = rng.randrange(1, 40)
+        if rng.random() < 0.3:
+            start = rng.randrange(span)
+            values.extend(start - step for step in range(stretch))
+        else:
+            values.extend(rng.randrange(span) for _ in range(stretch))
+    return [((value,), (at // 16, at % 16))
+            for at, value in enumerate(values[:count])]
+
+
+def drive_both(rng, keys, workspace, codec_pair=None, compare=True):
+    """Feed ``keys`` to the reference a key at a time and to the engine
+    in batches, with checkpoints and crash/restores thrown in; every
+    manifest, every store image and (``compare``) every comparison count
+    must agree."""
+    ref_codec, new_codec = codec_pair or (None, None)
+    ref_store, new_store = RunStore("sort:i"), RunStore("sort:i")
+    ref = ReferenceRunFormation(ref_store, workspace, ref_codec)
+    new = RunFormation(new_store, workspace) if new_codec is None \
+        else CompressedRunFormation(new_store, workspace, new_codec)
+    at = 0
+    manifest = None
+    while at < len(keys):
+        batch = keys[at:at + rng.choice([1, 3, 16, 16, 16, 97])]
+        for key in batch:
+            ref.push(key)
+        new.push_many(batch)
+        at += len(batch)
+        if compare:
+            assert new.comparisons == ref.comparisons
+        roll = rng.random()
+        if roll < 0.15:
+            manifest = new.checkpoint(scan_position=at)
+            assert manifest == ref.checkpoint(scan_position=at)
+        elif roll < 0.25 and manifest is not None:
+            ref_store.crash()
+            new_store.crash()
+            at = manifest["scan_position"]
+            ref = ReferenceRunFormation.restore(
+                ref_store, manifest, workspace, ref_codec)
+            new, position = RunFormation.restore(
+                new_store, manifest, workspace, codec=new_codec)
+            assert position == at
+        assert store_image(new_store) == store_image(ref_store)
+        if compare:
+            assert new.comparisons == ref.comparisons
+    assert [run.name for run in new.finish()] \
+        == [run.name for run in ref.finish()]
+    assert store_image(new_store) == store_image(ref_store)
+    if compare:
+        assert new.comparisons == ref.comparisons
+    return new_store
+
+
+#: powers of two, the builds' 256 // partitions shapes, and odd ones
+WORKSPACES = [1, 2, 3, 5, 8, 12, 21, 32, 33, 64, 85]
+
+
+@pytest.mark.parametrize("workspace", WORKSPACES)
+def test_run_formation_equals_the_tournament_engine(workspace):
+    for seed in range(12):
+        rng = random.Random(workspace * 100 + seed)
+        # short inputs leave the workspace partly filled at the end
+        count = rng.choice([0, 1, workspace - 1, workspace, workspace + 1,
+                            rng.randrange(600)])
+        keys = scan_keys(rng, max(count, 0), rng.choice([4, 60, 10**6]))
+        store = drive_both(rng, keys, workspace)
+        assert sorted(key for run in store.runs.values()
+                      for key in run.keys) == sorted(keys)
+
+
+@pytest.mark.parametrize("workspace", WORKSPACES)
+def test_codec_run_formation_equals_the_tournament_engine(workspace):
+    huge = 1 << 45  # outside the codec's int window: spills
+    for seed in range(8):
+        rng = random.Random(workspace * 1000 + seed)
+        keys = [((value if rng.random() < 0.8 else value + huge,), rid)
+                for (value,), rid in scan_keys(rng, rng.randrange(500), 60)]
+        store = drive_both(rng, keys, workspace,
+                           codec_pair=(KeyCodec(), KeyCodec()))
+        held = [key for run in store.runs.values() for key in run.keys]
+        assert len(held) == len(keys)
+        if len(keys) > 20:
+            assert {type(key) for key in held} == {int, SpilledKey}
+
+
+@pytest.mark.parametrize("workspace", WORKSPACES)
+def test_run_formation_with_equal_keys_in_the_workspace(workspace):
+    """Plain ints that repeat: the runs and manifests never depend on
+    which of two equal keys left first, and neither does the count while
+    every slot is equally deep."""
+    even_depth = workspace & (workspace - 1) == 0
+    for seed in range(12):
+        rng = random.Random(workspace * 10 + seed)
+        span = rng.choice([2, 7, 40])
+        keys = [rng.randrange(span) for _ in range(rng.randrange(400))]
+        drive_both(rng, keys, workspace, compare=even_depth)
+
+
+def reference_merge(inputs, output, counters=None):
+    """The merge on a LoserTree: returns ``(pop, counters, tree)``."""
+    counters = list(counters) if counters is not None else [1] * len(inputs)
+    tree = LoserTree(len(inputs))
+
+    def key_at(slot):
+        keys = inputs[slot].keys
+        at = counters[slot] - 1
+        return keys[at] if at < len(keys) else INF
+
+    for slot in range(len(inputs)):
+        tree.set(slot, key_at(slot))
+    tree.build()
+
+    def pop():
+        if tree.exhausted:
+            return None
+        slot, value = tree.pop()
+        output.append(value)
+        counters[slot] += 1
+        tree.set(slot, key_at(slot))
+        tree.fixup(slot)
+        return value
+
+    return pop, counters, tree
+
+
+def merge_inputs(rng, fanin, distinct):
+    """``fanin`` sorted key lists of uneven length (one may be empty, so
+    inputs run dry in mid-batch); ``distinct`` keeps keys apart."""
+    lists = []
+    for slot in range(fanin):
+        count = rng.choice([0, 1, 5, 40, 150])
+        if distinct:
+            lists.append(sorted(((rng.randrange(50),), (slot, at))
+                                for at in range(count)))
+        else:
+            lists.append(sorted(rng.randrange(12) for _ in range(count)))
+    return lists
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, None])
+@pytest.mark.parametrize("fanin", [1, 2, 3, 5, 8])
+def test_merger_equals_the_tournament_engine_at_every_batch_boundary(
+        fanin, batch):
+    for seed in range(6):
+        rng = random.Random(fanin * 100 + seed)
+        lists = merge_inputs(rng, fanin, distinct=True)
+        total = sum(len(keys) for keys in lists)
+        expected = sorted(key for keys in lists for key in keys)
+        ref_store, new_store = RunStore("m"), RunStore("m")
+        ref_runs = make_runs(ref_store, lists)
+        ref_out = ref_store.new_run()
+        pop, ref_counters, tree = reference_merge(ref_runs, ref_out)
+        merger = RestartableMerger(make_runs(new_store, lists),
+                                   new_store.new_run())
+        assert merger.comparisons == tree.comparisons
+        manifests = []
+        while True:
+            got = merger.pop_many(batch if batch is not None else total + 1)
+            for _ in got:
+                pop()
+            assert merger.output.keys == ref_out.keys
+            assert merger.counters == ref_counters
+            assert merger.comparisons == tree.comparisons
+            assert merger.exhausted == tree.exhausted
+            manifests.append(merger.checkpoint())
+            if not got:
+                break
+        assert pop() is None and merger.pop() is None
+        assert merger.output.keys == expected
+        # restart from every checkpoint: nothing lost, nothing twice, and
+        # the restarted tournament charges what a rebuilt tree plays
+        for manifest in manifests[::-max(1, len(manifests) // 8)]:
+            resumed = RestartableMerger.restore(new_store, manifest)
+            assert resumed.output.keys \
+                == expected[:manifest["output_length"]]
+            del ref_out.keys[manifest["output_length"]:]
+            pop, ref_counters, tree = reference_merge(
+                ref_runs, ref_out, manifest["counters"])
+            resumed.pop_many(5)
+            for _ in range(5):
+                pop()
+            assert resumed.output.keys == ref_out.keys
+            assert resumed.counters == ref_counters
+            assert resumed.comparisons == tree.comparisons
+            assert resumed.run_to_completion().keys == expected
+            assert resumed.counters == [len(keys) + 1 for keys in lists]
+
+
+@pytest.mark.parametrize("batch", [1, 7, 64, None])
+@pytest.mark.parametrize("fanin", [2, 3, 5, 8])
+def test_merger_with_equal_keys_in_two_inputs(fanin, batch):
+    """Equal keys leave in input order.  The tournament handed them out
+    in an order its earlier matches decided, so only the output agrees
+    batch by batch; the counters and the count agree once the equal keys
+    are all out -- at the latest at the end."""
+    for seed in range(6):
+        rng = random.Random(fanin * 10 + seed)
+        lists = merge_inputs(rng, fanin, distinct=False)
+        total = sum(len(keys) for keys in lists)
+        expected = sorted(key for keys in lists for key in keys)
+        ref_store, new_store = RunStore("m"), RunStore("m")
+        ref_out = ref_store.new_run()
+        pop, ref_counters, tree = reference_merge(
+            make_runs(ref_store, lists), ref_out)
+        merger = RestartableMerger(make_runs(new_store, lists),
+                                   new_store.new_run())
+        while True:
+            got = merger.pop_many(batch if batch is not None else total + 1)
+            for _ in got:
+                pop()
+            assert merger.output.keys == ref_out.keys
+            assert sum(merger.counters) == sum(ref_counters)
+            # input order: no input has given a key while a lower one
+            # still holds an equal key
+            if merger.output.keys:
+                last = merger.output.keys[-1]
+                given = [slot for slot, keys in enumerate(lists)
+                         if merger.counters[slot] > 1
+                         and keys[merger.counters[slot] - 2] == last]
+                for slot in range(max(given)):
+                    keys, counter = lists[slot], merger.counters[slot]
+                    assert counter > len(keys) or keys[counter - 1] != last
+            manifest = merger.checkpoint()
+            resumed = RestartableMerger.restore(new_store, manifest)
+            assert resumed.run_to_completion().keys == expected
+            resumed.output.truncate(manifest["output_length"])
+            resumed.output.closed = False
+            if not got:
+                break
+        assert merger.output.keys == expected
+        assert merger.counters == ref_counters
+        assert merger.comparisons == tree.comparisons
+
+
+def test_merger_takes_equal_keys_in_input_order():
+    store = RunStore()
+    runs = make_runs(store, [[1, 3, 3], [2, 3], [3, 4]])
+    merger = RestartableMerger(runs, store.new_run())
+    assert merger.pop_many(3) == [1, 2, 3]
+    assert merger.counters == [3, 2, 1]
+    assert merger.pop_many(2) == [3, 3]
+    assert merger.counters == [4, 3, 1]
+    assert merger.pop_many(9) == [3, 4]
+    assert merger.counters == [4, 3, 3]
+
+
+# -- batches are checked as a key at a time was ------------------------------------
+
+
+@pytest.mark.parametrize("held, batch", [
+    ([], [1, 2, 2, 5]),            # fine
+    ([1, 4], [4, 4, 9]),           # fine, touching the boundary
+    ([1, 4], [5, 7, 6, 8]),        # disorder inside the batch
+    ([1, 4], [3, 5, 6]),           # disorder across the boundary
+    ([], [2, 1]),                  # disorder at the start of an empty run
+    ([1], []),                     # nothing to add
+])
+def test_run_extend_rejects_what_append_rejects(held, batch):
+    def attempt(feed):
+        run = SortRun("r")
+        run.keys.extend(held)
+        try:
+            feed(run)
+        except SortRestartError as exc:
+            return run.keys, str(exc)
+        return run.keys, None
+
+    def key_at_a_time(run):
+        for key in batch:
+            run.append(key)
+
+    assert attempt(lambda run: run.extend(batch)) == attempt(key_at_a_time)
+
+
+def test_closed_run_rejects_a_batch():
+    run = SortRun("r")
+    run.extend([1, 2])
+    run.closed = True
+    with pytest.raises(SortRestartError, match="run r is closed"):
+        run.extend([3, 4])
+    with pytest.raises(SortRestartError, match="run r is closed"):
+        run.append(3)
+    assert run.keys == [1, 2]
+
+
+def test_run_extend_names_the_key_that_breaks_the_order():
+    run = SortRun("r")
+    run.extend([1, 4])
+    with pytest.raises(SortRestartError,
+                       match="run r: key 6 breaks sort order after 7"):
+        run.extend([5, 7, 6, 8])
+    assert run.keys == [1, 4, 5, 7]
+
+
+def composites(*pairs):
+    return [((value,), (0, slot)) for value, slot in pairs]
+
+
+@pytest.mark.parametrize("unique, held, batch", [
+    (False, [(1, 0)], [(2, 1), (2, 2), (3, 3), (9, 4), (9, 5)]),   # fine
+    (False, [(1, 0)], [(2, 1), (5, 2), (4, 3), (6, 4)]),  # inside the batch
+    (False, [(5, 0)], [(4, 1), (6, 2)]),                  # across the boundary
+    (False, [(5, 1)], [(5, 0), (6, 2)]),      # same key value, lower RID
+    (True, [(1, 0)], [(2, 1), (3, 2), (3, 3), (4, 4)]),   # duplicate inside
+    (True, [(3, 0)], [(3, 1), (4, 2)]),                   # duplicate across
+    (True, [], [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]),  # fine
+    (True, [], [(2, 0), (1, 1), (1, 2)]),     # disorder before a duplicate
+])
+def test_batch_loader_rejects_what_append_rejects(unique, held, batch):
+    def attempt(feed):
+        system = System(SystemConfig(leaf_capacity=4, branch_capacity=4))
+        system.create_table("t", ["k", "v"])
+        tree = BTree(system, "idx", "t", unique=unique)
+        loader = BulkLoader(tree)
+        loader.extend(composites(*held))
+        try:
+            feed(loader)
+        except IndexBuildError as exc:
+            error = str(exc)
+        else:
+            error = None
+        return ([entry.composite for entry in tree.all_entries()],
+                loader.highest_key, loader.keys_loaded, tree.page_count,
+                system.metrics.snapshot(), error)
+
+    def key_at_a_time(loader):
+        for key_value, rid in composites(*batch):
+            loader.append(key_value, rid)
+
+    together = attempt(lambda loader: loader.extend(composites(*batch)))
+    assert together == attempt(key_at_a_time)
+    entries, _highest, loaded, _pages, counters, error = together
+    assert len(entries) == loaded == counters.get("index.inserts.bulk", 0)
+    if error is None:
+        assert loaded == len(held) + len(batch)
+
+
+def test_batch_loader_rejections_keep_their_messages():
+    system = System(SystemConfig(leaf_capacity=4, branch_capacity=4))
+    system.create_table("t", ["k", "v"])
+    loader = BulkLoader(BTree(system, "idx", "t", unique=True))
+    with pytest.raises(IndexBuildError, match=(
+            r"bulk load keys out of order: \(\(4,\), RID\(page_no=0, "
+            r"slot=2\)\) after \(\(5,\), RID\(page_no=0, slot=1\)\)")):
+        loader.extend(composites((1, 0), (5, 1), (4, 2)))
+    with pytest.raises(IndexBuildError, match=(
+            r"cannot build unique index idx: duplicate key value \(5,\)")):
+        loader.extend(composites((5, 3), (6, 4)))
+    assert loader.keys_loaded == 2
