@@ -551,7 +551,8 @@ class BuilderBase:
         # so sweep discovery and armed runs see an unchanged hit
         # schedule).
         targets = [(d, sorters[d.name]) for d in self.descriptors]
-        extractors = [(d.key_of, sorter.push_many) for d, sorter in targets]
+        extractors = [(d.extract_key, sorter.push_many)
+                      for d, sorter in targets]
         fp_enabled = fault_points_enabled(metrics)
         while True:
             limit = limit_of()
@@ -566,11 +567,10 @@ class BuilderBase:
             for page in pages:
                 page = yield from system.buffer.latch_current(page, SHARE)
                 try:
-                    records = [(tuple(rid), record)
-                               for rid, record in page.live_records()]
+                    records = page.live_slots()
                     if records:
-                        for key_of, push_many in extractors:
-                            push_many([(key_of(record), raw)
+                        for extract_key, push_many in extractors:
+                            push_many([(extract_key(record.values), raw)
                                        for raw, record in records])
                         if fp_enabled:
                             for _ in records:

@@ -10,6 +10,7 @@ object and the plumbing that attaches it to its table.
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.tree import BTree
@@ -19,6 +20,18 @@ from repro.storage.page import Record
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
     from repro.system import System
+
+
+def key_extractor(column_indexes: Sequence[int]):
+    """A callable taking a record's ``values`` tuple to its key value,
+    the tuple of the indexed columns' values (section 1.1).  One column
+    is cut out as a slice so that its key is still a 1-tuple."""
+    if not column_indexes:
+        raise StorageError("an index needs at least one key column")
+    if len(column_indexes) == 1:
+        (only,) = column_indexes
+        return itemgetter(slice(only, only + 1))
+    return itemgetter(*column_indexes)
 
 
 class IndexState(enum.Enum):
@@ -47,6 +60,9 @@ class IndexDescriptor:
         self.key_columns = tuple(key_columns)
         self.unique = unique
         self.column_indexes = table.column_indexes(self.key_columns)
+        #: ``record.values`` -> key value, in C; the build scan calls it
+        #: once per record
+        self.extract_key = key_extractor(self.column_indexes)
         self.tree = BTree(system, name, table.name, unique=unique,
                           leaf_capacity=leaf_capacity)
         self.state = IndexState.BUILDING
@@ -54,7 +70,7 @@ class IndexDescriptor:
     def key_of(self, record: Record) -> tuple:
         """The record's key value: concatenated key-column values
         (section 1.1)."""
-        return record.project(self.column_indexes)
+        return self.extract_key(record.values)
 
     def attach(self) -> None:
         """Register in the catalog and append to the table's index list.

@@ -107,6 +107,14 @@ class DataPage:
                 for index, record in enumerate(self.slots)
                 if record is not None]
 
+    def live_slots(self) -> list[tuple[tuple[int, int], Record]]:
+        """:meth:`live_records` with the RID left a raw ``(page_no,
+        slot)`` pair, the form the build's sort carries."""
+        page_no = self.page_id.page_no
+        return [((page_no, index), record)
+                for index, record in enumerate(self.slots)
+                if record is not None]
+
     @property
     def live_count(self) -> int:
         return self._live

@@ -57,6 +57,16 @@ def test_page_live_records_carry_rids():
     assert rids == [RID(7, 1), RID(7, 3)]
 
 
+def test_page_live_slots_are_live_records_with_raw_rids():
+    page = DataPage(PageId("t", 7), capacity=4)
+    page.put(1, Record(("x",)))
+    page.put(3, Record(("y",)))
+    slots = page.live_slots()
+    assert slots == [((7, 1), page.get(1)), ((7, 3), page.get(3))]
+    assert all(type(raw) is tuple for raw, _rec in slots)
+    assert slots == [(tuple(rid), rec) for rid, rec in page.live_records()]
+
+
 def test_page_clone_is_independent():
     page = DataPage(PageId("t", 0), capacity=2)
     page.put(0, Record((1,)))
@@ -70,6 +80,17 @@ def test_page_clone_is_independent():
 def test_record_project():
     rec = Record(("a", "b", "c"))
     assert rec.project((2, 0)) == ("c", "a")
+
+
+def test_key_extractor_is_the_projection_and_one_column_stays_a_tuple():
+    from repro.core.descriptor import key_extractor
+
+    rec = Record(("a", "b", "c"))
+    for columns in ((0,), (2,), (2, 0), (0, 1, 2), (1, 1)):
+        assert key_extractor(columns)(rec.values) == rec.project(columns)
+    assert key_extractor((1,))(rec.values) == ("b",)
+    with pytest.raises(StorageError):
+        key_extractor(())
 
 
 # -- Disk ---------------------------------------------------------------------
