@@ -324,8 +324,7 @@ class SFIotBuilder:
             if not merged:
                 break
             loader.extend(merged)
-            if len(merged) == 64:
-                yield Delay(64 * system.config.bulk_load_key_cost)
+            yield Delay(len(merged) * system.config.bulk_load_key_cost)
         loader.finish()
         self.index.tree.force()
 

@@ -62,12 +62,11 @@ class OfflineIndexBuilder(BuilderBase):
                     loader.extend(batch if decode is None
                                   else list(map(decode, batch)))
                     loaded += len(batch)
-                    if len(batch) == 64:
-                        yield from self._throttle(64)
-                        yield Delay(
-                            64 * self.system.config.bulk_load_key_cost)
-                        self._progress_units(f"load:{descriptor.name}",
-                                             loaded, keys_total)
+                    yield from self._throttle(len(batch))
+                    yield Delay(
+                        len(batch) * self.system.config.bulk_load_key_cost)
+                    self._progress_units(f"load:{descriptor.name}",
+                                         loaded, keys_total)
                 loader.finish()
                 descriptor.tree.force()
                 self._progress_phase_done(f"load:{descriptor.name}")

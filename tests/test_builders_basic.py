@@ -191,3 +191,22 @@ def test_composite_key_columns():
     entries = [e.key_value for e in system.indexes["idx_ab"].tree.all_entries()]
     assert entries == sorted(entries)
     assert entries[0] == (0, 0)
+
+
+@pytest.mark.parametrize("rows", [100, 128, 30])
+def test_offline_load_charges_every_key(rows):
+    """The bulk load costs keys x bulk_load_key_cost on the simulated
+    clock, also for the keys after the last full batch of 64."""
+    def build_time(key_cost):
+        config = small_config()
+        config.bulk_load_key_cost = key_cost
+        system = System(config, seed=1)
+        table = system.create_table("emp", ["id", "payload"])
+        populate(system, table, rows, key_fn=lambda i: (i * 37) % 1000)
+        started = system.now()
+        run_builder(system, OfflineIndexBuilder(
+            system, table, [IndexSpec.of("idx_id", ["id"]),
+                            IndexSpec.of("idx_payload", ["payload"])]))
+        return system.now() - started
+
+    assert build_time(1.0) - build_time(0.0) == pytest.approx(2 * rows)

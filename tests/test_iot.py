@@ -110,6 +110,21 @@ def test_iot_secondary_build_static():
     assert report["clustering"] == 1.0
 
 
+@pytest.mark.parametrize("rows", [100, 128, 30])
+def test_iot_load_charges_every_key(rows):
+    """The bulk load costs keys x bulk_load_key_cost on the simulated
+    clock, also for the keys after the last full batch of 64."""
+    def build_time(key_cost):
+        system = System(SystemConfig(bulk_load_key_cost=key_cost))
+        table = make_table(system, n=rows)
+        started = system.now()
+        drive(system, SFIotBuilder(system, table, "idx_city",
+                                   ["city"]).run(), name="builder")
+        return system.now() - started
+
+    assert build_time(1.0) - build_time(0.0) == pytest.approx(rows)
+
+
 def test_iot_secondary_build_under_updates():
     system = System(seed=3)
     table = make_table(system, n=120)
