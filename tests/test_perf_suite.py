@@ -36,13 +36,13 @@ def payload():
 # -- the live run ------------------------------------------------------------
 
 
-def test_smoke_payload_round_trips_and_validates(payload):
+def test_payload_round_trips_through_json_and_passes_the_gates(payload):
     decoded = json.loads(dumps(payload))
     assert decoded == payload
     assert check(decoded, [SUITE]) == []
 
 
-def test_every_smoke_scenario_succeeds(payload):
+def test_every_row_runs_and_succeeds(payload):
     rows = payload["suites"]["perf"]
     assert list(rows) == list(SUITE.rows)
     failures = [(name, row.get("error"))
@@ -50,7 +50,7 @@ def test_every_smoke_scenario_succeeds(payload):
     assert failures == []
 
 
-def test_run_suite_only_filters_and_marks_payload(payload):
+def test_one_suite_run_equals_its_suite_of_the_baseline(payload):
     """A one-suite run holds only that suite and is compared with only
     that suite of the four-suite baseline -- which it equals exactly."""
     assert list(payload["suites"]) == ["perf"]
@@ -58,7 +58,7 @@ def test_run_suite_only_filters_and_marks_payload(payload):
                  json.loads(BASELINE.read_text())) == []
 
 
-def test_parallel_smoke_scenarios_report_sweep(payload):
+def test_parallel_rows_show_the_scan_sort_speedup_and_shard_counts(payload):
     rows = payload["suites"]["perf"]
     scan_sort = {p: rows[f"parallel_sf/p{p}"]["scan_sort_sim_time"]
                  for p in PSF_PARTITIONS}
@@ -71,7 +71,7 @@ def test_parallel_smoke_scenarios_report_sweep(payload):
             == partitions
 
 
-def test_ib_micro_is_seed_deterministic(payload):
+def test_nsf_row_is_seed_deterministic(payload):
     """A second run of the NSF row (IB's multi-key inserts under the
     scan) reproduces every field of the first."""
     again = SUITE.rows["build/nsf/rows300"]()

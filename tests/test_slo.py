@@ -190,7 +190,7 @@ def test_fake_payload_passes_all_gates():
     assert _check(payload, _fake_payload()) == []
 
 
-def test_validate_payload_catches_structural_problems():
+def test_check_names_rows_and_fields_that_differ_in_shape():
     reference = _fake_payload()
     payload = _fake_payload()
     payload["suites"]["slo"]["tradeoff/sf/rate_0.4"]["latency"].pop("p95")
@@ -203,7 +203,7 @@ def test_validate_payload_catches_structural_problems():
     assert any("schema_version" in p for p in _check(payload, reference))
 
 
-def test_validate_payload_catches_missing_scenarios():
+def test_check_names_every_missing_row():
     payload = _fake_payload()
     for name in list(payload["suites"]["slo"]):
         if name.startswith(("tradeoff/sf/", "bursty/sf/")):
@@ -256,7 +256,7 @@ def test_bursty_gate_trips_on_unprotected_tail():
         "bursty/baseline (36.00)"]
 
 
-def test_bursty_rows_are_optional_for_older_payloads():
+def test_failed_bursty_baseline_is_the_one_problem_reported():
     """A *failed* bursty baseline disables the bursty gates rather than
     tripping them: the failure is the one problem reported.  (A payload
     *without* the bursty rows fails by name, above.)"""
