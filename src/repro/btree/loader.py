@@ -25,8 +25,8 @@ can feed it, section 3.2.4) and supports:
 
 from __future__ import annotations
 
-from itertools import chain, pairwise, starmap
-from operator import eq, gt
+from itertools import pairwise, starmap
+from operator import eq, gt, itemgetter
 from typing import Optional, Sequence
 
 from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
@@ -69,14 +69,11 @@ class BulkLoader:
         are laid down a leaf at a time."""
         if not composites:
             return
-        before = (self._last_composite,) \
-            if self._last_composite is not None else ()
-        rejected = any(starmap(gt, pairwise(chain(before, composites))))
-        if not rejected and self.tree.unique:
-            key_values = [composite[0] for composite in chain(before,
-                                                              composites)]
-            rejected = any(map(eq, key_values, key_values[1:]))
-        if rejected:
+        chained = composites if self._last_composite is None \
+            else [self._last_composite, *composites]
+        if any(starmap(gt, pairwise(chained))) or (
+                self.tree.unique and any(starmap(eq, pairwise(
+                    map(itemgetter(0), chained))))):
             self._reject(composites)
         entries = [KeyEntry(key_value, RID(*rid))
                    for key_value, rid in composites]
@@ -108,7 +105,7 @@ class BulkLoader:
             last = composite
         self.extend(composites[:at])
         key_value, rid = composite
-        if (key_value, rid) < self._last_composite:
+        if composite < self._last_composite:
             raise IndexBuildError(
                 f"bulk load keys out of order: "
                 f"{(key_value, RID(*rid))!r} after "

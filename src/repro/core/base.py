@@ -543,13 +543,12 @@ class BuilderBase:
         page_no = cursor["next_page"]
         pages_since_checkpoint = 0
         # Each index gets one list of keys per latched page.  The
-        # per-record fault site still fires once per record, after the
-        # page's keys went in: sorter state is volatile until the next
-        # checkpoint forces it, so a crash at any of the hits loses the
-        # same keys.  It is skipped wholesale when no injector is
-        # installed (the guard equals fault_point's own disabled test,
-        # so sweep discovery and armed runs see an unchanged hit
-        # schedule).
+        # per-record fault site fires after them, once per record: sorter
+        # state is volatile until a checkpoint forces it, so a crash at
+        # any hit loses the same keys.  The calls are skipped wholesale
+        # when no injector is installed (the guard equals fault_point's
+        # own disabled test, so sweep discovery and armed runs see an
+        # unchanged hit schedule).
         targets = [(d, sorters[d.name]) for d in self.descriptors]
         extractors = [(d.extract_key, sorter.push_many)
                       for d, sorter in targets]

@@ -189,6 +189,19 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             else len(descriptor.key_columns) + 2
         merge_charged = 0
         key_cost = self.system.config.bulk_load_key_cost
+
+        def charge(keys):
+            """Admission and simulated time for ``keys`` loaded keys and
+            the merge matches played to produce them."""
+            nonlocal merge_charged
+            yield from self._throttle(keys)
+            yield Delay(keys * key_cost)
+            if compare_cost:
+                done = merger.comparisons
+                matches, merge_charged = done - merge_charged, done
+                if matches:
+                    yield Delay(matches * compare_units * compare_cost)
+
         # The merged keys are pulled and loaded in batches, but the yield
         # and checkpoint cadence is key-exact: each batch is capped at
         # the earlier of the next 64-key yield boundary and the next
@@ -210,14 +223,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             since_checkpoint += produced
             since_yield += produced
             if since_yield >= 64:
-                yield from self._throttle(since_yield)
-                yield Delay(since_yield * key_cost)
-                if compare_cost:
-                    done = merger.comparisons
-                    charge = (done - merge_charged) * compare_units
-                    merge_charged = done
-                    if charge:
-                        yield Delay(charge * compare_cost)
+                yield from charge(since_yield)
                 since_yield = 0
                 self._progress_units(f"load:{descriptor.name}",
                                      keys_loaded, keys_total)
@@ -236,14 +242,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
                 since_checkpoint = 0
                 self.system.metrics.incr("build.load_checkpoints")
         if since_yield:
-            yield from self._throttle(since_yield)
-            yield Delay(since_yield * self.system.config.bulk_load_key_cost)
-            if compare_cost and merger is not None:
-                done = merger.comparisons
-                charge = (done - merge_charged) * compare_units
-                merge_charged = done
-                if charge:
-                    yield Delay(charge * compare_cost)
+            yield from charge(since_yield)
         loader.finish()
         tree.force()
         self._progress_phase_done(f"load:{descriptor.name}")

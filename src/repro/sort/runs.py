@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import chain, pairwise, starmap
 from operator import gt
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.errors import SortRestartError
 
@@ -80,11 +80,6 @@ class SortRun:
 
     def crash(self) -> None:
         del self.keys[self.stable_length:]
-
-    def read_from(self, position: int) -> Iterator[Any]:
-        """Keys starting at 0-based ``position`` (the paper's counters are
-        1-based positions of the *next* key; callers convert)."""
-        yield from self.keys[position:]
 
     @property
     def highest_key(self) -> Optional[Any]:

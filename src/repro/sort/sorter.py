@@ -167,10 +167,6 @@ class RunFormation:
         self._finished = True
         return list(self._run_order)
 
-    @property
-    def runs(self) -> list[SortRun]:
-        return list(self._run_order)
-
     # -- restart (section 5.1) ------------------------------------------------------
 
     @classmethod

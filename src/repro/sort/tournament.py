@@ -84,9 +84,7 @@ INF = _Infinite()
 # NOTE: matches below compare with a plain ``a < b``.  _Infinite's full
 # operator set makes that total without any isinstance guard: ``INF < x``
 # answers False directly, and ``x < INF`` falls through x's NotImplemented
-# to the reflected ``INF.__gt__`` (True for every non-INF x).  The guard
-# function this replaced was one Python call plus two isinstance tests per
-# match -- the single hottest line of every build's wall-clock profile.
+# to the reflected ``INF.__gt__`` (True for every non-INF x).
 
 
 class LoserTree:
@@ -153,12 +151,7 @@ class LoserTree:
         return slot, self.values[slot]
 
     def fixup(self, slot: int) -> None:
-        """Replay matches on the path from ``slot`` to the root.
-
-        This runs once per produced key across every sort and merge in a
-        build, so the instance attributes are hoisted to locals and the
-        comparison counter is accumulated once per call.
-        """
+        """Replay matches on the path from ``slot`` to the root."""
         values = self.values
         losers = self._losers
         winner = slot
@@ -179,9 +172,3 @@ class LoserTree:
         if not self._built:
             self.build()
         return isinstance(self.values[self._losers[0]], _Infinite)
-
-    @property
-    def minimum(self) -> Any:
-        if not self._built:
-            self.build()
-        return self.values[self._losers[0]]
