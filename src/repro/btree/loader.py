@@ -74,11 +74,10 @@ class BulkLoader:
         if any(starmap(gt, pairwise(chained))) or (
                 self.tree.unique and any(starmap(eq, pairwise(
                     map(itemgetter(0), chained))))):
-            self._reject(composites)
+            raise self._rejection(composites)
         entries = [KeyEntry(key_value, RID(*rid))
                    for key_value, rid in composites]
-        last = entries[-1]
-        self._last_composite = (last.key_value, last.rid)
+        self._last_composite = entries[-1].composite
         leaf = self._current_leaf
         if leaf is None:
             leaf = self._current_leaf = self._first_leaf()
@@ -93,10 +92,11 @@ class BulkLoader:
                 return
             leaf = self._next_leaf(entries[done].composite)
 
-    def _reject(self, composites: Sequence[CompositeKey]) -> None:
+    def _rejection(self, composites: Sequence[CompositeKey]
+                   ) -> IndexBuildError:
         """Load the keys ahead of the first one out of order or repeating
-        a unique key value, as key-at-a-time appends did, and raise what
-        that one raised."""
+        a unique key value, as key-at-a-time appends did; returns the
+        error that one raised."""
         last = self._last_composite
         for at, composite in enumerate(composites):
             if last is not None and (composite < last or (
@@ -106,11 +106,11 @@ class BulkLoader:
         self.extend(composites[:at])
         key_value, rid = composite
         if composite < self._last_composite:
-            raise IndexBuildError(
+            return IndexBuildError(
                 f"bulk load keys out of order: "
                 f"{(key_value, RID(*rid))!r} after "
                 f"{self._last_composite!r}")
-        raise IndexBuildError(
+        return IndexBuildError(
             f"cannot build unique index {self.tree.name}: duplicate "
             f"key value {key_value!r}")
 

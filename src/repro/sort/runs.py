@@ -53,16 +53,17 @@ class SortRun:
         if self.closed:
             raise SortRestartError(f"run {self.name} is closed")
         own = self.keys
-        if any(starmap(gt, pairwise(chain(own[-1:], keys)))):
-            # Keep the keys ahead of the offender, as key-at-a-time
-            # appends did, and name it.
-            for key in keys:
-                if own and key < own[-1]:
-                    raise SortRestartError(
-                        f"run {self.name}: key {key!r} breaks sort order "
-                        f"after {own[-1]!r}")
-                own.append(key)
-        own.extend(keys)
+        if not any(starmap(gt, pairwise(chain(own[-1:], keys)))):
+            own.extend(keys)
+            return
+        # Keep the keys ahead of the offender, as key-at-a-time appends
+        # did, and name it.
+        for key in keys:
+            if own and key < own[-1]:
+                raise SortRestartError(
+                    f"run {self.name}: key {key!r} breaks sort order "
+                    f"after {own[-1]!r}")
+            own.append(key)
 
     def force(self) -> None:
         """Make everything appended so far crash-survivable."""
