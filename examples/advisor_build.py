@@ -4,9 +4,8 @@ The pipeline the paper's section 6.2 makes cheap: a workload-aware
 advisor (:mod:`repro.advisor`) reads the *traffic spec itself* -- which
 columns the range queries filter on, how often, how selectively -- and
 picks the index set with the best estimated benefit per storage page.
-The picks are then built by ONE shared-scan
-:class:`~repro.multibuild.MultiIndexBuilder` while the very traffic that
-justified them keeps running.
+The picks are then built by ONE shared-scan ``get_builder("multi")``
+build while the very traffic that justified them keeps running.
 
 Each index flips AVAILABLE independently (load -> drain -> flip, one
 index at a time after the shared scan), so the foreground improves in
@@ -22,8 +21,7 @@ Run:  python examples/advisor_build.py
 
 from repro.advisor import AdvisorConfig, TableStats, recommend, \
     templates_from_spec
-from repro.core import BuildOptions
-from repro.multibuild import MultiIndexBuilder
+from repro.core import BuildOptions, get_builder
 from repro.system import System, SystemConfig
 from repro.workloads import OpenLoopDriver, OpenLoopSpec
 
@@ -76,10 +74,10 @@ def main():
     print()
 
     # 2. Build every pick off ONE table scan, under the live traffic.
-    build = MultiIndexBuilder(system, table, report.specs(),
-                              BuildOptions(checkpoint_every_keys=200,
-                                           commit_every_keys=128,
-                                           prefetch_pages=2))
+    build = get_builder("multi")(
+        system, table, report.specs(),
+        BuildOptions(checkpoint_every_keys=200, commit_every_keys=128,
+                     prefetch_pages=2))
     start = {}
 
     def timed():

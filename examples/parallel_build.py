@@ -1,8 +1,9 @@
 """Partitioned parallel online index build: the P-sweep.
 
 Section 7 of the paper sketches how the SF algorithm extends to multiple
-concurrent scanners; ``repro.parallel`` implements that sketch.  The
-page space is range-partitioned into P shards, one simulated worker
+concurrent scanners; ``BuildOptions.partitions`` turns that sketch on
+for any side-file builder (``psf`` is the mode that has it on by
+default).  The page space is range-partitioned into P shards, one simulated worker
 process scans and sorts each shard (rendezvousing at a kernel barrier),
 the per-shard runs are merged in parallel, and the usual bottom-up load
 plus logged side-file drain finishes the build.  Updaters never block:
@@ -17,14 +18,15 @@ Run:  python examples/parallel_build.py
 """
 
 from repro import (
+    BuildOptions,
     IndexSpec,
-    ParallelSFBuilder,
     System,
     SystemConfig,
     WorkloadDriver,
     WorkloadSpec,
     audit_index,
 )
+from repro.core import get_builder
 from repro.metrics import partition_values
 
 ROWS = 1_500
@@ -42,9 +44,9 @@ def run_build(partitions: int):
     system.run()
     assert preload.error is None
 
-    builder = ParallelSFBuilder(
+    builder = get_builder("psf")(
         system, table, IndexSpec.of("accounts_by_acct", ["acct"]),
-        partitions=partitions)
+        options=BuildOptions(partitions=partitions))
     build = system.spawn(builder.run(), name="builder")
     driver.spawn_workers()
     system.run()

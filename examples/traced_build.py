@@ -68,7 +68,7 @@ def main(argv=None) -> None:
 
     # -- restart recovery: the trace recorder rides along -----------------
     recovered, utility_state = restart(system, pre_undo=build_pre_undo)
-    highest = utility_state.get("highest_key")
+    highest = utility_state["manifest"]["events_by_ts"].get("highest_key")
     print(f"crashed in phase {utility_state.get('phase')!r}; "
           f"checkpoint resumes from key "
           f"{highest[0] if highest else '(phase start)'}")

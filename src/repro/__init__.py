@@ -33,6 +33,7 @@ from repro.core import (
     IndexState,
     NSFIndexBuilder,
     OfflineIndexBuilder,
+    ParallelSFBuilder,
     SFIndexBuilder,
     build_pre_undo,
     cancel_build,
@@ -40,7 +41,6 @@ from repro.core import (
     resume_build,
 )
 from repro.core.iot import IOTable, SFIotBuilder, audit_iot_index
-from repro.parallel import ParallelSFBuilder
 from repro.errors import (
     DeadlockVictim,
     IndexBuildError,

@@ -6,7 +6,7 @@ Given a query workload (:class:`QueryTemplate` list, or derived from an
 picks the set of indexes with the best estimated benefit per storage
 page under an :class:`AdvisorConfig` budget.  The resulting
 :meth:`AdvisorReport.specs` feed straight into one shared-scan
-multi-index build (:func:`repro.multibuild.multi_build`, section 6.2):
+multi-index build (``get_builder("multi")``, section 6.2):
 the advisor decides *what* to build, the multi-builder amortizes *how*.
 """
 

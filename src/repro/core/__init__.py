@@ -3,17 +3,18 @@
 Public entry points:
 
 * :class:`NSFIndexBuilder` -- algorithm NSF (section 2);
-* :class:`SFIndexBuilder` -- algorithm SF (section 3);
+* :class:`SFIndexBuilder` -- algorithm SF (section 3), and its named
+  compositions :class:`ParallelSFBuilder` (sharded scan),
+  :class:`MultiIndexBuilder` (section 6.2, per-index flips) and
+  :class:`RebuildIndexBuilder` (sealed sorted runs instead of a scan,
+  via :meth:`repro.system.System.rebuild_index`);
 * :class:`OfflineIndexBuilder` -- the quiesced baseline;
-* :class:`RebuildIndexBuilder` -- drop + rebuild an existing index from
-  its sealed sorted runs without rescanning the table (via
-  :meth:`repro.system.System.rebuild_index`);
+* :func:`get_builder` -- the builder class of a mode name;
 * :func:`resume_build` -- restart an interrupted build after recovery;
 * :func:`cleanup_pseudo_deleted` -- background GC (section 2.2.4);
 * :func:`cancel_build` -- drop an in-progress build (section 2.3.2).
 """
 
-from importlib import import_module
 from typing import Optional, TYPE_CHECKING
 
 from repro.core.base import (
@@ -40,33 +41,30 @@ from repro.core.maintenance import (
 )
 from repro.core.nsf import NSFIndexBuilder
 from repro.core.offline import OfflineIndexBuilder
-from repro.core.sf import SFIndexBuilder
+from repro.core.sf import (
+    MultiIndexBuilder,
+    ParallelSFBuilder,
+    RebuildIndexBuilder,
+    SFIndexBuilder,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
 
-BUILDERS = {
-    "nsf": NSFIndexBuilder,
-    "sf": SFIndexBuilder,
-    "offline": OfflineIndexBuilder,
-}
-
-#: mode -> (module, class) of the builders imported on first use:
-#: ``repro.parallel`` / ``repro.multibuild`` import ``repro.core``, so
-#: registering them in :data:`BUILDERS` at import time would make the
-#: dependency circular
-_LAZY_BUILDERS = {
-    "psf": ("repro.parallel", "ParallelSFBuilder"),
-    "multi": ("repro.multibuild", "MultiIndexBuilder"),
-    "rebuild": ("repro.core.rebuild", "RebuildIndexBuilder"),
-}
+#: mode name -> builder.  The four side-file modes are one class and a
+#: row of data each (key source x visiting order, :mod:`repro.core.sf`):
+#: ``sf`` heap scan, all loads then all drains; ``psf`` the same with
+#: ``partitions`` defaulting to 2; ``multi`` load -> drain -> flip per
+#: index; ``rebuild`` sealed runs (obtained from
+#: :meth:`repro.system.System.rebuild_index`).  ``BuildOptions.partitions``
+#: shards the scan of any of the first three.
+BUILDERS = {cls.mode: cls for cls in (
+    NSFIndexBuilder, SFIndexBuilder, ParallelSFBuilder, MultiIndexBuilder,
+    RebuildIndexBuilder, OfflineIndexBuilder)}
 
 
 def get_builder(mode: str):
-    """Builder class for ``mode``, including the lazily imported ones."""
-    if mode in _LAZY_BUILDERS:
-        module, name = _LAZY_BUILDERS[mode]
-        return getattr(import_module(module), name)
+    """Builder class for ``mode``."""
     return BUILDERS[mode]
 
 
@@ -132,13 +130,16 @@ __all__ = [
     "IndexSpec",
     "IndexState",
     "MULTI_MODE",
+    "MultiIndexBuilder",
     "NSFIndexBuilder",
     "NSF_MODE",
     "OFFLINE_MODE",
     "OfflineIndexBuilder",
     "PSF_MODE",
+    "ParallelSFBuilder",
     "REBUILD_MODE",
     "RESUMABLE_MODES",
+    "RebuildIndexBuilder",
     "SFIndexBuilder",
     "SF_LIKE_MODES",
     "SF_MODE",

@@ -34,6 +34,7 @@ from repro.sim.latch import SHARE
 from repro.sort import (
     CompressedRunFormation,
     KeyCodec,
+    RestartableMerger,
     RunFormation,
     RunStore,
     final_merger,
@@ -76,8 +77,9 @@ class BuildOptions:
     prefetch_pages: Optional[int] = None
     #: parallel reader processes for the data scan (section 2.2.2,
     #: [PMCLS90]: "the data pages may be read in parallel using multiple
-    #: processes").  Only NSF and offline honour this: SF's Current-RID
-    #: visibility rule requires a single ordered scan position.
+    #: processes").  NSF and offline only: the side-file modes refuse it,
+    #: because Current-RID needs one ordered scan position per page
+    #: range -- their parallel scan is ``partitions``.
     parallel_readers: int = 1
     #: scan-phase checkpoint interval, in data pages (None = no periodic
     #: scan checkpoints; a checkpoint is still taken at phase boundaries)
@@ -106,8 +108,9 @@ class BuildOptions:
     drain_batch: int = 64
     #: simulated time per key extracted during the scan
     key_extract_cost: float = 0.05
-    #: PSF: number of range partitions / scan workers (None -> builder
-    #: default; ignored by the serial builders)
+    #: side-file modes: scan the table as this many page-range shards,
+    #: one worker and one Current-RID each (None -> the mode's default:
+    #: the serial scan, or 2 for ``psf``; a rebuild never scans)
     partitions: Optional[int] = None
     #: encode composite keys into fixed-width machine integers at scan
     #: time (compressed key sort); the tournament trees then compare one
@@ -127,6 +130,9 @@ class BuilderBase:
     """Common state and phases of one index-build utility run."""
 
     mode = "offline"
+    #: prefix of the per-index run store the sort plumbing reads and
+    #: writes (a rebuild merges out of the ``sealed:`` stores instead)
+    run_store_prefix = "sort"
 
     def __init__(self, system: "System", table: "Table",
                  specs: Sequence[IndexSpec] | IndexSpec,
@@ -146,6 +152,14 @@ class BuilderBase:
         #: the utility checkpoint this builder was resumed from (None
         #: for a fresh build); see :meth:`resume`
         self._resume_state: Optional[dict] = None
+        #: the per-index build manifest, the one progress state past the
+        #: scan that every utility checkpoint carries: index name ->
+        #: {"status": pending | loading | draining | done, "merge" +
+        #: "highest_key" (a checkpointed load or NSF insert), "position"
+        #: (where its side-file drain starts), "floor" (a rebuild's
+        #: drain floor)}.  K = 1 is a manifest of one.
+        self._manifest: dict[str, dict] = {
+            spec.name: {"status": "pending"} for spec in self.specs}
         self._sorters: dict[str, RunFormation] = {}
         #: one shared key codec per index (compressed_keys only): PSF
         #: shard sorters and crash-resumed sorters must all agree on the
@@ -260,14 +274,12 @@ class BuilderBase:
             context = recovery_context(system, utility_state)
         builder.context = context
         builder._resume_state = utility_state
+        builder._manifest = {name: dict(entry) for name, entry
+                             in utility_state["manifest"].items()}
         builder._restore_throttle(utility_state)
         builder._restore_progress(utility_state)
         builder._restore_codec(utility_state)
-        builder._adopt_checkpoint(utility_state)
         return builder
-
-    def _adopt_checkpoint(self, utility_state: dict) -> None:
-        """Hook: what only this mode keeps in its checkpoints."""
 
     # -- catalog steps ----------------------------------------------------------
 
@@ -298,11 +310,8 @@ class BuilderBase:
 
     # -- sort plumbing -------------------------------------------------------------
 
-    def _store_name(self, descriptor: IndexDescriptor) -> str:
-        return f"sort:{descriptor.name}"
-
     def _store_for(self, descriptor: IndexDescriptor) -> RunStore:
-        name = self._store_name(descriptor)
+        name = f"{self.run_store_prefix}:{descriptor.name}"
         store = self.system.run_stores.get(name)
         if store is None:
             store = RunStore(prefix=name)
@@ -318,11 +327,9 @@ class BuilderBase:
         return codec
 
     def _new_sorter(self, descriptor: IndexDescriptor,
-                    workspace: Optional[int] = None,
-                    store: Optional[RunStore] = None) -> RunFormation:
+                    workspace: Optional[int] = None) -> RunFormation:
         """One run-formation sorter, compressed when the options say so."""
-        if store is None:
-            store = self._store_for(descriptor)
+        store = self._store_for(descriptor)
         size = workspace if workspace is not None else self.sort_workspace
         if self.options.compressed_keys:
             return CompressedRunFormation(
@@ -331,12 +338,10 @@ class BuilderBase:
 
     def _restore_sorter(self, descriptor: IndexDescriptor, manifest: dict,
                         workspace: Optional[int] = None,
-                        store: Optional[RunStore] = None,
                         prune: bool = True):
         """Restore one sorter from its checkpoint manifest, threading the
         shared per-index codec through when the build is compressed."""
-        if store is None:
-            store = self._store_for(descriptor)
+        store = self._store_for(descriptor)
         size = workspace if workspace is not None else self.sort_workspace
         codec = self._codec_for(descriptor.name) \
             if self.options.compressed_keys else None
@@ -375,11 +380,44 @@ class BuilderBase:
         self.system.metrics.incr("build.resumes.scan")
         return state.get("next_page", 0)
 
-    def _merger_from_closed_runs(self, descriptor: IndexDescriptor):
-        """Post-scan resume: the final merger over the forced, closed
-        runs that survived.  Creation order, not name order:
-        lexicographic names put run-10 before run-2, silently merging a
-        resumed build in a different stream order than the original."""
+    # -- the per-index manifest ------------------------------------------------
+
+    def _enter(self, name: str, status: str, **fields) -> None:
+        """Move index ``name`` to ``status`` in the manifest.  Only the
+        drain floor outlives a transition; whatever else the new state
+        needs is passed in."""
+        entry = {"status": status, **fields}
+        floor = self._manifest[name].get("floor")
+        if floor is not None:
+            entry["floor"] = floor
+        self._manifest[name] = entry
+
+    def _mergers_from_manifest(self) -> dict:
+        """Post-scan resume, the one loop every mode shares: an index
+        checkpointed mid-load (NSF: mid-insert) resumes its merge from
+        the counters, a pending one restarts from the closed runs, and
+        a draining or done one needs no keys at all."""
+        mergers = {}
+        for descriptor in self.descriptors:
+            entry = self._manifest[descriptor.name]
+            if entry["status"] == "loading":
+                mergers[descriptor.name] = self._resume_load(descriptor,
+                                                             entry)
+            elif entry["status"] == "pending":
+                mergers[descriptor.name] = self._restart_load(descriptor)
+        return mergers
+
+    def _resume_load(self, descriptor: IndexDescriptor, entry: dict):
+        """Merger for an index resumed from its merge checkpoint."""
+        return RestartableMerger.restore(self._store_for(descriptor),
+                                         entry["merge"])
+
+    def _restart_load(self, descriptor: IndexDescriptor):
+        """Merger for an index with no merge checkpoint: the final merge
+        over the forced, closed runs that survived.  Creation order, not
+        name order: lexicographic names put run-10 before run-2,
+        silently merging a resumed build in a different stream order
+        than the original."""
         store = self._store_for(descriptor)
         runs = sorted((run for run in store.runs.values() if run.closed),
                       key=lambda run: run_sequence(run.name))
@@ -714,6 +752,11 @@ class BuilderBase:
                        if codec.bound or codec.disabled}
             if layouts:
                 payload["sort_codecs"] = layouts
+        # Copied entry by entry: the record must keep the manifest as of
+        # this instant, not follow the builder's later transitions.
+        if state.get("phase") != "done":
+            payload["manifest"] = {name: dict(entry) for name, entry
+                                   in self._manifest.items()}
         # The options that differ from the defaults, so the resumed
         # build keeps its drain batch, fill factor, checkpoint and commit
         # intervals, workspace, ...  Key absent when all are default.

@@ -46,13 +46,13 @@ MULTI_MODE = "multi"
 OFFLINE_MODE = "offline"
 REBUILD_MODE = "rebuild"
 
-#: Modes that route maintenance through a side-file.  PSF (the partitioned
-#: parallel build, :mod:`repro.parallel`) is SF with a frontier *vector*
-#: instead of a single Current-RID; MULTI (:mod:`repro.multibuild`) is SF
-#: building K indexes from the one scan (section 6.2), each with its own
-#: side-file and flag flip; the Figure 1 / Figure 2 logic is otherwise
-#: identical.  REBUILD (:mod:`repro.core.rebuild`) reconstructs a dropped
-#: tree from sealed sorted runs without rescanning the table; while the
+#: Modes that route maintenance through a side-file: one builder
+#: (:mod:`repro.core.sf`) and a row of data each.  A sharded scan
+#: (PSF's default) swaps the single Current-RID for a frontier *vector*;
+#: MULTI builds K indexes from the one scan (section 6.2), each with its
+#: own side-file and flag flip; the Figure 1 / Figure 2 logic is
+#: otherwise identical.  REBUILD reconstructs a dropped tree from
+#: sealed sorted runs without rescanning the table; while the
 #: new tree loads, concurrent maintenance routes through a side-file
 #: exactly as in SF with Current-RID at infinity (every record counts as
 #: "scanned" -- the sealed runs already cover the whole table).

@@ -39,34 +39,37 @@ class NSFIndexBuilder(BuilderBase):
 
     def _run_phases(self):
         """Build all requested indexes online."""
-        if self._resume_state is None:
+        state = self._resume_state
+        mergers = None
+        scan_start = 0
+        if state is None:
             yield from self._descriptor_phase()
             self._make_sorters()
-            phase, scan_start, done_indexes = "scan", 0, []
-            mergers: dict[str, RestartableMerger] = {}
+        elif state["phase"] == "scan":
+            scan_start = self._resume_scan()
         else:
-            phase, scan_start, done_indexes, mergers = \
-                self._prepare_resume()
-
-        if phase == "scan":
+            # insert / insert-start.  Already-inserted keys of a
+            # restarted merge are duplicate-rejected (section 2.2.3: "no
+            # integrity problem in IB trying to insert keys which were
+            # already inserted prior to the failure").
+            mergers = self._mergers_from_manifest()
+            self.system.metrics.incr("build.resumes.insert")
+        if mergers is None:
             mergers = yield from self._scan_phase(
                 scan_start, readers=self.options.parallel_readers)
 
         for descriptor in self.descriptors:
-            if descriptor.name in done_indexes:
+            if self._manifest[descriptor.name]["status"] == "done":
                 continue
-            merger = mergers.get(descriptor.name)
-            yield from self._insert_phase(descriptor, merger, done_indexes)
-            done_indexes.append(descriptor.name)
-            self._write_utility_checkpoint({
-                "phase": "insert-start",
-                "done_indexes": list(done_indexes)})
+            yield from self._insert_phase(descriptor,
+                                          mergers.get(descriptor.name))
+            self._enter(descriptor.name, "done")
+            self._write_utility_checkpoint({"phase": "insert-start"})
 
         self._mark_available()
 
     def _scan_done(self) -> None:
-        self._write_utility_checkpoint({
-            "phase": "insert-start", "done_indexes": []})
+        self._write_utility_checkpoint({"phase": "insert-start"})
 
     # -- phase 1: descriptor under short quiesce ---------------------------------
 
@@ -103,8 +106,7 @@ class NSFIndexBuilder(BuilderBase):
         self._trace_gauge("read_watermark", key_metric(highest[0]),
                           index=descriptor.name, key=str(highest[0]))
 
-    def _insert_phase(self, descriptor, merger: Optional[RestartableMerger],
-                      done_indexes: list):
+    def _insert_phase(self, descriptor, merger: Optional[RestartableMerger]):
         tree = descriptor.tree
         self._trace_begin("insert", key=f"insert:{descriptor.name}",
                           index=descriptor.name)
@@ -156,14 +158,9 @@ class NSFIndexBuilder(BuilderBase):
                 # fired more often than (or instead of) plain commits.
                 descriptor.read_watermark = highest
                 self._trace_watermark(descriptor, highest)
-                manifest = merger.checkpoint()
-                self._write_utility_checkpoint({
-                    "phase": "insert",
-                    "index": descriptor.name,
-                    "merge": manifest,
-                    "highest_key": highest,
-                    "done_indexes": list(done_indexes),
-                })
+                self._enter(descriptor.name, "loading",
+                            merge=merger.checkpoint(), highest_key=highest)
+                self._write_utility_checkpoint({"phase": "insert"})
                 ib_txn = self.system.txns.begin(
                     f"IB-insert-{descriptor.name}")
                 since_checkpoint = 0
@@ -178,28 +175,3 @@ class NSFIndexBuilder(BuilderBase):
         self._trace_end(f"insert:{descriptor.name}")
         self._mark(f"insert_done:{descriptor.name}")
         fault_point(self.system.metrics, "nsf.insert_done")
-
-    # -- restart (sections 2.2.3 and 2.3.2) ------------------------------------------
-
-    def _prepare_resume(self):
-        """Re-establish phase state from the checkpoint; returns
-        ``(phase, scan_start, done_indexes, mergers)``."""
-        state = self._resume_state
-        done_indexes = list(state.get("done_indexes", []))
-        if state.get("phase", "scan") == "scan":
-            return "scan", self._resume_scan(), done_indexes, {}
-        # insert / insert-start.  Indexes with no merge checkpoint
-        # restart their final merge from the forced, closed runs;
-        # already-inserted keys are duplicate-rejected (section 2.2.3:
-        # "no integrity problem in IB trying to insert keys which were
-        # already inserted prior to the failure").
-        mergers: dict[str, RestartableMerger] = {}
-        for descriptor in self.descriptors:
-            name = descriptor.name
-            if state["phase"] == "insert" and name == state["index"]:
-                mergers[name] = RestartableMerger.restore(
-                    self._store_for(descriptor), state["merge"])
-            elif name not in done_indexes:
-                mergers[name] = self._merger_from_closed_runs(descriptor)
-        self.system.metrics.incr("build.resumes.insert")
-        return "insert", 0, done_indexes, mergers

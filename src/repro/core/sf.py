@@ -24,13 +24,19 @@ Timeline (section 3.2):
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.btree.loader import BulkLoader
-from repro.core.base import BuilderBase, SCAN_PHASES
+from repro.core.base import BuilderBase, BuildOptions, IndexSpec
 from repro.core.descriptor import IndexState
-from repro.core.drain import SideFileDrainer
-from repro.core.maintenance import SF_MODE
+from repro.core.maintenance import (
+    MULTI_MODE,
+    PSF_MODE,
+    REBUILD_MODE,
+    SF_MODE,
+)
+from repro.core.sources import HeapScan, SealedRuns, ShardScan
 from repro.faultinject.sites import fault_point
 from repro.sidefile import SideFile, register_sidefile_operations
 from repro.sim.kernel import Delay
@@ -38,13 +44,47 @@ from repro.sort import RestartableMerger, RunStore
 from repro.storage.rid import INFINITY_RID, RID
 
 
-class SFIndexBuilder(SideFileDrainer, BuilderBase):
-    """Side-File online index builder."""
+class SFIndexBuilder(BuilderBase):
+    """Side-File online index builder.
+
+    Two parts: a key source (:mod:`repro.core.sources`) that ends in one
+    final merger per index, and the per-index manifest that the load and
+    drain phases write and one resume routine reads.  The named modes
+    below differ only in the class attributes of this block.
+    """
 
     mode = SF_MODE
+    #: shard count when ``options.partitions`` is unset (None = the
+    #: serial scan)
+    default_partitions: Optional[int] = None
+    #: take the keys from the index's sealed runs instead of a scan
+    key_source: Optional[type] = None
+    #: visit load -> drain -> flip index by index (section 6.2: each
+    #: index online as soon as its own drain completes, side-files of
+    #: the later ones still growing) instead of every load, then every
+    #: drain (which keeps all K offline until the very end; E8 pins it)
+    pipelined = False
+    #: fault site of the end-of-scan transition
+    scan_done_site = "sf.scan_done"
 
     def __init__(self, system, table, specs, options=None):
         super().__init__(system, table, specs, options)
+        if self.options.parallel_readers > 1:
+            raise ValueError(
+                f"{self.mode}: parallel_readers="
+                f"{self.options.parallel_readers} is for NSF and offline; "
+                "a side-file build scans in parallel with "
+                "BuildOptions.partitions (one Current-RID per shard)")
+        partitions = self.options.partitions
+        if partitions is None:
+            partitions = self.default_partitions
+        if partitions is not None and partitions < 1:
+            raise ValueError(f"need at least one partition, got {partitions}")
+        #: scan shards (None = the serial scan)
+        self.partitions = partitions
+        source = self.key_source \
+            or (HeapScan if partitions is None else ShardScan)
+        self.source = source(self)
         #: loaders prepared by resume for trees cut back to a checkpoint
         self._resume_loaders: dict[str, BulkLoader] = {}
         #: descriptors recovering from a torn stable snapshot (section 6)
@@ -52,98 +92,110 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
 
     # -- main process ------------------------------------------------------
 
-    def _run_phases(self):
-        """Build all requested indexes online: the scan (unless resumed
-        past it, or a rebuild), then load and drain."""
-        if self._resume_state is None:
-            plan = self._start()
-        else:
-            plan = self._prepare_resume()
-        phase, scan_start, loaded, drained, mergers, drain_positions = plan
-        if phase in SCAN_PHASES:
-            mergers = yield from self._scan_phase(scan_start)
-            phase = "load"
-        yield from self._load_and_drain(phase, loaded, drained, mergers,
-                                        drain_positions)
+    def _build_span_attrs(self) -> dict:
+        return {} if self.partitions is None \
+            else {"partitions": self.partitions}
 
-    def _start(self):
-        """A fresh build's first steps; returns what
-        :meth:`_prepare_resume` returns for a resumed one: ``(phase,
-        scan_start, loaded, drained, mergers, drain_positions)``."""
-        self._descriptor_phase()
-        self._make_sorters()
-        return "scan", 0, [], [], {}, {}
+    def _run_phases(self):
+        """Build all requested indexes online: the key source (unless
+        resumed past it), then one loop over ``(index, step)`` pairs."""
+        state = self._resume_state
+        mergers = None
+        if state is None:
+            self.source.start()
+        elif not self.source.resume(state):
+            mergers = self._resume_loads()
+        if mergers is None:
+            mergers = yield from self.source.mergers()
+        for descriptor, step in self._steps():
+            status = self._manifest[descriptor.name]["status"]
+            if step == "load" and status in ("pending", "loading"):
+                yield from self._load_step(descriptor,
+                                           mergers.get(descriptor.name))
+            elif step == "drain" and status != "done":
+                yield from self._drain_step(descriptor)
+
+    def _steps(self) -> list:
+        """The mode's visiting order: the two nestings of indexes x
+        (load, drain)."""
+        if self.pipelined:
+            return [(descriptor, step) for descriptor in self.descriptors
+                    for step in ("load", "drain")]
+        return [(descriptor, step) for step in ("load", "drain")
+                for descriptor in self.descriptors]
 
     def _scan_done(self) -> None:
         # Section 3.2.2: Current-RID := infinity when the scan is done,
         # so subsequent file extensions still reach the side-file.
         self.context.current_rid = INFINITY_RID
-        fault_point(self.system.metrics, "sf.scan_done")
-        self._write_utility_checkpoint({
-            "phase": "load-start", "loaded_indexes": []})
+        fault_point(self.system.metrics, self.scan_done_site)
+        # From here each index resumes from its own manifest entry.
+        self._write_utility_checkpoint({"phase": "load-start"})
 
-    def _load_and_drain(self, phase, loaded, drained, mergers,
-                        drain_positions):
-        """Phases 3 and 4 (shared with the parallel builder): bottom-up
-        bulk load per index, then the logged side-file drain + flip."""
-        if phase in ("load", "load-start"):
-            for descriptor in self.descriptors:
-                if descriptor.name in loaded:
-                    continue
-                yield from self._load_phase(
-                    descriptor, mergers.get(descriptor.name), loaded,
-                    loader=self._resume_loaders.pop(descriptor.name, None))
-                if descriptor.name in self._torn_recover:
-                    self._torn_recover.discard(descriptor.name)
-                    self._replay_index_log(descriptor)
-                loaded.append(descriptor.name)
-                self._write_utility_checkpoint({
-                    "phase": "load-start",
-                    "loaded_indexes": list(loaded)})
-                # Seal only after the checkpoint above: it is the first
-                # one that no longer references the merge, so moving the
-                # merger's output run out of the sort store can no
-                # longer strand a mid-load merge manifest (a crash
-                # before the seal simply skips it -- the previous sealed
-                # generation, if any, stays valid).
-                self._seal_sorted_runs(
-                    descriptor, mergers.get(descriptor.name))
+    def _load_step(self, descriptor, merger):
+        """Phase 3 for one index: bottom-up bulk load, then whatever
+        logged history the loaded keys predate."""
+        name = descriptor.name
+        yield from self._load_phase(
+            descriptor, merger, loader=self._resume_loaders.pop(name, None))
+        self.source.loaded(descriptor)
+        if name in self._torn_recover:
+            self._torn_recover.discard(name)
+            self._replay_index_log(descriptor)
+        # a torn-recovery drain offset survives the reload
+        self._enter(name, "draining",
+                    position=self._manifest[name].get("position", 0))
+        if not any(entry["status"] in ("pending", "loading")
+                   for entry in self._manifest.values()):
             self._mark("load_done")
+        if self.pipelined:
+            # The drain-start checkpoint follows at once.  Only the
+            # batched order seals: an index built one flip at a time has
+            # no sealed run, and ``rebuild_index`` refuses it.
+            fault_point(self.system.metrics, "multibuild.index_loaded")
+            return
+        self._write_utility_checkpoint({"phase": "load-start"})
+        # Seal only after the checkpoint above: it is the first one
+        # that no longer references the merge, so moving the merger's
+        # output run out of the sort store can no longer strand a
+        # mid-load merge manifest (a crash before the seal simply skips
+        # it -- the previous sealed generation, if any, stays valid).
+        self._seal_sorted_runs(descriptor, merger)
 
-        for descriptor in self.descriptors:
-            if descriptor.name in drained:
-                continue
-            start = drain_positions.get(descriptor.name, 0)
-            self.system.sidefiles[descriptor.name].force()
-            self._write_utility_checkpoint({
-                "phase": "drain", "index": descriptor.name,
-                "position": start,
-                "loaded_indexes": [d.name for d in self.descriptors],
-                "drained_indexes": list(drained)})
-            fault_point(self.system.metrics, "sf.drain_start")
-            yield from self._drain_phase(descriptor, start, loaded, drained)
-            drained.append(descriptor.name)
+    def _drain_step(self, descriptor):
+        """Phase 4 for one index: the logged side-file drain + flip."""
+        name = descriptor.name
+        metrics = self.system.metrics
+        entry = self._manifest[name]
+        start = max(entry.get("position", 0), entry.get("floor", 0))
+        self.system.sidefiles[name].force()
+        self._enter(name, "draining", position=start)
+        self._write_utility_checkpoint({"phase": "drain"})
+        fault_point(metrics, "sf.drain_start")
+        yield from self._drain_phase(descriptor, start)
+        self._enter(name, "done")
+        if self.pipelined:
+            # Record the flip before the next index's load: a crash in
+            # it must not re-drain this one.
+            metrics.incr("multibuild.indexes_flipped")
+            self._write_utility_checkpoint({"phase": "load-start"})
+            fault_point(metrics, "multibuild.index_done")
 
     # -- phase 1: descriptor without quiesce --------------------------------------
 
-    def _descriptor_phase(self) -> None:
+    def _descriptor_phase(self, frontier=None) -> None:
         """No lock, no waiting: SF's headline availability property
-        (section 3.2.1: "without quiescing (update) transactions")."""
+        (section 3.2.1: "without quiescing (update) transactions").
+        ``frontier``: the shard scan's one Current-RID per shard."""
         self._create_descriptors()
         register_sidefile_operations(self.system)
         for descriptor in self.descriptors:
             sidefile = SideFile(self.system, descriptor.name)
             self.system.sidefiles[descriptor.name] = sidefile
-        self._install_context(current_rid=RID(0, 0), index_build=True)
+        self._install_context(current_rid=RID(0, 0), index_build=True,
+                              frontier=frontier)
         self.system.metrics.observe("build.quiesce_wait", 0.0)
         self.system.metrics.observe("build.quiesce_hold", 0.0)
-        # Initial checkpoint: a crash before the first periodic scan
-        # checkpoint resumes from page zero instead of orphaning the
-        # descriptor.
-        self._write_utility_checkpoint({
-            "phase": "scan", "next_page": 0, "sort": {}})
-        self._mark("descriptor_done")
-        fault_point(self.system.metrics, "sf.descriptor_done")
 
     # -- phase 2 hooks: scan limit and Current-RID maintenance ---------------------------
 
@@ -163,7 +215,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
     # -- phase 3: bottom-up bulk load ------------------------------------------------------
 
     def _load_phase(self, descriptor, merger: Optional[RestartableMerger],
-                    loaded: list, loader: Optional[BulkLoader] = None):
+                    loader: Optional[BulkLoader] = None):
         tree = descriptor.tree
         self._trace_begin("load", key=f"load:{descriptor.name}",
                           index=descriptor.name)
@@ -231,14 +283,12 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             if checkpoint_every and since_checkpoint >= checkpoint_every:
                 # Atomic trio: force tree, checkpoint merge counters,
                 # write the WAL checkpoint (section 3.2.4).
-                manifest = merger.checkpoint()
-                self._write_utility_checkpoint({
-                    "phase": "load",
-                    "index": descriptor.name,
-                    "merge": manifest,
-                    "highest_key": loader.highest_key,
-                    "loaded_indexes": list(loaded),
-                })
+                self._enter(
+                    descriptor.name, "loading", merge=merger.checkpoint(),
+                    highest_key=loader.highest_key,
+                    position=self._manifest[descriptor.name].get(
+                        "position", 0))
+                self._write_utility_checkpoint({"phase": "load"})
                 since_checkpoint = 0
                 self.system.metrics.incr("build.load_checkpoints")
         if since_yield:
@@ -298,65 +348,160 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
                             runs=list(runs))
         fault_point(system.metrics, "rebuild.sealed")
 
-    # -- phase 4: side-file drain --------------------------------------------
-    #
-    # ``_drain_phase`` / ``_drain_sorted_chunk`` live in the shared
-    # :class:`repro.core.drain.SideFileDrainer` mixin so the parallel
-    # builder reuses the identical drain + atomic flag flip.
+    # -- phase 4: side-file drain and atomic flag flip (section 3.2.5) ------
+
+    def _drain_phase(self, descriptor, start_position: int):
+        """IB applies the side-file entries in order with undo-redo
+        logging, checkpoints its position, and when the drain position
+        reaches the end of the file flips the descriptor to AVAILABLE in
+        the same atomic step."""
+        tree = descriptor.tree
+        sidefile = self.system.sidefiles[descriptor.name]
+        ib_txn = self.system.txns.begin(f"IB-drain-{descriptor.name}")
+        position = start_position
+        since_checkpoint = 0
+        checkpoint_every = self.options.checkpoint_every_keys
+        self._trace_begin("drain", key=f"drain:{descriptor.name}",
+                          index=descriptor.name,
+                          start_position=start_position,
+                          backlog=len(sidefile.entries) - position)
+        tracer = self.system.metrics.tracer
+
+        if self.options.sort_sidefile and position < len(sidefile.entries):
+            position = yield from self._drain_sorted_chunk(
+                descriptor, ib_txn, sidefile, position)
+            sidefile.drain_position = position
+
+        drain_batch = self.options.drain_batch
+        while True:
+            while position < len(sidefile.entries):
+                # Feed the tree batches instead of single entries: one
+                # traversal + latch hold covers a whole batch of
+                # consecutive same-leaf entries (bounded so checkpoints
+                # still land on schedule).
+                take = len(sidefile.entries) - position
+                if take > drain_batch:
+                    take = drain_batch
+                if checkpoint_every:
+                    slack = checkpoint_every - since_checkpoint
+                    if slack >= 1 and take > slack:
+                        take = slack
+                yield from self._throttle(take)
+                batch = [(entry.operation, entry.key_value, entry.rid)
+                         for entry in
+                         sidefile.entries[position:position + take]]
+                position += take
+                yield from tree.sf_drain_apply_batch(ib_txn, batch)
+                self.system.metrics.incr("build.sidefile_drained", take)
+                sidefile.drain_position = position
+                self._progress_drain(f"drain:{descriptor.name}",
+                                     position, len(sidefile.entries))
+                if tracer is not None:
+                    tracer.gauge("sidefile.backlog",
+                                 len(sidefile.entries) - position,
+                                 index=descriptor.name)
+                since_checkpoint += take
+                if checkpoint_every and since_checkpoint >= checkpoint_every:
+                    yield from ib_txn.commit()
+                    sidefile.force()
+                    self._enter(descriptor.name, "draining",
+                                position=position)
+                    self._write_utility_checkpoint({"phase": "drain"})
+                    ib_txn = self.system.txns.begin(
+                        f"IB-drain-{descriptor.name}")
+                    since_checkpoint = 0
+                    self.system.metrics.incr("build.drain_checkpoints")
+                    fault_point(self.system.metrics, "sf.drain_checkpoint")
+            # Atomic completion test: no yields between the length check
+            # and the state flip, so a racing append either landed before
+            # (and was processed) or lands after the flip and goes
+            # directly to the index (section 3.2.5).
+            fault_point(self.system.metrics, "sf.flag_flip.before")
+            if position == len(sidefile.entries):
+                descriptor.state = IndexState.AVAILABLE
+                if self.context is not None \
+                        and descriptor in self.context.descriptors:
+                    self.context.descriptors.remove(descriptor)
+                self._trace_instant("sf.flip", index=descriptor.name,
+                                    position=position)
+                self._progress_phase_done(f"drain:{descriptor.name}")
+                fault_point(self.system.metrics, "sf.flag_flip.after")
+                break
+        tree.verify_unique()
+        yield from ib_txn.commit()
+        self.system.metrics.observe(
+            f"build.sidefile_length.{descriptor.name}", position)
+        self._trace_end(f"drain:{descriptor.name}",
+                        drained=position - start_position)
+        self._mark(f"drain_done:{descriptor.name}")
+
+    def _drain_sorted_chunk(self, descriptor, ib_txn, sidefile,
+                            position: int):
+        """Section 3.2.5 optimization: sort the current side-file contents
+        (stable with respect to identical keys) before applying, so the
+        tree is updated in key order; the remainder arriving during the
+        sorted pass is processed sequentially by the caller.
+
+        Key order is where drain batching pays off most: consecutive
+        sorted entries land on the same leaf, so each batch collapses to
+        a handful of traversals (EXPERIMENTS.md E19 measures the window
+        shrinking as ``drain_batch`` grows)."""
+        end = len(sidefile.entries)
+        chunk = list(enumerate(sidefile.entries[position:end],
+                               start=position))
+        chunk.sort(key=lambda item: (item[1].key_value, item[1].rid,
+                                     item[0]))
+        drain_batch = max(1, self.options.drain_batch)
+        metrics = self.system.metrics
+        for start in range(0, len(chunk), drain_batch):
+            batch = [(entry.operation, entry.key_value, entry.rid)
+                     for _pos, entry in chunk[start:start + drain_batch]]
+            yield from self._throttle(len(batch))
+            yield from descriptor.tree.sf_drain_apply_batch(ib_txn, batch)
+            metrics.incr("build.sidefile_drained", len(batch))
+            metrics.incr("build.sidefile_drained_sorted", len(batch))
+        return end
 
     # -- restart (section 3.2.4 / 3.2.5) ------------------------------------------------------
 
-    def _adopt_checkpoint(self, utility_state: dict) -> None:
-        register_sidefile_operations(self.system)
+    def _resume_loads(self) -> dict:
+        """THE post-scan resume: read the manifest, return the mergers
+        the remaining loads need.
 
-    def _prepare_resume(self):
-        state = self._resume_state
-        phase = state.get("phase", "scan")
-        loaded = list(state.get("loaded_indexes", []))
-        drained = list(state.get("drained_indexes", []))
-        mergers: dict[str, RestartableMerger] = {}
-        drain_positions: dict[str, int] = {}
-        if phase == "scan":
-            return phase, self._resume_scan(), loaded, drained, mergers, \
-                drain_positions
-
-        checkpoint_name = state.get("index") if phase == "load" else None
-        if phase == "drain":
-            loaded = [d.name for d in self.descriptors]
-            drain_positions[state["index"]] = state.get("position", 0)
-
+        Finished indexes ("done") are skipped outright -- no rescan, no
+        reload, no re-drain; an index mid-load resumes its checkpointed
+        merge; a pending one rebuilds from the forced, closed sort runs;
+        a draining one resumes from its position.  The section 6
+        fallback is per index: a torn one alone goes back to pending,
+        the others keep their manifest progress.
+        """
+        metrics = self.system.metrics
+        skipped = 0
         for descriptor in self.descriptors:
-            if not descriptor.tree.media_damaged:
+            name = descriptor.name
+            done = self._manifest[name]["status"] == "done"
+            if descriptor.tree.media_damaged:
+                flipped = done or descriptor.state is IndexState.AVAILABLE
+                self._enter(name, "pending",
+                            position=self._torn_fallback(descriptor, flipped))
+            elif done:
+                # The flip was checkpointed, so the catalog carried
+                # AVAILABLE across.
+                descriptor.state = IndexState.AVAILABLE
+                if self.context is not None \
+                        and descriptor in self.context.descriptors:
+                    self.context.descriptors.remove(descriptor)
+                skipped += 1
                 continue
-            name = descriptor.name
-            drain_positions[name] = self._torn_fallback(
-                descriptor, descriptor.state is IndexState.AVAILABLE)
-            if name in loaded:
-                loaded.remove(name)
-            if name in drained:
-                drained.remove(name)
-            if name == checkpoint_name:
-                checkpoint_name = None
-
-        for descriptor in self.descriptors:
-            name = descriptor.name
-            if name == checkpoint_name:
-                mergers[name] = self._resume_load(
-                    descriptor, state["merge"], state.get("highest_key"))
-            elif name not in loaded:
-                mergers[name] = self._restart_load(descriptor)
-
-        if len(loaded) == len(self.descriptors):
-            self.system.metrics.incr("build.resumes.drain")
-            return "drain", 0, loaded, drained, mergers, drain_positions
-        self.system.metrics.incr("build.resumes.load")
-        return "load", 0, loaded, drained, mergers, drain_positions
+            self.source.rejoin(descriptor)
+        if skipped:
+            metrics.incr("multibuild.resume_skipped_indexes", skipped)
+        mergers = self._mergers_from_manifest()
+        metrics.incr("build.resumes.load" if mergers
+                     else "build.resumes.drain")
+        return mergers
 
     # -- resume helpers -----------------------------------------------------
-
-    def _resume_scan(self) -> int:
-        self._reset_torn_shells()
-        return super()._resume_scan()
 
     def _reset_torn_shells(self) -> None:
         """A torn snapshot during the scan phase lost only an empty tree
@@ -391,16 +536,15 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         self.system.metrics.incr("build.resumes.torn_fallback")
         return position
 
-    def _resume_load(self, descriptor, merge_manifest: dict, highest_key):
+    def _resume_load(self, descriptor, entry: dict):
         """Merger for a load resumed from its merge checkpoint.
 
         The tree may hold keys above the checkpoint (its snapshot was
         forced before the checkpoint record that never landed); "the
         index pages can be reset in such a way that the keys higher than
         the checkpointed key disappear" (section 3.2.4)."""
-        merger = RestartableMerger.restore(self._store_for(descriptor),
-                                           merge_manifest)
-        self._align_tree_with_checkpoint(descriptor, highest_key)
+        merger = super()._resume_load(descriptor, entry)
+        self._align_tree_with_checkpoint(descriptor, entry["highest_key"])
         return merger
 
     def _restart_load(self, descriptor):
@@ -412,7 +556,7 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
         if tree.root is not None \
                 and tree.key_count(include_pseudo_deleted=True):
             self._reset_tree(tree)
-        return self._merger_from_closed_runs(descriptor)
+        return super()._restart_load(descriptor)
 
     def _reset_tree(self, tree) -> None:
         """Return ``tree`` to the empty state for a from-scratch rebuild."""
@@ -479,3 +623,58 @@ class SFIndexBuilder(SideFileDrainer, BuilderBase):
             replayed += 1
         if replayed:
             self.system.metrics.incr("build.torn_replayed_ops", replayed)
+
+
+# -- the named modes: rows of data over the one builder ----------------------
+
+
+class ParallelSFBuilder(SFIndexBuilder):
+    """``psf``: SF whose scan is sharded unless told otherwise."""
+
+    mode = PSF_MODE
+    default_partitions = 2
+    scan_done_site = "psf.scan_done"
+
+
+class MultiIndexBuilder(SFIndexBuilder):
+    """``multi`` (section 6.2: "creation of multiple indexes on the same
+    table could be going on concurrently with a single scan being
+    shared"): K indexes off one scan, each flipping AVAILABLE as soon as
+    its own drain completes -- the p99 staircase measured by
+    ``examples/advisor_build.py``.  The NSF discipline needs no such
+    row: :class:`~repro.core.nsf.NSFIndexBuilder` takes K specs and its
+    indexes are visible from descriptor creation."""
+
+    mode = MULTI_MODE
+    pipelined = True
+    scan_done_site = "multibuild.scan_done"
+
+
+class RebuildIndexBuilder(SFIndexBuilder):
+    """``rebuild``: drop + rebuild an existing index from its sealed
+    sorted runs (made by :func:`rebuild_builder`)."""
+
+    mode = REBUILD_MODE
+    key_source = SealedRuns
+    run_store_prefix = "sealed"
+
+
+def rebuild_builder(system, descriptor, options=None) -> RebuildIndexBuilder:
+    """Builder rebuilding the *existing* ``descriptor`` in place."""
+    manifest = system.sealed_runs[descriptor.name]
+    codec_manifest = manifest.get("codec")
+    options = options or BuildOptions()
+    if codec_manifest is not None:
+        # The sealed run holds *encoded* keys: the rebuild must adopt
+        # the original build's compressed mode (on a copy -- the options
+        # object stays the caller's) and its codec layout, so the load
+        # phase decodes them identically.
+        options = replace(options, compressed_keys=True)
+    spec = IndexSpec(descriptor.name, tuple(descriptor.key_columns),
+                     descriptor.unique)
+    builder = RebuildIndexBuilder(system, descriptor.table, [spec], options)
+    builder.descriptors = [descriptor]
+    builder.source.validate(descriptor, manifest)
+    if codec_manifest is not None:
+        builder._codec_for(descriptor.name).adopt(codec_manifest)
+    return builder

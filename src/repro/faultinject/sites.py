@@ -110,7 +110,7 @@ SITE_DOCS = {
         "a key codec derived its column layout from the first scanned key",
     "sort.codec.spill":
         "an oversized key spilled to raw comparison alongside its prefix",
-    # fast index reconstruction from sealed runs (repro.core.rebuild)
+    # fast index reconstruction from sealed runs (repro.core.sources.SealedRuns)
     "rebuild.sealed":
         "a build's final merged run sealed for future reconstruction",
     "rebuild.reset":

@@ -5,7 +5,7 @@ Measures what section 6.2's shared scan buys: for K in a small sweep,
 the suite builds the same K indexes twice under identical open-loop
 traffic --
 
-* ``multibuild/k{K}`` -- one :class:`~repro.multibuild.MultiIndexBuilder`
+* ``multibuild/k{K}`` -- one :class:`~repro.core.MultiIndexBuilder`
   run: ONE table scan feeding K sort pipelines, then the per-index
   load/drain/flip pipeline;
 * ``sequential/k{K}`` -- K separate SF builds run back to back, each
@@ -35,8 +35,7 @@ from repro.advisor import AdvisorConfig, recommend, templates_from_spec
 from repro.advisor.model import TableStats
 from repro.bench.runner import Suite
 from repro.core import BuildOptions, IndexSpec
-from repro.core.sf import SFIndexBuilder
-from repro.multibuild.builder import MultiIndexBuilder
+from repro.core.sf import MultiIndexBuilder, SFIndexBuilder
 from repro.obs import enable_tracing
 from repro.slo.analyzer import latency_report
 from repro.system import System, SystemConfig

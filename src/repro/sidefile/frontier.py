@@ -4,8 +4,8 @@ Serial SF keeps a single ``Current-RID``: a record's maintenance is
 routed to the side-file iff ``Target-RID < Current-RID`` (section 3.1),
 because everything behind the scan position has already been extracted.
 
-The parallel build (:mod:`repro.parallel`) range-partitions the table's
-page space into P shards and scans them with one worker each, so there is
+The shard scan (:class:`repro.core.sources.ShardScan`) range-partitions
+the table's page space into P shards, one scan worker each, so there is
 no single scan position.  The visibility test generalizes to a *frontier
 vector*: one Current-RID per shard, advanced by that shard's worker under
 the data-page latch.  A record is "scanned" iff it is behind the frontier

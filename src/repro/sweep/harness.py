@@ -38,11 +38,13 @@ from repro.sweep.scenario import (
     SchedulePlan,
 )
 
-#: builder rows ``schedule --builder all`` explores; psf runs at P in
-#: {1, 2, 3} (the paper's interleaving arguments must hold per shard
-#: count) and multi builds K=3 indexes off one shared scan (section 6.2)
-DEFAULT_ROWS = (("offline", 1), ("nsf", 1), ("sf", 1),
-                ("psf", 1), ("psf", 2), ("psf", 3), ("multi", 1))
+#: ``(builder, partitions)`` rows ``schedule --builder all`` explores;
+#: psf runs at P in {1, 2, 3} (the paper's interleaving arguments must
+#: hold per shard count) and multi builds K=3 indexes off one shared
+#: scan (section 6.2), serial and sharded
+DEFAULT_ROWS = (("offline", None), ("nsf", None), ("sf", None),
+                ("psf", 1), ("psf", 2), ("psf", 3),
+                ("multi", None), ("multi", 2))
 
 
 def run_plan(scenario: Scenario, plan) -> PlanResult:
@@ -122,10 +124,11 @@ def failure_dump(plan, scenario: Scenario, result: PlanResult,
         f"reproduce   : run_plan({scenario!r}, {replay!r})",
     ]
     if plan.fault is None:
+        partitions = "" if scenario.partitions is None \
+            else f"--partitions {scenario.partitions} "
         lines.append(
             f"replay      : python -m repro.sweep schedule "
-            f"--builder {scenario.builder} "
-            f"--partitions {scenario.partitions} "
+            f"--builder {scenario.builder} {partitions}"
             f"--records {scenario.records} "
             f"--operations {scenario.operations} "
             f"--workers {scenario.workers} --seed {scenario.seed} "
@@ -353,8 +356,9 @@ def main(argv: Optional[list] = None) -> int:
                         help="default: sf (crash), all (schedule); "
                              "'cluster' is the replication scenario")
     parser.add_argument("--partitions", type=int, default=None,
-                        help="psf shard count (default 2; a schedule "
-                             "sweep of psf alone covers P in {1,2,3})")
+                        help="scan shards of a side-file builder "
+                             "(default: serial, psf 2; a schedule sweep "
+                             "of psf alone covers P in {1,2,3})")
     parser.add_argument("--replicas", type=int, default=None,
                         help="cluster scenario only")
     parser.add_argument("--records", type=int, default=None)

@@ -45,9 +45,10 @@ from repro.workloads import WorkloadDriver, WorkloadSpec
 
 INDEX_NAME = "idx"
 
-#: the K=3 spec set ``builder="multi"`` builds (section 6.2): two
+#: the K=3 spec set a per-index-flip row builds (section 6.2): two
 #: single-column indexes plus a composite, so a sweep crosses every
-#: per-index pipeline boundary (load/drain/flip) of the shared scan
+#: per-index pipeline boundary (load/drain/flip) of the shared scan;
+#: every other row builds the first of them
 MULTI_SPECS = (
     IndexSpec.of("idx", ["k"]),
     IndexSpec.of("idx2", ["p"]),
@@ -151,7 +152,9 @@ class Scenario:
     checkpoint_every_pages: int = 8
     checkpoint_every_keys: int = 48
     commit_every_keys: int = 24
-    partitions: int = 2         # psf shard count (ignored by the others)
+    #: scan shards of a side-file row (None = the builder's default:
+    #: serial, or 2 for psf)
+    partitions: Optional[int] = None
     #: IB admission control (work items / time unit) and the compressed-key
     #: sort (experiment E25) must both be crash- and schedule-transparent
     build_rate_limit: Optional[float] = None
@@ -165,9 +168,16 @@ class Scenario:
     max_preemptions: int = 16
 
     @property
+    def shards(self) -> Optional[int]:
+        """P: how many shards this row's scan runs as (None = serial)."""
+        if self.partitions is not None:
+            return self.partitions
+        return getattr(get_builder(self.builder), "default_partitions", None)
+
+    @property
     def label(self) -> str:
-        if self.builder == "psf":
-            return f"psf(P={self.partitions})"
+        if self.shards:
+            return f"{self.builder}(P={self.shards})"
         return self.builder
 
     def system_config(self) -> SystemConfig:
@@ -185,10 +195,10 @@ class Scenario:
             compressed_keys=self.compressed_keys)
 
     def index_specs(self) -> list:
-        """K=3 for multi, else the one index on ``k``."""
-        if self.builder == "multi":
-            return list(MULTI_SPECS)
-        return [IndexSpec.of(INDEX_NAME, ["k"])]
+        """K=3 where indexes flip one by one, else the one index on
+        ``k``."""
+        pipelined = getattr(get_builder(self.builder), "pipelined", False)
+        return list(MULTI_SPECS if pipelined else MULTI_SPECS[:1])
 
     def make_builder(self, system: System):
         """The scenario's build utility on ``system`` (first issue, and
@@ -203,12 +213,11 @@ class Scenario:
     def make_injector(self, fault: Optional[FaultPlan] = None
                       ) -> FaultInjector:
         """Injector whose kernel-step watch list covers this builder's
-        processes (psf: each shard's scan and merge worker too)."""
+        processes (each shard's scan and merge worker too)."""
         watch = ["builder", "resumed"]
-        if self.builder == "psf":
-            for shard in range(self.partitions):
-                watch.append(f"psf-worker-{shard}")
-                watch.append(f"psf-merge-{shard}")
+        for shard in range(self.shards or 0):
+            watch.append(f"psf-worker-{shard}")
+            watch.append(f"psf-merge-{shard}")
         return FaultInjector(fault, watch_processes=tuple(watch))
 
     def make_policy(self, schedule: Optional[SchedulePlan]):
@@ -348,6 +357,8 @@ class ClusterScenario(Scenario):
     max_hits_per_site: int = 3  # first + last + middle
     preempt_prob: float = 0.05
     max_preemptions: int = 12
+    #: not a row of ``repro.core.BUILDERS``: nothing here shards
+    shards = None
 
     def scenario_kwargs(self) -> dict:
         return dict(replicas=self.replicas, records=self.records,

@@ -77,9 +77,9 @@ class SystemConfig:
     sort_workspace: int = 64
     #: maximum sorted runs merged in one pass
     merge_fanin: int = 8
-    #: simulated time per key moved by the parallel build's per-shard
-    #: merge workers (:mod:`repro.parallel`); serial builders fold merge
-    #: cost into ``bulk_load_key_cost`` via the pipelined final merge
+    #: simulated time per key moved by the shard scan's per-shard merge
+    #: workers (:mod:`repro.core.shard_merge`); serial builders fold
+    #: merge cost into ``bulk_load_key_cost`` via the pipelined final merge
     merge_key_cost: float = 0.02
     #: IB admission control: maximum builder work items (pages scanned,
     #: keys loaded/inserted, side-file entries drained) per simulated
@@ -174,11 +174,11 @@ class System:
         Reuses the sealed sorted runs parked by the index's original
         SF-like build -- no table scan, no re-sort, zero data-page reads
         (experiment E25).  Returns a
-        :class:`repro.core.rebuild.RebuildIndexBuilder`; spawn its
+        :class:`repro.core.sf.RebuildIndexBuilder`; spawn its
         ``run()`` to perform the rebuild online (concurrent updates
         route through a side-file exactly as during an SF build).
         """
-        from repro.core.rebuild import RebuildIndexBuilder
+        from repro.core.sf import rebuild_builder
         descriptor = self.indexes.get(name)
         if descriptor is None:
             raise StorageError(f"no index named {name!r}")
@@ -193,8 +193,7 @@ class System:
             raise StorageError(
                 f"table {descriptor.table.name!r} already has an active "
                 "index build; rebuild after it completes")
-        return RebuildIndexBuilder.for_index(self, descriptor,
-                                             options=options)
+        return rebuild_builder(self, descriptor, options)
 
     # -- IB admission control -----------------------------------------------
 

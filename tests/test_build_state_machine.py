@@ -1,14 +1,17 @@
 """The build state machine as a table (DESIGN.md section 5).
 
 One row per (mode, checkpoint phase) a builder writes: the utility
-checkpoint payload, and the :class:`BuildContext` that
-``build_pre_undo`` must install from it -- Current-RID, the Index_Build
+checkpoint payload -- the phase, the key source's own fields and the
+one per-index manifest -- and the :class:`BuildContext` that
+``build_pre_undo`` must install from it: Current-RID, the Index_Build
 flag, the per-shard frontier and the descriptor set.  The expected
-values are literals taken from the five per-mode ``*_pre_undo``
+contexts are literals taken from the five per-mode ``*_pre_undo``
 functions this table replaced.  A second set of tests crashes real
 builds, so the rows are the phases the builders really checkpoint and
 ``resume_build`` brings back the right class with the mode's own state.
 """
+
+import random
 
 import pytest
 
@@ -17,6 +20,7 @@ from repro.core import (
     IndexDescriptor,
     IndexSpec,
     IndexState,
+    NSFIndexBuilder,
     RESUMABLE_MODES,
     SFIndexBuilder,
     build_pre_undo,
@@ -25,6 +29,7 @@ from repro.core import (
 )
 from repro.faultinject.injector import CRASH, FaultInjector, FaultPlan
 from repro.recovery import restart
+from repro.sort import run_sequence
 from repro.storage.rid import INFINITY_RID, RID
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
@@ -44,97 +49,133 @@ def _shard(done, ckpt_page, next_page):
             "sort": {}, "runs": {}}
 
 
+def _manifest(a="pending", b="pending", **fields):
+    """The per-index manifest every payload carries: the status of ``a``
+    and ``b``, ``fields`` (merge / highest_key / position / floor) on
+    whichever of the two is under way."""
+    entries = {"a": {"status": a}, "b": {"status": b}}
+    for name, entry in entries.items():
+        if entry["status"] in ("loading", "draining"):
+            entry.update(fields)
+    return entries
+
+
+LOADING = dict(merge={}, highest_key=None, position=0)
+SHARDED = {"options": {"partitions": 3}}
+#: a rebuild's drain floors ride in the manifest from the reset on
+FLOORS = {"a": {"status": "pending", "floor": 2},
+          "b": {"status": "pending", "floor": 0}}
+
 #: (mode, phase, payload beyond the common keys, expected Current-RID,
 #:  expected per-shard frontier or None, expected descriptor names)
 ROWS = [
     # NSF: visible from descriptor creation, no Current-RID at all
-    ("nsf", "scan", {"next_page": 8, "sort": {}, "current_rid": (0, 0)},
+    ("nsf", "scan", {"next_page": 8, "sort": {}, "current_rid": (0, 0),
+                     "manifest": _manifest()},
      RID(0, 0), None, ["a", "b"]),
-    ("nsf", "insert-start", {"done_indexes": ["a"], "current_rid": (0, 0)},
+    ("nsf", "insert-start", {"manifest": _manifest("done"),
+                             "current_rid": (0, 0)},
      RID(0, 0), None, ["a", "b"]),
-    ("nsf", "insert", {"index": "b", "merge": {}, "highest_key": None,
-                       "done_indexes": ["a"], "current_rid": (0, 0)},
+    ("nsf", "insert", {"manifest": _manifest("done", "loading", merge={},
+                                             highest_key=None),
+                       "current_rid": (0, 0)},
      RID(0, 0), None, ["a", "b"]),
     # SF: the checkpointed Current-RID while scanning, infinity after
-    ("sf", "scan", {"next_page": 8, "sort": {}, "current_rid": (8, 0)},
+    ("sf", "scan", {"next_page": 8, "sort": {}, "current_rid": (8, 0),
+                    "manifest": _manifest()},
      RID(8, 0), None, ["a", "b"]),
-    ("sf", "load-start", {"loaded_indexes": [], "current_rid": INF},
+    ("sf", "load-start", {"manifest": _manifest(), "current_rid": INF},
      INFINITY_RID, None, ["a", "b"]),
-    ("sf", "load", {"index": "a", "merge": {}, "highest_key": None,
-                    "loaded_indexes": [], "current_rid": INF},
+    ("sf", "load", {"manifest": _manifest("loading", **LOADING),
+                    "current_rid": INF},
      INFINITY_RID, None, ["a", "b"]),
-    ("sf", "drain", {"index": "a", "position": 3,
-                     "loaded_indexes": ["a", "b"], "drained_indexes": [],
+    ("sf", "drain", {"manifest": _manifest("draining", "draining",
+                                           position=3),
                      "current_rid": INF},
      INFINITY_RID, None, ["a", "b"]),
-    # PSF: each unfinished shard restarts from ITS checkpointed page,
-    # not from the live frontier the manifest happened to record
-    ("psf", "pscan", {"partitions": 3, "frontier": FRONTIER,
-                      "current_rid": (0, 0),
+    # the shard scan: each unfinished shard restarts from ITS
+    # checkpointed page, not from the live frontier the manifest
+    # happened to record
+    ("psf", "pscan", {**SHARDED, "frontier": FRONTIER,
+                      "current_rid": (0, 0), "manifest": _manifest(),
                       "shards": {0: _shard(True, 5, 5),
                                  1: _shard(False, 6, 8),
                                  2: _shard(False, 10, 12)}},
      RID(0, 0), [INFINITY_RID, RID(6, 0), RID(10, 0)], ["a", "b"]),
-    ("psf", "pscan", {"partitions": 3, "frontier": SEALED_FRONTIER,
-                      "current_rid": (0, 0),
+    ("psf", "pscan", {**SHARDED, "frontier": SEALED_FRONTIER,
+                      "current_rid": (0, 0), "manifest": _manifest(),
                       "shards": {0: _shard(True, 5, 5),
                                  1: _shard(True, 10, 10),
                                  2: _shard(True, 15, 15)}},
      INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
-    ("psf", "load-start", {"loaded_indexes": [],
+    ("psf", "load-start", {**SHARDED, "manifest": _manifest(),
                            "frontier": SEALED_FRONTIER,
                            "current_rid": INF},
      INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
-    ("psf", "load", {"index": "a", "merge": {}, "highest_key": None,
-                     "loaded_indexes": [], "frontier": SEALED_FRONTIER,
-                     "current_rid": INF},
+    ("psf", "load", {**SHARDED,
+                     "manifest": _manifest("loading", **LOADING),
+                     "frontier": SEALED_FRONTIER, "current_rid": INF},
      INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
-    ("psf", "drain", {"index": "a", "position": 0,
-                      "loaded_indexes": ["a", "b"], "drained_indexes": [],
+    ("psf", "drain", {**SHARDED,
+                      "manifest": _manifest("draining", "draining",
+                                            position=0),
                       "frontier": SEALED_FRONTIER, "current_rid": INF},
      INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
-    # multi: SF's rule with the manifest's phase names; flipped ("done")
+    # multi: the same manifest visited index by index; flipped ("done")
     # indexes stay in the descriptor set
-    ("multi", "scan", {"next_page": 8, "sort": {}, "multi": {},
+    ("multi", "scan", {"next_page": 8, "sort": {}, "manifest": _manifest(),
                        "current_rid": (8, 0)},
      RID(8, 0), None, ["a", "b"]),
-    ("multi", "index", {"multi": {"a": {"status": "done"},
-                                  "b": {"status": "pending"}},
-                        "current_rid": INF},
+    ("multi", "load-start", {"manifest": _manifest("done"),
+                             "current_rid": INF},
      INFINITY_RID, None, ["a", "b"]),
-    ("multi", "index", {"multi": {"a": {"status": "draining",
-                                        "position": 4},
-                                  "b": {"status": "loading", "merge": {},
-                                        "highest_key": None,
-                                        "position": 0}},
+    ("multi", "drain", {"manifest": _manifest("done", "draining",
+                                              position=4),
                         "current_rid": INF},
      INFINITY_RID, None, ["a", "b"]),
     # rebuild: never scans; only BUILDING descriptors are under
     # construction ("reset" is checkpointed before the flip, and before
     # the context exists, so it carries no current_rid / index_build)
-    ("rebuild", "reset", {"sidefile_start": {"a": 2, "b": 0}},
+    ("rebuild", "reset", {"manifest": FLOORS},
      INFINITY_RID, None, ["b"]),
-    ("rebuild", "load-start", {"loaded_indexes": [], "current_rid": INF,
-                               "sidefile_start": {"a": 2, "b": 0}},
+    ("rebuild", "load-start", {"manifest": FLOORS, "current_rid": INF},
      INFINITY_RID, None, ["b"]),
-    ("rebuild", "load", {"index": "b", "merge": {}, "highest_key": None,
-                         "loaded_indexes": [], "current_rid": INF,
-                         "sidefile_start": {"a": 2, "b": 0}},
+    ("rebuild", "load", {"manifest": {
+        "a": FLOORS["a"], "b": {"status": "loading", "floor": 0,
+                                **LOADING}}, "current_rid": INF},
      INFINITY_RID, None, ["b"]),
-    ("rebuild", "drain", {"index": "b", "position": 0,
-                          "loaded_indexes": ["a", "b"],
-                          "drained_indexes": [], "current_rid": INF,
-                          "sidefile_start": {"a": 2, "b": 0}},
+    ("rebuild", "drain", {"manifest": {
+        "a": {"status": "draining", "position": 2, "floor": 2},
+        "b": {"status": "draining", "position": 0, "floor": 0}},
+        "current_rid": INF},
      INFINITY_RID, None, ["b"]),
+    # compositions: multi's order over the shard scan's frontier
+    ("multi", "load", {"manifest": _manifest("done", "loading", **LOADING),
+                       "current_rid": INF},
+     INFINITY_RID, None, ["a", "b"]),
+    ("multi", "pscan", {**SHARDED, "frontier": FRONTIER,
+                        "current_rid": (0, 0), "manifest": _manifest(),
+                        "shards": {0: _shard(True, 5, 5),
+                                   1: _shard(False, 6, 8),
+                                   2: _shard(False, 10, 12)}},
+     RID(0, 0), [INFINITY_RID, RID(6, 0), RID(10, 0)], ["a", "b"]),
+    ("multi", "drain", {**SHARDED, "frontier": SEALED_FRONTIER,
+                        "manifest": _manifest("done", "draining",
+                                              position=4),
+                        "current_rid": INF},
+     INFINITY_RID, [INFINITY_RID] * 3, ["a", "b"]),
 ]
 
-#: the phases every builder is seen to checkpoint in a real build (below)
+#: the phases every builder is seen to checkpoint in a real build
+#: (below); a sharded scan writes "pscan" where the serial one writes
+#: "scan"
+SF_PHASES = {"scan", "load-start", "load", "drain", "done"}
 PHASES_WRITTEN = {
     "nsf": {"scan", "insert-start", "insert", "done"},
-    "sf": {"scan", "load-start", "load", "drain", "done"},
-    "psf": {"pscan", "load-start", "load", "drain", "done"},
-    "multi": {"scan", "index", "done"},
-    "rebuild": {"reset", "load-start", "load", "drain", "done"},
+    "sf": SF_PHASES,
+    "psf": SF_PHASES,
+    "multi": SF_PHASES,
+    "rebuild": SF_PHASES - {"scan"} | {"reset"},
 }
 
 
@@ -167,8 +208,11 @@ def test_the_table_has_a_row_for_every_mode_and_phase():
         == set(PHASES_WRITTEN)
     for mode in RESUMABLE_MODES:
         assert get_builder(mode).mode == mode
-        assert {phase for row_mode, phase, *_ in ROWS if row_mode == mode} \
+        assert {"scan" if phase == "pscan" else phase
+                for row_mode, phase, *_ in ROWS if row_mode == mode} \
             == PHASES_WRITTEN[mode] - {"done"}
+    assert {mode for mode, phase, *_ in ROWS if phase == "pscan"} \
+        == {"psf", "multi"}
 
 
 @pytest.mark.parametrize(
@@ -195,11 +239,10 @@ def test_pre_undo_installs_the_context_of_the_row(
     assert type(builder) is get_builder(mode)
     assert builder.context is context
     assert [d.name for d in builder.descriptors] == ["a", "b"]
-    assert builder.options == BuildOptions()
-    if mode == "psf":
-        assert builder.partitions == 3
-    if mode == "rebuild":
-        assert builder._sidefile_starts == {"a": 2, "b": 0}
+    assert builder.options == BuildOptions(**extra.get("options", {}))
+    assert builder._manifest == extra["manifest"]
+    if mode != "nsf":
+        assert builder.partitions == (3 if frontier else None)
 
 
 @pytest.mark.parametrize("mode", RESUMABLE_MODES)
@@ -276,25 +319,29 @@ def _staged(seed=11):
     return system, table, driver
 
 
-def _builder(mode, system, table):
+def _builder(mode, system, table, partitions=None):
     """The builder of ``mode`` ready to run (a rebuild first needs a
     completed SF build whose sealed runs it reuses)."""
-    options = BuildOptions(**OPTIONS)
+    options = BuildOptions(partitions=partitions, **OPTIONS)
     if mode == "rebuild":
         seed_build = SFIndexBuilder(system, table, SPECS[0])
         _drive(system, seed_build.run(), "seed-builder")
         return system.rebuild_index("a", options=options)
-    if mode == "psf":
-        options.partitions = 3
     return get_builder(mode)(system, table,
                              SPECS if mode == "multi" else SPECS[0],
                              options=options)
 
 
-@pytest.mark.parametrize("mode", RESUMABLE_MODES)
-def test_phases_each_builder_checkpoints(mode):
+#: every mode (psf at three shards), and multi's order over three shards
+BUILDS = [pytest.param(mode, 3 if mode == "psf" else None, id=mode)
+          for mode in RESUMABLE_MODES] \
+    + [pytest.param("multi", 3, id="multi-p3")]
+
+
+@pytest.mark.parametrize("mode,partitions", BUILDS)
+def test_phases_each_builder_checkpoints(mode, partitions):
     system, table, driver = _staged()
-    builder = _builder(mode, system, table)
+    builder = _builder(mode, system, table, partitions)
     system.spawn(builder.run(), name="builder")
     driver.spawn_workers()
     system.run()
@@ -302,7 +349,10 @@ def test_phases_each_builder_checkpoints(mode):
               for record in system.log.scan()
               if record.kind is RecordKind.CHECKPOINT
               and record.info["utility_state"].get("builder") == mode}
-    assert phases == PHASES_WRITTEN[mode]
+    expected = PHASES_WRITTEN[mode]
+    if partitions:
+        expected = expected - {"scan"} | {"pscan"}
+    assert phases == expected
 
 
 @pytest.mark.parametrize("mode,site,hit,phase", [
@@ -310,12 +360,12 @@ def test_phases_each_builder_checkpoints(mode):
     ("sf", "sf.drain_checkpoint", 1, "drain"),
     ("psf", "psf.worker_done", 2, "pscan"),
     ("psf", "psf.merge_done", 1, "load-start"),
-    ("multi", "multibuild.index_done", 1, "index"),
+    ("multi", "multibuild.index_done", 1, "load-start"),
     ("rebuild", "sf.load_done", 1, "load"),
 ])
 def test_crash_then_resume_brings_back_the_mode(mode, site, hit, phase):
     system, table, driver = _staged()
-    builder = _builder(mode, system, table)
+    builder = _builder(mode, system, table, 3 if mode == "psf" else None)
     FaultInjector(FaultPlan(site, hit, CRASH)).install(system)
     system.spawn(builder.run(), name="builder")
     driver.spawn_workers()
@@ -342,8 +392,88 @@ def test_crash_then_resume_brings_back_the_mode(mode, site, hit, phase):
         else:
             assert context.frontier.done
     if mode == "rebuild":
-        assert resumed._sidefile_starts == builder._sidefile_starts != {}
+        # the drain floor recorded at reset survives every transition
+        assert resumed._manifest["a"]["floor"] \
+            == builder._manifest["a"]["floor"]
     _drive(recovered, resumed.run(), "resumed")
     for name in state["indexes"]:
         assert recovered.indexes[name].state is IndexState.AVAILABLE
         audit_index(recovered, recovered.indexes[name])
+
+
+# -- resume merges the surviving runs in creation order -----------------------
+# (NSF resume merged sort runs in *lexicographic* name order, so a build
+# with ten or more runs resumed with ``run-10`` before ``run-2`` and fed the
+# final merge a different stream order than the original)
+
+
+def _preload(system, table, rows, seed):
+    """Insert ``rows`` keys in shuffled order (sorted input would give
+    replacement selection a single run)."""
+    keys = list(range(rows))
+    random.Random(seed).shuffle(keys)
+
+    def body():
+        txn = system.txns.begin()
+        for key in keys:
+            yield from table.insert(txn, (key, "x"))
+        yield from txn.commit()
+
+    proc = system.spawn(body(), name="preload")
+    system.run()
+    assert proc.error is None
+
+
+def test_nsf_resume_merges_runs_in_creation_order():
+    """A resumed NSF build with >= 10 runs must hand the final merge its
+    runs in creation (numeric) order, not lexicographic name order."""
+    # Tiny workspace -> ~2*4 keys per run -> ~30 runs from 240 rows;
+    # fan-in large enough that the final merge consumes the original
+    # runs directly (no eager pre-passes renumbering them).
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
+                                 sort_workspace=4, merge_fanin=64),
+                    seed=3)
+    table = system.create_table("t", ["k", "p"])
+    _preload(system, table, 240, seed=3)
+
+    # Crash at the first IB insert batch: the latest durable utility
+    # checkpoint is then the "insert-start" transition, whose resume
+    # path rebuilds the final merge from the forced, closed runs.
+    injector = FaultInjector(FaultPlan("nsf.insert_batch", 1))
+    injector.install(system)
+    builder = NSFIndexBuilder(
+        system, table, IndexSpec.of("idx", ["k"]),
+        options=BuildOptions(checkpoint_every_keys=10_000,
+                             commit_every_keys=10_000))
+    system.spawn(builder.run(), name="builder")
+    system.run()
+    assert system.sim.crashed
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    assert state.get("phase") == "insert-start"  # the buggy resume path
+    resumed = resume_build(recovered, state)
+    assert resumed is not None
+
+    captured = []
+    original = resumed._final_merger
+
+    def spy(descriptor, runs):
+        captured.append([run.name for run in runs])
+        return original(descriptor, runs)
+
+    resumed._final_merger = spy
+    proc = recovered.spawn(resumed.run(), name="resumed")
+    recovered.run()
+    if proc.error is not None:
+        raise proc.error
+    audit_index(recovered, recovered.indexes["idx"])
+
+    assert captured, "resume never rebuilt a final merger"
+    names = captured[0]
+    assert len(names) >= 10, f"only {len(names)} runs; need 10+ to " \
+        "expose lexicographic misordering (run-10 < run-2)"
+    sequences = [run_sequence(name) for name in names]
+    assert sequences == sorted(sequences)
+    # The premise that makes the assertion meaningful: with 10+ runs a
+    # lexicographic sort WOULD misorder these names.
+    assert sorted(names) != names

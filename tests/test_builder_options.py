@@ -10,6 +10,7 @@ from repro.core import (
     OfflineIndexBuilder,
     SFIndexBuilder,
     build_pre_undo,
+    get_builder,
     resume_build,
 )
 from repro.recovery import restart, run_until_crash
@@ -65,6 +66,29 @@ def test_parallel_readers_produce_identical_index(builder_cls):
             (e.key_value, e.rid)
             for e in system.indexes["idx"].tree.all_entries()))
     assert contents[0] == contents[1]
+
+
+@pytest.mark.parametrize("mode", ["sf", "psf", "multi", "rebuild"])
+def test_side_file_modes_refuse_parallel_readers(mode):
+    """Current-RID needs one ordered scan position per page range, so a
+    side-file build used to drop ``parallel_readers`` without a word;
+    its parallel scan is ``partitions``."""
+    system, table, driver = stage()
+    if mode == "rebuild":
+        run_build(system, table, driver, SFIndexBuilder, None)
+
+    def build(**options):
+        options = BuildOptions(**options)
+        if mode == "rebuild":
+            return system.rebuild_index("idx", options=options)
+        return get_builder(mode)(system, table, IndexSpec.of("idx", ["k"]),
+                                 options=options)
+
+    with pytest.raises(ValueError, match="partitions"):
+        build(parallel_readers=3)
+    with pytest.raises(ValueError, match="at least one partition"):
+        build(partitions=0)
+    assert build(parallel_readers=1).options.parallel_readers == 1
 
 
 def test_parallel_readers_shorten_scan():

@@ -1,4 +1,4 @@
-"""Multi-index single-scan builds (repro.multibuild, section 6.2).
+"""Multi-index single-scan builds (the ``multi`` mode, section 6.2).
 
 The tentpole properties: K indexes come out of ONE data scan (pages
 scanned equals the table's page count, not K times it), each index
@@ -15,6 +15,7 @@ from repro.core import (
     BuildOptions,
     IndexSpec,
     IndexState,
+    MultiIndexBuilder,
     NSFIndexBuilder,
     SFIndexBuilder,
     build_pre_undo,
@@ -22,8 +23,10 @@ from repro.core import (
     resume_build,
 )
 from repro.faultinject.injector import CRASH, FaultInjector, FaultPlan
-from repro.multibuild import MultiIndexBuilder, bench, multi_build
+from repro.metrics import partition_values
+from repro.multibuild import bench
 from repro.recovery import restart
+from repro.sweep import Scenario, start_build
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec
@@ -168,29 +171,68 @@ def test_crash_between_flips_resumes_only_unfinished_indexes():
         audit_index(recovered, descriptor)
 
 
-# -- discipline dispatch -----------------------------------------------------
+# -- multi x P: shards feeding K independently flipped indexes ---------------
 
 
-def test_multi_build_dispatches_by_discipline():
-    system, table = preloaded(rows=50)
-    assert isinstance(multi_build(system, table, specs_of()),
-                      MultiIndexBuilder)
-    assert isinstance(
-        multi_build(system, table, specs_of(), discipline="nsf"),
-        NSFIndexBuilder)
-    with pytest.raises(ValueError):
-        multi_build(system, table, specs_of(), discipline="bogus")
-    assert get_builder("multi") is MultiIndexBuilder
+def _crash_multi_p2(site, hit):
+    """Crash a K=3, P=2 build at ``site``#``hit``; return the recovered
+    system, the surviving checkpoint and the resumed builder, run to the
+    end."""
+    scenario = Scenario(builder="multi", partitions=2, records=150,
+                        operations=10, seed=3)
+    assert scenario.label == "multi(P=2)"
+    injector = scenario.make_injector(FaultPlan(site, hit, CRASH))
+    system, _driver, _proc = start_build(scenario, injector)
+    system.run()
+    assert injector.fired is not None and system.sim.crashed
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    resumed = resume_build(recovered, state)
+    assert type(resumed) is get_builder("multi")
+    assert resumed.partitions == 2
+    drive(recovered, resumed.run(), name="resumed")
+    for spec in scenario.index_specs():
+        descriptor = recovered.indexes[spec.name]
+        assert descriptor.state is IndexState.AVAILABLE
+        audit_index(recovered, descriptor)
+    return recovered, state
+
+
+def test_sharded_multi_crash_between_flips_skips_the_flipped_index():
+    recovered, state = _crash_multi_p2("multibuild.index_done", 1)
+    assert [entry["status"] for entry in state["manifest"].values()] \
+        == ["done", "pending", "pending"]
+    assert recovered.metrics.get("multibuild.resume_skipped_indexes") == 1
+    # past the scan the shard source is never consulted again
+    assert recovered.metrics.get("psf.resumed_shards") == 0
+    assert recovered.metrics.get("build.pages_scanned") == 0
+
+
+def test_sharded_multi_crash_in_the_scan_resumes_only_unfinished_shards():
+    """The second shard to seal its runs crashes before its own manifest
+    checkpoint: one shard is durably finished, the other rescans -- and
+    every sorter of both shards fed all three indexes."""
+    recovered, state = _crash_multi_p2("psf.worker_done", 2)
+    assert state["phase"] == "pscan"
+    assert sorted(raw["done"] for raw in state["shards"].values()) \
+        == [False, True]
+    assert recovered.metrics.get("psf.skipped_shards") == 1
+    assert recovered.metrics.get("psf.resumed_shards") == 1
+    pages = partition_values(recovered.metrics, "psf.pages_scanned", 2)
+    assert sorted(count == 0 for count in pages) == [False, True]
+    assert recovered.metrics.get("multibuild.indexes_flipped") == 3
+
+
+# -- the NSF discipline ------------------------------------------------------
 
 
 def test_nsf_discipline_builds_k_indexes_under_load():
     """Section 6.2's NSF note: the existing NSF builder already handles
-    K specs against one shared scan; ``multi_build`` just routes there."""
+    K specs against one shared scan."""
     system, table = preloaded(seed=74)
     spec = WorkloadSpec(operations=30, workers=2, rollback_fraction=0.1,
                         think_time=1.0)
     driver = WorkloadDriver(system, table, spec, seed=74)
-    builder = multi_build(system, table, specs_of(), discipline="nsf")
+    builder = NSFIndexBuilder(system, table, specs_of())
     proc = system.spawn(builder.run(), name="builder")
     workers = driver.spawn_workers()
     system.run()

@@ -143,7 +143,7 @@ def test_restore_floors_progress_at_checkpoint_fraction():
 # -- whole-build coverage ----------------------------------------------------
 
 
-def _tracked_build(mode, specs=None, partitions=1, seed=5):
+def _tracked_build(mode, specs=None, partitions=None, seed=5):
     system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
                                  buffer_frames=64, sort_workspace=16,
                                  merge_fanin=4), seed=seed)

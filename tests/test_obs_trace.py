@@ -164,7 +164,7 @@ def test_disabled_tracing_records_nothing_and_changes_nothing():
 # -- whole-build determinism -------------------------------------------------
 
 
-def _traced_build(builder_name: str, partitions: int = 1) -> TraceRecorder:
+def _traced_build(builder_name: str, partitions=None) -> TraceRecorder:
     system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
                                  buffer_frames=64, sort_workspace=16,
                                  merge_fanin=4), seed=5)

@@ -1,4 +1,4 @@
-"""Tests for the partitioned parallel online build (repro.parallel).
+"""Tests for the partitioned parallel online build (the shard scan).
 
 The headline property is *equivalence*: the tree a ``ParallelSFBuilder``
 produces at any shard count must be entry-for-entry identical --
@@ -16,11 +16,16 @@ mid-scan must resume only the unfinished shards.
 
 import pytest
 
-from repro.core import BuildOptions, IndexSpec, IndexState, SFIndexBuilder
+from repro.core import (
+    BuildOptions,
+    IndexSpec,
+    IndexState,
+    ParallelSFBuilder,
+    SFIndexBuilder,
+)
 from repro.faultinject.injector import CRASH, FaultPlan
 from repro.sweep import Scenario, run_plan, start_build
 from repro.metrics import partition_values, skew_summary
-from repro.parallel import DEFAULT_PARTITIONS, ParallelSFBuilder
 from repro.sidefile import Partition, ScanFrontier, partition_pages
 from repro.sim.kernel import Delay
 from repro.storage import RID
@@ -215,7 +220,18 @@ def test_parallel_build_equivalent_to_serial(partitions):
 def test_default_partition_count():
     _, builder = _build_with_post_scan_workload(
         ParallelSFBuilder, operations=0)
-    assert builder.partitions == DEFAULT_PARTITIONS
+    assert builder.partitions == ParallelSFBuilder.default_partitions == 2
+
+
+def test_psf_is_sf_with_partitions_defaulting_to_two():
+    """The mode name is a row of data: the sharded scan is selected by
+    ``options.partitions`` alone, for the ``sf`` builder as for ``psf``."""
+    sf_sys, sf = _build_with_post_scan_workload(SFIndexBuilder, partitions=2)
+    psf_sys, psf = _build_with_post_scan_workload(ParallelSFBuilder)
+    assert sf.timings == psf.timings
+    assert _entries(sf_sys) == _entries(psf_sys)
+    assert dict(sf_sys.metrics.counters) == dict(psf_sys.metrics.counters)
+    assert sf_sys.metrics.get("psf.scan_workers") == 2
 
 
 # -- fully concurrent workloads ---------------------------------------------
@@ -237,7 +253,7 @@ def test_parallel_build_under_concurrent_updates(partitions, seed):
     assert preload.error is None
 
     builder = ParallelSFBuilder(system, table, IndexSpec.of("idx", ["k"]),
-                                partitions=partitions)
+                                BuildOptions(partitions=partitions))
     proc = system.spawn(builder.run(), name="builder")
     worker_procs = driver.spawn_workers()
     system.run()

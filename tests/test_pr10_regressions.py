@@ -19,9 +19,9 @@ Three bugs this PR fixed stay pinned here:
 
 import pytest
 
-from repro.core import BuildOptions, IndexSpec, IndexState
+from repro.core import BuildOptions, IndexSpec, IndexState, \
+    ParallelSFBuilder
 from repro.errors import SortRestartError
-from repro.parallel import ParallelSFBuilder
 from repro.sim.kernel import Delay
 from repro.sort import (
     KeyCodec,

@@ -33,9 +33,8 @@ import pytest
 
 from repro.core import BuildOptions, IndexSpec, build_pre_undo, \
     resume_builds
-from repro.core.sf import SFIndexBuilder
+from repro.core.sf import MultiIndexBuilder, SFIndexBuilder
 from repro.errors import DeadlockVictim
-from repro.multibuild import MultiIndexBuilder
 from repro.recovery import restart, run_until_crash
 from repro.sim import Acquire, Delay, EXCLUSIVE
 from repro.sidefile.frontier import ScanFrontier, partition_pages

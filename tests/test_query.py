@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import IndexSpec, NSFIndexBuilder, SFIndexBuilder
+from repro.core import BuildOptions, IndexSpec, NSFIndexBuilder, \
+    SFIndexBuilder
 from repro.query import (
     IndexNotAvailableError,
     index_lookup,
@@ -248,6 +249,63 @@ def test_gradual_availability_footnote3():
     assert proc.error is None
     assert outcome.get("low_ok", 0) > 0
     assert outcome.get("high_rejected") is True
+
+
+# (NSF's checkpoint path committed the IB transaction but never advanced
+# ``descriptor.read_watermark``, stalling gradual availability whenever
+# checkpoints fired instead of plain commits)
+
+
+def test_nsf_checkpoint_advances_read_watermark():
+    """With plain commits disabled, the checkpoint path alone must keep
+    footnote-3 gradual availability moving."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8))
+    table = system.create_table("t", ["k", "p"])
+
+    def pop():
+        txn = system.txns.begin()
+        for i in range(400):
+            yield from table.insert(txn, (i, "x"))
+        yield from txn.commit()
+
+    pre = system.spawn(pop(), name="pop")
+    system.run()
+    assert pre.error is None
+
+    builder = NSFIndexBuilder(
+        system, table, IndexSpec.of("idx", ["k"]),
+        options=BuildOptions(commit_every_keys=0,
+                             checkpoint_every_keys=32))
+    proc = system.spawn(builder.run(), name="builder")
+    outcome = {}
+
+    def reader():
+        descriptor = None
+        while descriptor is None:
+            yield Delay(1)
+            descriptor = system.indexes.get("idx")
+        set_gradual_availability(descriptor)
+        while getattr(descriptor, "read_watermark", None) is None:
+            # Pre-fix, checkpoints committed the frontier without ever
+            # publishing it, so the watermark stayed None until the
+            # build finished -- tripping this assert.
+            assert not proc.finished, \
+                "build finished before a watermark was ever published"
+            yield Delay(5)
+        outcome["mid_build"] = not proc.finished
+        watermark = descriptor.read_watermark[0]
+        txn = system.txns.begin()
+        rows = yield from index_range_scan(
+            txn, descriptor, (0,), (min(watermark[0], 10),),
+            serializable=False)
+        outcome["low_rows"] = len(rows)
+        yield from txn.commit()
+
+    system.spawn(reader(), name="reader")
+    system.run()
+    assert proc.error is None
+    assert outcome.get("mid_build") is True
+    assert outcome.get("low_rows", 0) > 0
 
 
 def test_table_scan_matches_index_contents():

@@ -60,6 +60,18 @@ def test_rebuild_scans_zero_table_pages(compressed):
     assert builder.options.compressed_keys is compressed
 
 
+def test_rebuild_leaves_the_callers_options_alone():
+    """A codec-built index rebuilds compressed, but on a copy: the
+    caller's options object used to come back with ``compressed_keys``
+    switched on, so reusing it for a fresh build silently compressed
+    that one too."""
+    system = _seed_build(compressed=True)
+    options = BuildOptions(**OPTIONS)
+    builder = _rebuild(system, options=options)
+    assert builder.options.compressed_keys is True
+    assert options == BuildOptions(**OPTIONS)
+
+
 def test_rebuild_replays_maintenance_done_after_the_seal():
     """The sealed run reflects the table as of the original scan; inserts
     and deletes applied afterwards reach the rebuilt tree via the logged

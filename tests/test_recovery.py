@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    BuildOptions,
     IndexSpec,
     NSFIndexBuilder,
     SFIndexBuilder,
@@ -264,4 +265,52 @@ def test_scan_checkpoint_limits_rescan():
                                           preload=600)
     if state.get("phase") == "scan":
         assert state.get("next_page", 0) > 0
+    audit_index(recovered, recovered.indexes["idx"])
+
+
+# -- IB rollback must not destroy a deleter's tombstone ----------------------
+# (IB's rollback physically removed entries its ``insert_many`` had added,
+# including ones a concurrent committed deleter had since pseudo-deleted;
+# destroying that tombstone let the resumed build re-insert a key whose
+# record was gone)
+
+
+def test_ib_rollback_preserves_concurrent_delete_tombstone():
+    """Crash NSF mid-insert so IB's in-flight batch is a loser, where a
+    concurrent committed transaction deleted one of the batch's records
+    (heap delete + index pseudo-delete) before the crash.  IB's undo
+    used to physically remove the whole batch -- tombstone included --
+    so the resumed build re-inserted the deleted key and the audit saw
+    a spurious entry.  Found by the crash-anywhere property sweep
+    (nsf, seed=0, crash 28 ticks into the build)."""
+    from repro.recovery import run_until_crash
+    from repro.workloads import WorkloadDriver, WorkloadSpec
+
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
+                                 sort_workspace=16, merge_fanin=4),
+                    seed=0)
+    table = system.create_table("t", ["k", "p"])
+    spec = WorkloadSpec(operations=25, workers=2, think_time=1.0,
+                        rollback_fraction=0.2)
+    driver = WorkloadDriver(system, table, spec, seed=0)
+    pre = system.spawn(driver.preload(200), name="preload")
+    system.run()
+    assert pre.error is None
+
+    builder = NSFIndexBuilder(
+        system, table, IndexSpec.of("idx", ["k"]),
+        options=BuildOptions(checkpoint_every_pages=8,
+                             checkpoint_every_keys=48,
+                             commit_every_keys=24))
+    system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    run_until_crash(system, system.now() + 28.0)
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    resumed = resume_build(recovered, state)
+    assert resumed is not None
+    proc = recovered.spawn(resumed.run(), name="resumed")
+    recovered.run()
+    if proc.error is not None:
+        raise proc.error
     audit_index(recovered, recovered.indexes["idx"])

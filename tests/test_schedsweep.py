@@ -13,6 +13,7 @@ from repro.schedsweep import (
 )
 from repro.schedsweep.recorder import PREEMPT, from_base36, to_base36
 from repro.sweep import (
+    ClusterScenario,
     Scenario,
     SchedulePlan,
     failure_dump,
@@ -160,7 +161,7 @@ def test_replay_mismatch_raises_on_impossible_choice():
 SMALL = Scenario(records=60, operations=15, buffer_frames=64)
 
 
-def _clean_run(builder="sf", partitions=2):
+def _clean_run(builder="sf", partitions=None):
     import dataclasses
     config = dataclasses.replace(SMALL, builder=builder,
                                  partitions=partitions)
@@ -231,7 +232,12 @@ def test_oracle_detects_metrics_divergence():
 
 
 @pytest.mark.parametrize("builder,partitions", [
-    ("offline", 1), ("nsf", 1), ("sf", 1), ("psf", 3), ("multi", 1),
+    pytest.param("offline", None, id="offline-1"),
+    pytest.param("nsf", None, id="nsf-1"),
+    pytest.param("sf", None, id="sf-1"),
+    ("psf", 3),
+    pytest.param("multi", None, id="multi-1"),
+    ("multi", 2),
 ])
 def test_seeded_schedule_passes_and_replays(builder, partitions):
     import dataclasses
@@ -261,9 +267,14 @@ def test_fifo_baseline_plan_matches_unhooked_run():
 
 def test_run_sweep_census_shape():
     report = run_sweep(SMALL, schedules=2,
-                       rows=[("sf", 1), ("psf", 2)])
+                       rows=[("sf", None), ("psf", 2)])
     assert report.all_passed, report.to_text()
     assert [census.label for census in report.rows] == ["sf", "psf(P=2)"]
+    # a row is labelled by its shard count, whatever the builder
+    assert [Scenario(builder=builder, partitions=partitions).label
+            for builder, partitions in [("psf", None), ("multi", 2)]] \
+        == ["psf(P=2)", "multi(P=2)"]
+    assert ClusterScenario().label == "cluster"
     for census in report.rows:
         assert census.baseline.passed
         assert len(census.results) == 2
@@ -345,7 +356,8 @@ def test_schedule_dump_contains_repro_recipe():
     assert f"--records {SMALL.records}" in text
 
 
-@pytest.mark.parametrize("builder,partitions", [("sf", 1), ("psf", 2)])
+@pytest.mark.parametrize("builder,partitions", [
+    pytest.param("sf", None, id="sf-1"), ("psf", 2)])
 def test_throttled_seeded_schedule_passes_and_replays(builder, partitions):
     """Schedule exploration with the IB throttle armed: the extra
     token-bucket delays reshape the schedule, but every explored

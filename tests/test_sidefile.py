@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.faultinject import FaultInjector, FaultPlan, InjectedCrash
 from repro.sidefile import SideFile, register_sidefile_operations
 from repro.storage import RID
-from repro.system import System
+from repro.sweep import Scenario, run_plan
+from repro.system import System, SystemConfig
 from repro.wal import RecordKind
 
 
@@ -138,3 +140,45 @@ def test_force_flushes_log_up_to_last_entry():
     assert system.log.flushed_lsn < sidefile.entries[-1].lsn
     sidefile.force()
     assert system.log.flushed_lsn >= sidefile.entries[-1].lsn
+
+
+# -- force: the log is flushed before the durable length advances ------------
+# (``SideFile.force`` used to advance ``durable_length`` first, so a crash
+# inside the flush left "durable" entries whose redo-only append records
+# never reached stable storage)
+
+
+def test_sidefile_force_flushes_log_before_advancing_durable_length():
+    """A crash inside force()'s log flush must not leave "durable"
+    side-file entries whose append records never made the stable log."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8))
+    register_sidefile_operations(system)
+    sidefile = SideFile(system, "idx")
+    system.sidefiles["idx"] = sidefile
+    txn = system.txns.begin("writer")
+    for i in range(3):
+        sidefile.append_sync(txn, "insert", (i,), RID(0, i))
+    assert system.log.flushed_lsn < sidefile.entries[-1].lsn
+
+    injector = FaultInjector(FaultPlan("wal.force.before", 1))
+    injector.install(system)
+    with pytest.raises(InjectedCrash):
+        sidefile.force()
+    injector.uninstall()
+
+    system.crash()
+    # WAL rule: every entry that survived the crash must be re-creatable
+    # from the stable log prefix.
+    flushed = system.log.flushed_lsn
+    assert all(entry.lsn <= flushed for entry in sidefile.entries)
+    assert sidefile.durable_length == len(sidefile.entries)
+
+
+def test_sidefile_force_crash_recovers_clean_in_sweep():
+    """End to end: crash at the sidefile.force site during an SF build,
+    recover, resume, audit."""
+    config = Scenario(builder="sf", records=150, operations=60,
+                      max_hits_per_site=1)
+    result = run_plan(config, FaultPlan("sidefile.force", 1))
+    assert result.fired, result.detail
+    assert result.passed, result.detail

@@ -25,18 +25,21 @@ from repro.sweep import (
     run_sweep,
 )
 
-ROWS = [("offline", 1), ("nsf", 1), ("sf", 1), ("psf", 2), ("multi", 1),
-        ("rebuild", 1)]
+#: (builder, scan shards); None = the builder's default.  The ids say
+#: "1" for the serial scan, as they did when every row carried a count.
+ROWS = [("offline", None), ("nsf", None), ("sf", None), ("psf", 2),
+        ("multi", None), ("multi", 2), ("rebuild", None)]
+ROW_IDS = [f"{builder}-{partitions or 1}" for builder, partitions in ROWS]
 
 
-def _scenario(builder, partitions=2, frames=8, seed=1, **overrides):
+def _scenario(builder, partitions=None, frames=8, seed=1, **overrides):
     return Scenario(builder=builder, partitions=partitions, records=300,
                     operations=100, seed=seed, buffer_frames=frames,
                     **overrides)
 
 
 @pytest.mark.parametrize("frames", [2, 8])
-@pytest.mark.parametrize("builder,partitions", ROWS)
+@pytest.mark.parametrize("builder,partitions", ROWS, ids=ROW_IDS)
 def test_clean_build_passes_the_full_oracle(builder, partitions, frames):
     for seed in (1, 2, 3):
         result = run_plan(_scenario(builder, partitions, frames, seed),
@@ -44,9 +47,11 @@ def test_clean_build_passes_the_full_oracle(builder, partitions, frames):
         assert result.passed, f"seed {seed}: {result.detail}"
 
 
-@pytest.mark.parametrize("builder", ["sf", "psf"])
-def test_first_hit_crash_sweep_at_8_frames(builder):
-    report = run_sweep(_scenario(builder, max_hits_per_site=1))
+@pytest.mark.parametrize("builder,partitions", [
+    pytest.param("sf", None, id="sf"), pytest.param("psf", None, id="psf"),
+    pytest.param("multi", 2, id="multi-2")])
+def test_first_hit_crash_sweep_at_8_frames(builder, partitions):
+    report = run_sweep(_scenario(builder, partitions, max_hits_per_site=1))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
     assert all(r.fired for r in report.results), report.to_text()
