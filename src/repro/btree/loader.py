@@ -85,6 +85,7 @@ class BulkLoader:
         self.tree.system.metrics.incr("index.inserts.bulk", len(entries))
         done = 0
         while True:
+            self.tree.dirty.add(leaf.page_no)
             room = max(self.leaf_fill - len(leaf.entries), 0)
             leaf.entries.extend(entries[done:done + room])
             done += room
@@ -128,7 +129,7 @@ class BulkLoader:
         exactly the separator between the two."""
         old = self._current_leaf
         new_leaf = self.tree._allocate_leaf()
-        old.next_leaf = new_leaf.page_no
+        old.next_leaf = new_leaf.page_no  # dirty already: extend() marked it
         self._current_leaf = new_leaf
         self.tree.structure_version += 1
         self._link_into_parent(old, new_leaf, composite, level=0)
@@ -148,6 +149,7 @@ class BulkLoader:
             tree.system.metrics.incr("index.bulk_root_growths")
             return
         parent = self._right_branch[level]
+        tree.dirty.add(parent.page_no)
         parent.separators.append(separator)
         parent.children.append(right.page_no)
         if parent.is_full:

@@ -13,7 +13,7 @@ at most one entry per key value (pseudo-deleted or not).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.metrics import MetricsRegistry
 from repro.sim.latch import Latch
@@ -100,14 +100,6 @@ class LeafPage(IndexPage):
     @property
     def is_full(self) -> bool:
         return len(self.entries) >= self.capacity
-
-    @property
-    def low_composite(self) -> Optional[CompositeKey]:
-        return self.entries[0].composite if self.entries else None
-
-    @property
-    def high_composite(self) -> Optional[CompositeKey]:
-        return self.entries[-1].composite if self.entries else None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Leaf {self.page_no} n={len(self.entries)} "

@@ -36,7 +36,7 @@ followed by a retry.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Iterator, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
 from repro.errors import IndexBuildError, StorageError, UniqueViolationError
@@ -79,6 +79,17 @@ class IBCursor:
         self.version = -1
 
 
+class StableImage(NamedTuple):
+    """What of a tree survives a crash: an immutable image per page as of
+    the force that last wrote it (pages ``0 .. next_page_no - 1``), and
+    the root, allocation frontier and LSN of the last force."""
+
+    pages: dict
+    root: Optional[int] = None
+    next_page_no: int = 0
+    durable_lsn: int = 0
+
+
 class BTree:
     """One B+-tree index over a table."""
 
@@ -98,12 +109,16 @@ class BTree:
         #: bumped by every split; invalidates IB cursors
         self.structure_version = 0
         #: log records with LSN <= durable_lsn are reflected in the stable
-        #: snapshot; recovery redoes only younger index log records
+        #: image; recovery redoes only younger index log records
         self.durable_lsn = 0
-        self._snapshot: Optional[dict] = None
-        self._snapshot_durable_lsn = 0
-        #: True after a crash revealed a torn (damaged) stable snapshot:
-        #: the surviving tree image is unusable and recovery must either
+        self._stable = StableImage({})
+        #: numbers of the pages changed since the last force: every site
+        #: that mutates a page adds it, force() images these and no others
+        self.dirty: set[int] = set()
+        #: pages imaged by all forces so far (the work-bound test reads it)
+        self.pages_imaged = 0
+        #: True once a force tore (damaged) the stable image: nothing of
+        #: the surviving tree image is usable and recovery must either
         #: replay the full log (NSF, fully logged) or rebuild from the
         #: sorted runs (SF, unlogged build; section 6's fallback).
         self.media_damaged = False
@@ -120,6 +135,7 @@ class BTree:
         page = LeafPage(self._next_page_no, self.leaf_capacity,
                         metrics=self.system.metrics)
         self.pages[page.page_no] = page
+        self.dirty.add(page.page_no)
         self._next_page_no += 1
         self.system.metrics.incr("index.pages_allocated")
         return page
@@ -128,6 +144,7 @@ class BTree:
         page = BranchPage(self._next_page_no, self.branch_capacity,
                           metrics=self.system.metrics)
         self.pages[page.page_no] = page
+        self.dirty.add(page.page_no)
         self._next_page_no += 1
         self.system.metrics.incr("index.pages_allocated")
         return page
@@ -242,6 +259,7 @@ class BTree:
         transactions), or -- when none are higher -- a fresh leaf is
         allocated for IB's key alone, mimicking a bottom-up build.
         """
+        self.dirty.add(leaf.page_no)
         if not leaf.is_full:
             leaf.entries.insert(leaf.position(entry.composite), entry)
             return leaf
@@ -326,6 +344,7 @@ class BTree:
             self.root = new_root.page_no
             return
         parent, slot = path[-1]
+        self.dirty.add(parent.page_no)
         parent.separators.insert(slot, separator)
         parent.children.insert(slot + 1, right.page_no)
         if parent.is_full:
@@ -333,6 +352,7 @@ class BTree:
 
     def _split_branch(self, branch: BranchPage,
                       path: list[tuple[BranchPage, int]]) -> None:
+        # ``branch`` is dirty already: the caller just inserted into it.
         new_branch = self._allocate_branch()
         mid = len(branch.separators) // 2
         push_up = branch.separators[mid]
@@ -349,6 +369,7 @@ class BTree:
             self.root = new_root.page_no
             return
         parent, slot = path[-1]
+        self.dirty.add(parent.page_no)
         parent.separators.insert(slot, push_up)
         parent.children.insert(slot + 1, new_branch.page_no)
         if parent.is_full:
@@ -429,6 +450,7 @@ class BTree:
         if exact.pseudo_deleted:
             # Section 2.2.3 step 8: resetting the pseudo-delete flag.
             exact.pseudo_deleted = False
+            self.dirty.add(leaf.page_no)
             self._log_key_op(txn, "reactivate", key_value, rid,
                              undo_action="pseudo_delete")
             self.system.metrics.incr("index.reactivations")
@@ -464,6 +486,7 @@ class BTree:
         if found.rid == rid:
             if found.pseudo_deleted:
                 found.pseudo_deleted = False
+                self.dirty.add(leaf.page_no)
                 self._log_key_op(txn, "reactivate", key_value, rid,
                                  undo_action="pseudo_delete")
                 self.system.metrics.incr("index.reactivations")
@@ -485,6 +508,7 @@ class BTree:
             old_rid = found.rid
             found.rid = rid
             found.pseudo_deleted = False
+            self.dirty.add(leaf.page_no)
             self._log_key_op(txn, "replace_rid", key_value, rid,
                              undo_action="restore_entry",
                              extra={"old_rid": tuple(old_rid),
@@ -536,6 +560,7 @@ class BTree:
                     self.system.metrics.incr("index.tombstone_inserts")
                 elif not exact.pseudo_deleted:
                     exact.pseudo_deleted = True
+                    self.dirty.add(leaf.page_no)
                     self._log_key_op(txn, "pseudo_delete", key_value, rid,
                                      undo_action="reactivate")
                     self.system.metrics.incr("index.pseudo_deletes")
@@ -543,6 +568,7 @@ class BTree:
             else:
                 pos = leaf.position(composite)
                 del leaf.entries[pos]
+                self.dirty.add(leaf.page_no)
                 self._log_key_op(txn, "physical_delete", key_value, rid,
                                  undo_action="insert")
                 self.system.metrics.incr("index.physical_deletes")
@@ -779,6 +805,7 @@ class BTree:
             if entry is not None and entry.pseudo_deleted:
                 entry.rid = rid
                 entry.pseudo_deleted = False
+                self.dirty.add(leaf.page_no)
                 self.system.metrics.incr("index.rid_replacements")
                 self.system.metrics.incr("index.inserts.ib")
                 return False  # handled here; no retry needed
@@ -822,12 +849,14 @@ class BTree:
                 self.system.metrics.incr("index.inserts.drain")
             elif exact.pseudo_deleted:
                 exact.pseudo_deleted = False
+                self.dirty.add(leaf.page_no)
                 self._log_key_op(ib_txn, "reactivate", key_value, rid,
                                  undo_action="pseudo_delete")
         else:  # delete
             if exact is not None:
                 pos = leaf.position(composite)
                 del leaf.entries[pos]
+                self.dirty.add(leaf.page_no)
                 self._log_key_op(ib_txn, "physical_delete", key_value,
                                  rid, undo_action="insert")
                 self.system.metrics.incr("index.deletes.drain")
@@ -956,6 +985,12 @@ class BTree:
     # logical apply (shared by redo and undo)
     # ------------------------------------------------------------------
 
+    def apply_logged(self, args: dict) -> None:
+        """:meth:`apply_logical` on a log payload (a many-key one carries
+        no single key)."""
+        self.apply_logical(args["action"], args.get("key_value"),
+                           args.get("rid", (0, 0)), extra=args)
+
     def apply_logical(self, action: str, key_value, rid, *,
                       extra: Optional[dict] = None) -> None:
         """Apply one logical key operation, idempotently.
@@ -980,6 +1015,9 @@ class BTree:
         composite = (key_value, rid)
         leaf, path = self._traverse(composite, count=False)
         exact = leaf.find_exact(composite)
+        # Every action below changes ``leaf`` or nothing (replace_rid:
+        # also the old RID's leaf); the few no-ops are imaged once more.
+        self.dirty.add(leaf.page_no)
         if action == "insert":
             if exact is None:
                 self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
@@ -1014,6 +1052,7 @@ class BTree:
                                              count=False)
             old_entry = old_leaf.find_exact((key_value, old_rid))
             if old_entry is not None:
+                self.dirty.add(old_leaf.page_no)
                 old_entry.rid = rid
                 old_entry.pseudo_deleted = False
             elif exact is not None:
@@ -1040,7 +1079,7 @@ class BTree:
         ops.register("index.undo", redo=_reject_redo, undo=_undo_index)
 
     def force(self) -> None:
-        """Write a stable snapshot of the whole tree.
+        """Write the pages dirtied since the last force to the stable image.
 
         Models "after all the dirty pages of the index have been written
         to disk" (section 3.2.4).  Log records at or below the recorded
@@ -1048,85 +1087,75 @@ class BTree:
         """
         kind = fault_point(self.system.metrics, "btree.force")
         if kind is not None:
-            # Torn write: the snapshot lands on disk damaged but
+            # Torn write: the *whole* image lands on disk damaged but
             # detectably so (a checksum mismatch), then power fails.
-            self._snapshot = {"__torn__": True}
-            self._snapshot_durable_lsn = self.system.log.last_lsn
+            self._stable = StableImage({})
+            self.media_damaged = True
             raise InjectedCrash(
                 f"torn snapshot write of index {self.name}")
-        # WAL rule for the snapshot write: the snapshot carries the
-        # effects of every record up to last_lsn, so none of them may be
-        # lost in a crash or the stable image gets ahead of the log (an
-        # unflushed loser's index op would survive while its heap op and
-        # its very existence vanish -- found by the crash sweep).
+        # WAL rule for the image write: the images carry the effects of
+        # every record up to last_lsn, so none of them may be lost in a
+        # crash or the stable image gets ahead of the log (an unflushed
+        # loser's index op would survive while its heap op and its very
+        # existence vanish -- found by the crash sweep).
         self.system.log.flush(self.system.log.last_lsn)
-        self._snapshot = self._serialize()
+        images = self._stable.pages
+        for page_no in self.dirty:
+            images[page_no] = _page_image(self.pages[page_no])
+        # After a reset() every live page is dirty (allocated since) and
+        # the stable file is cut back to the new, lower frontier.
+        for page_no in range(self._next_page_no, self._stable.next_page_no):
+            del images[page_no]
+        self.pages_imaged += len(self.dirty)
+        self.dirty.clear()
         self.durable_lsn = self.system.log.last_lsn
-        self._snapshot_durable_lsn = self.durable_lsn
+        self._stable = StableImage(images, self.root, self._next_page_no,
+                                   self.durable_lsn)
         self.media_damaged = False
         self.system.metrics.incr("index.forces")
         fault_point(self.system.metrics, "btree.force.after")
 
     def crash(self) -> None:
-        """Revert to the last stable snapshot (or empty)."""
-        self._fences.clear()
-        if self._snapshot is not None and self._snapshot.get("__torn__"):
-            # The stable image failed its checksum: nothing of the tree
-            # is usable.  Flag it so restart picks a rebuild strategy
-            # (full log replay for NSF, run re-extraction for SF).
-            self.pages.clear()
-            self.root = None
-            self._next_page_no = 0
-            self.structure_version += 1
-            self.durable_lsn = 0
-            self._snapshot = None
-            self._snapshot_durable_lsn = 0
-            self.media_damaged = True
-            return
-        if self._snapshot is None:
-            self.pages.clear()
-            self.root = None
-            self._next_page_no = 0
-            self.structure_version += 1
-            self.durable_lsn = 0
-            return
-        self._deserialize(self._snapshot)
-        self.structure_version += 1
-        self.durable_lsn = self._snapshot_durable_lsn
+        """Revert to the stable image: empty if never forced, or torn --
+        ``media_damaged`` then makes restart pick a rebuild strategy
+        (full log replay for NSF, run re-extraction for SF)."""
+        self._load(self._stable)
 
-    def _serialize(self) -> dict:
-        pages = {}
-        for no, page in self.pages.items():
-            if isinstance(page, LeafPage):
-                pages[no] = ("leaf", page.capacity, page.next_leaf,
-                             [(e.key_value, tuple(e.rid), e.pseudo_deleted)
-                              for e in page.entries])
-            else:
-                pages[no] = ("branch", page.capacity,
-                             list(page.separators), list(page.children))
-        return {"pages": pages, "root": self.root,
-                "next_page_no": self._next_page_no}
+    def reset(self) -> None:
+        """Back to the empty tree, in memory: the stable image goes at
+        the *next* force, and a crash before it restores the old one."""
+        self._load(StableImage({}))
+        self.media_damaged = False
 
-    def _deserialize(self, blob: dict) -> None:
+    def stable_image(self) -> StableImage:
+        """A dump: page images are immutable, so copying the map is one."""
+        return self._stable._replace(pages=dict(self._stable.pages))
+
+    def install_stable_image(self, image: StableImage) -> None:
+        """Media restore: ``image`` becomes the stable image *and* the tree."""
+        self._stable = image._replace(pages=dict(image.pages))
+        self._load(image)
+
+    def _load(self, image: StableImage) -> None:
+        """Replace the live tree by ``image``; nothing is dirty after."""
         self.pages.clear()
         self._fences.clear()
-        for no, data in blob["pages"].items():
-            if data[0] == "leaf":
-                _kind, capacity, next_leaf, entries = data
-                leaf = LeafPage(no, capacity, metrics=self.system.metrics)
-                leaf.next_leaf = next_leaf
-                leaf.entries = [KeyEntry(kv, RID(*r), pd)
-                                for kv, r, pd in entries]
-                self.pages[no] = leaf
+        self.dirty.clear()
+        metrics = self.system.metrics
+        for no, (kind, capacity, *body) in image.pages.items():
+            if kind == "leaf":
+                page = LeafPage(no, capacity, metrics=metrics)
+                page.next_leaf = body[0]
+                page.entries = [KeyEntry(kv, RID(*r), pd)
+                                for kv, r, pd in body[1]]
             else:
-                _kind, capacity, separators, children = data
-                branch = BranchPage(no, capacity,
-                                    metrics=self.system.metrics)
-                branch.separators = [tuple(s) for s in separators]
-                branch.children = list(children)
-                self.pages[no] = branch
-        self.root = blob["root"]
-        self._next_page_no = blob["next_page_no"]
+                page = BranchPage(no, capacity, metrics=metrics)
+                page.separators, page.children = map(list, body)
+            self.pages[no] = page
+        self.root = image.root
+        self._next_page_no = image.next_page_no
+        self.structure_version += 1
+        self.durable_lsn = image.durable_lsn
 
     # ------------------------------------------------------------------
     # read access and audits
@@ -1202,6 +1231,16 @@ class BTree:
         return in_order / (len(leaves) - 1)
 
 
+def _page_image(page: LeafPage | BranchPage) -> tuple:
+    """The immutable stable image of one page."""
+    if isinstance(page, LeafPage):
+        return ("leaf", page.capacity, page.next_leaf,
+                tuple([(e.key_value, e.rid, e.pseudo_deleted)
+                       for e in page.entries]))
+    return ("branch", page.capacity,
+            tuple(page.separators), tuple(page.children))
+
+
 # -- recovery handlers (generators) ----------------------------------------
 
 
@@ -1210,12 +1249,7 @@ def _redo_index(system: "System", record: LogRecord):
     tree = _tree_for(system, args["index"])
     if tree is None or record.lsn <= tree.durable_lsn:
         return
-    action = args["action"]
-    if action in ("insert_many", "remove_many"):
-        tree.apply_logical(action, None, (0, 0), extra=args)
-    else:
-        tree.apply_logical(action, args["key_value"], args["rid"],
-                           extra=args)
+    tree.apply_logged(args)
     system.metrics.incr("recovery.index_redos")
     return
     yield  # pragma: no cover - generator shape
@@ -1240,12 +1274,7 @@ def _undo_index(system: "System", txn: "Transaction", record: LogRecord):
         # undo chain stays well-formed.
         tree = None
     if tree is not None:
-        action = args["action"]
-        if action in ("insert_many", "remove_many"):
-            tree.apply_logical(action, None, (0, 0), extra=args)
-        else:
-            tree.apply_logical(action, args["key_value"], args["rid"],
-                               extra=args)
+        tree.apply_logged(args)
         system.metrics.incr("index.logical_undos")
     clr_redo = ("index.apply", dict(args))
     yield Delay(system.config.key_op_cost)

@@ -31,8 +31,7 @@ def cancel_build(system: "System", descriptor: IndexDescriptor):
         if not context.descriptors:
             system.builds.pop(descriptor.table.name, None)
     descriptor.detach()
-    descriptor.tree.pages.clear()
-    descriptor.tree.root = None
+    descriptor.tree.reset()
     system.sidefiles.pop(descriptor.name, None)
     system.run_stores.pop(f"sort:{descriptor.name}", None)
     system.metrics.incr("build.cancels")

@@ -67,6 +67,7 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
             for entry in doomed:
                 if entry in leaf.entries:
                     leaf.entries.remove(entry)
+                    tree.dirty.add(leaf.page_no)
                     removed += 1
                     txn.log(
                         RecordKind.UPDATE,

@@ -508,7 +508,7 @@ class SFIndexBuilder(BuilderBase):
         image; normalize the shell so the load starts clean."""
         for descriptor in self.descriptors:
             if descriptor.tree.media_damaged:
-                self._reset_tree(descriptor.tree)
+                descriptor.tree.reset()
 
     def _torn_fallback(self, descriptor, flipped: bool) -> int:
         """Section 6 fallback for one index past the scan phase.
@@ -527,7 +527,7 @@ class SFIndexBuilder(BuilderBase):
         sidefile = self.system.sidefiles.get(descriptor.name)
         position = len(sidefile.entries) \
             if flipped and sidefile is not None else 0
-        self._reset_tree(descriptor.tree)
+        descriptor.tree.reset()
         descriptor.state = IndexState.BUILDING
         if self.context is not None \
                 and descriptor not in self.context.descriptors:
@@ -553,19 +553,9 @@ class SFIndexBuilder(BuilderBase):
         checkpoint trio forces *every* build tree, so even a pending
         index may hold a partial load) must go."""
         tree = descriptor.tree
-        if tree.root is not None \
-                and tree.key_count(include_pseudo_deleted=True):
-            self._reset_tree(tree)
+        if tree.key_count(include_pseudo_deleted=True):
+            tree.reset()
         return super()._restart_load(descriptor)
-
-    def _reset_tree(self, tree) -> None:
-        """Return ``tree`` to the empty state for a from-scratch rebuild."""
-        tree.pages.clear()
-        tree.root = None
-        tree._next_page_no = 0
-        tree.structure_version += 1
-        tree.durable_lsn = 0
-        tree.media_damaged = False
 
     def _align_tree_with_checkpoint(self, descriptor, highest_key) -> None:
         """Cut the restored tree back to the checkpointed highest key.
@@ -588,7 +578,7 @@ class SFIndexBuilder(BuilderBase):
             if all(entry.composite <= bound for entry in entries):
                 return
             keep = [entry for entry in entries if entry.composite <= bound]
-        self._reset_tree(tree)
+        tree.reset()
         loader = BulkLoader(
             tree, fill_free_fraction=self.options.fill_free_fraction)
         loader.extend([entry.composite for entry in keep])
@@ -614,12 +604,7 @@ class SFIndexBuilder(BuilderBase):
             if op_name != "index.apply" \
                     or args.get("index") != descriptor.name:
                 continue
-            action = args["action"]
-            if action in ("insert_many", "remove_many"):
-                tree.apply_logical(action, None, (0, 0), extra=args)
-            else:
-                tree.apply_logical(action, args["key_value"],
-                                   args["rid"], extra=args)
+            tree.apply_logged(args)
             replayed += 1
         if replayed:
             self.system.metrics.incr("build.torn_replayed_ops", replayed)

@@ -467,7 +467,7 @@ class SealedRuns(KeySource):
         for descriptor in builder.descriptors:
             descriptor.state = IndexState.BUILDING
             descriptor.build_mode = builder.mode
-            builder._reset_tree(descriptor.tree)
+            descriptor.tree.reset()
             descriptor.tree.force()  # the empty tree is the stable image
         builder._install_context(current_rid=INFINITY_RID, index_build=True)
         # SF's headline property holds for the rebuild too: no quiesce.

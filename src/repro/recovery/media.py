@@ -19,16 +19,12 @@ enables.
 
 from __future__ import annotations
 
-import copy as _copy
 from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from typing import Optional
 
 from repro.storage.disk import Disk
 from repro.system import System, SystemConfig
 from repro.wal.manager import LogManager
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 
 @dataclass
@@ -39,8 +35,8 @@ class ImageCopy:
     copy_lsn: int
     #: stable page images, cloned
     pages: dict = field(default_factory=dict)
-    #: per-index (snapshot blob, durable_lsn); indexes created after the
-    #: copy are simply absent
+    #: per-index :class:`~repro.btree.tree.StableImage`; indexes created
+    #: after the copy are simply absent
     trees: dict = field(default_factory=dict)
     #: per-side-file durable entries
     sidefiles: dict = field(default_factory=dict)
@@ -55,18 +51,21 @@ def take_image_copy(system: System) -> ImageCopy:
     for page_id in list(system.disk._images):
         image.pages[page_id] = system.disk._images[page_id].clone()
     for name, descriptor in system.indexes.items():
-        tree = descriptor.tree
-        if tree._snapshot is not None:
-            image.trees[name] = (_copy.deepcopy(tree._snapshot),
-                                 tree._snapshot_durable_lsn)
+        image.trees[name] = descriptor.tree.stable_image()
     for name, sidefile in system.sidefiles.items():
         image.sidefiles[name] = [
             sidefile.entries[i] for i in range(sidefile.durable_length)]
-    image.catalog = {
+    image.catalog = _catalog_of(system)
+    system.metrics.incr("media.image_copies")
+    return image
+
+
+def _catalog_of(system: System) -> dict:
+    return {
         "tables": {
             table.name: {
                 "columns": list(table.columns),
-                "page_capacity": getattr(table, "page_capacity", None),
+                "page_capacity": table.page_capacity,
             }
             for table in system.tables.values()
             if hasattr(table, "page_capacity")
@@ -81,8 +80,6 @@ def take_image_copy(system: System) -> ImageCopy:
             for name, descriptor in system.indexes.items()
         },
     }
-    system.metrics.incr("media.image_copies")
-    return image
 
 
 def media_restore(image: ImageCopy, log: LogManager,
@@ -108,21 +105,13 @@ def media_restore(image: ImageCopy, log: LogManager,
         disk._images[page_id] = page.clone()
     system = System(config or SystemConfig(), disk=disk, log=log)
 
-    catalog = dict(image.catalog)
+    # The copy's own entries win; restoring leaves the copy as it was.
+    catalog = {kind: dict(entries)
+               for kind, entries in image.catalog.items()}
     if current_system is not None:
-        for table in current_system.tables.values():
-            if hasattr(table, "page_capacity"):
-                catalog["tables"].setdefault(table.name, {
-                    "columns": list(table.columns),
-                    "page_capacity": table.page_capacity,
-                })
-        for name, descriptor in current_system.indexes.items():
-            catalog["indexes"].setdefault(name, {
-                "table": descriptor.table.name,
-                "key_columns": list(descriptor.key_columns),
-                "unique": descriptor.unique,
-                "state": descriptor.state.value,
-            })
+        for kind, entries in _catalog_of(current_system).items():
+            for name, info in entries.items():
+                catalog[kind].setdefault(name, info)
 
     for name, info in catalog["tables"].items():
         system.create_table(name, info["columns"],
@@ -133,11 +122,10 @@ def media_restore(image: ImageCopy, log: LogManager,
                                      info["key_columns"],
                                      unique=info["unique"])
         descriptor.state = IndexState(info["state"])
-        snapshot = image.trees.get(name)
-        if snapshot is not None:
-            blob, durable_lsn = snapshot
-            descriptor.tree._deserialize(_copy.deepcopy(blob))
-            descriptor.tree.durable_lsn = durable_lsn
+        if name in image.trees:
+            # The copy is the restored tree's stable image too: a crash
+            # before its next force must come back to it, not to empty.
+            descriptor.tree.install_stable_image(image.trees[name])
         descriptor.attach()
     for name, entries in image.sidefiles.items():
         sidefile = SideFile(system, name)

@@ -21,15 +21,12 @@ index-build utility uses to resume (sections 2.2.3, 3.2.4, 5).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional
 
 from repro.sidefile import register_sidefile_operations
 from repro.system import System, SystemConfig
 from repro.txn.transaction import Transaction
 from repro.wal.records import RecordKind
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 PreUndoHook = Callable[[System, dict], None]
 
@@ -281,8 +278,7 @@ def _plan_damaged_trees(system: System, utility_state: dict,
             system.metrics.incr("recovery.torn_trees.sf")
             strategy = "sf-reextract"
         else:
-            tree.media_damaged = False
-            tree.durable_lsn = 0
+            tree.reset()  # usable again: empty, redo watermark 0
             redo_start = 1
             system.metrics.incr("recovery.torn_trees.replayed")
             strategy = "log-replay"

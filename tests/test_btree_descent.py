@@ -149,6 +149,6 @@ def test_fences_memoised_before_a_crash_are_not_consulted_after():
                                        count=False)
         assert landed is leaf
     assert tree._fences == stats["fences"]
-    # the media-recovery way in (_deserialize without crash) forgets too
-    tree._deserialize(tree._serialize())
+    # the media-recovery way in (an installed image, no crash) forgets too
+    tree.install_stable_image(tree.stable_image())
     assert tree._fences == {}

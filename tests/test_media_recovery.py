@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import IndexSpec, NSFIndexBuilder, SFIndexBuilder
-from repro.recovery import media_restore, take_image_copy
+from repro.core.descriptor import IndexState
+from repro.recovery import (media_restore, restart, run_until_crash,
+                            take_image_copy)
 from repro.system import System, SystemConfig
 from repro.verify import ConsistencyError, audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec
@@ -131,3 +133,39 @@ def test_media_restore_rolls_back_in_flight_txns():
     values = [rec.values for _rid, rec
               in restored.tables["t"].audit_records()]
     assert (55_555, "uncommitted") not in values
+
+
+def test_a_crash_after_media_restore_comes_back_to_the_restored_index():
+    """The image copy is the restored tree's stable image as well: a
+    crash before that tree's next force must restart from it (restart
+    redo begins at the checkpoint, not at the start of the log), not
+    from an empty tree."""
+    system, table, driver = stage(seed=34)
+    builder = SFIndexBuilder(system, table, IndexSpec.of("idx", ["k"]))
+    proc = system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    assert proc.error is None
+    image = take_image_copy(system)
+    system.log.flush()
+    restored = media_restore(image, system.log, config=system.config,
+                             current_system=system)
+    forces = restored.metrics.get("index.forces")
+    run_until_crash(restored, restored.sim.now + 1.0)
+    recovered, _state = restart(restored)
+    assert recovered.metrics.get("index.forces") == forces  # none between
+    descriptor = recovered.indexes["idx"]
+    assert descriptor.state is IndexState.AVAILABLE
+    audit_index(recovered, descriptor)
+    # and the copy itself is untouched by whatever the restored tree forces
+    before = dict(image.trees["idx"].pages)
+    drive(recovered, table_insert(recovered, (88_888, "after-restore")))
+    descriptor.tree.force()
+    assert image.trees["idx"].pages == before
+    assert descriptor.tree.stable_image().pages != before
+
+
+def table_insert(system, row):
+    txn = system.txns.begin()
+    yield from system.tables["t"].insert(txn, row)
+    yield from txn.commit()

@@ -144,9 +144,7 @@ def test_delete_key_problem_tombstone_blocks_ib():
         # remove the direct insert T0 performed, as if the index had been
         # empty when IB scanned -- i.e. simulate pure race: physically
         # clear the tree.
-        tree.pages.clear()
-        tree.root = None
-        tree.structure_version += 1
+        tree.reset()
 
         t1 = system.txns.begin("T1")
         yield from table.delete(t1, rid)   # no key found -> tombstone
