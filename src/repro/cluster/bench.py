@@ -40,6 +40,7 @@ from repro.cluster.scenario import (
     run_scenario,
     scenario_spec,
 )
+from repro.obs.trace import Trace
 from repro.sim.kernel import Delay
 from repro.slo.analyzer import latency_report
 
@@ -94,10 +95,10 @@ def _counters(cluster) -> dict:
             if cluster.metrics.get(key)}
 
 
-def _base_row(cluster, summary, shape: str) -> dict:
+def _base_row(cluster, summary, shape: str, trace=None) -> dict:
     return {
         "params": dict(PARAMS, shape=shape),
-        "latency": latency_report(cluster.tracer.events),
+        "latency": latency_report(trace or cluster.tracer.events),
         "counters": _counters(cluster),
         "oracle": summary,
         "end_time": cluster.sim.now,
@@ -151,12 +152,12 @@ def _run_divergent() -> dict:
     cluster.run()
     summary = check_cluster(cluster, driver)
 
-    row = _base_row(cluster, summary, "divergent")
+    trace = Trace(cluster.tracer.events)  # read once, reported twice
+    row = _base_row(cluster, summary, "divergent", trace)
     row["advisor"] = advisor_row
     row["available_at"] = dict(sorted(available_at.items()))
     flip_done = max(available_at.values())
-    post = latency_report(cluster.tracer.events,
-                          window=(flip_done, cluster.sim.now))
+    post = latency_report(trace, window=(flip_done, cluster.sim.now))
     ranges = post["by_op"].get("range", {})
     row["post_flip"] = {
         "window": [flip_done, cluster.sim.now],

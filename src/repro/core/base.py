@@ -28,6 +28,7 @@ from repro.core.maintenance import (
 )
 from repro.core.throttle import TokenBucket
 from repro.faultinject.sites import fault_point, fault_points_enabled
+from repro.obs.handle import NO_OBS, BuildObs
 from repro.sidefile import ScanFrontier
 from repro.sim.kernel import Delay, Join
 from repro.sim.latch import SHARE
@@ -173,10 +174,6 @@ class BuilderBase:
         #: (stripes share sorters and shards own theirs, so the key is
         #: the sorter, not the index name)
         self._compare_charged: dict[RunFormation, int] = {}
-        #: open trace spans by key (see :meth:`_trace_begin`)
-        self._trace_spans: dict[str, int] = {}
-        #: wal.bytes counter at span begin, for per-phase WAL volume
-        self._trace_wal: dict[str, int] = {}
         #: IB admission control: the *system's* bucket, shared by every
         #: process of this build (coordinator, readers, PSF shards) AND
         #: by any concurrent builds -- ``build_rate_limit`` bounds the
@@ -188,15 +185,25 @@ class BuilderBase:
         #: per-build throttle metric names ("+"-joined index names), so
         #: two concurrent throttled builds' charges stay attributable;
         #: the unsuffixed totals remain for existing dashboards/benches
-        label = "+".join(spec.name for spec in self.specs)
-        self._throttle_charges_metric = f"build.throttle_charges.{label}"
-        self._throttle_waits_metric = f"build.throttle_waits.{label}"
-        #: live progress handle (see :mod:`repro.obs.progress`); None
-        #: unless a tracker is installed as ``metrics.progress`` -- the
-        #: same zero-cost-disabled contract as ``metrics.tracer``.
-        tracker = system.metrics.progress
-        self._progress = tracker.register(self) \
-            if tracker is not None else None
+        self.label = "+".join(spec.name for spec in self.specs)
+        self._throttle_charges_metric = \
+            f"build.throttle_charges.{self.label}"
+        self._throttle_waits_metric = f"build.throttle_waits.{self.label}"
+        self._configure()
+        #: the build's emit handle (:mod:`repro.obs.handle`): spans,
+        #: instants, gauges and progress all go through it; the shared
+        #: no-op unless a recorder is attached as ``metrics.tracer``
+        tracer = system.metrics.tracer
+        self.obs = BuildObs(self, tracer) if tracer is not None else NO_OBS
+
+    def _configure(self) -> None:
+        """Hook: validate the options and pick the mode's parts, before
+        the emit handle asks for :meth:`_phases`."""
+
+    def _phases(self) -> list:
+        """Hook: the ordered :class:`~repro.obs.progress.Phase` rows this
+        build declares (weights summing to one)."""
+        raise NotImplementedError
 
     # -- option resolution -------------------------------------------------
 
@@ -228,16 +235,15 @@ class BuilderBase:
         phases in between are the mode's :meth:`_run_phases`.
         """
         self._mark("start")
-        self._trace_begin("build", mode=self.mode, table=self.table.name,
-                          indexes=[s.name for s in self.specs],
-                          resumed=self._resume_state is not None,
-                          **self._build_span_attrs())
+        self.obs.begin("build", mode=self.mode, table=self.table.name,
+                       indexes=[s.name for s in self.specs],
+                       resumed=self._resume_state is not None,
+                       **self._build_span_attrs())
         yield from self._run_phases()
         self._remove_context()
         self._write_utility_checkpoint({"phase": "done"})
         self._mark("done")
-        self._progress_finish()
-        self._trace_end("build")
+        self.obs.end("build")
         return self.descriptors
 
     def _run_phases(self):
@@ -277,7 +283,7 @@ class BuilderBase:
         builder._manifest = {name: dict(entry) for name, entry
                              in utility_state["manifest"].items()}
         builder._restore_throttle(utility_state)
-        builder._restore_progress(utility_state)
+        builder.obs.restore(utility_state.get("progress"))
         builder._restore_codec(utility_state)
         return builder
 
@@ -479,7 +485,6 @@ class BuilderBase:
         yield from self._scan_and_sort(start_page, readers)
         runs_by_index = self._finish_sort()
         self._mark("scan_done")
-        self._progress_phase_done("scan")
         self._scan_done()
         return {d.name: self._final_merger(d, runs_by_index[d.name])
                 for d in self.descriptors}
@@ -510,11 +515,11 @@ class BuilderBase:
         noted_last_page = self.table.page_count
         metrics = self.system.metrics
         pages_before = metrics.get("build.pages_scanned")
-        self._trace_begin("scan", start_page=start_page)
+        self.obs.begin("scan", start_page=start_page)
         if readers > 1:
             last_page = noted_last_page
             stripe = max(1, (last_page - start_page + readers - 1) // readers)
-            self._progress_scan(0, last_page)
+            self.obs.advance("scan", total=last_page)
             procs = []
             for first in range(start_page, last_page, stripe):
                 limit = min(first + stripe, last_page)
@@ -534,13 +539,11 @@ class BuilderBase:
                 lambda: self._scan_limit(noted_last_page), self._sorters,
                 advance=self._after_page_scanned,
                 checkpoint=self._checkpoint_scan)
-        self._trace_end("scan",
-                        pages=metrics.get("build.pages_scanned")
-                        - pages_before)
+        self.obs.end("scan", pages=metrics.get("build.pages_scanned")
+                     - pages_before)
         for name, codec in self._codecs.items():
-            self._trace_instant("sort.encode", index=name,
-                                kinds=codec.kinds, spills=codec.spills,
-                                active=codec.active)
+            self.obs.instant("sort.encode", index=name, kinds=codec.kinds,
+                             spills=codec.spills, active=codec.active)
         return last_page
 
     def _scan_pages(self, cursor: dict, limit_of, sorters: dict, *,
@@ -628,7 +631,7 @@ class BuilderBase:
                     self._codec_fault_points(metrics)
             pages_since_checkpoint += len(batch_ids)
             page_no = cursor["next_page"] = upto
-            self._progress_scan(len(batch_ids), limit)
+            self.obs.advance("scan", total=limit, step=len(batch_ids))
             if checkpoint_every is not None \
                     and pages_since_checkpoint >= checkpoint_every \
                     and page_no < limit:
@@ -740,8 +743,9 @@ class BuilderBase:
         # Progress state rides along only when tracking is enabled, the
         # same conditional-key discipline as the rate limit: untracked
         # checkpoint payloads stay byte-identical.
-        if self._progress is not None:
-            payload["progress"] = self._progress.checkpoint_state()
+        progress = self.obs.checkpoint_state()
+        if progress is not None:
+            payload["progress"] = progress
         # Compressed-key builds persist each index's codec layout so the
         # resumed sorters rebind identically (a resumed scan must not
         # re-derive a different column layout from a different first
@@ -797,90 +801,6 @@ class BuilderBase:
 
     def _mark(self, label: str) -> None:
         self.timings[label] = self.system.sim.now
-
-    # -- progress helpers (zero-cost when metrics.progress is None) ----------
-    #
-    # All of these are pure bookkeeping: no yields, no simulated time, no
-    # counters -- enabling tracking cannot perturb the schedule, and the
-    # disabled path costs one attribute test (the ``fault_point`` /
-    # ``tracer`` contract).
-
-    def _progress_scan(self, advanced: int, total: int) -> None:
-        if self._progress is not None:
-            self._progress.scan(advanced, total)
-
-    def _progress_units(self, key: str, done: int, total: int) -> None:
-        if self._progress is not None:
-            self._progress.units(key, done, total)
-
-    def _progress_drain(self, key: str, position: int, total: int) -> None:
-        if self._progress is not None:
-            self._progress.drain(key, position, total)
-
-    def _progress_phase_done(self, key: str) -> None:
-        if self._progress is not None:
-            self._progress.phase_done(key)
-
-    def _progress_finish(self) -> None:
-        if self._progress is not None:
-            self._progress.finish()
-
-    def _restore_progress(self, utility_state: dict) -> None:
-        """Adopt the checkpointed progress baseline on resume (companion
-        to :meth:`_restore_throttle`): the resumed build reports the
-        crashed build's completion floor, never 0%."""
-        if self._progress is None:
-            return
-        state = utility_state.get("progress")
-        if state:
-            self._progress.restore(state)
-
-    # -- trace helpers (zero-cost when metrics.tracer is None) ----------------------------------
-
-    def _trace_begin(self, name: str, key: Optional[str] = None,
-                     parent: Optional[int] = None, **attrs) -> None:
-        """Open a phase span named ``name``.
-
-        ``key`` disambiguates concurrent same-name spans (per-shard
-        workers); it defaults to ``name``.  Unless ``parent`` is given,
-        the span nests under the open ``build`` root span.  The current
-        ``wal.bytes`` counter is snapshotted so :meth:`_trace_end` can
-        attach the WAL volume appended while the span was open.
-        """
-        tracer = self.system.metrics.tracer
-        if tracer is None:
-            return
-        key = key or name
-        if parent is None and name != "build":
-            parent = self._trace_spans.get("build")
-        self._trace_wal[key] = self.system.metrics.get("wal.bytes")
-        self._trace_spans[key] = tracer.begin_span(name, parent=parent,
-                                                   **attrs)
-
-    def _trace_end(self, key: str, **attrs) -> None:
-        tracer = self.system.metrics.tracer
-        if tracer is None:
-            return
-        span_id = self._trace_spans.pop(key, None)
-        if span_id is None:
-            return
-        base = self._trace_wal.pop(key, None)
-        if base is not None:
-            attrs["wal_bytes"] = self.system.metrics.get("wal.bytes") - base
-        tracer.end_span(span_id, **attrs)
-
-    def _trace_instant(self, name: str, **attrs) -> None:
-        tracer = self.system.metrics.tracer
-        if tracer is not None:
-            tracer.instant(name, **attrs)
-
-    def _trace_gauge(self, name: str, value, **attrs) -> None:
-        tracer = self.system.metrics.tracer
-        if tracer is not None:
-            tracer.gauge(name, value, **attrs)
-
-    def _trace_span_id(self, key: str) -> Optional[int]:
-        return self._trace_spans.get(key)
 
 
 def recovery_context(system: "System", utility_state: dict

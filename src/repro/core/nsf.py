@@ -27,6 +27,8 @@ from repro.btree.tree import IBCursor
 from repro.core.base import BuilderBase
 from repro.core.maintenance import NSF_MODE
 from repro.faultinject.sites import fault_point
+from repro.obs.progress import Phase
+from repro.obs.recorder import key_metric
 from repro.sort import RestartableMerger
 
 
@@ -36,6 +38,11 @@ class NSFIndexBuilder(BuilderBase):
     mode = NSF_MODE
 
     # -- main process ------------------------------------------------------
+
+    def _phases(self) -> list:
+        share = 0.40 / len(self.specs)
+        return [Phase("scan", 0.60)] + [Phase(f"insert:{spec.name}", share)
+                                        for spec in self.specs]
 
     def _run_phases(self):
         """Build all requested indexes online."""
@@ -80,15 +87,15 @@ class NSFIndexBuilder(BuilderBase):
         lock_granted = self.system.sim.now
         self.system.metrics.observe("build.quiesce_wait",
                                     lock_granted - lock_requested)
-        self._trace_instant("quiesce.begin",
-                            waited=lock_granted - lock_requested)
+        self.obs.instant("quiesce.begin",
+                         waited=lock_granted - lock_requested)
         self._create_descriptors()
         self._install_context()
         yield from quiesce_txn.commit()  # ends the quiesce
         self.system.metrics.observe("build.quiesce_hold",
                                     self.system.sim.now - lock_granted)
-        self._trace_instant("quiesce.end",
-                            held=self.system.sim.now - lock_granted)
+        self.obs.instant("quiesce.end",
+                         held=self.system.sim.now - lock_granted)
         # Initial checkpoint so a crash before the first periodic scan
         # checkpoint can still resume (from page zero).
         self._write_utility_checkpoint({
@@ -98,25 +105,23 @@ class NSFIndexBuilder(BuilderBase):
 
     # -- phase 3: key insertion ------------------------------------------------------
 
-    def _trace_watermark(self, descriptor, highest) -> None:
+    def _gauge_watermark(self, descriptor, highest) -> None:
         """Gauge the gradual-availability frontier (footnote 3)."""
-        if self.system.metrics.tracer is None or highest is None:
-            return
-        from repro.obs.recorder import key_metric
-        self._trace_gauge("read_watermark", key_metric(highest[0]),
-                          index=descriptor.name, key=str(highest[0]))
+        if self.obs.tracer is not None and highest is not None:
+            self.obs.gauge("read_watermark", key_metric(highest[0]),
+                           index=descriptor.name, key=str(highest[0]))
 
     def _insert_phase(self, descriptor, merger: Optional[RestartableMerger]):
         tree = descriptor.tree
-        self._trace_begin("insert", key=f"insert:{descriptor.name}",
-                          index=descriptor.name)
+        self.obs.begin("insert", key=f"insert:{descriptor.name}",
+                       index=descriptor.name)
         ib_txn = self.system.txns.begin(f"IB-insert-{descriptor.name}")
         cursor = IBCursor()
         since_commit = 0
         since_checkpoint = 0
         inserted = 0
         keys_total = self._store_for(descriptor).total_keys() \
-            if self._progress is not None else 0
+            if self.obs.progress is not None else 0
         highest = None
         commit_every = self.options.commit_every_keys
         checkpoint_every = self.options.checkpoint_every_keys
@@ -135,8 +140,8 @@ class NSFIndexBuilder(BuilderBase):
             since_commit += len(batch)
             since_checkpoint += len(batch)
             inserted += len(batch)
-            self._progress_units(f"insert:{descriptor.name}",
-                                 inserted, keys_total)
+            self.obs.advance(f"insert:{descriptor.name}", inserted,
+                             keys_total)
             if commit_every and since_commit >= commit_every:
                 yield from ib_txn.commit()
                 fault_point(self.system.metrics, "nsf.ib_commit")
@@ -144,7 +149,7 @@ class NSFIndexBuilder(BuilderBase):
                 # serve reads of lower key ranges (opt-in, see
                 # repro.query.set_gradual_availability).
                 descriptor.read_watermark = highest
-                self._trace_watermark(descriptor, highest)
+                self._gauge_watermark(descriptor, highest)
                 ib_txn = self.system.txns.begin(
                     f"IB-insert-{descriptor.name}")
                 since_commit = 0
@@ -157,7 +162,7 @@ class NSFIndexBuilder(BuilderBase):
                 # here stalled gradual availability whenever checkpoints
                 # fired more often than (or instead of) plain commits.
                 descriptor.read_watermark = highest
-                self._trace_watermark(descriptor, highest)
+                self._gauge_watermark(descriptor, highest)
                 self._enter(descriptor.name, "loading",
                             merge=merger.checkpoint(), highest_key=highest)
                 self._write_utility_checkpoint({"phase": "insert"})
@@ -170,8 +175,7 @@ class NSFIndexBuilder(BuilderBase):
         yield from ib_txn.commit()
         if highest is not None:
             descriptor.read_watermark = highest
-            self._trace_watermark(descriptor, highest)
-        self._progress_phase_done(f"insert:{descriptor.name}")
-        self._trace_end(f"insert:{descriptor.name}")
+            self._gauge_watermark(descriptor, highest)
+        self.obs.end(f"insert:{descriptor.name}")
         self._mark(f"insert_done:{descriptor.name}")
         fault_point(self.system.metrics, "nsf.insert_done")

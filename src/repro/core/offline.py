@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from repro.btree.loader import BulkLoader
 from repro.core.base import BuilderBase
+from repro.obs.progress import Phase
 from repro.sim.kernel import Delay
 
 
@@ -22,6 +23,11 @@ class OfflineIndexBuilder(BuilderBase):
     """Quiesced baseline builder."""
 
     mode = "offline"
+
+    def _phases(self) -> list:
+        share = 0.30 / len(self.specs)
+        return [Phase("scan", 0.70)] + [Phase(f"load:{spec.name}", share)
+                                        for spec in self.specs]
 
     def _run_phases(self):
         """Build all requested indexes under one X table lock."""
@@ -31,8 +37,8 @@ class OfflineIndexBuilder(BuilderBase):
         self.system.metrics.observe(
             "build.quiesce_wait", self.system.sim.now - lock_requested)
         self._mark("quiesced")
-        self._trace_instant("quiesce.begin",
-                            waited=self.system.sim.now - lock_requested)
+        self.obs.instant("quiesce.begin",
+                         waited=self.system.sim.now - lock_requested)
         try:
             self._create_descriptors()
             self._make_sorters()
@@ -40,10 +46,9 @@ class OfflineIndexBuilder(BuilderBase):
                 readers=self.options.parallel_readers)
             runs_by_index = self._finish_sort()
             self._mark("scan_done")
-            self._progress_phase_done("scan")
             for descriptor in self.descriptors:
-                self._trace_begin("load", key=f"load:{descriptor.name}",
-                                  index=descriptor.name)
+                self.obs.begin("load", key=f"load:{descriptor.name}",
+                               index=descriptor.name)
                 merger = self._final_merger(
                     descriptor, runs_by_index[descriptor.name])
                 loader = BulkLoader(
@@ -51,7 +56,7 @@ class OfflineIndexBuilder(BuilderBase):
                     fill_free_fraction=self.options.fill_free_fraction)
                 loaded = 0
                 keys_total = self._store_for(descriptor).total_keys() \
-                    if self._progress is not None else 0
+                    if self.obs.progress is not None else 0
                 codec = self._codecs.get(descriptor.name)
                 decode = codec.decode \
                     if codec is not None and codec.active else None
@@ -65,18 +70,17 @@ class OfflineIndexBuilder(BuilderBase):
                     yield from self._throttle(len(batch))
                     yield Delay(
                         len(batch) * self.system.config.bulk_load_key_cost)
-                    self._progress_units(f"load:{descriptor.name}",
-                                         loaded, keys_total)
+                    self.obs.advance(f"load:{descriptor.name}", loaded,
+                                     keys_total)
                 loader.finish()
                 descriptor.tree.force()
-                self._progress_phase_done(f"load:{descriptor.name}")
-                self._trace_end(f"load:{descriptor.name}", keys=loaded)
+                self.obs.end(f"load:{descriptor.name}", keys=loaded)
             self._mark_available()
             self._mark("built")
         finally:
             yield from txn.commit()  # releases the X lock
         self.system.metrics.observe(
             "build.quiesce_hold", self.system.sim.now - self.timings["quiesced"])
-        self._trace_instant(
+        self.obs.instant(
             "quiesce.end",
             held=self.system.sim.now - self.timings["quiesced"])

@@ -38,6 +38,7 @@ from repro.core.maintenance import (
 )
 from repro.core.sources import HeapScan, SealedRuns, ShardScan
 from repro.faultinject.sites import fault_point
+from repro.obs.progress import Phase
 from repro.sidefile import SideFile, register_sidefile_operations
 from repro.sim.kernel import Delay
 from repro.sort import RestartableMerger, RunStore
@@ -67,8 +68,7 @@ class SFIndexBuilder(BuilderBase):
     #: fault site of the end-of-scan transition
     scan_done_site = "sf.scan_done"
 
-    def __init__(self, system, table, specs, options=None):
-        super().__init__(system, table, specs, options)
+    def _configure(self) -> None:
         if self.options.parallel_readers > 1:
             raise ValueError(
                 f"{self.mode}: parallel_readers="
@@ -76,10 +76,16 @@ class SFIndexBuilder(BuilderBase):
                 "a side-file build scans in parallel with "
                 "BuildOptions.partitions (one Current-RID per shard)")
         partitions = self.options.partitions
-        if partitions is None:
-            partitions = self.default_partitions
         if partitions is not None and partitions < 1:
             raise ValueError(f"need at least one partition, got {partitions}")
+        if self.key_source is not None:
+            if partitions is not None:
+                raise ValueError(
+                    f"{self.mode}: partitions={partitions} shards the data "
+                    "scan, and this mode never scans (it loads the index's "
+                    "sealed runs); drop BuildOptions.partitions")
+        elif partitions is None:
+            partitions = self.default_partitions
         #: scan shards (None = the serial scan)
         self.partitions = partitions
         source = self.key_source \
@@ -95,6 +101,18 @@ class SFIndexBuilder(BuilderBase):
     def _build_span_attrs(self) -> dict:
         return {} if self.partitions is None \
             else {"partitions": self.partitions}
+
+    def _phases(self) -> list:
+        """What the key source declares, then ``load`` and ``drain`` per
+        index; the loads share what the source and the drains leave."""
+        count = len(self.specs)
+        rows = list(self.source.phases)
+        for spec in self.specs:
+            rows.append(Phase(f"load:{spec.name}",
+                              self.source.load_weight / count))
+            rows.append(Phase(f"drain:{spec.name}", 0.15 / count,
+                              races=True))
+        return rows
 
     def _run_phases(self):
         """Build all requested indexes online: the key source (unless
@@ -217,14 +235,14 @@ class SFIndexBuilder(BuilderBase):
     def _load_phase(self, descriptor, merger: Optional[RestartableMerger],
                     loader: Optional[BulkLoader] = None):
         tree = descriptor.tree
-        self._trace_begin("load", key=f"load:{descriptor.name}",
-                          index=descriptor.name)
+        self.obs.begin("load", key=f"load:{descriptor.name}",
+                       index=descriptor.name)
         keys_loaded = 0
         # Keys awaiting load = what the (post-merge-pass) run store holds;
         # resumed loads see only the remaining runs, which is still the
         # right denominator for *this* phase's completion fraction.
         keys_total = self._store_for(descriptor).total_keys() \
-            if self._progress is not None else 0
+            if self.obs.progress is not None else 0
         if loader is None:
             # resume() degrades to a fresh loader on an empty tree, and
             # continues after the checkpointed right-most path otherwise
@@ -277,8 +295,8 @@ class SFIndexBuilder(BuilderBase):
             if since_yield >= 64:
                 yield from charge(since_yield)
                 since_yield = 0
-                self._progress_units(f"load:{descriptor.name}",
-                                     keys_loaded, keys_total)
+                self.obs.advance(f"load:{descriptor.name}", keys_loaded,
+                                 keys_total)
                 fault_point(self.system.metrics, "sf.load_batch")
             if checkpoint_every and since_checkpoint >= checkpoint_every:
                 # Atomic trio: force tree, checkpoint merge counters,
@@ -295,8 +313,7 @@ class SFIndexBuilder(BuilderBase):
             yield from charge(since_yield)
         loader.finish()
         tree.force()
-        self._progress_phase_done(f"load:{descriptor.name}")
-        self._trace_end(f"load:{descriptor.name}", keys=keys_loaded)
+        self.obs.end(f"load:{descriptor.name}", keys=keys_loaded)
         self._mark(f"load_done:{descriptor.name}")
         fault_point(self.system.metrics, "sf.load_done")
 
@@ -344,8 +361,8 @@ class SFIndexBuilder(BuilderBase):
             "codec": codec.to_manifest() if codec is not None else None,
         }
         system.metrics.incr("rebuild.runs_sealed", len(runs))
-        self._trace_instant("rebuild.seal", index=descriptor.name,
-                            runs=list(runs))
+        self.obs.instant("rebuild.seal", index=descriptor.name,
+                         runs=list(runs))
         fault_point(system.metrics, "rebuild.sealed")
 
     # -- phase 4: side-file drain and atomic flag flip (section 3.2.5) ------
@@ -361,11 +378,9 @@ class SFIndexBuilder(BuilderBase):
         position = start_position
         since_checkpoint = 0
         checkpoint_every = self.options.checkpoint_every_keys
-        self._trace_begin("drain", key=f"drain:{descriptor.name}",
-                          index=descriptor.name,
-                          start_position=start_position,
-                          backlog=len(sidefile.entries) - position)
-        tracer = self.system.metrics.tracer
+        self.obs.begin("drain", key=f"drain:{descriptor.name}",
+                       index=descriptor.name, start_position=start_position,
+                       backlog=len(sidefile.entries) - position)
 
         if self.options.sort_sidefile and position < len(sidefile.entries):
             position = yield from self._drain_sorted_chunk(
@@ -394,12 +409,11 @@ class SFIndexBuilder(BuilderBase):
                 yield from tree.sf_drain_apply_batch(ib_txn, batch)
                 self.system.metrics.incr("build.sidefile_drained", take)
                 sidefile.drain_position = position
-                self._progress_drain(f"drain:{descriptor.name}",
-                                     position, len(sidefile.entries))
-                if tracer is not None:
-                    tracer.gauge("sidefile.backlog",
-                                 len(sidefile.entries) - position,
-                                 index=descriptor.name)
+                self.obs.advance(f"drain:{descriptor.name}", position,
+                                 len(sidefile.entries))
+                self.obs.gauge("sidefile.backlog",
+                               len(sidefile.entries) - position,
+                               index=descriptor.name)
                 since_checkpoint += take
                 if checkpoint_every and since_checkpoint >= checkpoint_every:
                     yield from ib_txn.commit()
@@ -422,17 +436,17 @@ class SFIndexBuilder(BuilderBase):
                 if self.context is not None \
                         and descriptor in self.context.descriptors:
                     self.context.descriptors.remove(descriptor)
-                self._trace_instant("sf.flip", index=descriptor.name,
-                                    position=position)
-                self._progress_phase_done(f"drain:{descriptor.name}")
+                self.obs.instant("sf.flip", index=descriptor.name,
+                                 position=position)
+                self.obs.done(f"drain:{descriptor.name}")
                 fault_point(self.system.metrics, "sf.flag_flip.after")
                 break
         tree.verify_unique()
         yield from ib_txn.commit()
         self.system.metrics.observe(
             f"build.sidefile_length.{descriptor.name}", position)
-        self._trace_end(f"drain:{descriptor.name}",
-                        drained=position - start_position)
+        self.obs.end(f"drain:{descriptor.name}",
+                     drained=position - start_position)
         self._mark(f"drain_done:{descriptor.name}")
 
     def _drain_sorted_chunk(self, descriptor, ib_txn, sidefile,

@@ -37,6 +37,7 @@ from repro.core.descriptor import IndexState
 from repro.core.shard_merge import sim_merge_until
 from repro.errors import StorageError
 from repro.faultinject.sites import fault_point
+from repro.obs.progress import Phase
 from repro.sidefile import ScanFrontier, SideFile, partition_pages, \
     register_sidefile_operations
 from repro.sim.kernel import Barrier, ProcessGroup
@@ -49,6 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class KeySource:
     """One way of producing the final merger of every index."""
+
+    #: the progress phases the source declares ahead of the per-index
+    #: ``load`` / ``drain`` pairs, and the weight it leaves all the loads
+    #: (the drains take 0.15); a source that only hands over sealed keys
+    #: declares none
+    phases: tuple = ()
+    load_weight = 0.85
 
     def __init__(self, builder: "SFIndexBuilder") -> None:
         self.builder = builder
@@ -79,6 +87,8 @@ class KeySource:
 class HeapScan(KeySource):
     """The serial data-page scan under Current-RID (section 3.2.2)."""
 
+    phases = (Phase("scan", 0.50),)
+    load_weight = 0.35
     #: where the scan (re)starts: a resumed build's checkpointed position
     start_page = 0
 
@@ -118,6 +128,9 @@ class ShardScan(KeySource):
     :mod:`repro.core.shard_merge`) before the usual streaming final
     merger is built over all shards' survivors.
     """
+
+    phases = (Phase("scan", 0.45), Phase("merge", 0.10))
+    load_weight = 0.30
 
     def __init__(self, builder) -> None:
         super().__init__(builder)
@@ -162,7 +175,7 @@ class ShardScan(KeySource):
         builder = self.builder
         yield from self._parallel_scan_phase()
         builder._mark("scan_done")
-        builder._progress_phase_done("scan")
+        builder.obs.end("scan")
         # The transition checkpoint comes before the shard merges: from
         # here a crash resumes by rebuilding the merge from forced,
         # closed runs -- which is also the crash contract of the merges
@@ -170,7 +183,6 @@ class ShardScan(KeySource):
         builder._scan_done()
         mergers = yield from self._parallel_merge_phase()
         builder._mark("pmerge_done")
-        builder._progress_phase_done("merge")
         return mergers
 
     def _parallel_scan_phase(self):
@@ -182,10 +194,10 @@ class ShardScan(KeySource):
                    if not state["done"]]
         if not pending:
             return
-        builder._progress_scan(0, builder.table.page_count)
+        builder.obs.advance("scan", total=builder.table.page_count)
         barrier = Barrier(sim, parties=len(pending) + 1)
         group = ProcessGroup(sim, name="psf-scan")
-        builder._trace_begin("scan", workers=len(pending))
+        builder.obs.begin("scan", workers=len(pending))
         for shard in pending:
             group.spawn(self._shard_worker(shard, barrier),
                         name=f"psf-worker-{shard}")
@@ -193,16 +205,14 @@ class ShardScan(KeySource):
         yield from barrier.wait()
         fault_point(builder.system.metrics, "psf.barrier")
         yield from group.join_all()
-        builder._trace_end("scan")
 
     def _shard_worker(self, shard: int, barrier: Barrier):
         """One shard's process: scan -> seal runs -> checkpoint -> barrier."""
         builder = self.builder
         system = builder.system
         started = system.sim.now
-        builder._trace_begin("shard-scan", key=f"shard-scan:{shard}",
-                             parent=builder._trace_span_id("scan"),
-                             shard=shard)
+        builder.obs.begin("shard-scan", key=f"shard-scan:{shard}",
+                          parent="scan", shard=shard)
         frontier = builder.context.frontier
         partition = frontier.partitions[shard]
         table = builder.table
@@ -245,8 +255,8 @@ class ShardScan(KeySource):
         # The gap between arriving at the rendezvous and the barrier
         # releasing is pure skew: straggler shards show up as near-zero
         # barrier_wait, early finishers as large ones.
-        builder._trace_end(f"shard-scan:{shard}",
-                           barrier_wait=system.sim.now - arrived)
+        builder.obs.end(f"shard-scan:{shard}",
+                        barrier_wait=system.sim.now - arrived)
 
     # -- independent worker checkpoints -------------------------------------
 
@@ -295,12 +305,12 @@ class ShardScan(KeySource):
         shards = sorted(self._shard_states)
         per_shard = max(1, builder.merge_fanin // max(1, len(shards)))
         group = ProcessGroup(builder.system.sim, name="psf-merge")
-        builder._trace_begin("merge", workers=len(shards))
+        builder.obs.begin("merge", workers=len(shards))
         for shard in shards:
             group.spawn(self._shard_merge_worker(shard, per_shard),
                         name=f"psf-merge-{shard}")
         yield from group.join_all()
-        builder._trace_end("merge")
+        builder.obs.end("merge")
         fault_point(builder.system.metrics, "psf.merge_done")
         mergers = {}
         for descriptor in builder.descriptors:
@@ -318,9 +328,8 @@ class ShardScan(KeySource):
         ``target`` with simulated-cost, crash-safe passes."""
         builder = self.builder
         state = self._shard_states[shard]
-        builder._trace_begin("shard-merge", key=f"shard-merge:{shard}",
-                             parent=builder._trace_span_id("merge"),
-                             shard=shard)
+        builder.obs.begin("shard-merge", key=f"shard-merge:{shard}",
+                          parent="merge", shard=shard)
         for descriptor in builder.descriptors:
             store = builder._store_for(descriptor)
             runs = [store.get(name)
@@ -329,7 +338,7 @@ class ShardScan(KeySource):
                 builder.system, store, runs, builder.merge_fanin, target,
                 shard=shard)
             state["runs"][descriptor.name] = [run.name for run in merged]
-        builder._trace_end(f"shard-merge:{shard}")
+        builder.obs.end(f"shard-merge:{shard}")
         fault_point(builder.system.metrics, "psf.merge_shard_done")
 
     # -- restart ------------------------------------------------------------
@@ -488,10 +497,9 @@ class SealedRuns(KeySource):
                     for run_name in manifest.get("runs", [])]
             mergers[descriptor.name] = builder._final_merger(descriptor, runs)
             system.metrics.incr("rebuild.runs_reused", len(runs))
-            builder._trace_instant("rebuild.reuse_runs",
-                                   index=descriptor.name,
-                                   runs=list(manifest.get("runs", [])),
-                                   keys=sum(len(run) for run in runs))
+            builder.obs.instant("rebuild.reuse_runs", index=descriptor.name,
+                                runs=list(manifest.get("runs", [])),
+                                keys=sum(len(run) for run in runs))
             fault_point(system.metrics, "rebuild.reuse_runs")
         return mergers
 

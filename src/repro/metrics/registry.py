@@ -132,16 +132,12 @@ class MetricsRegistry:
     #: Installed fault injector, if any (see :mod:`repro.faultinject`).
     fault_injector: Optional[Any] = field(default=None, repr=False,
                                           compare=False)
-    #: Installed trace recorder, if any (see :mod:`repro.obs`).
-    #: Instrumented code tests this attribute and skips all trace work
-    #: when it is None -- the same zero-cost-disabled contract as
-    #: :attr:`fault_injector`.
+    #: Installed trace recorder, if any (see :mod:`repro.obs`): the one
+    #: observation object -- a build-progress tracker rides on it as
+    #: ``tracer.progress``.  Instrumented code tests this attribute and
+    #: skips all trace work when it is None -- the same
+    #: zero-cost-disabled contract as :attr:`fault_injector`.
     tracer: Optional[Any] = field(default=None, repr=False, compare=False)
-    #: Installed build-progress tracker, if any (see
-    #: :mod:`repro.obs.progress`).  Builders test this attribute and do
-    #: no progress bookkeeping when it is None -- the same
-    #: zero-cost-disabled contract as :attr:`tracer`.
-    progress: Optional[Any] = field(default=None, repr=False, compare=False)
 
     def incr(self, name: str, amount: int = 1) -> None:
         """Increase counter ``name`` by ``amount`` (creating it at 0)."""

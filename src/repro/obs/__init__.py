@@ -1,16 +1,17 @@
-"""Structured build tracing (spans, instants, gauges) for one system.
+"""One trace model: events -> :class:`Trace` -> renderers.
 
 The paper's argument is about *when* things happen during an online
 build -- the scan frontier racing updater RIDs, the side-file backlog
 racing the drain, the short NSF quiesce, checkpoint/restart progress.
-:class:`TraceRecorder` captures that story as structured events keyed to
-the simulated clock; :mod:`repro.obs.report` renders it as an ASCII
-phase timeline plus summary tables.
+:class:`TraceRecorder` captures that story as structured events (spans,
+instants, gauges) keyed to the simulated clock; :class:`Trace` reads them
+once; :mod:`repro.obs.report`, :mod:`repro.obs.dashboard` and
+:mod:`repro.slo` render what it holds.
 
 Tracing follows the ``fault_point`` pattern from :mod:`repro.faultinject`:
-instrumented code reads ``metrics.tracer`` and returns immediately when
-it is ``None``, so the disabled path costs one attribute read.  Enable it
-with::
+instrumented code reads ``metrics.tracer`` and does nothing when it is
+``None`` (a builder holds the no-op handle of :mod:`repro.obs.handle`).
+Enable it with::
 
     from repro.obs import enable_tracing
     tracer = enable_tracing(system)              # passive: spans/instants
@@ -29,6 +30,7 @@ from repro.obs.health import (
 )
 from repro.obs.progress import (
     BuildProgress,
+    Phase,
     ProgressTracker,
     enable_progress,
 )
@@ -39,8 +41,9 @@ from repro.obs.recorder import (
     key_metric,
     sample_gauges,
 )
+from repro.obs.trace import Span, Trace, TraceError
 
-_REPORT_NAMES = ("load_events", "phase_durations", "render_report")
+_REPORT_NAMES = ("phase_durations", "render_report")
 
 
 def __getattr__(name):
@@ -57,14 +60,17 @@ __all__ = [
     "AlertRule",
     "BuildProgress",
     "HealthMonitor",
+    "Phase",
     "ProgressTracker",
+    "Span",
+    "Trace",
+    "TraceError",
     "TraceRecorder",
     "default_rules",
     "enable_health",
     "enable_progress",
     "enable_tracing",
     "key_metric",
-    "load_events",
     "phase_durations",
     "render_report",
     "sample_gauges",

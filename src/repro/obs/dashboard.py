@@ -34,7 +34,9 @@ import argparse
 import sys
 from typing import Optional, TYPE_CHECKING
 
-from repro.obs.report import load_events, parse_spans
+from repro.obs.progress import tracker_of
+from repro.obs.recorder import sidefile_backlog
+from repro.obs.trace import Trace, TraceSource, load_for_cli
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -81,52 +83,45 @@ def progress_bar(fraction: float, width: int = 24) -> str:
 # -- trace-mode model --------------------------------------------------------
 
 
-def progress_rows(events: list[dict]) -> list[dict]:
+def progress_rows(events: TraceSource) -> list[dict]:
     """Per-build progress state from a trace.
 
     Prefers the tracker's ``build.progress`` / ``build.eta`` gauges;
     for traces recorded without progress tracking, reconstructs rows
-    from ``build`` spans (complete span = 100%, crash-cut or still-open
-    span = fraction of ended direct children, flagged approximate).
+    from ``build`` spans (finished span = 100%, crash-cut or still-open
+    span = fraction of finished direct children, flagged approximate).
     """
+    trace = Trace.of(events)
     rows: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") != "gauge":
-            continue
+    for event in trace.gauges.get("build.progress", ()):
         attrs = event.get("attrs") or {}
         build = attrs.get("build")
-        if build is None:
-            continue
-        if event["name"] == "build.progress":
-            row = rows.setdefault(build, {"build": build, "eta": None,
-                                          "approx": False})
-            row["fraction"] = event["value"]
-            row["phase"] = attrs.get("phase", "?")
-            row["verdict"] = attrs.get("verdict", "?")
-        elif event["name"] == "build.eta":
-            row = rows.get(build)
-            if row is not None:
-                value = event["value"]
-                row["eta"] = None if value == -1.0 else value
+        if build is not None:
+            rows[build] = {"build": build, "eta": None, "approx": False,
+                           "fraction": event["value"],
+                           "phase": attrs.get("phase", "?"),
+                           "verdict": attrs.get("verdict", "?")}
+    for event in trace.gauges.get("build.eta", ()):
+        row = rows.get((event.get("attrs") or {}).get("build"))
+        if row is not None:
+            value = event["value"]
+            row["eta"] = None if value == -1.0 else value
     if rows:
         return [rows[build] for build in sorted(rows)]
     # fallback: derive from the span forest
-    spans = parse_spans(events)
-    for span in spans:
+    for span in trace.spans:
         if span.name != "build":
             continue
         label = "+".join(span.attrs.get("indexes") or []) \
             or span.attrs.get("table") or f"build#{span.span_id}"
-        children = [s for s in spans if s.parent == span.span_id]
-        if span.crashed or (children and any(c.end is None
-                                             for c in children)):
-            ended = sum(1 for c in children
-                        if c.end is not None and not c.crashed)
+        if span.finished:
+            fraction, verdict, approx = 1.0, "done", False
+        else:
+            children = [s for s in trace.spans if s.parent == span.span_id]
+            ended = sum(1 for c in children if c.finished)
             fraction = ended / len(children) if children else 0.0
             verdict = "interrupted" if span.crashed else "running"
             approx = True
-        else:
-            fraction, verdict, approx = 1.0, "done", False
         previous = rows.get(label)
         if previous is not None and not previous["approx"]:
             continue  # a completed earlier epoch's row wins
@@ -136,14 +131,11 @@ def progress_rows(events: list[dict]) -> list[dict]:
     return [rows[build] for build in sorted(rows)]
 
 
-def alert_rows(events: list[dict]) -> list[dict]:
+def alert_rows(events: TraceSource) -> list[dict]:
     """Alert census from fire/clear instants; ``active`` means the last
     transition was a fire."""
     rows: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") != "instant" \
-                or event.get("name") not in ("alert.fire", "alert.clear"):
-            continue
+    for event in Trace.of(events).named("alert.fire", "alert.clear"):
         attrs = event.get("attrs") or {}
         name = attrs.get("alert", "?")
         row = rows.setdefault(name, {"alert": name, "fired": 0,
@@ -158,49 +150,43 @@ def alert_rows(events: list[dict]) -> list[dict]:
     return [rows[name] for name in sorted(rows)]
 
 
-def gauge_series(events: list[dict]) -> dict[tuple, list[float]]:
+def gauge_series(events: TraceSource) -> dict[tuple, list[float]]:
     """``(name, qualifier) -> ordered values`` for sparkline gauges."""
     series: dict[tuple, list[float]] = {}
-    for event in events:
-        if event.get("kind") != "gauge" \
-                or event["name"] not in _SPARK_GAUGES:
-            continue
-        attrs = event.get("attrs") or {}
-        qualifier = attrs.get("index") or attrs.get("node") \
-            or attrs.get("build")
-        value = event.get("value")
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            series.setdefault((event["name"], qualifier),
-                              []).append(float(value))
+    for key, samples in Trace.of(events).series(
+            "index", "node", "build", names=_SPARK_GAUGES).items():
+        values = [float(e["value"]) for e in samples
+                  if isinstance(e.get("value"), (int, float))
+                  and not isinstance(e.get("value"), bool)]
+        if values:
+            series[key] = values
     return series
 
 
-def lag_rows(events: list[dict]) -> list[dict]:
+def lag_rows(events: TraceSource) -> list[dict]:
     """Per-node replication state from ``cluster.apply_lag`` gauges."""
+    trace = Trace.of(events)
     rows: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") == "gauge" \
-                and event["name"] == "cluster.apply_lag":
-            attrs = event.get("attrs") or {}
-            node = attrs.get("node", "?")
-            row = rows.setdefault(node, {"node": node, "lag": 0.0,
-                                         "peak": 0.0, "position": None,
-                                         "down": 0, "promoted": False})
-            row["lag"] = float(event["value"])
-            row["peak"] = max(row["peak"], float(event["value"]))
-            row["position"] = attrs.get("position")
-        elif event.get("kind") == "instant" and event["name"] in (
-                "cluster.node_down", "cluster.promoted"):
-            node = (event.get("attrs") or {}).get("node")
-            if node is None:
-                continue
-            row = rows.setdefault(node, {"node": node, "lag": 0.0,
-                                         "peak": 0.0, "position": None,
-                                         "down": 0, "promoted": False})
-            if event["name"] == "cluster.node_down":
-                row["down"] += 1
-            else:
-                row["promoted"] = True
+
+    def row_of(node):
+        return rows.setdefault(node, {"node": node, "lag": 0.0,
+                                      "peak": 0.0, "position": None,
+                                      "down": 0, "promoted": False})
+
+    for event in trace.gauges.get("cluster.apply_lag", ()):
+        attrs = event.get("attrs") or {}
+        row = row_of(attrs.get("node", "?"))
+        row["lag"] = float(event["value"])
+        row["peak"] = max(row["peak"], float(event["value"]))
+        row["position"] = attrs.get("position")
+    for event in trace.named("cluster.node_down", "cluster.promoted"):
+        node = (event.get("attrs") or {}).get("node")
+        if node is None:
+            continue
+        if event["name"] == "cluster.node_down":
+            row_of(node)["down"] += 1
+        else:
+            row_of(node)["promoted"] = True
     return [rows[node] for node in sorted(rows)]
 
 
@@ -273,24 +259,23 @@ def _render_sections(title: str, progress: list[dict],
     return "\n".join(lines) + "\n"
 
 
-def render_dashboard(events: list[dict], width: int = 76) -> str:
+def render_dashboard(events: TraceSource, width: int = 76) -> str:
     """One dashboard frame from a recorded trace."""
-    if not events:
+    trace = Trace.of(events)
+    if not trace.events:
         return "empty trace\n"
-    t1 = max(event["t"] for event in events)
-    epochs = max(event.get("epoch", 0) for event in events) + 1
-    title = (f"cluster dashboard @ t={t1:.1f}  "
-             f"({len(events)} events, {epochs} epoch(s))")
-    return _render_sections(title, progress_rows(events),
-                            alert_rows(events), gauge_series(events),
-                            lag_rows(events), width)
+    title = (f"cluster dashboard @ t={trace.t1:.1f}  "
+             f"({len(trace.events)} events, {trace.epochs} epoch(s))")
+    return _render_sections(title, progress_rows(trace),
+                            alert_rows(trace), gauge_series(trace),
+                            lag_rows(trace), width)
 
 
 def render_live(system: "System", tracker=None, monitor=None,
                 width: int = 76) -> str:
     """One dashboard frame straight from live objects (no trace)."""
     metrics = system.metrics
-    tracker = tracker if tracker is not None else metrics.progress
+    tracker = tracker if tracker is not None else tracker_of(system)
     progress = []
     if tracker is not None:
         for label, state in sorted(tracker.snapshot().items()):
@@ -308,10 +293,8 @@ def render_live(system: "System", tracker=None, monitor=None,
                            "metric": state["metric"]})
     sparks: dict[tuple, list[float]] = {}
     for name in sorted(system.sidefiles):
-        sidefile = system.sidefiles[name]
-        backlog = max(0, len(sidefile.entries)
-                      - getattr(sidefile, "drain_position", 0))
-        sparks[("sidefile.backlog", name)] = [float(backlog)]
+        sparks[("sidefile.backlog", name)] = [
+            float(sidefile_backlog(system.sidefiles[name]))]
     lines = [_render_sections(
         f"live dashboard @ t={system.sim.now:.1f}", progress, alerts,
         sparks, [], width).rstrip("\n")]
@@ -401,11 +384,13 @@ def main(argv: Optional[list] = None) -> int:
         return _live_demo(args.width, sys.stdout)
     if args.trace is None:
         parser.error("a trace file is required unless --live-demo")
-    events = load_events(args.trace)
-    sys.stdout.write(render_dashboard(events, width=args.width))
+    trace = load_for_cli(args.trace)
+    if trace is None:
+        return 2
+    sys.stdout.write(render_dashboard(trace, width=args.width))
     if args.check_clean:
-        rows = progress_rows(events)
-        firing = [row for row in alert_rows(events) if row["active"]]
+        rows = progress_rows(trace)
+        firing = [row for row in alert_rows(trace) if row["active"]]
         if not rows:
             sys.stdout.write("check-clean: FAIL (no build progress)\n")
             return 1

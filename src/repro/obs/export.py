@@ -16,6 +16,8 @@ from __future__ import annotations
 import re
 from typing import Optional, TYPE_CHECKING
 
+from repro.obs.progress import tracker_of
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
 
@@ -50,8 +52,8 @@ def export_prometheus(system: "System",
     """Render ``system``'s metrics as Prometheus exposition text.
 
     ``monitor`` (a :class:`repro.obs.health.HealthMonitor`) adds
-    ``<prefix>_alert_firing`` per rule; a progress tracker installed as
-    ``metrics.progress`` adds ``<prefix>_build_progress`` /
+    ``<prefix>_alert_firing`` per rule; a progress tracker riding on the
+    system's recorder adds ``<prefix>_build_progress`` /
     ``<prefix>_build_eta_seconds`` per tracked build.
     """
     metrics = system.metrics
@@ -89,7 +91,7 @@ def export_prometheus(system: "System",
         lines.append(f"{metric}_sum {_fmt(hist.total)}")
         lines.append(f"{metric}_count {hist.count}")
 
-    tracker = metrics.progress
+    tracker = tracker_of(system)
     if tracker is not None and tracker.builds:
         progress_metric = f"{prefix}_build_progress"
         eta_metric = f"{prefix}_build_eta_seconds"

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, TYPE_CHECKING
 
-from repro.sim.kernel import Delay
+from repro.obs.recorder import periodic, sidefile_backlog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -159,13 +159,9 @@ class HealthMonitor:
         out: dict[str, float] = {}
         worst = 0.0
         for name in sorted(self.system.sidefiles):
-            sidefile = self.system.sidefiles[name]
-            backlog = len(sidefile.entries) \
-                - getattr(sidefile, "drain_position", 0)
-            if backlog < 0:
-                backlog = 0
-            out[f"sidefile.backlog.{name}"] = float(backlog)
-            worst = max(worst, float(backlog))
+            backlog = float(sidefile_backlog(self.system.sidefiles[name]))
+            out[f"sidefile.backlog.{name}"] = backlog
+            worst = max(worst, backlog)
         if self.system.sidefiles:
             out["sidefile.backlog"] = worst
         for hist_name in self.hists:
@@ -270,11 +266,7 @@ class HealthMonitor:
     def run(self):
         """Generator process body; exits once it is the only live
         process (the trace sampler's lifecycle contract)."""
-        while True:
-            self.tick()
-            yield Delay(self.sample_every)
-            if self.system.sim.live_processes <= 1:
-                return
+        return periodic(self.system, self.sample_every, self.tick)
 
 
 def enable_health(system: "System",

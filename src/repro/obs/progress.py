@@ -3,28 +3,29 @@
 The paper's central operational question -- does the online build's
 catch-up phase converge under the live update rate, and when does the
 index flip AVAILABLE? -- was previously answerable only after the fact,
-by post-processing a trace.  :class:`ProgressTracker` answers it live:
-builders report scan frontier position, load/insert key counts, and
-drain position vs. side-file length through tiny bookkeeping hooks, and
-the tracker folds them into a phase-weighted completion fraction, an
-ETA on the simulated clock, and a convergence verdict.
+by post-processing a trace.  :class:`ProgressTracker` answers it live: a
+build declares its ordered phases (:class:`Phase`), its emit handle
+(:mod:`repro.obs.handle`) forwards each ``advance`` / ``done`` / ``end``
+to a :class:`BuildProgress`, and that folds them into a phase-weighted
+completion fraction, an ETA on the simulated clock, and a convergence
+verdict, published as ``build.progress`` / ``build.eta`` gauges.
 
-The attachment pattern is exactly ``metrics.tracer`` /
-``metrics.fault_injector``: builders test ``metrics.progress`` and do
-nothing when it is ``None``, and the hooks themselves are pure Python
+Progress is a view of the trace stream, so the tracker rides on the
+recorder (``recorder.progress``: one observation object hangs off
+``metrics.tracer``, one crosses a crash) and everything here is pure
 bookkeeping -- no yields, no simulated time -- so enabling tracking
 never perturbs the schedule.  Enable it with::
 
     from repro.obs import enable_progress
-    tracker = enable_progress(system)
+    tracker = enable_progress(system)    # passive tracing comes with it
     ...
     tracker.snapshot()   # {"idx": {"fraction": 0.62, "eta": 184.0, ...}}
 
-**Divergence.**  During a drain phase the tracker watches the drain
-position race the side-file length over a trailing sample window.  When
-the drain rate falls to (or below) the append rate while backlog
-remains, the catch-up phase is not converging: the verdict flips to
-``diverging``, the ETA becomes ``None``, and a single
+**Divergence.**  During a racing phase (a side-file drain) the tracker
+watches the drain position race the side-file length over a trailing
+sample window.  When the drain rate falls to (or below) the append rate
+while backlog remains, the catch-up phase is not converging: the verdict
+flips to ``diverging``, the ETA becomes ``None``, and a single
 ``build.diverging`` instant is emitted into the trace (the alerting
 layer in :mod:`repro.obs.health` can page on it).  If the balance
 recovers -- the adaptive throttle opened the bucket, or foreground load
@@ -33,15 +34,16 @@ back (EXPERIMENTS.md E24 shows the full arc).
 
 **Crash safety.**  Like the throttle rate, progress state rides in the
 utility checkpoint (only when tracking is enabled -- disabled payloads
-are byte-identical), and resumed builders restore it via
-``_restore_progress``, so a resumed build reports resumed progress, not
-0%.
+are byte-identical), and a resumed builder's handle restores it, so a
+resumed build reports resumed progress, not 0%.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from repro.obs.recorder import enable_tracing
 
 #: minimum completion-fraction advance between published gauge points
 PUBLISH_STEP = 0.01
@@ -49,49 +51,38 @@ PUBLISH_STEP = 0.01
 DRAIN_MIN_SAMPLES = 4
 
 
-def _phase_plan(mode: str, names: list[str]) -> list[tuple[str, float]]:
-    """Ordered ``(phase_key, weight)`` rows for one build mode.
+class Phase(NamedTuple):
+    """One row of the ordered phase plan a build declares.
 
     Weights approximate each phase's share of build time at the default
-    cost model; they only shape the completion fraction's pacing, never
-    its endpoints (0 at start, 1 at finish).
+    cost model and sum to one over a plan; they only shape the
+    completion fraction's pacing, never its endpoints (0 at start, 1 at
+    finish).
     """
-    k = max(1, len(names))
-    if mode == "offline":
-        return [("scan", 0.70)] + [(f"load:{n}", 0.30 / k) for n in names]
-    if mode == "nsf":
-        return [("scan", 0.60)] + [(f"insert:{n}", 0.40 / k)
-                                   for n in names]
-    if mode == "psf":
-        rows = [("scan", 0.45), ("merge", 0.10)]
-        for name in names:
-            rows.append((f"load:{name}", 0.30 / k))
-            rows.append((f"drain:{name}", 0.15 / k))
-        return rows
-    # sf and multi share the scan -> per-index load -> drain shape
-    rows = [("scan", 0.50)]
-    for name in names:
-        rows.append((f"load:{name}", 0.35 / k))
-        rows.append((f"drain:{name}", 0.15 / k))
-    return rows
+
+    key: str
+    weight: float
+    #: the phase chases a total that grows under it (a side-file drain),
+    #: so it is judged for convergence
+    races: bool = False
 
 
 class BuildProgress:
     """Live progress state of one build (one :class:`BuilderBase` run)."""
 
-    def __init__(self, tracker: "ProgressTracker", system, mode: str,
-                 label: str, names: list[str]) -> None:
-        self.tracker = tracker
-        self.system = system
-        self.mode = mode
+    def __init__(self, label: str, mode: str, phases: list[Phase],
+                 sim, tracer) -> None:
         self.label = label
-        self.plan = _phase_plan(mode, names)
-        self.weights = dict(self.plan)
-        self.fractions = {key: 0.0 for key, _w in self.plan}
-        self.phase = self.plan[0][0]
+        self.mode = mode
+        #: the build's simulator (rates run on its clock, not trace time)
+        self.sim = sim
+        self.tracer = tracer
+        self.plan = list(phases)
+        self.fractions = {phase.key: 0.0 for phase in phases}
+        self.phase = phases[0].key
         self.verdict = "converging"
         self.eta: Optional[float] = None
-        self.done = False
+        self.finished = False
         #: monotone floor: resumed baseline, and the clamp that keeps the
         #: published fraction non-decreasing when a moving target (SF's
         #: growing scan limit, the side-file length) briefly shrinks a
@@ -103,74 +94,65 @@ class BuildProgress:
         self._published_eta: Optional[float] = None
         #: (t, fraction) samples for the overall completion rate
         self._samples: deque[tuple[float, float]] = deque(maxlen=32)
-        self._scan_pages = 0
-        self._scan_total = 0
-        #: per-drain-phase (t, position, total) windows
+        #: phase key -> [units done, units in all] as last advanced
+        self._units: dict[str, list[int]] = {}
+        self._closed: set[str] = set()
+        #: (t, position, total) windows of the racing phases under way
+        self._races = {phase.key for phase in phases if phase.races}
         self._drain: dict[str, deque] = {}
 
-    # -- hooks (pure bookkeeping; builders call via _progress_* helpers) ----
+    # -- hooks (pure bookkeeping; builders call them through the handle) ----
 
-    def scan(self, advanced: int, total: int) -> None:
-        """``advanced`` more pages scanned; ``total`` is the current scan
-        limit (0 = unchanged; it may grow while SF chases the EOF)."""
-        self._scan_pages += advanced
-        if total > self._scan_total:
-            self._scan_total = total
-        if self._scan_total:
-            frac = min(1.0, self._scan_pages / self._scan_total)
-            key = "scan"
-            if frac > self.fractions.get(key, 0.0):
-                self.fractions[key] = frac
-        self._advance("scan")
-
-    def units(self, key: str, done: int, total: int) -> None:
-        """``done`` of ``total`` work units finished in phase ``key``
-        (load keys, insert keys).  Unknown totals (0) leave the fraction
-        at its floor until :meth:`phase_done`."""
-        if key not in self.weights:
+    def advance(self, key: str, done: Optional[int] = None, total: int = 0,
+                step: int = 0) -> None:
+        """``done`` of ``total`` work units of phase ``key`` are finished
+        (pages, keys, side-file entries).  A phase several workers share
+        (the scan) passes ``done=None`` and ``step`` more units instead.
+        The largest total seen counts (SF's scan limit chases the EOF,
+        the side-file grows); an unknown one (0) leaves the fraction at
+        its floor until :meth:`close`.  A racing phase is also judged
+        for convergence over a trailing sample window."""
+        if key not in self.fractions:
             return
-        if total > 0:
-            frac = min(1.0, done / total)
+        units = self._units.setdefault(key, [0, 0])
+        units[0] = units[0] + step if done is None else done
+        if total > units[1]:
+            units[1] = total
+        if units[1]:
+            frac = min(1.0, units[0] / units[1])
             if frac > self.fractions[key]:
                 self.fractions[key] = frac
-        self._advance(key)
+        if key in self._races:
+            window = self._drain.get(key)
+            if window is None:
+                window = self._drain[key] = deque(maxlen=8)
+            window.append((self.sim.now, units[0], units[1]))
+            self._judge_drain(key, window)
+        self._refresh()
 
-    def drain(self, key: str, position: int, total: int) -> None:
-        """Drain position vs. side-file length for phase ``key``; renders
-        the convergence verdict over a trailing sample window."""
-        if key not in self.weights:
+    def close(self, key: str) -> None:
+        """Phase ``key`` is complete (once; later calls are no-ops); the
+        root key ``build`` finishes the build."""
+        if key == "build":
+            self.finish()
+        if key not in self.fractions or key in self._closed:
             return
-        if total > 0:
-            frac = min(1.0, position / total)
-            if frac > self.fractions[key]:
-                self.fractions[key] = frac
-        window = self._drain.get(key)
-        if window is None:
-            window = self._drain[key] = deque(maxlen=8)
-        window.append((self.system.sim.now, position, total))
-        self._judge_drain(key, window)
-        self._advance(key)
-
-    def phase_done(self, key: str) -> None:
-        if key not in self.weights:
-            return
+        self._closed.add(key)
         self.fractions[key] = 1.0
         self._drain.pop(key, None)
         if self.verdict == "diverging" and not self._drain:
             self.verdict = "converging"
-        tracer = self.system.metrics.tracer
-        if tracer is not None:
-            tracer.instant("build.progress", build=self.label, phase=key,
-                           fraction=round(self._overall(), 4))
-        self._advance(key)
+        self.tracer.instant("build.progress", build=self.label, phase=key,
+                            fraction=round(self._overall(), 4))
+        self._refresh()
 
     def finish(self) -> None:
         for key in self.fractions:
             self.fractions[key] = 1.0
-        self.done = True
+        self.finished = True
         self.verdict = "done"
         self.eta = 0.0
-        self._advance(self.plan[-1][0])
+        self._refresh()
 
     # -- verdict + ETA -------------------------------------------------------
 
@@ -188,38 +170,32 @@ class BuildProgress:
         if drain_rate <= append_rate:
             if self.verdict != "diverging":
                 self.verdict = "diverging"
-                tracer = self.system.metrics.tracer
-                if tracer is not None:
-                    tracer.instant(
-                        "build.diverging", build=self.label, phase=key,
-                        backlog=backlog,
-                        drain_rate=round(drain_rate, 6),
-                        append_rate=round(append_rate, 6))
+                self.tracer.instant(
+                    "build.diverging", build=self.label, phase=key,
+                    backlog=backlog, drain_rate=round(drain_rate, 6),
+                    append_rate=round(append_rate, 6))
         elif self.verdict == "diverging":
             self.verdict = "converging"
 
     def _overall(self) -> float:
-        raw = sum(weight * self.fractions[key] for key, weight in self.plan)
+        raw = sum(phase.weight * self.fractions[phase.key]
+                  for phase in self.plan)
         return max(self._floor, min(1.0, raw))
 
-    def _advance(self, key: str) -> None:
+    def _refresh(self) -> None:
         """Refresh the current phase, fraction, ETA; publish gauges."""
-        for phase_key, _weight in self.plan:
-            if self.fractions[phase_key] < 1.0:
-                self.phase = phase_key
-                break
-        else:
-            self.phase = self.plan[-1][0]
+        self.phase = next((phase.key for phase in self.plan
+                           if self.fractions[phase.key] < 1.0),
+                          self.plan[-1].key)
         fraction = self._overall()
         if fraction > self._fraction:
             self._fraction = fraction
-        now = self.system.sim.now
-        self._samples.append((now, self._fraction))
-        self.eta = self._estimate_eta(now)
-        self._publish(now)
+        self._samples.append((self.sim.now, self._fraction))
+        self.eta = self._estimate_eta()
+        self._publish()
 
-    def _estimate_eta(self, now: float) -> Optional[float]:
-        if self.done:
+    def _estimate_eta(self) -> Optional[float]:
+        if self.finished:
             return 0.0
         if self.verdict == "diverging":
             return None
@@ -232,12 +208,9 @@ class BuildProgress:
         rate = (f1 - f0) / (t1 - t0)
         return (1.0 - f1) / rate
 
-    def _publish(self, now: float) -> None:
-        tracer = self.system.metrics.tracer
-        if tracer is None:
-            return
+    def _publish(self) -> None:
         eta_value = round(self.eta, 4) if self.eta is not None else -1.0
-        if not self.done:
+        if not self.finished:
             if self._fraction - self._published < PUBLISH_STEP \
                     and self.phase == self._published_phase:
                 return
@@ -247,69 +220,59 @@ class BuildProgress:
         self._published = self._fraction
         self._published_phase = self.phase
         self._published_eta = eta_value
-        tracer.gauge("build.progress", round(self._fraction, 4),
-                     build=self.label, phase=self.phase,
-                     verdict=self.verdict)
-        tracer.gauge("build.eta", eta_value, build=self.label)
+        self.tracer.gauge("build.progress", round(self._fraction, 4),
+                          build=self.label, phase=self.phase,
+                          verdict=self.verdict)
+        self.tracer.gauge("build.eta", eta_value, build=self.label)
 
     # -- snapshots and crash safety ------------------------------------------
 
+    def _rounded(self) -> dict[str, float]:
+        return {key: round(value, 6)
+                for key, value in sorted(self.fractions.items())}
+
     def snapshot(self) -> dict:
         """Serialisable live state (sorted keys)."""
-        return {
-            "eta": self.eta,
-            "fraction": round(self._fraction, 6),
-            "fractions": {key: round(value, 6)
-                          for key, value in sorted(self.fractions.items())},
-            "mode": self.mode,
-            "phase": self.phase,
-            "verdict": self.verdict,
-        }
+        return {"eta": self.eta, "fraction": round(self._fraction, 6),
+                "fractions": self._rounded(), "mode": self.mode,
+                "phase": self.phase, "verdict": self.verdict}
 
     def checkpoint_state(self) -> dict:
         """What rides in the utility checkpoint (JSON-safe)."""
-        return {
-            "fraction": round(self._fraction, 6),
-            "fractions": {key: round(value, 6)
-                          for key, value in sorted(self.fractions.items())},
-            "scan": [self._scan_pages, self._scan_total],
-        }
+        return {"fraction": round(self._fraction, 6),
+                "fractions": self._rounded(),
+                "scan": list(self._units.get("scan", (0, 0)))}
 
-    def restore(self, state: dict) -> None:
-        """Adopt a checkpointed baseline: the resumed build's progress
-        starts from the crashed build's floor, never from 0%."""
+    def restore(self, state: Optional[dict]) -> None:
+        """Adopt a checkpointed baseline (if any): the resumed build's
+        progress starts from the crashed build's floor, never from 0%."""
+        if not state:
+            return
         for key, value in state.get("fractions", {}).items():
             if key in self.fractions and value > self.fractions[key]:
                 self.fractions[key] = value
         scan = state.get("scan")
         if scan:
-            self._scan_pages, self._scan_total = int(scan[0]), int(scan[1])
+            self._units["scan"] = [int(scan[0]), int(scan[1])]
         self._floor = float(state.get("fraction", 0.0))
-        self._advance(self.plan[0][0])
+        self._refresh()
 
 
 class ProgressTracker:
-    """Registry of live builds; the ``metrics.progress`` attachment."""
+    """Registry of live builds; rides on the recorder as
+    ``recorder.progress``."""
 
     def __init__(self) -> None:
         #: build label ("+"-joined index names) -> live progress
         self.builds: dict[str, BuildProgress] = {}
 
-    def register(self, builder) -> BuildProgress:
-        """Called by :class:`BuilderBase` when tracking is enabled; a
+    def track(self, label: str, mode: str, phases: list[Phase], sim,
+              tracer) -> BuildProgress:
+        """Called by a build's emit handle when tracking is enabled; a
         resumed build re-registers under the same label (latest wins)."""
-        names = [spec.name for spec in builder.specs]
-        label = "+".join(names)
-        progress = BuildProgress(self, builder.system, builder.mode,
-                                 label, names)
-        self.builds[label] = progress
+        progress = self.builds[label] = BuildProgress(label, mode, phases,
+                                                      sim, tracer)
         return progress
-
-    def bind(self, system) -> None:
-        """Point every live build at ``system`` (restart carry-over:
-        the recovered system owns a new simulated clock)."""
-        for progress in self.builds.values():
-            progress.system = system
 
     def snapshot(self) -> dict[str, dict]:
         """Serialisable state of every tracked build, sorted by label."""
@@ -317,16 +280,22 @@ class ProgressTracker:
                 for label in sorted(self.builds)}
 
 
+def tracker_of(system) -> Optional[ProgressTracker]:
+    """The tracker riding on ``system``'s recorder, if any."""
+    return getattr(system.metrics.tracer, "progress", None)
+
+
 def enable_progress(system, tracker: Optional[ProgressTracker] = None
                     ) -> ProgressTracker:
-    """Install a :class:`ProgressTracker` as ``metrics.progress``.
+    """Attach a :class:`ProgressTracker` to ``system``'s recorder
+    (enabling passive tracing first if there is none).
 
     Builders constructed afterwards report into it; builders constructed
     before (or with tracking disabled) are unaffected.  Idempotent when
     ``tracker`` is the already-installed one.
     """
+    recorder = system.metrics.tracer or enable_tracing(system)
     if tracker is None:
-        tracker = system.metrics.progress or ProgressTracker()
-    system.metrics.progress = tracker
-    tracker.bind(system)
+        tracker = recorder.progress or ProgressTracker()
+    recorder.progress = tracker
     return tracker

@@ -84,6 +84,9 @@ class TraceRecorder:
         self._next_span = 0
         self._open: dict[int, dict] = {}
         self._sampler_sim: Optional[Simulator] = None
+        #: the :class:`~repro.obs.progress.ProgressTracker` riding on this
+        #: recorder (None = no build-progress tracking)
+        self.progress = None
 
     # -- clock ----------------------------------------------------------
 
@@ -184,8 +187,16 @@ def enable_tracing(system: "System", recorder: Optional[TraceRecorder] = None,
     if recorder.sample_every \
             and recorder._sampler_sim is not system.sim:
         recorder._sampler_sim = system.sim
-        system.spawn(_sampler_body(system, recorder), name="trace-sampler")
+        system.spawn(
+            periodic(system, recorder.sample_every,
+                     lambda: sample_gauges(system, recorder)),
+            name="trace-sampler")
     return recorder
+
+
+def sidefile_backlog(sidefile) -> int:
+    """Entries appended to ``sidefile`` that its drain has yet to apply."""
+    return max(0, len(sidefile.entries) - sidefile.drain_position)
 
 
 def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
@@ -194,12 +205,8 @@ def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
     recorder.gauge("buffer.dirty", len(system.buffer.dirty))
     recorder.gauge("wal.bytes", metrics.get("wal.bytes"))
     for name in sorted(system.sidefiles):
-        sidefile = system.sidefiles[name]
-        backlog = len(sidefile.entries) \
-            - getattr(sidefile, "drain_position", 0)
-        if backlog < 0:
-            backlog = 0
-        recorder.gauge("sidefile.backlog", backlog, index=name)
+        recorder.gauge("sidefile.backlog",
+                       sidefile_backlog(system.sidefiles[name]), index=name)
     for name in sorted(system.indexes):
         descriptor = system.indexes[name]
         watermark = getattr(descriptor, "read_watermark", None)
@@ -210,16 +217,15 @@ def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
                            index=name, key=str(watermark[0]))
 
 
-def _sampler_body(system: "System", recorder: TraceRecorder):
-    """Generator process: sample every ``sample_every`` time units.
+def periodic(system: "System", interval: float, take):
+    """Generator process: call ``take()`` every ``interval`` time units.
 
     Exits when it is the only live process left, so it never keeps the
     simulator spinning; it does extend the final clock by up to one
     interval, which is why the quickstart golden uses passive tracing.
     """
-    interval = recorder.sample_every or 1.0
     while True:
-        sample_gauges(system, recorder)
+        take()
         yield Delay(interval)
         if system.sim.live_processes <= 1:
             return

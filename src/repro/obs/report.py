@@ -24,8 +24,9 @@ instead (:func:`report_json`): keys are sorted and the schema is
 stable, so downstream tooling can diff reports across runs.
 
 The module is also the import surface the perf suite and tests use:
-:func:`phase_durations` turns a raw event list into the per-phase
-breakdown recorded in the benchmark JSON.
+:func:`phase_durations` is the per-phase breakdown recorded in the
+benchmark JSON.  Every function takes a :class:`~repro.obs.trace.Trace`
+or the events to read one from.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.obs.trace import Span, Trace, TraceSource, load_for_cli
 
 #: instant name -> (mark character, priority); higher priority wins a column
 _MARKS = {
@@ -52,103 +54,7 @@ _MARK_LEGEND = ("X crash  R restart  F flip  Q/q quiesce  C checkpoint  "
                 "o orphan-discard  t torn-tree")
 
 
-@dataclass
-class Span:
-    """One reconstructed span (begin event plus optional end event)."""
-
-    span_id: int
-    name: str
-    start: float
-    epoch: int
-    seq: int
-    parent: Optional[int] = None
-    attrs: dict = field(default_factory=dict)
-    end: Optional[float] = None
-    end_attrs: dict = field(default_factory=dict)
-    #: True when the span never ended and a crash instant follows it
-    crashed: bool = False
-    depth: int = 0
-
-    @property
-    def label(self) -> str:
-        label = self.name
-        index = self.attrs.get("index")
-        if index is not None:
-            label += f":{index}"
-        shard = self.attrs.get("shard")
-        if shard is not None:
-            label += f"#{shard}"
-        return label
-
-    def duration(self, default_end: float) -> float:
-        end = self.end if self.end is not None else default_end
-        return max(0.0, end - self.start)
-
-
-# -- parsing ------------------------------------------------------------------
-
-
-def events_from_jsonl(text: str) -> list[dict]:
-    """Parse JSONL trace text; ``meta`` lines are dropped."""
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        event = json.loads(line)
-        if event.get("kind") == "meta":
-            continue
-        events.append(event)
-    return events
-
-
-def load_events(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return events_from_jsonl(handle.read())
-
-
-def parse_spans(events: list[dict]) -> list[Span]:
-    """Rebuild the span forest; open spans are closed at the crash that
-    interrupted them (or at end of trace), flagged ``crashed``."""
-    spans: dict[int, Span] = {}
-    ordered: list[Span] = []
-    for event in events:
-        kind = event.get("kind")
-        if kind == "span_begin":
-            span = Span(span_id=event["span"], name=event["name"],
-                        start=event["t"], epoch=event.get("epoch", 0),
-                        seq=event.get("seq", 0),
-                        parent=event.get("parent"),
-                        attrs=dict(event.get("attrs") or {}))
-            spans[span.span_id] = span
-            ordered.append(span)
-        elif kind == "span_end":
-            span = spans.get(event.get("span"))
-            if span is not None:
-                span.end = event["t"]
-                span.end_attrs = dict(event.get("attrs") or {})
-    last_t = max((event["t"] for event in events), default=0.0)
-    crashes = sorted(event["t"] for event in events
-                     if event.get("kind") == "instant"
-                     and event.get("name") == "system.crash")
-    for span in ordered:
-        if span.end is None:
-            cut = next((t for t in crashes if t >= span.start), None)
-            if cut is not None:
-                span.end = cut
-                span.crashed = True
-            else:
-                span.end = last_t
-        depth = 0
-        parent = span.parent
-        while parent is not None and depth < 16:
-            depth += 1
-            parent = spans[parent].parent if parent in spans else None
-        span.depth = depth
-    return ordered
-
-
-def phase_durations(events: list[dict]) -> dict[str, float]:
+def phase_durations(events: TraceSource) -> dict[str, float]:
     """Per-phase simulated durations (summed over same-label spans).
 
     Only the build root and its direct children count as phases; deeper
@@ -156,19 +62,28 @@ def phase_durations(events: list[dict]) -> dict[str, float]:
     the whole.  Used by the perf suite's trace-derived breakdowns.
     """
     durations: dict[str, float] = {}
-    last_t = max((event["t"] for event in events), default=0.0)
-    for span in parse_spans(events):
+    for span in Trace.of(events).spans:
         if span.depth > 1:
             continue
         durations[span.label] = durations.get(span.label, 0.0) \
-            + span.duration(last_t)
+            + span.duration
     return durations
+
+
+def _gauge_rows(trace: Trace) -> list[tuple[str, list[dict], dict]]:
+    """``(label, samples, peak sample)`` per gauge series (by index)."""
+    rows = []
+    for (name, index), samples in trace.series("index").items():
+        peak = max(samples, key=lambda e: (e.get("value", 0), -e["t"]))
+        label = name if index is None else f"{name}[{index}]"
+        rows.append((label, samples, peak))
+    return rows
 
 
 # -- machine-readable report ---------------------------------------------------
 
 
-def report_json(events: list[dict]) -> dict:
+def report_json(events: TraceSource) -> dict:
     """The report as a schema-stable document (see ``--json``).
 
     Top-level keys: ``epochs``, ``events``, ``gauges``, ``instants``,
@@ -176,19 +91,13 @@ def report_json(events: list[dict]) -> dict:
     serialising with ``sort_keys=True`` yields byte-stable output for
     equal traces.
     """
-    if not events:
-        return {"epochs": 0, "events": 0, "gauges": {}, "instants": {},
-                "phases": {}, "spans": [], "t0": 0.0, "t1": 0.0}
-    spans = parse_spans(events)
-    t0 = min(event["t"] for event in events)
-    t1 = max(event["t"] for event in events)
-
+    trace = Trace.of(events)
     span_docs = []
-    for span in spans:
+    for span in trace.spans:
         doc = {
             "crashed": span.crashed,
             "depth": span.depth,
-            "duration": round(span.duration(t1), 6),
+            "duration": round(span.duration, 6),
             "end": None if span.crashed else round(span.end, 6),
             "epoch": span.epoch,
             "label": span.label,
@@ -202,45 +111,23 @@ def report_json(events: list[dict]) -> dict:
         if notes:
             doc["notes"] = notes
         span_docs.append(doc)
-
-    gauge_docs: dict[str, dict] = {}
-    series: dict[tuple, list[dict]] = {}
-    for event in events:
-        if event.get("kind") != "gauge":
-            continue
-        key = (event["name"], (event.get("attrs") or {}).get("index"))
-        series.setdefault(key, []).append(event)
-    for (name, index) in sorted(series, key=lambda k: (k[0], str(k[1]))):
-        samples = series[(name, index)]
-        peak = max(samples, key=lambda e: (e.get("value", 0), -e["t"]))
-        label = name if index is None else f"{name}[{index}]"
-        gauge_docs[label] = {
-            "last": samples[-1].get("value"),
-            "max": peak.get("value"),
-            "max_t": round(peak["t"], 6),
-            "samples": len(samples),
-        }
-
-    instant_docs: dict[str, dict] = {}
-    for event in events:
-        if event.get("kind") != "instant":
-            continue
-        doc = instant_docs.setdefault(
-            event["name"], {"count": 0, "times": []})
-        doc["count"] += 1
-        doc["times"].append(round(event["t"], 6))
-
     return {
-        "epochs": max(event.get("epoch", 0) for event in events) + 1,
-        "events": len(events),
-        "gauges": gauge_docs,
-        "instants": instant_docs,
+        "epochs": trace.epochs,
+        "events": len(trace.events),
+        "gauges": {label: {"last": samples[-1].get("value"),
+                           "max": peak.get("value"),
+                           "max_t": round(peak["t"], 6),
+                           "samples": len(samples)}
+                   for label, samples, peak in _gauge_rows(trace)},
+        "instants": {name: {"count": len(found),
+                            "times": [round(e["t"], 6) for e in found]}
+                     for name, found in trace.instants.items()},
         "phases": {label: round(duration, 6)
                    for label, duration
-                   in sorted(phase_durations(events).items())},
+                   in sorted(phase_durations(trace).items())},
         "spans": span_docs,
-        "t0": round(t0, 6),
-        "t1": round(t1, 6),
+        "t0": round(trace.t0, 6),
+        "t1": round(trace.t1, 6),
     }
 
 
@@ -262,19 +149,13 @@ def _bar(start: float, end: float, t0: float, t1: float, width: int,
     return "".join(cells)
 
 
-def _marks_row(events: list[dict], t0: float, t1: float,
-               width: int) -> str:
-    window = (t1 - t0) or 1.0
+def _marks_row(trace: Trace, width: int) -> str:
+    window = (trace.t1 - trace.t0) or 1.0
     cells = [" "] * width
     best = [0] * width
-    for event in events:
-        if event.get("kind") != "instant":
-            continue
-        mark = _MARKS.get(event.get("name"))
-        if mark is None:
-            continue
-        char, priority = mark
-        col = int((event["t"] - t0) / window * (width - 1))
+    for event in trace.named(*_MARKS):
+        char, priority = _MARKS[event["name"]]
+        col = int((event["t"] - trace.t0) / window * (width - 1))
         col = min(max(col, 0), width - 1)
         if priority > best[col]:
             best[col] = priority
@@ -298,23 +179,21 @@ def _notes(span: Span) -> str:
     return " ".join(parts)
 
 
-def render_report(events: list[dict], width: int = 60) -> str:
+def render_report(events: TraceSource, width: int = 60) -> str:
     """The full text report for one trace."""
-    if not events:
+    trace = Trace.of(events)
+    if not trace.events:
         return "empty trace\n"
-    spans = parse_spans(events)
-    t0 = min(event["t"] for event in events)
-    t1 = max(event["t"] for event in events)
-    instants = [e for e in events if e.get("kind") == "instant"]
-    gauges = [e for e in events if e.get("kind") == "gauge"]
-    epochs = max(event.get("epoch", 0) for event in events) + 1
+    spans, t0, t1 = trace.spans, trace.t0, trace.t1
     cut = sum(1 for span in spans if span.crashed)
+    instants = sum(len(found) for found in trace.instants.values())
+    gauges = sum(len(samples) for samples in trace.gauges.values())
 
     lines = [
-        f"trace report: {len(events)} events, {epochs} epoch(s), "
-        f"t={t0:.1f}..{t1:.1f}",
+        f"trace report: {len(trace.events)} events, {trace.epochs} "
+        f"epoch(s), t={t0:.1f}..{t1:.1f}",
         f"spans: {len(spans)} ({cut} cut short by a crash), "
-        f"instants: {len(instants)}, gauge samples: {len(gauges)}",
+        f"instants: {instants}, gauge samples: {gauges}",
         "",
         "phase timeline ('=' span, 'x' crash-cut)",
     ]
@@ -324,7 +203,7 @@ def render_report(events: list[dict], width: int = 60) -> str:
         label = ("  " * span.depth + span.label)[:label_width]
         bar = _bar(span.start, span.end, t0, t1, width, span.crashed)
         lines.append(f"{label:<{label_width}} |{bar}|")
-    marks = _marks_row(events, t0, t1, width)
+    marks = _marks_row(trace, width)
     if marks.strip():
         lines.append(f"{'marks':<{label_width}} |{marks}|")
         lines.append(f"{'':<{label_width}}  {_MARK_LEGEND}")
@@ -342,21 +221,13 @@ def render_report(events: list[dict], width: int = 60) -> str:
         end_text = f"{span.end:>9.1f}" if not span.crashed \
             else f"{'CRASH':>9}"
         lines.append(f"{label:<{label_width}} {span.start:>9.1f} "
-                     f"{end_text} {span.duration(t1):>9.1f} "
+                     f"{end_text} {span.duration:>9.1f} "
                      f"{wal_text:>9}  {_notes(span)}")
 
     if gauges:
         lines.append("")
         lines.append("gauge high-water marks")
-        series: dict[tuple, list[dict]] = {}
-        for event in gauges:
-            key = (event["name"], (event.get("attrs") or {}).get("index"))
-            series.setdefault(key, []).append(event)
-        for (name, index) in sorted(series,
-                                    key=lambda k: (k[0], str(k[1]))):
-            samples = series[(name, index)]
-            peak = max(samples, key=lambda e: (e.get("value", 0), -e["t"]))
-            label = name if index is None else f"{name}[{index}]"
+        for label, samples, peak in _gauge_rows(trace):
             lines.append(
                 f"  {label:<28} samples={len(samples):<4} "
                 f"max={peak.get('value')} at t={peak['t']:.1f}  "
@@ -365,15 +236,12 @@ def render_report(events: list[dict], width: int = 60) -> str:
     if instants:
         lines.append("")
         lines.append("instants")
-        census: dict[str, int] = {}
-        for event in instants:
-            census[event["name"]] = census.get(event["name"], 0) + 1
-        for name in sorted(census):
-            times = [e["t"] for e in instants if e["name"] == name]
+        for name in sorted(trace.instants):
+            times = [e["t"] for e in trace.instants[name]]
             where = ", ".join(f"{t:.1f}" for t in times[:4])
             if len(times) > 4:
                 where += ", ..."
-            lines.append(f"  {name:<28} x{census[name]:<4} at t={where}")
+            lines.append(f"  {name:<28} x{len(times):<4} at t={where}")
     return "\n".join(lines) + "\n"
 
 
@@ -392,12 +260,14 @@ def main(argv: Optional[list] = None) -> int:
                         help="emit the report as a schema-stable JSON "
                              "document instead of ASCII tables")
     args = parser.parse_args(argv)
-    events = load_events(args.trace)
+    trace = load_for_cli(args.trace)
+    if trace is None:
+        return 2
     if args.json:
-        sys.stdout.write(json.dumps(report_json(events), indent=2,
+        sys.stdout.write(json.dumps(report_json(trace), indent=2,
                                     sort_keys=True) + "\n")
     else:
-        sys.stdout.write(render_report(events, width=args.width))
+        sys.stdout.write(render_report(trace, width=args.width))
     return 0
 
 

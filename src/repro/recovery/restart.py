@@ -89,21 +89,16 @@ def _prepare_restart(crashed: System, system: System,
     needs.
     """
     # Carry the trace recorder across the crash boundary: one trace tells
-    # the whole build-crash-recover story.  Re-binding advances the
-    # recorder's time base so the new simulator's t=0 lands at the crash
-    # instant (see repro.obs.recorder.TraceRecorder.bind).
+    # the whole build-crash-recover story, and the progress tracker riding
+    # on it makes the resumed build report resumed progress, not 0%.
+    # Re-binding advances the recorder's time base so the new simulator's
+    # t=0 lands at the crash instant (repro.obs.recorder.TraceRecorder.bind).
     tracer = getattr(crashed.metrics, "tracer", None)
     if tracer is not None:
         tracer.bind(system.sim)
         system.metrics.tracer = tracer
         tracer.instant("system.restart",
                        stable_lsn=crashed.log.flushed_lsn)
-    # Progress tracking survives the same way: the tracker re-attaches so
-    # the resumed build reports resumed progress, not 0%.
-    progress = getattr(crashed.metrics, "progress", None)
-    if progress is not None:
-        system.metrics.progress = progress
-        progress.bind(system)
     _rebuild_catalog(crashed, system)
 
     checkpoint = system.log.latest_checkpoint()

@@ -14,14 +14,12 @@ CI compares exactly with ``BENCH_BASELINE.json``.
 
 from repro.slo.analyzer import (
     latency_report,
-    parse_trace,
     percentile,
     queue_high_water,
 )
 
 __all__ = [
     "latency_report",
-    "parse_trace",
     "percentile",
     "queue_high_water",
 ]

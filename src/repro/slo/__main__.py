@@ -14,7 +14,8 @@ import json
 import sys
 from typing import Optional
 
-from repro.slo.analyzer import latency_report, parse_trace
+from repro.obs.trace import load_for_cli
+from repro.slo.analyzer import latency_report
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -31,15 +32,12 @@ def main(argv: Optional[list[str]] = None) -> int:
                         help="include aborted/errored operations")
     args = parser.parse_args(argv)
 
-    if args.trace == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    events = parse_trace(text)
+    trace = load_for_cli(args.trace)
+    if trace is None:
+        return 2
     try:
         report = latency_report(
-            events, span_name=args.span,
+            trace, span_name=args.span,
             only_outcome=None if args.all_outcomes else "committed",
             window=tuple(args.window) if args.window else None)
     except ValueError as exc:

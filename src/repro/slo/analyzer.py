@@ -1,29 +1,29 @@
 """Latency-SLO analysis of ``repro.obs`` traces.
 
-Works on the recorder's event dicts directly (``recorder.events``) or on
-trace JSONL text via :func:`parse_trace`.  The unit of analysis is the
-``op`` span emitted by :class:`repro.workloads.OpenLoopDriver`: one span
-per operation, issue to completion, with ``attrs.op`` naming the
-operation and ``attrs.outcome`` (on the end event) recording how it
-finished.
+Reads a :class:`~repro.obs.trace.Trace` (or the recorder's event list,
+read into one).  The unit of analysis is the ``op`` span emitted by
+:class:`repro.workloads.OpenLoopDriver`: one span per operation, issue
+to completion, with ``attrs.op`` naming the operation and
+``attrs.outcome`` (on the end event) recording how it finished.
 
 Percentiles use the **nearest-rank** definition:
 ``p_q = sorted_values[ceil(q/100 * N) - 1]`` -- no interpolation, so
 every reported percentile is a latency that actually occurred, and test
 expectations are exact by hand (p50 of 1..10 is 5, p99 of 1..100 is 99).
 
-A ``span_begin`` with no matching ``span_end`` was cut short by a crash;
-those spans are *excluded* from the latency population (their duration is
-unknowable, not zero) and counted in the report's ``excluded`` field.
+An unfinished span (the trace model's one pairing rule: a begin with no
+end, cut short by a crash) is *excluded* from the latency population
+(its duration is unknowable, not zero) and counted in the report's
+``excluded`` field.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.metrics.registry import ordered_sum
+from repro.obs.trace import Trace, TraceSource
 
 #: the percentiles every report carries
 REPORT_QUANTILES = (50.0, 95.0, 99.0)
@@ -44,56 +44,14 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[max(rank, 1) - 1]
 
 
-def parse_trace(text: str) -> list[dict]:
-    """Trace JSONL -> event dicts (the meta line is dropped)."""
-    events = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        event = json.loads(line)
-        if event.get("kind") != "meta":
-            events.append(event)
-    return events
-
-
-def op_latencies(events: Iterable[dict], span_name: str = "op"
-                 ) -> tuple[list[tuple[float, dict, dict]], int]:
-    """Pair ``span_name`` begin/end events by span id.
-
-    Returns ``(pairs, excluded)`` where each pair is ``(latency,
-    begin_event, end_event)`` in completion order and ``excluded``
-    counts crash-cut spans (begin with no end).
-    """
-    begins: dict[int, dict] = {}
-    pairs: list[tuple[float, dict, dict]] = []
-    for event in events:
-        if event.get("name") != span_name:
-            continue
-        if event.get("kind") == "span_begin":
-            begins[event["span"]] = event
-        elif event.get("kind") == "span_end":
-            begin = begins.pop(event["span"], None)
-            if begin is not None:
-                pairs.append((event["t"] - begin["t"], begin, event))
-    return pairs, len(begins)
-
-
-def queue_high_water(events: Iterable[dict],
+def queue_high_water(events: TraceSource,
                      gauge_name: str = "openloop.inflight",
                      window: Optional[tuple[float, float]] = None) -> int:
     """Highest sampled value of the in-flight gauge (0 if never gauged)."""
-    high = 0
-    for event in events:
-        if event.get("kind") == "gauge" \
-                and event.get("name") == gauge_name:
-            if window is not None \
-                    and not window[0] <= event.get("t", 0.0) <= window[1]:
-                continue
-            value = int(event.get("value") or 0)
-            if value > high:
-                high = value
-    return high
+    return max([0] + [int(event.get("value") or 0)
+                      for event in Trace.of(events).gauges.get(gauge_name, ())
+                      if window is None
+                      or window[0] <= event.get("t", 0.0) <= window[1]])
 
 
 def _quantile_block(latencies: list[float]) -> dict:
@@ -105,7 +63,7 @@ def _quantile_block(latencies: list[float]) -> dict:
     return block
 
 
-def latency_report(events: Iterable[dict], span_name: str = "op",
+def latency_report(events: TraceSource, span_name: str = "op",
                    only_outcome: Optional[str] = "committed",
                    window: Optional[tuple[float, float]] = None) -> dict:
     """The SLO summary of one trace.
@@ -127,24 +85,25 @@ def latency_report(events: Iterable[dict], span_name: str = "op",
     Raises :class:`ValueError` when no spans qualify (an SLO report
     over an empty population would gate nothing).
     """
-    events = list(events)
-    pairs, excluded = op_latencies(events, span_name)
+    trace = Trace.of(events)
+    spans = [span for span in trace.spans if span.name == span_name]
+    excluded = sum(1 for span in spans if not span.finished)
     dropped = 0
     latencies: list[float] = []
     by_op: dict[str, list[float]] = {}
-    for latency, begin, end in pairs:
+    # completion order, so the mean adds up in the order the ops ended
+    for span in sorted((span for span in spans if span.finished),
+                       key=lambda span: span.end_order):
         if window is not None \
-                and not window[0] <= begin.get("t", 0.0) <= window[1]:
+                and not window[0] <= span.start <= window[1]:
             continue
-        end_attrs = end.get("attrs") or {}
         if only_outcome is not None \
-                and end_attrs.get("outcome") != only_outcome:
+                and span.end_attrs.get("outcome") != only_outcome:
             dropped += 1
             continue
-        begin_attrs = begin.get("attrs") or {}
+        latency = span.end - span.start
         latencies.append(latency)
-        by_op.setdefault(str(begin_attrs.get("op", "?")),
-                         []).append(latency)
+        by_op.setdefault(str(span.attrs.get("op", "?")), []).append(latency)
     if not latencies:
         raise ValueError(
             f"no completed {span_name!r} spans in the trace "
@@ -152,7 +111,7 @@ def latency_report(events: Iterable[dict], span_name: str = "op",
     report = _quantile_block(latencies)
     report["excluded"] = excluded
     report["dropped"] = dropped
-    report["queue_high_water"] = queue_high_water(events, window=window)
+    report["queue_high_water"] = queue_high_water(trace, window=window)
     report["by_op"] = {name: _quantile_block(values)
                        for name, values in sorted(by_op.items())}
     return report

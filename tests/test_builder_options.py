@@ -91,6 +91,17 @@ def test_side_file_modes_refuse_parallel_readers(mode):
     assert build(parallel_readers=1).options.parallel_readers == 1
 
 
+def test_rebuild_refuses_partitions_instead_of_ignoring_them():
+    """A rebuild loads the sealed runs and never scans, so there is
+    nothing for ``partitions`` to shard: it used to be dropped without a
+    word while the ``build`` span still claimed ``partitions: 4``."""
+    system, table, driver = stage()
+    run_build(system, table, driver, SFIndexBuilder, None)
+    with pytest.raises(ValueError, match="partitions=4.*never scans"):
+        system.rebuild_index("idx", BuildOptions(partitions=4))
+    assert system.rebuild_index("idx", BuildOptions()).partitions is None
+
+
 def test_parallel_readers_shorten_scan():
     durations = {}
     for readers in (1, 4):
@@ -128,15 +139,14 @@ def test_parallel_readers_charge_key_compare_cost():
 
 def test_parallel_readers_scan_is_one_span_and_fires_the_scan_sites():
     from repro.faultinject.injector import FaultInjector
-    from repro.obs import enable_tracing
-    from repro.obs.report import parse_spans
+    from repro.obs import Trace, enable_tracing
 
     system, table, driver = stage()
     recorder = enable_tracing(system)
     injector = FaultInjector().install(system)
     run_build(system, table, driver, NSFIndexBuilder,
               BuildOptions(parallel_readers=3, compressed_keys=True))
-    scans = [span for span in parse_spans(recorder.events)
+    scans = [span for span in Trace(recorder.events).spans
              if span.name == "scan"]
     assert len(scans) == 1
     assert scans[0].end_attrs["pages"] == table.page_count

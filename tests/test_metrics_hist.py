@@ -176,14 +176,6 @@ def test_registry_observe_hist_creates_and_accumulates():
     assert metrics.histograms == {}
 
 
-def test_registry_progress_attachment_point():
-    metrics = MetricsRegistry()
-    assert metrics.progress is None
-    sentinel = object()
-    metrics.progress = sentinel
-    assert metrics.progress is sentinel
-
-
 # -- acceptance: online histogram vs offline analyzer ------------------------
 
 

@@ -24,8 +24,8 @@ from repro import (
     WorkloadSpec,
 )
 from repro.core import get_builder
-from repro.obs import AlertRule, enable_health, enable_progress, \
-    enable_tracing
+from repro.obs import AlertRule, Phase, Trace, enable_health, \
+    enable_progress, enable_tracing
 from repro.obs.dashboard import (
     _live_demo,
     main as dashboard_main,
@@ -36,7 +36,6 @@ from repro.obs.dashboard import (
     sparkline,
 )
 from repro.obs.export import export_prometheus
-from repro.obs.report import events_from_jsonl
 
 
 # -- widgets -----------------------------------------------------------------
@@ -150,7 +149,7 @@ def test_progress_rows_fall_back_to_spans_without_tracking():
     build_proc = system.spawn(builder.run(), name="builder")
     system.run()
     assert build_proc.error is None
-    rows = progress_rows(events_from_jsonl(recorder.to_jsonl()))
+    rows = progress_rows(Trace.loads(recorder.to_jsonl()))
     assert len(rows) == 1
     assert rows[0]["build"] == "idx"
     assert rows[0]["fraction"] == 1.0
@@ -236,13 +235,8 @@ def test_export_prometheus_shape_and_determinism():
     for value in (1.0, 2.0, 300.0):
         system.metrics.observe_hist("openloop.latency", value)
 
-    class _Builder:
-        def __init__(self):
-            self.system = system
-            self.mode = "sf"
-            self.specs = [IndexSpec("idx", ("k",))]
-
-    tracker.register(_Builder()).scan(5, 10)
+    tracker.track("idx", "sf", [Phase("scan", 1.0)], system.sim,
+                  system.metrics.tracer).advance("scan", 5, 10)
     text = export_prometheus(system, monitor)
     assert text == export_prometheus(system, monitor)  # deterministic
     lines = text.splitlines()

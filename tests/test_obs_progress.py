@@ -2,12 +2,13 @@
 
 Four layers:
 
-* phase-plan / verdict unit behaviour -- weights sum to one, the drain
-  judge flips to ``diverging`` (once) when the drain stops gaining and
-  recovers when the balance improves;
+* phase-plan / verdict unit behaviour -- the phases every mode declares
+  weigh one in all, the drain judge flips to ``diverging`` (once) when
+  the drain stops gaining and recovers when the balance improves;
 * whole-build coverage -- every builder mode (offline, nsf, sf, psf,
   multi) reports a monotone fraction that ends at 1.0 with a refined
-  ETA;
+  ETA; a rebuild, which never scans, never reports a scan; a sharded
+  ``sf`` / ``multi`` build reports its ``merge``;
 * the zero-cost contract -- enabling tracking never perturbs the
   schedule (same end time, same counters as the untracked run), and the
   utility-checkpoint payload only grows a ``progress`` key when a
@@ -34,13 +35,8 @@ from repro import (
     run_until_crash,
 )
 from repro.core import get_builder
-from repro.obs import TraceRecorder, enable_progress, enable_tracing
-from repro.obs.progress import (
-    DRAIN_MIN_SAMPLES,
-    BuildProgress,
-    ProgressTracker,
-    _phase_plan,
-)
+from repro.obs import Phase, TraceRecorder, enable_progress, enable_tracing
+from repro.obs.progress import DRAIN_MIN_SAMPLES, BuildProgress
 
 
 # -- unit behaviour ----------------------------------------------------------
@@ -49,11 +45,17 @@ from repro.obs.progress import (
 @pytest.mark.parametrize("mode", ["offline", "nsf", "sf", "psf", "multi"])
 @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
 def test_phase_plan_weights_sum_to_one(mode, names):
-    plan = _phase_plan(mode, names)
-    assert math.isclose(sum(weight for _key, weight in plan), 1.0)
-    assert plan[0][0] == "scan"
-    keys = [key for key, _w in plan]
+    system = System(SystemConfig(), seed=1)
+    table = system.create_table("t", ["k", "p"])
+    builder = get_builder(mode)(
+        system, table, [IndexSpec(name, ("k",)) for name in names])
+    plan = builder._phases()
+    assert math.isclose(sum(phase.weight for phase in plan), 1.0)
+    assert plan[0].key == "scan"
+    keys = [phase.key for phase in plan]
     assert len(keys) == len(set(keys))
+    assert [phase.key for phase in plan if phase.races] \
+        == [key for key in keys if key.startswith("drain:")]
 
 
 class _FakeSim:
@@ -61,40 +63,35 @@ class _FakeSim:
         self.now = now
 
 
-class _FakeMetrics:
-    def __init__(self, tracer):
-        self.tracer = tracer
+_SF_PLAN = [Phase("scan", 0.50), Phase("load:idx", 0.35),
+            Phase("drain:idx", 0.15, races=True)]
 
 
-class _FakeSystem:
-    def __init__(self, tracer=None):
-        self.sim = _FakeSim()
-        self.metrics = _FakeMetrics(tracer)
+def _fresh_progress():
+    sim = _FakeSim()
+    recorder = TraceRecorder()
+    recorder.bind(sim)
+    return sim, recorder, BuildProgress("idx", "sf", _SF_PLAN, sim, recorder)
 
 
-def _drain_progress(tracer=None):
-    tracker = ProgressTracker()
-    system = _FakeSystem(tracer)
-    progress = BuildProgress(tracker, system, "sf", "idx", ["idx"])
-    tracker.builds["idx"] = progress
-    progress.scan(10, 10)
-    progress.phase_done("scan")
-    progress.units("load:idx", 100, 100)
-    progress.phase_done("load:idx")
-    return system, progress
+def _drain_progress():
+    sim, recorder, progress = _fresh_progress()
+    progress.advance("scan", None, 10, step=10)
+    progress.close("scan")
+    progress.advance("load:idx", 100, 100)
+    progress.close("load:idx")
+    return sim, recorder, progress
 
 
 def test_drain_judge_flips_to_diverging_once_and_recovers():
-    recorder = TraceRecorder()
-    recorder.bind(_FakeSim())
-    system, progress = _drain_progress(recorder)
+    sim, recorder, progress = _drain_progress()
     # drain gains 5/tick while the side-file grows 10/tick: not converging
     position, total = 0, 40
     for tick in range(DRAIN_MIN_SAMPLES + 1):
-        system.sim.now += 1.0
+        sim.now += 1.0
         position += 5
         total += 10
-        progress.drain("drain:idx", position, total)
+        progress.advance("drain:idx", position, total)
     assert progress.verdict == "diverging"
     assert progress.eta is None
     diverging = [e for e in recorder.events
@@ -103,14 +100,14 @@ def test_drain_judge_flips_to_diverging_once_and_recovers():
     assert diverging[0]["attrs"]["build"] == "idx"
     # the balance recovers: appends stop, the drain keeps gaining
     for tick in range(8):
-        system.sim.now += 1.0
+        sim.now += 1.0
         position += 20
-        progress.drain("drain:idx", min(position, total), total)
+        progress.advance("drain:idx", min(position, total), total)
     assert progress.verdict == "converging"
     assert progress.eta is not None
     assert len([e for e in recorder.events
                 if e["name"] == "build.diverging"]) == 1
-    progress.phase_done("drain:idx")
+    progress.close("drain:idx")
     progress.finish()
     assert progress.verdict == "done"
     assert progress.eta == 0.0
@@ -118,23 +115,23 @@ def test_drain_judge_flips_to_diverging_once_and_recovers():
 
 
 def test_fraction_is_monotone_under_shrinking_phase_estimates():
-    _system, progress = _drain_progress()
+    _sim, _recorder, progress = _drain_progress()
     before = progress.snapshot()["fraction"]
     # a growing side-file shrinks the raw drain fraction; the published
     # fraction must never move backwards
-    progress.drain("drain:idx", 50, 100)
+    progress.advance("drain:idx", 50, 100)
     mid = progress.snapshot()["fraction"]
     assert mid >= before
-    progress.drain("drain:idx", 50, 400)
+    progress.advance("drain:idx", 50, 400)
     assert progress.snapshot()["fraction"] >= mid
 
 
 def test_restore_floors_progress_at_checkpoint_fraction():
-    _system, progress = _drain_progress()
+    _sim, _recorder, progress = _drain_progress()
     state = progress.checkpoint_state()
     assert state["fraction"] > 0.5
-    tracker = ProgressTracker()
-    fresh = BuildProgress(tracker, _FakeSystem(), "sf", "idx", ["idx"])
+    assert state["scan"] == [10, 10]
+    _sim, _recorder, fresh = _fresh_progress()
     fresh.restore(state)
     assert fresh.snapshot()["fraction"] >= state["fraction"]
     assert fresh.fractions["scan"] == 1.0
@@ -199,6 +196,55 @@ def test_every_builder_reports_progress_to_completion(mode, kwargs):
         audit_index(system, system.indexes[name])
 
 
+def _published(recorder, label):
+    """The ``(fraction, phase)`` points of one build's gauge stream."""
+    return [(e["value"], e["attrs"]["phase"]) for e in recorder.events
+            if e["kind"] == "gauge" and e["name"] == "build.progress"
+            and e["attrs"]["build"] == label]
+
+
+def test_rebuild_reports_no_scan_and_no_jump_at_finish():
+    """A rebuild never scans, so it declares no scan phase: the first
+    thing it reports is its load, and the fraction climbs in steps no
+    larger than its largest phase instead of sitting in ``scan`` and
+    jumping to 1.0 when the build ends."""
+    system, recorder, tracker = _tracked_build("sf")
+    before = len(recorder.events)
+    builder = system.rebuild_index(
+        "idx", BuildOptions(checkpoint_every_keys=64))
+    proc = system.spawn(builder.run(), name="rebuilder")
+    system.run()
+    assert proc.error is None
+    assert "scan" not in tracker.snapshot()["idx"]["fractions"]
+    recorder.events[:before] = []
+    points = _published(recorder, "idx")
+    assert points[0][1] == "load:idx"
+    fractions = [0.0] + [fraction for fraction, _phase in points]
+    assert fractions == sorted(fractions) and fractions[-1] == 1.0
+    largest = max(phase.weight for phase in builder._phases())
+    assert max(b - a for a, b in zip(fractions, fractions[1:])) \
+        <= largest + 1e-9
+    audit_index(system, system.indexes["idx"])
+
+
+@pytest.mark.parametrize("mode,specs", [
+    ("sf", None),
+    ("multi", [IndexSpec("idx", ("k",)), IndexSpec("idx_p", ("p",))]),
+])
+def test_sharded_scan_reports_its_merge_whatever_the_mode(mode, specs):
+    """The ``merge`` phase belongs to the shard scan, not to the name
+    ``psf``: any build with ``partitions`` set opens a merge span and
+    now reports a merge phase with it."""
+    _system, recorder, tracker = _tracked_build(mode, specs=specs,
+                                                partitions=2)
+    (label, state), = tracker.snapshot().items()
+    assert state["fractions"]["merge"] == 1.0
+    assert "merge" in [phase for _fraction, phase
+                       in _published(recorder, label)]
+    assert any(e["kind"] == "span_begin" and e["name"] == "merge"
+               for e in recorder.events)
+
+
 def test_eta_is_refined_toward_zero_on_clean_sf_build():
     _system, recorder, _tracker = _tracked_build("sf")
     finish = max(e["t"] for e in recorder.events)
@@ -243,11 +289,12 @@ def _plain_build(tracked: bool):
 
 def test_tracking_never_perturbs_the_schedule():
     """The whole point of the fault_point-style hook: enabling progress
-    tracking (even with no tracer attached) leaves the simulated end
-    time and every counter untouched."""
+    tracking (which attaches a passive recorder too) leaves the
+    simulated end time and every counter untouched."""
     plain, _ = _plain_build(tracked=False)
     tracked, tracker = _plain_build(tracked=True)
-    assert plain.metrics.progress is None
+    assert plain.metrics.tracer is None
+    assert tracked.metrics.tracer.progress is tracker
     assert tracker.snapshot()["idx"]["fraction"] == 1.0
     assert tracked.now() == plain.now()
     assert tracked.metrics.counters == plain.metrics.counters
@@ -291,7 +338,7 @@ def test_resumed_build_reports_resumed_progress_not_zero():
     assert crashed_fraction > 0.0
 
     recovered, utility_state = restart(system, pre_undo=build_pre_undo)
-    assert recovered.metrics.progress is tracker  # carried across
+    assert recovered.metrics.tracer.progress is tracker  # carried across
     assert "progress" in utility_state
     resumed = resume_build(recovered, utility_state)
     assert resumed is not None

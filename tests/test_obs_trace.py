@@ -33,15 +33,14 @@ from repro import (
 )
 from repro.core import get_builder
 from repro.obs import (
+    Trace,
     TraceRecorder,
     enable_tracing,
     key_metric,
     render_report,
 )
 from repro.obs.report import (
-    events_from_jsonl,
     main as report_main,
-    parse_spans,
     phase_durations,
 )
 
@@ -108,7 +107,7 @@ def test_jsonl_roundtrip_and_meta_line():
     lines = text.strip().split("\n")
     meta = json.loads(lines[0])
     assert meta == {"kind": "meta", "schema": 1, "epochs": 1, "events": 2}
-    events = events_from_jsonl(text)
+    events = Trace.loads(text).events
     assert len(events) == 2  # meta line skipped
     assert events[1]["value"] == 3
     # attrs coerce non-JSON values to strings rather than failing
@@ -199,7 +198,7 @@ def test_psf_trace_is_deterministic_and_has_shard_spans():
     first = _traced_build("psf", partitions=2)
     second = _traced_build("psf", partitions=2)
     assert first.to_jsonl() == second.to_jsonl()
-    spans = parse_spans(first.events)
+    spans = Trace(first.events).spans
     by_name = {}
     for span in spans:
         by_name.setdefault(span.name, []).append(span)
@@ -256,7 +255,7 @@ def test_sf_crash_report_matches_golden():
                    "system.crash", "system.restart", "sf.flip",
                    "sidefile.backlog[events_by_ts]"):
         assert needle in report, f"report lost the {needle!r} part"
-    spans = parse_spans(recorder.events)
+    spans = Trace(recorder.events).spans
     crashed = [s.name for s in spans if s.crashed]
     assert "build" in crashed and "drain" in crashed
     # ... and the exact rendering is pinned as a golden

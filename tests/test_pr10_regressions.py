@@ -30,10 +30,10 @@ from repro.sort import (
     RunStore,
     SpilledKey,
 )
-from repro.sort.tournament import INF, LoserTree
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec
+from tests.loser_tree import INF, LoserTree
 
 
 # -- 1: the sentinel's total order over mixed key representations -----------

@@ -9,9 +9,8 @@ import math
 import pytest
 
 from repro.bench.runner import SCHEMA_VERSION, check
-from repro.slo import latency_report, parse_trace, percentile, \
-    queue_high_water
-from repro.slo.analyzer import op_latencies
+from repro.obs import Trace
+from repro.slo import latency_report, percentile, queue_high_water
 from repro.slo import tradeoff
 from repro.slo.__main__ import main as slo_main
 
@@ -69,9 +68,10 @@ def test_crash_cut_spans_are_excluded_not_zero():
     events = _trace(_span(1, 0.0, 4.0), _span(2, 1.0, 3.0))
     events.append({"kind": "span_begin", "name": "op", "span": 3,
                    "t": 2.0, "attrs": {"op": "update", "id": 3}})
-    pairs, excluded = op_latencies(events)
-    assert sorted(latency for latency, _b, _e in pairs) == [2.0, 4.0]
-    assert excluded == 1
+    ops = Trace(events).spans
+    assert sorted(span.duration for span in ops if span.finished) \
+        == [2.0, 4.0]
+    assert [span.span_id for span in ops if not span.finished] == [3]
     report = latency_report(events)
     assert report["ops"] == 2
     assert report["excluded"] == 1
@@ -122,7 +122,7 @@ def test_parse_trace_drops_the_meta_line():
                     "t": 0.0, "value": 2}),
         "",
     ])
-    events = parse_trace(text)
+    events = Trace.loads(text).events
     assert len(events) == 1 and events[0]["kind"] == "gauge"
 
 

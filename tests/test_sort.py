@@ -18,13 +18,9 @@ from repro.sort import (
     merge_pass,
     merge_to_single,
 )
-from repro.sort.tournament import (
-    INF,
-    LoserTree,
-    build_matches,
-    fixup_matches,
-)
+from repro.sort.tournament import build_matches, fixup_matches
 from repro.system import System, SystemConfig
+from tests.loser_tree import INF, LoserTree
 
 
 # -- LoserTree -----------------------------------------------------------------
