@@ -58,7 +58,7 @@ class IndexPage:
     def __init__(self, page_no: int,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.page_no = page_no
-        self.latch = Latch(f"index:{page_no}", metrics=metrics)
+        self.latch = Latch("index", page_no, metrics=metrics)
 
 
 class LeafPage(IndexPage):

@@ -45,7 +45,8 @@ from repro.faultinject.sites import fault_point, fault_points_enabled
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE, SHARE
 from repro.storage.rid import RID
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import (HEADER_SIZE, OP_SIZE, LogRecord, RecordKind,
+                               value_size)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -331,12 +332,9 @@ class BTree:
         self.system.metrics.incr("index.splits")
         self.system.log.append(
             None, RecordKind.UPDATE,
-            redo=("index.split", {"index": self.name,
-                                  "left": left.page_no,
-                                  "right": right.page_no}),
+            redo=("index.split", (self.name, left.page_no, right.page_no)),
             writer="system",
-            info={"index": self.name},
-        )
+            size=HEADER_SIZE + OP_SIZE + len(self.name) + 16)
         if not path:
             new_root = self._allocate_branch()
             new_root.separators = [separator]
@@ -510,9 +508,7 @@ class BTree:
             found.pseudo_deleted = False
             self.dirty.add(leaf.page_no)
             self._log_key_op(txn, "replace_rid", key_value, rid,
-                             undo_action="restore_entry",
-                             extra={"old_rid": tuple(old_rid),
-                                    "old_pseudo": True})
+                             undo_action="restore_entry", old_rid=old_rid)
             self.system.metrics.incr("index.rid_replacements")
             return InsertOutcome.REPLACED_RID
         raise UniqueViolationError(
@@ -520,12 +516,10 @@ class BTree:
             f"committed record {found.rid}")
 
     def _log_undo_only(self, txn, key_value, rid) -> None:
-        txn.log(RecordKind.UPDATE,
-                undo=("index.undo", {"index": self.name,
-                                     "action": "pseudo_delete",
-                                     "key_value": key_value,
-                                     "rid": tuple(rid)}),
-                info={"index": self.name, "reason": "duplicate-insert"})
+        payload, size = index_payload(self.name, None, "pseudo_delete",
+                                      key_value, rid)
+        txn.log(RecordKind.UPDATE, undo=("index.undo", payload), size=size,
+                info={"reason": "duplicate-insert"})
         self.system.metrics.incr("index.duplicate_rejections.txn")
 
     def txn_delete_key(self, txn: "Transaction", key_value, rid: RID, *,
@@ -946,58 +940,39 @@ class BTree:
         single leaf-latch hold ("the log record can contain multiple
         keys", section 2.2.3).
 
-        Redo and undo share one key list: both handlers are read-only
-        over the payload, so one defensive copy of the caller's list is
-        enough (the second copy showed up in IB-insert profiles).
+        The record keeps its own copy of the caller's list.
         """
-        key_list = list(keys)
-        ib_txn.log(
-            RecordKind.UPDATE,
-            redo=("index.apply", {"index": self.name,
-                                  "action": "insert_many",
-                                  "keys": key_list}),
-            undo=("index.undo", {"index": self.name,
-                                 "action": "remove_many",
-                                 "keys": key_list}),
-            info={"index": self.name},
-            writer="ib",
-        )
+        self._log_key_op(ib_txn, "insert_many", list(keys), None,
+                         undo_action="remove_many", writer="ib")
 
     # ------------------------------------------------------------------
     # logging helpers
     # ------------------------------------------------------------------
 
     def _log_key_op(self, txn, action: str, key_value, rid, *,
-                    undo_action: str, extra: Optional[dict] = None) -> None:
-        args = {"index": self.name, "action": action,
-                "key_value": key_value, "rid": tuple(rid)}
-        undo_args = {"index": self.name, "action": undo_action,
-                     "key_value": key_value, "rid": tuple(rid)}
-        if extra:
-            args.update(extra)
-            undo_args.update(extra)
-        txn.log(RecordKind.UPDATE,
-                redo=("index.apply", args),
-                undo=("index.undo", undo_args),
-                info={"index": self.name})
+                    undo_action: str, old_rid=None,
+                    writer: str = "txn") -> None:
+        payload, size = index_payload(self.name, action, undo_action,
+                                      key_value, rid, old_rid)
+        txn.log(RecordKind.UPDATE, redo=("index.apply", payload),
+                undo=("index.undo", payload), writer=writer, size=size)
 
     # ------------------------------------------------------------------
     # logical apply (shared by redo and undo)
     # ------------------------------------------------------------------
 
-    def apply_logged(self, args: dict) -> None:
-        """:meth:`apply_logical` on a log payload (a many-key one carries
-        no single key)."""
-        self.apply_logical(args["action"], args.get("key_value"),
-                           args.get("rid", (0, 0)), extra=args)
+    def apply_logged(self, payload: tuple) -> None:
+        """:meth:`apply_logical` of a log payload's redo half."""
+        self.apply_logical(payload[IX_ACTION], *payload[IX_KEY:])
 
-    def apply_logical(self, action: str, key_value, rid, *,
-                      extra: Optional[dict] = None) -> None:
+    def apply_logical(self, action: str, key_value, rid,
+                      old_rid=None) -> None:
         """Apply one logical key operation, idempotently.
 
         Used by restart-recovery redo and by rollback's logical undo; the
         tree is traversed afresh because the key may have moved pages
-        since the log record was written.
+        since the log record was written.  The arguments are the logged
+        fields (:func:`index_payload`).
         """
         if action in ("insert_many", "remove_many"):
             # remove_many is the undo of IB's insert_many.  A concurrent
@@ -1008,7 +983,7 @@ class BTree:
             # build re-insert a key whose record is gone.
             inner = ("insert" if action == "insert_many"
                      else "remove_unless_tombstoned")
-            for kv, r in extra["keys"]:
+            for kv, r in key_value:
                 self.apply_logical(inner, kv, r)
             return
         rid = RID(*rid)
@@ -1047,7 +1022,7 @@ class BTree:
                 pos = leaf.position(composite)
                 del leaf.entries[pos]
         elif action == "replace_rid":
-            old_rid = RID(*extra["old_rid"])
+            old_rid = RID(*old_rid)
             old_leaf, _path = self._traverse((key_value, old_rid),
                                              count=False)
             old_entry = old_leaf.find_exact((key_value, old_rid))
@@ -1059,10 +1034,10 @@ class BTree:
                 exact.pseudo_deleted = False
         elif action == "restore_entry":
             # undo of replace_rid: put back <key, old_rid> pseudo-deleted
-            old_rid = RID(*extra["old_rid"])
+            # (only a terminated deleter's tombstone is ever replaced)
             if exact is not None:
-                exact.rid = old_rid
-                exact.pseudo_deleted = bool(extra.get("old_pseudo", True))
+                exact.rid = RID(*old_rid)
+                exact.pseudo_deleted = True
         else:  # pragma: no cover - exhaustive dispatch
             raise StorageError(f"unknown index action {action!r}")
 
@@ -1243,13 +1218,46 @@ def _page_image(page: LeafPage | BranchPage) -> tuple:
 
 # -- recovery handlers (generators) ----------------------------------------
 
+#: Field positions of the one payload ``index.apply`` and ``index.undo``
+#: read (:func:`index_payload`): index name, the redo's action, the
+#: undo's action, then ``apply_logical``'s arguments -- key value (a
+#: many-key action: the ``<key value, RID>`` list), RID, the RID a
+#: ``replace_rid`` replaced.  Nothing reads what ``index.split`` logs.
+IX_INDEX, IX_ACTION, IX_UNDO_ACTION, IX_KEY, IX_RID, IX_OLD_RID = range(6)
+
+
+def index_payload(index: str, action: Optional[str],
+                  undo_action: Optional[str], key_value, rid,
+                  old_rid=None) -> tuple[tuple, int]:
+    """The payload of one ``index.*`` log record and its logged size.
+
+    ``action`` is what the redo half applies and ``undo_action`` what an
+    undo applies (``None``: the record has no such half); a many-key
+    action carries its ``<key value, RID>`` list as ``key_value`` and no
+    ``rid``.  Each half is sized as if it carried the index name, its
+    action and the key fields itself.
+    """
+    if rid is None:
+        keyed = 8 * (len(key_value) or 1)
+    else:
+        keyed = 16 + value_size(key_value)
+        if old_rid is not None:
+            keyed += 24  # the replaced RID and its pseudo-delete flag
+    half = OP_SIZE + len(index) + keyed
+    size = HEADER_SIZE
+    if action is not None:
+        size += half + len(action)
+    if undo_action is not None:
+        size += half + len(undo_action)
+    return (index, action, undo_action, key_value, rid, old_rid), size
+
 
 def _redo_index(system: "System", record: LogRecord):
-    _op, args = record.redo
-    tree = _tree_for(system, args["index"])
+    payload = record.payload
+    tree = _tree_for(system, payload[IX_INDEX])
     if tree is None or record.lsn <= tree.durable_lsn:
         return
-    tree.apply_logged(args)
+    tree.apply_logged(payload)
     system.metrics.incr("recovery.index_redos")
     return
     yield  # pragma: no cover - generator shape
@@ -1265,8 +1273,10 @@ def _reject_redo(system: "System", record: LogRecord):  # pragma: no cover
 
 
 def _undo_index(system: "System", txn: "Transaction", record: LogRecord):
-    _op, args = record.undo
-    tree = _tree_for(system, args["index"])
+    payload = record.payload
+    index, undo_action = payload[IX_INDEX], payload[IX_UNDO_ACTION]
+    keyed = payload[IX_KEY:]
+    tree = _tree_for(system, index)
     if tree is not None and tree.media_damaged:
         # A damaged tree is rebuilt wholesale (log replay or run
         # re-extraction); logical undo against the empty shell would
@@ -1274,11 +1284,11 @@ def _undo_index(system: "System", txn: "Transaction", record: LogRecord):
         # undo chain stays well-formed.
         tree = None
     if tree is not None:
-        tree.apply_logged(args)
+        tree.apply_logical(undo_action, *keyed)
         system.metrics.incr("index.logical_undos")
-    clr_redo = ("index.apply", dict(args))
+    clr, size = index_payload(index, undo_action, None, *keyed)
     yield Delay(system.config.key_op_cost)
-    return clr_redo, None
+    return ("index.apply", clr), size, None
 
 
 def _tree_for(system: "System", index_name: str):

@@ -11,9 +11,9 @@ its side-file fed by the apply loop exactly as a primary build is fed
 by foreground updates, so the paper's no-quiesce machinery carries over
 to replication unchanged.
 
-Every applied record is tagged in its local WAL ``info`` with the
-identity of the *original* write -- ``(upstream, origin_lsn)``, the
-writer node's name and its local LSN.  Tags survive re-shipping (a
+Every applied record is tagged in its local WAL payload (``H_ORIGIN``)
+with the identity of the *original* write -- ``(upstream, origin_lsn)``,
+the writer node's name and its local LSN.  Tags survive re-shipping (a
 record applied from a promoted ex-replica keeps its original writer's
 tag), which is what makes exactly-once apply work across failovers:
 :func:`committed_origin_floors` recovers, per original writer, the
@@ -30,6 +30,7 @@ from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE
 from repro.storage.page import Record
 from repro.storage.rid import RID
+from repro.storage.table import H_ORIGIN, H_RID, H_TABLE, H_VALUES
 from repro.wal.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,43 +48,38 @@ def record_identity(upstream_name: str, record: LogRecord
     """The original ``(writer, origin_lsn)`` of a log record.
 
     A record the upstream itself applied from *its* upstream carries
-    the original tag in ``info``; the upstream's native records are
-    identified by its own name and local LSN.
+    the original tag in its payload; the upstream's native records are
+    identified by its own name and local LSN.  ``record`` must be
+    :func:`shippable`.
     """
-    info = record.info or {}
-    writer = info.get("upstream")
-    if writer is not None:
-        return writer, int(info.get("origin_lsn", 0))
-    return upstream_name, record.lsn
+    return record.payload[H_ORIGIN] or (upstream_name, record.lsn)
 
 
 def shippable(record: LogRecord) -> bool:
     """True for records a replica replays (data-page history only)."""
     if record.kind not in (RecordKind.UPDATE, RecordKind.COMPENSATION):
         return False
-    if record.redo is None:
-        return False
-    return record.redo[0] in SHIPPABLE_OPS
+    return record.redo_op in SHIPPABLE_OPS
 
 
 def apply_record(txn: "Transaction", system: "System", record: LogRecord,
-                 writer: str, origin: int):
-    """Generator: apply one shipped record inside the local ``txn``."""
-    op, args = record.redo
-    table = system.tables.get(args.get("table"))
+                 origin: tuple[str, int]):
+    """Generator: apply one shipped record inside the local ``txn``,
+    tagged with its :func:`record_identity` ``origin``."""
+    payload = record.payload
+    table = system.tables.get(payload[H_TABLE])
     if table is None:
         raise StorageError(
-            f"shipped record for unknown table {args.get('table')!r}")
-    rid = RID(*args["rid"])
-    if op == "heap.put":
-        yield from _apply_put(txn, table, rid, tuple(args["values"]),
-                              writer, origin)
+            f"shipped record for unknown table {payload[H_TABLE]!r}")
+    if record.redo_op == "heap.put":
+        yield from _apply_put(txn, table, payload[H_RID],
+                              payload[H_VALUES], origin)
     else:
-        yield from _apply_clear(txn, table, rid, writer, origin)
+        yield from _apply_clear(txn, table, payload[H_RID], origin)
 
 
 def _apply_put(txn: "Transaction", table: "Table", rid: RID,
-               values: tuple, writer: str, origin: int):
+               values: tuple, origin: tuple[str, int]):
     """Insert-or-update at an exact RID, mirroring the primary's write.
 
     The primary's physical history dictates the slot, so the replica
@@ -93,7 +89,7 @@ def _apply_put(txn: "Transaction", table: "Table", rid: RID,
     transaction rolls back exactly like any local writer.
     """
     system = table.system
-    record = Record(tuple(values))
+    record = Record(values)
     yield from table._intent_lock(txn)
     granted = yield from txn.lock(table.lock_name(rid), "X")
     assert granted
@@ -105,29 +101,17 @@ def _apply_put(txn: "Transaction", table: "Table", rid: RID,
         old = page.peek(rid.slot)
         if old is None:
             snapshot = table.maintenance.prepare_insert(txn, rid, record)
-            action = "insert"
-            undo = ("heap.insert", {"table": table.name, "rid": rid,
-                                    "values": record.values})
+            undo_op, old_values = "heap.insert", None
         else:
             snapshot = table.maintenance.prepare_update(txn, rid, old,
                                                         record)
-            action = "update"
-            undo = ("heap.update", {"table": table.name, "rid": rid,
-                                    "old_values": old.values,
-                                    "new_values": record.values})
+            undo_op, old_values = "heap.update", old.values
         page.put(rid.slot, record)
+        payload, size = table.log_payload(rid, record.values, old_values,
+                                          snapshot, origin)
         log_record = txn.log(
-            RecordKind.UPDATE,
-            page_id=page.page_id,
-            redo=("heap.put", {"table": table.name, "rid": rid,
-                               "values": record.values,
-                               "capacity": table.page_capacity}),
-            undo=undo,
-            info={"table": table.name, "action": action, "rid": rid,
-                  "visible_count": snapshot.count,
-                  "sf_routed": list(snapshot.sf_routed),
-                  "upstream": writer, "origin_lsn": origin},
-        )
+            RecordKind.UPDATE, page_id=page.page_id,
+            redo=("heap.put", payload), undo=(undo_op, payload), size=size)
         system.buffer.mark_dirty(page, log_record.lsn)
     finally:
         page.latch.release(system.sim.current)
@@ -137,7 +121,7 @@ def _apply_put(txn: "Transaction", table: "Table", rid: RID,
 
 
 def _apply_clear(txn: "Transaction", table: "Table", rid: RID,
-                 writer: str, origin: int):
+                 origin: tuple[str, int]):
     """Delete at an exact RID.  The slot must be occupied: shipping is
     exactly-once and in order, so a missing record means the replication
     invariant broke -- fail loudly rather than paper over it."""
@@ -152,21 +136,15 @@ def _apply_clear(txn: "Transaction", table: "Table", rid: RID,
         if record is None:
             raise StorageError(
                 f"shipped clear of empty slot {rid} on {table.name!r} "
-                f"(writer={writer}, origin_lsn={origin})")
+                f"(writer, origin_lsn = {origin})")
         snapshot = table.maintenance.prepare_delete(txn, rid, record)
         page.clear(rid.slot)
+        payload, size = table.log_payload(rid, None, record.values,
+                                          snapshot, origin)
         log_record = txn.log(
-            RecordKind.UPDATE,
-            page_id=page.page_id,
-            redo=("heap.clear", {"table": table.name, "rid": rid,
-                                 "capacity": table.page_capacity}),
-            undo=("heap.delete", {"table": table.name, "rid": rid,
-                                  "values": record.values}),
-            info={"table": table.name, "action": "delete", "rid": rid,
-                  "visible_count": snapshot.count,
-                  "sf_routed": list(snapshot.sf_routed),
-                  "upstream": writer, "origin_lsn": origin},
-        )
+            RecordKind.UPDATE, page_id=page.page_id,
+            redo=("heap.clear", payload), undo=("heap.delete", payload),
+            size=size)
         system.buffer.mark_dirty(page, log_record.lsn)
     finally:
         page.latch.release(system.sim.current)
@@ -178,7 +156,7 @@ def _apply_clear(txn: "Transaction", table: "Table", rid: RID,
 def committed_origin_floors(system: "System") -> dict[str, int]:
     """Per original writer, the highest origin LSN durably applied here.
 
-    Scans the local log once: applied records are local UPDATEs tagged
+    Scans the local log: applied records are local heap UPDATEs tagged
     with ``(upstream, origin_lsn)``; only those whose local transaction
     COMMITted count (an apply batch that crashed mid-flight is rolled
     back by restart and must be re-shipped).  Because batches apply
@@ -192,13 +170,12 @@ def committed_origin_floors(system: "System") -> dict[str, int]:
             committed.add(record.txn_id)
     floors: dict[str, int] = {}
     for record in system.log.scan():
-        if record.kind is not RecordKind.UPDATE:
+        if record.kind is not RecordKind.UPDATE \
+                or record.redo_op not in SHIPPABLE_OPS \
+                or record.payload[H_ORIGIN] is None \
+                or record.txn_id not in committed:
             continue
-        info = record.info or {}
-        writer = info.get("upstream")
-        if writer is None or record.txn_id not in committed:
-            continue
-        origin = int(info.get("origin_lsn", 0))
+        writer, origin = record.payload[H_ORIGIN]
         if origin > floors.get(writer, 0):
             floors[writer] = origin
     return floors

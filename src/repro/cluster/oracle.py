@@ -34,9 +34,10 @@ from __future__ import annotations
 from typing import Optional, TYPE_CHECKING
 
 from repro.btree.audit import TreeAuditError
+from repro.cluster.apply import shippable
 from repro.storage.rid import RID
+from repro.storage.table import H_RID, H_TABLE, H_VALUES
 from repro.verify.consistency import ConsistencyError, audit_all
-from repro.wal.records import RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -66,19 +67,14 @@ def physical_fold(log: "LogManager", tables, *,
     wanted = set(tables)
     state: dict[str, dict[RID, tuple]] = {name: {} for name in wanted}
     for record in log.scan(to_lsn=upto_lsn):
-        if record.kind not in (RecordKind.UPDATE,
-                               RecordKind.COMPENSATION):
+        if not shippable(record):
             continue
-        if record.redo is None:
-            continue
-        op, args = record.redo
-        table = args.get("table")
+        table, rid = record.payload[H_TABLE], record.payload[H_RID]
         if table not in wanted:
             continue
-        rid = RID(*args["rid"])
-        if op == "heap.put":
-            state[table][rid] = tuple(args["values"])
-        elif op == "heap.clear":
+        if record.redo_op == "heap.put":
+            state[table][rid] = record.payload[H_VALUES]
+        else:
             state[table].pop(rid, None)
     return state
 

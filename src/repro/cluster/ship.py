@@ -47,6 +47,7 @@ from repro.errors import TransactionAborted
 from repro.faultinject.injector import InjectedCrash
 from repro.faultinject.sites import fault_point
 from repro.sim.kernel import Delay
+from repro.storage.table import H_TABLE
 from repro.wal.records import LogRecord
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -99,8 +100,7 @@ class Subscription:
     def _applies(self, record: LogRecord) -> bool:
         if not shippable(record):
             return False
-        args = record.redo[1]
-        if args.get("table") not in self.node.system.tables:
+        if record.payload[H_TABLE] not in self.node.system.tables:
             return False
         writer, origin = record_identity(self.upstream.name, record)
         if writer == self.node.name:
@@ -142,7 +142,7 @@ class Subscription:
                     cluster.trigger_failover()
                     return
                 applicable = [
-                    (record,) + record_identity(self.upstream.name, record)
+                    (record, record_identity(self.upstream.name, record))
                     for record in batch if self._applies(record)]
                 if applicable:
                     try:
@@ -175,16 +175,15 @@ class Subscription:
             txn = system.txns.begin(f"apply-{self.node.name}")
             try:
                 fault_point(self.cluster.metrics, "cluster.apply")
-                for record, writer, origin in applicable:
-                    yield from apply_record(txn, system, record,
-                                            writer, origin)
+                for record, origin in applicable:
+                    yield from apply_record(txn, system, record, origin)
                 yield from txn.commit()
                 break
             except TransactionAborted:
                 yield from txn.rollback()
                 system.metrics.incr("cluster.apply_retries")
                 yield Delay(1.0)
-        for _record, writer, origin in applicable:
+        for _record, (writer, origin) in applicable:
             if origin > self.floors.get(writer, 0):
                 self.floors[writer] = origin
         system.metrics.incr("cluster.batches_applied")

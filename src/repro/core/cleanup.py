@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.btree.tree import index_payload
 from repro.core.descriptor import IndexDescriptor
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE
@@ -69,16 +70,12 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
                     leaf.entries.remove(entry)
                     tree.dirty.add(leaf.page_no)
                     removed += 1
-                    txn.log(
-                        RecordKind.UPDATE,
-                        redo=("index.apply", {
-                            "index": descriptor.name,
-                            "action": "physical_delete",
-                            "key_value": entry.key_value,
-                            "rid": tuple(entry.rid)}),
-                        info={"index": descriptor.name, "reason": "gc"},
-                        writer="gc",
-                    )
+                    payload, size = index_payload(
+                        descriptor.name, "physical_delete", None,
+                        entry.key_value, entry.rid)
+                    txn.log(RecordKind.UPDATE,
+                            redo=("index.apply", payload), size=size,
+                            info={"reason": "gc"}, writer="gc")
         finally:
             leaf.latch.release(system.sim.current)
         if removed or skipped:

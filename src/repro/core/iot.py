@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.loader import BulkLoader
-from repro.btree.tree import BTree
+from repro.btree.tree import BTree, index_payload
 from repro.errors import RecordNotFoundError, StorageError
 from repro.sidefile import SideFile, register_sidefile_operations
 from repro.sim.kernel import Acquire, Delay
@@ -34,7 +34,8 @@ from repro.sim.latch import EXCLUSIVE, SHARE
 from repro.sort import RunFormation, RunStore, final_merger
 from repro.storage.page import Record
 from repro.storage.rid import RID
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import (HEADER_SIZE, OP_SIZE, LogRecord, RecordKind,
+                               value_size)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -106,12 +107,10 @@ class IOTable:
         behind = self._behind_scan(pk)
         self.rows[pk] = record
         self.primary.apply_logical("insert", pk, RID(0, 0))
-        txn.log(RecordKind.UPDATE,
-                redo=("iot.put", {"table": self.name, "pk": pk,
-                                  "values": record.values}),
-                undo=("iot.insert", {"table": self.name, "pk": pk,
-                                     "values": record.values}),
-                info={"table": self.name, "behind_scan": behind})
+        payload, size = iot_payload(self.name, pk, record.values, None,
+                                    behind)
+        txn.log(RecordKind.UPDATE, redo=("iot.put", payload),
+                undo=("iot.insert", payload), size=size)
         self._maintain(txn, pk, None, record, behind)
         yield Delay(self.system.config.record_op_cost)
         self.system.metrics.incr("iot.inserts")
@@ -125,11 +124,10 @@ class IOTable:
         behind = self._behind_scan(pk)
         del self.rows[pk]
         self.primary.apply_logical("physical_delete", pk, RID(0, 0))
-        txn.log(RecordKind.UPDATE,
-                redo=("iot.del", {"table": self.name, "pk": pk}),
-                undo=("iot.delete", {"table": self.name, "pk": pk,
-                                     "values": record.values}),
-                info={"table": self.name, "behind_scan": behind})
+        payload, size = iot_payload(self.name, pk, None, record.values,
+                                    behind)
+        txn.log(RecordKind.UPDATE, redo=("iot.del", payload),
+                undo=("iot.delete", payload), size=size)
         self._maintain(txn, pk, record, None, behind)
         yield Delay(self.system.config.record_op_cost)
         self.system.metrics.incr("iot.deletes")
@@ -147,13 +145,10 @@ class IOTable:
         behind = self._behind_scan(pk)
         new = Record(tuple(new_values))
         self.rows[pk] = new
-        txn.log(RecordKind.UPDATE,
-                redo=("iot.put", {"table": self.name, "pk": pk,
-                                  "values": new.values}),
-                undo=("iot.update", {"table": self.name, "pk": pk,
-                                     "old_values": old.values,
-                                     "new_values": new.values}),
-                info={"table": self.name, "behind_scan": behind})
+        payload, size = iot_payload(self.name, pk, new.values, old.values,
+                                    behind)
+        txn.log(RecordKind.UPDATE, redo=("iot.put", payload),
+                undo=("iot.update", payload), size=size)
         self._maintain_update(txn, pk, old, new, behind)
         yield Delay(self.system.config.record_op_cost)
         self.system.metrics.incr("iot.updates")
@@ -216,31 +211,17 @@ class IOTable:
     def _direct(self, txn, index: IotSecondaryIndex, pk,
                 old: Optional[Record], new: Optional[Record]) -> None:
         rid = self.pk_rid(pk)
-        if old is not None:
-            index.tree.apply_logical("physical_delete", index.key_of(old),
-                                     rid)
-            txn.log(RecordKind.UPDATE,
-                    redo=("index.apply", {"index": index.name,
-                                          "action": "physical_delete",
-                                          "key_value": index.key_of(old),
-                                          "rid": tuple(rid)}),
-                    undo=("index.undo", {"index": index.name,
-                                         "action": "insert",
-                                         "key_value": index.key_of(old),
-                                         "rid": tuple(rid)}),
-                    info={"index": index.name})
-        if new is not None:
-            index.tree.apply_logical("insert", index.key_of(new), rid)
-            txn.log(RecordKind.UPDATE,
-                    redo=("index.apply", {"index": index.name,
-                                          "action": "insert",
-                                          "key_value": index.key_of(new),
-                                          "rid": tuple(rid)}),
-                    undo=("index.undo", {"index": index.name,
-                                         "action": "physical_delete",
-                                         "key_value": index.key_of(new),
-                                         "rid": tuple(rid)}),
-                    info={"index": index.name})
+        for record, action, undo_action in (
+                (old, "physical_delete", "insert"),
+                (new, "insert", "physical_delete")):
+            if record is None:
+                continue
+            key = index.key_of(record)
+            index.tree.apply_logical(action, key, rid)
+            payload, size = index_payload(index.name, action, undo_action,
+                                          key, rid)
+            txn.log(RecordKind.UPDATE, redo=("index.apply", payload),
+                    undo=("index.undo", payload), size=size)
 
     # -- scans and audits --------------------------------------------------------------
 
@@ -255,8 +236,8 @@ class IOTable:
         ops = self.system.log.operations
         if ops.knows("iot.put"):
             return
-        ops.register("iot.put", redo=_redo_iot_put)
-        ops.register("iot.del", redo=_redo_iot_del)
+        ops.register("iot.put", redo=_redo_iot)
+        ops.register("iot.del", redo=_redo_iot)
         ops.register("iot.insert", redo=_reject, undo=_undo_iot_insert)
         ops.register("iot.delete", redo=_reject, undo=_undo_iot_delete)
         ops.register("iot.update", redo=_reject, undo=_undo_iot_update)
@@ -372,26 +353,44 @@ def _table(system: "System", name: str) -> Optional[IOTable]:
     return table if isinstance(table, IOTable) else None
 
 
-def _redo_iot_put(system: "System", record: LogRecord):
-    _op, args = record.redo
-    table = _table(system, args["table"])
+#: Field positions of the one payload every ``iot.*`` operation reads
+#: (built by :func:`iot_payload`): table name, primary key, the row the
+#: redo half puts (``None``: it deletes), the row an undo restores, and
+#: whether the key was behind the build's scan (section 6.2's visibility).
+IOT_TABLE, IOT_PK, IOT_VALUES, IOT_OLD_VALUES, IOT_BEHIND = range(5)
+
+
+def iot_payload(table: str, pk, values: Optional[tuple],
+                old_values: Optional[tuple] = None, behind: bool = False,
+                *, undo: bool = True) -> tuple[tuple, int]:
+    """The payload of one ``iot.*`` log record and its logged size: each
+    half as if it carried table name and key itself, the redo half its
+    row once, the undo half (``undo=False``: a CLR has none) both."""
+    half = OP_SIZE + len(table) + value_size(pk)
+    rows = 0
+    if values is not None:
+        rows = 8 * (len(values) or 1)
+    size = HEADER_SIZE + half + rows
+    if undo:
+        if old_values is not None:
+            rows += 8 * (len(old_values) or 1)
+        size += half + rows
+    return (table, pk, values, old_values, behind), size
+
+
+def _redo_iot(system: "System", record: LogRecord):
+    payload = record.payload
+    table = _table(system, payload[IOT_TABLE])
     if table is not None:
-        pk = args["pk"]
-        table.rows[pk] = Record(tuple(args["values"]))
-        table.primary.apply_logical("insert", pk, RID(0, 0))
+        pk, values = payload[IOT_PK], payload[IOT_VALUES]
+        if values is None:
+            table.rows.pop(pk, None)
+            table.primary.apply_logical("physical_delete", pk, RID(0, 0))
+        else:
+            table.rows[pk] = Record(values)
+            table.primary.apply_logical("insert", pk, RID(0, 0))
     return
     yield  # pragma: no cover - generator shape
-
-
-def _redo_iot_del(system: "System", record: LogRecord):
-    _op, args = record.redo
-    table = _table(system, args["table"])
-    if table is not None:
-        pk = args["pk"]
-        table.rows.pop(pk, None)
-        table.primary.apply_logical("physical_delete", pk, RID(0, 0))
-    return
-    yield  # pragma: no cover
 
 
 def _reject(system, record):  # pragma: no cover
@@ -399,46 +398,41 @@ def _reject(system, record):  # pragma: no cover
 
 
 def _undo_iot_insert(system: "System", txn, record: LogRecord):
-    _op, args = record.undo
-    table = _table(system, args["table"])
+    name, pk = record.payload[IOT_TABLE], record.payload[IOT_PK]
+    table = _table(system, name)
     if table is not None:
-        pk = args["pk"]
         old = table.rows.pop(pk, None)
         table.primary.apply_logical("physical_delete", pk, RID(0, 0))
         table._maintain(txn, pk, old, None,
                         behind=table._behind_scan(pk))
-    clr_redo = ("iot.del", {"table": args["table"], "pk": args["pk"]})
+    clr, size = iot_payload(name, pk, None, undo=False)
     yield Delay(system.config.record_op_cost)
-    return clr_redo, None
+    return ("iot.del", clr), size, None
 
 
 def _undo_iot_delete(system: "System", txn, record: LogRecord):
-    _op, args = record.undo
-    table = _table(system, args["table"])
-    restored = Record(tuple(args["values"]))
+    name, pk = record.payload[IOT_TABLE], record.payload[IOT_PK]
+    table = _table(system, name)
+    restored = Record(record.payload[IOT_OLD_VALUES])
     if table is not None:
-        pk = args["pk"]
         table.rows[pk] = restored
         table.primary.apply_logical("insert", pk, RID(0, 0))
         table._maintain(txn, pk, None, restored,
                         behind=table._behind_scan(pk))
-    clr_redo = ("iot.put", {"table": args["table"], "pk": args["pk"],
-                            "values": restored.values})
+    clr, size = iot_payload(name, pk, restored.values, undo=False)
     yield Delay(system.config.record_op_cost)
-    return clr_redo, None
+    return ("iot.put", clr), size, None
 
 
 def _undo_iot_update(system: "System", txn, record: LogRecord):
-    _op, args = record.undo
-    table = _table(system, args["table"])
-    old = Record(tuple(args["old_values"]))
-    new = Record(tuple(args["new_values"]))
+    name, pk = record.payload[IOT_TABLE], record.payload[IOT_PK]
+    table = _table(system, name)
+    old = Record(record.payload[IOT_OLD_VALUES])
+    new = Record(record.payload[IOT_VALUES])
     if table is not None:
-        pk = args["pk"]
         table.rows[pk] = old
         table._maintain_update(txn, pk, new, old,
                                behind=table._behind_scan(pk))
-    clr_redo = ("iot.put", {"table": args["table"], "pk": args["pk"],
-                            "values": old.values})
+    clr, size = iot_payload(name, pk, old.values, undo=False)
     yield Delay(system.config.record_op_cost)
-    return clr_redo, None
+    return ("iot.put", clr), size, None

@@ -28,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TYPE_CHECKING
 
+from repro.btree.tree import index_payload
 from repro.sidefile import DELETE, INSERT, SideFile
 from repro.storage.rid import INFINITY_RID, RID
+from repro.storage.table import H_SF_ROUTED, H_VISIBLE
 from repro.wal.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -229,21 +231,21 @@ class IndexMaintenance:
 
     # -- rollback (Figure 2) -------------------------------------------------------
 
-    def on_undo(self, txn: "Transaction", log_record: LogRecord,
-                action: str, rid: RID,
+    def on_undo(self, txn: "Transaction", log_record: LogRecord, rid: RID,
                 old_record: Optional["Record"],
                 new_record: Optional["Record"]):
         """Compensate index effects for indexes that became visible
         between forward processing and rollback.
 
         ``old_record``/``new_record`` are the record states before/after
-        the undo.  Indexes visible at forward-processing time logged
-        their own key operations and are handled by the normal undo
-        chain; only the *newly visible* suffix of the index list needs
-        action here (visibility only grows, footnote 6).
+        the undo (``None``: no record -- an undone delete / insert).
+        Indexes visible at forward-processing time logged their own key
+        operations and are handled by the normal undo chain; only the
+        *newly visible* suffix of the index list needs action here
+        (visibility only grows, footnote 6).
         """
-        logged_count = log_record.info.get("visible_count", 0)
-        sf_routed = set(log_record.info.get("sf_routed", ()))
+        logged_count = log_record.payload[H_VISIBLE]
+        sf_routed = log_record.payload[H_SF_ROUTED]
         context = self._context()
         current_visible = [d for d in self.table.indexes
                            if self._is_visible(d, rid, context)]
@@ -260,20 +262,20 @@ class IndexMaintenance:
                 continue
             # Newly visible (Figure 2's count comparison) or side-file
             # routed: compensate now.
-            yield from self._compensate(txn, descriptor, context, action,
-                                        rid, old_record, new_record)
+            yield from self._compensate(txn, descriptor, context, rid,
+                                        old_record, new_record)
             self.system.metrics.incr("maintenance.figure2_compensations")
 
     def _compensate(self, txn: "Transaction",
                     descriptor: "IndexDescriptor",
-                    context: Optional[BuildContext], action: str,
-                    rid: RID, old_record, new_record):
+                    context: Optional[BuildContext], rid: RID,
+                    old_record, new_record):
         """One index's compensation: side-file entry while the build is
         incomplete, logical tree undo once it finished (Figure 2)."""
         changes: list[tuple[str, tuple]] = []
-        if action == "insert":          # undone insert: key must leave
+        if new_record is None:          # undone insert: key must leave
             changes.append((DELETE, descriptor.key_of(old_record)))
-        elif action == "delete":        # undone delete: key must return
+        elif old_record is None:        # undone delete: key must return
             changes.append((INSERT, descriptor.key_of(new_record)))
         else:                           # undone update
             before_key = descriptor.key_of(old_record)
@@ -297,15 +299,12 @@ class IndexMaintenance:
                 tree_action = ("pseudo_delete" if operation == DELETE
                                else "insert")
                 tree.apply_logical(tree_action, key, rid)
+                payload, size = index_payload(descriptor.name, tree_action,
+                                              None, key, rid)
                 self.system.log.append(
                     txn.txn_id, RecordKind.COMPENSATION,
-                    redo=("index.apply", {"index": descriptor.name,
-                                          "action": tree_action,
-                                          "key_value": key,
-                                          "rid": tuple(rid)}),
-                    info={"index": descriptor.name,
-                          "reason": "figure2-logical-undo"},
-                )
+                    redo=("index.apply", payload), size=size,
+                    info={"reason": "figure2-logical-undo"})
                 self.system.metrics.incr("maintenance.logical_tree_undos")
         return
         yield  # pragma: no cover - generator shape

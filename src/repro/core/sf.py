@@ -28,6 +28,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.btree.loader import BulkLoader
+from repro.btree.tree import IX_INDEX
 from repro.core.base import BuilderBase, BuildOptions, IndexSpec
 from repro.core.descriptor import IndexState
 from repro.core.maintenance import (
@@ -612,13 +613,10 @@ class SFIndexBuilder(BuilderBase):
         tree = descriptor.tree
         replayed = 0
         for record in self.system.log.scan():
-            if record.redo is None:
+            if record.redo_op != "index.apply" \
+                    or record.payload[IX_INDEX] != descriptor.name:
                 continue
-            op_name, args = record.redo
-            if op_name != "index.apply" \
-                    or args.get("index") != descriptor.name:
-                continue
-            tree.apply_logged(args)
+            tree.apply_logged(record.payload)
             replayed += 1
         if replayed:
             self.system.metrics.incr("build.torn_replayed_ops", replayed)

@@ -300,11 +300,9 @@ def _analysis(system: System, checkpoint) -> tuple[dict, int]:
         scan_from = 1
         redo_start = 1
 
-    max_txn_id = 0
     for record in system.log.scan(from_lsn=scan_from):
         if record.txn_id is None:
             continue
-        max_txn_id = max(max_txn_id, record.txn_id)
         if record.kind is RecordKind.END:
             txn_table.pop(record.txn_id, None)
             continue
@@ -314,18 +312,14 @@ def _analysis(system: System, checkpoint) -> tuple[dict, int]:
         entry["last_lsn"] = record.lsn
         if record.kind is RecordKind.COMMIT:
             entry["committed"] = True
-    system.txns._next_id = max(max_txn_id,
-                               _max_txn_id(system, scan_from))
+    # Ids must stay unique over the whole log, not only over what the
+    # analysis scanned: the master checkpoint may lie after the last
+    # transaction's records.
+    system.txns._next_id = max(
+        (record.txn_id for record in system.log.scan()
+         if record.txn_id is not None), default=0)
     system.metrics.incr("recovery.analysis_passes")
     return txn_table, redo_start
-
-
-def _max_txn_id(system: System, scan_from: int) -> int:
-    highest = 0
-    for record in system.log.scan():
-        if record.txn_id is not None:
-            highest = max(highest, record.txn_id)
-    return highest
 
 
 # -- redo and undo -------------------------------------------------------------------
@@ -336,11 +330,8 @@ def _redo_then_undo(system: System, txn_table: dict, redo_start: int):
     redo_upto = system.log.last_lsn  # CLRs we write go beyond this
     for record in list(system.log.scan(from_lsn=redo_start,
                                        to_lsn=redo_upto)):
-        if record.redo is None:
-            continue
-        op_name, _args = record.redo
-        handler = registry.redo(op_name)
-        yield from handler(system, record)
+        if record.redo_op is not None:
+            yield from registry.redo(record.redo_op)(system, record)
     system.metrics.incr("recovery.redo_passes")
     # Redo may have re-created pages the crash lost; refresh the bounds
     # before undo touches them.

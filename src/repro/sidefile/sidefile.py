@@ -27,7 +27,8 @@ from typing import Iterator, Optional, TYPE_CHECKING
 from repro.faultinject.sites import fault_point
 from repro.sim.kernel import Delay
 from repro.storage.rid import RID
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import (HEADER_SIZE, OP_SIZE, LogRecord, RecordKind,
+                               value_size)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -78,27 +79,29 @@ class SideFile:
         append entries without doing any locking of the appended entries"
         (section 3.1).
         """
-        record = txn.log(
-            RecordKind.UPDATE,
-            redo=("sidefile.append", {
-                "index": self.index_name,
-                "operation": operation,
-                "key_value": key_value,
-                "rid": tuple(rid),
-            }),
-            info={"sidefile": self.index_name},
-        )
-        entry = SideFileEntry(
-            operation=operation,
-            key_value=key_value,
-            rid=RID(*rid),
-            lsn=record.lsn,
-            txn_id=txn.txn_id,
-        )
-        self.entries.append(entry)
-        self._lsn_set.add(record.lsn)
+        payload, size = self._log_payload(operation, key_value, rid)
+        record = txn.log(RecordKind.UPDATE,
+                         redo=("sidefile.append", payload), size=size)
+        entry = self._add(payload, record.lsn, txn.txn_id)
         fault_point(self.system.metrics, "sidefile.append")
         self.system.metrics.incr("sidefile.appends")
+        return entry
+
+    def _log_payload(self, operation: str, key_value,
+                     rid: RID) -> tuple[tuple, int]:
+        """One append's ``SF_*`` payload and its logged size (redo-only:
+        header, tag, index name, operation, key value, RID)."""
+        return ((self.index_name, operation, key_value, rid),
+                HEADER_SIZE + OP_SIZE + len(self.index_name)
+                + len(operation) + value_size(key_value) + 16)
+
+    def _add(self, payload: tuple, lsn: int,
+             txn_id: Optional[int]) -> SideFileEntry:
+        """Append the entry a logged payload describes."""
+        entry = SideFileEntry(payload[SF_OPERATION], payload[SF_KEY],
+                              RID(*payload[SF_RID]), lsn, txn_id)
+        self.entries.append(entry)
+        self._lsn_set.add(lsn)
         return entry
 
     def append(self, txn: "Transaction", operation: str, key_value,
@@ -112,25 +115,13 @@ class SideFile:
                            key_value, rid: RID):
         """Generator-free variant used inside undo handlers (the CLR the
         caller writes covers durability); still counted separately."""
+        payload, size = self._log_payload(operation, key_value, rid)
         record = txn.system.log.append(
             txn.txn_id, RecordKind.UPDATE,
             prev_lsn=None,  # CLR chain is maintained by the caller
-            redo=("sidefile.append", {
-                "index": self.index_name,
-                "operation": operation,
-                "key_value": key_value,
-                "rid": tuple(rid),
-            }),
-            info={"sidefile": self.index_name, "during": "undo"},
-        )
-        self.entries.append(SideFileEntry(
-            operation=operation,
-            key_value=key_value,
-            rid=RID(*rid),
-            lsn=record.lsn,
-            txn_id=txn.txn_id,
-        ))
-        self._lsn_set.add(record.lsn)
+            redo=("sidefile.append", payload), size=size,
+            info={"during": "undo"})
+        self._add(payload, record.lsn, txn.txn_id)
         self.system.metrics.incr("sidefile.appends")
         self.system.metrics.incr("sidefile.appends.during_undo")
 
@@ -158,17 +149,9 @@ class SideFile:
 
     def redo_append(self, record: LogRecord) -> None:
         """Replay one append from the WAL if it was lost in the crash."""
-        _op, args = record.redo
         if record.lsn in self._lsn_set:
             return  # already present in the stable prefix
-        self.entries.append(SideFileEntry(
-            operation=args["operation"],
-            key_value=args["key_value"],
-            rid=RID(*args["rid"]),
-            lsn=record.lsn,
-            txn_id=record.txn_id,
-        ))
-        self._lsn_set.add(record.lsn)
+        self._add(record.payload, record.lsn, record.txn_id)
         self.system.metrics.incr("recovery.sidefile_redos")
 
     # -- reading -----------------------------------------------------------------
@@ -194,9 +177,13 @@ def register_sidefile_operations(system: "System") -> None:
     ops.register("sidefile.append", redo=_redo_sidefile_append)
 
 
+#: Field positions of a ``sidefile.append`` payload: the index under
+#: construction, then the entry -- operation, key value, RID.
+SF_INDEX, SF_OPERATION, SF_KEY, SF_RID = range(4)
+
+
 def _redo_sidefile_append(system: "System", record: LogRecord):
-    _op, args = record.redo
-    sidefile = system.sidefiles.get(args["index"])
+    sidefile = system.sidefiles.get(record.payload[SF_INDEX])
     if sidefile is not None:
         sidefile.redo_append(record)
     return

@@ -32,18 +32,30 @@ EXCLUSIVE = "X"
 
 
 class Latch:
-    """A share/exclusive latch with FIFO grant order."""
+    """A share/exclusive latch with FIFO grant order.
 
-    __slots__ = ("name", "metrics", "_holders", "_mode", "_waiters", "_sim")
+    Most latches are never waited for or named (a page's stable image is
+    not even latched): the first waiter makes the queue (``None`` reads
+    as empty) and the name is formatted when somebody asks.
+    """
 
-    def __init__(self, name: str,
+    __slots__ = ("_kind", "_ident", "metrics", "_holders", "_mode",
+                 "_waiters", "_sim")
+
+    def __init__(self, kind: str, ident: object = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
-        self.name = name
+        self._kind = kind
+        self._ident = ident
         self.metrics = metrics
         self._holders: dict["Process", int] = {}
         self._mode: Optional[str] = None
-        self._waiters: deque[tuple["Process", str, float]] = deque()
+        self._waiters: Optional[deque[tuple["Process", str, float]]] = None
         self._sim: Optional["Simulator"] = None
+
+    @property
+    def name(self) -> str:
+        return self._kind if self._ident is None \
+            else f"{self._kind}:{self._ident}"
 
     @property
     def busy(self) -> bool:
@@ -73,6 +85,8 @@ class Latch:
         else:
             if self.metrics is not None:
                 self.metrics.incr("latch.waits")
+            if self._waiters is None:
+                self._waiters = deque()
             self._waiters.append((proc, mode, sim.now))
 
     # -- grant logic -------------------------------------------------------
@@ -85,7 +99,8 @@ class Latch:
             return True
         if mode == SHARE and self._mode == SHARE:
             # Share joins shares only if no exclusive request is queued.
-            return not any(m == EXCLUSIVE for _p, m, _t in self._waiters)
+            return not any(m == EXCLUSIVE
+                           for _p, m, _t in self._waiters or ())
         return False
 
     def _grant(self, proc: "Process", mode: str) -> None:
@@ -132,7 +147,7 @@ class Latch:
             self._wake_waiters()
 
     def _wake_waiters(self) -> None:
-        if self._sim is None:
+        if self._sim is None or not self._waiters:
             return
         # Drop waiters that died (crashed/errored) while queued: granting
         # to a finished process would hold the latch forever because the
@@ -172,6 +187,7 @@ class Latch:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Latch {self.name!r} mode={self._mode} "
-                f"holders={len(self._holders)} waiters={len(self._waiters)}>")
+                f"holders={len(self._holders)} "
+                f"waiters={len(self._waiters or ())}>")
 
 

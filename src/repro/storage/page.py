@@ -10,7 +10,6 @@ S/X latch providing physical consistency (section 1.1 footnote 2).
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import PageFullError, RecordNotFoundError
@@ -19,20 +18,43 @@ from repro.sim.latch import Latch
 from repro.storage.rid import PageId, RID
 
 
-@dataclass(frozen=True)
 class Record:
     """One table record: a tuple of column values.
 
     Records are immutable; an update replaces the record in its slot (the
     paper's update-in-place with before/after images in the log record).
+    One is built per insert and per redo, so it is one slot written
+    through its descriptor, not a frozen dataclass.
     """
 
-    values: tuple
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple) -> None:
+        _set_values(self, values)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"Record is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Record:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"Record(values={self.values!r})"
 
     def project(self, column_indexes: tuple[int, ...]) -> tuple:
         """Concatenated key-column values (section 1.1: a key value is the
         concatenation of the indexed columns' values)."""
         return tuple(self.values[i] for i in column_indexes)
+
+
+_set_values = Record.values.__set__
 
 
 class DataPage:
@@ -47,7 +69,7 @@ class DataPage:
         self.capacity = capacity
         self.slots: list[Optional[Record]] = [None] * capacity
         self.page_lsn = 0
-        self.latch = Latch(f"data:{page_id}", metrics=metrics)
+        self.latch = Latch("data", page_id, metrics=metrics)
         #: maintained live-record count and lowest-possibly-free slot
         #: hint: free_slot/live_count/is_full run on every insert of the
         #: preload and workload hot paths, and the former O(capacity)

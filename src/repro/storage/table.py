@@ -27,7 +27,7 @@ from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE, SHARE
 from repro.storage.page import DataPage, Record
 from repro.storage.rid import PageId, RID
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import HEADER_SIZE, OP_SIZE, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -65,7 +65,7 @@ class NullMaintenance:
         return
         yield  # pragma: no cover - generator shape
 
-    def on_undo(self, txn, log_record, action, rid, old_record, new_record):
+    def on_undo(self, txn, log_record, rid, old_record, new_record):
         return
         yield  # pragma: no cover
 
@@ -104,6 +104,35 @@ class Table:
             return tuple(self.columns.index(c) for c in columns)
         except ValueError as exc:
             raise StorageError(f"unknown column in {columns!r}") from exc
+
+    # -- logging ---------------------------------------------------------------
+
+    def log_payload(self, rid: RID, values: Optional[tuple],
+                    old_values: Optional[tuple] = None,
+                    snapshot=_NullSnapshot, origin: Optional[tuple] = None,
+                    *, undo: bool = True) -> tuple[tuple, int]:
+        """The payload of one heap log record and its logged size.
+
+        Every heap record -- insert, delete, update, their CLRs
+        (``undo=False``: redo-only) and a replica's applied writes
+        (``origin``) -- is built here, fields at the ``H_*`` positions:
+        ``values`` is the image the redo half puts (``None``: it clears
+        the slot), ``old_values`` the image an undo restores.  Sized as
+        the halves would be apart: each its tag, the table name and the
+        RID, the redo half the page capacity and its image, the undo half
+        both images.
+        """
+        half = OP_SIZE + len(self.name) + 16
+        images = 0
+        if values is not None:
+            images = 8 * (len(values) or 1)
+        size = HEADER_SIZE + half + 8 + images
+        if undo:
+            if old_values is not None:
+                images += 8 * (len(old_values) or 1)
+            size += half + images
+        return (self.name, rid, values, old_values, snapshot.count,
+                tuple(snapshot.sf_routed), origin), size
 
     # -- forward processing ---------------------------------------------------
 
@@ -153,18 +182,12 @@ class Table:
         try:
             snapshot = self.maintenance.prepare_insert(txn, rid, record)
             page.put(rid.slot, record)
+            payload, size = self.log_payload(rid, record.values, None,
+                                             snapshot)
             log_record = txn.log(
-                RecordKind.UPDATE,
-                page_id=page.page_id,
-                redo=("heap.put", {"table": self.name, "rid": rid,
-                                   "values": record.values,
-                                   "capacity": self.page_capacity}),
-                undo=("heap.insert", {"table": self.name, "rid": rid,
-                                      "values": record.values}),
-                info={"table": self.name, "action": "insert", "rid": rid,
-                      "visible_count": snapshot.count,
-                      "sf_routed": list(snapshot.sf_routed)},
-            )
+                RecordKind.UPDATE, page_id=page.page_id,
+                redo=("heap.put", payload), undo=("heap.insert", payload),
+                size=size)
             self.system.buffer.mark_dirty(page, log_record.lsn)
         finally:
             page.latch.release(self.system.sim.current)
@@ -183,17 +206,12 @@ class Table:
             record = page.get(rid.slot)
             snapshot = self.maintenance.prepare_delete(txn, rid, record)
             page.clear(rid.slot)
+            payload, size = self.log_payload(rid, None, record.values,
+                                             snapshot)
             log_record = txn.log(
-                RecordKind.UPDATE,
-                page_id=page.page_id,
-                redo=("heap.clear", {"table": self.name, "rid": rid,
-                                     "capacity": self.page_capacity}),
-                undo=("heap.delete", {"table": self.name, "rid": rid,
-                                      "values": record.values}),
-                info={"table": self.name, "action": "delete", "rid": rid,
-                      "visible_count": snapshot.count,
-                      "sf_routed": list(snapshot.sf_routed)},
-            )
+                RecordKind.UPDATE, page_id=page.page_id,
+                redo=("heap.clear", payload), undo=("heap.delete", payload),
+                size=size)
             self.system.buffer.mark_dirty(page, log_record.lsn)
         finally:
             page.latch.release(self.system.sim.current)
@@ -216,19 +234,12 @@ class Table:
                                                        old_record,
                                                        new_record)
             page.put(rid.slot, new_record)
+            payload, size = self.log_payload(rid, new_record.values,
+                                             old_record.values, snapshot)
             log_record = txn.log(
-                RecordKind.UPDATE,
-                page_id=page.page_id,
-                redo=("heap.put", {"table": self.name, "rid": rid,
-                                   "values": new_record.values,
-                                   "capacity": self.page_capacity}),
-                undo=("heap.update", {"table": self.name, "rid": rid,
-                                      "old_values": old_record.values,
-                                      "new_values": new_record.values}),
-                info={"table": self.name, "action": "update", "rid": rid,
-                      "visible_count": snapshot.count,
-                      "sf_routed": list(snapshot.sf_routed)},
-            )
+                RecordKind.UPDATE, page_id=page.page_id,
+                redo=("heap.put", payload), undo=("heap.update", payload),
+                size=size)
             self.system.buffer.mark_dirty(page, log_record.lsn)
         finally:
             page.latch.release(self.system.sim.current)
@@ -327,34 +338,34 @@ class Table:
         ops = self.system.log.operations
         if ops.knows("heap.put"):
             return  # one registration per system, shared by all tables
-        ops.register("heap.put", redo=_redo_put)
-        ops.register("heap.clear", redo=_redo_clear)
-        ops.register("heap.insert", redo=_reject_redo, undo=_undo_insert)
-        ops.register("heap.delete", redo=_reject_redo, undo=_undo_delete)
-        ops.register("heap.update", redo=_reject_redo, undo=_undo_update)
+        ops.register("heap.put", redo=_redo)
+        ops.register("heap.clear", redo=_redo)
+        for undo_op in ("heap.insert", "heap.delete", "heap.update"):
+            ops.register(undo_op, redo=_reject_redo, undo=_undo)
 
 
-# -- redo handlers (called by restart recovery; generators) ---------------------
+#: Field positions of the one payload every ``heap.*`` operation reads
+#: (:meth:`Table.log_payload`): table name, RID, the image the redo half
+#: puts (``None``: clear), the image an undo restores, the count of
+#: visible indexes (section 3.1), the indexes whose maintenance went to a
+#: side-file, on a replica the write's original ``(writer, origin_lsn)``.
+(H_TABLE, H_RID, H_VALUES, H_OLD_VALUES, H_VISIBLE, H_SF_ROUTED,
+ H_ORIGIN) = range(7)
 
 
-def _redo_put(system: "System", record: LogRecord):
-    _op, args = record.redo
+# -- redo handler (called by restart recovery; a generator) --------------------
+
+
+def _redo(system: "System", record: LogRecord):
+    payload = record.payload
     page = yield from system.buffer.ensure_page(
-        record.page_id, args["capacity"])
+        record.page_id, system.tables[payload[H_TABLE]].page_capacity)
     if page.page_lsn < record.lsn:
-        rid = args["rid"]
-        page.put(rid[1], Record(tuple(args["values"])))
-        system.buffer.mark_dirty(page, record.lsn)
-        system.metrics.incr("recovery.redos")
-
-
-def _redo_clear(system: "System", record: LogRecord):
-    _op, args = record.redo
-    page = yield from system.buffer.ensure_page(
-        record.page_id, args["capacity"])
-    if page.page_lsn < record.lsn:
-        rid = args["rid"]
-        page.clear(rid[1])
+        slot, values = payload[H_RID][1], payload[H_VALUES]
+        if values is None:
+            page.clear(slot)
+        else:
+            page.put(slot, Record(values))
         system.buffer.mark_dirty(page, record.lsn)
         system.metrics.incr("recovery.redos")
 
@@ -363,63 +374,30 @@ def _reject_redo(system: "System", record: LogRecord):  # pragma: no cover
     raise AssertionError("undo payloads are never redone")
 
 
-# -- undo handlers (called by Transaction.rollback; generators) ------------------
+# -- undo handler (called by Transaction.rollback; a generator) ------------------
 
 
-def _undo_insert(system: "System", txn: "Transaction", record: LogRecord):
-    _op, args = record.undo
-    table = system.tables[args["table"]]
-    rid = RID(*args["rid"])
+def _undo(system: "System", txn: "Transaction", record: LogRecord):
+    """Put the old image back at the logged RID (an undone insert has
+    none: clear the slot), let the maintenance hook compensate
+    (Figure 2) and describe the CLR."""
+    payload = record.payload
+    table = system.tables[payload[H_TABLE]]
+    rid, undone, restored = \
+        payload[H_RID], payload[H_VALUES], payload[H_OLD_VALUES]
+    before = None if undone is None else Record(undone)
+    after = None if restored is None else Record(restored)
     page = yield from table._fetch_page(rid.page_no)
     yield Acquire(page.latch, EXCLUSIVE)
     try:
-        page.clear(rid.slot)
+        if after is None:
+            page.clear(rid.slot)
+        else:
+            page.put(rid.slot, after)
     finally:
         page.latch.release(system.sim.current)
     yield from table.maintenance.on_undo(
-        txn, record, action="insert", rid=rid,
-        old_record=Record(tuple(args["values"])), new_record=None)
-    clr_redo = ("heap.clear", {"table": table.name, "rid": rid,
-                               "capacity": table.page_capacity})
-    return clr_redo, page
-
-
-def _undo_delete(system: "System", txn: "Transaction", record: LogRecord):
-    _op, args = record.undo
-    table = system.tables[args["table"]]
-    rid = RID(*args["rid"])
-    restored = Record(tuple(args["values"]))
-    page = yield from table._fetch_page(rid.page_no)
-    yield Acquire(page.latch, EXCLUSIVE)
-    try:
-        page.put(rid.slot, restored)
-    finally:
-        page.latch.release(system.sim.current)
-    yield from table.maintenance.on_undo(
-        txn, record, action="delete", rid=rid,
-        old_record=None, new_record=restored)
-    clr_redo = ("heap.put", {"table": table.name, "rid": rid,
-                             "values": restored.values,
-                             "capacity": table.page_capacity})
-    return clr_redo, page
-
-
-def _undo_update(system: "System", txn: "Transaction", record: LogRecord):
-    _op, args = record.undo
-    table = system.tables[args["table"]]
-    rid = RID(*args["rid"])
-    old = Record(tuple(args["old_values"]))
-    new = Record(tuple(args["new_values"]))
-    page = yield from table._fetch_page(rid.page_no)
-    yield Acquire(page.latch, EXCLUSIVE)
-    try:
-        page.put(rid.slot, old)
-    finally:
-        page.latch.release(system.sim.current)
-    yield from table.maintenance.on_undo(
-        txn, record, action="update", rid=rid,
-        old_record=new, new_record=old)
-    clr_redo = ("heap.put", {"table": table.name, "rid": rid,
-                             "values": old.values,
-                             "capacity": table.page_capacity})
-    return clr_redo, page
+        txn, record, rid=rid, old_record=before, new_record=after)
+    clr, size = table.log_payload(rid, restored, undo=False)
+    op = "heap.clear" if restored is None else "heap.put"
+    return (op, clr), size, page

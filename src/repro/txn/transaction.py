@@ -13,8 +13,8 @@ Transactions follow ARIES conventions:
 Undo handlers are generators registered in the WAL's operation registry
 with signature ``undo(system, txn, record)``; they perform the physical
 undo (latching and dirtying pages as needed) and return
-``(clr_redo_payload, page)`` so the transaction can write the CLR and stamp
-the page with its LSN.
+``(clr_redo, clr_size, page)`` -- the CLR's redo half and its logged size --
+so the transaction can write the CLR and stamp the page with its LSN.
 """
 
 from __future__ import annotations
@@ -93,15 +93,16 @@ class Transaction:
     # -- logging ------------------------------------------------------------
 
     def log(self, kind: RecordKind, *, page_id: Any = None,
-            redo: Optional[tuple[str, dict]] = None,
-            undo: Optional[tuple[str, dict]] = None,
+            redo: Optional[tuple[str, Any]] = None,
+            undo: Optional[tuple[str, Any]] = None,
             undo_next_lsn: Optional[int] = None,
             info: Optional[dict] = None,
-            writer: str = "txn") -> LogRecord:
+            writer: str = "txn",
+            size: Optional[int] = None) -> LogRecord:
         """Append a chained log record for this transaction."""
         record = self.system.log.append(
             self.txn_id, kind, self.last_lsn, page_id, redo, undo,
-            undo_next_lsn, info, writer)
+            undo_next_lsn, info, writer, size)
         if self.first_lsn is None:
             self.first_lsn = record.lsn
         self.last_lsn = record.lsn
@@ -149,17 +150,19 @@ class Transaction:
             if record.kind is RecordKind.COMPENSATION:
                 lsn = record.undo_next_lsn
                 continue
-            if record.kind is not RecordKind.UPDATE or record.undo is None:
+            if record.kind is not RecordKind.UPDATE \
+                    or record.undo_op is None:
                 lsn = record.prev_lsn
                 continue
-            op_name, _args = record.undo
-            handler = registry.undo(op_name)
-            clr_redo, page = yield from handler(self.system, self, record)
+            handler = registry.undo(record.undo_op)
+            clr_redo, clr_size, page = \
+                yield from handler(self.system, self, record)
             clr = self.log(
                 RecordKind.COMPENSATION,
                 page_id=page.page_id if page is not None else None,
                 redo=clr_redo,
                 undo_next_lsn=record.prev_lsn,
+                size=clr_size,
             )
             if page is not None:
                 self.system.buffer.mark_dirty(page, clr.lsn)

@@ -44,20 +44,23 @@ class LogManager:
     def append(self, txn_id: Optional[int], kind: RecordKind,
                prev_lsn: Optional[int] = None,
                page_id: Any = None,
-               redo: Optional[tuple[str, dict]] = None,
-               undo: Optional[tuple[str, dict]] = None,
+               redo: Optional[tuple[str, Any]] = None,
+               undo: Optional[tuple[str, Any]] = None,
                undo_next_lsn: Optional[int] = None,
                info: Optional[dict] = None,
-               writer: str = "txn") -> LogRecord:
+               writer: str = "txn",
+               size: Optional[int] = None) -> LogRecord:
         """Append one record; returns it with its LSN assigned.
 
         ``writer`` tags who wrote the record ("txn", "ib", "recovery") for
-        the per-writer log-volume counters used by experiment E1.  The
-        record keeps ``info`` itself, not a copy (see :class:`LogRecord`).
+        the per-writer log-volume counters used by experiment E1.
+        ``redo`` and ``undo`` are ``(op_name, payload)`` halves over one
+        shared payload, ``size`` the writer's closed-form logged bytes
+        (see :class:`LogRecord`).
         """
         records = self.records
         record = LogRecord(len(records) + 1, txn_id, kind, prev_lsn,
-                           page_id, redo, undo, undo_next_lsn, info)
+                           page_id, redo, undo, undo_next_lsn, info, size)
         records.append(record)
         metrics = self.metrics
         if metrics.fault_injector is not None:

@@ -26,7 +26,8 @@ dispatch.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import WALError
 
@@ -46,84 +47,112 @@ class RecordKind(enum.Enum):
 class LogRecord:
     """One WAL record.
 
-    ``redo`` and ``undo`` are operation payloads -- ``(op_name, args)``
-    tuples -- or ``None``; their presence classifies the record as
-    undo-redo, redo-only or undo-only exactly as in the paper.
-    ``undo_next_lsn`` is the ARIES CLR back-pointer: during rollback it
-    skips already-compensated records.
+    A record names up to two operations, ``redo_op`` and ``undo_op``
+    (their presence classifies it as undo-redo, redo-only or undo-only
+    exactly as in the paper), and carries **one** ``payload`` that both
+    halves read.  A registered operation's payload is a flat tuple with
+    its fields at the positions its resource manager declares next to
+    ``ops.register`` (``H_*`` in :mod:`repro.storage.table`, ``IX_*`` in
+    :mod:`repro.btree.tree`, ...), bookkeeping included (count of visible
+    indexes, origin of a replicated write): such a record needs no
+    ``info``, and one written without shares the read-only
+    :data:`NO_INFO`.  ``undo_next_lsn`` is the ARIES CLR back-pointer:
+    during rollback it skips already-compensated records.
 
-    The record *owns* its ``info`` dict: callers hand over one they just
-    built and do not touch it again.  ``size`` -- approximate logged
-    bytes, for log-volume experiments (E1) -- is computed once, here;
-    payloads are never changed after the record is built.
+    ``size`` -- approximate logged bytes, for log-volume experiments
+    (E1) -- is stated by the writer, who knows it in closed form: a
+    header and, per half, the operation tag plus the fields that half
+    would carry on its own.  Only an ad-hoc mapping payload (tests,
+    utilities) is measured here.  A payload never changes once logged.
     """
 
-    __slots__ = ("lsn", "txn_id", "kind", "prev_lsn", "page_id", "redo",
-                 "undo", "undo_next_lsn", "info", "size")
+    __slots__ = ("lsn", "txn_id", "kind", "prev_lsn", "page_id", "redo_op",
+                 "undo_op", "payload", "undo_next_lsn", "info", "size")
 
     def __init__(self, lsn: int, txn_id: Optional[int], kind: RecordKind,
                  prev_lsn: Optional[int] = None,
                  page_id: Optional[Any] = None,
-                 redo: Optional[tuple[str, dict]] = None,
-                 undo: Optional[tuple[str, dict]] = None,
+                 redo: Optional[tuple[str, Any]] = None,
+                 undo: Optional[tuple[str, Any]] = None,
                  undo_next_lsn: Optional[int] = None,
-                 info: Optional[dict] = None) -> None:
+                 info: Optional[Mapping] = None,
+                 size: Optional[int] = None) -> None:
         self.lsn = lsn
         self.txn_id = txn_id
         self.kind = kind
         self.prev_lsn = prev_lsn
         self.page_id = page_id
-        self.redo = redo
-        self.undo = undo
         self.undo_next_lsn = undo_next_lsn
-        self.info = {} if info is None else info
-        size = 32  # header: lsn, txn, kind, chaining
-        if redo is not None:
-            size += 8 + _payload_size(redo[1])
-        if undo is not None:
-            size += 8 + _payload_size(undo[1])
+        self.info = NO_INFO if info is None else info
+        half = undo if redo is None else redo
+        if size is None:  # no halves to carry, or an ad-hoc payload
+            size = HEADER_SIZE if half is None else _payload_size(redo, undo)
         self.size = size
+        self.payload = None if half is None else half[1]
+        self.redo_op = None if redo is None else redo[0]
+        self.undo_op = None if undo is None else undo[0]
+
+    @property
+    def redo(self) -> Optional[tuple[str, Any]]:
+        """``(op_name, payload)`` of the redo half, or ``None``."""
+        return None if self.redo_op is None \
+            else (self.redo_op, self.payload)
+
+    @property
+    def undo(self) -> Optional[tuple[str, Any]]:
+        """``(op_name, payload)`` of the undo half, or ``None``."""
+        return None if self.undo_op is None \
+            else (self.undo_op, self.payload)
 
     @property
     def is_undo_redo(self) -> bool:
-        return self.redo is not None and self.undo is not None
+        return self.redo_op is not None and self.undo_op is not None
 
     @property
     def is_redo_only(self) -> bool:
-        return self.redo is not None and self.undo is None
+        return self.redo_op is not None and self.undo_op is None
 
     @property
     def is_undo_only(self) -> bool:
-        return self.redo is None and self.undo is not None
+        return self.redo_op is None and self.undo_op is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<LogRecord {self.lsn} txn={self.txn_id} "
                 f"{self.kind.value} page={self.page_id}>")
 
 
-def _payload_size(args: dict) -> int:
-    total = 0
-    for value in args.values():
-        # exact types first: a payload is ints, strs, plain tuples and
-        # RIDs; isinstance only decides for what is left (tuple and str
-        # subclasses such as RID, floats, None)
-        kind = type(value)
-        if kind is int:
-            total += 8
-        elif kind is str:
-            total += len(value)
-        elif kind is tuple or kind is list \
-                or isinstance(value, (list, tuple)):
-            total += 8 * (len(value) or 1)
-        elif isinstance(value, str):
-            total += len(value)
-        else:
-            total += 8
-    return total
+#: ``info`` of every record written without one; a write to it raises
+NO_INFO: Mapping = MappingProxyType({})
+
+#: logged bytes of the record header (lsn, txn, kind, chaining) and of
+#: one half's operation tag
+HEADER_SIZE = 32
+OP_SIZE = 8
+
+
+def value_size(value: Any) -> int:
+    """Logged bytes of one payload field: a key value, RID or list by
+    its length, a string by its characters, anything else one word."""
+    if isinstance(value, (tuple, list)):
+        return 8 * (len(value) or 1)
+    if isinstance(value, str):
+        return len(value)
+    return 8
+
+
+def _payload_size(redo: Optional[tuple[str, Mapping]],
+                  undo: Optional[tuple[str, Mapping]]) -> int:
+    """Size of a record whose writer gave none: an ad-hoc mapping
+    payload, shared by both halves and walked once for each."""
+    if redo is not None and undo is not None and redo[1] != undo[1]:
+        raise WALError("the redo and undo halves share one payload")
+    return HEADER_SIZE + sum(
+        OP_SIZE + sum(map(value_size, half[1].values()))
+        for half in (redo, undo) if half is not None)
 
 
 RedoFn = Callable[..., None]
-UndoFn = Callable[..., Optional[tuple[str, dict]]]
+UndoFn = Callable[..., tuple[tuple[str, tuple], int, Any]]
 
 
 class OperationRegistry:
@@ -131,9 +160,9 @@ class OperationRegistry:
 
     Resource managers (heap, B+-tree, side-file) register their operations
     at system construction.  Recovery and rollback dispatch through here.
-    The undo callable returns the redo payload for the compensation log
-    record describing what the undo physically did (ARIES: CLRs are
-    redo-only).
+    The undo callable returns the redo half, and its logged size, of the
+    compensation log record describing what the undo physically did
+    (ARIES: CLRs are redo-only), plus the page to stamp with it.
     """
 
     def __init__(self) -> None:

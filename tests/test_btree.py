@@ -3,7 +3,7 @@
 import pytest
 
 from repro.btree import BTree, BulkLoader, IBCursor, InsertOutcome, audit_tree
-from repro.btree.tree import MIN_RID
+from repro.btree.tree import IX_ACTION, IX_INDEX, IX_KEY, MIN_RID
 from repro.errors import IndexBuildError, UniqueViolationError
 from repro.storage import RID
 from repro.system import System, SystemConfig
@@ -72,7 +72,7 @@ def test_duplicate_insert_is_noop_with_undo_only_log():
     assert outcomes == [InsertOutcome.INSERTED, InsertOutcome.DUPLICATE_NOOP]
     assert tree.key_count() == 1
     undo_only = [r for r in system.log.scan()
-                 if r.is_undo_only and r.info.get("index") == "idx"]
+                 if r.is_undo_only and r.payload[IX_INDEX] == "idx"]
     assert len(undo_only) == 1
 
 
@@ -353,9 +353,9 @@ def test_ib_multi_key_log_records():
     drive(system, body())
     ib_updates = [r for r in system.log.scan()
                   if r.kind.value == "update"
-                  and r.redo and r.redo[1].get("action") == "insert_many"]
+                  and r.redo and r.redo[1][IX_ACTION] == "insert_many"]
     assert len(ib_updates) < 8  # batched, not one per key
-    total_keys = sum(len(r.redo[1]["keys"]) for r in ib_updates)
+    total_keys = sum(len(r.redo[1][IX_KEY]) for r in ib_updates)
     assert total_keys == 8
 
 

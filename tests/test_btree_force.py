@@ -281,7 +281,7 @@ def test_redo_of_replace_rid_images_the_old_rids_leaf(oracle):
     new_rid = RID(0, 0)
     assert tree._traverse((key_value, new_rid))[0] is not right
     tree.apply_logical("replace_rid", key_value, new_rid,
-                       extra={"old_rid": tuple(old_rid)})
+                       old_rid=tuple(old_rid))
     assert right.entries[0].rid == new_rid
     tree.force()
     assert oracle[-1][1:] == (2, 2)

@@ -174,6 +174,32 @@ def test_restart_is_idempotent_after_second_crash():
     assert table_contents(second, "t") == [(1,)]
 
 
+@pytest.mark.parametrize("checkpoint_last", [False, True])
+def test_transaction_ids_stay_unique_across_restart(checkpoint_last):
+    """A transaction begun after restart gets an id above every id in
+    the log -- also when the master checkpoint lies after the last
+    transaction's records and the analysis scan meets none of them."""
+    system = System()
+    table = system.create_table("t", ["k"])
+
+    def body():
+        for i in range(3):
+            txn = system.txns.begin()
+            yield from table.insert(txn, (i,))
+            yield from txn.commit()
+
+    drive(system, body())
+    if checkpoint_last:
+        system.log.write_checkpoint({}, dict(system.buffer.dirty), {})
+    system.log.flush()
+    system.crash()
+    recovered, _state = restart(system)
+    logged = {record.txn_id for record in recovered.log.scan()
+              if record.txn_id is not None}
+    assert logged == {1, 2, 3}
+    assert recovered.txns.begin().txn_id == 4
+
+
 def test_clr_prevents_double_undo():
     """Crash *during* rollback: restart must not undo twice."""
     system = System()
@@ -189,9 +215,10 @@ def test_clr_prevents_double_undo():
         # partial rollback: undo only the delete, then crash
         record = system.log.get(loser.last_lsn)
         handler = system.log.operations.undo(record.undo[0])
-        clr_redo, page = yield from handler(system, loser, record)
+        clr_redo, clr_size, page = yield from handler(system, loser,
+                                                      record)
         clr = loser.log(RecordKind.COMPENSATION, redo=clr_redo,
-                        page_id=page.page_id,
+                        size=clr_size, page_id=page.page_id,
                         undo_next_lsn=record.prev_lsn)
         system.buffer.mark_dirty(page, clr.lsn)
         system.log.flush()

@@ -8,6 +8,36 @@ from repro.sim import Acquire, Delay, Latch, Simulator
 from repro.sim.latch import EXCLUSIVE, SHARE
 
 
+def test_wait_queue_and_name_are_made_on_first_use():
+    """Most latches never see a waiter: no queue until one arrives, no
+    formatted name until somebody asks; "no queue" reads as empty."""
+    latch = Latch("data", 7)
+    sim = Simulator()
+    order = []
+
+    def holder():
+        yield Acquire(latch, EXCLUSIVE)
+        assert latch._waiters is None and latch.busy
+        yield Delay(5)
+        assert len(latch._waiters) == 1
+        latch.release(sim.current)
+
+    def waiter():
+        yield Delay(1)
+        yield Acquire(latch, SHARE)
+        order.append(sim.now)
+        latch.release(sim.current)
+
+    assert latch._waiters is None and not latch.busy and not latch.held
+    sim.spawn(holder(), name="holder")
+    sim.spawn(waiter(), name="waiter")
+    sim.run()
+    assert order == [5]
+    assert not latch.busy
+    latch.release(None)  # best-effort release of a free latch: a no-op
+    assert latch.name == "data:7" and Latch("p1").name == "p1"
+
+
 def test_share_holders_coexist():
     latch = Latch("p1")
     inside = []

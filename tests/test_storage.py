@@ -18,6 +18,25 @@ def drive(system, body):
     return proc.result
 
 
+# -- Record -------------------------------------------------------------------
+
+
+def test_record_is_one_immutable_slot():
+    rec = Record((1, "a", 2.5))
+    assert rec.values == (1, "a", 2.5)
+    assert rec.project((2, 0)) == (2.5, 1)
+    assert rec == Record((1, "a", 2.5)) and rec != Record((1, "a"))
+    assert hash(rec) == hash(Record((1, "a", 2.5)))
+    assert repr(rec) == "Record(values=(1, 'a', 2.5))"
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(AttributeError):
+        rec.values = (2,)
+    with pytest.raises(AttributeError):
+        rec.other = 1
+    with pytest.raises(AttributeError):
+        del rec.values
+
+
 # -- DataPage ----------------------------------------------------------------
 
 

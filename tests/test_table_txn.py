@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockVictim, RecordNotFoundError
 from repro.storage import RID
+from repro.storage.table import H_VISIBLE
 from repro.system import System, SystemConfig
 from repro.txn import TxnState
 from repro.wal import RecordKind
@@ -261,7 +262,7 @@ def test_visible_count_logged_as_zero_without_indexes():
     drive(system, body())
     update = next(r for r in system.log.scan()
                   if r.kind is RecordKind.UPDATE)
-    assert update.info["visible_count"] == 0
+    assert update.payload[H_VISIBLE] == 0
 
 
 def test_read_of_missing_record_raises():

@@ -108,6 +108,36 @@ def test_operation_registry_dispatch_and_errors():
         reg.register("op.a", redo=lambda s, r: None)
 
 
+def test_the_writer_states_the_size_of_a_flat_payload():
+    log = LogManager()
+    payload = ("t", (0, 1), (7,))
+    record = log.append(1, RecordKind.UPDATE, redo=("a", payload),
+                        undo=("b", payload), size=104)
+    assert record.size == 104 and log.metrics.get("wal.bytes") == 104
+    assert record.redo == ("a", payload) and record.undo == ("b", payload)
+    assert record.payload is payload and record.is_undo_redo
+    with pytest.raises(AttributeError):  # only a mapping can be measured
+        log.append(1, RecordKind.UPDATE, redo=("a", payload))
+
+
+def test_the_halves_of_a_record_share_one_payload():
+    log = LogManager()
+    with pytest.raises(WALError):
+        log.append(1, RecordKind.UPDATE, redo=("a", {"v": 1}),
+                   undo=("b", {"v": 2}))
+
+
+def test_info_of_a_record_written_without_one_is_read_only():
+    log = LogManager()
+    commit = log.append(1, RecordKind.COMMIT)
+    end = log.append(1, RecordKind.END)
+    assert commit.info is end.info and not commit.info
+    with pytest.raises(TypeError):
+        commit.info["k"] = 1
+    own = log.append(1, RecordKind.UTILITY, info={"k": 1})
+    assert own.info == {"k": 1}
+
+
 def test_record_size_counts_payloads():
     log = LogManager()
     small = log.append(1, RecordKind.UPDATE, redo=("x", {"v": 1}))

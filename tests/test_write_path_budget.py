@@ -8,7 +8,9 @@ the style of ``test_btree_descent.py``.
 """
 
 import cProfile
+import gc
 import os
+import tracemalloc
 
 import pytest
 
@@ -16,6 +18,7 @@ import repro
 from repro.metrics import MetricsRegistry
 from repro.system import System
 from repro.txn.locks import _LockHead
+from repro.wal.records import NO_INFO, _payload_size
 
 ROWS = 2_000
 TXN_ROWS = 500
@@ -41,18 +44,23 @@ def preload(system, table, rows, held):
     yield from txn.commit()
 
 
-@pytest.fixture(scope="module")
-def profiled_preload():
+def run_preload(held):
     system = System(seed=1)
     table = system.create_table("t", ["k", "a", "p"])
     rows = [(i * 7919 % 100_003, i % 97, f"p{i:06d}") for i in range(ROWS)]
-    held: list[int] = []
-    profiler = cProfile.Profile()
-    profiler.enable()
     for start in range(0, ROWS, TXN_ROWS):
         system.spawn(preload(system, table, rows[start:start + TXN_ROWS],
                              held), name="preload")
         system.run()
+    return system
+
+
+@pytest.fixture(scope="module")
+def profiled_preload():
+    held: list[int] = []
+    profiler = cProfile.Profile()
+    profiler.enable()
+    system = run_preload(held)
     profiler.disable()
     # code object -> call count, for every function defined in src/repro
     calls = {entry.code: entry.callcount for entry in profiler.getstats()
@@ -65,8 +73,10 @@ def test_an_uncontended_insert_stays_inside_its_call_budget(
         profiled_preload):
     system, calls, names_held = profiled_preload
     per_row = sum(calls.values()) / ROWS
-    # 71.8 before the write-path work, 43 after it
-    assert per_row <= 48, f"{per_row:.1f} repro calls per inserted row"
+    # 71.8 before the write-path work, 43.3 after it
+    assert per_row <= 44, f"{per_row:.1f} repro calls per inserted row"
+    # the writer states each record's size; nothing walks a payload
+    assert _payload_size.__code__ not in calls
     # heap.inserts, and heap.pages_allocated once a page: everything
     # hotter bumps metrics.counters in place
     assert calls[MetricsRegistry.incr.__code__] <= 2 * ROWS
@@ -75,6 +85,42 @@ def test_an_uncontended_insert_stays_inside_its_call_budget(
     assert names_held == ROWS + ROWS // TXN_ROWS
     assert calls[_LockHead.__init__.__code__] == names_held
     assert system.locks._heads == {}
+
+
+def containers(value) -> int:
+    """dicts and lists in a payload, however deep."""
+    if isinstance(value, dict):
+        return 1 + sum(map(containers, value.values()))
+    if isinstance(value, (list, tuple)):
+        return isinstance(value, list) + sum(map(containers, value))
+    return 0
+
+
+def test_an_inserted_row_leaves_one_flat_payload_resident():
+    """The log is never truncated, so what a row's log record keeps is
+    resident for good: a slotted record and one tuple (about 1 000
+    bytes a row when each half had its own dict and ``info`` a third;
+    lock heads are freed at commit and do not count)."""
+    gc.collect()
+    tracemalloc.start()
+    system = run_preload([])
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    resident = snapshot.filter_traces([
+        tracemalloc.Filter(True, SRC + os.path.join("storage", "table.py")),
+        tracemalloc.Filter(True, SRC + os.path.join("wal", "*")),
+        tracemalloc.Filter(True, SRC + os.path.join("txn",
+                                                    "transaction.py")),
+    ])
+    per_row = sum(stat.size for stat in resident.statistics("filename")) \
+        / ROWS
+    assert per_row <= 400, f"{per_row:.0f} resident bytes per inserted row"
+    records = list(system.log.scan())
+    assert all(record.info is NO_INFO for record in records)
+    assert sum(containers(record.payload) for record in records) == 0
+    assert not any(hasattr(record, "__dict__")
+                   for _rid, record in system.tables["t"].audit_records())
 
 
 def test_the_cheaper_path_does_the_same_simulated_work(profiled_preload):
