@@ -664,7 +664,8 @@ class BTree:
                     target = insert_sorted(
                         leaf, KeyEntry(key_value, rid),
                         specialized_for_ib=True)
-                    pending.append((key_value, tuple(rid)))
+                    # the merger's own pair: the sort keeps it anyway
+                    pending.append(keys[index])
                     index += 1
                     cursor.leaf_no = target.page_no
                     cursor.version = self.structure_version
@@ -940,9 +941,10 @@ class BTree:
         single leaf-latch hold ("the log record can contain multiple
         keys", section 2.2.3).
 
-        The record keeps its own copy of the caller's list.
+        The record keeps the caller's list, not a copy: each latched group
+        builds a fresh one and never touches it again.
         """
-        self._log_key_op(ib_txn, "insert_many", list(keys), None,
+        self._log_key_op(ib_txn, "insert_many", keys, None,
                          undo_action="remove_many", writer="ib")
 
     # ------------------------------------------------------------------

@@ -16,15 +16,14 @@ Supported request flavours, all used by the algorithms:
   an effect (commit-check idiom).
 
 Deadlock detection builds the waits-for graph on each blocking request and
-aborts the youngest transaction in any cycle.
+aborts the youngest transaction in the first cycle :func:`find_cycle`
+reports, until no cycle is left.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Hashable, Optional, TYPE_CHECKING
-
-import networkx as nx
+from typing import Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import DeadlockVictim, TransactionError
 from repro.metrics import MetricsRegistry
@@ -255,34 +254,30 @@ class LockManager:
         # in it make no further requests, so nothing triggers detection
         # again and the system quietly wedges.
         while True:
-            graph = self._waits_for_graph()
-            try:
-                cycle = nx.find_cycle(graph)
-            except nx.NetworkXNoCycle:
+            cycle = find_cycle(self._waits_for_graph())
+            if cycle is None:
                 return
-            members = {edge[0] for edge in cycle} \
-                | {edge[1] for edge in cycle}
-            victim_id = max(members)  # youngest transaction dies
             self.metrics.incr("lock.deadlocks")
-            self._abort_waiter(victim_id)
+            self._abort_waiter(max(cycle))  # youngest transaction dies
 
-    def _waits_for_graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
+    def _waits_for_graph(self) -> WaitsFor:
+        graph: WaitsFor = {}
         for head in self._heads.values():
-            earlier: list[tuple["Transaction", str]] = []
+            earlier: list["Transaction"] = []
             for waiter, mode, _event, _instant in head.queue:
+                waiter_id = waiter.txn_id
                 for holder, held_mode in head.holders.items():
                     if holder is not waiter \
                             and not _COMPATIBLE[(held_mode, mode)]:
-                        graph.add_edge(waiter.txn_id, holder.txn_id)
+                        _add_edge(graph, waiter_id, holder.txn_id)
                 # FIFO: a waiter waits behind EVERY earlier request in
                 # the same queue, compatible or not -- _drain stops at
                 # the first non-grantable entry, so a compatible request
                 # queued behind a blocked one is just as blocked.
-                for ahead, ahead_mode in earlier:
+                for ahead in earlier:
                     if ahead is not waiter:
-                        graph.add_edge(waiter.txn_id, ahead.txn_id)
-                earlier.append((waiter, mode))
+                        _add_edge(graph, waiter_id, ahead.txn_id)
+                earlier.append(waiter)
         return graph
 
     def _abort_waiter(self, victim_id: int) -> None:
@@ -315,3 +310,71 @@ class LockManager:
 
     def is_locked(self, name: Hashable) -> bool:
         return bool(self._heads.get(name) and self._heads[name].holders)
+
+
+# -- the waits-for search ---------------------------------------------------
+
+#: A waits-for graph: transaction id -> the ids it waits for.  Ids are
+#: keys in first-insertion order (an edge inserts its waiter, then the
+#: waited-for id); each successor list is in first-insertion order
+#: without repeats.
+WaitsFor = dict[int, list[int]]
+
+
+def _add_edge(graph: WaitsFor, waiter: int, waited_for: int) -> None:
+    successors = graph.get(waiter)
+    if successors is None:
+        successors = graph[waiter] = []
+    if waited_for not in graph:
+        graph[waited_for] = []
+    if waited_for not in successors:
+        successors.append(waited_for)
+
+
+def find_cycle(graph: WaitsFor) -> Optional[list[int]]:
+    """The first cycle in ``graph`` as its member ids, from the one the
+    search re-entered on; None when the graph is acyclic.
+
+    When several cycles coexist, which one is found first decides which
+    transaction dies, so the search is networkx 3.x ``find_cycle(G)``'s,
+    step for step: start ids in insertion order, skipping every id an
+    earlier start explored; from each, a depth-first walk over *edges*
+    that takes an id's successors in order and resumes its iterator when
+    the walk returns to it; an active path cut back to the current
+    edge's tail on every backtrack; the first edge whose head is on the
+    active path closes the cycle.
+    """
+    explored: set[int] = set()
+    for start in graph:
+        if start in explored:
+            continue
+        active = {start}
+        path: list[tuple[int, int]] = []
+        successors: dict = {}
+        stack = [start]
+        while stack:
+            tail = stack[-1]
+            pending = successors.get(tail)
+            if pending is None:
+                pending = successors[tail] = iter(graph[tail])
+            head = next(pending, None)
+            if head is None:
+                stack.pop()
+                continue
+            stack.append(head)
+            if head in explored:
+                continue  # no cycle through an explored id
+            if path and path[-1][1] != tail:
+                # Backtracked: cut the path back to the edge into
+                # ``tail``, or restart it at ``tail`` if none is left.
+                while path and path[-1][1] != tail:
+                    active.remove(path.pop()[1])
+                if not path:
+                    active = {tail}
+            path.append((tail, head))
+            if head in active:
+                tails = [edge_tail for edge_tail, _head in path]
+                return tails[tails.index(head):]
+            active.add(head)
+        explored.update(successors)  # every id this start reached
+    return None

@@ -29,34 +29,41 @@ class ConsistencyError(ReproError):
 def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
     """Verify one index against its table; returns summary statistics."""
     tree_stats = audit_tree(descriptor.tree)
-    table = descriptor.table
-    expected = set()
-    for rid, record in table.audit_records():
-        expected.add((descriptor.key_of(record), rid))
-    actual = set()
+    key_of = descriptor.key_of
+    # One set, the table's; every live tree entry strikes its own off.
+    # The structural audit above proved the entries strictly ascending,
+    # so a repeated entry, or a repeated key value, is the one before.
+    missing = {(key_of(record), rid)
+               for rid, record in descriptor.table.audit_records()}
+    spurious = []
+    entries = 0
+    previous = None
+    duplicate_key_value = False
     for entry in descriptor.tree.all_entries():
         item = (entry.key_value, entry.rid)
-        if item in actual:
-            raise ConsistencyError(
-                f"{descriptor.name}: duplicate live entry {item!r}")
-        actual.add(item)
-    missing = expected - actual
-    spurious = actual - expected
+        if previous is not None:
+            if item == previous:
+                raise ConsistencyError(
+                    f"{descriptor.name}: duplicate live entry {item!r}")
+            duplicate_key_value |= item[0] == previous[0]
+        previous = item
+        entries += 1
+        try:
+            missing.remove(item)
+        except KeyError:
+            spurious.append(item)
     if missing or spurious:
         raise ConsistencyError(
             f"{descriptor.name}: index/table mismatch -- "
             f"{len(missing)} missing (e.g. {_sample(missing)}), "
             f"{len(spurious)} spurious (e.g. {_sample(spurious)})")
-    if descriptor.unique:
-        key_values = [key for key, _rid in actual]
-        if len(key_values) != len(set(key_values)):
-            raise ConsistencyError(
-                f"{descriptor.name}: unique index holds duplicate key "
-                f"values")
+    if descriptor.unique and duplicate_key_value:
+        raise ConsistencyError(
+            f"{descriptor.name}: unique index holds duplicate key values")
     pseudo = descriptor.tree.key_count(include_pseudo_deleted=True) \
         - descriptor.tree.key_count()
     return {
-        "entries": len(actual),
+        "entries": entries,
         "pseudo_deleted": pseudo,
         "leaves": tree_stats.get("leaves", 0),
         "height": tree_stats.get("height", 0),
@@ -75,5 +82,5 @@ def audit_all(system: "System") -> dict:
     return reports
 
 
-def _sample(items: set, limit: int = 3) -> list:
+def _sample(items, limit: int = 3) -> list:
     return sorted(items)[:limit]

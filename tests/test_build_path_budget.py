@@ -7,20 +7,30 @@ yield's worth out of the merge and into the loader), so what runs per key
 is C: ``itemgetter``, ``heapq``, ``sorted``, list slices.  The bound is
 in exact call counts (they repeat; host time does not), in the style of
 ``test_write_path_budget.py``.
+
+Under NSF the key's last stop is also a log record ("the log record can
+contain multiple keys", section 2.2.3), resident until the log is: it
+holds the pair the merger handed over, not a copy, and the bound on what
+the tree keeps per key is in traced bytes.
 """
 
 import cProfile
 import os
+import tracemalloc
 
 import pytest
 
 import repro
+from repro.btree.tree import IX_ACTION, IX_KEY
 from repro.core import IndexSpec, get_builder
+from repro.sort import RestartableMerger
 from repro.system import System, SystemConfig
 
 ROWS = 8_000
 TXN_ROWS = 500
+NSF_ROWS = 4_000
 SRC = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+TREE_PY = os.path.join(SRC, "btree", "tree.py")
 
 
 # in first-touch order, which is the order snapshots print in
@@ -47,17 +57,22 @@ def preload(system, table, rows):
     yield from txn.commit()
 
 
-@pytest.fixture(scope="module")
-def profiled_build():
+def preloaded(rows):
     system = System(SystemConfig(page_capacity=16, leaf_capacity=16,
                                  branch_capacity=16, sort_workspace=256,
                                  merge_fanin=8), seed=1)
     table = system.create_table("t", ["k", "a", "p"])
-    rows = [(i * 7919 % 100_003, i % 97, f"p{i:06d}") for i in range(ROWS)]
-    for start in range(0, ROWS, TXN_ROWS):
+    rows = [(i * 7919 % 100_003, i % 97, f"p{i:06d}") for i in range(rows)]
+    for start in range(0, len(rows), TXN_ROWS):
         system.spawn(preload(system, table, rows[start:start + TXN_ROWS]),
                      name="preload")
         system.run()
+    return system, table
+
+
+@pytest.fixture(scope="module")
+def profiled_build():
+    system, table = preloaded(ROWS)
     builder = get_builder("sf")(system, table,
                                 [IndexSpec.of("idx_k", ["k"])])
     profiler = cProfile.Profile()
@@ -102,3 +117,41 @@ def test_the_cheaper_path_does_the_same_simulated_work(profiled_build):
     index = system.indexes["idx_k"]
     assert index.is_available
     assert index.tree.key_count() == ROWS
+
+
+def test_an_ib_log_record_holds_the_mergers_own_pairs(monkeypatch):
+    system, table = preloaded(NSF_ROWS)
+    handed_over = []
+    pop_many = RestartableMerger.pop_many
+
+    def recording_pop_many(merger, limit):
+        batch = pop_many(merger, limit)
+        handed_over.extend(batch)
+        return batch
+
+    monkeypatch.setattr(RestartableMerger, "pop_many", recording_pop_many)
+    builder = get_builder("nsf")(system, table,
+                                 [IndexSpec.of("idx_k", ["k"])])
+    tracemalloc.start()
+    try:
+        system.spawn(builder.run(), name="ib")
+        system.run()
+        resident = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, TREE_PY)])
+    finally:
+        tracemalloc.stop()
+    keys = system.metrics.get("index.inserts.ib")
+    assert keys == NSF_ROWS == len(handed_over)
+    logged = [pair for record in system.log.records
+              if record.redo_op == "index.apply"
+              and record.payload[IX_ACTION] == "insert_many"
+              for pair in record.payload[IX_KEY]]
+    # no traffic, so nothing was rejected: every key popped is logged,
+    # in order, as the very object popped
+    assert len(logged) == keys
+    assert all(mine is theirs for mine, theirs in zip(logged, handed_over))
+    # what the build left allocated by tree.py: an index entry, the
+    # stable image's share and the log record's, per key.  311 bytes
+    # while each logged key was a fresh (key, tuple(rid)) pair.
+    per_key = sum(trace.size for trace in resident.traces) / keys
+    assert per_key <= 240, f"{per_key:.0f} bytes resident per IB key"

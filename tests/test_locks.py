@@ -1,11 +1,13 @@
 """Unit tests for the lock manager (repro.txn.locks)."""
 
+import random
+
 import pytest
 
 from repro.errors import DeadlockVictim, TransactionError
 from repro.sim import Delay
 from repro.system import System
-from repro.txn.locks import _LockHead, _union
+from repro.txn.locks import _LockHead, _union, find_cycle
 
 
 def drive_all(system, bodies):
@@ -471,3 +473,134 @@ def test_free_name_grant_equals_the_general_path(mode, flavour):
 
     (probe,) = drive_all(system, [prober()])
     assert probe.result is (instant or mode != "X")
+
+
+# -- victim order when cycles coexist ----------------------------------------
+
+
+def wedged_locks(seed):
+    """A lock table built directly, not by processes: seeded holders, then
+    every transaction queued on at most one name, conversions included.
+    Each blocking request is checked as it is made, so processes could
+    not reach most of these states -- but a grant or an abort-time drain
+    can leave several cycles standing at once, and then the order of the
+    search decides who dies."""
+    rng = random.Random(seed)
+    system = System()
+    locks = system.locks
+    txns = [system.txns.begin() for _ in range(rng.randint(5, 9))]
+    names = [("r", i) for i in range(rng.randint(3, 6))]
+    for name in names:
+        head = locks._heads[name] = _LockHead()
+        shared = rng.random() < 0.5
+        for txn in rng.sample(txns, rng.randint(1, 3) if shared else 1):
+            head.holders[txn] = "S" if shared else "X"
+            txn.held_locks.add(name)
+    for txn in txns:
+        choices = [name for name in names
+                   if locks._heads[name].holders.get(txn) != "X"]
+        if not choices or rng.random() < 0.2:
+            continue
+        name = rng.choice(choices)
+        head = locks._heads[name]
+        mode = "X" if txn in head.holders or rng.random() < 0.6 else "S"
+        if head.grantable(txn, mode) \
+                and not locks._blocked_behind(head, txn):
+            continue  # lock() would have granted it
+        head.queue.append((txn, mode, system.sim.event(), False))
+        txn.waiting_on = name
+    return system, locks
+
+
+def edge_list(graph):
+    return [(waiter, waited_for) for waiter, successors in graph.items()
+            for waited_for in successors]
+
+
+def has_cycle(edges, without=()):
+    """Kahn's algorithm, independent of the search under test."""
+    edges = [(u, v) for u, v in edges
+             if u not in without and v not in without]
+    indegree = {node: 0 for edge in edges for node in edge}
+    for _u, v in edges:
+        indegree[v] += 1
+    ready = [node for node, count in indegree.items() if count == 0]
+    removed = 0
+    while ready:
+        node = ready.pop()
+        removed += 1
+        for u, v in edges:
+            if u == node:
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+    return removed < len(indegree)
+
+
+def victims_in_order(seed):
+    """(waits-for edges before detection, the ids aborted, in order)."""
+    system, locks = wedged_locks(seed)
+    edges = edge_list(locks._waits_for_graph())
+    victims = []
+    abort = locks._abort_waiter
+
+    def recording_abort(victim_id):
+        victims.append(victim_id)
+        abort(victim_id)
+
+    locks._abort_waiter = recording_abort
+    name, head = next((name, head) for name, head in locks._heads.items()
+                      if head.queue)
+    locks._detect_deadlock(head.queue[0][0], name)
+    assert system.metrics.get("lock.deadlocks") == len(victims)
+    assert find_cycle(locks._waits_for_graph()) is None
+    return edges, victims
+
+
+#: seed -> the transaction ids ``_detect_deadlock`` aborts, in order, as
+#: recorded with networkx's ``find_cycle`` doing the search: the first
+#: twelve seeds with coexisting cycles, then three whose victims change
+#: if the start ids are taken in reverse (most change with reversed
+#: successor lists)
+VICTIMS = {
+    1: [6, 4], 10: [5, 8], 25: [8, 7, 5], 26: [5, 6, 4], 38: [5, 4],
+    40: [8, 3], 46: [2, 5, 3], 54: [4, 5], 58: [9, 2], 65: [6, 7],
+    66: [5, 4], 72: [5, 3, 2], 124: [3, 7], 230: [6, 4], 310: [3, 9],
+}
+
+
+def test_coexisting_cycles_abort_the_recorded_victims():
+    for seed, expected in VICTIMS.items():
+        edges, victims = victims_in_order(seed)
+        # two cycles at once: one survives the first victim's removal
+        assert has_cycle(edges, without={expected[0]}), seed
+        assert victims == expected, seed
+
+
+def test_find_cycle_follows_networkx():
+    """The search is networkx 3.x ``find_cycle(G)``'s: same cycle, same
+    first edge, on random graphs and on every wedged lock table above."""
+    nx = pytest.importorskip("networkx")
+
+    def reference(edges):
+        graph = nx.DiGraph(edges)
+        try:
+            return [edge[0] for edge in nx.find_cycle(graph)]
+        except nx.NetworkXNoCycle:
+            return None
+
+    rng = random.Random(20)
+    for _ in range(3000):
+        nodes = rng.randint(1, 9)
+        graph = {}
+        for _ in range(rng.randint(0, 18)):
+            u, v = rng.randrange(nodes), rng.randrange(nodes)
+            if u != v:
+                graph.setdefault(u, [])
+                graph.setdefault(v, [])
+                if v not in graph[u]:
+                    graph[u].append(v)
+        assert find_cycle(graph) == reference(edge_list(graph)), graph
+    for seed in VICTIMS:
+        graph = wedged_locks(seed)[1]._waits_for_graph()
+        assert find_cycle(graph) == reference(edge_list(graph)), seed

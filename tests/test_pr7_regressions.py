@@ -130,7 +130,10 @@ def test_waits_for_graph_includes_compatible_queued_followers():
 
     def probe():
         yield Delay(3)
-        seen["edges"] = set(system.locks._waits_for_graph().edges())
+        graph = system.locks._waits_for_graph()
+        seen["edges"] = {(waiter, waited_for)
+                         for waiter, successors in graph.items()
+                         for waited_for in successors}
 
     drive_all(system, [holder(), waiter("s1", 1), waiter("s2", 2),
                        probe()])
