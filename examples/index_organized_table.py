@@ -90,6 +90,12 @@ def main() -> None:
     sample = next(iter(builder.index.tree.all_entries()))
     print(f"  sample entry: <{sample.key_value[0]!r}, "
           f"pk={sample.rid.page_no}>")
+    counters = system.metrics.snapshot()
+    print(f"  log: {counters['wal.records']} records, "
+          f"{counters['wal.bytes']} bytes")
+    for name in sorted(counters):
+        if name.startswith("iot."):
+            print(f"  {name}: {counters[name]}")
 
 
 if __name__ == "__main__":

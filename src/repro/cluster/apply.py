@@ -3,13 +3,13 @@
 Replication here is *physical and logical at once*: the shipped record
 is the primary's physical ``heap.put`` / ``heap.clear`` redo payload
 (the same payloads ARIES-lite restart replays), but the replica applies
-it through its own full write path -- page latch, record lock, local
-WAL record, and crucially its own **index maintenance**
-(:meth:`prepare_insert` and friends).  That last part is the point of
-the whole subsystem: a replica building a divergent index online keeps
-its side-file fed by the apply loop exactly as a primary build is fed
-by foreground updates, so the paper's no-quiesce machinery carries over
-to replication unchanged.
+it through its own full write path -- record lock, page latch, local
+WAL record, and crucially its own **index maintenance** (the one
+:meth:`Table.write` a local writer makes).  That last part is the
+point of the whole subsystem: a replica building a divergent index
+online keeps its side-file fed by the apply loop exactly as a primary
+build is fed by foreground updates, so the paper's no-quiesce
+machinery carries over to replication unchanged.
 
 Every applied record is tagged in its local WAL payload (``H_ORIGIN``)
 with the identity of the *original* write -- ``(upstream, origin_lsn)``,
@@ -26,15 +26,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
-from repro.sim.kernel import Acquire, Delay
-from repro.sim.latch import EXCLUSIVE
 from repro.storage.page import Record
-from repro.storage.rid import RID
 from repro.storage.table import H_ORIGIN, H_RID, H_TABLE, H_VALUES
 from repro.wal.records import LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.table import Table
     from repro.system import System
     from repro.txn.transaction import Transaction
 
@@ -65,92 +61,31 @@ def shippable(record: LogRecord) -> bool:
 def apply_record(txn: "Transaction", system: "System", record: LogRecord,
                  origin: tuple[str, int]):
     """Generator: apply one shipped record inside the local ``txn``,
-    tagged with its :func:`record_identity` ``origin``."""
+    tagged with its :func:`record_identity` ``origin``.
+
+    The primary's physical history dictates the slot, so the replica
+    extends its heap file to cover it and then makes the write a local
+    writer makes (:meth:`Table.write`): a put into an empty slot logs an
+    insert, over a record an update, so a crashed apply transaction
+    rolls back exactly like any local writer.  A clear must find a
+    record: shipping is exactly-once and in order, so a missing one
+    means the replication invariant broke, and the write fails loudly
+    naming ``origin`` rather than paper over it.
+    """
     payload = record.payload
     table = system.tables.get(payload[H_TABLE])
     if table is None:
         raise StorageError(
             f"shipped record for unknown table {payload[H_TABLE]!r}")
-    if record.redo_op == "heap.put":
-        yield from _apply_put(txn, table, payload[H_RID],
-                              payload[H_VALUES], origin)
-    else:
-        yield from _apply_clear(txn, table, payload[H_RID], origin)
-
-
-def _apply_put(txn: "Transaction", table: "Table", rid: RID,
-               values: tuple, origin: tuple[str, int]):
-    """Insert-or-update at an exact RID, mirroring the primary's write.
-
-    The primary's physical history dictates the slot, so the replica
-    pre-extends the heap file to cover it, then classifies the put by
-    peeking the slot: empty means the original was an insert, occupied
-    an update.  Undo payloads are the standard ones -- a crashed apply
-    transaction rolls back exactly like any local writer.
-    """
-    system = table.system
-    record = Record(values)
+    rid, values = payload[H_RID], payload[H_VALUES]
     yield from table._intent_lock(txn)
     granted = yield from txn.lock(table.lock_name(rid), "X")
     assert granted
     while table.page_count <= rid.page_no:
         yield from table._allocate_page()
-    page = yield from table._fetch_page(rid.page_no)
-    yield Acquire(page.latch, EXCLUSIVE)
-    try:
-        old = page.peek(rid.slot)
-        if old is None:
-            snapshot = table.maintenance.prepare_insert(txn, rid, record)
-            undo_op, old_values = "heap.insert", None
-        else:
-            snapshot = table.maintenance.prepare_update(txn, rid, old,
-                                                        record)
-            undo_op, old_values = "heap.update", old.values
-        page.put(rid.slot, record)
-        payload, size = table.log_payload(rid, record.values, old_values,
-                                          snapshot, origin)
-        log_record = txn.log(
-            RecordKind.UPDATE, page_id=page.page_id,
-            redo=("heap.put", payload), undo=(undo_op, payload), size=size)
-        system.buffer.mark_dirty(page, log_record.lsn)
-    finally:
-        page.latch.release(system.sim.current)
-    yield Delay(system.config.record_op_cost)
-    system.metrics.incr("cluster.applied_puts")
-    yield from table.maintenance.apply_direct(txn, snapshot)
-
-
-def _apply_clear(txn: "Transaction", table: "Table", rid: RID,
-                 origin: tuple[str, int]):
-    """Delete at an exact RID.  The slot must be occupied: shipping is
-    exactly-once and in order, so a missing record means the replication
-    invariant broke -- fail loudly rather than paper over it."""
-    system = table.system
-    yield from table._intent_lock(txn)
-    granted = yield from txn.lock(table.lock_name(rid), "X")
-    assert granted
-    page = yield from table._fetch_page(rid.page_no)
-    yield Acquire(page.latch, EXCLUSIVE)
-    try:
-        record = page.peek(rid.slot)
-        if record is None:
-            raise StorageError(
-                f"shipped clear of empty slot {rid} on {table.name!r} "
-                f"(writer, origin_lsn = {origin})")
-        snapshot = table.maintenance.prepare_delete(txn, rid, record)
-        page.clear(rid.slot)
-        payload, size = table.log_payload(rid, None, record.values,
-                                          snapshot, origin)
-        log_record = txn.log(
-            RecordKind.UPDATE, page_id=page.page_id,
-            redo=("heap.clear", payload), undo=("heap.delete", payload),
-            size=size)
-        system.buffer.mark_dirty(page, log_record.lsn)
-    finally:
-        page.latch.release(system.sim.current)
-    yield Delay(system.config.record_op_cost)
-    system.metrics.incr("cluster.applied_clears")
-    yield from table.maintenance.apply_direct(txn, snapshot)
+    yield from table.write(txn, rid,
+                           None if values is None else Record(values),
+                           origin=origin)
 
 
 def committed_origin_floors(system: "System") -> dict[str, int]:

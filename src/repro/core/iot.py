@@ -28,9 +28,10 @@ from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 from repro.btree.loader import BulkLoader
 from repro.btree.tree import BTree, index_payload
 from repro.errors import RecordNotFoundError, StorageError
-from repro.sidefile import SideFile, register_sidefile_operations
-from repro.sim.kernel import Acquire, Delay
-from repro.sim.latch import EXCLUSIVE, SHARE
+from repro.core.maintenance import key_changes
+from repro.sidefile import (DELETE, INSERT, SideFile,
+                            register_sidefile_operations)
+from repro.sim.kernel import Delay
 from repro.sort import RunFormation, RunStore, final_merger
 from repro.storage.page import Record
 from repro.storage.rid import RID
@@ -99,39 +100,15 @@ class IOTable:
     # -- record operations (generators) ---------------------------------------
 
     def insert(self, txn: "Transaction", values: Sequence):
-        record = Record(tuple(values))
         pk = values[0]
         yield from txn.lock(self.lock_name(pk), "X")
-        if pk in self.rows:
-            raise StorageError(f"duplicate primary key {pk!r}")
-        behind = self._behind_scan(pk)
-        self.rows[pk] = record
-        self.primary.apply_logical("insert", pk, RID(0, 0))
-        payload, size = iot_payload(self.name, pk, record.values, None,
-                                    behind)
-        txn.log(RecordKind.UPDATE, redo=("iot.put", payload),
-                undo=("iot.insert", payload), size=size)
-        self._maintain(txn, pk, None, record, behind)
-        yield Delay(self.system.config.record_op_cost)
-        self.system.metrics.incr("iot.inserts")
+        yield from self._write(txn, pk, Record(tuple(values)),
+                               occupied=False)
         return pk
 
     def delete(self, txn: "Transaction", pk):
         yield from txn.lock(self.lock_name(pk), "X")
-        record = self.rows.get(pk)
-        if record is None:
-            raise RecordNotFoundError(f"{self.name} has no row {pk!r}")
-        behind = self._behind_scan(pk)
-        del self.rows[pk]
-        self.primary.apply_logical("physical_delete", pk, RID(0, 0))
-        payload, size = iot_payload(self.name, pk, None, record.values,
-                                    behind)
-        txn.log(RecordKind.UPDATE, redo=("iot.del", payload),
-                undo=("iot.delete", payload), size=size)
-        self._maintain(txn, pk, record, None, behind)
-        yield Delay(self.system.config.record_op_cost)
-        self.system.metrics.incr("iot.deletes")
-        return record
+        return (yield from self._write(txn, pk, None))
 
     def update(self, txn: "Transaction", pk, new_values: Sequence):
         """Update non-key columns (the primary key itself is immutable;
@@ -139,19 +116,8 @@ class IOTable:
         if new_values[0] != pk:
             raise StorageError("primary key update must be delete+insert")
         yield from txn.lock(self.lock_name(pk), "X")
-        old = self.rows.get(pk)
-        if old is None:
-            raise RecordNotFoundError(f"{self.name} has no row {pk!r}")
-        behind = self._behind_scan(pk)
         new = Record(tuple(new_values))
-        self.rows[pk] = new
-        payload, size = iot_payload(self.name, pk, new.values, old.values,
-                                    behind)
-        txn.log(RecordKind.UPDATE, redo=("iot.put", payload),
-                undo=("iot.update", payload), size=size)
-        self._maintain_update(txn, pk, old, new, behind)
-        yield Delay(self.system.config.record_op_cost)
-        self.system.metrics.incr("iot.updates")
+        old = yield from self._write(txn, pk, new, occupied=True)
         return old, new
 
     def read(self, txn: "Transaction", pk):
@@ -160,6 +126,43 @@ class IOTable:
         if record is None:
             raise RecordNotFoundError(f"{self.name} has no row {pk!r}")
         return record
+
+    def _write(self, txn: "Transaction", pk, new: Optional[Record],
+               occupied: Optional[bool] = None):
+        """Generator: :meth:`Table.write` with the primary key in place of
+        the RID -- the caller holds the key's X lock; ``old`` is the row
+        stored under ``pk``, and ``(old, new)`` names the operations
+        (:data:`_IOT_OPS`).  Returns ``old``."""
+        old = self.rows.get(pk)
+        if old is None:
+            if new is None or occupied:
+                raise RecordNotFoundError(f"{self.name} has no row {pk!r}")
+        elif occupied is False:
+            raise StorageError(f"duplicate primary key {pk!r}")
+        redo_op, undo_op, counter = \
+            _IOT_OPS[old is not None, new is not None]
+        self._store(pk, old, new)
+        payload, size = iot_payload(
+            self.name, pk, None if new is None else new.values,
+            None if old is None else old.values)
+        txn.log(RecordKind.UPDATE, redo=(redo_op, payload),
+                undo=(undo_op, payload), size=size)
+        self._maintain(txn, pk, old, new)
+        yield Delay(self.system.config.record_op_cost)
+        self.system.metrics.incr(counter)
+        return old
+
+    def _store(self, pk, old: Optional[Record],
+               new: Optional[Record]) -> None:
+        """Put ``new`` in ``old``'s place in the rows and the primary
+        index (``None``: no row)."""
+        if new is None:
+            self.rows.pop(pk, None)
+            self.primary.apply_logical("physical_delete", pk, RID(0, 0))
+        else:
+            self.rows[pk] = new
+            if old is None:
+                self.primary.apply_logical("insert", pk, RID(0, 0))
 
     # -- visibility (current-key in place of Current-RID) -----------------------
 
@@ -177,51 +180,31 @@ class IOTable:
     # -- secondary maintenance ------------------------------------------------------
 
     def _maintain(self, txn, pk, old: Optional[Record],
-                  new: Optional[Record], behind: bool) -> None:
-        for index in self.secondary:
-            if index.available:
-                self._direct(txn, index, pk, old, new)
-            elif self.build is not None \
-                    and index in self.build.indexes and behind:
-                sidefile = self.system.sidefiles[index.name]
-                if old is not None:
-                    sidefile.append_sync(txn, "delete", index.key_of(old),
-                                         self.pk_rid(pk))
-                if new is not None:
-                    sidefile.append_sync(txn, "insert", index.key_of(new),
-                                         self.pk_rid(pk))
-
-    def _maintain_update(self, txn, pk, old: Record, new: Record,
-                         behind: bool) -> None:
-        for index in self.secondary:
-            old_key = index.key_of(old)
-            new_key = index.key_of(new)
-            if old_key == new_key:
-                continue
-            if index.available:
-                self._direct(txn, index, pk, old, new)
-            elif self.build is not None \
-                    and index in self.build.indexes and behind:
-                sidefile = self.system.sidefiles[index.name]
-                sidefile.append_sync(txn, "delete", old_key,
-                                     self.pk_rid(pk))
-                sidefile.append_sync(txn, "insert", new_key,
-                                     self.pk_rid(pk))
-
-    def _direct(self, txn, index: IotSecondaryIndex, pk,
-                old: Optional[Record], new: Optional[Record]) -> None:
+                  new: Optional[Record]) -> None:
+        """Figure 1 (and, from an undo, Figure 2) for the secondary
+        indexes: a completed index is changed directly and logged, one
+        being built gets side-file entries while ``pk`` is behind the
+        scan and is left alone ahead of it."""
+        behind = self._behind_scan(pk)
         rid = self.pk_rid(pk)
-        for record, action, undo_action in (
-                (old, "physical_delete", "insert"),
-                (new, "insert", "physical_delete")):
-            if record is None:
+        for index in self.secondary:
+            changes = key_changes(index, old, new)
+            if not changes:
                 continue
-            key = index.key_of(record)
-            index.tree.apply_logical(action, key, rid)
-            payload, size = index_payload(index.name, action, undo_action,
-                                          key, rid)
-            txn.log(RecordKind.UPDATE, redo=("index.apply", payload),
-                    undo=("index.undo", payload), size=size)
+            if index.available:
+                for operation, key in changes:
+                    action, undo_action = _TREE_ACTIONS[operation]
+                    index.tree.apply_logical(action, key, rid)
+                    payload, size = index_payload(
+                        index.name, action, undo_action, key, rid)
+                    txn.log(RecordKind.UPDATE,
+                            redo=("index.apply", payload),
+                            undo=("index.undo", payload), size=size)
+            elif self.build is not None \
+                    and index in self.build.indexes and behind:
+                sidefile = self.system.sidefiles[index.name]
+                for operation, key in changes:
+                    sidefile.append_sync(txn, operation, key, rid)
 
     # -- scans and audits --------------------------------------------------------------
 
@@ -238,9 +221,8 @@ class IOTable:
             return
         ops.register("iot.put", redo=_redo_iot)
         ops.register("iot.del", redo=_redo_iot)
-        ops.register("iot.insert", redo=_reject, undo=_undo_iot_insert)
-        ops.register("iot.delete", redo=_reject, undo=_undo_iot_delete)
-        ops.register("iot.update", redo=_reject, undo=_undo_iot_update)
+        for undo_op in ("iot.insert", "iot.delete", "iot.update"):
+            ops.register(undo_op, redo=_reject, undo=_undo_iot)
 
 
 class SFIotBuilder:
@@ -355,13 +337,23 @@ def _table(system: "System", name: str) -> Optional[IOTable]:
 
 #: Field positions of the one payload every ``iot.*`` operation reads
 #: (built by :func:`iot_payload`): table name, primary key, the row the
-#: redo half puts (``None``: it deletes), the row an undo restores, and
-#: whether the key was behind the build's scan (section 6.2's visibility).
-IOT_TABLE, IOT_PK, IOT_VALUES, IOT_OLD_VALUES, IOT_BEHIND = range(5)
+#: redo half puts (``None``: it deletes), and the row an undo restores.
+IOT_TABLE, IOT_PK, IOT_VALUES, IOT_OLD_VALUES = range(4)
+
+#: :data:`repro.storage.table._HEAP_OPS`'s ``(old, new)`` rule for rows
+#: stored under a primary key
+_IOT_OPS = {
+    (False, True): ("iot.put", "iot.insert", "iot.inserts"),
+    (True, True): ("iot.put", "iot.update", "iot.updates"),
+    (True, False): ("iot.del", "iot.delete", "iot.deletes"),
+}
+#: a secondary key operation as a logged tree action and its undo
+_TREE_ACTIONS = {INSERT: ("insert", "physical_delete"),
+                 DELETE: ("physical_delete", "insert")}
 
 
 def iot_payload(table: str, pk, values: Optional[tuple],
-                old_values: Optional[tuple] = None, behind: bool = False,
+                old_values: Optional[tuple] = None,
                 *, undo: bool = True) -> tuple[tuple, int]:
     """The payload of one ``iot.*`` log record and its logged size: each
     half as if it carried table name and key itself, the redo half its
@@ -375,7 +367,7 @@ def iot_payload(table: str, pk, values: Optional[tuple],
         if old_values is not None:
             rows += 8 * (len(old_values) or 1)
         size += half + rows
-    return (table, pk, values, old_values, behind), size
+    return (table, pk, values, old_values), size
 
 
 def _redo_iot(system: "System", record: LogRecord):
@@ -397,42 +389,19 @@ def _reject(system, record):  # pragma: no cover
     raise AssertionError("iot undo payloads are never redone")
 
 
-def _undo_iot_insert(system: "System", txn, record: LogRecord):
-    name, pk = record.payload[IOT_TABLE], record.payload[IOT_PK]
+def _undo_iot(system: "System", txn, record: LogRecord):
+    """Put the old row back under the logged key (an undone insert has
+    none: delete the row), maintain the secondary indexes for that
+    change and describe the CLR."""
+    payload = record.payload
+    name, pk, restored = \
+        payload[IOT_TABLE], payload[IOT_PK], payload[IOT_OLD_VALUES]
     table = _table(system, name)
     if table is not None:
-        old = table.rows.pop(pk, None)
-        table.primary.apply_logical("physical_delete", pk, RID(0, 0))
-        table._maintain(txn, pk, old, None,
-                        behind=table._behind_scan(pk))
-    clr, size = iot_payload(name, pk, None, undo=False)
+        before = table.rows.get(pk)
+        after = None if restored is None else Record(restored)
+        table._store(pk, before, after)
+        table._maintain(txn, pk, before, after)
+    clr, size = iot_payload(name, pk, restored, undo=False)
     yield Delay(system.config.record_op_cost)
-    return ("iot.del", clr), size, None
-
-
-def _undo_iot_delete(system: "System", txn, record: LogRecord):
-    name, pk = record.payload[IOT_TABLE], record.payload[IOT_PK]
-    table = _table(system, name)
-    restored = Record(record.payload[IOT_OLD_VALUES])
-    if table is not None:
-        table.rows[pk] = restored
-        table.primary.apply_logical("insert", pk, RID(0, 0))
-        table._maintain(txn, pk, None, restored,
-                        behind=table._behind_scan(pk))
-    clr, size = iot_payload(name, pk, restored.values, undo=False)
-    yield Delay(system.config.record_op_cost)
-    return ("iot.put", clr), size, None
-
-
-def _undo_iot_update(system: "System", txn, record: LogRecord):
-    name, pk = record.payload[IOT_TABLE], record.payload[IOT_PK]
-    table = _table(system, name)
-    old = Record(record.payload[IOT_OLD_VALUES])
-    new = Record(record.payload[IOT_VALUES])
-    if table is not None:
-        table.rows[pk] = old
-        table._maintain_update(txn, pk, new, old,
-                               behind=table._behind_scan(pk))
-    clr, size = iot_payload(name, pk, old.values, undo=False)
-    yield Delay(system.config.record_op_cost)
-    return ("iot.put", clr), size, None
+    return ("iot.del" if restored is None else "iot.put", clr), size, None

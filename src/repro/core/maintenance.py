@@ -26,11 +26,12 @@ rollback), generalised to also cover NSF and completed indexes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.btree.tree import index_payload
-from repro.sidefile import DELETE, INSERT, SideFile
-from repro.storage.rid import INFINITY_RID, RID
+from repro.core.descriptor import IndexState
+from repro.sidefile import DELETE, INSERT
+from repro.storage.rid import RID
 from repro.storage.table import H_SF_ROUTED, H_VISIBLE
 from repro.wal.records import LogRecord, RecordKind
 
@@ -129,7 +130,6 @@ class IndexMaintenance:
 
     def _is_visible(self, descriptor: "IndexDescriptor", rid: RID,
                     context: Optional[BuildContext]) -> bool:
-        from repro.core.descriptor import IndexState
         if descriptor.state is IndexState.AVAILABLE:
             return True
         if descriptor.state is IndexState.CANCELLED:
@@ -149,9 +149,7 @@ class IndexMaintenance:
 
     def visible_count(self, txn: "Transaction", rid: RID) -> int:
         """The count logged with every data-page record (section 3.1)."""
-        context = self._context()
-        return sum(1 for d in self.table.indexes
-                   if self._is_visible(d, rid, context))
+        return len(self._visible_descriptors(rid)[0])
 
     def _visible_descriptors(self, rid: RID):
         context = self._context()
@@ -160,54 +158,35 @@ class IndexMaintenance:
 
     # -- forward processing (Figure 1) ------------------------------------------
     #
-    # The record manager calls ``prepare_*`` while still holding the data
-    # page's X latch: the visibility decision, the logged count, and any
-    # side-file appends happen in one atomic step -- so IB's drain-
-    # completion test ("position == end of side-file", section 3.2.5)
-    # can never race with an append whose visibility decision predated
-    # the flip.  Direct tree updates (which latch index pages) are
-    # returned as work items and applied after the data latch is dropped,
-    # matching the paper's latch-ordering rule (section 1.2).
+    # The record manager (``Table.write``) calls ``prepare`` while still
+    # holding the data page's X latch: the visibility decision, the
+    # logged count, and any side-file appends happen in one atomic step
+    # -- so IB's drain-completion test ("position == end of side-file",
+    # section 3.2.5) can never race with an append whose visibility
+    # decision predated the flip.  Direct tree updates (which latch index
+    # pages) are returned as work items and applied after the data latch
+    # is dropped, matching the paper's latch-ordering rule (section 1.2).
 
-    def prepare_insert(self, txn: "Transaction", rid: RID,
-                       record: "Record") -> "OpSnapshot":
-        return self._prepare(txn, rid, [(INSERT, record)])
-
-    def prepare_delete(self, txn: "Transaction", rid: RID,
-                       record: "Record") -> "OpSnapshot":
-        return self._prepare(txn, rid, [(DELETE, record)])
-
-    def prepare_update(self, txn: "Transaction", rid: RID,
-                       old_record: "Record",
-                       new_record: "Record") -> "OpSnapshot":
-        return self._prepare(txn, rid, [(DELETE, old_record),
-                                        (INSERT, new_record)],
-                             is_update=True)
-
-    def _prepare(self, txn: "Transaction", rid: RID,
-                 changes: list, is_update: bool = False) -> "OpSnapshot":
-        from repro.core.descriptor import IndexState
+    def prepare(self, txn: "Transaction", rid: RID,
+                old: Optional["Record"],
+                new: Optional["Record"]) -> "OpSnapshot":
+        """The visibility decision for one record change, ``old`` to
+        ``new`` (``None``: no record)."""
         visible, context = self._visible_descriptors(rid)
         snapshot = OpSnapshot(count=len(visible))
         for descriptor in visible:
-            keyed = [(op, descriptor.key_of(record))
-                     for op, record in changes]
-            if is_update and keyed[0][1] == keyed[1][1]:
+            changes = key_changes(descriptor, old, new)
+            if not changes:
                 continue  # key columns unchanged; index untouched
-            in_sf_build = (descriptor.state is not IndexState.AVAILABLE
-                           and context is not None
-                           and context.covers(descriptor)
-                           and context.mode in SF_LIKE_MODES)
-            if in_sf_build:
+            if routes_to_sidefile(descriptor, context):
                 snapshot.sf_routed.append(descriptor.name)
-            for operation, key in keyed:
-                if in_sf_build:
-                    sidefile = self.system.sidefiles[descriptor.name]
+                sidefile = self.system.sidefiles[descriptor.name]
+                for operation, key in changes:
                     sidefile.append_sync(txn, operation, key, rid)
                     self._count_shard_append(context, rid)
-                else:
-                    snapshot.direct.append(
-                        (descriptor, operation, key, rid))
+            else:
+                snapshot.direct.extend((descriptor, operation, key, rid)
+                                       for operation, key in changes)
         return snapshot
 
     def _count_shard_append(self, context: "BuildContext",
@@ -219,7 +198,6 @@ class IndexMaintenance:
 
     def apply_direct(self, txn: "Transaction", snapshot: "OpSnapshot"):
         """Generator: perform the deferred direct tree updates."""
-        from repro.core.descriptor import IndexState
         for descriptor, operation, key, rid in snapshot.direct:
             during_build = descriptor.state is not IndexState.AVAILABLE
             if operation == INSERT:
@@ -246,9 +224,7 @@ class IndexMaintenance:
         """
         logged_count = log_record.payload[H_VISIBLE]
         sf_routed = log_record.payload[H_SF_ROUTED]
-        context = self._context()
-        current_visible = [d for d in self.table.indexes
-                           if self._is_visible(d, rid, context)]
+        current_visible, context = self._visible_descriptors(rid)
         for position, descriptor in enumerate(current_visible):
             if descriptor.name in sf_routed:
                 # Forward processing covered this index via the side-file
@@ -272,22 +248,8 @@ class IndexMaintenance:
                     old_record, new_record):
         """One index's compensation: side-file entry while the build is
         incomplete, logical tree undo once it finished (Figure 2)."""
-        changes: list[tuple[str, tuple]] = []
-        if new_record is None:          # undone insert: key must leave
-            changes.append((DELETE, descriptor.key_of(old_record)))
-        elif old_record is None:        # undone delete: key must return
-            changes.append((INSERT, descriptor.key_of(new_record)))
-        else:                           # undone update
-            before_key = descriptor.key_of(old_record)
-            after_key = descriptor.key_of(new_record)
-            if before_key != after_key:
-                changes.append((DELETE, before_key))
-                changes.append((INSERT, after_key))
-        from repro.core.descriptor import IndexState
-        in_sf_build = (descriptor.state is not IndexState.AVAILABLE
-                       and context is not None
-                       and context.covers(descriptor)
-                       and context.mode in SF_LIKE_MODES)
+        changes = key_changes(descriptor, old_record, new_record)
+        in_sf_build = routes_to_sidefile(descriptor, context)
         for operation, key in changes:
             if in_sf_build:
                 sidefile = self.system.sidefiles[descriptor.name]
@@ -308,6 +270,36 @@ class IndexMaintenance:
                 self.system.metrics.incr("maintenance.logical_tree_undos")
         return
         yield  # pragma: no cover - generator shape
+
+
+def key_changes(index, old: Optional["Record"],
+                new: Optional["Record"]) -> list:
+    """The index-key operations that turn ``old`` into ``new`` (``None``:
+    no record) for an index with ``key_of``: ``[]`` when the key columns
+    are unchanged, else a ``(DELETE, old key)`` and/or an ``(INSERT, new
+    key)``, in that order.  Figure 1 applies them forward; Figure 2's
+    compensation applies them from the undo's before to its after."""
+    old_key = None if old is None else index.key_of(old)
+    new_key = None if new is None else index.key_of(new)
+    if old_key == new_key:
+        return []
+    changes = []
+    if old is not None:
+        changes.append((DELETE, old_key))
+    if new is not None:
+        changes.append((INSERT, new_key))
+    return changes
+
+
+def routes_to_sidefile(descriptor: "IndexDescriptor",
+                       context: Optional[BuildContext]) -> bool:
+    """Does a visible index's maintenance go to its side-file?  Yes while
+    a side-file build of it runs (SF and its modes); a completed index
+    or an NSF build is maintained in the tree directly."""
+    return (descriptor.state is not IndexState.AVAILABLE
+            and context is not None
+            and context.covers(descriptor)
+            and context.mode in SF_LIKE_MODES)
 
 
 def install_maintenance(system: "System", table: "Table") -> IndexMaintenance:

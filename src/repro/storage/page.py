@@ -81,14 +81,16 @@ class DataPage:
 
     def put(self, slot: int, record: Record) -> None:
         """Place ``record`` in ``slot`` (insert or redo of insert)."""
-        self._check_slot(slot)
+        if not 0 <= slot < self.capacity:
+            self._out_of_range(slot)
         if self.slots[slot] is None:
             self._live += 1
         self.slots[slot] = record
 
     def clear(self, slot: int) -> None:
         """Empty ``slot`` (delete or undo of insert)."""
-        self._check_slot(slot)
+        if not 0 <= slot < self.capacity:
+            self._out_of_range(slot)
         if self.slots[slot] is not None:
             self._live -= 1
         self.slots[slot] = None
@@ -96,15 +98,15 @@ class DataPage:
             self._free_hint = slot
 
     def get(self, slot: int) -> Record:
-        self._check_slot(slot)
-        record = self.slots[slot]
+        record = self.peek(slot)
         if record is None:
             raise RecordNotFoundError(
                 f"no record at {self.page_id} slot {slot}")
         return record
 
     def peek(self, slot: int) -> Optional[Record]:
-        self._check_slot(slot)
+        if not 0 <= slot < self.capacity:
+            self._out_of_range(slot)
         return self.slots[slot]
 
     def free_slot(self) -> Optional[int]:
@@ -145,11 +147,10 @@ class DataPage:
     def is_full(self) -> bool:
         return self._live >= self.capacity
 
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.capacity:
-            raise PageFullError(
-                f"slot {slot} out of range for {self.page_id} "
-                f"(capacity {self.capacity})")
+    def _out_of_range(self, slot: int) -> None:
+        # the accessors test the range inline: they run on every write
+        raise PageFullError(f"slot {slot} out of range for {self.page_id} "
+                            f"(capacity {self.capacity})")
 
     # -- crash modelling ----------------------------------------------------
 

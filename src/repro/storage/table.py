@@ -1,7 +1,8 @@
 """Heap tables: the record manager.
 
 Implements the data-page side of the paper's Figure 1 (forward processing)
-and Figure 2 (rollback): every record insert/delete/update
+and Figure 2 (rollback): every record change is one :meth:`Table.write`,
+which
 
 1. X-latches the target data page,
 2. determines the *visibility* of any index currently being built (SF's
@@ -52,13 +53,7 @@ class NullMaintenance:
     def visible_count(self, txn, rid):
         return 0
 
-    def prepare_insert(self, txn, rid, record):
-        return _NullSnapshot()
-
-    def prepare_delete(self, txn, rid, record):
-        return _NullSnapshot()
-
-    def prepare_update(self, txn, rid, old_record, new_record):
+    def prepare(self, txn, rid, old, new):
         return _NullSnapshot()
 
     def apply_direct(self, txn, snapshot):
@@ -152,7 +147,7 @@ class Table:
         record = Record(tuple(values))
         page, slot = yield from self._pick_insert_slot(txn)
         rid = RID(page.page_id.page_no, slot)
-        yield from self._locked_insert(txn, page, rid, record)
+        yield from self.write(txn, rid, record, page=page, occupied=False)
         return rid
 
     def insert_at(self, txn: "Transaction", rid: RID, values: Sequence):
@@ -166,59 +161,15 @@ class Table:
         record = Record(tuple(values))
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
-        page = yield from self._fetch_page(rid.page_no)
-        yield Acquire(page.latch, EXCLUSIVE)
-        try:
-            if page.peek(rid.slot) is not None:
-                raise StorageError(f"slot {rid} is occupied")
-        finally:
-            page.latch.release(self.system.sim.current)
-        yield from self._locked_insert(txn, page, rid, record)
+        yield from self.write(txn, rid, record, occupied=False)
         return rid
-
-    def _locked_insert(self, txn: "Transaction", page: DataPage, rid: RID,
-                       record: Record):
-        yield Acquire(page.latch, EXCLUSIVE)
-        try:
-            snapshot = self.maintenance.prepare_insert(txn, rid, record)
-            page.put(rid.slot, record)
-            payload, size = self.log_payload(rid, record.values, None,
-                                             snapshot)
-            log_record = txn.log(
-                RecordKind.UPDATE, page_id=page.page_id,
-                redo=("heap.put", payload), undo=("heap.insert", payload),
-                size=size)
-            self.system.buffer.mark_dirty(page, log_record.lsn)
-        finally:
-            page.latch.release(self.system.sim.current)
-        yield Delay(self.system.config.record_op_cost)
-        self.system.metrics.incr("heap.inserts")
-        yield from self.maintenance.apply_direct(txn, snapshot)
 
     def delete(self, txn: "Transaction", rid: RID):
         """Generator: delete the record at ``rid``; returns the old record."""
         yield from self._intent_lock(txn)
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
-        page = yield from self._fetch_page(rid.page_no)
-        yield Acquire(page.latch, EXCLUSIVE)
-        try:
-            record = page.get(rid.slot)
-            snapshot = self.maintenance.prepare_delete(txn, rid, record)
-            page.clear(rid.slot)
-            payload, size = self.log_payload(rid, None, record.values,
-                                             snapshot)
-            log_record = txn.log(
-                RecordKind.UPDATE, page_id=page.page_id,
-                redo=("heap.clear", payload), undo=("heap.delete", payload),
-                size=size)
-            self.system.buffer.mark_dirty(page, log_record.lsn)
-        finally:
-            page.latch.release(self.system.sim.current)
-        yield Delay(self.system.config.record_op_cost)
-        self.system.metrics.incr("heap.deletes")
-        yield from self.maintenance.apply_direct(txn, snapshot)
-        return record
+        return (yield from self.write(txn, rid, None))
 
     def update(self, txn: "Transaction", rid: RID, new_values: Sequence):
         """Generator: replace the record at ``rid``; returns (old, new)."""
@@ -226,27 +177,62 @@ class Table:
         new_record = Record(tuple(new_values))
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
-        page = yield from self._fetch_page(rid.page_no)
+        old_record = yield from self.write(txn, rid, new_record,
+                                           occupied=True)
+        return old_record, new_record
+
+    def write(self, txn: "Transaction", rid: RID, new: Optional[Record],
+              page: Optional[DataPage] = None,
+              origin: Optional[tuple] = None,
+              occupied: Optional[bool] = None):
+        """Generator: Figure 1 for one slot -- the one data-page change of
+        forward processing, a replica's applied writes included.
+
+        The caller holds the record's X and the table's IX lock, and
+        passes ``page`` when it has it.  Under one X latch: peek the
+        ``old`` record, let the maintenance hook decide for ``(old, new)``
+        (``None``: no record), put or clear, log with the visible count
+        under the operations :data:`_HEAP_OPS` names; then maintain the
+        indexes.  ``occupied`` is what the slot must hold (``False``
+        nothing, ``True`` a record, ``None`` either; a clear needs one);
+        ``origin`` tags a replica's write.  Returns ``old``.
+        """
+        if page is None:
+            page = yield from self._fetch_page(rid.page_no)
         yield Acquire(page.latch, EXCLUSIVE)
         try:
-            old_record = page.get(rid.slot)
-            snapshot = self.maintenance.prepare_update(txn, rid,
-                                                       old_record,
-                                                       new_record)
-            page.put(rid.slot, new_record)
-            payload, size = self.log_payload(rid, new_record.values,
-                                             old_record.values, snapshot)
+            old = page.peek(rid.slot)
+            if old is None:
+                if new is None or occupied:
+                    raise RecordNotFoundError(
+                        f"no record at {rid} of {self.name!r}"
+                        + (f" (writer, origin_lsn = {origin})"
+                           if origin else ""))
+            elif occupied is False:
+                raise StorageError(f"slot {rid} is occupied")
+            redo_op, undo_op, counter = \
+                _HEAP_OPS[old is not None, new is not None]
+            snapshot = self.maintenance.prepare(txn, rid, old, new)
+            if new is None:
+                page.clear(rid.slot)
+                values = None
+            else:
+                page.put(rid.slot, new)
+                values = new.values
+            payload, size = self.log_payload(
+                rid, values, None if old is None else old.values, snapshot,
+                origin)
             log_record = txn.log(
                 RecordKind.UPDATE, page_id=page.page_id,
-                redo=("heap.put", payload), undo=("heap.update", payload),
-                size=size)
+                redo=(redo_op, payload), undo=(undo_op, payload), size=size)
             self.system.buffer.mark_dirty(page, log_record.lsn)
         finally:
             page.latch.release(self.system.sim.current)
         yield Delay(self.system.config.record_op_cost)
-        self.system.metrics.incr("heap.updates")
+        self.system.metrics.incr(
+            counter if origin is None else _APPLIED[redo_op])
         yield from self.maintenance.apply_direct(txn, snapshot)
-        return old_record, new_record
+        return old
 
     def read(self, txn: "Transaction", rid: RID):
         """Generator: S-lock and read one record."""
@@ -351,6 +337,18 @@ class Table:
 #: side-file, on a replica the write's original ``(writer, origin_lsn)``.
 (H_TABLE, H_RID, H_VALUES, H_OLD_VALUES, H_VISIBLE, H_SF_ROUTED,
  H_ORIGIN) = range(7)
+
+#: The ``(old, new)`` rule of :meth:`Table.write`, keyed by ``(old is not
+#: None, new is not None)``: the redo operation, the undo operation and
+#: the counter of a local write.
+_HEAP_OPS = {
+    (False, True): ("heap.put", "heap.insert", "heap.inserts"),
+    (True, True): ("heap.put", "heap.update", "heap.updates"),
+    (True, False): ("heap.clear", "heap.delete", "heap.deletes"),
+}
+#: a replica's applied write counts by its redo operation instead
+_APPLIED = {"heap.put": "cluster.applied_puts",
+            "heap.clear": "cluster.applied_clears"}
 
 
 # -- redo handler (called by restart recovery; a generator) --------------------

@@ -167,6 +167,32 @@ def test_iot_secondary_build_under_updates():
     assert system.metrics.get("iot.sidefile_drained") > 0
 
 
+def test_iot_rollback_after_build_restores_secondary():
+    """Once the index is AVAILABLE, maintenance is direct and logged; a
+    rolled-back insert, key-changing update and delete must leave the
+    rows and the secondary index as they were."""
+    system = System()
+    table = make_table(system, n=20)
+    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    drive(system, builder.run(), name="builder")
+    assert builder.index.available
+    before = dict(table.range_scan())
+
+    def body():
+        txn = system.txns.begin()
+        yield from table.insert(txn, (99, "city-new", 0))
+        yield from table.update(txn, 3, (3, "city-moved", 30))
+        yield from table.delete(txn, 5)
+        yield from txn.rollback()
+
+    drive(system, body())
+    assert dict(table.range_scan()) == before
+    assert audit_iot_index(table, builder.index)["entries"] == 20
+    assert system.metrics.get("iot.inserts") == 21
+    assert system.metrics.get("iot.updates") == 1
+    assert system.metrics.get("iot.deletes") == 1
+
+
 def test_iot_behind_scan_logic():
     system = System()
     table = make_table(system, n=10)

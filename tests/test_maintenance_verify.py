@@ -81,7 +81,7 @@ def test_prepare_routes_sf_to_sidefile_atomically():
     system, table, descriptor, maintenance, context = make_stage()
     txn = system.txns.begin()
     record = Record((7, "x"))
-    snapshot = maintenance.prepare_insert(txn, RID(0, 0), record)
+    snapshot = maintenance.prepare(txn, RID(0, 0), None, record)
     assert snapshot.count == 1
     assert snapshot.sf_routed == ["idx"]
     assert snapshot.direct == []
@@ -91,7 +91,8 @@ def test_prepare_routes_sf_to_sidefile_atomically():
 def test_prepare_invisible_touches_nothing():
     system, table, descriptor, maintenance, context = make_stage()
     txn = system.txns.begin()
-    snapshot = maintenance.prepare_insert(txn, RID(9, 0), Record((7, "x")))
+    snapshot = maintenance.prepare(txn, RID(9, 0), None,
+                                   Record((7, "x")))
     assert snapshot.count == 0
     assert snapshot.sf_routed == []
     assert len(system.sidefiles["idx"]) == 0
@@ -100,7 +101,7 @@ def test_prepare_invisible_touches_nothing():
 def test_prepare_update_unchanged_key_is_noop():
     system, table, descriptor, maintenance, context = make_stage()
     txn = system.txns.begin()
-    snapshot = maintenance.prepare_update(
+    snapshot = maintenance.prepare(
         txn, RID(0, 0), Record((7, "old")), Record((7, "new")))
     assert snapshot.count == 1            # index visible, still counted
     assert len(system.sidefiles["idx"]) == 0  # but no key change
@@ -109,7 +110,7 @@ def test_prepare_update_unchanged_key_is_noop():
 def test_prepare_update_key_change_appends_pair():
     system, table, descriptor, maintenance, context = make_stage()
     txn = system.txns.begin()
-    maintenance.prepare_update(
+    maintenance.prepare(
         txn, RID(0, 0), Record((7, "p")), Record((9, "p")))
     entries = system.sidefiles["idx"].entries
     assert [(e.operation, e.key_value) for e in entries] == \

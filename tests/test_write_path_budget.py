@@ -34,6 +34,16 @@ EXPECTED_COUNTERS = {
 }
 EXPECTED_CLOCK = 1004.0
 EXPECTED_SEQ = 6132
+# the same preload, then an update pass and a delete pass over its rows
+EXPECTED_REWRITE_COUNTERS = {
+    "txn.begins": 12, "lock.requests": 12000, "heap.pages_allocated": 125,
+    "latch.requests": 8124, "wal.records": 6024, "wal.records.txn": 6024,
+    "wal.bytes": 828768, "wal.bytes.txn": 828768, "heap.inserts": 2000,
+    "buffer.hits": 6123, "wal.forces": 12, "txn.commits": 12,
+    "heap.updates": 2000, "heap.deletes": 2000,
+}
+EXPECTED_REWRITE_CLOCK = 3012.0
+EXPECTED_REWRITE_SEQ = 14148
 
 
 def preload(system, table, rows, held):
@@ -133,4 +143,34 @@ def test_the_cheaper_path_does_the_same_simulated_work(profiled_preload):
     assert system.now() == EXPECTED_CLOCK
     assert system.sim._seq == EXPECTED_SEQ
     assert system.log.last_lsn == EXPECTED_COUNTERS["wal.records"]
+
+
+def rewrite(system, table, rows, delete):
+    txn = system.txns.begin("rewrite")
+    for rid, record in rows:
+        if delete:
+            yield from table.delete(txn, rid)
+        else:
+            k, a, p = record.values
+            yield from table.update(txn, rid, (k, a + 1, p))
+    yield from txn.commit()
+
+
+def test_updates_and_deletes_do_the_same_simulated_work():
+    """An update pass, then a delete pass, over the preloaded rows:
+    counters, clock and event sequence recorded at the commit before
+    the one data-page write routine."""
+    system = run_preload([])
+    table = system.tables["t"]
+    rows = list(table.audit_records())
+    for delete in (False, True):
+        for start in range(0, ROWS, TXN_ROWS):
+            system.spawn(rewrite(system, table, rows[start:start + TXN_ROWS],
+                                 delete), name="rewrite")
+            system.run()
+    assert list(table.audit_records()) == []
+    assert system.metrics.snapshot() == EXPECTED_REWRITE_COUNTERS
+    assert list(system.metrics.snapshot()) == list(EXPECTED_REWRITE_COUNTERS)
+    assert system.now() == EXPECTED_REWRITE_CLOCK
+    assert system.sim._seq == EXPECTED_REWRITE_SEQ
 
