@@ -377,6 +377,36 @@ class BTree:
     # transaction operations (generators)
     # ------------------------------------------------------------------
 
+    def _latched_leaf(self, composite: CompositeKey, *,
+                      by_key_value: bool = False):
+        """Generator: descend for ``composite`` and X-latch the leaf it
+        lands on, again from the root while that leaf split during the
+        latch wait.  Returns ``(leaf, path, visits)`` with the latch held:
+        ``path`` good for the current ``structure_version``, ``visits``
+        the pages the counted descent visited.
+
+        ``by_key_value`` (a unique insert) locates the leftmost leaf for
+        the key value alone, possibly the successor of the composite's
+        leaf, and keeps it with no path while it holds the key value.
+        """
+        key_value = composite[0]
+        while True:
+            if by_key_value:
+                leaf, _entry = self._find_for_key_value(key_value)
+                self.system.metrics.incr("index.traversals")
+                path, version = [], -1  # -1: descend under the latch
+            else:
+                leaf, path = self._traverse(composite)
+                version = self.structure_version
+            visits = len(path) + 1
+            yield Acquire(leaf.latch, EXCLUSIVE)
+            path = self._path_after_wait(leaf, path, version, composite)
+            if path is not None or (
+                    by_key_value
+                    and leaf.find_key_value(key_value) is not None):
+                return leaf, path, visits
+            leaf.latch.release(self.system.sim.current)
+
     def txn_insert_key(self, txn: "Transaction", key_value, rid: RID, *,
                        during_build: bool):
         """Generator: a transaction inserts ``<key_value, rid>``.
@@ -388,45 +418,18 @@ class BTree:
         """
         composite = (key_value, rid)
         while True:
-            if self.unique:
-                # Located by key value alone (possibly the successor
-                # leaf): the descent for the composite happens under the
-                # latch, where version -1 forces it.
-                leaf, _entry = self._find_for_key_value(key_value)
-                self.system.metrics.incr("index.traversals")
-                path, version = [], -1
-            else:
-                leaf, path = self._traverse(composite)
-                version = self.structure_version
-            yield Acquire(leaf.latch, EXCLUSIVE)
-            path = self._path_after_wait(leaf, path, version, composite)
-            if path is None and not (
-                    self.unique
-                    and leaf.find_key_value(key_value) is not None):
-                # The leaf split while we waited for its latch; retry.
-                leaf.latch.release(self.system.sim.current)
-                continue
-            retry = False
-            wait_for = None
+            leaf, path, _visits = yield from self._latched_leaf(
+                composite, by_key_value=self.unique)
             try:
-                if self.unique:
-                    result = yield from self._unique_insert_decide(
-                        txn, leaf, path, key_value, rid)
-                else:
-                    result = self._nonunique_insert_apply(
-                        txn, leaf, path, composite)
-                if isinstance(result, tuple):
-                    retry = True
-                    wait_for = result[1]
-                else:
-                    outcome = result
+                outcome = yield from self._insert_decide(txn, leaf, path,
+                                                         key_value, rid)
             finally:
                 leaf.latch.release(self.system.sim.current)
-            if not retry:
+            if isinstance(outcome, InsertOutcome):
                 break
-            if wait_for is not None:
+            if outcome is not None:
                 # Wait (latch-free) for the conflicting record's fate.
-                yield from txn.lock(wait_for, "S", instant=True)
+                yield from txn.lock(outcome, "S", instant=True)
         fault_point(self.system.metrics, "btree.txn_insert")
         if not during_build:
             yield from self._next_key_lock(txn, leaf, composite,
@@ -434,64 +437,44 @@ class BTree:
         yield Delay(self.system.config.key_op_cost)
         return outcome
 
-    def _nonunique_insert_apply(self, txn, leaf, path,
-                                composite) -> InsertOutcome:
-        key_value, rid = composite
-        exact = leaf.find_exact(composite)
-        if exact is None:
-            entry = KeyEntry(key_value, rid)
-            self._insert_sorted(leaf, entry, path)
-            self._log_key_op(txn, "insert", key_value, rid,
-                             undo_action="pseudo_delete")
-            self.system.metrics.incr("index.inserts.txn")
-            return InsertOutcome.INSERTED
-        if exact.pseudo_deleted:
-            # Section 2.2.3 step 8: resetting the pseudo-delete flag.
-            exact.pseudo_deleted = False
-            self.dirty.add(leaf.page_no)
-            self._log_key_op(txn, "reactivate", key_value, rid,
-                             undo_action="pseudo_delete")
-            self.system.metrics.incr("index.reactivations")
-            return InsertOutcome.REACTIVATED
-        # Identical key already present: IB inserted it first.  Write the
-        # undo-only record so a rollback still deletes it (section 2.1.1).
-        self._log_undo_only(txn, key_value, rid)
-        return InsertOutcome.DUPLICATE_NOOP
-
-    def _unique_insert_decide(self, txn, leaf, path, key_value, rid: RID):
-        """Unique-index insert under the leaf latch.
+    def _insert_decide(self, txn, leaf, path, key_value, rid: RID):
+        """A transaction's insert under the leaf latch.
 
         Returns an :class:`InsertOutcome`, raises
-        :class:`UniqueViolationError`, or returns ``("wait", lock_name)``
-        when the caller must release the latch, wait on the conflicting
-        record's lock, and retry (section 2.2.3: "the transaction ensures
-        that the found key ... belongs to a committed record (or that the
-        key is its own uncommitted insert)").  Generator (it probes locks
+        :class:`UniqueViolationError`, or returns what the caller must do
+        with the latch released before it retries: None (descend again)
+        or the lock name of the record whose fate it must wait for
+        (section 2.2.3: "the transaction ensures that the found key ...
+        belongs to a committed record (or that the key is its own
+        uncommitted insert)").  Generator (a unique index probes locks
         conditionally -- probes never wait).
         """
-        found = leaf.find_key_value(key_value)
-        if found is None and leaf.next_leaf is not None:
-            successor = self.pages[leaf.next_leaf]
-            if successor.entries \
-                    and successor.entries[0].key_value == key_value:
-                return ("wait-switch-leaf", None)  # re-traverse, rare
+        if not self.unique:
+            found = leaf.find_exact((key_value, rid))
+        else:
+            found = leaf.find_key_value(key_value)
+            if found is None and leaf.next_leaf is not None:
+                successor = self.pages[leaf.next_leaf]
+                if successor.entries \
+                        and successor.entries[0].key_value == key_value:
+                    return None  # re-traverse, rare
         if found is None:
-            self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
-            self._log_key_op(txn, "insert", key_value, rid,
-                             undo_action="pseudo_delete")
-            self.system.metrics.incr("index.inserts.txn")
+            self._change(txn, leaf, path, None, "insert", "pseudo_delete",
+                         key_value, rid, "index.inserts.txn")
             return InsertOutcome.INSERTED
         if found.rid == rid:
             if found.pseudo_deleted:
-                found.pseudo_deleted = False
-                self.dirty.add(leaf.page_no)
-                self._log_key_op(txn, "reactivate", key_value, rid,
-                                 undo_action="pseudo_delete")
-                self.system.metrics.incr("index.reactivations")
+                # Section 2.2.3 step 8: resetting the pseudo-delete flag.
+                self._change(txn, leaf, path, found, "reactivate",
+                             "pseudo_delete", key_value, rid,
+                             "index.reactivations")
                 return InsertOutcome.REACTIVATED
-            self._log_undo_only(txn, key_value, rid)
+            # Identical key already present: IB inserted it first.  The
+            # undo-only record lets a rollback still delete it (2.1.1).
+            self._change(txn, leaf, path, found, None, "pseudo_delete",
+                         key_value, rid, "index.duplicate_rejections.txn")
             return InsertOutcome.DUPLICATE_NOOP
-        # Same key value, different RID: is the other entry settled?
+        # Unique, same key value, another RID: is that entry settled?
         owner_lock = self._record_lock_name(found.rid)
         if owner_lock in txn.held_locks:
             owner_terminated = True  # our own earlier change; settled
@@ -499,28 +482,17 @@ class BTree:
             owner_terminated = yield from txn.lock(
                 owner_lock, "S", conditional=True, instant=True)
         if not owner_terminated:
-            return ("wait", owner_lock)
+            return owner_lock
         if found.pseudo_deleted:
             # Terminated deleter's tombstone: revive it with the new RID
             # (the paper's <K,R> / <K,R1> example, section 2.2.3).
-            old_rid = found.rid
-            found.rid = rid
-            found.pseudo_deleted = False
-            self.dirty.add(leaf.page_no)
-            self._log_key_op(txn, "replace_rid", key_value, rid,
-                             undo_action="restore_entry", old_rid=old_rid)
-            self.system.metrics.incr("index.rid_replacements")
+            self._change(txn, leaf, path, found, "replace_rid",
+                         "restore_entry", key_value, rid,
+                         "index.rid_replacements", old_rid=found.rid)
             return InsertOutcome.REPLACED_RID
         raise UniqueViolationError(
             f"unique index {self.name}: key {key_value!r} already maps to "
             f"committed record {found.rid}")
-
-    def _log_undo_only(self, txn, key_value, rid) -> None:
-        payload, size = index_payload(self.name, None, "pseudo_delete",
-                                      key_value, rid)
-        txn.log(RecordKind.UPDATE, undo=("index.undo", payload), size=size,
-                info={"reason": "duplicate-insert"})
-        self.system.metrics.incr("index.duplicate_rejections.txn")
 
     def txn_delete_key(self, txn: "Transaction", key_value, rid: RID, *,
                        during_build: bool):
@@ -534,38 +506,22 @@ class BTree:
         completed index) takes the next-key lock.
         """
         composite = (key_value, rid)
-        while True:
-            leaf, path = self._traverse(composite)
-            version = self.structure_version
-            yield Acquire(leaf.latch, EXCLUSIVE)
-            path = self._path_after_wait(leaf, path, version, composite)
-            if path is not None:
-                break
-            # The leaf split while we waited for its latch; retry.
-            leaf.latch.release(self.system.sim.current)
+        leaf, path, _visits = yield from self._latched_leaf(composite)
         try:
             exact = leaf.find_exact(composite)
-            if during_build or exact is None:
-                if exact is None:
-                    entry = KeyEntry(key_value, rid, pseudo_deleted=True)
-                    self._insert_sorted(leaf, entry, path)
-                    self._log_key_op(txn, "insert_tombstone", key_value, rid,
-                                     undo_action="reactivate")
-                    self.system.metrics.incr("index.tombstone_inserts")
-                elif not exact.pseudo_deleted:
-                    exact.pseudo_deleted = True
-                    self.dirty.add(leaf.page_no)
-                    self._log_key_op(txn, "pseudo_delete", key_value, rid,
-                                     undo_action="reactivate")
-                    self.system.metrics.incr("index.pseudo_deletes")
-                # an already-pseudo-deleted exact match needs no action
-            else:
-                pos = leaf.position(composite)
-                del leaf.entries[pos]
-                self.dirty.add(leaf.page_no)
-                self._log_key_op(txn, "physical_delete", key_value, rid,
-                                 undo_action="insert")
-                self.system.metrics.incr("index.physical_deletes")
+            if exact is None:
+                self._change(txn, leaf, path, None, "insert_tombstone",
+                             "reactivate", key_value, rid,
+                             "index.tombstone_inserts")
+            elif not during_build:
+                self._change(txn, leaf, path, exact, "physical_delete",
+                             "insert", key_value, rid,
+                             "index.physical_deletes")
+            elif not exact.pseudo_deleted:
+                self._change(txn, leaf, path, exact, "pseudo_delete",
+                             "reactivate", key_value, rid,
+                             "index.pseudo_deletes")
+            # an already-pseudo-deleted exact match needs no action
         finally:
             leaf.latch.release(self.system.sim.current)
         fault_point(self.system.metrics, "btree.txn_delete")
@@ -681,7 +637,12 @@ class BTree:
                     inserted += len(pending)
                     metrics.incr("index.inserts.ib", len(pending))
                     if write_log:
-                        self._log_ib_batch(ib_txn, pending)
+                        # One undo-redo record for the group ("the log
+                        # record can contain multiple keys", 2.2.3); it
+                        # keeps ``pending``, which nothing touches again.
+                        self._log_key_op(ib_txn, "insert_many", pending,
+                                         None, undo_action="remove_many",
+                                         writer="ib")
             finally:
                 leaf.latch.release(self.system.sim.current)
             if pending:
@@ -795,13 +756,14 @@ class BTree:
                 and descriptor.key_of(mine) != key_value:
             return False  # our record was updated away from this key
         if still.pseudo_deleted:
-            # Tombstone of a settled delete: revive it under IB's RID.
+            # Tombstone of a settled delete: revive it under IB's RID,
+            # logged like a transaction's REPLACED_RID.
             leaf, entry = self._find_for_key_value(key_value)
             if entry is not None and entry.pseudo_deleted:
-                entry.rid = rid
-                entry.pseudo_deleted = False
-                self.dirty.add(leaf.page_no)
-                self.system.metrics.incr("index.rid_replacements")
+                self._change(ib_txn, leaf, None, entry, "replace_rid",
+                             "restore_entry", key_value, rid,
+                             "index.rid_replacements", old_rid=entry.rid,
+                             writer="ib")
                 self.system.metrics.incr("index.inserts.ib")
                 return False  # handled here; no retry needed
             return True
@@ -815,9 +777,9 @@ class BTree:
             f"cannot build unique index {self.name}: committed records "
             f"{rid} and {tuple(still.rid)} share key value {key_value!r}")
 
-    def sf_drain_apply(self, ib_txn: "Transaction", operation: str,
-                       key_value, rid: RID):
-        """Generator: apply one side-file entry to the tree (section 3.2.5).
+    def sf_drain_apply_batch(self, ib_txn: "Transaction",
+                             entries: Sequence[tuple]):
+        """Generator: apply a batch of side-file entries (section 3.2.5).
 
         IB "traverses the index from the root and, based on the entry in
         the side-file, inserts or deletes the key in the index as a normal
@@ -827,38 +789,6 @@ class BTree:
         unique index may transiently hold two RIDs for one key value until
         a later DELETE entry drains (final uniqueness is verified by the
         builder when the drain completes).
-        """
-        yield from self.sf_drain_apply_batch(
-            ib_txn, [(operation, key_value, rid)])
-
-    def _sf_apply_one(self, ib_txn, leaf: LeafPage, path, operation: str,
-                      key_value, rid: RID) -> None:
-        """Apply one side-file entry to a latched leaf (no yields)."""
-        composite = (key_value, rid)
-        exact = leaf.find_exact(composite)
-        if operation == "insert":
-            if exact is None:
-                self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
-                self._log_key_op(ib_txn, "insert", key_value, rid,
-                                 undo_action="physical_delete")
-                self.system.metrics.incr("index.inserts.drain")
-            elif exact.pseudo_deleted:
-                exact.pseudo_deleted = False
-                self.dirty.add(leaf.page_no)
-                self._log_key_op(ib_txn, "reactivate", key_value, rid,
-                                 undo_action="pseudo_delete")
-        else:  # delete
-            if exact is not None:
-                pos = leaf.position(composite)
-                del leaf.entries[pos]
-                self.dirty.add(leaf.page_no)
-                self._log_key_op(ib_txn, "physical_delete", key_value,
-                                 rid, undo_action="insert")
-                self.system.metrics.incr("index.deletes.drain")
-
-    def sf_drain_apply_batch(self, ib_txn: "Transaction",
-                             entries: Sequence[tuple]):
-        """Generator: apply a batch of side-file entries (section 3.2.5).
 
         One traversal and one leaf-latch hold cover every consecutive
         entry that still falls inside the latched leaf's fences; the
@@ -868,10 +798,10 @@ class BTree:
         latch hold is ``key_op_cost`` per entry plus
         ``drain_visit_cost`` per page the one descent visited; with a
         nonzero ``drain_visit_cost`` batching shrinks the drain's
-        catch-up window by amortizing descents (EXPERIMENTS.md E19) --
-        :meth:`sf_drain_apply`, a batch of one, pays that descent for
-        every entry.  At the default ``drain_visit_cost = 0`` the two
-        totals are equal, preserving the baseline calibration.
+        catch-up window by amortizing descents (EXPERIMENTS.md E19) -- a
+        batch of one pays that descent for every entry.  At the default
+        ``drain_visit_cost = 0`` the two totals are equal, preserving the
+        baseline calibration.
 
         ``entries`` is a sequence of ``(operation, key_value, rid)``.
         Returns the number of entries applied.
@@ -881,7 +811,7 @@ class BTree:
         key_op_cost = self.system.config.key_op_cost
         visit_cost = self.system.config.drain_visit_cost
         leaf_covers = self._leaf_covers
-        apply_one = self._sf_apply_one
+        change = self._change
         # Side-file entries already carry RID instances; re-wrapping every
         # one allocated a throwaway tuple per key in the drain hot loop.
         work = [(op, kv, rid if type(rid) is RID else RID(*rid))
@@ -890,25 +820,31 @@ class BTree:
         applied = 0
         index = 0
         while index < total:
-            operation, key_value, rid = work[index]
-            leaf, path = self._traverse((key_value, rid))
+            _operation, key_value, rid = work[index]
+            leaf, path, visits = yield from self._latched_leaf(
+                (key_value, rid))
             version = self.structure_version
-            visits = len(path) + 1
-            yield Acquire(leaf.latch, EXCLUSIVE)
             group = 0
             try:
-                path = self._path_after_wait(leaf, path, version,
-                                             (key_value, rid))
-                if path is None:
-                    continue  # split while we waited; re-traverse
-                version = self.structure_version
                 while index < total:
                     operation, key_value, rid = work[index]
                     if not leaf_covers(leaf, (key_value, rid)):
                         break  # next entry lives elsewhere; re-traverse
                     if version != self.structure_version:
                         path = None  # outdated by this group's own split
-                    apply_one(ib_txn, leaf, path, operation, key_value, rid)
+                    exact = leaf.find_exact((key_value, rid))
+                    if operation != "insert":
+                        if exact is not None:
+                            change(ib_txn, leaf, path, exact,
+                                   "physical_delete", "insert", key_value,
+                                   rid, "index.deletes.drain")
+                    elif exact is None:
+                        change(ib_txn, leaf, path, None, "insert",
+                               "physical_delete", key_value, rid,
+                               "index.inserts.drain")
+                    elif exact.pseudo_deleted:
+                        change(ib_txn, leaf, path, exact, "reactivate",
+                               "pseudo_delete", key_value, rid, None)
                     index += 1
                     group += 1
                     if fp_enabled:
@@ -934,30 +870,75 @@ class BTree:
                     f"key value {entry.key_value!r}")
             previous = entry
 
-    # -- IB batch logging ------------------------------------------------
+    # ------------------------------------------------------------------
+    # the one index-key change: edited, logged, counted
+    # ------------------------------------------------------------------
 
-    def _log_ib_batch(self, ib_txn, keys: list[tuple]) -> None:
-        """One undo-redo record covering the keys just inserted under a
-        single leaf-latch hold ("the log record can contain multiple
-        keys", section 2.2.3).
+    def _change(self, txn, leaf: Optional[LeafPage], path,
+                entry: Optional[KeyEntry], action: Optional[str],
+                undo_action: Optional[str], key_value, rid,
+                counter: Optional[str], *, old_rid=None,
+                writer: str = "txn") -> None:
+        """Forward processing's one key change: ``action``'s edit of
+        ``entry`` (``leaf``'s entry for the key, None when it holds
+        none), its log record, then ``counter``.
 
-        The record keeps the caller's list, not a copy: each latched group
-        builds a fresh one and never touches it again.
+        Which half is None picks the record, as ``Table.write``'s
+        ``(old, new)`` does for data pages: both given, undo-redo;
+        ``undo_action`` None, redo-only (GC); ``action`` None, undo-only
+        and no edit (a duplicate insert, section 2.1.1).  ``leaf`` None:
+        descend for the key as redo does (a caller that holds no leaf).
         """
-        self._log_key_op(ib_txn, "insert_many", keys, None,
-                         undo_action="remove_many", writer="ib")
+        if action is not None:
+            if leaf is None:
+                self.apply_logical(action, key_value, rid, old_rid)
+            else:
+                self._edit(leaf, path, entry, action, key_value, rid,
+                           old_rid)
+        self._log_key_op(txn, action, key_value, rid,
+                         undo_action=undo_action, old_rid=old_rid,
+                         writer=writer)
+        if counter is not None:
+            self.system.metrics.incr(counter)
 
-    # ------------------------------------------------------------------
-    # logging helpers
-    # ------------------------------------------------------------------
-
-    def _log_key_op(self, txn, action: str, key_value, rid, *,
-                    undo_action: str, old_rid=None,
+    def _log_key_op(self, txn, action: Optional[str], key_value, rid, *,
+                    undo_action: Optional[str], old_rid=None,
                     writer: str = "txn") -> None:
         payload, size = index_payload(self.name, action, undo_action,
                                       key_value, rid, old_rid)
-        txn.log(RecordKind.UPDATE, redo=("index.apply", payload),
-                undo=("index.undo", payload), writer=writer, size=size)
+        txn.log(RecordKind.UPDATE,
+                redo=None if action is None else ("index.apply", payload),
+                undo=(None if undo_action is None
+                      else ("index.undo", payload)),
+                writer=writer, size=size)
+
+    def _edit(self, leaf: LeafPage, path, entry: Optional[KeyEntry],
+              action: str, key_value, rid, old_rid=None) -> None:
+        """The one edit of each logical action, made on ``entry`` --
+        ``leaf``'s entry for the key, None when it holds none -- and
+        ``leaf``'s dirty mark.  Idempotent: an action whose work is done
+        (or has none) leaves the entry as it is."""
+        self.dirty.add(leaf.page_no)
+        if entry is None:
+            if action in ("insert", "reactivate", "insert_tombstone"):
+                self._insert_sorted(
+                    leaf, KeyEntry(key_value, rid,
+                                   action == "insert_tombstone"), path)
+        elif action in ("insert", "reactivate"):
+            entry.pseudo_deleted = False
+        elif action in ("insert_tombstone", "pseudo_delete"):
+            entry.pseudo_deleted = True
+        elif action in ("physical_delete", "remove_unless_tombstoned"):
+            if action == "physical_delete" or not entry.pseudo_deleted:
+                del leaf.entries[leaf.position(entry.composite)]
+        elif action == "replace_rid":
+            entry.rid, entry.pseudo_deleted = rid, False
+        elif action == "restore_entry":
+            # undo of replace_rid: put back <key, old_rid> pseudo-deleted
+            # (only a terminated deleter's tombstone is ever replaced)
+            entry.rid, entry.pseudo_deleted = RID(*old_rid), True
+        else:  # pragma: no cover - exhaustive dispatch
+            raise StorageError(f"unknown index action {action!r}")
 
     # ------------------------------------------------------------------
     # logical apply (shared by redo and undo)
@@ -974,7 +955,7 @@ class BTree:
         Used by restart-recovery redo and by rollback's logical undo; the
         tree is traversed afresh because the key may have moved pages
         since the log record was written.  The arguments are the logged
-        fields (:func:`index_payload`).
+        fields (:func:`index_payload`); the edit is :meth:`_edit`'s.
         """
         if action in ("insert_many", "remove_many"):
             # remove_many is the undo of IB's insert_many.  A concurrent
@@ -991,57 +972,17 @@ class BTree:
         rid = RID(*rid)
         composite = (key_value, rid)
         leaf, path = self._traverse(composite, count=False)
-        exact = leaf.find_exact(composite)
-        # Every action below changes ``leaf`` or nothing (replace_rid:
-        # also the old RID's leaf); the few no-ops are imaged once more.
-        self.dirty.add(leaf.page_no)
-        if action == "insert":
-            if exact is None:
-                self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
-            else:
-                exact.pseudo_deleted = False
-        elif action == "insert_tombstone":
-            if exact is None:
-                self._insert_sorted(
-                    leaf, KeyEntry(key_value, rid, pseudo_deleted=True),
-                    path)
-            else:
-                exact.pseudo_deleted = True
-        elif action == "pseudo_delete":
-            if exact is not None:
-                exact.pseudo_deleted = True
-        elif action == "reactivate":
-            if exact is not None:
-                exact.pseudo_deleted = False
-            else:
-                self._insert_sorted(leaf, KeyEntry(key_value, rid), path)
-        elif action == "physical_delete":
-            if exact is not None:
-                pos = leaf.position(composite)
-                del leaf.entries[pos]
-        elif action == "remove_unless_tombstoned":
-            if exact is not None and not exact.pseudo_deleted:
-                pos = leaf.position(composite)
-                del leaf.entries[pos]
-        elif action == "replace_rid":
-            old_rid = RID(*old_rid)
-            old_leaf, _path = self._traverse((key_value, old_rid),
-                                             count=False)
-            old_entry = old_leaf.find_exact((key_value, old_rid))
+        entry = leaf.find_exact(composite)
+        if action == "replace_rid":
+            # The entry to revive sits under its old RID, on whichever
+            # leaf that descends to; both leaves are imaged.
+            self.dirty.add(leaf.page_no)
+            old = (key_value, RID(*old_rid))
+            old_leaf, _path = self._traverse(old, count=False)
+            old_entry = old_leaf.find_exact(old)
             if old_entry is not None:
-                self.dirty.add(old_leaf.page_no)
-                old_entry.rid = rid
-                old_entry.pseudo_deleted = False
-            elif exact is not None:
-                exact.pseudo_deleted = False
-        elif action == "restore_entry":
-            # undo of replace_rid: put back <key, old_rid> pseudo-deleted
-            # (only a terminated deleter's tombstone is ever replaced)
-            if exact is not None:
-                exact.rid = RID(*old_rid)
-                exact.pseudo_deleted = True
-        else:  # pragma: no cover - exhaustive dispatch
-            raise StorageError(f"unknown index action {action!r}")
+                leaf, entry = old_leaf, old_entry
+        self._edit(leaf, path, entry, action, key_value, rid, old_rid)
 
     # ------------------------------------------------------------------
     # recovery integration

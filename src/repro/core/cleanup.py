@@ -18,11 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.btree.tree import index_payload
 from repro.core.descriptor import IndexDescriptor
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE
-from repro.wal.records import RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -67,15 +65,10 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
                     skipped += 1  # deletion probably uncommitted: skip
             for entry in doomed:
                 if entry in leaf.entries:
-                    leaf.entries.remove(entry)
-                    tree.dirty.add(leaf.page_no)
                     removed += 1
-                    payload, size = index_payload(
-                        descriptor.name, "physical_delete", None,
-                        entry.key_value, entry.rid)
-                    txn.log(RecordKind.UPDATE,
-                            redo=("index.apply", payload), size=size,
-                            info={"reason": "gc"}, writer="gc")
+                    tree._change(txn, leaf, None, entry, "physical_delete",
+                                 None, entry.key_value, entry.rid, None,
+                                 writer="gc")
         finally:
             leaf.latch.release(system.sim.current)
         if removed or skipped:

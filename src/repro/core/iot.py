@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.loader import BulkLoader
-from repro.btree.tree import BTree, index_payload
+from repro.btree.tree import BTree
 from repro.errors import RecordNotFoundError, StorageError
 from repro.core.maintenance import key_changes
 from repro.sidefile import (DELETE, INSERT, SideFile,
@@ -194,12 +194,8 @@ class IOTable:
             if index.available:
                 for operation, key in changes:
                     action, undo_action = _TREE_ACTIONS[operation]
-                    index.tree.apply_logical(action, key, rid)
-                    payload, size = index_payload(
-                        index.name, action, undo_action, key, rid)
-                    txn.log(RecordKind.UPDATE,
-                            redo=("index.apply", payload),
-                            undo=("index.undo", payload), size=size)
+                    index.tree._change(txn, None, None, None, action,
+                                       undo_action, key, rid, None)
             elif self.build is not None \
                     and index in self.build.indexes and behind:
                 sidefile = self.system.sidefiles[index.name]
@@ -299,8 +295,8 @@ class SFIotBuilder:
             while position < len(sidefile.entries):
                 entry = sidefile.entries[position]
                 position += 1
-                yield from self.index.tree.sf_drain_apply(
-                    ib_txn, entry.operation, entry.key_value, entry.rid)
+                yield from self.index.tree.sf_drain_apply_batch(
+                    ib_txn, [(entry.operation, entry.key_value, entry.rid)])
                 system.metrics.incr("iot.sidefile_drained")
             if position == len(sidefile.entries):
                 self.index.available = True
@@ -375,12 +371,8 @@ def _redo_iot(system: "System", record: LogRecord):
     table = _table(system, payload[IOT_TABLE])
     if table is not None:
         pk, values = payload[IOT_PK], payload[IOT_VALUES]
-        if values is None:
-            table.rows.pop(pk, None)
-            table.primary.apply_logical("physical_delete", pk, RID(0, 0))
-        else:
-            table.rows[pk] = Record(values)
-            table.primary.apply_logical("insert", pk, RID(0, 0))
+        table._store(pk, table.rows.get(pk),
+                     None if values is None else Record(values))
     return
     yield  # pragma: no cover - generator shape
 

@@ -265,8 +265,7 @@ class IndexMaintenance:
                                               None, key, rid)
                 self.system.log.append(
                     txn.txn_id, RecordKind.COMPENSATION,
-                    redo=("index.apply", payload), size=size,
-                    info={"reason": "figure2-logical-undo"})
+                    redo=("index.apply", payload), size=size)
                 self.system.metrics.incr("maintenance.logical_tree_undos")
         return
         yield  # pragma: no cover - generator shape

@@ -6,13 +6,17 @@ whole-tree serialisation ``force()`` used to do, kept here: after every
 force the incremental map must equal an image taken from scratch, and
 after every crash the tree that comes back must be the stable one.  Any
 new site that mutates a page without adding it to ``tree.dirty`` fails
-this oracle in whichever mode reaches it.
+this oracle in whichever mode reaches it.  At the rarely reached sites a
+second check replays each forced interval: the previous stable image
+plus a redo of every younger ``index.apply`` record must equal the live
+tree, so a site that changes a page without logging it fails too.
 """
 
 import pytest
 
-from repro.btree import BTree, BulkLoader, IBCursor
+from repro.btree import BTree, BulkLoader, IBCursor, InsertOutcome
 from repro.btree.node import LeafPage
+from repro.btree.tree import IX_ACTION, IX_INDEX, IX_OLD_RID
 from repro.core import build_pre_undo, cancel_build, resume_build
 from repro.core.cleanup import cleanup_pseudo_deleted
 from repro.core.descriptor import IndexDescriptor, IndexState
@@ -70,6 +74,45 @@ def oracle(monkeypatch):
     monkeypatch.setattr(BTree, "force", checked_force)
     monkeypatch.setattr(BTree, "crash", checked_crash)
     return forces
+
+
+def entries(tree) -> list:
+    """Every entry of ``tree`` in key order, pseudo-deleted ones too."""
+    return [(e.key_value, tuple(e.rid), e.pseudo_deleted)
+            for e in tree.all_entries(include_pseudo_deleted=True)]
+
+
+def younger_applies(tree) -> list:
+    """``tree``'s ``index.apply`` records past its last force."""
+    return [r for r in tree.system.log.scan(tree.durable_lsn + 1)
+            if r.redo_op == "index.apply" and r.payload[IX_INDEX] == tree.name]
+
+
+def replayed(tree) -> BTree:
+    """A copy of ``tree`` from its stable image plus a redo of every
+    younger ``index.apply`` record, on a system of its own (a redo split
+    logs and counts)."""
+    copy = BTree(System(tree.system.config), tree.name, tree.table_name,
+                 unique=tree.unique, leaf_capacity=tree.leaf_capacity,
+                 branch_capacity=tree.branch_capacity)
+    copy.install_stable_image(tree.stable_image())
+    for record in younger_applies(tree):
+        copy.apply_logged(record.payload)
+    return copy
+
+
+@pytest.fixture
+def replay(oracle, monkeypatch):
+    """Before every force, replay the interval it closes: for tests whose
+    intervals hold no bulk load (an unlogged load replays nothing)."""
+    checked_force = BTree.force
+
+    def replayed_force(tree):
+        assert entries(replayed(tree)) == entries(tree), (
+            f"{tree.name}: a change was not logged")
+        checked_force(tree)
+
+    monkeypatch.setattr(BTree, "force", replayed_force)
 
 
 def small(builder, **kwargs):
@@ -213,7 +256,7 @@ def _one_txn(system, *steps):
     return body()
 
 
-def test_leaf_and_branch_splits_between_forces(oracle):
+def test_leaf_and_branch_splits_between_forces(oracle, replay):
     system, tree, run, _rids = _stage()
     for start in range(0, 240, 12):
         run(_one_txn(system, *[
@@ -226,7 +269,8 @@ def test_leaf_and_branch_splits_between_forces(oracle):
 
 
 @pytest.mark.parametrize("unique", [False, True], ids=["plain", "unique"])
-def test_pseudo_delete_then_reactivation_by_a_transaction(oracle, unique):
+def test_pseudo_delete_then_reactivation_by_a_transaction(oracle, replay,
+                                                           unique):
     system, tree, run, _rids = _stage(unique=unique)
     key = ((5,), RID(0, 5))
     run(_one_txn(system, *[
@@ -247,8 +291,8 @@ def test_pseudo_delete_then_reactivation_by_a_transaction(oracle, unique):
     assert oracle[-1] == ("idx", 1, 1)
 
 
-def test_a_unique_tombstone_revived_under_a_new_rid(oracle):
-    """``_unique_insert_decide``'s REPLACED_RID (a transaction) and
+def test_a_unique_tombstone_revived_under_a_new_rid(oracle, replay):
+    """``_insert_decide``'s REPLACED_RID (a transaction) and
     ``_ib_unique_check``'s revival (IB): the entry changes in place."""
     system, tree, run, rids = _stage(unique=True, rows=8)
     tombstones = [((k,), RID(90, k)) for k in (2, 6)]
@@ -265,6 +309,60 @@ def test_a_unique_tombstone_revived_under_a_new_rid(oracle):
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
         txn, [((6,), tuple(rids[6]))], IBCursor())))
     assert system.metrics.get("index.rid_replacements") == 2
+    tree.force()
+    assert oracle[-1] == ("idx", 1, 1)
+
+
+def test_the_ib_revive_is_logged_like_a_replaced_rid(oracle):
+    """IB's revive of a settled deleter's tombstone writes its
+    ``replace_rid`` record as the transaction's REPLACED_RID does: a
+    crash back to the force before it, then redo, gives IB's live entry,
+    not the tombstone (nor would a restore from a copy taken there)."""
+    system, tree, run, rids = _stage(unique=True, rows=8)
+    run(_one_txn(system, *[
+        (lambda txn, key=key: tree.txn_delete_key(txn, *key,
+                                                  during_build=True))
+        for key in (((2,), RID(90, 2)), ((6,), RID(90, 6)))]))
+    tree.force()
+    run(_one_txn(system, lambda txn: tree.txn_insert_key(
+        txn, (2,), rids[2], during_build=True)))
+    assert len(younger_applies(tree)) == 1
+    tree.force()
+    ib_records = system.metrics.get("wal.records.ib")
+    run(_one_txn(system, lambda txn: tree.ib_insert_batch(
+        txn, [((6,), tuple(rids[6]))], IBCursor())))
+    revive, = younger_applies(tree)
+    assert system.metrics.get("wal.records.ib") == ib_records + 1
+    assert revive.payload[IX_ACTION] == "replace_rid"
+    assert revive.payload[IX_OLD_RID] == RID(90, 6)
+    live = entries(tree)
+    assert ((6,), tuple(rids[6]), False) in live
+    tree.crash()
+    assert ((6,), (90, 6), True) in entries(tree)
+    tree.apply_logged(revive.payload)
+    assert entries(tree) == live
+
+
+def test_a_duplicate_insert_rolled_back_pseudo_deletes_ibs_key(oracle,
+                                                               replay):
+    """DUPLICATE_NOOP: IB inserted the key first, so the transaction
+    writes only the undo-only record; its rollback pseudo-deletes IB's
+    entry under a CLR."""
+    system, tree, run, rids = _stage(rows=8)
+    run(_one_txn(system, lambda txn: tree.ib_insert_batch(
+        txn, [((3,), tuple(rids[3]))], IBCursor())))
+    tree.force()
+
+    def duplicate():
+        txn = system.txns.begin("T")
+        outcome = yield from tree.txn_insert_key(txn, (3,), rids[3],
+                                                 during_build=True)
+        assert outcome is InsertOutcome.DUPLICATE_NOOP
+        assert not younger_applies(tree)
+        yield from txn.rollback()
+
+    run(duplicate())
+    assert entries(tree) == [((3,), tuple(rids[3]), True)]
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
 
@@ -287,7 +385,7 @@ def test_redo_of_replace_rid_images_the_old_rids_leaf(oracle):
     assert oracle[-1][1:] == (2, 2)
 
 
-def test_garbage_collection_of_pseudo_deleted_keys(oracle):
+def test_garbage_collection_of_pseudo_deleted_keys(oracle, replay):
     system, tree, run, _rids = _stage()
     run(_one_txn(system, *[
         (lambda txn, k=k: tree.txn_insert_key(txn, (k,), RID(0, k),
@@ -322,39 +420,60 @@ def test_a_resumed_loader_appends_into_a_forced_partial_leaf(oracle):
 # -- tamper: a lost dirty mark is caught ------------------------------------
 
 
+TOMBSTONE = ((5,), RID(0, 5))
+
+
 def _tree_with_a_tombstone():
+    """Twelve keys, ``TOMBSTONE`` pseudo-deleted, forced; and a drain of
+    side-file entries into it."""
     system, tree, run, _rids = _stage()
-    key = ((5,), RID(0, 5))
     run(_one_txn(system, *[
         (lambda txn, k=k: tree.txn_insert_key(txn, (k,), RID(0, k),
                                               during_build=True))
         for k in range(12)]))
     run(_one_txn(system, lambda txn: tree.txn_delete_key(
-        txn, *key, during_build=True)))
+        txn, *TOMBSTONE, during_build=True)))
     tree.force()
-    return tree, lambda: run(_one_txn(
-        system, lambda ib: tree.sf_drain_apply(ib, "insert", *key)))
+    return tree, lambda *batch: run(_one_txn(
+        system, lambda ib: tree.sf_drain_apply_batch(ib, list(batch))))
 
 
-def test_reactivation_by_the_drain_is_imaged(oracle):
-    tree, reactivate = _tree_with_a_tombstone()
-    reactivate()
+def test_reactivation_by_the_drain_is_imaged(oracle, replay):
+    tree, drain = _tree_with_a_tombstone()
+    drain(("insert", *TOMBSTONE))
     assert len(tree.dirty) == 1
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
 
 
-def test_the_oracle_catches_a_removed_dirty_mark(oracle):
-    tree, reactivate = _tree_with_a_tombstone()
-    real = tree._sf_apply_one
+def test_drain_inserts_and_deletes_replay(oracle, replay):
+    tree, drain = _tree_with_a_tombstone()
+    drain(("insert", (20,), RID(0, 20)), ("delete", (3,), RID(0, 3)),
+          ("insert", (3,), RID(1, 3)))
+    assert ((3,), (1, 3), False) in entries(tree)
+    assert ((3,), (0, 3), False) not in entries(tree)
+    tree.force()
 
-    def forgetful(*args):  # _sf_apply_one without its reactivate mark
-        real(*args)
+
+def test_the_oracle_catches_a_removed_dirty_mark(oracle):
+    tree, drain = _tree_with_a_tombstone()
+    real = tree._change
+
+    def forgetful(*args, **kwargs):  # _change without its dirty mark
+        real(*args, **kwargs)
         tree.dirty.clear()
 
-    tree._sf_apply_one = forgetful
-    reactivate()
+    tree._change = forgetful
+    drain(("insert", *TOMBSTONE))
     with pytest.raises(AssertionError, match="without being marked dirty"):
+        tree.force()
+
+
+def test_the_replay_check_catches_a_lost_log_record(oracle, replay):
+    tree, drain = _tree_with_a_tombstone()
+    tree._log_key_op = lambda *args, **kwargs: None  # a site that forgets
+    drain(("insert", *TOMBSTONE))
+    with pytest.raises(AssertionError, match="was not logged"):
         tree.force()
 
 

@@ -144,15 +144,15 @@ def test_sf_drain_apply_insert_delete_roundtrip():
 
     def body():
         ib = system.txns.begin("IB")
-        yield from tree.sf_drain_apply(ib, "insert", 99, RID(1, 0))
+        yield from tree.sf_drain_apply_batch(ib, [("insert", 99, RID(1, 0))])
         assert tree.key_count() == 9
         # idempotent: re-applying the same insert is a no-op
-        yield from tree.sf_drain_apply(ib, "insert", 99, RID(1, 0))
+        yield from tree.sf_drain_apply_batch(ib, [("insert", 99, RID(1, 0))])
         assert tree.key_count() == 9
-        yield from tree.sf_drain_apply(ib, "delete", 99, RID(1, 0))
+        yield from tree.sf_drain_apply_batch(ib, [("delete", 99, RID(1, 0))])
         assert tree.key_count() == 8
         # deleting a missing key is a no-op
-        yield from tree.sf_drain_apply(ib, "delete", 99, RID(1, 0))
+        yield from tree.sf_drain_apply_batch(ib, [("delete", 99, RID(1, 0))])
         assert tree.key_count() == 8
         yield from ib.commit()
 
@@ -165,7 +165,7 @@ def test_sf_drain_logs_undo_redo():
 
     def body():
         ib = system.txns.begin("IB")
-        yield from tree.sf_drain_apply(ib, "insert", 5, RID(0, 0))
+        yield from tree.sf_drain_apply_batch(ib, [("insert", 5, RID(0, 0))])
         yield from ib.commit()
 
     drive(system, body())
@@ -179,8 +179,8 @@ def test_verify_unique_detects_transient_duplicates():
 
     def body():
         ib = system.txns.begin("IB")
-        yield from tree.sf_drain_apply(ib, "insert", 5, RID(0, 0))
-        yield from tree.sf_drain_apply(ib, "insert", 5, RID(0, 1))
+        yield from tree.sf_drain_apply_batch(ib, [("insert", 5, RID(0, 0))])
+        yield from tree.sf_drain_apply_batch(ib, [("insert", 5, RID(0, 1))])
         yield from ib.commit()
 
     drive(system, body())
