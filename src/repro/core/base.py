@@ -7,10 +7,13 @@ page in share mode, extracting one key per record per index being built
 restartable sort, and periodically checkpointing the sort against the WAL
 so a crash does not force a full rescan (section 5).
 
-Subclasses provide the second half: NSF inserts the sorted keys top-down
-into a live tree; SF bulk-loads bottom-up and then drains the side-file;
-Offline holds an X table lock for the whole build (the baseline the paper
-wants to eliminate).
+The modes differ only in their second half, and :class:`BuilderBase`
+owns the one loop that runs it: a key source (:mod:`repro.core.sources`)
+ends in one final merger per index, then each index goes through the
+mode's steps -- NSF inserts the sorted keys top-down into a live tree; SF
+bulk-loads bottom-up and then drains the side-file.  Offline holds an X
+table lock around the shared scan and load (the baseline the paper wants
+to eliminate).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, TYPE_CHECKING
 
+from repro.btree.loader import BulkLoader
 from repro.core.descriptor import IndexDescriptor, IndexState
 from repro.core.maintenance import (
     BuildContext,
@@ -134,6 +138,15 @@ class BuilderBase:
     #: prefix of the per-index run store the sort plumbing reads and
     #: writes (a rebuild merges out of the ``sealed:`` stores instead)
     run_store_prefix = "sort"
+    #: the per-index steps after the key source, in order; step ``x`` is
+    #: the generator method ``_x_step(descriptor, merger)``
+    steps: tuple = ()
+    #: visit every step of one index before the next index (section 6.2:
+    #: each index online as soon as its own drain completes, side-files
+    #: of the later ones still growing) instead of one step across every
+    #: index, then the next (which keeps all K offline until the very
+    #: end; E8 pins it)
+    pipelined = False
 
     def __init__(self, system: "System", table: "Table",
                  specs: Sequence[IndexSpec] | IndexSpec,
@@ -232,7 +245,7 @@ class BuilderBase:
         """Generator process body: build all requested indexes.
 
         The prologue and epilogue are the same for every mode; the
-        phases in between are the mode's :meth:`_run_phases`.
+        phases in between are :meth:`_run_phases`.
         """
         self._mark("start")
         self.obs.begin("build", mode=self.mode, table=self.table.name,
@@ -247,8 +260,30 @@ class BuilderBase:
         return self.descriptors
 
     def _run_phases(self):
-        """Hook: the mode's phases, fresh or resumed (a generator)."""
-        raise NotImplementedError
+        """The one build loop, fresh or resumed: the key source (unless
+        resumed past it), then every ``(index, step)`` pair whose index
+        is not done."""
+        state = self._resume_state
+        mergers = None
+        if state is None:
+            yield from self.source.start()
+        elif not self.source.resume(state):
+            mergers = self._resume_loads()
+        if mergers is None:
+            mergers = yield from self.source.mergers()
+        for descriptor, step in self._steps():
+            if self._manifest[descriptor.name]["status"] != "done":
+                yield from getattr(self, f"_{step}_step")(
+                    descriptor, mergers.get(descriptor.name))
+        self._mark_available()
+
+    def _steps(self) -> list:
+        """The visiting order: the two nestings of indexes x steps."""
+        if self.pipelined:
+            return [(descriptor, step) for descriptor in self.descriptors
+                    for step in self.steps]
+        return [(descriptor, step) for step in self.steps
+                for descriptor in self.descriptors]
 
     def _build_span_attrs(self) -> dict:
         """Hook: mode-specific attributes of the root ``build`` span."""
@@ -314,6 +349,26 @@ class BuilderBase:
         for descriptor in self.descriptors:
             descriptor.state = IndexState.AVAILABLE
 
+    def _quiesced(self, lock_mode: str, txn_name: str, body):
+        """Generator: run the generator ``body`` with updaters quiesced
+        by a ``lock_mode`` table lock, which waits out every active
+        updater's IX lock and holds off new ones until ``body`` ends
+        (NSF's descriptor step: S, section 2.2.1; offline's whole build:
+        X)."""
+        metrics = self.system.metrics
+        txn = self.system.txns.begin(txn_name)
+        requested = self.system.sim.now
+        yield from txn.lock(self.table.table_lock_name, lock_mode)
+        granted = self.system.sim.now
+        metrics.observe("build.quiesce_wait", granted - requested)
+        self.obs.instant("quiesce.begin", waited=granted - requested)
+        try:
+            yield from body
+        finally:
+            yield from txn.commit()  # ends the quiesce
+        metrics.observe("build.quiesce_hold", self.system.sim.now - granted)
+        self.obs.instant("quiesce.end", held=self.system.sim.now - granted)
+
     # -- sort plumbing -------------------------------------------------------------
 
     def _store_for(self, descriptor: IndexDescriptor) -> RunStore:
@@ -354,6 +409,12 @@ class BuilderBase:
         return RunFormation.restore(store, manifest, size,
                                     prune=prune, codec=codec)
 
+    def _decoder(self, name: str):
+        """How index ``name``'s merged keys reach the tree: its codec's
+        decode when the keys were sorted encoded, None when raw."""
+        codec = self._codecs.get(name)
+        return codec.decode if codec is not None and codec.active else None
+
     def _make_sorters(self) -> None:
         for descriptor in self.descriptors:
             self._sorters[descriptor.name] = self._new_sorter(descriptor)
@@ -377,14 +438,12 @@ class BuilderBase:
                     descriptor, manifest, workspace=workspace, prune=prune)
         return sorters, position
 
-    def _resume_scan(self) -> int:
-        """Resume the serial scan from its checkpoint: restore the
-        sorters, return the page to continue from."""
-        state = self._resume_state
-        self._sorters, _position = self._restore_sorters(
-            state.get("sort", {}))
-        self.system.metrics.incr("build.resumes.scan")
-        return state.get("next_page", 0)
+    def _reset_torn_shells(self) -> None:
+        """A torn snapshot during the scan phase lost only an empty tree
+        image; normalize the shell so the load starts clean."""
+        for descriptor in self.descriptors:
+            if descriptor.tree.media_damaged:
+                descriptor.tree.reset()
 
     # -- the per-index manifest ------------------------------------------------
 
@@ -398,11 +457,33 @@ class BuilderBase:
             entry["floor"] = floor
         self._manifest[name] = entry
 
+    def _resume_loads(self) -> dict:
+        """THE post-scan resume: read the manifest, return the mergers
+        the remaining steps need.  Finished indexes are skipped outright
+        (no rescan, no reload, no re-drain or re-insert) and AVAILABLE
+        from here on; the others rejoin the key source."""
+        metrics = self.system.metrics
+        skipped = 0
+        for descriptor in self.descriptors:
+            if self._manifest[descriptor.name]["status"] != "done":
+                self.source.rejoin(descriptor)
+                continue
+            descriptor.state = IndexState.AVAILABLE
+            if self.context is not None \
+                    and descriptor in self.context.descriptors:
+                self.context.descriptors.remove(descriptor)
+            skipped += 1
+        if skipped:
+            metrics.incr("multibuild.resume_skipped_indexes", skipped)
+        mergers = self._mergers_from_manifest()
+        metrics.incr(f"build.resumes.{self.steps[0]}" if mergers
+                     else f"build.resumes.{self.steps[-1]}")
+        return mergers
+
     def _mergers_from_manifest(self) -> dict:
-        """Post-scan resume, the one loop every mode shares: an index
-        checkpointed mid-load (NSF: mid-insert) resumes its merge from
-        the counters, a pending one restarts from the closed runs, and
-        a draining or done one needs no keys at all."""
+        """An index checkpointed mid-load (NSF: mid-insert) resumes its
+        merge from the counters, a pending one restarts from the closed
+        runs, and a draining or done one needs no keys at all."""
         mergers = {}
         for descriptor in self.descriptors:
             entry = self._manifest[descriptor.name]
@@ -713,6 +794,101 @@ class BuilderBase:
     def _final_merger(self, descriptor: IndexDescriptor, runs):
         return final_merger(self._store_for(descriptor), runs,
                             self.merge_fanin)
+
+    # -- the shared bottom-up load (SF phase 3, offline) -----------------------
+
+    def _load_phase(self, descriptor, merger: Optional[RestartableMerger],
+                    loader: Optional[BulkLoader] = None):
+        """Bulk-load the merged keys bottom-up, unlogged (section 3.2.4),
+        checkpointing the merge counters and the highest key every
+        ``checkpoint_every_keys`` keys -- unless the mode restarts
+        instead of resuming (offline): no checkpoints, no crash sites."""
+        tree = descriptor.tree
+        metrics = self.system.metrics
+        self.obs.begin("load", key=f"load:{descriptor.name}",
+                       index=descriptor.name)
+        keys_loaded = 0
+        # Keys awaiting load = what the (post-merge-pass) run store holds;
+        # resumed loads see only the remaining runs, which is still the
+        # right denominator for *this* phase's completion fraction.
+        keys_total = self._store_for(descriptor).total_keys() \
+            if self.obs.progress is not None else 0
+        if loader is None:
+            # resume() degrades to a fresh loader on an empty tree, and
+            # continues after the checkpointed right-most path otherwise
+            # (section 3.2.4).
+            loader = BulkLoader.resume(
+                tree, fill_free_fraction=self.options.fill_free_fraction)
+        resumable = self.mode in RESUMABLE_MODES
+        checkpoint_every = self.options.checkpoint_every_keys \
+            if resumable else None
+        since_checkpoint = 0
+        since_yield = 0
+        decode = self._decoder(descriptor.name)
+        compare_cost = self.options.key_compare_cost
+        compare_units = 1 if decode is not None \
+            else len(descriptor.key_columns) + 2
+        merge_charged = 0
+        key_cost = self.system.config.bulk_load_key_cost
+
+        def charge(keys):
+            """Admission and simulated time for ``keys`` loaded keys and
+            the merge matches played to produce them."""
+            nonlocal merge_charged
+            yield from self._throttle(keys)
+            yield Delay(keys * key_cost)
+            if compare_cost:
+                done = merger.comparisons
+                matches, merge_charged = done - merge_charged, done
+                if matches:
+                    yield Delay(matches * compare_units * compare_cost)
+
+        # The merged keys are pulled and loaded in batches, but the yield
+        # and checkpoint cadence is key-exact: each batch is capped at
+        # the earlier of the next 64-key yield boundary and the next
+        # checkpoint boundary, so the simulated schedule is identical to
+        # a key-at-a-time loop.
+        while merger is not None:
+            take = 64 - since_yield
+            if checkpoint_every:
+                slack = checkpoint_every - since_checkpoint
+                if 0 < slack < take:
+                    take = slack
+            batch = merger.pop_many(take)
+            if not batch:
+                break
+            loader.extend(batch if decode is None
+                          else list(map(decode, batch)))
+            produced = len(batch)
+            keys_loaded += produced
+            since_checkpoint += produced
+            since_yield += produced
+            if since_yield >= 64:
+                yield from charge(since_yield)
+                since_yield = 0
+                self.obs.advance(f"load:{descriptor.name}", keys_loaded,
+                                 keys_total)
+                if resumable:
+                    fault_point(metrics, "sf.load_batch")
+            if checkpoint_every and since_checkpoint >= checkpoint_every:
+                # Atomic trio: force tree, checkpoint merge counters,
+                # write the WAL checkpoint (section 3.2.4).
+                self._enter(
+                    descriptor.name, "loading", merge=merger.checkpoint(),
+                    highest_key=loader.highest_key,
+                    position=self._manifest[descriptor.name].get(
+                        "position", 0))
+                self._write_utility_checkpoint({"phase": "load"})
+                since_checkpoint = 0
+                metrics.incr("build.load_checkpoints")
+        if since_yield:
+            yield from charge(since_yield)
+        loader.finish()
+        tree.force()
+        self.obs.end(f"load:{descriptor.name}", keys=keys_loaded)
+        self._mark(f"load_done:{descriptor.name}")
+        if resumable:
+            fault_point(metrics, "sf.load_done")
 
     # -- WAL checkpoint plumbing -----------------------------------------------------------
 

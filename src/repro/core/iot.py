@@ -175,7 +175,9 @@ class IOTable:
             return False
         if position is KEY_INFINITY:
             return True
-        return pk < position
+        # current_key is the last key already pushed into the sort, so
+        # the row at it is behind the scan too
+        return pk <= position
 
     # -- secondary maintenance ------------------------------------------------------
 

@@ -26,6 +26,7 @@ from typing import Optional
 from repro.btree.tree import IBCursor
 from repro.core.base import BuilderBase
 from repro.core.maintenance import NSF_MODE
+from repro.core.sources import HeapScan
 from repro.faultinject.sites import fault_point
 from repro.obs.progress import Phase
 from repro.obs.recorder import key_metric
@@ -33,47 +34,20 @@ from repro.sort import RestartableMerger
 
 
 class NSFIndexBuilder(BuilderBase):
-    """No-Side-File online index builder."""
+    """No-Side-File online index builder: the heap scan, then one
+    ``insert`` step per index."""
 
     mode = NSF_MODE
+    steps = ("insert",)
+    descriptor_done_site = "nsf.descriptor_done"
 
-    # -- main process ------------------------------------------------------
+    def _configure(self) -> None:
+        self.source = HeapScan(self)
 
     def _phases(self) -> list:
         share = 0.40 / len(self.specs)
         return [Phase("scan", 0.60)] + [Phase(f"insert:{spec.name}", share)
                                         for spec in self.specs]
-
-    def _run_phases(self):
-        """Build all requested indexes online."""
-        state = self._resume_state
-        mergers = None
-        scan_start = 0
-        if state is None:
-            yield from self._descriptor_phase()
-            self._make_sorters()
-        elif state["phase"] == "scan":
-            scan_start = self._resume_scan()
-        else:
-            # insert / insert-start.  Already-inserted keys of a
-            # restarted merge are duplicate-rejected (section 2.2.3: "no
-            # integrity problem in IB trying to insert keys which were
-            # already inserted prior to the failure").
-            mergers = self._mergers_from_manifest()
-            self.system.metrics.incr("build.resumes.insert")
-        if mergers is None:
-            mergers = yield from self._scan_phase(
-                scan_start, readers=self.options.parallel_readers)
-
-        for descriptor in self.descriptors:
-            if self._manifest[descriptor.name]["status"] == "done":
-                continue
-            yield from self._insert_phase(descriptor,
-                                          mergers.get(descriptor.name))
-            self._enter(descriptor.name, "done")
-            self._write_utility_checkpoint({"phase": "insert-start"})
-
-        self._mark_available()
 
     def _scan_done(self) -> None:
         self._write_utility_checkpoint({"phase": "insert-start"})
@@ -81,37 +55,33 @@ class NSFIndexBuilder(BuilderBase):
     # -- phase 1: descriptor under short quiesce ---------------------------------
 
     def _descriptor_phase(self):
-        quiesce_txn = self.system.txns.begin("IB-descriptor")
-        lock_requested = self.system.sim.now
-        yield from quiesce_txn.lock(self.table.table_lock_name, "S")
-        lock_granted = self.system.sim.now
-        self.system.metrics.observe("build.quiesce_wait",
-                                    lock_granted - lock_requested)
-        self.obs.instant("quiesce.begin",
-                         waited=lock_granted - lock_requested)
+        """Section 2.2.1: the descriptors appear under a short S quiesce."""
+        yield from self._quiesced("S", "IB-descriptor", self._attach())
+
+    def _attach(self):
+        """The descriptors, visible from here on (no simulated time)."""
+        yield from ()
         self._create_descriptors()
         self._install_context()
-        yield from quiesce_txn.commit()  # ends the quiesce
-        self.system.metrics.observe("build.quiesce_hold",
-                                    self.system.sim.now - lock_granted)
-        self.obs.instant("quiesce.end",
-                         held=self.system.sim.now - lock_granted)
-        # Initial checkpoint so a crash before the first periodic scan
-        # checkpoint can still resume (from page zero).
-        self._write_utility_checkpoint({
-            "phase": "scan", "next_page": 0, "sort": {}})
-        self._mark("descriptor_done")
-        fault_point(self.system.metrics, "nsf.descriptor_done")
 
     # -- phase 3: key insertion ------------------------------------------------------
 
-    def _gauge_watermark(self, descriptor, highest) -> None:
-        """Gauge the gradual-availability frontier (footnote 3)."""
-        if self.obs.tracer is not None and highest is not None:
+    def _publish_watermark(self, descriptor, highest) -> None:
+        """Footnote 3 of section 2.2.1: the committed frontier can serve
+        reads of lower key ranges (opt-in, see
+        repro.query.set_gradual_availability); gauge it."""
+        if highest is None:
+            return
+        descriptor.read_watermark = highest
+        if self.obs.tracer is not None:
             self.obs.gauge("read_watermark", key_metric(highest[0]),
                            index=descriptor.name, key=str(highest[0]))
 
-    def _insert_phase(self, descriptor, merger: Optional[RestartableMerger]):
+    def _insert_step(self, descriptor, merger: Optional[RestartableMerger]):
+        """Phase 3 for one index.  Already-inserted keys of a resumed
+        merge are duplicate-rejected (section 2.2.3: "no integrity
+        problem in IB trying to insert keys which were already inserted
+        prior to the failure")."""
         tree = descriptor.tree
         self.obs.begin("insert", key=f"insert:{descriptor.name}",
                        index=descriptor.name)
@@ -125,8 +95,7 @@ class NSFIndexBuilder(BuilderBase):
         highest = None
         commit_every = self.options.commit_every_keys
         checkpoint_every = self.options.checkpoint_every_keys
-        codec = self._codecs.get(descriptor.name)
-        decode = codec.decode if codec is not None and codec.active else None
+        decode = self._decoder(descriptor.name)
         while merger is not None:
             batch = merger.pop_many(self.ib_batch_keys)
             if not batch:
@@ -145,11 +114,7 @@ class NSFIndexBuilder(BuilderBase):
             if commit_every and since_commit >= commit_every:
                 yield from ib_txn.commit()
                 fault_point(self.system.metrics, "nsf.ib_commit")
-                # Footnote 3 of section 2.2.1: the committed frontier can
-                # serve reads of lower key ranges (opt-in, see
-                # repro.query.set_gradual_availability).
-                descriptor.read_watermark = highest
-                self._gauge_watermark(descriptor, highest)
+                self._publish_watermark(descriptor, highest)
                 ib_txn = self.system.txns.begin(
                     f"IB-insert-{descriptor.name}")
                 since_commit = 0
@@ -161,8 +126,7 @@ class NSFIndexBuilder(BuilderBase):
                 # commit_every path above.  Leaving the watermark behind
                 # here stalled gradual availability whenever checkpoints
                 # fired more often than (or instead of) plain commits.
-                descriptor.read_watermark = highest
-                self._gauge_watermark(descriptor, highest)
+                self._publish_watermark(descriptor, highest)
                 self._enter(descriptor.name, "loading",
                             merge=merger.checkpoint(), highest_key=highest)
                 self._write_utility_checkpoint({"phase": "insert"})
@@ -173,9 +137,9 @@ class NSFIndexBuilder(BuilderBase):
                 self.system.metrics.incr("build.insert_checkpoints")
                 fault_point(self.system.metrics, "nsf.insert_checkpoint")
         yield from ib_txn.commit()
-        if highest is not None:
-            descriptor.read_watermark = highest
-            self._gauge_watermark(descriptor, highest)
+        self._publish_watermark(descriptor, highest)
         self.obs.end(f"insert:{descriptor.name}")
         self._mark(f"insert_done:{descriptor.name}")
         fault_point(self.system.metrics, "nsf.insert_done")
+        self._enter(descriptor.name, "done")
+        self._write_utility_checkpoint({"phase": "insert-start"})

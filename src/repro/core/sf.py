@@ -41,8 +41,7 @@ from repro.core.sources import HeapScan, SealedRuns, ShardScan
 from repro.faultinject.sites import fault_point
 from repro.obs.progress import Phase
 from repro.sidefile import SideFile, register_sidefile_operations
-from repro.sim.kernel import Delay
-from repro.sort import RestartableMerger, RunStore
+from repro.sort import RunStore
 from repro.storage.rid import INFINITY_RID, RID
 
 
@@ -56,17 +55,15 @@ class SFIndexBuilder(BuilderBase):
     """
 
     mode = SF_MODE
+    steps = ("load", "drain")
     #: shard count when ``options.partitions`` is unset (None = the
     #: serial scan)
     default_partitions: Optional[int] = None
     #: take the keys from the index's sealed runs instead of a scan
     key_source: Optional[type] = None
-    #: visit load -> drain -> flip index by index (section 6.2: each
-    #: index online as soon as its own drain completes, side-files of
-    #: the later ones still growing) instead of every load, then every
-    #: drain (which keeps all K offline until the very end; E8 pins it)
-    pipelined = False
-    #: fault site of the end-of-scan transition
+    #: fault sites of the serial scan's descriptor step and of the
+    #: end-of-scan transition
+    descriptor_done_site = "sf.descriptor_done"
     scan_done_site = "sf.scan_done"
 
     def _configure(self) -> None:
@@ -79,6 +76,9 @@ class SFIndexBuilder(BuilderBase):
         partitions = self.options.partitions
         if partitions is not None and partitions < 1:
             raise ValueError(f"need at least one partition, got {partitions}")
+        if self.options.drain_batch < 1:
+            raise ValueError("need at least one side-file entry per drain "
+                             f"batch, got {self.options.drain_batch}")
         if self.key_source is not None:
             if partitions is not None:
                 raise ValueError(
@@ -115,34 +115,6 @@ class SFIndexBuilder(BuilderBase):
                               races=True))
         return rows
 
-    def _run_phases(self):
-        """Build all requested indexes online: the key source (unless
-        resumed past it), then one loop over ``(index, step)`` pairs."""
-        state = self._resume_state
-        mergers = None
-        if state is None:
-            self.source.start()
-        elif not self.source.resume(state):
-            mergers = self._resume_loads()
-        if mergers is None:
-            mergers = yield from self.source.mergers()
-        for descriptor, step in self._steps():
-            status = self._manifest[descriptor.name]["status"]
-            if step == "load" and status in ("pending", "loading"):
-                yield from self._load_step(descriptor,
-                                           mergers.get(descriptor.name))
-            elif step == "drain" and status != "done":
-                yield from self._drain_step(descriptor)
-
-    def _steps(self) -> list:
-        """The mode's visiting order: the two nestings of indexes x
-        (load, drain)."""
-        if self.pipelined:
-            return [(descriptor, step) for descriptor in self.descriptors
-                    for step in ("load", "drain")]
-        return [(descriptor, step) for step in ("load", "drain")
-                for descriptor in self.descriptors]
-
     def _scan_done(self) -> None:
         # Section 3.2.2: Current-RID := infinity when the scan is done,
         # so subsequent file extensions still reach the side-file.
@@ -155,6 +127,8 @@ class SFIndexBuilder(BuilderBase):
         """Phase 3 for one index: bottom-up bulk load, then whatever
         logged history the loaded keys predate."""
         name = descriptor.name
+        if self._manifest[name]["status"] == "draining":
+            return  # resumed past its load
         yield from self._load_phase(
             descriptor, merger, loader=self._resume_loaders.pop(name, None))
         self.source.loaded(descriptor)
@@ -181,7 +155,7 @@ class SFIndexBuilder(BuilderBase):
         # it -- the previous sealed generation, if any, stays valid).
         self._seal_sorted_runs(descriptor, merger)
 
-    def _drain_step(self, descriptor):
+    def _drain_step(self, descriptor, _merger):
         """Phase 4 for one index: the logged side-file drain + flip."""
         name = descriptor.name
         metrics = self.system.metrics
@@ -202,10 +176,11 @@ class SFIndexBuilder(BuilderBase):
 
     # -- phase 1: descriptor without quiesce --------------------------------------
 
-    def _descriptor_phase(self, frontier=None) -> None:
+    def _descriptor_phase(self, frontier=None):
         """No lock, no waiting: SF's headline availability property
         (section 3.2.1: "without quiescing (update) transactions").
         ``frontier``: the shard scan's one Current-RID per shard."""
+        yield from ()  # a generator like NSF's, without its quiesce
         self._create_descriptors()
         register_sidefile_operations(self.system)
         for descriptor in self.descriptors:
@@ -230,93 +205,6 @@ class SFIndexBuilder(BuilderBase):
         latch protocol (section 3.1)."""
         if self.context is not None:
             self.context.current_rid = RID(page.page_id.page_no + 1, 0)
-
-    # -- phase 3: bottom-up bulk load ------------------------------------------------------
-
-    def _load_phase(self, descriptor, merger: Optional[RestartableMerger],
-                    loader: Optional[BulkLoader] = None):
-        tree = descriptor.tree
-        self.obs.begin("load", key=f"load:{descriptor.name}",
-                       index=descriptor.name)
-        keys_loaded = 0
-        # Keys awaiting load = what the (post-merge-pass) run store holds;
-        # resumed loads see only the remaining runs, which is still the
-        # right denominator for *this* phase's completion fraction.
-        keys_total = self._store_for(descriptor).total_keys() \
-            if self.obs.progress is not None else 0
-        if loader is None:
-            # resume() degrades to a fresh loader on an empty tree, and
-            # continues after the checkpointed right-most path otherwise
-            # (section 3.2.4).
-            loader = BulkLoader.resume(
-                tree, fill_free_fraction=self.options.fill_free_fraction)
-        checkpoint_every = self.options.checkpoint_every_keys
-        since_checkpoint = 0
-        since_yield = 0
-        codec = self._codecs.get(descriptor.name)
-        decode = codec.decode if codec is not None and codec.active else None
-        compare_cost = self.options.key_compare_cost
-        compare_units = 1 if decode is not None \
-            else len(descriptor.key_columns) + 2
-        merge_charged = 0
-        key_cost = self.system.config.bulk_load_key_cost
-
-        def charge(keys):
-            """Admission and simulated time for ``keys`` loaded keys and
-            the merge matches played to produce them."""
-            nonlocal merge_charged
-            yield from self._throttle(keys)
-            yield Delay(keys * key_cost)
-            if compare_cost:
-                done = merger.comparisons
-                matches, merge_charged = done - merge_charged, done
-                if matches:
-                    yield Delay(matches * compare_units * compare_cost)
-
-        # The merged keys are pulled and loaded in batches, but the yield
-        # and checkpoint cadence is key-exact: each batch is capped at
-        # the earlier of the next 64-key yield boundary and the next
-        # checkpoint boundary, so the simulated schedule is identical to
-        # a key-at-a-time loop.
-        while merger is not None:
-            take = 64 - since_yield
-            if checkpoint_every:
-                slack = checkpoint_every - since_checkpoint
-                if 0 < slack < take:
-                    take = slack
-            batch = merger.pop_many(take)
-            if not batch:
-                break
-            loader.extend(batch if decode is None
-                          else list(map(decode, batch)))
-            produced = len(batch)
-            keys_loaded += produced
-            since_checkpoint += produced
-            since_yield += produced
-            if since_yield >= 64:
-                yield from charge(since_yield)
-                since_yield = 0
-                self.obs.advance(f"load:{descriptor.name}", keys_loaded,
-                                 keys_total)
-                fault_point(self.system.metrics, "sf.load_batch")
-            if checkpoint_every and since_checkpoint >= checkpoint_every:
-                # Atomic trio: force tree, checkpoint merge counters,
-                # write the WAL checkpoint (section 3.2.4).
-                self._enter(
-                    descriptor.name, "loading", merge=merger.checkpoint(),
-                    highest_key=loader.highest_key,
-                    position=self._manifest[descriptor.name].get(
-                        "position", 0))
-                self._write_utility_checkpoint({"phase": "load"})
-                since_checkpoint = 0
-                self.system.metrics.incr("build.load_checkpoints")
-        if since_yield:
-            yield from charge(since_yield)
-        loader.finish()
-        tree.force()
-        self.obs.end(f"load:{descriptor.name}", keys=keys_loaded)
-        self._mark(f"load_done:{descriptor.name}")
-        fault_point(self.system.metrics, "sf.load_done")
 
     def _seal_sorted_runs(self, descriptor, merger) -> None:
         """Seal the final merge output for fast index reconstruction.
@@ -466,7 +354,7 @@ class SFIndexBuilder(BuilderBase):
                                start=position))
         chunk.sort(key=lambda item: (item[1].key_value, item[1].rid,
                                      item[0]))
-        drain_batch = max(1, self.options.drain_batch)
+        drain_batch = self.options.drain_batch
         metrics = self.system.metrics
         for start in range(0, len(chunk), drain_batch):
             batch = [(entry.operation, entry.key_value, entry.rid)
@@ -480,76 +368,37 @@ class SFIndexBuilder(BuilderBase):
     # -- restart (section 3.2.4 / 3.2.5) ------------------------------------------------------
 
     def _resume_loads(self) -> dict:
-        """THE post-scan resume: read the manifest, return the mergers
-        the remaining loads need.
-
-        Finished indexes ("done") are skipped outright -- no rescan, no
-        reload, no re-drain; an index mid-load resumes its checkpointed
-        merge; a pending one rebuilds from the forced, closed sort runs;
-        a draining one resumes from its position.  The section 6
-        fallback is per index: a torn one alone goes back to pending,
-        the others keep their manifest progress.
-        """
-        metrics = self.system.metrics
-        skipped = 0
-        for descriptor in self.descriptors:
-            name = descriptor.name
-            done = self._manifest[name]["status"] == "done"
-            if descriptor.tree.media_damaged:
-                flipped = done or descriptor.state is IndexState.AVAILABLE
-                self._enter(name, "pending",
-                            position=self._torn_fallback(descriptor, flipped))
-            elif done:
-                # The flip was checkpointed, so the catalog carried
-                # AVAILABLE across.
-                descriptor.state = IndexState.AVAILABLE
-                if self.context is not None \
-                        and descriptor in self.context.descriptors:
-                    self.context.descriptors.remove(descriptor)
-                skipped += 1
-                continue
-            self.source.rejoin(descriptor)
-        if skipped:
-            metrics.incr("multibuild.resume_skipped_indexes", skipped)
-        mergers = self._mergers_from_manifest()
-        metrics.incr("build.resumes.load" if mergers
-                     else "build.resumes.drain")
-        return mergers
-
-    # -- resume helpers -----------------------------------------------------
-
-    def _reset_torn_shells(self) -> None:
-        """A torn snapshot during the scan phase lost only an empty tree
-        image; normalize the shell so the load starts clean."""
-        for descriptor in self.descriptors:
-            if descriptor.tree.media_damaged:
-                descriptor.tree.reset()
-
-    def _torn_fallback(self, descriptor, flipped: bool) -> int:
-        """Section 6 fallback for one index past the scan phase.
+        """The shared resume, after the section 6 fallback, per index.
 
         A torn stable snapshot means nothing of the tree survived, and
         an SF build cannot be redone from the log (the bulk load is
-        unlogged).  Pull the descriptor back into the load phase: rebuild
-        from the forced, closed sort runs, replay the logged maintenance
-        (:meth:`_replay_index_log`), then re-drain the side-file from
-        the returned position.  If the Index_Build flag had already been
-        reset (``flipped``), the side-file was fully drained and later
-        changes went straight to the index (they exist only as log
-        records); skip re-draining that frozen prefix or it would
-        clobber the replayed direct maintenance.
+        unlogged).  The torn index alone goes back to pending -- the
+        others keep their manifest progress: it is reloaded from the
+        forced, closed sort runs, its logged maintenance replayed
+        (:meth:`_replay_index_log`), then its side-file re-drained from
+        the position it enters.  If the Index_Build flag had already
+        been reset, the side-file was fully drained and later changes
+        went straight to the index (they exist only as log records);
+        skip re-draining that frozen prefix or it would clobber the
+        replayed direct maintenance.
         """
-        sidefile = self.system.sidefiles.get(descriptor.name)
-        position = len(sidefile.entries) \
-            if flipped and sidefile is not None else 0
-        descriptor.tree.reset()
-        descriptor.state = IndexState.BUILDING
-        if self.context is not None \
-                and descriptor not in self.context.descriptors:
-            self.context.descriptors.append(descriptor)
-        self._torn_recover.add(descriptor.name)
-        self.system.metrics.incr("build.resumes.torn_fallback")
-        return position
+        for descriptor in self.descriptors:
+            name = descriptor.name
+            if not descriptor.tree.media_damaged:
+                continue
+            flipped = self._manifest[name]["status"] == "done" \
+                or descriptor.state is IndexState.AVAILABLE
+            sidefile = self.system.sidefiles.get(name)
+            self._enter(name, "pending", position=len(sidefile.entries)
+                        if flipped and sidefile is not None else 0)
+            descriptor.tree.reset()
+            descriptor.state = IndexState.BUILDING
+            if self.context is not None \
+                    and descriptor not in self.context.descriptors:
+                self.context.descriptors.append(descriptor)
+            self._torn_recover.add(name)
+            self.system.metrics.incr("build.resumes.torn_fallback")
+        return super()._resume_loads()
 
     def _resume_load(self, descriptor, entry: dict):
         """Merger for a load resumed from its merge checkpoint.

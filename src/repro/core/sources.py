@@ -1,13 +1,15 @@
-"""Key sources: where a side-file build's sorted keys come from.
+"""Key sources: where a build's sorted keys come from.
 
 The paper states SF's variations as changes of *input*, not of
-algorithm, and :class:`~repro.core.sf.SFIndexBuilder` is built the same
+algorithm, and :class:`~repro.core.base.BuilderBase` is built the same
 way: everything up to "one final merger per index" is a key source, and
-the load, the drain and the flag flip that follow never ask which one
-ran.
+the per-index steps that follow (NSF's insert; SF's load, drain and flag
+flip) never ask which one ran.
 
-* :class:`HeapScan` -- section 3.2.2: one IB process scans the data
-  pages and advances Current-RID under each page latch.
+* :class:`HeapScan` -- sections 2.2.2 / 3.2.2: the data pages scanned
+  after the mode's descriptor step (NSF's short quiesce, SF's none); an
+  SF build advances Current-RID under each page latch, an NSF build may
+  read in parallel (``parallel_readers``).
 * :class:`ShardScan` -- section 2.2.2's "the data pages may be read in
   parallel using multiple processes", made compatible with Current-RID:
   the page space is range-partitioned into P shards, each with its own
@@ -45,25 +47,25 @@ from repro.sort import RunFormation
 from repro.storage.rid import INFINITY_RID, RID
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.sf import SFIndexBuilder
+    from repro.core.base import BuilderBase
 
 
 class KeySource:
     """One way of producing the final merger of every index."""
 
-    #: the progress phases the source declares ahead of the per-index
-    #: ``load`` / ``drain`` pairs, and the weight it leaves all the loads
-    #: (the drains take 0.15); a source that only hands over sealed keys
-    #: declares none
+    #: the progress phases the source declares ahead of an SF build's
+    #: per-index ``load`` / ``drain`` pairs, and the weight it leaves all
+    #: the loads (the drains take 0.15); a source that only hands over
+    #: sealed keys declares none
     phases: tuple = ()
     load_weight = 0.85
 
-    def __init__(self, builder: "SFIndexBuilder") -> None:
+    def __init__(self, builder: "BuilderBase") -> None:
         self.builder = builder
 
-    def start(self) -> None:
-        """A fresh build's phase 1: descriptors (or reset), side-files,
-        build context and the first utility checkpoint."""
+    def start(self):
+        """Generator: a fresh build's phase 1 -- descriptors (or reset),
+        side-files, build context and the first utility checkpoint."""
         raise NotImplementedError
 
     def resume(self, state: dict) -> bool:
@@ -80,8 +82,7 @@ class KeySource:
         """Hook: ``descriptor``'s bulk load just finished."""
 
     def rejoin(self, descriptor) -> None:
-        """Hook: a resumed build still owes ``descriptor`` its load or
-        drain."""
+        """Hook: a resumed build still owes ``descriptor`` a step."""
 
 
 class HeapScan(KeySource):
@@ -92,27 +93,33 @@ class HeapScan(KeySource):
     #: where the scan (re)starts: a resumed build's checkpointed position
     start_page = 0
 
-    def start(self) -> None:
+    def start(self):
         builder = self.builder
-        builder._descriptor_phase()
+        yield from builder._descriptor_phase()
         # Initial checkpoint: a crash before the first periodic scan
         # checkpoint resumes from page zero instead of orphaning the
         # descriptor.
         builder._write_utility_checkpoint({
             "phase": "scan", "next_page": 0, "sort": {}})
         builder._mark("descriptor_done")
-        fault_point(builder.system.metrics, "sf.descriptor_done")
+        fault_point(builder.system.metrics, builder.descriptor_done_site)
         builder._make_sorters()
 
     def resume(self, state: dict) -> bool:
         if state["phase"] != "scan":
             return False
-        self.builder._reset_torn_shells()
-        self.start_page = self.builder._resume_scan()
+        builder = self.builder
+        builder._reset_torn_shells()
+        builder._sorters, _position = builder._restore_sorters(
+            state.get("sort", {}))
+        builder.system.metrics.incr("build.resumes.scan")
+        self.start_page = state.get("next_page", 0)
         return True
 
     def mergers(self):
-        return (yield from self.builder._scan_phase(self.start_page))
+        builder = self.builder
+        return builder._scan_phase(  # the generator itself: no extra frame
+            self.start_page, readers=builder.options.parallel_readers)
 
 
 class ShardScan(KeySource):
@@ -149,12 +156,12 @@ class ShardScan(KeySource):
 
     # -- phase 1: descriptor + frontier without quiesce ---------------------
 
-    def start(self) -> None:
+    def start(self):
         builder = self.builder
         metrics = builder.system.metrics
         frontier = ScanFrontier(
             partition_pages(builder.table.page_count, builder.partitions))
-        builder._descriptor_phase(frontier)
+        yield from builder._descriptor_phase(frontier)
         for partition in frontier.partitions:
             state = {"done": False, "next_page": partition.start,
                      "ckpt_page": partition.start, "sort": {}, "runs": {}}
@@ -451,7 +458,8 @@ class SealedRuns(KeySource):
 
     # -- phase 1: checkpoint, then atomic flip + drop -----------------------
 
-    def start(self) -> None:
+    def start(self):
+        yield from ()  # no simulated time: no descriptor is created
         builder = self.builder
         system = builder.system
         register_sidefile_operations(system)

@@ -91,6 +91,23 @@ def test_side_file_modes_refuse_parallel_readers(mode):
     assert build(parallel_readers=1).options.parallel_readers == 1
 
 
+@pytest.mark.parametrize("mode", ["sf", "psf", "multi", "rebuild"])
+@pytest.mark.parametrize("drain_batch", [0, -1])
+def test_side_file_modes_refuse_an_empty_drain_batch(mode, drain_batch):
+    """A drain batch below one entry applied nothing and never advanced:
+    the build hung in its drain forever.  It is refused up front."""
+    system, table, driver = stage()
+    if mode == "rebuild":
+        run_build(system, table, driver, SFIndexBuilder, None)
+    options = BuildOptions(drain_batch=drain_batch)
+    with pytest.raises(ValueError, match="drain batch"):
+        if mode == "rebuild":
+            system.rebuild_index("idx", options=options)
+        else:
+            get_builder(mode)(system, table, IndexSpec.of("idx", ["k"]),
+                              options=options)
+
+
 def test_rebuild_refuses_partitions_instead_of_ignoring_them():
     """A rebuild loads the sealed runs and never scans, so there is
     nothing for ``partitions`` to shard: it used to be dropped without a

@@ -202,11 +202,39 @@ def test_iot_behind_scan_logic():
     assert not table._behind_scan(5)
     builder.current_key = 5
     assert table._behind_scan(3)
-    assert not table._behind_scan(5)
+    # current_key is the last key already pushed into the sort
+    assert table._behind_scan(5)
     assert not table._behind_scan(7)
     builder.current_key = KEY_INFINITY
     assert table._behind_scan(7)
     table.build = None
+
+
+def test_iot_change_at_the_scan_position_reaches_the_index():
+    """A row changed between two scan batches *at* ``current_key`` was
+    already pushed into the sort: its change must go to the side-file,
+    or the index keeps the old key (and misses the new one)."""
+    system = System()
+    table = make_table(system, n=40)
+    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    moved = []
+
+    def updater():
+        while builder.current_key is None:
+            yield Delay(0.01)
+        pk = builder.current_key
+        txn = system.txns.begin()
+        yield from table.update(txn, pk, (pk, "moved", 0))
+        yield from txn.commit()
+        moved.append((pk, builder.current_key))
+
+    procs = [system.spawn(builder.run(), name="builder"),
+             system.spawn(updater(), name="updater")]
+    system.run()
+    assert all(proc.error is None for proc in procs)
+    # the update landed while the scan still stood at that row
+    assert moved == [(15, 15)]
+    audit_iot_index(table, builder.index)
 
 
 def test_iot_crash_recovery_of_rows():

@@ -246,6 +246,50 @@ def test_nsf_discipline_builds_k_indexes_under_load():
         audit_index(system, descriptor)
 
 
+def test_nsf_crash_between_indexes_resumes_from_the_manifest():
+    """Crash as NSF finishes inserting its second index: the first is
+    done, the second checkpointed mid-insert, the third pending.  The
+    resume is the one every mode shares -- no rescan, the finished index
+    skipped and AVAILABLE from the start, the others completed."""
+    system, table = preloaded(seed=75)
+    spec = WorkloadSpec(operations=30, workers=2, rollback_fraction=0.1,
+                        think_time=1.0)
+    driver = WorkloadDriver(system, table, spec, seed=75)
+    options = BuildOptions(checkpoint_every_pages=8,
+                           checkpoint_every_keys=64, commit_every_keys=32)
+    builder = NSFIndexBuilder(system, table, specs_of(), options=options)
+    injector = FaultInjector(
+        FaultPlan(site="nsf.insert_done", hit=2, kind=CRASH)).install(system)
+    proc = system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    assert injector.fired is not None and proc.error is not None
+    injector.uninstall()
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    assert state["phase"] == "insert"
+    assert [entry["status"] for entry in state["manifest"].values()] \
+        == ["done", "loading", "pending"]
+    resumed = resume_build(recovered, state)
+    assert isinstance(resumed, NSFIndexBuilder)
+    at_resume = []
+
+    def watch():
+        at_resume.extend(recovered.indexes[s.name].state for s in SPECS3)
+        yield from ()
+
+    recovered.spawn(resumed.run(), name="resumed")
+    drive(recovered, watch(), name="watch")
+    assert at_resume == [IndexState.AVAILABLE, IndexState.BUILDING,
+                         IndexState.BUILDING]
+    assert recovered.metrics.get("multibuild.resume_skipped_indexes") == 1
+    assert recovered.metrics.get("build.pages_scanned") == 0
+    for spec_ in SPECS3:
+        descriptor = recovered.indexes[spec_.name]
+        assert descriptor.state is IndexState.AVAILABLE
+        audit_index(recovered, descriptor)
+
+
 # -- the bench suite's self-gates, on synthetic rows -------------------------
 
 
