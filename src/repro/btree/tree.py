@@ -1064,8 +1064,9 @@ class BTree:
             if kind == "leaf":
                 page = LeafPage(no, capacity, metrics=metrics)
                 page.next_leaf = body[0]
+                flat = iter(body[1])
                 page.entries = [KeyEntry(kv, RID(*r), pd)
-                                for kv, r, pd in body[1]]
+                                for kv, r, pd in zip(flat, flat, flat)]
             else:
                 page = BranchPage(no, capacity, metrics=metrics)
                 page.separators, page.children = map(list, body)
@@ -1150,11 +1151,14 @@ class BTree:
 
 
 def _page_image(page: LeafPage | BranchPage) -> tuple:
-    """The immutable stable image of one page."""
+    """The immutable stable image of one page.  A leaf's entries are one
+    flat tuple ``(key, rid, pseudo_deleted, key, rid, ...)``: no tuple
+    per entry stays resident."""
     if isinstance(page, LeafPage):
-        return ("leaf", page.capacity, page.next_leaf,
-                tuple([(e.key_value, e.rid, e.pseudo_deleted)
-                       for e in page.entries]))
+        flat = []
+        for e in page.entries:
+            flat += (e.key_value, e.rid, e.pseudo_deleted)
+        return ("leaf", page.capacity, page.next_leaf, tuple(flat))
     return ("branch", page.capacity,
             tuple(page.separators), tuple(page.children))
 

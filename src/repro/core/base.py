@@ -255,6 +255,11 @@ class BuilderBase:
         yield from self._run_phases()
         self._remove_context()
         self._write_utility_checkpoint({"phase": "done"})
+        # A done build never resumes, so its sort runs (every shard's
+        # share one store per index) have no reader left; ``sealed:``
+        # stays, it is a rebuild's input.
+        for descriptor in self.descriptors:
+            self.system.run_stores.pop(f"sort:{descriptor.name}", None)
         self._mark("done")
         self.obs.end("build")
         return self.descriptors

@@ -51,8 +51,7 @@ def check_run(system: "System", driver: "WorkloadDriver",
     if not builder_proc.finished:
         return "builder never finished (hang)"
     if system.sim.live_processes != 0:
-        stuck = [row["name"] for row in system.sim.processes()
-                 if not row["finished"]]
+        stuck = [proc.name for proc in system.sim.processes()]
         return (f"{system.sim.live_processes} live processes after the "
                 f"queue drained (lost wakeup): {stuck}")
     from repro.core.descriptor import IndexState

@@ -95,18 +95,18 @@ class Process:
     """A running simulated process (transaction, index builder, driver)."""
 
     __slots__ = ("name", "body", "pid", "finished", "result", "error",
-                 "_waiters", "started_at", "finished_at")
+                 "_waiters")
 
     def __init__(self, name: str, body: ProcessBody, pid: int) -> None:
         self.name = name
-        self.body = body
+        #: the generator, and the processes joined on it, until it
+        #: finishes; both are None after
+        self.body: Optional[ProcessBody] = body
         self.pid = pid
         self.finished = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._waiters: list[Process] = []
-        self.started_at: float = 0.0
-        self.finished_at: float = 0.0
+        self._waiters: Optional[list[Process]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.finished else "live"
@@ -234,7 +234,6 @@ class Simulator:
         self._queue: list[tuple[float, int, Process, Any, bool]] = []
         self._seq = 0
         self._pid = 0
-        self.live_processes = 0
         self.crashed = False
         self.crash_error: Optional[SystemCrash] = None
         #: The process currently executing between two yields.  Code called
@@ -248,8 +247,9 @@ class Simulator:
         #: Installed schedule policy (see module docstring).  None keeps
         #: the historical FIFO dispatch byte-for-byte.
         self.schedule_policy: Optional[Any] = None
-        #: every process ever spawned, in pid order (for :meth:`processes`)
-        self._processes: list[Process] = []
+        #: the live processes by pid, in spawn order; a process leaves
+        #: when it finishes, so the run holds only what is still running
+        self._processes: dict[int, Process] = {}
 
     # -- spawning -------------------------------------------------------
 
@@ -257,32 +257,18 @@ class Simulator:
         """Register a new process; it first runs when the loop reaches it."""
         self._pid += 1
         proc = Process(name, body, self._pid)
-        proc.started_at = self.now
-        self.live_processes += 1
-        self._processes.append(proc)
+        self._processes[proc.pid] = proc
         self._schedule(proc, delay=0.0, value=None)
         return proc
 
-    def processes(self) -> list[dict]:
-        """Per-process lifetime summary, in spawn (pid) order.
+    @property
+    def live_processes(self) -> int:
+        """Processes spawned and not yet finished."""
+        return len(self._processes)
 
-        ``busy_time`` is spawn-to-finish simulated time -- a process
-        blocked on a latch or event is still "busy" from the scheduler's
-        point of view; a still-live process is charged up to :attr:`now`
-        with ``finished_at`` left None.
-        """
-        rows = []
-        for proc in self._processes:
-            end = proc.finished_at if proc.finished else self.now
-            rows.append({
-                "pid": proc.pid,
-                "name": proc.name,
-                "finished": proc.finished,
-                "started_at": proc.started_at,
-                "finished_at": proc.finished_at if proc.finished else None,
-                "busy_time": end - proc.started_at,
-            })
-        return rows
+    def processes(self) -> list[Process]:
+        """The live processes, in spawn (pid) order."""
+        return list(self._processes.values())
 
     def event(self) -> SimEvent:
         """Create a new unset :class:`SimEvent`."""
@@ -320,8 +306,11 @@ class Simulator:
         Raises nothing on a simulated crash: the kernel stops, sets
         :attr:`crashed`, and the caller inspects surviving stable storage.
         A Python error inside a process propagates (it is a bug, not a
-        simulated failure) -- except :class:`SystemCrash`.
+        simulated failure) -- except :class:`SystemCrash`.  An ``until``
+        already in the past dispatches nothing: the clock never runs back.
         """
+        if until is not None and until < self.now:
+            return
         while self._queue:
             if self.schedule_policy is not None:
                 entry = self._pop_with_policy(until)
@@ -468,9 +457,9 @@ class Simulator:
         proc.finished = True
         proc.result = result
         proc.error = error
-        proc.finished_at = self.now
-        self.live_processes -= 1
-        waiters, proc._waiters = proc._waiters, []
+        del self._processes[proc.pid]
+        waiters = proc._waiters
+        proc.body = proc._waiters = None
         for waiter in waiters:
             if error is not None:
                 # Throw the failure into every joiner.  ProcessGroup's

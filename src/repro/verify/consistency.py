@@ -15,6 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.btree.audit import audit_tree
+from repro.btree.node import BranchPage
 from repro.errors import ReproError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,19 +28,22 @@ class ConsistencyError(ReproError):
 
 
 def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
-    """Verify one index against its table; returns summary statistics."""
-    tree_stats = audit_tree(descriptor.tree)
+    """Verify one index against its table; returns summary statistics.
+
+    Count and probe, no table-sized set: the tree walk counts the live
+    entries, and every live record looks its own ``<key value, RID>``
+    up.  The structural audit proves the entries strictly ascending and
+    RIDs are distinct, so a hit pairs one record with one entry, and the
+    index matches its table exactly when hits == rows == entries.
+    """
+    tree = descriptor.tree
+    tree_stats = audit_tree(tree)
     key_of = descriptor.key_of
-    # One set, the table's; every live tree entry strikes its own off.
-    # The structural audit above proved the entries strictly ascending,
-    # so a repeated entry, or a repeated key value, is the one before.
-    missing = {(key_of(record), rid)
-               for rid, record in descriptor.table.audit_records()}
-    spurious = []
+    # Strictly ascending: a repeated entry, or key value, is the one before.
     entries = 0
     previous = None
     duplicate_key_value = False
-    for entry in descriptor.tree.all_entries():
+    for entry in tree.all_entries():
         item = (entry.key_value, entry.rid)
         if previous is not None:
             if item == previous:
@@ -48,11 +52,15 @@ def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
             duplicate_key_value |= item[0] == previous[0]
         previous = item
         entries += 1
-        try:
-            missing.remove(item)
-        except KeyError:
-            spurious.append(item)
-    if missing or spurious:
+    rows = hits = 0
+    for rid, record in descriptor.table.audit_records():
+        rows += 1
+        hits += _holds(tree, (key_of(record), rid))
+    if not hits == rows == entries:
+        table = {(key_of(record), rid)
+                 for rid, record in descriptor.table.audit_records()}
+        index = {(entry.key_value, entry.rid) for entry in tree.all_entries()}
+        missing, spurious = table - index, index - table
         raise ConsistencyError(
             f"{descriptor.name}: index/table mismatch -- "
             f"{len(missing)} missing (e.g. {_sample(missing)}), "
@@ -60,8 +68,7 @@ def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
     if descriptor.unique and duplicate_key_value:
         raise ConsistencyError(
             f"{descriptor.name}: unique index holds duplicate key values")
-    pseudo = descriptor.tree.key_count(include_pseudo_deleted=True) \
-        - descriptor.tree.key_count()
+    pseudo = tree.key_count(include_pseudo_deleted=True) - tree.key_count()
     return {
         "entries": entries,
         "pseudo_deleted": pseudo,
@@ -80,6 +87,18 @@ def audit_all(system: "System") -> dict:
         if descriptor.state is IndexState.AVAILABLE:
             reports[name] = audit_index(system, descriptor)
     return reports
+
+
+def _holds(tree, composite) -> bool:
+    """Whether ``tree`` holds ``composite`` live, by a descent that
+    counts, latches and charges nothing."""
+    if tree.root is None:
+        return False
+    node = tree.pages[tree.root]
+    while isinstance(node, BranchPage):
+        node = tree.pages[node.child_for(composite)[0]]
+    entry = node.find_exact(composite)
+    return entry is not None and not entry.pseudo_deleted
 
 
 def _sample(items, limit: int = 3) -> list:

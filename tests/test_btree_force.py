@@ -30,13 +30,14 @@ from repro.verify import audit_index
 
 
 def reference_image(tree) -> dict:
-    """The whole tree imaged from scratch (the old ``_serialize``)."""
+    """The whole tree imaged from scratch (the old ``_serialize``, with a
+    leaf's entries laid out flat)."""
     pages = {}
     for no, page in tree.pages.items():
         if isinstance(page, LeafPage):
             pages[no] = ("leaf", page.capacity, page.next_leaf,
-                         tuple((e.key_value, tuple(e.rid), e.pseudo_deleted)
-                               for e in page.entries))
+                         tuple(field for e in page.entries for field in
+                               (e.key_value, tuple(e.rid), e.pseudo_deleted)))
         else:
             pages[no] = ("branch", page.capacity,
                          tuple(page.separators), tuple(page.children))

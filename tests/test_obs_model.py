@@ -14,6 +14,7 @@
 """
 
 import cProfile
+import gc
 import json
 import pathlib
 import pstats
@@ -160,10 +161,20 @@ def test_an_unobserved_build_calls_only_the_noop_handle():
     assert builder.obs is NO_OBS
     proc = system.spawn(builder.run(), name="builder")
     driver.spawn_workers()
+    # A cyclic-GC pass inside the window could finalise an earlier
+    # test's observed objects and show their calls: collect first, and
+    # keep the collector off while profiling.
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
     profiler = cProfile.Profile()
-    profiler.enable()
-    system.run()
-    profiler.disable()
+    try:
+        profiler.enable()
+        system.run()
+        profiler.disable()
+    finally:
+        if collecting:
+            gc.enable()
     assert proc.error is None
     noop = {(code.co_filename, code.co_firstlineno, code.co_name)
             for code in (getattr(getattr(value, "__func__", value),

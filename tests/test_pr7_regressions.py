@@ -271,11 +271,9 @@ def _multibuild_under_backlog(rate, build_rate_limit, operations=400):
     proc = system.spawn(builder.run(), name="builder")
     driver.spawn()
     system.run()
+    # A Python error in any other process propagates out of run().
     if proc.error is not None:
         raise proc.error
-    for other in system.sim._processes:
-        if other.error is not None:
-            raise other.error
     return system, driver
 
 
@@ -302,7 +300,7 @@ def test_throttled_multibuild_never_wedges():
     every operation complete."""
     system, driver = _multibuild_under_backlog(rate=0.1,
                                                build_rate_limit=0.25)
-    stuck = [p.name for p in system.sim._processes if not p.finished]
+    stuck = [p.name for p in system.sim.processes()]
     assert stuck == [], f"processes wedged at quiescence: {stuck}"
     assert len(driver.op_timeline) == 400
     # the convoys are broken by detected deadlock aborts, not luck

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError, SystemCrash
+from repro.schedsweep.policy import RandomTiePolicy
 from repro.sim import (
     Acquire,
     Barrier,
@@ -551,50 +552,50 @@ def test_process_group_names_members():
     assert len(group) == 2
 
 
-def test_processes_summary_reports_busy_time():
-    """``Simulator.processes()`` summarises every spawned process: name,
-    lifecycle flags, and busy time (finish - start, or now for live)."""
+def test_a_finished_process_leaves_the_process_table():
+    """``processes()`` is the live set in pid order; a finished process
+    keeps its result and error but drops its generator and joiners."""
     def worker(duration):
         yield Delay(duration)
+        return duration
 
-    def lingerer():
-        while True:
-            yield Delay(100)
-
-    sim = Simulator()
-    sim.spawn(worker(5), name="short")
-    sim.spawn(worker(12), name="long")
-    sim.run(until=12)
-    rows = {row["name"]: row for row in sim.processes()}
-    assert set(rows) == {"short", "long"}
-    assert rows["short"]["finished"] is True
-    assert rows["short"]["busy_time"] == 5
-    assert rows["short"]["finished_at"] == 5
-    assert rows["long"]["finished"] is True
-    assert rows["long"]["busy_time"] == 12
-
-    sim2 = Simulator()
-    sim2.spawn(lingerer(), name="live")
-    sim2.run(until=30)
-    (row,) = sim2.processes()
-    assert row["finished"] is False
-    assert row["finished_at"] is None
-    assert row["busy_time"] == sim2.now  # still running: charged to now
-
-
-def test_processes_summary_staggered_start():
-    """A process spawned mid-run is charged from its spawn time."""
-    def late():
-        yield Delay(4)
-
-    def spawner(sim):
-        yield Delay(10)
-        sim.spawn(late(), name="late")
+    def joiner(target):
+        return (yield Join(target))
 
     sim = Simulator()
-    sim.spawn(spawner(sim), name="spawner")
+    short = sim.spawn(worker(5), name="short")
+    long = sim.spawn(worker(12), name="long")
+    waiting = sim.spawn(joiner(short), name="joiner")
+    assert sim.processes() == [short, long, waiting]
+    assert sim.live_processes == 3
+    sim.run(until=6)
+    assert sim.processes() == [long]
+    assert sim.live_processes == 1
+    assert (short.finished, short.result, waiting.result) == (True, 5, 5)
+    assert short.body is None and short._waiters is None
     sim.run()
-    rows = {row["name"]: row for row in sim.processes()}
-    assert rows["late"]["started_at"] == 10
-    assert rows["late"]["finished_at"] == 14
-    assert rows["late"]["busy_time"] == 4
+    assert sim.processes() == [] and sim.live_processes == 0
+    assert long.result == 12 and long.body is None
+
+
+@pytest.mark.parametrize("policy", [None, RandomTiePolicy(seed=0)],
+                         ids=["fifo", "policy"])
+def test_an_earlier_until_leaves_the_clock_alone(policy):
+    """``run(until)`` never moves the clock backward, in either dispatch
+    path: an ``until`` before ``now`` dispatches nothing."""
+    steps = []
+
+    def body():
+        for _ in range(2):
+            yield Delay(10)
+            steps.append(sim.now)
+
+    sim = Simulator()
+    sim.schedule_policy = policy
+    sim.spawn(body())
+    sim.run(until=12)
+    assert sim.now == 12 and steps == [10]
+    sim.run(until=5)
+    assert sim.now == 12 and steps == [10]
+    sim.run()
+    assert sim.now == 20 and steps == [10, 20]
