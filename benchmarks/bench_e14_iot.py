@@ -8,9 +8,11 @@ of Current-RID, we would use the current-key as the scan position."
 import random
 
 from repro.bench import print_table
-from repro.core.iot import IOTable, SFIotBuilder, audit_iot_index
+from repro.core import IndexSpec
+from repro.core.iot import IOTable, SFIotBuilder
 from repro.sim import Delay
 from repro.system import System, SystemConfig
+from repro.verify import audit_index
 
 
 def one_run(update_steps, seed=141):
@@ -29,7 +31,7 @@ def one_run(update_steps, seed=141):
     system.run()
     assert pre.error is None
 
-    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    builder = SFIotBuilder(system, table, IndexSpec.of("idx_city", ["city"]))
 
     def updater():
         rng = random.Random(seed ^ 0xABC)
@@ -56,11 +58,11 @@ def one_run(update_steps, seed=141):
     upd = system.spawn(updater(), name="updater")
     system.run()
     assert build.error is None and upd.error is None
-    report = audit_iot_index(table, builder.index)
+    report = audit_index(system, system.indexes["idx_city"])
     return {
         "entries": report["entries"],
         "clustering": report["clustering"],
-        "drained": system.metrics.get("iot.sidefile_drained"),
+        "drained": system.metrics.get("build.sidefile_drained"),
     }
 
 

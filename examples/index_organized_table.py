@@ -16,11 +16,12 @@ Run:  python examples/index_organized_table.py
 import random
 
 from repro import (
+    IndexSpec,
     IOTable,
     SFIotBuilder,
     System,
     SystemConfig,
-    audit_iot_index,
+    audit_index,
 )
 from repro.sim import Delay
 
@@ -48,7 +49,8 @@ def main() -> None:
     print(f"customers table: {len(table.rows)} rows stored in the "
           f"primary index (height {table.primary.height})")
 
-    builder = SFIotBuilder(system, table, "customers_by_city", ["city"])
+    builder = SFIotBuilder(system, table,
+                           IndexSpec.of("customers_by_city", ["city"]))
 
     def order_entry():
         rng = random.Random(99)
@@ -80,14 +82,15 @@ def main() -> None:
     system.run()
     assert build.error is None and orders.error is None
 
-    report = audit_iot_index(table, builder.index)
+    (index,) = builder.descriptors
+    report = audit_index(system, index)
     print(f"\nonline build finished at t={system.now():.0f}")
     print(f"  committed changes during build: {orders.result}")
     print(f"  side-file entries drained:      "
-          f"{system.metrics.get('iot.sidefile_drained')}")
+          f"{system.metrics.get('build.sidefile_drained')}")
     print(f"  audit OK: {report['entries']} <city, primary-key> entries, "
           f"clustering {report['clustering']:.2f}")
-    sample = next(iter(builder.index.tree.all_entries()))
+    sample = next(iter(index.tree.all_entries()))
     print(f"  sample entry: <{sample.key_value[0]!r}, "
           f"pk={sample.rid.page_no}>")
     counters = system.metrics.snapshot()

@@ -40,7 +40,7 @@ from repro.core import (
     cleanup_pseudo_deleted,
     resume_build,
 )
-from repro.core.iot import IOTable, SFIotBuilder, audit_iot_index
+from repro.core.iot import IOTable, SFIotBuilder
 from repro.errors import (
     DeadlockVictim,
     IndexBuildError,
@@ -86,7 +86,6 @@ __all__ = [
     "WorkloadSpec",
     "audit_all",
     "audit_index",
-    "audit_iot_index",
     "audit_tree",
     "build_pre_undo",
     "cancel_build",

@@ -25,6 +25,7 @@ from repro.btree.loader import BulkLoader
 from repro.core.descriptor import IndexDescriptor, IndexState
 from repro.core.maintenance import (
     BuildContext,
+    IOT_MODE,
     NSF_MODE,
     REBUILD_MODE,
     SF_LIKE_MODES,
@@ -51,8 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
     from repro.system import System
 
-#: builders resumable from a utility checkpoint
-RESUMABLE_MODES = (NSF_MODE,) + SF_LIKE_MODES
+#: builders resumable from a utility checkpoint (restart recreates heap
+#: tables only, so not an index-organized table's build)
+RESUMABLE_MODES = (NSF_MODE,) + tuple(mode for mode in SF_LIKE_MODES
+                                      if mode != IOT_MODE)
 
 #: checkpoint phases whose data scan is still running (``pscan`` is the
 #: partitioned one); any later phase means the scan finished and
@@ -101,8 +104,6 @@ class BuildOptions:
     merge_fanin: Optional[int] = None
     #: free space left in each bulk-loaded leaf (section 2.2.3)
     fill_free_fraction: Optional[float] = None
-    #: NSF: use the specialized IB split of section 2.3.1
-    specialized_splits: bool = True
     #: SF: sort the first chunk of the side-file before applying it
     #: (section 3.2.5 performance note)
     sort_sidefile: bool = False
@@ -565,10 +566,15 @@ class BuilderBase:
     # -- the shared data scan (generators) ----------------------------------------------
 
     def _scan_phase(self, start_page: int = 0, readers: int = 1):
-        """Phase 2 of every scanning mode: scan + sort, the transition
+        """Phase 2 of every data-page scanning mode: scan + sort, then
+        :meth:`_sorted_mergers`."""
+        yield from self._scan_and_sort(start_page, readers)
+        return self._sorted_mergers()
+
+    def _sorted_mergers(self) -> dict:
+        """The end of a serial scan: close the sorts, the transition
         checkpoint (:meth:`_scan_done`), then one final merger per index
         over the sealed runs."""
-        yield from self._scan_and_sort(start_page, readers)
         runs_by_index = self._finish_sort()
         self._mark("scan_done")
         self._scan_done()

@@ -48,6 +48,7 @@ PSF_MODE = "psf"
 MULTI_MODE = "multi"
 OFFLINE_MODE = "offline"
 REBUILD_MODE = "rebuild"
+IOT_MODE = "iot"
 
 #: Modes that route maintenance through a side-file: one builder
 #: (:mod:`repro.core.sf`) and a row of data each.  A sharded scan
@@ -58,8 +59,10 @@ REBUILD_MODE = "rebuild"
 #: sealed sorted runs without rescanning the table; while the
 #: new tree loads, concurrent maintenance routes through a side-file
 #: exactly as in SF with Current-RID at infinity (every record counts as
-#: "scanned" -- the sealed runs already cover the whole table).
-SF_LIKE_MODES = (SF_MODE, PSF_MODE, MULTI_MODE, REBUILD_MODE)
+#: "scanned" -- the sealed runs already cover the whole table).  IOT
+#: builds over an index-organized table, whose scan position is the
+#: current primary key (section 6.2; :mod:`repro.core.iot`).
+SF_LIKE_MODES = (SF_MODE, PSF_MODE, MULTI_MODE, REBUILD_MODE, IOT_MODE)
 
 
 @dataclass

@@ -59,7 +59,8 @@ class SFIndexBuilder(BuilderBase):
     #: shard count when ``options.partitions`` is unset (None = the
     #: serial scan)
     default_partitions: Optional[int] = None
-    #: take the keys from the index's sealed runs instead of a scan
+    #: the key source when it is not a data-page scan (sealed runs, an
+    #: index-organized table's primary-key range scan)
     key_source: Optional[type] = None
     #: fault sites of the serial scan's descriptor step and of the
     #: end-of-scan transition
@@ -83,8 +84,9 @@ class SFIndexBuilder(BuilderBase):
             if partitions is not None:
                 raise ValueError(
                     f"{self.mode}: partitions={partitions} shards the data "
-                    "scan, and this mode never scans (it loads the index's "
-                    "sealed runs); drop BuildOptions.partitions")
+                    "scan, and this mode never scans data pages (its keys "
+                    f"come from {self.key_source.__name__}); drop "
+                    "BuildOptions.partitions")
         elif partitions is None:
             partitions = self.default_partitions
         #: scan shards (None = the serial scan)

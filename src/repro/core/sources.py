@@ -24,6 +24,9 @@ flip) never ask which one ran.
   parks its fully merged final run in a ``sealed:{index}`` store, and a
   drop + rebuild of that index loads from it with no table scan, no run
   formation and zero data-page reads (experiment E25).
+* :class:`IotScan` -- section 6.2: a range scan of an index-organized
+  table's primary index, "the current-key as the scan position" in
+  place of Current-RID.
 
 A source owns the utility-checkpoint phase written while it is still
 producing keys (``scan``, ``pscan``), its fields and its resume; past
@@ -42,7 +45,7 @@ from repro.faultinject.sites import fault_point
 from repro.obs.progress import Phase
 from repro.sidefile import ScanFrontier, SideFile, partition_pages, \
     register_sidefile_operations
-from repro.sim.kernel import Barrier, ProcessGroup
+from repro.sim.kernel import Barrier, Delay, ProcessGroup
 from repro.sort import RunFormation
 from repro.storage.rid import INFINITY_RID, RID
 
@@ -544,3 +547,60 @@ class SealedRuns(KeySource):
         if builder.context is not None \
                 and descriptor not in builder.context.descriptors:
             builder.context.descriptors.append(descriptor)
+
+
+class IotScan(KeySource):
+    """The primary-key range scan of an index-organized table (section
+    6.2: "in the place of Current-RID, we would use the current-key as
+    the scan position").
+
+    A secondary entry's RID is ``RID(pk, 0)``, and after each batch
+    Current-RID is ``RID(last pk, 1)``: Figure 1's ``Target-RID <
+    Current-RID`` then holds exactly for the rows at or behind the scan
+    position, so the one maintenance hook routes an index-organized
+    table's changes unchanged.  Batches re-read the key range ahead of
+    the position, so rows inserted there are scanned and rows inserted
+    behind it reach the side-file.
+    """
+
+    phases = (Phase("scan", 0.50),)
+    load_weight = 0.35
+    #: primary keys per scan batch
+    batch = 16
+
+    def __init__(self, builder) -> None:
+        super().__init__(builder)
+        unique = [spec.name for spec in builder.specs if spec.unique]
+        if unique:
+            raise ValueError(
+                f"{builder.mode}: a unique index over an index-organized "
+                f"table is not supported ({', '.join(unique)})")
+
+    def start(self):
+        builder = self.builder
+        yield from builder._descriptor_phase()
+        builder._make_sorters()
+
+    def mergers(self):
+        builder = self.builder
+        rows = builder.table.rows
+        context = builder.context
+        pushes = [(d.extract_key, builder._sorters[d.name].push_many)
+                  for d in builder.descriptors]
+        visit_cost = builder.system.config.tree_visit_cost
+        builder.obs.begin("scan")
+        last = -1
+        while True:
+            chunk = sorted(pk for pk in rows if pk > last)[:self.batch]
+            if not chunk:
+                break
+            for extract_key, push_many in pushes:
+                push_many([(extract_key(rows[pk].values), (pk, 0))
+                           for pk in chunk])
+            last = chunk[-1]
+            context.current_rid = RID(last, 1)
+            builder.obs.advance("scan", total=len(rows), step=len(chunk))
+            yield from builder._throttle(len(chunk))
+            yield Delay(len(chunk) * visit_cost)
+        builder.obs.end("scan")
+        return builder._sorted_mergers()

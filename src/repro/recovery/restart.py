@@ -166,7 +166,9 @@ def _rebuild_catalog(crashed: System, system: System) -> None:
         system.create_table(table.name, table.columns,
                             page_capacity=table.page_capacity)
     for name, old_descriptor in crashed.indexes.items():
-        table = system.tables[old_descriptor.table.name]
+        table = system.tables.get(old_descriptor.table.name)
+        if table is None:
+            continue  # an index-organized table's: not recreated
         descriptor = IndexDescriptor(
             system, table, name,
             old_descriptor.key_columns,

@@ -1,17 +1,28 @@
 """Tests for the index-organized-table extension (section 6.2)."""
 
+import random
+
 import pytest
 
-from repro.core.iot import (
-    IOTable,
-    KEY_INFINITY,
-    SFIotBuilder,
-    audit_iot_index,
+from repro.core import (
+    BuildContext,
+    IndexSpec,
+    IndexState,
+    SFIndexBuilder,
+    build_pre_undo,
+    resume_builds,
 )
+from repro.core.iot import IOTable, SFIotBuilder
+from repro.core.maintenance import IOT_MODE
 from repro.errors import RecordNotFoundError, StorageError
-from repro.recovery import restart
+from repro.obs import enable_progress, enable_tracing
+from repro.recovery import restart, run_until_crash
+from repro.schedsweep import RandomTiePolicy
 from repro.sim import Delay
+from repro.storage.rid import INFINITY_RID, RID
 from repro.system import System, SystemConfig
+from repro.verify import audit_index
+from repro.wal import RecordKind
 
 
 def drive(system, body, name="driver"):
@@ -33,6 +44,10 @@ def make_table(system, n=0):
             yield from txn.commit()
         drive(system, body())
     return table
+
+
+def city_builder(system, table):
+    return SFIotBuilder(system, table, IndexSpec.of("idx_city", ["city"]))
 
 
 def test_iot_insert_read_delete():
@@ -99,15 +114,47 @@ def test_iot_rollback_restores_rows():
     assert rows[2].values == (2, "city-2", 20)
 
 
+def test_iot_refuses_a_primary_key_outside_the_rid_range():
+    """``RID(0, 0)`` and ``INFINITY_RID`` bound ``RID(pk, 0)`` only for an
+    int pk in ``[0, 2**62)``; outside it a row inserted before the first
+    scan batch would be both scanned and side-filed."""
+    system = System()
+    table = make_table(system)
+    for pk in (-1, 2**62, "a", 1.5, (1, 2)):
+        def body(pk=pk):
+            txn = system.txns.begin()
+            try:
+                yield from table.insert(txn, (pk, "x", 0))
+            finally:
+                yield from txn.rollback()
+
+        with pytest.raises(StorageError, match="not an int"):
+            drive(system, body())
+    assert table.rows == {}
+
+
+def test_iot_refuses_a_unique_secondary_index():
+    system = System()
+    table = make_table(system, n=3)
+    with pytest.raises(ValueError, match="unique"):
+        SFIotBuilder(system, table,
+                     IndexSpec.of("idx_city", ["city"], unique=True))
+
+
 def test_iot_secondary_build_static():
     system = System()
     table = make_table(system, n=50)
-    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    builder = city_builder(system, table)
     drive(system, builder.run(), name="builder")
-    assert builder.index.available
-    report = audit_iot_index(table, builder.index)
+    (index,) = builder.descriptors
+    assert index.state is IndexState.AVAILABLE
+    assert table.indexes == [index]
+    report = audit_index(system, index)
     assert report["entries"] == 50
     assert report["clustering"] == 1.0
+    # a done build keeps no sort runs, and the context is gone
+    assert "sort:idx_city" not in system.run_stores
+    assert "iot" not in system.builds
 
 
 @pytest.mark.parametrize("rows", [100, 128, 30])
@@ -118,20 +165,22 @@ def test_iot_load_charges_every_key(rows):
         system = System(SystemConfig(bulk_load_key_cost=key_cost))
         table = make_table(system, n=rows)
         started = system.now()
-        drive(system, SFIotBuilder(system, table, "idx_city",
-                                   ["city"]).run(), name="builder")
+        drive(system, city_builder(system, table).run(), name="builder")
         return system.now() - started
 
     assert build_time(1.0) - build_time(0.0) == pytest.approx(rows)
 
 
-def test_iot_secondary_build_under_updates():
+def build_under_updates(policy_seed=None):
+    """An IOT build racing 60 random insert / delete / update
+    transactions (a fifth rolled back); returns the system, audited."""
     system = System(seed=3)
+    if policy_seed is not None:
+        system.sim.schedule_policy = RandomTiePolicy(seed=policy_seed)
     table = make_table(system, n=120)
-    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    builder = city_builder(system, table)
 
     def updater():
-        import random
         rng = random.Random(99)
         txn_count = 0
         for step in range(60):
@@ -162,9 +211,37 @@ def test_iot_secondary_build_under_updates():
     system.run()
     assert build_proc.error is None
     assert upd_proc.error is None
-    audit_iot_index(table, builder.index)
+    (index,) = builder.descriptors
+    assert index.state is IndexState.AVAILABLE
+    audit_index(system, index)
+    return system
+
+
+def test_iot_secondary_build_under_updates():
+    system = build_under_updates()
     # the current-key machinery actually routed some changes
-    assert system.metrics.get("iot.sidefile_drained") > 0
+    assert system.metrics.get("build.sidefile_drained") > 0
+
+
+@pytest.mark.parametrize("policy_seed", range(1, 12))
+def test_iot_build_under_updates_audits_under_perturbed_schedules(
+        policy_seed):
+    build_under_updates(policy_seed)
+
+
+def test_iot_build_reports_spans_and_progress_to_completion():
+    """The IOT build is SF's loop, so it reports like one: a scan, load
+    and drain span under the build span, and a tracked build ends done."""
+    system = System()
+    recorder = enable_tracing(system)
+    tracker = enable_progress(system)
+    table = make_table(system, n=100)
+    drive(system, city_builder(system, table).run(), name="builder")
+    (state,) = tracker.snapshot().values()
+    assert (state["fraction"], state["verdict"], state["mode"]) \
+        == (1.0, "done", "iot")
+    spans = [e["name"] for e in recorder.events if e["kind"] == "span_end"]
+    assert spans == ["scan", "load", "drain", "build"]
 
 
 def test_iot_rollback_after_build_restores_secondary():
@@ -173,9 +250,9 @@ def test_iot_rollback_after_build_restores_secondary():
     rows and the secondary index as they were."""
     system = System()
     table = make_table(system, n=20)
-    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    builder = city_builder(system, table)
     drive(system, builder.run(), name="builder")
-    assert builder.index.available
+    (index,) = builder.descriptors
     before = dict(table.range_scan())
 
     def body():
@@ -187,46 +264,92 @@ def test_iot_rollback_after_build_restores_secondary():
 
     drive(system, body())
     assert dict(table.range_scan()) == before
-    assert audit_iot_index(table, builder.index)["entries"] == 20
+    assert audit_index(system, index)["entries"] == 20
     assert system.metrics.get("iot.inserts") == 21
     assert system.metrics.get("iot.updates") == 1
     assert system.metrics.get("iot.deletes") == 1
 
 
-def test_iot_behind_scan_logic():
+def test_iot_rollback_after_build_writes_only_clrs():
+    """Figure 2 for a completed index: the transaction's own logged key
+    changes are undone by the undo chain, so the rollback writes
+    compensations only -- no forward maintenance applied a second time."""
     system = System()
-    table = make_table(system, n=10)
-    builder = SFIotBuilder(system, table, "idx_city", ["city"])
-    table.build = builder
-    builder.current_key = None
-    assert not table._behind_scan(5)
-    builder.current_key = 5
-    assert table._behind_scan(3)
-    # current_key is the last key already pushed into the sort
-    assert table._behind_scan(5)
-    assert not table._behind_scan(7)
-    builder.current_key = KEY_INFINITY
-    assert table._behind_scan(7)
-    table.build = None
+    table = make_table(system, n=20)
+    builder = city_builder(system, table)
+    drive(system, builder.run(), name="builder")
+    (index,) = builder.descriptors
+    before = dict(table.range_scan())
+
+    def body():
+        txn = system.txns.begin()
+        yield from table.insert(txn, (99, "city-new", 0))
+        yield from table.update(txn, 3, (3, "city-moved", 30))
+        yield from table.delete(txn, 5)
+        yield from txn.rollback()
+        return txn.txn_id
+
+    txn_id = drive(system, body())
+    records = [r for r in system.log.scan() if r.txn_id == txn_id]
+    kinds = [r.kind for r in records]
+    after_abort = kinds[kinds.index(RecordKind.ABORT) + 1:]
+    assert RecordKind.UPDATE not in after_abort
+    assert after_abort.count(RecordKind.COMPENSATION) \
+        == kinds.index(RecordKind.ABORT)
+    assert dict(table.range_scan()) == before
+    assert audit_index(system, index)["entries"] == 20
+
+
+def test_iot_behind_scan_logic():
+    """Current-RID after a batch is ``RID(last pk, 1)``: a row is behind
+    the scan exactly when its pk is at or below the last one pushed, and
+    every row is once the scan is done (Current-RID at infinity)."""
+    assert not BuildContext(mode=IOT_MODE).scanned(RID(0, 0))
+    system = System()
+    table = make_table(system, n=40)
+    builder = city_builder(system, table)
+    seen = []
+
+    def probe():
+        while builder.context is None \
+                or builder.context.current_rid == RID(0, 0):
+            yield Delay(0.01)
+        context = builder.context
+        seen.append(context.current_rid)
+        seen.append([context.scanned(RID(pk, 0)) for pk in (0, 14, 15, 16)])
+        while context.current_rid != INFINITY_RID:
+            yield Delay(0.01)
+        seen.append(context.scanned(RID(10**6, 0)))
+
+    procs = [system.spawn(probe(), name="probe"),
+             system.spawn(builder.run(), name="builder")]
+    system.run()
+    assert all(proc.error is None for proc in procs)
+    assert seen == [RID(15, 1), [True, True, True, False], True]
 
 
 def test_iot_change_at_the_scan_position_reaches_the_index():
-    """A row changed between two scan batches *at* ``current_key`` was
+    """A row changed between two scan batches *at* the scan position was
     already pushed into the sort: its change must go to the side-file,
     or the index keeps the old key (and misses the new one)."""
     system = System()
     table = make_table(system, n=40)
-    builder = SFIotBuilder(system, table, "idx_city", ["city"])
+    builder = city_builder(system, table)
     moved = []
 
+    def position():
+        context = builder.context
+        return None if context is None or context.current_rid == RID(0, 0) \
+            else context.current_rid.page_no
+
     def updater():
-        while builder.current_key is None:
+        while position() is None:
             yield Delay(0.01)
-        pk = builder.current_key
+        pk = position()
         txn = system.txns.begin()
         yield from table.update(txn, pk, (pk, "moved", 0))
         yield from txn.commit()
-        moved.append((pk, builder.current_key))
+        moved.append((pk, position()))
 
     procs = [system.spawn(builder.run(), name="builder"),
              system.spawn(updater(), name="updater")]
@@ -234,7 +357,53 @@ def test_iot_change_at_the_scan_position_reaches_the_index():
     assert all(proc.error is None for proc in procs)
     # the update landed while the scan still stood at that row
     assert moved == [(15, 15)]
-    audit_iot_index(table, builder.index)
+    audit_index(system, builder.descriptors[0])
+
+
+@pytest.mark.parametrize("crash_after", [5, 20, 60, 120])
+def test_restart_with_an_iot_build_in_flight(crash_after):
+    """Restart recreates heap tables only: an IOT build's catalog entry,
+    side-file and checkpoint must not trip the recovery of a heap table
+    whose index is AVAILABLE."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
+                                 sort_workspace=16, merge_fanin=4), seed=5)
+    heap = system.create_table("t", ["k", "v"])
+
+    def preload():
+        txn = system.txns.begin()
+        for i in range(60):
+            yield from heap.insert(txn, (i, i % 5))
+        yield from txn.commit()
+
+    drive(system, preload())
+    drive(system, SFIndexBuilder(system, heap,
+                                 IndexSpec.of("idx_k", ["k"])).run())
+    table = make_table(system, n=1000)
+    started = system.now()
+    system.spawn(city_builder(system, table).run(), name="iot-builder")
+
+    def updater():
+        for step in range(40):
+            yield Delay(1.0)
+            txn = system.txns.begin()
+            yield from heap.insert(txn, (100 + step, step % 5))
+            yield from table.update(txn, step, (step, "moved", step))
+            if step % 4 == 3:
+                yield from txn.rollback()
+            else:
+                yield from txn.commit()
+
+    system.spawn(updater(), name="updater")
+    run_until_crash(system, started + crash_after)
+    assert system.indexes["idx_city"].state is IndexState.BUILDING
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    for builder in resume_builds(recovered, state):
+        drive(recovered, builder.run())
+    assert "idx_city" not in recovered.indexes
+    report = audit_index(recovered, recovered.indexes["idx_k"])
+    assert report["entries"] == len(list(
+        recovered.tables["t"].audit_records()))
 
 
 def test_iot_crash_recovery_of_rows():
