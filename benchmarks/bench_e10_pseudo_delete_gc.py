@@ -33,15 +33,14 @@ def one_run(delete_weight, seed=101):
     descriptor = system.indexes["idx"]
     tree = descriptor.tree
     live = tree.key_count()
-    tombstones_before = tree.key_count(include_pseudo_deleted=True) - live
+    tombstones_before = len(tree.pseudo_deleted)
     pages_before = tree.page_count
     gc = system.spawn(cleanup_pseudo_deleted(system, descriptor),
                       name="gc")
     system.run()
     assert gc.error is None
     audit_index(system, descriptor)
-    tombstones_after = (tree.key_count(include_pseudo_deleted=True)
-                        - tree.key_count())
+    tombstones_after = len(tree.pseudo_deleted)
     return {
         "live": live,
         "tombstones_before": tombstones_before,

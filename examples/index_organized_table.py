@@ -18,6 +18,7 @@ import random
 from repro import (
     IndexSpec,
     IOTable,
+    RID,
     SFIotBuilder,
     System,
     SystemConfig,
@@ -90,9 +91,8 @@ def main() -> None:
           f"{system.metrics.get('build.sidefile_drained')}")
     print(f"  audit OK: {report['entries']} <city, primary-key> entries, "
           f"clustering {report['clustering']:.2f}")
-    sample = next(iter(index.tree.all_entries()))
-    print(f"  sample entry: <{sample.key_value[0]!r}, "
-          f"pk={sample.rid.page_no}>")
+    (city,), rid = next(iter(index.tree.all_entries()))
+    print(f"  sample entry: <{city!r}, pk={RID(*rid).page_no}>")
     counters = system.metrics.snapshot()
     print(f"  log: {counters['wal.records']} records, "
           f"{counters['wal.bytes']} bytes")

@@ -2,7 +2,7 @@
 
 from repro.btree.audit import TreeAuditError, audit_tree
 from repro.btree.loader import BulkLoader
-from repro.btree.node import BranchPage, KeyEntry, LeafPage
+from repro.btree.node import BranchPage, LeafPage
 from repro.btree.tree import BTree, IBCursor, InsertOutcome
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "BranchPage",
     "IBCursor",
     "InsertOutcome",
-    "KeyEntry",
     "LeafPage",
     "TreeAuditError",
     "audit_tree",

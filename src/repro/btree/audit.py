@@ -33,6 +33,7 @@ def audit_tree(tree: BTree) -> dict:
     * all leaves are at the same depth (balance);
     * the leaf chain visits exactly the tree's leaves, in key order;
     * no page exceeds its capacity;
+    * every pseudo-delete bit belongs to an entry of the tree;
     * a unique tree has at most one entry per key value.
     """
     if tree.root is None:
@@ -58,8 +59,7 @@ def audit_tree(tree: BTree) -> dict:
                     f"{tree.name}: leaf {page_no} over capacity "
                     f"({len(page.entries)} > {page.capacity})")
             previous = None
-            for entry in page.entries:
-                composite = entry.composite
+            for composite in page.entries:
                 if previous is not None and composite <= previous:
                     raise TreeAuditError(
                         f"{tree.name}: leaf {page_no} out of order at "
@@ -117,14 +117,17 @@ def audit_tree(tree: BTree) -> dict:
             f"(chain {[l.page_no for l in chained]} vs "
             f"tree {[l.page_no for l in leaves_in_tree]})")
 
-    all_composites = [entry.composite
-                      for leaf in chained for entry in leaf.entries]
+    all_composites = [entry for leaf in chained for entry in leaf.entries]
     if all_composites != sorted(all_composites):
         raise TreeAuditError(f"{tree.name}: global key order broken")
 
+    if sum(map(tree.pseudo_deleted.__contains__, all_composites)) \
+            != len(tree.pseudo_deleted):
+        raise TreeAuditError(
+            f"{tree.name}: a pseudo-delete bit outlives its entry")
+
     if tree.unique:
-        key_values = [entry.key_value
-                      for leaf in chained for entry in leaf.entries]
+        key_values = [entry[0] for entry in all_composites]
         if len(key_values) != len(set(key_values)):
             raise TreeAuditError(
                 f"{tree.name}: unique tree holds duplicate key values")

@@ -29,7 +29,7 @@ from itertools import pairwise, starmap
 from operator import eq, gt, itemgetter
 from typing import Optional, Sequence
 
-from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
+from repro.btree.node import BranchPage, CompositeKey, LeafPage
 from repro.btree.tree import BTree
 from repro.errors import IndexBuildError, StorageError
 from repro.storage.rid import RID
@@ -65,8 +65,9 @@ class BulkLoader:
     def extend(self, composites: Sequence[CompositeKey]) -> None:
         """Append a batch of ``(key value, rid)`` composites in sorted
         order (rids may be raw ``(page, slot)`` tuples): the order and
-        unique-duplicate checks are made once for the batch, the entries
-        are laid down a leaf at a time."""
+        unique-duplicate checks are made once for the batch, and the
+        composites themselves become the entries, sliced into the leaves
+        a leaf at a time (section 2.3.1's bottom-up append)."""
         if not composites:
             return
         chained = composites if self._last_composite is None \
@@ -75,23 +76,22 @@ class BulkLoader:
                 self.tree.unique and any(starmap(eq, pairwise(
                     map(itemgetter(0), chained))))):
             raise self._rejection(composites)
-        entries = [KeyEntry(key_value, RID(*rid))
-                   for key_value, rid in composites]
-        self._last_composite = entries[-1].composite
+        self._last_composite = composites[-1]
         leaf = self._current_leaf
         if leaf is None:
             leaf = self._current_leaf = self._first_leaf()
-        self.keys_loaded += len(entries)
-        self.tree.system.metrics.incr("index.inserts.bulk", len(entries))
+        total = len(composites)
+        self.keys_loaded += total
+        self.tree.system.metrics.incr("index.inserts.bulk", total)
         done = 0
         while True:
             self.tree.dirty.add(leaf.page_no)
             room = max(self.leaf_fill - len(leaf.entries), 0)
-            leaf.entries.extend(entries[done:done + room])
+            leaf.entries += composites[done:done + room]
             done += room
-            if done >= len(entries):
+            if done >= total:
                 return
-            leaf = self._next_leaf(entries[done].composite)
+            leaf = self._next_leaf(composites[done])
 
     def _rejection(self, composites: Sequence[CompositeKey]
                    ) -> IndexBuildError:
@@ -106,11 +106,12 @@ class BulkLoader:
             last = composite
         self.extend(composites[:at])
         key_value, rid = composite
+        last_value, last_rid = self._last_composite
         if composite < self._last_composite:
             return IndexBuildError(
                 f"bulk load keys out of order: "
                 f"{(key_value, RID(*rid))!r} after "
-                f"{self._last_composite!r}")
+                f"{(last_value, RID(*last_rid))!r}")
         return IndexBuildError(
             f"cannot build unique index {self.tree.name}: duplicate "
             f"key value {key_value!r}")
@@ -193,7 +194,7 @@ class BulkLoader:
         loader._right_branch = list(reversed(branches))
         loader._current_leaf = node
         if node.entries:
-            loader._last_composite = node.entries[-1].composite
+            loader._last_composite = node.entries[-1]
         loader.keys_loaded = tree.key_count(include_pseudo_deleted=True)
         return loader
 

@@ -1,9 +1,13 @@
 """B+-tree page layouts.
 
-Index pages hold ``<key value, RID>`` entries (section 1.1).  Every key
-carries the paper's 1-bit *pseudo-delete* flag (section 2.1.2: "A 1-bit
-flag is associated with every key in the index to indicate whether the key
-is pseudo deleted or not").
+Index pages hold ``<key value, RID>`` entries (section 1.1), each the
+plain composite tuple ``(key value, rid)`` -- the bulk load and IB put the
+sort's own pairs in the leaves, and every search is a C ``bisect`` over
+them.  A rid may be a raw ``(page, slot)`` pair: it compares and hashes
+like :class:`~repro.storage.rid.RID`.  The paper's 1-bit *pseudo-delete*
+flag (section 2.1.2: "A 1-bit flag is associated with every key in the
+index to indicate whether the key is pseudo deleted or not") is
+membership in the tree's one ``pseudo_deleted`` set of composites.
 
 Composite ordering is ``(key value, RID)``: for a nonunique index two
 entries may share a key value and are ordered by RID; a unique index keeps
@@ -18,36 +22,8 @@ from typing import Optional
 from repro.metrics import MetricsRegistry
 from repro.sim.latch import Latch
 
-#: A composite key: (key_value, rid) where rid is a RID tuple.
+#: A composite key, and a leaf entry: (key_value, rid).
 CompositeKey = tuple
-
-#: module-level bisect key extractors: building a closure per ``position``
-#: call showed up in the IB-insert hot path, so the extractors are shared.
-def _entry_composite(entry: "KeyEntry") -> CompositeKey:
-    return (entry.key_value, entry.rid)
-
-
-def _entry_key_value(entry: "KeyEntry"):
-    return entry.key_value
-
-
-class KeyEntry:
-    """One index entry: key value, RID, and the pseudo-delete flag."""
-
-    __slots__ = ("key_value", "rid", "pseudo_deleted")
-
-    def __init__(self, key_value, rid, pseudo_deleted: bool = False) -> None:
-        self.key_value = key_value
-        self.rid = rid
-        self.pseudo_deleted = pseudo_deleted
-
-    @property
-    def composite(self) -> CompositeKey:
-        return (self.key_value, self.rid)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        mark = "~" if self.pseudo_deleted else ""
-        return f"<{mark}{self.key_value!r}@{self.rid}>"
 
 
 class IndexPage:
@@ -69,7 +45,7 @@ class LeafPage(IndexPage):
     def __init__(self, page_no: int, capacity: int,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         super().__init__(page_no, metrics=metrics)
-        self.entries: list[KeyEntry] = []
+        self.entries: list[CompositeKey] = []
         self.next_leaf: Optional[int] = None
         self.capacity = capacity
 
@@ -77,22 +53,23 @@ class LeafPage(IndexPage):
 
     def position(self, composite: CompositeKey) -> int:
         """Insertion point for ``composite`` among the sorted entries."""
-        return bisect_left(self.entries, composite, key=_entry_composite)
+        return bisect_left(self.entries, composite)
 
-    def find_exact(self, composite: CompositeKey) -> Optional[KeyEntry]:
+    def find_exact(self, composite: CompositeKey) -> Optional[CompositeKey]:
         """The entry equal to ``composite``, if present."""
-        pos = self.position(composite)
-        if pos < len(self.entries) \
-                and self.entries[pos].composite == composite:
-            return self.entries[pos]
+        entries = self.entries
+        pos = bisect_left(entries, composite)
+        if pos < len(entries) and entries[pos] == composite:
+            return entries[pos]
         return None
 
-    def find_key_value(self, key_value) -> Optional[KeyEntry]:
-        """First entry with this key value (for unique-index checks)."""
-        pos = bisect_left(self.entries, key_value, key=_entry_key_value)
-        if pos < len(self.entries) \
-                and self.entries[pos].key_value == key_value:
-            return self.entries[pos]
+    def find_key_value(self, key_value) -> Optional[CompositeKey]:
+        """First entry with this key value (for unique-index checks):
+        ``(key_value,)`` sorts below every entry that extends it."""
+        entries = self.entries
+        pos = bisect_left(entries, (key_value,))
+        if pos < len(entries) and entries[pos][0] == key_value:
+            return entries[pos]
         return None
 
     # -- properties ------------------------------------------------------------

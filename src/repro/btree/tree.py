@@ -36,9 +36,11 @@ followed by a retry.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right, insort
+from itertools import filterfalse
 from typing import Iterator, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
-from repro.btree.node import BranchPage, CompositeKey, KeyEntry, LeafPage
+from repro.btree.node import BranchPage, CompositeKey, LeafPage
 from repro.errors import IndexBuildError, StorageError, UniqueViolationError
 from repro.faultinject.injector import InjectedCrash
 from repro.faultinject.sites import fault_point, fault_points_enabled
@@ -126,6 +128,10 @@ class BTree:
         #: leaf page number -> (lower fence, upper fence), the separators
         #: a descent passed on its way to that leaf; see _traverse
         self._fences: dict[int, tuple] = {}
+        #: the pseudo-delete bits (section 2.1.2): the composites of the
+        #: pseudo-deleted entries.  Only _edit changes it; _load rebuilds
+        #: it from the leaf images.
+        self.pseudo_deleted: set[CompositeKey] = set()
         self._register_operations()
 
     # ------------------------------------------------------------------
@@ -218,7 +224,7 @@ class BTree:
         return path
 
     def _find_for_key_value(self, key_value
-                            ) -> tuple[LeafPage, Optional[KeyEntry]]:
+                            ) -> tuple[LeafPage, Optional[CompositeKey]]:
         """Leftmost leaf covering ``key_value`` and its entry, if any.
 
         Handles the leaf-boundary case where the only entry with this key
@@ -235,7 +241,7 @@ class BTree:
                 if successor is None:
                     break
                 if successor.entries:
-                    if successor.entries[0].key_value == key_value:
+                    if successor.entries[0][0] == key_value:
                         return successor, successor.entries[0]
                     break
                 next_no = successor.next_leaf
@@ -245,7 +251,7 @@ class BTree:
     # structure modification (atomic helpers; no yields)
     # ------------------------------------------------------------------
 
-    def _insert_sorted(self, leaf: LeafPage, entry: KeyEntry,
+    def _insert_sorted(self, leaf: LeafPage, entry: CompositeKey,
                        path: Optional[list[tuple[BranchPage, int]]] = None,
                        specialized_for_ib: bool = False) -> LeafPage:
         """Place ``entry`` in ``leaf``, splitting if needed.
@@ -262,19 +268,19 @@ class BTree:
         """
         self.dirty.add(leaf.page_no)
         if not leaf.is_full:
-            leaf.entries.insert(leaf.position(entry.composite), entry)
+            insort(leaf.entries, entry)
             return leaf
         if path is None:
-            landed, path = self._traverse(entry.composite, count=False)
+            landed, path = self._traverse(entry, count=False)
             if landed is not leaf:
                 raise StorageError(
                     f"leaf {leaf.page_no} of {self.name} does not cover "
-                    f"{entry.composite!r}: not a handle from a descent")
+                    f"{entry!r}: not a handle from a descent")
         if specialized_for_ib:
             return self._specialized_split(leaf, entry, path)
         return self._normal_split(leaf, entry, path)
 
-    def _normal_split(self, leaf: LeafPage, entry: KeyEntry,
+    def _normal_split(self, leaf: LeafPage, entry: CompositeKey,
                       path: list[tuple[BranchPage, int]]) -> LeafPage:
         """Half-and-half split (section 2.3.1: "usually, half the keys in
         the page being split are moved to the new page")."""
@@ -284,18 +290,18 @@ class BTree:
         del leaf.entries[mid:]
         self.system.metrics.incr("index.keys_moved", len(new_leaf.entries))
         new_leaf.next_leaf, leaf.next_leaf = leaf.next_leaf, new_leaf.page_no
-        separator = new_leaf.entries[0].composite
+        separator = new_leaf.entries[0]
         self._finish_split(leaf, new_leaf, separator, path)
-        target = new_leaf if entry.composite >= separator else leaf
-        target.entries.insert(target.position(entry.composite), entry)
+        target = new_leaf if entry >= separator else leaf
+        insort(target.entries, entry)
         return target
 
-    def _specialized_split(self, leaf: LeafPage, entry: KeyEntry,
+    def _specialized_split(self, leaf: LeafPage, entry: CompositeKey,
                            path: list[tuple[BranchPage, int]]) -> LeafPage:
         """IB's split (section 2.3.1): move only the keys *higher* than
         IB's key to the new page; when none are higher, the new leaf holds
         IB's key alone -- the bottom-up append pattern."""
-        pos = leaf.position(entry.composite)
+        pos = leaf.position(entry)
         new_leaf = self._allocate_leaf()
         moved = leaf.entries[pos:]
         del leaf.entries[pos:]
@@ -305,16 +311,14 @@ class BTree:
         if moved:
             new_leaf.entries = moved
             if not leaf.is_full:
-                separator = new_leaf.entries[0].composite
-                self._finish_split(leaf, new_leaf, separator, path)
-                leaf.entries.insert(leaf.position(entry.composite), entry)
+                self._finish_split(leaf, new_leaf, moved[0], path)
+                insort(leaf.entries, entry)
                 return leaf
-            new_leaf.entries.insert(0, entry)
-            separator = new_leaf.entries[0].composite
-            self._finish_split(leaf, new_leaf, separator, path)
+            moved.insert(0, entry)
+            self._finish_split(leaf, new_leaf, entry, path)
             return new_leaf
         new_leaf.entries = [entry]
-        self._finish_split(leaf, new_leaf, entry.composite, path)
+        self._finish_split(leaf, new_leaf, entry, path)
         return new_leaf
 
     def _finish_split(self, left: LeafPage, right: LeafPage,
@@ -456,14 +460,14 @@ class BTree:
             if found is None and leaf.next_leaf is not None:
                 successor = self.pages[leaf.next_leaf]
                 if successor.entries \
-                        and successor.entries[0].key_value == key_value:
+                        and successor.entries[0][0] == key_value:
                     return None  # re-traverse, rare
         if found is None:
             self._change(txn, leaf, path, None, "insert", "pseudo_delete",
                          key_value, rid, "index.inserts.txn")
             return InsertOutcome.INSERTED
-        if found.rid == rid:
-            if found.pseudo_deleted:
+        if found[1] == rid:
+            if found in self.pseudo_deleted:
                 # Section 2.2.3 step 8: resetting the pseudo-delete flag.
                 self._change(txn, leaf, path, found, "reactivate",
                              "pseudo_delete", key_value, rid,
@@ -475,7 +479,7 @@ class BTree:
                          key_value, rid, "index.duplicate_rejections.txn")
             return InsertOutcome.DUPLICATE_NOOP
         # Unique, same key value, another RID: is that entry settled?
-        owner_lock = self._record_lock_name(found.rid)
+        owner_lock = self._record_lock_name(found[1])
         if owner_lock in txn.held_locks:
             owner_terminated = True  # our own earlier change; settled
         else:
@@ -483,16 +487,16 @@ class BTree:
                 owner_lock, "S", conditional=True, instant=True)
         if not owner_terminated:
             return owner_lock
-        if found.pseudo_deleted:
+        if found in self.pseudo_deleted:
             # Terminated deleter's tombstone: revive it with the new RID
             # (the paper's <K,R> / <K,R1> example, section 2.2.3).
             self._change(txn, leaf, path, found, "replace_rid",
                          "restore_entry", key_value, rid,
-                         "index.rid_replacements", old_rid=found.rid)
+                         "index.rid_replacements", old_rid=found[1])
             return InsertOutcome.REPLACED_RID
         raise UniqueViolationError(
             f"unique index {self.name}: key {key_value!r} already maps to "
-            f"committed record {found.rid}")
+            f"committed record {RID(*found[1])}")
 
     def txn_delete_key(self, txn: "Transaction", key_value, rid: RID, *,
                        during_build: bool):
@@ -517,7 +521,7 @@ class BTree:
                 self._change(txn, leaf, path, exact, "physical_delete",
                              "insert", key_value, rid,
                              "index.physical_deletes")
-            elif not exact.pseudo_deleted:
+            elif exact not in self.pseudo_deleted:
                 self._change(txn, leaf, path, exact, "pseudo_delete",
                              "reactivate", key_value, rid,
                              "index.pseudo_deletes")
@@ -541,16 +545,16 @@ class BTree:
         next_entry = None
         node: Optional[LeafPage] = leaf
         while node is not None and next_entry is None:
-            for entry in node.entries:
-                if entry.composite > composite:
-                    next_entry = entry
-                    break
+            entries = node.entries
+            pos = bisect_right(entries, composite)
+            if pos < len(entries):
+                next_entry = entries[pos]
             node = (self.pages.get(node.next_leaf)
                     if node.next_leaf is not None else None)
         if next_entry is None:
             lock_name = ("index-eof", self.name)
         else:
-            lock_name = self._record_lock_name(next_entry.rid)
+            lock_name = self._record_lock_name(next_entry[1])
         self.system.metrics.incr("index.nextkey_locks")
         yield from txn.lock(lock_name, "X", instant=instant)
 
@@ -581,20 +585,18 @@ class BTree:
         Returns the number of keys physically inserted.
         """
         inserted = 0
-        work = [(kv, RID(*raw_rid)) for kv, raw_rid in keys]
-        total = len(work)
+        total = len(keys)
         index = 0
         metrics = self.system.metrics
         leaf_covers = self._leaf_covers
         ib_classify = self._ib_classify
         insert_sorted = self._insert_sorted
         while index < total:
-            key_value, rid = work[index]
-            leaf = self._locate_ib_leaf(cursor, (key_value, rid))
+            leaf = self._locate_ib_leaf(cursor, keys[index])
             version = self.structure_version
             yield Acquire(leaf.latch, EXCLUSIVE)
             if version != self.structure_version and self._traverse(
-                    (key_value, rid), count=False)[0] is not leaf:
+                    keys[index], count=False)[0] is not leaf:
                 # The leaf split while we waited for its latch; drop the
                 # cursor and locate afresh.
                 leaf.latch.release(self.system.sim.current)
@@ -605,23 +607,22 @@ class BTree:
             unique_check: Optional[tuple] = None
             try:
                 while index < total:
-                    key_value, rid = work[index]
-                    composite = (key_value, rid)
+                    # the merger's own pair goes in the leaf and the log
+                    # record: the sort keeps it anyway
+                    composite = keys[index]
                     if not leaf_covers(leaf, composite):
                         break  # next key lives elsewhere; re-locate
-                    action = ib_classify(leaf, key_value, rid)
+                    action = ib_classify(leaf, composite)
                     if action == "unique-check":
-                        unique_check = (key_value, rid)
+                        unique_check = composite
                         break
                     if action == "reject":
                         rejected += 1
                         index += 1
                         continue
-                    target = insert_sorted(
-                        leaf, KeyEntry(key_value, rid),
-                        specialized_for_ib=True)
-                    # the merger's own pair: the sort keeps it anyway
-                    pending.append(keys[index])
+                    target = insert_sorted(leaf, composite,
+                                           specialized_for_ib=True)
+                    pending.append(composite)
                     index += 1
                     cursor.leaf_no = target.page_no
                     cursor.version = self.structure_version
@@ -705,26 +706,26 @@ class BTree:
             return None
         return leaf
 
-    def _ib_classify(self, leaf: LeafPage, key_value, rid: RID) -> str:
+    def _ib_classify(self, leaf: LeafPage, composite: CompositeKey) -> str:
         """Decide IB's action for one key under the leaf latch.
 
         Returns "insert", "reject", or "unique-check" (the caller must
         verify committedness with the latch released, then retry).
         """
         if not self.unique:
-            if leaf.find_exact((key_value, rid)) is not None:
+            if leaf.find_exact(composite) is not None:
                 # Section 2.2.3: rejected inserts write no log record.
                 return "reject"
             return "insert"
+        key_value, rid = composite
         found = leaf.find_key_value(key_value)
         if found is None and leaf.next_leaf is not None:
             successor = self.pages[leaf.next_leaf]
-            if successor.entries \
-                    and successor.entries[0].key_value == key_value:
+            if successor.entries and successor.entries[0][0] == key_value:
                 found = successor.entries[0]
         if found is None:
             return "insert"
-        if found.rid == rid:
+        if found[1] == rid:
             return "reject"
         return "unique-check"
 
@@ -737,16 +738,17 @@ class BTree:
         """
         self.system.metrics.incr("index.ib_unique_checks")
         table = self.system.tables[self.table_name]
+        rid = RID(*rid)
         _leaf, found = self._find_for_key_value(key_value)
-        if found is None or found.rid == rid:
+        if found is None or found[1] == rid:
             return True
-        yield from ib_txn.lock(self._record_lock_name(found.rid), "S",
+        yield from ib_txn.lock(self._record_lock_name(found[1]), "S",
                                instant=True)
         yield from ib_txn.lock(self._record_lock_name(rid), "S",
                                instant=True)
         # Both records are now settled; re-verify the conflict.
         _leaf, still = self._find_for_key_value(key_value)
-        if still is None or still.rid == rid:
+        if still is None or still[1] == rid:
             return True
         mine = yield from table.read_latched(rid)
         if mine is None:
@@ -755,19 +757,19 @@ class BTree:
         if descriptor is not None \
                 and descriptor.key_of(mine) != key_value:
             return False  # our record was updated away from this key
-        if still.pseudo_deleted:
+        if still in self.pseudo_deleted:
             # Tombstone of a settled delete: revive it under IB's RID,
             # logged like a transaction's REPLACED_RID.
             leaf, entry = self._find_for_key_value(key_value)
-            if entry is not None and entry.pseudo_deleted:
+            if entry is not None and entry in self.pseudo_deleted:
                 self._change(ib_txn, leaf, None, entry, "replace_rid",
                              "restore_entry", key_value, rid,
-                             "index.rid_replacements", old_rid=entry.rid,
+                             "index.rid_replacements", old_rid=entry[1],
                              writer="ib")
                 self.system.metrics.incr("index.inserts.ib")
                 return False  # handled here; no retry needed
             return True
-        theirs = yield from table.read_latched(RID(*still.rid))
+        theirs = yield from table.read_latched(RID(*still[1]))
         if theirs is None:
             return True  # entry is stale; retry and re-evaluate
         if descriptor is not None \
@@ -775,7 +777,7 @@ class BTree:
             return True
         raise IndexBuildError(
             f"cannot build unique index {self.name}: committed records "
-            f"{rid} and {tuple(still.rid)} share key value {key_value!r}")
+            f"{rid} and {tuple(still[1])} share key value {key_value!r}")
 
     def sf_drain_apply_batch(self, ib_txn: "Transaction",
                              entries: Sequence[tuple]):
@@ -812,22 +814,19 @@ class BTree:
         visit_cost = self.system.config.drain_visit_cost
         leaf_covers = self._leaf_covers
         change = self._change
-        # Side-file entries already carry RID instances; re-wrapping every
-        # one allocated a throwaway tuple per key in the drain hot loop.
-        work = [(op, kv, rid if type(rid) is RID else RID(*rid))
-                for op, kv, rid in entries]
-        total = len(work)
+        pseudo_deleted = self.pseudo_deleted
+        total = len(entries)
         applied = 0
         index = 0
         while index < total:
-            _operation, key_value, rid = work[index]
+            _operation, key_value, rid = entries[index]
             leaf, path, visits = yield from self._latched_leaf(
                 (key_value, rid))
             version = self.structure_version
             group = 0
             try:
                 while index < total:
-                    operation, key_value, rid = work[index]
+                    operation, key_value, rid = entries[index]
                     if not leaf_covers(leaf, (key_value, rid)):
                         break  # next entry lives elsewhere; re-traverse
                     if version != self.structure_version:
@@ -842,7 +841,7 @@ class BTree:
                         change(ib_txn, leaf, path, None, "insert",
                                "physical_delete", key_value, rid,
                                "index.inserts.drain")
-                    elif exact.pseudo_deleted:
+                    elif exact in pseudo_deleted:
                         change(ib_txn, leaf, path, exact, "reactivate",
                                "pseudo_delete", key_value, rid, None)
                     index += 1
@@ -863,11 +862,11 @@ class BTree:
             return
         previous = None
         for entry in self.all_entries():
-            if previous is not None and previous.key_value == entry.key_value:
+            if previous is not None and previous[0] == entry[0]:
                 raise IndexBuildError(
                     f"cannot build unique index {self.name}: records "
-                    f"{tuple(previous.rid)} and {tuple(entry.rid)} share "
-                    f"key value {entry.key_value!r}")
+                    f"{tuple(previous[1])} and {tuple(entry[1])} share "
+                    f"key value {entry[0]!r}")
             previous = entry
 
     # ------------------------------------------------------------------
@@ -875,7 +874,7 @@ class BTree:
     # ------------------------------------------------------------------
 
     def _change(self, txn, leaf: Optional[LeafPage], path,
-                entry: Optional[KeyEntry], action: Optional[str],
+                entry: Optional[CompositeKey], action: Optional[str],
                 undo_action: Optional[str], key_value, rid,
                 counter: Optional[str], *, old_rid=None,
                 writer: str = "txn") -> None:
@@ -912,31 +911,40 @@ class BTree:
                       else ("index.undo", payload)),
                 writer=writer, size=size)
 
-    def _edit(self, leaf: LeafPage, path, entry: Optional[KeyEntry],
+    def _edit(self, leaf: LeafPage, path, entry: Optional[CompositeKey],
               action: str, key_value, rid, old_rid=None) -> None:
         """The one edit of each logical action, made on ``entry`` --
         ``leaf``'s entry for the key, None when it holds none -- and
-        ``leaf``'s dirty mark.  Idempotent: an action whose work is done
-        (or has none) leaves the entry as it is."""
+        ``leaf``'s dirty mark; the one writer of the pseudo-delete bits.
+        Idempotent: an action whose work is done (or has none) leaves the
+        entry as it is."""
         self.dirty.add(leaf.page_no)
+        pseudo_deleted = self.pseudo_deleted
         if entry is None:
             if action in ("insert", "reactivate", "insert_tombstone"):
-                self._insert_sorted(
-                    leaf, KeyEntry(key_value, rid,
-                                   action == "insert_tombstone"), path)
+                entry = (key_value, rid)
+                self._insert_sorted(leaf, entry, path)
+                if action == "insert_tombstone":
+                    pseudo_deleted.add(entry)
         elif action in ("insert", "reactivate"):
-            entry.pseudo_deleted = False
+            pseudo_deleted.discard(entry)
         elif action in ("insert_tombstone", "pseudo_delete"):
-            entry.pseudo_deleted = True
+            pseudo_deleted.add(entry)
         elif action in ("physical_delete", "remove_unless_tombstoned"):
-            if action == "physical_delete" or not entry.pseudo_deleted:
-                del leaf.entries[leaf.position(entry.composite)]
-        elif action == "replace_rid":
-            entry.rid, entry.pseudo_deleted = rid, False
-        elif action == "restore_entry":
-            # undo of replace_rid: put back <key, old_rid> pseudo-deleted
-            # (only a terminated deleter's tombstone is ever replaced)
-            entry.rid, entry.pseudo_deleted = RID(*old_rid), True
+            if action == "physical_delete" or entry not in pseudo_deleted:
+                del leaf.entries[leaf.position(entry)]
+                pseudo_deleted.discard(entry)
+        elif action in ("replace_rid", "restore_entry"):
+            # The entry keeps its slot under the other RID: replace_rid
+            # revives a tombstone, restore_entry (its undo) puts back
+            # <key, old_rid> pseudo-deleted (only a terminated deleter's
+            # tombstone is ever replaced).
+            pseudo_deleted.discard(entry)
+            replaced = (entry[0], rid if action == "replace_rid"
+                        else old_rid)
+            leaf.entries[leaf.position(entry)] = replaced
+            if action == "restore_entry":
+                pseudo_deleted.add(replaced)
         else:  # pragma: no cover - exhaustive dispatch
             raise StorageError(f"unknown index action {action!r}")
 
@@ -969,7 +977,6 @@ class BTree:
             for kv, r in key_value:
                 self.apply_logical(inner, kv, r)
             return
-        rid = RID(*rid)
         composite = (key_value, rid)
         leaf, path = self._traverse(composite, count=False)
         entry = leaf.find_exact(composite)
@@ -977,7 +984,7 @@ class BTree:
             # The entry to revive sits under its old RID, on whichever
             # leaf that descends to; both leaves are imaged.
             self.dirty.add(leaf.page_no)
-            old = (key_value, RID(*old_rid))
+            old = (key_value, old_rid)
             old_leaf, _path = self._traverse(old, count=False)
             old_entry = old_leaf.find_exact(old)
             if old_entry is not None:
@@ -1018,8 +1025,21 @@ class BTree:
         # existence vanish -- found by the crash sweep).
         self.system.log.flush(self.system.log.last_lsn)
         images = self._stable.pages
+        pseudo_deleted = self.pseudo_deleted
         for page_no in self.dirty:
-            images[page_no] = _page_image(self.pages[page_no])
+            page = self.pages[page_no]
+            if isinstance(page, LeafPage):
+                # A leaf image holds its entries and, apart, those of them
+                # that are pseudo-deleted.
+                entries = tuple(page.entries)
+                images[page_no] = (
+                    "leaf", page.capacity, page.next_leaf, entries,
+                    tuple(filter(pseudo_deleted.__contains__, entries))
+                    if pseudo_deleted else ())
+            else:
+                images[page_no] = ("branch", page.capacity,
+                                   tuple(page.separators),
+                                   tuple(page.children))
         # After a reset() every live page is dirty (allocated since) and
         # the stable file is cut back to the new, lower frontier.
         for page_no in range(self._next_page_no, self._stable.next_page_no):
@@ -1059,14 +1079,14 @@ class BTree:
         self.pages.clear()
         self._fences.clear()
         self.dirty.clear()
+        self.pseudo_deleted.clear()
         metrics = self.system.metrics
         for no, (kind, capacity, *body) in image.pages.items():
             if kind == "leaf":
                 page = LeafPage(no, capacity, metrics=metrics)
-                page.next_leaf = body[0]
-                flat = iter(body[1])
-                page.entries = [KeyEntry(kv, RID(*r), pd)
-                                for kv, r, pd in zip(flat, flat, flat)]
+                page.next_leaf, entries, tombstones = body
+                page.entries = list(entries)
+                self.pseudo_deleted.update(tombstones)
             else:
                 page = BranchPage(no, capacity, metrics=metrics)
                 page.separators, page.children = map(list, body)
@@ -1111,11 +1131,10 @@ class BTree:
                     if node.next_leaf is not None else None)
 
     def all_entries(self, include_pseudo_deleted: bool = False
-                    ) -> Iterator[KeyEntry]:
+                    ) -> Iterator[CompositeKey]:
+        skip = () if include_pseudo_deleted else self.pseudo_deleted
         for leaf in self.leaf_chain():
-            for entry in leaf.entries:
-                if include_pseudo_deleted or not entry.pseudo_deleted:
-                    yield entry
+            yield from filterfalse(skip.__contains__, leaf.entries)
 
     def key_count(self, include_pseudo_deleted: bool = False) -> int:
         return sum(1 for _ in self.all_entries(include_pseudo_deleted))
@@ -1148,19 +1167,6 @@ class BTree:
         in_order = sum(1 for a, b in zip(leaves, leaves[1:])
                        if b.page_no > a.page_no)
         return in_order / (len(leaves) - 1)
-
-
-def _page_image(page: LeafPage | BranchPage) -> tuple:
-    """The immutable stable image of one page.  A leaf's entries are one
-    flat tuple ``(key, rid, pseudo_deleted, key, rid, ...)``: no tuple
-    per entry stays resident."""
-    if isinstance(page, LeafPage):
-        flat = []
-        for e in page.entries:
-            flat += (e.key_value, e.rid, e.pseudo_deleted)
-        return ("leaf", page.capacity, page.next_leaf, tuple(flat))
-    return ("branch", page.capacity,
-            tuple(page.separators), tuple(page.children))
 
 
 # -- recovery handlers (generators) ----------------------------------------

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from repro.core.descriptor import IndexDescriptor
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE
+from repro.storage.rid import RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -32,6 +33,7 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
     Returns the number of keys physically removed.
     """
     tree = descriptor.tree
+    pseudo_deleted = tree.pseudo_deleted
     txn = system.txns.begin(f"gc-{descriptor.name}")
     removed = 0
     skipped = 0
@@ -47,31 +49,33 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
         if leaf is None or not hasattr(leaf, "entries"):
             continue  # restructured since we planned the scan
         yield Acquire(leaf.latch, EXCLUSIVE)
+        before = removed + skipped
         try:
             doomed = []
-            for entry in list(leaf.entries):
-                if not entry.pseudo_deleted:
-                    continue
+            for entry in list(filter(pseudo_deleted.__contains__,
+                                     leaf.entries)):
                 if fast_path:
                     system.metrics.incr("gc.commit_lsn_fast_path")
                     doomed.append(entry)
                     continue
                 granted = yield from txn.lock(
-                    ("rec", descriptor.table.name, entry.rid), "S",
+                    ("rec", descriptor.table.name, RID(*entry[1])), "S",
                     conditional=True, instant=True)
                 if granted:
                     doomed.append(entry)
                 else:
                     skipped += 1  # deletion probably uncommitted: skip
             for entry in doomed:
-                if entry in leaf.entries:
+                # still there and still pseudo-deleted: a lock probe
+                # yields, and a rollback's undo takes no latch
+                if leaf.find_exact(entry) is not None \
+                        and entry in pseudo_deleted:
                     removed += 1
                     tree._change(txn, leaf, None, entry, "physical_delete",
-                                 None, entry.key_value, entry.rid, None,
-                                 writer="gc")
+                                 None, *entry, None, writer="gc")
         finally:
             leaf.latch.release(system.sim.current)
-        if removed or skipped:
+        if removed + skipped > before:  # this leaf collected or skipped
             yield Delay(system.config.key_op_cost)
     yield from txn.commit()
     system.metrics.incr("gc.keys_removed", removed)

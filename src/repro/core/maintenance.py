@@ -228,16 +228,22 @@ class IndexMaintenance:
         logged_count = log_record.payload[H_VISIBLE]
         sf_routed = log_record.payload[H_SF_ROUTED]
         current_visible, context = self._visible_descriptors(rid)
-        for position, descriptor in enumerate(current_visible):
+        newly_visible = current_visible[logged_count:]
+        for descriptor in self.table.indexes:
             if descriptor.name in sf_routed:
                 # Forward processing covered this index via the side-file
                 # (redo-only appends); the undo chain has nothing for it,
                 # so compensate here: a reverse side-file entry while the
-                # build runs, a logical tree undo once it completed.
-                pass
-            elif position < logged_count:
-                # Covered directly at forward time: the transaction's own
-                # key-operation log records handle the undo.
+                # build runs (visible or not: a restart may have put
+                # Current-RID back behind the record, and the drain
+                # meets the appended entries), a logical tree undo once
+                # it completed.
+                if descriptor not in current_visible \
+                        and not routes_to_sidefile(descriptor, context):
+                    continue
+            elif descriptor not in newly_visible:
+                # Invisible, or covered directly at forward time: the
+                # transaction's own key-operation log records undo it.
                 continue
             # Newly visible (Figure 2's count comparison) or side-file
             # routed: compensate now.

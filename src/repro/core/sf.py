@@ -441,13 +441,13 @@ class SFIndexBuilder(BuilderBase):
             keep = []
         else:
             bound = (highest_key[0], RID(*highest_key[1]))
-            if all(entry.composite <= bound for entry in entries):
+            if all(entry <= bound for entry in entries):
                 return
-            keep = [entry for entry in entries if entry.composite <= bound]
+            keep = [entry for entry in entries if entry <= bound]
         tree.reset()
         loader = BulkLoader(
             tree, fill_free_fraction=self.options.fill_free_fraction)
-        loader.extend([entry.composite for entry in keep])
+        loader.extend(keep)
         self._resume_loaders[descriptor.name] = loader
         self.system.metrics.incr("build.resumes.tree_truncated")
 

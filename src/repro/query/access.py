@@ -26,6 +26,7 @@ key values" -- see :func:`set_gradual_availability` and the
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.core.descriptor import IndexDescriptor, IndexState
@@ -80,14 +81,16 @@ def index_lookup(txn: "Transaction", descriptor: IndexDescriptor,
     system = descriptor.system
     table = descriptor.table
     results = []
+    pseudo_deleted = descriptor.tree.pseudo_deleted
     for entry in _entries_in_range(descriptor, key_value, key_value,
                                    inclusive_high=True):
-        yield from txn.lock(table.lock_name(RID(*entry.rid)), "S")
-        if entry.pseudo_deleted:
+        rid = RID(*entry[1])
+        yield from txn.lock(table.lock_name(rid), "S")
+        if entry in pseudo_deleted:
             continue  # committed-deleted; lock settled it
-        record = yield from table.read_latched(RID(*entry.rid))
+        record = yield from table.read_latched(rid)
         if record is not None and descriptor.key_of(record) == key_value:
-            results.append((RID(*entry.rid), record))
+            results.append((rid, record))
     yield Delay(system.config.tree_visit_cost)
     system.metrics.incr("query.index_lookups")
     return results
@@ -109,20 +112,22 @@ def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
     table = descriptor.table
     results = []
     last_rid_beyond: Optional[RID] = None
+    pseudo_deleted = descriptor.tree.pseudo_deleted
     for entry in _entries_in_range(descriptor, low_key, high_key,
                                    inclusive_high=False,
                                    capture_next=True):
         if entry is _RANGE_END:
             break
-        if high_key is not None and entry.key_value >= high_key:
-            last_rid_beyond = RID(*entry.rid)
+        key_value, rid = entry[0], RID(*entry[1])
+        if high_key is not None and key_value >= high_key:
+            last_rid_beyond = rid
             break
-        yield from txn.lock(table.lock_name(RID(*entry.rid)), "S")
-        if entry.pseudo_deleted:
+        yield from txn.lock(table.lock_name(rid), "S")
+        if entry in pseudo_deleted:
             continue
-        record = yield from table.read_latched(RID(*entry.rid))
+        record = yield from table.read_latched(rid)
         if record is not None:
-            results.append((entry.key_value, RID(*entry.rid), record))
+            results.append((key_value, rid, record))
     if serializable:
         if last_rid_beyond is not None:
             lock_name = table.lock_name(last_rid_beyond)
@@ -153,19 +158,15 @@ def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
     tree = descriptor.tree
     if tree.root is None:
         return
-    from repro.btree.tree import MIN_RID
-    leaf, _path = tree._traverse((low_key, MIN_RID), count=False)
-    last = None
+    last = (low_key,)  # sorts below every entry with key value low_key
+    leaf, _path = tree._traverse(last, count=False)
     while leaf is not None:
-        for entry in list(leaf.entries):
-            if entry.key_value < low_key:
-                continue
-            if last is not None and entry.composite <= last:
-                continue
-            last = entry.composite
+        entries = leaf.entries
+        for entry in entries[bisect_right(entries, last):]:
+            last = entry
             if high_key is not None:
-                beyond = (entry.key_value > high_key if inclusive_high
-                          else entry.key_value >= high_key)
+                beyond = (entry[0] > high_key if inclusive_high
+                          else entry[0] >= high_key)
                 if beyond:
                     yield entry
                     return

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.btree.audit import audit_tree
+from repro.storage.rid import RID
 from repro.verify import audit_index
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -86,14 +87,13 @@ def _serial_reference_check(descriptor) -> str:
     reference = sorted(
         (descriptor.key_of(record), rid)
         for rid, record in descriptor.table.audit_records())
-    actual = [(entry.key_value, entry.rid)
-              for entry in descriptor.tree.all_entries()]
+    actual = list(descriptor.tree.all_entries())
     if actual != reference:
         for position, (got, want) in enumerate(zip(actual, reference)):
             if got != want:
                 return (f"serial-reference divergence at entry "
-                        f"{position}: tree has {got!r}, reference has "
-                        f"{want!r}")
+                        f"{position}: tree has {(got[0], RID(*got[1]))!r}, "
+                        f"reference has {want!r}")
         return (f"serial-reference length mismatch: tree has "
                 f"{len(actual)} entries, reference has {len(reference)}")
     return ""

@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 from repro.btree.audit import audit_tree
 from repro.btree.node import BranchPage
 from repro.errors import ReproError
+from repro.storage.rid import RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.descriptor import IndexDescriptor
@@ -44,13 +45,13 @@ def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
     previous = None
     duplicate_key_value = False
     for entry in tree.all_entries():
-        item = (entry.key_value, entry.rid)
         if previous is not None:
-            if item == previous:
+            if entry == previous:
                 raise ConsistencyError(
-                    f"{descriptor.name}: duplicate live entry {item!r}")
-            duplicate_key_value |= item[0] == previous[0]
-        previous = item
+                    f"{descriptor.name}: duplicate live entry "
+                    f"{(entry[0], RID(*entry[1]))!r}")
+            duplicate_key_value |= entry[0] == previous[0]
+        previous = entry
         entries += 1
     rows = hits = 0
     for rid, record in descriptor.table.audit_records():
@@ -59,7 +60,8 @@ def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
     if not hits == rows == entries:
         table = {(key_of(record), rid)
                  for rid, record in descriptor.table.audit_records()}
-        index = {(entry.key_value, entry.rid) for entry in tree.all_entries()}
+        index = {(key_value, RID(*rid))
+                 for key_value, rid in tree.all_entries()}
         missing, spurious = table - index, index - table
         raise ConsistencyError(
             f"{descriptor.name}: index/table mismatch -- "
@@ -68,10 +70,9 @@ def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
     if descriptor.unique and duplicate_key_value:
         raise ConsistencyError(
             f"{descriptor.name}: unique index holds duplicate key values")
-    pseudo = tree.key_count(include_pseudo_deleted=True) - tree.key_count()
     return {
         "entries": entries,
-        "pseudo_deleted": pseudo,
+        "pseudo_deleted": len(tree.pseudo_deleted),
         "leaves": tree_stats.get("leaves", 0),
         "height": tree_stats.get("height", 0),
         "clustering": descriptor.tree.clustering_factor(),
@@ -97,8 +98,8 @@ def _holds(tree, composite) -> bool:
     node = tree.pages[tree.root]
     while isinstance(node, BranchPage):
         node = tree.pages[node.child_for(composite)[0]]
-    entry = node.find_exact(composite)
-    return entry is not None and not entry.pseudo_deleted
+    return node.find_exact(composite) is not None \
+        and composite not in tree.pseudo_deleted
 
 
 def _sample(items, limit: int = 3) -> list:

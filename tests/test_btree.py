@@ -50,7 +50,7 @@ def test_insert_and_search_single_key():
         return entry
 
     entry = drive(system, body())
-    assert entry is not None and entry.key_value == 5
+    assert entry is not None and entry[0] == 5
     audit_tree(tree)
 
 
@@ -62,7 +62,7 @@ def test_many_inserts_split_and_stay_sorted():
     stats = audit_tree(tree)
     assert stats["entries"] == 50
     assert stats["height"] >= 2
-    got = [e.key_value for e in tree.all_entries()]
+    got = [e[0] for e in tree.all_entries()]
     assert got == sorted(got) and len(got) == 50
 
 
@@ -177,8 +177,8 @@ def test_unique_tombstone_revived_with_new_rid():
     assert out is InsertOutcome.REPLACED_RID
     entries = list(tree.all_entries())
     assert len(entries) == 1
-    assert entries[0].rid == RID(0, 1)
-    assert not entries[0].pseudo_deleted
+    assert entries[0][1] == RID(0, 1)
+    assert entries[0] not in tree.pseudo_deleted
 
 
 def test_unique_insert_waits_for_uncommitted_deleter():
@@ -257,7 +257,7 @@ def test_rollback_of_tombstone_insert_reactivates():
 
     drive(system, body())
     entries = list(tree.all_entries())
-    assert len(entries) == 1 and not entries[0].pseudo_deleted
+    assert len(entries) == 1 and entries[0] not in tree.pseudo_deleted
 
 
 # -- IB batch inserts ------------------------------------------------------
@@ -371,7 +371,7 @@ def test_bulk_load_perfect_clustering_and_structure():
     stats = audit_tree(tree)
     assert stats["entries"] == 100
     assert tree.clustering_factor() == 1.0
-    got = [e.key_value for e in tree.all_entries()]
+    got = [e[0] for e in tree.all_entries()]
     assert got == list(range(100))
 
 
@@ -418,7 +418,7 @@ def test_bulk_load_resume_continues_after_checkpoint():
         loader.append(k, RID(1, k % 16))
     loader.finish()
     audit_tree(tree)
-    assert [e.key_value for e in tree.all_entries()] == list(range(60))
+    assert [e[0] for e in tree.all_entries()] == list(range(60))
     assert tree.clustering_factor() == 1.0
 
 
@@ -428,3 +428,118 @@ def test_crash_without_snapshot_empties_tree():
     tree.crash()
     assert tree.key_count(include_pseudo_deleted=True) == 0
     assert tree.root is None
+
+
+# -- the pseudo-delete bit: one set of composites per tree -------------------
+
+
+def delete_keys(system, tree, keys):
+    """Pseudo-delete ``keys`` (an NSF-build delete) in one committed
+    transaction."""
+    def body():
+        txn = system.txns.begin()
+        for kv, rid in keys:
+            yield from tree.txn_delete_key(txn, kv, RID(*rid),
+                                           during_build=True)
+        yield from txn.commit()
+
+    drive(system, body())
+
+
+def holder_of(tree, composite):
+    return next(leaf for leaf in tree.leaf_chain()
+                if composite in leaf.entries)
+
+
+def test_a_normal_split_moves_a_tombstone_with_its_bit():
+    system, tree = make_tree(leaf_capacity=4)
+    insert_keys(system, tree, [(k, (0, k)) for k in range(4)])
+    delete_keys(system, tree, [(3, (0, 3))])
+    first = holder_of(tree, (3, RID(0, 3)))
+    insert_keys(system, tree, [(4, (0, 4))])  # the full leaf splits
+    assert system.metrics.get("index.splits") == 1
+    assert holder_of(tree, (3, RID(0, 3))) is not first
+    assert tree.pseudo_deleted == {(3, RID(0, 3))}
+    assert [e[0] for e in tree.all_entries()] == [0, 1, 2, 4]
+    assert tree.key_count(include_pseudo_deleted=True) == 5
+    audit_tree(tree)
+
+
+def test_ibs_specialized_split_moves_a_tombstone_with_its_bit():
+    """IB's split moves the keys above its insert point, a pseudo-deleted
+    one among them, to the new leaf; the bit goes along."""
+    system, tree = make_tree(leaf_capacity=4)
+    insert_keys(system, tree, [(k, (0, k)) for k in (0, 1, 5, 6)])
+    delete_keys(system, tree, [(6, (0, 6))])
+    first = holder_of(tree, (6, RID(0, 6)))
+
+    def body():
+        ib = system.txns.begin("IB")
+        count = yield from tree.ib_insert_batch(ib, [(2, (0, 2))],
+                                                IBCursor())
+        yield from ib.commit()
+        return count
+
+    assert drive(system, body()) == 1
+    assert system.metrics.get("index.splits.specialized") == 1
+    moved = holder_of(tree, (6, RID(0, 6)))
+    assert moved is not first and moved.entries[0] == (5, RID(0, 5))
+    assert tree.pseudo_deleted == {(6, RID(0, 6))}
+    assert [e[0] for e in tree.all_entries()] == [0, 1, 2, 5]
+    audit_tree(tree)
+
+
+def test_the_bits_survive_force_and_crash_as_forced():
+    """A leaf's stable image lists its pseudo-deleted entries; a crash
+    reloads the bits as of the force, not as of the crash."""
+    system, tree = make_tree(leaf_capacity=4)
+    insert_keys(system, tree, [(k, (0, k)) for k in range(10)])
+    delete_keys(system, tree, [(2, (0, 2)), (7, (0, 7))])
+    tree.force()
+    images = [image for image in tree.stable_image().pages.values()
+              if image[0] == "leaf"]
+    assert sorted(member for image in images for member in image[4]) \
+        == [(2, RID(0, 2)), (7, RID(0, 7))]
+    delete_keys(system, tree, [(4, (0, 4))])
+    insert_keys(system, tree, [(2, (0, 2))])  # reactivates <2>
+    assert tree.pseudo_deleted == {(4, RID(0, 4)), (7, RID(0, 7))}
+    tree.crash()
+    assert tree.pseudo_deleted == {(2, RID(0, 2)), (7, RID(0, 7))}
+    assert [e[0] for e in tree.all_entries()] == [0, 1, 3, 4, 5, 6, 8, 9]
+    audit_tree(tree)
+    restored = BTree(system, "copy", "t")
+    restored.install_stable_image(tree.stable_image())
+    assert restored.pseudo_deleted == tree.pseudo_deleted
+
+
+def test_replace_rid_then_restore_entry_round_trips_the_bit():
+    """A unique insert revives a terminated deleter's tombstone under its
+    own RID (REPLACED_RID); its rollback's restore_entry puts back the
+    old RID, pseudo-deleted -- and a redo of either is a no-op."""
+    system, tree = make_tree(unique=True)
+    system.indexes["idx"] = type("D", (), {"tree": tree})()
+    insert_keys(system, tree, [(5, (0, 0))])
+    delete_keys(system, tree, [(5, (0, 0))])
+    tombstone = [(5, RID(0, 0))]
+
+    def body():
+        txn = system.txns.begin()
+        out = yield from tree.txn_insert_key(txn, 5, RID(0, 1),
+                                             during_build=True)
+        revived = (list(tree.all_entries(include_pseudo_deleted=True)),
+                   set(tree.pseudo_deleted))
+        yield from txn.rollback()
+        return out, revived
+
+    out, (entries, bits) = drive(system, body())
+    assert out is InsertOutcome.REPLACED_RID
+    assert entries == [(5, RID(0, 1))] and bits == set()
+    assert list(tree.all_entries(include_pseudo_deleted=True)) == tombstone
+    assert tree.pseudo_deleted == set(tombstone)
+    tree.apply_logical("restore_entry", 5, RID(0, 1), RID(0, 0))
+    assert tree.pseudo_deleted == set(tombstone)
+    tree.apply_logical("replace_rid", 5, RID(0, 1), RID(0, 0))
+    tree.apply_logical("replace_rid", 5, RID(0, 1), RID(0, 0))
+    assert list(tree.all_entries()) == [(5, RID(0, 1))]
+    assert tree.pseudo_deleted == set()
+    audit_tree(tree)

@@ -143,9 +143,9 @@ def test_fences_memoised_before_a_crash_are_not_consulted_after():
     # answered from the old memo
     leaves = list(tree.leaf_chain())
     with pytest.raises(StorageError):
-        tree._leaf_covers(leaves[3], leaves[3].entries[0].composite)
+        tree._leaf_covers(leaves[3], leaves[3].entries[0])
     for leaf in leaves:
-        landed, _path = tree._traverse(leaf.entries[0].composite,
+        landed, _path = tree._traverse(leaf.entries[0],
                                        count=False)
         assert landed is leaf
     assert tree._fences == stats["fences"]

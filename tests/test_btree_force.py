@@ -31,13 +31,14 @@ from repro.verify import audit_index
 
 def reference_image(tree) -> dict:
     """The whole tree imaged from scratch (the old ``_serialize``, with a
-    leaf's entries laid out flat)."""
+    leaf's pseudo-deleted entries listed apart)."""
     pages = {}
     for no, page in tree.pages.items():
         if isinstance(page, LeafPage):
             pages[no] = ("leaf", page.capacity, page.next_leaf,
-                         tuple(field for e in page.entries for field in
-                               (e.key_value, tuple(e.rid), e.pseudo_deleted)))
+                         tuple(page.entries),
+                         tuple(e for e in page.entries
+                               if e in tree.pseudo_deleted))
         else:
             pages[no] = ("branch", page.capacity,
                          tuple(page.separators), tuple(page.children))
@@ -79,7 +80,7 @@ def oracle(monkeypatch):
 
 def entries(tree) -> list:
     """Every entry of ``tree`` in key order, pseudo-deleted ones too."""
-    return [(e.key_value, tuple(e.rid), e.pseudo_deleted)
+    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 
@@ -376,12 +377,12 @@ def test_redo_of_replace_rid_images_the_old_rids_leaf(oracle):
     # the first entry of a right-hand leaf: its composite is the
     # separator, so the same key value under a lower RID descends left
     right = list(tree.leaf_chain())[2]
-    key_value, old_rid = right.entries[0].composite
+    key_value, old_rid = right.entries[0]
     new_rid = RID(0, 0)
     assert tree._traverse((key_value, new_rid))[0] is not right
     tree.apply_logical("replace_rid", key_value, new_rid,
                        old_rid=tuple(old_rid))
-    assert right.entries[0].rid == new_rid
+    assert right.entries[0][1] == new_rid
     tree.force()
     assert oracle[-1][1:] == (2, 2)
 

@@ -51,7 +51,7 @@ def test_insert_keeps_tree_sorted_and_balanced(keys):
     run_txn(system, work)
     audit_tree(tree)
     expected = {(kv, RID(*rid)) for kv, rid in keys}
-    got = {(e.key_value, e.rid) for e in tree.all_entries()}
+    got = set(tree.all_entries())
     assert got == expected
 
 
@@ -73,11 +73,10 @@ def test_insert_then_delete_subset_leaves_complement(keys, data):
 
     run_txn(system, work)
     audit_tree(tree)
-    live = {(e.key_value, e.rid) for e in tree.all_entries()}
+    live = set(tree.all_entries())
     assert live == set(unique_keys) - set(to_delete)
     # pseudo-deleted entries remain physically present
-    physical = {(e.key_value, e.rid)
-                for e in tree.all_entries(include_pseudo_deleted=True)}
+    physical = set(tree.all_entries(include_pseudo_deleted=True))
     assert physical == set(unique_keys)
 
 
@@ -91,7 +90,7 @@ def test_bulk_load_equals_sorted_input(n, leaf_capacity):
         loader.append(k, RID(k // 16, k % 16))
     loader.finish()
     audit_tree(tree)
-    assert [e.key_value for e in tree.all_entries()] == list(range(n))
+    assert [e[0] for e in tree.all_entries()] == list(range(n))
     assert tree.clustering_factor() == 1.0
 
 
@@ -121,8 +120,8 @@ def test_ib_batch_agrees_with_single_inserts(keys):
     run_txn(system_b, work_b)
     audit_tree(tree_a)
     audit_tree(tree_b)
-    a = [(e.key_value, e.rid) for e in tree_a.all_entries()]
-    b = [(e.key_value, e.rid) for e in tree_b.all_entries()]
+    a = list(tree_a.all_entries())
+    b = list(tree_b.all_entries())
     assert a == b == key_set
 
 
@@ -144,7 +143,7 @@ def test_force_crash_resume_roundtrip(split_at):
         loader.append(k, RID(0, k % 16))
     loader.finish()
     audit_tree(tree)
-    assert [e.key_value for e in tree.all_entries()] == list(range(100))
+    assert [e[0] for e in tree.all_entries()] == list(range(100))
 
 
 small_keys = st.lists(

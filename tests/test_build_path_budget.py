@@ -101,8 +101,10 @@ def test_a_built_key_stays_inside_its_call_budget(profiled_build):
     assert per_key <= 9, f"{per_key:.2f} repro calls per built key"
     # 14.56 before: the sort is entered per page and per yield, not per key
     assert calls["sort"] / keys <= 1
-    # what is left per key is its index entry's constructor
-    assert calls["btree"] / keys <= 2
+    # 1.57 while each key became a KeyEntry and a RID; 0.41 now that
+    # the merger's pairs go into the leaves as they are: the calls left
+    # are per batch, leaf and page
+    assert calls["btree"] / keys <= 0.45
     assert calls["storage"] / keys <= 1
 
 
@@ -150,8 +152,37 @@ def test_an_ib_log_record_holds_the_mergers_own_pairs(monkeypatch):
     # in order, as the very object popped
     assert len(logged) == keys
     assert all(mine is theirs for mine, theirs in zip(logged, handed_over))
-    # what the build left allocated by tree.py: an index entry, the
-    # stable image's share and the log record's, per key.  311 bytes
-    # while each logged key was a fresh (key, tuple(rid)) pair.
+    # the leaves hold the same objects
+    entries = [entry for leaf in system.indexes["idx_k"].tree.leaf_chain()
+               for entry in leaf.entries]
+    assert len(entries) == keys
+    assert all(mine is theirs for mine, theirs in zip(entries, handed_over))
+    # what the build left allocated by tree.py: the leaves' and the
+    # stable image's lists and the log records, per key.  311 bytes
+    # while each logged key was a fresh (key, tuple(rid)) pair, 156 while
+    # each entry was a KeyEntry and a RID, 85 now.
     per_key = sum(trace.size for trace in resident.traces) / keys
-    assert per_key <= 240, f"{per_key:.0f} bytes resident per IB key"
+    assert per_key <= 90, f"{per_key:.0f} bytes resident per IB key"
+
+
+def test_a_bulk_loaded_leaf_holds_the_mergers_own_pairs(monkeypatch):
+    """Section 2.3.1's load appends the sorted keys: every entry of an
+    SF-built tree is the very pair the final merge handed the loader."""
+    system, table = preloaded(NSF_ROWS)
+    handed_over = []
+    pop_many = RestartableMerger.pop_many
+
+    def recording_pop_many(merger, limit):
+        batch = pop_many(merger, limit)
+        handed_over.extend(batch)
+        return batch
+
+    monkeypatch.setattr(RestartableMerger, "pop_many", recording_pop_many)
+    builder = get_builder("sf")(system, table,
+                                [IndexSpec.of("idx_k", ["k"])])
+    system.spawn(builder.run(), name="ib")
+    system.run()
+    entries = [entry for leaf in system.indexes["idx_k"].tree.leaf_chain()
+               for entry in leaf.entries]
+    assert len(entries) == len(handed_over) == NSF_ROWS
+    assert all(mine is theirs for mine, theirs in zip(entries, handed_over))

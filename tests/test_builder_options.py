@@ -62,9 +62,7 @@ def test_parallel_readers_produce_identical_index(builder_cls):
         run_build(system, table, driver, builder_cls,
                   BuildOptions(parallel_readers=readers))
         audit_index(system, system.indexes["idx"])
-        contents.append(sorted(
-            (e.key_value, e.rid)
-            for e in system.indexes["idx"].tree.all_entries()))
+        contents.append(sorted(system.indexes["idx"].tree.all_entries()))
     assert contents[0] == contents[1]
 
 
@@ -212,8 +210,7 @@ def test_sort_sidefile_option_consistent_with_sequential():
                   operations=50)
         audit_index(system, system.indexes["idx"])
         results.append(sorted(
-            (e.key_value, e.rid)
-            for e in system.indexes["idx"].tree.all_entries()))
+            e for e in system.indexes["idx"].tree.all_entries()))
     assert results[0] == results[1]
 
 

@@ -188,7 +188,7 @@ def test_composite_key_columns():
     builder = SFIndexBuilder(system, table,
                              IndexSpec.of("idx_ab", ["a", "b"]))
     run_builder(system, builder)
-    entries = [e.key_value for e in system.indexes["idx_ab"].tree.all_entries()]
+    entries = [e[0] for e in system.indexes["idx_ab"].tree.all_entries()]
     assert entries == sorted(entries)
     assert entries[0] == (0, 0)
 

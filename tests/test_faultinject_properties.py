@@ -55,3 +55,17 @@ def test_random_single_fault_recovers(builder, seed, site_index,
             f"single fault {plan.describe()} did not recover cleanly\n"
             + shrunk.report())
     assert result.fired, f"{plan.describe()} never fired (census drift?)"
+
+
+def test_loser_sidefile_entries_behind_a_restored_current_rid():
+    """A loser updated a record the scan had passed and appended its
+    side-file entries durably; its commit was lost.  Restart puts the
+    checkpointed Current-RID back behind the record, so the index is no
+    longer visible to the record's undo -- the undo must still append
+    the reverse entries, or the rescan loads the restored key and the
+    drain then deletes it and inserts the loser's."""
+    config = Scenario(builder="sf", records=120, operations=4, workers=2,
+                      seed=4, buffer_frames=1024)
+    result = run_plan(config, FaultPlan("wal.force.before", 9, CRASH))
+    assert result.fired
+    assert not result.failed, result.detail

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.btree import BTree, KeyEntry, LeafPage, audit_tree
+from repro.btree import BTree, audit_tree
 from repro.btree.audit import TreeAuditError
 from repro.core import (
     IndexSpec,
@@ -191,8 +191,7 @@ def test_audit_detects_duplicate_live_entry(monkeypatch):
     to reach the check behind it."""
     system, descriptor = built_index()
     leaf = next(iter(descriptor.tree.leaf_chain()))
-    first = leaf.entries[0]
-    leaf.entries[1] = KeyEntry(first.key_value, first.rid)
+    leaf.entries[1] = leaf.entries[0]
     with pytest.raises(TreeAuditError, match="out of order"):
         audit_index(system, descriptor)
     monkeypatch.setattr(consistency, "audit_tree", lambda tree: {})
@@ -235,7 +234,7 @@ def test_tree_audit_detects_out_of_order():
     system.create_table("t", ["k"])
     tree = BTree(system, "broken", "t")
     leaf = tree._ensure_root()
-    leaf.entries = [KeyEntry(5, RID(0, 0)), KeyEntry(3, RID(0, 1))]
+    leaf.entries = [(5, RID(0, 0)), (3, RID(0, 1))]
     with pytest.raises(TreeAuditError, match="out of order"):
         audit_tree(tree)
 
@@ -245,7 +244,7 @@ def test_tree_audit_detects_over_capacity():
     system.create_table("t", ["k"])
     tree = BTree(system, "broken", "t")
     leaf = tree._ensure_root()
-    leaf.entries = [KeyEntry(i, RID(0, i)) for i in range(5)]
+    leaf.entries = [(i, RID(0, i)) for i in range(5)]
     with pytest.raises(TreeAuditError, match="over capacity"):
         audit_tree(tree)
 
@@ -255,7 +254,7 @@ def test_tree_audit_detects_duplicate_in_unique():
     system.create_table("t", ["k"])
     tree = BTree(system, "broken", "t", unique=True)
     leaf = tree._ensure_root()
-    leaf.entries = [KeyEntry(5, RID(0, 0)), KeyEntry(5, RID(0, 1))]
+    leaf.entries = [(5, RID(0, 0)), (5, RID(0, 1))]
     with pytest.raises(TreeAuditError, match="duplicate"):
         audit_tree(tree)
 
@@ -297,3 +296,26 @@ def test_cleanup_on_clean_index_is_noop():
     system.run()
     assert proc.error is None
     assert proc.result == 0
+
+
+def test_cleanup_charges_only_the_leaves_that_collected_a_key():
+    """GC's key operation is charged per leaf that removed or skipped a
+    key: one tombstone costs the same in the first leaf as in the last,
+    one ``key_op_cost`` above a pass over the clean index."""
+
+    def gc_time(pick):
+        system, descriptor = built_index(rows=60)
+        tree = descriptor.tree
+        leaves = list(tree.leaf_chain())
+        assert len(leaves) >= 10
+        if pick is not None:
+            tree.apply_logical("pseudo_delete", *leaves[pick].entries[pick])
+        start = system.now()
+        proc = system.spawn(cleanup_pseudo_deleted(system, descriptor),
+                            name="gc")
+        system.run()
+        assert proc.result == (0 if pick is None else 1)
+        return system.now() - start, system.config.key_op_cost
+
+    clean, key_op_cost = gc_time(None)
+    assert gc_time(0)[0] == gc_time(-1)[0] == clean + key_op_cost

@@ -113,7 +113,7 @@ def test_sf_index_recoverable_from_post_build_image():
     restored = media_restore(image, system.log, config=system.config,
                              current_system=system)
     audit_index(restored, restored.indexes["idx"])
-    keys = [e.key_value for e in
+    keys = [e[0] for e in
             restored.indexes["idx"].tree.all_entries()]
     assert (77_777,) in keys  # the post-copy insert replayed into it
 

@@ -259,6 +259,5 @@ def test_throttled_build_is_entry_exact_under_open_loop_load(builder):
     audit_index(system, descriptor)
     reference = sorted((descriptor.key_of(record), rid)
                        for rid, record in table.audit_records())
-    actual = [(entry.key_value, entry.rid)
-              for entry in descriptor.tree.all_entries()]
+    actual = list(descriptor.tree.all_entries())
     assert actual == reference

@@ -84,14 +84,14 @@ def test_nine_step_scenario_nonunique():
         again = yield from table.insert_at(t2, rid, (42, "t2"))
         assert again == rid
         entries = list(tree.all_entries())
-        assert len(entries) == 1 and not entries[0].pseudo_deleted
+        assert len(entries) == 1 and entries[0] not in tree.pseudo_deleted
 
         yield from t2.commit()                                # step 9
         return rid
 
     rid = drive(system, scenario())
     entries = list(tree.all_entries())
-    assert [(e.key_value, e.rid) for e in entries] == [(K, rid)]
+    assert entries == [(K, rid)]
 
 
 def test_nine_step_variant_unique_new_rid():
@@ -121,10 +121,10 @@ def test_nine_step_variant_unique_new_rid():
 
     rid, rid1 = drive(system, scenario())
     entries = [e for e in tree.all_entries(include_pseudo_deleted=True)
-               if e.key_value == (42,)]
+               if e[0] == (42,)]
     assert len(entries) == 1
-    assert entries[0].rid == rid1
-    assert not entries[0].pseudo_deleted
+    assert entries[0][1] == rid1
+    assert entries[0] not in tree.pseudo_deleted
     audit_index(system, descriptor)
 
 
@@ -225,8 +225,7 @@ def test_sf_rollback_visibility_scenario():
     drive(system, scenario())
     audit_index(system, system.indexes["I3"])
     audit_index(system, system.indexes["I4"])
-    entries3 = [(e.key_value, e.rid) for e in
-                system.indexes["I3"].tree.all_entries()]
+    entries3 = list(system.indexes["I3"].tree.all_entries())
     assert ((31,), RID(0, 3)) not in entries3
     assert ((30,), RID(0, 3)) in entries3
 

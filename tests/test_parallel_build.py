@@ -159,7 +159,7 @@ def test_skew_summary_balanced_and_empty():
 
 def _entries(system, name="idx"):
     tree = system.indexes[name].tree
-    return [(e.key_value, tuple(e.rid), e.pseudo_deleted)
+    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 

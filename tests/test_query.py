@@ -12,6 +12,7 @@ from repro.query import (
     table_scan,
 )
 from repro.sim import Delay
+from repro.storage import RID
 from repro.system import System, SystemConfig
 
 
@@ -90,9 +91,9 @@ def test_range_scan_survives_a_leaf_split_under_it():
     return the upper half twice."""
     system, table, descriptor = built()
     leaf = next(leaf for leaf in descriptor.tree.leaf_chain()
-                if leaf.entries[0].key_value == (16,))
-    assert [e.key_value[0] for e in leaf.entries] == list(range(16, 32, 2))
-    parked_on = leaf.entries[4].rid  # key 24
+                if leaf.entries[0][0] == (16,))
+    assert [e[0][0] for e in leaf.entries] == list(range(16, 32, 2))
+    parked_on = RID(*leaf.entries[4][1])  # key 24
     splits_before = system.metrics.get("index.splits")
     seen = {}
 
@@ -121,6 +122,43 @@ def test_range_scan_survives_a_leaf_split_under_it():
     keys = [key[0] for key, _rid, _rec in seen["rows"]]
     assert keys == sorted(set(keys))
     assert keys == sorted(list(range(18, 50, 2)) + [31])
+
+
+@pytest.mark.parametrize("revived", [False, True])
+def test_index_lookup_reads_the_bit_after_its_lock_wait(revived):
+    """The lookup locks an entry's record before it trusts the entry.  A
+    key pseudo-deleted while the lookup waits on that lock counts as the
+    lookup finds it after the wait: skipped if still pseudo-deleted,
+    returned if its lock holder revived it meanwhile."""
+    system, table, descriptor = built()
+    tree = descriptor.tree
+    entry = next(e for e in tree.all_entries() if e[0] == (20,))
+    rid = RID(*entry[1])
+    seen = {}
+
+    def holder():
+        txn = system.txns.begin("holder")
+        yield from table.update(txn, rid, (20, "held"))
+        tree.apply_logical("pseudo_delete", *entry)
+        yield Delay(50)  # the lookup waits on the record lock
+        seen["blocked"] = "hits" not in seen
+        if revived:
+            tree.apply_logical("reactivate", *entry)
+        yield from txn.commit()
+
+    def reader():
+        yield Delay(5)
+        txn = system.txns.begin("reader")
+        seen["hits"] = yield from index_lookup(txn, descriptor, (20,))
+        yield from txn.commit()
+
+    system.spawn(holder(), name="h")
+    proc = system.spawn(reader(), name="r")
+    system.run()
+    assert proc.error is None
+    assert seen["blocked"]
+    assert [hit_rid for hit_rid, _rec in seen["hits"]] \
+        == ([rid] if revived else [])
 
 
 def test_range_scan_skips_pseudo_deleted():

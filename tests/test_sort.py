@@ -76,6 +76,46 @@ def test_loser_tree_rejects_zero_slots():
         LoserTree(0)
 
 
+# ``INF`` (the reference's end-of-stream sentinel) orders against every
+# key representation the codec puts in a tree, both ways round.
+
+
+def test_infinite_orders_against_ints_and_spilled_keys():
+    spilled = SpilledKey(3, ((1, "x"), (0, 0)))
+    for key in (5, -5, 0, spilled):
+        assert not (INF < key)
+        assert key < INF
+        assert INF > key
+        assert not (key > INF)
+        assert key <= INF
+        assert INF >= key
+        assert not (INF <= key)
+        assert not (key >= INF)
+    assert INF <= INF and INF >= INF and INF == INF and not (INF < INF)
+
+
+def test_loser_tree_drains_mixed_int_and_spilled_values():
+    """The codec path mixes plain ints and SpilledKey wrappers in one
+    tree; draining replaces slots with INF.  Before the fix the first
+    ``int < INF`` match raised TypeError."""
+    # Codes are disjoint from the plain ints, as the codec's sentinel
+    # fields guarantee for real streams; the two code-4 wrappers break
+    # their tie on the raw key.
+    values = [7, SpilledKey(4, ((1,), (0, 0))), 3,
+              SpilledKey(8, ((9,), (0, 0))), 12, SpilledKey(4, ((0,), (1, 1)))]
+    tree = LoserTree(len(values))
+    for slot, value in enumerate(values):
+        tree.set(slot, value)
+    tree.build()
+    drained = []
+    while not tree.exhausted:
+        slot, value = tree.pop()
+        drained.append(value)
+        tree.set(slot, INF)
+        tree.fixup(slot)
+    assert drained == sorted(values)
+
+
 # -- SortRun / RunStore ------------------------------------------------------------
 
 
@@ -208,6 +248,37 @@ def test_sort_restart_opens_new_run_when_keys_lower():
     sorted_check(runs)
 
 
+# A manifest from longer runs, restored over shorter (reused sealed)
+# runs, fails fast instead of merging from the wrong offsets.
+
+
+def test_run_formation_restore_rejects_stale_run_lengths():
+    store = RunStore(prefix="s")
+    sorter = RunFormation(store, 4)
+    for key in [5, 1, 8, 2, 9, 3]:
+        sorter.push(key)
+    manifest = sorter.checkpoint(scan_position=6)
+    name = manifest["runs"][-1]
+    manifest["run_lengths"][name] = len(store.get(name)) + 2
+    with pytest.raises(SortRestartError, match="stale manifest"):
+        RunFormation.restore(store, manifest, 4)
+
+
+def test_run_formation_restore_prune_flag_controls_foreign_runs():
+    store = RunStore(prefix="s")
+    sorter = RunFormation(store, 4)
+    for key in [5, 1, 8, 2]:
+        sorter.push(key)
+    manifest = sorter.checkpoint(scan_position=4)
+    foreign = store.new_run()
+    foreign.append(42)
+    foreign.force()
+    RunFormation.restore(store, manifest, 4, prune=False)
+    assert foreign.name in store.runs  # shard-shared store: kept
+    RunFormation.restore(store, manifest, 4)
+    assert foreign.name not in store.runs  # exclusive store: discarded
+
+
 # -- merge ------------------------------------------------------------------------------
 
 
@@ -312,6 +383,43 @@ def test_end_to_end_sort_random_data():
     runs = sorter.finish()
     single = merge_to_single(store, runs, fanin=8)
     assert single.keys == sorted(keys)
+
+
+# -- stale merge manifests fail fast ------------------------------------------
+
+
+def _two_runs(store):
+    runs = []
+    for keys in ([1, 4, 9], [2, 3]):
+        run = store.new_run()
+        for key in keys:
+            run.append(key)
+        run.closed = True
+        runs.append(run)
+    return runs
+
+
+def test_merger_rejects_counter_beyond_run_end():
+    store = RunStore(prefix="m")
+    runs = _two_runs(store)
+    with pytest.raises(SortRestartError, match="out of range"):
+        RestartableMerger(runs, store.new_run(), counters=[5, 1])
+    with pytest.raises(SortRestartError, match="out of range"):
+        RestartableMerger(runs, store.new_run(), counters=[0, 1])
+
+
+def test_merger_restore_rejects_stale_manifest_on_shorter_runs():
+    """A checkpoint taken against longer runs, restored over reused
+    (shorter) sealed runs, must not silently reposition past the end."""
+    store = RunStore(prefix="m")
+    runs = _two_runs(store)
+    merger = RestartableMerger(runs, store.new_run())
+    for _ in range(4):
+        merger.pop()
+    manifest = merger.checkpoint()
+    runs[0].keys[:] = runs[0].keys[:1]  # the "reused" run is shorter
+    with pytest.raises(SortRestartError, match="out of range"):
+        RestartableMerger.restore(store, manifest)
 
 
 # -- engine equivalence ----------------------------------------------------------
@@ -812,7 +920,7 @@ def test_batch_loader_rejects_what_append_rejects(unique, held, batch):
             error = str(exc)
         else:
             error = None
-        return ([entry.composite for entry in tree.all_entries()],
+        return (list(tree.all_entries()),
                 loader.highest_key, loader.keys_loaded, tree.page_count,
                 system.metrics.snapshot(), error)
 

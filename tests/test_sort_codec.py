@@ -15,9 +15,13 @@ their exact-encoding maxima.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import BuildOptions, IndexSpec, IndexState, \
+    ParallelSFBuilder
+from repro.sim.kernel import Delay
 from repro.sort import (
     CompressedRunFormation,
     KeyCodec,
+    RestartableMerger,
     RunFormation,
     RunStore,
     SpilledKey,
@@ -30,6 +34,9 @@ from repro.sort.codec import (
     _RID_PAGE_EXACT_MAX,
     _RID_SLOT_EXACT_MAX,
 )
+from repro.system import System, SystemConfig
+from repro.verify import audit_index
+from repro.workloads import WorkloadDriver, WorkloadSpec
 
 # Exact-encoding window for int columns: field = value + INT_OFFSET must
 # land strictly inside (0, _INT_MAX_FIELD).
@@ -215,3 +222,82 @@ def test_manifest_round_trip_preserves_layout():
     assert restored.kinds == "is" and restored.active
     pair = ((7, "abc"), (1, 2))
     assert restored.decode(codec.encode(*pair)) == pair
+
+
+def test_merger_pop_many_across_exact_spilled_boundary():
+    codec = KeyCodec("i")
+    low = [codec.encode((v,), (0, v)) for v in range(0, 10, 2)]
+    # Out-of-window values spill; they interleave with the exact codes.
+    high = [codec.encode((v,), (0, 1)) for v in (1, 3, 1 << 50, (1 << 50) + 1)]
+    assert any(isinstance(e, SpilledKey) for e in high)
+    store = RunStore(prefix="mix")
+    runs = []
+    for keys in (low, high):
+        run = store.new_run()
+        for key in keys:
+            run.append(key)
+        run.closed = True
+        runs.append(run)
+    merger = RestartableMerger(runs, store.new_run())
+    out = []
+    while True:
+        batch = merger.pop_many(3)
+        if not batch:
+            break
+        out.extend(batch)
+    assert out == sorted(low + high)
+    assert [codec.decode(e)[0][0] for e in out] \
+        == sorted(v for v in [0, 2, 4, 6, 8, 1, 3, 1 << 50, (1 << 50) + 1])
+
+
+# -- codec on/off: entry-for-entry the same tree at P in {1, 2, 4} -----------
+
+
+def _small_config():
+    return SystemConfig(page_capacity=8, leaf_capacity=8, branch_capacity=8,
+                        sort_workspace=16, merge_fanin=4)
+
+
+def _entries(system, name="idx"):
+    tree = system.indexes[name].tree
+    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
+            for e in tree.all_entries(include_pseudo_deleted=True)]
+
+
+def _build(partitions, compressed, *, seed=7, preload=120, operations=30):
+    """One parallel SF build under a scripted post-scan workload (the
+    same equivalence harness as test_parallel_build)."""
+    system = System(_small_config(), seed=seed)
+    table = system.create_table("t", ["k", "p"])
+    spec = WorkloadSpec(operations=operations, workers=1,
+                        rollback_fraction=0.2, think_time=1.0)
+    driver = WorkloadDriver(system, table, spec, seed=seed)
+    preload_proc = system.spawn(driver.preload(preload), name="preload")
+    system.run()
+    assert preload_proc.error is None
+
+    options = BuildOptions(partitions=partitions, compressed_keys=compressed)
+    builder = ParallelSFBuilder(system, table, IndexSpec.of("idx", ["k"]),
+                                options=options)
+    build_proc = system.spawn(builder.run(), name="builder")
+
+    def release_after_scan():
+        while "scan_done" not in builder.timings:
+            yield Delay(0.5)
+        driver.spawn_workers()
+
+    system.spawn(release_after_scan(), name="late-workload")
+    system.run()
+    if build_proc.error is not None:
+        raise build_proc.error
+    assert system.indexes["idx"].state is IndexState.AVAILABLE
+    audit_index(system, system.indexes["idx"])
+    return system
+
+
+@pytest.mark.parametrize("partitions", [1, 2, 4])
+def test_codec_build_entry_for_entry_equivalent(partitions):
+    plain = _build(partitions, compressed=False)
+    coded = _build(partitions, compressed=True)
+    assert _entries(coded) == _entries(plain)
+    assert _entries(coded)  # non-vacuous

@@ -126,10 +126,8 @@ def test_nsf_and_sf_sequentially_on_one_table():
     audit_index(system, system.indexes["by_nsf"])
     audit_index(system, system.indexes["by_sf"])
     # both indexes over the same column agree exactly
-    a = sorted((e.key_value, e.rid)
-               for e in system.indexes["by_nsf"].tree.all_entries())
-    b = sorted((e.key_value, e.rid)
-               for e in system.indexes["by_sf"].tree.all_entries())
+    a = sorted(system.indexes["by_nsf"].tree.all_entries())
+    b = sorted(system.indexes["by_sf"].tree.all_entries())
     assert a == b
 
 

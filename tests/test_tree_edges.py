@@ -46,7 +46,7 @@ def test_search_key_value_at_leaf_boundary():
         found = []
         for k in range(10):
             entry = yield from tree.search(k)
-            found.append(entry is not None and entry.key_value == k)
+            found.append(entry is not None and entry[0] == k)
         yield from txn.commit()
         return found
 
@@ -65,7 +65,7 @@ def test_search_exact_composite():
         return hit, miss
 
     hit, miss = drive(system, body())
-    assert hit is not None and hit.rid == RID(0, 3)
+    assert hit is not None and hit[1] == RID(0, 3)
     assert miss is None
 
 
@@ -119,7 +119,7 @@ def test_cursor_rejects_out_of_range_keys():
     leaves = list(tree.leaf_chain())
     middle = leaves[len(leaves) // 2]
     # a cursor is set by a descent, which is what memoises the fences
-    inside = middle.entries[0].composite
+    inside = middle.entries[0]
     assert tree._locate_ib_leaf(cursor, inside) is middle
     # keys outside the middle leaf's separator fences reject the cache
     assert tree._cursor_leaf(cursor, (-1, RID(0, 0))) is None
