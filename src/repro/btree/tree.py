@@ -1130,6 +1130,19 @@ class BTree:
             node = (self.pages[node.next_leaf]
                     if node.next_leaf is not None else None)
 
+    def entries_from(self, composite: CompositeKey
+                     ) -> Iterator[CompositeKey]:
+        """Entries at or above ``composite`` in key order, pseudo-deleted
+        ones included (no latching): one uncounted descent, then the
+        leaf chain."""
+        if self.root is None:
+            return
+        leaf, _path = self._traverse(composite, count=False)
+        yield from leaf.entries[leaf.position(composite):]
+        while leaf.next_leaf is not None:
+            leaf = self.pages[leaf.next_leaf]
+            yield from leaf.entries
+
     def all_entries(self, include_pseudo_deleted: bool = False
                     ) -> Iterator[CompositeKey]:
         skip = () if include_pseudo_deleted else self.pseudo_deleted

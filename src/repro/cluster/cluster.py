@@ -212,12 +212,12 @@ class Cluster:
         span = self.tracer.begin_span("cluster.recover", node=node.name)
         node.subscription = None
         node.build_procs = []
-        system, utility_state = yield from restart_on(
+        system, _utility_state = yield from restart_on(
             node.system, self.sim, pre_undo=build_pre_undo)
         system.metrics.tracer = self.tracer
         node.system = system
         node.down = False
-        for builder in resume_builds(system, utility_state):
+        for builder in resume_builds(system):
             proc = node.spawn(builder.run(), name="resume-build")
             node.build_procs.append(proc)
         # A crash before a build's first checkpoint leaves nothing to

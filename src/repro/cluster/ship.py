@@ -42,7 +42,6 @@ from repro.cluster.apply import (
     record_identity,
     shippable,
 )
-from repro.core.base import _txn_table_snapshot
 from repro.errors import TransactionAborted
 from repro.faultinject.injector import InjectedCrash
 from repro.faultinject.sites import fault_point
@@ -189,19 +188,10 @@ class Subscription:
         system.metrics.incr("cluster.batches_applied")
 
     def _checkpoint(self) -> None:
-        """Periodic local checkpoint bounding this replica's recovery.
-
-        Mirrors the live build registry (``system.utility_states``)
-        into the record so an apply checkpoint taken between a
-        builder's own checkpoints never clobbers its resume state.
-        """
-        system = self.node.system
-        registry = {name: dict(state) for name, state
-                    in getattr(system, "utility_states", {}).items()}
-        system.log.write_checkpoint(
-            _txn_table_snapshot(system), dict(system.buffer.dirty), {},
-            utility_states=registry or None)
-        system.metrics.incr("cluster.apply_checkpoints")
+        """Periodic local checkpoint bounding this replica's recovery; it
+        records the live build registry like every checkpoint does."""
+        self.node.system.checkpoint()
+        self.node.system.metrics.incr("cluster.apply_checkpoints")
 
     def _gauge_lag(self) -> None:
         tracer = self.cluster.metrics.tracer

@@ -72,15 +72,13 @@ def build_pre_undo(system: "System", utility_state: dict) -> None:
     """Recovery hook reinstalling build context before the undo pass.
 
     Pass this as ``pre_undo`` to :func:`repro.recovery.restart.restart`
-    whenever an index build might have been interrupted.  When the
-    surviving checkpoint recorded several concurrent builds
-    (``system.utility_states``, one entry per table), every one of them
-    gets its context back -- Figure 2's visibility classification must
-    hold for losers touching any of the tables.
+    whenever an index build might have been interrupted.  Every build in
+    the checkpoint's registry (``system.utility_states``, one entry per
+    table, ``utility_state``'s among them) gets its context back --
+    Figure 2's visibility classification must hold for losers touching
+    any of the tables.
     """
-    states = list(getattr(system, "utility_states", {}).values()) \
-        or [utility_state]
-    for state in states:
+    for state in system.utility_states.values():
         recovery_context(system, state)
 
 
@@ -97,24 +95,17 @@ def resume_build(system: "System", utility_state: dict
     return get_builder(mode).resume(system, utility_state)
 
 
-def resume_builds(system: "System",
-                  utility_state: Optional[dict] = None) -> list:
+def resume_builds(system: "System") -> list:
     """Resume every interrupted build the latest checkpoint recorded.
 
-    Concurrent builds (one per table) each checkpoint their own payload;
-    :func:`repro.recovery.restart.restart` collects the whole registry
-    into ``system.utility_states``.  Returns the resumed builders in
-    table-name order (spawn each one's ``run()``).  Falls back to the
-    single ``utility_state`` for pre-registry checkpoints.
+    Concurrent builds (one per table) each checkpoint their own payload
+    into the one registry that :func:`repro.recovery.restart.restart`
+    reloads as ``system.utility_states``.  Returns the resumed builders
+    in table-name order (spawn each one's ``run()``).
     """
-    states = dict(getattr(system, "utility_states", {}) or {})
-    if not states and utility_state:
-        name = utility_state.get("table")
-        if name:
-            states[name] = utility_state
     builders = []
-    for name in sorted(states):
-        builder = resume_build(system, states[name])
+    for name in sorted(system.utility_states):
+        builder = resume_build(system, system.utility_states[name])
         if builder is not None:
             builders.append(builder)
     return builders

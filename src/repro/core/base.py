@@ -57,6 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
 RESUMABLE_MODES = (NSF_MODE,) + tuple(mode for mode in SF_LIKE_MODES
                                       if mode != IOT_MODE)
 
+#: simulated time per key extracted during the data scan
+KEY_EXTRACT_COST = 0.05
+
 #: checkpoint phases whose data scan is still running (``pscan`` is the
 #: partitioned one); any later phase means the scan finished and
 #: Current-RID is infinity (section 3.2.2)
@@ -93,15 +96,11 @@ class BuildOptions:
     #: scan checkpoints; a checkpoint is still taken at phase boundaries)
     checkpoint_every_pages: Optional[int] = None
     #: NSF: keys per multi-key index-manager call (section 2.2.3)
-    ib_batch_keys: Optional[int] = None
+    ib_batch_keys: int = 8
     #: NSF: commit the IB transaction every this many inserted keys
     commit_every_keys: int = 512
     #: insert/load/drain-phase checkpoint interval, in keys or entries
     checkpoint_every_keys: Optional[int] = None
-    #: sort workspace (tournament slots)
-    sort_workspace: Optional[int] = None
-    #: merge fan-in
-    merge_fanin: Optional[int] = None
     #: free space left in each bulk-loaded leaf (section 2.2.3)
     fill_free_fraction: Optional[float] = None
     #: SF: sort the first chunk of the side-file before applying it
@@ -112,8 +111,6 @@ class BuildOptions:
     #: the catch-up window at the cost of coarser checkpoint spacing
     #: (experiment E19)
     drain_batch: int = 64
-    #: simulated time per key extracted during the scan
-    key_extract_cost: float = 0.05
     #: side-file modes: scan the table as this many page-range shards,
     #: one worker and one Current-RID each (None -> the mode's default:
     #: the serial scan, or 2 for ``psf``; a rebuild never scans)
@@ -226,20 +223,6 @@ class BuilderBase:
         return self.options.prefetch_pages \
             or self.system.config.prefetch_pages
 
-    @property
-    def sort_workspace(self) -> int:
-        return self.options.sort_workspace \
-            or self.system.config.sort_workspace
-
-    @property
-    def merge_fanin(self) -> int:
-        return self.options.merge_fanin or self.system.config.merge_fanin
-
-    @property
-    def ib_batch_keys(self) -> int:
-        return self.options.ib_batch_keys \
-            or self.system.config.ib_batch_keys
-
     # -- the process body every mode shares ---------------------------------
 
     def run(self):
@@ -323,7 +306,6 @@ class BuilderBase:
         builder._resume_state = utility_state
         builder._manifest = {name: dict(entry) for name, entry
                              in utility_state["manifest"].items()}
-        builder._restore_throttle(utility_state)
         builder.obs.restore(utility_state.get("progress"))
         builder._restore_codec(utility_state)
         return builder
@@ -397,7 +379,8 @@ class BuilderBase:
                     workspace: Optional[int] = None) -> RunFormation:
         """One run-formation sorter, compressed when the options say so."""
         store = self._store_for(descriptor)
-        size = workspace if workspace is not None else self.sort_workspace
+        size = workspace if workspace is not None \
+            else self.system.config.sort_workspace
         if self.options.compressed_keys:
             return CompressedRunFormation(
                 store, size, self._codec_for(descriptor.name))
@@ -409,7 +392,8 @@ class BuilderBase:
         """Restore one sorter from its checkpoint manifest, threading the
         shared per-index codec through when the build is compressed."""
         store = self._store_for(descriptor)
-        size = workspace if workspace is not None else self.sort_workspace
+        size = workspace if workspace is not None \
+            else self.system.config.sort_workspace
         codec = self._codec_for(descriptor.name) \
             if self.options.compressed_keys else None
         return RunFormation.restore(store, manifest, size,
@@ -542,20 +526,6 @@ class BuilderBase:
             self.system.metrics.incr(self._throttle_waits_metric)
             self.system.metrics.observe("build.throttle_wait_time", waited)
 
-    def _restore_throttle(self, utility_state: dict) -> None:
-        """Re-arm the rate limit recorded in a utility checkpoint.
-
-        Belt and braces for resume paths: :func:`repro.recovery.restart`
-        reuses the crashed system's config (so the constructor already
-        built the bucket), but a caller restarting with an explicit
-        config lacking the knob still gets the checkpointed rate back.
-        The bucket restarts full -- token levels are volatile state, and
-        the simulated clock resets to 0 across restart anyway.
-        """
-        rate = utility_state.get("build_rate_limit")
-        if rate and self._rate_bucket is None:
-            self._rate_bucket = self.system.build_bucket(rate)
-
     def _restore_codec(self, utility_state: dict) -> None:
         """Adopt each index's checkpointed codec layout (compressed-key
         builds only), before any sorter is rebuilt."""
@@ -671,7 +641,6 @@ class BuilderBase:
         metrics = system.metrics
         checkpoint_every = self.options.checkpoint_every_pages \
             if checkpoint is not None else None
-        extract_cost = self.options.key_extract_cost
         compare_cost = self.options.key_compare_cost
         page_no = cursor["next_page"]
         pages_since_checkpoint = 0
@@ -707,7 +676,7 @@ class BuilderBase:
                         if fp_enabled:
                             for _ in records:
                                 fault_point(metrics, "build.sort_push")
-                        yield Delay(len(records) * extract_cost)
+                        yield Delay(len(records) * KEY_EXTRACT_COST)
                     if compare_cost:
                         yield from self._charge_compare_cost(compare_cost,
                                                              targets)
@@ -804,7 +773,7 @@ class BuilderBase:
 
     def _final_merger(self, descriptor: IndexDescriptor, runs):
         return final_merger(self._store_for(descriptor), runs,
-                            self.merge_fanin)
+                            self.system.config.merge_fanin)
 
     # -- the shared bottom-up load (SF phase 3, offline) -----------------------
 
@@ -921,15 +890,8 @@ class BuilderBase:
             "specs": [(s.name, list(s.key_columns), s.unique)
                       for s in self.specs],
         }
-        # Persist the admission-control rate so resume re-throttles even
-        # if recovery were handed a config without the knob (restart()
-        # normally carries crashed.config across, which already has it).
-        # Only added when throttled: unthrottled payloads stay unchanged.
-        if self._rate_bucket is not None:
-            payload["build_rate_limit"] = self._rate_bucket.rate
-        # Progress state rides along only when tracking is enabled, the
-        # same conditional-key discipline as the rate limit: untracked
-        # checkpoint payloads stay byte-identical.
+        # Progress state rides along only when tracking is enabled:
+        # untracked checkpoint payloads stay unchanged.
         progress = self.obs.checkpoint_state()
         if progress is not None:
             payload["progress"] = progress
@@ -962,25 +924,7 @@ class BuilderBase:
             payload["index_build"] = self.context.index_build
             if self.context.frontier is not None:
                 payload["frontier"] = self.context.frontier.to_manifest()
-        # Concurrent-build registry: each build parks its latest payload
-        # under its table name so one build's checkpoint cannot clobber
-        # another's resume state.  The registry rides in the checkpoint
-        # record only while *other* builds are live -- single-build
-        # checkpoints stay byte-identical to the pre-registry format.
-        registry = self.system.utility_states
-        if payload.get("phase") == "done":
-            registry.pop(self.table.name, None)
-        else:
-            registry[self.table.name] = payload
-        others = any(name != self.table.name for name in registry)
-        self.system.log.write_checkpoint(
-            _txn_table_snapshot(self.system),
-            dict(self.system.buffer.dirty),
-            payload,
-            utility_states={name: dict(state)
-                            for name, state in registry.items()}
-            if others else None,
-        )
+        self.system.checkpoint(payload)
         self.system.metrics.incr("build.utility_checkpoints")
         fault_point(self.system.metrics, "build.checkpoint.after")
 
@@ -1054,14 +998,3 @@ def recovery_context(system: "System", utility_state: dict
     system.builds[utility_state["table"]] = context
     return context
 
-
-def _txn_table_snapshot(system: "System") -> dict:
-    """The transaction table recorded in a fuzzy checkpoint."""
-    table = {}
-    for txn_id, txn in system.txns.active.items():
-        table[txn_id] = {
-            "first_lsn": txn.first_lsn,
-            "last_lsn": txn.last_lsn,
-            "committed": False,
-        }
-    return table

@@ -151,9 +151,11 @@ class IOTable:
     # -- scans and audits --------------------------------------------------------------
 
     def range_scan(self) -> Iterator[tuple]:
-        """(pk, record) pairs in primary-key order (audit; no latching)."""
-        for pk in sorted(self.rows):
-            yield pk, self.rows[pk]
+        """(pk, record) pairs in primary-key order, read off the primary
+        index's leaf chain (audit; no latching)."""
+        rows = self.rows
+        for pk, _rid in self.primary.all_entries():
+            yield pk, rows[pk]
 
     def audit_records(self) -> Iterator[tuple[RID, Record]]:
         """Every row under its secondary-entry RID, for verification code

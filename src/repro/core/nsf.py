@@ -97,7 +97,7 @@ class NSFIndexBuilder(BuilderBase):
         checkpoint_every = self.options.checkpoint_every_keys
         decode = self._decoder(descriptor.name)
         while merger is not None:
-            batch = merger.pop_many(self.ib_batch_keys)
+            batch = merger.pop_many(self.options.ib_batch_keys)
             if not batch:
                 break
             if decode is not None:

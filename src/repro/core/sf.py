@@ -144,20 +144,14 @@ class SFIndexBuilder(BuilderBase):
                    for entry in self._manifest.values()):
             self._mark("load_done")
         if self.pipelined:
-            # The drain-start checkpoint follows at once.  Only the
-            # batched order seals: an index built one flip at a time has
-            # no sealed run, and ``rebuild_index`` refuses it.
+            # The drain-start checkpoint follows at once, and the seal
+            # after it (:meth:`_drain_step`).
             fault_point(self.system.metrics, "multibuild.index_loaded")
             return
         self._write_utility_checkpoint({"phase": "load-start"})
-        # Seal only after the checkpoint above: it is the first one
-        # that no longer references the merge, so moving the merger's
-        # output run out of the sort store can no longer strand a
-        # mid-load merge manifest (a crash before the seal simply skips
-        # it -- the previous sealed generation, if any, stays valid).
         self._seal_sorted_runs(descriptor, merger)
 
-    def _drain_step(self, descriptor, _merger):
+    def _drain_step(self, descriptor, merger):
         """Phase 4 for one index: the logged side-file drain + flip."""
         name = descriptor.name
         metrics = self.system.metrics
@@ -166,6 +160,8 @@ class SFIndexBuilder(BuilderBase):
         self.system.sidefiles[name].force()
         self._enter(name, "draining", position=start)
         self._write_utility_checkpoint({"phase": "drain"})
+        if self.pipelined and merger is not None:
+            self._seal_sorted_runs(descriptor, merger)
         fault_point(metrics, "sf.drain_start")
         yield from self._drain_phase(descriptor, start)
         self._enter(name, "done")
@@ -210,6 +206,12 @@ class SFIndexBuilder(BuilderBase):
 
     def _seal_sorted_runs(self, descriptor, merger) -> None:
         """Seal the final merge output for fast index reconstruction.
+
+        Called right after the first checkpoint that no longer
+        references the merge, so moving the merger's output run out of
+        the sort store can no longer strand a mid-load merge manifest (a
+        crash before the seal simply skips it -- the previous sealed
+        generation, if any, stays valid).
 
         The fully merged, forced run holds every key the bulk load just
         consumed, in order -- exactly what a drop+rebuild would otherwise

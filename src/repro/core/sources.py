@@ -36,6 +36,7 @@ that the per-index manifest is the only progress state
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from repro.core.descriptor import IndexState
@@ -154,7 +155,7 @@ class ShardScan(KeySource):
     def _shard_workspace(self) -> int:
         """Replacement-selection slots per shard: the serial workspace is
         split across shards so total sort memory stays comparable."""
-        return max(2, self.builder.sort_workspace
+        return max(2, self.builder.system.config.sort_workspace
                    // self.builder.partitions)
 
     # -- phase 1: descriptor + frontier without quiesce ---------------------
@@ -313,7 +314,8 @@ class ShardScan(KeySource):
         streaming merger per index over all shards' survivors."""
         builder = self.builder
         shards = sorted(self._shard_states)
-        per_shard = max(1, builder.merge_fanin // max(1, len(shards)))
+        fanin = builder.system.config.merge_fanin
+        per_shard = max(1, fanin // max(1, len(shards)))
         group = ProcessGroup(builder.system.sim, name="psf-merge")
         builder.obs.begin("merge", workers=len(shards))
         for shard in shards:
@@ -345,7 +347,8 @@ class ShardScan(KeySource):
             runs = [store.get(name)
                     for name in state["runs"].get(descriptor.name, [])]
             merged = yield from sim_merge_until(
-                builder.system, store, runs, builder.merge_fanin, target,
+                builder.system, store, runs,
+                builder.system.config.merge_fanin, target,
                 shard=shard)
             state["runs"][descriptor.name] = [run.name for run in merged]
         builder.obs.end(f"shard-merge:{shard}")
@@ -558,9 +561,10 @@ class IotScan(KeySource):
     Current-RID is ``RID(last pk, 1)``: Figure 1's ``Target-RID <
     Current-RID`` then holds exactly for the rows at or behind the scan
     position, so the one maintenance hook routes an index-organized
-    table's changes unchanged.  Batches re-read the key range ahead of
-    the position, so rows inserted there are scanned and rows inserted
-    behind it reach the side-file.
+    table's changes unchanged.  Each batch descends the primary index to
+    the key after the position and follows its leaf chain, so rows
+    inserted ahead of the position are scanned and rows inserted behind
+    it reach the side-file.
     """
 
     phases = (Phase("scan", 0.50),)
@@ -584,6 +588,7 @@ class IotScan(KeySource):
     def mergers(self):
         builder = self.builder
         rows = builder.table.rows
+        primary = builder.table.primary
         context = builder.context
         pushes = [(d.extract_key, builder._sorters[d.name].push_many)
                   for d in builder.descriptors]
@@ -591,7 +596,8 @@ class IotScan(KeySource):
         builder.obs.begin("scan")
         last = -1
         while True:
-            chunk = sorted(pk for pk in rows if pk > last)[:self.batch]
+            chunk = [pk for pk, _rid in islice(
+                primary.entries_from((last + 1,)), self.batch)]
             if not chunk:
                 break
             for extract_key, push_many in pushes:

@@ -16,7 +16,10 @@ snapshots, forced side-file prefixes):
 
 The function returns the new :class:`~repro.system.System` plus the
 ``utility_state`` of the latest checkpoint, which the interrupted
-index-build utility uses to resume (sections 2.2.3, 3.2.4, 5).
+index-build utility uses to resume (sections 2.2.3, 3.2.4, 5); the
+checkpoint's build registry becomes ``system.utility_states``.  The
+closing checkpoint records both again, so a crash before the resumed
+build's first checkpoint recovers the same build.
 """
 
 from __future__ import annotations
@@ -24,15 +27,14 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sidefile import register_sidefile_operations
-from repro.system import System, SystemConfig
+from repro.system import System
 from repro.txn.transaction import Transaction
 from repro.wal.records import RecordKind
 
 PreUndoHook = Callable[[System, dict], None]
 
 
-def restart(crashed: System, config: Optional[SystemConfig] = None,
-            pre_undo: Optional[PreUndoHook] = None
+def restart(crashed: System, pre_undo: Optional[PreUndoHook] = None
             ) -> tuple[System, dict]:
     """Run restart recovery; returns ``(new_system, utility_state)``.
 
@@ -41,12 +43,12 @@ def restart(crashed: System, config: Optional[SystemConfig] = None,
     Index_Build flag) that Figure 2's undo logic consults.
     """
     crashed.crash()  # idempotent: ensures volatile state is gone
-    system = System(config or crashed.config,
-                    disk=crashed.disk, log=crashed.log)
+    system = System(crashed.config, disk=crashed.disk, log=crashed.log)
     txn_table, redo_start, utility_state = \
         _prepare_restart(crashed, system, pre_undo)
 
-    proc = system.spawn(_redo_then_undo(system, txn_table, redo_start),
+    proc = system.spawn(_redo_then_undo(system, txn_table, redo_start,
+                                        utility_state),
                         name="restart-recovery")
     system.run()
     if proc.error is not None:  # pragma: no cover - recovery bug
@@ -58,7 +60,6 @@ def restart(crashed: System, config: Optional[SystemConfig] = None,
 
 
 def restart_on(crashed: System, sim,
-               config: Optional[SystemConfig] = None,
                pre_undo: Optional[PreUndoHook] = None):
     """Generator form of :func:`restart` for an already-running simulator.
 
@@ -68,11 +69,11 @@ def restart_on(crashed: System, sim,
     private simulator.  Returns ``(new_system, utility_state)``.
     """
     crashed.crash()
-    system = System(config or crashed.config,
-                    disk=crashed.disk, log=crashed.log, sim=sim)
+    system = System(crashed.config, disk=crashed.disk, log=crashed.log,
+                    sim=sim)
     txn_table, redo_start, utility_state = \
         _prepare_restart(crashed, system, pre_undo)
-    yield from _redo_then_undo(system, txn_table, redo_start)
+    yield from _redo_then_undo(system, txn_table, redo_start, utility_state)
     _recover_page_counts(system)
     system.metrics.incr("recovery.restarts")
     return system, utility_state
@@ -102,49 +103,20 @@ def _prepare_restart(crashed: System, system: System,
     _rebuild_catalog(crashed, system)
 
     checkpoint = system.log.latest_checkpoint()
-    utility_state = dict(checkpoint.info.get("utility_state", {})) \
-        if checkpoint is not None else {}
-    system.utility_states = _collect_utility_states(checkpoint,
-                                                    utility_state)
-    _discard_orphan_builds(system, utility_state)
+    info = checkpoint.info if checkpoint is not None else {}
+    utility_state = dict(info.get("utility_state", {}))
+    system.utility_states = {name: dict(state) for name, state
+                             in info.get("utility_states", {}).items()}
+    _discard_orphan_builds(system)
 
     txn_table, redo_start = _analysis(system, checkpoint)
     redo_start = _cover_sidefile_tails(system, redo_start)
-    redo_start = _plan_damaged_trees(system, utility_state, redo_start)
+    redo_start = _plan_damaged_trees(system, redo_start)
     _recover_page_counts(system)  # undo handlers need valid page bounds
 
     if pre_undo is not None:
         pre_undo(system, utility_state)
     return txn_table, redo_start, utility_state
-
-
-def _collect_utility_states(checkpoint, utility_state: dict) -> dict:
-    """Rebuild the per-table build registry from the checkpoint.
-
-    Concurrent builds mirror the whole registry into each checkpoint
-    record (``utility_states``); older or single-build records carry
-    only the writer's own payload, which becomes a one-entry registry.
-    Finished ("done") builds need no resume and are dropped.
-    """
-    states: dict[str, dict] = {}
-    raw = checkpoint.info.get("utility_states") \
-        if checkpoint is not None else None
-    if raw:
-        states = {name: dict(state) for name, state in raw.items()
-                  if state.get("phase") != "done"}
-    name = utility_state.get("table")
-    if name and utility_state.get("phase") != "done" \
-            and name not in states:
-        states[name] = utility_state
-    return states
-
-
-def _known_build_indexes(system: System, utility_state: dict) -> set:
-    """Index names recorded by *any* build in the surviving checkpoint."""
-    known = set(utility_state.get("indexes", []))
-    for state in getattr(system, "utility_states", {}).values():
-        known.update(state.get("indexes", []))
-    return known
 
 
 # -- catalog ------------------------------------------------------------------
@@ -197,8 +169,8 @@ def _rebuild_catalog(crashed: System, system: System) -> None:
             install_maintenance(system, table)
 
 
-def _discard_orphan_builds(system: System, utility_state: dict) -> None:
-    """Drop BUILDING descriptors the surviving checkpoint never recorded.
+def _discard_orphan_builds(system: System) -> None:
+    """Drop BUILDING descriptors the build registry does not name.
 
     A crash between descriptor creation and the build's first utility
     checkpoint leaves a descriptor (plus side-file and sort-run store)
@@ -207,7 +179,8 @@ def _discard_orphan_builds(system: System, utility_state: dict) -> None:
     """
     from repro.core.descriptor import IndexState  # lazy: avoid cycle
 
-    known = _known_build_indexes(system, utility_state)
+    known = {name for state in system.utility_states.values()
+             for name in state["indexes"]}
     for name, descriptor in list(system.indexes.items()):
         if descriptor.state is not IndexState.BUILDING or name in known:
             continue
@@ -249,8 +222,7 @@ def _cover_sidefile_tails(system: System, redo_start: int) -> int:
     return redo_start
 
 
-def _plan_damaged_trees(system: System, utility_state: dict,
-                        redo_start: int) -> int:
+def _plan_damaged_trees(system: System, redo_start: int) -> int:
     """Choose a rebuild strategy for trees whose stable snapshot was torn.
 
     An SF build's tree cannot be redone from the log -- the bulk load is
@@ -261,11 +233,9 @@ def _plan_damaged_trees(system: System, utility_state: dict,
     """
     from repro.core.maintenance import SF_LIKE_MODES  # lazy: avoid cycle
 
-    sf_indexes = set(utility_state.get("indexes", [])) \
-        if utility_state.get("builder") in SF_LIKE_MODES else set()
-    for state in getattr(system, "utility_states", {}).values():
-        if state.get("builder") in SF_LIKE_MODES:
-            sf_indexes.update(state.get("indexes", []))
+    sf_indexes = {name for state in system.utility_states.values()
+                  if state["builder"] in SF_LIKE_MODES
+                  for name in state["indexes"]}
     for name, descriptor in system.indexes.items():
         tree = descriptor.tree
         if not tree.media_damaged:
@@ -327,7 +297,8 @@ def _analysis(system: System, checkpoint) -> tuple[dict, int]:
 # -- redo and undo -------------------------------------------------------------------
 
 
-def _redo_then_undo(system: System, txn_table: dict, redo_start: int):
+def _redo_then_undo(system: System, txn_table: dict, redo_start: int,
+                    utility_state: Optional[dict] = None):
     registry = system.log.operations
     redo_upto = system.log.last_lsn  # CLRs we write go beyond this
     for record in list(system.log.scan(from_lsn=redo_start,
@@ -356,8 +327,10 @@ def _redo_then_undo(system: System, txn_table: dict, redo_start: int):
         if state.get("committed"):
             system.log.append(txn_id, RecordKind.END, writer="recovery")
 
-    # Bound the next recovery with a fresh (empty) checkpoint.
-    system.log.write_checkpoint({}, dict(system.buffer.dirty), {})
+    # Bound the next recovery with a fresh checkpoint that still holds
+    # the recovered build payload and registry: a crash before the
+    # resumed build's own first checkpoint must recover the same build.
+    system.checkpoint(utility_state)
 
 
 # -- post-recovery fixups ----------------------------------------------------------------

@@ -71,8 +71,6 @@ class SystemConfig:
     drain_visit_cost: float = 0.0
     #: pages fetched per sequential prefetch I/O during IB's scan (§2.2.2)
     prefetch_pages: int = 8
-    #: keys per multi-key insert call NSF's IB passes to the index manager
-    ib_batch_keys: int = 8
     #: replacement-selection tournament-tree size (number of leaf slots)
     sort_workspace: int = 64
     #: maximum sorted runs merged in one pass
@@ -142,10 +140,10 @@ class System:
         #: the tree without rescanning the table; survives restart like
         #: the run stores themselves
         self.sealed_runs: dict[str, dict] = {}
-        #: latest utility-checkpoint payload per table with an unfinished
-        #: build.  Mirrored into every checkpoint record when more than
-        #: one build is live, so concurrent builds stop clobbering each
-        #: other's single ``utility_state`` slot; restart() reloads it.
+        #: the build registry: the latest utility-checkpoint payload per
+        #: table with an unfinished build.  :meth:`checkpoint` keeps it
+        #: and records it in every checkpoint, so concurrent builds never
+        #: clobber each other's resume state; restart() reloads it.
         self.utility_states: dict[str, dict] = {}
         #: the system-wide IB admission-control bucket (lazily built by
         #: :meth:`build_bucket`): ``build_rate_limit`` bounds the
@@ -211,6 +209,30 @@ class System:
             from repro.core.throttle import TokenBucket
             self._build_bucket = TokenBucket(self.sim, rate)
         return self._build_bucket
+
+    # -- checkpoints -----------------------------------------------------------
+
+    def checkpoint(self, utility_state: Optional[dict] = None):
+        """Write THE fuzzy checkpoint; every writer calls this one.
+
+        It records the active transactions, the dirty page table, the
+        given build payload (sections 2.2.3, 3.2.4, 5) and the build
+        registry.  A payload in a live phase becomes its table's
+        registry entry, a ``done`` one removes it, so the registry
+        holds exactly the builds a restart must resume.
+        """
+        if utility_state:
+            table = utility_state["table"]
+            if utility_state.get("phase") == "done":
+                self.utility_states.pop(table, None)
+            else:
+                self.utility_states[table] = utility_state
+        txn_table = {txn_id: {"first_lsn": txn.first_lsn,
+                              "last_lsn": txn.last_lsn,
+                              "committed": False}
+                     for txn_id, txn in self.txns.active.items()}
+        return self.log.write_checkpoint(txn_table, dict(self.buffer.dirty),
+                                         utility_state, self.utility_states)
 
     # -- convenience ------------------------------------------------------------
 

@@ -120,27 +120,24 @@ class LogManager:
     # -- checkpoints ---------------------------------------------------------
 
     def write_checkpoint(self, txn_table: dict, dirty_pages: dict,
-                         utility_state: Optional[dict] = None, *,
+                         utility_state: Optional[dict] = None,
                          utility_states: Optional[dict] = None) -> LogRecord:
-        """Write a fuzzy checkpoint and update the master record.
+        """Write a fuzzy checkpoint and update the master record
+        (:meth:`repro.system.System.checkpoint` is its one caller).
 
         ``utility_state`` carries index-build / sort progress (sections
         2.2.3, 3.2.4, 5): the highest key inserted, sorted-run manifests,
         merge counters, side-file position -- whatever the interrupted
         utility needs to resume.  ``utility_states`` (table name ->
-        payload) rides along only while several builds run concurrently,
-        so each build's resume state survives the others' checkpoints;
-        single-build records are unchanged.
+        payload) is the registry of every unfinished build.
         """
         info = {
             "txn_table": dict(txn_table),
             "dirty_pages": dict(dirty_pages),
             "utility_state": dict(utility_state or {}),
+            "utility_states": {name: dict(state) for name, state
+                               in (utility_states or {}).items()},
         }
-        if utility_states:
-            info["utility_states"] = {name: dict(state)
-                                      for name, state
-                                      in utility_states.items()}
         record = self.append(
             txn_id=None,
             kind=RecordKind.CHECKPOINT,

@@ -11,6 +11,7 @@ builds, so the rows are the phases the builders really checkpoint and
 ``resume_build`` brings back the right class with the mode's own state.
 """
 
+import functools
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from repro.core import (
     resume_build,
 )
 from repro.faultinject.injector import CRASH, FaultInjector, FaultPlan
-from repro.recovery import restart
+from repro.recovery import restart, run_until_crash
 from repro.sort import run_sequence
 from repro.storage.rid import INFINITY_RID, RID
 from repro.system import System, SystemConfig
@@ -203,6 +204,13 @@ def _payload(mode, phase, extra, table="t", names=("a", "b")):
     return payload
 
 
+def _pre_undo(system, state):
+    """Run the hook as restart does: ``state`` was written by the one
+    checkpoint writer, so the registry holds it unless it is done."""
+    system.checkpoint(state)
+    build_pre_undo(system, state)
+
+
 def test_the_table_has_a_row_for_every_mode_and_phase():
     assert {mode for mode, *_ in ROWS} == set(RESUMABLE_MODES) \
         == set(PHASES_WRITTEN)
@@ -222,7 +230,7 @@ def test_pre_undo_installs_the_context_of_the_row(
         mode, phase, extra, current_rid, frontier, descriptors):
     system = _catalog()
     state = _payload(mode, phase, extra)
-    build_pre_undo(system, state)
+    _pre_undo(system, state)
     context = system.builds["t"]
     assert context.mode == mode
     assert context.current_rid == current_rid
@@ -249,14 +257,14 @@ def test_pre_undo_installs_the_context_of_the_row(
 def test_done_installs_nothing(mode):
     system = _catalog()
     state = _payload(mode, "done", {})
-    build_pre_undo(system, state)
+    _pre_undo(system, state)
     assert system.builds == {}
     assert resume_build(system, state) is None
 
 
 def test_the_index_build_flag_comes_from_the_checkpoint():
     system = _catalog()
-    build_pre_undo(system, _payload(
+    _pre_undo(system, _payload(
         "sf", "drain", {"index": "a", "position": 0, "current_rid": INF,
                         "index_build": False}))
     assert system.builds["t"].index_build is False
@@ -265,13 +273,14 @@ def test_the_index_build_flag_comes_from_the_checkpoint():
 def test_an_index_dropped_from_the_catalog_leaves_the_context():
     system = _catalog()
     system.indexes["a"].detach()
-    build_pre_undo(system, _payload("sf", "scan", {"current_rid": (2, 0)}))
+    _pre_undo(system, _payload("sf", "scan", {"current_rid": (2, 0)}))
     assert [d.name for d in system.builds["t"].descriptors] == ["b"]
 
 
 def test_two_tables_building_both_get_their_context_back():
-    """``system.utility_states`` (the concurrent-build registry restart
-    collects) wins over the single payload handed to the hook."""
+    """Every build in ``system.utility_states`` (the registry restart
+    reloads) gets its context, not only the payload handed to the
+    hook."""
     system = _catalog("t1", prefix="t1.")
     table2 = system.create_table("t2", ["k", "p"])
     descriptor = IndexDescriptor(system, table2, "t2.b", ("k",))
@@ -399,6 +408,51 @@ def test_crash_then_resume_brings_back_the_mode(mode, site, hit, phase):
     for name in state["indexes"]:
         assert recovered.indexes[name].state is IndexState.AVAILABLE
         audit_index(recovered, recovered.indexes[name])
+
+
+# -- a second crash in the resumed build resumes it again ---------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _build_time(mode):
+    """Simulated time one uncrashed build of ``mode`` takes."""
+    system, table, driver = _staged()
+    builder = _builder(mode, system, table)
+    start = system.now()
+    system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    return builder.timings["done"] - start
+
+
+@pytest.mark.parametrize("fraction", [0.1, 0.3, 0.6, 0.9])
+@pytest.mark.parametrize("mode", RESUMABLE_MODES)
+def test_a_second_crash_resumes_the_build(mode, fraction):
+    """Crash ``fraction`` into the build, restart and resume, crash one
+    time unit into the resumed build: restart's own checkpoint still
+    records the build, so it resumes a second time and ends right."""
+    system, table, driver = _staged()
+    builder = _builder(mode, system, table)
+    system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    run_until_crash(system, system.now() + fraction * _build_time(mode))
+
+    recovered, state = restart(system, pre_undo=build_pre_undo)
+    resumed = resume_build(recovered, state)
+    assert resumed is not None, state.get("phase")
+    recovered.spawn(resumed.run(), name="resumed")
+    run_until_crash(recovered, recovered.now() + 1)
+
+    again, state = restart(recovered, pre_undo=build_pre_undo)
+    assert again.metrics.get("recovery.orphan_builds_discarded") == 0
+    assert set(again.utility_states) == {"t"}
+    resumed = resume_build(again, state)
+    assert resumed is not None
+    _drive(again, resumed.run(), "resumed-again")
+    for name in state["indexes"]:
+        assert again.indexes[name].state is IndexState.AVAILABLE
+        audit_index(again, again.indexes[name])
+    assert again.utility_states == {}
 
 
 # -- resume merges the surviving runs in creation order -----------------------

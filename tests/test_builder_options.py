@@ -280,9 +280,9 @@ def test_resumed_build_keeps_its_options(builder_cls, site, hit, phase):
 
     options = BuildOptions(drain_batch=7, fill_free_fraction=0.4,
                            checkpoint_every_pages=8,
-                           checkpoint_every_keys=48, commit_every_keys=24,
-                           sort_workspace=12)
-    system, table, driver = stage(operations=20)
+                           checkpoint_every_keys=48, commit_every_keys=24)
+    system, table, driver = stage(operations=20, config=SystemConfig(
+        page_capacity=8, leaf_capacity=8, sort_workspace=12, merge_fanin=4))
     FaultInjector(FaultPlan(site, hit, CRASH)).install(system)
     builder = builder_cls(system, table, IndexSpec.of("idx", ["k"]),
                           options=options)
@@ -298,6 +298,10 @@ def test_resumed_build_keeps_its_options(builder_cls, site, hit, phase):
     assert resumed.options is not options
     drive(recovered, resumed.run(), name="resumed")
     audit_index(recovered, recovered.indexes["idx"])
+    assert recovered.config.sort_workspace == 12
+    if phase == "scan":  # the resumed scan sorted with the workspace
+        assert [sorter.workspace_size
+                for sorter in resumed._sorters.values()] == [12]
 
 
 def test_default_options_add_no_checkpoint_key():

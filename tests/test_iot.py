@@ -397,8 +397,8 @@ def test_restart_with_an_iot_build_in_flight(crash_after):
     run_until_crash(system, started + crash_after)
     assert system.indexes["idx_city"].state is IndexState.BUILDING
 
-    recovered, state = restart(system, pre_undo=build_pre_undo)
-    for builder in resume_builds(recovered, state):
+    recovered, _state = restart(system, pre_undo=build_pre_undo)
+    for builder in resume_builds(recovered):
         drive(recovered, builder.run())
     assert "idx_city" not in recovered.indexes
     report = audit_index(recovered, recovered.indexes["idx_k"])

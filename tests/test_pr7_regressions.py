@@ -361,8 +361,8 @@ def test_crash_with_two_throttled_builds_resumes_both():
     # ~39 simulated time units); the crash must interrupt BOTH
     run_until_crash(system, system.now() + 20.0)
 
-    recovered, utility_state = restart(system, pre_undo=build_pre_undo)
-    resumed = resume_builds(recovered, utility_state)
+    recovered, _state = restart(system, pre_undo=build_pre_undo)
+    resumed = resume_builds(recovered)
     assert len(resumed) == 2, "both interrupted builds must resume"
     drive_all(recovered, [builder.run() for builder in resumed])
     audit_index(recovered, recovered.indexes["i1"])

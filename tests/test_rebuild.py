@@ -12,7 +12,7 @@ at every rebuild-era fault site.
 import pytest
 
 from repro.bench.harness import bench_config, run_build_experiment
-from repro.core import BuildOptions, IndexState
+from repro.core import BuildOptions, IndexSpec, IndexState
 from repro.errors import StorageError
 from repro.sweep import Scenario, discover, run_sweep
 from repro.verify import audit_index
@@ -58,6 +58,24 @@ def test_rebuild_scans_zero_table_pages(compressed):
     audit_index(system, system.indexes["idx"])
     # The seed build's codec mode rides along into the rebuild.
     assert builder.options.compressed_keys is compressed
+
+
+def test_a_multi_built_index_rebuilds_from_its_seal():
+    """The per-index order seals each index at its drain start, so every
+    index of a ``multi`` build rebuilds without a table scan."""
+    result = run_build_experiment(
+        "multi", rows=150, operations=20, seed=11,
+        index_specs=[IndexSpec.of("idx", ["k"]), IndexSpec.of("idx_p", ["p"])],
+        options=BuildOptions(**OPTIONS), config=bench_config())
+    system = result.system
+    assert set(system.sealed_runs) == {"idx", "idx_p"}
+    for name in ("idx", "idx_p"):
+        before_entries = _entries(system, name)
+        pages_before = system.metrics.get("build.pages_scanned")
+        _rebuild(system, name)
+        assert system.metrics.get("build.pages_scanned") == pages_before
+        assert _entries(system, name) == before_entries
+        audit_index(system, system.indexes[name])
 
 
 def test_rebuild_leaves_the_callers_options_alone():

@@ -190,7 +190,7 @@ def test_transaction_ids_stay_unique_across_restart(checkpoint_last):
 
     drive(system, body())
     if checkpoint_last:
-        system.log.write_checkpoint({}, dict(system.buffer.dirty), {})
+        system.checkpoint()
     system.log.flush()
     system.crash()
     recovered, _state = restart(system)
