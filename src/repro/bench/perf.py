@@ -71,7 +71,7 @@ def _build_scenario(*, algorithm: str, rows: int, operations: int = 0,
         tracer=recorder)
     interesting = ("index.inserts.ib", "index.splits", "index.traversals",
                    "index.page_visits", "sidefile.appends",
-                   "build.sidefile_drained", "log.records",
+                   "build.sidefile_drained", "wal.records",
                    "build.ib_commits", "sort.keys_pushed")
     counters = {key: result.counters[key] for key in interesting
                 if key in result.counters}
@@ -112,7 +112,7 @@ def _rebuild_scenario() -> dict:
     sim_time = builder.timings.get("done", system.now()) \
         - builder.timings.get("start", 0.0)
     interesting = ("rebuild.runs_reused", "index.inserts.bulk",
-                   "build.sidefile_drained", "log.records")
+                   "build.sidefile_drained", "wal.records")
     counters = {key: delta[key] for key in interesting if key in delta}
     counters["build.pages_scanned"] = pages
     return {"params": params,
@@ -147,7 +147,7 @@ def _parallel_sf_run(partitions: int, *, rows: int = 600,
     interesting = ("build.pages_scanned", "sort.keys_pushed",
                    "sidefile.appends", "build.sidefile_drained",
                    "psf.scan_workers", "psf.manifest_checkpoints",
-                   "log.records")
+                   "wal.records")
     counters = {key: result.counters[key] for key in interesting
                 if key in result.counters}
     metrics = result.system.metrics
