@@ -1218,10 +1218,9 @@ def index_payload(index: str, action: Optional[str],
     return (index, action, undo_action, key_value, rid, old_rid), size
 
 
-def _redo_index(system: "System", record: LogRecord):
-    payload = record.payload
+def _redo_index(system: "System", lsn: int, _txn_id, _page_id, payload):
     tree = _tree_for(system, payload[IX_INDEX])
-    if tree is None or record.lsn <= tree.durable_lsn:
+    if tree is None or lsn <= tree.durable_lsn:
         return
     tree.apply_logged(payload)
     system.metrics.incr("recovery.index_redos")
@@ -1229,12 +1228,12 @@ def _redo_index(system: "System", record: LogRecord):
     yield  # pragma: no cover - generator shape
 
 
-def _redo_noop(system: "System", record: LogRecord):
+def _redo_noop(system: "System", *_fields):
     return
     yield  # pragma: no cover
 
 
-def _reject_redo(system: "System", record: LogRecord):  # pragma: no cover
+def _reject_redo(system: "System", *_fields):  # pragma: no cover
     raise AssertionError("index undo payloads are never redone")
 
 

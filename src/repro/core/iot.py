@@ -225,8 +225,7 @@ def iot_payload(table: str, pk, values: Optional[tuple],
             tuple(snapshot.sf_routed)), size
 
 
-def _redo_iot(system: "System", record: LogRecord):
-    payload = record.payload
+def _redo_iot(system: "System", _lsn, _txn_id, _page_id, payload):
     table = _table(system, payload[H_TABLE])
     if table is not None:
         pk, values = payload[H_RID], payload[H_VALUES]
@@ -236,7 +235,7 @@ def _redo_iot(system: "System", record: LogRecord):
     yield  # pragma: no cover - generator shape
 
 
-def _reject(system, record):  # pragma: no cover
+def _reject(system, *_fields):  # pragma: no cover
     raise AssertionError("iot undo payloads are never redone")
 
 

@@ -272,24 +272,19 @@ def _analysis(system: System, checkpoint) -> tuple[dict, int]:
         scan_from = 1
         redo_start = 1
 
-    for record in system.log.scan(from_lsn=scan_from):
-        if record.txn_id is None:
-            continue
-        if record.kind is RecordKind.END:
-            txn_table.pop(record.txn_id, None)
+    for lsn, txn_id, kind in system.log.txn_kinds(from_lsn=scan_from):
+        if kind is RecordKind.END:
+            txn_table.pop(txn_id, None)
             continue
         entry = txn_table.setdefault(
-            record.txn_id, {"first_lsn": record.lsn, "last_lsn": record.lsn,
-                            "committed": False})
-        entry["last_lsn"] = record.lsn
-        if record.kind is RecordKind.COMMIT:
+            txn_id, {"first_lsn": lsn, "last_lsn": lsn, "committed": False})
+        entry["last_lsn"] = lsn
+        if kind is RecordKind.COMMIT:
             entry["committed"] = True
     # Ids must stay unique over the whole log, not only over what the
     # analysis scanned: the master checkpoint may lie after the last
-    # transaction's records.
-    system.txns._next_id = max(
-        (record.txn_id for record in system.log.scan()
-         if record.txn_id is not None), default=0)
+    # transaction's records.  (A record of no transaction holds 0.)
+    system.txns._next_id = max(system.log.txn_ids(), default=0)
     system.metrics.incr("recovery.analysis_passes")
     return txn_table, redo_start
 
@@ -301,10 +296,10 @@ def _redo_then_undo(system: System, txn_table: dict, redo_start: int,
                     utility_state: Optional[dict] = None):
     registry = system.log.operations
     redo_upto = system.log.last_lsn  # CLRs we write go beyond this
-    for record in list(system.log.scan(from_lsn=redo_start,
-                                       to_lsn=redo_upto)):
-        if record.redo_op is not None:
-            yield from registry.redo(record.redo_op)(system, record)
+    for redo_op, lsn, txn_id, page_id, payload in \
+            system.log.redo_fields(redo_start, redo_upto):
+        yield from registry.redo(redo_op)(system, lsn, txn_id, page_id,
+                                          payload)
     system.metrics.incr("recovery.redo_passes")
     # Redo may have re-created pages the crash lost; refresh the bounds
     # before undo touches them.

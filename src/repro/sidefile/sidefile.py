@@ -27,8 +27,7 @@ from typing import Iterator, Optional, TYPE_CHECKING
 from repro.faultinject.sites import fault_point
 from repro.sim.kernel import Delay
 from repro.storage.rid import RID
-from repro.wal.records import (HEADER_SIZE, OP_SIZE, LogRecord, RecordKind,
-                               value_size)
+from repro.wal.records import HEADER_SIZE, OP_SIZE, RecordKind, value_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -80,9 +79,9 @@ class SideFile:
         (section 3.1).
         """
         payload, size = self._log_payload(operation, key_value, rid)
-        record = txn.log(RecordKind.UPDATE,
-                         redo=("sidefile.append", payload), size=size)
-        entry = self._add(payload, record.lsn, txn.txn_id)
+        lsn = txn.log(RecordKind.UPDATE,
+                      redo=("sidefile.append", payload), size=size)
+        entry = self._add(payload, lsn, txn.txn_id)
         fault_point(self.system.metrics, "sidefile.append")
         self.system.metrics.incr("sidefile.appends")
         return entry
@@ -116,12 +115,12 @@ class SideFile:
         """Generator-free variant used inside undo handlers (the CLR the
         caller writes covers durability); still counted separately."""
         payload, size = self._log_payload(operation, key_value, rid)
-        record = txn.system.log.append(
+        lsn = txn.system.log.append(
             txn.txn_id, RecordKind.UPDATE,
             prev_lsn=None,  # CLR chain is maintained by the caller
             redo=("sidefile.append", payload), size=size,
             info={"during": "undo"})
-        self._add(payload, record.lsn, txn.txn_id)
+        self._add(payload, lsn, txn.txn_id)
         self.system.metrics.incr("sidefile.appends")
         self.system.metrics.incr("sidefile.appends.during_undo")
 
@@ -147,11 +146,12 @@ class SideFile:
         del self.entries[self.durable_length:]
         self._lsn_set = {entry.lsn for entry in self.entries}
 
-    def redo_append(self, record: LogRecord) -> None:
+    def redo_append(self, lsn: int, txn_id: Optional[int],
+                    payload: tuple) -> None:
         """Replay one append from the WAL if it was lost in the crash."""
-        if record.lsn in self._lsn_set:
+        if lsn in self._lsn_set:
             return  # already present in the stable prefix
-        self._add(record.payload, record.lsn, record.txn_id)
+        self._add(payload, lsn, txn_id)
         self.system.metrics.incr("recovery.sidefile_redos")
 
     # -- reading -----------------------------------------------------------------
@@ -182,9 +182,10 @@ def register_sidefile_operations(system: "System") -> None:
 SF_INDEX, SF_OPERATION, SF_KEY, SF_RID = range(4)
 
 
-def _redo_sidefile_append(system: "System", record: LogRecord):
-    sidefile = system.sidefiles.get(record.payload[SF_INDEX])
+def _redo_sidefile_append(system: "System", lsn: int, txn_id, _page_id,
+                          payload):
+    sidefile = system.sidefiles.get(payload[SF_INDEX])
     if sidefile is not None:
-        sidefile.redo_append(record)
+        sidefile.redo_append(lsn, txn_id, payload)
     return
     yield  # pragma: no cover - generator shape

@@ -222,10 +222,10 @@ class Table:
             payload, size = self.log_payload(
                 rid, values, None if old is None else old.values, snapshot,
                 origin)
-            log_record = txn.log(
+            lsn = txn.log(
                 RecordKind.UPDATE, page_id=page.page_id,
                 redo=(redo_op, payload), undo=(undo_op, payload), size=size)
-            self.system.buffer.mark_dirty(page, log_record.lsn)
+            self.system.buffer.mark_dirty(page, lsn)
         finally:
             page.latch.release(self.system.sim.current)
         yield Delay(self.system.config.record_op_cost)
@@ -354,21 +354,20 @@ _APPLIED = {"heap.put": "cluster.applied_puts",
 # -- redo handler (called by restart recovery; a generator) --------------------
 
 
-def _redo(system: "System", record: LogRecord):
-    payload = record.payload
+def _redo(system: "System", lsn: int, _txn_id, page_id, payload):
     page = yield from system.buffer.ensure_page(
-        record.page_id, system.tables[payload[H_TABLE]].page_capacity)
-    if page.page_lsn < record.lsn:
+        page_id, system.tables[payload[H_TABLE]].page_capacity)
+    if page.page_lsn < lsn:
         slot, values = payload[H_RID][1], payload[H_VALUES]
         if values is None:
             page.clear(slot)
         else:
             page.put(slot, Record(values))
-        system.buffer.mark_dirty(page, record.lsn)
+        system.buffer.mark_dirty(page, lsn)
         system.metrics.incr("recovery.redos")
 
 
-def _reject_redo(system: "System", record: LogRecord):  # pragma: no cover
+def _reject_redo(system: "System", *_fields):  # pragma: no cover
     raise AssertionError("undo payloads are never redone")
 
 

@@ -260,7 +260,7 @@ class System:
             self._crash_traced = True
             tracer.instant("system.crash",
                            flushed_lsn=self.log.flushed_lsn,
-                           lost_records=len(self.log.records)
+                           lost_records=self.log.last_lsn
                            - self.log.flushed_lsn)
         self.buffer.crash()
         self.log.crash()

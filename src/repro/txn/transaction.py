@@ -25,7 +25,7 @@ from typing import Any, Hashable, Optional, TYPE_CHECKING
 from repro.errors import TransactionError
 from repro.sim.kernel import Delay
 from repro.wal.manager import LogManager
-from repro.wal.records import LogRecord, RecordKind
+from repro.wal.records import RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -98,15 +98,16 @@ class Transaction:
             undo_next_lsn: Optional[int] = None,
             info: Optional[dict] = None,
             writer: str = "txn",
-            size: Optional[int] = None) -> LogRecord:
-        """Append a chained log record for this transaction."""
-        record = self.system.log.append(
+            size: Optional[int] = None) -> int:
+        """Append a chained log record for this transaction; returns its
+        LSN."""
+        lsn = self.system.log.append(
             self.txn_id, kind, self.last_lsn, page_id, redo, undo,
             undo_next_lsn, info, writer, size)
         if self.first_lsn is None:
-            self.first_lsn = record.lsn
-        self.last_lsn = record.lsn
-        return record
+            self.first_lsn = lsn
+        self.last_lsn = lsn
+        return lsn
 
     # -- locking shorthands ----------------------------------------------------
 
@@ -122,8 +123,7 @@ class Transaction:
     def commit(self):
         """Generator: commit this transaction (force log, release locks)."""
         self._require_active()
-        commit_record = self.log(RecordKind.COMMIT)
-        self.system.log.flush(commit_record.lsn)
+        self.system.log.flush(self.log(RecordKind.COMMIT))
         yield Delay(LogManager.FLUSH_COST)
         self.state = TxnState.COMMITTED
         self.system.locks.release_all(self)
@@ -157,7 +157,7 @@ class Transaction:
             handler = registry.undo(record.undo_op)
             clr_redo, clr_size, page = \
                 yield from handler(self.system, self, record)
-            clr = self.log(
+            clr_lsn = self.log(
                 RecordKind.COMPENSATION,
                 page_id=page.page_id if page is not None else None,
                 redo=clr_redo,
@@ -165,7 +165,7 @@ class Transaction:
                 size=clr_size,
             )
             if page is not None:
-                self.system.buffer.mark_dirty(page, clr.lsn)
+                self.system.buffer.mark_dirty(page, clr_lsn)
             lsn = record.prev_lsn
 
     def _require_active(self) -> None:

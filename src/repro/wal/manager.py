@@ -10,16 +10,49 @@ LSNs are dense positive integers, so tests can reason about exact chains.
 The manager also keeps per-transaction ``prev_lsn`` chaining on behalf of
 callers and counts records/bytes in the metrics registry -- experiment E1
 compares the log volume written by NSF's and SF's index builders.
+
+Nothing truncates the log, so every record stays resident for the whole
+run: the manager keeps no record objects, only columns with the LSN as
+the position (about 40 bytes a record, against 156 for a slotted object
+and its LSN int).  ``append`` returns the LSN; ``get`` and ``scan``
+build a :class:`~repro.wal.records.LogRecord` view per record read, and
+restart reads the columns themselves (``txn_ids``, ``txn_kinds``,
+``redo_fields``).
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress, count
+from struct import Struct
 from typing import Any, Iterator, Optional
 
 from repro.errors import WALError
 from repro.faultinject.sites import fault_point
 from repro.metrics import MetricsRegistry
-from repro.wal.records import LogRecord, OperationRegistry, RecordKind
+from repro.wal.records import (HEADER_SIZE, KINDS, NO_INFO, LogRecord,
+                               OperationRegistry, RecordKind, _payload_size)
+
+#: The log is columns, the LSN the position.  A record is ``WIDTH``
+#: unsigned 32-bit words of one ``array('I')`` -- txn id, prev LSN,
+#: undo-next LSN (0 standing for ``None``: ids and LSNs start at 1),
+#: logged size and a code -- and two slots of one list, its ``page_id``
+#: then its ``payload``; the rare ``info`` lives in a dict by LSN.  A
+#: word of 2**32 or more does not pack (``struct.error``).
+WIDTH = 5
+W_TXN, W_PREV, W_UNDO_NEXT, W_SIZE, W_CODE = range(WIDTH)
+_RECORD = Struct(f"{WIDTH}I")
+_WORDS = _RECORD.pack
+#: a view straight from its fields, past the NamedTuple's Python-level
+#: ``__new__``
+_new_view = tuple.__new__
+
+#: A code is ``(redo << OP_BITS | undo) << KIND_BITS | kind``: the kind's
+#: position in ``KINDS`` and each half's operation code (0: no such
+#: half), 29 bits, so a one-digit int that is cheap to build per append.
+KIND_BITS, OP_BITS = 3, 13
+KIND_MASK, OP_MASK = (1 << KIND_BITS) - 1, (1 << OP_BITS) - 1
+UNDO_SHIFT, REDO_SHIFT = KIND_BITS, KIND_BITS + OP_BITS
 
 
 class LogManager:
@@ -30,7 +63,12 @@ class LogManager:
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self.metrics = metrics or MetricsRegistry()
-        self.records: list[LogRecord] = []
+        self._words = array("I")
+        self._refs: list = []
+        self._info: dict[int, dict] = {}
+        #: operation code -> name (code 0: no half) and back
+        self._op_names: list[Optional[str]] = [None]
+        self._op_codes: dict[str, int] = {}
         self.flushed_lsn = 0
         self.operations = OperationRegistry()
         #: LSN of the most recent complete checkpoint record, if any.
@@ -49,8 +87,8 @@ class LogManager:
                undo_next_lsn: Optional[int] = None,
                info: Optional[dict] = None,
                writer: str = "txn",
-               size: Optional[int] = None) -> LogRecord:
-        """Append one record; returns it with its LSN assigned.
+               size: Optional[int] = None) -> int:
+        """Append one record; returns its LSN.
 
         ``writer`` tags who wrote the record ("txn", "ib", "recovery") for
         the per-writer log-volume counters used by experiment E1.
@@ -58,10 +96,26 @@ class LogManager:
         shared payload, ``size`` the writer's closed-form logged bytes
         (see :class:`LogRecord`).
         """
-        records = self.records
-        record = LogRecord(len(records) + 1, txn_id, kind, prev_lsn,
-                           page_id, redo, undo, undo_next_lsn, info, size)
-        records.append(record)
+        codes = self._op_codes
+        if redo is None:
+            redo_code = 0
+            payload = None if undo is None else undo[1]
+        else:
+            redo_code = codes.get(redo[0]) or self._new_op(redo[0])
+            payload = redo[1]
+        undo_code = 0 if undo is None \
+            else codes.get(undo[0]) or self._new_op(undo[0])
+        if size is None:  # no halves to carry, or an ad-hoc payload
+            size = HEADER_SIZE if redo is None and undo is None \
+                else _payload_size(redo, undo)
+        self._words.frombytes(_WORDS(
+            txn_id or 0, prev_lsn or 0, undo_next_lsn or 0, size,
+            (redo_code << OP_BITS | undo_code) << KIND_BITS | kind.code))
+        refs = self._refs
+        refs += (page_id, payload)
+        lsn = len(refs) >> 1
+        if info is not None:
+            self._info[lsn] = info
         metrics = self.metrics
         if metrics.fault_injector is not None:
             fault_point(metrics, "wal.append")
@@ -69,13 +123,21 @@ class LogManager:
         if names is None:
             names = self._writer_counters[writer] = (
                 f"wal.records.{writer}", f"wal.bytes.{writer}")
-        size = record.size
         counters = metrics.counters
         counters["wal.records"] += 1
         counters[names[0]] += 1
         counters["wal.bytes"] += size
         counters[names[1]] += size
-        return record
+        return lsn
+
+    def _new_op(self, name: str) -> int:
+        """The code of an operation this log has not logged before."""
+        code = len(self._op_names)
+        if code > OP_MASK:
+            raise WALError(f"more than {OP_MASK} operation names")
+        self._op_names.append(name)
+        self._op_codes[name] = code
+        return code
 
     # -- durability --------------------------------------------------------
 
@@ -86,8 +148,9 @@ class LogManager:
         ``Delay(LogManager.FLUSH_COST)`` -- the manager itself is not a
         process.
         """
-        target = upto_lsn if upto_lsn is not None else len(self.records)
-        if target > len(self.records):
+        last = self.last_lsn
+        target = upto_lsn if upto_lsn is not None else last
+        if target > last:
             raise WALError(f"cannot flush to future LSN {target}")
         if target > self.flushed_lsn:
             fault_point(self.metrics, "wal.force.before")
@@ -96,34 +159,88 @@ class LogManager:
             self.metrics.incr("wal.forces")
 
     def crash(self) -> None:
-        """Drop the volatile tail, as a system crash would."""
-        del self.records[self.flushed_lsn:]
+        """Drop the volatile tail, as a system crash would: every column
+        past the stable prefix."""
+        kept = self.flushed_lsn
+        del self._words[kept * WIDTH:]
+        del self._refs[2 * kept:]
+        for lsn in [lsn for lsn in self._info if lsn > kept]:
+            del self._info[lsn]
 
     # -- reading -----------------------------------------------------------
 
     def get(self, lsn: int) -> LogRecord:
-        if not 1 <= lsn <= len(self.records):
+        if not 1 <= lsn <= self.last_lsn:
             raise WALError(f"LSN {lsn} out of range")
-        return self.records[lsn - 1]
+        return self._view(lsn)
 
     def scan(self, from_lsn: int = 1,
              to_lsn: Optional[int] = None) -> Iterator[LogRecord]:
-        """Iterate records with ``from_lsn <= lsn <= to_lsn`` (stable+tail)."""
-        end = to_lsn if to_lsn is not None else len(self.records)
-        for lsn in range(max(from_lsn, 1), end + 1):
-            yield self.records[lsn - 1]
+        """Iterate records with ``from_lsn <= lsn <= to_lsn`` (stable+tail),
+        a view each; the range is checked before the first record."""
+        last = self.last_lsn
+        end = to_lsn if to_lsn is not None else last
+        if end > last:
+            raise WALError(f"cannot scan to future LSN {end}")
+        return map(self._view, range(max(from_lsn, 1), end + 1))
+
+    def _view(self, lsn: int) -> LogRecord:
+        txn_id, prev_lsn, undo_next_lsn, size, code = \
+            _RECORD.unpack_from(self._words, (lsn - 1) * _RECORD.size)
+        refs, names = self._refs, self._op_names
+        return _new_view(LogRecord, (
+            lsn, txn_id or None, KINDS[code & KIND_MASK], prev_lsn or None,
+            refs[2 * lsn - 2], names[code >> REDO_SHIFT],
+            names[code >> UNDO_SHIFT & OP_MASK], refs[2 * lsn - 1],
+            undo_next_lsn or None, self._info.get(lsn, NO_INFO), size))
 
     @property
     def last_lsn(self) -> int:
-        return len(self.records)
+        return len(self._refs) >> 1
+
+    # -- columns (restart reads these, not views) ----------------------------
+
+    def txn_ids(self) -> array:
+        """The txn-id column, one word a record (0: no transaction)."""
+        return self._words[W_TXN::WIDTH]
+
+    def txn_kinds(self, from_lsn: int = 1
+                  ) -> Iterator[tuple[int, int, RecordKind]]:
+        """``(lsn, txn_id, kind)`` of every record from ``from_lsn`` on
+        that a transaction wrote."""
+        first = max(from_lsn, 1)
+        start = (first - 1) * WIDTH
+        txn_ids = self._words[start + W_TXN::WIDTH]
+        records = zip(count(first), txn_ids,
+                      self._words[start + W_CODE::WIDTH])
+        return ((lsn, txn_id, KINDS[code & KIND_MASK])
+                for lsn, txn_id, code in compress(records, txn_ids))
+
+    def redo_fields(self, from_lsn: int, to_lsn: int
+                    ) -> Iterator[tuple[str, int, int, Any, Any]]:
+        """``(redo_op, lsn, txn_id, page_id, payload)`` of every record
+        in ``from_lsn..to_lsn`` with a redo half (``txn_id`` 0: none),
+        zipped from the columns without a Python frame per record."""
+        first = max(from_lsn, 1)
+        start, end = (first - 1) * WIDTH, to_lsn * WIDTH
+        codes = self._words[start + W_CODE:end:WIDTH]
+        names = self._op_names
+        redo_of = {code: names[code >> REDO_SHIFT] for code in set(codes)}
+        ops = list(map(redo_of.__getitem__, codes))
+        refs = self._refs
+        return compress(zip(ops, count(first),
+                            self._words[start + W_TXN:end:WIDTH],
+                            refs[2 * first - 2:2 * to_lsn:2],
+                            refs[2 * first - 1:2 * to_lsn:2]), ops)
 
     # -- checkpoints ---------------------------------------------------------
 
     def write_checkpoint(self, txn_table: dict, dirty_pages: dict,
                          utility_state: Optional[dict] = None,
-                         utility_states: Optional[dict] = None) -> LogRecord:
-        """Write a fuzzy checkpoint and update the master record
-        (:meth:`repro.system.System.checkpoint` is its one caller).
+                         utility_states: Optional[dict] = None) -> int:
+        """Write a fuzzy checkpoint, update the master record and return
+        its LSN (:meth:`repro.system.System.checkpoint` is its one
+        caller).
 
         ``utility_state`` carries index-build / sort progress (sections
         2.2.3, 3.2.4, 5): the highest key inserted, sorted-run manifests,
@@ -138,27 +255,27 @@ class LogManager:
             "utility_states": {name: dict(state) for name, state
                                in (utility_states or {}).items()},
         }
-        record = self.append(
+        lsn = self.append(
             txn_id=None,
             kind=RecordKind.CHECKPOINT,
             info=info,
             writer="system",
         )
-        self.flush(record.lsn)
+        self.flush(lsn)
         # The checkpoint record is stable but the master record still
         # points at the previous checkpoint -- a crash here must recover
         # from the *old* checkpoint and ignore the new one.
         fault_point(self.metrics, "wal.checkpoint.before_master")
-        self.master_checkpoint_lsn = record.lsn
+        self.master_checkpoint_lsn = lsn
         tracer = getattr(self.metrics, "tracer", None)
         if tracer is not None:
-            tracer.instant("wal.checkpoint", lsn=record.lsn,
+            tracer.instant("wal.checkpoint", lsn=lsn,
                            phase=(utility_state or {}).get("phase"))
-        return record
+        return lsn
 
     def latest_checkpoint(self) -> Optional[LogRecord]:
         if self.master_checkpoint_lsn is None:
             return None
-        if self.master_checkpoint_lsn > len(self.records):
+        if self.master_checkpoint_lsn > self.last_lsn:
             return None
         return self.get(self.master_checkpoint_lsn)

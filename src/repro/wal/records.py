@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, NamedTuple, Optional
 
 from repro.errors import WALError
 
@@ -44,8 +44,20 @@ class RecordKind(enum.Enum):
     UTILITY = "utility"            # index-build / sort progress records
 
 
-class LogRecord:
-    """One WAL record.
+#: every kind in code order: a packed record word holds
+#: ``KINDS.index(kind)``, which ``kind.code`` answers without hashing the
+#: enum (a Python-level ``__hash__``) on every append
+KINDS = tuple(RecordKind)
+for _code, _kind in enumerate(KINDS):
+    _kind.code = _code
+
+
+class LogRecord(NamedTuple):
+    """A read view of one WAL record.
+
+    The log keeps no record objects: :class:`~repro.wal.LogManager`
+    holds its records as columns, and ``get`` / ``scan`` build one of
+    these per record read.
 
     A record names up to two operations, ``redo_op`` and ``undo_op``
     (their presence classifies it as undo-redo, redo-only or undo-only
@@ -55,7 +67,7 @@ class LogRecord:
     ``ops.register`` (``H_*`` in :mod:`repro.storage.table`, ``IX_*`` in
     :mod:`repro.btree.tree`, ...), bookkeeping included (count of visible
     indexes, origin of a replicated write): such a record needs no
-    ``info``, and one written without shares the read-only
+    ``info``, and one written without reads the read-only
     :data:`NO_INFO`.  ``undo_next_lsn`` is the ARIES CLR back-pointer:
     during rollback it skips already-compensated records.
 
@@ -63,34 +75,21 @@ class LogRecord:
     (E1) -- is stated by the writer, who knows it in closed form: a
     header and, per half, the operation tag plus the fields that half
     would carry on its own.  Only an ad-hoc mapping payload (tests,
-    utilities) is measured here.  A payload never changes once logged.
+    utilities) is measured by the log.  A payload never changes once
+    logged.
     """
 
-    __slots__ = ("lsn", "txn_id", "kind", "prev_lsn", "page_id", "redo_op",
-                 "undo_op", "payload", "undo_next_lsn", "info", "size")
-
-    def __init__(self, lsn: int, txn_id: Optional[int], kind: RecordKind,
-                 prev_lsn: Optional[int] = None,
-                 page_id: Optional[Any] = None,
-                 redo: Optional[tuple[str, Any]] = None,
-                 undo: Optional[tuple[str, Any]] = None,
-                 undo_next_lsn: Optional[int] = None,
-                 info: Optional[Mapping] = None,
-                 size: Optional[int] = None) -> None:
-        self.lsn = lsn
-        self.txn_id = txn_id
-        self.kind = kind
-        self.prev_lsn = prev_lsn
-        self.page_id = page_id
-        self.undo_next_lsn = undo_next_lsn
-        self.info = NO_INFO if info is None else info
-        half = undo if redo is None else redo
-        if size is None:  # no halves to carry, or an ad-hoc payload
-            size = HEADER_SIZE if half is None else _payload_size(redo, undo)
-        self.size = size
-        self.payload = None if half is None else half[1]
-        self.redo_op = None if redo is None else redo[0]
-        self.undo_op = None if undo is None else undo[0]
+    lsn: int
+    txn_id: Optional[int]
+    kind: RecordKind
+    prev_lsn: Optional[int]
+    page_id: Any
+    redo_op: Optional[str]
+    undo_op: Optional[str]
+    payload: Any
+    undo_next_lsn: Optional[int]
+    info: Mapping
+    size: int
 
     @property
     def redo(self) -> Optional[tuple[str, Any]]:
@@ -115,10 +114,6 @@ class LogRecord:
     @property
     def is_undo_only(self) -> bool:
         return self.redo_op is None and self.undo_op is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<LogRecord {self.lsn} txn={self.txn_id} "
-                f"{self.kind.value} page={self.page_id}>")
 
 
 #: ``info`` of every record written without one; a write to it raises
@@ -160,7 +155,10 @@ class OperationRegistry:
 
     Resource managers (heap, B+-tree, side-file) register their operations
     at system construction.  Recovery and rollback dispatch through here.
-    The undo callable returns the redo half, and its logged size, of the
+    Redo reads the log's columns and hands the redo callable a record's
+    fields, ``(system, lsn, txn_id, page_id, payload)``; rollback hands
+    the undo callable ``(system, txn, record)``, a :class:`LogRecord`
+    view.  Both are generators.  The undo callable returns the redo half, and its logged size, of the
     compensation log record describing what the undo physically did
     (ARIES: CLRs are redo-only), plus the page to stamp with it.
     """

@@ -144,7 +144,7 @@ def test_an_ib_log_record_holds_the_mergers_own_pairs(monkeypatch):
         tracemalloc.stop()
     keys = system.metrics.get("index.inserts.ib")
     assert keys == NSF_ROWS == len(handed_over)
-    logged = [pair for record in system.log.records
+    logged = [pair for record in system.log.scan()
               if record.redo_op == "index.apply"
               and record.payload[IX_ACTION] == "insert_many"
               for pair in record.payload[IX_KEY]]

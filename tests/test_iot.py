@@ -443,9 +443,6 @@ def test_iot_crash_recovery_of_rows():
 
 def _replay(system):
     registry = system.log.operations
-    for record in list(system.log.scan()):
-        if record.redo is None:
-            continue
-        op_name, _args = record.redo
+    for op_name, *fields in system.log.redo_fields(1, system.log.last_lsn):
         if op_name.startswith("iot."):
-            yield from registry.redo(op_name)(system, record)
+            yield from registry.redo(op_name)(system, *fields)

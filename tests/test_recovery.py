@@ -217,9 +217,9 @@ def test_clr_prevents_double_undo():
         handler = system.log.operations.undo(record.undo[0])
         clr_redo, clr_size, page = yield from handler(system, loser,
                                                       record)
-        clr = loser.log(RecordKind.COMPENSATION, redo=clr_redo,
-                        size=clr_size, page_id=page.page_id,
-                        undo_next_lsn=record.prev_lsn)
+        clr = system.log.get(loser.log(
+            RecordKind.COMPENSATION, redo=clr_redo, size=clr_size,
+            page_id=page.page_id, undo_next_lsn=record.prev_lsn))
         system.buffer.mark_dirty(page, clr.lsn)
         system.log.flush()
 

@@ -104,7 +104,8 @@ def test_redo_replays_lost_appends_idempotently():
     for _round in range(2):
         for record in system.log.scan():
             if record.redo and record.redo[0] == "sidefile.append":
-                sidefile.redo_append(record)
+                sidefile.redo_append(record.lsn, record.txn_id,
+                                     record.payload)
     assert len(sidefile) == 2
     assert sidefile.entries[1].operation == "delete"
     assert system.metrics.get("recovery.sidefile_redos") == 1

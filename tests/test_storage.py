@@ -185,7 +185,7 @@ def test_eviction_writes_dirty_page_and_respects_wal():
     pool, disk, log = make_pool(capacity=2)
     page0, _ = run_gen(pool.new_page(PageId("t", 0), capacity=4))
     page0.put(0, Record(("dirty",)))
-    record = log.append(1, RecordKind.UPDATE, redo=("x", {}))
+    record = log.get(log.append(1, RecordKind.UPDATE, redo=("x", {})))
     pool.mark_dirty(page0, record.lsn)
     run_gen(pool.new_page(PageId("t", 1), capacity=4))
     run_gen(pool.new_page(PageId("t", 2), capacity=4))  # evicts t:0
@@ -198,7 +198,7 @@ def test_eviction_writes_dirty_page_and_respects_wal():
 def test_flush_page_clears_dirty_entry():
     pool, disk, log = make_pool()
     page, _ = run_gen(pool.new_page(PageId("t", 0), capacity=4))
-    record = log.append(1, RecordKind.UPDATE, redo=("x", {}))
+    record = log.get(log.append(1, RecordKind.UPDATE, redo=("x", {})))
     pool.mark_dirty(page, record.lsn)
     assert PageId("t", 0) in pool.dirty
     run_gen(pool.flush_page(PageId("t", 0)))
@@ -209,8 +209,8 @@ def test_flush_page_clears_dirty_entry():
 def test_dirty_table_keeps_first_lsn():
     pool, _disk, log = make_pool()
     page, _ = run_gen(pool.new_page(PageId("t", 0), capacity=4))
-    r1 = log.append(1, RecordKind.UPDATE, redo=("x", {}))
-    r2 = log.append(1, RecordKind.UPDATE, redo=("x", {}))
+    r1 = log.get(log.append(1, RecordKind.UPDATE, redo=("x", {})))
+    r2 = log.get(log.append(1, RecordKind.UPDATE, redo=("x", {})))
     pool.mark_dirty(page, r1.lsn)
     pool.mark_dirty(page, r2.lsn)
     assert pool.dirty[PageId("t", 0)] == r1.lsn  # recovery LSN
@@ -271,7 +271,7 @@ def test_crash_loses_frames_but_not_disk():
     pool, disk, log = make_pool()
     page, _ = run_gen(pool.new_page(PageId("t", 0), capacity=4))
     page.put(0, Record(("gone",)))
-    record = log.append(1, RecordKind.UPDATE, redo=("x", {}))
+    record = log.get(log.append(1, RecordKind.UPDATE, redo=("x", {})))
     pool.mark_dirty(page, record.lsn)
     pool.crash()
     assert not pool.resident(PageId("t", 0))

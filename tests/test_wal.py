@@ -1,24 +1,28 @@
 """Unit tests for the WAL (repro.wal)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import WALError
 from repro.wal import LogManager, OperationRegistry, RecordKind
+from repro.wal.records import HEADER_SIZE, NO_INFO
 
 
 def test_lsns_are_dense_and_increasing():
     log = LogManager()
     r1 = log.append(1, RecordKind.UPDATE, redo=("x", {}))
     r2 = log.append(1, RecordKind.COMMIT)
-    assert (r1.lsn, r2.lsn) == (1, 2)
+    assert (r1, r2) == (1, 2)
+    assert (log.get(r1).lsn, log.get(r2).lsn) == (1, 2)
     assert log.last_lsn == 2
 
 
 def test_record_flavours():
     log = LogManager()
-    ur = log.append(1, RecordKind.UPDATE, redo=("a", {}), undo=("b", {}))
-    ro = log.append(1, RecordKind.UPDATE, redo=("a", {}))
-    uo = log.append(1, RecordKind.UPDATE, undo=("b", {}))
+    ur = log.get(log.append(1, RecordKind.UPDATE, redo=("a", {}),
+                            undo=("b", {})))
+    ro = log.get(log.append(1, RecordKind.UPDATE, redo=("a", {})))
+    uo = log.get(log.append(1, RecordKind.UPDATE, undo=("b", {})))
     assert ur.is_undo_redo and not ur.is_redo_only and not ur.is_undo_only
     assert ro.is_redo_only and not ro.is_undo_redo
     assert uo.is_undo_only and not uo.is_undo_redo
@@ -87,7 +91,7 @@ def test_checkpoint_master_record_and_survival():
     log.crash()  # tail after forced checkpoint is lost
     survivor = log.latest_checkpoint()
     assert survivor is not None
-    assert survivor.lsn == cp.lsn
+    assert survivor.lsn == cp
     assert survivor.info["utility_state"]["highest_key"] == 42
 
 
@@ -111,8 +115,8 @@ def test_operation_registry_dispatch_and_errors():
 def test_the_writer_states_the_size_of_a_flat_payload():
     log = LogManager()
     payload = ("t", (0, 1), (7,))
-    record = log.append(1, RecordKind.UPDATE, redo=("a", payload),
-                        undo=("b", payload), size=104)
+    record = log.get(log.append(1, RecordKind.UPDATE, redo=("a", payload),
+                                undo=("b", payload), size=104))
     assert record.size == 104 and log.metrics.get("wal.bytes") == 104
     assert record.redo == ("a", payload) and record.undo == ("b", payload)
     assert record.payload is payload and record.is_undo_redo
@@ -129,19 +133,168 @@ def test_the_halves_of_a_record_share_one_payload():
 
 def test_info_of_a_record_written_without_one_is_read_only():
     log = LogManager()
-    commit = log.append(1, RecordKind.COMMIT)
-    end = log.append(1, RecordKind.END)
+    commit = log.get(log.append(1, RecordKind.COMMIT))
+    end = log.get(log.append(1, RecordKind.END))
     assert commit.info is end.info and not commit.info
     with pytest.raises(TypeError):
         commit.info["k"] = 1
-    own = log.append(1, RecordKind.UTILITY, info={"k": 1})
+    own = log.get(log.append(1, RecordKind.UTILITY, info={"k": 1}))
     assert own.info == {"k": 1}
 
 
 def test_record_size_counts_payloads():
     log = LogManager()
-    small = log.append(1, RecordKind.UPDATE, redo=("x", {"v": 1}))
-    big = log.append(1, RecordKind.UPDATE,
-                     redo=("x", {"v": list(range(100))}),
-                     undo=("y", {"v": list(range(100))}))
+    small = log.get(log.append(1, RecordKind.UPDATE, redo=("x", {"v": 1})))
+    big = log.get(log.append(1, RecordKind.UPDATE,
+                             redo=("x", {"v": list(range(100))}),
+                             undo=("y", {"v": list(range(100))})))
     assert big.size > small.size
+
+
+def test_scan_past_the_last_lsn_is_refused_before_the_first_record():
+    log = LogManager()
+    for _ in range(3):
+        log.append(1, RecordKind.UPDATE, redo=("x", {}))
+    scanned = []
+    with pytest.raises(WALError):
+        for record in log.scan(to_lsn=5):
+            scanned.append(record)
+    assert scanned == []
+    assert [record.lsn for record in log.scan(to_lsn=3)] == [1, 2, 3]
+
+
+# -- the packed log against a list-of-tuples model -----------------------------
+
+#: one record of each flavour: (kind, redo op, undo op, info)
+FLAVOURS = {
+    "undo_redo": (RecordKind.UPDATE, "heap.put", "heap.update", None),
+    "redo_only": (RecordKind.UPDATE, "sidefile.append", None, None),
+    "undo_only": (RecordKind.UPDATE, None, "index.undo", None),
+    "clr": (RecordKind.COMPENSATION, "index.apply", None, None),
+    "utility": (RecordKind.UTILITY, None, None, {"phase": "scan"}),
+    "commit": (RecordKind.COMMIT, None, None, None),
+    "end": (RecordKind.END, None, None, None),
+}
+
+lsn_or_none = st.one_of(st.none(), st.integers(min_value=1, max_value=40))
+append_step = st.tuples(
+    st.just("append"), st.sampled_from(sorted(FLAVOURS)),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    lsn_or_none, lsn_or_none, st.integers(min_value=32, max_value=4096))
+steps_st = st.lists(st.one_of(
+    append_step, append_step,
+    st.tuples(st.just("flush"), st.integers(min_value=0, max_value=50)),
+    st.tuples(st.just("checkpoint"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("crash"))), max_size=40)
+
+
+class Model:
+    """The log as a plain list of record tuples (a ``LogRecord``'s
+    fields, in order) with its stable prefix and master record."""
+
+    def __init__(self):
+        self.records = []
+        self.flushed = 0
+        self.master = None
+
+
+def apply_step(log, model, step):
+    action = step[0]
+    if action == "append":
+        _action, flavour, txn_id, prev_lsn, undo_next, size = step
+        kind, redo_op, undo_op, info = FLAVOURS[flavour]
+        payload = ("payload", len(model.records))
+        page_id = ("t", len(model.records)) if redo_op else None
+        if kind is not RecordKind.COMPENSATION:
+            undo_next = None
+        if redo_op is None and undo_op is None:
+            size = HEADER_SIZE  # nothing to carry: the log sizes it
+            payload = None
+        lsn = log.append(
+            txn_id, kind, prev_lsn, page_id,
+            None if redo_op is None else (redo_op, payload),
+            None if undo_op is None else (undo_op, payload),
+            undo_next, None if info is None else dict(info),
+            size=None if payload is None else size)
+        model.records.append((lsn, txn_id, kind, prev_lsn, page_id, redo_op,
+                              undo_op, payload, undo_next, info, size))
+    elif action == "flush":
+        target = min(step[1], len(model.records))
+        log.flush(target)
+        model.flushed = max(model.flushed, target)
+    elif action == "checkpoint":
+        state = {"phase": "load", "keys": step[1]}
+        lsn = log.write_checkpoint({}, {}, state)
+        info = {"txn_table": {}, "dirty_pages": {}, "utility_state": state,
+                "utility_states": {}}
+        model.records.append((lsn, None, RecordKind.CHECKPOINT, None, None,
+                              None, None, None, None, info, HEADER_SIZE))
+        model.flushed = model.master = lsn
+    else:
+        log.crash()
+        del model.records[model.flushed:]
+
+
+def check(log, model):
+    records = model.records
+    last = len(records)
+    assert log.last_lsn == last and log.flushed_lsn == model.flushed
+    for want in records:
+        got = log.get(want[0])
+        assert tuple(got) == tuple(want[:9]) + (want[9] or {}, want[10])
+        if want[9] is None:
+            assert got.info is NO_INFO
+    assert [record.lsn for record in log.scan()] == list(range(1, last + 1))
+    for first in range(1, last + 2, 3):
+        for end in (first - 1, (first + last) // 2, last):
+            assert list(log.scan(first, end)) == \
+                [log.get(lsn) for lsn in range(first, end + 1)]
+    with pytest.raises(WALError):
+        log.scan(to_lsn=last + 1)
+    with pytest.raises(WALError):
+        log.get(last + 1)
+    master = model.master
+    checkpoint = log.latest_checkpoint()
+    if master is None or master > last:
+        assert checkpoint is None
+    else:
+        assert checkpoint == log.get(master)
+    # the columns restart reads: ids, (lsn, txn, kind), the redo fields
+    assert max(log.txn_ids(), default=0) == \
+        max((want[1] for want in records if want[1]), default=0)
+    assert list(log.txn_kinds()) == [(want[0], want[1], want[2])
+                                     for want in records if want[1]]
+    assert list(log.redo_fields(1, last)) == [
+        (want[5], want[0], want[1] or 0, want[4], want[7])
+        for want in records if want[5]]
+
+
+def run_history(log, steps):
+    model = Model()
+    for step in steps:
+        apply_step(log, model, step)
+        check(log, model)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=steps_st)
+def test_the_packed_log_reads_back_what_a_list_of_tuples_holds(steps):
+    run_history(LogManager(), steps)
+
+
+class LeakyInfoLog(LogManager):
+    """A crash that truncates every column except the ``info`` dict."""
+
+    def crash(self):
+        kept = dict(self._info)
+        super().crash()
+        self._info.update(kept)
+
+
+def test_a_crash_that_keeps_lost_info_entries_is_caught():
+    steps = [("append", "utility", 1, None, None, 64),  # unflushed info
+             ("crash",),
+             ("append", "commit", 1, None, None, 64)]  # same LSN, no info
+    run_history(LogManager(), steps)
+    with pytest.raises(AssertionError):
+        run_history(LeakyInfoLog(), steps)

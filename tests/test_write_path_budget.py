@@ -83,8 +83,9 @@ def test_an_uncontended_insert_stays_inside_its_call_budget(
         profiled_preload):
     system, calls, names_held = profiled_preload
     per_row = sum(calls.values()) / ROWS
-    # 71.8 before the write-path work, 43.3 after it
-    assert per_row <= 44, f"{per_row:.1f} repro calls per inserted row"
+    # 71.8 before the write-path work, 43.3 after it, 42.26 since the
+    # log keeps columns instead of a LogRecord per append
+    assert per_row <= 42.3, f"{per_row:.2f} repro calls per inserted row"
     # the writer states each record's size; nothing walks a payload
     assert _payload_size.__code__ not in calls
     # heap.inserts, and heap.pages_allocated once a page: everything
@@ -108,9 +109,10 @@ def containers(value) -> int:
 
 def test_an_inserted_row_leaves_one_flat_payload_resident():
     """The log is never truncated, so what a row's log record keeps is
-    resident for good: a slotted record and one tuple (about 1 000
-    bytes a row when each half had its own dict and ``info`` a third;
-    lock heads are freed at commit and do not count)."""
+    resident for good: its words in the log's columns and one payload
+    tuple (about 1 000 bytes a row when each half had its own dict and
+    ``info`` a third, 293 while each record was a slotted object, 177
+    now; lock heads are freed at commit and do not count)."""
     gc.collect()
     tracemalloc.start()
     system = run_preload([])
@@ -125,7 +127,14 @@ def test_an_inserted_row_leaves_one_flat_payload_resident():
     ])
     per_row = sum(stat.size for stat in resident.statistics("filename")) \
         / ROWS
-    assert per_row <= 400, f"{per_row:.0f} resident bytes per inserted row"
+    assert per_row <= 194, f"{per_row:.0f} resident bytes per inserted row"
+    # the log's own share: five 32-bit words and two references a record
+    # (156 bytes while each was a slotted object with its LSN int, 40 now)
+    in_wal = snapshot.filter_traces([
+        tracemalloc.Filter(True, SRC + os.path.join("wal", "*"))])
+    per_record = sum(stat.size for stat in in_wal.statistics("filename")) \
+        / system.log.last_lsn
+    assert per_record <= 44, f"{per_record:.0f} resident bytes per record"
     records = list(system.log.scan())
     assert all(record.info is NO_INFO for record in records)
     assert sum(containers(record.payload) for record in records) == 0
