@@ -18,13 +18,13 @@ import random
 from repro import (
     IndexSpec,
     IOTable,
-    RID,
     SFIotBuilder,
     System,
     SystemConfig,
     audit_index,
 )
 from repro.sim import Delay
+from repro.storage.rid import rid_page
 
 CITIES = ["amsterdam", "berlin", "chicago", "delhi", "evanston",
           "fukuoka", "galway"]
@@ -92,7 +92,7 @@ def main() -> None:
     print(f"  audit OK: {report['entries']} <city, primary-key> entries, "
           f"clustering {report['clustering']:.2f}")
     (city,), rid = next(iter(index.tree.all_entries()))
-    print(f"  sample entry: <{city!r}, pk={RID(*rid).page_no}>")
+    print(f"  sample entry: <{city!r}, pk={rid_page(rid)}>")
     counters = system.metrics.snapshot()
     print(f"  log: {counters['wal.records']} records, "
           f"{counters['wal.bytes']} bytes")

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import StorageError
 from repro.storage.page import Record
+from repro.storage.rid import rid_page
 from repro.storage.table import H_ORIGIN, H_RID, H_TABLE, H_VALUES
 from repro.wal.records import LogRecord, RecordKind
 
@@ -81,7 +82,7 @@ def apply_record(txn: "Transaction", system: "System", record: LogRecord,
     yield from table._intent_lock(txn)
     granted = yield from txn.lock(table.lock_name(rid), "X")
     assert granted
-    while table.page_count <= rid.page_no:
+    while table.page_count <= rid_page(rid):
         yield from table._allocate_page()
     yield from table.write(txn, rid,
                            None if values is None else Record(values),

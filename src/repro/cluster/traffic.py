@@ -38,6 +38,7 @@ from repro.query.access import (
 )
 from repro.sim.kernel import Delay
 from repro.workloads.openloop import OpenLoopDriver, OpenLoopSpec
+from repro.workloads.pool import RidPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -209,8 +210,8 @@ class ClusterOpenLoopDriver(OpenLoopDriver):
         self.system = node.system
         self.table = node.system.tables[self.table_name]
         live = {rid for rid, _record in self.table.audit_records()}
-        self.pool = {rid: key for rid, key in self.pool.items()
-                     if rid in live}
+        self.pool = RidPool((rid, key) for rid, key in self.pool.items()
+                            if rid in live)
         self.cluster.metrics.incr("cluster.driver_rebinds")
         self.cluster.tracer.instant("cluster.driver_rebound",
                                     primary=node.name)

@@ -668,11 +668,11 @@ class BuilderBase:
             for page in pages:
                 page = yield from system.buffer.latch_current(page, SHARE)
                 try:
-                    records = page.live_slots()
+                    records = page.live_records()
                     if records:
                         for extract_key, push_many in extractors:
-                            push_many([(extract_key(record.values), raw)
-                                       for raw, record in records])
+                            push_many([(extract_key(record.values), rid)
+                                       for rid, record in records])
                         if fp_enabled:
                             for _ in records:
                                 fault_point(metrics, "build.sort_push")
@@ -920,7 +920,7 @@ class BuilderBase:
             payload["options"] = changed
         payload.update(state)
         if self.context is not None:
-            payload["current_rid"] = tuple(self.context.current_rid)
+            payload["current_rid"] = self.context.current_rid
             payload["index_build"] = self.context.index_build
             if self.context.frontier is not None:
                 payload["frontier"] = self.context.frontier.to_manifest()
@@ -994,7 +994,7 @@ def recovery_context(system: "System", utility_state: dict
         if not scanning:
             context.current_rid = INFINITY_RID
         elif "current_rid" in utility_state:
-            context.current_rid = RID(*utility_state["current_rid"])
+            context.current_rid = utility_state["current_rid"]
     system.builds[utility_state["table"]] = context
     return context
 

@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 from repro.core.descriptor import IndexDescriptor
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE
-from repro.storage.rid import RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
@@ -59,7 +58,7 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
                     doomed.append(entry)
                     continue
                 granted = yield from txn.lock(
-                    ("rec", descriptor.table.name, RID(*entry[1])), "S",
+                    ("rec", descriptor.table.name, entry[1]), "S",
                     conditional=True, instant=True)
                 if granted:
                     doomed.append(entry)

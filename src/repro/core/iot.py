@@ -31,7 +31,7 @@ from repro.core.sources import IotScan
 from repro.errors import RecordNotFoundError, StorageError
 from repro.sim.kernel import Delay
 from repro.storage.page import Record
-from repro.storage.rid import INFINITY_RID, RID
+from repro.storage.rid import INFINITY_RID, RID, rid_page
 from repro.storage.table import (H_OLD_VALUES, H_RID, H_TABLE, H_VALUES,
                                  NullMaintenance, _NullSnapshot)
 from repro.wal.records import HEADER_SIZE, OP_SIZE, LogRecord, RecordKind
@@ -80,7 +80,7 @@ class IOTable:
 
     def insert(self, txn: "Transaction", values: Sequence):
         pk = values[0]
-        if type(pk) is not int or not 0 <= pk < INFINITY_RID.page_no:
+        if type(pk) is not int or not 0 <= pk < rid_page(INFINITY_RID):
             raise StorageError(
                 f"{self.name}: primary key {pk!r} is not an int in "
                 "[0, 2**62)")
@@ -157,7 +157,7 @@ class IOTable:
         for pk, _rid in self.primary.all_entries():
             yield pk, rows[pk]
 
-    def audit_records(self) -> Iterator[tuple[RID, Record]]:
+    def audit_records(self) -> Iterator[tuple[int, Record]]:
         """Every row under its secondary-entry RID, for verification code
         (:func:`~repro.verify.audit_index`)."""
         for pk, record in self.range_scan():

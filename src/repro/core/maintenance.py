@@ -31,7 +31,7 @@ from typing import Optional, TYPE_CHECKING
 from repro.btree.tree import index_payload
 from repro.core.descriptor import IndexState
 from repro.sidefile import DELETE, INSERT
-from repro.storage.rid import RID
+from repro.storage.rid import RID, rid_page
 from repro.storage.table import H_SF_ROUTED, H_VISIBLE
 from repro.wal.records import LogRecord, RecordKind
 
@@ -97,7 +97,7 @@ class BuildContext:
     #: SF's Current-RID: records with RID strictly below it have been
     #: scanned.  Starts at RID(0, 0) ("nothing scanned"), goes to
     #: INFINITY_RID when the scan finishes (section 3.2.2).
-    current_rid: RID = RID(0, 0)
+    current_rid: int = RID(0, 0)
     #: SF's Index_Build flag (section 3.2.1)
     index_build: bool = True
     #: PSF's per-partition frontier vector (one Current-RID per shard,
@@ -107,7 +107,7 @@ class BuildContext:
     def covers(self, descriptor: "IndexDescriptor") -> bool:
         return descriptor in self.descriptors
 
-    def scanned(self, rid: RID) -> bool:
+    def scanned(self, rid: int) -> bool:
         """Generalized ``Target-RID < Current-RID`` test (section 3.1).
 
         With a frontier vector installed, the record is scanned iff it is
@@ -131,7 +131,7 @@ class IndexMaintenance:
     def _context(self) -> Optional[BuildContext]:
         return self.system.builds.get(self.table.name)
 
-    def _is_visible(self, descriptor: "IndexDescriptor", rid: RID,
+    def _is_visible(self, descriptor: "IndexDescriptor", rid: int,
                     context: Optional[BuildContext]) -> bool:
         if descriptor.state is IndexState.AVAILABLE:
             return True
@@ -150,11 +150,11 @@ class IndexMaintenance:
         # reinstalls the context before any transaction runs).
         return getattr(descriptor, "build_mode", None) == NSF_MODE
 
-    def visible_count(self, txn: "Transaction", rid: RID) -> int:
+    def visible_count(self, txn: "Transaction", rid: int) -> int:
         """The count logged with every data-page record (section 3.1)."""
         return len(self._visible_descriptors(rid)[0])
 
-    def _visible_descriptors(self, rid: RID):
+    def _visible_descriptors(self, rid: int):
         context = self._context()
         return [d for d in self.table.indexes
                 if self._is_visible(d, rid, context)], context
@@ -170,7 +170,7 @@ class IndexMaintenance:
     # pages) are returned as work items and applied after the data latch
     # is dropped, matching the paper's latch-ordering rule (section 1.2).
 
-    def prepare(self, txn: "Transaction", rid: RID,
+    def prepare(self, txn: "Transaction", rid: int,
                 old: Optional["Record"],
                 new: Optional["Record"]) -> "OpSnapshot":
         """The visibility decision for one record change, ``old`` to
@@ -193,10 +193,10 @@ class IndexMaintenance:
         return snapshot
 
     def _count_shard_append(self, context: "BuildContext",
-                            rid: RID) -> None:
+                            rid: int) -> None:
         """Attribute a side-file append to the shard owning its page."""
         if context.frontier is not None:
-            shard = context.frontier.shard_of(rid.page_no)
+            shard = context.frontier.shard_of(rid_page(rid))
             self.system.metrics.incr(f"psf.sidefile_appends.{shard}")
 
     def apply_direct(self, txn: "Transaction", snapshot: "OpSnapshot"):
@@ -212,7 +212,7 @@ class IndexMaintenance:
 
     # -- rollback (Figure 2) -------------------------------------------------------
 
-    def on_undo(self, txn: "Transaction", log_record: LogRecord, rid: RID,
+    def on_undo(self, txn: "Transaction", log_record: LogRecord, rid: int,
                 old_record: Optional["Record"],
                 new_record: Optional["Record"]):
         """Compensate index effects for indexes that became visible
@@ -253,7 +253,7 @@ class IndexMaintenance:
 
     def _compensate(self, txn: "Transaction",
                     descriptor: "IndexDescriptor",
-                    context: Optional[BuildContext], rid: RID,
+                    context: Optional[BuildContext], rid: int,
                     old_record, new_record):
         """One index's compensation: side-file entry while the build is
         incomplete, logical tree undo once it finished (Figure 2)."""

@@ -442,10 +442,9 @@ class SFIndexBuilder(BuilderBase):
                 return
             keep = []
         else:
-            bound = (highest_key[0], RID(*highest_key[1]))
-            if all(entry <= bound for entry in entries):
+            if all(entry <= highest_key for entry in entries):
                 return
-            keep = [entry for entry in entries if entry <= bound]
+            keep = [entry for entry in entries if entry <= highest_key]
         tree.reset()
         loader = BulkLoader(
             tree, fill_free_fraction=self.options.fill_free_fraction)

@@ -601,7 +601,7 @@ class IotScan(KeySource):
             if not chunk:
                 break
             for extract_key, push_many in pushes:
-                push_many([(extract_key(rows[pk].values), (pk, 0))
+                push_many([(extract_key(rows[pk].values), RID(pk, 0))
                            for pk in chunk])
             last = chunk[-1]
             context.current_rid = RID(last, 1)

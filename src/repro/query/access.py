@@ -33,7 +33,6 @@ from repro.core.descriptor import IndexDescriptor, IndexState
 from repro.errors import ReproError
 from repro.sim.kernel import Delay
 from repro.sim.latch import SHARE
-from repro.storage.rid import RID
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
@@ -84,7 +83,7 @@ def index_lookup(txn: "Transaction", descriptor: IndexDescriptor,
     pseudo_deleted = descriptor.tree.pseudo_deleted
     for entry in _entries_in_range(descriptor, key_value, key_value,
                                    inclusive_high=True):
-        rid = RID(*entry[1])
+        rid = entry[1]
         yield from txn.lock(table.lock_name(rid), "S")
         if entry in pseudo_deleted:
             continue  # committed-deleted; lock settled it
@@ -111,14 +110,14 @@ def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
     system = descriptor.system
     table = descriptor.table
     results = []
-    last_rid_beyond: Optional[RID] = None
+    last_rid_beyond: Optional[int] = None
     pseudo_deleted = descriptor.tree.pseudo_deleted
     for entry in _entries_in_range(descriptor, low_key, high_key,
                                    inclusive_high=False,
                                    capture_next=True):
         if entry is _RANGE_END:
             break
-        key_value, rid = entry[0], RID(*entry[1])
+        key_value, rid = entry
         if high_key is not None and key_value >= high_key:
             last_rid_beyond = rid
             break

@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.storage.rid import INFINITY_RID, RID
+from repro.storage.rid import INFINITY_RID, RID, format_rid, rid_page
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class ScanFrontier:
             raise ValueError("frontier needs at least one partition")
         self.partitions = list(partitions)
         #: per-shard Current-RID; starts at the shard's first page
-        self.current: list[RID] = [RID(p.start, 0) for p in self.partitions]
+        self.current: list[int] = [RID(p.start, 0) for p in self.partitions]
         #: exclusive page-range ends of all shards but the last, for the
         #: binary-searched ownership test (partition ranges never change
         #: after construction; only frontiers move)
@@ -105,19 +105,19 @@ class ScanFrontier:
         """
         return bisect_right(self._ends, page_no)
 
-    def scanned(self, rid: RID) -> bool:
+    def scanned(self, rid: int) -> bool:
         """Generalized ``Target-RID < Current-RID``: behind the owning
         shard's frontier."""
-        return rid < self.current[self.shard_of(rid.page_no)]
+        return rid < self.current[self.shard_of(rid_page(rid))]
 
     # -- worker-side maintenance -------------------------------------------
 
-    def advance(self, shard: int, rid: RID) -> None:
+    def advance(self, shard: int, rid: int) -> None:
         """Advance one shard's frontier (called under the page latch)."""
         if rid < self.current[shard]:
             raise ValueError(
                 f"shard {shard} frontier moving backwards: "
-                f"{rid} < {self.current[shard]}")
+                f"{format_rid(rid)} < {format_rid(self.current[shard])}")
         self.current[shard] = rid
 
     def finish(self, shard: int) -> None:
@@ -137,7 +137,7 @@ class ScanFrontier:
     def to_manifest(self) -> dict:
         return {
             "partitions": [(p.start, p.end) for p in self.partitions],
-            "current": [tuple(rid) for rid in self.current],
+            "current": list(self.current),
         }
 
     @classmethod
@@ -147,12 +147,12 @@ class ScanFrontier:
                                 chases_eof=(i == len(ranges) - 1))
                       for i, (start, end) in enumerate(ranges)]
         frontier = cls(partitions)
-        frontier.current = [RID(*raw) for raw in manifest["current"]]
+        frontier.current = list(manifest["current"])
         return frontier
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         spans = ", ".join(
             f"[{p.start},{p.end}){'+' if p.chases_eof else ''}"
-            f"@{'inf' if rid == INFINITY_RID else rid.page_no}"
+            f"@{'inf' if rid == INFINITY_RID else rid_page(rid)}"
             for p, rid in zip(self.partitions, self.current))
         return f"<ScanFrontier {spans}>"

@@ -26,7 +26,6 @@ from typing import Iterator, Optional, TYPE_CHECKING
 
 from repro.faultinject.sites import fault_point
 from repro.sim.kernel import Delay
-from repro.storage.rid import RID
 from repro.wal.records import HEADER_SIZE, OP_SIZE, RecordKind, value_size
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,7 +42,7 @@ class SideFileEntry:
 
     operation: str          # INSERT or DELETE
     key_value: tuple
-    rid: RID
+    rid: int
     lsn: int                # LSN of the redo-only append record
     txn_id: Optional[int]
 
@@ -70,7 +69,7 @@ class SideFile:
     # -- appending (generator) ----------------------------------------------
 
     def append_sync(self, txn: "Transaction", operation: str, key_value,
-                    rid: RID) -> SideFileEntry:
+                    rid: int) -> SideFileEntry:
         """Append one entry with its redo-only log record.
 
         Synchronous (no yields): callers invoke it atomically with the
@@ -87,7 +86,7 @@ class SideFile:
         return entry
 
     def _log_payload(self, operation: str, key_value,
-                     rid: RID) -> tuple[tuple, int]:
+                     rid: int) -> tuple[tuple, int]:
         """One append's ``SF_*`` payload and its logged size (redo-only:
         header, tag, index name, operation, key value, RID)."""
         return ((self.index_name, operation, key_value, rid),
@@ -98,20 +97,20 @@ class SideFile:
              txn_id: Optional[int]) -> SideFileEntry:
         """Append the entry a logged payload describes."""
         entry = SideFileEntry(payload[SF_OPERATION], payload[SF_KEY],
-                              RID(*payload[SF_RID]), lsn, txn_id)
+                              payload[SF_RID], lsn, txn_id)
         self.entries.append(entry)
         self._lsn_set.add(lsn)
         return entry
 
     def append(self, txn: "Transaction", operation: str, key_value,
-               rid: RID):
+               rid: int):
         """Generator variant of :meth:`append_sync` charging CPU cost."""
         entry = self.append_sync(txn, operation, key_value, rid)
         yield Delay(self.system.config.record_op_cost * 0.5)
         return entry
 
     def append_during_undo(self, txn: "Transaction", operation: str,
-                           key_value, rid: RID):
+                           key_value, rid: int):
         """Generator-free variant used inside undo handlers (the CLR the
         caller writes covers durability); still counted separately."""
         payload, size = self._log_payload(operation, key_value, rid)

@@ -16,9 +16,10 @@ Layout (big-endian, most significant column first):
   exact prefix, set the continuation bit, and spill so ties are broken on the
   raw tuple.  UTF-8 byte order equals code-point order, so prefix order is
   string order.
-* rid          -- ``RID_PAGE_BITS + RID_SLOT_BITS`` low bits, each field
-  stored as ``value + 1`` with 0/all-ones underflow/overflow sentinels.
-  Out-of-range rids spill (never happens at the scales this repo simulates).
+* rid          -- ``RID_BITS`` low bits holding the int RID (page number
+  above ``SLOT_BITS`` slot bits) as ``rid + 1``, with 0/all-ones
+  underflow/overflow sentinels.  Out-of-range rids spill (an IOT's large
+  primary keys; never a heap page at the scales this repo simulates).
 
 Spilled keys are wrapped in :class:`SpilledKey`: every field *after* the
 spilling column is zeroed in the code, so two codes are equal only when the
@@ -30,6 +31,8 @@ bare ints is always decisive across the exact/spilled boundary.
 
 from __future__ import annotations
 
+from repro.storage.rid import SLOT_BITS
+
 INT_BITS = 40
 INT_OFFSET = 1 << (INT_BITS - 1)
 _INT_MAX_FIELD = (1 << INT_BITS) - 1  # overflow sentinel; 0 is underflow
@@ -39,12 +42,9 @@ STR_BITS = STR_PREFIX * 8 + 1  # prefix bytes + continuation bit
 _STR_SPILL_FIELD = (1 << STR_BITS) - 1  # non-encodable value sentinel
 
 RID_PAGE_BITS = 24
-RID_SLOT_BITS = 12
-RID_BITS = RID_PAGE_BITS + RID_SLOT_BITS
-_RID_PAGE_FIELD_MAX = (1 << RID_PAGE_BITS) - 1  # overflow sentinel; 0 underflow
-_RID_SLOT_FIELD_MAX = (1 << RID_SLOT_BITS) - 1
-_RID_PAGE_EXACT_MAX = _RID_PAGE_FIELD_MAX - 2  # field stores page + 1
-_RID_SLOT_EXACT_MAX = _RID_SLOT_FIELD_MAX - 2
+RID_BITS = RID_PAGE_BITS + SLOT_BITS
+_RID_FIELD_MAX = (1 << RID_BITS) - 1  # overflow sentinel; 0 underflow
+_RID_EXACT_MAX = _RID_FIELD_MAX - 2  # field stores rid + 1
 
 _KIND_BITS = {"i": INT_BITS, "s": STR_BITS}
 
@@ -53,7 +53,7 @@ class SpilledKey:
     """A key whose fixed-width encoding was lossy.
 
     ``code`` orders it against every other key (exact or spilled) up to the
-    encoded prefix; ``raw`` is the ``(key_tuple, rid_tuple)`` pair used to
+    encoded prefix; ``raw`` is the ``(key_tuple, rid)`` pair used to
     break exact prefix ties and to recover the original key on decode.
     """
 
@@ -220,12 +220,11 @@ class KeyCodec:
 
     # -- encode / decode ---------------------------------------------------
 
-    def encode(self, key_value, raw_rid):
-        """Encode ``(key_value, raw_rid)`` into an int or a SpilledKey.
+    def encode(self, key_value, rid):
+        """Encode ``(key_value, rid)`` into an int or a SpilledKey.
 
-        ``raw_rid`` is the raw ``(page, slot)`` tuple carried through the sort
-        pipeline (matching the uncompressed path, which pushes
-        ``(key_value, raw)``).
+        ``rid`` is the int RID carried through the sort pipeline (the
+        uncompressed path pushes the same ``(key_value, rid)`` pairs).
 
         The column encoding is memoized per distinct key value (the rid
         fields are folded in fresh for every record): repeated key values
@@ -243,18 +242,13 @@ class KeyCodec:
                     self._encode_cache[key_value] = cached
         code, spilled = cached
         if not spilled:
-            page, slot = raw_rid
-            if 0 <= page <= _RID_PAGE_EXACT_MAX:
-                code |= (page + 1) << RID_SLOT_BITS
-                if 0 <= slot <= _RID_SLOT_EXACT_MAX:
-                    return code | (slot + 1)
-                # Slot sentinel: orders above every exact slot on this page.
-                code |= 0 if slot < 0 else _RID_SLOT_FIELD_MAX
-            elif page > _RID_PAGE_EXACT_MAX:
-                code |= _RID_PAGE_FIELD_MAX << RID_SLOT_BITS
-            # page < 0 leaves both rid fields at the 0 underflow sentinel
+            if 0 <= rid <= _RID_EXACT_MAX:
+                return code | (rid + 1)
+            if rid > 0:
+                code |= _RID_FIELD_MAX
+            # rid < 0 leaves the field at the 0 underflow sentinel
         self.spills += 1
-        return SpilledKey(code, (key_value, raw_rid))
+        return SpilledKey(code, (key_value, rid))
 
     def _encode_columns(self, key_value):
         """``(code, spilled)`` for the column fields alone (rid bits 0)."""
@@ -303,7 +297,7 @@ class KeyCodec:
         return code, spilled
 
     def decode(self, encoded):
-        """Recover ``(key_value, raw_rid)`` from an encoded key.
+        """Recover ``(key_value, rid)`` from an encoded key.
 
         The column tuple is memoized per distinct column code (the
         mirror of the encode memo): the final merger emits duplicates
@@ -312,12 +306,11 @@ class KeyCodec:
         """
         if type(encoded) is not int:
             return encoded.raw
-        slot = (encoded & _RID_SLOT_FIELD_MAX) - 1
-        page = ((encoded >> RID_SLOT_BITS) & _RID_PAGE_FIELD_MAX) - 1
+        rid = (encoded & _RID_FIELD_MAX) - 1
         column_code = encoded >> RID_BITS
         cached = self._decode_cache.get(column_code)
         if cached is not None:
-            return cached, (page, slot)
+            return cached, rid
         values = []
         for index, kind in enumerate(self.kinds):
             field = encoded >> self._shifts[index]
@@ -332,7 +325,7 @@ class KeyCodec:
         values = tuple(values)
         if len(self._decode_cache) < _CACHE_LIMIT:
             self._decode_cache[column_code] = values
-        return values, (page, slot)
+        return values, rid
 
 
 _STR_DECODE = b"\x00" + bytes(range(255))  # byte -> byte - 1 (index 0 unused)

@@ -242,7 +242,7 @@ class RunFormation:
 class CompressedRunFormation(RunFormation):
     """Run formation over codec-encoded keys (compressed key sort).
 
-    The caller still pushes raw ``(key_value, raw_rid)`` pairs; they are
+    The caller still pushes raw ``(key_value, rid)`` pairs; they are
     encoded into machine integers at push time, so selection compares one
     int per key instead of a composite tuple.  Runs store the codes, so
     the merge phase and the final-merger output also compare ints; decode

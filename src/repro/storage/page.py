@@ -15,7 +15,7 @@ from typing import Optional
 from repro.errors import PageFullError, RecordNotFoundError
 from repro.metrics import MetricsRegistry
 from repro.sim.latch import Latch
-from repro.storage.rid import PageId, RID
+from repro.storage.rid import SLOT_BITS, PageId
 
 
 class Record:
@@ -124,18 +124,10 @@ class DataPage:
         self._free_hint = self.capacity
         return None
 
-    def live_records(self) -> list[tuple[RID, Record]]:
+    def live_records(self) -> list[tuple[int, Record]]:
         """All occupied slots as ``(rid, record)`` in slot order."""
-        page_no = self.page_id.page_no
-        return [(RID(page_no, index), record)
-                for index, record in enumerate(self.slots)
-                if record is not None]
-
-    def live_slots(self) -> list[tuple[tuple[int, int], Record]]:
-        """:meth:`live_records` with the RID left a raw ``(page_no,
-        slot)`` pair, the form the build's sort carries."""
-        page_no = self.page_id.page_no
-        return [((page_no, index), record)
+        base = self.page_id.page_no << SLOT_BITS
+        return [(base | index, record)
                 for index, record in enumerate(self.slots)
                 if record is not None]
 

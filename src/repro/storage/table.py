@@ -27,7 +27,7 @@ from repro.errors import RecordNotFoundError, StorageError
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE, SHARE
 from repro.storage.page import DataPage, Record
-from repro.storage.rid import PageId, RID
+from repro.storage.rid import SLOT_BITS, SLOT_MASK, PageId, format_rid
 from repro.wal.records import HEADER_SIZE, OP_SIZE, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,7 +75,14 @@ class Table:
         self.name = name
         self.columns = tuple(columns)
         self.page_capacity = page_capacity or system.config.page_capacity
+        if not 0 < self.page_capacity < 1 << SLOT_BITS:
+            raise ValueError(
+                f"page_capacity {self.page_capacity} of {name!r} must be in "
+                f"[1, {1 << SLOT_BITS}): a RID keeps the slot in its low "
+                f"{SLOT_BITS} bits")
         self.page_count = 0
+        #: one PageId per page, handed out by page_id()
+        self._page_ids: list[PageId] = []
         #: name of the table-level lock (IX for updaters, S/X for quiesce)
         self.table_lock_name = ("table", name)
         #: Index descriptors in creation order.  Section 3.1 footnote 6:
@@ -88,9 +95,12 @@ class Table:
     # -- naming ------------------------------------------------------------
 
     def page_id(self, page_no: int) -> PageId:
-        return PageId(self.name, page_no)
+        page_ids = self._page_ids
+        while len(page_ids) <= page_no:
+            page_ids.append(PageId(self.name, len(page_ids)))
+        return page_ids[page_no]
 
-    def lock_name(self, rid: RID) -> tuple:
+    def lock_name(self, rid: int) -> tuple:
         """Data-only lock name for a record (covers its index keys too)."""
         return ("rec", self.name, rid)
 
@@ -102,7 +112,7 @@ class Table:
 
     # -- logging ---------------------------------------------------------------
 
-    def log_payload(self, rid: RID, values: Optional[tuple],
+    def log_payload(self, rid: int, values: Optional[tuple],
                     old_values: Optional[tuple] = None,
                     snapshot=_NullSnapshot, origin: Optional[tuple] = None,
                     *, undo: bool = True) -> tuple[tuple, int]:
@@ -146,11 +156,11 @@ class Table:
         yield from self._intent_lock(txn)
         record = Record(tuple(values))
         page, slot = yield from self._pick_insert_slot(txn)
-        rid = RID(page.page_id.page_no, slot)
+        rid = page.page_id.page_no << SLOT_BITS | slot
         yield from self.write(txn, rid, record, page=page, occupied=False)
         return rid
 
-    def insert_at(self, txn: "Transaction", rid: RID, values: Sequence):
+    def insert_at(self, txn: "Transaction", rid: int, values: Sequence):
         """Generator: insert at a specific RID (slot-reuse scenarios).
 
         Used to reproduce the paper's section 2.2.3 example where T2
@@ -164,14 +174,14 @@ class Table:
         yield from self.write(txn, rid, record, occupied=False)
         return rid
 
-    def delete(self, txn: "Transaction", rid: RID):
+    def delete(self, txn: "Transaction", rid: int):
         """Generator: delete the record at ``rid``; returns the old record."""
         yield from self._intent_lock(txn)
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
         return (yield from self.write(txn, rid, None))
 
-    def update(self, txn: "Transaction", rid: RID, new_values: Sequence):
+    def update(self, txn: "Transaction", rid: int, new_values: Sequence):
         """Generator: replace the record at ``rid``; returns (old, new)."""
         yield from self._intent_lock(txn)
         new_record = Record(tuple(new_values))
@@ -181,7 +191,7 @@ class Table:
                                            occupied=True)
         return old_record, new_record
 
-    def write(self, txn: "Transaction", rid: RID, new: Optional[Record],
+    def write(self, txn: "Transaction", rid: int, new: Optional[Record],
               page: Optional[DataPage] = None,
               origin: Optional[tuple] = None,
               occupied: Optional[bool] = None):
@@ -198,26 +208,27 @@ class Table:
         ``origin`` tags a replica's write.  Returns ``old``.
         """
         if page is None:
-            page = yield from self._fetch_page(rid.page_no)
+            page = yield from self._fetch_page(rid >> SLOT_BITS)
         yield Acquire(page.latch, EXCLUSIVE)
+        slot = rid & SLOT_MASK
         try:
-            old = page.peek(rid.slot)
+            old = page.peek(slot)
             if old is None:
                 if new is None or occupied:
                     raise RecordNotFoundError(
-                        f"no record at {rid} of {self.name!r}"
+                        f"no record at {format_rid(rid)} of {self.name!r}"
                         + (f" (writer, origin_lsn = {origin})"
                            if origin else ""))
             elif occupied is False:
-                raise StorageError(f"slot {rid} is occupied")
+                raise StorageError(f"slot {format_rid(rid)} is occupied")
             redo_op, undo_op, counter = \
                 _HEAP_OPS[old is not None, new is not None]
             snapshot = self.maintenance.prepare(txn, rid, old, new)
             if new is None:
-                page.clear(rid.slot)
+                page.clear(slot)
                 values = None
             else:
-                page.put(rid.slot, new)
+                page.put(slot, new)
                 values = new.values
             payload, size = self.log_payload(
                 rid, values, None if old is None else old.values, snapshot,
@@ -234,25 +245,25 @@ class Table:
         yield from self.maintenance.apply_direct(txn, snapshot)
         return old
 
-    def read(self, txn: "Transaction", rid: RID):
+    def read(self, txn: "Transaction", rid: int):
         """Generator: S-lock and read one record."""
         granted = yield from txn.lock(self.lock_name(rid), "S")
         assert granted
-        page = yield from self._fetch_page(rid.page_no)
+        page = yield from self._fetch_page(rid >> SLOT_BITS)
         yield Acquire(page.latch, SHARE)
         try:
-            record = page.get(rid.slot)
+            record = page.get(rid & SLOT_MASK)
         finally:
             page.latch.release(self.system.sim.current)
         return record
 
-    def read_latched(self, rid: RID):
+    def read_latched(self, rid: int):
         """Generator: latch-only read (no lock) -- what IB uses to verify
         record state during unique-violation checks (section 2.2.3)."""
-        page = yield from self._fetch_page(rid.page_no)
+        page = yield from self._fetch_page(rid >> SLOT_BITS)
         yield Acquire(page.latch, SHARE)
         try:
-            record = page.peek(rid.slot)
+            record = page.peek(rid & SLOT_MASK)
         finally:
             page.latch.release(self.system.sim.current)
         return record
@@ -265,8 +276,10 @@ class Table:
         if not 0 <= page_no < self.page_count:
             raise RecordNotFoundError(
                 f"{self.name} has no page {page_no}")
+        page_ids = self._page_ids
         return self.system.buffer.ensure_page(
-            self.page_id(page_no), self.page_capacity)
+            page_ids[page_no] if page_no < len(page_ids)
+            else self.page_id(page_no), self.page_capacity)
 
     def _pick_insert_slot(self, txn: "Transaction"):
         """Find (page, slot) for a new record, append-style.
@@ -285,9 +298,9 @@ class Table:
             slot = page.free_slot()
             granted = False
             if slot is not None:
-                rid = RID(page.page_id.page_no, slot)
                 granted = yield from txn.lock(
-                    self.lock_name(rid), "X", conditional=True)
+                    self.lock_name(page.page_id.page_no << SLOT_BITS | slot),
+                    "X", conditional=True)
             page.latch.release(self.system.sim.current)
             if granted:
                 return page, slot
@@ -306,7 +319,7 @@ class Table:
 
     # -- audit access (not part of the simulation; no latching) --------------------
 
-    def audit_records(self) -> Iterator[tuple[RID, Record]]:
+    def audit_records(self) -> Iterator[tuple[int, Record]]:
         """Every live record, reading through the buffer pool's frames and
         falling back to disk.  For verification code only."""
         for page_no in range(self.page_count):
@@ -358,7 +371,7 @@ def _redo(system: "System", lsn: int, _txn_id, page_id, payload):
     page = yield from system.buffer.ensure_page(
         page_id, system.tables[payload[H_TABLE]].page_capacity)
     if page.page_lsn < lsn:
-        slot, values = payload[H_RID][1], payload[H_VALUES]
+        slot, values = payload[H_RID] & SLOT_MASK, payload[H_VALUES]
         if values is None:
             page.clear(slot)
         else:
@@ -384,13 +397,13 @@ def _undo(system: "System", txn: "Transaction", record: LogRecord):
         payload[H_RID], payload[H_VALUES], payload[H_OLD_VALUES]
     before = None if undone is None else Record(undone)
     after = None if restored is None else Record(restored)
-    page = yield from table._fetch_page(rid.page_no)
+    page = yield from table._fetch_page(rid >> SLOT_BITS)
     yield Acquire(page.latch, EXCLUSIVE)
     try:
         if after is None:
-            page.clear(rid.slot)
+            page.clear(rid & SLOT_MASK)
         else:
-            page.put(rid.slot, after)
+            page.put(rid & SLOT_MASK, after)
     finally:
         page.latch.release(system.sim.current)
     yield from table.maintenance.on_undo(

@@ -22,7 +22,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import TransactionAborted
 from repro.sim.kernel import Delay
-from repro.storage.rid import RID
+from repro.workloads.pool import RidPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
@@ -84,7 +84,7 @@ class WorkloadDriver:
         self.spec = spec or WorkloadSpec()
         self.seed = seed
         #: committed (rid, key) pairs available to delete/update
-        self.pool: dict[RID, int] = {}
+        self.pool = RidPool()
         self.op_timeline: list[OpRecord] = []
         self.ops_done = 0
         #: hook building the stored row for a ``(key, tag)`` pair.
@@ -137,7 +137,7 @@ class WorkloadDriver:
     def _one_transaction(self, rng, worker_id: int, op: str):
         issued = self.system.sim.now
         txn = self.system.txns.begin(f"w{worker_id}")
-        claimed: Optional[tuple[RID, int]] = None
+        claimed: Optional[tuple[int, int]] = None
         try:
             if op == "insert":
                 key = self._draw_key(rng)
@@ -184,14 +184,14 @@ class WorkloadDriver:
 
     # -- helpers ---------------------------------------------------------------------
 
-    def _claim(self, rng) -> Optional[tuple[RID, int]]:
+    def _claim(self, rng) -> Optional[tuple[int, int]]:
         if not self.pool:
             return None
-        rid = rng.choice(list(self.pool))
+        rid = self.pool.choice(rng)
         key = self.pool.pop(rid)
         return rid, key
 
-    def _unclaim(self, claimed: Optional[tuple[RID, int]]) -> None:
+    def _unclaim(self, claimed: Optional[tuple[int, int]]) -> None:
         if claimed is not None:
             self.pool[claimed[0]] = claimed[1]
 

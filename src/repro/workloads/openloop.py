@@ -45,7 +45,6 @@ from repro.query.access import (
     table_scan,
 )
 from repro.sim.kernel import Delay
-from repro.storage.rid import RID
 from repro.workloads.generator import WorkloadDriver, WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -358,13 +357,13 @@ class OpenLoopDriver(WorkloadDriver):
                 return descriptor
         return None
 
-    def _sample_rid(self, rng) -> Optional[RID]:
+    def _sample_rid(self, rng) -> Optional[int]:
         """A live committed RID to point-read (no claim: readers only
         take S locks, so sharing a victim with a writer is the conflict
         we *want* to measure)."""
         if not self.pool:
             return None
-        return rng.choice(list(self.pool))
+        return self.pool.choice(rng)
 
     # -- analysis ----------------------------------------------------------
 

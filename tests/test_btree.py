@@ -31,7 +31,7 @@ def insert_keys(system, tree, keys, during_build=True):
         outcomes = []
         for kv, rid in keys:
             out = yield from tree.txn_insert_key(
-                txn, kv, RID(*rid), during_build=during_build)
+                txn, kv, rid, during_build=during_build)
             outcomes.append(out)
         yield from txn.commit()
         return outcomes
@@ -41,7 +41,7 @@ def insert_keys(system, tree, keys, during_build=True):
 
 def test_insert_and_search_single_key():
     system, tree = make_tree()
-    insert_keys(system, tree, [(5, (0, 0))])
+    insert_keys(system, tree, [(5, RID(0, 0))])
 
     def body():
         txn = system.txns.begin()
@@ -56,7 +56,7 @@ def test_insert_and_search_single_key():
 
 def test_many_inserts_split_and_stay_sorted():
     system, tree = make_tree(leaf_capacity=4)
-    keys = [(k, (k // 4, k % 4)) for k in range(50)]
+    keys = [(k, RID(k // 4, k % 4)) for k in range(50)]
     system.rng.shuffle(keys)
     insert_keys(system, tree, keys)
     stats = audit_tree(tree)
@@ -68,7 +68,7 @@ def test_many_inserts_split_and_stay_sorted():
 
 def test_duplicate_insert_is_noop_with_undo_only_log():
     system, tree = make_tree()
-    outcomes = insert_keys(system, tree, [(5, (0, 0)), (5, (0, 0))])
+    outcomes = insert_keys(system, tree, [(5, RID(0, 0)), (5, RID(0, 0))])
     assert outcomes == [InsertOutcome.INSERTED, InsertOutcome.DUPLICATE_NOOP]
     assert tree.key_count() == 1
     undo_only = [r for r in system.log.scan()
@@ -78,7 +78,7 @@ def test_duplicate_insert_is_noop_with_undo_only_log():
 
 def test_nonunique_allows_same_key_different_rid():
     system, tree = make_tree()
-    outcomes = insert_keys(system, tree, [(5, (0, 0)), (5, (0, 1))])
+    outcomes = insert_keys(system, tree, [(5, RID(0, 0)), (5, RID(0, 1))])
     assert outcomes == [InsertOutcome.INSERTED, InsertOutcome.INSERTED]
     assert tree.key_count() == 2
     audit_tree(tree)
@@ -119,7 +119,7 @@ def test_delete_of_missing_key_inserts_tombstone():
 
 def test_physical_delete_outside_build():
     system, tree = make_tree()
-    insert_keys(system, tree, [(k, (0, k)) for k in range(6)],
+    insert_keys(system, tree, [(k, RID(0, k)) for k in range(6)],
                 during_build=False)
 
     def body():
@@ -136,14 +136,14 @@ def test_physical_delete_outside_build():
 
 def test_no_next_key_locks_during_build():
     system, tree = make_tree()
-    insert_keys(system, tree, [(k, (0, k)) for k in range(6)],
+    insert_keys(system, tree, [(k, RID(0, k)) for k in range(6)],
                 during_build=True)
     assert system.metrics.get("index.nextkey_locks") == 0
 
 
 def test_unique_violation_on_committed_duplicate():
     system, tree = make_tree(unique=True)
-    insert_keys(system, tree, [(5, (0, 0))])
+    insert_keys(system, tree, [(5, RID(0, 0))])
 
     def body():
         txn = system.txns.begin()
@@ -185,7 +185,7 @@ def test_unique_insert_waits_for_uncommitted_deleter():
     """An insert of a key value whose entry belongs to an *uncommitted*
     deleter must wait for that transaction's fate, not error."""
     system, tree = make_tree(unique=True)
-    insert_keys(system, tree, [(5, (0, 0))])
+    insert_keys(system, tree, [(5, RID(0, 0))])
     timeline = []
 
     def deleter():
@@ -233,7 +233,7 @@ def test_rollback_of_insert_pseudo_deletes_key():
 def test_rollback_of_delete_reactivates_key():
     system, tree = make_tree()
     system.indexes["idx"] = type("D", (), {"tree": tree})()
-    insert_keys(system, tree, [(5, (0, 0))])
+    insert_keys(system, tree, [(5, RID(0, 0))])
 
     def body():
         txn = system.txns.begin()
@@ -265,7 +265,7 @@ def test_rollback_of_tombstone_insert_reactivates():
 
 def test_ib_batch_insert_sorted_keys():
     system, tree = make_tree(leaf_capacity=4)
-    keys = [(k, (k // 16, k % 16)) for k in range(40)]
+    keys = [(k, RID(k // 16, k % 16)) for k in range(40)]
 
     def body():
         ib = system.txns.begin("IB")
@@ -286,13 +286,13 @@ def test_ib_batch_insert_sorted_keys():
 
 def test_ib_duplicate_rejected_without_logging():
     system, tree = make_tree()
-    insert_keys(system, tree, [(5, (0, 0))])
+    insert_keys(system, tree, [(5, RID(0, 0))])
     before = system.metrics.get("wal.records.ib")
 
     def body():
         ib = system.txns.begin("IB")
         cursor = IBCursor()
-        count = yield from tree.ib_insert_batch(ib, [(5, (0, 0))], cursor)
+        count = yield from tree.ib_insert_batch(ib, [(5, RID(0, 0))], cursor)
         yield from ib.commit()
         return count
 
@@ -310,7 +310,7 @@ def test_ib_insert_rejected_when_tombstone_present():
         yield from tree.txn_delete_key(txn, 5, RID(0, 0), during_build=True)
         yield from txn.commit()
         ib = system.txns.begin("IB")
-        count = yield from tree.ib_insert_batch(ib, [(5, (0, 0))],
+        count = yield from tree.ib_insert_batch(ib, [(5, RID(0, 0))],
                                                 IBCursor())
         yield from ib.commit()
         return count
@@ -325,7 +325,7 @@ def test_ib_specialized_split_moves_only_higher_keys():
     split the tree stays well clustered even though inserts go through
     the top-down path."""
     system, tree = make_tree(leaf_capacity=4)
-    keys = [(k, (0, k % 16)) for k in range(32)]
+    keys = [(k, RID(0, k % 16)) for k in range(32)]
 
     def body():
         ib = system.txns.begin("IB")
@@ -343,7 +343,7 @@ def test_ib_specialized_split_moves_only_higher_keys():
 
 def test_ib_multi_key_log_records():
     system, tree = make_tree(leaf_capacity=8)
-    keys = [(k, (0, k % 16)) for k in range(8)]
+    keys = [(k, RID(0, k % 16)) for k in range(8)]
 
     def body():
         ib = system.txns.begin("IB")
@@ -424,7 +424,7 @@ def test_bulk_load_resume_continues_after_checkpoint():
 
 def test_crash_without_snapshot_empties_tree():
     system, tree = make_tree()
-    insert_keys(system, tree, [(1, (0, 0))])
+    insert_keys(system, tree, [(1, RID(0, 0))])
     tree.crash()
     assert tree.key_count(include_pseudo_deleted=True) == 0
     assert tree.root is None
@@ -439,7 +439,7 @@ def delete_keys(system, tree, keys):
     def body():
         txn = system.txns.begin()
         for kv, rid in keys:
-            yield from tree.txn_delete_key(txn, kv, RID(*rid),
+            yield from tree.txn_delete_key(txn, kv, rid,
                                            during_build=True)
         yield from txn.commit()
 
@@ -453,10 +453,10 @@ def holder_of(tree, composite):
 
 def test_a_normal_split_moves_a_tombstone_with_its_bit():
     system, tree = make_tree(leaf_capacity=4)
-    insert_keys(system, tree, [(k, (0, k)) for k in range(4)])
-    delete_keys(system, tree, [(3, (0, 3))])
+    insert_keys(system, tree, [(k, RID(0, k)) for k in range(4)])
+    delete_keys(system, tree, [(3, RID(0, 3))])
     first = holder_of(tree, (3, RID(0, 3)))
-    insert_keys(system, tree, [(4, (0, 4))])  # the full leaf splits
+    insert_keys(system, tree, [(4, RID(0, 4))])  # the full leaf splits
     assert system.metrics.get("index.splits") == 1
     assert holder_of(tree, (3, RID(0, 3))) is not first
     assert tree.pseudo_deleted == {(3, RID(0, 3))}
@@ -469,13 +469,13 @@ def test_ibs_specialized_split_moves_a_tombstone_with_its_bit():
     """IB's split moves the keys above its insert point, a pseudo-deleted
     one among them, to the new leaf; the bit goes along."""
     system, tree = make_tree(leaf_capacity=4)
-    insert_keys(system, tree, [(k, (0, k)) for k in (0, 1, 5, 6)])
-    delete_keys(system, tree, [(6, (0, 6))])
+    insert_keys(system, tree, [(k, RID(0, k)) for k in (0, 1, 5, 6)])
+    delete_keys(system, tree, [(6, RID(0, 6))])
     first = holder_of(tree, (6, RID(0, 6)))
 
     def body():
         ib = system.txns.begin("IB")
-        count = yield from tree.ib_insert_batch(ib, [(2, (0, 2))],
+        count = yield from tree.ib_insert_batch(ib, [(2, RID(0, 2))],
                                                 IBCursor())
         yield from ib.commit()
         return count
@@ -493,15 +493,15 @@ def test_the_bits_survive_force_and_crash_as_forced():
     """A leaf's stable image lists its pseudo-deleted entries; a crash
     reloads the bits as of the force, not as of the crash."""
     system, tree = make_tree(leaf_capacity=4)
-    insert_keys(system, tree, [(k, (0, k)) for k in range(10)])
-    delete_keys(system, tree, [(2, (0, 2)), (7, (0, 7))])
+    insert_keys(system, tree, [(k, RID(0, k)) for k in range(10)])
+    delete_keys(system, tree, [(2, RID(0, 2)), (7, RID(0, 7))])
     tree.force()
     images = [image for image in tree.stable_image().pages.values()
               if image[0] == "leaf"]
     assert sorted(member for image in images for member in image[4]) \
         == [(2, RID(0, 2)), (7, RID(0, 7))]
-    delete_keys(system, tree, [(4, (0, 4))])
-    insert_keys(system, tree, [(2, (0, 2))])  # reactivates <2>
+    delete_keys(system, tree, [(4, RID(0, 4))])
+    insert_keys(system, tree, [(2, RID(0, 2))])  # reactivates <2>
     assert tree.pseudo_deleted == {(4, RID(0, 4)), (7, RID(0, 7))}
     tree.crash()
     assert tree.pseudo_deleted == {(2, RID(0, 2)), (7, RID(0, 7))}
@@ -518,8 +518,8 @@ def test_replace_rid_then_restore_entry_round_trips_the_bit():
     old RID, pseudo-deleted -- and a redo of either is a no-op."""
     system, tree = make_tree(unique=True)
     system.indexes["idx"] = type("D", (), {"tree": tree})()
-    insert_keys(system, tree, [(5, (0, 0))])
-    delete_keys(system, tree, [(5, (0, 0))])
+    insert_keys(system, tree, [(5, RID(0, 0))])
+    delete_keys(system, tree, [(5, RID(0, 0))])
     tombstone = [(5, RID(0, 0))]
 
     def body():

@@ -80,7 +80,7 @@ def oracle(monkeypatch):
 
 def entries(tree) -> list:
     """Every entry of ``tree`` in key order, pseudo-deleted ones too."""
-    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
+    return [(e[0], e[1], e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 
@@ -197,7 +197,7 @@ def test_a_crash_between_reset_and_the_next_force_restores_the_old_image(
     before = reference_image(tree)
     assert before["pages"] and tree.durable_lsn
     tree.reset()
-    BulkLoader(tree).extend([((k,), (0, k)) for k in range(20)])
+    BulkLoader(tree).extend([((k,), RID(0, k)) for k in range(20)])
     assert tree.durable_lsn == 0 and len(tree.dirty) == tree.page_count
     recovered.crash()
     assert reference_image(tree) == before
@@ -206,7 +206,7 @@ def test_a_crash_between_reset_and_the_next_force_restores_the_old_image(
 
 def test_cancel_build_leaves_one_consistent_empty_tree(oracle):
     system, tree, run, _rids = _stage()
-    BulkLoader(tree).extend([((k,), (0, k)) for k in range(40)])
+    BulkLoader(tree).extend([((k,), RID(0, k)) for k in range(40)])
     tree._traverse(((7,), RID(0, 7)))  # memoise a fence
     tree.force()
     assert tree.stable_image().pages and tree._fences
@@ -309,7 +309,7 @@ def test_a_unique_tombstone_revived_under_a_new_rid(oracle, replay):
     tree.force()
     assert oracle[-1] == ("idx", 1, 1), outcome
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
-        txn, [((6,), tuple(rids[6]))], IBCursor())))
+        txn, [((6,), rids[6])], IBCursor())))
     assert system.metrics.get("index.rid_replacements") == 2
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
@@ -332,15 +332,15 @@ def test_the_ib_revive_is_logged_like_a_replaced_rid(oracle):
     tree.force()
     ib_records = system.metrics.get("wal.records.ib")
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
-        txn, [((6,), tuple(rids[6]))], IBCursor())))
+        txn, [((6,), rids[6])], IBCursor())))
     revive, = younger_applies(tree)
     assert system.metrics.get("wal.records.ib") == ib_records + 1
     assert revive.payload[IX_ACTION] == "replace_rid"
     assert revive.payload[IX_OLD_RID] == RID(90, 6)
     live = entries(tree)
-    assert ((6,), tuple(rids[6]), False) in live
+    assert ((6,), rids[6], False) in live
     tree.crash()
-    assert ((6,), (90, 6), True) in entries(tree)
+    assert ((6,), RID(90, 6), True) in entries(tree)
     tree.apply_logged(revive.payload)
     assert entries(tree) == live
 
@@ -352,7 +352,7 @@ def test_a_duplicate_insert_rolled_back_pseudo_deletes_ibs_key(oracle,
     entry under a CLR."""
     system, tree, run, rids = _stage(rows=8)
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
-        txn, [((3,), tuple(rids[3]))], IBCursor())))
+        txn, [((3,), rids[3])], IBCursor())))
     tree.force()
 
     def duplicate():
@@ -364,7 +364,7 @@ def test_a_duplicate_insert_rolled_back_pseudo_deletes_ibs_key(oracle,
         yield from txn.rollback()
 
     run(duplicate())
-    assert entries(tree) == [((3,), tuple(rids[3]), True)]
+    assert entries(tree) == [((3,), rids[3], True)]
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
 
@@ -372,7 +372,7 @@ def test_a_duplicate_insert_rolled_back_pseudo_deletes_ibs_key(oracle,
 def test_redo_of_replace_rid_images_the_old_rids_leaf(oracle):
     system, tree, run, _rids = _stage(unique=True)
     BulkLoader(tree, fill_free_fraction=0.0).extend(
-        [((k,), (5, k)) for k in range(16)])
+        [((k,), RID(5, k)) for k in range(16)])
     tree.force()
     # the first entry of a right-hand leaf: its composite is the
     # separator, so the same key value under a lower RID descends left
@@ -381,7 +381,7 @@ def test_redo_of_replace_rid_images_the_old_rids_leaf(oracle):
     new_rid = RID(0, 0)
     assert tree._traverse((key_value, new_rid))[0] is not right
     tree.apply_logical("replace_rid", key_value, new_rid,
-                       old_rid=tuple(old_rid))
+                       old_rid=old_rid)
     assert right.entries[0][1] == new_rid
     tree.force()
     assert oracle[-1][1:] == (2, 2)
@@ -406,15 +406,15 @@ def test_garbage_collection_of_pseudo_deleted_keys(oracle, replay):
 def test_a_resumed_loader_appends_into_a_forced_partial_leaf(oracle):
     system, tree, run, _rids = _stage()
     BulkLoader(tree, fill_free_fraction=0.0).extend(
-        [((k,), (0, k)) for k in range(10)])  # 4 + 4 + 2
+        [((k,), RID(0, k)) for k in range(10)])  # 4 + 4 + 2
     tree.force()
     loader = BulkLoader.resume(tree, fill_free_fraction=0.0)
-    loader.extend([((10,), (0, 10))])
+    loader.extend([((10,), RID(0, 10))])
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
-    loader.extend([((11,), (0, 11))])  # fills the leaf exactly
+    loader.extend([((11,), RID(0, 11))])  # fills the leaf exactly
     tree.force()
-    loader.extend([((12,), (0, 12))])  # only the chain pointer changes
+    loader.extend([((12,), RID(0, 12))])  # only the chain pointer changes
     tree.force()
     assert oracle[-1][1] == 3  # old leaf, new leaf, their parent
 
@@ -452,8 +452,8 @@ def test_drain_inserts_and_deletes_replay(oracle, replay):
     tree, drain = _tree_with_a_tombstone()
     drain(("insert", (20,), RID(0, 20)), ("delete", (3,), RID(0, 3)),
           ("insert", (3,), RID(1, 3)))
-    assert ((3,), (1, 3), False) in entries(tree)
-    assert ((3,), (0, 3), False) not in entries(tree)
+    assert ((3,), RID(1, 3), False) in entries(tree)
+    assert ((3,), RID(0, 3), False) not in entries(tree)
     tree.force()
 
 

@@ -34,7 +34,7 @@ def run_txn(system, gen_fn):
 
 keys_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=200),
-              st.tuples(st.integers(0, 20), st.integers(0, 15))),
+              st.builds(RID, st.integers(0, 20), st.integers(0, 15))),
     min_size=0, max_size=120)
 
 
@@ -45,12 +45,12 @@ def test_insert_keeps_tree_sorted_and_balanced(keys):
 
     def work(txn):
         for kv, rid in keys:
-            yield from tree.txn_insert_key(txn, kv, RID(*rid),
+            yield from tree.txn_insert_key(txn, kv, rid,
                                            during_build=True)
 
     run_txn(system, work)
     audit_tree(tree)
-    expected = {(kv, RID(*rid)) for kv, rid in keys}
+    expected = {(kv, rid) for kv, rid in keys}
     got = set(tree.all_entries())
     assert got == expected
 
@@ -58,7 +58,7 @@ def test_insert_keeps_tree_sorted_and_balanced(keys):
 @settings(max_examples=60, deadline=None)
 @given(keys=keys_strategy, data=st.data())
 def test_insert_then_delete_subset_leaves_complement(keys, data):
-    unique_keys = list({(kv, RID(*rid)) for kv, rid in keys})
+    unique_keys = list({(kv, rid) for kv, rid in keys})
     unique_keys.sort()
     to_delete = data.draw(st.sets(
         st.sampled_from(unique_keys) if unique_keys else st.nothing(),
@@ -99,13 +99,13 @@ def test_bulk_load_equals_sorted_input(n, leaf_capacity):
 def test_ib_batch_agrees_with_single_inserts(keys):
     """The multi-key IB interface must produce the same logical contents
     as one-at-a-time transaction inserts of the same key set."""
-    key_set = sorted({(kv, RID(*rid)) for kv, rid in keys})
+    key_set = sorted({(kv, rid) for kv, rid in keys})
 
     system_a, tree_a = fresh_tree()
 
     def work_a(txn):
         count = yield from tree_a.ib_insert_batch(
-            txn, [(kv, tuple(rid)) for kv, rid in key_set], IBCursor())
+            txn, [(kv, rid) for kv, rid in key_set], IBCursor())
         return count
 
     run_txn(system_a, work_a)
@@ -148,7 +148,7 @@ def test_force_crash_resume_roundtrip(split_at):
 
 small_keys = st.lists(
     st.tuples(st.integers(min_value=0, max_value=40),
-              st.tuples(st.integers(0, 2), st.integers(0, 2))),
+              st.builds(RID, st.integers(0, 2), st.integers(0, 2))),
     min_size=1, max_size=24)
 steps_strategy = st.lists(
     st.tuples(st.sampled_from(["insert", "delete", "ib", "drain"]),
@@ -161,10 +161,10 @@ steps_strategy = st.lists(
 #: intact), then inserts land on fence values and between them -- the two
 #: cases that made the old code distrust key-guided search.
 EMPTIED_THEN_REFILLED = [
-    ("ib", [(k, (0, 0)) for k in range(32)], False),
-    ("insert", [(k, (0, 0)) for k in range(0, 32, 3)], True),
-    ("insert", [(k, (1, 1)) for k in range(1, 32, 5)], False),
-    ("drain", [(k, (2, 2)) for k in range(32)], True),
+    ("ib", [(k, RID(0, 0)) for k in range(32)], False),
+    ("insert", [(k, RID(0, 0)) for k in range(0, 32, 3)], True),
+    ("insert", [(k, RID(1, 1)) for k in range(1, 32, 5)], False),
+    ("drain", [(k, RID(2, 2)) for k in range(32)], True),
 ]
 
 
@@ -190,15 +190,15 @@ def test_descent_fences_equal_structural_fences(steps):
             elif kind == "drain":
                 yield from tree.sf_drain_apply_batch(
                     txn, [("delete" if n % 3 == 0 else "insert", kv,
-                           RID(*rid)) for n, (kv, rid) in enumerate(keys)])
+                           rid) for n, (kv, rid) in enumerate(keys)])
             else:
                 for kv, rid in keys:
                     if kind == "insert":
                         yield from tree.txn_insert_key(
-                            txn, kv, RID(*rid), during_build=True)
+                            txn, kv, rid, during_build=True)
                     else:  # physical when present, a tombstone when not
                         yield from tree.txn_delete_key(
-                            txn, kv, RID(*rid), during_build=False)
+                            txn, kv, rid, during_build=False)
             yield from (txn.commit() if commit else txn.rollback())
 
     proc = system.spawn(body(), name="prop")
@@ -215,7 +215,7 @@ def test_descent_fences_equal_structural_fences(steps):
         landed, _path = tree._traverse(probe, count=False)
         assert landed is leaf
     assert tree._fences == structural
-    probes = {(kv, RID(*rid)) for _kind, keys, _c in steps
+    probes = {(kv, rid) for _kind, keys, _c in steps
               for kv, rid in keys}
     probes.update(fence for pair in structural.values()
                   for fence in pair if fence is not None)

@@ -37,10 +37,10 @@ from repro.verify import audit_index
 from repro.wal.records import RecordKind
 from repro.workloads import WorkloadDriver, WorkloadSpec
 
-INF = tuple(INFINITY_RID)
+INF = INFINITY_RID
 #: three shards over 15 pages; the *live* frontier at manifest write time
 FRONTIER = {"partitions": [(0, 5), (5, 10), (10, 15)],
-            "current": [(5, 0), (8, 0), (12, 0)]}
+            "current": [RID(5, 0), RID(8, 0), RID(12, 0)]}
 SEALED_FRONTIER = {"partitions": FRONTIER["partitions"],
                    "current": [INF, INF, INF]}
 
@@ -71,18 +71,18 @@ FLOORS = {"a": {"status": "pending", "floor": 2},
 #:  expected per-shard frontier or None, expected descriptor names)
 ROWS = [
     # NSF: visible from descriptor creation, no Current-RID at all
-    ("nsf", "scan", {"next_page": 8, "sort": {}, "current_rid": (0, 0),
+    ("nsf", "scan", {"next_page": 8, "sort": {}, "current_rid": RID(0, 0),
                      "manifest": _manifest()},
      RID(0, 0), None, ["a", "b"]),
     ("nsf", "insert-start", {"manifest": _manifest("done"),
-                             "current_rid": (0, 0)},
+                             "current_rid": RID(0, 0)},
      RID(0, 0), None, ["a", "b"]),
     ("nsf", "insert", {"manifest": _manifest("done", "loading", merge={},
                                              highest_key=None),
-                       "current_rid": (0, 0)},
+                       "current_rid": RID(0, 0)},
      RID(0, 0), None, ["a", "b"]),
     # SF: the checkpointed Current-RID while scanning, infinity after
-    ("sf", "scan", {"next_page": 8, "sort": {}, "current_rid": (8, 0),
+    ("sf", "scan", {"next_page": 8, "sort": {}, "current_rid": RID(8, 0),
                     "manifest": _manifest()},
      RID(8, 0), None, ["a", "b"]),
     ("sf", "load-start", {"manifest": _manifest(), "current_rid": INF},
@@ -98,13 +98,13 @@ ROWS = [
     # checkpointed page, not from the live frontier the manifest
     # happened to record
     ("psf", "pscan", {**SHARDED, "frontier": FRONTIER,
-                      "current_rid": (0, 0), "manifest": _manifest(),
+                      "current_rid": RID(0, 0), "manifest": _manifest(),
                       "shards": {0: _shard(True, 5, 5),
                                  1: _shard(False, 6, 8),
                                  2: _shard(False, 10, 12)}},
      RID(0, 0), [INFINITY_RID, RID(6, 0), RID(10, 0)], ["a", "b"]),
     ("psf", "pscan", {**SHARDED, "frontier": SEALED_FRONTIER,
-                      "current_rid": (0, 0), "manifest": _manifest(),
+                      "current_rid": RID(0, 0), "manifest": _manifest(),
                       "shards": {0: _shard(True, 5, 5),
                                  1: _shard(True, 10, 10),
                                  2: _shard(True, 15, 15)}},
@@ -125,7 +125,7 @@ ROWS = [
     # multi: the same manifest visited index by index; flipped ("done")
     # indexes stay in the descriptor set
     ("multi", "scan", {"next_page": 8, "sort": {}, "manifest": _manifest(),
-                       "current_rid": (8, 0)},
+                       "current_rid": RID(8, 0)},
      RID(8, 0), None, ["a", "b"]),
     ("multi", "load-start", {"manifest": _manifest("done"),
                              "current_rid": INF},
@@ -155,7 +155,7 @@ ROWS = [
                        "current_rid": INF},
      INFINITY_RID, None, ["a", "b"]),
     ("multi", "pscan", {**SHARDED, "frontier": FRONTIER,
-                        "current_rid": (0, 0), "manifest": _manifest(),
+                        "current_rid": RID(0, 0), "manifest": _manifest(),
                         "shards": {0: _shard(True, 5, 5),
                                    1: _shard(False, 6, 8),
                                    2: _shard(False, 10, 12)}},
@@ -273,7 +273,7 @@ def test_the_index_build_flag_comes_from_the_checkpoint():
 def test_an_index_dropped_from_the_catalog_leaves_the_context():
     system = _catalog()
     system.indexes["a"].detach()
-    _pre_undo(system, _payload("sf", "scan", {"current_rid": (2, 0)}))
+    _pre_undo(system, _payload("sf", "scan", {"current_rid": RID(2, 0)}))
     assert [d.name for d in system.builds["t"].descriptors] == ["b"]
 
 
@@ -286,7 +286,7 @@ def test_two_tables_building_both_get_their_context_back():
     descriptor = IndexDescriptor(system, table2, "t2.b", ("k",))
     descriptor.attach()
     system.utility_states = {
-        "t1": _payload("sf", "scan", {"current_rid": (4, 0)}, table="t1",
+        "t1": _payload("sf", "scan", {"current_rid": RID(4, 0)}, table="t1",
                        names=("t1.a", "t1.b")),
         "t2": _payload("nsf", "insert-start", {"done_indexes": []},
                        table="t2", names=("t2.b",)),

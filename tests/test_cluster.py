@@ -19,6 +19,7 @@ from repro.cluster.scenario import (
 from repro.core.descriptor import IndexState
 from repro.sim.kernel import Delay
 from repro.storage.page import Record
+from repro.storage.rid import rid_slot
 from repro.verify.consistency import ConsistencyError
 
 SMALL = dict(replicas=1, records=40, operations=30, rate=1.0, seed=2)
@@ -254,7 +255,7 @@ def test_oracle_detects_lost_operations_and_heap_tamper():
     node = cluster.replicas()[0]
     page = _resident_data_page(node.system, node.system.tables[TABLE])
     rid, record = page.live_records()[0]
-    page.put(rid.slot, Record(("tampered",) * len(record.values)))
+    page.put(rid_slot(rid), Record(("tampered",) * len(record.values)))
     with pytest.raises(ConsistencyError, match="diverges"):
         check_cluster(cluster, driver)
 

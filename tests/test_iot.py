@@ -19,7 +19,7 @@ from repro.obs import enable_progress, enable_tracing
 from repro.recovery import restart, run_until_crash
 from repro.schedsweep import RandomTiePolicy
 from repro.sim import Delay
-from repro.storage.rid import INFINITY_RID, RID
+from repro.storage.rid import INFINITY_RID, RID, rid_page
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.wal import RecordKind
@@ -340,7 +340,7 @@ def test_iot_change_at_the_scan_position_reaches_the_index():
     def position():
         context = builder.context
         return None if context is None or context.current_rid == RID(0, 0) \
-            else context.current_rid.page_no
+            else rid_page(context.current_rid)
 
     def updater():
         while position() is None:

@@ -507,7 +507,7 @@ def wedged_locks(seed):
         if head.grantable(txn, mode) \
                 and not locks._blocked_behind(head, txn):
             continue  # lock() would have granted it
-        head.queue.append((txn, mode, system.sim.event(), False))
+        head.enqueue(txn, mode, system.sim.event(), False)
         txn.waiting_on = name
     return system, locks
 

@@ -35,6 +35,7 @@ from repro.core.maintenance import BuildContext, NSF_MODE
 from repro.recovery import restart
 from repro.sidefile.sidefile import SF_INDEX, SF_KEY, SF_OPERATION, SF_RID
 from repro.sim import Delay
+from repro.storage.rid import rid_page, rid_slot
 from repro.storage.table import (
     H_OLD_VALUES,
     H_RID,
@@ -68,8 +69,13 @@ def parent_payload_size(args: dict) -> int:
     return total
 
 
+def pair(rid) -> tuple:
+    """A RID as the parent's writers logged it: a (page, slot) pair."""
+    return rid_page(rid), rid_slot(rid)
+
+
 def _heap_half(system, op, p):
-    head = {"table": p[H_TABLE], "rid": p[H_RID]}
+    head = {"table": p[H_TABLE], "rid": pair(p[H_RID])}
     capacity = system.tables[p[H_TABLE]].page_capacity
     return {
         "heap.put": lambda: {**head, "values": p[H_VALUES],
@@ -90,9 +96,9 @@ def _index_half(op, p):
     if p[IX_RID] is None:
         return {"index": p[IX_INDEX], "action": action, "keys": p[IX_KEY]}
     args = {"index": p[IX_INDEX], "action": action,
-            "key_value": p[IX_KEY], "rid": tuple(p[IX_RID])}
+            "key_value": p[IX_KEY], "rid": pair(p[IX_RID])}
     if p[IX_OLD_RID] is not None:
-        args.update({"old_rid": tuple(p[IX_OLD_RID]), "old_pseudo": True})
+        args.update({"old_rid": pair(p[IX_OLD_RID]), "old_pseudo": True})
     return args
 
 
@@ -122,7 +128,7 @@ def parent_half(system, op, payload) -> dict:
         return _iot_half(op, payload)
     assert op == "sidefile.append"
     return {"index": payload[SF_INDEX], "operation": payload[SF_OPERATION],
-            "key_value": payload[SF_KEY], "rid": tuple(payload[SF_RID])}
+            "key_value": payload[SF_KEY], "rid": pair(payload[SF_RID])}
 
 
 def parent_size(system, record) -> int:
@@ -350,7 +356,7 @@ def test_replace_rid_and_gc_records():
         t1 = system.txns.begin("T1")
         rid = yield from table.insert(t1, (42, "t1"))
         ib = system.txns.begin("IB")  # IB meets T1's key: undo-only no-op
-        yield from tree.ib_insert_batch(ib, [((42,), tuple(rid))],
+        yield from tree.ib_insert_batch(ib, [((42,), rid)],
                                         IBCursor())
         yield from ib.commit()
         dup = system.txns.begin("dup")  # same <key, RID> again: undo-only

@@ -68,7 +68,7 @@ def test_nine_step_scenario_nonunique():
         rejected_before = system.metrics.get(
             "index.duplicate_rejections.ib")
         count = yield from tree.ib_insert_batch(
-            ib, [(K, tuple(rid))], IBCursor())
+            ib, [(K, rid)], IBCursor())
         yield from ib.commit()
         assert count == 0
         assert system.metrics.get("index.duplicate_rejections.ib") \
@@ -140,7 +140,7 @@ def test_delete_key_problem_tombstone_blocks_ib():
         rid = yield from table.insert(t0, (7, "victim"))
         yield from t0.commit()
         # Pretend IB extracted the key here (before the delete) ...
-        stale_key = ((7,), tuple(rid))
+        stale_key = ((7,), rid)
         # remove the direct insert T0 performed, as if the index had been
         # empty when IB scanned -- i.e. simulate pure race: physically
         # clear the tree.

@@ -29,11 +29,12 @@ from repro.metrics import partition_values, skew_summary
 from repro.sidefile import Partition, ScanFrontier, partition_pages
 from repro.sim.kernel import Delay
 from repro.storage import RID
+from repro.storage.rid import rid_page
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.workloads import WorkloadDriver, WorkloadSpec
 
-INFINITY_PAGE = RID(2**62, 0).page_no  # sentinel comparisons use < only
+INFINITY_PAGE = rid_page(RID(2**62, 0))  # sentinel comparisons use < only
 
 
 def small_config(**overrides):
@@ -159,7 +160,7 @@ def test_skew_summary_balanced_and_empty():
 
 def _entries(system, name="idx"):
     tree = system.indexes[name].tree
-    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
+    return [(e[0], e[1], e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 

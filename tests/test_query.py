@@ -93,7 +93,7 @@ def test_range_scan_survives_a_leaf_split_under_it():
     leaf = next(leaf for leaf in descriptor.tree.leaf_chain()
                 if leaf.entries[0][0] == (16,))
     assert [e[0][0] for e in leaf.entries] == list(range(16, 32, 2))
-    parked_on = RID(*leaf.entries[4][1])  # key 24
+    parked_on = leaf.entries[4][1]  # key 24
     splits_before = system.metrics.get("index.splits")
     seen = {}
 
@@ -133,7 +133,7 @@ def test_index_lookup_reads_the_bit_after_its_lock_wait(revived):
     system, table, descriptor = built()
     tree = descriptor.tree
     entry = next(e for e in tree.all_entries() if e[0] == (20,))
-    rid = RID(*entry[1])
+    rid = entry[1]
     seen = {}
 
     def holder():

@@ -31,7 +31,7 @@ def _seed_build(rows=150, operations=0, compressed=False, algorithm="sf"):
 
 def _entries(system, name="idx"):
     tree = system.indexes[name].tree
-    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
+    return [(e[0], e[1], e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 

@@ -19,6 +19,7 @@ from repro.sort import (
     merge_to_single,
 )
 from repro.sort.tournament import build_matches, fixup_matches
+from repro.storage.rid import RID
 from repro.system import System, SystemConfig
 from tests.loser_tree import INF, LoserTree
 
@@ -604,7 +605,7 @@ def scan_keys(rng, count, span):
             values.extend(start - step for step in range(stretch))
         else:
             values.extend(rng.randrange(span) for _ in range(stretch))
-    return [((value,), (at // 16, at % 16))
+    return [((value,), RID(at // 16, at % 16))
             for at, value in enumerate(values[:count])]
 
 
@@ -894,7 +895,7 @@ def test_run_extend_names_the_key_that_breaks_the_order():
 
 
 def composites(*pairs):
-    return [((value,), (0, slot)) for value, slot in pairs]
+    return [((value,), RID(0, slot)) for value, slot in pairs]
 
 
 @pytest.mark.parametrize("unique, held, batch", [
@@ -941,8 +942,8 @@ def test_batch_loader_rejections_keep_their_messages():
     system.create_table("t", ["k", "v"])
     loader = BulkLoader(BTree(system, "idx", "t", unique=True))
     with pytest.raises(IndexBuildError, match=(
-            r"bulk load keys out of order: \(\(4,\), RID\(page_no=0, "
-            r"slot=2\)\) after \(\(5,\), RID\(page_no=0, slot=1\)\)")):
+            r"bulk load keys out of order: \(\(4,\), \(0,2\)\) after "
+            r"\(\(5,\), \(0,1\)\)")):
         loader.extend(composites((1, 0), (5, 1), (4, 2)))
     with pytest.raises(IndexBuildError, match=(
             r"cannot build unique index idx: duplicate key value \(5,\)")):

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import BuildOptions, IndexSpec, IndexState, \
     ParallelSFBuilder
 from repro.sim.kernel import Delay
+from repro.storage.rid import RID
 from repro.sort import (
     CompressedRunFormation,
     KeyCodec,
@@ -31,8 +32,7 @@ from repro.sort.codec import (
     INT_OFFSET,
     STR_PREFIX,
     _INT_MAX_FIELD,
-    _RID_PAGE_EXACT_MAX,
-    _RID_SLOT_EXACT_MAX,
+    _RID_EXACT_MAX,
 )
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
@@ -55,13 +55,10 @@ str_columns = st.one_of(
                      "éé", "ééé", "\U0001F600"]),
 )
 
-rids = st.tuples(
-    st.one_of(st.integers(min_value=0, max_value=64),
-              st.sampled_from([_RID_PAGE_EXACT_MAX,
-                               _RID_PAGE_EXACT_MAX + 1])),
-    st.one_of(st.integers(min_value=0, max_value=64),
-              st.sampled_from([_RID_SLOT_EXACT_MAX,
-                               _RID_SLOT_EXACT_MAX + 1])),
+rids = st.one_of(
+    st.builds(RID, st.integers(min_value=0, max_value=64),
+              st.integers(min_value=0, max_value=64)),
+    st.sampled_from([-1, 0, _RID_EXACT_MAX, _RID_EXACT_MAX + 1]),
 )
 
 SHAPES = {
@@ -141,7 +138,7 @@ def test_int_window_boundaries_spill_and_still_order():
     codec = KeyCodec("i")
     values = [INT_EXACT_MIN - 5, INT_EXACT_MIN - 1, INT_EXACT_MIN,
               -1, 0, 1, INT_EXACT_MAX, INT_EXACT_MAX + 1, INT_EXACT_MAX + 5]
-    encoded = [codec.encode((v,), (0, 0)) for v in values]
+    encoded = [codec.encode((v,), RID(0, 0)) for v in values]
     assert codec.spills == 4  # the four out-of-window values
     assert sorted(encoded) == encoded
     assert [codec.decode(e)[0][0] for e in encoded] == values
@@ -151,7 +148,7 @@ def test_string_prefix_boundary_and_empty_string():
     codec = KeyCodec("s")
     values = ["", "\x00", "a", "abcc", "abcd", "abcd\x00", "abcda", "abcdz",
               "b"]
-    encoded = [codec.encode((v,), (0, 0)) for v in values]
+    encoded = [codec.encode((v,), RID(0, 0)) for v in values]
     # Only strings encoding past STR_PREFIX bytes spill.
     assert codec.spills == sum(
         1 for v in values if len(v.encode("utf-8")) > STR_PREFIX)
@@ -161,8 +158,8 @@ def test_string_prefix_boundary_and_empty_string():
 
 def test_rid_overflow_spills_but_round_trips():
     codec = KeyCodec("i")
-    big = (5,), (_RID_PAGE_EXACT_MAX + 1, 0)
-    small = (5,), (_RID_PAGE_EXACT_MAX, 7)
+    big = (5,), _RID_EXACT_MAX + 1
+    small = (5,), _RID_EXACT_MAX
     e_small, e_big = codec.encode(*small), codec.encode(*big)
     assert isinstance(e_small, int)
     assert isinstance(e_big, SpilledKey)
@@ -186,7 +183,7 @@ def test_unsupported_kind_string_rejected():
 
 def test_encode_cache_hits_match_fresh_codec():
     shared = KeyCodec("is")
-    pairs = [((i % 3, "cat%d" % (i % 2)), (i, i % 5)) for i in range(50)]
+    pairs = [((i % 3, "cat%d" % (i % 2)), RID(i, i % 5)) for i in range(50)]
     fresh = [KeyCodec("is").encode(k, r) for k, r in pairs]
     cached = [shared.encode(k, r) for k, r in pairs]
     assert cached == fresh
@@ -200,7 +197,7 @@ def test_cache_limit_bounds_growth(monkeypatch):
     import repro.sort.codec as codec_mod
     monkeypatch.setattr(codec_mod, "_CACHE_LIMIT", 4)
     codec = KeyCodec("i")
-    pairs = [((i,), (0, i)) for i in range(10)]
+    pairs = [((i,), RID(0, i)) for i in range(10)]
     encoded = [codec.encode(k, r) for k, r in pairs]
     assert len(codec._encode_cache) <= 4
     assert [codec.decode(e) for e in encoded] == pairs
@@ -209,8 +206,8 @@ def test_cache_limit_bounds_growth(monkeypatch):
 
 def test_rebinding_clears_caches():
     codec = KeyCodec("i")
-    codec.encode((1,), (0, 0))
-    codec.decode(codec.encode((2,), (0, 0)))
+    codec.encode((1,), RID(0, 0))
+    codec.decode(codec.encode((2,), RID(0, 0)))
     assert codec._encode_cache and codec._decode_cache
     codec._bind_kinds("i")
     assert not codec._encode_cache and not codec._decode_cache
@@ -220,15 +217,16 @@ def test_manifest_round_trip_preserves_layout():
     codec = KeyCodec("is")
     restored = KeyCodec.from_manifest(codec.to_manifest())
     assert restored.kinds == "is" and restored.active
-    pair = ((7, "abc"), (1, 2))
+    pair = ((7, "abc"), RID(1, 2))
     assert restored.decode(codec.encode(*pair)) == pair
 
 
 def test_merger_pop_many_across_exact_spilled_boundary():
     codec = KeyCodec("i")
-    low = [codec.encode((v,), (0, v)) for v in range(0, 10, 2)]
+    low = [codec.encode((v,), RID(0, v)) for v in range(0, 10, 2)]
     # Out-of-window values spill; they interleave with the exact codes.
-    high = [codec.encode((v,), (0, 1)) for v in (1, 3, 1 << 50, (1 << 50) + 1)]
+    high = [codec.encode((v,), RID(0, 1))
+            for v in (1, 3, 1 << 50, (1 << 50) + 1)]
     assert any(isinstance(e, SpilledKey) for e in high)
     store = RunStore(prefix="mix")
     runs = []
@@ -260,7 +258,7 @@ def _small_config():
 
 def _entries(system, name="idx"):
     tree = system.indexes[name].tree
-    return [(e[0], tuple(e[1]), e in tree.pseudo_deleted)
+    return [(e[0], e[1], e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 

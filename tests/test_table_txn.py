@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeadlockVictim, RecordNotFoundError
 from repro.storage import RID
+from repro.storage.rid import rid_page
 from repro.storage.table import H_VISIBLE
 from repro.system import System, SystemConfig
 from repro.txn import TxnState
@@ -50,7 +51,7 @@ def test_inserts_fill_pages_then_allocate():
         return rids
 
     rids = drive(system, body())
-    assert [r.page_no for r in rids] == [0, 0, 1, 1, 2]
+    assert [rid_page(r) for r in rids] == [0, 0, 1, 1, 2]
     assert table.page_count == 3
 
 
