@@ -3,8 +3,9 @@
 Index pages hold ``<key value, RID>`` entries (section 1.1), each the
 plain composite tuple ``(key value, rid)`` -- the bulk load and IB put the
 sort's own pairs in the leaves, and every search is a C ``bisect`` over
-them.  A rid may be a raw ``(page, slot)`` pair: it compares and hashes
-like :class:`~repro.storage.rid.RID`.  The paper's 1-bit *pseudo-delete*
+them; the rid is the int :func:`~repro.storage.rid.RID` packs, and a
+message prints an entry with :func:`format_entry`.  The paper's 1-bit
+*pseudo-delete*
 flag (section 2.1.2: "A 1-bit flag is associated with every key in the
 index to indicate whether the key is pseudo deleted or not") is
 membership in the tree's one ``pseudo_deleted`` set of composites.
@@ -21,9 +22,16 @@ from typing import Optional
 
 from repro.metrics import MetricsRegistry
 from repro.sim.latch import Latch
+from repro.storage.rid import format_rid
 
 #: A composite key, and a leaf entry: (key_value, rid).
 CompositeKey = tuple
+
+
+def format_entry(entry: CompositeKey) -> str:
+    """``(key value, rid)`` as messages print it, the rid as
+    ``(page,slot)``."""
+    return f"({entry[0]!r}, {format_rid(entry[1])})"
 
 
 class IndexPage:
