@@ -195,7 +195,7 @@ class BuilderBase:
             system.build_bucket(limit) if limit else None
         #: per-build throttle metric names ("+"-joined index names), so
         #: two concurrent throttled builds' charges stay attributable;
-        #: the unsuffixed totals remain for existing dashboards/benches
+        #: the unsuffixed totals remain for the bench suites
         self.label = "+".join(spec.name for spec in self.specs)
         self._throttle_charges_metric = \
             f"build.throttle_charges.{self.label}"

@@ -48,24 +48,6 @@ class TokenBucket:
             else max(1.0, self.rate)
         self.tokens = self.burst
         self._last_refill = sim.now
-        self._custom_burst = burst is not None
-
-    def set_rate(self, rate: float) -> None:
-        """Retune the bucket's rate in place (adaptive throttling).
-
-        Tokens accrued so far are settled at the *old* rate first, so a
-        mid-flight rate change never retroactively re-prices elapsed
-        time.  Unless the caller pinned an explicit burst at
-        construction, the burst follows the default policy
-        (``max(1.0, rate)``) and the token level is clamped to it.
-        """
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        self._refill()
-        self.rate = float(rate)
-        if not self._custom_burst:
-            self.burst = max(1.0, self.rate)
-        self.tokens = min(self.tokens, self.burst)
 
     def _refill(self) -> None:
         now = self.sim.now
@@ -89,10 +71,3 @@ class TokenBucket:
         if self.tokens < 0:
             yield Delay(-self.tokens / self.rate)
             self._refill()
-
-    def state(self) -> dict:
-        """Snapshot for utility checkpoints (observability; the rate is
-        what resume must restore -- token levels are volatile and reset
-        to a full burst on restart, like any post-crash cache)."""
-        return {"rate": self.rate, "burst": self.burst,
-                "tokens": self.tokens}

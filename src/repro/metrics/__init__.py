@@ -1,6 +1,5 @@
 """Metrics collection for the simulated DBMS."""
 
-from repro.metrics.hist import StreamingHistogram, log2_bounds
 from repro.metrics.partition import (
     partition_skew,
     partition_values,
@@ -11,8 +10,6 @@ from repro.metrics.registry import MetricsRegistry, SeriesStat, ordered_sum
 __all__ = [
     "MetricsRegistry",
     "SeriesStat",
-    "StreamingHistogram",
-    "log2_bounds",
     "ordered_sum",
     "partition_skew",
     "partition_values",

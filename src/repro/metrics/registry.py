@@ -66,21 +66,6 @@ class SeriesStat:
         """Largest observed value, or 0.0 with zero observations."""
         return self._max if self.count else 0.0
 
-    def merge(self, other: "SeriesStat") -> "SeriesStat":
-        """Fold ``other`` into self (count-weighted); returns self.
-
-        Needed for cross-node aggregation: a dashboard summing one
-        series over N replicas wants the population summary, not an
-        average of averages.
-        """
-        self.count += other.count
-        self.total += other.total
-        if other._min < self._min:
-            self._min = other._min
-        if other._max > self._max:
-            self._max = other._max
-        return self
-
     def snapshot(self) -> dict[str, float]:
         """Serialisable summary.
 
@@ -98,20 +83,6 @@ class SeriesStat:
             "maximum": self.maximum,
         }
 
-    def delta(self, before: "SeriesStat") -> "SeriesStat":
-        """Observations added since ``before`` (an earlier copy of self).
-
-        Min/max cannot be recovered for the difference window alone, so the
-        delta carries the current window extremes -- still 0.0-safe when
-        nothing was observed at all.
-        """
-        result = SeriesStat(count=self.count - before.count,
-                            total=self.total - before.total)
-        if result.count:
-            result._min = self._min
-            result._max = self._max
-        return result
-
 
 @dataclass
 class MetricsRegistry:
@@ -126,9 +97,6 @@ class MetricsRegistry:
     counters: defaultdict[str, int] = field(
         default_factory=lambda: defaultdict(int))
     series: dict[str, SeriesStat] = field(default_factory=dict)
-    #: Named streaming histograms (see :mod:`repro.metrics.hist`);
-    #: populated lazily by :meth:`observe_hist`.
-    histograms: dict[str, Any] = field(default_factory=dict)
     #: Installed fault injector, if any (see :mod:`repro.faultinject`).
     fault_injector: Optional[Any] = field(default=None, repr=False,
                                           compare=False)
@@ -158,35 +126,9 @@ class MetricsRegistry:
         """Summary for series ``name`` (empty summary if never observed)."""
         return self.series.get(name, SeriesStat())
 
-    def observe_hist(self, name: str, value: float) -> None:
-        """Record one sample into streaming histogram ``name``.
-
-        Histograms use the default log2-spaced bounds; pre-register a
-        :class:`~repro.metrics.hist.StreamingHistogram` in
-        :attr:`histograms` first to use custom bounds.
-        """
-        hist = self.histograms.get(name)
-        if hist is None:
-            from repro.metrics.hist import StreamingHistogram
-            hist = self.histograms[name] = StreamingHistogram()
-        hist.observe(value)
-
-    def hist(self, name: str):
-        """Histogram ``name`` (an empty default-bounds one if absent)."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            from repro.metrics.hist import StreamingHistogram
-            hist = StreamingHistogram()
-        return hist
-
     def snapshot(self) -> dict[str, int]:
         """Copy of all counters, e.g. for before/after deltas."""
         return dict(self.counters)
-
-    def snapshot_hists(self) -> dict[str, dict]:
-        """Serialisable summaries of every histogram, sorted by name."""
-        return {name: self.histograms[name].snapshot()
-                for name in sorted(self.histograms)}
 
     def snapshot_stats(self) -> dict[str, dict[str, float]]:
         """Serialisable summaries of every value series, sorted by name.
@@ -211,4 +153,3 @@ class MetricsRegistry:
     def reset(self) -> None:
         self.counters.clear()
         self.series.clear()
-        self.histograms.clear()

@@ -5,8 +5,8 @@ build -- the scan frontier racing updater RIDs, the side-file backlog
 racing the drain, the short NSF quiesce, checkpoint/restart progress.
 :class:`TraceRecorder` captures that story as structured events (spans,
 instants, gauges) keyed to the simulated clock; :class:`Trace` reads them
-once; :mod:`repro.obs.report`, :mod:`repro.obs.dashboard` and
-:mod:`repro.slo` render what it holds.
+once; :mod:`repro.obs.report` and :mod:`repro.slo` render what it
+holds.
 
 Tracing follows the ``fault_point`` pattern from :mod:`repro.faultinject`:
 instrumented code reads ``metrics.tracer`` and does nothing when it is
@@ -22,12 +22,6 @@ The recorder survives :meth:`repro.system.System.crash` and
 system), so one trace spans the whole build-crash-recover story.
 """
 
-from repro.obs.health import (
-    AlertRule,
-    HealthMonitor,
-    default_rules,
-    enable_health,
-)
 from repro.obs.progress import (
     BuildProgress,
     Phase,
@@ -57,17 +51,13 @@ def __getattr__(name):
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "AlertRule",
     "BuildProgress",
-    "HealthMonitor",
     "Phase",
     "ProgressTracker",
     "Span",
     "Trace",
     "TraceError",
     "TraceRecorder",
-    "default_rules",
-    "enable_health",
     "enable_progress",
     "enable_tracing",
     "key_metric",

@@ -26,16 +26,15 @@ watches the drain position race the side-file length over a trailing
 sample window.  When the drain rate falls to (or below) the append rate
 while backlog remains, the catch-up phase is not converging: the verdict
 flips to ``diverging``, the ETA becomes ``None``, and a single
-``build.diverging`` instant is emitted into the trace (the alerting
-layer in :mod:`repro.obs.health` can page on it).  If the balance
-recovers -- the adaptive throttle opened the bucket, or foreground load
-subsided -- the verdict returns to ``converging`` and the ETA comes
-back (EXPERIMENTS.md E24 shows the full arc).
+``build.diverging`` instant is emitted into the trace.  If the balance
+recovers -- foreground load subsided -- the verdict returns to
+``converging`` and the ETA comes back (EXPERIMENTS.md E24 shows an
+under-throttled drain flagged).
 
-**Crash safety.**  Like the throttle rate, progress state rides in the
-utility checkpoint (only when tracking is enabled -- disabled payloads
-are byte-identical), and a resumed builder's handle restores it, so a
-resumed build reports resumed progress, not 0%.
+**Crash safety.**  Progress state rides in the utility checkpoint (only
+when tracking is enabled -- disabled payloads are byte-identical), and a
+resumed builder's handle restores it, so a resumed build reports resumed
+progress, not 0%.
 """
 
 from __future__ import annotations
@@ -278,11 +277,6 @@ class ProgressTracker:
         """Serialisable state of every tracked build, sorted by label."""
         return {label: self.builds[label].snapshot()
                 for label in sorted(self.builds)}
-
-
-def tracker_of(system) -> Optional[ProgressTracker]:
-    """The tracker riding on ``system``'s recorder, if any."""
-    return getattr(system.metrics.tracer, "progress", None)
 
 
 def enable_progress(system, tracker: Optional[ProgressTracker] = None

@@ -187,16 +187,9 @@ def enable_tracing(system: "System", recorder: Optional[TraceRecorder] = None,
     if recorder.sample_every \
             and recorder._sampler_sim is not system.sim:
         recorder._sampler_sim = system.sim
-        system.spawn(
-            periodic(system, recorder.sample_every,
-                     lambda: sample_gauges(system, recorder)),
-            name="trace-sampler")
+        system.spawn(_sampler(system, recorder, recorder.sample_every),
+                     name="trace-sampler")
     return recorder
-
-
-def sidefile_backlog(sidefile) -> int:
-    """Entries appended to ``sidefile`` that its drain has yet to apply."""
-    return max(0, len(sidefile.entries) - sidefile.drain_position)
 
 
 def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
@@ -205,8 +198,11 @@ def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
     recorder.gauge("buffer.dirty", len(system.buffer.dirty))
     recorder.gauge("wal.bytes", metrics.get("wal.bytes"))
     for name in sorted(system.sidefiles):
+        sidefile = system.sidefiles[name]
+        # entries appended that the drain has yet to apply
         recorder.gauge("sidefile.backlog",
-                       sidefile_backlog(system.sidefiles[name]), index=name)
+                       max(0, len(sidefile.entries) - sidefile.drain_position),
+                       index=name)
     for name in sorted(system.indexes):
         descriptor = system.indexes[name]
         watermark = getattr(descriptor, "read_watermark", None)
@@ -217,15 +213,16 @@ def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
                            index=name, key=str(watermark[0]))
 
 
-def periodic(system: "System", interval: float, take):
-    """Generator process: call ``take()`` every ``interval`` time units.
+def _sampler(system: "System", recorder: TraceRecorder, interval: float):
+    """Generator process: :func:`sample_gauges` every ``interval`` time
+    units.
 
     Exits when it is the only live process left, so it never keeps the
     simulator spinning; it does extend the final clock by up to one
     interval, which is why the quickstart golden uses passive tracing.
     """
     while True:
-        take()
+        sample_gauges(system, recorder)
         yield Delay(interval)
         if system.sim.live_processes <= 1:
             return

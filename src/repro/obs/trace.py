@@ -3,14 +3,14 @@
 A trace is the recorder's event list (:mod:`repro.obs.recorder`) or the
 JSONL file it exported.  :class:`Trace` reads either **once** -- spans
 paired, gauge samples and instants filed by name -- and the report, the
-dashboard, the latency analyzer and the bench suites index that object.
+latency analyzer and the bench suites index that object.
 
 The one pairing rule: a ``span_begin`` and the ``span_end`` with its id
 make a *finished* span.  A begin with no end is unfinished: ``crashed``,
 ending at the cut, if a ``system.crash`` instant follows its start, else
 open until the end of the trace.  The report draws a crash-cut span with
-an ``x``, the dashboard calls its build interrupted, the analyzer leaves
-it out of the latency population (its duration is unknowable, not zero).
+an ``x``, the analyzer leaves it out of the latency population (its
+duration is unknowable, not zero).
 
 Trace files are outside input: :meth:`Trace.loads`, the only place trace
 lines are decoded, refuses what no recorder wrote with a

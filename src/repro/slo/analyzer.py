@@ -86,7 +86,8 @@ def latency_report(events: TraceSource, span_name: str = "op",
     over an empty population would gate nothing).
     """
     trace = Trace.of(events)
-    spans = [span for span in trace.spans if span.name == span_name]
+    spans = [span for span in trace.spans if span.name == span_name
+             and (window is None or window[0] <= span.start <= window[1])]
     excluded = sum(1 for span in spans if not span.finished)
     dropped = 0
     latencies: list[float] = []
@@ -94,9 +95,6 @@ def latency_report(events: TraceSource, span_name: str = "op",
     # completion order, so the mean adds up in the order the ops ended
     for span in sorted((span for span in spans if span.finished),
                        key=lambda span: span.end_order):
-        if window is not None \
-                and not window[0] <= span.start <= window[1]:
-            continue
         if only_outcome is not None \
                 and span.end_attrs.get("outcome") != only_outcome:
             dropped += 1

@@ -251,7 +251,6 @@ class OpenLoopDriver(WorkloadDriver):
         tracer = self.system.metrics.tracer
         span = tracer.begin_span("op", op=op, id=op_id) \
             if tracer is not None else None
-        issued = self.system.sim.now
         outcome = "error"
         try:
             if op in ("read", "range"):
@@ -263,15 +262,6 @@ class OpenLoopDriver(WorkloadDriver):
                 yield from self._one_transaction(rng, 0, op)
                 outcome = self.op_timeline[-1].outcome
         finally:
-            if outcome == "committed":
-                # Live latency histograms: the same committed-op
-                # population `repro.slo.analyzer.latency_report` later
-                # extracts from the trace, but available online.  Pure
-                # bookkeeping -- no simulated time, no schedule effect.
-                latency = self.system.sim.now - issued
-                metrics = self.system.metrics
-                metrics.observe_hist("openloop.latency", latency)
-                metrics.observe_hist(f"openloop.latency.{op}", latency)
             self.inflight -= 1
             self._gauge_inflight()
             if span is not None:
@@ -364,11 +354,3 @@ class OpenLoopDriver(WorkloadDriver):
         if not self.pool:
             return None
         return self.pool.choice(rng)
-
-    # -- analysis ----------------------------------------------------------
-
-    def latencies(self, only_committed: bool = True) -> list[float]:
-        """Issue-to-completion latencies from the op timeline."""
-        return [record.latency for record in self.op_timeline
-                if record.issued >= 0
-                and (not only_committed or record.outcome == "committed")]

@@ -25,8 +25,7 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 #: walkthroughs; crash_recovery.py is covered by the recovery suites)
 GOLDEN_EXAMPLES = ["quickstart.py", "online_migration.py",
                    "traced_build.py", "latency_slo.py",
-                   "advisor_build.py", "live_telemetry.py",
-                   "index_organized_table.py"]
+                   "advisor_build.py", "index_organized_table.py"]
 
 
 def _run_example(name: str, *args: str) -> bytes:

@@ -36,49 +36,6 @@ def test_series_snapshot_is_serialisable_and_explicit_when_empty():
     assert snap["maximum"] == 4.0
 
 
-def test_series_delta_window():
-    stat = SeriesStat()
-    stat.observe(10.0)
-    before = SeriesStat(count=stat.count, total=stat.total)
-    stat.observe(5.0)
-    stat.observe(1.0)
-    window = stat.delta(before)
-    assert window.count == 2
-    assert window.total == 6.0
-    # empty window stays 0.0-safe
-    empty = stat.delta(SeriesStat(count=stat.count, total=stat.total))
-    assert empty.count == 0
-    assert empty.minimum == 0.0
-    assert empty.maximum == 0.0
-
-
-def test_series_merge_is_count_weighted():
-    left = SeriesStat()
-    for value in (1.0, 3.0):
-        left.observe(value)
-    right = SeriesStat()
-    for value in (5.0, 7.0, 9.0):
-        right.observe(value)
-    merged = left.merge(right)
-    assert merged is left
-    assert merged.count == 5
-    assert merged.total == 25.0
-    assert merged.mean == 5.0  # population mean, not mean-of-means (2.0, 7.0)
-    assert merged.minimum == 1.0
-    assert merged.maximum == 9.0
-
-
-def test_series_merge_with_empty_is_identity():
-    stat = SeriesStat()
-    stat.observe(4.0)
-    stat.merge(SeriesStat())
-    assert stat.snapshot() == {"count": 1, "total": 4.0, "mean": 4.0,
-                               "minimum": 4.0, "maximum": 4.0}
-    empty = SeriesStat()
-    empty.merge(stat)
-    assert empty.snapshot() == stat.snapshot()
-
-
 def test_registry_stat_for_unknown_series_is_empty():
     metrics = MetricsRegistry()
     stat = metrics.stat("never.observed")

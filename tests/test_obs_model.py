@@ -1,6 +1,6 @@
 """Tests for the trace model itself (repro.obs.trace, repro.obs.handle).
 
-* round trip -- every reader (report, dashboard, latency analyzer,
+* round trip -- every reader (report, latency analyzer,
   ``phase_durations``) gives the same result from ``recorder.events``
   and from ``Trace.loads(recorder.to_jsonl())``, for the quickstart, the
   SF crash story and an open-loop run;
@@ -9,8 +9,8 @@
 * off means off -- with nothing attached a build calls nothing in
   ``src/repro/obs/`` but the no-op handle's methods;
 * trace files are outside input -- a truncated file, an unknown schema
-  and a wrong event count are one ``error:`` line and exit 2 from all
-  three CLIs.
+  and a wrong event count are one ``error:`` line and exit 2 from
+  both CLIs.
 """
 
 import cProfile
@@ -31,7 +31,6 @@ from repro import (
     run_until_crash,
 )
 from repro.obs import Trace, TraceError, enable_tracing
-from repro.obs.dashboard import main as dashboard_main, render_dashboard
 from repro.obs.handle import NO_OBS, _NoObs
 from repro.obs.report import (
     main as report_main,
@@ -100,7 +99,6 @@ def _readings(source) -> dict:
     readings = {
         "report": render_report(source),
         "json": report_json(source),
-        "dashboard": render_dashboard(source),
         "phases": phase_durations(source),
     }
     try:
@@ -202,7 +200,7 @@ def _wrong_count(text: str) -> str:
     return "\n".join(text.splitlines()[:-3]) + "\n"
 
 
-@pytest.mark.parametrize("cli", [report_main, dashboard_main, slo_main])
+@pytest.mark.parametrize("cli", [report_main, slo_main])
 @pytest.mark.parametrize("damage,needle", [
     (_truncated, "is not JSON"),
     (_unknown_schema, "schema 99"),

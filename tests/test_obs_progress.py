@@ -185,7 +185,7 @@ def test_every_builder_reports_progress_to_completion(mode, kwargs):
     assert state["eta"] == 0.0
     assert state["mode"] == mode
     assert all(value == 1.0 for value in state["fractions"].values())
-    # the gauge stream the dashboard consumes is monotone and complete
+    # the build.progress gauge stream is monotone and complete
     points = [e["value"] for e in recorder.events
               if e["kind"] == "gauge" and e["name"] == "build.progress"
               and e["attrs"]["build"] == label]
@@ -373,8 +373,7 @@ def test_underthrottled_drain_is_flagged_diverging():
     """A hard-throttled SF build draining against live updates cannot
     gain on the side-file: the tracker must flag it ``diverging`` while
     the race is on, then report convergence and completion once the
-    update stream ends (EXPERIMENTS.md E24 tells the adaptive-throttle
-    version of this story)."""
+    update stream ends (EXPERIMENTS.md E24)."""
     system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
                                  sort_workspace=32,
                                  build_rate_limit=3.0), seed=7)

@@ -97,6 +97,22 @@ def test_report_filters_outcomes_and_windows():
     assert everything["ops"] == 4 and everything["dropped"] == 0
 
 
+def test_window_limits_the_crash_cut_count_too():
+    # an op cut short by a crash before the window is not part of the
+    # windowed population, so it is not counted as excluded either
+    events = [{"kind": "span_begin", "name": "op", "span": 1, "t": 1.0,
+               "attrs": {"op": "update", "id": 1}},
+              {"kind": "instant", "name": "system.crash", "t": 2.0,
+               "attrs": {}}]
+    events += _trace(_span(2, 10.0, 12.0), _span(3, 11.0, 14.0))
+    assert [span.crashed for span in Trace(events).spans] \
+        == [True, False, False]
+    report = latency_report(events, window=(5.0, 20.0))
+    assert report["ops"] == 2
+    assert report["excluded"] == 0
+    assert latency_report(events)["excluded"] == 1
+
+
 def test_report_raises_on_empty_population():
     with pytest.raises(ValueError):
         latency_report(_trace(_span(1, 0.0, 1.0)), window=(50.0, 60.0))
