@@ -91,7 +91,7 @@ def main() -> None:
           f"{system.metrics.get('build.sidefile_drained')}")
     print(f"  audit OK: {report['entries']} <city, primary-key> entries, "
           f"clustering {report['clustering']:.2f}")
-    (city,), rid = next(iter(index.tree.all_entries()))
+    city, rid = next(iter(index.tree.all_entries()))
     print(f"  sample entry: <{city!r}, pk={rid_page(rid)}>")
     counters = system.metrics.snapshot()
     print(f"  log: {counters['wal.records']} records, "

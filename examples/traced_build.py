@@ -29,6 +29,7 @@ from repro import (
     resume_build,
     run_until_crash,
 )
+from repro.btree.node import entry_key
 from repro.obs import enable_tracing, render_report
 
 ROWS = 1_200
@@ -71,7 +72,7 @@ def main(argv=None) -> None:
     highest = utility_state["manifest"]["events_by_ts"].get("highest_key")
     print(f"crashed in phase {utility_state.get('phase')!r}; "
           f"checkpoint resumes from key "
-          f"{highest[0] if highest else '(phase start)'}")
+          f"{entry_key(highest) if highest else '(phase start)'}")
 
     resumed = resume_build(recovered, utility_state)
     assert resumed is not None

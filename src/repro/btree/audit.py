@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.btree.node import BranchPage, CompositeKey, LeafPage
+from repro.btree.node import BranchPage, CompositeKey, LeafPage, entry_key
 from repro.btree.tree import BTree
 from repro.errors import ReproError
 
@@ -127,7 +127,7 @@ def audit_tree(tree: BTree) -> dict:
             f"{tree.name}: a pseudo-delete bit outlives its entry")
 
     if tree.unique:
-        key_values = [entry[0] for entry in all_composites]
+        key_values = list(map(entry_key, all_composites))
         if len(key_values) != len(set(key_values)):
             raise TreeAuditError(
                 f"{tree.name}: unique tree holds duplicate key values")

@@ -26,10 +26,11 @@ can feed it, section 3.2.4) and supports:
 from __future__ import annotations
 
 from itertools import pairwise, starmap
-from operator import eq, gt, itemgetter
+from operator import eq, gt
 from typing import Optional, Sequence
 
-from repro.btree.node import BranchPage, CompositeKey, LeafPage, format_entry
+from repro.btree.node import (BranchPage, CompositeKey, LeafPage, entry_key,
+                              format_entry, make_entry)
 from repro.btree.tree import BTree
 from repro.errors import IndexBuildError, StorageError
 
@@ -59,21 +60,20 @@ class BulkLoader:
 
     def append(self, key_value, rid) -> None:
         """Append the next key in sorted order."""
-        self.extend(((key_value, rid),))
+        self.extend((make_entry(key_value, rid),))
 
     def extend(self, composites: Sequence[CompositeKey]) -> None:
-        """Append a batch of ``(key value, rid)`` composites in sorted
-        order (rids may be raw ``(page, slot)`` tuples): the order and
+        """Append a batch of entries in sorted order: the order and
         unique-duplicate checks are made once for the batch, and the
-        composites themselves become the entries, sliced into the leaves
-        a leaf at a time (section 2.3.1's bottom-up append)."""
+        merger's entries themselves go in the leaves, sliced in a leaf at
+        a time (section 2.3.1's bottom-up append)."""
         if not composites:
             return
         chained = composites if self._last_composite is None \
             else [self._last_composite, *composites]
         if any(starmap(gt, pairwise(chained))) or (
                 self.tree.unique and any(starmap(eq, pairwise(
-                    map(itemgetter(0), chained))))):
+                    map(entry_key, chained))))):
             raise self._rejection(composites)
         self._last_composite = composites[-1]
         leaf = self._current_leaf
@@ -100,7 +100,8 @@ class BulkLoader:
         last = self._last_composite
         for at, composite in enumerate(composites):
             if last is not None and (composite < last or (
-                    self.tree.unique and composite[0] == last[0])):
+                    self.tree.unique
+                    and entry_key(composite) == entry_key(last))):
                 break
             last = composite
         self.extend(composites[:at])
@@ -110,7 +111,7 @@ class BulkLoader:
                 f"after {format_entry(self._last_composite)}")
         return IndexBuildError(
             f"cannot build unique index {self.tree.name}: duplicate "
-            f"key value {composite[0]!r}")
+            f"key value {entry_key(composite)!r}")
 
     def _first_leaf(self) -> LeafPage:
         leaf = self.tree._ensure_root()

@@ -1,37 +1,46 @@
-"""B+-tree page layouts.
+"""B+-tree page layouts, and the one layout of an index entry.
 
-Index pages hold ``<key value, RID>`` entries (section 1.1), each the
-plain composite tuple ``(key value, rid)`` -- the bulk load and IB put the
-sort's own pairs in the leaves, and every search is a C ``bisect`` over
-them; the rid is the int :func:`~repro.storage.rid.RID` packs, and a
-message prints an entry with :func:`format_entry`.  The paper's 1-bit
-*pseudo-delete*
-flag (section 2.1.2: "A 1-bit flag is associated with every key in the
-index to indicate whether the key is pseudo deleted or not") is
-membership in the tree's one ``pseudo_deleted`` set of composites.
-
-Composite ordering is ``(key value, RID)``: for a nonunique index two
-entries may share a key value and are ordered by RID; a unique index keeps
-at most one entry per key value (pseudo-deleted or not).
+Index pages hold ``<key value, RID>`` entries (section 1.1: a key value is
+"the concatenation of the indexed columns' values"), each one flat tuple
+``(*key_value, rid)`` ordered by key value, then RID.  The sort, the merge
+and every C ``bisect`` compare it one level deep, and the key tuple is the
+search sentinel: ``(k,)`` sorts below every ``(k, rid)``.  The bulk load
+and IB put the sort's own tuples in the leaves.  The paper's 1-bit
+*pseudo-delete* flag (section 2.1.2: "A 1-bit flag is associated with
+every key in the index to indicate whether the key is pseudo deleted or
+not") is membership in the tree's one ``pseudo_deleted`` set of entries.
+A unique index keeps at most one entry per key value (pseudo-deleted or
+not).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Optional
 
 from repro.metrics import MetricsRegistry
 from repro.sim.latch import Latch
 from repro.storage.rid import format_rid
 
-#: A composite key, and a leaf entry: (key_value, rid).
+#: A composite key, and a leaf entry: ``(*key_value, rid)``.
 CompositeKey = tuple
+
+#: an entry's key value: every field but the last (a new tuple)
+entry_key = itemgetter(slice(None, -1))
+#: an entry's RID: its last field
+entry_rid = itemgetter(-1)
+
+
+def make_entry(key_value: tuple, rid: int) -> CompositeKey:
+    """The entry of ``key_value`` in the record at ``rid``."""
+    return (*key_value, rid)
 
 
 def format_entry(entry: CompositeKey) -> str:
     """``(key value, rid)`` as messages print it, the rid as
     ``(page,slot)``."""
-    return f"({entry[0]!r}, {format_rid(entry[1])})"
+    return f"({entry_key(entry)!r}, {format_rid(entry_rid(entry))})"
 
 
 class IndexPage:
@@ -71,12 +80,12 @@ class LeafPage(IndexPage):
             return entries[pos]
         return None
 
-    def find_key_value(self, key_value) -> Optional[CompositeKey]:
+    def find_key_value(self, key_value: tuple) -> Optional[CompositeKey]:
         """First entry with this key value (for unique-index checks):
-        ``(key_value,)`` sorts below every entry that extends it."""
+        the key tuple sorts below every entry that extends it."""
         entries = self.entries
-        pos = bisect_left(entries, (key_value,))
-        if pos < len(entries) and entries[pos][0] == key_value:
+        pos = bisect_left(entries, key_value)
+        if pos < len(entries) and entry_key(entries[pos]) == key_value:
             return entries[pos]
         return None
 

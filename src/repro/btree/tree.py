@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_right, insort
-from itertools import filterfalse
+from itertools import filterfalse, pairwise
 from typing import Iterator, NamedTuple, Optional, Sequence, TYPE_CHECKING
 
-from repro.btree.node import BranchPage, CompositeKey, LeafPage, format_entry
+from repro.btree.node import (BranchPage, CompositeKey, LeafPage, entry_key,
+                              entry_rid, format_entry, make_entry)
 from repro.errors import IndexBuildError, StorageError, UniqueViolationError
 from repro.faultinject.injector import InjectedCrash
 from repro.faultinject.sites import fault_point, fault_points_enabled
@@ -53,10 +54,6 @@ from repro.wal.records import (HEADER_SIZE, OP_SIZE, LogRecord, RecordKind,
 if TYPE_CHECKING:  # pragma: no cover
     from repro.system import System
     from repro.txn.transaction import Transaction
-
-#: Sorts below every real RID; used to find the leftmost leaf for a key value.
-MIN_RID = -1
-
 
 class InsertOutcome(enum.Enum):
     """What a transaction's key insert physically did."""
@@ -227,12 +224,13 @@ class BTree:
                             ) -> tuple[LeafPage, Optional[CompositeKey]]:
         """Leftmost leaf covering ``key_value`` and its entry, if any.
 
-        Handles the leaf-boundary case where the only entry with this key
-        value is the first entry of the *next* leaf (its composite is the
-        separator).  Only meaningful for unique indexes, which hold at
-        most one entry per key value.
+        The key tuple sorts below every entry with this key value, so it
+        is the descent's probe.  Handles the leaf-boundary case where the
+        only entry with this key value is the first entry of the *next*
+        leaf (its composite is the separator).  Only meaningful for
+        unique indexes, which hold at most one entry per key value.
         """
-        leaf, _path = self._traverse((key_value, MIN_RID), count=False)
+        leaf, _path = self._traverse(key_value, count=False)
         entry = leaf.find_key_value(key_value)
         if entry is None:
             next_no = leaf.next_leaf
@@ -241,7 +239,7 @@ class BTree:
                 if successor is None:
                     break
                 if successor.entries:
-                    if successor.entries[0][0] == key_value:
+                    if entry_key(successor.entries[0]) == key_value:
                         return successor, successor.entries[0]
                     break
                 next_no = successor.next_leaf
@@ -381,21 +379,20 @@ class BTree:
     # transaction operations (generators)
     # ------------------------------------------------------------------
 
-    def _latched_leaf(self, composite: CompositeKey, *,
-                      by_key_value: bool = False):
+    def _latched_leaf(self, composite: CompositeKey,
+                      key_value: Optional[tuple] = None):
         """Generator: descend for ``composite`` and X-latch the leaf it
         lands on, again from the root while that leaf split during the
         latch wait.  Returns ``(leaf, path, visits)`` with the latch held:
         ``path`` good for the current ``structure_version``, ``visits``
         the pages the counted descent visited.
 
-        ``by_key_value`` (a unique insert) locates the leftmost leaf for
+        A ``key_value`` (a unique insert) locates the leftmost leaf for
         the key value alone, possibly the successor of the composite's
         leaf, and keeps it with no path while it holds the key value.
         """
-        key_value = composite[0]
         while True:
-            if by_key_value:
+            if key_value is not None:
                 leaf, _entry = self._find_for_key_value(key_value)
                 self.system.metrics.incr("index.traversals")
                 path, version = [], -1  # -1: descend under the latch
@@ -406,7 +403,7 @@ class BTree:
             yield Acquire(leaf.latch, EXCLUSIVE)
             path = self._path_after_wait(leaf, path, version, composite)
             if path is not None or (
-                    by_key_value
+                    key_value is not None
                     and leaf.find_key_value(key_value) is not None):
                 return leaf, path, visits
             leaf.latch.release(self.system.sim.current)
@@ -420,13 +417,13 @@ class BTree:
         inserted by IB, pseudo-delete reactivation, and the unique-index
         decision procedure.  Returns an :class:`InsertOutcome`.
         """
-        composite = (key_value, rid)
+        composite = make_entry(key_value, rid)
         while True:
             leaf, path, _visits = yield from self._latched_leaf(
-                composite, by_key_value=self.unique)
+                composite, key_value if self.unique else None)
             try:
-                outcome = yield from self._insert_decide(txn, leaf, path,
-                                                         key_value, rid)
+                outcome = yield from self._insert_decide(
+                    txn, leaf, path, composite, key_value, rid)
             finally:
                 leaf.latch.release(self.system.sim.current)
             if isinstance(outcome, InsertOutcome):
@@ -441,7 +438,8 @@ class BTree:
         yield Delay(self.system.config.key_op_cost)
         return outcome
 
-    def _insert_decide(self, txn, leaf, path, key_value, rid: int):
+    def _insert_decide(self, txn, leaf, path, composite: CompositeKey,
+                       key_value: tuple, rid: int):
         """A transaction's insert under the leaf latch.
 
         Returns an :class:`InsertOutcome`, raises
@@ -454,19 +452,19 @@ class BTree:
         conditionally -- probes never wait).
         """
         if not self.unique:
-            found = leaf.find_exact((key_value, rid))
+            found = leaf.find_exact(composite)
         else:
             found = leaf.find_key_value(key_value)
             if found is None and leaf.next_leaf is not None:
                 successor = self.pages[leaf.next_leaf]
                 if successor.entries \
-                        and successor.entries[0][0] == key_value:
+                        and entry_key(successor.entries[0]) == key_value:
                     return None  # re-traverse, rare
         if found is None:
             self._change(txn, leaf, path, None, "insert", "pseudo_delete",
                          key_value, rid, "index.inserts.txn")
             return InsertOutcome.INSERTED
-        if found[1] == rid:
+        if entry_rid(found) == rid:
             if found in self.pseudo_deleted:
                 # Section 2.2.3 step 8: resetting the pseudo-delete flag.
                 self._change(txn, leaf, path, found, "reactivate",
@@ -479,7 +477,7 @@ class BTree:
                          key_value, rid, "index.duplicate_rejections.txn")
             return InsertOutcome.DUPLICATE_NOOP
         # Unique, same key value, another RID: is that entry settled?
-        owner_lock = self._record_lock_name(found[1])
+        owner_lock = self._record_lock_name(entry_rid(found))
         if owner_lock in txn.held_locks:
             owner_terminated = True  # our own earlier change; settled
         else:
@@ -492,11 +490,11 @@ class BTree:
             # (the paper's <K,R> / <K,R1> example, section 2.2.3).
             self._change(txn, leaf, path, found, "replace_rid",
                          "restore_entry", key_value, rid,
-                         "index.rid_replacements", old_rid=found[1])
+                         "index.rid_replacements", old_rid=entry_rid(found))
             return InsertOutcome.REPLACED_RID
         raise UniqueViolationError(
             f"unique index {self.name}: key {key_value!r} already maps to "
-            f"committed record {format_rid(found[1])}")
+            f"committed record {format_rid(entry_rid(found))}")
 
     def txn_delete_key(self, txn: "Transaction", key_value, rid: int, *,
                        during_build: bool):
@@ -509,7 +507,7 @@ class BTree:
         skip next-key locking; the physical path (normal operation on a
         completed index) takes the next-key lock.
         """
-        composite = (key_value, rid)
+        composite = make_entry(key_value, rid)
         leaf, path, _visits = yield from self._latched_leaf(composite)
         try:
             exact = leaf.find_exact(composite)
@@ -554,7 +552,7 @@ class BTree:
         if next_entry is None:
             lock_name = ("index-eof", self.name)
         else:
-            lock_name = self._record_lock_name(next_entry[1])
+            lock_name = self._record_lock_name(entry_rid(next_entry))
         self.system.metrics.incr("index.nextkey_locks")
         yield from txn.lock(lock_name, "X", instant=instant)
 
@@ -607,7 +605,7 @@ class BTree:
             unique_check: Optional[tuple] = None
             try:
                 while index < total:
-                    # the merger's own pair goes in the leaf and the log
+                    # the merger's own entry goes in the leaf and the log
                     # record: the sort keeps it anyway
                     composite = keys[index]
                     if not leaf_covers(leaf, composite):
@@ -653,7 +651,8 @@ class BTree:
             if unique_check is not None:
                 # Latch-free verification; may raise IndexBuildError.
                 settled = yield from self._ib_unique_check(
-                    ib_txn, *unique_check)
+                    ib_txn, entry_key(unique_check),
+                    entry_rid(unique_check))
                 if not settled:
                     index += 1  # key skipped (record vanished meanwhile)
                 # else: retry the same key from the top
@@ -717,15 +716,16 @@ class BTree:
                 # Section 2.2.3: rejected inserts write no log record.
                 return "reject"
             return "insert"
-        key_value, rid = composite
+        key_value = entry_key(composite)
         found = leaf.find_key_value(key_value)
         if found is None and leaf.next_leaf is not None:
             successor = self.pages[leaf.next_leaf]
-            if successor.entries and successor.entries[0][0] == key_value:
+            if successor.entries \
+                    and entry_key(successor.entries[0]) == key_value:
                 found = successor.entries[0]
         if found is None:
             return "insert"
-        if found[1] == rid:
+        if entry_rid(found) == entry_rid(composite):
             return "reject"
         return "unique-check"
 
@@ -739,15 +739,15 @@ class BTree:
         self.system.metrics.incr("index.ib_unique_checks")
         table = self.system.tables[self.table_name]
         _leaf, found = self._find_for_key_value(key_value)
-        if found is None or found[1] == rid:
+        if found is None or entry_rid(found) == rid:
             return True
-        yield from ib_txn.lock(self._record_lock_name(found[1]), "S",
+        yield from ib_txn.lock(self._record_lock_name(entry_rid(found)), "S",
                                instant=True)
         yield from ib_txn.lock(self._record_lock_name(rid), "S",
                                instant=True)
         # Both records are now settled; re-verify the conflict.
         _leaf, still = self._find_for_key_value(key_value)
-        if still is None or still[1] == rid:
+        if still is None or entry_rid(still) == rid:
             return True
         mine = yield from table.read_latched(rid)
         if mine is None:
@@ -763,12 +763,12 @@ class BTree:
             if entry is not None and entry in self.pseudo_deleted:
                 self._change(ib_txn, leaf, None, entry, "replace_rid",
                              "restore_entry", key_value, rid,
-                             "index.rid_replacements", old_rid=entry[1],
-                             writer="ib")
+                             "index.rid_replacements",
+                             old_rid=entry_rid(entry), writer="ib")
                 self.system.metrics.incr("index.inserts.ib")
                 return False  # handled here; no retry needed
             return True
-        theirs = yield from table.read_latched(still[1])
+        theirs = yield from table.read_latched(entry_rid(still))
         if theirs is None:
             return True  # entry is stale; retry and re-evaluate
         if descriptor is not None \
@@ -776,8 +776,8 @@ class BTree:
             return True
         raise IndexBuildError(
             f"cannot build unique index {self.name}: committed records "
-            f"{format_rid(rid)} and {format_rid(still[1])} share key value "
-            f"{key_value!r}")
+            f"{format_rid(rid)} and {format_rid(entry_rid(still))} share key "
+            f"value {key_value!r}")
 
     def sf_drain_apply_batch(self, ib_txn: "Transaction",
                              entries: Sequence[tuple]):
@@ -821,17 +821,18 @@ class BTree:
         while index < total:
             _operation, key_value, rid = entries[index]
             leaf, path, visits = yield from self._latched_leaf(
-                (key_value, rid))
+                make_entry(key_value, rid))
             version = self.structure_version
             group = 0
             try:
                 while index < total:
                     operation, key_value, rid = entries[index]
-                    if not leaf_covers(leaf, (key_value, rid)):
+                    composite = make_entry(key_value, rid)
+                    if not leaf_covers(leaf, composite):
                         break  # next entry lives elsewhere; re-traverse
                     if version != self.structure_version:
                         path = None  # outdated by this group's own split
-                    exact = leaf.find_exact((key_value, rid))
+                    exact = leaf.find_exact(composite)
                     if operation != "insert":
                         if exact is not None:
                             change(ib_txn, leaf, path, exact,
@@ -860,14 +861,13 @@ class BTree:
         entries with one key value (checked when an SF drain finishes)."""
         if not self.unique:
             return
-        previous = None
-        for entry in self.all_entries():
-            if previous is not None and previous[0] == entry[0]:
+        for previous, entry in pairwise(self.all_entries()):
+            if entry_key(previous) == entry_key(entry):
                 raise IndexBuildError(
                     f"cannot build unique index {self.name}: records "
-                    f"{format_rid(previous[1])} and "
-                    f"{format_rid(entry[1])} share key value {entry[0]!r}")
-            previous = entry
+                    f"{format_rid(entry_rid(previous))} and "
+                    f"{format_rid(entry_rid(entry))} share key value "
+                    f"{entry_key(entry)!r}")
 
     # ------------------------------------------------------------------
     # the one index-key change: edited, logged, counted
@@ -889,11 +889,11 @@ class BTree:
         descend for the key as redo does (a caller that holds no leaf).
         """
         if action is not None:
+            composite = make_entry(key_value, rid)
             if leaf is None:
-                self.apply_logical(action, key_value, rid, old_rid)
+                self._apply(action, composite, old_rid)
             else:
-                self._edit(leaf, path, entry, action, key_value, rid,
-                           old_rid)
+                self._edit(leaf, path, entry, action, composite, old_rid)
         self._log_key_op(txn, action, key_value, rid,
                          undo_action=undo_action, old_rid=old_rid,
                          writer=writer)
@@ -912,20 +912,19 @@ class BTree:
                 writer=writer, size=size)
 
     def _edit(self, leaf: LeafPage, path, entry: Optional[CompositeKey],
-              action: str, key_value, rid, old_rid=None) -> None:
-        """The one edit of each logical action, made on ``entry`` --
-        ``leaf``'s entry for the key, None when it holds none -- and
-        ``leaf``'s dirty mark; the one writer of the pseudo-delete bits.
-        Idempotent: an action whose work is done (or has none) leaves the
-        entry as it is."""
+              action: str, composite: CompositeKey, old_rid=None) -> None:
+        """The one edit of each logical action on ``composite``, made on
+        ``entry`` -- ``leaf``'s entry for the key, None when it holds
+        none -- and ``leaf``'s dirty mark; the one writer of the
+        pseudo-delete bits.  Idempotent: an action whose work is done (or
+        has none) leaves the entry as it is."""
         self.dirty.add(leaf.page_no)
         pseudo_deleted = self.pseudo_deleted
         if entry is None:
             if action in ("insert", "reactivate", "insert_tombstone"):
-                entry = (key_value, rid)
-                self._insert_sorted(leaf, entry, path)
+                self._insert_sorted(leaf, composite, path)
                 if action == "insert_tombstone":
-                    pseudo_deleted.add(entry)
+                    pseudo_deleted.add(composite)
         elif action in ("insert", "reactivate"):
             pseudo_deleted.discard(entry)
         elif action in ("insert_tombstone", "pseudo_delete"):
@@ -940,8 +939,8 @@ class BTree:
             # <key, old_rid> pseudo-deleted (only a terminated deleter's
             # tombstone is ever replaced).
             pseudo_deleted.discard(entry)
-            replaced = (entry[0], rid if action == "replace_rid"
-                        else old_rid)
+            replaced = composite if action == "replace_rid" \
+                else make_entry(entry_key(composite), old_rid)
             leaf.entries[leaf.position(entry)] = replaced
             if action == "restore_entry":
                 pseudo_deleted.add(replaced)
@@ -974,22 +973,26 @@ class BTree:
             # build re-insert a key whose record is gone.
             inner = ("insert" if action == "insert_many"
                      else "remove_unless_tombstoned")
-            for kv, r in key_value:
-                self.apply_logical(inner, kv, r)
+            for composite in key_value:
+                self._apply(inner, composite)
             return
-        composite = (key_value, rid)
+        self._apply(action, make_entry(key_value, rid), old_rid)
+
+    def _apply(self, action: str, composite: CompositeKey,
+               old_rid=None) -> None:
+        """:meth:`apply_logical` of one entry, which goes in as it is."""
         leaf, path = self._traverse(composite, count=False)
         entry = leaf.find_exact(composite)
         if action == "replace_rid":
             # The entry to revive sits under its old RID, on whichever
             # leaf that descends to; both leaves are imaged.
             self.dirty.add(leaf.page_no)
-            old = (key_value, old_rid)
+            old = make_entry(entry_key(composite), old_rid)
             old_leaf, _path = self._traverse(old, count=False)
             old_entry = old_leaf.find_exact(old)
             if old_entry is not None:
                 leaf, entry = old_leaf, old_entry
-        self._edit(leaf, path, entry, action, key_value, rid, old_rid)
+        self._edit(leaf, path, entry, action, composite, old_rid)
 
     # ------------------------------------------------------------------
     # recovery integration
@@ -1103,14 +1106,15 @@ class BTree:
     def search(self, key_value, rid: Optional[int] = None):
         """Generator: latch-and-read one entry (or first for key value)."""
         if rid is not None:
-            leaf, _path = self._traverse((key_value, rid))
+            composite = make_entry(key_value, rid)
+            leaf, _path = self._traverse(composite)
         else:
             leaf, _entry = self._find_for_key_value(key_value)
             self.system.metrics.incr("index.traversals")
         yield Acquire(leaf.latch, SHARE)
         try:
             if rid is not None:
-                entry = leaf.find_exact((key_value, rid))
+                entry = leaf.find_exact(composite)
             else:
                 entry = leaf.find_key_value(key_value)
         finally:

@@ -215,35 +215,3 @@ class ClusterOpenLoopDriver(OpenLoopDriver):
         self.cluster.metrics.incr("cluster.driver_rebinds")
         self.cluster.tracer.instant("cluster.driver_rebound",
                                     primary=node.name)
-
-
-def cluster_latency_report(driver: ClusterOpenLoopDriver,
-                           window: Optional[tuple] = None) -> dict:
-    """Latency percentiles per op class from the driver's own timeline.
-
-    A trace-independent cross-check of the ``repro.slo`` span analyzer:
-    uses :class:`OpRecord` issue stamps, optionally windowed on
-    completion time.
-    """
-    from repro.slo.analyzer import percentile
-    by_op: dict[str, list[float]] = {}
-    for record in driver.op_timeline:
-        if record.outcome != "committed" or record.issued < 0:
-            continue
-        if window is not None \
-                and not (window[0] <= record.time <= window[1]):
-            continue
-        by_op.setdefault(record.op, []).append(record.latency)
-    out: dict = {"by_op": {}}
-    everything: list[float] = []
-    for op, values in sorted(by_op.items()):
-        everything.extend(values)
-        out["by_op"][op] = {
-            "count": len(values),
-            "p50": percentile(values, 50.0),
-            "p99": percentile(values, 99.0),
-        }
-    out["count"] = len(everything)
-    out["p50"] = percentile(everything, 50.0) if everything else None
-    out["p99"] = percentile(everything, 99.0) if everything else None
-    return out

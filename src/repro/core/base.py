@@ -19,6 +19,7 @@ to eliminate).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.btree.loader import BulkLoader
@@ -240,10 +241,12 @@ class BuilderBase:
         self._remove_context()
         self._write_utility_checkpoint({"phase": "done"})
         # A done build never resumes, so its sort runs (every shard's
-        # share one store per index) have no reader left; ``sealed:``
-        # stays, it is a rebuild's input.
+        # share one store per index) have no reader left, nor do the
+        # sorters that reach them; ``sealed:`` stays, a rebuild's input.
         for descriptor in self.descriptors:
             self.system.run_stores.pop(f"sort:{descriptor.name}", None)
+        self._sorters.clear()
+        self._compare_charged.clear()
         self._mark("done")
         self.obs.end("build")
         return self.descriptors
@@ -652,7 +655,7 @@ class BuilderBase:
         # own disabled test, so sweep discovery and armed runs see an
         # unchanged hit schedule).
         targets = [(d, sorters[d.name]) for d in self.descriptors]
-        extractors = [(d.extract_key, sorter.push_many)
+        extractors = [(d.column_getters, sorter.push_many)
                       for d, sorter in targets]
         fp_enabled = fault_points_enabled(metrics)
         while True:
@@ -670,9 +673,12 @@ class BuilderBase:
                 try:
                     records = page.live_records()
                     if records:
-                        for extract_key, push_many in extractors:
-                            push_many([(extract_key(record.values), rid)
-                                       for rid, record in records])
+                        rids = [rid for rid, _record in records]
+                        rows = [record.values for _rid, record in records]
+                        # the (*key, rid) entries of the page, zipped in C
+                        for getters, push_many in extractors:
+                            push_many(list(zip(
+                                *map(map, getters, repeat(rows)), rids)))
                         if fp_enabled:
                             for _ in records:
                                 fault_point(metrics, "build.sort_push")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.btree.node import entry_key, entry_rid
 from repro.core.descriptor import IndexDescriptor
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE
@@ -58,7 +59,7 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
                     doomed.append(entry)
                     continue
                 granted = yield from txn.lock(
-                    ("rec", descriptor.table.name, entry[1]), "S",
+                    ("rec", descriptor.table.name, entry_rid(entry)), "S",
                     conditional=True, instant=True)
                 if granted:
                     doomed.append(entry)
@@ -71,7 +72,8 @@ def cleanup_pseudo_deleted(system: "System", descriptor: IndexDescriptor):
                         and entry in pseudo_deleted:
                     removed += 1
                     tree._change(txn, leaf, None, entry, "physical_delete",
-                                 None, *entry, None, writer="gc")
+                                 None, entry_key(entry), entry_rid(entry),
+                                 None, writer="gc")
         finally:
             leaf.latch.release(system.sim.current)
         if removed + skipped > before:  # this leaf collected or skipped

@@ -60,9 +60,10 @@ class IndexDescriptor:
         self.key_columns = tuple(key_columns)
         self.unique = unique
         self.column_indexes = table.column_indexes(self.key_columns)
-        #: ``record.values`` -> key value, in C; the build scan calls it
-        #: once per record
+        #: ``record.values`` -> key value, and one getter per key column
+        #: that the build scans zip into entries (both in C)
         self.extract_key = key_extractor(self.column_indexes)
+        self.column_getters = tuple(map(itemgetter, self.column_indexes))
         self.tree = BTree(system, name, table.name, unique=unique,
                           leaf_capacity=leaf_capacity)
         self.state = IndexState.BUILDING

@@ -142,11 +142,11 @@ class IOTable:
         index (``None``: no row)."""
         if new is None:
             self.rows.pop(pk, None)
-            self.primary.apply_logical("physical_delete", pk, RID(0, 0))
+            self.primary.apply_logical("physical_delete", (pk,), RID(0, 0))
         else:
             self.rows[pk] = new
             if old is None:
-                self.primary.apply_logical("insert", pk, RID(0, 0))
+                self.primary.apply_logical("insert", (pk,), RID(0, 0))
 
     # -- scans and audits --------------------------------------------------------------
 

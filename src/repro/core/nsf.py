@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.btree.node import entry_key
 from repro.btree.tree import IBCursor
 from repro.core.base import BuilderBase
 from repro.core.maintenance import NSF_MODE
@@ -74,8 +75,8 @@ class NSFIndexBuilder(BuilderBase):
             return
         descriptor.read_watermark = highest
         if self.obs.tracer is not None:
-            self.obs.gauge("read_watermark", key_metric(highest[0]),
-                           index=descriptor.name, key=str(highest[0]))
+            self.obs.gauge("read_watermark", key_metric(entry_key(highest)),
+                           index=descriptor.name, key=str(entry_key(highest)))
 
     def _insert_step(self, descriptor, merger: Optional[RestartableMerger]):
         """Phase 3 for one index.  Already-inserted keys of a resumed

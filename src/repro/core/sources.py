@@ -36,7 +36,8 @@ that the per-index manifest is the only progress state
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from repro.core.descriptor import IndexState
@@ -185,6 +186,7 @@ class ShardScan(KeySource):
     def mergers(self):
         builder = self.builder
         yield from self._parallel_scan_phase()
+        self._shard_sorters.clear()  # the runs are named in the manifest
         builder._mark("scan_done")
         builder.obs.end("scan")
         # The transition checkpoint comes before the shard merges: from
@@ -590,7 +592,7 @@ class IotScan(KeySource):
         rows = builder.table.rows
         primary = builder.table.primary
         context = builder.context
-        pushes = [(d.extract_key, builder._sorters[d.name].push_many)
+        pushes = [(d.column_getters, builder._sorters[d.name].push_many)
                   for d in builder.descriptors]
         visit_cost = builder.system.config.tree_visit_cost
         builder.obs.begin("scan")
@@ -600,9 +602,13 @@ class IotScan(KeySource):
                 primary.entries_from((last + 1,)), self.batch)]
             if not chunk:
                 break
-            for extract_key, push_many in pushes:
-                push_many([(extract_key(rows[pk].values), RID(pk, 0))
-                           for pk in chunk])
+            values = list(map(attrgetter("values"),
+                              map(rows.__getitem__, chunk)))
+            rids = [RID(pk, 0) for pk in chunk]
+            # the scan's own (*key, rid) entries, zipped in C
+            for getters, push_many in pushes:
+                push_many(list(zip(*map(map, getters, repeat(values)),
+                                   rids)))
             last = chunk[-1]
             context.current_rid = RID(last, 1)
             builder.obs.advance("scan", total=len(rows), step=len(chunk))

@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional, TYPE_CHECKING
 
+from repro.btree.node import entry_key
 from repro.sim.kernel import Delay, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -209,8 +210,8 @@ def sample_gauges(system: "System", recorder: TraceRecorder) -> None:
         if watermark is not None:
             # Footnote 3 gradual availability: the committed key frontier
             # readable before the index is fully built.
-            recorder.gauge("read_watermark", key_metric(watermark[0]),
-                           index=name, key=str(watermark[0]))
+            recorder.gauge("read_watermark", key_metric(entry_key(watermark)),
+                           index=name, key=str(entry_key(watermark)))
 
 
 def _sampler(system: "System", recorder: TraceRecorder, interval: float):

@@ -29,6 +29,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator, Optional, TYPE_CHECKING
 
+from repro.btree.node import entry_key, entry_rid
 from repro.core.descriptor import IndexDescriptor, IndexState
 from repro.errors import ReproError
 from repro.sim.kernel import Delay
@@ -52,18 +53,23 @@ def set_gradual_availability(descriptor: IndexDescriptor,
     descriptor.gradual_reads = enabled
 
 
-def _check_readable(descriptor: IndexDescriptor, high_key) -> None:
+def _check_readable(descriptor: IndexDescriptor, high_key, *,
+                    inclusive: bool) -> None:
+    """The watermark is IB's highest committed entry: its own key may
+    have entries left in the sort, so an ``inclusive`` bound must lie
+    below that key, an exclusive one may equal it."""
     if descriptor.state is IndexState.AVAILABLE:
         return
     if getattr(descriptor, "gradual_reads", False):
         watermark = getattr(descriptor, "read_watermark", None)
-        if watermark is not None and high_key is not None \
-                and high_key <= watermark[0]:
+        frontier = None if watermark is None else entry_key(watermark)
+        if frontier is not None and high_key is not None and (
+                high_key < frontier
+                or not inclusive and high_key == frontier):
             return  # range lies entirely below IB's committed frontier
         raise IndexNotAvailableError(
             f"index {descriptor.name} is built only up to key "
-            f"{watermark[0] if watermark else None!r}; "
-            f"requested up to {high_key!r}")
+            f"{frontier!r}; requested up to {high_key!r}")
     raise IndexNotAvailableError(
         f"index {descriptor.name} is still being built "
         f"({descriptor.state.value})")
@@ -76,14 +82,14 @@ def index_lookup(txn: "Transaction", descriptor: IndexDescriptor,
     Returns a list of ``(rid, record)``.  S-locks each qualifying record
     (data-only locking) before reading it.
     """
-    _check_readable(descriptor, key_value)
+    _check_readable(descriptor, key_value, inclusive=True)
     system = descriptor.system
     table = descriptor.table
     results = []
     pseudo_deleted = descriptor.tree.pseudo_deleted
     for entry in _entries_in_range(descriptor, key_value, key_value,
                                    inclusive_high=True):
-        rid = entry[1]
+        rid = entry_rid(entry)
         yield from txn.lock(table.lock_name(rid), "S")
         if entry in pseudo_deleted:
             continue  # committed-deleted; lock settled it
@@ -105,8 +111,7 @@ def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
     range before this transaction ends ([Moha90a]).
     Returns ``[(key_value, rid, record), ...]`` in key order.
     """
-    _check_readable(descriptor,
-                    high_key if high_key is not None else None)
+    _check_readable(descriptor, high_key, inclusive=False)
     system = descriptor.system
     table = descriptor.table
     results = []
@@ -117,7 +122,7 @@ def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
                                    capture_next=True):
         if entry is _RANGE_END:
             break
-        key_value, rid = entry
+        key_value, rid = entry_key(entry), entry_rid(entry)
         if high_key is not None and key_value >= high_key:
             last_rid_beyond = rid
             break
@@ -157,16 +162,16 @@ def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
     tree = descriptor.tree
     if tree.root is None:
         return
-    last = (low_key,)  # sorts below every entry with key value low_key
+    last = low_key  # sorts below every entry with key value low_key
     leaf, _path = tree._traverse(last, count=False)
     while leaf is not None:
         entries = leaf.entries
         for entry in entries[bisect_right(entries, last):]:
             last = entry
             if high_key is not None:
-                beyond = (entry[0] > high_key if inclusive_high
-                          else entry[0] >= high_key)
-                if beyond:
+                key_value = entry_key(entry)
+                if key_value > high_key if inclusive_high \
+                        else key_value >= high_key:
                     yield entry
                     return
             yield entry

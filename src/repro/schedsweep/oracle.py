@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.btree.audit import audit_tree
-from repro.btree.node import format_entry
+from repro.btree.node import format_entry, make_entry
 from repro.verify import audit_index
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -80,12 +80,12 @@ def _serial_reference_check(descriptor) -> str:
     """Order-exact comparison against the serial reference.
 
     The reference is what a quiesced offline build over the *final*
-    table state produces: every live ``(key, rid)`` pair, sorted.  The
+    table state produces: every live entry, sorted.  The
     online build under an adversarial schedule must converge to exactly
     that sequence.
     """
     reference = sorted(
-        (descriptor.key_of(record), rid)
+        make_entry(descriptor.key_of(record), rid)
         for rid, record in descriptor.table.audit_records())
     actual = list(descriptor.tree.all_entries())
     if actual != reference:

@@ -1,7 +1,7 @@
 """Order-preserving fixed-width compressed key codec.
 
-Composite keys ``(col0, col1, ..., page, slot)`` are packed column-wise into a
-single Python machine integer so that ``encode(a) < encode(b)  <=>  a < b``.
+Index entries ``(col0, col1, ..., rid)`` are packed column-wise into a single
+Python machine integer so that ``encode(a) < encode(b)  <=>  a < b``.
 Run formation and ``RestartableMerger`` then compare one int instead of a
 composite tuple; decoding is deferred until the bulk load.
 
@@ -31,6 +31,7 @@ bare ints is always decisive across the exact/spilled boundary.
 
 from __future__ import annotations
 
+from repro.btree.node import entry_key, entry_rid, make_entry
 from repro.storage.rid import SLOT_BITS
 
 INT_BITS = 40
@@ -53,8 +54,8 @@ class SpilledKey:
     """A key whose fixed-width encoding was lossy.
 
     ``code`` orders it against every other key (exact or spilled) up to the
-    encoded prefix; ``raw`` is the ``(key_tuple, rid)`` pair used to
-    break exact prefix ties and to recover the original key on decode.
+    encoded prefix; ``raw`` is the entry itself, used to break exact
+    prefix ties and returned as is on decode.
     """
 
     __slots__ = ("code", "raw")
@@ -220,17 +221,16 @@ class KeyCodec:
 
     # -- encode / decode ---------------------------------------------------
 
-    def encode(self, key_value, rid):
-        """Encode ``(key_value, rid)`` into an int or a SpilledKey.
-
-        ``rid`` is the int RID carried through the sort pipeline (the
-        uncompressed path pushes the same ``(key_value, rid)`` pairs).
+    def encode(self, entry):
+        """Encode an entry into an int or a SpilledKey (the uncompressed
+        path pushes the same entries).
 
         The column encoding is memoized per distinct key value (the rid
         fields are folded in fresh for every record): repeated key values
         -- the normal case for a secondary index -- pay one dict hit
         instead of the column loop.
         """
+        key_value, rid = entry_key(entry), entry_rid(entry)
         try:
             cached = self._encode_cache.get(key_value)
         except TypeError:  # unhashable column value: encode directly
@@ -248,7 +248,7 @@ class KeyCodec:
                 code |= _RID_FIELD_MAX
             # rid < 0 leaves the field at the 0 underflow sentinel
         self.spills += 1
-        return SpilledKey(code, (key_value, rid))
+        return SpilledKey(code, entry)
 
     def _encode_columns(self, key_value):
         """``(code, spilled)`` for the column fields alone (rid bits 0)."""
@@ -297,7 +297,7 @@ class KeyCodec:
         return code, spilled
 
     def decode(self, encoded):
-        """Recover ``(key_value, rid)`` from an encoded key.
+        """Recover the entry an encoded key came from.
 
         The column tuple is memoized per distinct column code (the
         mirror of the encode memo): the final merger emits duplicates
@@ -310,7 +310,7 @@ class KeyCodec:
         column_code = encoded >> RID_BITS
         cached = self._decode_cache.get(column_code)
         if cached is not None:
-            return cached, rid
+            return make_entry(cached, rid)
         values = []
         for index, kind in enumerate(self.kinds):
             field = encoded >> self._shifts[index]
@@ -325,7 +325,7 @@ class KeyCodec:
         values = tuple(values)
         if len(self._decode_cache) < _CACHE_LIMIT:
             self._decode_cache[column_code] = values
-        return values, rid
+        return make_entry(values, rid)
 
 
 _STR_DECODE = b"\x00" + bytes(range(255))  # byte -> byte - 1 (index 0 unused)

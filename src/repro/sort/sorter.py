@@ -30,6 +30,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Any, Optional, Sequence
 
+from repro.btree.node import entry_key
 from repro.errors import SortRestartError
 from repro.sort.codec import KeyCodec
 from repro.sort.runs import RunStore, SortRun
@@ -242,14 +243,14 @@ class RunFormation:
 class CompressedRunFormation(RunFormation):
     """Run formation over codec-encoded keys (compressed key sort).
 
-    The caller still pushes raw ``(key_value, rid)`` pairs; they are
-    encoded into machine integers at push time, so selection compares one
-    int per key instead of a composite tuple.  Runs store the codes, so
+    The caller still pushes raw entries; they are encoded into machine
+    integers at push time, so selection compares one int per key instead
+    of a composite tuple.  Runs store the codes, so
     the merge phase and the final-merger output also compare ints; decode
     happens only at the bulk load.
 
     If the codec cannot represent the first key's column types it disables
-    itself and every path falls back to the raw pairs -- one sorter never
+    itself and every path falls back to the raw entries -- one sorter never
     mixes encoded and raw keys.
     """
 
@@ -258,14 +259,13 @@ class CompressedRunFormation(RunFormation):
         super().__init__(store, workspace_size)
         self.codec = codec if codec is not None else KeyCodec()
 
-    def push_many(self, pairs: Sequence[Any]) -> None:
+    def push_many(self, entries: Sequence[Any]) -> None:
         codec = self.codec
-        if pairs and not codec.bound and not codec.disabled:
-            codec.bind(pairs[0][0])
+        if entries and not codec.bound and not codec.disabled:
+            codec.bind(entry_key(entries[0]))
         if not codec.disabled:
-            encode = codec.encode
-            pairs = [encode(key_value, raw) for key_value, raw in pairs]
-        super().push_many(pairs)
+            entries = list(map(codec.encode, entries))
+        super().push_many(entries)
 
     def checkpoint(self, scan_position: Any) -> dict:
         manifest = RunFormation.checkpoint(self, scan_position)

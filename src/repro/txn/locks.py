@@ -329,9 +329,6 @@ class LockManager:
             return {}
         return {txn.txn_id: mode for txn, mode in head.holders.items()}
 
-    def is_locked(self, name: Hashable) -> bool:
-        return bool(self._heads.get(name) and self._heads[name].holders)
-
 
 # -- the waits-for search ---------------------------------------------------
 

@@ -195,9 +195,6 @@ class TransactionManager:
     def finished(self, txn: Transaction) -> None:
         self.active.pop(txn.txn_id, None)
 
-    def is_active(self, txn_id: int) -> bool:
-        return txn_id in self.active
-
     def commit_lsn(self) -> int:
         """Mohan's Commit_LSN [Moha90b]: all log records with LSN below
         this belong to terminated transactions, so any page whose Page-LSN

@@ -15,9 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.btree.audit import audit_tree
-from repro.btree.node import BranchPage
+from repro.btree.node import BranchPage, entry_key, format_entry, make_entry
 from repro.errors import ReproError
-from repro.btree.node import format_entry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.descriptor import IndexDescriptor
@@ -50,15 +49,17 @@ def audit_index(system: "System", descriptor: "IndexDescriptor") -> dict:
                 raise ConsistencyError(
                     f"{descriptor.name}: duplicate live entry "
                     f"{format_entry(entry)}")
-            duplicate_key_value |= entry[0] == previous[0]
+            if descriptor.unique:
+                duplicate_key_value |= \
+                    entry_key(entry) == entry_key(previous)
         previous = entry
         entries += 1
     rows = hits = 0
     for rid, record in descriptor.table.audit_records():
         rows += 1
-        hits += _holds(tree, (key_of(record), rid))
+        hits += _holds(tree, make_entry(key_of(record), rid))
     if not hits == rows == entries:
-        table = {(key_of(record), rid)
+        table = {make_entry(key_of(record), rid)
                  for rid, record in descriptor.table.audit_records()}
         index = set(tree.all_entries())
         missing, spurious = table - index, index - table

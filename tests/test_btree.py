@@ -3,7 +3,7 @@
 import pytest
 
 from repro.btree import BTree, BulkLoader, IBCursor, InsertOutcome, audit_tree
-from repro.btree.tree import IX_ACTION, IX_INDEX, IX_KEY, MIN_RID
+from repro.btree.tree import IX_ACTION, IX_INDEX, IX_KEY
 from repro.errors import IndexBuildError, UniqueViolationError
 from repro.storage import RID
 from repro.system import System, SystemConfig
@@ -31,7 +31,7 @@ def insert_keys(system, tree, keys, during_build=True):
         outcomes = []
         for kv, rid in keys:
             out = yield from tree.txn_insert_key(
-                txn, kv, rid, during_build=during_build)
+                txn, (kv,), rid, during_build=during_build)
             outcomes.append(out)
         yield from txn.commit()
         return outcomes
@@ -45,7 +45,7 @@ def test_insert_and_search_single_key():
 
     def body():
         txn = system.txns.begin()
-        entry = yield from tree.search(5, RID(0, 0))
+        entry = yield from tree.search((5,), RID(0, 0))
         yield from txn.commit()
         return entry
 
@@ -89,11 +89,11 @@ def test_pseudo_delete_then_reinsert_reactivates():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_insert_key(txn, 5, RID(0, 0), during_build=True)
-        yield from tree.txn_delete_key(txn, 5, RID(0, 0), during_build=True)
+        yield from tree.txn_insert_key(txn, (5,), RID(0, 0), during_build=True)
+        yield from tree.txn_delete_key(txn, (5,), RID(0, 0), during_build=True)
         assert tree.key_count() == 0
         assert tree.key_count(include_pseudo_deleted=True) == 1
-        out = yield from tree.txn_insert_key(txn, 5, RID(0, 0),
+        out = yield from tree.txn_insert_key(txn, (5,), RID(0, 0),
                                              during_build=True)
         yield from txn.commit()
         return out
@@ -108,7 +108,7 @@ def test_delete_of_missing_key_inserts_tombstone():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_delete_key(txn, 9, RID(1, 1), during_build=True)
+        yield from tree.txn_delete_key(txn, (9,), RID(1, 1), during_build=True)
         yield from txn.commit()
 
     drive(system, body())
@@ -124,7 +124,7 @@ def test_physical_delete_outside_build():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_delete_key(txn, 3, RID(0, 3),
+        yield from tree.txn_delete_key(txn, (3,), RID(0, 3),
                                        during_build=False)
         yield from txn.commit()
 
@@ -148,7 +148,7 @@ def test_unique_violation_on_committed_duplicate():
     def body():
         txn = system.txns.begin()
         try:
-            yield from tree.txn_insert_key(txn, 5, RID(0, 1),
+            yield from tree.txn_insert_key(txn, (5,), RID(0, 1),
                                            during_build=True)
         finally:
             yield from txn.rollback()
@@ -164,11 +164,11 @@ def test_unique_tombstone_revived_with_new_rid():
 
     def body():
         t1 = system.txns.begin()
-        yield from tree.txn_insert_key(t1, 5, RID(0, 0), during_build=True)
-        yield from tree.txn_delete_key(t1, 5, RID(0, 0), during_build=True)
+        yield from tree.txn_insert_key(t1, (5,), RID(0, 0), during_build=True)
+        yield from tree.txn_delete_key(t1, (5,), RID(0, 0), during_build=True)
         yield from t1.commit()
         t2 = system.txns.begin()
-        out = yield from tree.txn_insert_key(t2, 5, RID(0, 1),
+        out = yield from tree.txn_insert_key(t2, (5,), RID(0, 1),
                                              during_build=True)
         yield from t2.commit()
         return out
@@ -192,7 +192,7 @@ def test_unique_insert_waits_for_uncommitted_deleter():
         txn = system.txns.begin("deleter")
         # The deleter holds the record lock, as the record manager would.
         yield from txn.lock(("rec", "t", RID(0, 0)), "X")
-        yield from tree.txn_delete_key(txn, 5, RID(0, 0),
+        yield from tree.txn_delete_key(txn, (5,), RID(0, 0),
                                        during_build=True)
         from repro.sim import Delay
         yield Delay(20)
@@ -203,7 +203,7 @@ def test_unique_insert_waits_for_uncommitted_deleter():
         from repro.sim import Delay
         yield Delay(1)
         txn = system.txns.begin("inserter")
-        out = yield from tree.txn_insert_key(txn, 5, RID(0, 1),
+        out = yield from tree.txn_insert_key(txn, (5,), RID(0, 1),
                                              during_build=True)
         timeline.append(("inserted", system.now(), out))
         yield from txn.commit()
@@ -222,7 +222,7 @@ def test_rollback_of_insert_pseudo_deletes_key():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_insert_key(txn, 5, RID(0, 0), during_build=True)
+        yield from tree.txn_insert_key(txn, (5,), RID(0, 0), during_build=True)
         yield from txn.rollback()
 
     drive(system, body())
@@ -237,7 +237,7 @@ def test_rollback_of_delete_reactivates_key():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_delete_key(txn, 5, RID(0, 0), during_build=True)
+        yield from tree.txn_delete_key(txn, (5,), RID(0, 0), during_build=True)
         yield from txn.rollback()
 
     drive(system, body())
@@ -252,7 +252,7 @@ def test_rollback_of_tombstone_insert_reactivates():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_delete_key(txn, 9, RID(1, 1), during_build=True)
+        yield from tree.txn_delete_key(txn, (9,), RID(1, 1), during_build=True)
         yield from txn.rollback()
 
     drive(system, body())
@@ -307,7 +307,7 @@ def test_ib_insert_rejected_when_tombstone_present():
 
     def body():
         txn = system.txns.begin()
-        yield from tree.txn_delete_key(txn, 5, RID(0, 0), during_build=True)
+        yield from tree.txn_delete_key(txn, (5,), RID(0, 0), during_build=True)
         yield from txn.commit()
         ib = system.txns.begin("IB")
         count = yield from tree.ib_insert_batch(ib, [(5, RID(0, 0))],
@@ -366,7 +366,7 @@ def test_bulk_load_perfect_clustering_and_structure():
     system, tree = make_tree(leaf_capacity=4)
     loader = BulkLoader(tree)
     for k in range(100):
-        loader.append(k, RID(k // 16, k % 16))
+        loader.append((k,), RID(k // 16, k % 16))
     loader.finish()
     stats = audit_tree(tree)
     assert stats["entries"] == 100
@@ -379,7 +379,7 @@ def test_bulk_load_fill_factor_leaves_space():
     system, tree = make_tree(leaf_capacity=10)
     loader = BulkLoader(tree, fill_free_fraction=0.5)
     for k in range(20):
-        loader.append(k, RID(0, k % 16))
+        loader.append((k,), RID(0, k % 16))
     loader.finish()
     leaves = list(tree.leaf_chain())
     assert all(len(leaf.entries) <= 5 for leaf in leaves)
@@ -389,33 +389,33 @@ def test_bulk_load_fill_factor_leaves_space():
 def test_bulk_load_rejects_out_of_order():
     system, tree = make_tree()
     loader = BulkLoader(tree)
-    loader.append(5, RID(0, 0))
+    loader.append((5,), RID(0, 0))
     with pytest.raises(IndexBuildError):
-        loader.append(3, RID(0, 1))
+        loader.append((3,), RID(0, 1))
 
 
 def test_bulk_load_unique_rejects_duplicate_key_value():
     system, tree = make_tree(unique=True)
     loader = BulkLoader(tree)
-    loader.append(5, RID(0, 0))
+    loader.append((5,), RID(0, 0))
     with pytest.raises(IndexBuildError):
-        loader.append(5, RID(0, 1))
+        loader.append((5,), RID(0, 1))
 
 
 def test_bulk_load_resume_continues_after_checkpoint():
     system, tree = make_tree(leaf_capacity=4)
     loader = BulkLoader(tree)
     for k in range(30):
-        loader.append(k, RID(0, k % 16))
+        loader.append((k,), RID(0, k % 16))
     tree.force()  # SF's index checkpoint
     for k in range(30, 60):
-        loader.append(k, RID(1, k % 16))
+        loader.append((k,), RID(1, k % 16))
     tree.crash()  # lose everything after the checkpoint
     assert tree.key_count() == 30
     loader = BulkLoader.resume(tree)
     assert loader.highest_key == (29, RID(0, 29 % 16))
     for k in range(30, 60):
-        loader.append(k, RID(1, k % 16))
+        loader.append((k,), RID(1, k % 16))
     loader.finish()
     audit_tree(tree)
     assert [e[0] for e in tree.all_entries()] == list(range(60))
@@ -439,7 +439,7 @@ def delete_keys(system, tree, keys):
     def body():
         txn = system.txns.begin()
         for kv, rid in keys:
-            yield from tree.txn_delete_key(txn, kv, rid,
+            yield from tree.txn_delete_key(txn, (kv,), rid,
                                            during_build=True)
         yield from txn.commit()
 
@@ -524,7 +524,7 @@ def test_replace_rid_then_restore_entry_round_trips_the_bit():
 
     def body():
         txn = system.txns.begin()
-        out = yield from tree.txn_insert_key(txn, 5, RID(0, 1),
+        out = yield from tree.txn_insert_key(txn, (5,), RID(0, 1),
                                              during_build=True)
         revived = (list(tree.all_entries(include_pseudo_deleted=True)),
                    set(tree.pseudo_deleted))
@@ -536,10 +536,10 @@ def test_replace_rid_then_restore_entry_round_trips_the_bit():
     assert entries == [(5, RID(0, 1))] and bits == set()
     assert list(tree.all_entries(include_pseudo_deleted=True)) == tombstone
     assert tree.pseudo_deleted == set(tombstone)
-    tree.apply_logical("restore_entry", 5, RID(0, 1), RID(0, 0))
+    tree.apply_logical("restore_entry", (5,), RID(0, 1), RID(0, 0))
     assert tree.pseudo_deleted == set(tombstone)
-    tree.apply_logical("replace_rid", 5, RID(0, 1), RID(0, 0))
-    tree.apply_logical("replace_rid", 5, RID(0, 1), RID(0, 0))
+    tree.apply_logical("replace_rid", (5,), RID(0, 1), RID(0, 0))
+    tree.apply_logical("replace_rid", (5,), RID(0, 1), RID(0, 0))
     assert list(tree.all_entries()) == [(5, RID(0, 1))]
     assert tree.pseudo_deleted == set()
     audit_tree(tree)

@@ -33,7 +33,7 @@ def make_tree(capacity, keys):
     tree = BTree(system, "idx", "t")
     loader = BulkLoader(tree)
     for key_value, rid in keys:
-        loader.append(key_value, rid)
+        loader.append((key_value,), rid)
     loader.finish()
     return system, tree
 
@@ -60,8 +60,8 @@ def test_write_path_node_lookups_are_bounded_by_height():
     ops = [("delete", key) for key in victims] \
         + [("insert", key) for key in fresh]
     rng.shuffle(ops)
-    drained = [("insert", rng.randrange(20_000) * 10 + 7, RID(6000 + i, 0))
-               for i in range(64)]
+    drained = [("insert", (rng.randrange(20_000) * 10 + 7,),
+                RID(6000 + i, 0)) for i in range(64)]
     height = tree.height
     tree.pages = pages = CountingPages(tree.pages)
 
@@ -69,10 +69,10 @@ def test_write_path_node_lookups_are_bounded_by_height():
         txn = system.txns.begin("T")
         for kind, (key_value, rid) in ops:
             if kind == "insert":
-                yield from tree.txn_insert_key(txn, key_value, rid,
+                yield from tree.txn_insert_key(txn, (key_value,), rid,
                                                during_build=False)
             else:
-                yield from tree.txn_delete_key(txn, key_value, rid,
+                yield from tree.txn_delete_key(txn, (key_value,), rid,
                                                during_build=False)
         yield from tree.sf_drain_apply_batch(txn, drained)
         yield from txn.commit()
@@ -128,7 +128,7 @@ def test_fences_memoised_before_a_crash_are_not_consulted_after():
         # them for a structure the crash is about to take away
         txn = system.txns.begin("T")
         for k in range(1, 64, 2):
-            yield from tree.txn_insert_key(txn, k, RID(1, k),
+            yield from tree.txn_insert_key(txn, (k,), RID(1, k),
                                            during_build=True)
         yield from txn.commit()
 

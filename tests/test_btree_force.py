@@ -15,7 +15,7 @@ tree, so a site that changes a page without logging it fails too.
 import pytest
 
 from repro.btree import BTree, BulkLoader, IBCursor, InsertOutcome
-from repro.btree.node import LeafPage
+from repro.btree.node import LeafPage, entry_key, entry_rid, make_entry
 from repro.btree.tree import IX_ACTION, IX_INDEX, IX_OLD_RID
 from repro.core import build_pre_undo, cancel_build, resume_build
 from repro.core.cleanup import cleanup_pseudo_deleted
@@ -80,7 +80,7 @@ def oracle(monkeypatch):
 
 def entries(tree) -> list:
     """Every entry of ``tree`` in key order, pseudo-deleted ones too."""
-    return [(e[0], e[1], e in tree.pseudo_deleted)
+    return [(entry_key(e), entry_rid(e), e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 
@@ -197,7 +197,7 @@ def test_a_crash_between_reset_and_the_next_force_restores_the_old_image(
     before = reference_image(tree)
     assert before["pages"] and tree.durable_lsn
     tree.reset()
-    BulkLoader(tree).extend([((k,), RID(0, k)) for k in range(20)])
+    BulkLoader(tree).extend([(k, RID(0, k)) for k in range(20)])
     assert tree.durable_lsn == 0 and len(tree.dirty) == tree.page_count
     recovered.crash()
     assert reference_image(tree) == before
@@ -206,8 +206,8 @@ def test_a_crash_between_reset_and_the_next_force_restores_the_old_image(
 
 def test_cancel_build_leaves_one_consistent_empty_tree(oracle):
     system, tree, run, _rids = _stage()
-    BulkLoader(tree).extend([((k,), RID(0, k)) for k in range(40)])
-    tree._traverse(((7,), RID(0, 7)))  # memoise a fence
+    BulkLoader(tree).extend([(k, RID(0, k)) for k in range(40)])
+    tree._traverse((7, RID(0, 7)))  # memoise a fence
     tree.force()
     assert tree.stable_image().pages and tree._fences
     run(cancel_build(system, system.indexes["idx"]))
@@ -309,7 +309,7 @@ def test_a_unique_tombstone_revived_under_a_new_rid(oracle, replay):
     tree.force()
     assert oracle[-1] == ("idx", 1, 1), outcome
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
-        txn, [((6,), rids[6])], IBCursor())))
+        txn, [(6, rids[6])], IBCursor())))
     assert system.metrics.get("index.rid_replacements") == 2
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
@@ -332,7 +332,7 @@ def test_the_ib_revive_is_logged_like_a_replaced_rid(oracle):
     tree.force()
     ib_records = system.metrics.get("wal.records.ib")
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
-        txn, [((6,), rids[6])], IBCursor())))
+        txn, [(6, rids[6])], IBCursor())))
     revive, = younger_applies(tree)
     assert system.metrics.get("wal.records.ib") == ib_records + 1
     assert revive.payload[IX_ACTION] == "replace_rid"
@@ -352,7 +352,7 @@ def test_a_duplicate_insert_rolled_back_pseudo_deletes_ibs_key(oracle,
     entry under a CLR."""
     system, tree, run, rids = _stage(rows=8)
     run(_one_txn(system, lambda txn: tree.ib_insert_batch(
-        txn, [((3,), rids[3])], IBCursor())))
+        txn, [(3, rids[3])], IBCursor())))
     tree.force()
 
     def duplicate():
@@ -372,17 +372,17 @@ def test_a_duplicate_insert_rolled_back_pseudo_deletes_ibs_key(oracle,
 def test_redo_of_replace_rid_images_the_old_rids_leaf(oracle):
     system, tree, run, _rids = _stage(unique=True)
     BulkLoader(tree, fill_free_fraction=0.0).extend(
-        [((k,), RID(5, k)) for k in range(16)])
+        [(k, RID(5, k)) for k in range(16)])
     tree.force()
     # the first entry of a right-hand leaf: its composite is the
     # separator, so the same key value under a lower RID descends left
     right = list(tree.leaf_chain())[2]
-    key_value, old_rid = right.entries[0]
+    key_value, old_rid = entry_key(right.entries[0]), entry_rid(
+        right.entries[0])
     new_rid = RID(0, 0)
-    assert tree._traverse((key_value, new_rid))[0] is not right
-    tree.apply_logical("replace_rid", key_value, new_rid,
-                       old_rid=old_rid)
-    assert right.entries[0][1] == new_rid
+    assert tree._traverse(make_entry(key_value, new_rid))[0] is not right
+    tree.apply_logical("replace_rid", key_value, new_rid, old_rid=old_rid)
+    assert entry_rid(right.entries[0]) == new_rid
     tree.force()
     assert oracle[-1][1:] == (2, 2)
 
@@ -406,15 +406,15 @@ def test_garbage_collection_of_pseudo_deleted_keys(oracle, replay):
 def test_a_resumed_loader_appends_into_a_forced_partial_leaf(oracle):
     system, tree, run, _rids = _stage()
     BulkLoader(tree, fill_free_fraction=0.0).extend(
-        [((k,), RID(0, k)) for k in range(10)])  # 4 + 4 + 2
+        [(k, RID(0, k)) for k in range(10)])  # 4 + 4 + 2
     tree.force()
     loader = BulkLoader.resume(tree, fill_free_fraction=0.0)
-    loader.extend([((10,), RID(0, 10))])
+    loader.extend([(10, RID(0, 10))])
     tree.force()
     assert oracle[-1] == ("idx", 1, 1)
-    loader.extend([((11,), RID(0, 11))])  # fills the leaf exactly
+    loader.extend([(11, RID(0, 11))])  # fills the leaf exactly
     tree.force()
-    loader.extend([((12,), RID(0, 12))])  # only the chain pointer changes
+    loader.extend([(12, RID(0, 12))])  # only the chain pointer changes
     tree.force()
     assert oracle[-1][1] == 3  # old leaf, new leaf, their parent
 

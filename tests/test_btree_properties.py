@@ -1,12 +1,15 @@
 """Property-based tests (hypothesis) for B+-tree invariants."""
 
+from bisect import bisect_left
 from types import SimpleNamespace
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.btree import BTree, BulkLoader, IBCursor, audit_tree
-from repro.btree.tree import MIN_RID
+from repro.btree.node import entry_key, entry_rid, format_entry, make_entry
+from repro.query.access import _entries_in_range
 from repro.storage import RID
+from repro.storage.rid import format_rid
 from repro.system import System, SystemConfig
 
 
@@ -45,7 +48,7 @@ def test_insert_keeps_tree_sorted_and_balanced(keys):
 
     def work(txn):
         for kv, rid in keys:
-            yield from tree.txn_insert_key(txn, kv, rid,
+            yield from tree.txn_insert_key(txn, (kv,), rid,
                                            during_build=True)
 
     run_txn(system, work)
@@ -67,9 +70,9 @@ def test_insert_then_delete_subset_leaves_complement(keys, data):
 
     def work(txn):
         for kv, rid in unique_keys:
-            yield from tree.txn_insert_key(txn, kv, rid, during_build=True)
+            yield from tree.txn_insert_key(txn, (kv,), rid, during_build=True)
         for kv, rid in to_delete:
-            yield from tree.txn_delete_key(txn, kv, rid, during_build=True)
+            yield from tree.txn_delete_key(txn, (kv,), rid, during_build=True)
 
     run_txn(system, work)
     audit_tree(tree)
@@ -87,7 +90,7 @@ def test_bulk_load_equals_sorted_input(n, leaf_capacity):
     system, tree = fresh_tree(leaf_capacity=leaf_capacity)
     loader = BulkLoader(tree)
     for k in range(n):
-        loader.append(k, RID(k // 16, k % 16))
+        loader.append((k,), RID(k // 16, k % 16))
     loader.finish()
     audit_tree(tree)
     assert [e[0] for e in tree.all_entries()] == list(range(n))
@@ -114,7 +117,7 @@ def test_ib_batch_agrees_with_single_inserts(keys):
 
     def work_b(txn):
         for kv, rid in key_set:
-            yield from tree_b.txn_insert_key(txn, kv, rid,
+            yield from tree_b.txn_insert_key(txn, (kv,), rid,
                                              during_build=True)
 
     run_txn(system_b, work_b)
@@ -133,14 +136,14 @@ def test_force_crash_resume_roundtrip(split_at):
     system, tree = fresh_tree(leaf_capacity=4)
     loader = BulkLoader(tree)
     for k in range(split_at):
-        loader.append(k, RID(0, k % 16))
+        loader.append((k,), RID(0, k % 16))
     tree.force()
     for k in range(split_at, 100):
-        loader.append(k, RID(0, k % 16))
+        loader.append((k,), RID(0, k % 16))
     tree.crash()
     loader = BulkLoader.resume(tree)
     for k in range(split_at, 100):
-        loader.append(k, RID(0, k % 16))
+        loader.append((k,), RID(0, k % 16))
     loader.finish()
     audit_tree(tree)
     assert [e[0] for e in tree.all_entries()] == list(range(100))
@@ -189,16 +192,16 @@ def test_descent_fences_equal_structural_fences(steps):
                 yield from tree.ib_insert_batch(txn, batch, IBCursor())
             elif kind == "drain":
                 yield from tree.sf_drain_apply_batch(
-                    txn, [("delete" if n % 3 == 0 else "insert", kv,
+                    txn, [("delete" if n % 3 == 0 else "insert", (kv,),
                            rid) for n, (kv, rid) in enumerate(keys)])
             else:
                 for kv, rid in keys:
                     if kind == "insert":
                         yield from tree.txn_insert_key(
-                            txn, kv, rid, during_build=True)
+                            txn, (kv,), rid, during_build=True)
                     else:  # physical when present, a tombstone when not
                         yield from tree.txn_delete_key(
-                            txn, kv, rid, during_build=False)
+                            txn, (kv,), rid, during_build=False)
             yield from (txn.commit() if commit else txn.rollback())
 
     proc = system.spawn(body(), name="prop")
@@ -211,7 +214,7 @@ def test_descent_fences_equal_structural_fences(steps):
     leaves = list(tree.leaf_chain())
     for leaf in leaves:
         low_fence, _high = structural[leaf.page_no]
-        probe = low_fence if low_fence is not None else (-1, MIN_RID)
+        probe = low_fence if low_fence is not None else (-1,)
         landed, _path = tree._traverse(probe, count=False)
         assert landed is leaf
     assert tree._fences == structural
@@ -219,8 +222,57 @@ def test_descent_fences_equal_structural_fences(steps):
               for kv, rid in keys}
     probes.update(fence for pair in structural.values()
                   for fence in pair if fence is not None)
-    probes.update([(-1, MIN_RID), (41, MIN_RID)])
+    probes.update([(-1,), (41,)])
     for probe in probes:
         landed, _path = tree._traverse(probe, count=False)
         for leaf in leaves:
             assert tree._leaf_covers(leaf, probe) == (leaf is landed)
+
+
+# -- flat entries: (*key, rid) orders and searches as (key, rid) did ---------
+
+COLUMNS = {"i": st.integers(min_value=-40, max_value=40),
+           "s": st.text(alphabet="ab\x00\xe9", max_size=3)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_flat_entries_order_and_search_as_nested_pairs_did(data):
+    """Keys of one to three int or str columns: the flat entries sort as
+    the nested ``(key, rid)`` pairs did, the key tuple is the search
+    sentinel for the key's first entry, the range reader's bounds are
+    exact, and a message prints the entry as it printed the pair."""
+    kinds = data.draw(st.lists(st.sampled_from("is"), min_size=1,
+                               max_size=3))
+    keys = st.tuples(*[COLUMNS[kind] for kind in kinds])
+    rids = st.builds(RID, st.integers(0, 3), st.integers(0, 3))
+    pairs = data.draw(st.lists(st.tuples(keys, rids), min_size=1,
+                               max_size=60, unique=True))
+    entries = sorted(make_entry(key, rid) for key, rid in pairs)
+    assert entries == [make_entry(key, rid) for key, rid in sorted(pairs)]
+    for key, rid in pairs:
+        entry = make_entry(key, rid)
+        assert entry_key(entry) == key and entry_rid(entry) == rid
+        assert format_entry(entry) == f"({key!r}, {format_rid(rid)})"
+
+    for probe in data.draw(st.lists(keys, max_size=4)) + [pairs[0][0]]:
+        at = bisect_left(entries, probe)
+        assert at == sum(entry_key(entry) < probe for entry in entries)
+        if any(entry_key(entry) == probe for entry in entries):
+            assert entry_key(entries[at]) == probe
+
+    system, tree = fresh_tree(leaf_capacity=4)
+    BulkLoader(tree).extend(entries)
+    descriptor = SimpleNamespace(tree=tree)
+    low, high = sorted(data.draw(st.tuples(keys, keys)))
+    for inclusive in (True, False):
+        def beyond(entry):
+            key = entry_key(entry)
+            return key > high if inclusive else key >= high
+
+        inside = [entry for entry in entries
+                  if low <= entry_key(entry) and not beyond(entry)]
+        after = [entry for entry in entries if beyond(entry)][:1]
+        assert list(_entries_in_range(descriptor, low, high,
+                                      inclusive_high=inclusive)) \
+            == inside + after

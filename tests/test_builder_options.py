@@ -296,12 +296,21 @@ def test_resumed_build_keeps_its_options(builder_cls, site, hit, phase):
     resumed = resume_build(recovered, state)
     assert resumed.options == options
     assert resumed.options is not options
+    # the done build lets go of its sorters: record the ones it restores
+    restored = []
+    restore_sorters = resumed._restore_sorters
+
+    def recording_restore(*args, **kwargs):
+        sorters, position = restore_sorters(*args, **kwargs)
+        restored.extend(sorters.values())
+        return sorters, position
+
+    resumed._restore_sorters = recording_restore
     drive(recovered, resumed.run(), name="resumed")
     audit_index(recovered, recovered.indexes["idx"])
     assert recovered.config.sort_workspace == 12
     if phase == "scan":  # the resumed scan sorted with the workspace
-        assert [sorter.workspace_size
-                for sorter in resumed._sorters.values()] == [12]
+        assert [sorter.workspace_size for sorter in restored] == [12]
 
 
 def test_default_options_add_no_checkpoint_key():

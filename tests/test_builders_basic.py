@@ -3,6 +3,7 @@
 import pytest
 
 from repro.btree.audit import audit_tree
+from repro.btree.node import entry_key
 from repro.core import (
     BuildOptions,
     IndexSpec,
@@ -188,7 +189,8 @@ def test_composite_key_columns():
     builder = SFIndexBuilder(system, table,
                              IndexSpec.of("idx_ab", ["a", "b"]))
     run_builder(system, builder)
-    entries = [e[0] for e in system.indexes["idx_ab"].tree.all_entries()]
+    entries = [entry_key(e)
+               for e in system.indexes["idx_ab"].tree.all_entries()]
     assert entries == sorted(entries)
     assert entries[0] == (0, 0)
 

@@ -356,8 +356,7 @@ def test_replace_rid_and_gc_records():
         t1 = system.txns.begin("T1")
         rid = yield from table.insert(t1, (42, "t1"))
         ib = system.txns.begin("IB")  # IB meets T1's key: undo-only no-op
-        yield from tree.ib_insert_batch(ib, [((42,), rid)],
-                                        IBCursor())
+        yield from tree.ib_insert_batch(ib, [(42, rid)], IBCursor())
         yield from ib.commit()
         dup = system.txns.begin("dup")  # same <key, RID> again: undo-only
         yield from tree.txn_insert_key(dup, (42,), rid, during_build=True)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.btree import BTree, audit_tree
 from repro.btree.audit import TreeAuditError
+from repro.btree.node import entry_key, entry_rid
 from repro.core import (
     IndexSpec,
     IndexState,
@@ -309,7 +310,9 @@ def test_cleanup_charges_only_the_leaves_that_collected_a_key():
         leaves = list(tree.leaf_chain())
         assert len(leaves) >= 10
         if pick is not None:
-            tree.apply_logical("pseudo_delete", *leaves[pick].entries[pick])
+            entry = leaves[pick].entries[pick]
+            tree.apply_logical("pseudo_delete", entry_key(entry),
+                               entry_rid(entry))
         start = system.now()
         proc = system.spawn(cleanup_pseudo_deleted(system, descriptor),
                             name="gc")

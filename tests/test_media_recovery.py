@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.btree.node import entry_key
 from repro.core import IndexSpec, NSFIndexBuilder, SFIndexBuilder
 from repro.core.descriptor import IndexState
 from repro.recovery import (media_restore, restart, run_until_crash,
@@ -113,7 +114,7 @@ def test_sf_index_recoverable_from_post_build_image():
     restored = media_restore(image, system.log, config=system.config,
                              current_system=system)
     audit_index(restored, restored.indexes["idx"])
-    keys = [e[0] for e in
+    keys = [entry_key(e) for e in
             restored.indexes["idx"].tree.all_entries()]
     assert (77_777,) in keys  # the post-copy insert replayed into it
 

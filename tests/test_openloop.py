@@ -3,6 +3,7 @@ and the throttled online build's correctness under open-loop load."""
 
 import pytest
 
+from repro.btree.node import make_entry
 from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.errors import SimulationError
 from repro.obs import enable_tracing
@@ -257,7 +258,7 @@ def test_throttled_build_is_entry_exact_under_open_loop_load(builder):
 
     descriptor = system.indexes["idx"]
     audit_index(system, descriptor)
-    reference = sorted((descriptor.key_of(record), rid)
+    reference = sorted(make_entry(descriptor.key_of(record), rid)
                        for rid, record in table.audit_records())
     actual = list(descriptor.tree.all_entries())
     assert actual == reference

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.btree.node import entry_key, entry_rid, make_entry
 from repro.btree.tree import IBCursor
 from repro.core import (
     IndexSpec,
@@ -68,7 +69,7 @@ def test_nine_step_scenario_nonunique():
         rejected_before = system.metrics.get(
             "index.duplicate_rejections.ib")
         count = yield from tree.ib_insert_batch(
-            ib, [(K, rid)], IBCursor())
+            ib, [make_entry(K, rid)], IBCursor())
         yield from ib.commit()
         assert count == 0
         assert system.metrics.get("index.duplicate_rejections.ib") \
@@ -91,7 +92,7 @@ def test_nine_step_scenario_nonunique():
 
     rid = drive(system, scenario())
     entries = list(tree.all_entries())
-    assert entries == [(K, rid)]
+    assert entries == [make_entry(K, rid)]
 
 
 def test_nine_step_variant_unique_new_rid():
@@ -121,9 +122,9 @@ def test_nine_step_variant_unique_new_rid():
 
     rid, rid1 = drive(system, scenario())
     entries = [e for e in tree.all_entries(include_pseudo_deleted=True)
-               if e[0] == (42,)]
+               if entry_key(e) == (42,)]
     assert len(entries) == 1
-    assert entries[0][1] == rid1
+    assert entry_rid(entries[0]) == rid1
     assert entries[0] not in tree.pseudo_deleted
     audit_index(system, descriptor)
 
@@ -140,7 +141,7 @@ def test_delete_key_problem_tombstone_blocks_ib():
         rid = yield from table.insert(t0, (7, "victim"))
         yield from t0.commit()
         # Pretend IB extracted the key here (before the delete) ...
-        stale_key = ((7,), rid)
+        stale_key = make_entry((7,), rid)
         # remove the direct insert T0 performed, as if the index had been
         # empty when IB scanned -- i.e. simulate pure race: physically
         # clear the tree.
@@ -226,8 +227,8 @@ def test_sf_rollback_visibility_scenario():
     audit_index(system, system.indexes["I3"])
     audit_index(system, system.indexes["I4"])
     entries3 = list(system.indexes["I3"].tree.all_entries())
-    assert ((31,), RID(0, 3)) not in entries3
-    assert ((30,), RID(0, 3)) in entries3
+    assert make_entry((31,), RID(0, 3)) not in entries3
+    assert make_entry((30,), RID(0, 3)) in entries3
 
 
 def _tick(system):

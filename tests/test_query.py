@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.btree.node import entry_key, entry_rid
 from repro.core import BuildOptions, IndexSpec, NSFIndexBuilder, \
     SFIndexBuilder
 from repro.query import (
@@ -91,9 +92,10 @@ def test_range_scan_survives_a_leaf_split_under_it():
     return the upper half twice."""
     system, table, descriptor = built()
     leaf = next(leaf for leaf in descriptor.tree.leaf_chain()
-                if leaf.entries[0][0] == (16,))
-    assert [e[0][0] for e in leaf.entries] == list(range(16, 32, 2))
-    parked_on = leaf.entries[4][1]  # key 24
+                if entry_key(leaf.entries[0]) == (16,))
+    assert [entry_key(e) for e in leaf.entries] \
+        == [(k,) for k in range(16, 32, 2)]
+    parked_on = entry_rid(leaf.entries[4])  # key 24
     splits_before = system.metrics.get("index.splits")
     seen = {}
 
@@ -132,18 +134,18 @@ def test_index_lookup_reads_the_bit_after_its_lock_wait(revived):
     returned if its lock holder revived it meanwhile."""
     system, table, descriptor = built()
     tree = descriptor.tree
-    entry = next(e for e in tree.all_entries() if e[0] == (20,))
-    rid = entry[1]
+    entry = next(e for e in tree.all_entries() if entry_key(e) == (20,))
+    rid = entry_rid(entry)
     seen = {}
 
     def holder():
         txn = system.txns.begin("holder")
         yield from table.update(txn, rid, (20, "held"))
-        tree.apply_logical("pseudo_delete", *entry)
+        tree.apply_logical("pseudo_delete", (20,), rid)
         yield Delay(50)  # the lookup waits on the record lock
         seen["blocked"] = "hits" not in seen
         if revived:
-            tree.apply_logical("reactivate", *entry)
+            tree.apply_logical("reactivate", (20,), rid)
         yield from txn.commit()
 
     def reader():
@@ -269,7 +271,7 @@ def test_gradual_availability_footnote3():
         while getattr(descriptor, "read_watermark", None) is None:
             assert not proc.finished
             yield Delay(5)
-        watermark = descriptor.read_watermark[0]
+        watermark = entry_key(descriptor.read_watermark)
         txn = system.txns.begin()
         low_rows = yield from index_range_scan(
             txn, descriptor, (0,), (min(watermark[0], 10),),
@@ -331,7 +333,7 @@ def test_nsf_checkpoint_advances_read_watermark():
                 "build finished before a watermark was ever published"
             yield Delay(5)
         outcome["mid_build"] = not proc.finished
-        watermark = descriptor.read_watermark[0]
+        watermark = entry_key(descriptor.read_watermark)
         txn = system.txns.begin()
         rows = yield from index_range_scan(
             txn, descriptor, (0,), (min(watermark[0], 10),),
@@ -344,6 +346,70 @@ def test_nsf_checkpoint_advances_read_watermark():
     assert proc.error is None
     assert outcome.get("mid_build") is True
     assert outcome.get("low_rows", 0) > 0
+
+
+def test_a_lookup_at_the_watermarks_key_waits_for_its_last_entry():
+    """The watermark is IB's highest committed *entry*: entries of its key
+    at higher RIDs may still be in the sort.  An inclusive bound must lie
+    strictly below its key, an exclusive one may equal it; a lookup at
+    the watermark's key used to return 9 of its 40 committed rows."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8))
+    table = system.create_table("t", ["k", "p"])
+
+    def pop():
+        txn = system.txns.begin()
+        for i in range(400):
+            yield from table.insert(txn, (i // 40, "x"))
+        yield from txn.commit()
+
+    drive(system, pop())
+    builder = NSFIndexBuilder(
+        system, table, IndexSpec.of("idx", ["k"]),
+        options=BuildOptions(commit_every_keys=5, ib_batch_keys=5))
+    proc = system.spawn(builder.run(), name="builder")
+    seen = {}
+
+    def reader():
+        descriptor = None
+        while descriptor is None:
+            yield Delay(1)
+            descriptor = system.indexes.get("idx")
+        set_gradual_availability(descriptor)
+        while getattr(descriptor, "read_watermark", None) is None:
+            assert not proc.finished
+            yield Delay(1)
+        seen["first"] = descriptor.read_watermark
+        txn = system.txns.begin()
+        try:
+            seen["partial"] = yield from index_lookup(txn, descriptor, (0,))
+        except IndexNotAvailableError:
+            seen["refused"] = True
+        # an exclusive bound at the watermark's key is below every entry
+        # IB has yet to insert
+        seen["below"] = yield from index_range_scan(
+            txn, descriptor, (0,), (0,), serializable=False)
+        yield from txn.commit()
+        # once the frontier passes key 0, all of key 0 is readable
+        while entry_key(descriptor.read_watermark) <= (0,):
+            assert not proc.finished
+            yield Delay(1)
+        seen["later"] = entry_key(descriptor.read_watermark)
+        txn = system.txns.begin()
+        seen["lookup"] = yield from index_lookup(txn, descriptor, (0,))
+        seen["range"] = yield from index_range_scan(
+            txn, descriptor, (0,), seen["later"], serializable=False)
+        yield from txn.commit()
+
+    system.spawn(reader(), name="reader")
+    system.run()
+    assert proc.error is None
+    assert entry_key(seen["first"]) == (0,), seen["first"]
+    assert seen.get("refused") is True, \
+        f"{len(seen.get('partial', []))} of 40 rows of key 0"
+    assert seen["below"] == []
+    assert seen["later"] >= (1,)
+    assert len(seen["lookup"]) == 40
+    assert len(seen["range"]) >= 40
 
 
 def test_table_scan_matches_index_contents():

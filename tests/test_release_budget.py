@@ -6,18 +6,21 @@ released, in the style of ``test_build_path_budget.py``:
 
 * a finished process leaves the kernel's process table and drops its
   generator and its joiners;
-* a done build drops its ``sort:`` runs (nothing resumes a done build);
-  the ``sealed:`` run a rebuild reads stays;
+* a done build drops its ``sort:`` runs (nothing resumes a done build),
+  from the system's stores and from its own sorters, so a builder kept
+  after its run reaches none; the ``sealed:`` run a rebuild reads stays;
 * ``audit_index`` counts and probes instead of holding a table-sized
   set, so its traced peak per index entry is bounded.
 """
 
 import gc
 import tracemalloc
+import types
 
 import pytest
 
 from repro.core import IndexSpec, get_builder
+from repro.sort import SortRun
 from repro.system import System, SystemConfig
 from repro.verify import audit_index
 from repro.workloads.openloop import OpenLoopDriver, OpenLoopSpec
@@ -75,6 +78,54 @@ def test_a_done_build_keeps_no_sort_runs(mode):
         # the rebuild input survives the release
         assert "sealed:idx" in stores
         assert system.run_stores["sealed:idx"].total_keys() > 0
+
+
+def reachable_runs(root) -> list:
+    """Every :class:`SortRun` reachable from ``root`` through object
+    references (code and classes are not followed: what a module or a
+    function's globals hold is not the object's)."""
+    seen = {id(root)}
+    todo = [root]
+    runs = []
+    while todo:
+        obj = todo.pop()
+        if type(obj) is SortRun:
+            runs.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(
+                    ref, (type, types.ModuleType, types.FunctionType)):
+                seen.add(id(ref))
+                todo.append(ref)
+    return runs
+
+
+@pytest.mark.parametrize("mode", ["sf", "nsf", "psf", "multi"])
+def test_a_done_builder_reaches_only_the_sealed_run(mode):
+    """A builder kept after its run -- the e2e bench's last round keeps
+    one -- reaches no sort run: only a sealed run, the input of a
+    rebuild, survives the build."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
+                                 sort_workspace=16), seed=3)
+    table = system.create_table("t", ["k", "p"])
+    driver = OpenLoopDriver(system, table,
+                            OpenLoopSpec(operations=0, rate=0.5,
+                                         key_space=1_000), seed=3)
+    system.spawn(driver.preload(300), name="preload")
+    system.run()
+    builder = get_builder(mode)(system, table, IndexSpec.of("idx", ["k"]))
+    proc = system.spawn(builder.run(), name="builder")
+    system.run()
+    assert proc.error is None
+    gc.collect()
+    runs = reachable_runs(builder)
+    sealed = system.run_stores.get("sealed:idx")
+    kept = list(sealed.runs.values()) if sealed is not None else []
+    assert [run.name for run in runs
+            if not any(run is mine for mine in kept)] == []
+    if mode == "nsf":
+        assert runs == []
+    else:  # the rebuild input is still there, and reachable
+        assert len(kept) == 1 and runs == kept and len(kept[0]) == 300
 
 
 def test_rebuilds_still_find_their_sealed_run():

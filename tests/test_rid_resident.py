@@ -6,7 +6,9 @@ lines of a tracemalloc snapshot used to include a RID namedtuple per row
 (made by the generated constructor, whose frame is ``<string>``), a raw
 ``(page, slot)`` pair per index entry (made where a data page lists its
 live records) and an empty ``deque`` per lock head.  None of the three
-may come back into the top ten.
+may come back into the top ten.  An index entry is one flat tuple,
+``(*key, rid)``, made once by the scan and shared by the sealed run, the
+leaf and the stable image.
 """
 
 import gc
@@ -21,8 +23,10 @@ from repro.bench.harness import bench_config, run_build_experiment
 from repro.txn.transaction import Transaction
 
 ROWS = 40_000
-PAGE_PY = os.path.join(os.path.dirname(os.path.abspath(repro.__file__)),
-                       "storage", "page.py")
+SRC = os.path.dirname(os.path.abspath(repro.__file__))
+PAGE_PY = os.path.join(SRC, "storage", "page.py")
+#: the build scan, which makes the index entries
+BASE_PY = os.path.join(SRC, "core", "base.py")
 #: bytes of one int a RID needs (a two-int tuple is 56)
 INT_BYTES = 32
 
@@ -80,3 +84,25 @@ def test_index_entries_hold_int_rids(snapshots):
     entries = list(tree.all_entries())
     assert len(entries) == ROWS
     assert all(type(rid) is int for _key, rid in entries)
+
+
+def test_one_object_per_entry_shared_by_leaf_run_and_image(snapshots):
+    """The scan line makes one tuple per key and index (a key tuple and a
+    pair while entries were nested), and that tuple is the leaf entry,
+    the sealed run's key and the stable image's entry."""
+    result, taken = snapshots
+    by_line = taken["build"].filter_traces(
+        [tracemalloc.Filter(True, BASE_PY)]).statistics("lineno")
+    scan_line = max(by_line, key=lambda stat: stat.count)
+    assert scan_line.count <= ROWS, \
+        f"{scan_line.count} objects for {ROWS} keys at {scan_line.traceback}"
+    system = result.system
+    tree = system.indexes["idx"].tree
+    leaves = list(tree.leaf_chain())
+    entries = [entry for leaf in leaves for entry in leaf.entries]
+    (sealed,) = system.run_stores["sealed:idx"].runs.values()
+    images = tree.stable_image().pages
+    imaged = [entry for leaf in leaves for entry in images[leaf.page_no][3]]
+    assert len(entries) == len(sealed.keys) == len(imaged) == ROWS
+    assert all(entry is key is image for entry, key, image
+               in zip(entries, sealed.keys, imaged))

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.btree import BTree, BulkLoader
+from repro.btree.node import entry_key, entry_rid
 from repro.errors import IndexBuildError, SortRestartError
 from repro.sort import (
     CompressedRunFormation,
@@ -501,9 +502,9 @@ class ReferenceRunFormation:
         codec = self.codec
         if codec is not None:
             if not codec.bound and not codec.disabled:
-                codec.bind(key[0])
+                codec.bind(entry_key(key))
             if not codec.disabled:
-                key = codec.encode(key[0], key[1])
+                key = codec.encode(key)
         tree = self._tree
         if self._occupied < self.workspace_size:
             current = self._runs_by_seq.get(self._emit_seq)
@@ -605,7 +606,7 @@ def scan_keys(rng, count, span):
             values.extend(start - step for step in range(stretch))
         else:
             values.extend(rng.randrange(span) for _ in range(stretch))
-    return [((value,), RID(at // 16, at % 16))
+    return [(value, RID(at // 16, at % 16))
             for at, value in enumerate(values[:count])]
 
 
@@ -675,8 +676,8 @@ def test_codec_run_formation_equals_the_tournament_engine(workspace):
     huge = 1 << 45  # outside the codec's int window: spills
     for seed in range(8):
         rng = random.Random(workspace * 1000 + seed)
-        keys = [((value if rng.random() < 0.8 else value + huge,), rid)
-                for (value,), rid in scan_keys(rng, rng.randrange(500), 60)]
+        keys = [(value if rng.random() < 0.8 else value + huge, rid)
+                for value, rid in scan_keys(rng, rng.randrange(500), 60)]
         store = drive_both(rng, keys, workspace,
                            codec_pair=(KeyCodec(), KeyCodec()))
         held = [key for run in store.runs.values() for key in run.keys]
@@ -895,7 +896,7 @@ def test_run_extend_names_the_key_that_breaks_the_order():
 
 
 def composites(*pairs):
-    return [((value,), RID(0, slot)) for value, slot in pairs]
+    return [(value, RID(0, slot)) for value, slot in pairs]
 
 
 @pytest.mark.parametrize("unique, held, batch", [
@@ -926,8 +927,8 @@ def test_batch_loader_rejects_what_append_rejects(unique, held, batch):
                 system.metrics.snapshot(), error)
 
     def key_at_a_time(loader):
-        for key_value, rid in composites(*batch):
-            loader.append(key_value, rid)
+        for entry in composites(*batch):
+            loader.append(entry_key(entry), entry_rid(entry))
 
     together = attempt(lambda loader: loader.extend(composites(*batch)))
     assert together == attempt(key_at_a_time)

@@ -1,10 +1,10 @@
 """Property tests for the order-preserving compressed key codec.
 
-The codec's contract (experiment E25): for any two composite keys with
-rids, ``encode(a, ra) < encode(b, rb)  <=>  (a, ra) < (b, rb)`` -- the
-encoded ints (or :class:`SpilledKey` wrappers, when the fixed-width
-encoding is lossy) sort exactly like the raw ``(key, rid)`` tuples, and
-``decode(encode(k, r)) == (k, r)`` always, spilled or not.
+The codec's contract (experiment E25): for any two index entries
+``(*key, rid)``, ``encode(a) < encode(b)  <=>  a < b`` -- the encoded
+ints (or :class:`SpilledKey` wrappers, when the fixed-width encoding is
+lossy) sort exactly like the raw entries, and ``decode(encode(e)) == e``
+always, spilled or not.
 
 The strategies deliberately hover around every spill boundary: the int
 window edges, strings at exactly / one past the prefix width, empty
@@ -15,6 +15,7 @@ their exact-encoding maxima.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.btree.node import entry_key, entry_rid, make_entry
 from repro.core import BuildOptions, IndexSpec, IndexState, \
     ParallelSFBuilder
 from repro.sim.kernel import Delay
@@ -69,29 +70,33 @@ SHAPES = {
 }
 
 
-def pairs_for(shape):
-    return st.lists(st.tuples(SHAPES[shape], rids), min_size=1, max_size=40)
+def entry_of(shape):
+    return st.builds(make_entry, SHAPES[shape], rids)
+
+
+def entries_for(shape):
+    return st.lists(entry_of(shape), min_size=1, max_size=40)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_encode_decode_round_trip(shape, data):
-    pairs = data.draw(pairs_for(shape))
+    entries = data.draw(entries_for(shape))
     codec = KeyCodec(shape)
-    for key, rid in pairs:
-        assert codec.decode(codec.encode(key, rid)) == (key, rid)
+    for entry in entries:
+        assert codec.decode(codec.encode(entry)) == entry
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_order_isomorphism_pairwise(shape, data):
-    a = data.draw(st.tuples(SHAPES[shape], rids))
-    b = data.draw(st.tuples(SHAPES[shape], rids))
+    a = data.draw(entry_of(shape))
+    b = data.draw(entry_of(shape))
     codec = KeyCodec(shape)
-    ea = codec.encode(*a)
-    eb = codec.encode(*b)
+    ea = codec.encode(a)
+    eb = codec.encode(b)
     assert (ea < eb) == (a < b), (a, b, ea, eb)
     assert (eb < ea) == (b < a), (a, b, ea, eb)
     assert (ea == eb) == (a == b) or isinstance(ea, int) != isinstance(eb, int)
@@ -101,11 +106,11 @@ def test_order_isomorphism_pairwise(shape, data):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_sorted_encoded_list_decodes_to_sorted_raw(shape, data):
-    pairs = data.draw(pairs_for(shape))
+    entries = data.draw(entries_for(shape))
     codec = KeyCodec(shape)
-    encoded = [codec.encode(key, rid) for key, rid in pairs]
+    encoded = [codec.encode(entry) for entry in entries]
     encoded.sort()
-    assert [codec.decode(e) for e in encoded] == sorted(pairs)
+    assert [codec.decode(e) for e in encoded] == sorted(entries)
 
 
 @settings(max_examples=30, deadline=None)
@@ -113,22 +118,22 @@ def test_sorted_encoded_list_decodes_to_sorted_raw(shape, data):
 def test_compressed_run_formation_matches_raw(data):
     """End to end: same stream through raw and codec sorters, merged to a
     single run each, must yield the identical key sequence."""
-    pairs = data.draw(pairs_for("is"))
+    entries = data.draw(entries_for("is"))
     raw_store = RunStore(prefix="raw")
     raw = RunFormation(raw_store, 4)
-    for pair in pairs:
-        raw.push(pair)
+    for entry in entries:
+        raw.push(entry)
     raw_out = merge_to_single(raw_store, raw.finish(), 3)
 
     codec = KeyCodec()
     enc_store = RunStore(prefix="enc")
     enc = CompressedRunFormation(enc_store, 4, codec)
-    for pair in pairs:
-        enc.push(pair)
+    for entry in entries:
+        enc.push(entry)
     enc_out = merge_to_single(enc_store, enc.finish(), 3)
 
     decoded = [codec.decode(e) for e in enc_out.keys]
-    assert decoded == list(raw_out.keys) == sorted(pairs)
+    assert decoded == list(raw_out.keys) == sorted(entries)
 
 
 # -- deterministic boundary cases -------------------------------------------
@@ -138,29 +143,29 @@ def test_int_window_boundaries_spill_and_still_order():
     codec = KeyCodec("i")
     values = [INT_EXACT_MIN - 5, INT_EXACT_MIN - 1, INT_EXACT_MIN,
               -1, 0, 1, INT_EXACT_MAX, INT_EXACT_MAX + 1, INT_EXACT_MAX + 5]
-    encoded = [codec.encode((v,), RID(0, 0)) for v in values]
+    encoded = [codec.encode((v, RID(0, 0))) for v in values]
     assert codec.spills == 4  # the four out-of-window values
     assert sorted(encoded) == encoded
-    assert [codec.decode(e)[0][0] for e in encoded] == values
+    assert [codec.decode(e)[0] for e in encoded] == values
 
 
 def test_string_prefix_boundary_and_empty_string():
     codec = KeyCodec("s")
     values = ["", "\x00", "a", "abcc", "abcd", "abcd\x00", "abcda", "abcdz",
               "b"]
-    encoded = [codec.encode((v,), RID(0, 0)) for v in values]
+    encoded = [codec.encode((v, RID(0, 0))) for v in values]
     # Only strings encoding past STR_PREFIX bytes spill.
     assert codec.spills == sum(
         1 for v in values if len(v.encode("utf-8")) > STR_PREFIX)
     assert sorted(encoded) == encoded
-    assert [codec.decode(e)[0][0] for e in encoded] == values
+    assert [codec.decode(e)[0] for e in encoded] == values
 
 
 def test_rid_overflow_spills_but_round_trips():
     codec = KeyCodec("i")
-    big = (5,), _RID_EXACT_MAX + 1
-    small = (5,), _RID_EXACT_MAX
-    e_small, e_big = codec.encode(*small), codec.encode(*big)
+    big = (5, _RID_EXACT_MAX + 1)
+    small = (5, _RID_EXACT_MAX)
+    e_small, e_big = codec.encode(small), codec.encode(big)
     assert isinstance(e_small, int)
     assert isinstance(e_big, SpilledKey)
     assert e_small < e_big
@@ -183,13 +188,13 @@ def test_unsupported_kind_string_rejected():
 
 def test_encode_cache_hits_match_fresh_codec():
     shared = KeyCodec("is")
-    pairs = [((i % 3, "cat%d" % (i % 2)), RID(i, i % 5)) for i in range(50)]
-    fresh = [KeyCodec("is").encode(k, r) for k, r in pairs]
-    cached = [shared.encode(k, r) for k, r in pairs]
+    entries = [(i % 3, "cat%d" % (i % 2), RID(i, i % 5)) for i in range(50)]
+    fresh = [KeyCodec("is").encode(entry) for entry in entries]
+    cached = [shared.encode(entry) for entry in entries]
     assert cached == fresh
     assert len(shared._encode_cache) == 6  # 3 ints x 2 cats
-    for enc, (k, r) in zip(cached, pairs):
-        assert shared.decode(enc) == (k, r)
+    for enc, entry in zip(cached, entries):
+        assert shared.decode(enc) == entry
     assert len(shared._decode_cache) == 6
 
 
@@ -197,17 +202,17 @@ def test_cache_limit_bounds_growth(monkeypatch):
     import repro.sort.codec as codec_mod
     monkeypatch.setattr(codec_mod, "_CACHE_LIMIT", 4)
     codec = KeyCodec("i")
-    pairs = [((i,), RID(0, i)) for i in range(10)]
-    encoded = [codec.encode(k, r) for k, r in pairs]
+    entries = [(i, RID(0, i)) for i in range(10)]
+    encoded = [codec.encode(entry) for entry in entries]
     assert len(codec._encode_cache) <= 4
-    assert [codec.decode(e) for e in encoded] == pairs
+    assert [codec.decode(e) for e in encoded] == entries
     assert len(codec._decode_cache) <= 4
 
 
 def test_rebinding_clears_caches():
     codec = KeyCodec("i")
-    codec.encode((1,), RID(0, 0))
-    codec.decode(codec.encode((2,), RID(0, 0)))
+    codec.encode((1, RID(0, 0)))
+    codec.decode(codec.encode((2, RID(0, 0))))
     assert codec._encode_cache and codec._decode_cache
     codec._bind_kinds("i")
     assert not codec._encode_cache and not codec._decode_cache
@@ -217,15 +222,15 @@ def test_manifest_round_trip_preserves_layout():
     codec = KeyCodec("is")
     restored = KeyCodec.from_manifest(codec.to_manifest())
     assert restored.kinds == "is" and restored.active
-    pair = ((7, "abc"), RID(1, 2))
-    assert restored.decode(codec.encode(*pair)) == pair
+    entry = (7, "abc", RID(1, 2))
+    assert restored.decode(codec.encode(entry)) == entry
 
 
 def test_merger_pop_many_across_exact_spilled_boundary():
     codec = KeyCodec("i")
-    low = [codec.encode((v,), RID(0, v)) for v in range(0, 10, 2)]
+    low = [codec.encode((v, RID(0, v))) for v in range(0, 10, 2)]
     # Out-of-window values spill; they interleave with the exact codes.
-    high = [codec.encode((v,), RID(0, 1))
+    high = [codec.encode((v, RID(0, 1)))
             for v in (1, 3, 1 << 50, (1 << 50) + 1)]
     assert any(isinstance(e, SpilledKey) for e in high)
     store = RunStore(prefix="mix")
@@ -244,7 +249,7 @@ def test_merger_pop_many_across_exact_spilled_boundary():
             break
         out.extend(batch)
     assert out == sorted(low + high)
-    assert [codec.decode(e)[0][0] for e in out] \
+    assert [codec.decode(e)[0] for e in out] \
         == sorted(v for v in [0, 2, 4, 6, 8, 1, 3, 1 << 50, (1 << 50) + 1])
 
 
@@ -258,7 +263,7 @@ def _small_config():
 
 def _entries(system, name="idx"):
     tree = system.indexes[name].tree
-    return [(e[0], e[1], e in tree.pseudo_deleted)
+    return [(entry_key(e), entry_rid(e), e in tree.pseudo_deleted)
             for e in tree.all_entries(include_pseudo_deleted=True)]
 
 

@@ -27,7 +27,7 @@ def make_tree(unique=False, leaf_capacity=4):
 def bulk(tree, keys):
     loader = BulkLoader(tree)
     for kv, rid in keys:
-        loader.append(kv, RID(*rid))
+        loader.append((kv,), RID(*rid))
     loader.finish()
 
 
@@ -45,7 +45,7 @@ def test_search_key_value_at_leaf_boundary():
         txn = system.txns.begin()
         found = []
         for k in range(10):
-            entry = yield from tree.search(k)
+            entry = yield from tree.search((k,))
             found.append(entry is not None and entry[0] == k)
         yield from txn.commit()
         return found
@@ -59,8 +59,8 @@ def test_search_exact_composite():
 
     def body():
         txn = system.txns.begin()
-        hit = yield from tree.search(5, RID(0, 3))
-        miss = yield from tree.search(5, RID(0, 9))
+        hit = yield from tree.search((5,), RID(0, 3))
+        miss = yield from tree.search((5,), RID(0, 9))
         yield from txn.commit()
         return hit, miss
 
@@ -81,7 +81,7 @@ def test_unique_insert_conflict_across_leaf_boundary():
         txn = system.txns.begin()
         try:
             # key 4 exists somewhere at a leaf boundary with capacity 2
-            yield from tree.txn_insert_key(txn, 4, RID(9, 9),
+            yield from tree.txn_insert_key(txn, (4,), RID(9, 9),
                                            during_build=True)
         finally:
             yield from txn.rollback()
@@ -144,15 +144,19 @@ def test_sf_drain_apply_insert_delete_roundtrip():
 
     def body():
         ib = system.txns.begin("IB")
-        yield from tree.sf_drain_apply_batch(ib, [("insert", 99, RID(1, 0))])
+        yield from tree.sf_drain_apply_batch(
+            ib, [("insert", (99,), RID(1, 0))])
         assert tree.key_count() == 9
         # idempotent: re-applying the same insert is a no-op
-        yield from tree.sf_drain_apply_batch(ib, [("insert", 99, RID(1, 0))])
+        yield from tree.sf_drain_apply_batch(
+            ib, [("insert", (99,), RID(1, 0))])
         assert tree.key_count() == 9
-        yield from tree.sf_drain_apply_batch(ib, [("delete", 99, RID(1, 0))])
+        yield from tree.sf_drain_apply_batch(
+            ib, [("delete", (99,), RID(1, 0))])
         assert tree.key_count() == 8
         # deleting a missing key is a no-op
-        yield from tree.sf_drain_apply_batch(ib, [("delete", 99, RID(1, 0))])
+        yield from tree.sf_drain_apply_batch(
+            ib, [("delete", (99,), RID(1, 0))])
         assert tree.key_count() == 8
         yield from ib.commit()
 
@@ -165,7 +169,7 @@ def test_sf_drain_logs_undo_redo():
 
     def body():
         ib = system.txns.begin("IB")
-        yield from tree.sf_drain_apply_batch(ib, [("insert", 5, RID(0, 0))])
+        yield from tree.sf_drain_apply_batch(ib, [("insert", (5,), RID(0, 0))])
         yield from ib.commit()
 
     drive(system, body())
@@ -179,8 +183,8 @@ def test_verify_unique_detects_transient_duplicates():
 
     def body():
         ib = system.txns.begin("IB")
-        yield from tree.sf_drain_apply_batch(ib, [("insert", 5, RID(0, 0))])
-        yield from tree.sf_drain_apply_batch(ib, [("insert", 5, RID(0, 1))])
+        yield from tree.sf_drain_apply_batch(ib, [("insert", (5,), RID(0, 0))])
+        yield from tree.sf_drain_apply_batch(ib, [("insert", (5,), RID(0, 1))])
         yield from ib.commit()
 
     drive(system, body())
@@ -211,7 +215,7 @@ def test_empty_tree_operations():
     def body():
         txn = system.txns.begin()
         entry = yield from tree.search(5)
-        yield from tree.txn_delete_key(txn, 5, RID(0, 0),
+        yield from tree.txn_delete_key(txn, (5,), RID(0, 0),
                                        during_build=True)
         yield from txn.commit()
         return entry
@@ -228,4 +232,4 @@ def test_bulk_load_into_used_tree_requires_resume():
     bulk(tree, [(1, (0, 0))])
     loader = BulkLoader(tree)
     with pytest.raises(IndexBuildError):
-        loader.append(2, RID(0, 1))
+        loader.append((2,), RID(0, 1))
