@@ -1257,7 +1257,7 @@ def _undo_index(system: "System", txn: "Transaction", record: LogRecord):
         system.metrics.incr("index.logical_undos")
     clr, size = index_payload(index, undo_action, None, *keyed)
     yield Delay(system.config.key_op_cost)
-    return ("index.apply", clr), size, None
+    return ("index.apply", clr), size, None, 0
 
 
 def _tree_for(system: "System", index_name: str):

@@ -255,4 +255,4 @@ def _undo_iot(system: "System", txn, record: LogRecord):
             txn, record, rid=RID(pk, 0), old_record=before, new_record=after)
     clr, size = iot_payload(name, pk, restored, undo=False)
     yield Delay(system.config.record_op_cost)
-    return ("iot.del" if restored is None else "iot.put", clr), size, None
+    return ("iot.del" if restored is None else "iot.put", clr), size, None, 0

@@ -7,9 +7,10 @@ snapshots, forced side-file prefixes):
 1. **Analysis** -- from the latest checkpoint, reconstruct the transaction
    table (who was active, their last LSN) and pick the redo starting point.
 2. **Redo** -- repeat history: every redo payload from the starting point
-   is re-applied through the operation registry.  Idempotence is per
-   resource: heap pages gate on Page-LSN, index trees on their snapshot
-   watermark (``durable_lsn``), side-files on entry LSNs.
+   is re-applied, a data page's run of consecutive heap records at once,
+   every other record through the operation registry.  Idempotence is
+   per resource: heap pages gate on Page-LSN, index trees on their
+   snapshot watermark (``durable_lsn``), side-files on entry LSNs.
 3. **Undo** -- roll back loser transactions with compensation log records,
    exactly as live rollback does (section 2.2.3: "the index would be in a
    structurally consistent state after restart recovery").
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sidefile import register_sidefile_operations
+from repro.storage.table import redo_page_run
 from repro.system import System
 from repro.txn.transaction import Transaction
 from repro.wal.records import RecordKind
@@ -296,10 +298,13 @@ def _redo_then_undo(system: System, txn_table: dict, redo_start: int,
                     utility_state: Optional[dict] = None):
     registry = system.log.operations
     redo_upto = system.log.last_lsn  # CLRs we write go beyond this
-    for redo_op, lsn, txn_id, page_id, payload in \
-            system.log.redo_fields(redo_start, redo_upto):
-        yield from registry.redo(redo_op)(system, lsn, txn_id, page_id,
-                                          payload)
+    for page_id, run in system.log.redo_runs(redo_start, redo_upto):
+        if page_id is not None:  # one data page's consecutive records
+            yield from redo_page_run(system, page_id, run)
+            continue
+        for _page_id, redo_op, lsn, txn_id, _row, payload in run:
+            yield from registry.redo(redo_op)(system, lsn, txn_id, None,
+                                              payload)
     system.metrics.incr("recovery.redo_passes")
     # Redo may have re-created pages the crash lost; refresh the bounds
     # before undo touches them.

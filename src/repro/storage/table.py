@@ -21,13 +21,14 @@ delegated to the maintenance hook.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Iterator, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import RecordNotFoundError, StorageError
 from repro.sim.kernel import Acquire, Delay
 from repro.sim.latch import EXCLUSIVE, SHARE
 from repro.storage.page import DataPage, Record
 from repro.storage.rid import SLOT_BITS, SLOT_MASK, PageId, format_rid
+from repro.wal.manager import ROW_IMAGE, ROW_IMAGES, ROW_VISIBLE_SHIFT
 from repro.wal.records import HEADER_SIZE, OP_SIZE, LogRecord, RecordKind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,17 +116,19 @@ class Table:
     def log_payload(self, rid: int, values: Optional[tuple],
                     old_values: Optional[tuple] = None,
                     snapshot=_NullSnapshot, origin: Optional[tuple] = None,
-                    *, undo: bool = True) -> tuple[tuple, int]:
-        """The payload of one heap log record and its logged size.
+                    *, undo: bool = True) -> tuple[Any, int, int]:
+        """The payload, row word and logged size of one heap log record.
 
         Every heap record -- insert, delete, update, their CLRs
         (``undo=False``: redo-only) and a replica's applied writes
-        (``origin``) -- is built here, fields at the ``H_*`` positions:
+        (``origin``) -- is built here, read back at the ``H_*`` positions:
         ``values`` is the image the redo half puts (``None``: it clears
-        the slot), ``old_values`` the image an undo restores.  Sized as
-        the halves would be apart: each its tag, the table name and the
-        RID, the redo half the page capacity and its image, the undo half
-        both images.
+        the slot), ``old_values`` the image an undo restores.  The row
+        word holds the slot and visible count (``ROW_*``), so the payload
+        is only the image(s); a side-file-routed or replica write keeps
+        the whole tuple.  Sized as the halves would be apart: each its
+        tag, the table name and the RID, the redo half the page capacity
+        and its image, the undo half both images.
         """
         half = OP_SIZE + len(self.name) + 16
         images = 0
@@ -136,8 +139,13 @@ class Table:
             if old_values is not None:
                 images += 8 * (len(old_values) or 1)
             size += half + images
-        return (self.name, rid, values, old_values, snapshot.count,
-                tuple(snapshot.sf_routed), origin), size
+        row = snapshot.count << ROW_VISIBLE_SHIFT | rid & SLOT_MASK
+        if snapshot.sf_routed or origin is not None:
+            return (self.name, rid, values, old_values, snapshot.count,
+                    tuple(snapshot.sf_routed), origin), row, size
+        if old_values is None:
+            return values, row | ROW_IMAGE << SLOT_BITS, size
+        return (values, old_values), row | ROW_IMAGES << SLOT_BITS, size
 
     # -- forward processing ---------------------------------------------------
 
@@ -230,12 +238,13 @@ class Table:
             else:
                 page.put(slot, new)
                 values = new.values
-            payload, size = self.log_payload(
+            payload, row, size = self.log_payload(
                 rid, values, None if old is None else old.values, snapshot,
                 origin)
             lsn = txn.log(
                 RecordKind.UPDATE, page_id=page.page_id,
-                redo=(redo_op, payload), undo=(undo_op, payload), size=size)
+                redo=(redo_op, payload), undo=(undo_op, payload), size=size,
+                row=row)
             self.system.buffer.mark_dirty(page, lsn)
         finally:
             page.latch.release(self.system.sim.current)
@@ -337,8 +346,8 @@ class Table:
         ops = self.system.log.operations
         if ops.knows("heap.put"):
             return  # one registration per system, shared by all tables
-        ops.register("heap.put", redo=_redo)
-        ops.register("heap.clear", redo=_redo)
+        ops.register("heap.put", redo=_reject_redo)
+        ops.register("heap.clear", redo=_reject_redo)
         for undo_op in ("heap.insert", "heap.delete", "heap.update"):
             ops.register(undo_op, redo=_reject_redo, undo=_undo)
 
@@ -364,24 +373,41 @@ _APPLIED = {"heap.put": "cluster.applied_puts",
             "heap.clear": "cluster.applied_clears"}
 
 
-# -- redo handler (called by restart recovery; a generator) --------------------
+# -- redo (called by restart recovery; a generator) ------------------------------
 
 
-def _redo(system: "System", lsn: int, _txn_id, page_id, payload):
+def redo_page_run(system: "System", page_id: PageId, run):
+    """Redo one data page's run of heap records from the log's columns
+    (:meth:`LogManager.redo_runs`): fetch the page once, skip what its
+    Page-LSN covers, put or clear the rest, stamp the page once.  Counts
+    the buffer hits and redos a fetch and a redo a record would."""
     page = yield from system.buffer.ensure_page(
-        page_id, system.tables[payload[H_TABLE]].page_capacity)
-    if page.page_lsn < lsn:
-        slot, values = payload[H_RID] & SLOT_MASK, payload[H_VALUES]
+        page_id, system.tables[page_id.file].page_capacity)
+    covered, skipped = page.page_lsn, 0
+    for records, (_page_id, _op, lsn, _txn_id, row, payload) \
+            in enumerate(run, 1):
+        if lsn <= covered:
+            skipped = records
+            continue
+        if records == skipped + 1:  # the first record redone: the recLSN
+            system.buffer.mark_dirty(page, lsn)
+        shape = row >> SLOT_BITS & 3
+        values = payload if shape == ROW_IMAGE \
+            else payload[0 if shape == ROW_IMAGES else H_VALUES]
         if values is None:
-            page.clear(slot)
+            page.clear(row & SLOT_MASK)
         else:
-            page.put(slot, Record(values))
-        system.buffer.mark_dirty(page, lsn)
-        system.metrics.incr("recovery.redos")
+            page.put(row & SLOT_MASK, Record(values))
+    counters = system.metrics.counters
+    if records > skipped:
+        page.page_lsn = lsn
+        counters["recovery.redos"] += records - skipped
+    if records > 1:
+        counters["buffer.hits"] += records - 1
 
 
 def _reject_redo(system: "System", *_fields):  # pragma: no cover
-    raise AssertionError("undo payloads are never redone")
+    raise AssertionError("heap records are redone a page run at a time")
 
 
 # -- undo handler (called by Transaction.rollback; a generator) ------------------
@@ -408,6 +434,6 @@ def _undo(system: "System", txn: "Transaction", record: LogRecord):
         page.latch.release(system.sim.current)
     yield from table.maintenance.on_undo(
         txn, record, rid=rid, old_record=before, new_record=after)
-    clr, size = table.log_payload(rid, restored, undo=False)
+    clr, row, size = table.log_payload(rid, restored, undo=False)
     op = "heap.clear" if restored is None else "heap.put"
-    return (op, clr), size, page
+    return (op, clr), size, page, row

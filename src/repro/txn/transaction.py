@@ -13,8 +13,9 @@ Transactions follow ARIES conventions:
 Undo handlers are generators registered in the WAL's operation registry
 with signature ``undo(system, txn, record)``; they perform the physical
 undo (latching and dirtying pages as needed) and return
-``(clr_redo, clr_size, page)`` -- the CLR's redo half and its logged size --
-so the transaction can write the CLR and stamp the page with its LSN.
+``(clr_redo, clr_size, page, row)`` -- the CLR's redo half, its logged size
+and heap row word (0: none) -- so the transaction can write the CLR and
+stamp the page with its LSN.
 """
 
 from __future__ import annotations
@@ -98,12 +99,12 @@ class Transaction:
             undo_next_lsn: Optional[int] = None,
             info: Optional[dict] = None,
             writer: str = "txn",
-            size: Optional[int] = None) -> int:
+            size: Optional[int] = None, row: int = 0) -> int:
         """Append a chained log record for this transaction; returns its
         LSN."""
         lsn = self.system.log.append(
             self.txn_id, kind, self.last_lsn, page_id, redo, undo,
-            undo_next_lsn, info, writer, size)
+            undo_next_lsn, info, writer, size, row)
         if self.first_lsn is None:
             self.first_lsn = lsn
         self.last_lsn = lsn
@@ -155,7 +156,7 @@ class Transaction:
                 lsn = record.prev_lsn
                 continue
             handler = registry.undo(record.undo_op)
-            clr_redo, clr_size, page = \
+            clr_redo, clr_size, page, row = \
                 yield from handler(self.system, self, record)
             clr_lsn = self.log(
                 RecordKind.COMPENSATION,
@@ -163,6 +164,7 @@ class Transaction:
                 redo=clr_redo,
                 undo_next_lsn=record.prev_lsn,
                 size=clr_size,
+                row=row,
             )
             if page is not None:
                 self.system.buffer.mark_dirty(page, clr_lsn)

@@ -17,30 +17,32 @@ the position (about 40 bytes a record, against 156 for a slotted object
 and its LSN int).  ``append`` returns the LSN; ``get`` and ``scan``
 build a :class:`~repro.wal.records.LogRecord` view per record read, and
 restart reads the columns themselves (``txn_ids``, ``txn_kinds``,
-``redo_fields``).
+``redo_runs``).
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress, count
+from itertools import compress, count, groupby
+from operator import itemgetter
 from struct import Struct
 from typing import Any, Iterator, Optional
 
 from repro.errors import WALError
 from repro.faultinject.sites import fault_point
 from repro.metrics import MetricsRegistry
+from repro.storage.rid import SLOT_BITS, SLOT_MASK
 from repro.wal.records import (HEADER_SIZE, KINDS, NO_INFO, LogRecord,
                                OperationRegistry, RecordKind, _payload_size)
 
 #: The log is columns, the LSN the position.  A record is ``WIDTH``
 #: unsigned 32-bit words of one ``array('I')`` -- txn id, prev LSN,
 #: undo-next LSN (0 standing for ``None``: ids and LSNs start at 1),
-#: logged size and a code -- and two slots of one list, its ``page_id``
-#: then its ``payload``; the rare ``info`` lives in a dict by LSN.  A
-#: word of 2**32 or more does not pack (``struct.error``).
-WIDTH = 5
-W_TXN, W_PREV, W_UNDO_NEXT, W_SIZE, W_CODE = range(WIDTH)
+#: logged size, a code and a heap row's word -- and two slots of one
+#: list, its ``page_id`` then its ``payload``; the rare ``info`` lives in
+#: a dict by LSN.  A word of 2**32 or more does not pack (``struct.error``).
+WIDTH = 6
+W_TXN, W_PREV, W_UNDO_NEXT, W_SIZE, W_CODE, W_ROW = range(WIDTH)
 _RECORD = Struct(f"{WIDTH}I")
 _WORDS = _RECORD.pack
 #: a view straight from its fields, past the NamedTuple's Python-level
@@ -53,6 +55,14 @@ _new_view = tuple.__new__
 KIND_BITS, OP_BITS = 3, 13
 KIND_MASK, OP_MASK = (1 << KIND_BITS) - 1, (1 << OP_BITS) - 1
 UNDO_SHIFT, REDO_SHIFT = KIND_BITS, KIND_BITS + OP_BITS
+
+#: A heap row keeps its ``H_*`` fields in the columns, and the view
+#: rebuilds them: ``page_id`` names the table and the RID's page, the row
+#: word is ``(visible << 2 | shape) << SLOT_BITS | slot``, and the payload
+#: is what the shape names: ``values`` (``ROW_IMAGE``), ``(values,
+#: old_values)`` (``ROW_IMAGES``) or, shape 0, the whole tuple.
+ROW_IMAGE, ROW_IMAGES = 1, 2
+ROW_VISIBLE_SHIFT = SLOT_BITS + 2
 
 
 class LogManager:
@@ -87,14 +97,14 @@ class LogManager:
                undo_next_lsn: Optional[int] = None,
                info: Optional[dict] = None,
                writer: str = "txn",
-               size: Optional[int] = None) -> int:
+               size: Optional[int] = None, row: int = 0) -> int:
         """Append one record; returns its LSN.
 
         ``writer`` tags who wrote the record ("txn", "ib", "recovery") for
         the per-writer log-volume counters used by experiment E1.
         ``redo`` and ``undo`` are ``(op_name, payload)`` halves over one
         shared payload, ``size`` the writer's closed-form logged bytes
-        (see :class:`LogRecord`).
+        (see :class:`LogRecord`), ``row`` a heap row's word (``ROW_*``).
         """
         codes = self._op_codes
         if redo is None:
@@ -110,7 +120,8 @@ class LogManager:
                 else _payload_size(redo, undo)
         self._words.frombytes(_WORDS(
             txn_id or 0, prev_lsn or 0, undo_next_lsn or 0, size,
-            (redo_code << OP_BITS | undo_code) << KIND_BITS | kind.code))
+            (redo_code << OP_BITS | undo_code) << KIND_BITS | kind.code,
+            row))
         refs = self._refs
         refs += (page_id, payload)
         lsn = len(refs) >> 1
@@ -185,13 +196,21 @@ class LogManager:
         return map(self._view, range(max(from_lsn, 1), end + 1))
 
     def _view(self, lsn: int) -> LogRecord:
-        txn_id, prev_lsn, undo_next_lsn, size, code = \
+        txn_id, prev_lsn, undo_next_lsn, size, code, row = \
             _RECORD.unpack_from(self._words, (lsn - 1) * _RECORD.size)
         refs, names = self._refs, self._op_names
+        page_id, payload = refs[2 * lsn - 2], refs[2 * lsn - 1]
+        shape = row >> SLOT_BITS & 3
+        if shape:  # a heap row: its H_* tuple, rebuilt from the columns
+            values, old_values = \
+                (payload, None) if shape == ROW_IMAGE else payload
+            payload = (page_id.file, page_id.page_no << SLOT_BITS
+                       | row & SLOT_MASK, values, old_values,
+                       row >> ROW_VISIBLE_SHIFT, (), None)
         return _new_view(LogRecord, (
             lsn, txn_id or None, KINDS[code & KIND_MASK], prev_lsn or None,
-            refs[2 * lsn - 2], names[code >> REDO_SHIFT],
-            names[code >> UNDO_SHIFT & OP_MASK], refs[2 * lsn - 1],
+            page_id, names[code >> REDO_SHIFT],
+            names[code >> UNDO_SHIFT & OP_MASK], payload,
             undo_next_lsn or None, self._info.get(lsn, NO_INFO), size))
 
     @property
@@ -216,22 +235,23 @@ class LogManager:
         return ((lsn, txn_id, KINDS[code & KIND_MASK])
                 for lsn, txn_id, code in compress(records, txn_ids))
 
-    def redo_fields(self, from_lsn: int, to_lsn: int
-                    ) -> Iterator[tuple[str, int, int, Any, Any]]:
-        """``(redo_op, lsn, txn_id, page_id, payload)`` of every record
-        in ``from_lsn..to_lsn`` with a redo half (``txn_id`` 0: none),
-        zipped from the columns without a Python frame per record."""
+    def redo_runs(self, from_lsn: int, to_lsn: int) -> groupby:
+        """Every record in ``from_lsn..to_lsn`` with a redo half as
+        ``(page_id, redo_op, lsn, txn_id, row, payload)`` (``txn_id`` 0:
+        none), zipped from the columns and grouped by one C-level
+        ``groupby`` into ``(page_id, run)``: a run is one data page's
+        consecutive records, or (``page_id`` ``None``) consecutive
+        logical ones."""
         first = max(from_lsn, 1)
         start, end = (first - 1) * WIDTH, to_lsn * WIDTH
-        codes = self._words[start + W_CODE:end:WIDTH]
-        names = self._op_names
+        refs, words, names = self._refs, self._words, self._op_names
+        codes = words[start + W_CODE:end:WIDTH]
         redo_of = {code: names[code >> REDO_SHIFT] for code in set(codes)}
         ops = list(map(redo_of.__getitem__, codes))
-        refs = self._refs
-        return compress(zip(ops, count(first),
-                            self._words[start + W_TXN:end:WIDTH],
-                            refs[2 * first - 2:2 * to_lsn:2],
-                            refs[2 * first - 1:2 * to_lsn:2]), ops)
+        return groupby(compress(zip(
+            refs[2 * first - 2:2 * to_lsn:2], ops, count(first),
+            words[start + W_TXN:end:WIDTH], words[start + W_ROW:end:WIDTH],
+            refs[2 * first - 1:2 * to_lsn:2]), ops), itemgetter(0))
 
     # -- checkpoints ---------------------------------------------------------
 

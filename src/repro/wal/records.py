@@ -147,7 +147,7 @@ def _payload_size(redo: Optional[tuple[str, Mapping]],
 
 
 RedoFn = Callable[..., None]
-UndoFn = Callable[..., tuple[tuple[str, tuple], int, Any]]
+UndoFn = Callable[..., tuple[tuple[str, tuple], int, Any, int]]
 
 
 class OperationRegistry:
@@ -155,12 +155,15 @@ class OperationRegistry:
 
     Resource managers (heap, B+-tree, side-file) register their operations
     at system construction.  Recovery and rollback dispatch through here.
-    Redo reads the log's columns and hands the redo callable a record's
-    fields, ``(system, lsn, txn_id, page_id, payload)``; rollback hands
+    Redo reads the log's columns and hands the redo callable a logical
+    record's fields, ``(system, lsn, txn_id, page_id, payload)`` (a data
+    page's run of heap records goes to
+    :func:`repro.storage.table.redo_page_run` instead); rollback hands
     the undo callable ``(system, txn, record)``, a :class:`LogRecord`
-    view.  Both are generators.  The undo callable returns the redo half, and its logged size, of the
-    compensation log record describing what the undo physically did
-    (ARIES: CLRs are redo-only), plus the page to stamp with it.
+    view.  Both are generators.  The undo callable returns the redo
+    half, logged size and heap row word of the compensation log record
+    describing what the undo physically did (ARIES: CLRs are redo-only),
+    plus the page to stamp with it.
     """
 
     def __init__(self) -> None:

@@ -443,6 +443,8 @@ def test_iot_crash_recovery_of_rows():
 
 def _replay(system):
     registry = system.log.operations
-    for op_name, *fields in system.log.redo_fields(1, system.log.last_lsn):
-        if op_name.startswith("iot."):
-            yield from registry.redo(op_name)(system, *fields)
+    for page_id, run in system.log.redo_runs(1, system.log.last_lsn):
+        for _page_id, op_name, lsn, txn_id, _row, payload in run:
+            if op_name.startswith("iot."):
+                yield from registry.redo(op_name)(system, lsn, txn_id,
+                                                  page_id, payload)

@@ -215,11 +215,11 @@ def test_clr_prevents_double_undo():
         # partial rollback: undo only the delete, then crash
         record = system.log.get(loser.last_lsn)
         handler = system.log.operations.undo(record.undo[0])
-        clr_redo, clr_size, page = yield from handler(system, loser,
-                                                      record)
+        clr_redo, clr_size, page, row = yield from handler(system, loser,
+                                                           record)
         clr = system.log.get(loser.log(
             RecordKind.COMPENSATION, redo=clr_redo, size=clr_size,
-            page_id=page.page_id, undo_next_lsn=record.prev_lsn))
+            page_id=page.page_id, undo_next_lsn=record.prev_lsn, row=row))
         system.buffer.mark_dirty(page, clr.lsn)
         system.log.flush()
 

@@ -2,7 +2,9 @@
 
 The fundamental ARIES contract, checked over randomized histories:
 after a crash, exactly the committed-and-forced transactions' effects
-survive restart, and restart is idempotent.
+survive restart, and restart is idempotent.  A tiny pool and explicit
+page flushes write pages back mid-history, so restart meets pages whose
+Page-LSN falls inside their run of log records.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,9 +23,14 @@ txn_st = st.tuples(
 
 @settings(max_examples=40, deadline=None)
 @given(txns=st.lists(txn_st, min_size=1, max_size=8),
-       flush_tail=st.booleans())
-def test_committed_state_survives_crash(txns, flush_tail):
-    system = System(SystemConfig(page_capacity=4))
+       flush_tail=st.booleans(),
+       frames=st.one_of(st.just(1024), st.integers(min_value=2,
+                                                   max_value=8)),
+       flushes=st.dictionaries(st.integers(min_value=1, max_value=16),
+                               st.integers(min_value=0, max_value=9),
+                               max_size=6))
+def test_committed_state_survives_crash(txns, flush_tail, frames, flushes):
+    system = System(SystemConfig(page_capacity=4, buffer_frames=frames))
     table = system.create_table("t", ["k", "tag"])
     expected: dict[RID, tuple] = {}
 
@@ -35,6 +42,10 @@ def test_committed_state_survives_crash(txns, flush_tail):
             for op in ops:
                 nonlocal_counter = counter
                 counter += 1
+                if counter in flushes and table.page_count:
+                    # write one page back between operations
+                    yield from system.buffer.flush_page(table.page_id(
+                        flushes[counter] % table.page_count))
                 if op == "insert" or not expected:
                     rid = yield from table.insert(
                         txn, (nonlocal_counter, f"t{txn_index}"))

@@ -5,13 +5,15 @@ lock held on every row) and the built index.  At either, the largest
 lines of a tracemalloc snapshot used to include a RID namedtuple per row
 (made by the generated constructor, whose frame is ``<string>``), a raw
 ``(page, slot)`` pair per index entry (made where a data page lists its
-live records) and an empty ``deque`` per lock head.  None of the three
-may come back into the top ten.  An index entry is one flat tuple,
+live records) and an empty ``deque`` per lock head; later the payload
+tuple :meth:`Table.log_payload` built for each heap log record.  None of
+the four may come back into the top ten.  An index entry is one flat tuple,
 ``(*key, rid)``, made once by the scan and shared by the sealed run, the
 leaf and the stable image.
 """
 
 import gc
+import inspect
 import linecache
 import os
 import tracemalloc
@@ -20,6 +22,7 @@ import pytest
 
 import repro
 from repro.bench.harness import bench_config, run_build_experiment
+from repro.storage.table import Table
 from repro.txn.transaction import Transaction
 
 ROWS = 40_000
@@ -29,6 +32,10 @@ PAGE_PY = os.path.join(SRC, "storage", "page.py")
 BASE_PY = os.path.join(SRC, "core", "base.py")
 #: bytes of one int a RID needs (a two-int tuple is 56)
 INT_BYTES = 32
+TABLE_PY = os.path.join(SRC, "storage", "table.py")
+#: the lines of the heap log record builder
+_SOURCE, _FIRST = inspect.getsourcelines(Table.log_payload)
+LOG_PAYLOAD_LINES = range(_FIRST, _FIRST + len(_SOURCE))
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +83,10 @@ def test_no_rid_tuple_or_lock_queue_in_the_top_ten(snapshots, peak):
         if frame.filename == PAGE_PY:
             assert size <= count * INT_BYTES, \
                 f"a page lists its RIDs as more than ints: {where}"
+        assert not (frame.filename == TABLE_PY
+                    and frame.lineno in LOG_PAYLOAD_LINES), \
+            f"a payload tuple per heap log record is back at the {peak} " \
+            f"peak: {where}"
 
 
 def test_index_entries_hold_int_rids(snapshots):

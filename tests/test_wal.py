@@ -1,9 +1,18 @@
 """Unit tests for the WAL (repro.wal)."""
 
+from functools import partial
+from itertools import groupby
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import WALError
+from repro.metrics import MetricsRegistry
+from repro.storage.buffer import BufferPool
+from repro.storage.page import DataPage
+from repro.storage.rid import SLOT_BITS, SLOT_MASK, PageId
+from repro.storage.table import Table, redo_page_run
 from repro.wal import LogManager, OperationRegistry, RecordKind
 from repro.wal.records import HEADER_SIZE, NO_INFO
 
@@ -176,13 +185,30 @@ FLAVOURS = {
     "end": (RecordKind.END, None, None, None),
 }
 
+#: one heap record of each shape the log's row word tells apart: (redo
+#: op, undo op -- None: a redo-only CLR --, values, old values, side-file
+#: routed indexes, origin)
+HEAP_SHAPES = {
+    "put": ("heap.put", "heap.insert", (1, "a"), None, (), None),
+    "clear": ("heap.clear", None, None, None, (), None),
+    "update": ("heap.put", "heap.update", (2, "b"), (1, "a"), (), None),
+    "delete": ("heap.clear", "heap.delete", None, (2, "b"), (), None),
+    "sf_routed": ("heap.put", "heap.insert", (3,), None, ("idx",), None),
+    "origin": ("heap.put", "heap.update", (4,), (3,), (), ("up", 7)),
+}
+
+txn_or_none = st.one_of(st.none(), st.integers(min_value=1, max_value=6))
 lsn_or_none = st.one_of(st.none(), st.integers(min_value=1, max_value=40))
 append_step = st.tuples(
-    st.just("append"), st.sampled_from(sorted(FLAVOURS)),
-    st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+    st.just("append"), st.sampled_from(sorted(FLAVOURS)), txn_or_none,
     lsn_or_none, lsn_or_none, st.integers(min_value=32, max_value=4096))
+heap_step = st.tuples(
+    st.just("heap"), st.sampled_from(sorted(HEAP_SHAPES)), txn_or_none,
+    st.integers(min_value=0, max_value=2),
+    st.sampled_from([0, 1, SLOT_MASK]), st.integers(min_value=0,
+                                                    max_value=3))
 steps_st = st.lists(st.one_of(
-    append_step, append_step,
+    append_step, append_step, heap_step, heap_step,
     st.tuples(st.just("flush"), st.integers(min_value=0, max_value=50)),
     st.tuples(st.just("checkpoint"), st.integers(min_value=0, max_value=9)),
     st.tuples(st.just("crash"))), max_size=40)
@@ -204,7 +230,7 @@ def apply_step(log, model, step):
         _action, flavour, txn_id, prev_lsn, undo_next, size = step
         kind, redo_op, undo_op, info = FLAVOURS[flavour]
         payload = ("payload", len(model.records))
-        page_id = ("t", len(model.records)) if redo_op else None
+        page_id = None  # a logical record: redo takes it alone
         if kind is not RecordKind.COMPENSATION:
             undo_next = None
         if redo_op is None and undo_op is None:
@@ -218,6 +244,27 @@ def apply_step(log, model, step):
             size=None if payload is None else size)
         model.records.append((lsn, txn_id, kind, prev_lsn, page_id, redo_op,
                               undo_op, payload, undo_next, info, size))
+    elif action == "heap":
+        # the payload, row word and size Table.write and the CLRs log
+        _action, shape, txn_id, page_no, slot, visible = step
+        redo_op, undo_op, values, old_values, sf_routed, origin = \
+            HEAP_SHAPES[shape]
+        rid = page_no << SLOT_BITS | slot
+        payload, row, size = Table.log_payload(
+            SimpleNamespace(name="t"), rid, values, old_values,
+            SimpleNamespace(count=visible, sf_routed=sf_routed), origin,
+            undo=undo_op is not None)
+        kind = RecordKind.COMPENSATION if undo_op is None \
+            else RecordKind.UPDATE
+        page_id = PageId("t", page_no)
+        lsn = log.append(
+            txn_id, kind, None, page_id, (redo_op, payload),
+            None if undo_op is None else (undo_op, payload), size=size,
+            row=row)
+        model.records.append((
+            lsn, txn_id, kind, None, page_id, redo_op, undo_op,
+            ("t", rid, values, old_values, visible, sf_routed, origin),
+            None, None, size))
     elif action == "flush":
         target = min(step[1], len(model.records))
         log.flush(target)
@@ -264,9 +311,53 @@ def check(log, model):
         max((want[1] for want in records if want[1]), default=0)
     assert list(log.txn_kinds()) == [(want[0], want[1], want[2])
                                      for want in records if want[1]]
-    assert list(log.redo_fields(1, last)) == [
-        (want[5], want[0], want[1] or 0, want[4], want[7])
-        for want in records if want[5]]
+    # the redo reader: runs of one page_id, and a heap page's runs put
+    # into empty pages by restart's handler what the model's puts and
+    # clears leave, counting what a fetch and a redo a record would
+    runs = [(page_id, list(run)) for page_id, run in log.redo_runs(1, last)]
+    redone = [want for want in records if want[5]]
+    assert [page_id for page_id, _run in runs] == \
+        [page_id for page_id, _run in groupby(want[4] for want in redone)]
+    assert [(record[0], record[1], record[2], record[3])
+            for _page_id, run in runs for record in run] == \
+        [(want[4], want[5], want[0], want[1] or 0) for want in redone]
+    heap_runs = [(page_id, run) for page_id, run in runs
+                 if isinstance(page_id, PageId)]
+    pages, dirty = {}, {}
+    metrics = MetricsRegistry()
+    system = SimpleNamespace(
+        buffer=SimpleNamespace(
+            ensure_page=partial(fresh_page, pages),
+            mark_dirty=partial(BufferPool.mark_dirty,
+                               SimpleNamespace(dirty=dirty))),
+        tables={"t": SimpleNamespace(page_capacity=SLOT_MASK + 1)},
+        metrics=metrics)
+    for page_id, run in heap_runs:
+        for _ in redo_page_run(system, page_id, iter(run)):
+            pass
+    heap = [want for want in redone if isinstance(want[4], PageId)]
+    want_pages, first_lsn, last_lsn = {}, {}, {}
+    for want in heap:
+        slots = want_pages.setdefault(want[4], {})
+        slots[want[7][1] & SLOT_MASK] = want[7][2]
+        first_lsn.setdefault(want[4], want[0])
+        last_lsn[want[4]] = want[0]
+    assert {page_id: {slot: record.values
+                      for slot, record in enumerate(page.slots) if record}
+            for page_id, page in pages.items()} == \
+        {page_id: {slot: values for slot, values in slots.items() if values}
+         for page_id, slots in want_pages.items()}
+    assert dirty == first_lsn
+    assert {page_id: page.page_lsn for page_id, page in pages.items()} == \
+        last_lsn
+    assert metrics.get("recovery.redos") == len(heap)
+    assert metrics.get("buffer.hits") == len(heap) - len(heap_runs)
+
+
+def fresh_page(pages, page_id, capacity):
+    """``ensure_page`` over empty pages, one per ``page_id``."""
+    return pages.setdefault(page_id, DataPage(page_id, capacity))
+    yield  # pragma: no cover - generator shape
 
 
 def run_history(log, steps):

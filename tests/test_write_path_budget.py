@@ -110,12 +110,14 @@ def containers(value) -> int:
 
 def test_an_inserted_row_leaves_one_flat_payload_resident():
     """The log is never truncated, so what a row's log record keeps is
-    resident for good: its words in the log's columns and one payload
-    tuple (about 1 000 bytes a row when each half had its own dict and
-    ``info`` a third, 293 while each record was a slotted object, 245
-    while its RID was a namedtuple, 213 now that it is an int; lock
-    heads are freed at commit and do not count).  ``<string>`` is where
-    a namedtuple's generated constructor allocates."""
+    resident for good: its words in the log's columns and a reference to
+    the image the page holds (about 1 000 bytes a row when each half had
+    its own dict and ``info`` a third, 293 while each record was a
+    slotted object, 245 while its RID was a namedtuple, 213 while it was
+    an int in a payload tuple, 89 now that the table, RID and visible
+    count are columns; lock heads are freed at commit and do not count).
+    ``<string>`` is where a namedtuple's generated constructor
+    allocates."""
     gc.collect()
     tracemalloc.start()
     system = run_preload([])
@@ -131,19 +133,30 @@ def test_an_inserted_row_leaves_one_flat_payload_resident():
     ])
     per_row = sum(stat.size for stat in resident.statistics("filename")) \
         / ROWS
-    assert per_row <= 220, f"{per_row:.0f} resident bytes per inserted row"
-    # the log's own share: five 32-bit words and two references a record
-    # (156 bytes while each was a slotted object with its LSN int, 40 now)
+    assert per_row <= 95, f"{per_row:.0f} resident bytes per inserted row"
+    # the log's own share: six 32-bit words and two references a record
+    # (156 bytes while each was a slotted object with its LSN int, 40
+    # with five words, 44 since a heap row's slot and visible count are
+    # the sixth)
     in_wal = snapshot.filter_traces([
         tracemalloc.Filter(True, SRC + os.path.join("wal", "*"))])
     per_record = sum(stat.size for stat in in_wal.statistics("filename")) \
         / system.log.last_lsn
-    assert per_record <= 44, f"{per_record:.0f} resident bytes per record"
+    assert per_record <= 48, f"{per_record:.0f} resident bytes per record"
     records = list(system.log.scan())
     assert all(record.info is NO_INFO for record in records)
     assert sum(containers(record.payload) for record in records) == 0
-    assert not any(hasattr(record, "__dict__")
-                   for _rid, record in system.tables["t"].audit_records())
+    rows = list(system.tables["t"].audit_records())
+    assert not any(hasattr(record, "__dict__") for _rid, record in rows)
+    # a plain insert logs the page's own image: no payload tuple and no
+    # RID int of its own
+    images = {id(record.values) for _rid, record in rows}
+    logged = system.log._refs[1::2]
+    inserts = [payload for record, payload in zip(records, logged)
+               if record.undo_op == "heap.insert"]
+    assert len(inserts) == ROWS
+    assert all(id(payload) in images for payload in inserts)
+    assert not any(type(ref) is int for ref in system.log._refs)
 
 
 def test_the_cheaper_path_does_the_same_simulated_work(profiled_preload):
