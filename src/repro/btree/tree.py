@@ -400,7 +400,8 @@ class BTree:
                 leaf, path = self._traverse(composite)
                 version = self.structure_version
             visits = len(path) + 1
-            yield Acquire(leaf.latch, EXCLUSIVE)
+            if not self.system.sim.acquired(leaf.latch, EXCLUSIVE):
+                yield Acquire(leaf.latch, EXCLUSIVE)
             path = self._path_after_wait(leaf, path, version, composite)
             if path is not None or (
                     key_value is not None
@@ -435,7 +436,8 @@ class BTree:
         if not during_build:
             yield from self._next_key_lock(txn, leaf, composite,
                                            instant=True)
-        yield Delay(self.system.config.key_op_cost)
+        if not self.system.sim.delayed(self.system.config.key_op_cost):
+            yield Delay(self.system.config.key_op_cost)
         return outcome
 
     def _insert_decide(self, txn, leaf, path, composite: CompositeKey,
@@ -530,7 +532,8 @@ class BTree:
         if not during_build and exact is not None:
             yield from self._next_key_lock(txn, leaf, composite,
                                            instant=False)
-        yield Delay(self.system.config.key_op_cost)
+        if not self.system.sim.delayed(self.system.config.key_op_cost):
+            yield Delay(self.system.config.key_op_cost)
 
     def _next_key_lock(self, txn, leaf: LeafPage, composite: CompositeKey,
                        instant: bool):
@@ -585,14 +588,15 @@ class BTree:
         inserted = 0
         total = len(keys)
         index = 0
-        metrics = self.system.metrics
+        metrics, sim = self.system.metrics, self.system.sim
         leaf_covers = self._leaf_covers
         ib_classify = self._ib_classify
         insert_sorted = self._insert_sorted
         while index < total:
             leaf = self._locate_ib_leaf(cursor, keys[index])
             version = self.structure_version
-            yield Acquire(leaf.latch, EXCLUSIVE)
+            if not sim.acquired(leaf.latch, EXCLUSIVE):
+                yield Acquire(leaf.latch, EXCLUSIVE)
             if version != self.structure_version and self._traverse(
                     keys[index], count=False)[0] is not leaf:
                 # The leaf split while we waited for its latch; drop the
@@ -646,8 +650,9 @@ class BTree:
                 leaf.latch.release(self.system.sim.current)
             if pending:
                 fault_point(self.system.metrics, "btree.ib_insert")
-                yield Delay(self.system.config.key_op_cost
-                            * len(pending))
+                cost = self.system.config.key_op_cost * len(pending)
+                if not sim.delayed(cost):
+                    yield Delay(cost)
             if unique_check is not None:
                 # Latch-free verification; may raise IndexBuildError.
                 settled = yield from self._ib_unique_check(
@@ -853,7 +858,9 @@ class BTree:
                 leaf.latch.release(self.system.sim.current)
             if group:
                 applied += group
-                yield Delay(key_op_cost * group + visit_cost * visits)
+                cost = key_op_cost * group + visit_cost * visits
+                if not self.system.sim.delayed(cost):
+                    yield Delay(cost)
         return applied
 
     def verify_unique(self) -> None:
@@ -1111,7 +1118,8 @@ class BTree:
         else:
             leaf, _entry = self._find_for_key_value(key_value)
             self.system.metrics.incr("index.traversals")
-        yield Acquire(leaf.latch, SHARE)
+        if not self.system.sim.acquired(leaf.latch, SHARE):
+            yield Acquire(leaf.latch, SHARE)
         try:
             if rid is not None:
                 entry = leaf.find_exact(composite)
@@ -1119,7 +1127,8 @@ class BTree:
                 entry = leaf.find_key_value(key_value)
         finally:
             leaf.latch.release(self.system.sim.current)
-        yield Delay(self.system.config.tree_visit_cost)
+        if not self.system.sim.delayed(self.system.config.tree_visit_cost):
+            yield Delay(self.system.config.tree_visit_cost)
         return entry
 
     def leaf_chain(self) -> Iterator[LeafPage]:

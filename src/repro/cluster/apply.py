@@ -79,7 +79,7 @@ def apply_record(txn: "Transaction", system: "System", record: LogRecord,
         raise StorageError(
             f"shipped record for unknown table {payload[H_TABLE]!r}")
     rid, values = payload[H_RID], payload[H_VALUES]
-    yield from table._intent_lock(txn)
+    yield from txn.lock(table.table_lock_name, "IX")
     granted = yield from txn.lock(table.lock_name(rid), "X")
     assert granted
     while table.page_count <= rid_page(rid):

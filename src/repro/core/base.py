@@ -682,7 +682,9 @@ class BuilderBase:
                         if fp_enabled:
                             for _ in records:
                                 fault_point(metrics, "build.sort_push")
-                        yield Delay(len(records) * KEY_EXTRACT_COST)
+                        cost = len(records) * KEY_EXTRACT_COST
+                        if not system.sim.delayed(cost):
+                            yield Delay(cost)
                     if compare_cost:
                         yield from self._charge_compare_cost(compare_cost,
                                                              targets)
@@ -727,7 +729,7 @@ class BuilderBase:
             delta += (done - charged.get(sorter, 0)) \
                 * self._compare_units(descriptor, sorter)
             charged[sorter] = done
-        if delta:
+        if delta and not self.system.sim.delayed(delta * cost):
             yield Delay(delta * cost)
 
     def _codec_fault_points(self, metrics) -> None:
@@ -822,12 +824,14 @@ class BuilderBase:
             the merge matches played to produce them."""
             nonlocal merge_charged
             yield from self._throttle(keys)
-            yield Delay(keys * key_cost)
+            if not self.system.sim.delayed(keys * key_cost):
+                yield Delay(keys * key_cost)
             if compare_cost:
                 done = merger.comparisons
                 matches, merge_charged = done - merge_charged, done
-                if matches:
-                    yield Delay(matches * compare_units * compare_cost)
+                cost = matches * compare_units * compare_cost
+                if matches and not self.system.sim.delayed(cost):
+                    yield Delay(cost)
 
         # The merged keys are pulled and loaded in batches, but the yield
         # and checkpoint cadence is key-exact: each batch is capped at

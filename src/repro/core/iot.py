@@ -133,7 +133,8 @@ class IOTable:
                 undo=(undo_op, payload), size=size)
         yield Delay(self.system.config.record_op_cost)
         self.system.metrics.incr(counter)
-        yield from self.maintenance.apply_direct(txn, snapshot)
+        if snapshot.direct:
+            yield from self.maintenance.apply_direct(txn, snapshot)
         return old
 
     def _store(self, pk, old: Optional[Record],

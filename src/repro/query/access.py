@@ -96,7 +96,8 @@ def index_lookup(txn: "Transaction", descriptor: IndexDescriptor,
         record = yield from table.read_latched(rid)
         if record is not None and descriptor.key_of(record) == key_value:
             results.append((rid, record))
-    yield Delay(system.config.tree_visit_cost)
+    if not system.sim.delayed(system.config.tree_visit_cost):
+        yield Delay(system.config.tree_visit_cost)
     system.metrics.incr("query.index_lookups")
     return results
 
@@ -139,8 +140,9 @@ def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
             lock_name = ("index-eof", descriptor.name)
         yield from txn.lock(lock_name, "S")
         system.metrics.incr("query.range_next_key_locks")
-    yield Delay(system.config.tree_visit_cost
-                * max(1, len(results) // 8))
+    cost = system.config.tree_visit_cost * max(1, len(results) // 8)
+    if not system.sim.delayed(cost):
+        yield Delay(cost)
     system.metrics.incr("query.range_scans")
     return results
 

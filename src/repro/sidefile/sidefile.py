@@ -106,7 +106,9 @@ class SideFile:
                rid: int):
         """Generator variant of :meth:`append_sync` charging CPU cost."""
         entry = self.append_sync(txn, operation, key_value, rid)
-        yield Delay(self.system.config.record_op_cost * 0.5)
+        cost = self.system.config.record_op_cost * 0.5
+        if not self.system.sim.delayed(cost):
+            yield Delay(cost)
         return entry
 
     def append_during_undo(self, txn: "Transaction", operation: str,

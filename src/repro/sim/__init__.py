@@ -14,7 +14,6 @@ from repro.sim.kernel import (
     SimEvent,
     Simulator,
     Wait,
-    run_to_completion,
 )
 from repro.sim.latch import EXCLUSIVE, SHARE, Latch
 
@@ -28,7 +27,6 @@ __all__ = [
     "SimEvent",
     "Simulator",
     "Wait",
-    "run_to_completion",
     "EXCLUSIVE",
     "SHARE",
     "Latch",

@@ -21,10 +21,15 @@ yielding *effects*:
     Block until the given process finishes; yields its return value.
 
 Sub-routines compose with ``yield from``.  Everything a process does
-between two yields is atomic, exactly like the instruction sequences the
-paper protects with latches; the latches still matter because processes
-deliberately *yield between* extraction and insertion steps, reproducing
-the races of section 1.2.
+between two points where another process may run is atomic, exactly like
+the instruction sequences the paper protects with latches; the latches
+still matter because processes deliberately *yield between* extraction
+and insertion steps, reproducing the races of section 1.2.
+
+Run to block: a hot site asks ``sim.delayed(cost)`` or
+``sim.acquired(latch, mode)`` before it yields; when the running process
+would be resumed next anyway, the effect is done in place with the
+``_seq``, clock and injector step its dispatch would have had.
 
 Determinism: ties in the event queue are broken by a monotonically
 increasing sequence number, so two runs with the same seed produce
@@ -54,7 +59,7 @@ historical kernel.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, NamedTuple, Optional
+from typing import Any, Generator, NamedTuple, Optional
 
 from repro.errors import SimulationError, SystemCrash
 
@@ -250,6 +255,7 @@ class Simulator:
         #: the live processes by pid, in spawn order; a process leaves
         #: when it finishes, so the run holds only what is still running
         self._processes: dict[int, Process] = {}
+        self._until = float("inf")  # the running run()'s bound
 
     # -- spawning -------------------------------------------------------
 
@@ -294,6 +300,44 @@ class Simulator:
         heapq.heappush(self._queue, (self.now + 0.0, self._seq, proc,
                                      value, False))
 
+    # -- run to block (module docstring; DESIGN.md section 5) -----------
+
+    def delayed(self, duration: float) -> bool:
+        """Do ``Delay(duration)`` in place if the running process would
+        be resumed next; False: yield it."""
+        if duration < 0:
+            raise SimulationError(f"negative delay {duration!r}")
+        now = self.now + duration
+        queue = self._queue
+        if self.schedule_policy is None and self.current is not None \
+                and now <= self._until and (not queue or queue[0][0] > now):
+            self._seq += 1
+            self.now = now
+            if self.fault_injector is not None:
+                self._kernel_step()
+            return True
+        return False
+
+    def acquired(self, resource: Any, mode: str = "X") -> bool:
+        """Grant ``resource`` in place by its own rule if the running
+        process would be resumed next; False: yield the ``Acquire``."""
+        now = self.now + 0.0  # a step's clock is within run(until)
+        queue = self._queue
+        if self.schedule_policy is None and self.current is not None \
+                and (not queue or queue[0][0] > now) \
+                and resource._request(self, self.current, mode, False):
+            self._seq += 1
+            self.now = now
+            if self.fault_injector is not None:
+                self._kernel_step()
+            return True
+        return False
+
+    def _kernel_step(self) -> None:  # the dispatch's; a crash raises here
+        crash = self.fault_injector.kernel_step(self.current)
+        if crash is not None:
+            raise crash
+
     def _throw(self, proc: Process, error: BaseException) -> None:
         """Make a blocked process resume by raising ``error`` inside it."""
         self._schedule(proc, delay=0.0, value=error, throw=True)
@@ -311,6 +355,7 @@ class Simulator:
         """
         if until is not None and until < self.now:
             return
+        self._until = float("inf") if until is None else until
         while self._queue:
             if self.schedule_policy is not None:
                 entry = self._pop_with_policy(until)
@@ -425,7 +470,8 @@ class Simulator:
             heapq.heappush(self._queue, (self.now + duration, self._seq,
                                          proc, None, False))
         elif kind is Acquire:
-            effect.resource._request(self, proc, effect.mode)
+            if effect.resource._request(self, proc, effect.mode):
+                self._resume(proc, effect.resource)
         else:
             self._dispatch(proc, effect)
 
@@ -433,7 +479,8 @@ class Simulator:
         if isinstance(effect, Delay):
             self._schedule(proc, delay=effect.duration, value=None)
         elif isinstance(effect, Acquire):
-            effect.resource._request(self, proc, effect.mode)
+            if effect.resource._request(self, proc, effect.mode):
+                self._resume(proc, effect.resource)
         elif isinstance(effect, Wait):
             if not effect.event._register(proc):
                 self._resume(proc, effect.event.value)
@@ -469,17 +516,3 @@ class Simulator:
             else:
                 self._resume(waiter, result)
 
-
-def run_to_completion(bodies: Iterable[tuple[str, ProcessBody]],
-                      until: Optional[float] = None) -> Simulator:
-    """Convenience: spawn named processes on a fresh simulator and run it."""
-    sim = Simulator()
-    for name, body in bodies:
-        sim.spawn(body, name=name)
-    sim.run(until=until)
-    return sim
-
-
-def call(func: Callable[..., ProcessBody], *args: Any, **kwargs: Any):
-    """Readability helper: ``yield from call(f, x)`` == ``yield from f(x)``."""
-    return func(*args, **kwargs)

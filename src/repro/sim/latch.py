@@ -70,24 +70,29 @@ class Latch:
 
     # -- kernel resource protocol ----------------------------------------
 
-    def _request(self, sim: "Simulator", proc: "Process", mode: str) -> None:
+    def _request(self, sim: "Simulator", proc: "Process", mode: str,
+                 wait: bool = True) -> bool:
+        """Grant now (True: the caller resumes ``proc``) or queue."""
         if mode not in (SHARE, EXCLUSIVE):
             raise SimulationError(f"bad latch mode {mode!r}")
+        # A free latch is the common case and needs no _grantable call:
+        # with no holder there is no re-acquire to refuse.
+        granted = self._mode is None or self._grantable(proc, mode)
+        if not (granted or wait):
+            return False
         self._sim = sim
         if self.metrics is not None:
             self.metrics.counters["latch.requests"] += 1
-        # A free latch is the common case and needs no _grantable call:
-        # with no holder there is no re-acquire to refuse.
-        if self._mode is None or self._grantable(proc, mode):
+        if granted:
             self._holders[proc] = 1
             self._mode = mode
-            sim._resume(proc, self)
-        else:
-            if self.metrics is not None:
-                self.metrics.incr("latch.waits")
-            if self._waiters is None:
-                self._waiters = deque()
-            self._waiters.append((proc, mode, sim.now))
+            return True
+        if self.metrics is not None:
+            self.metrics.incr("latch.waits")
+        if self._waiters is None:
+            self._waiters = deque()
+        self._waiters.append((proc, mode, sim.now))
+        return False
 
     # -- grant logic -------------------------------------------------------
 

@@ -40,22 +40,26 @@ class Semaphore:
 
     # -- kernel resource protocol ----------------------------------------
 
-    def _request(self, sim: "Simulator", proc: "Process",
-                 mode: str) -> None:
-        self._sim = sim
+    def _request(self, sim: "Simulator", proc: "Process", mode: str,
+                 wait: bool = True) -> bool:
+        """Grant now (True: the caller resumes ``proc``) or queue."""
         if proc in self._holders:
             raise SimulationError(
                 f"process {proc.name!r} re-acquiring semaphore "
                 f"{self.name!r}")
+        granted = len(self._holders) < self.capacity and not self._waiters
+        if not (granted or wait):
+            return False
+        self._sim = sim
         if self.metrics is not None:
             self.metrics.incr(f"semaphore.{self.name}.requests")
-        if len(self._holders) < self.capacity and not self._waiters:
+        if granted:
             self._holders[proc] = 1
-            sim._resume(proc, self)
-        else:
-            if self.metrics is not None:
-                self.metrics.incr(f"semaphore.{self.name}.waits")
-            self._waiters.append((proc, sim.now))
+            return True
+        if self.metrics is not None:
+            self.metrics.incr(f"semaphore.{self.name}.waits")
+        self._waiters.append((proc, sim.now))
+        return False
 
     def release(self, proc: Optional["Process"]) -> None:
         """Release ``proc``'s unit and grant the next waiter.

@@ -62,23 +62,30 @@ class BufferPool:
         """
         if cost <= 0:
             return
-        if self.io is None:
-            yield Delay(cost)
-            return
-        yield Acquire(self.io, "X")
+        sim, io = self._sim, self.io
+        if io is not None and (sim is None or not sim.acquired(io, "X")):
+            yield Acquire(io, "X")
         try:
-            yield Delay(cost)
+            if sim is None or not sim.delayed(cost):
+                yield Delay(cost)
         finally:
-            self.io.release(self._sim.current if self._sim else None)
+            if io is not None:
+                io.release(sim.current if sim else None)
 
     # -- fetch paths ---------------------------------------------------------
 
-    def fetch(self, page_id: PageId):
-        """Get a page (generator; yields I/O delay on a miss)."""
+    def hit(self, page_id: PageId) -> Optional[DataPage]:
+        """A buffer hit on ``page_id`` by a plain call, else None."""
         page = self._frames.get(page_id)
         if page is not None:
             self._frames.move_to_end(page_id)
             self.metrics.counters["buffer.hits"] += 1
+        return page
+
+    def fetch(self, page_id: PageId):
+        """Get a page (generator; yields I/O delay on a miss)."""
+        page = self.hit(page_id)
+        if page is not None:
             return page
         self.metrics.incr("buffer.misses")
         image = self.disk.read_page(page_id)
@@ -132,7 +139,8 @@ class BufferPool:
         if self._frames.get(page.page_id) is not page:
             self.metrics.incr("buffer.stale_prefetches")
             page = yield from self.fetch(page.page_id)
-        yield Acquire(page.latch, mode)
+        if self._sim is None or not self._sim.acquired(page.latch, mode):
+            yield Acquire(page.latch, mode)
         return page
 
     def new_page(self, page_id: PageId, capacity: int):
@@ -157,10 +165,8 @@ class BufferPool:
         Used by redo handlers replaying an insert into a page that was
         allocated but lost in the crash.
         """
-        page = self._frames.get(page_id)
+        page = self.hit(page_id)
         if page is not None:
-            self._frames.move_to_end(page_id)
-            self.metrics.counters["buffer.hits"] += 1
             return page
         if self.disk.has_page(page_id):
             page = yield from self.fetch(page_id)

@@ -57,10 +57,6 @@ class NullMaintenance:
     def prepare(self, txn, rid, old, new):
         return _NullSnapshot()
 
-    def apply_direct(self, txn, snapshot):
-        return
-        yield  # pragma: no cover - generator shape
-
     def on_undo(self, txn, log_record, rid, old_record, new_record):
         return
         yield  # pragma: no cover
@@ -149,22 +145,35 @@ class Table:
 
     # -- forward processing ---------------------------------------------------
 
-    def _intent_lock(self, txn: "Transaction"):
-        """The generator requesting the table-level IX lock every
-        updater holds to commit (``yield from`` it).
-
-        This is what makes NSF's descriptor-create quiesce work: IB's S
-        lock on the table (section 2.2.1) waits for these IX locks, and
-        new updaters queue behind IB's request.
-        """
-        return txn.lock(self.table_lock_name, "IX")
-
     def insert(self, txn: "Transaction", values: Sequence):
-        """Generator: insert a record; returns its RID."""
-        yield from self._intent_lock(txn)
+        """Generator: insert a record append-style; returns its RID.
+
+        The table's IX lock (NSF's quiesce, section 2.2.1, waits for it),
+        then a free slot of the last page, its lock taken conditionally
+        under the latch; a full page or a held lock extends the file."""
+        locks, sim = self.system.locks, self.system.sim
+        if locks.request(txn, self.table_lock_name, "IX") is None:
+            yield from locks.wait(txn)
         record = Record(tuple(values))
-        page, slot = yield from self._pick_insert_slot(txn)
-        rid = page.page_id.page_no << SLOT_BITS | slot
+        while True:
+            if self.page_count == 0:
+                page = yield from self._allocate_page()
+            else:
+                last = self.page_count - 1
+                page = self._resident(last) \
+                    or (yield from self._fetch_page(last))
+            if not sim.acquired(page.latch, EXCLUSIVE):
+                yield Acquire(page.latch, EXCLUSIVE)
+            slot = page.free_slot()
+            granted = False
+            if slot is not None:
+                rid = page.page_id.page_no << SLOT_BITS | slot
+                granted = locks.request(txn, self.lock_name(rid), "X",
+                                        conditional=True)
+            page.latch.release(sim.current)
+            if granted:
+                break
+            yield from self._allocate_page()
         yield from self.write(txn, rid, record, page=page, occupied=False)
         return rid
 
@@ -175,7 +184,7 @@ class Table:
         inserts a record "at the same location (RID R)" after T1's
         rollback freed it.
         """
-        yield from self._intent_lock(txn)
+        yield from txn.lock(self.table_lock_name, "IX")
         record = Record(tuple(values))
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
@@ -184,14 +193,14 @@ class Table:
 
     def delete(self, txn: "Transaction", rid: int):
         """Generator: delete the record at ``rid``; returns the old record."""
-        yield from self._intent_lock(txn)
+        yield from txn.lock(self.table_lock_name, "IX")
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
         return (yield from self.write(txn, rid, None))
 
     def update(self, txn: "Transaction", rid: int, new_values: Sequence):
         """Generator: replace the record at ``rid``; returns (old, new)."""
-        yield from self._intent_lock(txn)
+        yield from txn.lock(self.table_lock_name, "IX")
         new_record = Record(tuple(new_values))
         granted = yield from txn.lock(self.lock_name(rid), "X")
         assert granted
@@ -215,9 +224,12 @@ class Table:
         nothing, ``True`` a record, ``None`` either; a clear needs one);
         ``origin`` tags a replica's write.  Returns ``old``.
         """
+        sim = self.system.sim
         if page is None:
-            page = yield from self._fetch_page(rid >> SLOT_BITS)
-        yield Acquire(page.latch, EXCLUSIVE)
+            page = self._resident(rid >> SLOT_BITS) \
+                or (yield from self._fetch_page(rid >> SLOT_BITS))
+        if not sim.acquired(page.latch, EXCLUSIVE):
+            yield Acquire(page.latch, EXCLUSIVE)
         slot = rid & SLOT_MASK
         try:
             old = page.peek(slot)
@@ -247,19 +259,23 @@ class Table:
                 row=row)
             self.system.buffer.mark_dirty(page, lsn)
         finally:
-            page.latch.release(self.system.sim.current)
-        yield Delay(self.system.config.record_op_cost)
+            page.latch.release(sim.current)
+        if not sim.delayed(self.system.config.record_op_cost):
+            yield Delay(self.system.config.record_op_cost)
         self.system.metrics.incr(
             counter if origin is None else _APPLIED[redo_op])
-        yield from self.maintenance.apply_direct(txn, snapshot)
+        if snapshot.direct:
+            yield from self.maintenance.apply_direct(txn, snapshot)
         return old
 
     def read(self, txn: "Transaction", rid: int):
         """Generator: S-lock and read one record."""
         granted = yield from txn.lock(self.lock_name(rid), "S")
         assert granted
-        page = yield from self._fetch_page(rid >> SLOT_BITS)
-        yield Acquire(page.latch, SHARE)
+        page = self._resident(rid >> SLOT_BITS) \
+            or (yield from self._fetch_page(rid >> SLOT_BITS))
+        if not self.system.sim.acquired(page.latch, SHARE):
+            yield Acquire(page.latch, SHARE)
         try:
             record = page.get(rid & SLOT_MASK)
         finally:
@@ -269,15 +285,28 @@ class Table:
     def read_latched(self, rid: int):
         """Generator: latch-only read (no lock) -- what IB uses to verify
         record state during unique-violation checks (section 2.2.3)."""
-        page = yield from self._fetch_page(rid >> SLOT_BITS)
-        yield Acquire(page.latch, SHARE)
+        sim = self.system.sim
+        page = self._resident(rid >> SLOT_BITS) \
+            or (yield from self._fetch_page(rid >> SLOT_BITS))
+        if not sim.acquired(page.latch, SHARE):
+            yield Acquire(page.latch, SHARE)
         try:
             record = page.peek(rid & SLOT_MASK)
         finally:
-            page.latch.release(self.system.sim.current)
+            page.latch.release(sim.current)
         return record
 
     # -- page management ---------------------------------------------------------
+
+    def _resident(self, page_no: int) -> Optional[DataPage]:
+        """A buffer hit by a plain call, else None: ``page =
+        self._resident(n) or (yield from self._fetch_page(n))``."""
+        if 0 <= page_no < self.page_count:
+            page_ids = self._page_ids
+            return self.system.buffer.hit(
+                page_ids[page_no] if page_no < len(page_ids)
+                else self.page_id(page_no))
+        return None
 
     def _fetch_page(self, page_no: int):
         """The buffer pool's generator for an existing page of this
@@ -285,38 +314,8 @@ class Table:
         if not 0 <= page_no < self.page_count:
             raise RecordNotFoundError(
                 f"{self.name} has no page {page_no}")
-        page_ids = self._page_ids
         return self.system.buffer.ensure_page(
-            page_ids[page_no] if page_no < len(page_ids)
-            else self.page_id(page_no), self.page_capacity)
-
-    def _pick_insert_slot(self, txn: "Transaction"):
-        """Find (page, slot) for a new record, append-style.
-
-        Tries the last page; allocates a new page when it is full.  The
-        chosen slot's lock is taken conditionally under the latch -- a
-        fresh slot's lock is always free unless a rolled-back deleter
-        still holds it, in which case we skip to a new page.
-        """
-        while True:
-            if self.page_count == 0:
-                page = yield from self._allocate_page()
-            else:
-                page = yield from self._fetch_page(self.page_count - 1)
-            yield Acquire(page.latch, EXCLUSIVE)
-            slot = page.free_slot()
-            granted = False
-            if slot is not None:
-                granted = yield from txn.lock(
-                    self.lock_name(page.page_id.page_no << SLOT_BITS | slot),
-                    "X", conditional=True)
-            page.latch.release(self.system.sim.current)
-            if granted:
-                return page, slot
-            # The page is full, or someone (an uncommitted deleter) still
-            # owns the free slot's lock: extend the file instead of
-            # waiting under risk, and try again on the new page.
-            yield from self._allocate_page()
+            self.page_id(page_no), self.page_capacity)
 
     def _allocate_page(self):
         page_no = self.page_count

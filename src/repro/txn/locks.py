@@ -132,16 +132,24 @@ class LockManager:
         self.metrics = metrics or MetricsRegistry()
         self._heads: dict[Hashable, _LockHead] = {}
 
-    # -- requests (generators; drive from a process) -----------------------
+    # -- requests ---------------------------------------------------------
 
     def lock(self, txn: "Transaction", name: Hashable, mode: str, *,
              conditional: bool = False, instant: bool = False):
-        """Request ``name`` in ``mode`` for ``txn``.
+        """Generator: :meth:`request`, then :meth:`wait` if queued."""
+        granted = self.request(txn, name, mode, conditional=conditional,
+                               instant=instant)
+        if granted is None:
+            granted = yield from self.wait(txn)
+        return granted
 
-        Generator.  Returns True when granted.  A conditional request
-        returns False instead of waiting.  Raises
-        :class:`~repro.errors.DeadlockVictim` if this transaction is chosen
-        as a deadlock victim while waiting.
+    def request(self, txn: "Transaction", name: Hashable, mode: str, *,
+                conditional: bool = False,
+                instant: bool = False) -> Optional[bool]:
+        """Request ``name`` in ``mode`` for ``txn`` by a plain call.
+
+        True when granted, False when a conditional request is denied,
+        None when ``txn`` is queued: ``yield from`` :meth:`wait` next.
 
         A request in a mode the transaction already covers (same mode, or
         anything while holding X) is granted on a fast path; *instant*
@@ -197,13 +205,19 @@ class LockManager:
 
         # Must wait.
         self.metrics.incr("lock.waits")
-        event = self.sim.event()
+        event = txn.wake = self.sim.event()
         head.enqueue(txn, mode, event, instant)
         txn.waiting_on = name
         self._detect_deadlock(txn, name)
-        queued_at = self.sim.now
-        outcome = yield Wait(event)
-        txn.waiting_on = None
+        return None
+
+    def wait(self, txn: "Transaction"):
+        """Generator: block until the request :meth:`request` queued is
+        granted (True).  Raises :class:`~repro.errors.DeadlockVictim` if
+        this transaction is chosen as a deadlock victim meanwhile."""
+        name, queued_at = txn.waiting_on, self.sim.now
+        outcome = yield Wait(txn.wake)
+        txn.waiting_on = txn.wake = None
         self.metrics.observe("lock.wait_time", self.sim.now - queued_at)
         if outcome is _VICTIM_MARK:
             raise DeadlockVictim(

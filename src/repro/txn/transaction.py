@@ -89,7 +89,9 @@ class Transaction:
         self.first_lsn: Optional[int] = None
         self.last_lsn: Optional[int] = None
         self.held_locks: OrderedSet = OrderedSet()
+        #: the lock name queued on and the event that wakes it
         self.waiting_on: Optional[Hashable] = None
+        self.wake = None
 
     # -- logging ------------------------------------------------------------
 
@@ -125,7 +127,8 @@ class Transaction:
         """Generator: commit this transaction (force log, release locks)."""
         self._require_active()
         self.system.log.flush(self.log(RecordKind.COMMIT))
-        yield Delay(LogManager.FLUSH_COST)
+        if not self.system.sim.delayed(LogManager.FLUSH_COST):
+            yield Delay(LogManager.FLUSH_COST)
         self.state = TxnState.COMMITTED
         self.system.locks.release_all(self)
         self.log(RecordKind.END)

@@ -6,6 +6,7 @@ import pytest
 from repro.btree.node import make_entry
 from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.errors import SimulationError
+from repro.metrics import MetricsRegistry
 from repro.obs import enable_tracing
 from repro.sim import Delay, Simulator
 from repro.sim.kernel import Acquire
@@ -183,6 +184,37 @@ def test_semaphore_rejects_reacquire_and_bad_release():
     sim2.spawn(stranger(), name="stranger")
     with pytest.raises(SimulationError):
         sim2.run()
+
+
+def test_semaphore_in_place_grant_keeps_the_same_contract():
+    """``Simulator.acquired`` grants a free unit through the one grant
+    rule: a full semaphore declines without counting or queueing, and a
+    holder's second request raises."""
+    metrics = MetricsRegistry()
+    sim = Simulator()
+    sem = Semaphore("disk", 1, metrics=metrics)
+    seen = []
+
+    def first():
+        yield Delay(1.0)
+        seen.append(sim.acquired(sem))
+        yield Delay(2.0)
+        sem.release(sim.current)
+
+    def second():
+        yield Delay(2.0)
+        seen.append(sim.acquired(sem))
+        yield Acquire(sem, "X")
+        seen.append(sim.now)
+        sim.acquired(sem)
+
+    sim.spawn(first(), name="first")
+    sim.spawn(second(), name="second")
+    with pytest.raises(SimulationError, match="re-acquiring"):
+        sim.run()
+    assert seen == [True, False, 3.0]
+    assert metrics.get("semaphore.disk.requests") == 2
+    assert metrics.get("semaphore.disk.waits") == 1
 
 
 def test_disk_channels_queue_concurrent_scans():

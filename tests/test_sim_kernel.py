@@ -3,12 +3,14 @@
 import pytest
 
 from repro.errors import SimulationError, SystemCrash
-from repro.schedsweep.policy import RandomTiePolicy
+from repro.faultinject.injector import FaultInjector, FaultPlan
+from repro.schedsweep.policy import FifoPolicy, RandomTiePolicy, ReplayPolicy
 from repro.sim import (
     Acquire,
     Barrier,
     Delay,
     Join,
+    Latch,
     ProcessGroup,
     SimEvent,
     Simulator,
@@ -599,3 +601,208 @@ def test_an_earlier_until_leaves_the_clock_alone(policy):
     assert sim.now == 12 and steps == [10]
     sim.run()
     assert sim.now == 20 and steps == [10, 20]
+
+
+# -- run to block: the in-place path keeps the yield path's contract ---------
+
+
+def delay(sim, cost, in_place=True):
+    """The hot sites' idiom; ``in_place=False`` is the yield path."""
+    if not (in_place and sim.delayed(cost)):
+        yield Delay(cost)
+
+
+def acquire(sim, resource, mode="X", in_place=True):
+    if not (in_place and sim.acquired(resource, mode)):
+        yield Acquire(resource, mode)
+
+
+def latched_steps(sim, latch, in_place, log, costs=(1, 0.5, 2)):
+    for cost in costs:
+        yield from acquire(sim, latch, "X", in_place)
+        yield from delay(sim, cost, in_place)
+        latch.release(sim.current)
+        log.append((sim.current.name, sim.now, sim._seq))
+
+
+def test_in_place_effects_keep_the_seq_and_clock_of_the_yield_path():
+    """A lone process finishes its grants and delays without a dispatch,
+    with the sequence numbers and clock the queue would have given."""
+    runs = []
+    for in_place in (True, False):
+        sim, latch, log, dispatched = Simulator(), Latch("p"), [], []
+        step = sim._step
+
+        def counted_step(*args):
+            dispatched.append(args[0].name)
+            step(*args)
+
+        sim._step = counted_step
+        sim.spawn(latched_steps(sim, latch, in_place, log), name="p")
+        sim.run()
+        runs.append((log, sim.now, sim._seq, len(dispatched)))
+    (log, now, seq, steps), (yield_log, yield_now, yield_seq, yield_steps) \
+        = runs
+    assert (log, now, seq) == (yield_log, yield_now, yield_seq)
+    assert log == [("p", 1.0, 3), ("p", 1.5, 5), ("p", 3.5, 7)]
+    assert (steps, yield_steps) == (1, 7)
+
+
+def test_a_negative_in_place_delay_raises():
+    sim = Simulator()
+    sim.spawn(delay(sim, -1))
+    with pytest.raises(SimulationError, match="negative delay"):
+        sim.run()
+
+
+def test_in_place_delays_stop_at_run_until():
+    """An in-place delay never carries the clock past ``run(until)``, so
+    a run in slices equals one continuous run."""
+    def ticker(sim, name, cost, log):
+        for _ in range(4):
+            yield from delay(sim, cost)
+            log.append((name, sim.now, sim._seq))
+
+    def run(slices):
+        sim, log = Simulator(), []
+        sim.spawn(ticker(sim, "a", 3, log), name="a")
+        sim.spawn(ticker(sim, "b", 5, log), name="b")
+        for until in slices:
+            sim.run(until=until)
+            assert sim.now <= until
+        sim.run()
+        return log, sim.now, sim._seq
+
+    assert run([7, 7.5, 13, 14.9]) == run([])
+    sim, log = Simulator(), []
+    sim.spawn(ticker(sim, "a", 3, log), name="a")
+    sim.run(until=7)
+    assert sim.now == 7 and log == [("a", 3.0, 2), ("a", 6.0, 3)]
+
+
+def test_an_int_clock_is_stamped_as_the_heaps_float():
+    """``run(until=<int>)`` leaves an int clock; every later stamp is
+    the float the heap would have written, in place or not."""
+    runs = []
+    for in_place in (True, False):
+        sim, latch, stamps = Simulator(), Latch("p"), []
+
+        def body():
+            yield from acquire(sim, latch, "X", in_place)
+            stamps.append((sim.now, type(sim.now)))
+            yield from delay(sim, 2, in_place)
+            stamps.append((sim.now, type(sim.now)))
+
+        sim.spawn(delay(sim, 10, False))
+        sim.run(until=5)
+        assert type(sim.now) is int
+        sim.spawn(body())
+        sim.run()
+        runs.append(stamps)
+    assert runs[0] == runs[1] == [(5.0, float), (7.0, float)]
+
+
+def test_a_same_instant_peer_forces_the_yield():
+    """A process spawned or woken at this instant, or an entry due at the
+    target, runs first: the in-place path declines and requests nothing,
+    and the order is the yield path's."""
+    runs = []
+    for in_place in (True, False):
+        sim, latch, order = Simulator(), Latch("p"), []
+        event = sim.event()
+
+        def waiter():
+            yield Wait(event)
+            order.append(("waiter", sim.now))
+
+        def peer(cost):
+            order.append(("peer", sim.now))
+            yield Delay(cost)
+            order.append(("peer", sim.now))
+
+        def body():
+            sim.spawn(peer(0), name="spawned")
+            assert not sim.delayed(0) and not sim.acquired(latch)
+            assert not latch.held and not latch.busy
+            yield from delay(sim, 0, in_place)
+            order.append(("body", sim.now))
+            event.set()
+            assert not sim.acquired(latch) and not latch.held
+            yield from acquire(sim, latch, "X", in_place)
+            order.append(("body", sim.now))
+            latch.release(sim.current)
+            sim.spawn(peer(4), name="due")
+            yield Delay(0)          # the peer queues its entry at 4
+            assert not sim.delayed(4)
+            yield from delay(sim, 4, in_place)
+            order.append(("body", sim.now, sim._seq))
+            yield from delay(sim, 1, in_place)  # nobody queued any more
+            order.append(("body", sim.now, sim._seq))
+
+        sim.spawn(waiter(), name="waiter")
+        sim.spawn(body(), name="body")
+        sim.run()
+        runs.append(order)
+    assert runs[0] == runs[1]
+    assert runs[0][-3:] == [("peer", 4.0), ("body", 4.0, 11),
+                            ("body", 5.0, 12)]
+
+
+def test_a_schedule_policy_turns_the_path_off_and_replays_unchanged(
+        monkeypatch):
+    """Under a policy every effect goes through a consult; a recorded
+    choice-string replays, and equals the one the yield path records."""
+
+    def run(policy):
+        sim, latch, log = Simulator(), Latch("p"), []
+        sim.schedule_policy = policy
+        for name, costs in (("a", (1, 2, 1)), ("b", (2, 1, 1)),
+                            ("c", (1, 1, 2))):
+            sim.spawn(latched_steps(sim, latch, True, log, costs),
+                      name=name)
+        sim.run()
+        return log, sim.now, sim._seq
+
+    sim, seen = Simulator(), []
+    sim.schedule_policy = FifoPolicy()
+
+    def lone():
+        seen.append(sim.delayed(1))
+        seen.append(sim.acquired(Latch("q")))
+        yield Delay(0)
+
+    sim.spawn(lone())
+    sim.run()
+    assert seen == [False, False] and sim._seq == 2
+
+    explored = RandomTiePolicy(seed=3, preempt_prob=0.3)
+    outcome = run(explored)
+    choices = explored.recorder.choice_string()
+    assert choices
+    replay = ReplayPolicy(choices)
+    assert run(replay) == outcome
+    assert replay.recorder.choice_string() == choices
+    monkeypatch.setattr(Simulator, "delayed", lambda self, duration: False)
+    monkeypatch.setattr(Simulator, "acquired",
+                        lambda self, resource, mode="X": False)
+    explored_by_yields = RandomTiePolicy(seed=3, preempt_prob=0.3)
+    assert run(explored_by_yields) == outcome
+    assert explored_by_yields.recorder.choice_string() == choices
+
+
+def test_an_armed_kernel_step_crash_fires_at_the_same_hit():
+    runs = []
+    for in_place in (True, False):
+        sim, latch, log = Simulator(), Latch("p"), []
+        injector = FaultInjector(FaultPlan("kernel.step.builder", hit=4))
+        sim.fault_injector = injector
+        sim.spawn(latched_steps(sim, latch, in_place, log), name="builder")
+        sim.run()
+        assert sim.crashed and injector.fired is not None
+        runs.append((log, sim.now, sim._seq, dict(injector.hits),
+                     str(sim.crash_error), latch.held))
+    assert runs[0] == runs[1]
+    # the fourth step is the second grant: the crash lands holding it
+    assert runs[0][:4] == ([("builder", 1.0, 3)], 1.0, 4,
+                           {"kernel.step.builder": 4})
+    assert runs[0][5]

@@ -362,3 +362,71 @@ def test_share_joins_shares_only_with_no_exclusive_queued():
     assert metrics.get("latch.requests") == 5
     assert metrics.get("latch.waits") == 2
     assert metrics.stat("latch.wait_time").total == pytest.approx(8 + 10)
+
+
+# -- the in-place grant (Simulator.acquired) keeps the same contract -----------
+
+
+def test_in_place_bad_mode_leaves_a_free_latch_free():
+    latch = Latch("p1")
+    sim = Simulator()
+
+    def body():
+        sim.acquired(latch, "U")
+        yield Delay(0)  # pragma: no cover - the request raised
+
+    sim.spawn(body())
+    with pytest.raises(SimulationError, match="bad latch mode"):
+        sim.run()
+    assert not latch.held and not latch.busy
+
+
+@pytest.mark.parametrize("first", [SHARE, EXCLUSIVE])
+@pytest.mark.parametrize("second", [SHARE, EXCLUSIVE])
+def test_in_place_reacquire_by_the_holder_raises(first, second):
+    latch = Latch("p1")
+    sim = Simulator()
+
+    def body():
+        assert sim.acquired(latch, first)
+        sim.acquired(latch, second)
+        yield Delay(0)  # pragma: no cover - the request raised
+
+    sim.spawn(body(), name="greedy")
+    with pytest.raises(SimulationError, match="re-acquiring"):
+        sim.run()
+
+
+def test_an_in_place_request_that_would_wait_changes_nothing():
+    """Share holders and a queued exclusive: a share request may not
+    join, so the in-place path declines without counting or queueing,
+    and the yielded request then counts and queues once."""
+    metrics = MetricsRegistry()
+    latch = Latch("p1", metrics=metrics)
+    sim = Simulator()
+    seen = []
+
+    def holder():
+        yield Acquire(latch, SHARE)
+        yield Delay(5)
+        latch.release(sim.current)
+
+    def writer():
+        yield Acquire(latch, EXCLUSIVE)
+        latch.release(sim.current)
+
+    def reader():
+        yield Delay(1)
+        before = (metrics.snapshot(), len(latch._waiters))
+        seen.append(sim.acquired(latch, SHARE))
+        seen.append(before == (metrics.snapshot(), len(latch._waiters)))
+        yield Acquire(latch, SHARE)
+        seen.append(sim.now)
+        latch.release(sim.current)
+
+    for body in (holder, writer, reader):
+        sim.spawn(body(), name=body.__name__)
+    sim.run()
+    assert seen == [False, True, 5.0]
+    assert metrics.get("latch.requests") == 3
+    assert metrics.get("latch.waits") == 2
