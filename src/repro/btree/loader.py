@@ -26,7 +26,7 @@ can feed it, section 3.2.4) and supports:
 from __future__ import annotations
 
 from itertools import pairwise, starmap
-from operator import eq, gt
+from operator import eq
 from typing import Optional, Sequence
 
 from repro.btree.node import (BranchPage, CompositeKey, LeafPage, entry_key,
@@ -69,9 +69,9 @@ class BulkLoader:
         a time (section 2.3.1's bottom-up append)."""
         if not composites:
             return
-        chained = composites if self._last_composite is None \
+        chained = [*composites] if self._last_composite is None \
             else [self._last_composite, *composites]
-        if any(starmap(gt, pairwise(chained))) or (
+        if chained != sorted(chained) or (
                 self.tree.unique and any(starmap(eq, pairwise(
                     map(entry_key, chained))))):
             raise self._rejection(composites)

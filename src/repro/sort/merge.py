@@ -13,14 +13,14 @@ output's end-of-file; restart truncates the output back to that position,
 repositions every input to its counter, and rebuilds the tournament --
 "no key is left out from the merge and no key is output more than once".
 
-Here the tournament is the cost model (:mod:`repro.sort.tournament`) and
-the selection runs on ``heapq`` over ``(key, input)`` pairs, so the
-counter vector is exact after every key, whatever the batch size.
+Here the tournament is the cost model (:mod:`repro.sort.tournament`), the
+merge is one stable ``sorted()`` and the counter vector is derived from the
+last key produced, so it is exact after every key, whatever the batch size.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace
+from bisect import bisect_left, bisect_right
 from itertools import chain
 from typing import Any, Optional
 
@@ -32,11 +32,11 @@ from repro.sort.tournament import build_matches, fixup_matches
 class RestartableMerger:
     """Merge N input runs into one output run with checkpoint support.
 
-    Selection runs on a ``heapq`` heap of ``(next key, input slot)``
-    pairs, one per input that still has keys, so every produced key is
-    attributed to its input and equal keys leave in input order.  The
-    section 5.2 tournament is the cost model: :attr:`comparisons` is what
-    it would have played for the keys produced so far.
+    The closed inputs' remaining keys, concatenated in input order, go
+    through one stable ``sorted()`` (a C merge of sorted runs; equal keys
+    leave in input order) and :meth:`pop_many` slices it.  The section 5.2
+    tournament is the cost model: :attr:`comparisons` is what it would
+    have played for the keys produced so far.
     """
 
     def __init__(self, inputs: list[SortRun], output: SortRun,
@@ -47,26 +47,43 @@ class RestartableMerger:
         self.output = output
         # Counters are 1-based positions of the next key to read from each
         # input, as in the paper ("All the counters are initialized to 1").
-        self.counters = list(counters) if counters is not None \
-            else [1] * len(inputs)
-        if len(self.counters) != len(self.inputs):
+        firsts = [1] * len(self.inputs) if counters is None else list(counters)
+        if len(firsts) != len(self.inputs):
             raise SortRestartError("one counter per input stream required")
         # A counter is the 1-based position of the next key to read, so the
         # legal range is [1, len(run) + 1] (the latter: input exhausted).
         # Restored counters outside it mean the checkpoint does not belong
         # to these runs -- e.g. a stale manifest applied to reused sealed
         # runs -- and would silently merge from the wrong offsets.
-        for run, counter in zip(self.inputs, self.counters):
+        for run, counter in zip(self.inputs, firsts):
+            if not run.closed:
+                raise SortRestartError(f"merge input {run.name!r} is open")
             if not 1 <= counter <= len(run.keys) + 1:
                 raise SortRestartError(
                     f"counter {counter} out of range for run {run.name!r} "
                     f"with {len(run.keys)} keys")
-        self._first_counters = list(self.counters)
-        self._heap = [(run.keys[counter - 1], slot)
-                      for slot, (run, counter)
-                      in enumerate(zip(self.inputs, self.counters))
-                      if counter <= len(run.keys)]
-        heapify(self._heap)
+        self._first_counters = firsts
+        self._merged = sorted(chain.from_iterable(
+            run.keys[counter - 1:]
+            for run, counter in zip(self.inputs, firsts)))
+        self._taken = 0  # keys of _merged produced so far
+
+    @property
+    def counters(self) -> list[int]:
+        """The section 5.2 counter vector, derived from the last key
+        produced: every input gave its keys below it, and the produced
+        keys equal to it came from the inputs in input order."""
+        counters = list(self._first_counters)
+        taken = self._taken
+        if taken:
+            last = self._merged[taken - 1]
+            ties = taken - bisect_left(self._merged, last, 0, taken)
+            for slot, run in enumerate(self.inputs):
+                at = bisect_left(run.keys, last, counters[slot] - 1)
+                took = min(ties, bisect_right(run.keys, last, at) - at)
+                ties -= took
+                counters[slot] = at + took + 1
+        return counters
 
     @property
     def comparisons(self) -> int:
@@ -83,7 +100,7 @@ class RestartableMerger:
 
     @property
     def exhausted(self) -> bool:
-        return not self._heap
+        return self._taken == len(self._merged)
 
     def pop(self) -> Optional[Any]:
         """Produce the next merged key (appending it to the output run),
@@ -94,34 +111,16 @@ class RestartableMerger:
     def pop_many(self, limit: int) -> list[Any]:
         """Produce up to ``limit`` merged keys, appended to the output
         run as one batch."""
-        heap = self._heap
-        counters = self.counters
-        inputs = self.inputs
-        out: list[Any] = []
-        while heap and len(out) < limit:
-            key, slot = heap[0]
-            out.append(key)
-            # the 1-based counter is the 0-based index of the key after
-            following = counters[slot]
-            counters[slot] = following + 1
-            keys = inputs[slot].keys
-            if following < len(keys):
-                heapreplace(heap, (keys[following], slot))
-            else:
-                heappop(heap)
+        out = self._merged[self._taken:self._taken + limit]
         if out:
+            self._taken += len(out)
             self.output.extend(out)
         return out
 
     def run_to_completion(self) -> SortRun:
-        """Merge everything left.  With no batch boundary to stop at,
-        the rest of every input goes through one ``sorted()`` (a C-level
-        merge of the already sorted inputs)."""
-        self.output.extend(sorted(chain.from_iterable(
-            run.keys[counter - 1:]
-            for run, counter in zip(self.inputs, self.counters))))
-        self.counters = [len(run.keys) + 1 for run in self.inputs]
-        self._heap = []
+        """Merge everything left."""
+        self.output.extend(self._merged[self._taken:])
+        self._taken = len(self._merged)
         self.output.closed = True
         self.output.force()
         return self.output

@@ -12,8 +12,6 @@ already output sorted streams").
 
 from __future__ import annotations
 
-from itertools import chain, pairwise, starmap
-from operator import gt
 from typing import Any, Optional, Sequence
 
 from repro.errors import SortRestartError
@@ -53,7 +51,9 @@ class SortRun:
         if self.closed:
             raise SortRestartError(f"run {self.name} is closed")
         own = self.keys
-        if not any(starmap(gt, pairwise(chain(own[-1:], keys)))):
+        # In order exactly when it equals its stable sort (one C pass).
+        batch = [*own[-1:], *keys]
+        if batch == sorted(batch):
             own.extend(keys)
             return
         # Keep the keys ahead of the offender, as key-at-a-time appends

@@ -5,8 +5,8 @@ phases: Knuth's *tree of losers*, an array-embedded complete binary tree
 whose internal nodes remember the loser of each match and whose root
 produces the overall winner with O(log N) comparisons per output.
 
-The builds do not run such a tree: :mod:`repro.sort.sorter` and
-:mod:`repro.sort.merge` select with ``heapq`` and ``sorted()`` and charge
+The builds do not run such a tree: :mod:`repro.sort.sorter` selects with
+``heapq``, :mod:`repro.sort.merge` is one ``sorted()``, and both charge
 what the tree *would* have played.  That is exact because the number of
 matches never depended on the values -- :func:`build_matches` per build
 of the tree, :func:`fixup_matches` per refilled slot.  The tree itself

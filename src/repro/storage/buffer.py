@@ -44,6 +44,7 @@ class BufferPool:
         #: every page I/O holds for its duration, or None for the
         #: unlimited-bandwidth model (each I/O delays only its issuer)
         self.io = io
+        self._io_acquire = Acquire(io, "X")  # one immutable effect, reused
         self._sim = sim
         self._frames: "OrderedDict[PageId, DataPage]" = OrderedDict()
         #: dirty page table: page_id -> recovery LSN (first dirtying LSN)
@@ -64,7 +65,7 @@ class BufferPool:
             return
         sim, io = self._sim, self.io
         if io is not None and (sim is None or not sim.acquired(io, "X")):
-            yield Acquire(io, "X")
+            yield self._io_acquire
         try:
             if sim is None or not sim.delayed(cost):
                 yield Delay(cost)

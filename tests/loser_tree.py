@@ -6,9 +6,9 @@ binary tree whose internal nodes remember the loser of each match and
 whose root produces the overall winner with O(log N) comparisons per
 output.
 
-The builds do not run this tree: :mod:`repro.sort.sorter` and
-:mod:`repro.sort.merge` select with ``heapq`` and ``sorted()`` and charge
-what the tree *would* have played (:mod:`repro.sort.tournament`, the
+The builds do not run this tree: :mod:`repro.sort.sorter` selects with
+``heapq``, :mod:`repro.sort.merge` is one stable ``sorted()``, and both
+charge what the tree *would* have played (:mod:`repro.sort.tournament`, the
 closed-form match counts).  :class:`LoserTree` lives here as the
 definition those counts are checked against and as the reference
 ``tests/test_sort.py`` compares the engines with; nothing in ``src/``

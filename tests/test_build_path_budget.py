@@ -4,7 +4,8 @@ A key's way from its data page into a leaf is one extraction, one trip
 through the sort's workspace, a merge pass or two, and one index entry;
 between the layers it travels in batches (a page of keys into the sort, a
 yield's worth out of the merge and into the loader), so what runs per key
-is C: ``itemgetter``, ``heapq``, ``sorted``, list slices.  The bound is
+is C: ``itemgetter``, run formation's ``heapq``, the merge's one stable
+``sorted()`` and the order checks' sorted copies, list slices.  The bound is
 in exact call counts (they repeat; host time does not), in the style of
 ``test_write_path_budget.py``.
 

@@ -426,10 +426,11 @@ def test_merger_restore_rejects_stale_manifest_on_shorter_runs():
 
 # -- engine equivalence ----------------------------------------------------------
 #
-# The builds select with heapq and charge the tournament's matches in
-# closed form.  Below are the engines they replaced -- replacement
-# selection and the merge, a key at a time on a LoserTree -- kept as the
-# reference: same runs, same manifests, same counters, same comparisons.
+# The builds select with heapq, merge with one stable sorted() and charge
+# the tournament's matches in closed form.  Below are the engines they
+# replaced -- replacement selection and the merge, a key at a time on a
+# LoserTree -- kept as the reference: same runs, same manifests, same
+# counters, same comparisons.
 #
 # Which of two *equal* keys wins a tournament match depends on the matches
 # played before, so where equal keys meet (never in a build: the RID is
@@ -845,6 +846,59 @@ def test_merger_takes_equal_keys_in_input_order():
     assert merger.counters == [4, 3, 1]
     assert merger.pop_many(9) == [3, 4]
     assert merger.counters == [4, 3, 3]
+
+
+def input_order_reference(runs, output, counters):
+    """The LoserTree merge over ``(key, input)`` pairs: ties go in input
+    order, as the merger hands them out, so its counters are the
+    reference at every key even where equal keys meet.  Returns the
+    tagged output run and :func:`reference_merge`'s triple."""
+    store = RunStore("tagged")
+    tagged = make_runs(store, [[(key, slot) for key in run.keys]
+                               for slot, run in enumerate(runs)])
+    tagged_out = store.new_run()
+    tagged_out.keys = [(key, -1) for key in output.keys]
+    return (tagged_out, *reference_merge(tagged, tagged_out, counters))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8, 64])
+def test_derived_counters_after_a_restore_inside_a_tie_group(batch):
+    """A checkpoint taken while a key shared by several inputs is half
+    out: the restored merger's derived counters equal the reference's at
+    every batch boundary, through the rest of the tie group and beyond."""
+    lists = [[1, 5, 5, 5, 9], [5, 5, 7], [2, 5], [5, 5, 5, 5, 8], [3, 4]]
+    expected = sorted(key for keys in lists for key in keys)
+    for cut in range(expected.index(5) + 1, len(expected) - 3):
+        store = RunStore("m")
+        merger = RestartableMerger(make_runs(store, lists), store.new_run())
+        merger.pop_many(cut)
+        manifest = merger.checkpoint()
+        merger.pop_many(2)  # lost to the crash
+        store.crash()
+        resumed = RestartableMerger.restore(store, manifest)
+        ref_out, pop, ref_counters, tree = input_order_reference(
+            resumed.inputs, resumed.output, manifest["counters"])
+        assert resumed.counters == ref_counters == manifest["counters"]
+        while True:
+            got = resumed.pop_many(batch)
+            for _ in got:
+                pop()
+            assert resumed.output.keys == [key for key, _slot in ref_out.keys]
+            assert resumed.counters == ref_counters
+            assert resumed.comparisons == tree.comparisons
+            if not got:
+                break
+        assert resumed.output.keys == expected
+
+
+def test_an_open_input_is_refused():
+    store = RunStore("m")
+    runs = make_runs(store, [[1, 2], [3]])
+    runs[1].closed = False
+    with pytest.raises(SortRestartError, match="merge input 'm-2' is open"):
+        RestartableMerger(runs, store.new_run())
+    with pytest.raises(SortRestartError, match="is open"):
+        final_merger(store, runs, fanin=4)
 
 
 # -- batches are checked as a key at a time was ------------------------------------

@@ -1,15 +1,25 @@
 """Property-based tests (hypothesis) for the restartable sort."""
 
 import random
+from itertools import chain, pairwise, starmap
+from operator import eq, gt
 
 from hypothesis import given, settings, strategies as st
 
+from repro.btree import BTree, BulkLoader
+from repro.btree.node import entry_key, make_entry
+from repro.errors import IndexBuildError, SortRestartError
 from repro.sort import (
+    KeyCodec,
     RestartableMerger,
     RunFormation,
     RunStore,
+    SortRun,
     merge_to_single,
 )
+from repro.sort.codec import INT_OFFSET, _RID_EXACT_MAX
+from repro.storage.rid import RID
+from repro.system import System, SystemConfig
 
 keys_st = st.lists(st.integers(min_value=-10_000, max_value=10_000),
                    min_size=0, max_size=400)
@@ -128,3 +138,85 @@ def test_multiple_checkpoints_compose(chunks):
     all_keys = [k for chunk in chunks for k in chunk]
     got = merged.keys if merged is not None else []
     assert got == sorted(all_keys)
+
+
+# -- the order checks compare a batch with its sorted copy --------------------
+#
+# ``SortRun.extend`` and ``BulkLoader.extend`` accept a batch when it
+# equals its stable sort.  For keys whose ``==`` agrees with ``<`` that is
+# the pairwise ``>`` scan it replaced, equal neighbours included.
+
+
+def disordered(held, batch):
+    """The check the sorted-copy comparison replaced."""
+    return any(starmap(gt, pairwise(chain(held, batch))))
+
+
+small_entries = st.builds(make_entry, st.tuples(st.integers(0, 3)),
+                          st.builds(RID, st.integers(0, 1),
+                                    st.integers(0, 2)))
+# int columns outside the exact window and rids past the exact maximum
+# spill, so a batch mixes codec ints and SpilledKeys
+codec_entries = st.builds(
+    make_entry,
+    st.tuples(st.sampled_from([-1, 0, 1, 1 - INT_OFFSET - 1, 1 << 50])),
+    st.sampled_from([0, 1, _RID_EXACT_MAX, _RID_EXACT_MAX + 1]))
+ORDER_KEYS = {
+    "int": st.integers(-3, 3),
+    "str": st.text(alphabet="ab", max_size=2),
+    "entry": small_entries,
+    "codec": codec_entries.map(KeyCodec("i").encode),
+}
+
+
+@st.composite
+def held_and_batch(draw, keys):
+    """A held last key (or none) and a batch, sorted half the time so the
+    accepting side is well covered, as a list or a tuple."""
+    held = draw(st.lists(keys, max_size=1))
+    batch = draw(st.lists(keys, max_size=8))
+    if draw(st.booleans()):
+        batch.sort()
+        if held and draw(st.booleans()):
+            held = [min(held + batch[:1])]
+    if draw(st.booleans()):
+        batch = tuple(batch)
+    return held, batch
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(sorted(ORDER_KEYS)))
+def test_run_order_check_accepts_what_the_pairwise_scan_did(data, kind):
+    held, batch = data.draw(held_and_batch(ORDER_KEYS[kind]))
+    run = SortRun("r")
+    run.keys.extend(held)
+    try:
+        run.extend(batch)
+    except SortRestartError:
+        assert disordered(held, batch)
+        kept = len(run.keys) - len(held)
+        assert not disordered(held, batch[:kept])
+        assert disordered(held, batch[:kept + 1])
+    else:
+        assert not disordered(held, batch)
+        assert run.keys == [*held, *batch]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), unique=st.booleans())
+def test_loader_order_check_accepts_what_the_pairwise_scan_did(data, unique):
+    held, batch = data.draw(held_and_batch(small_entries))
+    system = System(SystemConfig(leaf_capacity=4, branch_capacity=4))
+    system.create_table("t", ["k", "v"])
+    loader = BulkLoader(BTree(system, "idx", "t", unique=unique))
+    loader.extend(held)
+    chained = [*held, *batch]
+    rejected = disordered(held, batch) or unique and any(
+        starmap(eq, pairwise(map(entry_key, chained))))
+    try:
+        loader.extend(batch)
+    except IndexBuildError:
+        assert rejected
+    else:
+        assert not rejected
+        assert loader.keys_loaded == len(chained)
