@@ -9,7 +9,6 @@ S/X latch providing physical consistency (section 1.1 footnote 2).
 
 from __future__ import annotations
 
-import copy
 from typing import Optional
 
 from repro.errors import PageFullError, RecordNotFoundError
@@ -153,7 +152,7 @@ class DataPage:
         survive a crash.
         """
         twin = DataPage(self.page_id, self.capacity)
-        twin.slots = copy.copy(self.slots)  # records are immutable
+        twin.slots = self.slots.copy()  # records are immutable
         twin.page_lsn = self.page_lsn
         twin._live = self._live
         twin._free_hint = self._free_hint

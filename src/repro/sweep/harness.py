@@ -6,11 +6,12 @@ recovery "can be tested systematically"), so one seeded
 of perturbations.  A sweep runs each row's clean **baseline** (its
 unarmed injector leaves the {site: hits} census; a broken baseline is
 reported as such, not as a wall of perturbed failures), **enumerates**
-plans -- crash plans stratified over the census, optionally all under
-one seeded schedule, or N seeded schedules -- and **runs** each through
-:func:`run_plan`, which ends in the scenario's oracle.  A failing plan
-**shrinks** (:func:`shrink_failure`) and :func:`failure_dump` renders its
-exact reproduction recipe: fault plan, choice-string, scenario.
+plans -- a crash plan for every hit of every site of the census,
+optionally all under one seeded schedule, or N seeded schedules -- and
+**runs** each through :func:`run_plan`, which ends in the scenario's
+oracle.  A failing plan **shrinks** (:func:`shrink_failure`) and
+:func:`failure_dump` renders its exact reproduction recipe: fault plan,
+choice-string, scenario.
 
 CLI: ``python -m repro.sweep crash|schedule --help``.
 """
@@ -67,30 +68,26 @@ def discover(scenario: Scenario,
 
 def enumerate_plans(scenario: Scenario, discovered: dict,
                     schedule: Optional[SchedulePlan] = None) -> list:
-    """Stratified (site, hit, kind) plans from the discovery census.
+    """Every (site, hit, kind) plan of the discovery census.
 
-    Per site: the first hit, the last hit, and (at ``max_hits_per_site``
-    >= 3) a middle hit.  Damage kinds are added only where the site can
-    express them (:data:`TORN_CAPABLE` / :data:`LOST_CAPABLE`).
+    Each hit of each site is a crash, plus a torn write and a lost flush
+    where the site can express them (:data:`TORN_CAPABLE` /
+    :data:`LOST_CAPABLE`).  ``max_plans`` cuts the list to an even
+    stride over all of it, first plan included, so no late site drops
+    out whole.
     """
     plans = []
     for site in sorted(discovered):
-        count = discovered[site]
-        hits = {1}
-        if scenario.max_hits_per_site >= 2 and count > 1:
-            hits.add(count)
-        if scenario.max_hits_per_site >= 3 and count > 2:
-            hits.add((count + 1) // 2)
-        for hit in sorted(hits):
-            kinds = [CRASH]
-            if scenario.include_damage_kinds:
-                if site in TORN_CAPABLE:
-                    kinds.append(TORN_WRITE)
-                if site in LOST_CAPABLE:
-                    kinds.append(LOST_FLUSH)
-            plans.extend(Plan(FaultPlan(site, hit, kind), schedule)
-                         for kind in kinds)
-    return plans[:scenario.max_plans]
+        kinds = [CRASH] + [kind for kind, capable in (
+            (TORN_WRITE, TORN_CAPABLE), (LOST_FLUSH, LOST_CAPABLE))
+            if site in capable]
+        plans.extend(Plan(FaultPlan(site, hit, kind), schedule)
+                     for hit in range(1, discovered[site] + 1)
+                     for kind in kinds)
+    cap = scenario.max_plans
+    if cap is None or len(plans) <= cap:
+        return plans
+    return [plans[i * len(plans) // cap] for i in range(cap)]
 
 
 def schedule_seed_for(base_seed: int, row_index: int, n: int) -> int:
@@ -246,7 +243,9 @@ class Report:
             f"{'crash' if crash else 'schedule'} sweep: records={s.records} "
             f"operations={s.operations} workers={s.workers} seed={s.seed} "
             f"buffer_frames={s.buffer_frames} preempt_prob={s.preempt_prob}",
-            "stratified crash plans per row" if crash else
+            "every hit of every site" + (
+                f", cut to {s.max_plans} plans a row by an even stride"
+                if s.max_plans is not None else "") if crash else
             f"{self.schedules} seeded schedules per row (+1 FIFO baseline)",
             "",
             f"{'row':<10} {'sites':>5} {'plans':>5} {'consults':>10} "
@@ -370,12 +369,9 @@ def main(argv: Optional[list] = None) -> int:
                              "simulated time unit; default unthrottled)")
     parser.add_argument("--codec", action="store_true",
                         help="sort with compressed keys (experiment E25)")
-    parser.add_argument("--max-hits-per-site", type=int, default=None)
-    parser.add_argument("--max-plans", type=int, default=None)
-    parser.add_argument("--no-damage-kinds", action="store_true",
-                        help="inject plain crashes only")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized subset: first hit per site only")
+    parser.add_argument("--max-plans", type=int, default=None,
+                        help="crash plans a row, an even stride over "
+                             "every hit of every site")
     parser.add_argument("--list-sites", action="store_true",
                         help="discover and list fault sites, then exit")
     parser.add_argument("--schedules", type=int, default=50,
@@ -414,9 +410,7 @@ def main(argv: Optional[list] = None) -> int:
         workers=args.workers, seed=args.seed,
         build_rate_limit=args.build_rate_limit,
         compressed_keys=args.codec or None,
-        max_hits_per_site=1 if args.smoke else args.max_hits_per_site,
         max_plans=args.max_plans,
-        include_damage_kinds=False if args.no_damage_kinds else None,
         preempt_prob=args.preempt_prob,
         max_preemptions=args.max_preemptions)
     if builder == "cluster":

@@ -159,9 +159,8 @@ class Scenario:
     #: sort (experiment E25) must both be crash- and schedule-transparent
     build_rate_limit: Optional[float] = None
     compressed_keys: bool = False
-    # -- crash-plan enumeration
-    max_hits_per_site: int = 2  # 1 = first hit, 2 = first+last, 3 = +middle
-    include_damage_kinds: bool = True
+    #: crash plans a row: an even stride over every hit of every site
+    #: (None = all of them)
     max_plans: Optional[int] = None
     # -- seeded schedules
     preempt_prob: float = 0.1
@@ -354,7 +353,6 @@ class ClusterScenario(Scenario):
     rate: float = 0.8
     seed: int = 3
     buffer_frames: int = 64
-    max_hits_per_site: int = 3  # first + last + middle
     preempt_prob: float = 0.05
     max_preemptions: int = 12
     #: not a row of ``repro.core.BUILDERS``: nothing here shards

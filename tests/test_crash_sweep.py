@@ -1,32 +1,32 @@
 """The crash sweep itself: every (site, hit) pair recovers and audits.
 
-This is the tentpole acceptance test: exhaustively crash a small NSF and
-a small SF build at the first and last hit of every discovered fault
-site (plus torn-write / lost-flush variants where the site supports
-them), restart, resume, and audit.  One hundred percent of the plans
-must come back clean.
+This is the tentpole acceptance test: crash a small NSF and a small SF
+build at an even stride over every hit of every discovered fault site
+(plus torn-write / lost-flush variants where the site supports them),
+restart, resume, and audit.  One hundred percent of the plans must come
+back clean.
 
-A second test deliberately breaks the checkpoint protocol (the tree
-force becomes a no-op, so checkpoints stop making index pages durable)
-and asserts the sweep *catches* it -- a sweep that cannot detect a
-broken checkpoint would prove nothing.
+A second test puts fixed bugs back, one named tamper at a time
+(``tests/tampers.py``), and asserts that a CI row's enumeration on a
+committed seed *catches* each and shrinks the failure -- a sweep that
+cannot detect a broken checkpoint would prove nothing.
 """
 
 import pytest
 
-from repro.btree.tree import BTree
 from repro.sweep import (
     Scenario,
     discover,
     enumerate_plans,
+    run_plan,
     run_sweep,
+    shrink_failure,
 )
-
-SMALL = dict(records=150, operations=10)
+from tests.tampers import CI_ROW, CI_SEEDS, TAMPERS
 
 
 def _small_config(builder: str, **overrides) -> Scenario:
-    kwargs = dict(SMALL, max_hits_per_site=2)
+    kwargs = dict(CI_ROW, max_plans=45)
     kwargs.update(overrides)
     return Scenario(builder=builder, **kwargs)
 
@@ -62,25 +62,35 @@ def test_nsf_sweep_covers_the_insert_phase():
         assert site in discovered, f"{site} unreachable: {sorted(discovered)}"
 
 
-def test_plan_enumeration_is_stratified():
-    config = _small_config("sf")
-    discovered = {"wal.append": 40, "btree.force": 3, "once.site": 1}
-    plans = enumerate_plans(config, discovered)
-    described = {p.describe() for p in plans}
-    # first and last hit per site
-    assert "crash@wal.append#1" in described
-    assert "crash@wal.append#40" in described
-    assert "crash@once.site#1" in described
-    # torn variant only for the torn-capable site
-    assert "torn-write@btree.force#1" in described
-    assert not any(d.startswith("torn-write@wal.append") for d in described)
+#: a synthetic census: a torn-capable, a lost-capable and a plain site
+CENSUS = {"wal.append": 3, "btree.force": 2, "buffer.page_flush": 1}
+
+
+@pytest.mark.parametrize("max_plans,expected", [
+    pytest.param(None, [
+        "crash@btree.force#1", "torn-write@btree.force#1",
+        "crash@btree.force#2", "torn-write@btree.force#2",
+        "crash@buffer.page_flush#1", "lost-flush@buffer.page_flush#1",
+        "crash@wal.append#1", "crash@wal.append#2", "crash@wal.append#3",
+    ], id="every-hit"),
+    # the cap keeps an even stride over the whole list, first plan
+    # included, so the alphabetically last site is not cut off
+    pytest.param(4, [
+        "crash@btree.force#1", "crash@btree.force#2",
+        "crash@buffer.page_flush#1", "crash@wal.append#1",
+    ], id="stride-cap"),
+])
+def test_plan_enumeration_arms_every_hit(max_plans, expected):
+    config = _small_config("sf", max_plans=max_plans)
+    plans = enumerate_plans(config, CENSUS)
+    assert [plan.describe() for plan in plans] == expected
 
 
 def test_psf_sweep_all_plans_recover():
     """Capped parallel census: every (site, hit) pair of a P=2 parallel
     build -- including the per-worker kernel-step sites -- recovers and
     audits clean."""
-    config = _small_config("psf", partitions=2, max_hits_per_site=1)
+    config = _small_config("psf", partitions=2, max_plans=37)
     report = run_sweep(config)
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
@@ -109,7 +119,7 @@ def test_multi_sweep_all_plans_recover():
     """K=3 shared-scan census: every (site, hit) pair of a multi-index
     build -- including the per-index manifest sites -- recovers with all
     three indexes AVAILABLE and auditing clean."""
-    config = _small_config("multi", max_hits_per_site=1)
+    config = _small_config("multi", max_plans=29)
     report = run_sweep(config)
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
@@ -143,15 +153,23 @@ def test_sweep_still_discovers_hot_path_fault_sites():
         assert census.get(site, 0) > 0, f"site {site} vanished from sweep"
 
 
-def test_sweep_catches_a_broken_checkpoint(monkeypatch):
-    """Checkpoints that skip forcing the index pages violate section
-    3.2.4 ("after all the dirty pages of the index have been written to
-    disk"); the sweep must flag the resulting unrecoverable plans."""
-    monkeypatch.setattr(BTree, "force", lambda self: None)
-    config = _small_config("sf", max_hits_per_site=1)
-    report = run_sweep(config)
-    assert report.failures, \
-        "sweep failed to detect checkpoints that skip the tree force"
+@pytest.mark.parametrize("name", TAMPERS)
+def test_sweep_catches_a_tamper(monkeypatch, name):
+    """Each tamper puts a fixed bug back.  Walking its CI row's plans in
+    sweep order must meet a failing one, and the shrinker must cut the
+    scenario down to a smaller one that still fails."""
+    tamper, row = TAMPERS[name]
+    assert row.seed in CI_SEEDS and row.max_plans is None
+    tamper(monkeypatch)
+    failing = next((plan for plan in enumerate_plans(row, discover(row))
+                    if run_plan(row, plan).failed), None)
+    assert failing is not None, \
+        f"no plan of the {row.label} row on seed {row.seed} catches {name}"
+    shrunk = shrink_failure(row, failing)
+    assert shrunk.result.failed, shrunk.report()
+    assert shrunk.config != row, shrunk.report()
+    assert all(getattr(shrunk.config, size) <= getattr(row, size)
+               for size in ("records", "operations", "workers"))
 
 
 @pytest.mark.parametrize("builder,extra", [
@@ -162,8 +180,8 @@ def test_throttled_sweep_all_plans_recover(builder, extra):
     token bucket is volatile, but the checkpointed rate re-arms the
     throttle across restart, and the extra throttle delays shift every
     fault site without breaking recovery."""
-    config = _small_config(builder, max_hits_per_site=1,
-                           build_rate_limit=25.0, **extra)
+    config = _small_config(builder, max_plans=30, build_rate_limit=25.0,
+                           **extra)
     report = run_sweep(config)
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()

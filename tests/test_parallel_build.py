@@ -318,7 +318,7 @@ def test_psf_shards_charge_key_compare_cost():
 
 def _psf_sweep_config(**overrides):
     kwargs = dict(builder="psf", partitions=4, records=150, operations=10,
-                  buffer_frames=1024, max_hits_per_site=1, seed=3)
+                  buffer_frames=1024, seed=3)
     kwargs.update(overrides)
     return Scenario(**kwargs)
 

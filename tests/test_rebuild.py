@@ -191,25 +191,23 @@ def test_rebuild_detects_key_column_change():
 
 
 def test_rebuild_sweep_discovers_its_sites():
-    config = Scenario(builder="rebuild", records=100, operations=6,
-                      max_hits_per_site=1)
+    config = Scenario(builder="rebuild", records=100, operations=6)
     discovered = discover(config)
     for site in ("rebuild.reset", "rebuild.reuse_runs", "rebuild.replayed"):
         assert site in discovered, f"{site} unreachable: {sorted(discovered)}"
 
 
+#: small enough to arm every hit of every rebuild site in tier-1
+SMALL_REBUILD = dict(builder="rebuild", records=40, operations=4)
+
+
 def test_rebuild_crash_at_every_site_recovers():
-    report = run_sweep(Scenario(builder="rebuild", records=100,
-                                operations=6, max_hits_per_site=1,
-                                include_damage_kinds=False))
+    report = run_sweep(Scenario(**SMALL_REBUILD))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
 
 
 def test_rebuild_codec_crash_sweep_recovers():
-    report = run_sweep(Scenario(builder="rebuild", records=100,
-                                operations=6, max_hits_per_site=1,
-                                include_damage_kinds=False,
-                                compressed_keys=True))
+    report = run_sweep(Scenario(**SMALL_REBUILD, compressed_keys=True))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()

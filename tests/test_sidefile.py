@@ -178,8 +178,7 @@ def test_sidefile_force_flushes_log_before_advancing_durable_length():
 def test_sidefile_force_crash_recovers_clean_in_sweep():
     """End to end: crash at the sidefile.force site during an SF build,
     recover, resume, audit."""
-    config = Scenario(builder="sf", records=150, operations=60,
-                      max_hits_per_site=1)
+    config = Scenario(builder="sf", records=150, operations=60)
     result = run_plan(config, FaultPlan("sidefile.force", 1))
     assert result.fired, result.detail
     assert result.passed, result.detail

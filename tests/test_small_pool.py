@@ -50,8 +50,8 @@ def test_clean_build_passes_the_full_oracle(builder, partitions, frames):
 @pytest.mark.parametrize("builder,partitions", [
     pytest.param("sf", None, id="sf"), pytest.param("psf", None, id="psf"),
     pytest.param("multi", 2, id="multi-2")])
-def test_first_hit_crash_sweep_at_8_frames(builder, partitions):
-    report = run_sweep(_scenario(builder, partitions, max_hits_per_site=1))
+def test_crash_sweep_at_8_frames(builder, partitions):
+    report = run_sweep(_scenario(builder, partitions, max_plans=40))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()
     assert all(r.fired for r in report.results), report.to_text()
@@ -63,13 +63,15 @@ def test_crash_plan_replays_under_its_seeded_schedule_at_8_frames():
     """The three perturbations compose in one run_plan call: hit counts
     come from a census taken under the same schedule seed, so the armed
     replay reaches the same instant of the same interleaving."""
-    scenario = _scenario("sf", max_hits_per_site=1)
+    scenario = _scenario("sf")
     schedule = SchedulePlan(schedule_seed=11)
     census = discover(scenario, schedule)
     assert census != discover(scenario), "the schedule perturbed nothing"
+    # each site's last hit: the latest instant of the perturbed schedule
     plans = [plan for plan in enumerate_plans(scenario, census, schedule)
              if plan.fault.site in ("sidefile.append", "sf.drain_start",
-                                    "buffer.evict_dirty")]
+                                    "buffer.evict_dirty")
+             and plan.fault.hit == census[plan.fault.site]]
     assert len(plans) >= 3
     for plan in plans:
         result = run_plan(scenario, plan)
