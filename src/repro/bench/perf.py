@@ -4,17 +4,14 @@
 Deterministic builds whose simulated cost, counters, per-phase durations
 and build-series stats are compared exactly with the committed baseline:
 
-* ``build/*`` -- offline / NSF / SF at two table sizes, NSF and SF again
-  under a concurrent update workload, and SF with the compressed-key
-  codec off and on (``key_compare_cost`` charges the clock per sort
-  comparison by compared-key width, so the on/off ratio is
-  machine-independent);
+* ``build/*`` -- offline / NSF / SF at two table sizes, and NSF and SF
+  again under a concurrent update workload;
 * ``rebuild/reuse_runs`` -- drop+rebuild from the sealed final run;
 * ``parallel_sf/p{1,2,4,8}`` -- the partitioned build's P-sweep under a
   workload, with scan+sort and shard-merge phase times and shard balance.
 
-Self-gates (:func:`gates`): the codec's simulated build speedup, zero
-table pages rescanned by the rebuild, and the scan+sort speedup at P=4.
+Self-gates (:func:`gates`): zero table pages rescanned by the rebuild,
+and the scan+sort speedup at P=4.
 Host time is ``benchmarks/e2e``'s business, not this suite's.
 """
 
@@ -30,12 +27,8 @@ from repro.core import BuildOptions
 #: the acceptance floor for the parallel scan+sort speedup at P=4 vs P=1
 MIN_PSF_SCAN_SPEEDUP = 1.5
 
-#: the acceptance floor for the codec-on vs codec-off SF build
-MIN_CODEC_SIM_SPEEDUP = 2.0
-
 SEED = 42
-CODEC_ROWS = 400
-CODEC_COMPARE_COST = 0.05
+REBUILD_ROWS = 400
 PSF_PARTITIONS = (1, 2, 4, 8)
 
 
@@ -50,20 +43,14 @@ def _trace_extras(recorder, system) -> dict:
     return {"phases": phase_durations(recorder.events), "series": series}
 
 
-def _build_scenario(*, algorithm: str, rows: int, operations: int = 0,
-                    compressed_keys: bool = False,
-                    key_compare_cost: float = 0.0) -> dict:
+def _build_scenario(*, algorithm: str, rows: int,
+                    operations: int = 0) -> dict:
     from repro.obs import TraceRecorder
 
     params = {"algorithm": algorithm, "rows": rows,
               "operations": operations, "workers": 2, "seed": SEED}
-    if compressed_keys or key_compare_cost:
-        params["compressed_keys"] = compressed_keys
-        params["key_compare_cost"] = key_compare_cost
     options = BuildOptions(checkpoint_every_keys=200,
-                           commit_every_keys=128,
-                           compressed_keys=compressed_keys,
-                           key_compare_cost=key_compare_cost)
+                           commit_every_keys=128)
     recorder = TraceRecorder()
     result = run_build_experiment(
         algorithm, rows=rows, operations=operations, workers=2,
@@ -84,19 +71,18 @@ def _build_scenario(*, algorithm: str, rows: int, operations: int = 0,
 def _rebuild_scenario() -> dict:
     """Drop+rebuild from sealed runs.
 
-    A codec-on SF build seals its final merged run; ``rebuild_index``
+    An SF build seals its final merged run; ``rebuild_index``
     then reconstructs the same index from the sealed store.  The row
     records the table pages the rebuild scanned (gated to be zero) and
     the simulated-clock speedup over the original build.
     """
     from repro.verify import audit_index
 
-    params = {"algorithm": "rebuild", "rows": CODEC_ROWS, "seed": SEED,
-              "compressed_keys": True}
+    params = {"algorithm": "rebuild", "rows": REBUILD_ROWS, "seed": SEED}
     options = BuildOptions(checkpoint_every_keys=200,
-                           commit_every_keys=128, compressed_keys=True)
+                           commit_every_keys=128)
     seed_build = run_build_experiment(
-        "sf", rows=CODEC_ROWS, operations=0, workers=2, seed=SEED,
+        "sf", rows=REBUILD_ROWS, operations=0, workers=2, seed=SEED,
         options=options, config=bench_config())
     system = seed_build.system
     before = system.metrics.snapshot()
@@ -177,11 +163,6 @@ def _rows() -> dict[str, Callable[[], dict]]:
     for algorithm in ("nsf", "sf"):
         rows[f"build/{algorithm}/rows300/workload"] = partial(
             _build_scenario, algorithm=algorithm, rows=300, operations=60)
-    for label, compressed in (("off", False), ("on", True)):
-        rows[f"build/sf/codec_{label}"] = partial(
-            _build_scenario, algorithm="sf", rows=CODEC_ROWS,
-            compressed_keys=compressed,
-            key_compare_cost=CODEC_COMPARE_COST)
     rows["rebuild/reuse_runs"] = _rebuild_scenario
     for partitions in PSF_PARTITIONS:
         rows[f"parallel_sf/p{partitions}"] = partial(
@@ -192,12 +173,6 @@ def _rows() -> dict[str, Callable[[], dict]]:
 def gates(rows: dict[str, dict]) -> list[str]:
     """The suite's own acceptance gates, all on the simulated clock."""
     problems: list[str] = []
-    ratio = rows["build/sf/codec_off"]["sim_time"] \
-        / rows["build/sf/codec_on"]["sim_time"]
-    if ratio < MIN_CODEC_SIM_SPEEDUP:
-        problems.append(
-            f"build/sf/codec_on: simulated build speedup {ratio:.2f}x "
-            f"over codec_off under floor {MIN_CODEC_SIM_SPEEDUP:.2f}x")
     rescanned = rows["rebuild/reuse_runs"]["pages_scanned_delta"]
     if rescanned != 0:
         problems.append(

@@ -39,8 +39,6 @@ from repro.sidefile import ScanFrontier
 from repro.sim.kernel import Delay, Join
 from repro.sim.latch import SHARE
 from repro.sort import (
-    CompressedRunFormation,
-    KeyCodec,
     RestartableMerger,
     RunFormation,
     RunStore,
@@ -116,18 +114,6 @@ class BuildOptions:
     #: one worker and one Current-RID each (None -> the mode's default:
     #: the serial scan, or 2 for ``psf``; a rebuild never scans)
     partitions: Optional[int] = None
-    #: encode composite keys into fixed-width machine integers at scan
-    #: time (compressed key sort); the tournament trees then compare one
-    #: int per match instead of a composite tuple, and decode is deferred
-    #: until the keys enter the tree (experiment E25)
-    compressed_keys: bool = False
-    #: simulated time per key-comparison *width unit* in the sort's
-    #: tournament trees (0.0 = comparisons are free, the historical
-    #: schedule).  A raw composite key costs ``len(key_columns) + 2``
-    #: units per comparison (each column plus the rid pair), an encoded
-    #: key exactly 1 -- this is what makes the codec speedup visible on
-    #: the simulated clock.
-    key_compare_cost: float = 0.0
 
 
 class BuilderBase:
@@ -174,18 +160,6 @@ class BuilderBase:
         self._manifest: dict[str, dict] = {
             spec.name: {"status": "pending"} for spec in self.specs}
         self._sorters: dict[str, RunFormation] = {}
-        #: one shared key codec per index (compressed_keys only): PSF
-        #: shard sorters and crash-resumed sorters must all agree on the
-        #: column layout, so the codec instance is per-index, not
-        #: per-sorter
-        self._codecs: dict[str, KeyCodec] = {}
-        #: codec fault-site bookkeeping (armed sweeps only)
-        self._codec_bind_fired: set[str] = set()
-        self._codec_spills_seen: dict[str, int] = {}
-        #: comparisons already charged to the simulated clock, per sorter
-        #: (stripes share sorters and shards own theirs, so the key is
-        #: the sorter, not the index name)
-        self._compare_charged: dict[RunFormation, int] = {}
         #: IB admission control: the *system's* bucket, shared by every
         #: process of this build (coordinator, readers, PSF shards) AND
         #: by any concurrent builds -- ``build_rate_limit`` bounds the
@@ -246,7 +220,6 @@ class BuilderBase:
         for descriptor in self.descriptors:
             self.system.run_stores.pop(f"sort:{descriptor.name}", None)
         self._sorters.clear()
-        self._compare_charged.clear()
         self._mark("done")
         self.obs.end("build")
         return self.descriptors
@@ -310,7 +283,6 @@ class BuilderBase:
         builder._manifest = {name: dict(entry) for name, entry
                              in utility_state["manifest"].items()}
         builder.obs.restore(utility_state.get("progress"))
-        builder._restore_codec(utility_state)
         return builder
 
     # -- catalog steps ----------------------------------------------------------
@@ -370,43 +342,21 @@ class BuilderBase:
             self.system.run_stores[name] = store
         return store
 
-    def _codec_for(self, name: str) -> KeyCodec:
-        """The per-index key codec (created on first use)."""
-        codec = self._codecs.get(name)
-        if codec is None:
-            codec = KeyCodec()
-            self._codecs[name] = codec
-        return codec
-
     def _new_sorter(self, descriptor: IndexDescriptor,
                     workspace: Optional[int] = None) -> RunFormation:
-        """One run-formation sorter, compressed when the options say so."""
-        store = self._store_for(descriptor)
+        """One run-formation sorter over the index's run store."""
         size = workspace if workspace is not None \
             else self.system.config.sort_workspace
-        if self.options.compressed_keys:
-            return CompressedRunFormation(
-                store, size, self._codec_for(descriptor.name))
-        return RunFormation(store, size)
+        return RunFormation(self._store_for(descriptor), size)
 
     def _restore_sorter(self, descriptor: IndexDescriptor, manifest: dict,
                         workspace: Optional[int] = None,
                         prune: bool = True):
-        """Restore one sorter from its checkpoint manifest, threading the
-        shared per-index codec through when the build is compressed."""
-        store = self._store_for(descriptor)
+        """Restore one sorter from its checkpoint manifest."""
         size = workspace if workspace is not None \
             else self.system.config.sort_workspace
-        codec = self._codec_for(descriptor.name) \
-            if self.options.compressed_keys else None
-        return RunFormation.restore(store, manifest, size,
-                                    prune=prune, codec=codec)
-
-    def _decoder(self, name: str):
-        """How index ``name``'s merged keys reach the tree: its codec's
-        decode when the keys were sorted encoded, None when raw."""
-        codec = self._codecs.get(name)
-        return codec.decode if codec is not None and codec.active else None
+        return RunFormation.restore(self._store_for(descriptor), manifest,
+                                    size, prune=prune)
 
     def _make_sorters(self) -> None:
         for descriptor in self.descriptors:
@@ -529,13 +479,6 @@ class BuilderBase:
             self.system.metrics.incr(self._throttle_waits_metric)
             self.system.metrics.observe("build.throttle_wait_time", waited)
 
-    def _restore_codec(self, utility_state: dict) -> None:
-        """Adopt each index's checkpointed codec layout (compressed-key
-        builds only), before any sorter is rebuilt."""
-        for name, manifest in (utility_state.get("sort_codecs")
-                               or {}).items():
-            self._codec_for(name).adopt(manifest)
-
     # -- the shared data scan (generators) ----------------------------------------------
 
     def _scan_phase(self, start_page: int = 0, readers: int = 1):
@@ -606,9 +549,6 @@ class BuilderBase:
                 checkpoint=self._checkpoint_scan)
         self.obs.end("scan", pages=metrics.get("build.pages_scanned")
                      - pages_before)
-        for name, codec in self._codecs.items():
-            self.obs.instant("sort.encode", index=name, kinds=codec.kinds,
-                             spills=codec.spills, active=codec.active)
         return last_page
 
     def _scan_pages(self, cursor: dict, limit_of, sorters: dict, *,
@@ -644,7 +584,6 @@ class BuilderBase:
         metrics = system.metrics
         checkpoint_every = self.options.checkpoint_every_pages \
             if checkpoint is not None else None
-        compare_cost = self.options.key_compare_cost
         page_no = cursor["next_page"]
         pages_since_checkpoint = 0
         # Each index gets one list of keys per latched page.  The
@@ -654,9 +593,8 @@ class BuilderBase:
         # when no injector is installed (the guard equals fault_point's
         # own disabled test, so sweep discovery and armed runs see an
         # unchanged hit schedule).
-        targets = [(d, sorters[d.name]) for d in self.descriptors]
-        extractors = [(d.column_getters, sorter.push_many)
-                      for d, sorter in targets]
+        extractors = [(d.column_getters, sorters[d.name].push_many)
+                      for d in self.descriptors]
         fp_enabled = fault_points_enabled(metrics)
         while True:
             limit = limit_of()
@@ -685,9 +623,6 @@ class BuilderBase:
                         cost = len(records) * KEY_EXTRACT_COST
                         if not system.sim.delayed(cost):
                             yield Delay(cost)
-                    if compare_cost:
-                        yield from self._charge_compare_cost(compare_cost,
-                                                             targets)
                     if advance is not None:
                         advance(page)
                 finally:
@@ -696,8 +631,6 @@ class BuilderBase:
                 if page_counter is not None:
                     metrics.incr(page_counter)
                 fault_point(metrics, page_site)
-                if fp_enabled and self._codecs:
-                    self._codec_fault_points(metrics)
             pages_since_checkpoint += len(batch_ids)
             page_no = cursor["next_page"] = upto
             self.obs.advance("scan", total=limit, step=len(batch_ids))
@@ -707,42 +640,6 @@ class BuilderBase:
                 checkpoint(page_no)
                 pages_since_checkpoint = 0
         return limit
-
-    def _compare_units(self, descriptor: IndexDescriptor,
-                       sorter: RunFormation) -> int:
-        """Simulated width of one tournament comparison for this sorter:
-        1 for codec-encoded ints, each key column plus the two rid fields
-        for raw composite tuples."""
-        if isinstance(sorter, CompressedRunFormation) and sorter.codec.active:
-            return 1
-        return len(descriptor.key_columns) + 2
-
-    def _charge_compare_cost(self, cost: float, targets):
-        """Generator: charge simulated time for the tournament
-        comparisons the ``(descriptor, sorter)`` targets performed since
-        their last charge (``key_compare_cost`` only; the default 0.0
-        never reaches this, keeping historical schedules)."""
-        charged = self._compare_charged
-        delta = 0.0
-        for descriptor, sorter in targets:
-            done = sorter.comparisons
-            delta += (done - charged.get(sorter, 0)) \
-                * self._compare_units(descriptor, sorter)
-            charged[sorter] = done
-        if delta and not self.system.sim.delayed(delta * cost):
-            yield Delay(delta * cost)
-
-    def _codec_fault_points(self, metrics) -> None:
-        """Fire the codec fault sites on state transitions (armed sweeps
-        only -- the caller guards on ``fault_points_enabled``)."""
-        for name, codec in self._codecs.items():
-            if codec.bound and name not in self._codec_bind_fired:
-                self._codec_bind_fired.add(name)
-                fault_point(metrics, "sort.codec.bind")
-            spills = codec.spills
-            if spills > self._codec_spills_seen.get(name, 0):
-                self._codec_spills_seen[name] = spills
-                fault_point(metrics, "sort.codec.spill")
 
     def _scan_limit(self, noted_last_page: int) -> int:
         """How far the scan goes.
@@ -812,26 +709,13 @@ class BuilderBase:
             if resumable else None
         since_checkpoint = 0
         since_yield = 0
-        decode = self._decoder(descriptor.name)
-        compare_cost = self.options.key_compare_cost
-        compare_units = 1 if decode is not None \
-            else len(descriptor.key_columns) + 2
-        merge_charged = 0
         key_cost = self.system.config.bulk_load_key_cost
 
         def charge(keys):
-            """Admission and simulated time for ``keys`` loaded keys and
-            the merge matches played to produce them."""
-            nonlocal merge_charged
+            """Admission and simulated time for ``keys`` loaded keys."""
             yield from self._throttle(keys)
             if not self.system.sim.delayed(keys * key_cost):
                 yield Delay(keys * key_cost)
-            if compare_cost:
-                done = merger.comparisons
-                matches, merge_charged = done - merge_charged, done
-                cost = matches * compare_units * compare_cost
-                if matches and not self.system.sim.delayed(cost):
-                    yield Delay(cost)
 
         # The merged keys are pulled and loaded in batches, but the yield
         # and checkpoint cadence is key-exact: each batch is capped at
@@ -847,8 +731,7 @@ class BuilderBase:
             batch = merger.pop_many(take)
             if not batch:
                 break
-            loader.extend(batch if decode is None
-                          else list(map(decode, batch)))
+            loader.extend(batch)
             produced = len(batch)
             keys_loaded += produced
             since_checkpoint += produced
@@ -905,16 +788,6 @@ class BuilderBase:
         progress = self.obs.checkpoint_state()
         if progress is not None:
             payload["progress"] = progress
-        # Compressed-key builds persist each index's codec layout so the
-        # resumed sorters rebind identically (a resumed scan must not
-        # re-derive a different column layout from a different first
-        # key).  Conditional keys: codec-off payloads stay unchanged.
-        if self.options.compressed_keys:
-            layouts = {name: codec.to_manifest()
-                       for name, codec in self._codecs.items()
-                       if codec.bound or codec.disabled}
-            if layouts:
-                payload["sort_codecs"] = layouts
         # Copied entry by entry: the record must keep the manifest as of
         # this instant, not follow the builder's later transitions.
         if state.get("phase") != "done":

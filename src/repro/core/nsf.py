@@ -96,13 +96,10 @@ class NSFIndexBuilder(BuilderBase):
         highest = None
         commit_every = self.options.commit_every_keys
         checkpoint_every = self.options.checkpoint_every_keys
-        decode = self._decoder(descriptor.name)
         while merger is not None:
             batch = merger.pop_many(self.options.ib_batch_keys)
             if not batch:
                 break
-            if decode is not None:
-                batch = [decode(encoded) for encoded in batch]
             yield from self._throttle(len(batch))
             yield from tree.ib_insert_batch(ib_txn, batch, cursor)
             fault_point(self.system.metrics, "nsf.insert_batch")

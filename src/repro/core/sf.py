@@ -24,12 +24,11 @@ Timeline (section 3.2):
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 from repro.btree.loader import BulkLoader
 from repro.btree.tree import IX_INDEX
-from repro.core.base import BuilderBase, BuildOptions, IndexSpec
+from repro.core.base import BuilderBase, IndexSpec
 from repro.core.descriptor import IndexState
 from repro.core.maintenance import (
     MULTI_MODE,
@@ -243,7 +242,6 @@ class SFIndexBuilder(BuilderBase):
         # Drop any previously sealed generation (and, for a rebuild, the
         # inputs it just consumed): one sealed run per index.
         sealed.keep_only(runs)
-        codec = self._codecs.get(descriptor.name)
         system.sealed_runs[descriptor.name] = {
             "index": descriptor.name,
             "table": self.table.name,
@@ -251,7 +249,6 @@ class SFIndexBuilder(BuilderBase):
             "unique": descriptor.unique,
             "runs": runs,
             "lengths": lengths,
-            "codec": codec.to_manifest() if codec is not None else None,
         }
         system.metrics.incr("rebuild.runs_sealed", len(runs))
         self.obs.instant("rebuild.seal", index=descriptor.name,
@@ -511,19 +508,9 @@ class RebuildIndexBuilder(SFIndexBuilder):
 def rebuild_builder(system, descriptor, options=None) -> RebuildIndexBuilder:
     """Builder rebuilding the *existing* ``descriptor`` in place."""
     manifest = system.sealed_runs[descriptor.name]
-    codec_manifest = manifest.get("codec")
-    options = options or BuildOptions()
-    if codec_manifest is not None:
-        # The sealed run holds *encoded* keys: the rebuild must adopt
-        # the original build's compressed mode (on a copy -- the options
-        # object stays the caller's) and its codec layout, so the load
-        # phase decodes them identically.
-        options = replace(options, compressed_keys=True)
     spec = IndexSpec(descriptor.name, tuple(descriptor.key_columns),
                      descriptor.unique)
     builder = RebuildIndexBuilder(system, descriptor.table, [spec], options)
     builder.descriptors = [descriptor]
     builder.source.validate(descriptor, manifest)
-    if codec_manifest is not None:
-        builder._codec_for(descriptor.name).adopt(codec_manifest)
     return builder

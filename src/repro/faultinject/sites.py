@@ -105,11 +105,6 @@ SITE_DOCS = {
     "sf.drain_checkpoint": "SF drain checkpoint about to be taken",
     "sf.flag_flip.before": "side-file drained, flag flip not yet done",
     "sf.flag_flip.after": "Index_Build flag just flipped to AVAILABLE",
-    # compressed-key sort codec (repro.sort.codec, experiment E25)
-    "sort.codec.bind":
-        "a key codec derived its column layout from the first scanned key",
-    "sort.codec.spill":
-        "an oversized key spilled to raw comparison alongside its prefix",
     # fast index reconstruction from sealed runs (repro.core.sources.SealedRuns)
     "rebuild.sealed":
         "a build's final merged run sealed for future reconstruction",

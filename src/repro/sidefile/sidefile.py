@@ -136,11 +136,17 @@ class SideFile:
         produced "durable" entries whose append records never made the
         log, so a restarted drain consumed entries that redo could not
         re-create and the post-crash audit diverged.
+
+        The whole log, not just up to the last append: a write logs its
+        side-file append just before its heap record, so a flush that
+        stopped at the append could keep it and lose the heap record --
+        the loser then has nothing to undo, writes no compensation, and
+        the drain applies an orphan entry (a live row's key deleted).
         """
         fault_point(self.system.metrics, "sidefile.force")
         length = len(self.entries)
         if length:
-            self.system.log.flush(self.entries[-1].lsn)
+            self.system.log.flush()
         self.durable_length = length
 
     def crash(self) -> None:

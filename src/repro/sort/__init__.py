@@ -1,6 +1,5 @@
 """Restartable external sort (section 5 of the paper)."""
 
-from repro.sort.codec import KeyCodec, SpilledKey
 from repro.sort.merge import (
     RestartableMerger,
     final_merger,
@@ -8,16 +7,13 @@ from repro.sort.merge import (
     merge_to_single,
 )
 from repro.sort.runs import RunStore, SortRun, run_sequence
-from repro.sort.sorter import CompressedRunFormation, RunFormation
+from repro.sort.sorter import RunFormation
 
 __all__ = [
-    "CompressedRunFormation",
-    "KeyCodec",
     "RestartableMerger",
     "RunFormation",
     "RunStore",
     "SortRun",
-    "SpilledKey",
     "final_merger",
     "merge_pass",
     "merge_to_single",

@@ -13,9 +13,10 @@ output's end-of-file; restart truncates the output back to that position,
 repositions every input to its counter, and rebuilds the tournament --
 "no key is left out from the merge and no key is output more than once".
 
-Here the tournament is the cost model (:mod:`repro.sort.tournament`), the
-merge is one stable ``sorted()`` and the counter vector is derived from the
-last key produced, so it is exact after every key, whatever the batch size.
+Here the merge is one stable ``sorted()`` (it produces what the tournament
+would, ``tests/loser_tree.py`` being the reference tree) and the counter
+vector is derived from the last key produced, so it is exact after every
+key, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Any, Optional
 
 from repro.errors import SortRestartError
 from repro.sort.runs import RunStore, SortRun
-from repro.sort.tournament import build_matches, fixup_matches
 
 
 class RestartableMerger:
@@ -34,9 +34,7 @@ class RestartableMerger:
 
     The closed inputs' remaining keys, concatenated in input order, go
     through one stable ``sorted()`` (a C merge of sorted runs; equal keys
-    leave in input order) and :meth:`pop_many` slices it.  The section 5.2
-    tournament is the cost model: :attr:`comparisons` is what it would
-    have played for the keys produced so far.
+    leave in input order) and :meth:`pop_many` slices it.
     """
 
     def __init__(self, inputs: list[SortRun], output: SortRun,
@@ -84,17 +82,6 @@ class RestartableMerger:
                 ties -= took
                 counters[slot] = at + took + 1
         return counters
-
-    @property
-    def comparisons(self) -> int:
-        """Matches the tournament would have played: its build, then one
-        refill of the producing input's slot per key produced (the unit
-        ``key_compare_cost`` charges).  A function of the counter vector
-        alone, so it is exact wherever the counters are."""
-        size = len(self.inputs)
-        return build_matches(size) + sum(
-            (counter - first) * matches for counter, first, matches
-            in zip(self.counters, self._first_counters, fixup_matches(size)))
 
     # -- producing ---------------------------------------------------------
 

@@ -3,9 +3,9 @@
 Implements section 5.1.  Keys stream in from IB's data scan, a page's worth
 at a time; *replacement selection* [Knut73] over a workspace of
 ``workspace_size`` keys emits sorted runs about twice that size.  The
-paper's tournament tree is the cost model (:mod:`repro.sort.tournament`),
-the selection itself runs on ``heapq``.  Periodically the caller
-checkpoints:
+paper's tournament tree picks the same keys as the ``heapq`` heap the
+selection runs on (``tests/loser_tree.py`` is the reference tree).
+Periodically the caller checkpoints:
 
     "While taking a checkpoint, we wait for the tournament tree to output
     all the keys that have so far been extracted.  We force to disk all
@@ -28,23 +28,17 @@ from __future__ import annotations
 from heapq import heapify, heapreplace
 from itertools import groupby
 from operator import itemgetter
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
-from repro.btree.node import entry_key
 from repro.errors import SortRestartError
-from repro.sort.codec import KeyCodec
 from repro.sort.runs import RunStore, SortRun
-from repro.sort.tournament import build_matches, fixup_matches
 
 
 class RunFormation:
     """Replacement-selection run formation over a :class:`RunStore`.
 
-    Selection runs on a ``heapq`` heap of ``(run sequence, key, matches)``
-    entries.  ``matches`` is what refilling the entry's slot of the
-    section 5 tournament tree costs; a replacement takes over the slot
-    (and so the cost) of the key it displaced, which keeps
-    :attr:`comparisons` equal to what the tree would have played.
+    Selection runs on a ``heapq`` heap of ``(run sequence, key)``
+    entries: the smallest key of the lowest run leaves first.
     """
 
     def __init__(self, store: RunStore, workspace_size: int) -> None:
@@ -54,7 +48,6 @@ class RunFormation:
         self.workspace_size = workspace_size
         #: a plain list while it fills, a heap from the key that fills it
         self._workspace: list[tuple] = []
-        self._fixup_matches = fixup_matches(workspace_size)
         #: sequence number of the run currently being emitted
         self._emit_seq = 0
         #: run objects by sequence number
@@ -62,9 +55,6 @@ class RunFormation:
         self._run_order: list[SortRun] = []
         self.keys_pushed = 0
         self._finished = False
-        #: tournament matches across every workspace fill (the unit
-        #: ``key_compare_cost`` charges)
-        self.comparisons = 0
 
     # -- feeding ------------------------------------------------------------
 
@@ -85,33 +75,27 @@ class RunFormation:
             seq = self._emit_seq
             current = self._runs_by_seq.get(seq)
             highest = current.highest_key if current is not None else None
-            matches = self._fixup_matches
             for key in keys[:room]:
                 workspace.append(
                     (seq if highest is None or key >= highest else seq + 1,
-                     key, matches[len(workspace)]))
+                     key))
             if len(keys) < room:
                 return
             heapify(workspace)
-            self.comparisons += build_matches(self.workspace_size)
             keys = keys[room:]
         if not keys:
             return
         seq = workspace[0][0]
         emitted: list[Any] = []
-        compared = 0
         for key in keys:
-            top_seq, smallest, cost = workspace[0]
+            top_seq, smallest = workspace[0]
             if top_seq != seq:
                 self._emit(seq, emitted)
                 seq, emitted = top_seq, []
             emitted.append(smallest)
             heapreplace(workspace,
-                        (top_seq if key >= smallest else top_seq + 1,
-                         key, cost))
-            compared += cost
+                        (top_seq if key >= smallest else top_seq + 1, key))
         self._emit(seq, emitted)
-        self.comparisons += compared
 
     def _emit(self, seq: int, keys: list[Any]) -> None:
         run = self._runs_by_seq.get(seq)
@@ -133,10 +117,6 @@ class RunFormation:
         assignment ("we wait for the tournament tree to output all the
         keys that have so far been extracted")."""
         workspace = self._workspace
-        if len(workspace) == self.workspace_size:
-            # The tree empties by refilling every slot once with INF; a
-            # partial fill was never built into a tree and costs nothing.
-            self.comparisons += sum(self._fixup_matches)
         workspace.sort()
         for seq, entries in groupby(workspace, key=itemgetter(0)):
             self._emit(seq, [entry[1] for entry in entries])
@@ -173,8 +153,7 @@ class RunFormation:
     @classmethod
     def restore(cls, store: RunStore, manifest: dict,
                 workspace_size: int,
-                prune: bool = True,
-                codec: Optional[KeyCodec] = None) -> tuple["RunFormation", Any]:
+                prune: bool = True) -> tuple["RunFormation", Any]:
         """Rebuild run formation from a checkpoint after a crash.
 
         Returns ``(sorter, scan_position)``: the caller repositions IB's
@@ -184,11 +163,6 @@ class RunFormation:
         the parallel build keeps several shards' sorters on one shared
         store, so each shard restores with ``prune=False`` and the caller
         issues a single union ``keep_only`` across every shard's manifest.
-
-        A manifest carrying a ``codec`` layout restores a
-        :class:`CompressedRunFormation`; ``codec`` (for shard sorters that
-        share one codec per index) is validated against, or bound from,
-        the persisted layout.
         """
         if manifest.get("phase") != "sort":
             raise SortRestartError("manifest is not a sort-phase checkpoint")
@@ -215,16 +189,7 @@ class RunFormation:
                     f"run {name!r} holds {len(run)} keys but the manifest "
                     f"checkpointed {length}: stale manifest for a reused run")
             run.truncate(length)
-        codec_manifest = manifest.get("codec")
-        if codec_manifest is not None:
-            if codec is None:
-                codec = KeyCodec.from_manifest(codec_manifest)
-            else:
-                codec.adopt(codec_manifest)
-            sorter: RunFormation = CompressedRunFormation(
-                store, workspace_size, codec)
-        else:
-            sorter = RunFormation(store, workspace_size)
+        sorter = cls(store, workspace_size)
         sorter._emit_seq = manifest["emit_seq"]
         for seq_offset, name in enumerate(manifest["runs"]):
             run = store.get(name)
@@ -239,35 +204,3 @@ class RunFormation:
             run.closed = True
         return sorter, manifest["scan_position"]
 
-
-class CompressedRunFormation(RunFormation):
-    """Run formation over codec-encoded keys (compressed key sort).
-
-    The caller still pushes raw entries; they are encoded into machine
-    integers at push time, so selection compares one int per key instead
-    of a composite tuple.  Runs store the codes, so
-    the merge phase and the final-merger output also compare ints; decode
-    happens only at the bulk load.
-
-    If the codec cannot represent the first key's column types it disables
-    itself and every path falls back to the raw entries -- one sorter never
-    mixes encoded and raw keys.
-    """
-
-    def __init__(self, store: RunStore, workspace_size: int,
-                 codec: Optional[KeyCodec] = None) -> None:
-        super().__init__(store, workspace_size)
-        self.codec = codec if codec is not None else KeyCodec()
-
-    def push_many(self, entries: Sequence[Any]) -> None:
-        codec = self.codec
-        if entries and not codec.bound and not codec.disabled:
-            codec.bind(entry_key(entries[0]))
-        if not codec.disabled:
-            entries = list(map(codec.encode, entries))
-        super().push_many(entries)
-
-    def checkpoint(self, scan_position: Any) -> dict:
-        manifest = RunFormation.checkpoint(self, scan_position)
-        manifest["codec"] = self.codec.to_manifest()
-        return manifest

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-#: low bits of a RID holding the slot (the sort codec's RID field too)
+#: low bits of a RID holding the slot
 SLOT_BITS = 12
 SLOT_MASK = (1 << SLOT_BITS) - 1
 

@@ -367,8 +367,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--build-rate-limit", type=float, default=None,
                         help="IB admission-control rate (work items per "
                              "simulated time unit; default unthrottled)")
-    parser.add_argument("--codec", action="store_true",
-                        help="sort with compressed keys (experiment E25)")
     parser.add_argument("--max-plans", type=int, default=None,
                         help="crash plans a row, an even stride over "
                              "every hit of every site")
@@ -409,7 +407,6 @@ def main(argv: Optional[list] = None) -> int:
         records=args.records, operations=args.operations,
         workers=args.workers, seed=args.seed,
         build_rate_limit=args.build_rate_limit,
-        compressed_keys=args.codec or None,
         max_plans=args.max_plans,
         preempt_prob=args.preempt_prob,
         max_preemptions=args.max_preemptions)

@@ -155,10 +155,9 @@ class Scenario:
     #: scan shards of a side-file row (None = the builder's default:
     #: serial, or 2 for psf)
     partitions: Optional[int] = None
-    #: IB admission control (work items / time unit) and the compressed-key
-    #: sort (experiment E25) must both be crash- and schedule-transparent
+    #: IB admission control (work items / time unit) must be crash- and
+    #: schedule-transparent
     build_rate_limit: Optional[float] = None
-    compressed_keys: bool = False
     #: crash plans a row: an even stride over every hit of every site
     #: (None = all of them)
     max_plans: Optional[int] = None
@@ -190,8 +189,7 @@ class Scenario:
             checkpoint_every_pages=self.checkpoint_every_pages,
             checkpoint_every_keys=self.checkpoint_every_keys,
             commit_every_keys=self.commit_every_keys,
-            partitions=self.partitions,
-            compressed_keys=self.compressed_keys)
+            partitions=self.partitions)
 
     def index_specs(self) -> list:
         """K=3 where indexes flip one by one, else the one index on

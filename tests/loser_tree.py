@@ -7,11 +7,9 @@ whose root produces the overall winner with O(log N) comparisons per
 output.
 
 The builds do not run this tree: :mod:`repro.sort.sorter` selects with
-``heapq``, :mod:`repro.sort.merge` is one stable ``sorted()``, and both
-charge what the tree *would* have played (:mod:`repro.sort.tournament`, the
-closed-form match counts).  :class:`LoserTree` lives here as the
-definition those counts are checked against and as the reference
-``tests/test_sort.py`` compares the engines with; nothing in ``src/``
+``heapq`` and :mod:`repro.sort.merge` is one stable ``sorted()``.
+:class:`LoserTree` lives here as the reference ``tests/test_sort.py``
+compares their runs, manifests and counters with; nothing in ``src/``
 imports it.
 """
 
@@ -26,11 +24,10 @@ from typing import Any
 class _Infinite:
     """Compares greater than everything (except another _Infinite).
 
-    The full operator set is defined: the codec spill path mixes plain-int
-    keys and :class:`~repro.sort.codec.SpilledKey` wrappers in one tree, and
-    those only implement comparisons against each other and ints -- every
-    ``<= INF`` / ``>= INF`` form therefore reaches the reflected operator
-    here, which previously did not exist and raised TypeError.
+    The full operator set is defined: a key type that only compares
+    against its own kind (ints, entry tuples) answers NotImplemented, so
+    every ``<= INF`` / ``>= INF`` form reaches the reflected operator
+    here.
     """
 
     __slots__ = ()
@@ -96,7 +93,6 @@ class LoserTree:
         # losers[0] holds the overall winner; losers[1:] the match losers.
         self._losers: list[int] = [0] * size
         self._built = False
-        self.comparisons = 0
 
     # -- feeding -----------------------------------------------------------
 
@@ -112,7 +108,6 @@ class LoserTree:
             winners[node] = node - size
         for node in range(size - 1, 0, -1):
             left, right = winners[2 * node], winners[2 * node + 1]
-            self.comparisons += 1
             if self.values[right] < self.values[left]:
                 winner, loser = right, left
             else:
@@ -138,16 +133,13 @@ class LoserTree:
         losers = self._losers
         winner = slot
         node = (slot + self.size) // 2
-        compared = 0
         while node >= 1:
             loser = losers[node]
-            compared += 1
             if values[loser] < values[winner]:
                 losers[node] = winner
                 winner = loser
             node >>= 1
         losers[0] = winner
-        self.comparisons += compared
 
     @property
     def exhausted(self) -> bool:

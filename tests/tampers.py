@@ -8,10 +8,14 @@ gap in the sweep: close it with a seed, a size or an axis, not here.
 
 from repro.btree.tree import BTree
 from repro.core.maintenance import IndexMaintenance
+from repro.faultinject.sites import fault_point
+from repro.sidefile import SideFile
 from repro.sweep import Scenario
 
 #: the ``--records`` / ``--operations`` of every CI crash-sweep row
 CI_ROW = dict(records=150, operations=10)
+#: the one CI crash-sweep row at the scenario's default size
+CI_LARGE_ROW = dict(records=500, operations=150)
 #: the seeds CI sweeps each crash row on
 CI_SEEDS = (6, 7, 8)
 
@@ -38,6 +42,22 @@ def invisible_sidefile_compensation(monkeypatch):
     monkeypatch.setattr(IndexMaintenance, "_compensate", visible_only)
 
 
+def sidefile_force_to_last_append(monkeypatch):
+    """A drain checkpoint flushes the log only up to the side-file's last
+    append.  A write logs that append just before its heap record, so a
+    crash can keep the append and lose the record: the loser has nothing
+    to undo, no compensation is written, and the drain deletes a live
+    row's key."""
+    def force(self):
+        fault_point(self.system.metrics, "sidefile.force")
+        length = len(self.entries)
+        if length:
+            self.system.log.flush(self.entries[-1].lsn)
+        self.durable_length = length
+
+    monkeypatch.setattr(SideFile, "force", force)
+
+
 #: name -> (tamper, the CI row and seed that catches it)
 TAMPERS = {
     "no-op-tree-force": (no_op_tree_force,
@@ -45,4 +65,7 @@ TAMPERS = {
     "invisible-sidefile-compensation": (
         invisible_sidefile_compensation,
         Scenario(builder="sf", seed=8, **CI_ROW)),
+    "sidefile-force-to-last-append": (
+        sidefile_force_to_last_append,
+        Scenario(builder="sf", seed=7, **CI_LARGE_ROW)),
 }

@@ -140,18 +140,6 @@ def test_parallel_readers_under_workload_consistent():
     audit_index(system, system.indexes["idx"])
 
 
-def test_parallel_readers_charge_key_compare_cost():
-    """The stripes run the one scan loop, so the tournament comparisons
-    their pushes cause are charged to the simulated clock."""
-    finished = {}
-    for cost in (0.0, 0.01):
-        system, table, driver = stage()
-        run_build(system, table, driver, NSFIndexBuilder,
-                  BuildOptions(parallel_readers=3, key_compare_cost=cost))
-        finished[cost] = system.now()
-    assert finished[0.01] > finished[0.0]
-
-
 def test_parallel_readers_scan_is_one_span_and_fires_the_scan_sites():
     from repro.faultinject.injector import FaultInjector
     from repro.obs import Trace, enable_tracing
@@ -160,14 +148,13 @@ def test_parallel_readers_scan_is_one_span_and_fires_the_scan_sites():
     recorder = enable_tracing(system)
     injector = FaultInjector().install(system)
     run_build(system, table, driver, NSFIndexBuilder,
-              BuildOptions(parallel_readers=3, compressed_keys=True))
+              BuildOptions(parallel_readers=3))
     scans = [span for span in Trace(recorder.events).spans
              if span.name == "scan"]
     assert len(scans) == 1
     assert scans[0].end_attrs["pages"] == table.page_count
     assert injector.hits["build.scan_page"] == table.page_count
     assert injector.hits["build.sort_push"] == 300
-    assert injector.hits["sort.codec.bind"] == 1
 
 
 def test_fill_factor_leaves_headroom():

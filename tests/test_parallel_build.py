@@ -289,30 +289,6 @@ def test_parallel_scan_speedup_on_simulated_clock():
     assert serial_scan / parallel_scan >= 1.5
 
 
-def test_psf_shards_charge_key_compare_cost():
-    """Shard workers run the one scan loop, so the tournament comparisons
-    of their own sorters are charged to the simulated clock."""
-    scan_time = {}
-    for cost in (0.0, 0.01):
-        system = System(small_config(), seed=7)
-        table = system.create_table("t", ["k", "p"])
-        driver = WorkloadDriver(system, table, WorkloadSpec(operations=0),
-                                seed=7)
-        preload = system.spawn(driver.preload(120), name="preload")
-        system.run()
-        assert preload.error is None
-        builder = ParallelSFBuilder(
-            system, table, IndexSpec.of("idx", ["k"]),
-            options=BuildOptions(partitions=2, key_compare_cost=cost))
-        proc = system.spawn(builder.run(), name="builder")
-        system.run()
-        assert proc.error is None
-        audit_index(system, system.indexes["idx"])
-        scan_time[cost] = (builder.timings["scan_done"]
-                           - builder.timings["descriptor_done"])
-    assert scan_time[0.01] > scan_time[0.0]
-
-
 # -- crash and resume -------------------------------------------------------
 
 

@@ -4,7 +4,7 @@
 seconds); the gate tests tamper copies of it.  What they guard:
 
 * every row runs, the payload is plain JSON, and the suite's self-gates
-  -- codec floor, zero-rescan rebuild, scan+sort speedup at P=4 -- hold
+  -- zero-rescan rebuild, scan+sort speedup at P=4 -- hold
   on running code and equal the committed ``BENCH_BASELINE.json``;
 * each self-gate trips on a payload that violates it and names the row;
 * the rows are seed-deterministic, so an inequality with the baseline is
@@ -17,12 +17,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.perf import (
-    MIN_CODEC_SIM_SPEEDUP,
-    MIN_PSF_SCAN_SPEEDUP,
-    PSF_PARTITIONS,
-    SUITE,
-)
+from repro.bench.perf import MIN_PSF_SCAN_SPEEDUP, PSF_PARTITIONS, SUITE
 from repro.bench.runner import check, dumps, run_suites
 
 BASELINE = pathlib.Path(__file__).resolve().parents[1] / "BENCH_BASELINE.json"
@@ -89,17 +84,7 @@ def test_check_payload_flags_regressions(payload):
         "ok": False, "error": "ValueError: boom"}
     assert check(broken, [SUITE]) == [
         "perf/build/offline/rows300: failed: ValueError: boom"]
-    # The codec's simulated build speedup under its floor ...
-    slow = copy.deepcopy(payload)
-    rows = slow["suites"]["perf"]
-    rows["build/sf/codec_on"]["sim_time"] = \
-        rows["build/sf/codec_off"]["sim_time"] \
-        / (MIN_CODEC_SIM_SPEEDUP - 0.1)
-    problems = check(slow, [SUITE])
-    assert len(problems) == 1
-    assert problems[0].startswith("perf/build/sf/codec_on: ")
-    assert "under floor 2.00x" in problems[0]
-    # ... and a rebuild that went back to the table.
+    # A rebuild that went back to the table.
     rescanned = copy.deepcopy(payload)
     rescanned["suites"]["perf"]["rebuild/reuse_runs"][
         "pages_scanned_delta"] = 3

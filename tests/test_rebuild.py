@@ -5,7 +5,7 @@ rebuilding the index then reuses those runs: no table scan, zero
 data-page reads.  These tests pin the headline property (0 pages
 scanned), the equivalence of the rebuilt tree, the logged-history
 replay that brings the sealed snapshot up to date, online maintenance
-during the rebuild, codec adoption, the error paths, and crash/resume
+during the rebuild, the error paths, and crash/resume
 at every rebuild-era fault site.
 """
 
@@ -21,10 +21,10 @@ from repro.workloads import WorkloadDriver, WorkloadSpec
 OPTIONS = dict(checkpoint_every_keys=64, commit_every_keys=32)
 
 
-def _seed_build(rows=150, operations=0, compressed=False, algorithm="sf"):
+def _seed_build(rows=150, operations=0, algorithm="sf"):
     result = run_build_experiment(
         algorithm, rows=rows, operations=operations, seed=11,
-        options=BuildOptions(compressed_keys=compressed, **OPTIONS),
+        options=BuildOptions(**OPTIONS),
         config=bench_config())
     return result.system
 
@@ -45,19 +45,16 @@ def _rebuild(system, name="idx", options=None):
     return builder
 
 
-@pytest.mark.parametrize("compressed", [False, True])
-def test_rebuild_scans_zero_table_pages(compressed):
-    system = _seed_build(compressed=compressed)
+def test_rebuild_scans_zero_table_pages():
+    system = _seed_build()
     before_entries = _entries(system)
     pages_before = system.metrics.get("build.pages_scanned")
-    builder = _rebuild(system)
+    _rebuild(system)
     assert system.metrics.get("build.pages_scanned") == pages_before
     assert system.metrics.get("rebuild.runs_reused") >= 1
     assert system.indexes["idx"].state is IndexState.AVAILABLE
     assert _entries(system) == before_entries
     audit_index(system, system.indexes["idx"])
-    # The seed build's codec mode rides along into the rebuild.
-    assert builder.options.compressed_keys is compressed
 
 
 def test_a_multi_built_index_rebuilds_from_its_seal():
@@ -76,18 +73,6 @@ def test_a_multi_built_index_rebuilds_from_its_seal():
         assert system.metrics.get("build.pages_scanned") == pages_before
         assert _entries(system, name) == before_entries
         audit_index(system, system.indexes[name])
-
-
-def test_rebuild_leaves_the_callers_options_alone():
-    """A codec-built index rebuilds compressed, but on a copy: the
-    caller's options object used to come back with ``compressed_keys``
-    switched on, so reusing it for a fresh build silently compressed
-    that one too."""
-    system = _seed_build(compressed=True)
-    options = BuildOptions(**OPTIONS)
-    builder = _rebuild(system, options=options)
-    assert builder.options.compressed_keys is True
-    assert options == BuildOptions(**OPTIONS)
 
 
 def test_rebuild_replays_maintenance_done_after_the_seal():
@@ -203,11 +188,5 @@ SMALL_REBUILD = dict(builder="rebuild", records=40, operations=4)
 
 def test_rebuild_crash_at_every_site_recovers():
     report = run_sweep(Scenario(**SMALL_REBUILD))
-    assert report.results, "sweep enumerated no plans"
-    assert report.all_passed, report.to_text()
-
-
-def test_rebuild_codec_crash_sweep_recovers():
-    report = run_sweep(Scenario(**SMALL_REBUILD, compressed_keys=True))
     assert report.results, "sweep enumerated no plans"
     assert report.all_passed, report.to_text()

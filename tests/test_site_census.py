@@ -30,8 +30,6 @@ CENSUSES = {
     "psf": ["--builder", "psf", "--partitions", "2"],
     "multi": ["--builder", "multi"],
     "rebuild": ["--builder", "rebuild"],
-    "sf-codec": ["--builder", "sf", "--codec"],
-    "psf-codec": ["--builder", "psf", "--partitions", "2", "--codec"],
     "multi-p2": ["--builder", "multi", "--partitions", "2"],
 }
 

@@ -8,18 +8,14 @@ from repro.btree import BTree, BulkLoader
 from repro.btree.node import entry_key, entry_rid
 from repro.errors import IndexBuildError, SortRestartError
 from repro.sort import (
-    CompressedRunFormation,
-    KeyCodec,
     RestartableMerger,
     RunFormation,
     RunStore,
     SortRun,
-    SpilledKey,
     final_merger,
     merge_pass,
     merge_to_single,
 )
-from repro.sort.tournament import build_matches, fixup_matches
 from repro.storage.rid import RID
 from repro.system import System, SystemConfig
 from tests.loser_tree import INF, LoserTree
@@ -79,12 +75,11 @@ def test_loser_tree_rejects_zero_slots():
 
 
 # ``INF`` (the reference's end-of-stream sentinel) orders against every
-# key representation the codec puts in a tree, both ways round.
+# key representation a tree holds, both ways round.
 
 
-def test_infinite_orders_against_ints_and_spilled_keys():
-    spilled = SpilledKey(3, ((1, "x"), (0, 0)))
-    for key in (5, -5, 0, spilled):
+def test_infinite_orders_against_ints_and_entries():
+    for key in (5, -5, 0, (1, "x", RID(0, 0)), ((3,), (0, 1))):
         assert not (INF < key)
         assert key < INF
         assert INF > key
@@ -94,28 +89,6 @@ def test_infinite_orders_against_ints_and_spilled_keys():
         assert not (INF <= key)
         assert not (key >= INF)
     assert INF <= INF and INF >= INF and INF == INF and not (INF < INF)
-
-
-def test_loser_tree_drains_mixed_int_and_spilled_values():
-    """The codec path mixes plain ints and SpilledKey wrappers in one
-    tree; draining replaces slots with INF.  Before the fix the first
-    ``int < INF`` match raised TypeError."""
-    # Codes are disjoint from the plain ints, as the codec's sentinel
-    # fields guarantee for real streams; the two code-4 wrappers break
-    # their tie on the raw key.
-    values = [7, SpilledKey(4, ((1,), (0, 0))), 3,
-              SpilledKey(8, ((9,), (0, 0))), 12, SpilledKey(4, ((0,), (1, 1)))]
-    tree = LoserTree(len(values))
-    for slot, value in enumerate(values):
-        tree.set(slot, value)
-    tree.build()
-    drained = []
-    while not tree.exhausted:
-        slot, value = tree.pop()
-        drained.append(value)
-        tree.set(slot, INF)
-        tree.fixup(slot)
-    assert drained == sorted(values)
 
 
 # -- SortRun / RunStore ------------------------------------------------------------
@@ -426,86 +399,33 @@ def test_merger_restore_rejects_stale_manifest_on_shorter_runs():
 
 # -- engine equivalence ----------------------------------------------------------
 #
-# The builds select with heapq, merge with one stable sorted() and charge
-# the tournament's matches in closed form.  Below are the engines they
-# replaced -- replacement selection and the merge, a key at a time on a
-# LoserTree -- kept as the reference: same runs, same manifests, same
-# counters, same comparisons.
+# The builds select with heapq and merge with one stable sorted().  Below
+# are the engines they replaced -- replacement selection and the merge, a
+# key at a time on a LoserTree -- kept as the reference: same runs, same
+# manifests, same counters.
 #
 # Which of two *equal* keys wins a tournament match depends on the matches
 # played before, so where equal keys meet (never in a build: the RID is
-# part of the key) the reference's attribution of a key to a slot or an
-# input is an accident of history.  What must still agree there is
-# asserted separately: everything except the comparison count when the
-# slots are unequally deep, and for the merge everything at completion.
-
-
-@pytest.mark.parametrize("size", range(1, 34))
-def test_closed_form_match_counts_equal_the_trees(size):
-    rng = random.Random(size)
-    tree = LoserTree(size)
-    for slot in range(size):
-        tree.set(slot, rng.randrange(50))
-    tree.build()
-    assert tree.comparisons == build_matches(size)
-    per_slot = fixup_matches(size)
-    assert len(per_slot) == size
-    for step in range(300):
-        # the winner's slot, as in a sort, then any slot at all: the
-        # count never looks at the values
-        slot = tree.pop()[0] if step % 2 else rng.randrange(size)
-        before = tree.comparisons
-        tree.set(slot, INF if rng.random() < 0.1 else rng.randrange(50))
-        tree.fixup(slot)
-        assert tree.comparisons - before == per_slot[slot]
+# part of the key) the reference's attribution of a key to an input is an
+# accident of history.  What must still agree there is asserted
+# separately: for run formation everything, for the merge everything at
+# completion.
 
 
 class ReferenceRunFormation:
-    """Replacement selection on a LoserTree, a key at a time; with a
-    codec the run sequence is folded into the code's high bits."""
+    """Replacement selection on a LoserTree over ``(run sequence, key)``
+    pairs, a key at a time."""
 
-    def __init__(self, store, workspace_size, codec=None):
+    def __init__(self, store, workspace_size):
         self.store = store
         self.workspace_size = workspace_size
-        self.codec = codec
         self._tree = LoserTree(workspace_size)
         self._occupied = 0
         self._emit_seq = 0
         self._runs_by_seq = {}
         self._run_order = []
-        self._comparisons_base = 0
-
-    @property
-    def comparisons(self):
-        return self._comparisons_base + self._tree.comparisons
-
-    def _encoded(self):
-        return self.codec is not None and not self.codec.disabled
-
-    def _fold(self, seq, key):
-        if not self._encoded():
-            return (seq, key)
-        bits = self.codec.total_bits
-        if type(key) is int:
-            return (seq << bits) | key
-        return SpilledKey((seq << bits) | key.code, key.raw)
-
-    def _unfold(self, folded):
-        if not self._encoded():
-            return folded
-        bits = self.codec.total_bits
-        mask = (1 << bits) - 1
-        if type(folded) is int:
-            return folded >> bits, folded & mask
-        return folded.code >> bits, SpilledKey(folded.code & mask, folded.raw)
 
     def push(self, key):
-        codec = self.codec
-        if codec is not None:
-            if not codec.bound and not codec.disabled:
-                codec.bind(entry_key(key))
-            if not codec.disabled:
-                key = codec.encode(key)
         tree = self._tree
         if self._occupied < self.workspace_size:
             current = self._runs_by_seq.get(self._emit_seq)
@@ -514,15 +434,14 @@ class ReferenceRunFormation:
                 seq = self._emit_seq
             else:
                 seq = self._emit_seq + 1
-            tree.set(self._occupied, self._fold(seq, key))
+            tree.set(self._occupied, (seq, key))
             self._occupied += 1
             if self._occupied == self.workspace_size:
                 tree.build()
             return
-        slot, popped = tree.pop()
-        seq, smallest = self._unfold(popped)
+        slot, (seq, smallest) = tree.pop()
         self._emit(seq, smallest)
-        tree.set(slot, self._fold(seq if key >= smallest else seq + 1, key))
+        tree.set(slot, (seq if key >= smallest else seq + 1, key))
         tree.fixup(slot)
 
     def _emit(self, seq, key):
@@ -541,15 +460,14 @@ class ReferenceRunFormation:
     def drain(self):
         tree = self._tree
         if self._occupied < self.workspace_size:
-            for folded in sorted(tree.values[:self._occupied]):
-                self._emit(*self._unfold(folded))
+            for seq, key in sorted(tree.values[:self._occupied]):
+                self._emit(seq, key)
         else:
             while not tree.exhausted:
-                slot, folded = tree.pop()
-                self._emit(*self._unfold(folded))
+                slot, (seq, key) = tree.pop()
+                self._emit(seq, key)
                 tree.set(slot, INF)
                 tree.fixup(slot)
-        self._comparisons_base += tree.comparisons
         self._tree = LoserTree(self.workspace_size)
         self._occupied = 0
 
@@ -567,8 +485,6 @@ class ReferenceRunFormation:
             "last_run": last.name if last is not None else None,
             "last_highest_key": last.highest_key if last is not None else None,
         }
-        if self.codec is not None:
-            manifest["codec"] = self.codec.to_manifest()
         return manifest
 
     def finish(self):
@@ -579,12 +495,12 @@ class ReferenceRunFormation:
         return list(self._run_order)
 
     @classmethod
-    def restore(cls, store, manifest, workspace_size, codec=None):
+    def restore(cls, store, manifest, workspace_size):
         """The restart steps touch no tree: take them from the engine
         and carry the run bookkeeping over."""
         restored, _position = RunFormation.restore(
-            store, manifest, workspace_size, codec=codec)
-        sorter = cls(store, workspace_size, codec)
+            store, manifest, workspace_size)
+        sorter = cls(store, workspace_size)
         sorter._emit_seq = restored._emit_seq
         sorter._runs_by_seq = restored._runs_by_seq
         sorter._run_order = restored._run_order
@@ -611,16 +527,13 @@ def scan_keys(rng, count, span):
             for at, value in enumerate(values[:count])]
 
 
-def drive_both(rng, keys, workspace, codec_pair=None, compare=True):
+def drive_both(rng, keys, workspace):
     """Feed ``keys`` to the reference a key at a time and to the engine
     in batches, with checkpoints and crash/restores thrown in; every
-    manifest, every store image and (``compare``) every comparison count
-    must agree."""
-    ref_codec, new_codec = codec_pair or (None, None)
+    manifest and every store image must agree."""
     ref_store, new_store = RunStore("sort:i"), RunStore("sort:i")
-    ref = ReferenceRunFormation(ref_store, workspace, ref_codec)
-    new = RunFormation(new_store, workspace) if new_codec is None \
-        else CompressedRunFormation(new_store, workspace, new_codec)
+    ref = ReferenceRunFormation(ref_store, workspace)
+    new = RunFormation(new_store, workspace)
     at = 0
     manifest = None
     while at < len(keys):
@@ -629,8 +542,6 @@ def drive_both(rng, keys, workspace, codec_pair=None, compare=True):
             ref.push(key)
         new.push_many(batch)
         at += len(batch)
-        if compare:
-            assert new.comparisons == ref.comparisons
         roll = rng.random()
         if roll < 0.15:
             manifest = new.checkpoint(scan_position=at)
@@ -639,19 +550,14 @@ def drive_both(rng, keys, workspace, codec_pair=None, compare=True):
             ref_store.crash()
             new_store.crash()
             at = manifest["scan_position"]
-            ref = ReferenceRunFormation.restore(
-                ref_store, manifest, workspace, ref_codec)
-            new, position = RunFormation.restore(
-                new_store, manifest, workspace, codec=new_codec)
+            ref = ReferenceRunFormation.restore(ref_store, manifest, workspace)
+            new, position = RunFormation.restore(new_store, manifest,
+                                                 workspace)
             assert position == at
         assert store_image(new_store) == store_image(ref_store)
-        if compare:
-            assert new.comparisons == ref.comparisons
     assert [run.name for run in new.finish()] \
         == [run.name for run in ref.finish()]
     assert store_image(new_store) == store_image(ref_store)
-    if compare:
-        assert new.comparisons == ref.comparisons
     return new_store
 
 
@@ -673,31 +579,14 @@ def test_run_formation_equals_the_tournament_engine(workspace):
 
 
 @pytest.mark.parametrize("workspace", WORKSPACES)
-def test_codec_run_formation_equals_the_tournament_engine(workspace):
-    huge = 1 << 45  # outside the codec's int window: spills
-    for seed in range(8):
-        rng = random.Random(workspace * 1000 + seed)
-        keys = [(value if rng.random() < 0.8 else value + huge, rid)
-                for value, rid in scan_keys(rng, rng.randrange(500), 60)]
-        store = drive_both(rng, keys, workspace,
-                           codec_pair=(KeyCodec(), KeyCodec()))
-        held = [key for run in store.runs.values() for key in run.keys]
-        assert len(held) == len(keys)
-        if len(keys) > 20:
-            assert {type(key) for key in held} == {int, SpilledKey}
-
-
-@pytest.mark.parametrize("workspace", WORKSPACES)
 def test_run_formation_with_equal_keys_in_the_workspace(workspace):
     """Plain ints that repeat: the runs and manifests never depend on
-    which of two equal keys left first, and neither does the count while
-    every slot is equally deep."""
-    even_depth = workspace & (workspace - 1) == 0
+    which of two equal keys left first."""
     for seed in range(12):
         rng = random.Random(workspace * 10 + seed)
         span = rng.choice([2, 7, 40])
         keys = [rng.randrange(span) for _ in range(rng.randrange(400))]
-        drive_both(rng, keys, workspace, compare=even_depth)
+        drive_both(rng, keys, workspace)
 
 
 def reference_merge(inputs, output, counters=None):
@@ -756,7 +645,6 @@ def test_merger_equals_the_tournament_engine_at_every_batch_boundary(
         pop, ref_counters, tree = reference_merge(ref_runs, ref_out)
         merger = RestartableMerger(make_runs(new_store, lists),
                                    new_store.new_run())
-        assert merger.comparisons == tree.comparisons
         manifests = []
         while True:
             got = merger.pop_many(batch if batch is not None else total + 1)
@@ -764,15 +652,13 @@ def test_merger_equals_the_tournament_engine_at_every_batch_boundary(
                 pop()
             assert merger.output.keys == ref_out.keys
             assert merger.counters == ref_counters
-            assert merger.comparisons == tree.comparisons
             assert merger.exhausted == tree.exhausted
             manifests.append(merger.checkpoint())
             if not got:
                 break
         assert pop() is None and merger.pop() is None
         assert merger.output.keys == expected
-        # restart from every checkpoint: nothing lost, nothing twice, and
-        # the restarted tournament charges what a rebuilt tree plays
+        # restart from every checkpoint: nothing lost, nothing twice
         for manifest in manifests[::-max(1, len(manifests) // 8)]:
             resumed = RestartableMerger.restore(new_store, manifest)
             assert resumed.output.keys \
@@ -785,7 +671,6 @@ def test_merger_equals_the_tournament_engine_at_every_batch_boundary(
                 pop()
             assert resumed.output.keys == ref_out.keys
             assert resumed.counters == ref_counters
-            assert resumed.comparisons == tree.comparisons
             assert resumed.run_to_completion().keys == expected
             assert resumed.counters == [len(keys) + 1 for keys in lists]
 
@@ -795,8 +680,8 @@ def test_merger_equals_the_tournament_engine_at_every_batch_boundary(
 def test_merger_with_equal_keys_in_two_inputs(fanin, batch):
     """Equal keys leave in input order.  The tournament handed them out
     in an order its earlier matches decided, so only the output agrees
-    batch by batch; the counters and the count agree once the equal keys
-    are all out -- at the latest at the end."""
+    batch by batch; the counters agree once the equal keys are all out --
+    at the latest at the end."""
     for seed in range(6):
         rng = random.Random(fanin * 10 + seed)
         lists = merge_inputs(rng, fanin, distinct=False)
@@ -833,7 +718,6 @@ def test_merger_with_equal_keys_in_two_inputs(fanin, batch):
                 break
         assert merger.output.keys == expected
         assert merger.counters == ref_counters
-        assert merger.comparisons == tree.comparisons
 
 
 def test_merger_takes_equal_keys_in_input_order():
@@ -885,7 +769,6 @@ def test_derived_counters_after_a_restore_inside_a_tie_group(batch):
                 pop()
             assert resumed.output.keys == [key for key, _slot in ref_out.keys]
             assert resumed.counters == ref_counters
-            assert resumed.comparisons == tree.comparisons
             if not got:
                 break
         assert resumed.output.keys == expected

@@ -10,14 +10,12 @@ from repro.btree import BTree, BulkLoader
 from repro.btree.node import entry_key, make_entry
 from repro.errors import IndexBuildError, SortRestartError
 from repro.sort import (
-    KeyCodec,
     RestartableMerger,
     RunFormation,
     RunStore,
     SortRun,
     merge_to_single,
 )
-from repro.sort.codec import INT_OFFSET, _RID_EXACT_MAX
 from repro.storage.rid import RID
 from repro.system import System, SystemConfig
 
@@ -155,17 +153,10 @@ def disordered(held, batch):
 small_entries = st.builds(make_entry, st.tuples(st.integers(0, 3)),
                           st.builds(RID, st.integers(0, 1),
                                     st.integers(0, 2)))
-# int columns outside the exact window and rids past the exact maximum
-# spill, so a batch mixes codec ints and SpilledKeys
-codec_entries = st.builds(
-    make_entry,
-    st.tuples(st.sampled_from([-1, 0, 1, 1 - INT_OFFSET - 1, 1 << 50])),
-    st.sampled_from([0, 1, _RID_EXACT_MAX, _RID_EXACT_MAX + 1]))
 ORDER_KEYS = {
     "int": st.integers(-3, 3),
     "str": st.text(alphabet="ab", max_size=2),
     "entry": small_entries,
-    "codec": codec_entries.map(KeyCodec("i").encode),
 }
 
 
