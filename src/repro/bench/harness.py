@@ -1,21 +1,18 @@
-"""Experiment harness shared by the benchmark suite.
+"""Experiment harness shared by the bench suites.
 
 Each experiment in EXPERIMENTS.md is a parameter sweep over
 :func:`run_build_experiment`, which stands up a fresh simulated system,
 preloads a table, runs one builder against a configurable update workload,
 audits the result, and returns the measurements the paper's claims are
 about (log volume, clustering, quiesce time, traversals, side-file
-length, simulated build time, ...).
-
-``print_table`` renders the rows the way the paper would have tabulated
-them, so ``pytest -q benchmarks --ignore benchmarks/e2e`` output reads like
-the evaluation section the paper never had.
+length, simulated build time, ...).  The ``paper`` and ``perf`` suites of
+``python -m repro.bench`` are built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Type
+from typing import Optional, Sequence
 
 from repro.core import BuildOptions, IndexSpec, get_builder
 from repro.system import System, SystemConfig
@@ -143,47 +140,3 @@ def run_build_experiment(algorithm: str, *,
         for spec_item in specs:
             audit_index(system, system.indexes[spec_item.name])
     return result
-
-
-# -- table rendering -------------------------------------------------------------
-
-
-#: every table rendered this session, for emission after pytest's capture
-#: ends (see benchmarks/conftest.py) and for EXPERIMENTS.md regeneration
-RENDERED_TABLES: list[str] = []
-
-
-def format_table(title: str, headers: Sequence[str],
-                 rows: Sequence[Sequence], note: str = "") -> str:
-    """Render one paper-style results table as a string."""
-    rendered = [[_fmt(cell) for cell in row] for row in rows]
-    widths = [max(len(str(headers[i])),
-                  max((len(r[i]) for r in rendered), default=0))
-              for i in range(len(headers))]
-    line = "-+-".join("-" * w for w in widths)
-    out = [f"== {title} =="]
-    out.append(" | ".join(str(h).ljust(widths[i])
-                          for i, h in enumerate(headers)))
-    out.append(line)
-    for row in rendered:
-        out.append(" | ".join(row[i].ljust(widths[i])
-                              for i in range(len(headers))))
-    if note:
-        out.append(f"note: {note}")
-    return "\n".join(out)
-
-
-def print_table(title: str, headers: Sequence[str],
-                rows: Sequence[Sequence], note: str = "") -> None:
-    """Render a table to stdout and remember it for the session report."""
-    text = format_table(title, headers, rows, note)
-    RENDERED_TABLES.append(text)
-    print()
-    print(text)
-    print()
-
-
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return f"{cell:.2f}"
-    return str(cell)

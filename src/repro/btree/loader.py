@@ -39,10 +39,8 @@ class BulkLoader:
     """Append-only bottom-up builder over an (initially empty) tree."""
 
     def __init__(self, tree: BTree,
-                 fill_free_fraction: Optional[float] = None) -> None:
+                 fill_free_fraction: float = 0.0) -> None:
         self.tree = tree
-        if fill_free_fraction is None:
-            fill_free_fraction = tree.system.config.fill_free_fraction
         if not 0.0 <= fill_free_fraction < 1.0:
             raise StorageError(
                 f"fill_free_fraction {fill_free_fraction!r} out of range")
@@ -173,7 +171,7 @@ class BulkLoader:
 
     @classmethod
     def resume(cls, tree: BTree,
-               fill_free_fraction: Optional[float] = None) -> "BulkLoader":
+               fill_free_fraction: float = 0.0) -> "BulkLoader":
         """Rebuild loader state over a tree restored from a checkpoint.
 
         Walks the right-most path of the restored tree (exactly what SF

@@ -100,8 +100,8 @@ class BuildOptions:
     commit_every_keys: int = 512
     #: insert/load/drain-phase checkpoint interval, in keys or entries
     checkpoint_every_keys: Optional[int] = None
-    #: free space left in each bulk-loaded leaf (section 2.2.3)
-    fill_free_fraction: Optional[float] = None
+    #: fraction of each bulk-loaded leaf left free (section 2.2.3)
+    fill_free_fraction: float = 0.0
     #: SF: sort the first chunk of the side-file before applying it
     #: (section 3.2.5 performance note)
     sort_sidefile: bool = False

@@ -45,10 +45,6 @@ class DeadlockVictim(TransactionAborted):
     """This transaction was chosen as the victim of a deadlock."""
 
 
-class LockTimeout(TransactionAborted):
-    """A lock request waited longer than the configured maximum."""
-
-
 class UniqueViolationError(ReproError):
     """Inserting a key would violate a unique index's key-value uniqueness."""
 

@@ -48,10 +48,6 @@ class SystemConfig:
     leaf_capacity: int = 16
     #: child pointers per B+-tree branch page
     branch_capacity: int = 16
-    #: fraction of each leaf left free during a bulk build (section 2.2.3:
-    #: "The proper amount of desired free space ... is left in the leaf
-    #: pages")
-    fill_free_fraction: float = 0.0
     #: simulated time for one record modify (CPU)
     record_op_cost: float = 0.5
     #: simulated time for one index key operation (CPU)

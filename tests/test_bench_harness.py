@@ -1,14 +1,12 @@
-"""Tests for the benchmark harness (repro.bench) and table rendering."""
+"""Tests for the benchmark harness (repro.bench.harness)."""
 
 import pytest
 
 from repro.bench import (
     BuildRunResult,
     bench_config,
-    print_table,
     run_build_experiment,
 )
-from repro.bench.harness import format_table
 from repro.core import BuildOptions, IndexSpec
 
 
@@ -48,27 +46,6 @@ def test_run_build_experiment_multi_spec():
     result = run_build_experiment("sf", rows=50, seed=4,
                                   index_specs=specs)
     assert set(result.clustering_at_build_end) == {"a", "b"}
-
-
-def test_format_table_alignment_and_note():
-    text = format_table("T", ["col", "n"], [["a", 1], ["bbbb", 22.5]],
-                        note="hello")
-    lines = text.splitlines()
-    assert lines[0] == "== T =="
-    assert "col" in lines[1] and "n" in lines[1]
-    assert lines[-1] == "note: hello"
-    # float formatting to 2 decimals
-    assert "22.50" in text
-
-
-def test_print_table_records_for_summary(capsys):
-    from repro.bench.harness import RENDERED_TABLES
-    before = len(RENDERED_TABLES)
-    print_table("X", ["a"], [[1]])
-    out = capsys.readouterr().out
-    assert "== X ==" in out
-    assert len(RENDERED_TABLES) == before + 1
-    RENDERED_TABLES.pop()  # keep the session list tidy
 
 
 def test_unknown_algorithm_rejected():

@@ -24,7 +24,6 @@ def test_config_defaults_are_sane():
     assert config.page_capacity > 0
     assert config.leaf_capacity > 1
     assert config.branch_capacity > 2
-    assert 0.0 <= config.fill_free_fraction < 1.0
     assert config.prefetch_pages >= 1
     assert config.merge_fanin >= 2
 
