@@ -442,8 +442,9 @@ def _e15(algorithm: str, copy_when: str) -> dict:
         outcome = "index recovered"
     except ConsistencyError:
         outcome = "INDEX LOST"
+    # the roll forward: the archive's records above the image's LSN
     return {"outcome": outcome,
-            "log_records_replayed": restored.log.last_lsn}
+            "log_records_replayed": system.log.last_lsn - image.copy_lsn}
 
 
 def _e19(drain_batch: int) -> dict:

@@ -8,10 +8,14 @@ and build-series stats are compared exactly with the committed baseline:
   again under a concurrent update workload;
 * ``rebuild/reuse_runs`` -- drop+rebuild from the sealed final run;
 * ``parallel_sf/p{1,2,4,8}`` -- the partitioned build's P-sweep under a
-  workload, with scan+sort and shard-merge phase times and shard balance.
+  workload, with scan+sort and shard-merge phase times and shard balance;
+* ``serve/sf/ch8`` -- reads through the new index after an SF build, on
+  eight disk channels and a pool a fifth of the table: one-row lookups
+  and ten-row range scans, one at a time, with their latencies and reads.
 
 Self-gates (:func:`gates`): zero table pages rescanned by the rebuild,
-and the scan+sort speedup at P=4.
+the scan+sort speedup at P=4, no one-row lookup reading a second record,
+and the range scans' reads overlapping.
 Host time is ``benchmarks/e2e``'s business, not this suite's.
 """
 
@@ -26,10 +30,16 @@ from repro.core import BuildOptions
 
 #: the acceptance floor for the parallel scan+sort speedup at P=4 vs P=1
 MIN_PSF_SCAN_SPEEDUP = 1.5
+#: the floor for the range scans' read overlap: their reads' serial time
+#: over their elapsed time
+MIN_RANGE_READ_OVERLAP = 2.0
 
 SEED = 42
 REBUILD_ROWS = 400
 PSF_PARTITIONS = (1, 2, 4, 8)
+SERVE_ROWS = 1_200
+SERVE_FRAMES = 32  # the table is 150 pages
+SERVE_LOOKUPS, SERVE_RANGES, RANGE_ROWS = 40, 20, 10
 
 
 def _trace_extras(recorder, system) -> dict:
@@ -154,6 +164,76 @@ def _parallel_sf_run(partitions: int, *, rows: int = 600,
             **_trace_extras(recorder, result.system)}
 
 
+def _served_reads() -> dict:
+    """Lookups and range scans through a fresh SF-built index, each its
+    own transaction, one at a time: per-kind latency and disk reads."""
+    from repro.btree.node import entry_key
+    from repro.metrics import ordered_sum
+    from repro.query import index_lookup, index_range_scan
+    from repro.storage.disk import Disk
+
+    params = {"algorithm": "sf", "rows": SERVE_ROWS, "disk_channels": 8,
+              "buffer_frames": SERVE_FRAMES, "lookups": SERVE_LOOKUPS,
+              "ranges": SERVE_RANGES, "range_rows": RANGE_ROWS,
+              "seed": SEED}
+    result = run_build_experiment(
+        "sf", rows=SERVE_ROWS, seed=SEED, config=bench_config(
+            disk_channels=8, buffer_frames=SERVE_FRAMES))
+    system = result.system
+    descriptor = system.indexes["idx"]
+    keys = [entry_key(entry) for entry in descriptor.tree.all_entries()]
+    stride = len(keys) // SERVE_LOOKUPS
+    lookups = [keys[i * stride] for i in range(SERVE_LOOKUPS)]
+    stride = (len(keys) - RANGE_ROWS) // SERVE_RANGES
+    ranges = [(keys[i * stride], keys[i * stride + RANGE_ROWS])
+              for i in range(SERVE_RANGES)]
+    served = {"lookup": [], "range": []}
+
+    def serve():
+        for kind, args in [("lookup", key) for key in lookups] \
+                + [("range", bounds) for bounds in ranges]:
+            txn = system.txns.begin()
+            start, reads = system.now(), system.metrics.get("disk.reads")
+            if kind == "lookup":
+                rows = yield from index_lookup(txn, descriptor, args)
+            else:
+                rows = yield from index_range_scan(txn, descriptor, *args)
+            served[kind].append((system.now() - start, len(rows),
+                                 system.metrics.get("disk.reads") - reads))
+            yield from txn.commit()
+
+    before = system.metrics.snapshot()
+    proc = system.spawn(serve(), name="serve")
+    system.run()
+    if proc.error is not None:
+        raise proc.error
+    delta = system.metrics.delta(before)
+
+    def kind_fields(ops):
+        latencies = [latency for latency, _rows, _reads in ops]
+        return {"ops": len(ops),
+                "rows": sum(rows for _latency, rows, _reads in ops),
+                "reads": sum(reads for _latency, _rows, reads in ops),
+                "latency_mean": ordered_sum(latencies) / len(ops),
+                "latency_max": max(latencies)}
+
+    ranges_served = served["range"]
+    return {"params": params,
+            "lookup": {**kind_fields(served["lookup"]),
+                       "one_row_max_reads": max(
+                           reads for _latency, rows, reads
+                           in served["lookup"] if rows == 1)},
+            "range": {**kind_fields(ranges_served),
+                      "read_overlap": ordered_sum(
+                          reads * Disk.RANDOM_IO
+                          for _latency, _rows, reads in ranges_served)
+                      / ordered_sum(latency for latency, _rows, _reads
+                                    in ranges_served)},
+            "counters": {key: delta.get(key, 0) for key in (
+                "disk.reads", "buffer.misses", "semaphore.disk.waits",
+                "query.index_lookups", "query.range_scans")}}
+
+
 def _rows() -> dict[str, Callable[[], dict]]:
     rows: dict[str, Callable[[], dict]] = {}
     for count in (300, 900):
@@ -167,6 +247,7 @@ def _rows() -> dict[str, Callable[[], dict]]:
     for partitions in PSF_PARTITIONS:
         rows[f"parallel_sf/p{partitions}"] = partial(
             _parallel_sf_run, partitions)
+    rows["serve/sf/ch8"] = _served_reads
     return rows
 
 
@@ -184,6 +265,16 @@ def gates(rows: dict[str, dict]) -> list[str]:
         problems.append(
             f"parallel_sf/p4: scan+sort speedup {ratio:.2f}x over P=1 "
             f"under floor {MIN_PSF_SCAN_SPEEDUP:.2f}x")
+    served = rows["serve/sf/ch8"]
+    if served["lookup"]["one_row_max_reads"] > 1:
+        problems.append(
+            f"serve/sf/ch8: a one-row lookup read "
+            f"{served['lookup']['one_row_max_reads']} pages, not one")
+    overlap = served["range"]["read_overlap"]
+    if overlap < MIN_RANGE_READ_OVERLAP:
+        problems.append(
+            f"serve/sf/ch8: range scans' reads overlap {overlap:.2f}x, "
+            f"under floor {MIN_RANGE_READ_OVERLAP:.2f}x")
     return problems
 
 

@@ -27,13 +27,14 @@ key values" -- see :func:`set_gradual_availability` and the
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Iterator, TYPE_CHECKING
 
 from repro.btree.node import entry_key, entry_rid
 from repro.core.descriptor import IndexDescriptor, IndexState
 from repro.errors import ReproError
 from repro.sim.kernel import Delay
 from repro.sim.latch import SHARE
+from repro.storage.rid import rid_page
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
@@ -80,26 +81,22 @@ def index_lookup(txn: "Transaction", descriptor: IndexDescriptor,
     """Generator: all committed records with this key value.
 
     Returns a list of ``(rid, record)``.  S-locks each qualifying record
-    (data-only locking) before reading it.
+    (data-only locking) before reading it, and the record of the first
+    entry past the key without reading it.
     """
     _check_readable(descriptor, key_value, inclusive=True)
     system = descriptor.system
-    table = descriptor.table
-    results = []
-    pseudo_deleted = descriptor.tree.pseudo_deleted
-    for entry in _entries_in_range(descriptor, key_value, key_value,
-                                   inclusive_high=True):
-        rid = entry_rid(entry)
-        yield from txn.lock(table.lock_name(rid), "S")
-        if entry in pseudo_deleted:
-            continue  # committed-deleted; lock settled it
-        record = yield from table.read_latched(rid)
-        if record is not None and descriptor.key_of(record) == key_value:
-            results.append((rid, record))
+    rows, past = yield from _visit_rows(txn, descriptor, key_value,
+                                        key_value, inclusive_high=True)
+    if past is not None:
+        yield from txn.lock(descriptor.table.lock_name(entry_rid(past)),
+                            "S")
     if not system.sim.delayed(system.config.tree_visit_cost):
         yield Delay(system.config.tree_visit_cost)
     system.metrics.incr("query.index_lookups")
-    return results
+    key_of = descriptor.key_of
+    return [(entry_rid(entry), record) for entry, record in rows
+            if key_of(record) == key_value]
 
 
 def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
@@ -114,46 +111,89 @@ def index_range_scan(txn: "Transaction", descriptor: IndexDescriptor,
     """
     _check_readable(descriptor, high_key, inclusive=False)
     system = descriptor.system
-    table = descriptor.table
-    results = []
-    last_rid_beyond: Optional[int] = None
-    pseudo_deleted = descriptor.tree.pseudo_deleted
-    for entry in _entries_in_range(descriptor, low_key, high_key,
-                                   inclusive_high=False,
-                                   capture_next=True):
-        if entry is _RANGE_END:
-            break
-        key_value, rid = entry_key(entry), entry_rid(entry)
-        if high_key is not None and key_value >= high_key:
-            last_rid_beyond = rid
-            break
-        yield from txn.lock(table.lock_name(rid), "S")
-        if entry in pseudo_deleted:
-            continue
-        record = yield from table.read_latched(rid)
-        if record is not None:
-            results.append((key_value, rid, record))
+    rows, past = yield from _visit_rows(txn, descriptor, low_key, high_key,
+                                        inclusive_high=False)
     if serializable:
-        if last_rid_beyond is not None:
-            lock_name = table.lock_name(last_rid_beyond)
+        if past is not None:
+            lock_name = descriptor.table.lock_name(entry_rid(past))
         else:
             lock_name = ("index-eof", descriptor.name)
         yield from txn.lock(lock_name, "S")
         system.metrics.incr("query.range_next_key_locks")
-    cost = system.config.tree_visit_cost * max(1, len(results) // 8)
+    cost = system.config.tree_visit_cost * max(1, len(rows) // 8)
     if not system.sim.delayed(cost):
         yield Delay(cost)
     system.metrics.incr("query.range_scans")
-    return results
+    return [(entry_key(entry), entry_rid(entry), record)
+            for entry, record in rows]
 
 
-_RANGE_END = object()
+def _visit_rows(txn: "Transaction", descriptor: IndexDescriptor,
+                low_key, high_key, *, inclusive_high: bool):
+    """Generator: the row-visiting loop of both index reads.
+
+    Visits the entries with key in [low_key, high_key] /
+    [low_key, high_key) in key order: S-locks each entry's record, then
+    reads it unless the entry is pseudo-deleted.  Before reading a row
+    whose page is not resident it hands that page and the pages of the
+    rows still to visit to
+    :meth:`~repro.storage.buffer.BufferPool.prefetch`, which reads the
+    missing ones in parallel, as many as the disk channels serve at once.
+
+    Returns ``(rows, past)``: the ``(entry, record)`` pairs read, and the
+    first entry past the range (None at the end of the index), which
+    this loop neither locks nor reads.
+    """
+    system = descriptor.system
+    table = descriptor.table
+    pool = system.buffer
+    pseudo_deleted = descriptor.tree.pseudo_deleted
+    rows = []
+    for entry in _entries_in_range(descriptor, low_key, high_key,
+                                   inclusive_high=inclusive_high):
+        if _beyond(entry, high_key, inclusive_high):
+            return rows, entry
+        rid = entry_rid(entry)
+        yield from txn.lock(table.lock_name(rid), "S")
+        if entry in pseudo_deleted:
+            continue  # committed-deleted; lock settled it
+        if not pool.resident(table.page_id(rid_page(rid))):
+            yield from pool.prefetch(
+                _row_pages(descriptor, entry, high_key, inclusive_high))
+        record = yield from table.read_latched(rid)
+        if record is not None:
+            rows.append((entry, record))
+    return rows, None
+
+
+def _row_pages(descriptor: IndexDescriptor, entry, high_key,
+               inclusive_high: bool) -> Iterator:
+    """The data pages of ``entry``'s row and of the rows after it in the
+    range, in visit order (pseudo-deleted entries skipped): a hint read
+    off the leaves as they are now."""
+    table = descriptor.table
+    pseudo_deleted = descriptor.tree.pseudo_deleted
+    yield table.page_id(rid_page(entry_rid(entry)))
+    for later in _entries_in_range(descriptor, entry, high_key,
+                                   inclusive_high=inclusive_high):
+        if _beyond(later, high_key, inclusive_high):
+            return
+        if later not in pseudo_deleted:
+            yield table.page_id(rid_page(entry_rid(later)))
+
+
+def _beyond(entry, high_key, inclusive_high: bool) -> bool:
+    """Whether ``entry`` lies past the high end of the range."""
+    if high_key is None:
+        return False
+    key_value = entry_key(entry)
+    return key_value > high_key if inclusive_high else key_value >= high_key
 
 
 def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
-                      inclusive_high: bool, capture_next: bool = False):
+                      inclusive_high: bool):
     """Entries with key in [low_key, high_key] / [low_key, high_key),
-    plus (optionally) the first entry beyond, in key order.
+    plus the first entry beyond, in key order.
 
     Snapshot-per-leaf iteration, resumed by key: callers suspend between
     two entries (they lock records before trusting what they saw), and a
@@ -170,17 +210,11 @@ def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
         entries = leaf.entries
         for entry in entries[bisect_right(entries, last):]:
             last = entry
-            if high_key is not None:
-                key_value = entry_key(entry)
-                if key_value > high_key if inclusive_high \
-                        else key_value >= high_key:
-                    yield entry
-                    return
             yield entry
+            if _beyond(entry, high_key, inclusive_high):
+                return
         leaf = (tree.pages.get(leaf.next_leaf)
                 if leaf.next_leaf is not None else None)
-    if capture_next:
-        yield _RANGE_END
 
 
 def table_scan(txn: "Transaction", table: "Table", predicate=None):

@@ -85,7 +85,8 @@ def _catalog_of(system: System) -> dict:
 def media_restore(image: ImageCopy, log: LogManager,
                   config: Optional[SystemConfig] = None,
                   current_system: Optional[System] = None) -> System:
-    """Rebuild a system from ``image`` + the archived ``log``.
+    """Rebuild a system from ``image`` + the archived ``log`` (read, not
+    appended to: the restored system logs on a copy).
 
     Replays every logged, redoable change with an LSN above what the
     image reflects (page-level and tree-level gating make the replay
@@ -103,6 +104,10 @@ def media_restore(image: ImageCopy, log: LogManager,
     disk = Disk()
     for page_id, page in image.pages.items():
         disk._images[page_id] = page.clone()
+    # Recovery appends its own records (CLRs, ENDs, a checkpoint): to a
+    # copy, so the archive stays as it was for the caller and any later
+    # restore from it.
+    log = log.copy()
     system = System(config or SystemConfig(), disk=disk, log=log)
 
     # The copy's own entries win; restoring leaves the copy as it was.

@@ -25,9 +25,7 @@ stream (the tournament's run-assignment rule gives exactly that behaviour).
 
 from __future__ import annotations
 
-from heapq import heapify, heapreplace
-from itertools import groupby
-from operator import itemgetter
+from heapq import heapify, heappop, heapreplace
 from typing import Any, Sequence
 
 from repro.errors import SortRestartError
@@ -37,8 +35,9 @@ from repro.sort.runs import RunStore, SortRun
 class RunFormation:
     """Replacement-selection run formation over a :class:`RunStore`.
 
-    Selection runs on a ``heapq`` heap of ``(run sequence, key)``
-    entries: the smallest key of the lowest run leaves first.
+    The workspace is a ``heapq`` heap of the keys of the run being
+    emitted (run ``_emit_seq``) plus a plain list of the keys held back
+    for the next run; when the heap runs dry the held keys become it.
     """
 
     def __init__(self, store: RunStore, workspace_size: int) -> None:
@@ -46,8 +45,11 @@ class RunFormation:
             raise SortRestartError("workspace must hold at least one key")
         self.store = store
         self.workspace_size = workspace_size
-        #: a plain list while it fills, a heap from the key that fills it
-        self._workspace: list[tuple] = []
+        #: keys of the run being emitted: a plain list while the
+        #: workspace fills, a heap from the key that fills it
+        self._current: list[Any] = []
+        #: keys held back for the next run, in arrival order
+        self._held: list[Any] = []
         #: sequence number of the run currently being emitted
         self._emit_seq = 0
         #: run objects by sequence number
@@ -67,34 +69,43 @@ class RunFormation:
         if self._finished:
             raise SortRestartError("run formation already finished")
         self.keys_pushed += len(keys)
-        workspace = self._workspace
-        room = self.workspace_size - len(workspace)
+        current, held = self._current, self._held
+        room = self.workspace_size - len(current) - len(held)
         if room:
             # (Re)filling: a key joins the run being emitted unless it
             # would break that run's sort order.
-            seq = self._emit_seq
-            current = self._runs_by_seq.get(seq)
-            highest = current.highest_key if current is not None else None
+            run = self._runs_by_seq.get(self._emit_seq)
+            highest = run.highest_key if run is not None else None
             for key in keys[:room]:
-                workspace.append(
-                    (seq if highest is None or key >= highest else seq + 1,
-                     key))
+                if highest is None or key >= highest:
+                    current.append(key)
+                else:
+                    held.append(key)
             if len(keys) < room:
                 return
-            heapify(workspace)
+            heapify(current)
             keys = keys[room:]
         if not keys:
             return
-        seq = workspace[0][0]
+        seq = self._emit_seq
         emitted: list[Any] = []
         for key in keys:
-            top_seq, smallest = workspace[0]
-            if top_seq != seq:
-                self._emit(seq, emitted)
-                seq, emitted = top_seq, []
+            if not current:
+                # The run is complete: the held keys start the next one.
+                if emitted:
+                    self._emit(seq, emitted)
+                    emitted = []
+                current, held = held, []
+                heapify(current)
+                seq += 1
+            smallest = current[0]
             emitted.append(smallest)
-            heapreplace(workspace,
-                        (top_seq if key >= smallest else top_seq + 1, key))
+            if key >= smallest:
+                heapreplace(current, key)
+            else:
+                heappop(current)
+                held.append(key)
+        self._current, self._held = current, held
         self._emit(seq, emitted)
 
     def _emit(self, seq: int, keys: list[Any]) -> None:
@@ -116,11 +127,13 @@ class RunFormation:
         """Emit every key still in the workspace, preserving run
         assignment ("we wait for the tournament tree to output all the
         keys that have so far been extracted")."""
-        workspace = self._workspace
-        workspace.sort()
-        for seq, entries in groupby(workspace, key=itemgetter(0)):
-            self._emit(seq, [entry[1] for entry in entries])
-        self._workspace = []
+        current, held = self._current, self._held
+        self._current, self._held = [], []
+        seq = self._emit_seq
+        if current:
+            self._emit(seq, sorted(current))
+        if held:
+            self._emit(seq + 1, sorted(held))
 
     def checkpoint(self, scan_position: Any) -> dict:
         """Drain, force all runs, and return the restart manifest."""

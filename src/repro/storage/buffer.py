@@ -9,19 +9,20 @@ analysis pass uses to bound the redo scan.
 All methods that may perform I/O are generators: callers invoke them as
 ``page = yield from pool.fetch(pid)`` so the simulated clock advances by
 the disk cost.  Sequential prefetch (section 2.2.2, [TeGu84]) is exposed as
-:meth:`fetch_sequential`.
+:meth:`fetch_sequential`, the parallel read of scattered pages ([PMCLS90])
+as :meth:`prefetch`.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.errors import StorageError
 from repro.faultinject.injector import InjectedCrash
 from repro.faultinject.sites import fault_point
 from repro.metrics import MetricsRegistry
-from repro.sim.kernel import Acquire, Delay
+from repro.sim.kernel import Acquire, Delay, ProcessGroup
 from repro.storage.disk import Disk
 from repro.storage.page import DataPage
 from repro.storage.rid import PageId
@@ -126,6 +127,35 @@ class BufferPool:
             self._frames.move_to_end(pid)
             pages.append(page)
         return pages
+
+    def prefetch(self, page_ids: Iterable[PageId]):
+        """Generator: list prefetch of the next pages a reader will visit.
+
+        Under the shared-disk model (:attr:`io` set) takes the first
+        distinct pages of ``page_ids`` that are not resident, as many as
+        there are disk channels, and reads them in parallel, one child
+        process a page doing :meth:`fetch` -- section 2.2.2's "the data
+        pages may be read in parallel using multiple processes"
+        [PMCLS90] -- and joins them all.  Fewer than two such pages, or
+        the unlimited-bandwidth model: reads nothing, the caller's own
+        fetch is the one I/O.
+        """
+        if self.io is None:
+            return
+        window = self.io.capacity
+        missing: list[PageId] = []
+        frames = self._frames
+        for page_id in page_ids:
+            if page_id not in frames and page_id not in missing:
+                missing.append(page_id)
+                if len(missing) == window:
+                    break
+        if len(missing) < 2:
+            return
+        group = ProcessGroup(self._sim, "prefetch")
+        for page_id in missing:
+            group.spawn(self.fetch(page_id))
+        yield from group.join_all()
 
     def latch_current(self, page: DataPage, mode: str):
         """Generator: latch the frame now resident for ``page``; returns it.

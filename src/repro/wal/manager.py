@@ -150,6 +150,22 @@ class LogManager:
         self._op_codes[name] = code
         return code
 
+    def copy(self) -> "LogManager":
+        """A column copy: the same records, stable prefix and master
+        record, appended to apart from this log (media recovery restores
+        on one and leaves the archive as it was).  The operation
+        registry is shared: its handlers take the system as an argument."""
+        twin = LogManager(self.metrics)
+        twin._words = self._words[:]
+        twin._refs = self._refs.copy()
+        twin._info = self._info.copy()
+        twin._op_names = self._op_names.copy()
+        twin._op_codes = self._op_codes.copy()
+        twin.flushed_lsn = self.flushed_lsn
+        twin.operations = self.operations
+        twin.master_checkpoint_lsn = self.master_checkpoint_lsn
+        return twin
+
     # -- durability --------------------------------------------------------
 
     def flush(self, upto_lsn: Optional[int] = None) -> None:

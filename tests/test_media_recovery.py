@@ -170,3 +170,42 @@ def table_insert(system, row):
     txn = system.txns.begin()
     yield from system.tables["t"].insert(txn, row)
     yield from txn.commit()
+
+
+def test_two_restores_from_one_log_are_equal_and_leave_it_as_it_was():
+    """Recovery's own records (the loser's CLRs and END, the closing
+    checkpoint) go to the restored system's copy of the log: the archive
+    keeps its last LSN, so a second restore from it replays what the
+    first did and comes back to the same state."""
+    system, table, driver = stage(seed=36)
+    image = take_image_copy(system)  # before the index exists
+    builder = NSFIndexBuilder(system, table, IndexSpec.of("idx", ["k"]))
+    proc = system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    assert proc.error is None
+
+    def hang():
+        txn = system.txns.begin()
+        yield from table.insert(txn, (55_555, "uncommitted"))
+        system.log.flush()
+
+    drive(system, hang())
+    last_lsn, flushed_lsn = system.log.last_lsn, system.log.flushed_lsn
+
+    def restore():
+        restored = media_restore(image, system.log, config=system.config,
+                                 current_system=system)
+        assert restored.log is not system.log
+        assert (system.log.last_lsn, system.log.flushed_lsn) \
+            == (last_lsn, flushed_lsn)
+        audit_index(restored, restored.indexes["idx"])
+        return (sorted(rec.values for _rid, rec
+                       in restored.tables["t"].audit_records()),
+                list(restored.indexes["idx"].tree.all_entries()),
+                restored.log.last_lsn)
+
+    first, second = restore(), restore()
+    assert first == second
+    assert first[2] > last_lsn  # recovery logged, on its own copy
+    assert (55_555, "uncommitted") not in first[0]

@@ -5,6 +5,7 @@ import pytest
 from repro.btree.node import entry_key, entry_rid
 from repro.core import BuildOptions, IndexSpec, NSFIndexBuilder, \
     SFIndexBuilder
+from repro.query.access import _entries_in_range
 from repro.query import (
     IndexNotAvailableError,
     index_lookup,
@@ -14,6 +15,7 @@ from repro.query import (
 )
 from repro.sim import Delay
 from repro.storage import RID
+from repro.storage.rid import rid_page
 from repro.system import System, SystemConfig
 
 
@@ -25,8 +27,9 @@ def drive(system, body, name="driver"):
     return proc.result
 
 
-def built(rows=60, builder_cls=SFIndexBuilder, unique=False):
-    system = System(SystemConfig(page_capacity=8, leaf_capacity=8))
+def built(rows=60, builder_cls=SFIndexBuilder, unique=False, **config):
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
+                                 **config))
     table = system.create_table("t", ["k", "p"])
 
     def body():
@@ -124,6 +127,156 @@ def test_range_scan_survives_a_leaf_split_under_it():
     keys = [key[0] for key, _rid, _rec in seen["rows"]]
     assert keys == sorted(set(keys))
     assert keys == sorted(list(range(18, 50, 2)) + [31])
+
+
+def cold(system):
+    """Write every dirty page and empty the pool: each read misses."""
+    drive(system, system.buffer.flush_all(), name="flush")
+    system.buffer.crash()
+
+
+def test_a_cold_lookup_reads_one_record_and_locks_the_next():
+    """Key 14 is the last row of data page 0, key 16 the first of page 1:
+    the lookup S-locks 16's record (phantom protection) but reads only
+    14's page."""
+    system, table, descriptor = built()
+    cold(system)
+    entries = {entry_key(e): entry_rid(e)
+               for e in descriptor.tree.all_entries()}
+    assert [rid_page(entries[(14,)]), rid_page(entries[(16,)])] == [0, 1]
+    seen = {}
+
+    def body():
+        txn = system.txns.begin()
+        reads = system.metrics.get("disk.reads")
+        seen["hits"] = yield from index_lookup(txn, descriptor, (14,))
+        seen["reads"] = system.metrics.get("disk.reads") - reads
+        seen["next"] = system.locks.holders(table.lock_name(entries[(16,)]))
+        seen["txn"] = txn.txn_id
+        yield from txn.commit()
+
+    drive(system, body())
+    assert [record.values for _rid, record in seen["hits"]] == [(14, "p7")]
+    assert seen["reads"] == 1
+    assert seen["next"] == {seen["txn"]: "S"}
+    assert not system.buffer.resident(table.page_id(1))
+
+
+def test_range_scan_survives_a_leaf_split_while_it_prefetches():
+    """The prefetch-wait twin of the lock-wait test above: on a cold
+    pool the scan's first row sends its next pages to parallel readers,
+    and while it waits on them a writer splits the leaf the scan has a
+    snapshot of.  Each row comes back once, in key order."""
+    system, table, descriptor = built(disk_channels=8)
+    cold(system)
+    splits_before = system.metrics.get("index.splits")
+    seen = {}
+
+    def writer():
+        txn = system.txns.begin("writer")
+        yield from table.insert(txn, (31, "splits the leaf"))
+        seen["splits"] = system.metrics.get("index.splits") - splits_before
+        seen["prefetching"] = [proc.name for proc in system.sim.processes()
+                               if proc.name.startswith("prefetch")]
+        seen["scan_done"] = "rows" in seen
+        yield from txn.commit()
+
+    def reader():
+        yield Delay(5)
+        txn = system.txns.begin("reader")
+        seen["rows"] = yield from index_range_scan(txn, descriptor,
+                                                   (18,), (50,))
+        yield from txn.commit()
+
+    system.spawn(writer(), name="w")
+    proc = system.spawn(reader(), name="r")
+    system.run()
+    assert proc.error is None
+    assert seen["splits"] == 1 and seen["prefetching"] \
+        and not seen["scan_done"]
+    keys = [key[0] for key, _rid, _rec in seen["rows"]]
+    assert keys == sorted(list(range(18, 50, 2)) + [31])
+
+
+def serial_range_scan(txn, descriptor, low_key, high_key):
+    """Reference: the serializable range scan reading its rows one
+    after another."""
+    system, table = descriptor.system, descriptor.table
+    rows = []
+    for entry in _entries_in_range(descriptor, low_key, high_key,
+                                   inclusive_high=False):
+        rid = entry_rid(entry)
+        yield from txn.lock(table.lock_name(rid), "S")
+        if entry_key(entry) >= high_key:
+            system.metrics.incr("query.range_next_key_locks")
+            break
+        record = yield from table.read_latched(rid)
+        rows.append((entry_key(entry), rid, record))
+    cost = system.config.tree_visit_cost * max(1, len(rows) // 8)
+    if not system.sim.delayed(cost):
+        yield Delay(cost)
+    system.metrics.incr("query.range_scans")
+    return rows
+
+
+def cold_scan(scan, disk_channels):
+    system, _table, descriptor = built(disk_channels=disk_channels)
+    cold(system)
+    before = system.metrics.snapshot()
+
+    def body():
+        txn = system.txns.begin()
+        rows = yield from scan(txn, descriptor, (10,), (90,))
+        yield from txn.commit()
+        return [(key, rid, record.values) for key, rid, record in rows]
+
+    rows = drive(system, body())
+    return (rows, system.sim._seq, system.now(),
+            system.metrics.delta(before))
+
+
+def test_a_one_channel_range_scan_keeps_the_serial_schedule():
+    """One disk channel serves one read at a time: nothing to overlap,
+    so the scan reads as the serial reference does -- the same rows,
+    ``_seq``, clock and counters."""
+    scanned = cold_scan(index_range_scan, disk_channels=1)
+    assert scanned == cold_scan(serial_range_scan, disk_channels=1)
+    rows, _seq, _clock, counters = scanned
+    assert len(rows) == 40 and counters["disk.reads"] == 6
+    # eight channels overlap the same six reads
+    rows8, _seq8, clock8, counters8 = cold_scan(index_range_scan,
+                                                disk_channels=8)
+    assert rows8 == rows and counters8["disk.reads"] == 6
+    assert clock8 < scanned[2] - 4 * 10.0
+
+
+@pytest.mark.parametrize("disk_channels", [None, 8])
+def test_an_eight_frame_pool_reads_what_a_resident_pool_reads(
+        disk_channels):
+    """The unlimited-bandwidth model prefetches nothing.  With eight
+    channels a prefetch fills the whole pool, evicting what the reader
+    read before it; the rows are still the resident pool's."""
+    def reads(**config):
+        system, _table, descriptor = built(rows=200,
+                                           disk_channels=disk_channels,
+                                           **config)
+
+        def body():
+            txn = system.txns.begin()
+            rows = yield from index_range_scan(txn, descriptor,
+                                               (0,), (400,))
+            hits = []
+            for key in range(0, 402, 3):
+                found = yield from index_lookup(txn, descriptor, (key,))
+                hits.append([(rid, rec.values) for rid, rec in found])
+            yield from txn.commit()
+            return [(key, rid, rec.values) for key, rid, rec in rows], hits
+
+        return drive(system, body()), system
+
+    (small, system), (resident, _) = reads(buffer_frames=8), reads()
+    assert small == resident and len(small[0]) == 200
+    assert system.metrics.get("disk.reads") >= 25  # the table's pages
 
 
 @pytest.mark.parametrize("revived", [False, True])
