@@ -11,11 +11,16 @@ and build-series stats are compared exactly with the committed baseline:
   workload, with scan+sort and shard-merge phase times and shard balance;
 * ``serve/sf/ch8`` -- reads through the new index after an SF build, on
   eight disk channels and a pool a fifth of the table: one-row lookups
-  and ten-row range scans, one at a time, with their latencies and reads.
+  and ten-row range scans, one at a time, with their latencies and reads;
+* ``writebehind/sf/ch8`` -- an SF build under traffic on eight disk
+  channels and a pool a fifth of the table: the build's dirty victims
+  written by the buffer pool's write-behind against those the scan and
+  the foreground misses wrote themselves.
 
 Self-gates (:func:`gates`): zero table pages rescanned by the rebuild,
 the scan+sort speedup at P=4, no one-row lookup reading a second record,
-and the range scans' reads overlapping.
+the range scans' reads overlapping, and write-behind writing more of the
+build's dirty victims than their evictors do.
 Host time is ``benchmarks/e2e``'s business, not this suite's.
 """
 
@@ -40,6 +45,8 @@ PSF_PARTITIONS = (1, 2, 4, 8)
 SERVE_ROWS = 1_200
 SERVE_FRAMES = 32  # the table is 150 pages
 SERVE_LOOKUPS, SERVE_RANGES, RANGE_ROWS = 40, 20, 10
+WRITE_BEHIND_ROWS, WRITE_BEHIND_OPERATIONS = 900, 90
+WRITE_BEHIND_FRAMES = 24  # the table is 119 pages
 
 
 def _trace_extras(recorder, system) -> dict:
@@ -234,6 +241,29 @@ def _served_reads() -> dict:
                 "query.index_lookups", "query.range_scans")}}
 
 
+def _write_behind_build() -> dict:
+    """An SF build under traffic on a pool a fifth of the table and eight
+    disk channels: its simulated time, and who wrote the dirty victims
+    -- the evicting scan or foreground miss (``buffer.evictions.dirty``)
+    or the buffer pool's write-behind (``buffer.write_behinds``)."""
+    params = {"algorithm": "sf", "rows": WRITE_BEHIND_ROWS,
+              "operations": WRITE_BEHIND_OPERATIONS, "workers": 2,
+              "disk_channels": 8, "buffer_frames": WRITE_BEHIND_FRAMES,
+              "seed": SEED}
+    result = run_build_experiment(
+        "sf", rows=WRITE_BEHIND_ROWS, operations=WRITE_BEHIND_OPERATIONS,
+        workers=2, seed=SEED, options=BuildOptions(
+            checkpoint_every_keys=200, commit_every_keys=128),
+        config=bench_config(disk_channels=8,
+                            buffer_frames=WRITE_BEHIND_FRAMES))
+    return {"params": params,
+            "sim_time": result.build_time,
+            "counters": {key: result.counter(key) for key in (
+                "buffer.evictions.dirty", "buffer.write_behinds",
+                "buffer.evictions.clean", "disk.writes",
+                "semaphore.disk.waits")}}
+
+
 def _rows() -> dict[str, Callable[[], dict]]:
     rows: dict[str, Callable[[], dict]] = {}
     for count in (300, 900):
@@ -248,6 +278,7 @@ def _rows() -> dict[str, Callable[[], dict]]:
         rows[f"parallel_sf/p{partitions}"] = partial(
             _parallel_sf_run, partitions)
     rows["serve/sf/ch8"] = _served_reads
+    rows["writebehind/sf/ch8"] = _write_behind_build
     return rows
 
 
@@ -275,6 +306,12 @@ def gates(rows: dict[str, dict]) -> list[str]:
         problems.append(
             f"serve/sf/ch8: range scans' reads overlap {overlap:.2f}x, "
             f"under floor {MIN_RANGE_READ_OVERLAP:.2f}x")
+    written = rows["writebehind/sf/ch8"]["counters"]
+    if written["buffer.write_behinds"] <= written["buffer.evictions.dirty"]:
+        problems.append(
+            f"writebehind/sf/ch8: write-behind wrote "
+            f"{written['buffer.write_behinds']} dirty victims, their "
+            f"evictors {written['buffer.evictions.dirty']}")
     return problems
 
 

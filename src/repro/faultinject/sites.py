@@ -68,7 +68,7 @@ SITE_DOCS = {
     "wal.checkpoint.before_master":
         "checkpoint record flushed but master pointer not yet updated",
     # buffer pool
-    "buffer.page_flush": "buffer manager writing one dirty page back",
+    "buffer.page_flush": "a flush or write-behind writing a dirty page back",
     "buffer.evict_dirty": "steal: evicting a dirty page for replacement",
     # B+-tree
     "btree.split": "mid leaf/branch split, before the parent is fixed up",

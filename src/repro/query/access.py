@@ -26,7 +26,8 @@ key values" -- see :func:`set_gradual_availability` and the
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterator, TYPE_CHECKING
 
 from repro.btree.node import entry_key, entry_rid
@@ -136,64 +137,40 @@ def _visit_rows(txn: "Transaction", descriptor: IndexDescriptor,
     [low_key, high_key) in key order: S-locks each entry's record, then
     reads it unless the entry is pseudo-deleted.  Before reading a row
     whose page is not resident it hands that page and the pages of the
-    rows still to visit to
-    :meth:`~repro.storage.buffer.BufferPool.prefetch`, which reads the
-    missing ones in parallel, as many as the disk channels serve at once.
+    rows still to visit (:meth:`_RangeWalk.row_pages`, off the same
+    walk) to :meth:`~repro.storage.buffer.BufferPool.prefetch`, which
+    reads the missing ones in parallel, as many as the disk channels
+    serve at once.
 
     Returns ``(rows, past)``: the ``(entry, record)`` pairs read, and the
     first entry past the range (None at the end of the index), which
     this loop neither locks nor reads.
     """
-    system = descriptor.system
     table = descriptor.table
-    pool = system.buffer
+    pool = descriptor.system.buffer
     pseudo_deleted = descriptor.tree.pseudo_deleted
+    walk = _RangeWalk(descriptor, low_key, high_key, inclusive_high)
     rows = []
-    for entry in _entries_in_range(descriptor, low_key, high_key,
-                                   inclusive_high=inclusive_high):
-        if _beyond(entry, high_key, inclusive_high):
-            return rows, entry
-        rid = entry_rid(entry)
-        yield from txn.lock(table.lock_name(rid), "S")
-        if entry in pseudo_deleted:
-            continue  # committed-deleted; lock settled it
-        if not pool.resident(table.page_id(rid_page(rid))):
-            yield from pool.prefetch(
-                _row_pages(descriptor, entry, high_key, inclusive_high))
-        record = yield from table.read_latched(rid)
-        if record is not None:
-            rows.append((entry, record))
-    return rows, None
+    for leaf_entries in walk:
+        for entry in leaf_entries:
+            rid = entry_rid(entry)
+            yield from txn.lock(table.lock_name(rid), "S")
+            if entry in pseudo_deleted:
+                continue  # committed-deleted; lock settled it
+            if not pool.resident(table.page_id(rid_page(rid))):
+                yield from pool.prefetch(
+                    chain.from_iterable(walk.row_pages(entry)))
+            record = yield from table.read_latched(rid)
+            if record is not None:
+                rows.append((entry, record))
+    return rows, walk.past
 
 
-def _row_pages(descriptor: IndexDescriptor, entry, high_key,
-               inclusive_high: bool) -> Iterator:
-    """The data pages of ``entry``'s row and of the rows after it in the
-    range, in visit order (pseudo-deleted entries skipped): a hint read
-    off the leaves as they are now."""
-    table = descriptor.table
-    pseudo_deleted = descriptor.tree.pseudo_deleted
-    yield table.page_id(rid_page(entry_rid(entry)))
-    for later in _entries_in_range(descriptor, entry, high_key,
-                                   inclusive_high=inclusive_high):
-        if _beyond(later, high_key, inclusive_high):
-            return
-        if later not in pseudo_deleted:
-            yield table.page_id(rid_page(entry_rid(later)))
-
-
-def _beyond(entry, high_key, inclusive_high: bool) -> bool:
-    """Whether ``entry`` lies past the high end of the range."""
-    if high_key is None:
-        return False
-    key_value = entry_key(entry)
-    return key_value > high_key if inclusive_high else key_value >= high_key
-
-
-def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
-                      inclusive_high: bool):
-    """Entries with key in [low_key, high_key] / [low_key, high_key),
-    plus the first entry beyond, in key order.
+class _RangeWalk:
+    """One walk over the entries with key in [low_key, high_key] /
+    [low_key, high_key).  Iterating yields, leaf by leaf, the leaf's
+    entries in the range, in key order, and leaves the first entry
+    beyond in :attr:`past` (None at the end of the index).
 
     Snapshot-per-leaf iteration, resumed by key: callers suspend between
     two entries (they lock records before trusting what they saw), and a
@@ -201,20 +178,88 @@ def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
     new right sibling the chain then leads into.  Entries at or below the
     last composite yielded are therefore skipped on every later leaf.
     """
-    tree = descriptor.tree
-    if tree.root is None:
-        return
-    last = low_key  # sorts below every entry with key value low_key
-    leaf, _path = tree._traverse(last, count=False)
-    while leaf is not None:
-        entries = leaf.entries
-        for entry in entries[bisect_right(entries, last):]:
-            last = entry
-            yield entry
-            if _beyond(entry, high_key, inclusive_high):
+
+    __slots__ = ("descriptor", "low_key", "high_key", "_cut", "leaf",
+                 "past")
+
+    def __init__(self, descriptor: IndexDescriptor, low_key, high_key,
+                 inclusive_high: bool) -> None:
+        self.descriptor = descriptor
+        self.low_key = low_key
+        self.high_key = high_key
+        #: the first entry past the range: key above an inclusive high
+        #: end, at or above an exclusive one
+        self._cut = bisect_right if inclusive_high else bisect_left
+        #: the leaf the entries being visited came from
+        self.leaf = None
+        self.past = None
+
+    def _span(self, entries: list, after) -> tuple[int, int]:
+        """``entries[start:end]``: those above ``after`` and in range;
+        ``entries[end]``, if any, is the first past the range."""
+        start = bisect_right(entries, after)
+        if self.high_key is None:
+            return start, len(entries)
+        end = self._cut(entries, self.high_key, key=entry_key)
+        return start, max(start, end)
+
+    def __iter__(self):
+        tree = self.descriptor.tree
+        if tree.root is None:
+            return
+        last = self.low_key  # sorts below every entry with key low_key
+        leaf, _path = tree._traverse(last, count=False)
+        while leaf is not None:
+            self.leaf = leaf
+            entries = leaf.entries
+            start, end = self._span(entries, last)
+            past = entries[end] if end < len(entries) else None
+            if start < end:
+                snapshot = entries[start:end]
+                last = snapshot[-1]
+                yield snapshot
+            if past is not None:
+                self.past = past
                 return
-        leaf = (tree.pages.get(leaf.next_leaf)
-                if leaf.next_leaf is not None else None)
+            leaf = (tree.pages.get(leaf.next_leaf)
+                    if leaf.next_leaf is not None else None)
+
+    def row_pages(self, entry) -> Iterator[list]:
+        """Generator: the data pages of ``entry``'s row and of the rows
+        after it in the range, in visit order (pseudo-deleted entries
+        skipped), one list a leaf.  A hint read off the leaves as they
+        are now, from the leaf the walk stands on: a split since moved
+        entries only rightwards along the chain, so these are the pages
+        a fresh descent to ``entry`` would find."""
+        descriptor = self.descriptor
+        tree = descriptor.tree
+        page_id = descriptor.table.page_id
+        pseudo_deleted = tree.pseudo_deleted
+        pages = [page_id(rid_page(entry_rid(entry)))]
+        leaf = self.leaf
+        while leaf is not None:
+            entries = leaf.entries
+            start, end = self._span(entries, entry)
+            pages += [page_id(rid_page(entry_rid(later)))
+                      for later in entries[start:end]
+                      if later not in pseudo_deleted]
+            yield pages
+            if end < len(entries):
+                return
+            pages = []
+            leaf = (tree.pages.get(leaf.next_leaf)
+                    if leaf.next_leaf is not None else None)
+
+
+def _entries_in_range(descriptor: IndexDescriptor, low_key, high_key, *,
+                      inclusive_high: bool):
+    """Entries with key in [low_key, high_key] / [low_key, high_key),
+    plus the first entry beyond, in key order (one :class:`_RangeWalk`)."""
+    walk = _RangeWalk(descriptor, low_key, high_key, inclusive_high)
+    for leaf_entries in walk:
+        yield from leaf_entries
+    if walk.past is not None:
+        yield walk.past
 
 
 def table_scan(txn: "Transaction", table: "Table", predicate=None):

@@ -1,21 +1,28 @@
-"""Buffer pool with LRU replacement, steal/no-force, and prefetch.
+"""Buffer pool with LRU replacement, steal/no-force, prefetch and
+write-behind.
 
 Data pages flow through here.  The pool enforces the WAL rule: before a
-dirty page is written to disk (eviction or explicit flush), the log is
-forced up to the page's Page-LSN.  It also tracks each dirty page's
-*recovery LSN* (the LSN that first dirtied it), which restart recovery's
-analysis pass uses to bound the redo scan.
+dirty page is written to disk (eviction, write-behind or explicit
+flush), the log is forced up to the page's Page-LSN.  Every such write
+goes through :meth:`BufferPool._write`.  The pool also tracks each dirty
+page's *recovery LSN* (the LSN that first dirtied it), which restart
+recovery's analysis pass uses to bound the redo scan.
 
 All methods that may perform I/O are generators: callers invoke them as
 ``page = yield from pool.fetch(pid)`` so the simulated clock advances by
 the disk cost.  Sequential prefetch (section 2.2.2, [TeGu84]) is exposed as
 :meth:`fetch_sequential`, the parallel read of scattered pages ([PMCLS90])
-as :meth:`prefetch`.
+as :meth:`prefetch`.  Under the shared-disk model a read miss that
+fills the pool starts write-behind (:meth:`BufferPool._write_behind`):
+the dirty frames the next misses will evict are written back in the
+background, so those misses find them clean.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional
 
 from repro.errors import StorageError
@@ -28,13 +35,16 @@ from repro.storage.page import DataPage
 from repro.storage.rid import PageId
 from repro.wal.manager import LogManager
 
+_PAGE_ID = attrgetter("page_id")
+_PAGE_LSN = attrgetter("page_lsn")
+
 
 class BufferPool:
     """Page cache between processes and the :class:`Disk`."""
 
     def __init__(self, disk: Disk, log: LogManager, capacity: int = 256,
                  metrics: Optional[MetricsRegistry] = None,
-                 sim=None, io=None) -> None:
+                 sim=None, io=None, prefetch_pages: int = 8) -> None:
         if capacity < 1:
             raise StorageError("buffer pool needs at least one frame")
         self.disk = disk
@@ -50,10 +60,21 @@ class BufferPool:
         self._frames: "OrderedDict[PageId, DataPage]" = OrderedDict()
         #: dirty page table: page_id -> recovery LSN (first dirtying LSN)
         self.dirty: dict[PageId, int] = {}
-        #: victims whose eviction write is in flight (still resident so
-        #: concurrent fetches hit them; skipped by victim selection so
-        #: concurrent evictors don't duplicate the write)
-        self._evicting: set[PageId] = set()
+        #: pages whose write is in flight (:meth:`_write`): still
+        #: resident so concurrent fetches hit them; skipped by victim
+        #: selection and by every other writer, so no write is duplicated
+        #: and no frame is popped under its own write
+        self._writing: set[PageId] = set()
+        #: write-behind starts writes only while fewer than this many
+        #: channels are busy: half the disk's, the other half left to
+        #: demand reads, which then rarely queue behind a background
+        #: write -- none on one channel or under the unlimited model
+        self._write_behind_limit = io.capacity // 2 if io is not None else 0
+        #: the frames at the LRU end write-behind cleans: the victims of
+        #: the next misses, a channel's worth of single reads plus one
+        #: sequential-prefetch burst of the scan (section 2.2.2)
+        self._write_behind_window = \
+            (io.capacity + prefetch_pages) if io is not None else 0
 
     def _charge_io(self, cost: float):
         """Generator: pay ``cost`` simulated time of disk I/O.
@@ -95,6 +116,8 @@ class BufferPool:
             raise StorageError(f"page {page_id} does not exist on disk")
         yield from self._charge_io(self.disk.read_cost(1))
         page = yield from self._install(image)
+        if self._write_behind_limit:
+            self._write_behind()
         return page
 
     def fetch_sequential(self, page_ids: list[PageId]):
@@ -113,6 +136,8 @@ class BufferPool:
                 if image is None:
                     raise StorageError(f"page {pid} does not exist on disk")
                 yield from self._install(image)
+            if self._write_behind_limit:
+                self._write_behind()
         hits = len(page_ids) - len(missing)
         if hits:
             self.metrics.incr("buffer.hits", hits)
@@ -161,7 +186,7 @@ class BufferPool:
         """Generator: latch the frame now resident for ``page``; returns it.
 
         The pool has no pin count -- a held or awaited latch *is* the pin
-        (:meth:`_evict_one`) -- so a page object carried across a yield
+        (:meth:`_victim`) -- so a page object carried across a yield
         unlatched, such as the tail of a :meth:`fetch_sequential` batch,
         may have been evicted and re-read since: the object in hand is
         then an orphan whose image misses every later update.  Re-resolve
@@ -222,139 +247,168 @@ class BufferPool:
             self.dirty[page.page_id] = lsn
 
     def flush_page(self, page_id: PageId):
-        """Write one dirty page to disk (WAL rule enforced)."""
+        """Write one dirty page to disk (WAL rule enforced).
+
+        A page whose write is already in flight is left to that write,
+        which lands every change made before it completes.
+        """
         page = self._frames.get(page_id)
-        if page is None or page_id not in self.dirty:
+        if page is None or page_id not in self.dirty \
+                or page_id in self._writing:
             return
-        self.log.flush(page.page_lsn)
-        yield from self._charge_io(self.disk.write_cost(1))
-        kind = fault_point(self.metrics, "buffer.page_flush")
-        if kind is not None:
-            # lost-flush: the write never reaches the platter although the
-            # pool's bookkeeping proceeds; power fails immediately after.
-            self.dirty.pop(page_id, None)
-            raise InjectedCrash(f"lost page flush of {page_id}")
-        # Changes that landed during the write delay are part of the
-        # image we persist; re-force the log so the WAL rule holds for
-        # them too (no-op when nothing changed).
-        self.log.flush(page.page_lsn)
-        self.disk.write_page(page)
-        self.dirty.pop(page_id, None)
-        self.metrics.incr("buffer.page_flushes")
+        yield from self._write([page], "buffer.page_flush",
+                               "buffer.page_flushes")
 
     def flush_all(self):
-        """Write every dirty page (used by SF's index checkpoint, §3.2.4).
+        """Write every dirty page (a checkpoint's or a test's force; no
+        caller in the build paths).
 
         Batched put, the write-side twin of :meth:`fetch_sequential`: one
         log force to the highest dirty Page-LSN satisfies the WAL rule
         for the whole set, and the pages go out in a single sequential
         I/O instead of ``n`` random ones.  The per-page
         ``buffer.page_flush`` fault site still fires for every page (the
-        lost-flush schedule drops exactly one write, as before).
+        lost-flush schedule drops exactly one write).  Pages whose write
+        is in flight are left to it, as in :meth:`flush_page`.
         """
         tracer = getattr(self.metrics, "tracer", None)
         if tracer is not None:
             tracer.gauge("buffer.dirty", len(self.dirty))
-        victims = [page for page in
-                   (self._frames.get(page_id) for page_id in list(self.dirty))
-                   if page is not None]
-        if not victims:
-            return
-        self.log.flush(max(page.page_lsn for page in victims))
-        yield from self._charge_io(self.disk.write_cost(len(victims)))
-        for page in victims:
-            kind = fault_point(self.metrics, "buffer.page_flush")
-            if kind is not None:
-                self.dirty.pop(page.page_id, None)
-                raise InjectedCrash(f"lost page flush of {page.page_id}")
-            # Changes that landed during the batched write delay are part
-            # of the image we persist; re-force for them (no-op usually).
-            self.log.flush(page.page_lsn)
-            self.disk.write_page(page)
-            self.dirty.pop(page.page_id, None)
-            self.metrics.incr("buffer.page_flushes")
+        frames, writing = self._frames, self._writing
+        victims = [frames[page_id] for page_id in self.dirty
+                   if page_id in frames and page_id not in writing]
+        if victims:
+            yield from self._write(victims, "buffer.page_flush",
+                                   "buffer.page_flushes")
 
     # -- internals --------------------------------------------------------------
 
     def _install(self, page: DataPage):
-        while (page.page_id not in self._frames
-               and len(self._frames) >= self.capacity):
-            progress = yield from self._evict_one()
-            if not progress:
-                # Every frame is latched or mid-eviction (tiny pool,
-                # many concurrent users).  Popping a latched page would
+        frames = self._frames
+        while page.page_id not in frames and len(frames) >= self.capacity:
+            victim = self._victim()
+            if victim is None:
+                # Every frame is latched or mid-write (tiny pool, many
+                # concurrent users).  Popping a latched page would
                 # strand its holder on a zombie object, so run over
                 # capacity instead; later installs evict back down.
                 self.metrics.incr("buffer.overcommits")
                 break
-        resident = self._frames.get(page.page_id)
+            if victim.page_id in self.dirty:
+                # steal: write the (possibly uncommitted) page out, WAL
+                # first.  The frame stays resident until the write
+                # lands: a page popped before its write I/O exists
+                # *nowhere* for the duration -- concurrent fetches would
+                # raise (or, via ensure_page, silently recreate it
+                # empty).
+                yield from self._write([victim], "buffer.evict_dirty",
+                                       "buffer.evictions.dirty")
+                if victim.latch.busy:
+                    # Someone fetched and latched the page during our
+                    # write I/O; it must stay resident for them.  The
+                    # write was not wasted -- the page is clean now --
+                    # but no frame was freed: pick another victim.
+                    self.metrics.incr("buffer.evictions.rescued")
+                    continue
+            else:
+                self.metrics.incr("buffer.evictions.clean")
+            frames.pop(victim.page_id, None)
+        resident = frames.get(page.page_id)
         if resident is not None and resident is not page:
             # A concurrent fetch installed this page while we slept in
             # read/eviction I/O.  Its object is canonical -- processes
             # may already hold (and have updated) it -- and ours is a
             # stale duplicate from before their changes: replacing the
             # frame would silently lose logged-but-unflushed updates.
-            self._frames.move_to_end(page.page_id)
+            frames.move_to_end(page.page_id)
             self.metrics.incr("buffer.install_races")
             return resident
-        self._frames[page.page_id] = page
-        self._frames.move_to_end(page.page_id)
+        frames[page.page_id] = page
+        frames.move_to_end(page.page_id)
         return page
 
-    def _evict_one(self):
-        """Free one frame if possible; True means progress was made.
+    def _victim(self) -> Optional[DataPage]:
+        """The LRU frame that may be evicted, or None.
 
         Pages whose latch is held (or awaited) are never victims: the
         latch holder owns a reference to the page *object*, and popping
         the frame would divorce that object from the pool -- updates
         applied through it would be logged yet invisible to every later
-        fetch, which re-reads the stale disk image.
+        fetch, which re-reads the stale disk image.  Nor are pages whose
+        write is in flight: their writer still owns the frame.
         """
-        victim_id = None
-        for candidate, frame in self._frames.items():
-            if candidate in self._evicting or frame.latch.busy:
-                continue
-            victim_id = candidate
-            break
-        if victim_id is None:
-            return False
-        victim = self._frames[victim_id]
-        if victim_id in self.dirty:
-            # steal: write the (possibly uncommitted) page out, WAL
-            # first.  The frame stays resident until the write lands:
-            # a page popped before its write I/O exists *nowhere* for
-            # the duration -- concurrent fetches would raise (or, via
-            # ensure_page, silently recreate it empty).
-            self._evicting.add(victim_id)
-            try:
-                self.log.flush(victim.page_lsn)
-                yield from self._charge_io(self.disk.write_cost(1))
-                kind = fault_point(self.metrics, "buffer.evict_dirty")
-                if kind is not None:
-                    self.dirty.pop(victim_id, None)
-                    self._frames.pop(victim_id, None)
-                    raise InjectedCrash(
-                        f"lost eviction write of {victim_id}")
-                # Changes that landed during the write delay are part of
-                # the image we persist; re-force the log for them (WAL).
-                self.log.flush(victim.page_lsn)
-                self.disk.write_page(victim)
-                self.dirty.pop(victim_id, None)
-                self.metrics.incr("buffer.evictions.dirty")
-            finally:
-                self._evicting.discard(victim_id)
-            if victim.latch.busy:
-                # Someone fetched and latched the page during our write
-                # I/O; it must stay resident for them.  The write was
-                # not wasted -- the page is clean now -- but no frame
-                # was freed, so report progress and let the caller pick
-                # another victim.
-                self.metrics.incr("buffer.evictions.rescued")
-                return True
-        else:
-            self.metrics.incr("buffer.evictions.clean")
-        self._frames.pop(victim_id, None)
-        return True
+        writing = self._writing
+        for page_id, frame in self._frames.items():
+            if page_id not in writing and not frame.latch.busy:
+                return frame
+        return None
+
+    def _write(self, pages: list[DataPage], site: str, counter: str):
+        """Generator: the one write path of data pages to disk.
+
+        Eviction, write-behind and both flushes come here, with the
+        fault ``site`` they fire and the ``counter`` of pages they wrote.
+        In order: the pages are marked in flight, so evictors and other
+        writers skip them; the log is forced to their highest Page-LSN
+        (WAL); one I/O carries them all, on a disk channel; then per
+        page, the site fires, the log is forced again for changes made
+        during the I/O (they are part of the image), and the image is
+        written and the dirty entry dropped -- only if the frame still
+        holds that object, so a stale object can never overwrite or
+        clean a newer frame of the same page.
+        """
+        frames, writing = self._frames, self._writing
+        page_ids = list(map(_PAGE_ID, pages))
+        writing.update(page_ids)
+        try:
+            self.log.flush(max(map(_PAGE_LSN, pages)))
+            yield from self._charge_io(self.disk.write_cost(len(pages)))
+            for page in pages:
+                page_id = page.page_id
+                if fault_point(self.metrics, site) is not None:
+                    # lost-flush: the write never reaches the platter
+                    # although the pool's bookkeeping proceeds; power
+                    # fails immediately after.
+                    self.dirty.pop(page_id, None)
+                    raise InjectedCrash(f"lost write of {page_id} ({site})")
+                self.log.flush(page.page_lsn)
+                if frames.get(page_id) is page:
+                    self.disk.write_page(page)
+                    self.dirty.pop(page_id, None)
+                    self.metrics.incr(counter)
+        finally:
+            writing.difference_update(page_ids)
+
+    def _write_behind(self) -> None:
+        """Start background writes of the dirty frames at the LRU end.
+
+        Called after a read miss installed a page: when the pool is full,
+        each dirty, unlatched frame among the first
+        :attr:`_write_behind_window` in LRU order, and not already being
+        written, gets its own process doing :meth:`_write`, while fewer
+        than :attr:`_write_behind_limit` disk channels are busy (reads
+        and writes alike), so it takes only channels that are idle.  The
+        next misses then evict those frames clean instead of writing
+        them themselves.  Appends (:meth:`new_page`) never call this, so
+        a load alone keeps its schedule.
+        """
+        room = self._write_behind_limit - self.io.in_use
+        if room <= 0 or len(self._frames) < self.capacity:
+            return
+        dirty, writing = self.dirty, self._writing
+        for page_id, frame in islice(self._frames.items(),
+                                     self._write_behind_window):
+            if page_id in dirty and page_id not in writing \
+                    and not frame.latch.busy:
+                # marked before the spawn: the process first runs later
+                writing.add(page_id)
+                self._sim.spawn(
+                    self._write([frame], "buffer.page_flush",
+                                "buffer.write_behinds"),
+                    name="write-behind")
+                room -= 1
+                if not room:
+                    return
 
     # -- crash modelling ----------------------------------------------------------
 
@@ -362,7 +416,7 @@ class BufferPool:
         """Lose all volatile state (frames and dirty table)."""
         self._frames.clear()
         self.dirty.clear()
-        self._evicting.clear()
+        self._writing.clear()
 
     # -- introspection --------------------------------------------------------------
 

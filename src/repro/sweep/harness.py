@@ -123,14 +123,16 @@ def failure_dump(plan, scenario: Scenario, result: PlanResult,
     if plan.fault is None:
         partitions = "" if scenario.partitions is None \
             else f"--partitions {scenario.partitions} "
+        channels = "" if scenario.disk_channels is None \
+            else f"--disk-channels {scenario.disk_channels} "
         lines.append(
             f"replay      : python -m repro.sweep schedule "
             f"--builder {scenario.builder} {partitions}"
             f"--records {scenario.records} "
             f"--operations {scenario.operations} "
             f"--workers {scenario.workers} --seed {scenario.seed} "
-            f"--replay {choices!r}"
-            f"  # at buffer_frames={scenario.buffer_frames}")
+            f"--buffer-frames {scenario.buffer_frames} {channels}"
+            f"--replay {choices!r}")
     lines.append(f"shrink runs : {attempts}")
     if result.site_hits:
         lines.append("site hits in the failing run:")
@@ -242,7 +244,9 @@ class Report:
         lines = [
             f"{'crash' if crash else 'schedule'} sweep: records={s.records} "
             f"operations={s.operations} workers={s.workers} seed={s.seed} "
-            f"buffer_frames={s.buffer_frames} preempt_prob={s.preempt_prob}",
+            f"buffer_frames={s.buffer_frames} preempt_prob={s.preempt_prob}"
+            + ("" if s.disk_channels is None
+               else f" disk_channels={s.disk_channels}"),
             "every hit of every site" + (
                 f", cut to {s.max_plans} plans a row by an even stride"
                 if s.max_plans is not None else "") if crash else
@@ -364,6 +368,13 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--operations", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--buffer-frames", type=int, default=None,
+                        help="buffer pool frames (default: 80 crash, 64 "
+                             "schedule and cluster)")
+    parser.add_argument("--disk-channels", type=int, default=None,
+                        help="shared-disk channels (default: the unlimited "
+                             "model); two or more arm write-behind and "
+                             "list prefetch")
     parser.add_argument("--build-rate-limit", type=float, default=None,
                         help="IB admission-control rate (work items per "
                              "simulated time unit; default unthrottled)")
@@ -406,12 +417,17 @@ def main(argv: Optional[list] = None) -> int:
         partitions=args.partitions,
         records=args.records, operations=args.operations,
         workers=args.workers, seed=args.seed,
+        buffer_frames=args.buffer_frames,
         build_rate_limit=args.build_rate_limit,
         max_plans=args.max_plans,
         preempt_prob=args.preempt_prob,
         max_preemptions=args.max_preemptions)
     if builder == "cluster":
         flags["replicas"] = args.replicas
+        if args.disk_channels is not None:
+            parser.error("the cluster scenario has no --disk-channels")
+    else:
+        flags["disk_channels"] = args.disk_channels
     scenario = replace(base, **{name: value for name, value in flags.items()
                                 if value is not None})
     schedule = None

@@ -149,6 +149,9 @@ class Scenario:
     workers: int = 2
     seed: int = 7               # workload/system seed (not the schedule)
     buffer_frames: int = 80     # every builder must be right at any size
+    #: shared-disk channels (None = the unlimited-bandwidth model); two
+    #: or more arm the buffer pool's write-behind and list prefetch
+    disk_channels: Optional[int] = None
     checkpoint_every_pages: int = 8
     checkpoint_every_keys: int = 48
     commit_every_keys: int = 24
@@ -182,7 +185,8 @@ class Scenario:
         return SystemConfig(page_capacity=8, leaf_capacity=8,
                             buffer_frames=self.buffer_frames,
                             sort_workspace=16, merge_fanin=4,
-                            build_rate_limit=self.build_rate_limit)
+                            build_rate_limit=self.build_rate_limit,
+                            disk_channels=self.disk_channels)
 
     def build_options(self) -> BuildOptions:
         return BuildOptions(

@@ -118,7 +118,8 @@ class System:
         self.buffer = BufferPool(self.disk, self.log,
                                  capacity=self.config.buffer_frames,
                                  metrics=self.metrics,
-                                 sim=self.sim, io=self.io_channels)
+                                 sim=self.sim, io=self.io_channels,
+                                 prefetch_pages=self.config.prefetch_pages)
         self.locks = LockManager(self.sim, metrics=self.metrics)
         self.txns = TransactionManager(self)
         self.tables: dict[str, Table] = {}

@@ -1,11 +1,13 @@
 """Tests for the read access paths (repro.query)."""
 
+from itertools import chain
+
 import pytest
 
 from repro.btree.node import entry_key, entry_rid
 from repro.core import BuildOptions, IndexSpec, NSFIndexBuilder, \
     SFIndexBuilder
-from repro.query.access import _entries_in_range
+from repro.query.access import _RangeWalk, _entries_in_range
 from repro.query import (
     IndexNotAvailableError,
     index_lookup,
@@ -196,6 +198,41 @@ def test_range_scan_survives_a_leaf_split_while_it_prefetches():
         and not seen["scan_done"]
     keys = [key[0] for key, _rid, _rec in seen["rows"]]
     assert keys == sorted(list(range(18, 50, 2)) + [31])
+
+
+def test_the_prefetch_hint_is_a_fresh_descents_after_splits():
+    """The hint comes off the walk's own leaf, not a second descent:
+    after writers split that leaf, it still names the pages a fresh walk
+    from the entry finds, in the same order."""
+    system, table, descriptor = built()
+    high = (50,)
+    walk = _RangeWalk(descriptor, (18,), high, inclusive_high=False)
+    entry = next(iter(walk))[0]
+
+    def fresh():
+        return [table.page_id(rid_page(entry_rid(later)))
+                for later in _entries_in_range(descriptor, entry, high,
+                                               inclusive_high=False)
+                if entry_key(later) < high
+                and later not in descriptor.tree.pseudo_deleted]
+
+    def hint():
+        return list(chain.from_iterable(walk.row_pages(entry)))
+
+    first = table.page_id(rid_page(entry_rid(entry)))
+    assert hint() == [first] + fresh()
+    splits = system.metrics.get("index.splits")
+
+    def writer():
+        txn = system.txns.begin()
+        for key in range(19, 49, 2):
+            yield from table.insert(txn, (key, "split"))
+        yield from txn.commit()
+
+    drive(system, writer())
+    assert system.metrics.get("index.splits") > splits
+    assert hint() == [first] + fresh()
+    assert len(hint()) == 1 + (50 - 20) // 2 + (49 - 19) // 2
 
 
 def serial_range_scan(txn, descriptor, low_key, high_key):

@@ -31,6 +31,9 @@ CENSUSES = {
     "multi": ["--builder", "multi"],
     "rebuild": ["--builder", "rebuild"],
     "multi-p2": ["--builder", "multi", "--partitions", "2"],
+    # 8 frames, 4 disk channels: the buffer pool's write-behind runs
+    "sf-write-behind": ["--builder", "sf", "--buffer-frames", "8",
+                        "--disk-channels", "4"],
 }
 
 
