@@ -15,12 +15,16 @@ and build-series stats are compared exactly with the committed baseline:
 * ``writebehind/sf/ch8`` -- an SF build under traffic on eight disk
   channels and a pool a fifth of the table: the build's dirty victims
   written by the buffer pool's write-behind against those the scan and
-  the foreground misses wrote themselves.
+  the foreground misses wrote themselves;
+* ``readahead/sf/ch8`` -- the same build: the pages its scan read ahead
+  on idle channels, and the frames it recycled against the dirty
+  victims evictors wrote.
 
 Self-gates (:func:`gates`): zero table pages rescanned by the rebuild,
 the scan+sort speedup at P=4, no one-row lookup reading a second record,
-the range scans' reads overlapping, and write-behind writing more of the
-build's dirty victims than their evictors do.
+the range scans' reads overlapping, write-behind writing more of the
+build's dirty victims than their evictors do, and the scan reading ahead
+and recycling more frames than evictors write dirty ones.
 Host time is ``benchmarks/e2e``'s business, not this suite's.
 """
 
@@ -264,6 +268,30 @@ def _write_behind_build() -> dict:
                 "semaphore.disk.waits")}}
 
 
+def _read_ahead_build() -> dict:
+    """The ``writebehind/sf/ch8`` build seen from its scan: the pages it
+    read ahead (``buffer.read_aheads``) and the frames it handed back
+    to the LRU end (``buffer.scan_recycled``), against every dirty
+    victim an evictor wrote during the build
+    (``buffer.evictions.dirty``)."""
+    params = {"algorithm": "sf", "rows": WRITE_BEHIND_ROWS,
+              "operations": WRITE_BEHIND_OPERATIONS, "workers": 2,
+              "disk_channels": 8, "buffer_frames": WRITE_BEHIND_FRAMES,
+              "seed": SEED}
+    result = run_build_experiment(
+        "sf", rows=WRITE_BEHIND_ROWS, operations=WRITE_BEHIND_OPERATIONS,
+        workers=2, seed=SEED, options=BuildOptions(
+            checkpoint_every_keys=200, commit_every_keys=128),
+        config=bench_config(disk_channels=8,
+                            buffer_frames=WRITE_BEHIND_FRAMES))
+    return {"params": params,
+            "sim_time": result.build_time,
+            "counters": {key: result.counter(key) for key in (
+                "buffer.read_aheads", "buffer.scan_recycled",
+                "buffer.evictions.dirty", "buffer.evictions.clean",
+                "disk.reads", "build.pages_scanned")}}
+
+
 def _rows() -> dict[str, Callable[[], dict]]:
     rows: dict[str, Callable[[], dict]] = {}
     for count in (300, 900):
@@ -279,6 +307,7 @@ def _rows() -> dict[str, Callable[[], dict]]:
             _parallel_sf_run, partitions)
     rows["serve/sf/ch8"] = _served_reads
     rows["writebehind/sf/ch8"] = _write_behind_build
+    rows["readahead/sf/ch8"] = _read_ahead_build
     return rows
 
 
@@ -312,6 +341,13 @@ def gates(rows: dict[str, dict]) -> list[str]:
             f"writebehind/sf/ch8: write-behind wrote "
             f"{written['buffer.write_behinds']} dirty victims, their "
             f"evictors {written['buffer.evictions.dirty']}")
+    scan = rows["readahead/sf/ch8"]["counters"]
+    if scan["buffer.read_aheads"] <= 0 \
+            or scan["buffer.scan_recycled"] <= scan["buffer.evictions.dirty"]:
+        problems.append(
+            f"readahead/sf/ch8: {scan['buffer.read_aheads']} pages read "
+            f"ahead, {scan['buffer.scan_recycled']} frames recycled "
+            f"against {scan['buffer.evictions.dirty']} dirty evictions")
     return problems
 
 

@@ -556,8 +556,11 @@ class BuilderBase:
                     page_site: str = "build.scan_page",
                     page_counter: Optional[str] = None):
         """THE page scan (sections 2.2.2 / 3.2.2): prefetch a batch,
-        share-latch each page, extract one key per record per index,
-        advance the scan position under the latch.
+        start reading the next two ahead, share-latch each page, extract
+        one key per record per index, advance the scan position under
+        the latch, and hand each page the scan read back to the buffer
+        pool's LRU end (``BufferPool.read_ahead`` / ``recycle``: both
+        only under the shared-disk model).
 
         The serial scan, each parallel-reader stripe and each PSF shard
         worker all run this one loop; what differs is passed in:
@@ -596,18 +599,37 @@ class BuilderBase:
         extractors = [(d.column_getters, sorters[d.name].push_many)
                       for d in self.descriptors]
         fp_enabled = fault_points_enabled(metrics)
+        buffer = system.buffer
+        batch = self.prefetch_pages
+        # pages below ``ahead`` are read or being read ahead, and paid
+        # for: a throttled build charges a page when its read starts
+        ahead = page_no
         while True:
             limit = limit_of()
             if page_no >= limit:
                 break
-            upto = min(page_no + self.prefetch_pages, limit)
+            upto = min(page_no + batch, limit)
             batch_ids = [table.page_id(p) for p in range(page_no, upto)]
             # Every scanning process of every build shares the system's
             # one bucket, so the *total* scan rate is what is limited.
-            yield from self._throttle(len(batch_ids))
-            pages = yield from system.buffer.fetch_sequential(batch_ids)
+            if upto > ahead:
+                yield from self._throttle(upto - ahead)
+                ahead = upto
+            pages = yield from buffer.fetch_sequential(batch_ids,
+                                                       recycle=True)
+            # before each page, read up to the next two batches ahead
+            # while a channel is free for it
+            horizon = min(upto + 2 * batch, limit)
             for page in pages:
-                page = yield from system.buffer.latch_current(page, SHARE)
+                if ahead < horizon and buffer.background_room() > 0:
+                    started = buffer.read_ahead([
+                        [table.page_id(p)
+                         for p in range(first, min(first + batch, horizon))]
+                        for first in range(ahead, horizon, batch)])
+                    if started:
+                        yield from self._throttle(started)
+                        ahead += started
+                page = yield from buffer.latch_current(page, SHARE)
                 try:
                     records = page.live_records()
                     if records:
@@ -627,6 +649,7 @@ class BuilderBase:
                         advance(page)
                 finally:
                     page.latch.release(system.sim.current)
+                buffer.recycle(page)
                 metrics.incr("build.pages_scanned")
                 if page_counter is not None:
                     metrics.incr(page_counter)

@@ -1,5 +1,5 @@
-"""Buffer pool with LRU replacement, steal/no-force, prefetch and
-write-behind.
+"""Buffer pool with LRU replacement, steal/no-force, prefetch, read-ahead
+and write-behind.
 
 Data pages flow through here.  The pool enforces the WAL rule: before a
 dirty page is written to disk (eviction, write-behind or explicit
@@ -15,7 +15,10 @@ the disk cost.  Sequential prefetch (section 2.2.2, [TeGu84]) is exposed as
 as :meth:`prefetch`.  Under the shared-disk model a read miss that
 fills the pool starts write-behind (:meth:`BufferPool._write_behind`):
 the dirty frames the next misses will evict are written back in the
-background, so those misses find them clean.
+background, so those misses find them clean.  Under the same model the
+build scan reads its next batches ahead (:meth:`BufferPool.read_ahead`)
+and hands each page it read back to the LRU end once scanned
+(:meth:`BufferPool.recycle`), so it evicts its own clean frames.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.errors import StorageError
 from repro.faultinject.injector import InjectedCrash
 from repro.faultinject.sites import fault_point
 from repro.metrics import MetricsRegistry
-from repro.sim.kernel import Acquire, Delay, ProcessGroup
+from repro.sim.kernel import Acquire, Delay, Join, Process, ProcessGroup
 from repro.storage.disk import Disk
 from repro.storage.page import DataPage
 from repro.storage.rid import PageId
@@ -65,16 +68,31 @@ class BufferPool:
         #: selection and by every other writer, so no write is duplicated
         #: and no frame is popped under its own write
         self._writing: set[PageId] = set()
-        #: write-behind starts writes only while fewer than this many
-        #: channels are busy: half the disk's, the other half left to
-        #: demand reads, which then rarely queue behind a background
-        #: write -- none on one channel or under the unlimited model
-        self._write_behind_limit = io.capacity // 2 if io is not None else 0
+        #: background I/O -- write-behind and the scan's read-ahead --
+        #: starts only while fewer than this many channels are busy:
+        #: half the disk's, the other half left to demand reads, which
+        #: then rarely queue behind a background I/O -- none on one
+        #: channel or under the unlimited model, where the scan does not
+        #: recycle its pages either
+        self._background_limit = io.capacity // 2 if io is not None else 0
+        #: background I/Os spawned that have not run yet: channels about
+        #: to be busy that the disk does not count yet
+        self._starting = 0
+        #: frames a read miss has emptied for its page (:meth:`fetch`):
+        #: held out of the pool until the read lands
+        self._claimed = 0
         #: the frames at the LRU end write-behind cleans: the victims of
         #: the next misses, a channel's worth of single reads plus one
         #: sequential-prefetch burst of the scan (section 2.2.2)
         self._write_behind_window = \
             (io.capacity + prefetch_pages) if io is not None else 0
+        #: pages read ahead that no :meth:`fetch_sequential` has asked
+        #: for yet -> the process reading them; at most a quarter of
+        #: the frames
+        self._ahead: dict[PageId, Process] = {}
+        self._ahead_limit = capacity // 4
+        #: pages the build scan read from disk and has not recycled yet
+        self._scan_read: set[PageId] = set()
 
     def _charge_io(self, cost: float):
         """Generator: pay ``cost`` simulated time of disk I/O.
@@ -114,19 +132,69 @@ class BufferPool:
         image = self.disk.read_page(page_id)
         if image is None:
             raise StorageError(f"page {page_id} does not exist on disk")
-        yield from self._charge_io(self.disk.read_cost(1))
+        if not self._background_limit:
+            yield from self._charge_io(self.disk.read_cost(1))
+            page = yield from self._install(image)
+            return page
+        # Shared-disk model: the miss claims its frame as its read
+        # starts.  A clean victim leaves at once; a dirty one is written
+        # here while a child reads the page on another channel, so the
+        # miss waits for one I/O, not for a write and then a read.
+        claimed = False
+        read = None
+        if len(self._frames) + self._claimed >= self.capacity:
+            victim = self._victim()
+            if victim is not None and victim.page_id in self.dirty:
+                read = self._sim.spawn(
+                    self._charge_io(self.disk.read_cost(1)), name="read")
+                yield from self._write([victim], "buffer.evict_dirty",
+                                       "buffer.evictions.dirty")
+                claimed = self._claim(victim)
+            elif victim is not None:
+                claimed = self._claim(victim)
+                self.metrics.incr("buffer.evictions.clean")
+        try:
+            if read is None:
+                yield from self._charge_io(self.disk.read_cost(1))
+            else:
+                yield Join(read)
+        finally:
+            if claimed:
+                self._claimed -= 1
         page = yield from self._install(image)
-        if self._write_behind_limit:
-            self._write_behind()
+        self._write_behind()
         return page
 
-    def fetch_sequential(self, page_ids: list[PageId]):
+    def fetch_sequential(self, page_ids: list[PageId], recycle=False):
         """Fetch consecutive pages with one sequential I/O for the misses.
 
         Models the paper's sequential prefetch: "multiple pages may be read
         in one I/O" (section 2.2.2).  Returns the pages in request order.
+        A page whose :meth:`read_ahead` is still in flight is not read
+        again: the call joins that read.  ``recycle`` (the build scan,
+        under the shared-disk model): the pages read from disk for this
+        call, by it or ahead of it, are the ones :meth:`recycle` hands
+        back to the LRU end.
         """
-        missing = [pid for pid in page_ids if pid not in self._frames]
+        frames, ahead = self._frames, self._ahead
+        scan_read = self._scan_read \
+            if recycle and self._background_limit else None
+        in_flight: dict[PageId, Process] = {}
+        # pages read ahead for this call: misses already, never hits
+        read_ahead = 0
+        if ahead:
+            for pid in page_ids:
+                proc = ahead.pop(pid, None)
+                if proc is not None:
+                    if scan_read is not None:
+                        scan_read.add(pid)
+                    if pid in frames:
+                        read_ahead += 1
+                    elif not proc.finished:
+                        in_flight[pid] = proc
+                        read_ahead += 1
+        missing = [pid for pid in page_ids
+                   if pid not in frames and pid not in in_flight]
         if missing:
             self.metrics.incr("buffer.misses", len(missing))
             self.metrics.incr("buffer.prefetches")
@@ -136,9 +204,15 @@ class BufferPool:
                 if image is None:
                     raise StorageError(f"page {pid} does not exist on disk")
                 yield from self._install(image)
-            if self._write_behind_limit:
+            if self._background_limit:
                 self._write_behind()
-        hits = len(page_ids) - len(missing)
+            if scan_read is not None:
+                scan_read.update(missing)
+        for proc in dict.fromkeys(in_flight.values()):
+            # an error in the read, an injected crash included, is
+            # thrown into the scan here
+            yield Join(proc)
+        hits = len(page_ids) - len(missing) - read_ahead
         if hits:
             self.metrics.incr("buffer.hits", hits)
         pages = []
@@ -181,6 +255,74 @@ class BufferPool:
         for page_id in missing:
             group.spawn(self.fetch(page_id))
         yield from group.join_all()
+
+    def background_room(self) -> int:
+        """How many background I/Os may start now: the channels short of
+        :attr:`_background_limit` busy, counting those just started; 0 on
+        one channel or under the unlimited model."""
+        limit = self._background_limit
+        return limit - self.io.in_use - self._starting if limit else 0
+
+    def read_ahead(self, batches: list[list[PageId]]) -> int:
+        """Start background reads of the next ``batches`` a scan will ask
+        :meth:`fetch_sequential` for: section 2.2.2's sequential
+        prefetch [TeGu84], overlapped with the scan's key extraction
+        [PMCLS90].  Returns how many pages of the batches, a prefix,
+        are read or resident; the scan reads the rest itself.
+
+        One ``read-ahead`` process a batch, one sequential I/O for its
+        pages not resident, started only while fewer than
+        :attr:`_background_limit` channels are busy (none on one channel
+        or under the unlimited model), and never more than a quarter of
+        the frames read ahead and not yet asked for: a batch that does
+        not fit is cut to the room left.
+        """
+        room = self.background_room()
+        frames, ahead = self._frames, self._ahead
+        free = self._ahead_limit - len(ahead)
+        covered = 0
+        for batch in batches:
+            if room <= 0 or free <= 0:
+                break
+            batch = batch[:free]
+            missing = [pid for pid in batch
+                       if pid not in frames and pid not in ahead]
+            if missing:
+                self._starting += 1
+                proc = self._sim.spawn(
+                    self._background(self._read_ahead(missing)),
+                    name="read-ahead")
+                ahead.update(dict.fromkeys(missing, proc))
+                room -= 1
+                free -= len(missing)
+            covered += len(batch)
+        return covered
+
+    def _read_ahead(self, page_ids: list[PageId]):
+        """Generator: one :meth:`read_ahead` batch, a read miss of every
+        page in one sequential I/O."""
+        self.metrics.incr("buffer.misses", len(page_ids))
+        self.metrics.incr("buffer.read_aheads", len(page_ids))
+        yield from self._charge_io(self.disk.read_cost(len(page_ids)))
+        for pid in page_ids:
+            image = self.disk.read_page(pid)
+            if image is None:
+                raise StorageError(f"page {pid} does not exist on disk")
+            yield from self._install(image)
+        self._write_behind()
+
+    def recycle(self, page: DataPage) -> None:
+        """The build scan is done with ``page``: a page it read from disk
+        (:meth:`fetch_sequential` with ``recycle``) goes to the LRU end,
+        so the scan's next reads evict its own clean frames rather than
+        the foreground's -- DB2's stealing of sequential pages first
+        [TeGu84].  A page resident before the scan keeps its place."""
+        scan_read = self._scan_read
+        if scan_read and page.page_id in scan_read:
+            scan_read.remove(page.page_id)
+            if self._frames.get(page.page_id) is page:
+                self._frames.move_to_end(page.page_id, last=False)
+                self.metrics.incr("buffer.scan_recycled")
 
     def latch_current(self, page: DataPage, mode: str):
         """Generator: latch the frame now resident for ``page``; returns it.
@@ -285,7 +427,8 @@ class BufferPool:
 
     def _install(self, page: DataPage):
         frames = self._frames
-        while page.page_id not in frames and len(frames) >= self.capacity:
+        while page.page_id not in frames \
+                and len(frames) + self._claimed >= self.capacity:
             victim = self._victim()
             if victim is None:
                 # Every frame is latched or mid-write (tiny pool, many
@@ -327,6 +470,18 @@ class BufferPool:
         frames.move_to_end(page.page_id)
         return page
 
+    def _claim(self, victim: DataPage) -> bool:
+        """Empty ``victim``'s frame for a read miss (:meth:`fetch`), unless
+        since it was chosen someone latched or dirtied it, or evicted it;
+        then the miss's install picks a victim of its own."""
+        page_id = victim.page_id
+        if self._frames.get(page_id) is not victim or victim.latch.busy \
+                or page_id in self.dirty or page_id in self._writing:
+            return False
+        del self._frames[page_id]
+        self._claimed += 1
+        return True
+
     def _victim(self) -> Optional[DataPage]:
         """The LRU frame that may be evicted, or None.
 
@@ -355,13 +510,21 @@ class BufferPool:
         during the I/O (they are part of the image), and the image is
         written and the dirty entry dropped -- only if the frame still
         holds that object, so a stale object can never overwrite or
-        clean a newer frame of the same page.
+        clean a newer frame of the same page.  One page, as every
+        eviction and write-behind writes, marks and unmarks just it.
         """
         frames, writing = self._frames, self._writing
-        page_ids = list(map(_PAGE_ID, pages))
-        writing.update(page_ids)
+        if len(pages) == 1:
+            page_ids = None
+            page = pages[0]
+            writing.add(page.page_id)
+            flush_to = page.page_lsn
+        else:
+            page_ids = list(map(_PAGE_ID, pages))
+            writing.update(page_ids)
+            flush_to = max(map(_PAGE_LSN, pages))
         try:
-            self.log.flush(max(map(_PAGE_LSN, pages)))
+            self.log.flush(flush_to)
             yield from self._charge_io(self.disk.write_cost(len(pages)))
             for page in pages:
                 page_id = page.page_id
@@ -377,7 +540,10 @@ class BufferPool:
                     self.dirty.pop(page_id, None)
                     self.metrics.incr(counter)
         finally:
-            writing.difference_update(page_ids)
+            if page_ids is None:
+                writing.discard(pages[0].page_id)
+            else:
+                writing.difference_update(page_ids)
 
     def _write_behind(self) -> None:
         """Start background writes of the dirty frames at the LRU end.
@@ -386,14 +552,14 @@ class BufferPool:
         each dirty, unlatched frame among the first
         :attr:`_write_behind_window` in LRU order, and not already being
         written, gets its own process doing :meth:`_write`, while fewer
-        than :attr:`_write_behind_limit` disk channels are busy (reads
+        than :attr:`_background_limit` disk channels are busy (reads
         and writes alike), so it takes only channels that are idle.  The
         next misses then evict those frames clean instead of writing
         them themselves.  Appends (:meth:`new_page`) never call this, so
         a load alone keeps its schedule.
         """
-        room = self._write_behind_limit - self.io.in_use
-        if room <= 0 or len(self._frames) < self.capacity:
+        room = self.background_room()
+        if room <= 0 or len(self._frames) + self._claimed < self.capacity:
             return
         dirty, writing = self.dirty, self._writing
         for page_id, frame in islice(self._frames.items(),
@@ -402,13 +568,20 @@ class BufferPool:
                     and not frame.latch.busy:
                 # marked before the spawn: the process first runs later
                 writing.add(page_id)
-                self._sim.spawn(
+                self._starting += 1
+                self._sim.spawn(self._background(
                     self._write([frame], "buffer.page_flush",
-                                "buffer.write_behinds"),
+                                "buffer.write_behinds")),
                     name="write-behind")
                 room -= 1
                 if not room:
                     return
+
+    def _background(self, body):
+        """Generator: a background I/O's ``body``; from its first step on
+        the disk counts the channel it holds."""
+        self._starting -= 1
+        return (yield from body)
 
     # -- crash modelling ----------------------------------------------------------
 
@@ -417,6 +590,9 @@ class BufferPool:
         self._frames.clear()
         self.dirty.clear()
         self._writing.clear()
+        self._ahead.clear()
+        self._scan_read.clear()
+        self._starting = self._claimed = 0
 
     # -- introspection --------------------------------------------------------------
 

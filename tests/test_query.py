@@ -632,3 +632,36 @@ def test_table_scan_with_predicate():
 
     rows = drive(system, body())
     assert sorted(rec.values[0] for _rid, rec in rows) == [0, 2, 4, 6, 8]
+
+
+def test_serializable_range_scan_blocks_a_phantom_past_its_last_key():
+    """The phantom falls between the range's last key (16) and the next
+    key (18), which lies past the range: only the scan's lock on that
+    next key stands between the insert and the reader's range."""
+    system, table, descriptor = built()
+    order = []
+
+    def reader():
+        txn = system.txns.begin("reader")
+        rows = yield from index_range_scan(txn, descriptor, (10,), (17,))
+        order.append(("read", [key[0] for key, _r, _rec in rows]))
+        yield Delay(10)
+        yield from txn.commit()
+        order.append(("reader-done", system.now()))
+
+    def inserter():
+        while not order:
+            yield Delay(0.5)  # wait until the scan has its locks
+        txn = system.txns.begin("phantom")
+        yield from table.insert(txn, (17, "phantom"))
+        order.append(("phantom-inserted", system.now()))
+        yield from txn.commit()
+
+    system.spawn(reader(), name="r")
+    system.spawn(inserter(), name="i")
+    system.run()
+    assert order[0] == ("read", [10, 12, 14, 16])
+    # the insert of 17 waited for the reader's lock on 18
+    read_done = next(o[1] for o in order if o[0] == "reader-done")
+    phantom_at = next(o[1] for o in order if o[0] == "phantom-inserted")
+    assert phantom_at >= read_done

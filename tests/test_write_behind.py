@@ -204,6 +204,30 @@ def test_a_page_dirtied_during_its_write_lands_with_the_change():
                            for _page_id, page_lsn, flushed in written)
 
 
+@pytest.mark.parametrize("channels, ios", [(None, 2), (1, 2), (2, 1), (4, 1)])
+def test_a_miss_writes_its_dirty_victim_while_it_reads(channels, ios):
+    """With a spare channel, a miss whose victim is dirty waits for one
+    I/O: the victim's write and the page's read overlap.  One channel or
+    the unlimited model: the write, then the read."""
+    system, table, _rids = loaded(rows=200, frames=40, channels=channels)
+    pool = system.buffer
+    victim = next(iter(pool._frames))
+    assert victim in pool.dirty
+    waited = []
+
+    def miss():
+        start = system.now()
+        yield from pool.fetch(table.page_id(0))
+        waited.append(system.now() - start)
+
+    drive(system, miss())
+    assert waited == [ios * Disk.RANDOM_IO]
+    assert pool.resident(table.page_id(0))
+    assert not pool.resident(victim) and victim not in pool.dirty
+    assert system.disk.read_page(victim) is not None
+    assert len(pool._frames) <= pool.capacity and not pool._claimed
+
+
 @pytest.mark.parametrize("channels, clock, seq", [
     (None, 1858.7958570947164, 3244),
     (1, 3303.5513903782053, 3448),
