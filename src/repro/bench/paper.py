@@ -30,6 +30,7 @@ from repro.core import (BuildOptions, IndexSpec, NSFIndexBuilder,
 from repro.core.iot import IOTable, SFIotBuilder
 from repro.metrics import ordered_sum
 from repro.obs import TraceRecorder, phase_durations
+from repro.obs.report import drain_verdicts
 from repro.recovery import media_restore, restart, take_image_copy
 from repro.sim import Delay
 from repro.sort import (RestartableMerger, RunFormation, RunStore,
@@ -465,6 +466,7 @@ def _e19(drain_batch: int) -> dict:
                 (event["value"] for event in tracer.events
                  if event["kind"] == "gauge"
                  and event["name"] == "sidefile.backlog"), default=0),
+            "diverging_episodes": len(drain_verdicts(tracer.events)["idx"]),
             **_counters(result, drained="build.sidefile_drained",
                         tree_traversals="index.traversals")}
 
@@ -752,11 +754,17 @@ def gates(rows: dict[str, dict]) -> list[str]:
              f"{at(name, 'outcome')!r}, expected {outcome!r}")
 
     # E19 (on the table's one-decimal windows): batching shrinks the
-    # drain window without changing what is drained.
+    # drain window without changing what is drained, and the report
+    # judges the drain no worse for it: never more diverging episodes,
+    # none at the largest batch.
     names = [f"e19/batch{b}" for b in (1, 4, 16, 64)]
     problems.extend(f"{name}: larger drain batch, wider drain window"
                     for name in _rises(rows, names, "drain_window",
                                        key=lambda window: round(window, 1)))
+    problems.extend(f"{name}: larger drain batch, more diverging episodes"
+                    for name in _rises(rows, names, "diverging_episodes"))
+    need(at(names[-1], "diverging_episodes") == 0, names[-1],
+         "the drain diverged at the largest batch")
     need(len({at(name, "drained") for name in names}) <= 2, names[-1],
          "drained counts diverged")
     return problems

@@ -86,11 +86,14 @@ def resume_build(system: "System", utility_state: dict
                  ) -> Optional[BuilderBase]:
     """Reconstruct the interrupted builder from a utility checkpoint.
 
-    Returns None when no build was in progress (or it had finished).
+    Returns None when no build was in progress (or it had finished, or
+    every index of it was cancelled).
     Spawn the returned builder's ``run()`` to continue the build.
     """
     mode = utility_state.get("builder")
-    if mode not in RESUMABLE_MODES or utility_state.get("phase") == "done":
+    if mode not in RESUMABLE_MODES or utility_state.get("phase") == "done" \
+            or not any(name in system.indexes
+                       for name in utility_state["indexes"]):
         return None
     return get_builder(mode).resume(system, utility_state)
 

@@ -18,6 +18,7 @@ to eliminate).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional, Sequence, TYPE_CHECKING
@@ -116,6 +117,10 @@ class BuildOptions:
     partitions: Optional[int] = None
 
 
+class _IndexDropped(Exception):
+    """The index of the step that raised this was cancelled."""
+
+
 class BuilderBase:
     """Common state and phases of one index-build utility run."""
 
@@ -177,19 +182,13 @@ class BuilderBase:
         self._throttle_waits_metric = f"build.throttle_waits.{self.label}"
         self._configure()
         #: the build's emit handle (:mod:`repro.obs.handle`): spans,
-        #: instants, gauges and progress all go through it; the shared
-        #: no-op unless a recorder is attached as ``metrics.tracer``
+        #: instants and gauges all go through it; the shared no-op unless
+        #: a recorder is attached as ``metrics.tracer``
         tracer = system.metrics.tracer
         self.obs = BuildObs(self, tracer) if tracer is not None else NO_OBS
 
     def _configure(self) -> None:
-        """Hook: validate the options and pick the mode's parts, before
-        the emit handle asks for :meth:`_phases`."""
-
-    def _phases(self) -> list:
-        """Hook: the ordered :class:`~repro.obs.progress.Phase` rows this
-        build declares (weights summing to one)."""
-        raise NotImplementedError
+        """Hook: validate the options and pick the mode's parts."""
 
     # -- option resolution -------------------------------------------------
 
@@ -204,14 +203,14 @@ class BuilderBase:
         """Generator process body: build all requested indexes.
 
         The prologue and epilogue are the same for every mode; the
-        phases in between are :meth:`_run_phases`.
+        phases in between are :meth:`_build_loop`.
         """
         self._mark("start")
         self.obs.begin("build", mode=self.mode, table=self.table.name,
                        indexes=[s.name for s in self.specs],
                        resumed=self._resume_state is not None,
                        **self._build_span_attrs())
-        yield from self._run_phases()
+        yield from self._build_loop()
         self._remove_context()
         self._write_utility_checkpoint({"phase": "done"})
         # A done build never resumes, so its sort runs (every shard's
@@ -224,7 +223,7 @@ class BuilderBase:
         self.obs.end("build")
         return self.descriptors
 
-    def _run_phases(self):
+    def _build_loop(self):
         """The one build loop, fresh or resumed: the key source (unless
         resumed past it), then every ``(index, step)`` pair whose index
         is not done."""
@@ -237,9 +236,12 @@ class BuilderBase:
         if mergers is None:
             mergers = yield from self.source.mergers()
         for descriptor, step in self._steps():
-            if self._manifest[descriptor.name]["status"] != "done":
-                yield from getattr(self, f"_{step}_step")(
-                    descriptor, mergers.get(descriptor.name))
+            self._drop_cancelled()
+            if descriptor in self.descriptors \
+                    and self._manifest[descriptor.name]["status"] != "done":
+                with suppress(_IndexDropped):
+                    yield from getattr(self, f"_{step}_step")(
+                        descriptor, mergers.get(descriptor.name))
         self._mark_available()
 
     def _steps(self) -> list:
@@ -268,21 +270,21 @@ class BuilderBase:
         same :func:`recovery_context` here.
         """
         table = system.tables[utility_state["table"]]
+        # an index cancelled since has left the catalog (section 2.3.2)
         specs = [IndexSpec(name, tuple(cols), unique)
-                 for name, cols, unique in utility_state["specs"]]
+                 for name, cols, unique in utility_state["specs"]
+                 if name in system.indexes]
         builder = cls(system, table, specs,
                       BuildOptions(**utility_state.get("options", {})))
-        builder.descriptors = [system.indexes[name]
-                               for name in utility_state["indexes"]]
+        builder.descriptors = [system.indexes[spec.name] for spec in specs]
         install_maintenance(system, table)
         context = system.builds.get(table.name)
         if context is None:
             context = recovery_context(system, utility_state)
         builder.context = context
         builder._resume_state = utility_state
-        builder._manifest = {name: dict(entry) for name, entry
-                             in utility_state["manifest"].items()}
-        builder.obs.restore(utility_state.get("progress"))
+        builder._manifest = {spec.name: dict(
+            utility_state["manifest"][spec.name]) for spec in specs}
         return builder
 
     # -- catalog steps ----------------------------------------------------------
@@ -309,8 +311,32 @@ class BuilderBase:
         self.context = None
 
     def _mark_available(self) -> None:
+        self._drop_cancelled()
         for descriptor in self.descriptors:
             descriptor.state = IndexState.AVAILABLE
+
+    # -- cancel (section 2.3.2) ---------------------------------------------------
+
+    def _drop_cancelled(self) -> None:
+        """Forget every index :func:`~repro.core.cancel.cancel_build`
+        dropped, so no later checkpoint or step names it."""
+        dropped = [d.name for d in self.descriptors
+                   if d.state is IndexState.CANCELLED]
+        # a new list: a shard worker may be iterating the old one
+        self.descriptors = [d for d in self.descriptors
+                            if d.state is not IndexState.CANCELLED]
+        for name in dropped:
+            self._manifest.pop(name, None)
+            self._sorters.pop(name, None)
+
+    def _end_if_dropped(self, descriptor, step: str, txn=None):
+        """Generator: if ``descriptor`` was cancelled meanwhile, commit
+        ``txn`` (it changed the dropped tree) and unwind to the loop."""
+        if descriptor.state is IndexState.CANCELLED:
+            if txn is not None:
+                yield from txn.commit()
+            self.obs.end(f"{step}:{descriptor.name}", cancelled=True)
+            raise _IndexDropped(descriptor.name)
 
     def _quiesced(self, lock_mode: str, txn_name: str, body):
         """Generator: run the generator ``body`` with updaters quiesced
@@ -527,7 +553,6 @@ class BuilderBase:
         if readers > 1:
             last_page = noted_last_page
             stripe = max(1, (last_page - start_page + readers - 1) // readers)
-            self.obs.advance("scan", total=last_page)
             procs = []
             for first in range(start_page, last_page, stripe):
                 limit = min(first + stripe, last_page)
@@ -656,7 +681,6 @@ class BuilderBase:
                 fault_point(metrics, page_site)
             pages_since_checkpoint += len(batch_ids)
             page_no = cursor["next_page"] = upto
-            self.obs.advance("scan", total=limit, step=len(batch_ids))
             if checkpoint_every is not None \
                     and pages_since_checkpoint >= checkpoint_every \
                     and page_no < limit:
@@ -716,11 +740,6 @@ class BuilderBase:
         self.obs.begin("load", key=f"load:{descriptor.name}",
                        index=descriptor.name)
         keys_loaded = 0
-        # Keys awaiting load = what the (post-merge-pass) run store holds;
-        # resumed loads see only the remaining runs, which is still the
-        # right denominator for *this* phase's completion fraction.
-        keys_total = self._store_for(descriptor).total_keys() \
-            if self.obs.progress is not None else 0
         if loader is None:
             # resume() degrades to a fresh loader on an empty tree, and
             # continues after the checkpointed right-most path otherwise
@@ -739,6 +758,7 @@ class BuilderBase:
             yield from self._throttle(keys)
             if not self.system.sim.delayed(keys * key_cost):
                 yield Delay(keys * key_cost)
+            yield from self._end_if_dropped(descriptor, "load")
 
         # The merged keys are pulled and loaded in batches, but the yield
         # and checkpoint cadence is key-exact: each batch is capped at
@@ -762,8 +782,6 @@ class BuilderBase:
             if since_yield >= 64:
                 yield from charge(since_yield)
                 since_yield = 0
-                self.obs.advance(f"load:{descriptor.name}", keys_loaded,
-                                 keys_total)
                 if resumable:
                     fault_point(metrics, "sf.load_batch")
             if checkpoint_every and since_checkpoint >= checkpoint_every:
@@ -789,6 +807,7 @@ class BuilderBase:
     # -- WAL checkpoint plumbing -----------------------------------------------------------
 
     def _write_utility_checkpoint(self, state: dict) -> None:
+        self._drop_cancelled()
         # "This checkpointing to stable storage is done after all the
         # dirty pages of the index have been written to disk" (§3.2.4):
         # force each build tree so redo starts from this point.
@@ -806,11 +825,6 @@ class BuilderBase:
             "specs": [(s.name, list(s.key_columns), s.unique)
                       for s in self.specs],
         }
-        # Progress state rides along only when tracking is enabled:
-        # untracked checkpoint payloads stay unchanged.
-        progress = self.obs.checkpoint_state()
-        if progress is not None:
-            payload["progress"] = progress
         # Copied entry by entry: the record must keep the manifest as of
         # this instant, not follow the builder's later transitions.
         if state.get("phase") != "done":

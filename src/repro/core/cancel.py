@@ -34,5 +34,7 @@ def cancel_build(system: "System", descriptor: IndexDescriptor):
     descriptor.tree.reset()
     system.sidefiles.pop(descriptor.name, None)
     system.run_stores.pop(f"sort:{descriptor.name}", None)
+    system.run_stores.pop(f"sealed:{descriptor.name}", None)
+    system.sealed_runs.pop(descriptor.name, None)
     system.metrics.incr("build.cancels")
     yield from txn.commit()

@@ -29,7 +29,6 @@ from repro.core.base import BuilderBase
 from repro.core.maintenance import NSF_MODE
 from repro.core.sources import HeapScan
 from repro.faultinject.sites import fault_point
-from repro.obs.progress import Phase
 from repro.obs.recorder import key_metric
 from repro.sort import RestartableMerger
 
@@ -44,11 +43,6 @@ class NSFIndexBuilder(BuilderBase):
 
     def _configure(self) -> None:
         self.source = HeapScan(self)
-
-    def _phases(self) -> list:
-        share = 0.40 / len(self.specs)
-        return [Phase("scan", 0.60)] + [Phase(f"insert:{spec.name}", share)
-                                        for spec in self.specs]
 
     def _scan_done(self) -> None:
         self._write_utility_checkpoint({"phase": "insert-start"})
@@ -90,9 +84,6 @@ class NSFIndexBuilder(BuilderBase):
         cursor = IBCursor()
         since_commit = 0
         since_checkpoint = 0
-        inserted = 0
-        keys_total = self._store_for(descriptor).total_keys() \
-            if self.obs.progress is not None else 0
         highest = None
         commit_every = self.options.commit_every_keys
         checkpoint_every = self.options.checkpoint_every_keys
@@ -102,13 +93,11 @@ class NSFIndexBuilder(BuilderBase):
                 break
             yield from self._throttle(len(batch))
             yield from tree.ib_insert_batch(ib_txn, batch, cursor)
+            yield from self._end_if_dropped(descriptor, "insert", ib_txn)
             fault_point(self.system.metrics, "nsf.insert_batch")
             highest = batch[-1]
             since_commit += len(batch)
             since_checkpoint += len(batch)
-            inserted += len(batch)
-            self.obs.advance(f"insert:{descriptor.name}", inserted,
-                             keys_total)
             if commit_every and since_commit >= commit_every:
                 yield from ib_txn.commit()
                 fault_point(self.system.metrics, "nsf.ib_commit")

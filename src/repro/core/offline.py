@@ -14,7 +14,6 @@ and a perfectly clustered bottom-up load.
 from __future__ import annotations
 
 from repro.core.base import BuilderBase
-from repro.obs.progress import Phase
 
 
 class OfflineIndexBuilder(BuilderBase):
@@ -22,12 +21,7 @@ class OfflineIndexBuilder(BuilderBase):
 
     mode = "offline"
 
-    def _phases(self) -> list:
-        share = 0.30 / len(self.specs)
-        return [Phase("scan", 0.70)] + [Phase(f"load:{spec.name}", share)
-                                        for spec in self.specs]
-
-    def _run_phases(self):
+    def _build_loop(self):
         """Build all requested indexes under one X table lock."""
         yield from self._quiesced("X", "IB-offline", self._build())
 

@@ -38,7 +38,6 @@ from repro.core.maintenance import (
 )
 from repro.core.sources import HeapScan, SealedRuns, ShardScan
 from repro.faultinject.sites import fault_point
-from repro.obs.progress import Phase
 from repro.sidefile import SideFile, register_sidefile_operations
 from repro.sort import RunStore
 from repro.storage.rid import INFINITY_RID, RID
@@ -103,18 +102,6 @@ class SFIndexBuilder(BuilderBase):
     def _build_span_attrs(self) -> dict:
         return {} if self.partitions is None \
             else {"partitions": self.partitions}
-
-    def _phases(self) -> list:
-        """What the key source declares, then ``load`` and ``drain`` per
-        index; the loads share what the source and the drains leave."""
-        count = len(self.specs)
-        rows = list(self.source.phases)
-        for spec in self.specs:
-            rows.append(Phase(f"load:{spec.name}",
-                              self.source.load_weight / count))
-            rows.append(Phase(f"drain:{spec.name}", 0.15 / count,
-                              races=True))
-        return rows
 
     def _scan_done(self) -> None:
         # Section 3.2.2: Current-RID := infinity when the scan is done,
@@ -297,10 +284,9 @@ class SFIndexBuilder(BuilderBase):
                          sidefile.entries[position:position + take]]
                 position += take
                 yield from tree.sf_drain_apply_batch(ib_txn, batch)
+                yield from self._end_if_dropped(descriptor, "drain", ib_txn)
                 self.system.metrics.incr("build.sidefile_drained", take)
                 sidefile.drain_position = position
-                self.obs.advance(f"drain:{descriptor.name}", position,
-                                 len(sidefile.entries))
                 self.obs.gauge("sidefile.backlog",
                                len(sidefile.entries) - position,
                                index=descriptor.name)
@@ -320,6 +306,7 @@ class SFIndexBuilder(BuilderBase):
             # and the state flip, so a racing append either landed before
             # (and was processed) or lands after the flip and goes
             # directly to the index (section 3.2.5).
+            yield from self._end_if_dropped(descriptor, "drain", ib_txn)
             fault_point(self.system.metrics, "sf.flag_flip.before")
             if position == len(sidefile.entries):
                 descriptor.state = IndexState.AVAILABLE
@@ -328,7 +315,6 @@ class SFIndexBuilder(BuilderBase):
                     self.context.descriptors.remove(descriptor)
                 self.obs.instant("sf.flip", index=descriptor.name,
                                  position=position)
-                self.obs.done(f"drain:{descriptor.name}")
                 fault_point(self.system.metrics, "sf.flag_flip.after")
                 break
         tree.verify_unique()

@@ -44,7 +44,6 @@ from repro.core.descriptor import IndexState
 from repro.core.shard_merge import sim_merge_until
 from repro.errors import StorageError
 from repro.faultinject.sites import fault_point
-from repro.obs.progress import Phase
 from repro.sidefile import ScanFrontier, SideFile, partition_pages, \
     register_sidefile_operations
 from repro.sim.kernel import Barrier, Delay, ProcessGroup
@@ -57,13 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class KeySource:
     """One way of producing the final merger of every index."""
-
-    #: the progress phases the source declares ahead of an SF build's
-    #: per-index ``load`` / ``drain`` pairs, and the weight it leaves all
-    #: the loads (the drains take 0.15); a source that only hands over
-    #: sealed keys declares none
-    phases: tuple = ()
-    load_weight = 0.85
 
     def __init__(self, builder: "BuilderBase") -> None:
         self.builder = builder
@@ -93,8 +85,6 @@ class KeySource:
 class HeapScan(KeySource):
     """The serial data-page scan under Current-RID (section 3.2.2)."""
 
-    phases = (Phase("scan", 0.50),)
-    load_weight = 0.35
     #: where the scan (re)starts: a resumed build's checkpointed position
     start_page = 0
 
@@ -140,9 +130,6 @@ class ShardScan(KeySource):
     :mod:`repro.core.shard_merge`) before the usual streaming final
     merger is built over all shards' survivors.
     """
-
-    phases = (Phase("scan", 0.45), Phase("merge", 0.10))
-    load_weight = 0.30
 
     def __init__(self, builder) -> None:
         super().__init__(builder)
@@ -207,7 +194,6 @@ class ShardScan(KeySource):
                    if not state["done"]]
         if not pending:
             return
-        builder.obs.advance("scan", total=builder.table.page_count)
         barrier = Barrier(sim, parties=len(pending) + 1)
         group = ProcessGroup(sim, name="psf-scan")
         builder.obs.begin("scan", workers=len(pending))
@@ -326,6 +312,7 @@ class ShardScan(KeySource):
         yield from group.join_all()
         builder.obs.end("merge")
         fault_point(builder.system.metrics, "psf.merge_done")
+        builder._drop_cancelled()  # no final merge over a dropped store
         mergers = {}
         for descriptor in builder.descriptors:
             store = builder._store_for(descriptor)
@@ -345,6 +332,8 @@ class ShardScan(KeySource):
         builder.obs.begin("shard-merge", key=f"shard-merge:{shard}",
                           parent="merge", shard=shard)
         for descriptor in builder.descriptors:
+            if descriptor.state is IndexState.CANCELLED:
+                continue  # dropped while this worker merged another
             store = builder._store_for(descriptor)
             runs = [store.get(name)
                     for name in state["runs"].get(descriptor.name, [])]
@@ -569,8 +558,6 @@ class IotScan(KeySource):
     it reach the side-file.
     """
 
-    phases = (Phase("scan", 0.50),)
-    load_weight = 0.35
     #: primary keys per scan batch
     batch = 16
 
@@ -611,7 +598,6 @@ class IotScan(KeySource):
                                    rids)))
             last = chunk[-1]
             context.current_rid = RID(last, 1)
-            builder.obs.advance("scan", total=len(rows), step=len(chunk))
             yield from builder._throttle(len(chunk))
             yield Delay(len(chunk) * visit_cost)
         builder.obs.end("scan")

@@ -101,8 +101,7 @@ class MetricsRegistry:
     fault_injector: Optional[Any] = field(default=None, repr=False,
                                           compare=False)
     #: Installed trace recorder, if any (see :mod:`repro.obs`): the one
-    #: observation object -- a build-progress tracker rides on it as
-    #: ``tracer.progress``.  Instrumented code tests this attribute and
+    #: observation object.  Instrumented code tests this attribute and
     #: skips all trace work when it is None -- the same
     #: zero-cost-disabled contract as :attr:`fault_injector`.
     tracer: Optional[Any] = field(default=None, repr=False, compare=False)

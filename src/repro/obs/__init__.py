@@ -22,12 +22,6 @@ The recorder survives :meth:`repro.system.System.crash` and
 system), so one trace spans the whole build-crash-recover story.
 """
 
-from repro.obs.progress import (
-    BuildProgress,
-    Phase,
-    ProgressTracker,
-    enable_progress,
-)
 from repro.obs.recorder import (
     TRACE_SCHEMA_VERSION,
     TraceRecorder,
@@ -51,14 +45,10 @@ def __getattr__(name):
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "BuildProgress",
-    "Phase",
-    "ProgressTracker",
     "Span",
     "Trace",
     "TraceError",
     "TraceRecorder",
-    "enable_progress",
     "enable_tracing",
     "key_metric",
     "phase_durations",

@@ -85,9 +85,6 @@ class TraceRecorder:
         self._next_span = 0
         self._open: dict[int, dict] = {}
         self._sampler_sim: Optional[Simulator] = None
-        #: the :class:`~repro.obs.progress.ProgressTracker` riding on this
-        #: recorder (None = no build-progress tracking)
-        self.progress = None
 
     # -- clock ----------------------------------------------------------
 

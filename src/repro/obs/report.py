@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.obs.report TRACE.jsonl [--width N] [--json]
+    python -m repro.obs.report TRACE.jsonl [--width N]
 
 Reads a JSONL trace written by :class:`repro.obs.TraceRecorder` and
 renders:
@@ -17,13 +17,12 @@ renders:
 * **gauge high-water marks** -- per gauge series (side-file backlog,
   ``read_watermark`` progress, buffer dirty count): sample count,
   maximum and when it happened, final value;
-* an **instant census**.
+* an **instant census**;
 
-``--json`` emits the same analysis as a machine-readable document
-instead (:func:`report_json`): keys are sorted and the schema is
-stable, so downstream tooling can diff reports across runs.
+and the CLI ends with one **drain verdict** per index
+(:func:`drain_verdicts`): ``converging``, or ``diverging from t=...``.
 
-The module is also the import surface the perf suite and tests use:
+The module is also the import surface the bench suites and tests use:
 :func:`phase_durations` is the per-phase breakdown recorded in the
 benchmark JSON.  Every function takes a :class:`~repro.obs.trace.Trace`
 or the events to read one from.
@@ -32,8 +31,8 @@ or the events to read one from.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections import deque
 from typing import Optional
 
 from repro.obs.trace import Span, Trace, TraceSource, load_for_cli
@@ -80,55 +79,47 @@ def _gauge_rows(trace: Trace) -> list[tuple[str, list[dict], dict]]:
     return rows
 
 
-# -- machine-readable report ---------------------------------------------------
+# -- the drain verdict -------------------------------------------------------
+
+#: the drain verdict's trailing window of backlog samples, and its fill
+#: before it judges
+DRAIN_WINDOW = 8
+DRAIN_MIN_SAMPLES = 4
 
 
-def report_json(events: TraceSource) -> dict:
-    """The report as a schema-stable document (see ``--json``).
+def drain_verdicts(events: TraceSource) -> dict[str, list[float]]:
+    """When each side-file drain stopped gaining on the appends, which
+    it must for the flip to come (sections 3.1, 3.2.5).
 
-    Top-level keys: ``epochs``, ``events``, ``gauges``, ``instants``,
-    ``phases``, ``spans``, ``t0``, ``t1``.  Collections are sorted;
-    serialising with ``sort_keys=True`` yields byte-stable output for
-    equal traces.
-    """
+    Over each ``drain`` span, the index's ``sidefile.backlog`` gauges
+    (one per drain batch, plus a sampled trace's periodic samples) fill
+    a trailing window.  Once it holds :data:`DRAIN_MIN_SAMPLES`, the
+    drain is *diverging* while backlog remains, time has advanced and
+    the backlog is no smaller than at the window's start (drain rate at
+    most append rate), converging again once the backlog falls.
+    Returns ``{index: [start of each diverging episode]}``."""
     trace = Trace.of(events)
-    span_docs = []
+    backlog = trace.series("index", names=("sidefile.backlog",))
+    verdicts: dict[str, list[float]] = {}
     for span in trace.spans:
-        doc = {
-            "crashed": span.crashed,
-            "depth": span.depth,
-            "duration": round(span.duration, 6),
-            "end": None if span.crashed else round(span.end, 6),
-            "epoch": span.epoch,
-            "label": span.label,
-            "name": span.name,
-            "start": round(span.start, 6),
-        }
-        wal = span.end_attrs.get("wal_bytes")
-        if wal is not None:
-            doc["wal_bytes"] = wal
-        notes = _notes(span)
-        if notes:
-            doc["notes"] = notes
-        span_docs.append(doc)
-    return {
-        "epochs": trace.epochs,
-        "events": len(trace.events),
-        "gauges": {label: {"last": samples[-1].get("value"),
-                           "max": peak.get("value"),
-                           "max_t": round(peak["t"], 6),
-                           "samples": len(samples)}
-                   for label, samples, peak in _gauge_rows(trace)},
-        "instants": {name: {"count": len(found),
-                            "times": [round(e["t"], 6) for e in found]}
-                     for name, found in trace.instants.items()},
-        "phases": {label: round(duration, 6)
-                   for label, duration
-                   in sorted(phase_durations(trace).items())},
-        "spans": span_docs,
-        "t0": round(trace.t0, 6),
-        "t1": round(trace.t1, 6),
-    }
+        index = span.attrs.get("index")
+        if span.name != "drain" or index is None:
+            continue
+        episodes = verdicts.setdefault(index, [])
+        window: deque = deque(maxlen=DRAIN_WINDOW)
+        diverging = False
+        for sample in backlog.get(("sidefile.backlog", index), ()):
+            if sample.get("epoch", 0) != span.epoch \
+                    or not span.start <= sample["t"] <= span.end:
+                continue
+            window.append((sample["t"], sample["value"]))
+            (t0, first), (t1, last) = window[0], window[-1]
+            if len(window) < DRAIN_MIN_SAMPLES or t1 <= t0 or last <= 0:
+                continue
+            if last >= first and not diverging:
+                episodes.append(t1)
+            diverging = last >= first
+    return verdicts
 
 
 # -- rendering ----------------------------------------------------------------
@@ -256,18 +247,17 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("trace", help="JSONL trace file")
     parser.add_argument("--width", type=int, default=60,
                         help="timeline width in columns (default 60)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the report as a schema-stable JSON "
-                             "document instead of ASCII tables")
     args = parser.parse_args(argv)
     trace = load_for_cli(args.trace)
     if trace is None:
         return 2
-    if args.json:
-        sys.stdout.write(json.dumps(report_json(trace), indent=2,
-                                    sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(render_report(trace, width=args.width))
+    sys.stdout.write(render_report(trace, width=args.width))
+    verdicts = sorted(drain_verdicts(trace).items())
+    sys.stdout.write("\ndrain verdicts\n" if verdicts else "")
+    for index, starts in verdicts:
+        verdict = "diverging from t=" + ", ".join(
+            f"{t:.1f}" for t in starts) if starts else "converging"
+        sys.stdout.write(f"  {'drain:' + str(index):<28} {verdict}\n")
     return 0
 
 

@@ -92,10 +92,9 @@ def _prepare_restart(crashed: System, system: System,
     needs.
     """
     # Carry the trace recorder across the crash boundary: one trace tells
-    # the whole build-crash-recover story, and the progress tracker riding
-    # on it makes the resumed build report resumed progress, not 0%.
-    # Re-binding advances the recorder's time base so the new simulator's
-    # t=0 lands at the crash instant (repro.obs.recorder.TraceRecorder.bind).
+    # the whole build-crash-recover story.  Re-binding advances the
+    # recorder's time base so the new simulator's t=0 lands at the crash
+    # instant (repro.obs.recorder.TraceRecorder.bind).
     tracer = getattr(crashed.metrics, "tracer", None)
     if tracer is not None:
         tracer.bind(system.sim)
@@ -110,6 +109,9 @@ def _prepare_restart(crashed: System, system: System,
     system.utility_states = {name: dict(state) for name, state
                              in info.get("utility_states", {}).items()}
     _discard_orphan_builds(system)
+    if utility_state and utility_state.get("phase") != "done" \
+            and utility_state["table"] not in system.utility_states:
+        utility_state = {}  # its indexes were all cancelled
 
     txn_table, redo_start = _analysis(system, checkpoint)
     redo_start = _cover_sidefile_tails(system, redo_start)
@@ -172,15 +174,22 @@ def _rebuild_catalog(crashed: System, system: System) -> None:
 
 
 def _discard_orphan_builds(system: System) -> None:
-    """Drop BUILDING descriptors the build registry does not name.
+    """Drop BUILDING descriptors the build registry does not name, and
+    registry entries none of whose indexes is in the catalog.
 
     A crash between descriptor creation and the build's first utility
     checkpoint leaves a descriptor (plus side-file and sort-run store)
     with no resume information; the build must be reissued from scratch,
-    so detach the orphans instead of recovering into them.
+    so detach the orphans instead of recovering into them.  A build
+    whose indexes were all cancelled (section 2.3.2) has nothing left.
     """
-    from repro.core.descriptor import IndexState  # lazy: avoid cycle
+    from repro.core.base import RESUMABLE_MODES  # lazy: avoid cycle
+    from repro.core.descriptor import IndexState
 
+    for table, state in list(system.utility_states.items()):
+        if state["builder"] in RESUMABLE_MODES and not any(
+                name in system.indexes for name in state["indexes"]):
+            del system.utility_states[table]
     known = {name for state in system.utility_states.values()
              for name in state["indexes"]}
     for name, descriptor in list(system.indexes.items()):

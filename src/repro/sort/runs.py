@@ -134,6 +134,3 @@ class RunStore:
         for name in list(self.runs):
             if name not in names:
                 del self.runs[name]
-
-    def total_keys(self) -> int:
-        return sum(len(run) for run in self.runs.values())

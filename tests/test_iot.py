@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core.iot import IOTable, SFIotBuilder
 from repro.core.maintenance import IOT_MODE
 from repro.errors import RecordNotFoundError, StorageError
-from repro.obs import enable_progress, enable_tracing
+from repro.obs import Trace, enable_tracing
 from repro.recovery import restart, run_until_crash
 from repro.schedsweep import RandomTiePolicy
 from repro.sim import Delay
@@ -231,17 +231,15 @@ def test_iot_build_under_updates_audits_under_perturbed_schedules(
 
 def test_iot_build_reports_spans_and_progress_to_completion():
     """The IOT build is SF's loop, so it reports like one: a scan, load
-    and drain span under the build span, and a tracked build ends done."""
+    and drain span under the build span, every one of them closed."""
     system = System()
     recorder = enable_tracing(system)
-    tracker = enable_progress(system)
     table = make_table(system, n=100)
     drive(system, city_builder(system, table).run(), name="builder")
-    (state,) = tracker.snapshot().values()
-    assert (state["fraction"], state["verdict"], state["mode"]) \
-        == (1.0, "done", "iot")
     spans = [e["name"] for e in recorder.events if e["kind"] == "span_end"]
     assert spans == ["scan", "load", "drain", "build"]
+    assert [span.name for span in Trace(recorder.events).spans
+            if span.finished] == ["build", "scan", "load", "drain"]
 
 
 def test_iot_rollback_after_build_restores_secondary():

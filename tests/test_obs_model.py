@@ -1,7 +1,7 @@
 """Tests for the trace model itself (repro.obs.trace, repro.obs.handle).
 
 * round trip -- every reader (report, latency analyzer,
-  ``phase_durations``) gives the same result from ``recorder.events``
+  ``phase_durations``, ``drain_verdicts``) gives the same result from ``recorder.events``
   and from ``Trace.loads(recorder.to_jsonl())``, for the quickstart, the
   SF crash story and an open-loop run;
 * one pairing rule -- the ``op`` spans the report marks ``crashed`` and
@@ -33,10 +33,10 @@ from repro import (
 from repro.obs import Trace, TraceError, enable_tracing
 from repro.obs.handle import NO_OBS, _NoObs
 from repro.obs.report import (
+    drain_verdicts,
     main as report_main,
     phase_durations,
     render_report,
-    report_json,
 )
 from repro.slo import latency_report
 from repro.slo.__main__ import main as slo_main
@@ -98,8 +98,8 @@ def _readings(source) -> dict:
     """What every reader makes of one trace source."""
     readings = {
         "report": render_report(source),
-        "json": report_json(source),
         "phases": phase_durations(source),
+        "drains": drain_verdicts(source),
     }
     try:
         readings["latency"] = latency_report(source, only_outcome=None)
@@ -121,6 +121,9 @@ def test_every_reader_agrees_on_events_and_on_the_loaded_file(make):
     assert _readings(loaded) == live
     assert _readings(loaded.events) == live  # and a trace is re-readable
     assert "latency" in live and live["phases"]["build"] > 0
+    assert set(live["drains"]) == {span.attrs["index"]
+                                   for span in loaded.spans
+                                   if span.name == "drain"}
 
 
 # -- one pairing rule --------------------------------------------------------
@@ -133,10 +136,8 @@ def test_report_and_analyzer_agree_on_which_ops_a_crash_cut():
     unfinished = [span.span_id for span in ops if not span.finished]
     crashed = [span.span_id for span in ops if span.crashed]
     assert crashed and crashed == unfinished
-    marked = [doc for doc in report_json(trace)["spans"]
-              if doc["name"] == "op" and doc["crashed"]]
     report = latency_report(trace, only_outcome=None)
-    assert len(marked) == report["excluded"] == len(crashed)
+    assert report["excluded"] == len(crashed)
     assert report["ops"] == len(ops) - len(crashed)
     assert f"({len([s for s in trace.spans if s.crashed])} cut short" \
         in render_report(trace)
@@ -157,6 +158,9 @@ def test_an_unobserved_build_calls_only_the_noop_handle():
     assert preload.error is None
     builder = SFIndexBuilder(system, table, IndexSpec.of("idx", ["k"]))
     assert builder.obs is NO_OBS
+    # the handle is spans, instants and gauges: nothing else to call
+    assert {name for name in vars(_NoObs) if not name.startswith("_")} \
+        == {"tracer", "begin", "end", "instant", "gauge"}
     proc = system.spawn(builder.run(), name="builder")
     driver.spawn_workers()
     # A cyclic-GC pass inside the window could finalise an earlier

@@ -1,6 +1,6 @@
 """Tests for the structured build tracing subsystem (repro.obs).
 
-Three layers:
+Four layers:
 
 * recorder unit behaviour -- span nesting, the epoch/base clock across
   re-binds, byte-stable JSONL export;
@@ -9,7 +9,9 @@ Three layers:
   builder (whose shard spans interleave);
 * the report renderer -- an SF build crashed mid-drain and recovered
   must render crash-cut spans, the flip, and the restart, matching the
-  committed golden byte-for-byte.
+  committed golden byte-for-byte;
+* the drain verdict -- the rule over synthetic backlog gauges, and the
+  under-throttled drain of EXPERIMENTS.md E24 flagged diverging.
 """
 
 import io
@@ -40,6 +42,7 @@ from repro.obs import (
     render_report,
 )
 from repro.obs.report import (
+    drain_verdicts,
     main as report_main,
     phase_durations,
 )
@@ -286,44 +289,79 @@ def test_report_cli_renders_a_trace_file(tmp_path):
     out = buffer.getvalue()
     assert "phase timeline" in out
     assert "drain:events_by_ts" in out
+    # ... and ends with the drain verdict, after the rendered report
+    assert out.startswith(render_report(recorder.events, width=50))
+    assert out.endswith("\ndrain verdicts\n"
+                        f"  {'drain:events_by_ts':<28} converging\n")
 
 
-def test_report_cli_json_mode_is_schema_stable(tmp_path):
-    recorder = _sf_crash_trace()
-    trace_path = tmp_path / "crash.jsonl"
-    recorder.write_jsonl(str(trace_path))
-
-    def run_json():
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            assert report_main([str(trace_path), "--json"]) == 0
-        return buffer.getvalue()
-
-    first = run_json()
-    assert first == run_json()  # byte-stable for an equal trace
-    doc = json.loads(first)
-    assert set(doc) == {"epochs", "events", "gauges", "instants",
-                        "phases", "spans", "t0", "t1"}
-    assert doc["epochs"] == 2
-    assert doc["events"] == len(recorder.events)
-    assert doc["instants"]["system.crash"]["count"] == 1
-    assert doc["phases"]["drain:events_by_ts"] > 0
-    crashed = [s for s in doc["spans"] if s["crashed"]]
-    assert {s["name"] for s in crashed} >= {"build", "drain"}
-    assert all(s["end"] is None for s in crashed)
-    backlog = doc["gauges"]["sidefile.backlog[events_by_ts]"]
-    assert backlog["samples"] > 0 and backlog["max"] >= backlog["last"]
-    # the JSON agrees with the ASCII analysis
-    assert doc["phases"] == {
-        label: round(duration, 6)
-        for label, duration
-        in phase_durations(recorder.events).items()}
+# -- the drain verdict ---------------------------------------------------------
 
 
-def test_report_json_of_an_empty_trace():
-    from repro.obs.report import report_json
-    doc = report_json([])
-    assert doc["events"] == 0 and doc["spans"] == []
+def _drain_trace(backlogs, step=1.0):
+    """One ``drain`` span of index ``idx`` with a backlog gauge per
+    ``backlogs`` entry, ``step`` apart."""
+    recorder = TraceRecorder()
+    sim = _FakeSim()
+    recorder.bind(sim)
+    span = recorder.begin_span("drain", index="idx")
+    for backlog in backlogs:
+        sim.now += step
+        recorder.gauge("sidefile.backlog", backlog, index="idx")
+        recorder.gauge("sidefile.backlog", 99, index="other")
+    recorder.end_span(span)
+    return recorder.events
+
+
+def test_drain_verdict_rule_over_the_backlog_gauge():
+    # under four samples there is no verdict, however flat the backlog
+    assert drain_verdicts(_drain_trace([5, 5, 5])) == {"idx": []}
+    # a drained side-file is never diverging
+    assert drain_verdicts(_drain_trace([0, 0, 0, 0, 0])) == {"idx": []}
+    # time must advance across the window
+    assert drain_verdicts(_drain_trace([5] * 6, step=0.0)) == {"idx": []}
+    # the fourth sample judges: equal backlog is diverging (drain rate
+    # = append rate), one episode however long it lasts
+    assert drain_verdicts(_drain_trace([5, 5, 5, 5, 5, 5])) \
+        == {"idx": [4.0]}
+    # a falling backlog converges, and the drain recovers: a stall that
+    # outlasts the fall by the eight-sample window is a second episode
+    stall = [5, 5, 5, 5, 4, 3, 2, 2, 2, 2, 2, 2, 2, 2]
+    assert drain_verdicts(_drain_trace(stall[:-1])) == {"idx": [4.0]}
+    assert drain_verdicts(_drain_trace(stall)) == {"idx": [4.0, 14.0]}
+    assert drain_verdicts(_drain_trace([9, 8, 7, 6, 5, 4, 3, 2])) \
+        == {"idx": []}
+
+
+def test_underthrottled_drain_is_flagged_diverging():
+    """A hard-throttled SF build draining against live updates cannot
+    gain on the side-file: the report flags it diverging, at the four
+    instants the live tracker this reader replaced reported for the
+    same seeded run, and the build still completes (EXPERIMENTS.md
+    E24)."""
+    system = System(SystemConfig(page_capacity=8, leaf_capacity=8,
+                                 sort_workspace=32,
+                                 build_rate_limit=3.0), seed=7)
+    recorder = enable_tracing(system)
+    table = system.create_table("t", ["k", "p"])
+    spec = WorkloadSpec(operations=120, workers=3, think_time=0.4,
+                        rollback_fraction=0.0, update_weight=0.0)
+    driver = WorkloadDriver(system, table, spec, seed=7)
+    preload = system.spawn(driver.preload(300), name="preload")
+    system.run()
+    assert preload.error is None
+    builder = get_builder("sf")(
+        system, table, IndexSpec.of("idx", ["k"]),
+        options=BuildOptions(checkpoint_every_keys=64, drain_batch=4))
+    proc = system.spawn(builder.run(), name="builder")
+    driver.spawn_workers()
+    system.run()
+    assert proc.error is None
+    verdicts = drain_verdicts(recorder.events)
+    assert {index: [round(t, 4) for t in starts]
+            for index, starts in verdicts.items()} \
+        == {"idx": [317.1167, 324.1167, 332.1167, 343.7833]}
+    audit_index(system, system.indexes["idx"])
 
 
 # -- double crash/restart: recorder survives repeated re-binds ----------------

@@ -77,7 +77,7 @@ def test_a_done_build_keeps_no_sort_runs(mode):
     if mode == "sf":
         # the rebuild input survives the release
         assert "sealed:idx" in stores
-        assert system.run_stores["sealed:idx"].total_keys() > 0
+        assert any(system.run_stores["sealed:idx"].runs.values())
 
 
 def reachable_runs(root) -> list:
